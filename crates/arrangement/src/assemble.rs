@@ -32,7 +32,7 @@
 //! both build on the same nesting computation
 //! (`compute_component_nesting`).
 
-use crate::builder::build_local_phased;
+use crate::builder::build_local;
 use crate::complex::CellComplex;
 use crate::geometry::point_in_closed_polyline;
 use crate::index::SpatialIndex;
@@ -84,95 +84,30 @@ impl ComponentComplex {
     }
 }
 
-/// Build the sub-complex of one component from its tagged boundary segments
-/// (`region` tags index `region_names`).
-///
-/// The splitting phase routes through the x-strip parallel sweep for large
-/// components and the monolithic sweep for small ones
-/// ([`crate::strip::split_segments_auto`]); the two are output-identical, so
-/// the resulting complex does not depend on the routing. Uses the full
-/// configured thread count as the strip budget — callers already fanning
-/// out over components should use [`build_component_complex_budgeted`].
-pub fn build_component_complex(
-    region_names: Vec<String>,
-    segments: &[TaggedSegment],
-) -> ComponentComplex {
-    build_component_complex_budgeted(region_names, segments, crate::parallel::configured_threads())
-}
-
-/// Like [`build_component_complex`], with an explicit strip budget (see
-/// [`crate::strip::split_segments_auto_budgeted`]): the thread count this
-/// one component build may spend on its own strip decomposition. Parallel
-/// component pipelines pass [`crate::strip::strip_budget`] of their fan-out
-/// so nested strip × component parallelism stays at roughly the configured
-/// thread count. The output is identical for every budget.
-pub fn build_component_complex_budgeted(
-    region_names: Vec<String>,
-    segments: &[TaggedSegment],
-    strip_budget: usize,
-) -> ComponentComplex {
-    build_component_complex_phased(
-        region_names,
-        segments,
-        strip_budget,
-        crate::parallel::phase_parallel_enabled(),
-    )
-}
-
-/// Like [`build_component_complex_budgeted`], with the phase-parallel toggle
-/// as an explicit argument instead of the `ARRANGEMENT_PHASE_PARALLEL`
-/// environment default: `phase_parallel = true` runs the post-split phases
-/// (chain merging, face walks, label propagation, cell assembly) on the
-/// worker pool under the same `strip_budget` thread share the splitting
-/// phase uses; `false` forces them serial. The output is identical either
-/// way (`tests/phase_parallel_differential.rs`).
-pub fn build_component_complex_phased(
-    region_names: Vec<String>,
-    segments: &[TaggedSegment],
-    strip_budget: usize,
-    phase_parallel: bool,
-) -> ComponentComplex {
-    let bbox = segments
-        .iter()
-        .map(|t| BBox::of_segment(&t.segment))
-        .reduce(|a, b| a.union(&b));
-    let subs = crate::strip::split_segments_auto_budgeted(segments, strip_budget);
-    let phase_threads = if phase_parallel { strip_budget } else { 1 };
-    let (complex, bounded_cycles) = build_local_phased(region_names, &subs, phase_threads);
-    let rep_point = complex.vertices.first().map(|v| v.point);
-    ComponentComplex { complex, bounded_cycles, bbox, rep_point }
-}
-
-/// Build the sub-complex of one partition group of an instance.
+/// Build the sub-complex of one partition group of an instance, with the
+/// full configured thread count ([`crate::parallel::configured_threads`])
+/// as its budget.
 pub fn build_group_component(
     instance: &SpatialInstance,
     group: &ComponentGroup,
 ) -> ComponentComplex {
-    build_group_component_budgeted(instance, group, crate::parallel::configured_threads())
+    build_group(instance, group, crate::parallel::configured_threads())
 }
 
-/// Like [`build_group_component`], with an explicit strip budget (see
-/// [`build_component_complex_budgeted`]).
-pub fn build_group_component_budgeted(
+/// The one component build: gather the group's boundary segments, split them
+/// at their mutual intersections, and run the local pipeline over the
+/// pieces. `budget` is the thread share this one build may spend — callers
+/// fanning out over components pass [`crate::strip::strip_budget`] of their
+/// fan-out so nested parallelism stays at roughly the configured thread
+/// count — and it alone picks the code path: the split runs as `budget`
+/// concurrent x-strips for components of at least
+/// [`crate::strip::STRIP_MIN_SEGMENTS`] segments (monolithically below), and
+/// the post-split phases run on the pool iff `budget > 1`. The output is
+/// identical for every budget.
+pub(crate) fn build_group(
     instance: &SpatialInstance,
     group: &ComponentGroup,
-    strip_budget: usize,
-) -> ComponentComplex {
-    build_group_component_phased(
-        instance,
-        group,
-        strip_budget,
-        crate::parallel::phase_parallel_enabled(),
-    )
-}
-
-/// Like [`build_group_component_budgeted`], with the phase-parallel toggle
-/// as an explicit argument (see [`build_component_complex_phased`]).
-pub fn build_group_component_phased(
-    instance: &SpatialInstance,
-    group: &ComponentGroup,
-    strip_budget: usize,
-    phase_parallel: bool,
+    budget: usize,
 ) -> ComponentComplex {
     let names = instance.names();
     let mut local_names = Vec::with_capacity(group.region_indices.len());
@@ -185,7 +120,14 @@ pub fn build_group_component_phased(
             segments.push(TaggedSegment { segment, region: local });
         }
     }
-    build_component_complex_phased(local_names, &segments, strip_budget, phase_parallel)
+    let bbox = segments
+        .iter()
+        .map(|t| BBox::of_segment(&t.segment))
+        .reduce(|a, b| a.union(&b));
+    let subs = crate::strip::split_segments_within(&segments, budget);
+    let (complex, bounded_cycles) = build_local(local_names, &subs, budget);
+    let rep_point = complex.vertices.first().map(|v| v.point);
+    ComponentComplex { complex, bounded_cycles, bbox, rep_point }
 }
 
 /// The outcome of [`build_components_with_reuse`]: the partition's
@@ -212,9 +154,8 @@ pub struct ComponentSet {
 /// ([`crate::strip::strip_budget`]).
 ///
 /// This is the builder entry point behind incremental maintenance in
-/// `topodb`: both the epoch-chain and the legacy cache paths express
-/// "re-sweep only what changed against a base epoch" as a `reuse` closure
-/// over the base's component map.
+/// `topodb`: a commit expresses "re-sweep only what changed against a base
+/// epoch" as a `reuse` closure over the base's component map.
 pub fn build_components_with_reuse<F>(instance: &SpatialInstance, reuse: F) -> ComponentSet
 where
     F: Fn(&[String]) -> Option<Arc<ComponentComplex>> + Sync,
@@ -231,9 +172,9 @@ where
     let rebuilt = missing.len();
     if !missing.is_empty() {
         let threads = crate::parallel::configured_threads();
-        let strip_budget = crate::strip::strip_budget(missing.len(), threads);
+        let budget = crate::strip::strip_budget(missing.len(), threads);
         let built = crate::parallel::map_indexed(missing.len(), threads, |j| {
-            Arc::new(build_group_component_budgeted(instance, &groups[missing[j]], strip_budget))
+            Arc::new(build_group(instance, &groups[missing[j]], budget))
         });
         for (j, component) in built.into_iter().enumerate() {
             slots[missing[j]] = Some(component);

@@ -73,45 +73,11 @@ pub fn build_component_complexes(
     instance: &SpatialInstance,
     threads: usize,
 ) -> Vec<Arc<ComponentComplex>> {
-    build_component_complexes_phased(instance, threads, crate::parallel::phase_parallel_enabled())
-}
-
-/// Like [`build_component_complexes`], with the phase-parallel toggle as an
-/// explicit argument instead of the `ARRANGEMENT_PHASE_PARALLEL` environment
-/// default: `phase_parallel = false` forces every post-split phase (chain
-/// merging, face walks, label propagation, cell assembly) onto the serial
-/// path, `true` runs them on the worker pool under the component build's
-/// thread share ([`crate::strip::strip_budget`]). The output is identical
-/// either way; the explicit knob exists so benchmarks and differential tests
-/// can compare the two paths without mutating process environment.
-pub fn build_component_complexes_phased(
-    instance: &SpatialInstance,
-    threads: usize,
-    phase_parallel: bool,
-) -> Vec<Arc<ComponentComplex>> {
     let groups = partition_instance(instance);
-    let strip_budget = crate::strip::strip_budget(groups.len(), threads);
+    let budget = crate::strip::strip_budget(groups.len(), threads);
     map_indexed(groups.len(), threads, |i| {
-        Arc::new(crate::assemble::build_group_component_phased(
-            instance,
-            &groups[i],
-            strip_budget,
-            phase_parallel,
-        ))
+        Arc::new(crate::assemble::build_group(instance, &groups[i], budget))
     })
-}
-
-/// Like [`build_complex`], with an explicit thread count and phase-parallel
-/// toggle (see [`build_component_complexes_phased`]). Used by benchmarks to
-/// A/B the strips-only pipeline against strips + parallel post-split phases.
-pub fn build_complex_phased(
-    instance: &SpatialInstance,
-    threads: usize,
-    phase_parallel: bool,
-) -> CellComplex {
-    let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
-    let components = build_component_complexes_phased(instance, threads, phase_parallel);
-    assemble_components(region_names, &components)
 }
 
 /// The pre-partitioning construction: one plane sweep over the whole
@@ -121,7 +87,7 @@ pub fn build_complex_phased(
 pub fn build_complex_monolithic(instance: &SpatialInstance) -> CellComplex {
     let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
     let subs = split_segments(&instance_segments(instance));
-    build_local(region_names, &subs).0
+    build_local(region_names, &subs, 1).0
 }
 
 /// The local construction pipeline shared by the per-component and the
@@ -129,23 +95,16 @@ pub fn build_complex_monolithic(instance: &SpatialInstance) -> CellComplex {
 /// sub-segments, returning the complex together with the outer cycles of its
 /// bounded faces (the data the assembly step needs for cross-component
 /// nesting tests).
+///
+/// `threads <= 1` runs the serial pipeline, larger values run chain merging,
+/// face walks, label propagation and cell assembly on the worker pool. The
+/// two paths are output-identical (byte-for-byte, pinned by
+/// `tests/phase_parallel_differential.rs` and the unit tests below); both
+/// bump the per-phase work counters of [`crate::counters`].
 pub(crate) fn build_local(
     region_names: Vec<String>,
     subs: &[SubSegment],
-) -> (CellComplex, Vec<BoundedCycle>) {
-    build_local_phased(region_names, subs, 1)
-}
-
-/// [`build_local`] with an explicit thread budget for the post-split phases:
-/// `phase_threads <= 1` runs the original serial pipeline, larger values run
-/// chain merging, face walks, label propagation and cell assembly on the
-/// worker pool. The two paths are output-identical (byte-for-byte, pinned by
-/// `tests/phase_parallel_differential.rs` and the unit tests below); both
-/// bump the per-phase work counters of [`crate::counters`].
-pub(crate) fn build_local_phased(
-    region_names: Vec<String>,
-    subs: &[SubSegment],
-    phase_threads: usize,
+    threads: usize,
 ) -> (CellComplex, Vec<BoundedCycle>) {
     let n_regions = region_names.len();
 
@@ -170,8 +129,8 @@ pub(crate) fn build_local_phased(
     let raw = RawGraph::new(subs);
 
     // ---- Merge chains into maximal 1-cells ------------------------------
-    let merged = if phase_threads > 1 {
-        merge_chains_parallel(&raw, phase_threads)
+    let merged = if threads > 1 {
+        merge_chains_parallel(&raw, threads)
     } else {
         merge_chains(&raw)
     };
@@ -181,8 +140,8 @@ pub(crate) fn build_local_phased(
     let rotations = compute_rotations(&merged);
 
     // ---- Face walks -------------------------------------------------------
-    let walks = if phase_threads > 1 {
-        face_walks_parallel(&merged, &rotations, phase_threads)
+    let walks = if threads > 1 {
+        face_walks_parallel(&merged, &rotations, threads)
     } else {
         face_walks(&merged, &rotations)
     };
@@ -193,7 +152,7 @@ pub(crate) fn build_local_phased(
 
     // ---- Labels -----------------------------------------------------------
     let cycles = std::mem::take(&mut assembled.bounded_cycles);
-    (finish_complex(region_names, merged, rotations, assembled, phase_threads), cycles)
+    (finish_complex(region_names, merged, rotations, assembled, threads), cycles)
 }
 
 /// The raw planar graph before chain merging: one vertex per split point, one
@@ -1299,34 +1258,32 @@ mod tests {
         for (name, inst) in phase_fixtures() {
             let subs = split_segments(&instance_segments(&inst));
             let names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
-            let (serial, serial_cycles) = build_local_phased(names.clone(), &subs, 1);
+            let (serial, serial_cycles) = build_local(names.clone(), &subs, 1);
             for threads in [2, 3, 8] {
-                let (phased, phased_cycles) = build_local_phased(names.clone(), &subs, threads);
+                let (phased, phased_cycles) = build_local(names.clone(), &subs, threads);
                 assert_eq!(
                     format!("{serial:?}"),
                     format!("{phased:?}"),
-                    "{name}: complex differs at phase_threads={threads}"
+                    "{name}: complex differs at threads={threads}"
                 );
                 assert_eq!(
                     format!("{serial_cycles:?}"),
                     format!("{phased_cycles:?}"),
-                    "{name}: bounded cycles differ at phase_threads={threads}"
+                    "{name}: bounded cycles differ at threads={threads}"
                 );
             }
         }
     }
 
     #[test]
-    fn phased_pipeline_matches_default_build() {
+    fn explicit_thread_counts_match_default_build() {
         for (name, inst) in phase_fixtures() {
             let base = build_complex(&inst);
-            for (threads, phase_parallel) in [(1, false), (4, false), (4, true)] {
-                let phased = build_complex_phased(&inst, threads, phase_parallel);
-                assert_eq!(
-                    format!("{base:?}"),
-                    format!("{phased:?}"),
-                    "{name}: threads={threads} phase_parallel={phase_parallel}"
-                );
+            let names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
+            for threads in [1, 4] {
+                let built =
+                    assemble_components(names.clone(), &build_component_complexes(&inst, threads));
+                assert_eq!(format!("{base:?}"), format!("{built:?}"), "{name}: threads={threads}");
             }
         }
     }
@@ -1334,8 +1291,8 @@ mod tests {
     #[test]
     fn phase_counters_advance_during_a_build() {
         let before = crate::counters::phase_counters();
-        let c = build_complex_phased(&fixtures::fig_1c(), 2, true);
-        assert!(c.euler_formula_holds());
+        let components = build_component_complexes(&fixtures::fig_1c(), 2);
+        assert!(components.iter().all(|c| c.complex().euler_formula_holds()));
         let delta = crate::counters::phase_counters().delta_since(&before);
         assert!(delta.events_processed >= 1, "sweep events counted");
         assert!(delta.chains_merged >= 1, "merged chains counted");

@@ -38,10 +38,9 @@
 //!    system and face walks extracted, and cells labeled by propagation from
 //!    the unbounded face. Components share nothing until assembly, so they
 //!    are swept **concurrently** on the small std-only worker pool of
-//!    [`parallel`] (thread count from `ARRANGEMENT_THREADS`, default =
-//!    available parallelism; the output is identical for every thread
-//!    count). Inside a large component, the splitting phase is further
-//!    decomposed into concurrent x-strips ([`strip`]). The result is an
+//!    [`parallel`] (the output is identical for every thread count).
+//!    Inside a large component, the splitting phase is further decomposed
+//!    into concurrent x-strips ([`strip`]). The result is an
 //!    immutable [`ComponentComplex`], shareable behind an `Arc` so callers
 //!    (the `topodb` component cache) can reuse untouched components across
 //!    updates.
@@ -69,61 +68,64 @@
 //!
 //! ## Parallelism model
 //!
-//! Construction exploits three orthogonal levels of parallelism, all fed by
-//! the same [`parallel`] worker pool:
+//! One number drives all parallelism: the thread budget of a build
+//! (`threads` of [`build_component_complexes`]; `ARRANGEMENT_THREADS`, or
+//! the machine's available parallelism, for the entry points that take
+//! none — see [`parallel::configured_threads`]). The [`parallel`] worker
+//! pool spends it at three levels, and the budget together with the input
+//! size picks the code path at each:
 //!
 //! * **Component-level** (between components): interaction components share
 //!   no vertex or edge, so their sub-complexes are swept as share-nothing
-//!   work items. This is the right lever for *wide* maps (many clusters,
-//!   `datagen::wide_map` / `clustered_map`) and costs nothing in
-//!   coordination — but it is bounded by the component count: a dense map
-//!   that forms one big component offers a single work item.
-//! * **Strip-level** (inside a component, [`strip`]): the splitting phase of
-//!   one component's sweep is decomposed into vertical x-strips at exact
-//!   rational seam abscissas placed by a *crossing-density cost model* —
-//!   each candidate endpoint abscissa is weighted by the bounding-box
-//!   overlap mass around it (a [`SpatialIndex`] probe, the same
-//!   conservative estimate the partitioner uses), and the seams are placed
-//!   at equal *cumulative cost* rather than equal endpoint count, so
-//!   crossing-clustered instances still hand every strip a comparable
-//!   share of sweep events (the retired endpoint-quantile placement is
-//!   kept as [`strip::quantile_seams`], the measured baseline of the
-//!   `strip_sweep` seam-skew metrics). The strips are swept concurrently
-//!   and their cut sets stitched back together with exact seam
-//!   reconciliation. This is the lever for *dense single-blob* maps
-//!   (`datagen::dense_overlap_map`, `jittered_overlap_map`), where it is
-//!   the only parallelism available to the splitting phase. Components
-//!   below [`strip::STRIP_MIN_SEGMENTS`] segments sweep monolithically —
-//!   their parallelism, if any, comes from the component level. The levels
-//!   share one thread budget ([`strip::strip_budget`]): a lone big
-//!   component strips on every configured thread, a many-component map
-//!   keeps the parallelism at the component level, and mixed maps split
-//!   the budget evenly rather than multiplying the fan-outs.
-//! * **Phase-level** (inside a component, downstream of the split): the
-//!   post-split phases — chain merging into maximal 1-cells, face-walk
-//!   extraction from the combinatorial embedding, label propagation from
-//!   the unbounded face, and flat cell assembly — run on the component's
-//!   same thread share. Chain merging fans out over *canonical darts*
-//!   (each maximal chain is emitted only from its lexicographically
-//!   smallest endpoint, reproducing the serial first-encounter order
-//!   without coordination), face walks parallelize the next-dart
-//!   permutation and the per-walk polyline/area builds around a serial
-//!   orbit extraction, and labels propagate layer-synchronously (label
-//!   values are path-independent, so frontier order cannot change them).
-//!   Controlled by `ARRANGEMENT_PHASE_PARALLEL` (default on; set `0`,
-//!   `off`, `false` or `serial` to force the serial phases); the
-//!   per-phase work is observable through [`counters`].
+//!   work items, up to `threads` at a time. This is the right lever for
+//!   *wide* maps (many clusters, `datagen::wide_map` / `clustered_map`) and
+//!   costs nothing in coordination — but it is bounded by the component
+//!   count: a dense map that forms one big component offers a single work
+//!   item. Each component build receives the share
+//!   [`strip::strip_budget`]`(components, threads)` for the two levels
+//!   below: a lone big component gets every thread, a many-component map
+//!   keeps the parallelism at the component level (share 1), and mixed maps
+//!   split the budget evenly rather than multiplying the fan-outs.
+//! * **Strip-level** (inside a component, [`strip`]): with a share above 1
+//!   and at least [`strip::STRIP_MIN_SEGMENTS`] segments, the splitting
+//!   phase of the component's sweep is decomposed into one vertical x-strip
+//!   per shared thread, at exact rational seam abscissas placed by a
+//!   *crossing-density cost model* — each candidate endpoint abscissa is
+//!   weighted by the bounding-box overlap mass around it (a
+//!   [`SpatialIndex`] probe, the same conservative estimate the partitioner
+//!   uses), and the seams are placed at equal *cumulative cost* rather than
+//!   equal endpoint count, so crossing-clustered instances still hand every
+//!   strip a comparable share of sweep events (the retired
+//!   endpoint-quantile placement is kept as [`strip::quantile_seams`], the
+//!   measured baseline of the `strip_sweep` seam-skew metrics). The strips
+//!   are swept concurrently and their cut sets stitched back together with
+//!   exact seam reconciliation. This is the lever for *dense single-blob*
+//!   maps (`datagen::dense_overlap_map`, `jittered_overlap_map`), where it
+//!   is the only parallelism available to the splitting phase. Smaller
+//!   components sweep monolithically — their parallelism, if any, comes
+//!   from the component level.
+//! * **Phase-level** (inside a component, downstream of the split): with a
+//!   share above 1, the post-split phases — chain merging into maximal
+//!   1-cells, face-walk extraction from the combinatorial embedding, label
+//!   propagation from the unbounded face, and flat cell assembly — run on
+//!   the component's same thread share; with share 1 they run serially.
+//!   Chain merging fans out over *canonical darts* (each maximal chain is
+//!   emitted only from its lexicographically smallest endpoint, reproducing
+//!   the serial first-encounter order without coordination), face walks
+//!   parallelize the next-dart permutation and the per-walk polyline/area
+//!   builds around a serial orbit extraction, and labels propagate
+//!   layer-synchronously (label values are path-independent, so frontier
+//!   order cannot change them). The per-phase work is observable through
+//!   [`counters`].
 //!
-//! **Determinism guarantee:** no level affects the output — the strip
-//! decomposition produces *identical* cut sets (and therefore identical
-//! sub-segments, cells and fingerprints) to the monolithic sweep, the
-//! parallel phases emit cells in the serial phase order, and the
+//! **Determinism guarantee:** the budget never affects the output — the
+//! strip decomposition produces *identical* cut sets (and therefore
+//! identical sub-segments, cells and fingerprints) to the monolithic sweep,
+//! the parallel phases emit cells in the serial phase order, and the
 //! component pool returns results in input order — so the constructed
-//! complex is byte-for-byte the same for every
-//! `ARRANGEMENT_THREADS` × `ARRANGEMENT_STRIPS` ×
-//! `ARRANGEMENT_PHASE_PARALLEL` combination, on every machine.
-//! `tests/thread_determinism.rs`, `tests/strip_differential.rs` and
-//! `tests/phase_parallel_differential.rs` pin this.
+//! complex is byte-for-byte the same for every `threads` value, on every
+//! machine. `tests/thread_determinism.rs`, `tests/strip_differential.rs`
+//! and `tests/phase_parallel_differential.rs` pin this.
 //!
 //! Two oracles guard the pipeline: the original all-pairs splitter (`O(n^2)`
 //! exact intersection tests) is retained in [`split`] as the sweep's
@@ -166,13 +168,11 @@ mod types;
 mod view;
 
 pub use assemble::{
-    assemble_components, build_component_complex, build_component_complex_budgeted,
-    build_component_complex_phased, build_components_with_reuse, build_group_component,
-    build_group_component_budgeted, build_group_component_phased, ComponentComplex, ComponentSet,
+    assemble_components, build_components_with_reuse, build_group_component, ComponentComplex,
+    ComponentSet,
 };
 pub use builder::{
-    build_complex, build_complex_monolithic, build_complex_phased, build_complex_view,
-    build_component_complexes, build_component_complexes_phased,
+    build_complex, build_complex_monolithic, build_complex_view, build_component_complexes,
 };
 pub use complex::{CellComplex, ComplexRead};
 pub use index::SpatialIndex;

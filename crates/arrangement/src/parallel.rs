@@ -13,45 +13,31 @@
 //!
 //! The default thread count is the machine's available parallelism,
 //! overridable with the `ARRANGEMENT_THREADS` environment variable (a
-//! positive integer; `1` forces the serial path).
+//! positive integer; `1` forces the serial path). It is a deployment
+//! setting, resolved once per process.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The thread count used by the construction pipeline: the value of the
 /// `ARRANGEMENT_THREADS` environment variable if it parses as a positive
-/// integer, otherwise [`std::thread::available_parallelism`] (falling back
-/// to 1 if that is unavailable).
+/// integer, otherwise [`available_threads`]. Resolved on first use and fixed
+/// for the life of the process; code that needs a specific count passes it
+/// explicitly ([`crate::build_component_complexes`]).
 pub fn configured_threads() -> usize {
-    std::env::var("ARRANGEMENT_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(available_threads)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("ARRANGEMENT_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(available_threads)
+    })
 }
 
 /// The machine's available parallelism (1 if undetectable).
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Whether the post-split phases of a component build — chain merging, face
-/// walks, label propagation and cell assembly — run on the worker pool
-/// (see [`crate::build_complex_phased`]). Controlled by the
-/// `ARRANGEMENT_PHASE_PARALLEL` environment variable: `0`, `off`, `false`
-/// or `serial` (case-insensitive) force the serial phase path, anything
-/// else — including unset — enables the parallel phases. Read per build, so
-/// tests can toggle it. The output is identical either way
-/// (`tests/phase_parallel_differential.rs`); the knob exists for A/B
-/// benchmarking and as an operational escape hatch.
-pub fn phase_parallel_enabled() -> bool {
-    match std::env::var("ARRANGEMENT_PHASE_PARALLEL") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !matches!(v.as_str(), "0" | "off" | "false" | "serial")
-        }
-        Err(_) => true,
-    }
 }
 
 /// Evaluate `f(0), f(1), …, f(n - 1)` on up to `threads` worker threads and

@@ -74,17 +74,14 @@
 //! all-pairs oracle on fixtures, randomized dense instances and every
 //! strips × threads combination.
 //!
-//! # Configuration
+//! # Routing
 //!
-//! The strip count comes from the `ARRANGEMENT_STRIPS` environment variable
-//! when set (a positive integer; `1` forces the monolithic sweep, any other
-//! value forces that many strips regardless of input size). By default,
-//! components with at least [`STRIP_MIN_SEGMENTS`] segments use
-//! [`crate::parallel::configured_threads`] strips and smaller ones take the
-//! serial path — the decomposition has a per-strip cost (clipping plus seam
-//! events), so tiny components are faster unsplit, and components below the
-//! threshold typically coexist with many siblings that the component-level
-//! pool already spreads across cores.
+//! A component build with a thread budget above 1 and at least
+//! [`STRIP_MIN_SEGMENTS`] segments uses one strip per budgeted thread;
+//! everything else takes the monolithic sweep — the decomposition has a
+//! per-strip cost (clipping plus seam events), so tiny components are faster
+//! unsplit, and components below the threshold typically coexist with many
+//! siblings that the component-level pool already spreads across cores.
 
 use crate::parallel::{configured_threads, map_indexed};
 use crate::split::{assemble_subsegments, endpoint_cuts, CutSets, SubSegment, TaggedSegment};
@@ -93,68 +90,34 @@ use spatial_core::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Components with at least this many boundary segments route their
-/// splitting phase through the strip decomposition (unless overridden by
-/// `ARRANGEMENT_STRIPS`); smaller ones sweep monolithically.
+/// splitting phase through the strip decomposition; smaller ones sweep
+/// monolithically.
 pub const STRIP_MIN_SEGMENTS: usize = 256;
 
-/// The explicit strip-count override: the value of the `ARRANGEMENT_STRIPS`
-/// environment variable if it parses as a positive integer.
-pub fn strip_override() -> Option<usize> {
-    std::env::var("ARRANGEMENT_STRIPS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
+/// Split segments at their mutual intersections with the full configured
+/// thread count ([`configured_threads`]) as the budget: striped for large
+/// inputs, monolithic for small ones (see the module docs' "Routing"
+/// section). The two are output-identical.
+pub fn split_segments_auto(segments: &[TaggedSegment]) -> Vec<SubSegment> {
+    split_segments_within(segments, configured_threads())
 }
 
-/// The strip count used for a component with `segment_count` boundary
-/// segments and a thread budget of `budget`: the `ARRANGEMENT_STRIPS`
-/// override if set (applied regardless of size, so tests can force the
-/// strip path on small inputs), otherwise `budget` for components of at
-/// least [`STRIP_MIN_SEGMENTS`] segments (when the budget allows any
-/// parallelism at all) and `1` below the threshold. This is the single
-/// routing policy behind [`split_segments_auto`] /
-/// [`split_segments_auto_budgeted`].
-pub fn effective_strips_budgeted(segment_count: usize, budget: usize) -> usize {
-    match strip_override() {
-        Some(k) => k,
-        None if budget > 1 && segment_count >= STRIP_MIN_SEGMENTS => budget,
-        None => 1,
+/// The routing behind [`split_segments_auto`], for callers that already run
+/// on a parallel pool and own only a share of it ([`strip_budget`]).
+pub(crate) fn split_segments_within(segments: &[TaggedSegment], budget: usize) -> Vec<SubSegment> {
+    match strips_for(segments.len(), budget) {
+        1 => crate::split::split_segments(segments),
+        strips => split_segments_striped(segments, strips, budget),
     }
 }
 
-/// [`effective_strips_budgeted`] with the full configured thread count as
-/// the budget.
-pub fn effective_strips(segment_count: usize) -> usize {
-    effective_strips_budgeted(segment_count, configured_threads())
-}
-
-/// Split segments at their mutual intersections, routing through the strip
-/// decomposition or the monolithic sweep according to [`effective_strips`],
-/// with the full configured thread count as the strip budget. Equivalent to
-/// [`split_segments_auto_budgeted`] with [`configured_threads`] — callers
-/// already running on a parallel pool should pass their remaining budget
-/// instead.
-pub fn split_segments_auto(segments: &[TaggedSegment]) -> Vec<SubSegment> {
-    split_segments_auto_budgeted(segments, configured_threads())
-}
-
-/// Like [`split_segments_auto`], but with an explicit *strip budget*: the
-/// number of threads (and, absent an `ARRANGEMENT_STRIPS` override, strips)
-/// this call may use. The per-component build pipelines pass
-/// [`strip_budget`] of their own fan-out here so that strip-level and
-/// component-level parallelism compose to roughly the configured thread
-/// count instead of multiplying into oversubscription. A budget of `1`
-/// takes the monolithic path (unless the override forces strips).
-pub fn split_segments_auto_budgeted(
-    segments: &[TaggedSegment],
-    budget: usize,
-) -> Vec<SubSegment> {
-    let budget = budget.max(1);
-    let strips = effective_strips_budgeted(segments.len(), budget);
-    if strips > 1 {
-        split_segments_striped(segments, strips, budget)
+/// One strip per budgeted thread for components of at least
+/// [`STRIP_MIN_SEGMENTS`] segments, the monolithic sweep (1) otherwise.
+fn strips_for(segment_count: usize, budget: usize) -> usize {
+    if segment_count >= STRIP_MIN_SEGMENTS {
+        budget.max(1)
     } else {
-        crate::split::split_segments(segments)
+        1
     }
 }
 
@@ -633,12 +596,29 @@ mod tests {
     }
 
     #[test]
-    fn effective_strips_respects_threshold() {
-        // No override in the test environment is guaranteed, so only check
-        // the threshold arm when the variable is absent.
-        if strip_override().is_none() {
-            assert_eq!(effective_strips(STRIP_MIN_SEGMENTS - 1), 1);
-            assert_eq!(effective_strips(STRIP_MIN_SEGMENTS), configured_threads());
+    fn auto_routing_strips_only_at_the_threshold_with_a_budget() {
+        assert_eq!(strips_for(STRIP_MIN_SEGMENTS - 1, 4), 1);
+        assert_eq!(strips_for(STRIP_MIN_SEGMENTS, 4), 4);
+        assert_eq!(strips_for(STRIP_MIN_SEGMENTS, 1), 1);
+        // Both sides of the threshold are output-identical to the serial
+        // sweep: a row of overlapping squares, 4 segments each.
+        let row = |squares: i64| {
+            let mut inst = SpatialInstance::new();
+            for i in 0..squares {
+                inst.insert(format!("Q{i:03}"), Region::rect_from_ints(2 * i, 0, 2 * i + 3, 3));
+            }
+            instance_segments(&inst)
+        };
+        for segments in [row(63), row(64)] {
+            assert!(segments.len().abs_diff(STRIP_MIN_SEGMENTS) <= 4);
+            for budget in [1, 4] {
+                assert_eq!(
+                    split_segments_within(&segments, budget),
+                    split_segments(&segments),
+                    "{} segments, budget {budget}",
+                    segments.len()
+                );
+            }
         }
     }
 

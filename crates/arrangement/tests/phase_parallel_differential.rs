@@ -1,42 +1,33 @@
-//! Differential suite for the phase-parallel post-split pipeline
-//! (`ARRANGEMENT_PHASE_PARALLEL` / [`arrangement::build_complex_phased`]):
-//! on randomized dense, shared-boundary, clustered and sparse workloads the
-//! parallel chain-merge / face-walk / label phases must produce complexes
-//! **byte-identical** (same cell ids, same order, checked through `Debug`)
-//! to the serial phases, for every thread count — and fingerprint-identical
-//! to the monolithic single-sweep oracle.
+//! Differential suite for the parallel post-split pipeline: on randomized
+//! dense, shared-boundary, clustered and sparse workloads a build on 2, 3 or
+//! 8 threads — parallel chain-merge / face-walk / label phases downstream of
+//! a strip-decomposed split — must produce complexes **byte-identical**
+//! (same cell ids, same order, checked through `Debug`) to the fully serial
+//! single-thread build, and fingerprint-identical to the monolithic
+//! single-sweep oracle.
 //!
-//! The thread grid doubles as a strips grid: a component's strip budget
+//! The thread grid doubles as a strips grid: a component's strip count
 //! equals its thread share ([`arrangement::strip::strip_budget`]), so
 //! sweeping the thread counts also sweeps the strip decomposition the
 //! phases run downstream of.
 
-use arrangement::{assemble_components, build_complex_monolithic, build_component_complexes_phased};
+use arrangement::{assemble_components, build_complex_monolithic, build_component_complexes};
 use spatial_core::prelude::*;
 
 mod common;
 use common::fingerprint;
 
-/// Build through every (threads, phase_parallel) combination and require
-/// byte-identical output to the fully serial pipeline, plus
-/// fingerprint-identity to the monolithic oracle.
+/// Build on every thread count and require byte-identical output to the
+/// single-thread (fully serial) pipeline, plus fingerprint-identity to the
+/// monolithic oracle.
 fn assert_phases_exact(inst: &SpatialInstance, context: &str) {
     let region_names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
-    let serial =
-        assemble_components(region_names.clone(), &build_component_complexes_phased(inst, 1, false));
+    let serial = assemble_components(region_names.clone(), &build_component_complexes(inst, 1));
     let serial_debug = format!("{serial:?}");
     for threads in [2usize, 3, 8] {
-        for phase_parallel in [false, true] {
-            let c = assemble_components(
-                region_names.clone(),
-                &build_component_complexes_phased(inst, threads, phase_parallel),
-            );
-            assert_eq!(
-                serial_debug,
-                format!("{c:?}"),
-                "{context}: threads={threads} phase_parallel={phase_parallel} diverges"
-            );
-        }
+        let c =
+            assemble_components(region_names.clone(), &build_component_complexes(inst, threads));
+        assert_eq!(serial_debug, format!("{c:?}"), "{context}: threads={threads} diverges");
     }
     assert_eq!(
         fingerprint(&serial),

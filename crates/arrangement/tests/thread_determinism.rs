@@ -1,12 +1,8 @@
 //! Determinism of the parallel construction pipeline: sweeping components on
 //! 1, 2 or 8 worker threads and decomposing the per-component sweep into 1,
-//! 2 or 8 x-strips — whether selected explicitly or through the
-//! `ARRANGEMENT_THREADS` / `ARRANGEMENT_STRIPS` environment variables — must
-//! produce fingerprint- and index-identical complexes.
-//!
-//! This file deliberately holds a single `#[test]` (its own test binary), so
-//! the environment-variable part cannot race with any other test in the same
-//! process.
+//! 2 or 8 x-strips must produce fingerprint- and index-identical complexes.
+//! Every configuration is passed as an explicit argument; nothing here
+//! touches the process environment.
 
 use arrangement::split::{instance_segments, split_segments};
 use arrangement::strip::split_segments_striped;
@@ -27,6 +23,10 @@ fn thread_count_never_changes_the_complex() {
         ("clustered_map(8, 4, 5)", datagen::clustered_map(8, 4, 5)),
         ("wide_map(24, 9)", datagen::wide_map(24, 9)),
         ("dense_overlap_map(4, 4, 4)", datagen::dense_overlap_map(4, 4, 4)),
+        // One component of exactly `STRIP_MIN_SEGMENTS` segments: with more
+        // than one thread its build routes through the strip decomposition
+        // and the parallel post-split phases end to end.
+        ("dense_overlap_map(8, 8, 4)", datagen::dense_overlap_map(8, 8, 4)),
     ] {
         // Explicit thread counts through the builder API. The serial result
         // is the baseline; parallel runs must be index-identical, not merely
@@ -73,23 +73,8 @@ fn thread_count_never_changes_the_complex() {
             }
         }
 
-        // The same combinations selected through the environment, which
-        // drives `build_complex` end to end (partition → strip-decomposed
-        // parallel sweep → copy assembly). `ARRANGEMENT_STRIPS` forces the
-        // strip path regardless of the component-size threshold, so these
-        // instances exercise it even though they are small.
-        for strips in ["1", "2", "8"] {
-            std::env::set_var("ARRANGEMENT_STRIPS", strips);
-            for threads in ["1", "2", "8"] {
-                std::env::set_var("ARRANGEMENT_THREADS", threads);
-                assert_eq!(
-                    fingerprint(&build_complex(&inst)),
-                    base_fp,
-                    "{name}: ARRANGEMENT_STRIPS={strips} ARRANGEMENT_THREADS={threads} diverges"
-                );
-            }
-        }
-        std::env::remove_var("ARRANGEMENT_STRIPS");
-        std::env::remove_var("ARRANGEMENT_THREADS");
+        // And the default entry point (partition → sweep on the configured
+        // thread count → copy assembly) lands on the same complex.
+        assert_eq!(fingerprint(&build_complex(&inst)), base_fp, "{name}: build_complex diverges");
     }
 }

@@ -34,16 +34,15 @@
 //! bounds the parallel sweep's wall time, so the skew ratio is the
 //! quantity the cost model exists to minimize.
 //!
-//! The second group, `phase_build`, carries the perf claim of the
-//! phase-parallel pipeline: on the dense 256-region single-component map,
-//! `build_complex_phased` with the parallel chain-merge / face-walk /
-//! label phases (`phase_parallel`) must beat the same build with strips
-//! only (`strips_only`, the pre-phase production path) — >1.3x on 4+
-//! cores, a simple win on 2-3, skipped single-core (gated by
-//! `scripts/bench_snapshot.sh`). Its per-phase work counters
-//! ([`arrangement::counters`]) are recorded as `phase_build/<phase>/<n>`
-//! metrics so parallel-efficiency regressions (duplicated walks) stay
-//! visible even on a single-core bench host.
+//! The second group, `phase_build`, times the whole per-component pipeline
+//! (strip-decomposed split, then chain merge / face walks / labels / cell
+//! assembly) on the dense 256-region single-component map through
+//! [`arrangement::build_component_complexes`] on one thread (`threads1`,
+//! every phase serial — the trajectory-gated series) and on all threads
+//! (`threadsmax`, strips and post-split phases on the pool). Its per-phase
+//! work counters ([`arrangement::counters`]) are recorded as
+//! `phase_build/<phase>/<n>` metrics so parallel-efficiency regressions
+//! (duplicated walks) stay visible even on a single-core bench host.
 
 use arrangement::partition_instance;
 use arrangement::split::{instance_segments, split_segments};
@@ -109,9 +108,9 @@ fn strip_sweep(c: &mut Criterion) {
 }
 
 /// Wall time of the full per-component pipeline (split + chain merge + face
-/// walks + labels + cell assembly) on the dense single-component map, with
-/// and without the phase-parallel post-split phases. Also records the
-/// per-phase work counters of one phase-parallel build.
+/// walks + labels + cell assembly) on the dense single-component map, on one
+/// thread and on all of them. Also records the per-phase work counters of
+/// one all-threads build.
 fn phase_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("phase_build");
     let max = arrangement::parallel::available_threads();
@@ -124,22 +123,18 @@ fn phase_build(c: &mut Criterion) {
         "dense_overlap_map must be one interaction component"
     );
 
-    group.bench_with_input(BenchmarkId::new("serial", n), &(), |b, _| {
-        b.iter(|| black_box(arrangement::build_complex_phased(&inst, 1, false)))
-    });
-    group.bench_with_input(BenchmarkId::new("strips_only", n), &(), |b, _| {
-        b.iter(|| black_box(arrangement::build_complex_phased(&inst, max, false)))
-    });
-    group.bench_with_input(BenchmarkId::new("phase_parallel", n), &(), |b, _| {
-        b.iter(|| black_box(arrangement::build_complex_phased(&inst, max, true)))
-    });
+    for (series, threads) in [("threads1", 1), ("threadsmax", max)] {
+        group.bench_with_input(BenchmarkId::new(series, n), &(), |b, _| {
+            b.iter(|| black_box(arrangement::build_component_complexes(&inst, threads)))
+        });
+    }
 
     // One instrumented build outside the timing loops: the per-phase work of
-    // a phase-parallel build must match the serial build's (pinned relative
-    // to each other by the differential tests; recorded here so the absolute
+    // a parallel build must match the serial build's (pinned relative to
+    // each other by the differential tests; recorded here so the absolute
     // trajectory is visible in the snapshot).
     let before = arrangement::counters::phase_counters();
-    black_box(arrangement::build_complex_phased(&inst, max, true));
+    black_box(arrangement::build_component_complexes(&inst, max));
     let work = arrangement::counters::phase_counters().delta_since(&before);
     record_metric(format!("phase_build/events_processed/{n}"), work.events_processed as f64);
     record_metric(format!("phase_build/chains_merged/{n}"), work.chains_merged as f64);

@@ -13,12 +13,9 @@
 //! makes its own tail latencies look better by slowing the clients down.
 //!
 //! All clients share one `&TopoDatabase` directly — no outer lock. Reads
-//! and queries acquire snapshots (wait-free on the epoch-chain backend);
-//! transactions commit through [`TopoDatabase::begin_shared`], so
-//! concurrent writers build their epochs outside any lock and serialize
-//! only at the publish compare-exchange. Setting `TOPODB_EPOCH_CHAIN=off`
-//! runs the same workload against the legacy `RwLock`-cache backend for
-//! comparison.
+//! and queries acquire snapshots (wait-free); transactions commit through
+//! [`TopoDatabase::begin_shared`], so concurrent writers build their epochs
+//! outside any lock and serialize only at the publish compare-exchange.
 //!
 //! The per-operation mix, drawn from each client's seeded RNG, is selected
 //! by `TRAFFIC_MIX`:
@@ -276,9 +273,8 @@ fn traffic(_c: &mut Criterion) {
 
     eprintln!(
         "traffic: {clients} clients x {ops} ops at {rate} ops/s each \
-         (offered {} ops/s total, {mix_label} mix, {map_label} map, {} backend, {}{})",
+         (offered {} ops/s total, {mix_label} mix, {map_label} map, {}{})",
         clients * rate,
-        if db.epoch_chain_enabled() { "epoch-chain" } else { "legacy rwlock" },
         if faults > 0.0 {
             format!("simfs wal {sync_label}, fault rate {faults}")
         } else if db.durable() {

@@ -15,7 +15,7 @@
 //! invariant promised by Corollary 3.7, in executable form.
 
 use crate::ast::{Formula, NameTerm, RegionExpr};
-use crate::plan::{planner_enabled, Generator, QueryPlan};
+use crate::plan::{Generator, QueryPlan};
 use arrangement::{build_complex_view, BBox, ComplexRead, Sign, SpatialIndex};
 use relations::{FourIntersectionMatrix, Relation4};
 use spatial_core::prelude::SpatialInstance;
@@ -510,7 +510,7 @@ impl CellEvaluator {
         formula: &Formula,
         free: &[String],
     ) -> Result<Vec<Bindings>, EvalError> {
-        if free.is_empty() || !planner_enabled() {
+        if free.is_empty() {
             return self.eval_bindings_naive(formula, free);
         }
         self.eval_bindings_planned(formula, &QueryPlan::build(formula, free))
@@ -518,8 +518,8 @@ impl CellEvaluator {
 
     /// The cartesian-product enumerator: every assignment of `free` over
     /// `names(I)` is tried and the formula evaluated on each — `O(n^k)`
-    /// evaluations. Kept as the planner's differential oracle (the
-    /// `QUERY_PLANNER=off` path); see [`CellEvaluator::eval_bindings`] and
+    /// evaluations. Kept as the planner's differential oracle; see
+    /// [`CellEvaluator::eval_bindings`] and
     /// the crate docs' "Planning model" section.
     pub fn eval_bindings_naive(
         &self,

@@ -48,10 +48,9 @@
 //! An open formula with `k` free name variables is a set-returning query.
 //! The baseline evaluation is a cartesian product — every assignment in
 //! `names(I)^k` is tried, `O(n^k)` full formula evaluations — and it remains
-//! available, both as [`CellEvaluator::eval_bindings_naive`] and as the
-//! active path whenever the `QUERY_PLANNER` environment variable is set to
-//! `0`/`off`/`naive`/`false` (see [`plan::planner_enabled`]). The planned
-//! path layers three ideas on top of it:
+//! available as [`CellEvaluator::eval_bindings_naive`], the reference the
+//! planner's differential suite compares against. The planned path layers
+//! three ideas on top of it:
 //!
 //! 1. **Compile-time atom analysis** ([`QueryPlan::build`], stored inside
 //!    [`PreparedQuery`]). The top-level conjunction is flattened; each

@@ -123,18 +123,6 @@ impl QueryPlan {
     }
 }
 
-/// Is the semi-join planner enabled? Controlled by the `QUERY_PLANNER`
-/// environment variable: `0`, `off`, `naive` or `false` (case-insensitive)
-/// select the cartesian-product oracle path; anything else — including the
-/// variable being unset — selects the planner. Read per query so a test
-/// harness can flip it at run time.
-pub fn planner_enabled() -> bool {
-    match std::env::var("QUERY_PLANNER") {
-        Ok(v) => !matches!(v.to_lowercase().as_str(), "0" | "off" | "naive" | "false"),
-        Err(_) => true,
-    }
-}
-
 /// Flatten nested top-level `And`s into a conjunct list (any other formula
 /// is a single conjunct; an empty `And` contributes nothing — it is `true`).
 fn flatten_conjunction(formula: &Formula, out: &mut Vec<Formula>) {

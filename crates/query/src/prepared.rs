@@ -35,7 +35,7 @@
 use crate::ast::Formula;
 use crate::cell_eval::{Bindings, CellEvaluator, EvalError};
 use crate::parser::{parse, ParseError};
-use crate::plan::{planner_enabled, QueryPlan};
+use crate::plan::QueryPlan;
 use arrangement::ComplexRead;
 use std::fmt;
 
@@ -212,15 +212,12 @@ impl PreparedQuery {
     /// Run against an existing evaluator (the cheapest path when several
     /// queries hit one snapshot: the evaluator's domain enumeration and
     /// spatial index are shared). Open queries use the stored semi-join
-    /// plan unless `QUERY_PLANNER` disables the planner.
+    /// plan.
     pub fn run_on(&self, evaluator: &CellEvaluator) -> Result<QueryOutput, EvalError> {
         match &self.plan {
             None => evaluator.eval(&self.formula).map(QueryOutput::Bool),
-            Some(plan) if planner_enabled() => evaluator
+            Some(plan) => evaluator
                 .eval_bindings_planned(&self.formula, plan)
-                .map(QueryOutput::Bindings),
-            Some(_) => evaluator
-                .eval_bindings_naive(&self.formula, &self.free_names)
                 .map(QueryOutput::Bindings),
         }
     }

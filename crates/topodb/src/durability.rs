@@ -233,9 +233,8 @@ impl Durability {
         }
     }
 
-    /// Append one committed batch. Called with the publish serialized (the
-    /// epoch chain holds `publish_lock`; the legacy backend holds its cache
-    /// write lock), so records arrive in exactly publish order.
+    /// Append one committed batch. Called with `publish_lock` held, so
+    /// records arrive in exactly publish order.
     ///
     /// `Ok` means the record is durably framed in the log (to the
     /// configured sync policy) — the commit may be acknowledged. `Err` is
@@ -324,68 +323,75 @@ pub(crate) fn replay(
 
 // ---- environment-attached ephemeral logs ---------------------------------
 
-/// Should databases constructed without an explicit path attach a
-/// throwaway, temp-dir-backed log? `TOPODB_WAL=1|on|true|yes`
-/// (case-insensitive) says yes — this is how CI runs the entire suite with
-/// durability in the loop.
-pub(crate) fn wal_enabled_by_env() -> bool {
-    match std::env::var("TOPODB_WAL") {
-        Ok(v) => matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "on" | "true" | "yes"),
-        Err(_) => false,
+/// Where `TOPODB_WAL` puts the throwaway log of a database constructed
+/// without an explicit path.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum EnvLog {
+    /// `TOPODB_WAL=on`: a temp directory on the real filesystem.
+    TempDir,
+    /// `TOPODB_WAL=sim`: a fresh in-memory [`wal::SimFs`] per database
+    /// (hermetic, no temp files).
+    Sim,
+}
+
+/// Parse a `TOPODB_WAL` value (case-insensitive); unset or anything
+/// unrecognised attaches nothing.
+fn parse_env_log(value: Option<&str>) -> Option<EnvLog> {
+    match value?.trim().to_ascii_lowercase().as_str() {
+        "on" => Some(EnvLog::TempDir),
+        "sim" => Some(EnvLog::Sim),
+        _ => None,
     }
 }
 
-/// Sync policy for environment-attached logs: `TOPODB_WAL_SYNC=
-/// percommit|interval|none`. Defaults to `none` — the env attach exists to
-/// exercise the logging/replay *protocol* across the whole suite, and
-/// thousands of fsyncs would dominate its runtime. `percommit` is the
-/// default for real [`crate::TopoDatabase::create`] databases.
-pub(crate) fn wal_sync_by_env() -> SyncPolicy {
-    match std::env::var("TOPODB_WAL_SYNC") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "percommit" | "per-commit" | "always" => SyncPolicy::PerCommit,
-            "interval" | "group" => SyncPolicy::Interval(std::time::Duration::from_millis(5)),
-            _ => SyncPolicy::None,
-        },
-        Err(_) => SyncPolicy::None,
-    }
-}
-
-/// Storage backend for environment-attached logs: `TOPODB_VFS=sim` runs
-/// them on a fresh in-memory [`wal::SimFs`] per database (hermetic, no
-/// temp files); anything else (or unset) uses the real filesystem.
-pub(crate) fn sim_vfs_by_env() -> bool {
-    match std::env::var("TOPODB_VFS") {
-        Ok(v) => matches!(v.trim().to_ascii_lowercase().as_str(), "sim" | "simfs" | "mem"),
-        Err(_) => false,
-    }
-}
-
-/// Create the throwaway env-attached log for `instance`, or `None` if
-/// creation fails (the env attach is best-effort test plumbing — a
-/// read-only temp filesystem should not take the whole suite down with
-/// it).
+/// Create the throwaway `TOPODB_WAL` log for `instance` — this is how CI
+/// runs the entire suite with durability in the loop. The variable is read
+/// once per process. `None` if it asks for no log, or if creation fails
+/// (the env attach is best-effort test plumbing — a read-only temp
+/// filesystem should not take the whole suite down with it).
+///
+/// The sync policy is `none`: the attach exists to exercise the
+/// logging/replay *protocol* across the whole suite, and thousands of
+/// fsyncs would dominate its runtime (`percommit` is the default for real
+/// [`crate::TopoDatabase::create`] databases).
 pub(crate) fn ephemeral(instance: &SpatialInstance) -> Option<Durability> {
+    static MODE: OnceLock<Option<EnvLog>> = OnceLock::new();
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let cfg = wal::WalConfig::default().with_sync(wal_sync_by_env());
-    if sim_vfs_by_env() {
-        // A fresh in-memory filesystem per database: nothing to clean up.
-        let sim: Arc<dyn Vfs> = Arc::new(wal::SimFs::new());
-        let wal =
-            Wal::create_with_vfs(sim, std::path::Path::new("/wal"), 0, instance, cfg).ok()?;
-        return Some(Durability::new(wal));
-    }
-    let dir = std::env::temp_dir().join(format!(
-        "topodb-wal-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    match Wal::create(&dir, 0, instance, cfg) {
-        Ok(w) => {
-            let mut d = Durability::new(w);
+    let mode =
+        (*MODE.get_or_init(|| parse_env_log(std::env::var("TOPODB_WAL").ok().as_deref())))?;
+    let cfg = WalConfig::default().with_sync(SyncPolicy::None);
+    match mode {
+        EnvLog::Sim => {
+            let sim: Arc<dyn Vfs> = Arc::new(wal::SimFs::new());
+            let wal =
+                Wal::create_with_vfs(sim, std::path::Path::new("/wal"), 0, instance, cfg).ok()?;
+            Some(Durability::new(wal))
+        }
+        EnvLog::TempDir => {
+            let dir = std::env::temp_dir().join(format!(
+                "topodb-wal-{}-{}",
+                std::process::id(),
+                SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            let mut d = Durability::new(Wal::create(&dir, 0, instance, cfg).ok()?);
             d._ephemeral = Some(EphemeralDir(dir));
             Some(d)
         }
-        Err(_) => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn topodb_wal_values_map_to_temp_dir_sim_or_nothing() {
+        assert_eq!(parse_env_log(Some("on")), Some(EnvLog::TempDir));
+        assert_eq!(parse_env_log(Some(" ON\n")), Some(EnvLog::TempDir));
+        assert_eq!(parse_env_log(Some("sim")), Some(EnvLog::Sim));
+        assert_eq!(parse_env_log(None), None);
+        for garbage in ["", "off", "1", "simfs", "percommit"] {
+            assert_eq!(parse_env_log(Some(garbage)), None, "{garbage:?}");
+        }
     }
 }

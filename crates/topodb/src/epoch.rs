@@ -38,10 +38,10 @@
 //! reader-pin slots have been observed empty at generation flips *after*
 //! the retirement; (b) the `prev` chain hanging off the head is pruned
 //! after each publish down to the minimum in-flight writer base (the
-//! registry), so the list length is bounded by concurrent writers, not by
-//! history; (c) severed epochs are plain `Arc`s — long-lived
-//! [`Snapshot`]s keep exactly the cells they reference alive and nothing
-//! else.
+//! registry; with no writer in flight the new head keeps no predecessor),
+//! so the list length is bounded by concurrent writers, not by history;
+//! (c) severed epochs are plain `Arc`s — long-lived [`Snapshot`]s keep
+//! exactly the cells they reference alive and nothing else.
 
 use crate::snapshot::Snapshot;
 use crate::transaction::{CommitSummary, Op};
@@ -54,7 +54,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 pub(crate) mod swap;
 use swap::ArcSwap;
 
-/// Build/diagnostic counters shared by both backends of the facade.
+/// Build/diagnostic counters of the facade.
 #[derive(Default)]
 pub(crate) struct BuildCounters {
     /// Global assemblies performed (see
@@ -405,22 +405,28 @@ impl EpochChain {
         }
     }
 
-    /// Sever the `prev` chain below the minimum in-flight writer base (or
-    /// below the head itself when no writer is in flight). Runs under the
-    /// writers mutex — the same lock registration takes *before* adopting a
-    /// base — so no writer can be about to walk below the cut.
+    /// Sever the `prev` chain below the minimum in-flight writer base, or
+    /// directly below `head` when no writer is in flight (any later writer
+    /// adopts a base at or above `head`, so nothing below it is ever walked
+    /// again). Runs under the writers mutex — the same lock registration
+    /// takes *before* adopting a base — so no writer can be about to walk
+    /// below the cut.
     fn prune(&self, head: &EpochState) {
         let writers = lock(&self.writers);
-        let keep_from = writers.keys().next().copied().unwrap_or(head.epoch);
-        let mut cursor = {
-            if head.epoch <= keep_from {
-                return;
-            }
-            let guard = lock(&head.prev);
-            match &*guard {
-                Some(prev) => Arc::clone(prev),
-                None => return,
-            }
+        let Some(&keep_from) = writers.keys().next() else {
+            // Free the superseded epoch after releasing the registry, so
+            // writers registering meanwhile do not wait on the deallocation.
+            let severed = lock(&head.prev).take();
+            drop(writers);
+            drop(severed);
+            return;
+        };
+        if head.epoch <= keep_from {
+            return;
+        }
+        let mut cursor = match &*lock(&head.prev) {
+            Some(prev) => Arc::clone(prev),
+            None => return,
         };
         loop {
             if cursor.epoch <= keep_from {

@@ -14,8 +14,8 @@
 //!   queries, the topological invariant `T_I` (Section 3), homeomorphism
 //!   tests (Theorem 3.4) and the thematic relational summary `thematic(I)`
 //!   (Corollary 3.7) — from any number of threads concurrently. Acquiring a
-//!   snapshot is **wait-free** on the default epoch-chain backend: one
-//!   atomic pointer load plus an `Arc` refcount bump, never a lock.
+//!   snapshot is **wait-free**: one atomic pointer load plus an `Arc`
+//!   refcount bump, never a lock.
 //! * **Writes** go through a [`Transaction`] ([`TopoDatabase::begin`], or
 //!   [`TopoDatabase::begin_shared`] from a shared reference): any number of
 //!   inserts/removals commit as **one** batch — the commit re-sweeps only
@@ -94,10 +94,9 @@ use invariant::Invariant;
 use relations::Relation4;
 use spatial_core::instance::SpatialInstance;
 use spatial_core::region::Region;
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError};
 use transaction::Op;
 
 /// A topological spatial database: named regions plus the derived structures
@@ -126,9 +125,9 @@ use transaction::Op;
 ///
 /// ## Concurrency model
 ///
-/// The default backend is an **epoch chain** (`topodb::epoch`): a
-/// singly-linked list of immutable, fully-built epochs published through an
-/// atomic pointer.
+/// The database is an **epoch chain** (`topodb::epoch`): a singly-linked
+/// list of immutable, fully-built epochs published through an atomic
+/// pointer.
 ///
 /// * **Readers are wait-free.** [`TopoDatabase::snapshot`] is one atomic
 ///   load of the epoch head plus an `Arc` refcount bump — no read lock, no
@@ -157,23 +156,13 @@ use transaction::Op;
 ///   reader-pin parities have been observed empty at generation flips after
 ///   the retirement, so a reader between its pointer load and its refcount
 ///   bump can never see a freed epoch. The `prev` chain is pruned down to
-///   the oldest in-flight writer base after every publish, bounding the
-///   list by writer concurrency rather than history.
+///   the oldest in-flight writer base after every publish (to nothing when
+///   no writer is in flight), bounding the list by writer concurrency
+///   rather than history.
 ///
-/// The pre-chain `RwLock`-cache backend is kept as a **differential
-/// oracle**: construct with
-/// [`TopoDatabase::from_instance_with_epoch_chain`]`(…, false)` or set
-/// `TOPODB_EPOCH_CHAIN=off` in the environment (read once per database
-/// construction). It serves identical epochs, relation matrices and query
-/// rows — the randomized interleaved schedules in
-/// `crates/topodb/tests/epoch_chain.rs` hold the two backends equal — but
-/// readers there serialize behind the cache lock and a commit's re-sweep
-/// lands on the next reader. On the legacy path, lock poisoning is
-/// recovered with [`PoisonError::into_inner`] at each acquisition: while
-/// the write lock is held, the only fallible code runs *before* any state
-/// is mutated (the pure op-application pass) or inserts only complete,
-/// fully-built values (the component build), so a panicking writer can
-/// never leave a torn cache behind.
+/// The randomized interleaved schedules in
+/// `crates/topodb/tests/epoch_chain.rs` hold every epoch, relation matrix
+/// and query row equal to a from-scratch rebuild of a plain instance model.
 ///
 /// ## Component reuse and epochs
 ///
@@ -203,8 +192,8 @@ use transaction::Op;
 /// [`TopoDatabase::component_rebuild_count`] is the number of *component
 /// sub-complexes* swept from scratch — the part that incremental maintenance
 /// keeps proportional to the affected geometry rather than the map size.
-/// [`TopoDatabase::publish_conflict_count`] counts epoch-chain publish
-/// attempts that lost the head compare-exchange and retried.
+/// [`TopoDatabase::publish_conflict_count`] counts publish attempts that
+/// lost the head compare-exchange and retried.
 ///
 /// ## Durability model
 ///
@@ -215,19 +204,17 @@ use transaction::Op;
 /// exact rational coordinates, the changed-name set — and the database
 /// survives a crash.
 ///
-/// * **Log-before-publish ordering.** On the epoch chain, a durable
-///   commit's stage 3 serializes on the log's publish lock: it re-checks
-///   that the head is still the attempt's base, appends the record, and
-///   only then swaps the head. The check-under-lock makes the swap
+/// * **Log-before-publish ordering.** A durable commit's stage 3
+///   serializes on the log's publish lock: it re-checks that the head is
+///   still the attempt's base, appends the record, and only then swaps
+///   the head. The check-under-lock makes the swap
 ///   infallible for the attempt that logged, so (a) a record reaches the
 ///   log strictly *before* the epoch it describes becomes visible to any
 ///   reader — a crash can lose an epoch nobody saw, never expose an epoch
 ///   nobody logged — and (b) a conflict-retried batch is logged exactly
 ///   once, on the attempt that wins; losing attempts discover the stale
-///   head before appending anything. (On the legacy backend the cache
-///   write lock provides the same ordering trivially: the record is
-///   appended after the batch's effect is computed and before any state
-///   is overwritten.) Publishes serialize; builds stay concurrent.
+///   head before appending anything. Publishes serialize; builds stay
+///   concurrent.
 /// * **Sync policies** ([`SyncPolicy`]): `PerCommit` fsyncs every record
 ///   (a returned commit survives power loss — and costs a disk flush per
 ///   commit); `Interval` group-commits, fsyncing at most once per window
@@ -282,12 +269,12 @@ use transaction::Op;
 /// is how the chaos suite drives every failure path above on demand.
 ///
 /// Setting `TOPODB_WAL=on` attaches a throwaway temp-dir log (sync policy
-/// from `TOPODB_WAL_SYNC`, default `none`; `TOPODB_VFS=sim` backs it with
-/// an in-memory [`wal::SimFs`] instead of a temp dir) to every database
-/// constructed without an explicit path — CI runs the entire suite that
-/// way to keep the logging protocol in every code path's loop.
+/// `none`), and `TOPODB_WAL=sim` one on a per-database in-memory
+/// [`wal::SimFs`], to every database constructed without an explicit path —
+/// CI runs the entire suite both ways to keep the logging protocol in every
+/// code path's loop. The variable is read once per process.
 pub struct TopoDatabase {
-    backend: Backend,
+    chain: EpochChain,
     counters: BuildCounters,
     durability: Option<Durability>,
 }
@@ -298,8 +285,6 @@ pub struct TopoDatabase {
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct Health {
-    /// Which backend serves reads: `"epoch-chain"` or `"legacy-rwlock"`.
-    pub backend: &'static str,
     /// The current update epoch.
     pub epoch: u64,
     /// Is a write-ahead log attached?
@@ -336,43 +321,6 @@ pub struct Health {
     pub last_checkpoint_epoch: Option<u64>,
 }
 
-enum Backend {
-    /// The default: wait-free readers over the epoch chain.
-    Chain(EpochChain),
-    /// The pre-chain `RwLock`-cache implementation, kept as a differential
-    /// oracle (`TOPODB_EPOCH_CHAIN=off`).
-    Legacy(RwLock<LegacyState>),
-}
-
-/// The legacy backend's entire mutable state under one lock: the instance,
-/// the epoch counter and the derived-structure cache invalidate together.
-struct LegacyState {
-    instance: Arc<SpatialInstance>,
-    epoch: u64,
-    /// The snapshot of the current epoch, if a read has built it.
-    snapshot: Option<Snapshot>,
-    /// The flat deep-copied complex, materialized only via
-    /// [`TopoDatabase::cell_complex`].
-    flat: Option<Arc<CellComplex>>,
-    /// Component sub-complexes surviving across updates, keyed by the
-    /// component's sorted region-name set.
-    components: BTreeMap<Vec<String>, Arc<ComponentComplex>>,
-}
-
-/// Should a database constructed without an explicit backend choice use the
-/// epoch chain? `TOPODB_EPOCH_CHAIN=0|off|false|legacy|rwlock`
-/// (case-insensitive) selects the legacy path; anything else — including
-/// unset — the chain.
-fn epoch_chain_enabled_by_env() -> bool {
-    match std::env::var("TOPODB_EPOCH_CHAIN") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !matches!(v.as_str(), "0" | "off" | "false" | "legacy" | "rwlock")
-        }
-        Err(_) => true,
-    }
-}
-
 impl Default for TopoDatabase {
     fn default() -> Self {
         TopoDatabase::new()
@@ -380,52 +328,27 @@ impl Default for TopoDatabase {
 }
 
 impl TopoDatabase {
-    /// An empty database (backend chosen by `TOPODB_EPOCH_CHAIN`, chain by
-    /// default).
+    /// An empty database.
     pub fn new() -> Self {
         TopoDatabase::from_instance(SpatialInstance::new())
     }
 
-    /// Build a database from an existing instance (backend chosen by
-    /// `TOPODB_EPOCH_CHAIN`, chain by default).
+    /// Build a database from an existing instance (`TOPODB_WAL` attaches
+    /// its throwaway log here, see the "Durability model" notes).
     pub fn from_instance(instance: SpatialInstance) -> Self {
-        TopoDatabase::from_instance_with_epoch_chain(instance, epoch_chain_enabled_by_env())
-    }
-
-    /// Build a database from an existing instance with an explicit backend
-    /// choice: `true` for the epoch chain, `false` for the legacy
-    /// `RwLock`-cache oracle. The backend environment variable is not
-    /// consulted — this is how the differential tests and benches hold
-    /// both backends side-by-side in one process. (`TOPODB_WAL=on` still
-    /// attaches its throwaway log, so the durability protocol is exercised
-    /// on whichever backend is being tested.)
-    pub fn from_instance_with_epoch_chain(instance: SpatialInstance, epoch_chain: bool) -> Self {
-        let durability =
-            if durability::wal_enabled_by_env() { durability::ephemeral(&instance) } else { None };
-        TopoDatabase::assemble(instance, 0, epoch_chain, durability)
+        let durability = durability::ephemeral(&instance);
+        TopoDatabase::assemble(instance, 0, durability)
     }
 
     /// The one true constructor: every public way of building a database
     /// funnels through here with the recovered (or initial) instance, the
-    /// epoch it represents, the backend choice, and the log attachment.
-    fn assemble(
-        instance: SpatialInstance,
-        epoch: u64,
-        epoch_chain: bool,
-        durability: Option<Durability>,
-    ) -> Self {
-        let backend = if epoch_chain {
-            Backend::Chain(EpochChain::new_at(Arc::new(instance), epoch))
-        } else {
-            Backend::Legacy(RwLock::new(LegacyState {
-                instance: Arc::new(instance),
-                epoch,
-                snapshot: None,
-                flat: None,
-                components: BTreeMap::new(),
-            }))
-        };
-        TopoDatabase { backend, counters: BuildCounters::default(), durability }
+    /// epoch it represents, and the log attachment.
+    fn assemble(instance: SpatialInstance, epoch: u64, durability: Option<Durability>) -> Self {
+        TopoDatabase {
+            chain: EpochChain::new_at(Arc::new(instance), epoch),
+            counters: BuildCounters::default(),
+            durability,
+        }
     }
 
     // ---- durable constructors -------------------------------------------
@@ -460,12 +383,7 @@ impl TopoDatabase {
     ) -> Result<Self, TopoDbError> {
         let StorageOptions { wal: config, retry, vfs, clock } = options;
         let w = wal::Wal::create_with_vfs(vfs, dir.as_ref(), 0, &instance, config)?;
-        Ok(TopoDatabase::assemble(
-            instance,
-            0,
-            epoch_chain_enabled_by_env(),
-            Some(Durability::with_policy(w, retry, clock)),
-        ))
+        Ok(TopoDatabase::assemble(instance, 0, Some(Durability::with_policy(w, retry, clock))))
     }
 
     /// Reopen the durable database at `dir`: recover the newest checkpoint
@@ -501,7 +419,6 @@ impl TopoDatabase {
         Ok(TopoDatabase::assemble(
             instance,
             recovery.head_epoch(),
-            epoch_chain_enabled_by_env(),
             Some(Durability::with_policy(w, retry, clock)),
         ))
     }
@@ -520,18 +437,18 @@ impl TopoDatabase {
         let recovery = wal::Wal::read(dir.as_ref())?;
         let records = recovery.records_up_to(epoch)?;
         let instance = durability::replay(&recovery.checkpoint_instance, records)?;
-        Ok(TopoDatabase::assemble(instance, epoch, epoch_chain_enabled_by_env(), None))
+        Ok(TopoDatabase::assemble(instance, epoch, None))
     }
 
     /// Is a write-ahead log attached (via [`TopoDatabase::create`],
-    /// [`TopoDatabase::open`], or `TOPODB_WAL=on`)?
+    /// [`TopoDatabase::open`], or `TOPODB_WAL`)?
     pub fn durable(&self) -> bool {
         self.durability.is_some()
     }
 
-    /// A point-in-time health report: which backend is serving, whether a
-    /// log is attached, whether the database has degraded to read-only
-    /// (and why), and the retry/degradation counters. Cheap — a handful of
+    /// A point-in-time health report: whether a log is attached, whether
+    /// the database has degraded to read-only (and why), and the
+    /// retry/degradation counters. Cheap — a handful of
     /// relaxed atomic loads — and callable from any thread, degraded or
     /// not (health is a read).
     pub fn health(&self) -> Health {
@@ -543,7 +460,6 @@ impl TopoDatabase {
             counters.map_or(0, |c| f(c).load(Ordering::Relaxed))
         };
         Health {
-            backend: if self.epoch_chain_enabled() { "epoch-chain" } else { "legacy-rwlock" },
             epoch: self.update_epoch(),
             durable: self.durability.is_some(),
             degraded,
@@ -576,22 +492,8 @@ impl TopoDatabase {
         // is exactly the one at the log's head epoch (a commit landing
         // between the instance read and the checkpoint write would
         // otherwise snapshot a stale instance under a newer epoch).
-        match &self.backend {
-            Backend::Chain(chain) => {
-                let _publishing = d.publish_lock.lock().unwrap_or_else(PoisonError::into_inner);
-                d.checkpoint(&chain.head().instance)
-            }
-            Backend::Legacy(lock) => {
-                let st = write(lock);
-                d.checkpoint(&st.instance)
-            }
-        }
-    }
-
-    /// Is this database running on the epoch chain (`true`) or the legacy
-    /// `RwLock` cache (`false`)?
-    pub fn epoch_chain_enabled(&self) -> bool {
-        matches!(self.backend, Backend::Chain(_))
+        let _publishing = d.publish_lock.lock().unwrap_or_else(PoisonError::into_inner);
+        d.checkpoint(&self.chain.head().instance)
     }
 
     // ---- write path -----------------------------------------------------
@@ -611,11 +513,9 @@ impl TopoDatabase {
     /// Open a write transaction from a shared reference, so any number of
     /// threads can commit concurrently against one `&TopoDatabase`.
     ///
-    /// On the epoch-chain backend, concurrent commits over disjoint
-    /// components build their epochs concurrently and serialize only at the
-    /// publish compare-exchange; on the legacy backend they serialize on
-    /// the cache write lock. Each commit is atomic either way: readers see
-    /// every epoch fully built.
+    /// Concurrent commits over disjoint components build their epochs
+    /// concurrently and serialize only at the publish compare-exchange.
+    /// Each commit is atomic: readers see every epoch fully built.
     pub fn begin_shared(&self) -> Transaction<'_> {
         Transaction::new(self)
     }
@@ -674,36 +574,7 @@ impl TopoDatabase {
                 return Err(d.reject_degraded(cause));
             }
         }
-        match &self.backend {
-            Backend::Chain(chain) => {
-                chain.commit(ops, &self.counters, self.durability.as_ref())
-            }
-            Backend::Legacy(lock) => {
-                let mut st = write(lock);
-                let (next, changed) = epoch::apply_ops(&st.instance, &ops);
-                if changed.is_empty() {
-                    return Ok(CommitSummary { epoch: st.epoch, changed });
-                }
-                // Log before publish: the record must be on the log before
-                // any state below is overwritten (the write lock already
-                // serializes appends in epoch order). A failed append
-                // returns before mutating anything, leaving the cache at
-                // the previous epoch — consistent with what a reopen of
-                // the log would recover.
-                if let Some(d) = &self.durability {
-                    d.log_batch(st.epoch + 1, &ops, &changed, &next)?;
-                }
-                // Infallible from here on: whole-value overwrites only, so
-                // a poisoned lock can never expose partially-applied state.
-                st.instance = Arc::new(next);
-                st.epoch += 1;
-                st.snapshot = None;
-                st.flat = None;
-                st.components
-                    .retain(|key, _| !key.iter().any(|n| changed.iter().any(|c| c == n)));
-                Ok(CommitSummary { epoch: st.epoch, changed })
-            }
-        }
+        self.chain.commit(ops, &self.counters, self.durability.as_ref())
     }
 
     // ---- instance accessors ---------------------------------------------
@@ -711,10 +582,7 @@ impl TopoDatabase {
     /// The spatial instance of the current epoch, shared behind an [`Arc`]
     /// (epochs are immutable; a commit publishes a new instance).
     pub fn instance(&self) -> Arc<SpatialInstance> {
-        match &self.backend {
-            Backend::Chain(chain) => Arc::clone(&chain.head().instance),
-            Backend::Legacy(lock) => Arc::clone(&read(lock).instance),
-        }
+        Arc::clone(&self.chain.head().instance)
     }
 
     /// Region names in canonical order.
@@ -737,50 +605,17 @@ impl TopoDatabase {
     /// The immutable [`Snapshot`] of the current epoch — the read half of
     /// the facade.
     ///
-    /// On the epoch-chain backend this is **wait-free**: one atomic load of
-    /// the published head plus an `Arc` refcount bump. Published epochs are
-    /// built before they become visible, so no snapshot acquisition ever
+    /// This is **wait-free**: one atomic load of the published head plus an
+    /// `Arc` refcount bump. Published epochs are built before they become
+    /// visible, so no snapshot acquisition ever
     /// performs (or waits on) a rebuild — only the very first read of a
     /// database constructed from an un-built instance pays its initial
     /// build, exactly once. The snapshot is `Send + Sync` and keeps
     /// answering for its epoch however many batches are committed
     /// afterwards; call `snapshot()` again after a commit to observe the
     /// new epoch.
-    ///
-    /// On the legacy backend (`TOPODB_EPOCH_CHAIN=off`) acquisition takes
-    /// the cache read lock, and the first acquisition after a commit pays
-    /// the re-sweep under the write lock.
     pub fn snapshot(&self) -> Snapshot {
-        match &self.backend {
-            Backend::Chain(chain) => chain.head().built(&self.counters).snapshot.clone(),
-            Backend::Legacy(lock) => {
-                if let Some(snapshot) = &read(lock).snapshot {
-                    return snapshot.clone();
-                }
-                let mut st = write(lock);
-                self.legacy_ensure(&mut st);
-                st.snapshot.as_ref().expect("snapshot just ensured").clone()
-            }
-        }
-    }
-
-    /// Ensure the legacy cache holds the snapshot of the current epoch:
-    /// re-partition, re-sweep only the components invalidated since the
-    /// last build, assemble the view. Every mutation of `st` is a
-    /// whole-value insertion of a completely built structure, so a panic
-    /// mid-build (with the write lock held) cannot tear the cache.
-    fn legacy_ensure(&self, st: &mut LegacyState) {
-        if st.snapshot.is_some() {
-            return;
-        }
-        let built = {
-            let LegacyState { instance, components, .. } = &*st;
-            epoch::build_epoch(st.epoch, instance, |key| components.get(key).cloned(), &self.counters)
-        };
-        // Replacing the map wholesale also prunes entries whose component
-        // no longer exists (merged or split by an update since last build).
-        st.components = built.components;
-        st.snapshot = Some(built.snapshot);
+        self.chain.head().built(&self.counters).snapshot.clone()
     }
 
     /// The zero-copy global complex view of the current instance — shared
@@ -797,21 +632,7 @@ impl TopoDatabase {
     /// caller specifically needs the flat [`CellComplex`] representation;
     /// all of this facade's own reads go through the view.
     pub fn cell_complex(&self) -> Arc<CellComplex> {
-        match &self.backend {
-            Backend::Chain(chain) => chain.head().flat(&self.counters),
-            Backend::Legacy(lock) => {
-                if let Some(flat) = &read(lock).flat {
-                    return Arc::clone(flat);
-                }
-                let mut st = write(lock);
-                self.legacy_ensure(&mut st);
-                if st.flat.is_none() {
-                    let snapshot = st.snapshot.as_ref().expect("snapshot just ensured");
-                    st.flat = Some(Arc::new(snapshot.view_ref().to_cell_complex()));
-                }
-                Arc::clone(st.flat.as_ref().expect("flat complex just computed"))
-            }
-        }
+        self.chain.head().flat(&self.counters)
     }
 
     /// The topological invariant `T_I` of the current instance, shared
@@ -829,30 +650,9 @@ impl TopoDatabase {
     /// two calls is returned pointer-identical (`Arc::ptr_eq`), which is
     /// the observable guarantee of incremental maintenance.
     pub fn component_complexes(&self) -> Vec<(Vec<String>, Arc<ComponentComplex>)> {
-        match &self.backend {
-            Backend::Chain(chain) => {
-                let head = chain.head();
-                let built = head.built(&self.counters);
-                built.components.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
-            }
-            Backend::Legacy(lock) => {
-                {
-                    // Warm path: a cached snapshot means the component map
-                    // is current too, so a read lock suffices.
-                    let st = read(lock);
-                    if st.snapshot.is_some() {
-                        return st
-                            .components
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-                            .collect();
-                    }
-                }
-                let mut st = write(lock);
-                self.legacy_ensure(&mut st);
-                st.components.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
-            }
-        }
+        let head = self.chain.head();
+        let built = head.built(&self.counters);
+        built.components.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
     }
 
     /// How many times this database has built (assembled) a global cell
@@ -879,9 +679,9 @@ impl TopoDatabase {
         self.counters.component_rebuilds.load(Ordering::Relaxed)
     }
 
-    /// How many epoch-chain publish attempts lost the head
-    /// compare-exchange to a concurrent commit and retried (always `0` on
-    /// the legacy backend, and under single-threaded writes).
+    /// How many publish attempts lost the head compare-exchange to a
+    /// concurrent commit and retried (always `0` under single-threaded
+    /// writes).
     pub fn publish_conflict_count(&self) -> u64 {
         self.counters.publish_conflicts.load(Ordering::Relaxed)
     }
@@ -893,10 +693,7 @@ impl TopoDatabase {
     /// published fully built; [`Snapshot::epoch`] records which epoch a
     /// snapshot belongs to.
     pub fn update_epoch(&self) -> u64 {
-        match &self.backend {
-            Backend::Chain(chain) => chain.head().epoch,
-            Backend::Legacy(lock) => read(lock).epoch,
-        }
+        self.chain.head().epoch
     }
 
     // ---- thin read wrappers (prefer Snapshot) ---------------------------
@@ -977,11 +774,7 @@ impl TopoDatabase {
             .iter()
             .map(|(v, e, f)| format!("{}", v + e + f))
             .collect();
-        let has_flat = match &self.backend {
-            Backend::Chain(chain) => chain.head().has_flat(),
-            Backend::Legacy(lock) => read(lock).flat.is_some(),
-        };
-        let cached = if has_flat { "view + flat copy" } else { "view" };
+        let cached = if self.chain.head().has_flat() { "view + flat copy" } else { "view" };
         format!(
             "{} region(s); invariant: {} vertices, {} edges, {} faces; {} component(s), cells per component: [{}]; cached complex: {}",
             self.len(),
@@ -993,20 +786,6 @@ impl TopoDatabase {
             cached
         )
     }
-}
-
-/// A read guard on the legacy cache, recovering from poisoning — see the
-/// "Concurrency model" notes on [`TopoDatabase`]: all writer-side mutations
-/// are whole-value overwrites sequenced after the fallible work, so a
-/// poisoned lock never holds torn state.
-fn read(lock: &RwLock<LegacyState>) -> RwLockReadGuard<'_, LegacyState> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A write guard on the legacy cache (recovering from poisoning, see
-/// [`read`]).
-fn write(lock: &RwLock<LegacyState>) -> RwLockWriteGuard<'_, LegacyState> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -1046,10 +825,9 @@ mod tests {
         assert!(!a.snapshot().homeomorphic_to(&d.snapshot()));
     }
 
-    /// The caching/sharing contract, on a given backend.
-    fn check_derived_structures_cached(epoch_chain: bool) {
-        let mut db = TopoDatabase::from_instance_with_epoch_chain(fixtures::fig_1c(), epoch_chain);
-        assert_eq!(db.epoch_chain_enabled(), epoch_chain);
+    #[test]
+    fn derived_structures_are_cached_and_shared() {
+        let mut db = TopoDatabase::from_instance(fixtures::fig_1c());
         assert_eq!(db.complex_build_count(), 0, "nothing built before first use");
 
         // Any mix of reads performs exactly one construction...
@@ -1073,8 +851,7 @@ mod tests {
         let inv3 = snap.invariant();
         assert!(Arc::ptr_eq(&inv1, &inv3), "snapshot shares the database's invariant");
 
-        // Updates invalidate: the commit (chain) or the next read burst
-        // (legacy) performs exactly one rebuild.
+        // Updates invalidate: the commit performs exactly one rebuild.
         db.insert("C", spatial_core::region::Region::rect_from_ints(20, 20, 24, 24));
         let _ = db.relation_matrix();
         let c3 = db.cell_complex();
@@ -1087,16 +864,6 @@ mod tests {
         assert_eq!(c3.region_names().len(), 3);
         assert_eq!(snap.len(), 2, "pre-update snapshot still answers for its epoch");
         assert_eq!(db.publish_conflict_count(), 0, "no concurrent writers, no conflicts");
-    }
-
-    #[test]
-    fn derived_structures_are_cached_and_shared() {
-        check_derived_structures_cached(true);
-    }
-
-    #[test]
-    fn derived_structures_are_cached_and_shared_legacy() {
-        check_derived_structures_cached(false);
     }
 
     #[test]

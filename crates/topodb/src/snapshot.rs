@@ -22,10 +22,10 @@ use std::sync::{Arc, OnceLock};
 /// * **`Send + Sync`.** All state is behind `Arc`s and [`OnceLock`]s, so one
 ///   snapshot can serve query traffic from any number of threads at once —
 ///   `thread::scope` readers over a shared `&Snapshot` are a compiling (and
-///   tested) program. The database itself is `Sync` too (its cache sits
-///   behind an `RwLock`), so even *acquiring* snapshots can happen from many
-///   threads concurrently; a snapshot additionally detaches the reader from
-///   later writes.
+///   tested) program. The database itself is `Sync` too (its head epoch
+///   sits behind an atomic pointer), so even *acquiring* snapshots can
+///   happen from many threads concurrently; a snapshot additionally
+///   detaches the reader from later writes.
 /// * **Epoch-stable.** A snapshot never observes later writes: a batch
 ///   committed after [`TopoDatabase::snapshot`] leaves existing snapshots
 ///   answering for their own epoch ([`Snapshot::epoch`]) while the next

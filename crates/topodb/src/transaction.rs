@@ -23,10 +23,10 @@ pub(crate) enum Op {
 /// components of the *union* of the changed names (reusing every untouched
 /// component of its base epoch pointer-identically) and publishes one
 /// fully-built epoch — instead of paying an epoch and a re-sweep per
-/// mutation as a sequence of bare [`TopoDatabase::insert`] calls would. On
-/// the epoch-chain backend the build happens outside any lock, so
-/// concurrent transactions over disjoint components build concurrently;
-/// see the "Concurrency model" notes on [`TopoDatabase`].
+/// mutation as a sequence of bare [`TopoDatabase::insert`] calls would. The
+/// build happens outside any lock, so concurrent transactions over disjoint
+/// components build concurrently; see the "Concurrency model" notes on
+/// [`TopoDatabase`].
 ///
 /// A commit whose operations change nothing (removals of names that do not
 /// exist, replacements of a region by an identical one) is a no-op: no

@@ -56,7 +56,6 @@ fn health_reports_healthy_then_degraded_with_the_root_cause() {
     commit_rect(&db, "A", 0).expect("healthy commit");
 
     let h = db.health();
-    assert_eq!(h.backend, if db.epoch_chain_enabled() { "epoch-chain" } else { "legacy-rwlock" });
     assert!(h.durable);
     assert_eq!(h.epoch, 1);
     assert_eq!(h.degraded, None, "healthy: no degradation cause");

@@ -1,22 +1,25 @@
-//! The epoch chain vs the legacy `RwLock` cache, held equal and hammered.
+//! The epoch chain, held equal to a from-scratch model and hammered.
 //!
-//! Three suites:
+//! Four suites:
 //!
 //! 1. **Randomized interleaved differential** — a deterministic schedule of
-//!    batched commits and reads replayed against a chain database and a
-//!    legacy (`TOPODB_EPOCH_CHAIN=off`-equivalent) database side by side;
-//!    after every step the epochs, commit summaries, relation matrices and
-//!    prepared-query rows must be byte-identical, and long-lived snapshots
-//!    from earlier epochs must keep answering for their epoch on both.
+//!    batched commits and reads replayed against a database and a test-local
+//!    reference model (a plain instance plus an epoch counter, answering
+//!    through a *cold* rebuild at every read, so it shares no incremental
+//!    state with the code under test); after every step the epochs, commit
+//!    summaries, relation matrices and prepared-query rows must be
+//!    byte-identical, and long-lived snapshots from earlier epochs must keep
+//!    answering for their epoch.
 //! 2. **Concurrent stress** — N reader threads acquiring snapshots while M
 //!    writers commit disjoint and overlapping component sets through
 //!    [`TopoDatabase::begin_shared`]; every reader asserts epoch
 //!    monotonicity and internal consistency, and the final state must equal
-//!    the legacy oracle applying each writer's final sub-state (writers own
-//!    their name spaces, so the final instance is interleaving-independent).
+//!    the model applying each writer's final sub-state (writers own their
+//!    name spaces, so the final instance is interleaving-independent).
 //! 3. **Pointer-identical reuse** — commits must carry every untouched
 //!    `Arc<ComponentComplex>` of their base epoch into the published epoch
 //!    unchanged, including across concurrent disjoint commits.
+//! 4. **History pruning** — a single writer's superseded epochs are freed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,31 +27,64 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use topodb::query::PreparedQuery;
 use topodb::spatial_core::prelude::*;
-use topodb::TopoDatabase;
+use topodb::{StorageOptions, TopoDatabase};
 
 const CLUSTERS: usize = 6;
 const PER_CLUSTER: usize = 3;
 
 fn chain_db(seed: u64) -> TopoDatabase {
-    TopoDatabase::from_instance_with_epoch_chain(
-        datagen::clustered_map(CLUSTERS, PER_CLUSTER, seed),
-        true,
-    )
+    TopoDatabase::from_instance(datagen::clustered_map(CLUSTERS, PER_CLUSTER, seed))
 }
 
-fn legacy_db(seed: u64) -> TopoDatabase {
-    TopoDatabase::from_instance_with_epoch_chain(
-        datagen::clustered_map(CLUSTERS, PER_CLUSTER, seed),
-        false,
-    )
+/// One buffered operation of a model batch: `Some(region)` inserts or
+/// replaces, `None` removes.
+type ModelOp = (String, Option<Region>);
+
+/// The reference: the instance and epoch counter a sequence of batches
+/// leaves behind, with every read answered by a from-scratch rebuild.
+struct Model {
+    instance: SpatialInstance,
+    epoch: u64,
+}
+
+impl Model {
+    fn new(seed: u64) -> Model {
+        Model { instance: datagen::clustered_map(CLUSTERS, PER_CLUSTER, seed), epoch: 0 }
+    }
+
+    /// Apply one batch in order and return what a `CommitSummary` reports:
+    /// the epoch afterwards and the changed names in first-change order. An
+    /// identical replacement and the removal of an absent name are not
+    /// changes, and a batch that changes nothing starts no epoch.
+    fn commit(&mut self, ops: &[ModelOp]) -> (u64, Vec<String>) {
+        let mut changed: Vec<String> = Vec::new();
+        for (name, region) in ops {
+            let did_change = match region {
+                Some(r) => self.instance.insert(name.clone(), r.clone()).as_ref() != Some(r),
+                None => self.instance.remove(name).is_some(),
+            };
+            if did_change && !changed.contains(name) {
+                changed.push(name.clone());
+            }
+        }
+        if !changed.is_empty() {
+            self.epoch += 1;
+        }
+        (self.epoch, changed)
+    }
+
+    /// Everything observable at the current epoch, from a cold build.
+    fn digest(&self, query: &PreparedQuery) -> String {
+        let cold = TopoDatabase::from_instance(self.instance.clone()).snapshot();
+        observable_digest(self.epoch, &cold, query)
+    }
 }
 
 /// Byte-comparable digest of everything a reader can observe: epoch, names,
 /// the full relation matrix, and the rows of an anchored open query.
-fn observable_digest(snap: &topodb::Snapshot, query: &PreparedQuery) -> String {
+fn observable_digest(epoch: u64, snap: &topodb::Snapshot, query: &PreparedQuery) -> String {
     format!(
-        "epoch={} names={:?} matrix={:?} rows={:?}",
-        snap.epoch(),
+        "epoch={epoch} names={:?} matrix={:?} rows={:?}",
         snap.names(),
         snap.relation_matrix(),
         snap.evaluate(query).expect("anchored query evaluates"),
@@ -56,62 +92,70 @@ fn observable_digest(snap: &topodb::Snapshot, query: &PreparedQuery) -> String {
 }
 
 #[test]
-fn randomized_interleaved_schedules_match_legacy_oracle_exactly() {
+fn randomized_interleaved_schedules_match_the_from_scratch_model_exactly() {
     let query = PreparedQuery::compile("overlap(ext(x), C000_R000)").expect("query compiles");
     for seed in 0..4u64 {
         let chain = chain_db(900 + seed);
-        let legacy = legacy_db(900 + seed);
-        assert!(chain.epoch_chain_enabled() && !legacy.epoch_chain_enabled());
+        let mut model = Model::new(900 + seed);
+        let read = |chain: &TopoDatabase| {
+            let snap = chain.snapshot();
+            let digest = observable_digest(snap.epoch(), &snap, &query);
+            (snap, digest)
+        };
+        assert_eq!(read(&chain).1, model.digest(&query), "fresh databases differ (seed {seed})");
         let mut rng = StdRng::seed_from_u64(0xec0c + seed);
-        let mut held: Vec<(topodb::Snapshot, topodb::Snapshot, String)> = Vec::new();
+        let mut held: Vec<(topodb::Snapshot, String)> = Vec::new();
         for step in 0..30 {
             match rng.gen_range(0..10u32) {
                 // Batched commit: 1–3 operations over random clusters, the
-                // identical batch applied to both databases.
+                // identical batch applied to the database and the model.
                 0..=4 => {
-                    let mut chain_txn = chain.begin_shared();
-                    let mut legacy_txn = legacy.begin_shared();
+                    let mut txn = chain.begin_shared();
+                    let mut batch: Vec<ModelOp> = Vec::new();
                     for _ in 0..rng.gen_range(1..=3) {
                         let cluster = rng.gen_range(0..CLUSTERS);
                         if rng.gen_bool(0.3) {
                             let name = format!("X{:03}", rng.gen_range(0..12));
-                            chain_txn.remove(name.clone());
-                            legacy_txn.remove(name);
+                            txn.remove(name.clone());
+                            batch.push((name, None));
                         } else {
                             let name = format!("X{:03}", rng.gen_range(0..12));
                             let region = cluster_region(&mut rng, cluster);
-                            chain_txn.insert(name.clone(), region.clone());
-                            legacy_txn.insert(name, region);
+                            txn.insert(name.clone(), region.clone());
+                            batch.push((name, Some(region)));
                         }
                     }
-                    let c = chain_txn.commit();
-                    let l = legacy_txn.commit();
-                    assert_eq!(c, l, "commit summaries diverged at step {step} (seed {seed})");
+                    let c = txn.commit();
+                    assert_eq!(
+                        (c.epoch, c.changed),
+                        model.commit(&batch),
+                        "commit summaries diverged at step {step} (seed {seed})"
+                    );
                 }
                 // Read + compare everything observable.
                 5..=8 => {
-                    let cs = chain.snapshot();
-                    let ls = legacy.snapshot();
                     assert_eq!(
-                        observable_digest(&cs, &query),
-                        observable_digest(&ls, &query),
+                        read(&chain).1,
+                        model.digest(&query),
                         "observable state diverged at step {step} (seed {seed})"
                     );
-                    assert_eq!(chain.update_epoch(), legacy.update_epoch());
+                    assert_eq!(chain.update_epoch(), model.epoch);
                 }
-                // Hold a snapshot pair for later: earlier epochs must keep
-                // answering identically on both backends.
+                // Hold a snapshot for later: earlier epochs must keep
+                // answering what the model answered at that epoch.
                 _ => {
-                    let cs = chain.snapshot();
-                    let ls = legacy.snapshot();
-                    let digest = observable_digest(&cs, &query);
-                    held.push((cs, ls, digest));
+                    let (snap, digest) = read(&chain);
+                    assert_eq!(digest, model.digest(&query), "diverged at step {step}");
+                    held.push((snap, digest));
                 }
             }
         }
-        for (cs, ls, digest) in &held {
-            assert_eq!(&observable_digest(cs, &query), digest, "held chain snapshot drifted");
-            assert_eq!(&observable_digest(ls, &query), digest, "held legacy snapshot drifted");
+        for (snap, digest) in &held {
+            assert_eq!(
+                &observable_digest(snap.epoch(), snap, &query),
+                digest,
+                "held snapshot drifted"
+            );
         }
     }
 }
@@ -195,27 +239,24 @@ fn concurrent_readers_and_writers_stress() {
 
     // Writers own disjoint name spaces and each applied a deterministic
     // final sub-state, so the final instance is interleaving-independent:
-    // the legacy oracle applying the same final sub-states must observe a
+    // the model applying the same final sub-states must observe a
     // byte-identical world.
-    let oracle = legacy_db(7777);
-    {
-        let mut txn = oracle.begin_shared();
-        for w in 0..writers {
-            let mut rng = StdRng::seed_from_u64(0xbeef + w as u64);
-            for i in 0..commits_per_writer {
-                let cluster = if w < 2 { w } else { rng.gen_range(0..CLUSTERS) };
-                let region = cluster_region(&mut rng, cluster);
-                txn.insert(format!("W{w}_N{i:03}"), region);
-                if i >= 4 {
-                    txn.remove(format!("W{w}_N{:03}", i - 4));
-                }
+    let mut oracle = Model::new(7777);
+    let mut batch: Vec<ModelOp> = Vec::new();
+    for w in 0..writers {
+        let mut rng = StdRng::seed_from_u64(0xbeef + w as u64);
+        for i in 0..commits_per_writer {
+            let cluster = if w < 2 { w } else { rng.gen_range(0..CLUSTERS) };
+            batch.push((format!("W{w}_N{i:03}"), Some(cluster_region(&mut rng, cluster))));
+            if i >= 4 {
+                batch.push((format!("W{w}_N{:03}", i - 4), None));
             }
         }
-        txn.commit();
     }
+    oracle.commit(&batch);
     let query = PreparedQuery::compile("overlap(ext(x), C000_R000)").expect("query compiles");
     let chain_final = db.snapshot();
-    let oracle_final = oracle.snapshot();
+    let oracle_final = TopoDatabase::from_instance(oracle.instance).snapshot();
     assert_eq!(chain_final.names(), oracle_final.names());
     assert_eq!(chain_final.relation_matrix(), oracle_final.relation_matrix());
     assert_eq!(
@@ -286,15 +327,31 @@ fn commits_reuse_untouched_components_pointer_identically() {
     }
 }
 
+/// With no other writer in flight, each publish must sever the new head's
+/// link to its predecessor: a single-writer workload keeps no history alive
+/// (in memory or with a log attached).
 #[test]
-fn epoch_chain_toggle_is_observable_and_both_serve_identical_results() {
-    let chain = chain_db(5);
-    let legacy = legacy_db(5);
-    assert!(chain.epoch_chain_enabled());
-    assert!(!legacy.epoch_chain_enabled());
-    assert_eq!(chain.snapshot().relation_matrix(), legacy.snapshot().relation_matrix());
-    // The env default is merely a default: explicit construction wins, and
-    // both backends expose the same epoch accounting.
-    assert_eq!(chain.update_epoch(), 0);
-    assert_eq!(legacy.update_epoch(), 0);
+fn single_writer_commits_free_superseded_epochs() {
+    let instance = || datagen::clustered_map(CLUSTERS, PER_CLUSTER, 2718);
+    let durable = TopoDatabase::create_with_storage(
+        "/db",
+        instance(),
+        StorageOptions::default().with_vfs(Arc::new(topodb::wal::SimFs::new())),
+    )
+    .expect("create on a healthy SimFs");
+    for db in [TopoDatabase::from_instance(instance()), durable] {
+        let root = Arc::downgrade(&db.instance());
+        let mut rng = StdRng::seed_from_u64(161803);
+        for i in 0..8 {
+            let mut txn = db.begin_shared();
+            txn.insert(format!("P{i:02}"), cluster_region(&mut rng, i % CLUSTERS));
+            txn.commit();
+        }
+        assert_eq!(db.update_epoch(), 8);
+        assert!(
+            root.upgrade().is_none(),
+            "epoch 0 is still reachable after 8 single-writer commits (durable: {})",
+            db.durable()
+        );
+    }
 }

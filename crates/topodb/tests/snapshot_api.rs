@@ -182,7 +182,7 @@ fn snapshot_is_queried_from_four_threads() {
     assert!(Arc::ptr_eq(&snap.evaluator(), &snap.evaluator()));
 }
 
-/// The database itself is `Sync` (`RwLock`-backed cache): four scoped
+/// The database itself is `Sync` (atomically published epochs): four scoped
 /// threads *acquire* snapshots concurrently from one shared
 /// `&TopoDatabase` — not merely read through a pre-acquired snapshot —
 /// and the cold build still happens exactly once.

@@ -43,9 +43,6 @@
 #                                            gains traffic/wal/* retry and
 #                                            degradation counters)
 #
-# The backend follows TOPODB_EPOCH_CHAIN (chain by default; set `off` to
-# drive the legacy RwLock cache for comparison).
-#
 # The machine-readable {id, value} records land in the file named by
 # $BENCH_JSON if set (default: a temp file, printed at exit). To fold a
 # run into the committed perf trajectory use scripts/bench_snapshot.sh,
