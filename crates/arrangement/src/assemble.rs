@@ -36,7 +36,7 @@ use crate::builder::build_local;
 use crate::complex::CellComplex;
 use crate::geometry::point_in_closed_polyline;
 use crate::index::SpatialIndex;
-use crate::partition::{BBox, ComponentGroup};
+use crate::partition::{repartition, BBox, ComponentGroup, Member, Repartition};
 use crate::split::TaggedSegment;
 use crate::types::*;
 use spatial_core::prelude::*;
@@ -91,35 +91,43 @@ pub fn build_group_component(
     instance: &SpatialInstance,
     group: &ComponentGroup,
 ) -> ComponentComplex {
-    build_group(instance, group, crate::parallel::configured_threads())
+    let members = group_members(instance, &instance.names(), group);
+    build_group(&members, crate::parallel::configured_threads())
 }
 
-/// The one component build: gather the group's boundary segments, split them
-/// at their mutual intersections, and run the local pipeline over the
-/// pieces. `budget` is the thread share this one build may spend — callers
-/// fanning out over components pass [`crate::strip::strip_budget`] of their
-/// fan-out so nested parallelism stays at roughly the configured thread
-/// count — and it alone picks the code path: the split runs as `budget`
-/// concurrent x-strips for components of at least
-/// [`crate::strip::STRIP_MIN_SEGMENTS`] segments (monolithically below), and
-/// the post-split phases run on the pool iff `budget > 1`. The output is
-/// identical for every budget.
-pub(crate) fn build_group(
-    instance: &SpatialInstance,
+/// The regions of a partition group of `instance`, whose sorted name list
+/// is `names`.
+pub(crate) fn group_members<'a>(
+    instance: &'a SpatialInstance,
+    names: &[&'a str],
     group: &ComponentGroup,
-    budget: usize,
-) -> ComponentComplex {
-    let names = instance.names();
-    let mut local_names = Vec::with_capacity(group.region_indices.len());
-    let mut segments = Vec::new();
-    for (local, &gi) in group.region_indices.iter().enumerate() {
-        let name = names[gi];
-        let region = instance.ext(name).expect("group region exists");
-        local_names.push(name.to_string());
-        for segment in region.boundary().edges() {
-            segments.push(TaggedSegment { segment, region: local });
-        }
-    }
+) -> Vec<Member<'a>> {
+    group
+        .region_indices
+        .iter()
+        .map(|&i| (names[i], instance.ext(names[i]).expect("group region exists")))
+        .collect()
+}
+
+/// The one component build: gather the members' boundary segments, split
+/// them at their mutual intersections, and run the local pipeline over the
+/// pieces. `members` is sorted by name. `budget` is the thread share this
+/// one build may spend — callers fanning out over components pass
+/// [`crate::strip::strip_budget`] of their fan-out so nested parallelism
+/// stays at roughly the configured thread count — and it alone picks the
+/// code path: the split runs as `budget` concurrent x-strips for components
+/// of at least [`crate::strip::STRIP_MIN_SEGMENTS`] segments
+/// (monolithically below), and the post-split phases run on the pool iff
+/// `budget > 1`. The output is identical for every budget.
+pub(crate) fn build_group(members: &[Member<'_>], budget: usize) -> ComponentComplex {
+    let local_names = members.iter().map(|(name, _)| name.to_string()).collect();
+    let segments: Vec<TaggedSegment> = members
+        .iter()
+        .enumerate()
+        .flat_map(|(local, (_, region))| {
+            region.boundary().edges().map(move |segment| TaggedSegment { segment, region: local })
+        })
+        .collect();
     let bbox = segments
         .iter()
         .map(|t| BBox::of_segment(&t.segment))
@@ -128,6 +136,34 @@ pub(crate) fn build_group(
     let (complex, bounded_cycles) = build_local(local_names, &subs, budget);
     let rep_point = complex.vertices.first().map(|v| v.point);
     ComponentComplex { complex, bounded_cycles, bbox, rep_point }
+}
+
+/// Sweep the groups `slots` leaves empty — concurrently on the shared
+/// worker pool ([`crate::parallel`]), sharing the thread budget between the
+/// component fan-out and each component's own strip decomposition
+/// ([`crate::strip::strip_budget`]) — and return every group's component
+/// together with how many were swept.
+fn fill_slots(
+    groups: &[Vec<Member<'_>>],
+    mut slots: Vec<Option<Arc<ComponentComplex>>>,
+) -> (Vec<Arc<ComponentComplex>>, usize) {
+    let missing: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
+    if !missing.is_empty() {
+        let threads = crate::parallel::configured_threads();
+        let budget = crate::strip::strip_budget(missing.len(), threads);
+        let built = crate::parallel::map_indexed(missing.len(), threads, |j| {
+            Arc::new(build_group(&groups[missing[j]], budget))
+        });
+        for (j, component) in built.into_iter().enumerate() {
+            slots[missing[j]] = Some(component);
+        }
+    }
+    let components = slots.into_iter().map(|s| s.expect("every slot filled")).collect();
+    (components, missing.len())
+}
+
+fn group_key(members: &[Member<'_>]) -> Vec<String> {
+    members.iter().map(|(name, _)| name.to_string()).collect()
 }
 
 /// The outcome of [`build_components_with_reuse`]: the partition's
@@ -143,45 +179,94 @@ pub struct ComponentSet {
     pub rebuilt: usize,
 }
 
-/// Partition `instance` and produce every component sub-complex, asking
-/// `reuse` for an already-built component first: `reuse(key)` receives the
-/// group's sorted region-name set and may return a previously built
-/// component for it (which is used as-is, pointer-identically — the caller
-/// guarantees it matches the group's current geometry). Groups `reuse`
-/// declines are swept from scratch — concurrently on the shared worker pool
-/// ([`crate::parallel`]), sharing the thread budget between the component
-/// fan-out and each component's own strip decomposition
-/// ([`crate::strip::strip_budget`]).
+/// Partition `instance` from scratch and produce every component
+/// sub-complex, asking `reuse` for an already-built component first:
+/// `reuse(key)` receives the group's sorted region-name set and may return a
+/// previously built component for it (which is used as-is,
+/// pointer-identically — the caller guarantees it matches the group's
+/// current geometry). Groups `reuse` declines are swept from scratch.
 ///
-/// This is the builder entry point behind incremental maintenance in
-/// `topodb`: a commit expresses "re-sweep only what changed against a base
-/// epoch" as a `reuse` closure over the base's component map.
+/// This is the from-scratch reference of incremental maintenance: it pays
+/// for the whole database ([`crate::partition_instance`]) whatever the
+/// commit touched. `topodb` calls [`update_components`] instead, which is
+/// differentially tested against this function.
 pub fn build_components_with_reuse<F>(instance: &SpatialInstance, reuse: F) -> ComponentSet
 where
     F: Fn(&[String]) -> Option<Arc<ComponentComplex>> + Sync,
 {
-    let groups = crate::partition_instance(instance);
     let names = instance.names();
-    let keys: Vec<Vec<String>> = groups
+    let groups: Vec<Vec<Member<'_>>> = crate::partition_instance(instance)
         .iter()
-        .map(|g| g.region_indices.iter().map(|&i| names[i].to_string()).collect())
+        .map(|group| group_members(instance, &names, group))
         .collect();
-    let mut slots: Vec<Option<Arc<ComponentComplex>>> =
-        keys.iter().map(|key| reuse(key)).collect();
-    let missing: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
-    let rebuilt = missing.len();
-    if !missing.is_empty() {
-        let threads = crate::parallel::configured_threads();
-        let budget = crate::strip::strip_budget(missing.len(), threads);
-        let built = crate::parallel::map_indexed(missing.len(), threads, |j| {
-            Arc::new(build_group(instance, &groups[missing[j]], budget))
-        });
-        for (j, component) in built.into_iter().enumerate() {
-            slots[missing[j]] = Some(component);
-        }
-    }
-    let components = slots.into_iter().map(|s| s.expect("every slot filled")).collect();
+    let keys: Vec<Vec<String>> = groups.iter().map(|g| group_key(g)).collect();
+    let slots = keys.iter().map(|key| reuse(key)).collect();
+    let (components, rebuilt) = fill_slots(&groups, slots);
     ComponentSet { keys, components, rebuilt }
+}
+
+/// The outcome of [`update_components`].
+pub struct ComponentUpdate {
+    /// The component sub-complexes of the updated instance, in partition
+    /// order (ascending smallest member name). A component's key is its
+    /// own [`ComponentComplex::region_names`].
+    pub components: Vec<Arc<ComponentComplex>>,
+    /// Aligned with `components`: the index in `prev` of a component that
+    /// was carried over, `None` for one that was swept or hinted.
+    pub carried_from: Vec<Option<usize>>,
+    /// How many entries of `components` were swept from scratch (the rest
+    /// were carried over from `prev` or supplied by `hint`).
+    pub rebuilt: usize,
+}
+
+/// Incremental maintenance of the component set: given the components
+/// `prev` of some instance (in partition order) and the distinct names
+/// `changed` whose extent differs between that instance and `instance` —
+/// inserted, re-shaped or removed — produce the components of `instance`.
+///
+/// Every component of `prev` that contains no changed name and whose
+/// segments meet no new geometry is carried over pointer-identically,
+/// without its segments, names or coordinates being looked at (the
+/// partition patch in `partition.rs` spends one box test on it). Only the
+/// remaining regions are partitioned, and each resulting group is offered
+/// to `hint` — which may return an already-built component for that exact
+/// sorted name set, guaranteed by the caller to match the group's current
+/// geometry — before being swept from scratch under the same fan-out as
+/// [`build_components_with_reuse`].
+///
+/// The cold build is the degenerate update: no `prev`, every name changed.
+/// The result always equals what [`build_components_with_reuse`] produces
+/// on `instance` — same keys in the same order, the same components carried
+/// — which `tests/incremental_partition.rs` checks step by step.
+pub fn update_components<S, F>(
+    prev: &[Arc<ComponentComplex>],
+    instance: &SpatialInstance,
+    changed: &[S],
+    hint: F,
+) -> ComponentUpdate
+where
+    S: AsRef<str>,
+    F: Fn(&[String]) -> Option<Arc<ComponentComplex>>,
+{
+    let Repartition { carried, groups } = repartition(prev, instance, changed);
+    let slots = groups.iter().map(|g| hint(&group_key(g))).collect();
+    let (fresh, rebuilt) = fill_slots(&groups, slots);
+
+    // Both lists ascend by smallest member name; so must their merge.
+    let mut components = Vec::with_capacity(carried.len() + fresh.len());
+    let mut carried_from = Vec::with_capacity(components.capacity());
+    let mut fresh = fresh.into_iter().peekable();
+    for &i in &carried {
+        while let Some(f) = fresh.next_if(|f| f.region_names()[0] < prev[i].region_names()[0]) {
+            components.push(f);
+            carried_from.push(None);
+        }
+        components.push(Arc::clone(&prev[i]));
+        carried_from.push(Some(i));
+    }
+    carried_from.resize(carried_from.len() + fresh.len(), None);
+    components.extend(fresh);
+    ComponentUpdate { components, carried_from, rebuilt }
 }
 
 /// Overwrite the positions of a component's own regions in an inherited
@@ -194,16 +279,32 @@ pub(crate) fn widen_label(parent: &Label, local: &Label, region_map: &[usize]) -
     out
 }
 
+/// The position of every name of `local` in `global` (both sorted, `local`
+/// a subset): a component's local→global region index map.
+pub(crate) fn locate_names(global: &[String], local: &[String]) -> Vec<usize> {
+    let mut next = 0;
+    local
+        .iter()
+        .map(|name| {
+            // A component's names tend to be neighbours in the global order:
+            // try the next slot before searching the rest.
+            let at = if global.get(next) == Some(name) {
+                next
+            } else {
+                next + global[next..]
+                    .binary_search(name)
+                    .expect("component region is in the global name set")
+            };
+            next = at + 1;
+            at
+        })
+        .collect()
+}
+
 /// Cross-component nesting: for every component, `Some((parent component,
 /// parent *local* face))` if the component sits strictly inside a bounded
 /// face of another component, `None` if it is a root (sits in the global
 /// exterior face).
-///
-/// The parent is found as the innermost bounded cycle of any *other*
-/// component containing the component's representative point. Cycles of
-/// distinct components never cross (partitioning keeps their geometry
-/// disjoint), so the containing cycles form a laminar family and the
-/// innermost one is the face the component sits in.
 ///
 /// This computation is shared between the copying assembly
 /// ([`assemble_components`]) and the zero-copy
@@ -212,36 +313,49 @@ pub(crate) fn widen_label(parent: &Label, local: &Label, region_map: &[usize]) -
 pub(crate) fn compute_component_nesting(
     components: &[Arc<ComponentComplex>],
 ) -> Vec<Option<(usize, FaceId)>> {
-    let k = components.len();
-    let mut parents: Vec<Option<(usize, FaceId)>> = vec![None; k];
+    let all: Vec<usize> = (0..components.len()).collect();
+    locate_components(components, &all)
+}
+
+/// The nesting parent of each component listed in `which` (aligned with
+/// it), among all of `components`.
+///
+/// The parent is found as the innermost bounded cycle of any *other*
+/// component containing the component's representative point. Cycles of
+/// distinct components never cross (partitioning keeps their geometry
+/// disjoint), so the containing cycles form a laminar family and the
+/// innermost one is the face the component sits in.
+pub(crate) fn locate_components(
+    components: &[Arc<ComponentComplex>],
+    which: &[usize],
+) -> Vec<Option<(usize, FaceId)>> {
     // Box-level point location through a spatial index over the component
     // boxes: each representative point probes in `O(log k + candidates)`
     // instead of scanning all `k` components, and only the reported
     // candidates pay the exact point-in-polygon tests.
     let boxes: Vec<Option<BBox>> = components.iter().map(|comp| comp.bbox.clone()).collect();
     let index = SpatialIndex::build(&boxes);
-    for (c, parent) in parents.iter_mut().enumerate() {
-        let Some(rep) = components[c].rep_point else { continue };
-        let mut best: Option<(Rational, usize, FaceId)> = None;
-        for d in index.locate_point(&rep) {
-            if d == c {
-                continue;
-            }
-            let comp = &components[d];
-            for cyc in &comp.bounded_cycles {
-                if point_in_closed_polyline(&rep, &cyc.polyline) {
-                    let area = cyc.area2.abs();
-                    if best.as_ref().is_none_or(|(a, _, _)| area < *a) {
-                        best = Some((area, d, cyc.face));
+    which
+        .iter()
+        .map(|&c| {
+            let rep = components[c].rep_point?;
+            let mut best: Option<(Rational, usize, FaceId)> = None;
+            for d in index.locate_point(&rep) {
+                if d == c {
+                    continue;
+                }
+                for cyc in &components[d].bounded_cycles {
+                    if point_in_closed_polyline(&rep, &cyc.polyline) {
+                        let area = cyc.area2.abs();
+                        if best.as_ref().is_none_or(|(a, _, _)| area < *a) {
+                            best = Some((area, d, cyc.face));
+                        }
                     }
                 }
             }
-        }
-        if let Some((_, d, f)) = best {
-            *parent = Some((d, f));
-        }
-    }
-    parents
+            best.map(|(_, d, f)| (d, f))
+        })
+        .collect()
 }
 
 /// A parents-before-children order of the nesting forest returned by
@@ -273,6 +387,7 @@ pub fn assemble_components(
     global_names: Vec<String>,
     components: &[Arc<ComponentComplex>],
 ) -> CellComplex {
+    debug_assert!(global_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
     let n_regions = global_names.len();
     let exterior = FaceId(0);
     if components.is_empty() {
@@ -293,19 +408,8 @@ pub fn assemble_components(
     let k = components.len();
 
     // Local-to-global region index map per component.
-    let region_map: Vec<Vec<usize>> = components
-        .iter()
-        .map(|c| {
-            c.region_names()
-                .iter()
-                .map(|n| {
-                    global_names
-                        .binary_search(n)
-                        .expect("component region is in the global name set")
-                })
-                .collect()
-        })
-        .collect();
+    let region_map: Vec<Vec<usize>> =
+        components.iter().map(|c| locate_names(&global_names, c.region_names())).collect();
 
     // Vertex/edge id offsets by concatenation; face ids: 0 is the global
     // exterior, bounded local faces get fresh sequential ids.

@@ -8,8 +8,9 @@
 //! 1. [`crate::partition`] groups the regions into interaction components
 //!    (connected components of the segment bounding-box overlap graph);
 //! 2. each component is built independently by the local pipeline in this
-//!    module ([`build_local`] via
-//!    [`crate::assemble::build_group_component`]): its segments are split at
+//!    module ([`build_local`], called by the one component build
+//!    `assemble::build_group` that every entry point funnels through): its
+//!    segments are split at
 //!    their mutual intersections by the Bentley–Ottmann plane sweep of
 //!    [`crate::sweep`] — decomposed into concurrent x-strips for large
 //!    components, monolithic for small ones
@@ -74,9 +75,11 @@ pub fn build_component_complexes(
     threads: usize,
 ) -> Vec<Arc<ComponentComplex>> {
     let groups = partition_instance(instance);
+    let names = instance.names();
     let budget = crate::strip::strip_budget(groups.len(), threads);
     map_indexed(groups.len(), threads, |i| {
-        Arc::new(crate::assemble::build_group(instance, &groups[i], budget))
+        let members = crate::assemble::group_members(instance, &names, &groups[i]);
+        Arc::new(crate::assemble::build_group(&members, budget))
     })
 }
 
@@ -106,6 +109,7 @@ pub(crate) fn build_local(
     subs: &[SubSegment],
     threads: usize,
 ) -> (CellComplex, Vec<BoundedCycle>) {
+    debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
     let n_regions = region_names.len();
 
     if subs.is_empty() {

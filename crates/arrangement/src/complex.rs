@@ -114,7 +114,9 @@ pub trait ComplexRead {
 
     // ---- derived accessors ------------------------------------------------
 
-    /// The index of a region name in the label order.
+    /// The index of a region name in the label order. The default scans;
+    /// both implementations in this crate keep their names sorted and
+    /// override it with a binary search.
     fn region_index(&self, name: &str) -> Option<usize> {
         self.region_names().iter().position(|n| n == name)
     }
@@ -350,6 +352,10 @@ impl ComplexRead for CellComplex {
         &self.region_names
     }
 
+    fn region_index(&self, name: &str) -> Option<usize> {
+        CellComplex::region_index(self, name)
+    }
+
     fn vertex_count(&self) -> usize {
         self.vertices.len()
     }
@@ -433,7 +439,7 @@ impl ComplexRead for CellComplex {
 }
 
 /// The planar cell complex of a spatial database instance.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CellComplex {
     pub(crate) region_names: Vec<String>,
     pub(crate) vertices: Vec<VertexData>,
@@ -448,9 +454,10 @@ impl CellComplex {
         &self.region_names
     }
 
-    /// The index of a region name in the label order.
+    /// The index of a region name in the label order (a binary search: the
+    /// names are sorted by construction).
     pub fn region_index(&self, name: &str) -> Option<usize> {
-        self.region_names.iter().position(|n| n == name)
+        self.region_names.binary_search_by(|n| n.as_str().cmp(name)).ok()
     }
 
     /// Number of vertices (0-cells).

@@ -21,6 +21,7 @@ static EVENTS_PROCESSED: AtomicU64 = AtomicU64::new(0);
 static CHAINS_MERGED: AtomicU64 = AtomicU64::new(0);
 static CELLS_WALKED: AtomicU64 = AtomicU64::new(0);
 static LABELS_PROPAGATED: AtomicU64 = AtomicU64::new(0);
+static SEGMENTS_PARTITIONED: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the process-wide phase-work totals; see the module docs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -35,6 +36,12 @@ pub struct PhaseCounters {
     pub cells_walked: u64,
     /// Face labels assigned by propagation from the unbounded face.
     pub labels_propagated: u64,
+    /// Boundary segments handed to the interaction-graph partitioner
+    /// ([`crate::partition::partition_segments`]). A from-scratch partition
+    /// adds every segment of the instance; incremental maintenance
+    /// ([`crate::update_components`]) adds only those of the regions a
+    /// commit dirties.
+    pub segments_partitioned: u64,
 }
 
 impl PhaseCounters {
@@ -46,6 +53,9 @@ impl PhaseCounters {
             chains_merged: self.chains_merged.saturating_sub(earlier.chains_merged),
             cells_walked: self.cells_walked.saturating_sub(earlier.cells_walked),
             labels_propagated: self.labels_propagated.saturating_sub(earlier.labels_propagated),
+            segments_partitioned: self
+                .segments_partitioned
+                .saturating_sub(earlier.segments_partitioned),
         }
     }
 }
@@ -58,6 +68,7 @@ pub fn phase_counters() -> PhaseCounters {
         chains_merged: CHAINS_MERGED.load(Ordering::Relaxed),
         cells_walked: CELLS_WALKED.load(Ordering::Relaxed),
         labels_propagated: LABELS_PROPAGATED.load(Ordering::Relaxed),
+        segments_partitioned: SEGMENTS_PARTITIONED.load(Ordering::Relaxed),
     }
 }
 
@@ -77,6 +88,10 @@ pub(crate) fn add_labels_propagated(n: u64) {
     LABELS_PROPAGATED.fetch_add(n, Ordering::Relaxed);
 }
 
+pub(crate) fn add_segments_partitioned(n: u64) {
+    SEGMENTS_PARTITIONED.fetch_add(n, Ordering::Relaxed);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,6 +103,7 @@ mod tests {
         add_chains_merged(2);
         add_cells_walked(5);
         add_labels_propagated(7);
+        add_segments_partitioned(11);
         let after = phase_counters();
         let delta = after.delta_since(&before);
         // Other tests may bump the shared totals concurrently, so the delta
@@ -96,6 +112,7 @@ mod tests {
         assert!(delta.chains_merged >= 2);
         assert!(delta.cells_walked >= 5);
         assert!(delta.labels_propagated >= 7);
+        assert!(delta.segments_partitioned >= 11);
         // A stale "earlier" snapshot saturates instead of underflowing.
         assert_eq!(before.delta_since(&after).chains_merged, 0);
     }

@@ -17,9 +17,11 @@
 //! guarantees is the absence of 0-/1-cell interaction, which is all the
 //! per-component sweep needs.
 
+use crate::assemble::ComponentComplex;
 use crate::index::SpatialIndex;
 use crate::split::TaggedSegment;
 use spatial_core::prelude::*;
+use std::sync::Arc;
 
 /// A closed axis-aligned bounding box in exact rational coordinates.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -142,9 +144,12 @@ impl UnionFind {
 /// components, reported as disjoint region groups sorted by smallest member
 /// index (so the output order is deterministic in the instance).
 ///
-/// Cost: `O(s log s + s·w)` for `s` segments, where `w` is the number of
-/// simultaneously x-overlapping segment boxes — effectively the sweep-width
-/// of the instance, far below `s` on realistic multi-cluster maps.
+/// Cost: every segment of every region is enumerated and joined through
+/// the index of [`partition_segments`] — `O(s (log s + d))` for `s` segments
+/// of maximum interaction degree `d`, so proportional to the *database*.
+/// This is the from-scratch reference: the product maintains the partition
+/// incrementally ([`crate::update_components`]) and is differentially
+/// tested against this function.
 pub fn partition_instance(instance: &SpatialInstance) -> Vec<ComponentGroup> {
     let mut segments: Vec<TaggedSegment> = Vec::new();
     for (idx, (_, region)) in instance.iter().enumerate() {
@@ -165,6 +170,7 @@ pub fn partition_instance(instance: &SpatialInstance) -> Vec<ComponentGroup> {
 /// sweep is retained as [`partition_segments_sweep`], the differential
 /// oracle of this path.
 pub fn partition_segments(segments: &[TaggedSegment], n_regions: usize) -> Vec<ComponentGroup> {
+    crate::counters::add_segments_partitioned(segments.len() as u64);
     let boxes: Vec<BBox> = segments.iter().map(|t| BBox::of_segment(&t.segment)).collect();
     let mut uf = union_regions(segments, n_regions);
 
@@ -179,6 +185,121 @@ pub fn partition_segments(segments: &[TaggedSegment], n_regions: usize) -> Vec<C
     }
 
     collapse_groups(uf, segments, &boxes)
+}
+
+/// A region under (re-)partition: its name and its extent.
+pub(crate) type Member<'a> = (&'a str, &'a Region);
+
+/// The outcome of [`repartition`].
+pub(crate) struct Repartition<'a> {
+    /// Indices into `prev` of the components that are still exactly
+    /// components of the updated instance, ascending.
+    pub carried: Vec<usize>,
+    /// The interaction components of everything else: members sorted by
+    /// name, groups sorted by their smallest member name.
+    pub groups: Vec<Vec<Member<'a>>>,
+}
+
+/// Patch a partition instead of recomputing it: given the components `prev`
+/// of some instance and the (distinct) names `changed` whose extent differs
+/// between that instance and `instance` — inserted, re-shaped or removed —
+/// find which of `prev` are still components of `instance` and partition
+/// only the rest.
+///
+/// A component of `prev` is *broken* if it contains a changed name: its
+/// surviving members may have fallen apart, so each re-enters the partition
+/// as a region of its own. Among the others, one is *hit* if the box of one
+/// of its segments meets the box of a segment of an inserted or re-shaped
+/// region; a hit component stays connected (none of its segments moved) and
+/// joins whichever new regions touch it, so it re-enters as one unit,
+/// represented by just its contact segments. Every remaining component is
+/// carried: none of its segments changed, none meets new geometry, and two
+/// segments that both stayed put interact now iff they did before. One probe
+/// round therefore suffices, and [`partition_segments`] over the broken
+/// components' survivors, the changed regions and the contact segments
+/// yields exactly the groups [`partition_instance`] would report outside
+/// the carried components.
+///
+/// Cost outside the broken and hit components: one name-range test per
+/// changed name and one box test per *component*.
+pub(crate) fn repartition<'a, S: AsRef<str>>(
+    prev: &'a [Arc<ComponentComplex>],
+    instance: &'a SpatialInstance,
+    changed: &'a [S],
+) -> Repartition<'a> {
+    let member = |name: &'a str| (name, instance.ext(name).expect("unchanged member survives"));
+    let is_changed = |name: &str| changed.iter().any(|c| c.as_ref() == name);
+
+    // A unit is what `partition_segments` treats as one connected curve:
+    // its members (sorted by name) and the segments that speak for it. A
+    // region on its own speaks with its whole boundary.
+    type Unit<'a> = (Vec<Member<'a>>, Vec<Segment>);
+    let region_unit = |m: Member<'a>| -> Unit<'a> { (vec![m], m.1.boundary().edges().collect()) };
+    let mut units: Vec<Unit<'a>> = changed
+        .iter()
+        .filter_map(|name| Some((name.as_ref(), instance.ext(name.as_ref())?)))
+        .map(region_unit)
+        .collect();
+    let fresh = units.len();
+    let hull = units.iter().map(|(m, _)| BBox::of_region(m[0].1)).reduce(|a, b| a.union(&b));
+    let near = |b: &BBox| hull.as_ref().is_some_and(|h| h.intersects(b));
+    // The boxes of the new segments, needed once a component comes near.
+    let fresh_boxes = std::cell::OnceCell::new();
+
+    let mut carried = Vec::with_capacity(prev.len());
+    for (i, component) in prev.iter().enumerate() {
+        let names = component.region_names();
+        let broken = changed.iter().any(|c| {
+            let c = c.as_ref();
+            names[0].as_str() <= c
+                && c <= names[names.len() - 1].as_str()
+                && names.binary_search_by(|n| n.as_str().cmp(c)).is_ok()
+        });
+        if broken {
+            units.extend(names.iter().filter(|n| !is_changed(n)).map(|n| region_unit(member(n))));
+            continue;
+        }
+        let contact: Vec<Segment> = match component.bbox() {
+            Some(bbox) if near(bbox) => {
+                let fresh_boxes: &Vec<BBox> = fresh_boxes.get_or_init(|| {
+                    units[..fresh].iter().flat_map(|(_, s)| s.iter().map(BBox::of_segment)).collect()
+                });
+                names
+                    .iter()
+                    .flat_map(|n| member(n).1.boundary().edges())
+                    .filter(|s| {
+                        let b = BBox::of_segment(s);
+                        near(&b) && fresh_boxes.iter().any(|f| f.intersects(&b))
+                    })
+                    .collect()
+            }
+            _ => Vec::new(),
+        };
+        if contact.is_empty() {
+            carried.push(i);
+        } else {
+            units.push((names.iter().map(|n| member(n)).collect(), contact));
+        }
+    }
+
+    // Units in order of their smallest name, so that the partitioner's
+    // "sorted by smallest member index" is "sorted by smallest name".
+    units.sort_by_key(|(members, _)| members[0].0);
+    let tagged: Vec<TaggedSegment> = units
+        .iter()
+        .enumerate()
+        .flat_map(|(u, (_, segs))| segs.iter().map(move |&segment| TaggedSegment { segment, region: u }))
+        .collect();
+    let groups = partition_segments(&tagged, units.len())
+        .into_iter()
+        .map(|group| {
+            let mut members: Vec<Member<'a>> =
+                group.region_indices.iter().flat_map(|&u| units[u].0.iter().copied()).collect();
+            members.sort_by_key(|m| m.0);
+            members
+        })
+        .collect();
+    Repartition { carried, groups }
 }
 
 /// The pre-index interaction-graph construction: an x-interval sweep whose

@@ -75,7 +75,7 @@ impl fmt::Display for Sign {
 pub type Label = Vec<Sign>;
 
 /// Data stored for a vertex (0-cell).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct VertexData {
     /// The geometric position of the vertex.
     pub point: Point,
@@ -86,7 +86,7 @@ pub struct VertexData {
 }
 
 /// Data stored for an edge (1-cell).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EdgeData {
     /// Tail vertex of the forward dart.
     pub tail: VertexId,
@@ -107,7 +107,7 @@ pub struct EdgeData {
 }
 
 /// Data stored for a face (2-cell).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FaceData {
     /// Is this the unbounded (exterior) face `f0`?
     pub is_exterior: bool,

@@ -42,11 +42,12 @@
 //! computations are generic over [`ComplexRead`] and accept both.
 
 use crate::assemble::{
-    assemble_components, compute_component_nesting, nesting_topo_order, widen_label,
-    ComponentComplex,
+    assemble_components, compute_component_nesting, locate_components, locate_names,
+    nesting_topo_order, widen_label, ComponentComplex, ComponentUpdate,
 };
 use crate::complex::{CellComplex, ComplexRead};
 use crate::index::SpatialIndex;
+use crate::partition::BBox;
 use crate::types::*;
 use spatial_core::prelude::Point;
 use std::collections::BTreeMap;
@@ -124,22 +125,88 @@ impl GlobalComplexView {
         region_names: Vec<String>,
         components: Vec<Arc<ComponentComplex>>,
     ) -> GlobalComplexView {
+        let parents = compute_component_nesting(&components);
+        GlobalComplexView::assemble(region_names, components, parents)
+    }
+
+    /// Assemble the view of an updated instance by patching this one:
+    /// `update` is what [`crate::update_components`] made of this view's
+    /// [`components`](GlobalComplexView::components), and `region_names`
+    /// the updated instance's sorted name list.
+    ///
+    /// A carried component keeps its nesting parent without being located
+    /// again, unless that parent was itself replaced or the component's
+    /// representative point lies in the box of a new component (only a new
+    /// component can have slipped a smaller enclosing cycle around it). Only
+    /// the new components and those exceptions pay for point location. The
+    /// result is table for table what [`GlobalComplexView::new`] assembles
+    /// from the same arguments (asserted in debug builds), so a view patched
+    /// any number of times is still index-identical to a cold build.
+    pub fn updated(&self, region_names: Vec<String>, update: ComponentUpdate) -> GlobalComplexView {
+        let ComponentUpdate { components, carried_from, .. } = update;
+        let mut now_at: Vec<Option<usize>> = vec![None; self.components.len()];
+        for (c, from) in carried_from.iter().enumerate() {
+            if let Some(old) = *from {
+                now_at[old] = Some(c);
+            }
+        }
+        let fresh_boxes: Vec<&BBox> = carried_from
+            .iter()
+            .zip(&components)
+            .filter(|(from, _)| from.is_none())
+            .filter_map(|(_, component)| component.bbox.as_ref())
+            .collect();
+
+        let mut parents: Vec<Option<(usize, FaceId)>> = vec![None; components.len()];
+        let mut relocate: Vec<usize> = Vec::new();
+        for (c, from) in carried_from.iter().enumerate() {
+            let kept = from.and_then(|old| {
+                let shadowed = components[c]
+                    .rep_point
+                    .is_some_and(|p| fresh_boxes.iter().any(|b| b.contains_point(&p)));
+                match self.parent_face[old] {
+                    _ if shadowed => None,
+                    FaceId(0) => Some(None),
+                    face => {
+                        let (parent, local) = self.face_home(face);
+                        now_at[parent].map(|d| Some((d, local)))
+                    }
+                }
+            });
+            match kept {
+                Some(parent) => parents[c] = parent,
+                None => relocate.push(c),
+            }
+        }
+        for (&c, parent) in relocate.iter().zip(locate_components(&components, &relocate)) {
+            parents[c] = parent;
+        }
+
+        let view = GlobalComplexView::assemble(region_names, components, parents);
+        debug_assert!(
+            view.same_tables(&GlobalComplexView::new(
+                view.region_names.clone(),
+                view.components.clone()
+            )),
+            "a patched view must be index-identical to the from-scratch assembly"
+        );
+        view
+    }
+
+    /// The constructor behind [`GlobalComplexView::new`] and
+    /// [`GlobalComplexView::updated`]: every translation table from the
+    /// components and their nesting `parents`.
+    fn assemble(
+        region_names: Vec<String>,
+        components: Vec<Arc<ComponentComplex>>,
+        parents: Vec<Option<(usize, FaceId)>>,
+    ) -> GlobalComplexView {
+        debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
         let n_regions = region_names.len();
         let k = components.len();
 
-        let region_map: Vec<Vec<usize>> = components
-            .iter()
-            .map(|c| {
-                c.region_names()
-                    .iter()
-                    .map(|n| {
-                        region_names
-                            .binary_search(n)
-                            .expect("component region is in the global name set")
-                    })
-                    .collect()
-            })
-            .collect();
+        let region_map: Vec<Vec<usize>> =
+            components.iter().map(|c| locate_names(&region_names, c.region_names())).collect();
 
         let mut vertex_start = Vec::with_capacity(k);
         let mut edge_start = Vec::with_capacity(k);
@@ -158,7 +225,6 @@ impl GlobalComplexView {
             ft += comp.complex.face_count() - 1; // local exterior is merged away
         }
 
-        let parents = compute_component_nesting(&components);
         let topo = nesting_topo_order(&parents);
         let parent_face: Vec<FaceId> = parents
             .iter()
@@ -205,6 +271,23 @@ impl GlobalComplexView {
             bbox_index: Arc::new(OnceLock::new()),
             components,
         }
+    }
+
+    /// Do two views hold the same components behind the same translation
+    /// tables (the lazily built memos aside)?
+    fn same_tables(&self, other: &GlobalComplexView) -> bool {
+        self.region_names == other.region_names
+            && self.components.len() == other.components.len()
+            && self.components.iter().zip(&other.components).all(|(a, b)| Arc::ptr_eq(a, b))
+            && self.region_map == other.region_map
+            && self.vertex_start == other.vertex_start
+            && self.edge_start == other.edge_start
+            && self.face_start == other.face_start
+            && (self.vertex_total, self.edge_total, self.face_total)
+                == (other.vertex_total, other.edge_total, other.face_total)
+            && self.parent_face == other.parent_face
+            && self.inherited == other.inherited
+            && self.nested_in_face == other.nested_in_face
     }
 
     /// The spatial index over the region bounding boxes of this view, built
@@ -340,6 +423,10 @@ impl GlobalComplexView {
 impl ComplexRead for GlobalComplexView {
     fn region_names(&self) -> &[String] {
         &self.region_names
+    }
+
+    fn region_index(&self, name: &str) -> Option<usize> {
+        self.region_names.binary_search_by(|n| n.as_str().cmp(name)).ok()
     }
 
     fn vertex_count(&self) -> usize {
@@ -614,6 +701,73 @@ mod tests {
         assert_eq!(idx.bbox_neighbors(a), vec![0, 1]);
         let c = bboxes[2].as_ref().expect("C has a box");
         assert_eq!(idx.bbox_neighbors(c), vec![2]);
+    }
+
+    #[test]
+    fn region_index_finds_first_last_and_no_absent_name() {
+        let inst = SpatialInstance::from_regions(
+            ["Ash", "Birch", "Cedar", "Elm"]
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (*n, Region::rect_from_ints(10 * i as i64, 0, 10 * i as i64 + 4, 4))),
+        );
+        let v = view_of(&inst);
+        let flat = v.to_cell_complex();
+        let cases = [
+            ("Ash", Some(0)),
+            ("Cedar", Some(2)),
+            ("Elm", Some(3)),
+            ("", None),         // before the first
+            ("Aardvark", None), // before the first
+            ("Ced", None),      // a proper prefix
+            ("Cedars", None),   // between two names
+            ("Zelkova", None),  // after the last
+        ];
+        for (name, at) in cases {
+            assert_eq!(v.region_index(name), at, "view: {name:?}");
+            assert_eq!(ComplexRead::region_index(&flat, name), at, "flat: {name:?}");
+            assert_eq!(flat.region_index(name), at, "flat inherent: {name:?}");
+            assert_eq!(v.region_names().iter().position(|n| n == name), at, "scan: {name:?}");
+        }
+        assert_eq!(GlobalComplexView::new(vec![], vec![]).region_index("Ash"), None);
+    }
+
+    #[test]
+    fn a_patched_view_carries_and_relocates_nesting_parents() {
+        use crate::assemble::update_components;
+        // Host ⊃ Mid ⊃ Core, no box contact anywhere: three components in a
+        // nesting chain, plus a far-away bystander.
+        let mut inst = SpatialInstance::from_regions([
+            ("Core", Region::rect_from_ints(45, 45, 55, 55)),
+            ("Far", Region::rect_from_ints(500, 500, 510, 510)),
+            ("Host", Region::rect_from_ints(0, 0, 100, 100)),
+            ("Mid", Region::rect_from_ints(20, 20, 80, 80)),
+        ]);
+        let names = |inst: &SpatialInstance| -> Vec<String> {
+            inst.names().iter().map(|s| s.to_string()).collect()
+        };
+        let step = |view: &GlobalComplexView, inst: &SpatialInstance, changed: &[&str]| {
+            let update = update_components(view.components(), inst, changed, |_| None);
+            let patched = view.updated(names(inst), update);
+            let cold = view_of(inst);
+            assert!(patched.to_cell_complex() == cold.to_cell_complex(), "after {changed:?}");
+            patched
+        };
+        let mut view = view_of(&inst);
+        // A ring slipped between Mid and Core: Core is carried, its parent
+        // is carried too, yet Core must be relocated into the new ring.
+        inst.insert("Ring", Region::rect_from_ints(30, 30, 70, 70));
+        view = step(&view, &inst, &["Ring"]);
+        // Its parent removed: Core falls back to Mid.
+        inst.remove("Ring");
+        view = step(&view, &inst, &["Ring"]);
+        // The outermost host removed: Mid becomes a root, Core keeps Mid.
+        inst.remove("Host");
+        view = step(&view, &inst, &["Host"]);
+        // A name before all others shifts every region index by one.
+        inst.insert("Aaa", Region::rect_from_ints(900, 0, 904, 4));
+        view = step(&view, &inst, &["Aaa"]);
+        assert_eq!(view.component_count(), 4);
     }
 
     #[test]

@@ -10,14 +10,18 @@ use crate::rational::Rational;
 use crate::region::{Region, RegionClass};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A spatial database instance: a finite map from region names to extents.
 ///
 /// Names are kept in a `BTreeMap` so iteration order (and therefore every
-/// derived combinatorial structure) is deterministic.
+/// derived combinatorial structure) is deterministic. Extents sit behind
+/// `Arc`s: a clone shares every region with its source, so deriving the next
+/// epoch's instance from the previous one copies names and pointers, not
+/// geometry.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SpatialInstance {
-    regions: BTreeMap<String, Region>,
+    regions: BTreeMap<String, Arc<Region>>,
 }
 
 impl SpatialInstance {
@@ -41,12 +45,12 @@ impl SpatialInstance {
 
     /// Insert (or replace) a named region.
     pub fn insert<S: Into<String>>(&mut self, name: S, region: Region) -> Option<Region> {
-        self.regions.insert(name.into(), region)
+        self.regions.insert(name.into(), Arc::new(region)).map(Arc::unwrap_or_clone)
     }
 
     /// Remove a named region.
     pub fn remove(&mut self, name: &str) -> Option<Region> {
-        self.regions.remove(name)
+        self.regions.remove(name).map(Arc::unwrap_or_clone)
     }
 
     /// The set of names, in sorted order (the paper's `names(I)`).
@@ -56,7 +60,7 @@ impl SpatialInstance {
 
     /// The extent of a named region (the paper's `ext(I, r)`).
     pub fn ext(&self, name: &str) -> Option<&Region> {
-        self.regions.get(name)
+        self.regions.get(name).map(Arc::as_ref)
     }
 
     /// Number of regions.
@@ -71,7 +75,7 @@ impl SpatialInstance {
 
     /// Iterate over `(name, region)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Region)> {
-        self.regions.iter().map(|(k, v)| (k.as_str(), v))
+        self.regions.iter().map(|(k, v)| (k.as_str(), v.as_ref()))
     }
 
     /// Do all regions of the instance belong to the given class?
@@ -119,7 +123,7 @@ impl SpatialInstance {
             regions: self
                 .regions
                 .iter()
-                .map(|(k, v)| (k.clone(), v.translated(dx, dy)))
+                .map(|(k, v)| (k.clone(), Arc::new(v.translated(dx, dy))))
                 .collect(),
         }
     }
@@ -132,7 +136,7 @@ impl SpatialInstance {
             regions: self
                 .regions
                 .iter()
-                .map(|(k, v)| (mapping.get(k).cloned().unwrap_or_else(|| k.clone()), v.clone()))
+                .map(|(k, v)| (mapping.get(k).cloned().unwrap_or_else(|| k.clone()), Arc::clone(v)))
                 .collect(),
         }
     }

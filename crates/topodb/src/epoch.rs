@@ -13,24 +13,38 @@
 //!    registered base, so conflict resolution can always walk from any later
 //!    head back down to a registered base.
 //! 2. **Build, outside any lock** — apply the buffered operations to a copy
-//!    of the base instance, then re-sweep only the partition groups whose
-//!    region-name set meets a changed name; every other group reuses the
-//!    base epoch's `Arc<ComponentComplex>` pointer-identically
-//!    ([`arrangement::build_components_with_reuse`], on the shared worker
-//!    pool under the strip-budget split). The result is a complete new
-//!    [`EpochState`] — view, snapshot and component map — constructed while
-//!    readers keep loading the old head and other writers build their own
-//!    epochs concurrently.
+//!    of the base instance (names and `Arc`s; no geometry is copied), then
+//!    *patch* the base epoch's view instead of rebuilding it
+//!    ([`arrangement::update_components`] +
+//!    [`GlobalComplexView::updated`]). What is **carried**, pointer-identical
+//!    and without being looked into: every component of the base that
+//!    contains no changed name and whose box stays clear of the new
+//!    geometry, together with its nesting parent. What is **re-partitioned**:
+//!    the surviving members of components that lost or re-shaped a member,
+//!    the inserted and re-shaped regions, and — as one unit each — the
+//!    components a new segment's box touches. One probe of the new segments
+//!    against the carried components' boxes is enough, because two segments
+//!    that both stayed put interact now iff they did in the base: only new
+//!    geometry can link into an untouched component. The resulting groups
+//!    are swept on the shared worker pool under the strip-budget split. A
+//!    one-region commit therefore costs one box test per component of the
+//!    database plus the work of the component it lands in. The result is a
+//!    complete new [`EpochState`], constructed while readers keep loading
+//!    the old head and other writers build their own epochs concurrently.
+//!    The root epoch's cold build is the same call on an empty base with
+//!    every name changed.
 //! 3. **Publish** — compare-exchange the head from the base to the new
 //!    epoch. On conflict (another writer published first), collect the
 //!    names changed by the intervening epochs (a `prev`-walk from the new
-//!    head down to the old base), rebuild **only** the components those
-//!    names invalidate — reusing the new head's components where this
-//!    commit didn't touch them and this attempt's own components where the
-//!    intervening commits didn't — re-register against the new base, and
-//!    retry. Two commits touching disjoint components therefore both build
-//!    concurrently and the loser's retry is a pure re-assembly (zero
-//!    re-sweeps).
+//!    head down to the old base), re-apply the batch to the new head's
+//!    instance and run stage 2 again with the *new head* as base: its
+//!    components are carried wherever this commit does not touch them, and
+//!    for the groups it does touch the build is offered this attempt's own
+//!    components (the `hint`), which are still valid for every name set no
+//!    intervening commit changed a region of. Re-register against the new
+//!    base and retry. Two commits touching disjoint components therefore
+//!    both build concurrently and the loser's retry is a pure re-assembly
+//!    (zero re-sweeps).
 //!
 //! **Reclamation invariant.** Three mechanisms bound memory without ever
 //! freeing under a reader: (a) the head swap itself retires the old head
@@ -77,10 +91,12 @@ pub(crate) struct EpochState {
     /// Names changed by the commit that published this epoch (empty for the
     /// root). Conflict resolution unions these along a `prev` walk.
     changed: BTreeSet<String>,
-    /// Derived structures. Published epochs are fully built *before* the
-    /// head swap; only the root epoch (constructed without a commit) builds
-    /// lazily on first read, so constructing a database stays free.
-    built: OnceLock<Built>,
+    /// The epoch's snapshot: the zero-copy view — which holds the component
+    /// sub-complexes the next commit carries over — plus the lazy derived
+    /// reads. Published epochs are fully built *before* the head swap; only
+    /// the root epoch (constructed without a commit) builds lazily on first
+    /// read, so constructing a database stays free.
+    built: OnceLock<Snapshot>,
     /// The flat deep-copied complex, materialized only on explicit request
     /// ([`TopoDatabase::cell_complex`](crate::TopoDatabase::cell_complex)).
     flat: OnceLock<Arc<CellComplex>>,
@@ -90,14 +106,14 @@ pub(crate) struct EpochState {
     prev: Mutex<Option<Arc<EpochState>>>,
 }
 
-/// The derived structures of one epoch.
-#[derive(Clone)]
-pub(crate) struct Built {
-    /// Component sub-complexes keyed by sorted region-name set — the reuse
-    /// source for the next commit.
-    pub components: BTreeMap<Vec<String>, Arc<ComponentComplex>>,
-    /// The epoch's snapshot (zero-copy view + lazy derived reads).
-    pub snapshot: Snapshot,
+/// The component with exactly the name set `key`, if `components` (in
+/// partition order: ascending smallest member name) has one.
+fn find_component(
+    components: &[Arc<ComponentComplex>],
+    key: &[String],
+) -> Option<Arc<ComponentComplex>> {
+    let at = components.binary_search_by(|c| c.region_names()[0].cmp(&key[0])).ok()?;
+    (components[at].region_names() == key).then(|| Arc::clone(&components[at]))
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -108,25 +124,18 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl EpochState {
-    /// The derived structures, building them on first use (root epoch only —
-    /// published epochs are always pre-built).
-    pub fn built(&self, counters: &BuildCounters) -> &Built {
-        self.built.get_or_init(|| build_epoch(self.epoch, &self.instance, |_| None, counters))
-    }
-
-    /// The derived structures if they have been built.
-    pub fn built_opt(&self) -> Option<&Built> {
-        self.built.get()
+    /// The snapshot, building it on first use (root epoch only — published
+    /// epochs are always pre-built). The cold build is the degenerate
+    /// update: nothing to carry, every name changed.
+    pub fn built(&self, counters: &BuildCounters) -> &Snapshot {
+        self.built.get_or_init(|| build_cold(self.epoch, &self.instance, counters))
     }
 
     /// The flat deep-copied complex of this epoch, materialized on first
     /// request and shared afterwards.
     pub fn flat(&self, counters: &BuildCounters) -> Arc<CellComplex> {
-        let built = self.built(counters);
-        Arc::clone(
-            self.flat
-                .get_or_init(|| Arc::new(built.snapshot.view_ref().to_cell_complex())),
-        )
+        let snapshot = self.built(counters);
+        Arc::clone(self.flat.get_or_init(|| Arc::new(snapshot.view_ref().to_cell_complex())))
     }
 
     /// Whether the flat copy has been materialized (for
@@ -165,26 +174,55 @@ pub(crate) fn apply_ops(base: &SpatialInstance, ops: &[Op]) -> (SpatialInstance,
     (next, changed)
 }
 
-/// Build the derived structures of an epoch: partition, sweep every group
-/// `reuse` declines (concurrently), assemble the zero-copy view, wrap it in
-/// a snapshot.
-pub(crate) fn build_epoch<F>(
+/// Build the snapshot of an epoch by patching the view of its base: carry
+/// over every component that `changed` (the names whose extent differs
+/// between the two instances) neither contains nor touches, with its
+/// nesting parent; re-partition, sweep (asking `hint` first) and locate the
+/// rest. The cold build is the degenerate patch: an empty `base`, every
+/// name changed.
+pub(crate) fn build_epoch<S, F>(
     epoch: u64,
+    base: &GlobalComplexView,
     instance: &SpatialInstance,
-    reuse: F,
+    changed: &[S],
+    hint: F,
     counters: &BuildCounters,
-) -> Built
+) -> Snapshot
 where
-    F: Fn(&[String]) -> Option<Arc<ComponentComplex>> + Sync,
+    S: AsRef<str>,
+    F: Fn(&[String]) -> Option<Arc<ComponentComplex>>,
 {
-    let set = arrangement::build_components_with_reuse(instance, reuse);
-    counters.component_rebuilds.fetch_add(set.rebuilt as u64, Ordering::Relaxed);
+    let update = arrangement::update_components(base.components(), instance, changed, hint);
+    counters.component_rebuilds.fetch_add(update.rebuilt as u64, Ordering::Relaxed);
     counters.complex_builds.fetch_add(1, Ordering::Relaxed);
-    let components: BTreeMap<Vec<String>, Arc<ComponentComplex>> =
-        set.keys.iter().cloned().zip(set.components.iter().cloned()).collect();
     let global_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
-    let view = Arc::new(GlobalComplexView::new(global_names, set.components));
-    Built { components, snapshot: Snapshot::new(epoch, view) }
+    Snapshot::new(epoch, Arc::new(base.updated(global_names, update)))
+}
+
+/// The cold build of `instance`: [`build_epoch`] on the empty view.
+fn build_cold(epoch: u64, instance: &SpatialInstance, counters: &BuildCounters) -> Snapshot {
+    let empty = GlobalComplexView::new(Vec::new(), Vec::new());
+    build_epoch(epoch, &empty, instance, &instance.names(), |_| None, counters)
+}
+
+/// [`build_epoch`] on top of the epoch `base`. A base that was never read
+/// (an unbuilt root) has nothing to carry: the build is then the cold one.
+fn build_on<F>(
+    base: &EpochState,
+    instance: &SpatialInstance,
+    changed: &[String],
+    hint: F,
+    counters: &BuildCounters,
+) -> Snapshot
+where
+    F: Fn(&[String]) -> Option<Arc<ComponentComplex>>,
+{
+    match base.built.get() {
+        Some(snapshot) => {
+            build_epoch(base.epoch + 1, snapshot.view_ref(), instance, changed, hint, counters)
+        }
+        None => build_cold(base.epoch + 1, instance, counters),
+    }
 }
 
 /// The epoch chain itself: the published head plus the writers registry.
@@ -289,23 +327,8 @@ impl EpochChain {
             return Ok(CommitSummary { epoch: base.epoch, changed });
         }
         let mut next_instance = Arc::new(next_instance);
-        let mut changed_set: BTreeSet<String> = changed.iter().cloned().collect();
-
         let mut current_base = base;
-        let mut built = {
-            let base_components = current_base.built_opt().map(|b| &b.components);
-            build_epoch(
-                current_base.epoch + 1,
-                &next_instance,
-                |key: &[String]| {
-                    if key.iter().any(|n| changed_set.contains(n)) {
-                        return None;
-                    }
-                    base_components.and_then(|c| c.get(key)).cloned()
-                },
-                counters,
-            )
-        };
+        let mut built = build_on(&current_base, &next_instance, &changed, |_| None, counters);
 
         // Stage 3 — publish, retrying on conflict.
         loop {
@@ -314,7 +337,7 @@ impl EpochChain {
             let next = Arc::new(EpochState {
                 epoch: current_base.epoch + 1,
                 instance: Arc::clone(&next_instance),
-                changed: changed_set.clone(),
+                changed: changed.iter().cloned().collect(),
                 built: cell,
                 flat: OnceLock::new(),
                 prev: Mutex::new(Some(Arc::clone(&current_base))),
@@ -351,10 +374,9 @@ impl EpochChain {
                 }
                 false => {
                     counters.publish_conflicts.fetch_add(1, Ordering::Relaxed);
-                    // `next` was never published: recover this attempt's
-                    // build before `next` is dropped.
-                    let own_components =
-                        next.built.get().expect("unpublished epoch keeps its build").components.clone();
+                    // `next` was never published: its build stays on offer
+                    // to the retry.
+                    let own = next.built.get().expect("unpublished epoch keeps its build");
                     let new_head = self.head.load();
                     // Names changed between our stale base and the new head
                     // (None if the walk cannot reach the base — defensive:
@@ -373,29 +395,19 @@ impl EpochChain {
                     }
                     next_instance = Arc::new(rebased_instance);
                     changed = rebased_changed;
-                    changed_set = changed.iter().cloned().collect();
-                    let head_components =
-                        new_head.built_opt().map(|b| b.components.clone()).unwrap_or_default();
-                    let changed_now = &changed_set;
-                    built = build_epoch(
-                        new_head.epoch + 1,
+                    // The new head's components are carried unless this
+                    // commit touches them; what it does touch is offered
+                    // this attempt's own components, valid for every key no
+                    // intervening commit changed a region of.
+                    built = build_on(
+                        &new_head,
                         &next_instance,
-                        |key: &[String]| {
-                            // The new head's component is valid unless this
-                            // commit changed one of its regions...
-                            if !key.iter().any(|n| changed_now.contains(n)) {
-                                if let Some(c) = head_components.get(key) {
-                                    return Some(Arc::clone(c));
-                                }
+                        &changed,
+                        |key: &[String]| match &intervening {
+                            Some(names) if !key.iter().any(|n| names.contains(n)) => {
+                                find_component(own.view_ref().components(), key)
                             }
-                            // ...and this attempt's own component is valid
-                            // unless an intervening commit did.
-                            match &intervening {
-                                Some(names) if !key.iter().any(|n| names.contains(n)) => {
-                                    own_components.get(key).cloned()
-                                }
-                                _ => None,
-                            }
+                            _ => None,
                         },
                         counters,
                     );

@@ -138,19 +138,30 @@ use transaction::Op;
 /// * **Writers build outside any lock.** A commit registers its base epoch
 ///   under a small writers-only mutex (the registry also governs how far
 ///   back the chain must stay walkable), applies its operations to a copy
-///   of the base instance, re-sweeps **only** the components whose
-///   region-name set meets a changed name — reusing every other
-///   `Arc<ComponentComplex>` of the base pointer-identically, on the shared
-///   worker pool — and then publishes the fully-built epoch with a
-///   compare-exchange on the head.
+///   of the base instance that shares every untouched region, and then
+///   *patches* the base epoch's view rather than rebuilding it. Carried
+///   over, pointer-identical and unexamined: every `Arc<ComponentComplex>`
+///   of the base that contains no changed name and whose bounding box the
+///   new geometry stays clear of, along with its place in the nesting
+///   forest. Re-partitioned and re-swept (on the shared worker pool): the
+///   remaining members of components that lost or re-shaped a region, the
+///   new regions, and the components a new segment touches. One probe of
+///   the new segments against the carried boxes suffices — segments that
+///   did not move cannot start interacting with each other. The fully-built
+///   epoch is then published with a compare-exchange on the head. Outside
+///   the touched components a commit costs one bounding-box test per
+///   component, not per region or segment.
 /// * **Conflicts cost a re-assembly, not a rebuild.** If another commit
 ///   published first, the loser walks the chain from the new head to its
-///   base to learn which names the intervening epochs changed, keeps every
-///   component neither side invalidated (the new head's for its own
-///   untouched keys, its own attempt's for keys the intervening commits
-///   didn't touch), re-sweeps only the genuinely contested components, and
-///   retries. Two transactions over disjoint components therefore *build
-///   concurrently* and both publish after one compare-exchange each.
+///   base to learn which names the intervening epochs changed, re-applies
+///   its operations to the new head's instance and patches the *new head's*
+///   view: that epoch's components are carried wherever this commit does
+///   not touch them, and where it does the build is offered this attempt's
+///   own components, still valid for every name set the intervening commits
+///   left alone. Only the genuinely contested components are re-swept. Two
+///   transactions over disjoint components therefore *build concurrently*
+///   and both publish after one compare-exchange each, the loser without
+///   sweeping anything twice.
 /// * **Reclamation is generation-counted.** A replaced head is retired, not
 ///   dropped: the atomic slot (`epoch::swap`) frees it only after both
 ///   reader-pin parities have been observed empty at generation flips after
@@ -167,24 +178,30 @@ use transaction::Op;
 /// ## Component reuse and epochs
 ///
 /// The arrangement is built by the partition → per-component sweep →
-/// assemble pipeline of the `arrangement` crate
-/// ([`arrangement::build_components_with_reuse`]), and every epoch carries
-/// its per-component sub-complexes (`Arc<ComponentComplex>`) keyed by the
-/// component's region-name set. A committed batch that changes at least one
-/// region starts a new *epoch*; components whose geometry now interacts
-/// with a changed region surface as groups with a *new* name-set key (so
-/// they are re-swept — concurrently, see [`arrangement::parallel`]), while
-/// every unaffected group is reused pointer-identically. A batch of `k`
-/// mutations therefore costs *one* re-sweep of the affected clusters and
-/// *one* global re-assembly, not `k`.
+/// assemble pipeline of the `arrangement` crate, and every epoch carries
+/// its per-component sub-complexes (`Arc<ComponentComplex>`) in partition
+/// order inside its view; a component's key is its own sorted region-name
+/// set. A committed batch that changes at least one region starts a new
+/// *epoch* by incremental maintenance ([`arrangement::update_components`]):
+/// components whose geometry now interacts with a changed region surface as
+/// groups with a *new* name-set key (so they are re-swept — concurrently,
+/// see [`arrangement::parallel`]), while every unaffected component is
+/// carried over pointer-identically without its regions, segments or
+/// coordinates being read. A batch of `k` mutations therefore costs *one*
+/// re-sweep of the affected clusters and *one* patch of the global view,
+/// not `k`. The invariant — the carried partition is what a from-scratch
+/// partition of the carried instance would be — is checked step by step in
+/// `crates/arrangement/tests/incremental_partition.rs`.
 ///
 /// The global complex is assembled *by view* ([`GlobalComplexView`]): the
 /// epoch's `Arc<ComponentComplex>`es are composed behind a compact id
-/// translation table in `O(components + cross-component nesting)`, with no
-/// per-cell copying. The cost of a commit is therefore `O(affected
-/// clusters)` re-sweeping plus an `O(components)` re-assembly — fully
-/// proportional to the affected geometry — instead of a full
-/// `O((n + k) log n)` re-sweep of the whole map.
+/// translation table, with no per-cell copying, and a commit patches the
+/// base epoch's table ([`GlobalComplexView::updated`]: only new components
+/// are located in the nesting forest). The cost of a commit is therefore
+/// `O(affected clusters)` re-sweeping plus per-database bookkeeping of one
+/// step per component and one name and pointer copy per region — instead of
+/// a full `O((n + k) log n)` re-sweep, or even a re-partition, of the whole
+/// map.
 ///
 /// Two counters pin the behavior down: [`TopoDatabase::complex_build_count`]
 /// is the number of *assembled global complexes* built (any burst of reads
@@ -615,7 +632,7 @@ impl TopoDatabase {
     /// afterwards; call `snapshot()` again after a commit to observe the
     /// new epoch.
     pub fn snapshot(&self) -> Snapshot {
-        self.chain.head().built(&self.counters).snapshot.clone()
+        self.chain.head().built(&self.counters).clone()
     }
 
     /// The zero-copy global complex view of the current instance — shared
@@ -650,9 +667,8 @@ impl TopoDatabase {
     /// two calls is returned pointer-identical (`Arc::ptr_eq`), which is
     /// the observable guarantee of incremental maintenance.
     pub fn component_complexes(&self) -> Vec<(Vec<String>, Arc<ComponentComplex>)> {
-        let head = self.chain.head();
-        let built = head.built(&self.counters);
-        built.components.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
+        let view = self.complex_view();
+        view.components().iter().map(|c| (c.region_names().to_vec(), Arc::clone(c))).collect()
     }
 
     /// How many times this database has built (assembled) a global cell

@@ -110,13 +110,13 @@ impl Snapshot {
 
     /// The 4-intersection relation between two named regions.
     pub fn relation(&self, a: &str, b: &str) -> Result<Relation4, TopoDbError> {
-        for name in [a, b] {
-            if self.inner.view.region_index(name).is_none() {
-                return Err(TopoDbError::UnknownRegion(name.to_string()));
-            }
-        }
-        relations::relation_in_complex(self.inner.view.as_ref(), a, b)
-            .ok_or_else(|| TopoDbError::UnknownRegion(format!("{a} / {b}")))
+        // The classification resolves both names itself and reports `None`
+        // only if one is unknown; which one is worked out on that path only.
+        let view = self.inner.view.as_ref();
+        relations::relation_in_complex(view, a, b).ok_or_else(|| {
+            let unknown = if view.region_index(a).is_none() { a } else { b };
+            TopoDbError::UnknownRegion(unknown.to_string())
+        })
     }
 
     /// All pairwise relations, in name order.

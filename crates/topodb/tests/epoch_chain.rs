@@ -1,6 +1,6 @@
 //! The epoch chain, held equal to a from-scratch model and hammered.
 //!
-//! Four suites:
+//! Five suites:
 //!
 //! 1. **Randomized interleaved differential** — a deterministic schedule of
 //!    batched commits and reads replayed against a database and a test-local
@@ -20,6 +20,9 @@
 //!    `Arc<ComponentComplex>` of their base epoch into the published epoch
 //!    unchanged, including across concurrent disjoint commits.
 //! 4. **History pruning** — a single writer's superseded epochs are freed.
+//! 5. **Forced publish conflict** — a slow commit overtaken by fast commits
+//!    on another cluster retries without re-sweeping anything and publishes
+//!    the union.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -354,4 +357,93 @@ fn single_writer_commits_free_superseded_epochs() {
             db.durable()
         );
     }
+}
+
+/// A commit that loses the publish race to commits on *other* clusters keeps
+/// everything it swept: the retry carries the new head's components, is
+/// handed its own attempt's for what it touched, and sweeps nothing. The
+/// conflict is forced by making one writer's build long (a 40-rectangle
+/// batch into cluster 0) while the other keeps publishing one-rectangle
+/// edits of cluster 1 until the first is done.
+#[test]
+fn a_conflicting_commit_on_disjoint_clusters_retries_without_sweeping() {
+    let slow_batch = || -> Vec<(String, Region)> {
+        let mut rng = StdRng::seed_from_u64(4242);
+        (0..40).map(|i| (format!("S{i:02}"), cluster_region(&mut rng, 0))).collect()
+    };
+    let fast_edit = |db: &TopoDatabase, i: usize| {
+        let mut txn = db.begin_shared();
+        if i.is_multiple_of(2) {
+            txn.insert("F", Region::rect_from_ints(103, 3, 109, 9));
+        } else {
+            txn.remove("F");
+        }
+        assert_eq!(txn.commit().changed, ["F"]);
+    };
+
+    let mut conflicts = 0;
+    for round in 0..5 {
+        let db = chain_db(8128 + round);
+        db.snapshot();
+        let swept_before = db.component_rebuild_count();
+        let slow_started = AtomicBool::new(false);
+        let slow_done = AtomicBool::new(false);
+        let fast_commits = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut txn = db.begin_shared();
+                for (name, region) in slow_batch() {
+                    txn.insert(name, region);
+                }
+                slow_started.store(true, Ordering::Release);
+                assert_eq!(txn.commit().changed.len(), 40);
+                slow_done.store(true, Ordering::Release);
+            });
+            let fast = scope.spawn(|| {
+                while !slow_started.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                let mut i = 0;
+                while i == 0 || !slow_done.load(Ordering::Acquire) {
+                    fast_edit(&db, i);
+                    i += 1;
+                }
+                i
+            });
+            fast.join().expect("fast writer")
+        });
+        let swept = db.component_rebuild_count() - swept_before;
+
+        // The same commits one after the other: no conflict, no retry.
+        let twin = chain_db(8128 + round);
+        twin.snapshot();
+        let twin_before = twin.component_rebuild_count();
+        let mut txn = twin.begin_shared();
+        for (name, region) in slow_batch() {
+            txn.insert(name, region);
+        }
+        txn.commit();
+        for i in 0..fast_commits {
+            fast_edit(&twin, i);
+        }
+        assert_eq!(twin.publish_conflict_count(), 0);
+        assert_eq!(
+            swept,
+            twin.component_rebuild_count() - twin_before,
+            "a retry re-swept a component ({} conflicts, round {round})",
+            db.publish_conflict_count()
+        );
+
+        // Both writers' effects are published, and they are what a cold
+        // build of the union says.
+        assert_eq!(db.update_epoch(), 1 + fast_commits as u64);
+        assert_eq!(*db.instance(), *twin.instance(), "the union is published");
+        let cold = TopoDatabase::from_instance((*db.instance()).clone()).snapshot();
+        assert_eq!(db.snapshot().relation_matrix(), cold.relation_matrix());
+
+        conflicts += db.publish_conflict_count();
+        if conflicts > 0 {
+            break;
+        }
+    }
+    assert!(conflicts > 0, "five rounds and the slow commit was never overtaken");
 }

@@ -8,15 +8,22 @@
 //! A second suite pins the locality guarantee itself: on a multi-cluster
 //! map, an update touching one cluster re-sweeps only the affected
 //! component(s) while every untouched `Arc<ComponentComplex>` is reused
-//! pointer-identically.
+//! pointer-identically — and partitions only that cluster's segments, the
+//! same number whatever the size of the rest of the database.
 
 use datagen::cluster_rect;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
+use topodb::arrangement::counters::phase_counters;
 use topodb::arrangement::Label;
 use topodb::spatial_core::prelude::*;
 use topodb::TopoDatabase;
+
+/// The `arrangement` work counters are process-wide and the tests of this
+/// binary run in parallel: every test that commits holds this lock shared,
+/// the one that differences the counters around a commit holds it alone.
+static WORK_COUNTERS: RwLock<()> = RwLock::new(());
 
 /// Sorted label multisets of all cells — a re-indexing-invariant summary.
 fn label_multisets(db: &TopoDatabase) -> (Vec<Label>, Vec<Label>, Vec<Label>) {
@@ -50,6 +57,7 @@ fn assert_equals_fresh_rebuild(db: &TopoDatabase, context: &str) {
 
 #[test]
 fn randomized_update_schedules_match_from_scratch_rebuilds() {
+    let _shared = WORK_COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     // 30 schedules x 5 steps = 150 update steps, each followed by a full
     // differential comparison against a from-scratch rebuild.
     let clusters = 4usize;
@@ -90,6 +98,7 @@ fn randomized_update_schedules_match_from_scratch_rebuilds() {
 
 #[test]
 fn update_to_one_cluster_reuses_every_other_component() {
+    let _shared = WORK_COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     // The acceptance scenario: a 16-cluster map; an insert touching one
     // cluster followed by a read re-sweeps only the affected component(s)
     // while all untouched components are returned pointer-identically.
@@ -141,6 +150,7 @@ fn update_to_one_cluster_reuses_every_other_component() {
 
 #[test]
 fn removal_restores_pointer_reuse_and_correctness() {
+    let _shared = WORK_COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     let mut db = TopoDatabase::from_instance(datagen::clustered_map(9, 3, 7));
     let _ = db.cell_complex();
     let rebuilds_before = db.component_rebuild_count();
@@ -161,6 +171,7 @@ fn removal_restores_pointer_reuse_and_correctness() {
 
 #[test]
 fn epoch_counter_tracks_updates() {
+    let _shared = WORK_COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     let mut db = TopoDatabase::new();
     assert_eq!(db.update_epoch(), 0);
     db.insert("A", Region::rect_from_ints(0, 0, 4, 4));
@@ -172,4 +183,43 @@ fn epoch_counter_tracks_updates() {
     let _ = db.cell_complex();
     let _ = db.invariant();
     assert_eq!(db.update_epoch(), 3);
+}
+
+#[test]
+fn a_commit_partitions_its_cluster_only_whatever_the_database_size() {
+    let _alone = WORK_COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
+    // Segments handed to the partitioner by a one-rectangle commit into
+    // cluster 0 of a `clusters`-cluster map, next to the segment counts of
+    // that cluster and of the whole map. The seed fixes cluster 0's sixteen
+    // rectangles (the first sixteen draws) independently of `clusters`.
+    let commit_into_cluster_0 = |clusters: usize| {
+        let instance = datagen::clustered_map(clusters, 16, 42);
+        let segments = |prefix: &str| -> u64 {
+            instance
+                .iter()
+                .filter(|(name, _)| name.starts_with(prefix))
+                .map(|(_, region)| region.boundary().len() as u64)
+                .sum()
+        };
+        let (cluster, total) = (segments("C000_"), segments("C"));
+        let db = TopoDatabase::from_instance(instance);
+        db.snapshot();
+        let before = phase_counters();
+        let mut txn = db.begin_shared();
+        txn.insert("Update", Region::rect_from_ints(3, 3, 9, 9));
+        txn.commit();
+        let partitioned = phase_counters().delta_since(&before).segments_partitioned;
+        (partitioned, cluster, total)
+    };
+
+    let (small, cluster, _) = commit_into_cluster_0(16);
+    let (large, same_cluster, total) = commit_into_cluster_0(64);
+    assert_eq!(cluster, same_cluster, "cluster 0 is the same geometry in both maps");
+    assert!(total > 4000, "the large map has {total} segments");
+    assert!(large >= 4, "the new rectangle itself is partitioned");
+    assert!(
+        large <= cluster + 4,
+        "partitioned {large} segments; cluster 0 has {cluster} and the new region 4"
+    );
+    assert_eq!(small, large, "four times the database, the same partition work");
 }
