@@ -13,9 +13,10 @@
 //! makes its own tail latencies look better by slowing the clients down.
 //!
 //! All clients share one `&TopoDatabase` directly — no outer lock. Reads
-//! and queries acquire snapshots (wait-free); transactions commit through
-//! [`TopoDatabase::begin_shared`], so concurrent writers build their epochs
-//! outside any lock and serialize only at the publish compare-exchange.
+//! and queries acquire snapshots (a read lock held for one `Arc` clone);
+//! transactions commit through [`TopoDatabase::begin_shared`], so
+//! concurrent writers build their epochs outside any lock and serialize
+//! only at the publish.
 //!
 //! The per-operation mix, drawn from each client's seeded RNG, is selected
 //! by `TRAFFIC_MIX`:
@@ -41,7 +42,7 @@
 //! The base map is selected by `TRAFFIC_MAP`: `small` (default, 8 clusters
 //! of 4 regions) or `clustered4096` (64 clusters of 64 regions — 4096
 //! base regions, the scale where per-commit re-sweep locality and
-//! wait-free reads actually matter).
+//! cheap snapshot acquisition actually matter).
 //!
 //! `TRAFFIC_WAL=on` runs the same workload against a *durable* database
 //! (a throwaway log directory under the temp dir, deleted afterwards), so

@@ -4,6 +4,8 @@
 //! minutes while still producing stable relative numbers; `EXPERIMENTS.md`
 //! maps each benchmark to the paper artifact it reproduces.
 
+#![forbid(unsafe_code)]
+
 /// The instance sizes (number of regions) used by the scaling sweeps.
 pub const SCALING_SIZES: [usize; 4] = [4, 16, 36, 64];
 

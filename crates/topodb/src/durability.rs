@@ -14,7 +14,7 @@ use spatial_core::instance::SpatialInstance;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use wal::{BatchRecord, SyncPolicy, Vfs, Wal, WalConfig, WalError, WalOp};
 
@@ -134,18 +134,16 @@ pub(crate) struct DurabilityCounters {
 
 /// A database's attachment to its write-ahead log.
 ///
-/// `publish_lock` serializes commit *publishes* (WAL append + head
-/// compare-exchange) — not builds, which stay concurrent. Holding it while
-/// checking that the head is still the commit's base makes the subsequent
-/// compare-exchange infallible, which is what guarantees a batch is logged
-/// exactly once, on the attempt that wins: a stale head is detected
-/// *before* anything is appended, and the losing attempt rebuilds and
-/// retries without having logged a byte.
+/// Appends and checkpoints are ordered by the epoch chain's publish mutex,
+/// not by a lock of their own: a commit appends under that mutex after
+/// checking that the head is still its base, and only then publishes. So a
+/// batch is logged exactly once, on the attempt that wins — a stale head is
+/// detected *before* anything is appended, and the losing attempt rebuilds
+/// and retries without having logged a byte.
 pub(crate) struct Durability {
     // Field order matters: the `Wal` flushes on drop, and must do so
     // before an ephemeral guard (if any) deletes the directory.
     wal: Wal,
-    pub(crate) publish_lock: Mutex<()>,
     retry: RetryPolicy,
     clock: Arc<dyn Clock>,
     /// Set exactly once, by whichever failure first proved storage
@@ -172,7 +170,6 @@ impl Durability {
     pub(crate) fn with_policy(wal: Wal, retry: RetryPolicy, clock: Arc<dyn Clock>) -> Durability {
         Durability {
             wal,
-            publish_lock: Mutex::new(()),
             retry,
             clock,
             degraded: OnceLock::new(),
@@ -233,8 +230,8 @@ impl Durability {
         }
     }
 
-    /// Append one committed batch. Called with `publish_lock` held, so
-    /// records arrive in exactly publish order.
+    /// Append one committed batch. Called under the epoch chain's publish
+    /// mutex, so records arrive in exactly publish order.
     ///
     /// `Ok` means the record is durably framed in the log (to the
     /// configured sync policy) — the commit may be acknowledged. `Err` is

@@ -1,17 +1,16 @@
-//! The epoch chain: wait-free snapshot publication for
+//! The epoch chain: snapshot publication for
 //! [`TopoDatabase`](crate::TopoDatabase).
 //!
-//! The chain is a singly-linked list of immutable, fully-built epochs
-//! ([`EpochState`]), newest first, published through an atomic pointer
-//! ([`swap::ArcSwap`]). Readers never take a lock: acquiring a snapshot is
-//! one atomic head load plus an `Arc` refcount bump. Writers run a
+//! The database is a sequence of immutable, fully-built epochs
+//! ([`EpochState`]) of which only the newest, the *head*, is reachable: one
+//! `RwLock<Arc<EpochState>>`. A read is a read lock held for one `Arc`
+//! clone; it never waits on a build, a log append or an fsync, because the
+//! write lock is only ever held for one pointer store. Writers run a
 //! three-stage pipeline:
 //!
-//! 1. **Intent** — under the small writers-only mutex, load the head as the
-//!    *base epoch* and register its number in the writers registry, which
-//!    pins the chain: pruning never severs a `prev` link below the minimum
-//!    registered base, so conflict resolution can always walk from any later
-//!    head back down to a registered base.
+//! 1. **Base** — clone the head `Arc` as the *base epoch*. Nothing is
+//!    registered: the clone keeps the base alive for as long as the commit
+//!    needs it.
 //! 2. **Build, outside any lock** — apply the buffered operations to a copy
 //!    of the base instance (names and `Arc`s; no geometry is copied), then
 //!    *patch* the base epoch's view instead of rebuilding it
@@ -33,40 +32,34 @@
 //!    the old head and other writers build their own epochs concurrently.
 //!    The root epoch's cold build is the same call on an empty base with
 //!    every name changed.
-//! 3. **Publish** — compare-exchange the head from the base to the new
-//!    epoch. On conflict (another writer published first), collect the
-//!    names changed by the intervening epochs (a `prev`-walk from the new
-//!    head down to the old base), re-apply the batch to the new head's
+//! 3. **Publish** — under the writers-only publish mutex, check that the
+//!    head is still the base (`Arc::ptr_eq`); if so, append the batch to the
+//!    log (when one is attached) and then store the new epoch as the head
+//!    under the write lock. The mutex makes check, append and store one
+//!    step, so a batch is logged exactly once — by the attempt that
+//!    publishes it — and strictly before its epoch becomes visible. If
+//!    another commit published first, re-apply the batch to the new head's
 //!    instance and run stage 2 again with the *new head* as base: its
 //!    components are carried wherever this commit does not touch them, and
-//!    for the groups it does touch the build is offered this attempt's own
-//!    components (the `hint`), which are still valid for every name set no
-//!    intervening commit changed a region of. Re-register against the new
-//!    base and retry. Two commits touching disjoint components therefore
-//!    both build concurrently and the loser's retry is a pure re-assembly
-//!    (zero re-sweeps).
+//!    for a group it does touch the build is offered this attempt's own
+//!    component (the `hint`) when every member region has the same extent
+//!    in both instances. That is valid by construction: a component is
+//!    built from its members' regions and nothing else. Two commits
+//!    touching disjoint components therefore both build concurrently and
+//!    the loser's retry is a pure re-assembly (zero re-sweeps).
 //!
-//! **Reclamation invariant.** Three mechanisms bound memory without ever
-//! freeing under a reader: (a) the head swap itself retires the old head
-//! into [`swap::ArcSwap`]'s limbo list, which frees it only after both
-//! reader-pin slots have been observed empty at generation flips *after*
-//! the retirement; (b) the `prev` chain hanging off the head is pruned
-//! after each publish down to the minimum in-flight writer base (the
-//! registry; with no writer in flight the new head keeps no predecessor),
-//! so the list length is bounded by concurrent writers, not by history;
-//! (c) severed epochs are plain `Arc`s — long-lived [`Snapshot`]s keep
-//! exactly the cells they reference alive and nothing else.
+//! **Reclamation invariant.** The head is an `Arc`; snapshots keep exactly
+//! what they reference. A superseded epoch is freed by whichever of its
+//! holders — the commit that replaced it, a [`Snapshot`] — lets go last.
 
+use crate::durability::Durability;
 use crate::snapshot::Snapshot;
 use crate::transaction::{CommitSummary, Op};
 use arrangement::{CellComplex, ComponentComplex, GlobalComplexView};
 use spatial_core::instance::SpatialInstance;
-use std::collections::{BTreeMap, BTreeSet};
+use spatial_core::region::Region;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-pub(crate) mod swap;
-use swap::ArcSwap;
+use std::sync::{Arc, LockResult, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Build/diagnostic counters of the facade.
 #[derive(Default)]
@@ -76,34 +69,27 @@ pub(crate) struct BuildCounters {
     pub complex_builds: AtomicU64,
     /// Component sub-complexes swept from scratch.
     pub component_rebuilds: AtomicU64,
-    /// Epoch-chain publish attempts that lost the head compare-exchange and
-    /// retried against the intervening epoch.
+    /// Publish attempts that found the head moved past their base and
+    /// retried against the new head.
     pub publish_conflicts: AtomicU64,
 }
 
-/// One immutable epoch of the database: the instance as of that epoch, the
-/// derived structures, and the link to the predecessor epoch.
+/// One immutable epoch of the database: the instance as of that epoch and
+/// the derived structures.
 pub(crate) struct EpochState {
     /// The epoch number ([`Snapshot::epoch`] of this epoch's snapshot).
     pub epoch: u64,
     /// The instance as of this epoch.
     pub instance: Arc<SpatialInstance>,
-    /// Names changed by the commit that published this epoch (empty for the
-    /// root). Conflict resolution unions these along a `prev` walk.
-    changed: BTreeSet<String>,
     /// The epoch's snapshot: the zero-copy view — which holds the component
     /// sub-complexes the next commit carries over — plus the lazy derived
-    /// reads. Published epochs are fully built *before* the head swap; only
-    /// the root epoch (constructed without a commit) builds lazily on first
-    /// read, so constructing a database stays free.
+    /// reads. Published epochs are fully built *before* they become the
+    /// head; only the root epoch (constructed without a commit) builds
+    /// lazily on first read, so constructing a database stays free.
     built: OnceLock<Snapshot>,
     /// The flat deep-copied complex, materialized only on explicit request
     /// ([`TopoDatabase::cell_complex`](crate::TopoDatabase::cell_complex)).
     flat: OnceLock<Arc<CellComplex>>,
-    /// The predecessor epoch; `None` for the root and for epochs whose tail
-    /// has been pruned. Only writers touch this (a `Mutex`, not part of any
-    /// read path).
-    prev: Mutex<Option<Arc<EpochState>>>,
 }
 
 /// The component with exactly the name set `key`, if `components` (in
@@ -116,11 +102,16 @@ fn find_component(
     (components[at].region_names() == key).then(|| Arc::clone(&components[at]))
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Writer-side state is only ever mutated in complete steps (registry
-    // increments/decrements, a prev-link overwrite), so a poisoned mutex
-    // cannot hold torn data.
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+/// Whether two instances give a name the same extent: the same shared
+/// region, or equal geometry (a region re-inserted by value).
+fn same_extent(a: Option<&Region>, b: Option<&Region>) -> bool {
+    a.zip(b).is_some_and(|(a, b)| std::ptr::eq(a, b) || a == b)
+}
+
+fn unpoison<G>(guard: LockResult<G>) -> G {
+    // The head is only ever replaced by one whole-pointer store and the
+    // publish mutex guards no data, so a poisoned lock holds nothing torn.
+    guard.unwrap_or_else(PoisonError::into_inner)
 }
 
 impl EpochState {
@@ -225,46 +216,15 @@ where
     }
 }
 
-/// The epoch chain itself: the published head plus the writers registry.
+/// The published head and the mutex that orders publishes.
 pub(crate) struct EpochChain {
-    head: ArcSwap<EpochState>,
-    /// Base epochs of in-flight commits (a multiset: epoch → writer count).
-    /// Registration happens under this mutex *before* the base head is
-    /// adopted, and pruning happens under it too, so the chain is never
-    /// severed below a registered base.
-    writers: Mutex<BTreeMap<u64, usize>>,
-}
-
-/// Deregisters a writer's base epoch on drop, so a panicking build never
-/// pins the chain forever.
-struct Intent<'a> {
-    chain: &'a EpochChain,
-    epoch: u64,
-}
-
-impl Intent<'_> {
-    /// Move this writer's registration to a new base epoch (conflict retry).
-    fn rebase(&mut self, new_epoch: u64) {
-        let mut writers = lock(&self.chain.writers);
-        deregister(&mut writers, self.epoch);
-        *writers.entry(new_epoch).or_insert(0) += 1;
-        self.epoch = new_epoch;
-    }
-}
-
-impl Drop for Intent<'_> {
-    fn drop(&mut self) {
-        deregister(&mut lock(&self.chain.writers), self.epoch);
-    }
-}
-
-fn deregister(writers: &mut BTreeMap<u64, usize>, epoch: u64) {
-    if let Some(count) = writers.get_mut(&epoch) {
-        *count -= 1;
-        if *count == 0 {
-            writers.remove(&epoch);
-        }
-    }
+    /// The newest epoch. Readers hold the read lock for one `Arc` clone; the
+    /// write lock is held for one pointer store, by a publisher that already
+    /// holds `publish`.
+    head: RwLock<Arc<EpochState>>,
+    /// Serializes publishes and checkpoints — not builds, which run outside
+    /// every lock.
+    publish: Mutex<()>,
 }
 
 impl EpochChain {
@@ -272,202 +232,100 @@ impl EpochChain {
     /// database at the epoch its log replayed to, and commits continue the
     /// numbering from there (so re-logged epochs line up with the log).
     pub fn new_at(instance: Arc<SpatialInstance>, epoch: u64) -> Self {
-        let root = EpochState {
-            epoch,
-            instance,
-            changed: BTreeSet::new(),
-            built: OnceLock::new(),
-            flat: OnceLock::new(),
-            prev: Mutex::new(None),
-        };
-        EpochChain { head: ArcSwap::new(Arc::new(root)), writers: Mutex::new(BTreeMap::new()) }
+        let root = EpochState { epoch, instance, built: OnceLock::new(), flat: OnceLock::new() };
+        EpochChain { head: RwLock::new(Arc::new(root)), publish: Mutex::new(()) }
     }
 
-    /// The current head epoch — one atomic load plus an `Arc` bump, no lock.
+    /// The current head epoch: a read lock held for one `Arc` clone.
     pub fn head(&self) -> Arc<EpochState> {
-        self.head.load()
+        Arc::clone(&*unpoison(self.head.read()))
+    }
+
+    /// Run `f` on the head with publishes held off, so the head stays the
+    /// log's newest epoch until `f` returns.
+    pub fn with_head_held<T>(&self, f: impl FnOnce(&EpochState) -> T) -> T {
+        let _publishing = unpoison(self.publish.lock());
+        f(&self.head())
     }
 
     /// Commit a batch: the three-stage pipeline described in the module
     /// docs. Returns the epoch the batch published (or the base epoch, if
     /// the batch changed nothing). Fails only on durability errors
-    /// ([`crate::TopoDbError::Degraded`]): the intent deregisters, the
-    /// head is untouched, and readers never observe the attempt.
-    ///
-    /// With `durability` attached, stage 3 runs the **log-before-publish**
-    /// protocol: the publish serializes on the WAL publish lock, re-checks
-    /// that the head is still this attempt's base, appends the batch to
-    /// the log, and only then swaps the head. The head check under the
-    /// lock makes the compare-exchange infallible for the attempt that
-    /// logged, so a batch is appended exactly once — on its winning
-    /// attempt — and a record hits the log strictly before the epoch it
-    /// describes becomes visible to readers. A stale head is discovered
-    /// *before* the append, so losing attempts log nothing and take the
-    /// ordinary conflict path.
+    /// ([`crate::TopoDbError::Degraded`]): the head is untouched and
+    /// readers never observe the attempt.
     pub fn commit(
         &self,
         ops: Vec<Op>,
         counters: &BuildCounters,
-        durability: Option<&crate::durability::Durability>,
+        durability: Option<&Durability>,
     ) -> Result<CommitSummary, crate::TopoDbError> {
-        // Stage 1 — write intent: adopt the head as base and register it,
-        // both under the writers mutex, so the chain stays walkable down to
-        // this base however many commits land first.
-        let (base, mut intent) = {
-            let mut writers = lock(&self.writers);
-            let base = self.head.load();
-            *writers.entry(base.epoch).or_insert(0) += 1;
-            let epoch = base.epoch;
-            (base, Intent { chain: self, epoch })
-        };
+        // Stage 1 — the base.
+        let mut base = self.head();
 
         // Stage 2 — build outside any lock.
-        let (next_instance, mut changed) = apply_ops(&base.instance, &ops);
+        let (instance, mut changed) = apply_ops(&base.instance, &ops);
         if changed.is_empty() {
             return Ok(CommitSummary { epoch: base.epoch, changed });
         }
-        let mut next_instance = Arc::new(next_instance);
-        let mut current_base = base;
-        let mut built = build_on(&current_base, &next_instance, &changed, |_| None, counters);
+        let mut instance = Arc::new(instance);
+        let mut built = build_on(&base, &instance, &changed, |_| None, counters);
 
         // Stage 3 — publish, retrying on conflict.
         loop {
-            let cell = OnceLock::new();
-            let _ = cell.set(built);
-            let next = Arc::new(EpochState {
-                epoch: current_base.epoch + 1,
-                instance: Arc::clone(&next_instance),
-                changed: changed.iter().cloned().collect(),
-                built: cell,
-                flat: OnceLock::new(),
-                prev: Mutex::new(Some(Arc::clone(&current_base))),
-            });
-            let published = match durability {
-                None => self.head.compare_exchange(&current_base, Arc::clone(&next)).is_ok(),
-                Some(d) => {
-                    // Log-before-publish: serialize publishes, verify the
-                    // head is still our base, append, then swap. The swap
-                    // cannot fail — every publisher of this database holds
-                    // the same lock — so the record and the epoch commit
-                    // or skip together.
-                    let _publishing = lock(&d.publish_lock);
-                    if Arc::ptr_eq(&self.head.load(), &current_base) {
-                        // A durability failure aborts the commit cleanly:
-                        // nothing was published, the intent guard
-                        // deregisters on drop, and readers stay on the old
-                        // head.
-                        d.log_batch(next.epoch, &ops, &changed, &next_instance)?;
-                        self.head
-                            .compare_exchange(&current_base, Arc::clone(&next))
-                            .expect("head swap serialized under the WAL publish lock");
-                        true
-                    } else {
-                        false
+            let published = {
+                let _publishing = unpoison(self.publish.lock());
+                let is_base = Arc::ptr_eq(&*unpoison(self.head.read()), &base);
+                if is_base {
+                    // Log-before-publish. A durability failure returns here:
+                    // nothing was published and readers stay on the base.
+                    if let Some(d) = durability {
+                        d.log_batch(base.epoch + 1, &ops, &changed, &instance)?;
                     }
+                    let next = Arc::new(EpochState {
+                        epoch: base.epoch + 1,
+                        instance: Arc::clone(&instance),
+                        built: OnceLock::from(built.clone()),
+                        flat: OnceLock::new(),
+                    });
+                    // The replaced head is `base`, which this commit still
+                    // holds: the store frees nothing, and the superseded
+                    // epoch is dropped with `base`, after both locks.
+                    *unpoison(self.head.write()) = next;
                 }
+                is_base
             };
-            match published {
-                true => {
-                    drop(intent);
-                    self.prune(&next);
-                    return Ok(CommitSummary { epoch: next.epoch, changed });
-                }
-                false => {
-                    counters.publish_conflicts.fetch_add(1, Ordering::Relaxed);
-                    // `next` was never published: its build stays on offer
-                    // to the retry.
-                    let own = next.built.get().expect("unpublished epoch keeps its build");
-                    let new_head = self.head.load();
-                    // Names changed between our stale base and the new head
-                    // (None if the walk cannot reach the base — defensive:
-                    // registration makes that unreachable in practice).
-                    let intervening = intervening_changes(&new_head, current_base.epoch);
-                    intent.rebase(new_head.epoch);
-                    // Re-apply the batch against the new head: the published
-                    // instance must carry the intervening commits' changes,
-                    // and this batch's own effect can shrink against the new
-                    // base (e.g. a removal an intervening commit already
-                    // performed).
-                    let (rebased_instance, rebased_changed) =
-                        apply_ops(&new_head.instance, &ops);
-                    if rebased_changed.is_empty() {
-                        return Ok(CommitSummary { epoch: new_head.epoch, changed: rebased_changed });
-                    }
-                    next_instance = Arc::new(rebased_instance);
-                    changed = rebased_changed;
-                    // The new head's components are carried unless this
-                    // commit touches them; what it does touch is offered
-                    // this attempt's own components, valid for every key no
-                    // intervening commit changed a region of.
-                    built = build_on(
-                        &new_head,
-                        &next_instance,
-                        &changed,
-                        |key: &[String]| match &intervening {
-                            Some(names) if !key.iter().any(|n| names.contains(n)) => {
-                                find_component(own.view_ref().components(), key)
-                            }
-                            _ => None,
-                        },
-                        counters,
-                    );
-                    current_base = new_head;
-                }
+            if published {
+                return Ok(CommitSummary { epoch: base.epoch + 1, changed });
             }
-        }
-    }
 
-    /// Sever the `prev` chain below the minimum in-flight writer base, or
-    /// directly below `head` when no writer is in flight (any later writer
-    /// adopts a base at or above `head`, so nothing below it is ever walked
-    /// again). Runs under the writers mutex — the same lock registration
-    /// takes *before* adopting a base — so no writer can be about to walk
-    /// below the cut.
-    fn prune(&self, head: &EpochState) {
-        let writers = lock(&self.writers);
-        let Some(&keep_from) = writers.keys().next() else {
-            // Free the superseded epoch after releasing the registry, so
-            // writers registering meanwhile do not wait on the deallocation.
-            let severed = lock(&head.prev).take();
-            drop(writers);
-            drop(severed);
-            return;
-        };
-        if head.epoch <= keep_from {
-            return;
-        }
-        let mut cursor = match &*lock(&head.prev) {
-            Some(prev) => Arc::clone(prev),
-            None => return,
-        };
-        loop {
-            if cursor.epoch <= keep_from {
-                // Everything strictly below `cursor` is unreachable by any
-                // in-flight writer: cut here.
-                *lock(&cursor.prev) = None;
-                return;
+            counters.publish_conflicts.fetch_add(1, Ordering::Relaxed);
+            let new_head = self.head();
+            // Re-apply the batch against the new head: the published
+            // instance must carry the intervening commits' changes, and this
+            // batch's own effect can shrink against the new base (e.g. a
+            // removal an intervening commit already performed).
+            let (rebased, rebased_changed) = apply_ops(&new_head.instance, &ops);
+            if rebased_changed.is_empty() {
+                return Ok(CommitSummary { epoch: new_head.epoch, changed: rebased_changed });
             }
-            let next = match &*lock(&cursor.prev) {
-                Some(prev) => Arc::clone(prev),
-                None => return,
-            };
-            cursor = next;
+            let (attempt, own) = (instance, built);
+            instance = Arc::new(rebased);
+            changed = rebased_changed;
+            // The new head's components are carried unless this commit
+            // touches them; a touched group is offered this attempt's own
+            // component when none of its members' regions differ.
+            built = build_on(
+                &new_head,
+                &instance,
+                &changed,
+                |key: &[String]| {
+                    find_component(own.view_ref().components(), key).filter(|_| {
+                        key.iter().all(|name| same_extent(attempt.ext(name), instance.ext(name)))
+                    })
+                },
+                counters,
+            );
+            base = new_head;
         }
     }
-}
-
-/// Union of the `changed` sets of every epoch in `(to_epoch, from]`,
-/// walking `prev` links; `None` if the walk hits a severed link first.
-fn intervening_changes(from: &Arc<EpochState>, to_epoch: u64) -> Option<BTreeSet<String>> {
-    let mut acc = BTreeSet::new();
-    let mut cursor = Arc::clone(from);
-    while cursor.epoch > to_epoch {
-        acc.extend(cursor.changed.iter().cloned());
-        let prev = lock(&cursor.prev).clone();
-        match prev {
-            Some(p) => cursor = p,
-            None => return None,
-        }
-    }
-    (cursor.epoch == to_epoch).then_some(acc)
 }

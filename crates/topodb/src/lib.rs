@@ -14,13 +14,13 @@
 //!   queries, the topological invariant `T_I` (Section 3), homeomorphism
 //!   tests (Theorem 3.4) and the thematic relational summary `thematic(I)`
 //!   (Corollary 3.7) — from any number of threads concurrently. Acquiring a
-//!   snapshot is **wait-free**: one atomic pointer load plus an `Arc`
-//!   refcount bump, never a lock.
+//!   snapshot is a read lock held for one `Arc` clone; it never waits on a
+//!   build, a log append or an fsync.
 //! * **Writes** go through a [`Transaction`] ([`TopoDatabase::begin`], or
 //!   [`TopoDatabase::begin_shared`] from a shared reference): any number of
 //!   inserts/removals commit as **one** batch — the commit re-sweeps only
 //!   the affected components (outside any lock, against its base epoch) and
-//!   publishes a complete new epoch with a compare-exchange; commits
+//!   publishes a complete new epoch with one pointer store; commits
 //!   touching disjoint components build concurrently.
 //! * **Queries** compile once into a [`PreparedQuery`]
 //!   (`query::PreparedQuery::compile`) and run against any snapshot of any
@@ -61,9 +61,7 @@
 //! assert_eq!(rows.bindings().unwrap()[0]["x"], "Park");
 //! ```
 
-// Unsafe code is confined to `epoch::swap` (the raw-pointer core of the
-// atomic epoch-head slot); every other module is checked by this deny.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use arrangement;
@@ -96,7 +94,7 @@ use spatial_core::instance::SpatialInstance;
 use spatial_core::region::Region;
 use std::path::Path;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError};
+use std::sync::Arc;
 use transaction::Op;
 
 /// A topological spatial database: named regions plus the derived structures
@@ -125,21 +123,21 @@ use transaction::Op;
 ///
 /// ## Concurrency model
 ///
-/// The database is an **epoch chain** (`topodb::epoch`): a singly-linked
-/// list of immutable, fully-built epochs published through an atomic
-/// pointer.
+/// The database is an **epoch chain** (`topodb::epoch`): a sequence of
+/// immutable, fully-built epochs of which only the newest, the head, is
+/// held — one `RwLock<Arc<_>>`.
 ///
-/// * **Readers are wait-free.** [`TopoDatabase::snapshot`] is one atomic
-///   load of the epoch head plus an `Arc` refcount bump — no read lock, no
-///   write lock, and no rebuild: a published epoch is built *before* it
-///   becomes visible, so a reader never pays for (or waits on) a writer's
-///   re-sweep. The database is `Sync`; a service front end shares one
+/// * **Readers never wait on a writer.** [`TopoDatabase::snapshot`] is a
+///   read lock held for one `Arc` clone; it never waits on a build, a log
+///   append or an fsync. The write lock is held only for the pointer store
+///   that publishes an epoch, and a published epoch is built *before* that
+///   store, so a reader never pays for (or waits on) a writer's re-sweep.
+///   The database is `Sync`; a service front end shares one
 ///   `&TopoDatabase` across all of its worker threads.
-/// * **Writers build outside any lock.** A commit registers its base epoch
-///   under a small writers-only mutex (the registry also governs how far
-///   back the chain must stay walkable), applies its operations to a copy
-///   of the base instance that shares every untouched region, and then
-///   *patches* the base epoch's view rather than rebuilding it. Carried
+/// * **Writers build outside any lock.** A commit clones the head as its
+///   base epoch, applies its operations to a copy of the base instance
+///   that shares every untouched region, and then *patches* the base
+///   epoch's view rather than rebuilding it. Carried
 ///   over, pointer-identical and unexamined: every `Arc<ComponentComplex>`
 ///   of the base that contains no changed name and whose bounding box the
 ///   new geometry stays clear of, along with its place in the nesting
@@ -148,28 +146,24 @@ use transaction::Op;
 ///   new regions, and the components a new segment touches. One probe of
 ///   the new segments against the carried boxes suffices — segments that
 ///   did not move cannot start interacting with each other. The fully-built
-///   epoch is then published with a compare-exchange on the head. Outside
-///   the touched components a commit costs one bounding-box test per
-///   component, not per region or segment.
+///   epoch is then published under a writers-only publish mutex: check that
+///   the head is still the base, log the batch if a log is attached, store
+///   the new head. Outside the touched components a commit costs one
+///   bounding-box test per component, not per region or segment.
 /// * **Conflicts cost a re-assembly, not a rebuild.** If another commit
-///   published first, the loser walks the chain from the new head to its
-///   base to learn which names the intervening epochs changed, re-applies
-///   its operations to the new head's instance and patches the *new head's*
-///   view: that epoch's components are carried wherever this commit does
-///   not touch them, and where it does the build is offered this attempt's
-///   own components, still valid for every name set the intervening commits
-///   left alone. Only the genuinely contested components are re-swept. Two
-///   transactions over disjoint components therefore *build concurrently*
-///   and both publish after one compare-exchange each, the loser without
-///   sweeping anything twice.
-/// * **Reclamation is generation-counted.** A replaced head is retired, not
-///   dropped: the atomic slot (`epoch::swap`) frees it only after both
-///   reader-pin parities have been observed empty at generation flips after
-///   the retirement, so a reader between its pointer load and its refcount
-///   bump can never see a freed epoch. The `prev` chain is pruned down to
-///   the oldest in-flight writer base after every publish (to nothing when
-///   no writer is in flight), bounding the list by writer concurrency
-///   rather than history.
+///   published first, the loser re-applies its operations to the new
+///   head's instance and patches the *new head's* view: that epoch's
+///   components are carried wherever this commit does not touch them, and
+///   where it does the build is offered this attempt's own component for a
+///   name set whose every region has the same extent in both instances — a
+///   component is built from its members' regions alone, so such a
+///   component is exactly what a re-sweep would produce. Only the
+///   genuinely contested components are re-swept. Two transactions over
+///   disjoint components therefore *build concurrently* and both publish,
+///   the loser without sweeping anything twice.
+/// * **Reclamation is reference counting.** The head is an `Arc`;
+///   snapshots keep exactly what they reference, and a superseded epoch is
+///   freed when its last holder lets go.
 ///
 /// The randomized interleaved schedules in
 /// `crates/topodb/tests/epoch_chain.rs` hold every epoch, relation matrix
@@ -210,7 +204,7 @@ use transaction::Op;
 /// sub-complexes* swept from scratch — the part that incremental maintenance
 /// keeps proportional to the affected geometry rather than the map size.
 /// [`TopoDatabase::publish_conflict_count`] counts publish attempts that
-/// lost the head compare-exchange and retried.
+/// found the head moved past their base and retried.
 ///
 /// ## Durability model
 ///
@@ -221,11 +215,11 @@ use transaction::Op;
 /// exact rational coordinates, the changed-name set — and the database
 /// survives a crash.
 ///
-/// * **Log-before-publish ordering.** A durable commit's stage 3
-///   serializes on the log's publish lock: it re-checks that the head is
-///   still the attempt's base, appends the record, and only then swaps
-///   the head. The check-under-lock makes the swap
-///   infallible for the attempt that logged, so (a) a record reaches the
+/// * **Log-before-publish ordering.** A durable commit's stage 3 holds
+///   the epoch chain's publish mutex while it checks that the head is
+///   still the attempt's base, appends the record, and only then stores
+///   the new head. The check-under-lock makes the store certain for the
+///   attempt that logged, so (a) a record reaches the
 ///   log strictly *before* the epoch it describes becomes visible to any
 ///   reader — a crash can lose an epoch nobody saw, never expose an epoch
 ///   nobody logged — and (b) a conflict-retried batch is logged exactly
@@ -509,8 +503,7 @@ impl TopoDatabase {
         // is exactly the one at the log's head epoch (a commit landing
         // between the instance read and the checkpoint write would
         // otherwise snapshot a stale instance under a newer epoch).
-        let _publishing = d.publish_lock.lock().unwrap_or_else(PoisonError::into_inner);
-        d.checkpoint(&self.chain.head().instance)
+        self.chain.with_head_held(|head| d.checkpoint(&head.instance))
     }
 
     // ---- write path -----------------------------------------------------
@@ -531,7 +524,7 @@ impl TopoDatabase {
     /// threads can commit concurrently against one `&TopoDatabase`.
     ///
     /// Concurrent commits over disjoint components build their epochs
-    /// concurrently and serialize only at the publish compare-exchange.
+    /// concurrently and serialize only at the publish.
     /// Each commit is atomic: readers see every epoch fully built.
     pub fn begin_shared(&self) -> Transaction<'_> {
         Transaction::new(self)
@@ -622,10 +615,11 @@ impl TopoDatabase {
     /// The immutable [`Snapshot`] of the current epoch — the read half of
     /// the facade.
     ///
-    /// This is **wait-free**: one atomic load of the published head plus an
-    /// `Arc` refcount bump. Published epochs are built before they become
-    /// visible, so no snapshot acquisition ever
-    /// performs (or waits on) a rebuild — only the very first read of a
+    /// This is a read lock held for one `Arc` clone of the published head;
+    /// it never waits on a build, a log append or an fsync. Published
+    /// epochs are built before they become visible, so no snapshot
+    /// acquisition ever performs (or waits on) a rebuild — only the very
+    /// first read of a
     /// database constructed from an un-built instance pays its initial
     /// build, exactly once. The snapshot is `Send + Sync` and keeps
     /// answering for its epoch however many batches are committed
@@ -695,9 +689,8 @@ impl TopoDatabase {
         self.counters.component_rebuilds.load(Ordering::Relaxed)
     }
 
-    /// How many publish attempts lost the head compare-exchange to a
-    /// concurrent commit and retried (always `0` under single-threaded
-    /// writes).
+    /// How many publish attempts found the head moved by a concurrent
+    /// commit and retried (always `0` under single-threaded writes).
     pub fn publish_conflict_count(&self) -> u64 {
         self.counters.publish_conflicts.load(Ordering::Relaxed)
     }

@@ -23,7 +23,8 @@ use std::sync::{Arc, OnceLock};
 ///   snapshot can serve query traffic from any number of threads at once —
 ///   `thread::scope` readers over a shared `&Snapshot` are a compiling (and
 ///   tested) program. The database itself is `Sync` too (its head epoch
-///   sits behind an atomic pointer), so even *acquiring* snapshots can
+///   sits behind a read lock held for one `Arc` clone, never across a
+///   build, a log append or an fsync), so even *acquiring* snapshots can
 ///   happen from many threads concurrently; a snapshot additionally
 ///   detaches the reader from later writes.
 /// * **Epoch-stable.** A snapshot never observes later writes: a batch

@@ -6,7 +6,7 @@
 
 use spatial_core::instance::SpatialInstance;
 use spatial_core::region::Region;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 use topodb::{Clock, RetryPolicy, StorageOptions, TopoDatabase, TopoDbError};
 use wal::{Fault, FaultPlan, SimFs};
@@ -238,6 +238,55 @@ fn failed_maintenance_after_an_acked_append_keeps_the_commit_and_degrades() {
     )
     .expect("reopen");
     assert_eq!(reopened.update_epoch(), 2, "no acked commit lost");
+}
+
+/// A [`Clock`] whose `sleep` announces itself on `parked` and then blocks
+/// until the test sends on `release`.
+#[derive(Debug)]
+struct GateClock {
+    parked: Mutex<mpsc::Sender<()>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Clock for GateClock {
+    fn sleep(&self, _d: Duration) {
+        self.parked.lock().unwrap().send(()).expect("the test waits for the park");
+        self.release.lock().unwrap().recv().expect("the test releases the clock");
+    }
+}
+
+#[test]
+fn readers_never_wait_on_a_publish_held_in_log_backoff() {
+    // A transient fault on the next append parks the commit in `log_batch`'s
+    // backoff, i.e. while it owns the publish mutex. Reads must still
+    // return the pre-commit epoch at once: the log append (and any fsync)
+    // never runs under the head's write lock.
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let clock = GateClock { parked: Mutex::new(parked_tx), release: Mutex::new(release_rx) };
+    let sim = SimFs::new();
+    let db = TopoDatabase::create_with_storage(
+        DIR,
+        SpatialInstance::new(),
+        StorageOptions::default().with_vfs(Arc::new(sim.clone())).with_clock(Arc::new(clock)),
+    )
+    .expect("create on a healthy SimFs");
+    commit_rect(&db, "A", 0).expect("healthy commit");
+    sim.set_plan(FaultPlan::none().fail_writes(1, Fault::Transient));
+
+    std::thread::scope(|s| {
+        let committer = s.spawn(|| commit_rect(&db, "B", 10));
+        parked.recv().expect("the commit parks in its backoff");
+        let (read_tx, read) = mpsc::channel();
+        let db = &db;
+        s.spawn(move || read_tx.send((db.snapshot().epoch(), db.update_epoch())));
+        let seen = read.recv_timeout(Duration::from_secs(30));
+        release.send(()).expect("the committer is parked");
+        assert_eq!(seen, Ok((1, 1)), "a read waited on the publish or saw the unlogged epoch");
+        committer.join().expect("no panics").expect("the retried append succeeds");
+    });
+    assert_eq!(db.snapshot().epoch(), 2, "the commit publishes after its backoff");
+    assert_eq!(db.health().transient_retries, 1);
 }
 
 #[test]

@@ -19,10 +19,12 @@
 //! 3. **Pointer-identical reuse** — commits must carry every untouched
 //!    `Arc<ComponentComplex>` of their base epoch into the published epoch
 //!    unchanged, including across concurrent disjoint commits.
-//! 4. **History pruning** — a single writer's superseded epochs are freed.
+//! 4. **Reclamation** — a single writer's superseded epochs are freed.
 //! 5. **Forced publish conflict** — a slow commit overtaken by fast commits
 //!    on another cluster retries without re-sweeping anything and publishes
-//!    the union.
+//!    the union; overtaken by commits that re-shape a region of its own
+//!    cluster, the retry refuses its stale components and still publishes
+//!    what a cold build of the union says.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -330,9 +332,8 @@ fn commits_reuse_untouched_components_pointer_identically() {
     }
 }
 
-/// With no other writer in flight, each publish must sever the new head's
-/// link to its predecessor: a single-writer workload keeps no history alive
-/// (in memory or with a log attached).
+/// Nothing but snapshots may hold a superseded epoch: a single-writer
+/// workload keeps no history alive (in memory or with a log attached).
 #[test]
 fn single_writer_commits_free_superseded_epochs() {
     let instance = || datagen::clustered_map(CLUSTERS, PER_CLUSTER, 2718);
@@ -359,91 +360,117 @@ fn single_writer_commits_free_superseded_epochs() {
     }
 }
 
-/// A commit that loses the publish race to commits on *other* clusters keeps
-/// everything it swept: the retry carries the new head's components, is
-/// handed its own attempt's for what it touched, and sweeps nothing. The
-/// conflict is forced by making one writer's build long (a 40-rectangle
-/// batch into cluster 0) while the other keeps publishing one-rectangle
-/// edits of cluster 1 until the first is done.
+/// A commit that loses the publish race keeps what it swept wherever that is
+/// still valid. The conflict is forced by making one writer's build long (a
+/// 40-rectangle batch into cluster 0) while the other re-shapes a region `F`
+/// that both databases start with, alternating between two rectangles.
+///
+/// With `F` on cluster 1 the fast writer keeps publishing until the slow
+/// commit is done (or 31 edits, so the slow commit cannot be starved); the
+/// retry carries the new head's components, is handed its own attempt's for
+/// what it touched, and sweeps nothing. With `F` inside cluster 0 one
+/// re-shape lands during the slow build: the attempt's component for the
+/// name set `F` shares with the batch holds `F`'s old shape and must be
+/// refused, or the published complex disagrees with a cold build.
+///
+/// (Inserting and removing one fixed shape could not produce that case: the
+/// attempt's `F` is then either absent, so no name set matches, or
+/// identical.)
 #[test]
 fn a_conflicting_commit_on_disjoint_clusters_retries_without_sweeping() {
     let slow_batch = || -> Vec<(String, Region)> {
         let mut rng = StdRng::seed_from_u64(4242);
         (0..40).map(|i| (format!("S{i:02}"), cluster_region(&mut rng, 0))).collect()
     };
-    let fast_edit = |db: &TopoDatabase, i: usize| {
-        let mut txn = db.begin_shared();
-        if i.is_multiple_of(2) {
-            txn.insert("F", Region::rect_from_ints(103, 3, 109, 9));
-        } else {
-            txn.remove("F");
-        }
-        assert_eq!(txn.commit().changed, ["F"]);
-    };
+    let on_cluster_1 =
+        [Region::rect_from_ints(103, 3, 109, 9), Region::rect_from_ints(104, 2, 111, 8)];
+    let in_cluster_0 = [Region::rect_from_ints(3, 3, 9, 9), Region::rect_from_ints(4, 2, 11, 8)];
 
-    let mut conflicts = 0;
-    for round in 0..5 {
-        let db = chain_db(8128 + round);
-        db.snapshot();
-        let swept_before = db.component_rebuild_count();
-        let slow_started = AtomicBool::new(false);
-        let slow_done = AtomicBool::new(false);
-        let fast_commits = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let mut txn = db.begin_shared();
-                for (name, region) in slow_batch() {
-                    txn.insert(name, region);
-                }
-                slow_started.store(true, Ordering::Release);
-                assert_eq!(txn.commit().changed.len(), 40);
-                slow_done.store(true, Ordering::Release);
+    for (f_shapes, disjoint, max_fast_commits) in
+        [(on_cluster_1, true, 31), (in_cluster_0, false, 1)]
+    {
+        let fresh = |round: u64| {
+            let db = chain_db(8128 + round);
+            let mut txn = db.begin_shared();
+            txn.insert("F", f_shapes[0].clone());
+            txn.commit();
+            db.snapshot();
+            db
+        };
+        let fast_edit = |db: &TopoDatabase, i: usize| {
+            let mut txn = db.begin_shared();
+            txn.insert("F", f_shapes[(i + 1) % 2].clone());
+            assert_eq!(txn.commit().changed, ["F"]);
+        };
+
+        let mut conflicts = 0;
+        for round in 0..5 {
+            let db = fresh(round);
+            let swept_before = db.component_rebuild_count();
+            let slow_started = AtomicBool::new(false);
+            let slow_done = AtomicBool::new(false);
+            let fast_commits = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let mut txn = db.begin_shared();
+                    for (name, region) in slow_batch() {
+                        txn.insert(name, region);
+                    }
+                    slow_started.store(true, Ordering::Release);
+                    assert_eq!(txn.commit().changed.len(), 40);
+                    slow_done.store(true, Ordering::Release);
+                });
+                let fast = scope.spawn(|| {
+                    while !slow_started.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                    let mut i = 0;
+                    while i == 0 || (i < max_fast_commits && !slow_done.load(Ordering::Acquire)) {
+                        fast_edit(&db, i);
+                        i += 1;
+                    }
+                    i
+                });
+                fast.join().expect("fast writer")
             });
-            let fast = scope.spawn(|| {
-                while !slow_started.load(Ordering::Acquire) {
-                    std::hint::spin_loop();
-                }
-                let mut i = 0;
-                while i == 0 || !slow_done.load(Ordering::Acquire) {
-                    fast_edit(&db, i);
-                    i += 1;
-                }
-                i
-            });
-            fast.join().expect("fast writer")
-        });
-        let swept = db.component_rebuild_count() - swept_before;
+            let swept = db.component_rebuild_count() - swept_before;
 
-        // The same commits one after the other: no conflict, no retry.
-        let twin = chain_db(8128 + round);
-        twin.snapshot();
-        let twin_before = twin.component_rebuild_count();
-        let mut txn = twin.begin_shared();
-        for (name, region) in slow_batch() {
-            txn.insert(name, region);
-        }
-        txn.commit();
-        for i in 0..fast_commits {
-            fast_edit(&twin, i);
-        }
-        assert_eq!(twin.publish_conflict_count(), 0);
-        assert_eq!(
-            swept,
-            twin.component_rebuild_count() - twin_before,
-            "a retry re-swept a component ({} conflicts, round {round})",
-            db.publish_conflict_count()
-        );
+            // The same commits one after the other: no conflict, no retry.
+            let twin = fresh(round);
+            let twin_before = twin.component_rebuild_count();
+            let mut txn = twin.begin_shared();
+            for (name, region) in slow_batch() {
+                txn.insert(name, region);
+            }
+            txn.commit();
+            for i in 0..fast_commits {
+                fast_edit(&twin, i);
+            }
+            assert_eq!(twin.publish_conflict_count(), 0);
+            if disjoint {
+                assert_eq!(
+                    swept,
+                    twin.component_rebuild_count() - twin_before,
+                    "a retry re-swept a component ({} conflicts, round {round})",
+                    db.publish_conflict_count()
+                );
+            }
 
-        // Both writers' effects are published, and they are what a cold
-        // build of the union says.
-        assert_eq!(db.update_epoch(), 1 + fast_commits as u64);
-        assert_eq!(*db.instance(), *twin.instance(), "the union is published");
-        let cold = TopoDatabase::from_instance((*db.instance()).clone()).snapshot();
-        assert_eq!(db.snapshot().relation_matrix(), cold.relation_matrix());
+            // Both writers' effects are published, and they are what a cold
+            // build of the union says.
+            assert_eq!(db.update_epoch(), 2 + fast_commits as u64);
+            assert_eq!(*db.instance(), *twin.instance(), "the union is published");
+            let cold = TopoDatabase::from_instance((*db.instance()).clone());
+            assert_eq!(db.snapshot().relation_matrix(), cold.snapshot().relation_matrix());
+            assert!(
+                *db.cell_complex() == *cold.cell_complex(),
+                "the published complex differs from a cold build (disjoint: {disjoint}, round {round})"
+            );
 
-        conflicts += db.publish_conflict_count();
-        if conflicts > 0 {
-            break;
+            conflicts += db.publish_conflict_count();
+            if conflicts > 0 {
+                break;
+            }
         }
+        assert!(conflicts > 0, "five rounds and the slow commit was never overtaken ({disjoint})");
     }
-    assert!(conflicts > 0, "five rounds and the slow commit was never overtaken");
 }

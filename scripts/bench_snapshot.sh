@@ -8,22 +8,20 @@
 # `phase_build`, including seam-skew and per-phase work metrics), the
 # open-query planner group (`planner_bindings`, including its work-counter
 # metrics), the open-loop traffic harness (`traffic/*` p50/p99 latency
-# metrics) and the epoch-publication group (`epoch_publish/*`: snapshot
-# acquisition uncontended, commit+read, and read latency under a
-# continuously committing writer), merges their machine-readable records
-# into one snapshot (default: BENCH_arrangement.json at the repository
-# root), and then compares the fresh run against the previously committed
-# snapshot:
+# metrics) and the durable-commit group (`wal_commit/*`), merges their
+# machine-readable records into one snapshot (default:
+# BENCH_arrangement.json at the repository root), and then compares the
+# fresh run against the previously committed snapshot:
 #
 #   * every benchmark present in both runs gets a printed delta;
 #   * a >25% slowdown in any `sweep/*`, `assemble_view_vs_copy/view/*`,
 #     `strip_sweep/serial/*`, `phase_build/threads1/*` or
 #     `planner_bindings/planned/*` entry is a tracked regression and fails
-#     the script (exit non-zero); the latency metrics `traffic/read/p99_ns`
-#     and `epoch_publish/chain/read_under_write_p99_ns` are tracked too,
-#     with a wider >150% threshold (open-loop tail latencies are noisier
-#     than median ns/iter), as is `wal_commit/percommit/p50_ns` (fsync
-#     latency varies with the host's storage stack);
+#     the script (exit non-zero); the latency metric `traffic/read/p99_ns`
+#     is tracked too, with a wider >150% threshold (open-loop tail
+#     latencies are noisier than median ns/iter), as is
+#     `wal_commit/percommit/p50_ns` (fsync latency varies with the host's
+#     storage stack);
 #   * the sweep must still beat the naive splitter, the incremental update
 #     path must beat the full rebuild, a k-insert transaction must beat k
 #     sequential insert+read rounds, and the zero-copy view assembly must
@@ -72,9 +70,8 @@ assembly_json="$(mktemp)"
 strip_json="$(mktemp)"
 planner_json="$(mktemp)"
 traffic_json="$(mktemp)"
-epoch_json="$(mktemp)"
 wal_json="$(mktemp)"
-trap 'rm -f "${scaling_json}" "${incremental_json}" "${assembly_json}" "${strip_json}" "${planner_json}" "${traffic_json}" "${epoch_json}" "${wal_json}" ${baseline:+"${baseline}"}' EXIT
+trap 'rm -f "${scaling_json}" "${incremental_json}" "${assembly_json}" "${strip_json}" "${planner_json}" "${traffic_json}" "${wal_json}" ${baseline:+"${baseline}"}' EXIT
 
 echo "running splitting_sweep_vs_naive scaling group" >&2
 BENCH_JSON="${scaling_json}" cargo bench -p bench --bench scaling -- splitting_sweep_vs_naive
@@ -88,8 +85,6 @@ echo "running planner_bindings group" >&2
 BENCH_JSON="${planner_json}" cargo bench -p bench --bench planner
 echo "running open-loop traffic harness" >&2
 BENCH_JSON="${traffic_json}" cargo bench -p bench --bench traffic
-echo "running epoch_publish group (snapshot publication)" >&2
-BENCH_JSON="${epoch_json}" cargo bench -p bench --bench epoch_publish
 echo "running wal_commit group (durable commit latency per sync policy)" >&2
 BENCH_JSON="${wal_json}" cargo bench -p bench --bench wal
 
@@ -104,7 +99,6 @@ BENCH_JSON="${wal_json}" cargo bench -p bench --bench wal
         sed -e '1d' -e '$d' "${strip_json}"
         sed -e '1d' -e '$d' "${planner_json}"
         sed -e '1d' -e '$d' "${traffic_json}"
-        sed -e '1d' -e '$d' "${epoch_json}"
         sed -e '1d' -e '$d' "${wal_json}"
     } | sed -e 's/},\{0,1\}$/},/' -e '$ s/},$/}/'
     echo "]"
@@ -285,16 +279,6 @@ else
     exit 1
 fi
 
-# Sanity 10: epoch-chain snapshot publication. The epoch_publish group must
-# have recorded the read-under-write percentiles (the p99 is tracked on the
-# trajectory below).
-chain_p99=$(extract_value "${out}" "epoch_publish/chain/read_under_write_p99_ns")
-if [ -z "${chain_p99}" ]; then
-    echo "error: epoch_publish recorded no read-under-write percentiles" >&2
-    exit 1
-fi
-echo "read under write p99: ${chain_p99} ns" >&2
-
 # Sanity 11: durability is affordable. The per-commit-fsync policy must
 # keep its commit p50 within 20x of the in-memory commit p50 at 256
 # regions, and the interval (group-commit) policy must recover most of the
@@ -322,10 +306,9 @@ fi
 # Perf trajectory: per-benchmark deltas against the committed snapshot; a
 # >25% slowdown in any sweep/*, assemble_view_vs_copy/view/*,
 # strip_sweep/serial/*, phase_build/threads1/* or planner_bindings/planned/*
-# entry fails. The latency metrics traffic/read/p99_ns,
-# epoch_publish/chain/read_under_write_p99_ns and wal_commit/percommit/p50_ns
-# are tracked with a wider >150% threshold (open-loop p99s and fsync
-# latencies are far noisier than median ns/iter).
+# entry fails. The latency metrics traffic/read/p99_ns and
+# wal_commit/percommit/p50_ns are tracked with a wider >150% threshold
+# (open-loop p99s and fsync latencies are far noisier than median ns/iter).
 # Other work-metric records ({id, value}) are informational and not gated
 # here (the planner's assignments-tried gate above covers them).
 if [ -n "${baseline}" ]; then
@@ -341,8 +324,7 @@ if [ -n "${baseline}" ]; then
                 # Latency metrics gated on the trajectory ride the same
                 # parse: their records carry "value" instead of
                 # "ns_per_iter".
-                if ((id == "traffic/read/p99_ns" || id == "epoch_publish/chain/read_under_write_p99_ns" \
-                     || id == "wal_commit/percommit/p50_ns") \
+                if ((id == "traffic/read/p99_ns" || id == "wal_commit/percommit/p50_ns") \
                     && match(line, /"value": [0-9.]*/)) {
                     ns = substr(line, RSTART + 9, RLENGTH - 9)
                     return id SUBSEP ns
@@ -362,8 +344,7 @@ if [ -n "${baseline}" ]; then
                 gated = index(id, "/sweep/") > 0 || index(id, "assemble_view_vs_copy/view/") > 0 \
                     || index(id, "strip_sweep/serial/") > 0 || index(id, "phase_build/threads1/") > 0 \
                     || index(id, "planner_bindings/planned/") > 0
-                lat_gated = id == "traffic/read/p99_ns" || id == "epoch_publish/chain/read_under_write_p99_ns" \
-                    || id == "wal_commit/percommit/p50_ns"
+                lat_gated = id == "traffic/read/p99_ns" || id == "wal_commit/percommit/p50_ns"
                 if (gated && delta > 25) { flag = "  REGRESSION"; regressions++ }
                 if (lat_gated && delta > 150) { flag = "  REGRESSION"; regressions++ }
                 printf "  %-55s %14.1f ns  (%+.1f%%)%s\n", id, new[id], delta, flag
