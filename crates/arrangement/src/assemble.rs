@@ -37,7 +37,7 @@ use crate::complex::CellComplex;
 use crate::geometry::point_in_closed_polyline;
 use crate::index::SpatialIndex;
 use crate::partition::{repartition, BBox, ComponentGroup, Member, Repartition};
-use crate::split::TaggedSegment;
+use crate::split::{split_segments, TaggedSegment};
 use crate::types::*;
 use spatial_core::prelude::*;
 use std::sync::Arc;
@@ -84,15 +84,14 @@ impl ComponentComplex {
     }
 }
 
-/// Build the sub-complex of one partition group of an instance, with the
-/// full configured thread count ([`crate::parallel::configured_threads`])
-/// as its budget.
+/// Build the sub-complex of one partition group of an instance on the
+/// calling thread.
 pub fn build_group_component(
     instance: &SpatialInstance,
     group: &ComponentGroup,
 ) -> ComponentComplex {
     let members = group_members(instance, &instance.names(), group);
-    build_group(&members, crate::parallel::configured_threads())
+    build_group(&members)
 }
 
 /// The regions of a partition group of `instance`, whose sorted name list
@@ -110,16 +109,10 @@ pub(crate) fn group_members<'a>(
 }
 
 /// The one component build: gather the members' boundary segments, split
-/// them at their mutual intersections, and run the local pipeline over the
-/// pieces. `members` is sorted by name. `budget` is the thread share this
-/// one build may spend — callers fanning out over components pass
-/// [`crate::strip::strip_budget`] of their fan-out so nested parallelism
-/// stays at roughly the configured thread count — and it alone picks the
-/// code path: the split runs as `budget` concurrent x-strips for components
-/// of at least [`crate::strip::STRIP_MIN_SEGMENTS`] segments
-/// (monolithically below), and the post-split phases run on the pool iff
-/// `budget > 1`. The output is identical for every budget.
-pub(crate) fn build_group(members: &[Member<'_>], budget: usize) -> ComponentComplex {
+/// them at their mutual intersections with one plane sweep, and run the
+/// local pipeline over the pieces, all on the calling thread. `members` is
+/// sorted by name.
+pub(crate) fn build_group(members: &[Member<'_>]) -> ComponentComplex {
     let local_names = members.iter().map(|(name, _)| name.to_string()).collect();
     let segments: Vec<TaggedSegment> = members
         .iter()
@@ -132,17 +125,16 @@ pub(crate) fn build_group(members: &[Member<'_>], budget: usize) -> ComponentCom
         .iter()
         .map(|t| BBox::of_segment(&t.segment))
         .reduce(|a, b| a.union(&b));
-    let subs = crate::strip::split_segments_within(&segments, budget);
-    let (complex, bounded_cycles) = build_local(local_names, &subs, budget);
+    let subs = split_segments(&segments);
+    let (complex, bounded_cycles) = build_local(local_names, &subs);
     let rep_point = complex.vertices.first().map(|v| v.point);
     ComponentComplex { complex, bounded_cycles, bbox, rep_point }
 }
 
-/// Sweep the groups `slots` leaves empty — concurrently on the shared
-/// worker pool ([`crate::parallel`]), sharing the thread budget between the
-/// component fan-out and each component's own strip decomposition
-/// ([`crate::strip::strip_budget`]) — and return every group's component
-/// together with how many were swept.
+/// Sweep the groups `slots` leaves empty — up to
+/// [`crate::parallel::configured_threads`] components at a time, each built
+/// serially by one worker — and return every group's component together with
+/// how many were swept.
 fn fill_slots(
     groups: &[Vec<Member<'_>>],
     mut slots: Vec<Option<Arc<ComponentComplex>>>,
@@ -150,9 +142,8 @@ fn fill_slots(
     let missing: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
     if !missing.is_empty() {
         let threads = crate::parallel::configured_threads();
-        let budget = crate::strip::strip_budget(missing.len(), threads);
         let built = crate::parallel::map_indexed(missing.len(), threads, |j| {
-            Arc::new(build_group(&groups[missing[j]], budget))
+            Arc::new(build_group(&groups[missing[j]]))
         });
         for (j, component) in built.into_iter().enumerate() {
             slots[missing[j]] = Some(component);

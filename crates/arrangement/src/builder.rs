@@ -12,9 +12,7 @@
 //!    `assemble::build_group` that every entry point funnels through): its
 //!    segments are split at
 //!    their mutual intersections by the Bentley–Ottmann plane sweep of
-//!    [`crate::sweep`] — decomposed into concurrent x-strips for large
-//!    components, monolithic for small ones
-//!    ([`crate::strip::split_segments_auto`]) — merged into maximal 1-cells,
+//!    [`crate::sweep`], merged into maximal 1-cells,
 //!    the faces extracted from the combinatorial embedding, same-component
 //!    disconnected skeletons nested into the faces that contain them, and
 //!    every cell labeled by exact combinatorial propagation from the
@@ -61,25 +59,20 @@ pub fn build_complex_view(instance: &SpatialInstance) -> GlobalComplexView {
     GlobalComplexView::new(region_names, components)
 }
 
-/// Partition an instance and sweep every interaction component, using up to
-/// `threads` worker threads ([`crate::parallel::map_indexed`]). Components
+/// Partition an instance and sweep every interaction component, up to
+/// `threads` components at a time ([`crate::parallel::map_indexed`]); each
+/// component is built serially on the worker that picked it up. Components
 /// are returned in partition order regardless of the thread count, so both
 /// assembly paths produce identical output for every `threads` value.
-///
-/// Each component build receives an even share of the thread budget for its
-/// own x-strip decomposition ([`crate::strip::strip_budget`]): a lone big
-/// component strips on all `threads`, while a many-component map leaves the
-/// parallelism at the component level instead of multiplying the two.
 pub fn build_component_complexes(
     instance: &SpatialInstance,
     threads: usize,
 ) -> Vec<Arc<ComponentComplex>> {
     let groups = partition_instance(instance);
     let names = instance.names();
-    let budget = crate::strip::strip_budget(groups.len(), threads);
     map_indexed(groups.len(), threads, |i| {
         let members = crate::assemble::group_members(instance, &names, &groups[i]);
-        Arc::new(crate::assemble::build_group(&members, budget))
+        Arc::new(crate::assemble::build_group(&members))
     })
 }
 
@@ -90,24 +83,18 @@ pub fn build_component_complexes(
 pub fn build_complex_monolithic(instance: &SpatialInstance) -> CellComplex {
     let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
     let subs = split_segments(&instance_segments(instance));
-    build_local(region_names, &subs, 1).0
+    build_local(region_names, &subs).0
 }
 
 /// The local construction pipeline shared by the per-component and the
 /// monolithic paths: build the cell complex of a set of already split
 /// sub-segments, returning the complex together with the outer cycles of its
 /// bounded faces (the data the assembly step needs for cross-component
-/// nesting tests).
-///
-/// `threads <= 1` runs the serial pipeline, larger values run chain merging,
-/// face walks, label propagation and cell assembly on the worker pool. The
-/// two paths are output-identical (byte-for-byte, pinned by
-/// `tests/phase_parallel_differential.rs` and the unit tests below); both
-/// bump the per-phase work counters of [`crate::counters`].
+/// nesting tests). Runs on the calling thread and bumps the per-phase work
+/// counters of [`crate::counters`].
 pub(crate) fn build_local(
     region_names: Vec<String>,
     subs: &[SubSegment],
-    threads: usize,
 ) -> (CellComplex, Vec<BoundedCycle>) {
     debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
     let n_regions = region_names.len();
@@ -133,22 +120,14 @@ pub(crate) fn build_local(
     let raw = RawGraph::new(subs);
 
     // ---- Merge chains into maximal 1-cells ------------------------------
-    let merged = if threads > 1 {
-        merge_chains_parallel(&raw, threads)
-    } else {
-        merge_chains(&raw)
-    };
+    let merged = merge_chains(&raw);
     crate::counters::add_chains_merged(merged.edges.len() as u64);
 
     // ---- Rotation system -------------------------------------------------
     let rotations = compute_rotations(&merged);
 
     // ---- Face walks -------------------------------------------------------
-    let walks = if threads > 1 {
-        face_walks_parallel(&merged, &rotations, threads)
-    } else {
-        face_walks(&merged, &rotations)
-    };
+    let walks = face_walks(&merged, &rotations);
     crate::counters::add_cells_walked(walks.len() as u64);
 
     // ---- Components and embedding forest ---------------------------------
@@ -156,7 +135,7 @@ pub(crate) fn build_local(
 
     // ---- Labels -----------------------------------------------------------
     let cycles = std::mem::take(&mut assembled.bounded_cycles);
-    (finish_complex(region_names, merged, rotations, assembled, threads), cycles)
+    (finish_complex(region_names, merged, rotations, assembled), cycles)
 }
 
 /// The raw planar graph before chain merging: one vertex per split point, one
@@ -218,26 +197,11 @@ struct MergedGraph {
 /// Anchor flags of every raw vertex: the forced 0-cells
 /// ([`RawGraph::is_anchor`]) plus one canonical anchor (the vertex with the
 /// lexicographically smallest point) per pure boundary cycle, so that every
-/// maximal 1-cell has endpoints. The per-vertex anchor test is
-/// embarrassingly parallel and runs chunked on the worker pool for
-/// `threads > 1`; the pure-cycle pass is a cheap serial scan touching each
-/// unanchored vertex once.
-fn chain_anchors(raw: &RawGraph, threads: usize) -> Vec<bool> {
+/// maximal 1-cell has endpoints. The pure-cycle pass is a cheap scan
+/// touching each unanchored vertex once.
+fn chain_anchors(raw: &RawGraph) -> Vec<bool> {
     let n = raw.points.len();
-    let mut anchor: Vec<bool> = if threads > 1 && n > 1 {
-        let chunk = n.div_ceil(threads).max(1);
-        let chunks = n.div_ceil(chunk);
-        map_indexed(chunks, threads, |c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(n);
-            (lo..hi).map(|v| raw.is_anchor(v)).collect::<Vec<bool>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        (0..n).map(|v| raw.is_anchor(v)).collect()
-    };
+    let mut anchor: Vec<bool> = (0..n).map(|v| raw.is_anchor(v)).collect();
 
     // Boundary cycles with no anchor at all keep one canonical anchor (the
     // lexicographically smallest point of the cycle) so that every 1-cell has
@@ -284,7 +248,7 @@ fn chain_anchors(raw: &RawGraph, threads: usize) -> Vec<bool> {
 
 fn merge_chains(raw: &RawGraph) -> MergedGraph {
     let n = raw.points.len();
-    let anchor = chain_anchors(raw, 1);
+    let anchor = chain_anchors(raw);
 
     // Re-index anchors.
     let mut new_id = vec![usize::MAX; n];
@@ -348,120 +312,6 @@ fn other_endpoint(raw: &RawGraph, edge: usize, v: usize) -> usize {
     } else {
         *a
     }
-}
-
-/// Walk the maximal chain leaving anchor `v` along the raw edge at position
-/// `pos` of its incidence list, through non-anchor pass-through vertices,
-/// until the next anchor. Returns the raw end vertex, the position of the
-/// arrival edge in the end vertex's incidence list (so the caller can
-/// identify the chain's far end dart), the polyline and the region set.
-/// Unlike the serial walk in [`merge_chains`] this does not mark edges — it
-/// is safe to call concurrently from many workers.
-fn walk_chain(
-    raw: &RawGraph,
-    anchor: &[bool],
-    v: usize,
-    pos: usize,
-) -> (usize, usize, Vec<Point>, Vec<usize>) {
-    let e0 = raw.incident[v][pos];
-    let mut polyline = vec![raw.points[v]];
-    let regions = raw.edges[e0].2.clone();
-    let mut prev_edge = e0;
-    let mut cur = other_endpoint(raw, e0, v);
-    while !anchor[cur] {
-        polyline.push(raw.points[cur]);
-        let inc = &raw.incident[cur];
-        let next_edge = if inc[0] == prev_edge { inc[1] } else { inc[0] };
-        debug_assert_eq!(
-            raw.edges[next_edge].2, regions,
-            "chain continues through a label change"
-        );
-        prev_edge = next_edge;
-        cur = other_endpoint(raw, prev_edge, cur);
-    }
-    polyline.push(raw.points[cur]);
-    let arrival = raw
-        .incident[cur]
-        .iter()
-        .position(|&e| e == prev_edge)
-        .expect("arrival edge is incident to the end vertex");
-    (cur, arrival, polyline, regions)
-}
-
-/// The parallel counterpart of [`merge_chains`], output-identical by
-/// construction. The serial walk loop deduplicates chains with a shared
-/// `edge_used` bitmap, which is inherently sequential; here every worker
-/// instead walks the chains starting at its share of the anchor darts and
-/// emits a chain only from its *canonical* end — the lexicographically
-/// smaller of its two end darts in (vertex, incidence-position) order.
-/// That is exactly the dart the serial pass first reaches each chain from,
-/// so concatenating the per-chunk results (chunks cover the dart sequence
-/// in order) reproduces the serial edge order without any cross-thread
-/// coordination. The price is that a chain may be walked from both ends
-/// (once per end, the non-canonical walk discarded): at most twice the
-/// serial chain-walk work, split across `threads` workers.
-fn merge_chains_parallel(raw: &RawGraph, threads: usize) -> MergedGraph {
-    let n = raw.points.len();
-    let anchor = chain_anchors(raw, threads);
-
-    // Re-index anchors.
-    let mut new_id = vec![usize::MAX; n];
-    let mut vertex_points = Vec::new();
-    for v in 0..n {
-        if anchor[v] {
-            new_id[v] = vertex_points.len();
-            vertex_points.push(raw.points[v]);
-        }
-    }
-
-    // Anchor darts in the serial walk order: vertex ascending, incidence
-    // position ascending.
-    let mut starts: Vec<(usize, usize)> = Vec::new();
-    for (v, inc) in raw.incident.iter().enumerate() {
-        if anchor[v] {
-            starts.extend((0..inc.len()).map(|pos| (v, pos)));
-        }
-    }
-
-    let chunk = starts.len().div_ceil(threads).max(1);
-    let chunks = starts.len().div_ceil(chunk);
-    let parts = map_indexed(chunks, threads, |c| {
-        let lo = c * chunk;
-        let hi = ((c + 1) * chunk).min(starts.len());
-        let mut out: Vec<(usize, usize, Vec<Point>, Vec<usize>)> = Vec::new();
-        for &(v, pos) in &starts[lo..hi] {
-            let (end, arrival, polyline, regions) = walk_chain(raw, &anchor, v, pos);
-            // A chain's two end darts are always distinct (a one-edge loop
-            // would need a degenerate sub-segment), so exactly one end is
-            // canonical and each chain is emitted exactly once.
-            if (v, pos) <= (end, arrival) {
-                out.push((v, end, polyline, regions));
-            }
-        }
-        out
-    });
-
-    let mut edges: Vec<(usize, usize, Vec<Point>, Vec<usize>)> = Vec::new();
-    let mut raw_edges_consumed = 0usize;
-    for part in parts {
-        for (u, w, polyline, regions) in part {
-            raw_edges_consumed += polyline.len() - 1;
-            edges.push((new_id[u], new_id[w], polyline, regions));
-        }
-    }
-    debug_assert_eq!(
-        raw_edges_consumed,
-        raw.edges.len(),
-        "all raw edges must be consumed exactly once"
-    );
-
-    let region_count = raw
-        .edges
-        .iter()
-        .flat_map(|(_, _, rs)| rs.iter().copied())
-        .max()
-        .map_or(0, |m| m + 1);
-    MergedGraph { vertex_points, edges, region_count }
 }
 
 /// For every vertex, the outgoing darts sorted counter-clockwise by the
@@ -557,74 +407,6 @@ fn face_walks(g: &MergedGraph, rotations: &[Vec<DartId>]) -> Vec<Walk> {
         walks.push(Walk { darts, polyline, area2, component: comp });
     }
     walks
-}
-
-/// The parallel counterpart of [`face_walks`], output-identical by
-/// construction. The expensive parts of the serial walk are the per-dart
-/// rotation-position lookups behind `next` and the polyline/area
-/// construction per walk; both are side-effect free and parallelize over
-/// the worker pool. The cycle extraction itself — partitioning the darts
-/// into the orbits of the `next` permutation — is a cheap pointer chase and
-/// stays serial, scanning start darts in ascending id order exactly like
-/// the serial path so the walk list comes out in the same order.
-fn face_walks_parallel(g: &MergedGraph, rotations: &[Vec<DartId>], threads: usize) -> Vec<Walk> {
-    let component = vertex_components(g);
-    let dart_count = g.edges.len() * 2;
-
-    // Materialize the `next` permutation in parallel (the serial path
-    // computes it lazily per step).
-    let chunk = dart_count.div_ceil(threads).max(1);
-    let chunks = dart_count.div_ceil(chunk);
-    let next: Vec<DartId> = map_indexed(chunks, threads, |c| {
-        let lo = c * chunk;
-        let hi = ((c + 1) * chunk).min(dart_count);
-        (lo..hi)
-            .map(|i| {
-                let d = DartId(i);
-                let head = dart_tail(g, d.twin());
-                let rot = &rotations[head];
-                let pos = rot.iter().position(|&x| x == d.twin()).expect("twin in rotation");
-                rot[(pos + rot.len() - 1) % rot.len()]
-            })
-            .collect::<Vec<DartId>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-
-    // Serial orbit extraction, ascending starts (same order as serial).
-    let mut assigned = vec![false; dart_count];
-    let mut cycles: Vec<Vec<DartId>> = Vec::new();
-    for start in 0..dart_count {
-        if assigned[start] {
-            continue;
-        }
-        let mut darts = Vec::new();
-        let mut d = DartId(start);
-        loop {
-            assigned[d.0] = true;
-            darts.push(d);
-            d = next[d.0];
-            if d.0 == start {
-                break;
-            }
-        }
-        cycles.push(darts);
-    }
-
-    // Per-walk polyline, area and component, one work item per walk.
-    map_indexed(cycles.len(), threads, |i| {
-        let darts = &cycles[i];
-        let mut polyline: Vec<Point> = Vec::new();
-        for d in darts {
-            let mut pl = dart_polyline(g, *d);
-            pl.pop(); // the head point is the next dart's tail
-            polyline.extend(pl);
-        }
-        let area2 = closed_polyline_area_doubled(&polyline);
-        let comp = component[dart_tail(g, darts[0])];
-        Walk { darts: darts.clone(), polyline, area2, component: comp }
-    })
 }
 
 fn vertex_components(g: &MergedGraph) -> Vec<usize> {
@@ -792,9 +574,8 @@ fn assemble_faces(g: &MergedGraph, walks: &[Walk]) -> AssembledFaces {
     AssembledFaces { face_of_dart, face_boundaries, face_samples, bounded_cycles, exterior }
 }
 
-/// Face membership per region, by serial FIFO flood fill from the exterior
-/// face.
-fn face_membership_serial(
+/// Face membership per region, by FIFO flood fill from the exterior face.
+fn face_membership(
     g: &MergedGraph,
     assembled: &AssembledFaces,
     n_regions: usize,
@@ -828,89 +609,17 @@ fn face_membership_serial(
         .collect()
 }
 
-/// The parallel counterpart of [`face_membership_serial`]: layer-synchronous
-/// flood fill. Each BFS layer expands every frontier face concurrently on
-/// the worker pool (one work item per frontier face, reading the shared
-/// label table immutably); the discovered (neighbor, label) pairs are then
-/// committed serially in frontier order. A face reachable from two frontier
-/// faces gets the label of the first parent in frontier order — the same
-/// tie-break a FIFO queue applies — and the label is in any case
-/// path-independent: a face's membership in a region is the parity of
-/// region-boundary crossings along *any* path from the exterior face,
-/// because each region's boundary-edge set is a union of closed curves
-/// (asserted on every duplicate discovery in debug builds).
-fn face_membership_parallel(
-    g: &MergedGraph,
-    assembled: &AssembledFaces,
-    n_regions: usize,
-    threads: usize,
-) -> Vec<Vec<bool>> {
-    let face_count = assembled.face_boundaries.len();
-    let mut inside: Vec<Option<Vec<bool>>> = vec![None; face_count];
-    inside[assembled.exterior.0] = Some(vec![false; n_regions]);
-    let mut frontier = vec![assembled.exterior];
-    while !frontier.is_empty() {
-        let discovered = map_indexed(frontier.len(), threads, |i| {
-            let f = frontier[i];
-            let current = inside[f.0].as_ref().expect("frontier face has labels");
-            let mut out: Vec<(FaceId, Vec<bool>)> = Vec::new();
-            for &e in &assembled.face_boundaries[f.0] {
-                let fwd_face = assembled.face_of_dart[DartId::forward(e).0];
-                let bwd_face = assembled.face_of_dart[DartId::backward(e).0];
-                let neighbor = if fwd_face == f { bwd_face } else { fwd_face };
-                if neighbor == f || inside[neighbor.0].is_some() {
-                    continue;
-                }
-                let mut next = current.clone();
-                for &r in &g.edges[e.0].3 {
-                    next[r] = !next[r];
-                }
-                out.push((neighbor, next));
-            }
-            out
-        });
-        let mut next_frontier = Vec::new();
-        for batch in discovered {
-            for (neighbor, label) in batch {
-                match &inside[neighbor.0] {
-                    Some(existing) => debug_assert_eq!(
-                        existing, &label,
-                        "face labels are path-independent"
-                    ),
-                    None => {
-                        inside[neighbor.0] = Some(label);
-                        next_frontier.push(neighbor);
-                    }
-                }
-            }
-        }
-        frontier = next_frontier;
-    }
-    inside
-        .into_iter()
-        .map(|m| m.expect("every face is reachable from the exterior face"))
-        .collect()
-}
-
-/// Compute labels by propagation and assemble the final complex. With
-/// `threads > 1` the label flood fill runs layer-synchronously and the
-/// per-edge / per-vertex cell assembly fans out on the worker pool; the
-/// output is identical to the serial path either way.
+/// Compute labels by propagation and assemble the final complex.
 fn finish_complex(
     region_names: Vec<String>,
     g: MergedGraph,
     rotations: Vec<Vec<DartId>>,
     assembled: AssembledFaces,
-    threads: usize,
 ) -> CellComplex {
     let n_regions = region_names.len().max(g.region_count);
     let face_count = assembled.face_boundaries.len();
 
-    let face_membership: Vec<Vec<bool>> = if threads > 1 {
-        face_membership_parallel(&g, &assembled, n_regions, threads)
-    } else {
-        face_membership_serial(&g, &assembled, n_regions)
-    };
+    let face_membership = face_membership(&g, &assembled, n_regions);
     crate::counters::add_labels_propagated(face_count as u64);
 
     // Assemble faces (cheap: label translation plus clones).
@@ -926,57 +635,68 @@ fn finish_complex(
         })
         .collect();
 
-    // Assemble edges (one work item per edge; serial map for threads <= 1).
-    let edges: Vec<EdgeData> = map_indexed(g.edges.len(), threads, |i| {
-        let (tail, head, polyline, regions) = &g.edges[i];
-        let e = EdgeId(i);
-        let left = assembled.face_of_dart[DartId::forward(e).0];
-        let right = assembled.face_of_dart[DartId::backward(e).0];
-        let label: Label = (0..n_regions)
-            .map(|r| {
-                if regions.contains(&r) {
-                    Sign::Boundary
-                } else if face_membership[left.0][r] {
-                    Sign::Interior
-                } else {
-                    Sign::Exterior
-                }
-            })
-            .collect();
-        EdgeData {
-            tail: VertexId(*tail),
-            head: VertexId(*head),
-            polyline: polyline.clone(),
-            on_boundary_of: regions.clone(),
-            left_face: left,
-            right_face: right,
-            label,
-        }
-    });
-
-    // Assemble vertices (reads the assembled edges' boundary marks).
-    let vertices: Vec<VertexData> = map_indexed(g.vertex_points.len(), threads, |i| {
-        let point = &g.vertex_points[i];
-        let rotation = rotations[i].clone();
-        let label: Label = (0..n_regions)
-            .map(|r| {
-                let on_boundary = rotation
-                    .iter()
-                    .any(|d| edges[d.edge().0].on_boundary_of.contains(&r));
-                if on_boundary {
-                    Sign::Boundary
-                } else {
-                    let f = assembled.face_of_dart[rotation[0].0];
-                    if face_membership[f.0][r] {
+    // Assemble edges. Polylines, region sets and rotations are cloned rather
+    // than moved out of the merge graph: the clones are packed tightly, cell
+    // by cell, where the moved buffers would keep chain merging's scattered,
+    // over-allocated layout — measurably slower for every later read.
+    let edges: Vec<EdgeData> = g
+        .edges
+        .iter()
+        .enumerate()
+        .map(|(i, (tail, head, polyline, regions))| {
+            let e = EdgeId(i);
+            let left = assembled.face_of_dart[DartId::forward(e).0];
+            let right = assembled.face_of_dart[DartId::backward(e).0];
+            let label: Label = (0..n_regions)
+                .map(|r| {
+                    if regions.contains(&r) {
+                        Sign::Boundary
+                    } else if face_membership[left.0][r] {
                         Sign::Interior
                     } else {
                         Sign::Exterior
                     }
-                }
-            })
-            .collect();
-        VertexData { point: *point, label, rotation }
-    });
+                })
+                .collect();
+            EdgeData {
+                tail: VertexId(*tail),
+                head: VertexId(*head),
+                polyline: polyline.clone(),
+                on_boundary_of: regions.clone(),
+                left_face: left,
+                right_face: right,
+                label,
+            }
+        })
+        .collect();
+
+    // Assemble vertices (reads the assembled edges' boundary marks).
+    let vertices: Vec<VertexData> = g
+        .vertex_points
+        .iter()
+        .zip(&rotations)
+        .map(|(point, rotation)| {
+            let rotation = rotation.clone();
+            let label: Label = (0..n_regions)
+                .map(|r| {
+                    let on_boundary = rotation
+                        .iter()
+                        .any(|d| edges[d.edge().0].on_boundary_of.contains(&r));
+                    if on_boundary {
+                        Sign::Boundary
+                    } else {
+                        let f = assembled.face_of_dart[rotation[0].0];
+                        if face_membership[f.0][r] {
+                            Sign::Interior
+                        } else {
+                            Sign::Exterior
+                        }
+                    }
+                })
+                .collect();
+            VertexData { point: *point, label, rotation }
+        })
+        .collect();
 
     CellComplex { region_names, vertices, edges, faces, exterior: assembled.exterior }
 }
@@ -1239,11 +959,9 @@ mod tests {
         }
     }
 
-    /// Differential fixtures for the phase-parallel pipeline: every named
-    /// fixture covers a distinct combinatorial shape (pure cycles, shared
-    /// anchors, nesting, multi-component skeletons, shared boundaries).
-    fn phase_fixtures() -> Vec<(&'static str, SpatialInstance)> {
-        vec![
+    #[test]
+    fn explicit_thread_counts_match_default_build() {
+        for (name, inst) in [
             ("fig1a", fixtures::fig_1a()),
             ("fig1b", fixtures::fig_1b()),
             ("fig1c", fixtures::fig_1c()),
@@ -1254,34 +972,7 @@ mod tests {
             ("shared", fixtures::shared_boundary()),
             ("island_in", fixtures::ring_with_island(true)),
             ("island_out", fixtures::ring_with_island(false)),
-        ]
-    }
-
-    #[test]
-    fn phase_parallel_local_pipeline_matches_serial() {
-        for (name, inst) in phase_fixtures() {
-            let subs = split_segments(&instance_segments(&inst));
-            let names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
-            let (serial, serial_cycles) = build_local(names.clone(), &subs, 1);
-            for threads in [2, 3, 8] {
-                let (phased, phased_cycles) = build_local(names.clone(), &subs, threads);
-                assert_eq!(
-                    format!("{serial:?}"),
-                    format!("{phased:?}"),
-                    "{name}: complex differs at threads={threads}"
-                );
-                assert_eq!(
-                    format!("{serial_cycles:?}"),
-                    format!("{phased_cycles:?}"),
-                    "{name}: bounded cycles differ at threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn explicit_thread_counts_match_default_build() {
-        for (name, inst) in phase_fixtures() {
+        ] {
             let base = build_complex(&inst);
             let names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
             for threads in [1, 4] {

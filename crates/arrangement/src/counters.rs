@@ -1,17 +1,17 @@
 //! Process-wide per-phase work counters for the construction pipeline.
 //!
-//! The committed bench host is single-core, so wall-clock numbers alone
-//! cannot show whether the parallel phases still do the same amount of work
-//! per build — a parallel-efficiency regression (duplicated chain walks,
-//! re-swept strips, re-labeled faces) would be invisible there. These
-//! counters make the work itself observable: every phase of the local
-//! pipeline bumps a monotone process-wide total, and the benchmark harness
-//! records the *delta* across a single build into the bench snapshot
-//! (`BENCH_arrangement.json`), following the same pattern as the planner's
-//! assignments-tried and index-probe counters.
+//! Wall-clock numbers alone cannot show whether a build still does the same
+//! amount of work — a work regression (re-swept events, duplicated chain
+//! walks, re-labeled faces) hides behind a noisy clock. These counters make
+//! the work itself observable: every phase of the local pipeline bumps a
+//! monotone process-wide total, and the benchmark harness records the
+//! *delta* across a single build, following the same pattern as the
+//! planner's assignments-tried and index-probe counters. The work of a build
+//! does not depend on its thread count: a thread only picks which whole
+//! components it sweeps.
 //!
 //! The counters are cumulative over the process lifetime and shared by every
-//! thread (the parallel phases bump them from worker threads), so consumers
+//! thread (component builds bump them from worker threads), so consumers
 //! must always difference two [`phase_counters`] snapshots rather than read
 //! one in isolation.
 
@@ -27,7 +27,7 @@ static SEGMENTS_PARTITIONED: AtomicU64 = AtomicU64::new(0);
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PhaseCounters {
     /// Event points processed by the Bentley–Ottmann sweep (every popped
-    /// event of every strip and every monolithic sweep).
+    /// event of every component's sweep).
     pub events_processed: u64,
     /// Maximal 1-cells emitted by chain merging.
     pub chains_merged: u64,

@@ -38,9 +38,8 @@
 //!    system and face walks extracted, and cells labeled by propagation from
 //!    the unbounded face. Components share nothing until assembly, so they
 //!    are swept **concurrently** on the small std-only worker pool of
-//!    [`parallel`] (the output is identical for every thread count).
-//!    Inside a large component, the splitting phase is further decomposed
-//!    into concurrent x-strips ([`strip`]). The result is an
+//!    [`parallel`] (the output is identical for every thread count); each
+//!    component itself is built serially. The result is an
 //!    immutable [`ComponentComplex`], shareable behind an `Arc` so callers
 //!    (the `topodb` component cache) can reuse untouched components across
 //!    updates.
@@ -91,64 +90,27 @@
 //!
 //! ## Parallelism model
 //!
-//! One number drives all parallelism: the thread budget of a build
-//! (`threads` of [`build_component_complexes`]; `ARRANGEMENT_THREADS`, or
-//! the machine's available parallelism, for the entry points that take
-//! none — see [`parallel::configured_threads`]). The [`parallel`] worker
-//! pool spends it at three levels, and the budget together with the input
-//! size picks the code path at each:
+//! Parallelism lives at one level: **between components**. Interaction
+//! components share no vertex or edge, so their sub-complexes are swept as
+//! share-nothing work items on the [`parallel`] worker pool, up to `threads`
+//! at a time (`threads` of [`build_component_complexes`];
+//! `ARRANGEMENT_THREADS`, or the machine's available parallelism, for the
+//! entry points that take none — see [`parallel::configured_threads`]).
+//! Each component — split, chain merge, face walks, label propagation and
+//! cell assembly — is built serially by the worker that took it, so a map
+//! that forms one big component is built on one thread. This is the lever
+//! for *wide* maps (many clusters, `datagen::wide_map` / `clustered_map`)
+//! and costs nothing in coordination; measured against it, decomposing one
+//! component's sweep into x-strips or running its post-split phases on the
+//! pool lost on every workload, so neither exists. The per-phase work is
+//! observable through [`counters`] and does not depend on the thread count.
 //!
-//! * **Component-level** (between components): interaction components share
-//!   no vertex or edge, so their sub-complexes are swept as share-nothing
-//!   work items, up to `threads` at a time. This is the right lever for
-//!   *wide* maps (many clusters, `datagen::wide_map` / `clustered_map`) and
-//!   costs nothing in coordination — but it is bounded by the component
-//!   count: a dense map that forms one big component offers a single work
-//!   item. Each component build receives the share
-//!   [`strip::strip_budget`]`(components, threads)` for the two levels
-//!   below: a lone big component gets every thread, a many-component map
-//!   keeps the parallelism at the component level (share 1), and mixed maps
-//!   split the budget evenly rather than multiplying the fan-outs.
-//! * **Strip-level** (inside a component, [`strip`]): with a share above 1
-//!   and at least [`strip::STRIP_MIN_SEGMENTS`] segments, the splitting
-//!   phase of the component's sweep is decomposed into one vertical x-strip
-//!   per shared thread, at exact rational seam abscissas placed by a
-//!   *crossing-density cost model* — each candidate endpoint abscissa is
-//!   weighted by the bounding-box overlap mass around it (a
-//!   [`SpatialIndex`] probe, the same conservative estimate the partitioner
-//!   uses), and the seams are placed at equal *cumulative cost* rather than
-//!   equal endpoint count, so crossing-clustered instances still hand every
-//!   strip a comparable share of sweep events (the retired
-//!   endpoint-quantile placement is kept as [`strip::quantile_seams`], the
-//!   measured baseline of the `strip_sweep` seam-skew metrics). The strips
-//!   are swept concurrently and their cut sets stitched back together with
-//!   exact seam reconciliation. This is the lever for *dense single-blob*
-//!   maps (`datagen::dense_overlap_map`, `jittered_overlap_map`), where it
-//!   is the only parallelism available to the splitting phase. Smaller
-//!   components sweep monolithically — their parallelism, if any, comes
-//!   from the component level.
-//! * **Phase-level** (inside a component, downstream of the split): with a
-//!   share above 1, the post-split phases — chain merging into maximal
-//!   1-cells, face-walk extraction from the combinatorial embedding, label
-//!   propagation from the unbounded face, and flat cell assembly — run on
-//!   the component's same thread share; with share 1 they run serially.
-//!   Chain merging fans out over *canonical darts* (each maximal chain is
-//!   emitted only from its lexicographically smallest endpoint, reproducing
-//!   the serial first-encounter order without coordination), face walks
-//!   parallelize the next-dart permutation and the per-walk polyline/area
-//!   builds around a serial orbit extraction, and labels propagate
-//!   layer-synchronously (label values are path-independent, so frontier
-//!   order cannot change them). The per-phase work is observable through
-//!   [`counters`].
-//!
-//! **Determinism guarantee:** the budget never affects the output — the
-//! strip decomposition produces *identical* cut sets (and therefore
-//! identical sub-segments, cells and fingerprints) to the monolithic sweep,
-//! the parallel phases emit cells in the serial phase order, and the
-//! component pool returns results in input order — so the constructed
+//! **Determinism guarantee:** the thread count never affects the output —
+//! every component is built by the same serial code whichever worker runs
+//! it, and the pool returns results in input order — so the constructed
 //! complex is byte-for-byte the same for every `threads` value, on every
-//! machine. `tests/thread_determinism.rs`, `tests/strip_differential.rs`
-//! and `tests/phase_parallel_differential.rs` pin this.
+//! machine. `tests/thread_determinism.rs` pins this, together with the
+//! sweep's event count.
 //!
 //! Two oracles guard the pipeline: the original all-pairs splitter (`O(n^2)`
 //! exact intersection tests) is retained in [`split`] as the sweep's

@@ -3,18 +3,19 @@
 //! Interaction components share no vertex or edge of the arrangement, so
 //! their sub-complexes can be swept on separate threads with no
 //! synchronization beyond work distribution. This module provides the small
-//! [`std::thread::scope`]-based pool used by [`crate::build_complex`] /
-//! [`crate::build_component_complexes`], by the `topodb` component cache,
-//! and by the x-strip decomposition of [`crate::strip`] (whose share-nothing
-//! work items are vertical strips of one component's sweep rather than whole
-//! components): no external thread-pool crate is needed (the build
-//! environment is offline), and results are returned **in input order**
-//! regardless of the thread count, so construction output is deterministic.
+//! [`std::thread::scope`]-based pool used by
+//! [`crate::build_component_complexes`] and by the incremental component
+//! update behind the `topodb` commit path. Its work items are always whole
+//! components; each is built serially by the worker that takes it. No
+//! external thread-pool crate is needed, and results are returned **in
+//! input order** regardless of the thread count, so construction output is
+//! deterministic.
 //!
 //! The default thread count is the machine's available parallelism,
 //! overridable with the `ARRANGEMENT_THREADS` environment variable (a
-//! positive integer; `1` forces the serial path). It is a deployment
-//! setting, resolved once per process.
+//! positive integer: how many components sweep at once; `1` sweeps them one
+//! after another on the calling thread). It is a deployment setting,
+//! resolved once per process.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};

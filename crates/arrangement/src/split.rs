@@ -7,17 +7,13 @@
 //! marks (this is how shared boundaries — the Egenhofer `meet`, `covers`,
 //! `equal` situations — are represented exactly).
 //!
-//! Three interchangeable splitters produce the cut points:
+//! Two interchangeable splitters produce the cut points:
 //!
-//! * [`split_segments`] — the monolithic production path, a Bentley–Ottmann
-//!   plane sweep ([`crate::sweep`]) running in `O((n + k) log n)` for `n`
-//!   segments with `k` intersections;
-//! * [`crate::strip::split_segments_striped`] — the same sweep decomposed
-//!   into concurrent x-strips with exact seam reconciliation, used by the
-//!   per-component build for large components
-//!   ([`crate::strip::split_segments_auto`] routes between the two);
+//! * [`split_segments`] — the production path, a Bentley–Ottmann plane
+//!   sweep ([`crate::sweep`]) running in `O((n + k) log n)` for `n`
+//!   segments with `k` intersections, once per component;
 //! * [`split_segments_naive`] — the original all-pairs `O(n^2)` splitter,
-//!   kept as a differential-testing oracle: all must produce identical
+//!   kept as a differential-testing oracle: both must produce identical
 //!   [`SubSegment`] sets on every input.
 //!
 //! Both share [`assemble_subsegments`], which orders each segment's cut

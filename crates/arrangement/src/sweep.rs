@@ -51,10 +51,7 @@
 //!   an event point as a cut **only when segments of at least two distinct
 //!   supporting lines pass through it** — an all-collinear batch (which can
 //!   only arise at a segment endpoint) adds nothing the collinear pass has
-//!   not already recorded. This refinement is what lets the x-strip
-//!   decomposition of [`crate::strip`] reuse the sweep verbatim on clipped
-//!   segments: two collinear pieces meeting at an artificial seam endpoint
-//!   must *not* produce a cut there, and with this rule they don't.
+//!   not already recorded.
 //!
 //! The status itself is a sorted `Vec`: ordering queries are `O(log n)`
 //! exact-`Rational` comparisons and the `memmove` cost of batch
@@ -84,23 +81,8 @@ pub fn sweep_cut_sets(segments: &[TaggedSegment]) -> CutSets {
     let mut cuts = endpoint_cuts(segments);
     collinear_overlap_cuts(segments, &mut cuts);
     let segs: Vec<Segment> = segments.iter().map(|t| t.segment).collect();
-    sweep_segment_cuts(&segs, &mut cuts);
+    Sweep::new(&segs).run(&mut cuts);
     cuts
-}
-
-/// Run the sweep proper over plain segments, registering every point where
-/// segments of at least two distinct supporting lines meet into `cuts`
-/// (indexed like `segs`). Endpoint seeding and collinear-overlap cuts are
-/// the caller's responsibility — [`sweep_cut_sets`] composes all three; the
-/// strip decomposition ([`crate::strip`]) runs this over clipped segments
-/// with its own seam-aware collinear pass. Returns the number of event
-/// points processed (also added to the process-wide
-/// [`crate::counters::phase_counters`] total).
-pub(crate) fn sweep_segment_cuts(
-    segs: &[Segment],
-    cuts: &mut [std::collections::BTreeSet<Point>],
-) -> u64 {
-    Sweep::new(segs).run(cuts)
 }
 
 // ---------------------------------------------------------------------------
@@ -111,7 +93,7 @@ pub(crate) fn sweep_segment_cuts(
 /// `(A, B, C)` of `A*x + B*y = C`, scaled so the leading nonzero of
 /// `(A, B)` is `1`. Exact, so two segments get the same key iff they are
 /// collinear.
-pub(crate) fn line_key(s: &Segment) -> (Rational, Rational, Rational) {
+fn line_key(s: &Segment) -> (Rational, Rational, Rational) {
     let d = s.direction();
     // Normal form: (dy) * x + (-dx) * y = dy * a.x - dx * a.y.
     let (a, b) = (d.dy, -d.dx);
@@ -193,14 +175,13 @@ impl<'a> Sweep<'a> {
         &self.segments[i]
     }
 
-    fn run(mut self, cuts: &mut [std::collections::BTreeSet<Point>]) -> u64 {
+    fn run(mut self, cuts: &mut [std::collections::BTreeSet<Point>]) {
         let mut events = 0u64;
         while let Some((p, starters)) = self.queue.pop_first() {
             self.handle_event(p, starters, cuts);
             events += 1;
         }
         crate::counters::add_events_processed(events);
-        events
     }
 
     fn handle_event(

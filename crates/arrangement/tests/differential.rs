@@ -67,6 +67,22 @@ fn randomized_flowers() {
 }
 
 #[test]
+fn jittered_and_dense_overlap_maps() {
+    // Dense single-component jittered grids: irregular endpoint-x profiles
+    // and Theta(n) proper crossings.
+    for seed in 0..12u64 {
+        let inst = datagen::jittered_overlap_map(4, 4, 5, seed);
+        check_instance(&inst, &format!("jittered_overlap_map(4, 4, 5, {seed})"));
+    }
+    // The crossing-heavy regular grids; (8, 8, 4) is one 256-segment
+    // component, the size of `edit_dense`'s map.
+    for (cols, rows) in [(5usize, 5usize), (8, 8)] {
+        let inst = datagen::dense_overlap_map(cols, rows, 4);
+        check_instance(&inst, &format!("dense_overlap_map({cols}, {rows}, 4)"));
+    }
+}
+
+#[test]
 fn structured_generators() {
     for n in [2usize, 5, 9, 16] {
         check_instance(&datagen::nested_rings(n), &format!("nested_rings({n})"));

@@ -105,3 +105,24 @@ fn multi_component_workloads_agree() {
         }
     }
 }
+
+#[test]
+fn road_network_maps_agree() {
+    // Shared-boundary cadastral sheets: endpoint coincidences, collinear
+    // shared edges, multi-region marks, triangle/quad mix — the chain
+    // merger's hardest inputs (many anchors, many short chains).
+    for seed in 0..6u64 {
+        let inst = datagen::road_network_map(6, 6, 8, seed);
+        check(&inst, &format!("road_network_map(6, 6, 8, {seed})"));
+    }
+}
+
+#[test]
+fn sparse_rectangle_soups_agree() {
+    // Many small components, most a lone rectangle: pure-cycle anchors and
+    // nesting across components.
+    for seed in 0..4u64 {
+        let inst = datagen::random_rectangles(30, 80, seed);
+        check(&inst, &format!("random_rectangles(30, 80, {seed})"));
+    }
+}

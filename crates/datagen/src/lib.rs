@@ -144,10 +144,10 @@ pub fn dense_overlap_map(cols: usize, rows: usize, cell_size: i64) -> SpatialIns
 /// neighbors, keeping the whole map one interaction component), and the
 /// parcel corners are jittered within the cell. Deterministic in the seed.
 ///
-/// This is the adversarial workload for the x-strip parallel sweep: one
-/// big crossing-heavy component with an irregular endpoint-x distribution,
-/// so the density-weighted seam placement and the seam reconciliation are
-/// both exercised on geometry that is not axis-aligned-regular.
+/// One big crossing-heavy component with an irregular endpoint-x
+/// distribution: the sweep and every post-split phase run on geometry that
+/// is not axis-aligned-regular, and component-level parallelism has a
+/// single work item.
 pub fn jittered_overlap_map(cols: usize, rows: usize, cell_size: i64, seed: u64) -> SpatialInstance {
     assert!(cols > 0 && rows > 0 && cell_size > 2);
     let mut rng = StdRng::seed_from_u64(seed);

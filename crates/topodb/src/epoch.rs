@@ -25,7 +25,7 @@
 //!    against the carried components' boxes is enough, because two segments
 //!    that both stayed put interact now iff they did in the base: only new
 //!    geometry can link into an untouched component. The resulting groups
-//!    are swept on the shared worker pool under the strip-budget split. A
+//!    are swept on the shared worker pool, one whole group per worker. A
 //!    one-region commit therefore costs one box test per component of the
 //!    database plus the work of the component it lands in. The result is a
 //!    complete new [`EpochState`], constructed while readers keep loading

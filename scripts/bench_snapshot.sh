@@ -4,8 +4,6 @@
 # Runs the splitting-phase scaling group (`splitting_sweep_vs_naive`), the
 # incremental-maintenance groups (`incremental_update`, `batch_update`), the
 # assembly groups (`assemble_view_vs_copy`, `parallel_cold_build`), the
-# intra-component strip-sweep and whole-component build groups (`strip_sweep`,
-# `phase_build`, including seam-skew and per-phase work metrics), the
 # open-query planner group (`planner_bindings`, including its work-counter
 # metrics), the open-loop traffic harness (`traffic/*` p50/p99 latency
 # metrics) and the durable-commit group (`wal_commit/*`), merges their
@@ -14,8 +12,7 @@
 # fresh run against the previously committed snapshot:
 #
 #   * every benchmark present in both runs gets a printed delta;
-#   * a >25% slowdown in any `sweep/*`, `assemble_view_vs_copy/view/*`,
-#     `strip_sweep/serial/*`, `phase_build/threads1/*` or
+#   * a >25% slowdown in any `sweep/*`, `assemble_view_vs_copy/view/*` or
 #     `planner_bindings/planned/*` entry is a tracked regression and fails
 #     the script (exit non-zero); the latency metric `traffic/read/p99_ns`
 #     is tracked too, with a wider >150% threshold (open-loop tail
@@ -27,14 +24,10 @@
 #     sequential insert+read rounds, and the zero-copy view assembly must
 #     beat the copying assembly, at the largest sizes;
 #   * on multi-core hosts, the parallel cold build on all threads must beat
-#     the single-thread build, and the strip-decomposed sweep on all threads
-#     must beat the monolithic sweep by >1.5x on the dense single-component
-#     map on hosts with 4+ cores (a simple win on 2-3 cores; both skipped
-#     on single-core hosts, where no speedup is possible);
+#     the single-thread build (skipped on single-core hosts, where no
+#     speedup is possible);
 #   * the semi-join planner must beat the cartesian-product enumerator by
 #     >10x on the anchored 2-variable open query at the largest size;
-#   * the crossing-density seam model's event skew must not exceed the
-#     endpoint-quantile baseline's at the largest strip-sweep size;
 #   * durability must be affordable: the per-commit-fsync commit p50 must
 #     stay within 20x of the in-memory commit p50 at 256 regions, and the
 #     interval (group-commit) policy must recover most of that cost
@@ -67,11 +60,10 @@ fi
 scaling_json="$(mktemp)"
 incremental_json="$(mktemp)"
 assembly_json="$(mktemp)"
-strip_json="$(mktemp)"
 planner_json="$(mktemp)"
 traffic_json="$(mktemp)"
 wal_json="$(mktemp)"
-trap 'rm -f "${scaling_json}" "${incremental_json}" "${assembly_json}" "${strip_json}" "${planner_json}" "${traffic_json}" "${wal_json}" ${baseline:+"${baseline}"}' EXIT
+trap 'rm -f "${scaling_json}" "${incremental_json}" "${assembly_json}" "${planner_json}" "${traffic_json}" "${wal_json}" ${baseline:+"${baseline}"}' EXIT
 
 echo "running splitting_sweep_vs_naive scaling group" >&2
 BENCH_JSON="${scaling_json}" cargo bench -p bench --bench scaling -- splitting_sweep_vs_naive
@@ -79,8 +71,6 @@ echo "running incremental_update and batch_update groups" >&2
 BENCH_JSON="${incremental_json}" cargo bench -p bench --bench incremental
 echo "running assemble_view_vs_copy and parallel_cold_build groups" >&2
 BENCH_JSON="${assembly_json}" cargo bench -p bench --bench assembly
-echo "running strip_sweep and phase_build groups" >&2
-BENCH_JSON="${strip_json}" cargo bench -p bench --bench strip
 echo "running planner_bindings group" >&2
 BENCH_JSON="${planner_json}" cargo bench -p bench --bench planner
 echo "running open-loop traffic harness" >&2
@@ -96,7 +86,6 @@ BENCH_JSON="${wal_json}" cargo bench -p bench --bench wal
         sed -e '1d' -e '$d' "${scaling_json}"
         sed -e '1d' -e '$d' "${incremental_json}"
         sed -e '1d' -e '$d' "${assembly_json}"
-        sed -e '1d' -e '$d' "${strip_json}"
         sed -e '1d' -e '$d' "${planner_json}"
         sed -e '1d' -e '$d' "${traffic_json}"
         sed -e '1d' -e '$d' "${wal_json}"
@@ -191,29 +180,6 @@ elif [ -n "${largest_par}" ]; then
     echo "single-core host (${cores}): skipping the parallel cold-build speedup gate (series measure pool overhead here)" >&2
 fi
 
-# Sanity 5: the intra-component strip sweep on all threads beats the
-# monolithic sweep on the dense single-component map — the workload where
-# component-level parallelism cannot help. The required margin scales with
-# the hardware: >1.5x on hosts with 4+ cores; on 2-3 cores (where the ideal
-# ceiling is 2-3x and the serial stitching/seeding fraction makes 1.5x
-# marginal) the strip path must simply win. On a single-core host every
-# strip series measures decomposition overhead, so the gate is skipped.
-largest_strip=$({ grep -o '"id": "strip_sweep/serial/[0-9]*"' "${out}" || true; } \
-    | grep -o '[0-9]*"' | tr -d '"' | sort -n | tail -1)
-if [ -n "${largest_strip}" ] && [ "${cores}" -gt 1 ]; then
-    serial_ns=$(extract_ns "${out}" "strip_sweep/serial/${largest_strip}")
-    smax_ns=$(extract_ns "${out}" "strip_sweep/threadsmax/${largest_strip}")
-    if [ "${cores}" -ge 4 ]; then margin="1.5"; else margin="1.0"; fi
-    speedup=$(awk -v a="${serial_ns}" -v b="${smax_ns}" 'BEGIN { printf "%.2f", a / b }')
-    echo "strip sweep at n=${largest_strip}: serial ${serial_ns} ns vs max threads ${smax_ns} ns (${speedup}x on ${cores} cores, required >${margin}x)" >&2
-    if [ "$(awk -v a="${serial_ns}" -v b="${smax_ns}" -v m="${margin}" 'BEGIN { print (b * m < a) ? "yes" : "no" }')" != "yes" ]; then
-        echo "error: strip sweep speedup not above ${margin}x over the monolithic sweep on a ${cores}-core host" >&2
-        exit 1
-    fi
-elif [ -n "${largest_strip}" ]; then
-    echo "single-core host (${cores}): skipping the strip-sweep speedup gate (series measure decomposition overhead here)" >&2
-fi
-
 # Sanity 6: the semi-join planner beats the cartesian-product enumerator by
 # >10x on the anchored 2-variable open query at the largest benched size,
 # and its work counters confirm the pruning (strictly fewer assignments
@@ -241,22 +207,6 @@ if [ -n "${largest_plan}" ]; then
             echo "error: the planner tried no fewer assignments than the naive enumerator" >&2
             exit 1
         fi
-    fi
-fi
-
-# Sanity 8: the crossing-density seam model balances the per-strip event
-# mass at least as well as the retired endpoint-quantile baseline at the
-# largest strip-sweep size (skew = max/mean per-strip events; both counts
-# are deterministic, so the comparison is exact).
-largest_skew=$({ grep -o '"id": "strip_sweep/seam_skew_cost/[0-9]*"' "${out}" || true; } \
-    | grep -o '[0-9]*"' | tr -d '"' | sort -n | tail -1)
-if [ -n "${largest_skew}" ]; then
-    cost_skew=$(extract_value "${out}" "strip_sweep/seam_skew_cost/${largest_skew}")
-    quantile_skew=$(extract_value "${out}" "strip_sweep/seam_skew_quantile/${largest_skew}")
-    echo "seam skew at n=${largest_skew}: cost model ${cost_skew} vs quantile ${quantile_skew} (max/mean per-strip events)" >&2
-    if [ "$(awk -v c="${cost_skew}" -v q="${quantile_skew}" 'BEGIN { print (c <= q) ? "yes" : "no" }')" != "yes" ]; then
-        echo "error: the cost-model seams are more skewed than the quantile baseline at n=${largest_skew}" >&2
-        exit 1
     fi
 fi
 
@@ -304,9 +254,8 @@ if [ "$(awk -v i="${inmem_p50}" -v p="${percommit_p50}" -v g="${interval_p50}"  
 fi
 
 # Perf trajectory: per-benchmark deltas against the committed snapshot; a
-# >25% slowdown in any sweep/*, assemble_view_vs_copy/view/*,
-# strip_sweep/serial/*, phase_build/threads1/* or planner_bindings/planned/*
-# entry fails. The latency metrics traffic/read/p99_ns and
+# >25% slowdown in any sweep/*, assemble_view_vs_copy/view/* or
+# planner_bindings/planned/* entry fails. The latency metrics traffic/read/p99_ns and
 # wal_commit/percommit/p50_ns are tracked with a wider >150% threshold
 # (open-loop p99s and fsync latencies are far noisier than median ns/iter).
 # Other work-metric records ({id, value}) are informational and not gated
@@ -342,7 +291,6 @@ if [ -n "${baseline}" ]; then
                 delta = (new[id] - old[id]) / old[id] * 100
                 flag = ""
                 gated = index(id, "/sweep/") > 0 || index(id, "assemble_view_vs_copy/view/") > 0 \
-                    || index(id, "strip_sweep/serial/") > 0 || index(id, "phase_build/threads1/") > 0 \
                     || index(id, "planner_bindings/planned/") > 0
                 lat_gated = id == "traffic/read/p99_ns" || id == "wal_commit/percommit/p50_ns"
                 if (gated && delta > 25) { flag = "  REGRESSION"; regressions++ }
