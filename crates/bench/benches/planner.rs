@@ -8,14 +8,11 @@
 //! from the spatial index's bbox neighbors of the anchor and `y` from the
 //! neighbors of each `x`, checking each conjunct as soon as its variables
 //! are bound, so the work tracks the anchor's cluster size rather than `n²`.
-//!
-//! Besides wall-clock timings the bench records the *work counters* behind
-//! the speedup (candidate assignments tried by either path and spatial-index
-//! probes issued by the planner) via `criterion::record_metric`, so the
-//! benchmark snapshot (`BENCH_arrangement.json`) tracks the planner's
-//! pruning power, not just its timing, across commits.
+//! The pruning itself is asserted by
+//! `planner_differential.rs::planned_enumeration_prunes_assignments`; this
+//! bench only times it.
 
-use criterion::{criterion_group, criterion_main, record_metric, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use query::ast::{Formula, NameTerm, RegionExpr};
 use query::cell_eval::CellEvaluator;
 use query::plan::QueryPlan;
@@ -73,24 +70,6 @@ fn planner_bindings(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", n), &ev, |b, ev| {
             b.iter(|| black_box(ev.eval_bindings_naive(&formula, &free).unwrap()))
         });
-
-        // Work counters, from one clean run per path on fresh evaluators.
-        let planned_ev = CellEvaluator::new(&inst);
-        planned_ev.eval_bindings_planned(&formula, &plan).unwrap();
-        record_metric(
-            format!("planner_bindings/assignments_planned/{n}"),
-            planned_ev.assignments_tried() as f64,
-        );
-        record_metric(
-            format!("planner_bindings/index_probes/{n}"),
-            planned_ev.spatial_index().probe_count() as f64,
-        );
-        let naive_ev = CellEvaluator::new(&inst);
-        naive_ev.eval_bindings_naive(&formula, &free).unwrap();
-        record_metric(
-            format!("planner_bindings/assignments_naive/{n}"),
-            naive_ev.assignments_tried() as f64,
-        );
     }
     group.finish();
 }

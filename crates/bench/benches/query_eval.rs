@@ -8,7 +8,6 @@ use invariant::Invariant;
 use query::ast::{Formula, RegionExpr};
 use query::cell_eval::CellEvaluator;
 use query::point_lang::{eval_point_sentence, rect_query_to_point_query};
-use query::prepared::PreparedQuery;
 use query::rect_eval::eval_on_rect_instance;
 use query::thematic_eval::eval_on_thematic;
 use relations::Relation4;
@@ -121,40 +120,9 @@ fn thm58_point_vs_region(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parse/plan-once claim of the prepared-query API: running a compiled
-/// [`PreparedQuery`] against a shared evaluator, versus re-parsing and
-/// re-analyzing the text on every evaluation (the old `db.query(text)`
-/// idiom), plus the cost of a set-returning (free-variable) query that
-/// enumerates its bindings.
-fn prepared_queries(c: &mut Criterion) {
-    let inst = datagen::grid_map(3, 2, 5);
-    let complex = arrangement::build_complex(&inst);
-    let evaluator = CellEvaluator::from_complex(&complex);
-    let text = "existsname a . existsname b . not a = b and meet(ext(a), ext(b))";
-    let prepared = PreparedQuery::compile(text).unwrap();
-    let open_text = "meet(ext(x), ext(y))";
-    let open_prepared = PreparedQuery::compile(open_text).unwrap();
-
-    let mut group = c.benchmark_group("prepared_query");
-    group.bench_function("parse_each_evaluation", |b| {
-        b.iter(|| {
-            let q = PreparedQuery::compile(text).unwrap();
-            black_box(q.run_on(&evaluator).unwrap())
-        })
-    });
-    group.bench_function("prepared_reused", |b| {
-        b.iter(|| black_box(prepared.run_on(&evaluator).unwrap()))
-    });
-    group.bench_function("prepared_bindings", |b| {
-        b.iter(|| black_box(open_prepared.run_on(&evaluator).unwrap()))
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = config();
-    targets = cor37_thematic_vs_geometric, fig11_expressiveness, thm58_point_vs_region,
-        prepared_queries
+    targets = cor37_thematic_vs_geometric, fig11_expressiveness, thm58_point_vs_region
 }
 criterion_main!(benches);

@@ -40,8 +40,8 @@ fn thm35_invariant_scaling(c: &mut Criterion) {
 /// plane sweep (`O((n + k) log n)`) vs. the naive all-pairs oracle
 /// (`O(n^2)`), on the same segment sets — both the shared-edge grid map
 /// (endpoint-degenerate, `k ~ 0` proper crossings) and the dense overlap map
-/// (`k = Theta(n)` proper crossings). The acceptance gate for the sweep:
-/// it must win at the top of `CONSTRUCTION_SIZES` on both workloads.
+/// (`k = Theta(n)` proper crossings). The sweep is expected to win at the
+/// top of `CONSTRUCTION_SIZES` on both workloads; nothing gates it.
 fn splitting_sweep_vs_naive(c: &mut Criterion) {
     let mut group = c.benchmark_group("splitting_sweep_vs_naive");
     for (n, inst) in datagen::scaling_sweep(&CONSTRUCTION_SIZES) {

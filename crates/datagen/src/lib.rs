@@ -269,7 +269,7 @@ pub fn cluster_rect(rng: &mut StdRng, c: usize, clusters: usize) -> Region {
 /// component per cluster (a sparse cluster may split into a few); within a
 /// cluster the rectangles are drawn from a tight span so that most of them
 /// genuinely interact. This is the workload of the incremental-maintenance
-/// test suite and of the `incremental_update` benchmark group: region
+/// test suite and of the benchmark's clustered workloads: region
 /// `C{c:03}_R{r:03}` belongs to cluster `c`, so updates can target a single
 /// cluster by construction ([`cluster_rect`]).
 pub fn clustered_map(clusters: usize, regions_per_cluster: usize, seed: u64) -> SpatialInstance {
@@ -415,8 +415,7 @@ pub enum TraceOp {
 /// that point in the trace; replaying the batches in order over an empty
 /// instance is therefore always well-formed. Identical `(steps, seed)`
 /// arguments yield byte-identical traces — the recovery differential suite
-/// relies on this to crash-and-reopen the same workload many times, and the
-/// `wal_commit` benchmark to log a stable op mix.
+/// relies on this to crash-and-reopen the same workload many times.
 pub fn op_trace(steps: usize, seed: u64) -> Vec<Vec<TraceOp>> {
     const CLUSTERS: usize = 4;
     let mut rng = StdRng::seed_from_u64(seed);

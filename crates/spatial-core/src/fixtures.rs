@@ -5,7 +5,8 @@
 //! used throughout the test suites and the benchmark harness. Where we could
 //! not reproduce the exact drawing (the paper's figures are only described in
 //! prose), the fixture realizes the *property* the figure is used to
-//! demonstrate; `EXPERIMENTS.md` records the correspondence.
+//! demonstrate. The experiments table in the `bench` crate's documentation
+//! (`crates/bench/src/lib.rs`) maps each figure to its test and bench group.
 
 use crate::instance::SpatialInstance;
 use crate::region::{Rect, Region};

@@ -96,12 +96,6 @@ impl Default for StorageOptions {
 }
 
 impl StorageOptions {
-    /// Default options with a different log config (the shape the older
-    /// `*_with_config` constructors take).
-    pub fn from_wal_config(wal: WalConfig) -> Self {
-        StorageOptions { wal, ..StorageOptions::default() }
-    }
-
     /// This set of options on a different storage backend.
     pub fn with_vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
         self.vfs = vfs;
@@ -277,7 +271,7 @@ impl Durability {
         self.with_retry(|| self.wal.checkpoint(instance))
     }
 
-    /// The underlying log (benches force checkpoints/syncs through this).
+    /// The underlying log.
     pub(crate) fn wal(&self) -> &Wal {
         &self.wal
     }

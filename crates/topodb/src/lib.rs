@@ -228,10 +228,8 @@ use transaction::Op;
 ///   concurrent.
 /// * **Sync policies** ([`SyncPolicy`]): `PerCommit` fsyncs every record
 ///   (a returned commit survives power loss — and costs a disk flush per
-///   commit); `Interval` group-commits, fsyncing at most once per window
-///   (bounded loss under power failure, near in-memory commit latency);
-///   `None` never fsyncs (a process crash loses nothing — the page cache
-///   survives it — only a machine crash can drop the tail).
+///   commit); `None` never fsyncs (a process crash loses nothing — the
+///   page cache survives it — only a machine crash can drop the tail).
 /// * **Failure taxonomy and retry policy.** A failed append is classified
 ///   ([`ErrorClass`]) before anything else happens:
 ///   *transient* failures (`EINTR`-style interruptions, including a torn
@@ -370,17 +368,7 @@ impl TopoDatabase {
     ///
     /// See the "Durability model" section above for the protocol.
     pub fn create(dir: impl AsRef<Path>, instance: SpatialInstance) -> Result<Self, TopoDbError> {
-        TopoDatabase::create_with_config(dir, instance, WalConfig::default())
-    }
-
-    /// [`TopoDatabase::create`] with an explicit log configuration (sync
-    /// policy, segment rotation threshold, checkpoint cadence).
-    pub fn create_with_config(
-        dir: impl AsRef<Path>,
-        instance: SpatialInstance,
-        config: WalConfig,
-    ) -> Result<Self, TopoDbError> {
-        TopoDatabase::create_with_storage(dir, instance, StorageOptions::from_wal_config(config))
+        TopoDatabase::create_with_storage(dir, instance, StorageOptions::default())
     }
 
     /// [`TopoDatabase::create`] with full control over storage: the log
@@ -407,15 +395,7 @@ impl TopoDatabase {
     /// a missing segment — fails loudly with the offending file and byte
     /// offset in the [`TopoDbError::Durability`] error.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, TopoDbError> {
-        TopoDatabase::open_with_config(dir, WalConfig::default())
-    }
-
-    /// [`TopoDatabase::open`] with an explicit log configuration.
-    pub fn open_with_config(
-        dir: impl AsRef<Path>,
-        config: WalConfig,
-    ) -> Result<Self, TopoDbError> {
-        TopoDatabase::open_with_storage(dir, StorageOptions::from_wal_config(config))
+        TopoDatabase::open_with_storage(dir, StorageOptions::default())
     }
 
     /// [`TopoDatabase::open`] with full control over storage — see
@@ -449,12 +429,6 @@ impl TopoDatabase {
         let records = recovery.records_up_to(epoch)?;
         let instance = durability::replay(&recovery.checkpoint_instance, records)?;
         Ok(TopoDatabase::assemble(instance, epoch, None))
-    }
-
-    /// Is a write-ahead log attached (via [`TopoDatabase::create`],
-    /// [`TopoDatabase::open`], or `TOPODB_WAL`)?
-    pub fn durable(&self) -> bool {
-        self.durability.is_some()
     }
 
     /// A point-in-time health report: whether a log is attached, whether

@@ -4,9 +4,11 @@
 //! **exactly once**, commits then fail fast with the original root cause,
 //! and reads keep serving throughout.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use spatial_core::instance::SpatialInstance;
 use spatial_core::region::Region;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
 use topodb::{Clock, RetryPolicy, StorageOptions, TopoDatabase, TopoDbError};
 use wal::{Fault, FaultPlan, SimFs};
@@ -305,4 +307,97 @@ fn dir_sync_downgrades_surface_in_health() {
     assert_eq!(h.degraded, None, "a downgrade is not a degradation");
     assert_eq!(h.last_checkpoint_epoch, Some(1), "the checkpoint took effect");
     commit_rect(&db, "B", 10).expect("the database stays healthy");
+}
+
+#[test]
+fn concurrent_writers_under_random_transient_faults_lose_no_acked_commit() {
+    // Two writers on disjoint clusters commit through a log whose writes
+    // fail transiently at random. Retries absorb most faults; one that
+    // exhausts the attempt budget degrades the database, after which every
+    // commit fails fast, typed. Either way nothing panics, and a power cut
+    // plus reopen recovers exactly the acknowledged history.
+    const CLUSTERS: usize = 2;
+    const COMMITS: usize = 24;
+    let base = datagen::clustered_map(CLUSTERS, 4, 0x7af1c);
+    let sim = SimFs::new();
+    let clock = Arc::new(RecordingClock::default());
+    let db = TopoDatabase::create_with_storage(
+        DIR,
+        base.clone(),
+        options(&sim, RetryPolicy::default(), &clock),
+    )
+    .expect("create on a healthy SimFs");
+    sim.set_plan(FaultPlan::none().transient_write_rate(0.25, 0x7af1c));
+
+    // Each writer keeps at most four regions of its own alive, so commits
+    // alternate between inserts and removals. `acked` is (epoch, name,
+    // region inserted or `None` for a removal). The barrier starts both
+    // writers together so their commits overlap.
+    let start = Barrier::new(CLUSTERS);
+    let mut acked: Vec<(u64, String, Option<Region>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..CLUSTERS)
+            .map(|w| {
+                let (db, start) = (&db, &start);
+                s.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(w as u64);
+                    let (mut live, mut acked) = (Vec::new(), Vec::new());
+                    start.wait();
+                    for i in 0..COMMITS {
+                        let mut txn = db.begin_shared();
+                        let op = if live.len() >= 4 {
+                            let name: String = live.remove(0);
+                            txn.remove(name.clone());
+                            (name, None)
+                        } else {
+                            let name = format!("W{w}_{i:02}");
+                            let region = datagen::cluster_rect(&mut rng, w, CLUSTERS);
+                            txn.insert(name.clone(), region.clone());
+                            live.push(name.clone());
+                            (name, Some(region))
+                        };
+                        match txn.try_commit() {
+                            Ok(summary) => acked.push((summary.epoch, op.0, op.1)),
+                            Err(TopoDbError::Degraded(_)) => {}
+                            Err(e) => panic!("writer {w} commit {i} failed un-typed: {e}"),
+                        }
+                    }
+                    acked
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("no writer panics")).collect()
+    });
+
+    let h = db.health();
+    assert!(h.transient_retries > 0, "the fault rate must exercise the retry path");
+    acked.sort_by_key(|a| a.0);
+    let epochs: Vec<u64> = acked.iter().map(|a| a.0).collect();
+    let n = acked.len() as u64;
+    assert_eq!(epochs, (1..=n).collect::<Vec<_>>(), "acked epochs are 1..=n, no gap or repeat");
+    assert_eq!(h.epoch, n, "failed commits published nothing");
+
+    // The cold oracle: the base map plus the acked ops in epoch order.
+    let mut expected = base;
+    for (_, name, region) in acked {
+        match region {
+            Some(region) => expected.insert(name, region),
+            None => expected.remove(&name),
+        };
+    }
+    let cold = TopoDatabase::from_instance(expected);
+
+    std::mem::forget(db);
+    sim.power_cycle();
+    let reopened = TopoDatabase::open_with_storage(
+        DIR,
+        StorageOptions::default().with_vfs(Arc::new(sim.clone())),
+    )
+    .expect("reopen after the faulted run");
+    assert_eq!(reopened.update_epoch(), n, "every acked epoch is durable");
+    assert_eq!(*reopened.instance(), *cold.instance(), "recovered instance");
+    assert_eq!(
+        reopened.snapshot().relation_matrix(),
+        cold.snapshot().relation_matrix(),
+        "recovered topology matches a cold build"
+    );
 }

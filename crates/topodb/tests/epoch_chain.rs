@@ -355,7 +355,7 @@ fn single_writer_commits_free_superseded_epochs() {
         assert!(
             root.upgrade().is_none(),
             "epoch 0 is still reachable after 8 single-writer commits (durable: {})",
-            db.durable()
+            db.health().durable
         );
     }
 }

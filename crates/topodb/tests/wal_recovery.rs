@@ -15,7 +15,7 @@ use spatial_core::wire::Wire;
 use std::fs;
 use std::path::{Path, PathBuf};
 use topodb::query::PreparedQuery;
-use topodb::{QueryOutput, SyncPolicy, TopoDatabase, TopoDbError, WalConfig};
+use topodb::{QueryOutput, StorageOptions, SyncPolicy, TopoDatabase, TopoDbError, WalConfig};
 use wal::testing::{flip_byte, record_boundaries, segment_files, truncate_at};
 use wal::RealFs;
 use wal::WalError;
@@ -138,8 +138,9 @@ fn no_sync() -> WalConfig {
 /// "crash": leak the database so no drop-time flush or cleanup tidies up
 /// what a real power cut would have left behind.
 fn commit_and_crash(dir: &Path, trace: &[Vec<TraceOp>], cfg: WalConfig) {
+    let options = StorageOptions { wal: cfg, ..Default::default() };
     let mut db =
-        TopoDatabase::create_with_config(dir, SpatialInstance::new(), cfg).expect("create");
+        TopoDatabase::create_with_storage(dir, SpatialInstance::new(), options).expect("create");
     for batch in trace {
         apply_batch(&mut db, batch);
     }
@@ -155,7 +156,7 @@ fn reopen_after_crash_matches_the_in_memory_oracle() {
 
     let mut reopened = TopoDatabase::open(scratch.path()).expect("reopen after crash");
     assert_eq!(reopened.update_epoch(), trace.len() as u64);
-    assert!(reopened.durable());
+    assert!(reopened.health().durable);
     assert_eq!(fingerprint(&reopened), oracle[trace.len()], "byte-identical to the oracle");
 
     // The reopened database resumes the epoch numbering and stays in
@@ -293,7 +294,7 @@ fn open_at_replays_every_logged_epoch_and_is_detached() {
         let db = TopoDatabase::open_at(scratch.path(), epoch as u64)
             .unwrap_or_else(|e| panic!("open_at({epoch}) failed: {e}"));
         assert_eq!(db.update_epoch(), epoch as u64);
-        assert!(!db.durable(), "point-in-time views are detached");
+        assert!(!db.health().durable, "point-in-time views are detached");
         assert_eq!(&fingerprint(&db), expected, "open_at({epoch})");
     }
 
@@ -325,9 +326,9 @@ fn checkpoint_truncates_history_but_preserves_the_differential() {
     let oracle = oracle_states(&trace);
     let ckpt_epoch = 7usize;
 
-    let mut db =
-        TopoDatabase::create_with_config(scratch.path(), SpatialInstance::new(), no_sync())
-            .expect("create");
+    let options = StorageOptions { wal: no_sync(), ..Default::default() };
+    let mut db = TopoDatabase::create_with_storage(scratch.path(), SpatialInstance::new(), options)
+        .expect("create");
     for batch in &trace[..ckpt_epoch] {
         apply_batch(&mut db, batch);
     }

@@ -15,8 +15,7 @@
 //!   `seg-{first_epoch:016x}.log` files that rotate at a size threshold;
 //!   file-name order is epoch order.
 //! * **Sync policy** ([`SyncPolicy`]): `PerCommit` fsync for full
-//!   durability, `Interval` group-commit bounding loss to a time window,
-//!   or `None` for page-cache-only durability.
+//!   durability, or `None` for page-cache-only durability.
 //! * **Checkpoints** ([`checkpoint`]): periodically the full
 //!   [`spatial_core::instance::SpatialInstance`] is snapshotted
 //!   (temp-file + atomic rename), the log rotates, and everything older is

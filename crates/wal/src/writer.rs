@@ -36,16 +36,12 @@ use spatial_core::instance::SpatialInstance;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// When appended records are forced to stable storage.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SyncPolicy {
     /// `fsync` on every append: a committed batch survives power loss.
     PerCommit,
-    /// Group commit: `fsync` at most once per interval; a crash can lose
-    /// up to one interval of committed batches, never consistency.
-    Interval(Duration),
     /// Never `fsync` (the OS flushes when it pleases). A process crash
     /// loses nothing — the page cache survives it — only a machine crash
     /// can drop the un-flushed tail.
@@ -144,7 +140,6 @@ struct Appender {
     head_epoch: u64,
     checkpoint_epoch: u64,
     records_since_checkpoint: u64,
-    last_sync: Instant,
     unsynced: bool,
 }
 
@@ -224,7 +219,6 @@ impl Wal {
                 head_epoch: epoch,
                 checkpoint_epoch: epoch,
                 records_since_checkpoint: 0,
-                last_sync: Instant::now(),
                 unsynced: false,
             }),
         })
@@ -289,7 +283,6 @@ impl Wal {
                 head_epoch,
                 checkpoint_epoch: recovery.checkpoint_epoch,
                 records_since_checkpoint: head_epoch - recovery.checkpoint_epoch,
-                last_sync: Instant::now(),
                 unsynced: false,
             }),
         };
@@ -364,11 +357,6 @@ impl Wal {
 
         match self.cfg.sync {
             SyncPolicy::PerCommit => self.sync_locked(&mut app)?,
-            SyncPolicy::Interval(every) => {
-                if app.last_sync.elapsed() >= every {
-                    self.sync_locked(&mut app)?;
-                }
-            }
             SyncPolicy::None => {}
         }
 
@@ -466,7 +454,6 @@ impl Wal {
             app.broken = Some(err.clone());
             return Err(err);
         }
-        app.last_sync = Instant::now();
         app.unsynced = false;
         Ok(())
     }

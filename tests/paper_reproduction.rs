@@ -1,6 +1,7 @@
 //! End-to-end integration tests reproducing, across crate boundaries, every
 //! qualitative claim of the paper that the benchmark harness also measures.
-//! Each test corresponds to an experiment listed in `EXPERIMENTS.md`.
+//! Each test corresponds to an experiment in the table of the `bench`
+//! crate's documentation (`crates/bench/src/lib.rs`).
 
 use topodb::invariant::{find_isomorphism, homeomorphic, IsoOptions, Invariant};
 use topodb::query::ast::{Formula, RegionExpr};
