@@ -28,19 +28,19 @@
 //! [`CellComplex`] in `O(total cells)`. Its zero-copy, index-identical
 //! counterpart is [`GlobalComplexView`](crate::GlobalComplexView), which
 //! performs steps 1–3 symbolically in `O(components + nesting)` and serves
-//! cells through the [`ComplexRead`](crate::ComplexRead) translation layer;
+//! cells through the [`ComplexRead`] translation layer;
 //! both build on the same nesting computation
 //! (`compute_component_nesting`).
 
 use crate::builder::build_local;
-use crate::complex::CellComplex;
+use crate::complex::{CellComplex, ComplexRead};
 use crate::geometry::point_in_closed_polyline;
 use crate::index::SpatialIndex;
 use crate::partition::{repartition, BBox, ComponentGroup, Member, Repartition};
 use crate::split::{split_segments, TaggedSegment};
 use crate::types::*;
 use spatial_core::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The outer cycle of one bounded face of a component complex, kept for the
 /// cross-component nesting tests of the assembly step.
@@ -56,16 +56,65 @@ pub struct BoundedCycle {
 
 /// The independently built cell complex of one interaction component,
 /// together with the geometric data the assembly step needs to embed it into
-/// the global complex.
+/// the global complex, and the read-path memos derived from it.
 #[derive(Clone, Debug)]
 pub struct ComponentComplex {
     pub(crate) complex: CellComplex,
     pub(crate) bounded_cycles: Vec<BoundedCycle>,
     pub(crate) bbox: Option<BBox>,
     pub(crate) rep_point: Option<Point>,
+    pub(crate) memo: ComponentMemo,
+}
+
+/// Read-path state derived from one component alone, keyed by *local* ids
+/// and built on first use.
+///
+/// It lives on the [`ComponentComplex`], so a component carried across a
+/// commit — pointer-identically, behind its `Arc` — carries its memos, and
+/// only rebuilt components pay for them again. What depends on the rest of
+/// the database (global id offsets, nesting parents, inherited labels) is
+/// per-epoch glue on the [`GlobalComplexView`](crate::GlobalComplexView).
+/// The face → edge → endpoint incidence a face-set walk follows needs no
+/// memo: it is the component's own [`FaceData::boundary_edges`] and
+/// [`EdgeData`] endpoints and faces.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ComponentMemo {
+    /// Per local region: the bounded local faces interior to it, ascending.
+    region_faces: OnceLock<Vec<Vec<FaceId>>>,
+    /// Per local region: the bounding box of its boundary edges.
+    region_bboxes: OnceLock<Vec<Option<BBox>>>,
 }
 
 impl ComponentComplex {
+    /// The interior faces of every local region, memoized; `built` runs if
+    /// this call computes them.
+    pub(crate) fn local_region_faces(&self, built: impl FnOnce()) -> &[Vec<FaceId>] {
+        self.memo.region_faces.get_or_init(|| {
+            built();
+            // One pass over the face labels rather than one face scan per
+            // region: a dense component has hundreds of regions.
+            let cx = &self.complex;
+            let mut out = vec![Vec::new(); cx.region_names.len()];
+            for f in cx.face_ids().filter(|&f| f != cx.exterior) {
+                for (r, sign) in cx.face(f).label.iter().enumerate() {
+                    if *sign == Sign::Interior {
+                        out[r].push(f);
+                    }
+                }
+            }
+            out
+        })
+    }
+
+    /// The boundary box of every local region, memoized; `built` runs if
+    /// this call computes them.
+    pub(crate) fn local_region_bboxes(&self, built: impl FnOnce()) -> &[Option<BBox>] {
+        self.memo.region_bboxes.get_or_init(|| {
+            built();
+            ComplexRead::region_bboxes(&self.complex)
+        })
+    }
+
     /// The component's local cell complex (labels cover only the component's
     /// own regions).
     pub fn complex(&self) -> &CellComplex {
@@ -128,7 +177,7 @@ pub(crate) fn build_group(members: &[Member<'_>]) -> ComponentComplex {
     let subs = split_segments(&segments);
     let (complex, bounded_cycles) = build_local(local_names, &subs);
     let rep_point = complex.vertices.first().map(|v| v.point);
-    ComponentComplex { complex, bounded_cycles, bbox, rep_point }
+    ComponentComplex { complex, bounded_cycles, bbox, rep_point, memo: ComponentMemo::default() }
 }
 
 /// Sweep the groups `slots` leaves empty — up to

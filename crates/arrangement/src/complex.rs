@@ -198,7 +198,10 @@ pub trait ComplexRead {
         out
     }
 
-    /// The faces making up a region (the cells labeled `Interior` for it).
+    /// The faces making up a region (the cells labeled `Interior` for it),
+    /// ascending. The default scans every face;
+    /// [`GlobalComplexView`](crate::GlobalComplexView) overrides it with the
+    /// region's carried interior faces.
     fn region_faces(&self, region: &str) -> Vec<FaceId> {
         match self.region_index(region) {
             None => vec![],
@@ -217,7 +220,9 @@ pub trait ComplexRead {
     /// ([`SpatialIndex`](crate::SpatialIndex)) that the query planner builds
     /// over these boxes. Computed by one scan of the edge polylines against
     /// their region marks; [`GlobalComplexView`](crate::GlobalComplexView)
-    /// overrides this with a cached table.
+    /// overrides this and serves the boxes each component carries for its
+    /// own regions, so only a component built since the last read scans its
+    /// polylines.
     fn region_bboxes(&self) -> Vec<Option<BBox>> {
         let mut out: Vec<Option<BBox>> = vec![None; self.region_names().len()];
         for e in self.edge_ids() {

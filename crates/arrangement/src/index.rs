@@ -110,17 +110,13 @@ impl SpatialIndex {
         // the packing is deterministic in the input.
         let center_x = |b: &BBox| b.x0 + b.x1;
         let center_y = |b: &BBox| b.y0 + b.y1;
-        entries.sort_by(|(ia, a), (ib, b)| {
-            center_x(a).cmp(&center_x(b)).then_with(|| ia.cmp(ib))
-        });
+        entries.sort_by_cached_key(|(i, b)| (center_x(b), *i));
         let n = entries.len();
         let leaf_count = n.div_ceil(NODE_CAPACITY);
         let slices = (leaf_count as f64).sqrt().ceil() as usize;
         let per_slice = n.div_ceil(slices.max(1));
         for chunk in entries.chunks_mut(per_slice.max(1)) {
-            chunk.sort_by(|(ia, a), (ib, b)| {
-                center_y(a).cmp(&center_y(b)).then_with(|| ia.cmp(ib))
-            });
+            chunk.sort_by_cached_key(|(i, b)| (center_y(b), *i));
         }
 
         let leaves: Vec<Node> = entries

@@ -23,17 +23,30 @@
 //! purely geometric data (polylines, points) is borrowed from the shared
 //! component allocations.
 //!
-//! Repeated whole-complex scans are amortized by two **per-component memos**,
-//! built lazily behind [`OnceLock`]s (so a view that is never label-scanned
-//! never pays for them, and all clones and threads share one build): the
-//! inverse region map (global region index → local label position), which
-//! turns the `vertex_sign`/`edge_sign`/`face_sign` fast paths from a binary
-//! search into an array index — the access pattern of
-//! `relation_matrix` over many pairs — and the widened-label table, which
-//! widens each cell's label once instead of on every
-//! `vertex_label`/`edge_label`/`face_label` read
-//! ([`GlobalComplexView::label_widenings`] counts widenings, and the test
-//! suite pins that a second scan performs none).
+//! Lazily built state comes in two kinds, both behind [`OnceLock`]s (so a
+//! view that never asks never pays, and all clones and threads share one
+//! build):
+//!
+//! * **Carried memos ride on the component.** What a component determines
+//!   alone — each local region's interior faces and boundary box — is
+//!   memoized on the [`ComponentComplex`] itself, keyed by local ids. A
+//!   component carried across a commit keeps its memos, so the first read
+//!   of a new epoch derives them only for the rebuilt components
+//!   ([`GlobalComplexView::memo_builds`] counts what this view built).
+//!   [`ComplexRead::region_faces`] and [`ComplexRead::region_bboxes`] are
+//!   served from them, as is the face-set walk
+//!   [`GlobalComplexView::for_each_face_edge`], which follows the
+//!   component's own face → edge → endpoint incidence.
+//! * **Per-epoch glue stays on the view.** The offsets, the nesting parents,
+//!   `nested_in_face` and the inherited labels are rebuilt per assembly, and
+//!   so are the two memos that depend on them: the inverse region map
+//!   (global region index → local label position), which turns the
+//!   `vertex_sign`/`edge_sign`/`face_sign` fast paths from a binary search
+//!   into an array index — the access pattern of `relation_matrix` over many
+//!   pairs — and the widened-label table, which widens each cell's label
+//!   once instead of on every `vertex_label`/`edge_label`/`face_label` read
+//!   ([`GlobalComplexView::label_widenings`] counts widenings, and the test
+//!   suite pins that a second scan performs none).
 //!
 //! The view is **index-identical** to the flat complex produced by
 //! [`crate::assemble_components`] from the same component list: every cell
@@ -66,6 +79,8 @@ pub struct GlobalComplexView {
     /// Local→global region index map per component (strictly increasing,
     /// since both name lists are sorted).
     region_map: Vec<Vec<usize>>,
+    /// Its inverse: global region index → (component, local region index).
+    region_home: Vec<(usize, usize)>,
     /// First global vertex id of each component (prefix sums).
     vertex_start: Vec<usize>,
     /// First global edge id of each component (prefix sums).
@@ -100,6 +115,9 @@ pub struct GlobalComplexView {
     /// Number of label widenings performed by the accessor layer (shared by
     /// all clones of the view; see [`GlobalComplexView::label_widenings`]).
     widen_count: Arc<AtomicU64>,
+    /// Number of carried component memos this view built (shared by all
+    /// clones; see [`GlobalComplexView::memo_builds`]).
+    memo_count: Arc<AtomicU64>,
     /// Lazily built spatial index over the region bounding boxes, shared by
     /// every clone of the view (and therefore by every evaluator of a
     /// snapshot); see [`GlobalComplexView::region_bbox_index`].
@@ -207,6 +225,12 @@ impl GlobalComplexView {
 
         let region_map: Vec<Vec<usize>> =
             components.iter().map(|c| locate_names(&region_names, c.region_names())).collect();
+        let mut region_home = vec![(usize::MAX, usize::MAX); n_regions];
+        for (c, map) in region_map.iter().enumerate() {
+            for (local, &global) in map.iter().enumerate() {
+                region_home[global] = (c, local);
+            }
+        }
 
         let mut vertex_start = Vec::with_capacity(k);
         let mut edge_start = Vec::with_capacity(k);
@@ -255,6 +279,7 @@ impl GlobalComplexView {
         GlobalComplexView {
             region_names,
             region_map,
+            region_home,
             vertex_start,
             edge_start,
             face_start,
@@ -268,6 +293,7 @@ impl GlobalComplexView {
             region_pos: Arc::new((0..k).map(|_| OnceLock::new()).collect()),
             widened: Arc::new((0..k).map(|_| OnceLock::new()).collect()),
             widen_count: Arc::new(AtomicU64::new(0)),
+            memo_count: Arc::new(AtomicU64::new(0)),
             bbox_index: Arc::new(OnceLock::new()),
             components,
         }
@@ -291,7 +317,9 @@ impl GlobalComplexView {
     }
 
     /// The spatial index over the region bounding boxes of this view, built
-    /// on first use and shared by every clone (one build per snapshot). The
+    /// on first use from the boxes the components carry (no polyline scan
+    /// for a carried component) and shared by every clone (one build per
+    /// snapshot). The
     /// query planner draws its candidate generators from this index —
     /// regions whose boxes don't interact are provably disjoint — and its
     /// probe counter ([`SpatialIndex::probe_count`]) is the planner-work
@@ -417,6 +445,53 @@ impl GlobalComplexView {
     /// guarantee of the per-component label memo, pinned by the test suite.
     pub fn label_widenings(&self) -> u64 {
         self.widen_count.load(Ordering::Relaxed)
+    }
+
+    /// How many carried component memos (a component's per-region interior
+    /// faces or boundary boxes) this view built rather than found already
+    /// built on the component (the counter is shared by all clones). A view
+    /// patched after a commit builds them only for the rebuilt components:
+    /// the carried ones bring theirs along.
+    pub fn memo_builds(&self) -> u64 {
+        self.memo_count.load(Ordering::Relaxed)
+    }
+
+    fn count_memo_build(&self) {
+        self.memo_count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Visit every edge incident to face `f` — the edges of its
+    /// component-local boundary and the outer boundary of every component
+    /// nested directly in it — with the edge's two faces and its endpoints,
+    /// all in global ids. These are the edges of
+    /// [`ComplexRead::face_boundary`] with their incidences attached, served
+    /// from the components' own face → edge tables, so walking a set of faces
+    /// costs their degrees rather than a scan of the complex. Edges come
+    /// unsorted.
+    pub fn for_each_face_edge(
+        &self,
+        f: FaceId,
+        mut visit: impl FnMut(EdgeId, (FaceId, FaceId), (VertexId, VertexId)),
+    ) {
+        let mut walk = |c: usize, local: FaceId| {
+            let cx = &self.components[c].complex;
+            let (e0, v0) = (self.edge_start[c], self.vertex_start[c]);
+            for &e in &cx.face(local).boundary_edges {
+                let data = &cx.edges[e.0];
+                visit(
+                    EdgeId(e.0 + e0),
+                    (self.face_abroad(c, data.left_face), self.face_abroad(c, data.right_face)),
+                    (VertexId(data.tail.0 + v0), VertexId(data.head.0 + v0)),
+                );
+            }
+        };
+        if f.0 != 0 {
+            let (c, local) = self.face_home(f);
+            walk(c, local);
+        }
+        for &d in self.nested_in_face.get(&f.0).into_iter().flatten() {
+            walk(d, self.components[d].complex.exterior);
+        }
     }
 }
 
@@ -573,6 +648,42 @@ impl ComplexRead for GlobalComplexView {
         // Skeleton components never span partition components (they share no
         // vertex), so the global count is the sum of the local ones.
         self.components.iter().map(|c| c.complex.skeleton_component_count()).sum()
+    }
+
+    /// Served from the region's carried interior faces: its local interior
+    /// faces plus every bounded face of each component nested, transitively,
+    /// inside them (such a component does not contain the region, so it
+    /// inherits the face's `Interior` sign).
+    fn region_faces(&self, region: &str) -> Vec<FaceId> {
+        let Some(idx) = self.region_index(region) else { return vec![] };
+        let (c, local) = self.region_home[idx];
+        let Some(component) = self.components.get(c) else { return vec![] };
+        let interior = component.local_region_faces(|| self.count_memo_build());
+        let mut out: Vec<FaceId> =
+            interior[local].iter().map(|&f| self.face_abroad(c, f)).collect();
+        let mut nested: Vec<usize> =
+            out.iter().flat_map(|f| self.nested_in_face.get(&f.0)).flatten().copied().collect();
+        while let Some(d) = nested.pop() {
+            let first = self.face_start[d];
+            let faces = first..first + self.components[d].complex.face_count() - 1;
+            nested.extend(self.nested_in_face.range(faces.clone()).flat_map(|(_, ds)| ds.clone()));
+            out.extend(faces.map(FaceId));
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Served from the boxes every component carries for its own regions:
+    /// no edge polyline is read unless a component is new.
+    fn region_bboxes(&self) -> Vec<Option<BBox>> {
+        let mut out: Vec<Option<BBox>> = vec![None; self.region_names.len()];
+        for (component, map) in self.components.iter().zip(&self.region_map) {
+            let boxes = component.local_region_bboxes(|| self.count_memo_build());
+            for (b, &global) in boxes.iter().zip(map) {
+                out[global] = b.clone();
+            }
+        }
+        out
     }
 }
 

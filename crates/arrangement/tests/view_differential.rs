@@ -11,8 +11,8 @@
 //! exercises the trait's translation layer end to end.
 
 use arrangement::{
-    assemble_components, build_complex_monolithic, build_component_complexes, ComplexRead,
-    GlobalComplexView,
+    assemble_components, build_complex_monolithic, build_component_complexes, CellComplex,
+    ComplexRead, GlobalComplexView,
 };
 use spatial_core::fixtures;
 use spatial_core::prelude::*;
@@ -72,6 +72,52 @@ fn check(inst: &SpatialInstance, context: &str) {
             ComplexRead::face_is_exterior(&flat, f),
             "{context}"
         );
+    }
+    check_carried_memos(&view, &flat, context);
+}
+
+/// The view's memo-served reads equal the trait's default scans over the
+/// flat complex: every region's faces and box, and every face's incidence
+/// walk.
+fn check_carried_memos(view: &GlobalComplexView, flat: &CellComplex, context: &str) {
+    assert_eq!(view.region_bboxes(), ComplexRead::region_bboxes(flat), "boxes on {context}");
+    for name in view.region_names() {
+        assert_eq!(
+            view.region_faces(name),
+            ComplexRead::region_faces(flat, name),
+            "faces of {name} on {context}"
+        );
+    }
+    for f in view.face_ids() {
+        let mut walked = Vec::new();
+        view.for_each_face_edge(f, |e, faces, ends| {
+            assert_eq!(faces, ComplexRead::edge_faces(flat, e), "{context}");
+            assert_eq!(ends, ComplexRead::edge_endpoints(flat, e), "{context}");
+            walked.push(e);
+        });
+        walked.sort();
+        assert_eq!(walked, flat.face_edges(f), "walk of {f:?} on {context}");
+    }
+}
+
+#[test]
+fn carried_memos_equal_the_default_scans_over_the_datagen_families() {
+    let families = [
+        ("grid_map(4, 3, 10)", datagen::grid_map(4, 3, 10)),
+        ("dense_overlap_map(4, 4, 10)", datagen::dense_overlap_map(4, 4, 10)),
+        ("jittered_overlap_map(5, 5, 12, 3)", datagen::jittered_overlap_map(5, 5, 12, 3)),
+        ("road_network_map(4, 4, 10, 5)", datagen::road_network_map(4, 4, 10, 5)),
+        ("zipf_clustered_map(6, 30, 9)", datagen::zipf_clustered_map(6, 30, 9)),
+        ("clustered_map(16, 16, 1996)", datagen::clustered_map(16, 16, 1996)),
+    ];
+    for (context, inst) in families {
+        let view = view_of(&inst);
+        check_carried_memos(&view, &view.to_cell_complex(), context);
+        // Each component built each kind of memo once, and a second read
+        // builds none.
+        assert_eq!(view.memo_builds(), 2 * view.component_count() as u64, "{context}");
+        check_carried_memos(&view, &view.to_cell_complex(), context);
+        assert_eq!(view.memo_builds(), 2 * view.component_count() as u64, "{context}");
     }
 }
 

@@ -13,10 +13,34 @@
 //! are exact unions of cells, so every 4-intersection atom is decided purely
 //! combinatorially — this is the reduction of topological queries to the
 //! invariant promised by Corollary 3.7, in executable form.
+//!
+//! ## Cost model
+//!
+//! One evaluation engine reads its cells from one of two sources:
+//!
+//! * [`CellEvaluator::from_view`] (what `topodb::Snapshot::evaluator` and
+//!   [`CellEvaluator::new`] build) is a view over a shared
+//!   [`GlobalComplexView`]. Construction is `O(regions + components)`: it
+//!   copies the region boxes the components carry and scans no cell. A
+//!   name's face set is resolved on its first use, from the carried
+//!   interior faces of its region; the global dual graph is built only when
+//!   a region quantifier first needs it.
+//! * [`CellEvaluator::from_complex`] copies whole-complex tables out of any
+//!   [`ComplexRead`] by scanning every edge and every region — the eager
+//!   reference the view-backed evaluator is differentially tested against.
+//!
+//! Per atom, a relation between two named regions whose boxes do not
+//! interact is answered from the boxes alone. Otherwise the operands'
+//! boundary and interior edges and vertices come from walking the incidence
+//! of their own faces — `O(faces × degree)`, memoized per named region and
+//! per quantifier value — and the 4-intersection test is a merge of sorted
+//! lists; nothing scans the complex.
 
 use crate::ast::{Formula, NameTerm, RegionExpr};
 use crate::plan::{Generator, QueryPlan};
-use arrangement::{build_complex_view, BBox, ComplexRead, Sign, SpatialIndex};
+use arrangement::{
+    build_complex_view, BBox, ComplexRead, FaceId, GlobalComplexView, Sign, SpatialIndex,
+};
 use relations::{FourIntersectionMatrix, Relation4};
 use spatial_core::prelude::SpatialInstance;
 use std::collections::{BTreeMap, BTreeSet};
@@ -64,28 +88,20 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// The evaluation structure extracted from an instance's cell complex.
+/// The evaluation structure over an instance's cell complex.
 #[derive(Clone, Debug)]
 pub struct CellEvaluator {
-    face_count: usize,
-    exterior: usize,
-    /// For every face, the faces sharing an edge with it (dual graph).
-    dual: Vec<BTreeSet<usize>>,
-    /// For every edge, its two incident faces.
-    edge_faces: Vec<(usize, usize)>,
-    /// For every edge, its endpoint vertices.
-    edge_vertices: Vec<(usize, usize)>,
-    /// For every vertex, its incident faces.
-    vertex_faces: Vec<BTreeSet<usize>>,
-    /// Region names in canonical (sorted) order. Name variables bind to
-    /// *indices* into this list during enumeration; strings are only
-    /// materialized for result rows.
-    names: Vec<String>,
-    /// Named regions as face sets, aligned with `names`.
-    name_sets: Vec<FaceSet>,
-    /// Bounding box of every named region's boundary, aligned with `names`
-    /// (`None` for a region contributing no boundary edge).
+    /// Where names, face sets and incidences are read from.
+    cells: Cells,
+    /// Bounding box of every named region's boundary, aligned with the
+    /// names (`None` for a region contributing no boundary edge).
     bboxes: Vec<Option<BBox>>,
+    /// Per name, the edges and vertices of its face set, walked on first
+    /// use by the 4-intersection classifier.
+    name_parts: Vec<OnceLock<Parts>>,
+    /// For every face, the faces sharing an edge with it (ascending), built
+    /// when a region quantifier first needs it.
+    dual: OnceLock<Vec<Vec<usize>>>,
     /// The spatial index over `bboxes`, built on first planner use — or
     /// pre-seeded with the snapshot-cached index via
     /// [`CellEvaluator::with_spatial_index`] so all evaluators of one
@@ -109,16 +125,151 @@ pub struct CellEvaluator {
     /// `Cell`-based cache) so the evaluator is `Sync` and can serve query
     /// traffic from many threads at once — the `topodb::Snapshot` read path
     /// shares one evaluator per snapshot.
-    domain: OnceLock<Result<Vec<FaceSet>, EvalError>>,
+    domain: OnceLock<Result<Domain, EvalError>>,
     /// Cap on the number of candidate regions.
     domain_cap: usize,
 }
 
+/// The two table sources of the one evaluation engine.
+#[derive(Clone, Debug)]
+enum Cells {
+    /// Whole-complex tables copied out of a [`ComplexRead`] by scans: the
+    /// reference built by [`CellEvaluator::from_complex`].
+    Copied(Box<CopiedCells>),
+    /// A shared view, read on demand; each name's face set is resolved on
+    /// first use.
+    View {
+        view: Arc<GlobalComplexView>,
+        name_sets: Vec<OnceLock<FaceSet>>,
+    },
+}
+
+#[derive(Clone, Debug)]
+struct CopiedCells {
+    /// Region names in canonical (sorted) order.
+    names: Vec<String>,
+    /// Named regions as face sets, aligned with `names`.
+    name_sets: Vec<FaceSet>,
+    face_count: usize,
+    exterior: usize,
+    /// For every face, the edges incident to it.
+    face_edges: Vec<Vec<usize>>,
+    /// For every edge, its two incident faces and its endpoint vertices.
+    edges: Vec<((usize, usize), (usize, usize))>,
+}
+
+impl Cells {
+    /// Region names in canonical (sorted) order. Name variables bind to
+    /// *indices* into this list during enumeration; strings are only
+    /// materialized for result rows.
+    fn names(&self) -> &[String] {
+        match self {
+            Cells::Copied(t) => &t.names,
+            Cells::View { view, .. } => view.region_names(),
+        }
+    }
+
+    fn name_set(&self, i: usize) -> &FaceSet {
+        match self {
+            Cells::Copied(t) => &t.name_sets[i],
+            Cells::View { view, name_sets } => name_sets[i].get_or_init(|| {
+                view.region_faces(&view.region_names()[i]).into_iter().map(|f| f.0).collect()
+            }),
+        }
+    }
+
+    fn face_count(&self) -> usize {
+        match self {
+            Cells::Copied(t) => t.face_count,
+            Cells::View { view, .. } => view.face_count(),
+        }
+    }
+
+    fn exterior(&self) -> usize {
+        match self {
+            Cells::Copied(t) => t.exterior,
+            Cells::View { view, .. } => view.exterior_face().0,
+        }
+    }
+
+    /// Visit every edge incident to face `f`, once, with its two faces and
+    /// its endpoints.
+    fn for_each_face_edge(
+        &self,
+        f: usize,
+        mut visit: impl FnMut(usize, (usize, usize), (usize, usize)),
+    ) {
+        match self {
+            Cells::Copied(t) => {
+                for &e in &t.face_edges[f] {
+                    visit(e, t.edges[e].0, t.edges[e].1);
+                }
+            }
+            Cells::View { view, .. } => view.for_each_face_edge(FaceId(f), |e, (l, r), (a, b)| {
+                visit(e.0, (l.0, r.0), (a.0, b.0))
+            }),
+        }
+    }
+
+    /// The two faces of every edge.
+    fn edge_faces(&self) -> Vec<(usize, usize)> {
+        match self {
+            Cells::Copied(t) => t.edges.iter().map(|&(faces, _)| faces).collect(),
+            Cells::View { view, .. } => view
+                .edge_ids()
+                .map(|e| {
+                    let (l, r) = view.edge_faces(e);
+                    (l.0, r.0)
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The cells of a face-set region besides its faces, each list ascending.
+#[derive(Clone, Debug)]
+struct Parts {
+    /// Edges with exactly one incident face in the set.
+    boundary_edges: Vec<usize>,
+    /// Edges with both incident faces in the set.
+    interior_edges: Vec<usize>,
+    /// Vertices with some but not all incident faces in the set.
+    boundary_vertices: Vec<usize>,
+    /// Vertices with all incident faces in the set.
+    interior_vertices: Vec<usize>,
+}
+
+/// The enumerated quantifier domain, with the parts of each value walked on
+/// first use.
+#[derive(Clone, Debug)]
+struct Domain {
+    regions: Vec<FaceSet>,
+    parts: Vec<OnceLock<Parts>>,
+}
+
+/// A region operand of an atom: its faces and the memo slot of its parts.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    faces: &'a FaceSet,
+    parts: &'a OnceLock<Parts>,
+}
+
 impl CellEvaluator {
     /// Build the evaluator for an instance (constructs the zero-copy complex
-    /// view).
+    /// view and evaluates over it).
     pub fn new(instance: &SpatialInstance) -> CellEvaluator {
-        CellEvaluator::from_complex(&build_complex_view(instance))
+        CellEvaluator::from_view(Arc::new(build_complex_view(instance)))
+    }
+
+    /// The evaluator over a shared view: `O(regions + components)` to
+    /// build, with every other table resolved from the view on first use
+    /// (see the module docs' cost model). This is the product evaluator;
+    /// the view's components carry what it derives from them alone across
+    /// commits.
+    pub fn from_view(view: Arc<GlobalComplexView>) -> CellEvaluator {
+        let bboxes = view.region_bboxes();
+        let name_sets = (0..bboxes.len()).map(|_| OnceLock::new()).collect();
+        CellEvaluator::with_cells(Cells::View { view, name_sets }, bboxes)
     }
 
     /// Build the evaluator from an existing cell complex — either the flat
@@ -126,45 +277,49 @@ impl CellEvaluator {
     /// [`arrangement::GlobalComplexView`] (any [`ComplexRead`]
     /// implementation; the two are index-identical, so the evaluator does
     /// not depend on the representation).
+    ///
+    /// This is the eager whole-complex *reference*: it copies the incidence
+    /// of every edge and the face set and box of every region up front, and
+    /// serves as the differential oracle of [`CellEvaluator::from_view`],
+    /// which answers identically.
     pub fn from_complex<C: ComplexRead>(complex: &C) -> CellEvaluator {
         let face_count = complex.face_count();
-        let exterior = complex.exterior_face().0;
-        let mut dual = vec![BTreeSet::new(); face_count];
-        let mut edge_faces = Vec::with_capacity(complex.edge_count());
-        let mut edge_vertices = Vec::with_capacity(complex.edge_count());
-        for e in complex.edge_ids() {
-            let (l, r) = complex.edge_faces(e);
-            edge_faces.push((l.0, r.0));
-            let (tail, head) = complex.edge_endpoints(e);
-            edge_vertices.push((tail.0, head.0));
-            if l != r {
-                dual[l.0].insert(r.0);
-                dual[r.0].insert(l.0);
-            }
-        }
-        let mut vertex_faces = vec![BTreeSet::new(); complex.vertex_count()];
-        for v in complex.vertex_ids() {
-            for f in complex.vertex_faces(v) {
-                vertex_faces[v.0].insert(f.0);
-            }
-        }
+        let mut face_edges = vec![Vec::new(); face_count];
+        let edges = complex
+            .edge_ids()
+            .map(|e| {
+                let (l, r) = complex.edge_faces(e);
+                let (tail, head) = complex.edge_endpoints(e);
+                face_edges[l.0].push(e.0);
+                if r != l {
+                    face_edges[r.0].push(e.0);
+                }
+                ((l.0, r.0), (tail.0, head.0))
+            })
+            .collect();
         let names: Vec<String> = complex.region_names().to_vec();
         debug_assert!(names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
-        let name_sets: Vec<FaceSet> = names
+        let name_sets = names
             .iter()
             .map(|name| complex.region_faces(name).into_iter().map(|f| f.0).collect())
             .collect();
-        let bboxes = complex.region_bboxes();
-        CellEvaluator {
-            face_count,
-            exterior,
-            dual,
-            edge_faces,
-            edge_vertices,
-            vertex_faces,
+        let cells = CopiedCells {
             names,
             name_sets,
+            face_count,
+            exterior: complex.exterior_face().0,
+            face_edges,
+            edges,
+        };
+        CellEvaluator::with_cells(Cells::Copied(Box::new(cells)), complex.region_bboxes())
+    }
+
+    fn with_cells(cells: Cells, bboxes: Vec<Option<BBox>>) -> CellEvaluator {
+        CellEvaluator {
+            name_parts: (0..bboxes.len()).map(|_| OnceLock::new()).collect(),
+            cells,
             bboxes,
+            dual: OnceLock::new(),
             index: OnceLock::new(),
             assignments: Arc::new(AtomicU64::new(0)),
             rel_shortcut_hits: Arc::new(AtomicU64::new(0)),
@@ -192,10 +347,15 @@ impl CellEvaluator {
 
     /// The spatial index over the named regions' bounding boxes, built on
     /// first use (unless pre-seeded via
-    /// [`CellEvaluator::with_spatial_index`]). The query planner draws its
-    /// bbox-neighbor candidate generators from it.
+    /// [`CellEvaluator::with_spatial_index`]); an evaluator over a view
+    /// shares the view's own
+    /// [`region_bbox_index`](GlobalComplexView::region_bbox_index). The
+    /// query planner draws its bbox-neighbor candidate generators from it.
     pub fn spatial_index(&self) -> &Arc<SpatialIndex> {
-        self.index.get_or_init(|| Arc::new(SpatialIndex::build(&self.bboxes)))
+        self.index.get_or_init(|| match &self.cells {
+            Cells::View { view, .. } => view.region_bbox_index(),
+            Cells::Copied(_) => Arc::new(SpatialIndex::build(&self.bboxes)),
+        })
     }
 
     /// How many candidate values the binding enumerators have tried (naive
@@ -236,38 +396,65 @@ impl CellEvaluator {
 
     /// The region names known to the evaluator.
     pub fn names(&self) -> Vec<&str> {
-        self.names.iter().map(String::as_str).collect()
+        self.cells.names().iter().map(String::as_str).collect()
     }
 
     /// The index of a region name in the canonical (sorted) name order.
     fn name_index(&self, name: &str) -> Option<usize> {
-        self.names.binary_search_by(|n| n.as_str().cmp(name)).ok()
+        self.cells.names().binary_search_by(|n| n.as_str().cmp(name)).ok()
     }
 
     /// The face set of a named region.
     pub fn named_region(&self, name: &str) -> Option<&FaceSet> {
-        Some(&self.name_sets[self.name_index(name)?])
+        Some(self.cells.name_set(self.name_index(name)?))
+    }
+
+    fn name_operand(&self, i: usize) -> Operand<'_> {
+        Operand { faces: self.cells.name_set(i), parts: &self.name_parts[i] }
     }
 
     /// All legitimate quantifier values: nonempty, dual-connected,
     /// simply-connected unions of bounded faces.
     pub fn quantifier_domain(&self) -> Result<&[FaceSet], EvalError> {
-        let result = self.domain.get_or_init(|| self.enumerate_regions());
-        match result {
-            Ok(v) => Ok(v.as_slice()),
-            Err(e) => Err(e.clone()),
-        }
+        self.domain().map(|d| d.regions.as_slice())
+    }
+
+    fn domain(&self) -> Result<&Domain, EvalError> {
+        let result = self.domain.get_or_init(|| {
+            let regions = self.enumerate_regions()?;
+            let parts = (0..regions.len()).map(|_| OnceLock::new()).collect();
+            Ok(Domain { regions, parts })
+        });
+        result.as_ref().map_err(Clone::clone)
+    }
+
+    /// The dual graph, built on first use from every edge's two faces.
+    fn dual(&self) -> &[Vec<usize>] {
+        self.dual.get_or_init(|| {
+            let mut dual = vec![Vec::new(); self.cells.face_count()];
+            for (l, r) in self.cells.edge_faces() {
+                if l != r {
+                    dual[l].push(r);
+                    dual[r].push(l);
+                }
+            }
+            for neighbors in &mut dual {
+                neighbors.sort_unstable();
+                neighbors.dedup();
+            }
+            dual
+        })
     }
 
     fn enumerate_regions(&self) -> Result<Vec<FaceSet>, EvalError> {
-        let bounded: Vec<usize> = (0..self.face_count).filter(|&f| f != self.exterior).collect();
+        let exterior = self.cells.exterior();
         let mut out: Vec<FaceSet> = Vec::new();
         // Enumerate connected subsets of the dual graph restricted to bounded
         // faces, by the standard "extend with larger-indexed neighbors of the
         // component, anchored at its minimum element" scheme.
-        for &start in &bounded {
+        for start in (0..self.cells.face_count()).filter(|&f| f != exterior) {
             let mut current: FaceSet = BTreeSet::from([start]);
-            self.extend_regions(start, &mut current, &mut out)?;
+            self.extend_regions(start, &mut current, &mut out, &[])?;
         }
         // Keep only simply connected ones (complement connected through the
         // dual graph, exterior face included).
@@ -275,47 +462,10 @@ impl CellEvaluator {
         Ok(out)
     }
 
+    /// Record `current` and every connected extension of it by faces larger
+    /// than `anchor`, each exactly once: candidates tried (and so recorded)
+    /// by an earlier sibling branch are `excluded` from the later ones.
     fn extend_regions(
-        &self,
-        anchor: usize,
-        current: &mut FaceSet,
-        out: &mut Vec<FaceSet>,
-    ) -> Result<(), EvalError> {
-        if out.len() >= self.domain_cap {
-            return Err(EvalError::DomainTooLarge {
-                regions_found: out.len(),
-                cap: self.domain_cap,
-            });
-        }
-        out.push(current.clone());
-        // Candidate extensions: neighbors of the current set, larger than the
-        // anchor, not already present.
-        let mut candidates: Vec<usize> = Vec::new();
-        for &f in current.iter() {
-            for &g in &self.dual[f] {
-                if g > anchor && g != self.exterior && !current.contains(&g) && !candidates.contains(&g)
-                {
-                    candidates.push(g);
-                }
-            }
-        }
-        candidates.sort();
-        for (i, &g) in candidates.iter().enumerate() {
-            // To avoid duplicates, only extend with candidates not adjacent to
-            // a smaller unused candidate already rejected — the classic
-            // enumeration uses an exclusion set; for the modest sizes used in
-            // tests and benchmarks a simpler dedup via sorted insertion works:
-            // skip if g could have been added before any candidate < g that is
-            // also adjacent... Simplest correct approach: recurse excluding
-            // previously tried candidates.
-            current.insert(g);
-            self.extend_regions_excluding(anchor, current, out, &candidates[..i])?;
-            current.remove(&g);
-        }
-        Ok(())
-    }
-
-    fn extend_regions_excluding(
         &self,
         anchor: usize,
         current: &mut FaceSet,
@@ -329,11 +479,13 @@ impl CellEvaluator {
             });
         }
         out.push(current.clone());
+        let exterior = self.cells.exterior();
+        let dual = self.dual();
         let mut candidates: Vec<usize> = Vec::new();
         for &f in current.iter() {
-            for &g in &self.dual[f] {
+            for &g in &dual[f] {
                 if g > anchor
-                    && g != self.exterior
+                    && g != exterior
                     && !current.contains(&g)
                     && !excluded.contains(&g)
                     && !candidates.contains(&g)
@@ -347,144 +499,127 @@ impl CellEvaluator {
             current.insert(g);
             let mut next_excluded = excluded.to_vec();
             next_excluded.extend_from_slice(&candidates[..i]);
-            self.extend_regions_excluding(anchor, current, out, &next_excluded)?;
+            self.extend_regions(anchor, current, out, &next_excluded)?;
             current.remove(&g);
         }
         Ok(())
     }
 
     fn complement_connected(&self, s: &FaceSet) -> bool {
-        let complement: Vec<usize> = (0..self.face_count).filter(|f| !s.contains(f)).collect();
-        if complement.is_empty() {
+        // `s` holds bounded faces only, so its complement holds the exterior.
+        let complement = self.cells.face_count() - s.len();
+        if complement == 0 {
             return false;
         }
-        let start = self.exterior;
+        let dual = self.dual();
+        let start = self.cells.exterior();
         let mut seen: BTreeSet<usize> = BTreeSet::from([start]);
         let mut stack = vec![start];
         while let Some(f) = stack.pop() {
-            for &g in &self.dual[f] {
+            for &g in &dual[f] {
                 if !s.contains(&g) && seen.insert(g) {
                     stack.push(g);
                 }
             }
         }
-        seen.len() == complement.len()
+        seen.len() == complement
     }
 
     // ---- region part computations -------------------------------------
 
-    /// Boundary edges of a face-set region: edges with exactly one incident
-    /// face in the set.
-    fn boundary_edges(&self, s: &FaceSet) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
-        for (e, &(l, r)) in self.edge_faces.iter().enumerate() {
-            if s.contains(&l) != s.contains(&r) {
-                out.insert(e);
-            }
+    /// The edges and vertices of a face-set region, found by walking the
+    /// incidence of its own faces: an edge is a boundary edge when exactly
+    /// one of its faces is in the set and an interior edge when both are.
+    /// Around a vertex, face membership changes only across a boundary
+    /// edge, so the boundary vertices are the ends of the boundary edges and
+    /// the interior vertices the other ends of interior edges.
+    fn walk(&self, faces: &FaceSet) -> Parts {
+        let mut boundary: Vec<(usize, (usize, usize))> = Vec::new();
+        let mut interior: Vec<(usize, (usize, usize))> = Vec::new();
+        for &f in faces {
+            self.cells.for_each_face_edge(f, |e, (l, r), ends| {
+                if faces.contains(&l) && faces.contains(&r) {
+                    interior.push((e, ends));
+                } else {
+                    boundary.push((e, ends));
+                }
+            });
         }
-        out
+        fn ends_of(edges: &mut Vec<(usize, (usize, usize))>) -> Vec<usize> {
+            edges.sort_unstable();
+            edges.dedup();
+            let mut ends: Vec<usize> = edges.iter().flat_map(|&(_, (a, b))| [a, b]).collect();
+            ends.sort_unstable();
+            ends.dedup();
+            ends
+        }
+        let boundary_vertices = ends_of(&mut boundary);
+        let mut interior_vertices = ends_of(&mut interior);
+        interior_vertices.retain(|v| boundary_vertices.binary_search(v).is_err());
+        Parts {
+            boundary_edges: boundary.into_iter().map(|(e, _)| e).collect(),
+            interior_edges: interior.into_iter().map(|(e, _)| e).collect(),
+            boundary_vertices,
+            interior_vertices,
+        }
     }
 
-    /// Interior edges: both incident faces in the set.
-    fn interior_edges(&self, s: &FaceSet) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
-        for (e, &(l, r)) in self.edge_faces.iter().enumerate() {
-            if s.contains(&l) && s.contains(&r) {
-                out.insert(e);
-            }
-        }
-        out
-    }
-
-    /// Boundary vertices: vertices with some but not all incident faces in
-    /// the set.
-    fn boundary_vertices(&self, s: &FaceSet) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
-        for (v, faces) in self.vertex_faces.iter().enumerate() {
-            let inside = faces.iter().filter(|f| s.contains(f)).count();
-            if inside > 0 && inside < faces.len() {
-                out.insert(v);
-            }
-        }
-        out
-    }
-
-    /// Interior vertices: all incident faces in the set.
-    fn interior_vertices(&self, s: &FaceSet) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
-        for (v, faces) in self.vertex_faces.iter().enumerate() {
-            if !faces.is_empty() && faces.iter().all(|f| s.contains(f)) {
-                out.insert(v);
-            }
-        }
-        out
+    fn parts<'a>(&self, op: Operand<'a>) -> &'a Parts {
+        op.parts.get_or_init(|| self.walk(op.faces))
     }
 
     /// Do the closures of two face-set regions intersect (the `connect`
     /// primitive)?
     pub fn connect(&self, a: &FaceSet, b: &FaceSet) -> bool {
-        if a.intersection(b).next().is_some() {
+        let (pa, pb) = (OnceLock::new(), OnceLock::new());
+        self.connect_of(Operand { faces: a, parts: &pa }, Operand { faces: b, parts: &pb })
+    }
+
+    fn connect_of(&self, a: Operand<'_>, b: Operand<'_>) -> bool {
+        if a.faces.intersection(b.faces).next().is_some() {
             return true;
         }
-        // Closure = faces + boundary edges + their endpoints + boundary
-        // vertices; two disjoint face sets can only touch along boundary
-        // cells.
-        let be_a = self.boundary_edges(a);
-        let be_b = self.boundary_edges(b);
-        if be_a.intersection(&be_b).next().is_some() {
-            return true;
-        }
-        let verts = |edges: &BTreeSet<usize>, faces: &FaceSet| -> BTreeSet<usize> {
-            let mut out: BTreeSet<usize> = BTreeSet::new();
-            for &e in edges {
-                out.insert(self.edge_vertices[e].0);
-                out.insert(self.edge_vertices[e].1);
-            }
-            out.extend(self.boundary_vertices(faces));
-            out.extend(self.interior_vertices(faces));
-            out
-        };
-        verts(&be_a, a).intersection(&verts(&be_b, b)).next().is_some()
+        // Closure = faces + boundary edges + boundary and interior vertices;
+        // two disjoint face sets can only touch along boundary cells.
+        let (pa, pb) = (self.parts(a), self.parts(b));
+        meets(&pa.boundary_edges, &pb.boundary_edges)
+            || [&pa.boundary_vertices, &pa.interior_vertices].iter().any(|va| {
+                [&pb.boundary_vertices, &pb.interior_vertices].iter().any(|vb| meets(va, vb))
+            })
     }
 
     /// The exact 4-intersection matrix between two face-set regions.
     pub fn matrix(&self, a: &FaceSet, b: &FaceSet) -> FourIntersectionMatrix {
-        let interiors = a.intersection(b).next().is_some();
-        let be_a = self.boundary_edges(a);
-        let be_b = self.boundary_edges(b);
-        let bv_a = self.boundary_vertices(a);
-        let bv_b = self.boundary_vertices(b);
-        let boundaries = be_a.intersection(&be_b).next().is_some()
-            || bv_a.intersection(&bv_b).next().is_some();
-        let ie_a = self.interior_edges(a);
-        let iv_a = self.interior_vertices(a);
-        let ie_b = self.interior_edges(b);
-        let iv_b = self.interior_vertices(b);
-        // int(A) ∩ ∂B: a boundary cell of B that is an interior cell of A,
-        // or a boundary *edge/vertex* of B lying inside a face of A — since
-        // cells partition the plane, ∂B's cells are edges/vertices, and they
-        // are inside A's interior iff they are interior edges/vertices of A
-        // or they bound two faces that both belong to A (already covered) or
-        // they are edges/vertices incident only to faces of A (also covered).
-        let interior_a_boundary_b = be_b.intersection(&ie_a).next().is_some()
-            || bv_b.intersection(&iv_a).next().is_some();
-        let boundary_a_interior_b = be_a.intersection(&ie_b).next().is_some()
-            || bv_a.intersection(&iv_b).next().is_some();
+        let (pa, pb) = (OnceLock::new(), OnceLock::new());
+        self.matrix_of(Operand { faces: a, parts: &pa }, Operand { faces: b, parts: &pb })
+    }
+
+    fn matrix_of(&self, a: Operand<'_>, b: Operand<'_>) -> FourIntersectionMatrix {
+        let (pa, pb) = (self.parts(a), self.parts(b));
+        // int(A) ∩ ∂B: ∂B's cells are edges and vertices, and one of them
+        // lies in A's interior iff it is an interior edge or vertex of A.
         FourIntersectionMatrix {
-            interiors,
-            boundaries,
-            interior_a_boundary_b,
-            boundary_a_interior_b,
+            interiors: a.faces.intersection(b.faces).next().is_some(),
+            boundaries: meets(&pa.boundary_edges, &pb.boundary_edges)
+                || meets(&pa.boundary_vertices, &pb.boundary_vertices),
+            interior_a_boundary_b: meets(&pb.boundary_edges, &pa.interior_edges)
+                || meets(&pb.boundary_vertices, &pa.interior_vertices),
+            boundary_a_interior_b: meets(&pa.boundary_edges, &pb.interior_edges)
+                || meets(&pa.boundary_vertices, &pb.interior_vertices),
         }
     }
 
     /// The 4-intersection relation between two face-set regions.
     pub fn relation(&self, a: &FaceSet, b: &FaceSet) -> Option<Relation4> {
-        let m = self.matrix(a, b);
-        if a == b {
+        let (pa, pb) = (OnceLock::new(), OnceLock::new());
+        self.relation_of(Operand { faces: a, parts: &pa }, Operand { faces: b, parts: &pb })
+    }
+
+    fn relation_of(&self, a: Operand<'_>, b: Operand<'_>) -> Option<Relation4> {
+        if a.faces == b.faces {
             return Some(Relation4::Equal);
         }
-        Relation4::from_matrix(m)
+        Relation4::from_matrix(self.matrix_of(a, b))
     }
 
     // ---- formula evaluation ---------------------------------------------
@@ -532,11 +667,11 @@ impl CellEvaluator {
         Ok(out)
     }
 
-    fn eval_bindings_inner(
-        &self,
+    fn eval_bindings_inner<'a>(
+        &'a self,
         formula: &Formula,
         free: &[String],
-        env: &mut Environment,
+        env: &mut Environment<'a>,
         out: &mut Vec<Bindings>,
     ) -> Result<(), EvalError> {
         match free.split_first() {
@@ -551,7 +686,7 @@ impl CellEvaluator {
                 // per-candidate string clones in the hot loop.
                 env.names.insert(var.clone(), usize::MAX);
                 let mut result = Ok(());
-                for idx in 0..self.names.len() {
+                for idx in 0..self.cells.names().len() {
                     self.assignments.fetch_add(1, Ordering::Relaxed);
                     *env.names.get_mut(var).expect("bound above") = idx;
                     result = self.eval_bindings_inner(formula, rest, env, out);
@@ -578,10 +713,10 @@ impl CellEvaluator {
         if k == 0 {
             return self.eval_bindings_naive(formula, &[]);
         }
-        if self.names.is_empty() {
+        if self.cells.names().is_empty() {
             return Ok(Vec::new());
         }
-        let mut ctx = PlanCtx::new(self.names.len());
+        let mut ctx = PlanCtx::new(self.cells.names().len());
         let order = self.plan_order_ids(plan, &mut ctx);
         let mut pos_of = vec![0usize; k];
         for (p, &v) in order.iter().enumerate() {
@@ -627,7 +762,7 @@ impl CellEvaluator {
                 plan.vars()
                     .iter()
                     .zip(&vals)
-                    .map(|(v, &i)| (v.clone(), self.names[i].clone()))
+                    .map(|(v, &i)| (v.clone(), self.cells.names()[i].clone()))
                     .collect()
             })
             .collect())
@@ -668,7 +803,7 @@ impl CellEvaluator {
         placed: &[bool],
         ctx: &mut PlanCtx,
     ) -> usize {
-        let n = self.names.len();
+        let n = self.cells.names().len();
         let mut est = n;
         for g in generators {
             let e = match g {
@@ -693,7 +828,7 @@ impl CellEvaluator {
     /// variable is the one with the smallest estimated candidate set (ties
     /// broken by plan position, so the order is deterministic).
     pub fn planned_var_order(&self, plan: &QueryPlan) -> Vec<String> {
-        let mut ctx = PlanCtx::new(self.names.len());
+        let mut ctx = PlanCtx::new(self.cells.names().len());
         self.plan_order_ids(plan, &mut ctx)
             .into_iter()
             .map(|v| plan.vars()[v].clone())
@@ -721,7 +856,7 @@ impl CellEvaluator {
         if let Some(d) = ctx.avg_degree {
             return d;
         }
-        let n = self.names.len();
+        let n = self.cells.names().len();
         let total: usize =
             (0..n).map(|i| self.neighbor_count(i, ctx).unwrap_or(n)).sum();
         let d = (total / n.max(1)).max(1);
@@ -730,14 +865,14 @@ impl CellEvaluator {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn enumerate_planned(
-        &self,
+    fn enumerate_planned<'a>(
+        &'a self,
         pos: usize,
         order: &[usize],
         ready_at: &[Vec<usize>],
         plan: &QueryPlan,
         ctx: &mut PlanCtx,
-        env: &mut Environment,
+        env: &mut Environment<'a>,
         assignment: &mut Vec<usize>,
         rows: &mut Vec<Vec<usize>>,
     ) -> Result<(), EvalError> {
@@ -775,7 +910,7 @@ impl CellEvaluator {
             }
         }
         let candidates =
-            candidates.unwrap_or_else(|| (0..self.names.len()).collect());
+            candidates.unwrap_or_else(|| (0..self.cells.names().len()).collect());
 
         env.names.insert(var.clone(), usize::MAX);
         for idx in candidates {
@@ -813,7 +948,7 @@ impl CellEvaluator {
     fn materialize_row(&self, names_env: &BTreeMap<String, usize>) -> Bindings {
         names_env
             .iter()
-            .map(|(v, &i)| (v.clone(), self.names[i].clone()))
+            .map(|(v, &i)| (v.clone(), self.cells.names()[i].clone()))
             .collect()
     }
 
@@ -830,21 +965,24 @@ impl CellEvaluator {
         }
     }
 
-    fn resolve_region(&self, e: &RegionExpr, env: &Environment) -> Result<FaceSet, EvalError> {
+    fn resolve_region<'a>(
+        &'a self,
+        e: &RegionExpr,
+        env: &Environment<'a>,
+    ) -> Result<Operand<'a>, EvalError> {
         match e {
-            RegionExpr::Var(v) => env
-                .regions
-                .get(v)
-                .cloned()
-                .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
-            RegionExpr::Ext(t) => {
-                let idx = self.resolve_name(t, env)?;
-                Ok(self.name_sets[idx].clone())
+            RegionExpr::Var(v) => {
+                env.regions.get(v).copied().ok_or_else(|| EvalError::UnboundVariable(v.clone()))
             }
+            RegionExpr::Ext(t) => Ok(self.name_operand(self.resolve_name(t, env)?)),
         }
     }
 
-    fn eval_inner(&self, formula: &Formula, env: &mut Environment) -> Result<bool, EvalError> {
+    fn eval_inner<'a>(
+        &'a self,
+        formula: &Formula,
+        env: &mut Environment<'a>,
+    ) -> Result<bool, EvalError> {
         match formula {
             Formula::Rel(r, p, q) => {
                 // Bounding-box short-circuits for named operands: a
@@ -856,50 +994,48 @@ impl CellEvaluator {
                 // the left (so the right box inside the left box),
                 // `inside`/`covered_by` the converse, `equal` implies
                 // identical boundaries and hence identical boxes. Either
-                // way the atom is answered without materializing face sets
-                // or intersecting cell sets. Anonymous (quantified)
+                // way the atom is answered without resolving face sets or
+                // intersecting cell sets. A region with a box has a
+                // boundary edge, and its polygon has positive area, so its
+                // face set is not empty (empty regions would compare
+                // `equal` whatever their boxes). Anonymous (quantified)
                 // operands have no precomputed box and fall through to the
-                // full 4-intersection classifier, as do the degenerate
-                // cases (missing box, empty face set — empty regions
-                // compare `equal` whatever their boxes).
+                // full 4-intersection classifier, as do boxless names.
                 if let (RegionExpr::Ext(pt), RegionExpr::Ext(qt)) = (p, q) {
                     let pi = self.resolve_name(pt, env)?;
                     let qi = self.resolve_name(qt, env)?;
                     if let (Some(pb), Some(qb)) = (&self.bboxes[pi], &self.bboxes[qi]) {
-                        if !self.name_sets[pi].is_empty() && !self.name_sets[qi].is_empty() {
-                            if !pb.intersects(qb) {
-                                self.rel_shortcut_hits.fetch_add(1, Ordering::Relaxed);
-                                return Ok(*r == Relation4::Disjoint);
-                            }
-                            let nested = match r {
-                                Relation4::Contains | Relation4::Covers => pb.contains_box(qb),
-                                Relation4::Inside | Relation4::CoveredBy => qb.contains_box(pb),
-                                Relation4::Equal => pb == qb,
-                                _ => true,
-                            };
-                            if !nested {
-                                self.rel_nesting_hits.fetch_add(1, Ordering::Relaxed);
-                                return Ok(false);
-                            }
+                        if !pb.intersects(qb) {
+                            self.rel_shortcut_hits.fetch_add(1, Ordering::Relaxed);
+                            return Ok(*r == Relation4::Disjoint);
+                        }
+                        let nested = match r {
+                            Relation4::Contains | Relation4::Covers => pb.contains_box(qb),
+                            Relation4::Inside | Relation4::CoveredBy => qb.contains_box(pb),
+                            Relation4::Equal => pb == qb,
+                            _ => true,
+                        };
+                        if !nested {
+                            self.rel_nesting_hits.fetch_add(1, Ordering::Relaxed);
+                            return Ok(false);
                         }
                     }
-                    let a = self.name_sets[pi].clone();
-                    let b = self.name_sets[qi].clone();
-                    return Ok(self.relation(&a, &b) == Some(*r));
+                    let (a, b) = (self.name_operand(pi), self.name_operand(qi));
+                    return Ok(self.relation_of(a, b) == Some(*r));
                 }
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
-                Ok(self.relation(&a, &b) == Some(*r))
+                Ok(self.relation_of(a, b) == Some(*r))
             }
             Formula::Connect(p, q) => {
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
-                Ok(self.connect(&a, &b))
+                Ok(self.connect_of(a, b))
             }
             Formula::Subset(p, q) => {
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
-                Ok(a.is_subset(&b))
+                Ok(a.faces.is_subset(b.faces))
             }
             Formula::NameEq(x, y) => {
                 Ok(self.resolve_name(x, env)? == self.resolve_name(y, env)?)
@@ -934,18 +1070,18 @@ impl CellEvaluator {
     /// same variable name — a shadowed quantifier or a free variable being
     /// enumerated by [`CellEvaluator::eval_bindings`] — is restored before
     /// returning.
-    fn quantify_region(
-        &self,
+    fn quantify_region<'a>(
+        &'a self,
         var: &str,
         body: &Formula,
-        env: &mut Environment,
+        env: &mut Environment<'a>,
         existential: bool,
     ) -> Result<bool, EvalError> {
-        let domain = self.quantifier_domain()?.to_vec();
+        let domain = self.domain()?;
         let saved = env.regions.remove(var);
         let mut result = Ok(!existential);
-        for value in domain {
-            env.regions.insert(var.to_string(), value);
+        for (faces, parts) in domain.regions.iter().zip(&domain.parts) {
+            env.regions.insert(var.to_string(), Operand { faces, parts });
             match self.eval_inner(body, env) {
                 Ok(b) if b == existential => {
                     result = Ok(existential);
@@ -967,16 +1103,16 @@ impl CellEvaluator {
 
     /// Name-variable counterpart of [`CellEvaluator::quantify_region`]: the
     /// domain is `names(I)`, with the same shadow-restoring contract.
-    fn quantify_name(
-        &self,
+    fn quantify_name<'a>(
+        &'a self,
         var: &str,
         body: &Formula,
-        env: &mut Environment,
+        env: &mut Environment<'a>,
         existential: bool,
     ) -> Result<bool, EvalError> {
         let saved = env.names.remove(var);
         let mut result = Ok(!existential);
-        for idx in 0..self.names.len() {
+        for idx in 0..self.cells.names().len() {
             env.names.insert(var.to_string(), idx);
             match self.eval_inner(body, env) {
                 Ok(b) if b == existential => {
@@ -1000,10 +1136,11 @@ impl CellEvaluator {
 
 /// Variable bindings during evaluation. Name variables bind to *indices*
 /// into the evaluator's sorted name list (interning — the enumeration hot
-/// loops never clone a name string); region variables bind to face sets.
+/// loops never clone a name string); region variables bind to quantifier
+/// domain values, borrowed with their parts memo.
 #[derive(Default)]
-struct Environment {
-    regions: BTreeMap<String, FaceSet>,
+struct Environment<'a> {
+    regions: BTreeMap<String, Operand<'a>>,
     names: BTreeMap<String, usize>,
 }
 
@@ -1018,6 +1155,19 @@ impl PlanCtx {
     fn new(n: usize) -> PlanCtx {
         PlanCtx { neighbors: vec![None; n], avg_degree: None }
     }
+}
+
+/// Do two ascending-sorted index lists share an element?
+fn meets(a: &[usize], b: &[usize]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
 }
 
 /// Intersection of two ascending-sorted index lists.
@@ -1352,6 +1502,103 @@ mod tests {
             capped.quantifier_domain(),
             Err(EvalError::DomainTooLarge { .. })
         ));
+    }
+
+    fn domain_fixtures() -> Vec<(&'static str, SpatialInstance)> {
+        vec![
+            ("fig_1a", fixtures::fig_1a()),
+            ("fig_1b", fixtures::fig_1b()),
+            ("fig_1c", fixtures::fig_1c()),
+            ("fig_1d", fixtures::fig_1d()),
+            ("nested_three", fixtures::nested_three()),
+        ]
+    }
+
+    #[test]
+    fn quantifier_domain_is_every_disc_like_face_union_once() {
+        // Brute force over all subsets of bounded faces: the enumerator must
+        // list exactly the dual-connected, complement-connected ones, each
+        // once.
+        for (name, inst) in domain_fixtures() {
+            let complex = build_complex_view(&inst);
+            let ev = CellEvaluator::new(&inst);
+            let dual = ev.dual();
+            let exterior = complex.exterior_face().0;
+            let bounded: Vec<usize> =
+                (0..complex.face_count()).filter(|&f| f != exterior).collect();
+            assert!(bounded.len() <= 16, "{name}: brute force stays small");
+            let connected = |set: &FaceSet, start: usize| -> usize {
+                let mut seen = BTreeSet::from([start]);
+                let mut stack = vec![start];
+                while let Some(f) = stack.pop() {
+                    for &g in &dual[f] {
+                        if set.contains(&g) && seen.insert(g) {
+                            stack.push(g);
+                        }
+                    }
+                }
+                seen.len()
+            };
+            let mut expected: BTreeSet<FaceSet> = BTreeSet::new();
+            for mask in 1u32..(1 << bounded.len()) {
+                let s: FaceSet = bounded
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask >> i & 1 == 1)
+                    .map(|(_, &f)| f)
+                    .collect();
+                let rest: FaceSet = (0..complex.face_count()).filter(|f| !s.contains(f)).collect();
+                let first = *s.iter().next().expect("nonempty");
+                if connected(&s, first) == s.len() && connected(&rest, exterior) == rest.len() {
+                    expected.insert(s);
+                }
+            }
+            let domain = ev.quantifier_domain().unwrap();
+            let listed: BTreeSet<FaceSet> = domain.iter().cloned().collect();
+            assert_eq!(listed.len(), domain.len(), "{name}: a value listed twice");
+            assert_eq!(listed, expected, "{name}");
+        }
+    }
+
+    #[test]
+    fn face_set_walk_equals_the_whole_complex_scan() {
+        // The walk over a face set's own incidence against the definitions
+        // applied to every edge and vertex of the flat complex.
+        for (name, inst) in domain_fixtures().into_iter().chain([
+            ("ring_with_island", fixtures::ring_with_island(true)),
+            ("shared_boundary", fixtures::shared_boundary()),
+        ]) {
+            let flat = build_complex_view(&inst).to_cell_complex();
+            let ev = CellEvaluator::new(&inst);
+            let named = ev.names().into_iter().map(|n| ev.named_region(n).unwrap().clone());
+            for s in named.chain(ev.quantifier_domain().unwrap().iter().cloned()) {
+                let inside = |f: FaceId| s.contains(&f.0);
+                let edges = |both: bool| -> Vec<usize> {
+                    flat.edge_ids()
+                        .filter(|&e| {
+                            let (l, r) = ComplexRead::edge_faces(&flat, e);
+                            if both { inside(l) && inside(r) } else { inside(l) != inside(r) }
+                        })
+                        .map(|e| e.0)
+                        .collect()
+                };
+                let vertices = |all: bool| -> Vec<usize> {
+                    flat.vertex_ids()
+                        .filter(|&v| {
+                            let faces = flat.vertex_faces(v);
+                            let n = faces.iter().filter(|&&f| inside(f)).count();
+                            if all { n > 0 && n == faces.len() } else { n > 0 && n < faces.len() }
+                        })
+                        .map(|v| v.0)
+                        .collect()
+                };
+                let parts = ev.walk(&s);
+                assert_eq!(parts.boundary_edges, edges(false), "{name} {s:?}");
+                assert_eq!(parts.interior_edges, edges(true), "{name} {s:?}");
+                assert_eq!(parts.boundary_vertices, vertices(false), "{name} {s:?}");
+                assert_eq!(parts.interior_vertices, vertices(true), "{name} {s:?}");
+            }
+        }
     }
 
     #[test]

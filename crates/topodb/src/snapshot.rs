@@ -36,8 +36,17 @@ use std::sync::{Arc, OnceLock};
 /// pre-compiled [`PreparedQuery`]s ([`Snapshot::evaluate`]); results are
 /// [`QueryOutput::Bool`] for sentences and [`QueryOutput::Bindings`] (the
 /// satisfying name assignments) for formulas with free name variables. The
-/// first evaluation on a snapshot builds its [`CellEvaluator`] from the
+/// first evaluation on a snapshot builds its [`CellEvaluator`] over the
 /// zero-copy view; later evaluations (from any thread, any clone) share it.
+///
+/// Derived state lives where its inputs live. What a component determines
+/// alone — each of its regions' interior faces and boundary box — is
+/// memoized on the `Arc<ComponentComplex>` and carried with it across
+/// commits, so a fresh snapshot derives it only for the components the
+/// commit rebuilt. What depends on the whole epoch — id offsets, nesting
+/// parents and inherited labels (per-epoch glue on the view), the spatial
+/// index, the evaluator's per-name face sets and the [`Invariant`] — is
+/// built per snapshot, lazily.
 ///
 /// [`TopoDatabase::snapshot`]: crate::TopoDatabase::snapshot
 #[derive(Clone, Debug)]
@@ -145,16 +154,17 @@ impl Snapshot {
     /// The shared cell-complex query evaluator of this snapshot, built on
     /// first use. Exposed so callers running many [`PreparedQuery`]s can
     /// amortize even the `Arc` clone; `query`/`evaluate` use it internally.
-    /// The evaluator is seeded with the snapshot's cached spatial index
-    /// ([`Snapshot::spatial_index`]), so the semi-join planner never builds
-    /// a second one.
+    /// The evaluator is a view over the snapshot's complex
+    /// ([`CellEvaluator::from_view`]): building it costs
+    /// `O(regions + components)`, it resolves face sets per name on first
+    /// use, and its semi-join planner shares the snapshot's cached spatial
+    /// index ([`Snapshot::spatial_index`]).
     pub fn evaluator(&self) -> Arc<CellEvaluator> {
-        Arc::clone(self.inner.evaluator.get_or_init(|| {
-            Arc::new(
-                CellEvaluator::from_complex(self.inner.view.as_ref())
-                    .with_spatial_index(self.inner.view.region_bbox_index()),
-            )
-        }))
+        Arc::clone(
+            self.inner
+                .evaluator
+                .get_or_init(|| Arc::new(CellEvaluator::from_view(Arc::clone(&self.inner.view)))),
+        )
     }
 
     /// The STR-packed R-tree over this snapshot's region bounding boxes,

@@ -309,3 +309,26 @@ fn replacement_and_duplicate_names_coalesce() {
     assert_eq!(commit.epoch, epoch + 1);
     assert_eq!(db.snapshot().relation("B", "A").unwrap().name(), "inside");
 }
+
+/// Memos derived from one component ride on it across commits: after a
+/// one-region commit, the first query on the new snapshot derives them only
+/// for the components the commit rebuilt.
+#[test]
+fn a_fresh_snapshot_derives_memos_only_for_rebuilt_components() {
+    let every_name = PreparedQuery::compile("forallname a . subset(ext(a), ext(a))").unwrap();
+    let mut db = clustered_db(8, 6);
+    db.snapshot().evaluate(&every_name).unwrap();
+    let rebuilds = db.component_rebuild_count();
+
+    db.insert("Fresh", Region::rect_from_ints(2, 2, 9, 9));
+    let rebuilt = db.component_rebuild_count() - rebuilds;
+    let snapshot = db.snapshot();
+    assert_eq!(snapshot.complex_view().memo_builds(), 0, "the commit builds no memo");
+    snapshot.evaluate(&every_name).unwrap();
+    assert!(rebuilt >= 1);
+    assert_eq!(
+        snapshot.complex_view().memo_builds(),
+        2 * rebuilt,
+        "boxes and faces per rebuilt component"
+    );
+}
