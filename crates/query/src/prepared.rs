@@ -5,7 +5,7 @@
 //! but the per-*query* costs of parsing the concrete syntax and analyzing the
 //! formula (free variables, evaluability) are pure query-side work. A
 //! [`PreparedQuery`] front-loads all of it: compile a query string once and
-//! run it against any number of cell complexes, evaluators or (through
+//! run it against any number of evaluators or (through
 //! `topodb::Snapshot::evaluate`) database snapshots, from any number of
 //! threads.
 //!
@@ -36,7 +36,6 @@ use crate::ast::Formula;
 use crate::cell_eval::{Bindings, CellEvaluator, EvalError};
 use crate::parser::{parse, ParseError};
 use crate::plan::QueryPlan;
-use arrangement::ComplexRead;
 use std::fmt;
 
 /// The result of running a query: a truth value for closed formulas, or the
@@ -189,21 +188,6 @@ impl PreparedQuery {
         self.free_names.is_empty()
     }
 
-    /// The existential closure of the formula: every free name variable
-    /// wrapped in `existsname`, turning the open query into the sentence
-    /// "some satisfying assignment exists".
-    ///
-    /// This is the short-circuiting way to answer the Boolean collapse of a
-    /// set-returning query ([`QueryOutput::holds`] on the bindings gives the
-    /// same answer, but only after materializing every row): evaluating the
-    /// closure stops at the first witness.
-    pub fn existential_closure(&self) -> Formula {
-        self.free_names
-            .iter()
-            .rev()
-            .fold(self.formula.clone(), |acc, v| Formula::exists_name(v.clone(), acc))
-    }
-
     /// The compile-time semi-join plan, present iff the query is open.
     pub fn plan(&self) -> Option<&QueryPlan> {
         self.plan.as_ref()
@@ -222,12 +206,6 @@ impl PreparedQuery {
         }
     }
 
-    /// Run against any cell complex representation (flat
-    /// [`arrangement::CellComplex`] or zero-copy
-    /// [`arrangement::GlobalComplexView`]); builds a fresh evaluator.
-    pub fn run_on_complex<C: ComplexRead>(&self, complex: &C) -> Result<QueryOutput, EvalError> {
-        self.run_on(&CellEvaluator::from_complex(complex))
-    }
 }
 
 #[cfg(test)]

@@ -343,8 +343,8 @@ fn parse_env_log(value: Option<&str>) -> Option<EnvLog> {
 ///
 /// The sync policy is `none`: the attach exists to exercise the
 /// logging/replay *protocol* across the whole suite, and thousands of
-/// fsyncs would dominate its runtime (`percommit` is the default for real
-/// [`crate::TopoDatabase::create`] databases).
+/// fsyncs would dominate its runtime (`percommit` is the default of
+/// [`crate::StorageOptions`] for real databases).
 pub(crate) fn ephemeral(instance: &SpatialInstance) -> Option<Durability> {
     static MODE: OnceLock<Option<EnvLog>> = OnceLock::new();
     static SEQ: AtomicU64 = AtomicU64::new(0);

@@ -55,7 +55,7 @@
 use crate::durability::Durability;
 use crate::snapshot::Snapshot;
 use crate::transaction::{CommitSummary, Op};
-use arrangement::{CellComplex, ComponentComplex, GlobalComplexView};
+use arrangement::{ComponentComplex, GlobalComplexView};
 use spatial_core::instance::SpatialInstance;
 use spatial_core::region::Region;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,9 +87,6 @@ pub(crate) struct EpochState {
     /// head; only the root epoch (constructed without a commit) builds
     /// lazily on first read, so constructing a database stays free.
     built: OnceLock<Snapshot>,
-    /// The flat deep-copied complex, materialized only on explicit request
-    /// ([`TopoDatabase::cell_complex`](crate::TopoDatabase::cell_complex)).
-    flat: OnceLock<Arc<CellComplex>>,
 }
 
 /// The component with exactly the name set `key`, if `components` (in
@@ -120,19 +117,6 @@ impl EpochState {
     /// update: nothing to carry, every name changed.
     pub fn built(&self, counters: &BuildCounters) -> &Snapshot {
         self.built.get_or_init(|| build_cold(self.epoch, &self.instance, counters))
-    }
-
-    /// The flat deep-copied complex of this epoch, materialized on first
-    /// request and shared afterwards.
-    pub fn flat(&self, counters: &BuildCounters) -> Arc<CellComplex> {
-        let snapshot = self.built(counters);
-        Arc::clone(self.flat.get_or_init(|| Arc::new(snapshot.view_ref().to_cell_complex())))
-    }
-
-    /// Whether the flat copy has been materialized (for
-    /// [`TopoDatabase::summary`](crate::TopoDatabase::summary)).
-    pub fn has_flat(&self) -> bool {
-        self.flat.get().is_some()
     }
 }
 
@@ -232,7 +216,7 @@ impl EpochChain {
     /// database at the epoch its log replayed to, and commits continue the
     /// numbering from there (so re-logged epochs line up with the log).
     pub fn new_at(instance: Arc<SpatialInstance>, epoch: u64) -> Self {
-        let root = EpochState { epoch, instance, built: OnceLock::new(), flat: OnceLock::new() };
+        let root = EpochState { epoch, instance, built: OnceLock::new() };
         EpochChain { head: RwLock::new(Arc::new(root)), publish: Mutex::new(()) }
     }
 
@@ -285,7 +269,6 @@ impl EpochChain {
                         epoch: base.epoch + 1,
                         instance: Arc::clone(&instance),
                         built: OnceLock::from(built.clone()),
-                        flat: OnceLock::new(),
                     });
                     // The replaced head is `base`, which this commit still
                     // holds: the store frees nothing, and the superseded

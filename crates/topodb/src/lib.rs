@@ -85,13 +85,10 @@ pub use snapshot::Snapshot;
 pub use transaction::{CommitSummary, Transaction};
 pub use wal::{SyncPolicy, WalConfig};
 
-use arrangement::{CellComplex, ComponentComplex, GlobalComplexView};
+use arrangement::ComponentComplex;
 use durability::Durability;
 use epoch::{BuildCounters, EpochChain};
-use invariant::Invariant;
-use relations::Relation4;
 use spatial_core::instance::SpatialInstance;
-use spatial_core::region::Region;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -113,13 +110,6 @@ use transaction::Op;
 ///   owns the assembled view and every derived read (relations, queries,
 ///   invariant, thematic). Long-lived snapshots keep answering for their
 ///   epoch after later commits (snapshot isolation for readers).
-///
-/// The inherent read methods ([`TopoDatabase::relation`],
-/// [`TopoDatabase::query`], [`TopoDatabase::invariant`], …) and the
-/// single-mutation [`TopoDatabase::insert`] / [`TopoDatabase::remove`] are
-/// retained as thin wrappers over those two paths for convenience and
-/// backward compatibility — new code should prefer snapshots and
-/// transactions.
 ///
 /// ## Concurrency model
 ///
@@ -187,11 +177,12 @@ use transaction::Op;
 /// partition of the carried instance would be — is checked step by step in
 /// `crates/arrangement/tests/incremental_partition.rs`.
 ///
-/// The global complex is assembled *by view* ([`GlobalComplexView`]): the
-/// epoch's `Arc<ComponentComplex>`es are composed behind a compact id
-/// translation table, with no per-cell copying, and a commit patches the
-/// base epoch's table ([`GlobalComplexView::updated`]: only new components
-/// are located in the nesting forest). The cost of a commit is therefore
+/// The global complex is assembled *by view*
+/// ([`GlobalComplexView`](arrangement::GlobalComplexView)): the epoch's
+/// `Arc<ComponentComplex>`es are composed behind a compact id translation
+/// table, with no per-cell copying, and a commit patches the base epoch's
+/// table ([`GlobalComplexView::updated`](arrangement::GlobalComplexView::updated):
+/// only new components are located in the nesting forest). The cost of a commit is therefore
 /// `O(affected clusters)` re-sweeping plus per-database bookkeeping of one
 /// step per component and one name and pointer copy per region — instead of
 /// a full `O((n + k) log n)` re-sweep, or even a re-partition, of the whole
@@ -208,10 +199,11 @@ use transaction::Op;
 ///
 /// ## Durability model
 ///
-/// A database is in-memory by default; [`TopoDatabase::create`] and
-/// [`TopoDatabase::open`] attach a **write-ahead log** (the `wal` crate)
-/// rooted at a directory, after which every committed batch is persisted
-/// as one checksummed record — epoch number, the insert/remove ops with
+/// A database is in-memory by default;
+/// [`TopoDatabase::create_with_storage`] and
+/// [`TopoDatabase::open_with_storage`] attach a **write-ahead log** (the
+/// `wal` crate) rooted at a directory, after which every committed batch is
+/// persisted as one checksummed record — epoch number, the insert/remove ops with
 /// exact rational coordinates, the changed-name set — and the database
 /// survives a crash.
 ///
@@ -270,11 +262,11 @@ use transaction::Op;
 ///   corruption (including a checksum failure mid-log) fails the open
 ///   loudly with the offending file and byte offset.
 ///
-/// The storage backend itself is pluggable ([`wal::Vfs`]):
-/// [`TopoDatabase::create_with_storage`] / [`TopoDatabase::open_with_storage`]
-/// take [`StorageOptions`] bundling the log config, the retry policy, the
-/// backend (default: the real filesystem) and the backoff clock. The
-/// deterministic in-memory [`wal::SimFs`] with a seeded [`wal::FaultPlan`]
+/// The storage backend itself is pluggable ([`wal::Vfs`]): both
+/// constructors take [`StorageOptions`] bundling the log config, the retry
+/// policy, the backend (default: the real filesystem) and the backoff
+/// clock; `StorageOptions::default()` is a per-commit-fsynced log on disk.
+/// The deterministic in-memory [`wal::SimFs`] with a seeded [`wal::FaultPlan`]
 /// is how the chaos suite drives every failure path above on demand.
 ///
 /// Setting `TOPODB_WAL=on` attaches a throwaway temp-dir log (sync policy
@@ -363,18 +355,15 @@ impl TopoDatabase {
     // ---- durable constructors -------------------------------------------
 
     /// Create a durable database at `dir` holding `instance` as its epoch
-    /// 0, with the default log configuration ([`SyncPolicy::PerCommit`]:
-    /// every commit is fsynced). Fails if `dir` already holds a database.
+    /// 0. Fails if `dir` already holds a database.
     ///
-    /// See the "Durability model" section above for the protocol.
-    pub fn create(dir: impl AsRef<Path>, instance: SpatialInstance) -> Result<Self, TopoDbError> {
-        TopoDatabase::create_with_storage(dir, instance, StorageOptions::default())
-    }
-
-    /// [`TopoDatabase::create`] with full control over storage: the log
-    /// configuration, the transient-failure retry policy, the storage
-    /// backend (a [`wal::Vfs`] — the real filesystem by default, or e.g. a
-    /// fault-injecting [`wal::SimFs`]), and the retry-backoff clock.
+    /// `options` controls storage: the log configuration, the
+    /// transient-failure retry policy, the storage backend (a [`wal::Vfs`] —
+    /// the real filesystem by default, or e.g. a fault-injecting
+    /// [`wal::SimFs`]), and the retry-backoff clock.
+    /// `StorageOptions::default()` fsyncs every commit
+    /// ([`SyncPolicy::PerCommit`]). See the "Durability model" section above
+    /// for the protocol.
     pub fn create_with_storage(
         dir: impl AsRef<Path>,
         instance: SpatialInstance,
@@ -390,16 +379,11 @@ impl TopoDatabase {
     /// crashed mid-append), replay it through the same op-application path
     /// live commits use, and resume accepting commits — which continue the
     /// epoch numbering and the log exactly where the crash left them.
+    /// `options` is as for [`TopoDatabase::create_with_storage`].
     ///
     /// Corruption that is *not* a torn tail — a checksum failure mid-log,
     /// a missing segment — fails loudly with the offending file and byte
     /// offset in the [`TopoDbError::Durability`] error.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, TopoDbError> {
-        TopoDatabase::open_with_storage(dir, StorageOptions::default())
-    }
-
-    /// [`TopoDatabase::open`] with full control over storage — see
-    /// [`TopoDatabase::create_with_storage`].
     pub fn open_with_storage(
         dir: impl AsRef<Path>,
         options: StorageOptions,
@@ -420,8 +404,8 @@ impl TopoDatabase {
     /// error reports what the log still covers.
     ///
     /// The returned database is **detached**: it does not hold the log (so
-    /// it can coexist with a live [`TopoDatabase::open`] of the same
-    /// directory, and several `open_at` histories can coexist with each
+    /// it can coexist with a live [`TopoDatabase::open_with_storage`] of the
+    /// same directory, and several `open_at` histories can coexist with each
     /// other), and commits made to it are in-memory only — it is a
     /// read-mostly time-travel view, not a fork of the durable history.
     pub fn open_at(dir: impl AsRef<Path>, epoch: u64) -> Result<Self, TopoDbError> {
@@ -504,47 +488,8 @@ impl TopoDatabase {
         Transaction::new(self)
     }
 
-    /// Insert (or replace) a named region.
-    ///
-    /// Thin wrapper over a one-operation transaction, kept for convenience;
-    /// a loop of `insert` calls pays one epoch per call — batch them with
-    /// [`TopoDatabase::begin`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Like [`Transaction::commit`], panics if a durable commit fails (the
-    /// database has degraded to read-only); use a transaction with
-    /// [`Transaction::try_commit`] to handle that as a typed error.
-    pub fn insert<S: Into<String>>(&mut self, name: S, region: Region) {
-        let mut txn = self.begin();
-        txn.insert(name, region);
-        txn.commit();
-    }
-
-    /// Remove a region, returning it if present.
-    ///
-    /// Removing a name that does not exist is a complete no-op: no epoch
-    /// bump, no re-sweep. (`&mut self` guarantees no commit can interleave
-    /// between the lookup and the removal.)
-    ///
-    /// # Panics
-    ///
-    /// Like [`Transaction::commit`], panics if a durable commit fails (the
-    /// database has degraded to read-only); use a transaction with
-    /// [`Transaction::try_commit`] to handle that as a typed error.
-    pub fn remove(&mut self, name: &str) -> Option<Region> {
-        let existing = self.instance().ext(name).cloned();
-        if existing.is_some() {
-            self.commit_ops(vec![Op::Remove(name.to_string())]).unwrap_or_else(|e| {
-                panic!("remove failed: {e}; use a transaction with try_commit() to handle this")
-            });
-        }
-        existing
-    }
-
-    /// Commit a batch of buffered operations — the funnel both
-    /// [`Transaction::try_commit`] and the single-mutation wrappers go
-    /// through.
+    /// Commit a batch of buffered operations — the funnel
+    /// [`Transaction::try_commit`] goes through.
     ///
     /// An `Err` — always [`TopoDbError::Degraded`] — means nothing was
     /// published: readers stay on the previous epoch and the log holds no
@@ -569,21 +514,6 @@ impl TopoDatabase {
         Arc::clone(&self.chain.head().instance)
     }
 
-    /// Region names in canonical order.
-    pub fn names(&self) -> Vec<String> {
-        self.instance().names().into_iter().map(String::from).collect()
-    }
-
-    /// Number of regions.
-    pub fn len(&self) -> usize {
-        self.instance().len()
-    }
-
-    /// Is the database empty?
-    pub fn is_empty(&self) -> bool {
-        self.instance().is_empty()
-    }
-
     // ---- read path ------------------------------------------------------
 
     /// The immutable [`Snapshot`] of the current epoch — the read half of
@@ -603,30 +533,6 @@ impl TopoDatabase {
         self.chain.head().built(&self.counters).clone()
     }
 
-    /// The zero-copy global complex view of the current instance — shared
-    /// behind an [`Arc`]. Equivalent to `self.snapshot().complex_view()`.
-    pub fn complex_view(&self) -> Arc<GlobalComplexView> {
-        self.snapshot().complex_view()
-    }
-
-    /// The flat cell complex of the current instance.
-    ///
-    /// This materializes (and caches per epoch) a deep copy of every cell
-    /// out of the component sub-complexes — `O(total cells)`. Prefer
-    /// [`TopoDatabase::snapshot`] / [`TopoDatabase::complex_view`] unless a
-    /// caller specifically needs the flat [`CellComplex`] representation;
-    /// all of this facade's own reads go through the view.
-    pub fn cell_complex(&self) -> Arc<CellComplex> {
-        self.chain.head().flat(&self.counters)
-    }
-
-    /// The topological invariant `T_I` of the current instance, shared
-    /// zero-copy. Thin wrapper over [`Snapshot::invariant`]; repeated calls
-    /// between two commits return the same [`Arc`].
-    pub fn invariant(&self) -> Arc<Invariant> {
-        self.snapshot().invariant()
-    }
-
     /// The component sub-complexes backing the current complex, as
     /// `(region names, component)` pairs in name-set order.
     ///
@@ -635,8 +541,9 @@ impl TopoDatabase {
     /// two calls is returned pointer-identical (`Arc::ptr_eq`), which is
     /// the observable guarantee of incremental maintenance.
     pub fn component_complexes(&self) -> Vec<(Vec<String>, Arc<ComponentComplex>)> {
-        let view = self.complex_view();
-        view.components().iter().map(|c| (c.region_names().to_vec(), Arc::clone(c))).collect()
+        self.snapshot()
+            .complex_view()
+            .components().iter().map(|c| (c.region_names().to_vec(), Arc::clone(c))).collect()
     }
 
     /// How many times this database has built (assembled) a global cell
@@ -670,84 +577,18 @@ impl TopoDatabase {
     }
 
     /// The current update epoch: the number of *effective* committed batches
-    /// so far (single-mutation [`TopoDatabase::insert`] / successful
-    /// [`TopoDatabase::remove`] calls count as one-operation batches; a
-    /// commit that changes nothing does not advance the epoch). Epochs are
+    /// so far (a commit that changes nothing — say, removing only names
+    /// that do not exist — does not advance the epoch). Epochs are
     /// published fully built; [`Snapshot::epoch`] records which epoch a
     /// snapshot belongs to.
     pub fn update_epoch(&self) -> u64 {
         self.chain.head().epoch
     }
 
-    // ---- thin read wrappers (prefer Snapshot) ---------------------------
-
-    /// The thematic relational database `thematic(I)` over the schema `Th`.
-    /// Thin wrapper over [`Snapshot::thematic`].
-    pub fn thematic(&self) -> relstore::Database {
-        self.snapshot().thematic()
-    }
-
-    /// The 4-intersection relation between two named regions. Thin wrapper
-    /// over [`Snapshot::relation`].
-    pub fn relation(&self, a: &str, b: &str) -> Result<Relation4, TopoDbError> {
-        self.snapshot().relation(a, b)
-    }
-
-    /// All pairwise relations, in name order. Thin wrapper over
-    /// [`Snapshot::relation_matrix`].
-    pub fn relation_matrix(&self) -> Vec<(String, String, Relation4)> {
-        self.snapshot().relation_matrix()
-    }
-
-    /// Is this database topologically equivalent (homeomorphic) to another?
-    /// Decided via invariant isomorphism (Theorem 3.4).
-    pub fn homeomorphic_to(&self, other: &TopoDatabase) -> bool {
-        if self.names() != other.names() {
-            return false;
-        }
-        invariant::isomorphic(&self.invariant(), &other.invariant())
-    }
-
-    /// Evaluate a region-based query and collapse the answer to a `bool`.
-    ///
-    /// Thin wrapper over the snapshot read path: sentences return their
-    /// truth value; a formula with free name variables returns whether
-    /// *some* satisfying assignment exists (evaluated as the existential
-    /// closure, which stops at the first witness instead of enumerating
-    /// every row). Use [`Snapshot::query`] to obtain the bindings
-    /// themselves.
-    pub fn query(&self, text: &str) -> Result<bool, TopoDbError> {
-        self.query_prepared_bool(&PreparedQuery::compile(text)?)
-    }
-
-    /// Evaluate an already-parsed query, collapsed to `bool` like
-    /// [`TopoDatabase::query`].
-    pub fn query_formula(&self, formula: &query::Formula) -> Result<bool, TopoDbError> {
-        self.query_prepared_bool(&PreparedQuery::from_formula(formula.clone())?)
-    }
-
-    fn query_prepared_bool(&self, prepared: &PreparedQuery) -> Result<bool, TopoDbError> {
-        if prepared.is_boolean() {
-            Ok(self.snapshot().evaluate(prepared)?.holds())
-        } else {
-            let closed = prepared.existential_closure();
-            self.snapshot().evaluator().eval(&closed).map_err(TopoDbError::from)
-        }
-    }
-
-    /// Validate the database's own invariant (always valid; exposed mainly so
-    /// applications can validate externally modified invariants the same
-    /// way — Theorem 3.8).
-    pub fn validate_invariant(inv: &Invariant) -> Vec<invariant::ValidationError> {
-        invariant::validate(inv)
-    }
-
-    /// A human-readable summary of the database and its derived structures:
-    /// region count, invariant cell counts, the interaction components
-    /// backing the complex with their per-component cell counts, and which
-    /// representation(s) of the global complex are currently cached (the
-    /// zero-copy view, plus the flat deep copy if a caller materialized
-    /// one).
+    /// A human-readable summary of one epoch of the database and its derived
+    /// structures: region count, invariant cell counts, and the interaction
+    /// components backing the complex with their per-component cell counts.
+    /// Every figure is read from the same [`Snapshot`].
     pub fn summary(&self) -> String {
         let snapshot = self.snapshot();
         let inv = snapshot.invariant();
@@ -757,16 +598,14 @@ impl TopoDatabase {
             .iter()
             .map(|(v, e, f)| format!("{}", v + e + f))
             .collect();
-        let cached = if self.chain.head().has_flat() { "view + flat copy" } else { "view" };
         format!(
-            "{} region(s); invariant: {} vertices, {} edges, {} faces; {} component(s), cells per component: [{}]; cached complex: {}",
-            self.len(),
+            "{} region(s); invariant: {} vertices, {} edges, {} faces; {} component(s), cells per component: [{}]",
+            snapshot.len(),
             inv.vertex_count(),
             inv.edge_count(),
             inv.face_count(),
             view.component_count(),
-            per_component.join(", "),
-            cached
+            per_component.join(", ")
         )
     }
 }
@@ -774,26 +613,40 @@ impl TopoDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arrangement::ComplexRead;
+    use relations::Relation4;
     use spatial_core::fixtures;
+    use spatial_core::region::Region;
+
+    fn insert(db: &mut TopoDatabase, name: &str, region: Region) {
+        let mut txn = db.begin();
+        txn.insert(name, region);
+        txn.commit();
+    }
 
     #[test]
     fn facade_round_trip() {
         let mut db = TopoDatabase::from_instance(fixtures::fig_1c());
-        assert_eq!(db.len(), 2);
-        assert!(!db.is_empty());
-        assert_eq!(db.relation("A", "B").unwrap(), Relation4::Overlap);
-        assert_eq!(db.query("overlap(A, B)"), Ok(true));
-        assert_eq!(db.query("disjoint(A, B)"), Ok(false));
-        assert!(db.query("nonsense(").is_err());
-        assert!(db.relation("A", "Z").is_err());
+        let snap = db.snapshot();
+        assert_eq!(snap.len(), 2);
+        assert!(!snap.is_empty());
+        assert_eq!(snap.relation("A", "B").unwrap(), Relation4::Overlap);
+        assert_eq!(snap.query("overlap(A, B)"), Ok(QueryOutput::Bool(true)));
+        assert_eq!(snap.query("disjoint(A, B)"), Ok(QueryOutput::Bool(false)));
+        assert!(snap.query("nonsense(").is_err());
+        assert!(snap.relation("A", "Z").is_err());
         assert!(db.summary().contains("2 region(s)"));
 
-        // Updates invalidate the cache.
-        db.insert("C", spatial_core::region::Region::rect_from_ints(20, 20, 24, 24));
-        assert_eq!(db.len(), 3);
-        assert_eq!(db.relation("A", "C").unwrap(), Relation4::Disjoint);
-        assert!(db.remove("C").is_some());
-        assert_eq!(db.len(), 2);
+        // A commit publishes a new epoch; the next snapshot reflects it.
+        insert(&mut db, "C", Region::rect_from_ints(20, 20, 24, 24));
+        let snap = db.snapshot();
+        assert_eq!(snap.len(), 3);
+        assert_eq!(snap.relation("A", "C").unwrap(), Relation4::Disjoint);
+        assert!(db.instance().ext("C").is_some());
+        let mut txn = db.begin();
+        txn.remove("C");
+        assert_eq!(txn.commit().changed, ["C"]);
+        assert_eq!(db.snapshot().len(), 2);
     }
 
     #[test]
@@ -801,9 +654,6 @@ mod tests {
         let a = TopoDatabase::from_instance(fixtures::fig_1c());
         let b = TopoDatabase::from_instance(fixtures::fig_1c().translated(100, 100));
         let d = TopoDatabase::from_instance(fixtures::fig_1d());
-        assert!(a.homeomorphic_to(&b));
-        assert!(!a.homeomorphic_to(&d));
-        // The same comparisons through snapshots.
         assert!(a.snapshot().homeomorphic_to(&b.snapshot()));
         assert!(!a.snapshot().homeomorphic_to(&d.snapshot()));
     }
@@ -814,43 +664,41 @@ mod tests {
         assert_eq!(db.complex_build_count(), 0, "nothing built before first use");
 
         // Any mix of reads performs exactly one construction...
-        let c1 = db.cell_complex();
-        let matrix = db.relation_matrix();
+        let matrix = db.snapshot().relation_matrix();
         assert_eq!(matrix.len(), 1);
-        let _ = db.relation("A", "B").unwrap();
-        let _ = db.query("overlap(A, B)").unwrap();
-        let inv1 = db.invariant();
-        let _ = db.thematic();
+        let _ = db.snapshot().relation("A", "B").unwrap();
+        let _ = db.snapshot().query("overlap(A, B)").unwrap();
+        let inv1 = db.snapshot().invariant();
+        let _ = db.snapshot().thematic();
         let _ = db.summary();
         let snap = db.snapshot();
         assert_eq!(db.complex_build_count(), 1, "reads must reuse the cached complex");
         assert_eq!(snap.epoch(), 0);
 
         // ...and hands out the same shared allocation, not deep copies.
-        let c2 = db.cell_complex();
-        assert!(Arc::ptr_eq(&c1, &c2), "cell_complex() must return the cached Arc");
-        let inv2 = db.invariant();
+        let inv2 = db.snapshot().invariant();
         assert!(Arc::ptr_eq(&inv1, &inv2), "invariant() must return the cached Arc");
         let inv3 = snap.invariant();
         assert!(Arc::ptr_eq(&inv1, &inv3), "snapshot shares the database's invariant");
+        let v1 = snap.complex_view();
 
         // Updates invalidate: the commit performs exactly one rebuild.
-        db.insert("C", spatial_core::region::Region::rect_from_ints(20, 20, 24, 24));
-        let _ = db.relation_matrix();
-        let c3 = db.cell_complex();
-        let _ = db.relation("A", "C").unwrap();
+        insert(&mut db, "C", Region::rect_from_ints(20, 20, 24, 24));
+        let _ = db.snapshot().relation_matrix();
+        let v3 = db.snapshot().complex_view();
+        let _ = db.snapshot().relation("A", "C").unwrap();
         assert_eq!(db.complex_build_count(), 2);
-        assert!(!Arc::ptr_eq(&c1, &c3), "update must produce a fresh complex");
-        // The pre-update Arc is still alive and unchanged (snapshot isolation
-        // for long-lived readers).
-        assert_eq!(c1.region_names().len(), 2);
-        assert_eq!(c3.region_names().len(), 3);
+        assert!(!Arc::ptr_eq(&v1, &v3), "update must produce a fresh view");
+        // The pre-update view is still alive and unchanged (snapshot
+        // isolation for long-lived readers).
+        assert_eq!(v1.region_names().len(), 2);
+        assert_eq!(v3.region_names().len(), 3);
         assert_eq!(snap.len(), 2, "pre-update snapshot still answers for its epoch");
         assert_eq!(db.publish_conflict_count(), 0, "no concurrent writers, no conflicts");
     }
 
     #[test]
-    fn summary_reports_components_and_cached_representation() {
+    fn summary_reports_components_of_one_epoch() {
         let db = TopoDatabase::from_instance(fixtures::nested_three());
         let s = db.summary();
         // Component structure: nested_three partitions into 3 one-region
@@ -859,26 +707,46 @@ mod tests {
         assert!(s.contains("3 region(s)"), "{s}");
         assert!(s.contains("3 component(s)"), "{s}");
         assert!(s.contains("cells per component: [3, 3, 3]"), "{s}");
-        // Only the zero-copy view has been assembled so far.
-        assert!(s.contains("cached complex: view"), "{s}");
-        assert!(!s.contains("flat copy"), "{s}");
-        // Materializing the flat complex is reflected in the summary.
-        let _ = db.cell_complex();
-        let s2 = db.summary();
-        assert!(s2.contains("cached complex: view + flat copy"), "{s2}");
+    }
+
+    #[test]
+    fn summary_reads_one_epoch_under_concurrent_commits() {
+        // Every region is its own component, so any one epoch reports as
+        // many components as regions; a summary mixing two epochs would not.
+        let db = TopoDatabase::new();
+        let count = |s: &str, what: &str| -> usize {
+            let at = s.find(what).unwrap_or_else(|| panic!("{what} missing in {s}"));
+            s[..at].rsplit(|c: char| !c.is_ascii_digit()).next().unwrap().parse().unwrap()
+        };
+        let writing = std::sync::atomic::AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..40 {
+                    let mut txn = db.begin_shared();
+                    let x = 10 * i;
+                    txn.insert(format!("R{i:02}"), Region::rect_from_ints(x, 0, x + 4, 4));
+                    txn.commit();
+                }
+                writing.store(false, Ordering::Relaxed);
+            });
+            while writing.load(Ordering::Relaxed) {
+                let s = db.summary();
+                assert_eq!(count(&s, " region(s)"), count(&s, " component(s)"), "{s}");
+            }
+        });
     }
 
     #[test]
     fn view_reuses_untouched_components_pointer_identically() {
         let mut db = TopoDatabase::from_instance(fixtures::nested_three());
-        let v1 = db.complex_view();
-        let v1b = db.complex_view();
+        let v1 = db.snapshot().complex_view();
+        let v1b = db.snapshot().complex_view();
         assert!(Arc::ptr_eq(&v1, &v1b), "complex_view() must return the cached Arc");
 
         // An update to a separated region re-assembles the view but reuses
         // every untouched component allocation inside it.
-        db.insert("D", spatial_core::region::Region::rect_from_ints(500, 500, 504, 504));
-        let v2 = db.complex_view();
+        insert(&mut db, "D", Region::rect_from_ints(500, 500, 504, 504));
+        let v2 = db.snapshot().complex_view();
         assert!(!Arc::ptr_eq(&v1, &v2), "update must produce a fresh view");
         let before: Vec<_> = v1.components().to_vec();
         let reused = v2
@@ -892,9 +760,9 @@ mod tests {
 
     #[test]
     fn thematic_and_validation() {
-        let db = TopoDatabase::from_instance(fixtures::nested_three());
-        let th = db.thematic();
+        let snap = TopoDatabase::from_instance(fixtures::nested_three()).snapshot();
+        let th = snap.thematic();
         assert_eq!(th.relation("Regions").unwrap().len(), 3);
-        assert!(TopoDatabase::validate_invariant(&db.invariant()).is_empty());
+        assert!(invariant::validate(&snap.invariant()).is_empty());
     }
 }

@@ -23,7 +23,7 @@ pub(crate) enum Op {
 /// components of the *union* of the changed names (reusing every untouched
 /// component of its base epoch pointer-identically) and publishes one
 /// fully-built epoch — instead of paying an epoch and a re-sweep per
-/// mutation as a sequence of bare [`TopoDatabase::insert`] calls would. The
+/// mutation as a sequence of one-operation transactions would. The
 /// build happens outside any lock, so concurrent transactions over disjoint
 /// components build concurrently; see the "Concurrency model" notes on
 /// [`TopoDatabase`].

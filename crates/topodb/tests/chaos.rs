@@ -56,7 +56,10 @@ struct Fingerprint {
 }
 
 fn fingerprint(db: &TopoDatabase) -> Fingerprint {
-    Fingerprint { instance_wire: db.instance().to_wire_vec(), relations: db.relation_matrix() }
+    Fingerprint {
+        instance_wire: db.instance().to_wire_vec(),
+        relations: db.snapshot().relation_matrix(),
+    }
 }
 
 fn apply_batch(db: &TopoDatabase, batch: &[TraceOp]) -> Result<(), TopoDbError> {

@@ -462,7 +462,8 @@ fn a_conflicting_commit_on_disjoint_clusters_retries_without_sweeping() {
             let cold = TopoDatabase::from_instance((*db.instance()).clone());
             assert_eq!(db.snapshot().relation_matrix(), cold.snapshot().relation_matrix());
             assert!(
-                *db.cell_complex() == *cold.cell_complex(),
+                db.snapshot().complex_view().to_cell_complex()
+                    == cold.snapshot().complex_view().to_cell_complex(),
                 "the published complex differs from a cold build (disjoint: {disjoint}, round {round})"
             );
 

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, PoisonError, RwLock};
 use topodb::arrangement::counters::phase_counters;
-use topodb::arrangement::Label;
+use topodb::arrangement::{CellComplex, Label};
 use topodb::spatial_core::prelude::*;
 use topodb::TopoDatabase;
 
@@ -25,9 +25,26 @@ use topodb::TopoDatabase;
 /// the one that differences the counters around a commit holds it alone.
 static WORK_COUNTERS: RwLock<()> = RwLock::new(());
 
+fn insert(db: &mut TopoDatabase, name: impl Into<String>, region: Region) {
+    let mut txn = db.begin();
+    txn.insert(name, region);
+    txn.commit();
+}
+
+/// Remove `name`; whether it was present.
+fn remove(db: &mut TopoDatabase, name: &str) -> bool {
+    let mut txn = db.begin();
+    txn.remove(name);
+    !txn.commit().changed.is_empty()
+}
+
+/// The flat complex of the current epoch.
+fn flat(db: &TopoDatabase) -> CellComplex {
+    db.snapshot().complex_view().to_cell_complex()
+}
+
 /// Sorted label multisets of all cells — a re-indexing-invariant summary.
-fn label_multisets(db: &TopoDatabase) -> (Vec<Label>, Vec<Label>, Vec<Label>) {
-    let c = db.cell_complex();
+fn label_multisets(c: &CellComplex) -> (Vec<Label>, Vec<Label>, Vec<Label>) {
     let mut v: Vec<Label> = c.vertex_ids().map(|x| c.vertex(x).label.clone()).collect();
     let mut e: Vec<Label> = c.edge_ids().map(|x| c.edge(x).label.clone()).collect();
     let mut f: Vec<Label> = c.face_ids().map(|x| c.face(x).label.clone()).collect();
@@ -39,18 +56,18 @@ fn label_multisets(db: &TopoDatabase) -> (Vec<Label>, Vec<Label>, Vec<Label>) {
 
 fn assert_equals_fresh_rebuild(db: &TopoDatabase, context: &str) {
     let fresh = TopoDatabase::from_instance((*db.instance()).clone());
-    let (c, fc) = (db.cell_complex(), fresh.cell_complex());
+    let (c, fc) = (flat(db), flat(&fresh));
     assert_eq!(c.vertex_count(), fc.vertex_count(), "vertex count diverged {context}");
     assert_eq!(c.edge_count(), fc.edge_count(), "edge count diverged {context}");
     assert_eq!(c.face_count(), fc.face_count(), "face count diverged {context}");
     assert!(c.euler_formula_holds(), "euler relation broken {context}");
     assert_eq!(
-        label_multisets(db),
-        label_multisets(&fresh),
+        label_multisets(&c),
+        label_multisets(&fc),
         "cell label multisets diverged {context}"
     );
     assert!(
-        invariant::isomorphic(&db.invariant(), &fresh.invariant()),
+        invariant::isomorphic(&db.snapshot().invariant(), &fresh.snapshot().invariant()),
         "invariant not isomorphic to from-scratch rebuild {context}"
     );
 }
@@ -74,20 +91,20 @@ fn randomized_update_schedules_match_from_scratch_rebuilds() {
             match op {
                 0 => {
                     let region = cluster_rect(&mut rng, cluster, clusters);
-                    db.insert(format!("X{extra:03}"), region);
+                    insert(&mut db, format!("X{extra:03}"), region);
                     extra += 1;
                 }
                 1 => {
-                    let names = db.names();
+                    let names = db.snapshot().names();
                     let name = names[rng.gen_range(0..names.len())].clone();
                     let region = cluster_rect(&mut rng, cluster, clusters);
-                    db.insert(name, region);
+                    insert(&mut db, name, region);
                 }
                 _ => {
-                    let names = db.names();
+                    let names = db.snapshot().names();
                     if names.len() > 1 {
                         let name = names[rng.gen_range(0..names.len())].clone();
-                        assert!(db.remove(&name).is_some(), "remove failed {context}");
+                        assert!(remove(&mut db, &name), "remove failed {context}");
                     }
                 }
             }
@@ -115,8 +132,8 @@ fn update_to_one_cluster_reuses_every_other_component() {
     // Insert a rectangle covering most of cluster 0's area.
     let (ox, oy) = datagen::cluster_origin(0, clusters);
     let span = datagen::CLUSTER_SPAN;
-    db.insert("Update", Region::rect_from_ints(ox + 2, oy + 2, ox + span - 4, oy + span - 4));
-    let _ = db.relation_matrix();
+    insert(&mut db, "Update", Region::rect_from_ints(ox + 2, oy + 2, ox + span - 4, oy + span - 4));
+    let _ = db.snapshot().relation_matrix();
 
     assert_eq!(db.complex_build_count(), builds_before + 1, "one re-assembly");
     let rebuilt = db.component_rebuild_count() - rebuilds_before;
@@ -152,17 +169,18 @@ fn update_to_one_cluster_reuses_every_other_component() {
 fn removal_restores_pointer_reuse_and_correctness() {
     let _shared = WORK_COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     let mut db = TopoDatabase::from_instance(datagen::clustered_map(9, 3, 7));
-    let _ = db.cell_complex();
+    db.snapshot();
     let rebuilds_before = db.component_rebuild_count();
 
     // Remove one region of cluster 4, read, and compare.
     let victim = db
+        .snapshot()
         .names()
         .iter()
         .find(|n| n.starts_with("C004_"))
         .expect("cluster 4 has regions")
         .clone();
-    assert!(db.remove(&victim).is_some());
+    assert!(remove(&mut db, &victim));
     assert_equals_fresh_rebuild(&db, "(after removal)");
     let rebuilt = db.component_rebuild_count() - rebuilds_before;
     assert!(rebuilt <= 3, "a removal re-sweeps at most the split cluster, got {rebuilt}");
@@ -174,14 +192,14 @@ fn epoch_counter_tracks_updates() {
     let _shared = WORK_COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     let mut db = TopoDatabase::new();
     assert_eq!(db.update_epoch(), 0);
-    db.insert("A", Region::rect_from_ints(0, 0, 4, 4));
-    db.insert("B", Region::rect_from_ints(10, 0, 14, 4));
+    insert(&mut db, "A", Region::rect_from_ints(0, 0, 4, 4));
+    insert(&mut db, "B", Region::rect_from_ints(10, 0, 14, 4));
     assert_eq!(db.update_epoch(), 2);
-    db.remove("A");
+    remove(&mut db, "A");
     assert_eq!(db.update_epoch(), 3);
     // Reads never advance the epoch.
-    let _ = db.cell_complex();
-    let _ = db.invariant();
+    let _ = db.snapshot().relation_matrix();
+    let _ = db.snapshot().invariant();
     assert_eq!(db.update_epoch(), 3);
 }
 

@@ -11,40 +11,47 @@ fn clustered_db(clusters: usize, per_cluster: usize) -> TopoDatabase {
     TopoDatabase::from_instance(datagen::clustered_map(clusters, per_cluster, 4242))
 }
 
+/// A one-operation transaction.
+fn insert(db: &mut TopoDatabase, name: &str, region: Region) {
+    let mut txn = db.begin();
+    txn.insert(name, region);
+    txn.commit();
+}
+
 /// Regression (bugfix): removing a nonexistent name must be a complete
 /// no-op — no epoch bump, no component eviction, no rebuild at the next
-/// read.
+/// read — whether the transaction holds one such removal or several.
 #[test]
 fn remove_of_nonexistent_name_is_a_noop() {
     let mut db = clustered_db(4, 3);
-    let _ = db.complex_view(); // warm all components
+    let _ = db.snapshot(); // warm all components
     let epoch_before = db.update_epoch();
     let builds_before = db.complex_build_count();
     let rebuilds_before = db.component_rebuild_count();
     let components_before = db.component_complexes();
 
-    assert_eq!(db.remove("NoSuchRegion"), None);
+    for ghosts in [&["NoSuchRegion"][..], &["Ghost1", "Ghost2"]] {
+        let mut txn = db.begin();
+        for ghost in ghosts {
+            txn.remove(*ghost);
+        }
+        let commit = txn.commit();
+        assert_eq!(commit.epoch, epoch_before, "{ghosts:?}");
+        assert!(commit.changed.is_empty(), "{ghosts:?}");
 
-    assert_eq!(db.update_epoch(), epoch_before, "no epoch bump for a no-op removal");
-    let v = db.complex_view();
-    assert_eq!(db.complex_build_count(), builds_before, "cached view survives");
-    assert_eq!(db.component_rebuild_count(), rebuilds_before, "no component re-swept");
-    drop(v);
-    // Every cached component is still the same allocation.
-    let components_after = db.component_complexes();
-    assert_eq!(components_before.len(), components_after.len());
-    for ((k1, c1), (k2, c2)) in components_before.iter().zip(&components_after) {
-        assert_eq!(k1, k2);
-        assert!(Arc::ptr_eq(c1, c2), "component {k1:?} was evicted by a no-op removal");
+        assert_eq!(db.update_epoch(), epoch_before, "no epoch bump for a no-op removal");
+        let v = db.snapshot().complex_view();
+        assert_eq!(db.complex_build_count(), builds_before, "cached view survives");
+        assert_eq!(db.component_rebuild_count(), rebuilds_before, "no component re-swept");
+        drop(v);
+        // Every cached component is still the same allocation.
+        let components_after = db.component_complexes();
+        assert_eq!(components_before.len(), components_after.len());
+        for ((k1, c1), (k2, c2)) in components_before.iter().zip(&components_after) {
+            assert_eq!(k1, k2);
+            assert!(Arc::ptr_eq(c1, c2), "component {k1:?} was evicted by a no-op removal");
+        }
     }
-
-    // Same through a transaction: a batch whose ops all miss changes nothing.
-    let mut txn = db.begin();
-    txn.remove("Ghost1").remove("Ghost2");
-    let commit = txn.commit();
-    assert_eq!(commit.epoch, epoch_before);
-    assert!(commit.changed.is_empty());
-    assert_eq!(db.update_epoch(), epoch_before);
 }
 
 /// The acceptance scenario of the read/write split: a `k`-mutation batch
@@ -59,10 +66,10 @@ fn batch_commit_bumps_epoch_once_and_assembles_once() {
     let epoch_before = db.update_epoch();
     let builds_before = db.complex_build_count();
     let rebuilds_before = db.component_rebuild_count();
-    let names_before = db.names().len();
+    let names_before = pre.len();
 
     // One batch touching clusters 0, 1 and 2: two inserts and one removal.
-    let victim = db
+    let victim = pre
         .names()
         .iter()
         .find(|n| n.starts_with("C002_"))
@@ -241,14 +248,14 @@ fn relations_of_matches_the_relation_matrix() {
 #[test]
 fn rollback_discards_buffered_operations() {
     let mut db = TopoDatabase::new();
-    db.insert("A", Region::rect_from_ints(0, 0, 4, 4));
+    insert(&mut db, "A", Region::rect_from_ints(0, 0, 4, 4));
     let epoch = db.update_epoch();
 
     let mut txn = db.begin();
     txn.insert("B", Region::rect_from_ints(10, 0, 14, 4));
     txn.remove("A");
     txn.rollback();
-    assert_eq!(db.names(), ["A"]);
+    assert_eq!(db.snapshot().names(), ["A"]);
     assert_eq!(db.update_epoch(), epoch);
 
     {
@@ -256,7 +263,7 @@ fn rollback_discards_buffered_operations() {
         txn.insert("C", Region::rect_from_ints(20, 0, 24, 4));
         // dropped without commit
     }
-    assert_eq!(db.names(), ["A"]);
+    assert_eq!(db.snapshot().names(), ["A"]);
     assert_eq!(db.update_epoch(), epoch);
 }
 
@@ -268,7 +275,7 @@ fn parse_errors_point_at_the_offending_token() {
     let err = db.snapshot().query("overlap(A, B) %").unwrap_err();
     assert_eq!(err.parse_position(), Some(14));
     assert!(err.to_string().contains("at byte 14"), "{err}");
-    let err = db.query("overlap(A,").unwrap_err();
+    let err = db.snapshot().query("overlap(A,").unwrap_err();
     assert_eq!(err.parse_position(), None);
     assert!(err.to_string().contains("at end of input"), "{err}");
 }
@@ -278,8 +285,8 @@ fn parse_errors_point_at_the_offending_token() {
 #[test]
 fn identical_replacement_is_a_noop() {
     let mut db = TopoDatabase::new();
-    db.insert("A", Region::rect_from_ints(0, 0, 4, 4));
-    let _ = db.complex_view();
+    insert(&mut db, "A", Region::rect_from_ints(0, 0, 4, 4));
+    let _ = db.snapshot();
     let epoch = db.update_epoch();
     let builds = db.complex_build_count();
 
@@ -288,7 +295,7 @@ fn identical_replacement_is_a_noop() {
     let commit = txn.commit();
     assert!(commit.changed.is_empty(), "identical geometry is not a change");
     assert_eq!(commit.epoch, epoch);
-    let _ = db.complex_view();
+    let _ = db.snapshot();
     assert_eq!(db.complex_build_count(), builds, "cached view survives");
 }
 
@@ -297,7 +304,7 @@ fn identical_replacement_is_a_noop() {
 #[test]
 fn replacement_and_duplicate_names_coalesce() {
     let mut db = TopoDatabase::new();
-    db.insert("A", Region::rect_from_ints(0, 0, 4, 4));
+    insert(&mut db, "A", Region::rect_from_ints(0, 0, 4, 4));
     let epoch = db.update_epoch();
 
     let mut txn = db.begin();
@@ -320,7 +327,7 @@ fn a_fresh_snapshot_derives_memos_only_for_rebuilt_components() {
     db.snapshot().evaluate(&every_name).unwrap();
     let rebuilds = db.component_rebuild_count();
 
-    db.insert("Fresh", Region::rect_from_ints(2, 2, 9, 9));
+    insert(&mut db, "Fresh", Region::rect_from_ints(2, 2, 9, 9));
     let rebuilt = db.component_rebuild_count() - rebuilds;
     let snapshot = db.snapshot();
     assert_eq!(snapshot.complex_view().memo_builds(), 0, "the commit builds no memo");

@@ -60,9 +60,14 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
+/// Reopen with the default storage options.
+fn open(dir: &Path) -> Result<TopoDatabase, TopoDbError> {
+    TopoDatabase::open_with_storage(dir, StorageOptions::default())
+}
+
 /// `expect_err` without a `Debug` bound on `TopoDatabase`.
 fn open_err(dir: &Path, what: &str) -> TopoDbError {
-    match TopoDatabase::open(dir) {
+    match open(dir) {
         Ok(_) => panic!("open unexpectedly succeeded: {what}"),
         Err(e) => e,
     }
@@ -112,7 +117,7 @@ fn fingerprint(db: &TopoDatabase) -> Fingerprint {
     });
     Fingerprint {
         instance_wire: db.instance().to_wire_vec(),
-        relations: db.relation_matrix(),
+        relations: db.snapshot().relation_matrix(),
         query_rows: db.snapshot().evaluate(overlaps).expect("the open query evaluates"),
     }
 }
@@ -154,7 +159,7 @@ fn reopen_after_crash_matches_the_in_memory_oracle() {
     let oracle = oracle_states(&trace);
     commit_and_crash(scratch.path(), &trace, no_sync());
 
-    let mut reopened = TopoDatabase::open(scratch.path()).expect("reopen after crash");
+    let mut reopened = open(scratch.path()).expect("reopen after crash");
     assert_eq!(reopened.update_epoch(), trace.len() as u64);
     assert!(reopened.health().durable);
     assert_eq!(fingerprint(&reopened), oracle[trace.len()], "byte-identical to the oracle");
@@ -175,7 +180,7 @@ fn reopen_after_crash_matches_the_in_memory_oracle() {
 
     // ... and the continuation itself is durable: crash again, reopen.
     std::mem::forget(reopened);
-    let reopened = TopoDatabase::open(scratch.path()).expect("reopen after second crash");
+    let reopened = open(scratch.path()).expect("reopen after second crash");
     assert_eq!(reopened.update_epoch(), continuation.len() as u64);
     assert_eq!(fingerprint(&reopened), fingerprint(&oracle_db));
 }
@@ -199,7 +204,7 @@ fn crash_at_each_record_boundary_recovers_that_exact_epoch() {
         copy_dir(&pristine, &image);
         truncate_at(&RealFs, &image.join(&seg_name), cut).expect("truncate image");
 
-        let db = TopoDatabase::open(&image).expect("boundary cut is a clean state");
+        let db = open(&image).expect("boundary cut is a clean state");
         assert_eq!(db.update_epoch(), epoch as u64, "cut at {cut}");
         assert_eq!(fingerprint(&db), oracle[epoch], "cut at boundary {cut}");
     }
@@ -228,7 +233,7 @@ fn crash_at_every_byte_inside_the_final_record_truncates_the_torn_tail() {
         copy_dir(&pristine, &image);
         truncate_at(&RealFs, &image.join(&seg_name), cut).expect("truncate image");
 
-        let db = TopoDatabase::open(&image)
+        let db = open(&image)
             .unwrap_or_else(|e| panic!("torn cut at byte {cut} must recover, got {e}"));
         assert_eq!(db.update_epoch(), torn_epoch as u64, "cut at byte {cut}");
         assert_eq!(fingerprint(&db), oracle[torn_epoch], "cut at byte {cut}");
@@ -238,7 +243,7 @@ fn crash_at_every_byte_inside_the_final_record_truncates_the_torn_tail() {
         let mut db = db;
         apply_batch(&mut db, &trace[torn_epoch]);
         drop(db);
-        let db = TopoDatabase::open(&image).expect("reopen after re-commit");
+        let db = open(&image).expect("reopen after re-commit");
         assert_eq!(fingerprint(&db), oracle[trace.len()], "re-committed tail at cut {cut}");
     }
 }
@@ -314,7 +319,7 @@ fn open_at_replays_every_logged_epoch_and_is_detached() {
     let mut view = TopoDatabase::open_at(scratch.path(), 3).expect("open_at(3)");
     apply_batch(&mut view, &op_trace(1, 99)[0]);
     assert_eq!(view.update_epoch(), 4, "views commit in memory");
-    let db = TopoDatabase::open(scratch.path()).expect("reopen");
+    let db = open(scratch.path()).expect("reopen");
     assert_eq!(db.update_epoch(), trace.len() as u64, "the log never saw the view's commit");
     assert_eq!(fingerprint(&db), oracle[trace.len()]);
 }
@@ -340,7 +345,7 @@ fn checkpoint_truncates_history_but_preserves_the_differential() {
 
     // Recovery replays checkpoint + tail to the same state as the oracle's
     // full history.
-    let db = TopoDatabase::open(scratch.path()).expect("reopen after checkpoint");
+    let db = open(scratch.path()).expect("reopen after checkpoint");
     assert_eq!(db.update_epoch(), trace.len() as u64);
     assert_eq!(fingerprint(&db), oracle[trace.len()]);
     drop(db);
@@ -373,7 +378,7 @@ fn automatic_checkpoints_and_rotation_survive_crashes_too() {
     let cfg = no_sync().with_segment_max_bytes(512).with_checkpoint_every(6);
     commit_and_crash(scratch.path(), &trace, cfg);
 
-    let db = TopoDatabase::open(scratch.path()).expect("reopen");
+    let db = open(scratch.path()).expect("reopen");
     assert_eq!(db.update_epoch(), trace.len() as u64);
     assert_eq!(fingerprint(&db), oracle[trace.len()]);
     drop(db);

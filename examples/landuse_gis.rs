@@ -40,7 +40,7 @@ fn main() {
 
     // The same answer without geometry: evaluate the translated first-order
     // query against the thematic relational database (Corollary 3.7).
-    let thematic = db.thematic();
+    let thematic = snap.thematic();
     let atom = Formula::rel(
         Relation4::Overlap,
         RegionExpr::Ext(NameTerm::Var("p".into())),

@@ -28,7 +28,7 @@ fn main() {
     println!(
         "1a ~4int~ 1b: {}   homeomorphic: {}",
         four_intersection_equivalent(&fig1a.instance(), &fig1b.instance()),
-        fig1a.homeomorphic_to(&fig1b)
+        fig1a.snapshot().homeomorphic_to(&fig1b.snapshot())
     );
     println!(
         "1c ~4int~ 1d: {}   homeomorphic: {}",
@@ -57,6 +57,7 @@ fn main() {
 
     // ---- Fig. 5 / Examples 3.1, 3.3, 3.6 -----------------------------------
     println!("\n== Fig. 5: the invariant of Fig. 1c (Examples 3.1 / 3.3 / 3.6) ==");
+    let fig1c = fig1c.snapshot();
     println!("{}", fig1c.invariant());
     println!("thematic(I):\n{}", fig1c.thematic());
 

@@ -68,7 +68,9 @@ fn main() {
     });
 
     // Writes after the snapshot do not disturb it: snapshots are immutable.
-    db.insert("Island", Region::rect_from_ints(2, 2, 4, 4));
+    let mut txn = db.begin();
+    txn.insert("Island", Region::rect_from_ints(2, 2, 4, 4));
+    txn.commit();
     let fresh = db.snapshot();
     println!(
         "\nepoch {} snapshot: {} regions; epoch {} snapshot: {} regions",

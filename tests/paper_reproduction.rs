@@ -30,12 +30,12 @@ fn e01_fig1_four_instances() {
     let dbc = TopoDatabase::from_instance(c);
     let dbd = TopoDatabase::from_instance(d);
     let q41 = "exists r . subset(r, A) and subset(r, B) and subset(r, C)";
-    assert_eq!(dba.query(q41), Ok(true));
-    assert_eq!(dbb.query(q41), Ok(false));
+    assert_eq!(dba.snapshot().query(q41).map(|o| o.holds()), Ok(true));
+    assert_eq!(dbb.snapshot().query(q41).map(|o| o.holds()), Ok(false));
     let q42 = "forall r, s . (subset(r, A) and subset(r, B) and subset(s, A) and subset(s, B)) -> \
                exists t . subset(t, A) and subset(t, B) and connect(t, r) and connect(t, s)";
-    assert_eq!(dbc.query(q42), Ok(true));
-    assert_eq!(dbd.query(q42), Ok(false));
+    assert_eq!(dbc.snapshot().query(q42).map(|o| o.holds()), Ok(true));
+    assert_eq!(dbd.snapshot().query(q42).map(|o| o.holds()), Ok(false));
 }
 
 /// E01b — Example 4.1 as a *set-returning* query: with the third region a
