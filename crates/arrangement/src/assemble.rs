@@ -181,7 +181,7 @@ pub(crate) fn build_group(members: &[Member<'_>]) -> ComponentComplex {
 }
 
 /// Sweep the groups `slots` leaves empty — up to
-/// [`crate::parallel::configured_threads`] components at a time, each built
+/// [`crate::parallel::available_threads`] components at a time, each built
 /// serially by one worker — and return every group's component together with
 /// how many were swept.
 fn fill_slots(
@@ -190,7 +190,7 @@ fn fill_slots(
 ) -> (Vec<Arc<ComponentComplex>>, usize) {
     let missing: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
     if !missing.is_empty() {
-        let threads = crate::parallel::configured_threads();
+        let threads = crate::parallel::available_threads();
         let built = crate::parallel::map_indexed(missing.len(), threads, |j| {
             Arc::new(build_group(&groups[missing[j]]))
         });

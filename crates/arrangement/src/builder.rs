@@ -28,7 +28,7 @@
 use crate::assemble::{assemble_components, BoundedCycle, ComponentComplex};
 use crate::complex::CellComplex;
 use crate::geometry::{closed_polyline_area_doubled, interior_point_of_simple_cycle, point_in_closed_polyline};
-use crate::parallel::{configured_threads, map_indexed};
+use crate::parallel::{available_threads, map_indexed};
 use crate::partition::partition_instance;
 use crate::split::{instance_segments, split_segments, SubSegment};
 use crate::types::*;
@@ -40,13 +40,13 @@ use std::sync::Arc;
 /// Build the maximal labeled cell complex of a spatial instance by the
 /// partition → parallel per-component sweep → assemble pipeline.
 ///
-/// Independent components are swept concurrently (thread count from
-/// `ARRANGEMENT_THREADS`, default = available parallelism; see
-/// [`crate::parallel`]); the output is identical for every thread count.
+/// Independent components are swept concurrently, on the machine's
+/// available parallelism ([`crate::parallel::available_threads`]); the
+/// output is identical for every thread count.
 /// The complex of the empty instance consists of the single unbounded face.
 pub fn build_complex(instance: &SpatialInstance) -> CellComplex {
     let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
-    let components = build_component_complexes(instance, configured_threads());
+    let components = build_component_complexes(instance, available_threads());
     assemble_components(region_names, &components)
 }
 
@@ -55,7 +55,7 @@ pub fn build_complex(instance: &SpatialInstance) -> CellComplex {
 /// [`build_complex`], assembling by view instead of by copy.
 pub fn build_complex_view(instance: &SpatialInstance) -> GlobalComplexView {
     let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
-    let components = build_component_complexes(instance, configured_threads());
+    let components = build_component_complexes(instance, available_threads());
     GlobalComplexView::new(region_names, components)
 }
 

@@ -93,9 +93,9 @@
 //! Parallelism lives at one level: **between components**. Interaction
 //! components share no vertex or edge, so their sub-complexes are swept as
 //! share-nothing work items on the [`parallel`] worker pool, up to `threads`
-//! at a time (`threads` of [`build_component_complexes`];
-//! `ARRANGEMENT_THREADS`, or the machine's available parallelism, for the
-//! entry points that take none — see [`parallel::configured_threads`]).
+//! at a time (`threads` of [`build_component_complexes`]; the machine's
+//! available parallelism, [`parallel::available_threads`], for every entry
+//! point that takes none, the commit path included).
 //! Each component — split, chain merge, face walks, label propagation and
 //! cell assembly — is built serially by the worker that took it, so a map
 //! that forms one big component is built on one thread. This is the lever

@@ -11,34 +11,21 @@
 //! input order** regardless of the thread count, so construction output is
 //! deterministic.
 //!
-//! The default thread count is the machine's available parallelism,
-//! overridable with the `ARRANGEMENT_THREADS` environment variable (a
-//! positive integer: how many components sweep at once; `1` sweeps them one
-//! after another on the calling thread). It is a deployment setting,
-//! resolved once per process.
+//! Builds that take no thread count use [`available_threads`], the
+//! machine's available parallelism. Callers that need a specific count pass
+//! it explicitly ([`crate::build_component_complexes`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// The thread count used by the construction pipeline: the value of the
-/// `ARRANGEMENT_THREADS` environment variable if it parses as a positive
-/// integer, otherwise [`available_threads`]. Resolved on first use and fixed
-/// for the life of the process; code that needs a specific count passes it
-/// explicitly ([`crate::build_component_complexes`]).
-pub fn configured_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("ARRANGEMENT_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(available_threads)
-    })
-}
-
-/// The machine's available parallelism (1 if undetectable).
+/// The machine's available parallelism (1 if undetectable): how many
+/// components the construction pipeline sweeps at once. Resolved on first
+/// use and fixed for the life of the process, so a commit never pays for
+/// the query (on Linux, std reads the cgroup quota files to answer it).
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS
+        .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Evaluate `f(0), f(1), …, f(n - 1)` on up to `threads` worker threads and

@@ -1,11 +1,14 @@
 //! Determinism of the construction pipeline across thread counts: components
 //! are swept on 1, 2, 4 or 8 worker threads, one whole component per worker,
 //! and every count must produce fingerprint- and index-identical complexes
-//! from the same amount of sweep work. Every configuration is passed as an
-//! explicit argument; nothing here touches the process environment.
+//! from the same amount of sweep work. The product's own builds, which take
+//! no thread count and sweep on the machine's available parallelism, must
+//! land on the serial result too.
 
 use arrangement::counters::phase_counters;
-use arrangement::{build_complex, build_component_complexes, ComplexRead, GlobalComplexView};
+use arrangement::{
+    build_complex, build_component_complexes, update_components, ComplexRead, GlobalComplexView,
+};
 use spatial_core::prelude::*;
 use std::sync::Mutex;
 
@@ -21,15 +24,19 @@ fn view_with_threads(inst: &SpatialInstance, threads: usize) -> GlobalComplexVie
     GlobalComplexView::new(names, build_component_complexes(inst, threads))
 }
 
-#[test]
-fn thread_count_never_changes_the_complex() {
-    let _builds = BUILDS.lock().unwrap_or_else(|e| e.into_inner());
-    for (name, inst) in [
+fn families() -> [(&'static str, SpatialInstance); 4] {
+    [
         ("clustered_map(8, 4, 5)", datagen::clustered_map(8, 4, 5)),
         ("wide_map(24, 9)", datagen::wide_map(24, 9)),
         ("dense_overlap_map(4, 4, 4)", datagen::dense_overlap_map(4, 4, 4)),
         ("dense_overlap_map(8, 8, 4)", datagen::dense_overlap_map(8, 8, 4)),
-    ] {
+    ]
+}
+
+#[test]
+fn thread_count_never_changes_the_complex() {
+    let _builds = BUILDS.lock().unwrap_or_else(|e| e.into_inner());
+    for (name, inst) in families() {
         // Explicit thread counts through the builder API. The serial result
         // is the baseline; parallel runs must be index-identical, not merely
         // fingerprint-equal, because downstream consumers address cells by
@@ -59,8 +66,8 @@ fn thread_count_never_changes_the_complex() {
             }
         }
 
-        // And the default entry point (partition → sweep on the configured
-        // thread count → copy assembly) lands on the same complex.
+        // And the default entry point (partition → sweep on the available
+        // parallelism → copy assembly) lands on the same complex.
         assert_eq!(fingerprint(&build_complex(&inst)), base_fp, "{name}: build_complex diverges");
     }
 }
@@ -83,4 +90,22 @@ fn one_component_sweeps_the_same_events_on_any_thread_count() {
     assert!(serial.events_processed > 0);
     assert_eq!(parallel.events_processed, serial.events_processed, "sweep events differ");
     assert_eq!(parallel, serial, "per-phase work differs between 1 and 4 threads");
+}
+
+#[test]
+fn the_product_cold_build_matches_the_serial_build() {
+    // The database's cold build is an update of the empty view with every
+    // name changed; its sweeps run on the worker pool at the machine's
+    // available parallelism. Index-identical to one thread, not merely
+    // isomorphic.
+    let _builds = BUILDS.lock().unwrap_or_else(|e| e.into_inner());
+    for (name, inst) in families() {
+        let names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
+        let update = update_components(&[], &inst, &names, |_| None);
+        let cold = GlobalComplexView::new(Vec::new(), Vec::new()).updated(names, update);
+        assert!(
+            cold.to_cell_complex() == view_with_threads(&inst, 1).to_cell_complex(),
+            "{name}: the product's cold build differs from the serial build"
+        );
+    }
 }

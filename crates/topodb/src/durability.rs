@@ -12,11 +12,10 @@ use crate::error::{ErrorClass, TopoDbError};
 use crate::transaction::Op;
 use spatial_core::instance::SpatialInstance;
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use wal::{BatchRecord, SyncPolicy, Vfs, Wal, WalConfig, WalError, WalOp};
+use wal::{BatchRecord, Vfs, Wal, WalConfig, WalError, WalOp};
 
 /// A source of delay for retry backoff.
 ///
@@ -37,47 +36,21 @@ impl Clock for SystemClock {
     }
 }
 
-/// Bounded retry-with-backoff for transient storage failures.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts per operation, including the first (minimum 1).
-    /// Default: 4.
-    pub max_attempts: u32,
-    /// Backoff before the first retry, doubling per subsequent retry.
-    /// Default: 1 ms.
-    pub backoff: Duration,
-}
+/// Attempts per storage operation, the first included.
+const MAX_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 4, backoff: Duration::from_millis(1) }
-    }
-}
-
-impl RetryPolicy {
-    /// This policy with a different attempt budget.
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// This policy with a different base backoff.
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-}
+/// Backoff before the first retry; it doubles for every retry after that.
+const BACKOFF: Duration = Duration::from_millis(1);
 
 /// Everything configurable about a durable database's storage: the log
-/// tunables, the retry policy, the storage backend, and the backoff
-/// clock.
+/// tunables, the storage backend, and the backoff clock. The retry budget
+/// is fixed: 4 attempts per operation, 1 ms before the first retry,
+/// doubling after that.
 #[derive(Clone, Debug)]
 pub struct StorageOptions {
     /// Write-ahead log tunables (sync policy, rotation, checkpoint
     /// cadence).
     pub wal: WalConfig,
-    /// Retry budget and backoff for transient storage failures.
-    pub retry: RetryPolicy,
     /// The storage backend. Default: the real filesystem.
     pub vfs: Arc<dyn Vfs>,
     /// The clock used for retry backoff. Default: really sleeps.
@@ -88,7 +61,6 @@ impl Default for StorageOptions {
     fn default() -> Self {
         StorageOptions {
             wal: WalConfig::default(),
-            retry: RetryPolicy::default(),
             vfs: wal::RealFs::shared(),
             clock: Arc::new(SystemClock),
         }
@@ -99,12 +71,6 @@ impl StorageOptions {
     /// This set of options on a different storage backend.
     pub fn with_vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
         self.vfs = vfs;
-        self
-    }
-
-    /// This set of options with a different retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -135,40 +101,21 @@ pub(crate) struct DurabilityCounters {
 /// detected *before* anything is appended, and the losing attempt rebuilds
 /// and retries without having logged a byte.
 pub(crate) struct Durability {
-    // Field order matters: the `Wal` flushes on drop, and must do so
-    // before an ephemeral guard (if any) deletes the directory.
     wal: Wal,
-    retry: RetryPolicy,
     clock: Arc<dyn Clock>,
     /// Set exactly once, by whichever failure first proved storage
     /// unsurvivable; every later commit fails fast with this root cause.
     degraded: OnceLock<WalError>,
     pub(crate) counters: DurabilityCounters,
-    _ephemeral: Option<EphemeralDir>,
-}
-
-/// Deletes an environment-attached throwaway log directory on drop.
-struct EphemeralDir(PathBuf);
-
-impl Drop for EphemeralDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 impl Durability {
-    pub(crate) fn new(wal: Wal) -> Durability {
-        Durability::with_policy(wal, RetryPolicy::default(), Arc::new(SystemClock))
-    }
-
-    pub(crate) fn with_policy(wal: Wal, retry: RetryPolicy, clock: Arc<dyn Clock>) -> Durability {
+    pub(crate) fn new(wal: Wal, clock: Arc<dyn Clock>) -> Durability {
         Durability {
             wal,
-            retry,
             clock,
             degraded: OnceLock::new(),
             counters: DurabilityCounters::default(),
-            _ephemeral: None,
         }
     }
 
@@ -193,12 +140,12 @@ impl Durability {
         TopoDbError::Degraded(self.degraded.get().expect("just set").clone())
     }
 
-    /// Run `op`, retrying transient failures per the policy (with
-    /// exponentially-backed-off sleeps on the injected clock). Any
-    /// unsurvivable outcome — a fatal or corrupting error, or a transient
-    /// one that exhausts the attempt budget — degrades the database and
-    /// returns the typed [`TopoDbError::Degraded`]. Fails fast if already
-    /// degraded.
+    /// Run `op`, retrying transient failures up to [`MAX_ATTEMPTS`] attempts
+    /// in all (sleeping [`BACKOFF`], doubling per retry, on the injected
+    /// clock). Any unsurvivable outcome — a fatal or corrupting error, or a
+    /// transient one that exhausts the attempt budget — degrades the
+    /// database and returns the typed [`TopoDbError::Degraded`]. Fails fast
+    /// if already degraded.
     fn with_retry<T>(&self, mut op: impl FnMut() -> Result<T, WalError>) -> Result<T, TopoDbError> {
         if let Some(cause) = self.degraded_cause() {
             return Err(self.reject_degraded(cause));
@@ -208,9 +155,9 @@ impl Durability {
             match op() {
                 Ok(v) => return Ok(v),
                 Err(e) => match ErrorClass::of(&e) {
-                    ErrorClass::Transient if attempt + 1 < self.retry.max_attempts.max(1) => {
+                    ErrorClass::Transient if attempt + 1 < MAX_ATTEMPTS => {
                         self.counters.transient_retries.fetch_add(1, Ordering::Relaxed);
-                        self.clock.sleep(self.retry.backoff.saturating_mul(1 << attempt.min(10)));
+                        self.clock.sleep(BACKOFF * (1 << attempt));
                         attempt += 1;
                     }
                     class => {
@@ -230,7 +177,7 @@ impl Durability {
     /// `Ok` means the record is durably framed in the log (to the
     /// configured sync policy) — the commit may be acknowledged. `Err` is
     /// always [`TopoDbError::Degraded`]: transient failures were retried
-    /// per the policy, and whatever remains has degraded the database to
+    /// within the fixed budget, and whatever remains has degraded the database to
     /// read-only. The commit must not publish.
     pub(crate) fn log_batch(
         &self,
@@ -310,79 +257,4 @@ pub(crate) fn replay(
         instance = next;
     }
     Ok(instance)
-}
-
-// ---- environment-attached ephemeral logs ---------------------------------
-
-/// Where `TOPODB_WAL` puts the throwaway log of a database constructed
-/// without an explicit path.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum EnvLog {
-    /// `TOPODB_WAL=on`: a temp directory on the real filesystem.
-    TempDir,
-    /// `TOPODB_WAL=sim`: a fresh in-memory [`wal::SimFs`] per database
-    /// (hermetic, no temp files).
-    Sim,
-}
-
-/// Parse a `TOPODB_WAL` value (case-insensitive); unset or anything
-/// unrecognised attaches nothing.
-fn parse_env_log(value: Option<&str>) -> Option<EnvLog> {
-    match value?.trim().to_ascii_lowercase().as_str() {
-        "on" => Some(EnvLog::TempDir),
-        "sim" => Some(EnvLog::Sim),
-        _ => None,
-    }
-}
-
-/// Create the throwaway `TOPODB_WAL` log for `instance` — this is how CI
-/// runs the entire suite with durability in the loop. The variable is read
-/// once per process. `None` if it asks for no log, or if creation fails
-/// (the env attach is best-effort test plumbing — a read-only temp
-/// filesystem should not take the whole suite down with it).
-///
-/// The sync policy is `none`: the attach exists to exercise the
-/// logging/replay *protocol* across the whole suite, and thousands of
-/// fsyncs would dominate its runtime (`percommit` is the default of
-/// [`crate::StorageOptions`] for real databases).
-pub(crate) fn ephemeral(instance: &SpatialInstance) -> Option<Durability> {
-    static MODE: OnceLock<Option<EnvLog>> = OnceLock::new();
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let mode =
-        (*MODE.get_or_init(|| parse_env_log(std::env::var("TOPODB_WAL").ok().as_deref())))?;
-    let cfg = WalConfig::default().with_sync(SyncPolicy::None);
-    match mode {
-        EnvLog::Sim => {
-            let sim: Arc<dyn Vfs> = Arc::new(wal::SimFs::new());
-            let wal =
-                Wal::create_with_vfs(sim, std::path::Path::new("/wal"), 0, instance, cfg).ok()?;
-            Some(Durability::new(wal))
-        }
-        EnvLog::TempDir => {
-            let dir = std::env::temp_dir().join(format!(
-                "topodb-wal-{}-{}",
-                std::process::id(),
-                SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            let mut d = Durability::new(Wal::create(&dir, 0, instance, cfg).ok()?);
-            d._ephemeral = Some(EphemeralDir(dir));
-            Some(d)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn topodb_wal_values_map_to_temp_dir_sim_or_nothing() {
-        assert_eq!(parse_env_log(Some("on")), Some(EnvLog::TempDir));
-        assert_eq!(parse_env_log(Some(" ON\n")), Some(EnvLog::TempDir));
-        assert_eq!(parse_env_log(Some("sim")), Some(EnvLog::Sim));
-        assert_eq!(parse_env_log(None), None);
-        for garbage in ["", "off", "1", "simfs", "percommit"] {
-            assert_eq!(parse_env_log(Some(garbage)), None, "{garbage:?}");
-        }
-    }
 }

@@ -78,7 +78,7 @@ mod error;
 mod snapshot;
 mod transaction;
 
-pub use durability::{Clock, RetryPolicy, StorageOptions, SystemClock};
+pub use durability::{Clock, StorageOptions, SystemClock};
 pub use error::{ErrorClass, TopoDbError};
 pub use query::{PreparedQuery, QueryOutput};
 pub use snapshot::Snapshot;
@@ -227,9 +227,9 @@ use transaction::Op;
 ///   *transient* failures (`EINTR`-style interruptions, including a torn
 ///   append — the log trims its tail back to the last record boundary
 ///   before the retry touches the file) are retried in place with
-///   exponential backoff, up to [`RetryPolicy::max_attempts`] attempts
-///   total (default 4, base backoff 1 ms, doubling; the backoff sleeps on
-///   an injectable [`Clock`]); *fatal* failures (`ENOSPC`, failed fsyncs —
+///   exponential backoff, up to 4 attempts in all (1 ms before the first
+///   retry, doubling after that; the backoff sleeps on an injectable
+///   [`Clock`]); *fatal* failures (`ENOSPC`, failed fsyncs —
 ///   which may have dropped the unsynced tail, so they are never retried —
 ///   device errors) and *corrupting* ones (checksum-impossible bytes) are
 ///   not retried at all. A commit whose append ultimately fails publishes
@@ -263,17 +263,11 @@ use transaction::Op;
 ///   loudly with the offending file and byte offset.
 ///
 /// The storage backend itself is pluggable ([`wal::Vfs`]): both
-/// constructors take [`StorageOptions`] bundling the log config, the retry
-/// policy, the backend (default: the real filesystem) and the backoff
-/// clock; `StorageOptions::default()` is a per-commit-fsynced log on disk.
+/// constructors take [`StorageOptions`] bundling the log config, the
+/// backend (default: the real filesystem) and the backoff clock;
+/// `StorageOptions::default()` is a per-commit-fsynced log on disk.
 /// The deterministic in-memory [`wal::SimFs`] with a seeded [`wal::FaultPlan`]
 /// is how the chaos suite drives every failure path above on demand.
-///
-/// Setting `TOPODB_WAL=on` attaches a throwaway temp-dir log (sync policy
-/// `none`), and `TOPODB_WAL=sim` one on a per-database in-memory
-/// [`wal::SimFs`], to every database constructed without an explicit path —
-/// CI runs the entire suite both ways to keep the logging protocol in every
-/// code path's loop. The variable is read once per process.
 pub struct TopoDatabase {
     chain: EpochChain,
     counters: BuildCounters,
@@ -334,11 +328,12 @@ impl TopoDatabase {
         TopoDatabase::from_instance(SpatialInstance::new())
     }
 
-    /// Build a database from an existing instance (`TOPODB_WAL` attaches
-    /// its throwaway log here, see the "Durability model" notes).
+    /// An in-memory database holding `instance` as its epoch 0. It has no
+    /// log; a durable database comes from
+    /// [`TopoDatabase::create_with_storage`] or
+    /// [`TopoDatabase::open_with_storage`].
     pub fn from_instance(instance: SpatialInstance) -> Self {
-        let durability = durability::ephemeral(&instance);
-        TopoDatabase::assemble(instance, 0, durability)
+        TopoDatabase::assemble(instance, 0, None)
     }
 
     /// The one true constructor: every public way of building a database
@@ -357,10 +352,9 @@ impl TopoDatabase {
     /// Create a durable database at `dir` holding `instance` as its epoch
     /// 0. Fails if `dir` already holds a database.
     ///
-    /// `options` controls storage: the log configuration, the
-    /// transient-failure retry policy, the storage backend (a [`wal::Vfs`] —
-    /// the real filesystem by default, or e.g. a fault-injecting
-    /// [`wal::SimFs`]), and the retry-backoff clock.
+    /// `options` controls storage: the log configuration, the storage
+    /// backend (a [`wal::Vfs`] — the real filesystem by default, or e.g. a
+    /// fault-injecting [`wal::SimFs`]), and the retry-backoff clock.
     /// `StorageOptions::default()` fsyncs every commit
     /// ([`SyncPolicy::PerCommit`]). See the "Durability model" section above
     /// for the protocol.
@@ -369,9 +363,9 @@ impl TopoDatabase {
         instance: SpatialInstance,
         options: StorageOptions,
     ) -> Result<Self, TopoDbError> {
-        let StorageOptions { wal: config, retry, vfs, clock } = options;
+        let StorageOptions { wal: config, vfs, clock } = options;
         let w = wal::Wal::create_with_vfs(vfs, dir.as_ref(), 0, &instance, config)?;
-        Ok(TopoDatabase::assemble(instance, 0, Some(Durability::with_policy(w, retry, clock))))
+        Ok(TopoDatabase::assemble(instance, 0, Some(Durability::new(w, clock))))
     }
 
     /// Reopen the durable database at `dir`: recover the newest checkpoint
@@ -388,14 +382,10 @@ impl TopoDatabase {
         dir: impl AsRef<Path>,
         options: StorageOptions,
     ) -> Result<Self, TopoDbError> {
-        let StorageOptions { wal: config, retry, vfs, clock } = options;
+        let StorageOptions { wal: config, vfs, clock } = options;
         let (w, recovery) = wal::Wal::open_with_vfs(vfs, dir.as_ref(), config)?;
         let instance = durability::replay(&recovery.checkpoint_instance, &recovery.records)?;
-        Ok(TopoDatabase::assemble(
-            instance,
-            recovery.head_epoch(),
-            Some(Durability::with_policy(w, retry, clock)),
-        ))
+        Ok(TopoDatabase::assemble(instance, recovery.head_epoch(), Some(Durability::new(w, clock))))
     }
 
     /// Point-in-time reopen: reconstruct the database exactly as it was at
@@ -409,7 +399,7 @@ impl TopoDatabase {
     /// other), and commits made to it are in-memory only — it is a
     /// read-mostly time-travel view, not a fork of the durable history.
     pub fn open_at(dir: impl AsRef<Path>, epoch: u64) -> Result<Self, TopoDbError> {
-        let recovery = wal::Wal::read(dir.as_ref())?;
+        let recovery = wal::Wal::read_with_vfs(&wal::RealFs, dir.as_ref())?;
         let records = recovery.records_up_to(epoch)?;
         let instance = durability::replay(&recovery.checkpoint_instance, records)?;
         Ok(TopoDatabase::assemble(instance, epoch, None))
@@ -452,7 +442,7 @@ impl TopoDatabase {
     /// [`WalConfig::checkpoint_every_records`] commits.)
     ///
     /// Subject to the same retry/degradation discipline as commits:
-    /// transient failures are retried per the [`RetryPolicy`], anything
+    /// transient failures are retried within the fixed budget, anything
     /// unsurvivable degrades the database and surfaces as
     /// [`TopoDbError::Degraded`].
     pub fn checkpoint(&self) -> Result<(), TopoDbError> {

@@ -99,8 +99,7 @@ impl<'db> Transaction<'db> {
     /// epoch, the log holds no record of the batch, and the database is in
     /// read-only degraded mode (this commit's storage failure put it there,
     /// or an earlier one already had). Transient storage failures are
-    /// retried internally per the configured
-    /// [`RetryPolicy`](crate::RetryPolicy) before any of that; a
+    /// retried internally, up to 4 attempts, before any of that; a
     /// successfully retried commit returns `Ok` like any other.
     pub fn try_commit(self) -> Result<CommitSummary, crate::TopoDbError> {
         self.db.commit_ops(self.ops)

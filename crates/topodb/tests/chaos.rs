@@ -27,7 +27,7 @@ use datagen::{op_trace, TraceOp};
 use spatial_core::instance::SpatialInstance;
 use spatial_core::wire::Wire;
 use std::sync::Arc;
-use topodb::{Clock, RetryPolicy, StorageOptions, TopoDatabase, TopoDbError};
+use topodb::{Clock, StorageOptions, TopoDatabase, TopoDbError};
 use wal::{FaultPlan, SimFs};
 
 const DIR: &str = "/db";
@@ -91,12 +91,10 @@ fn oracle_states(trace: &[Vec<TraceOp>]) -> Vec<Fingerprint> {
 
 /// Storage for the chaos run: per-commit fsync (so `Ok` = acked = synced),
 /// tiny rotation/checkpoint thresholds (so schedules hit the maintenance
-/// paths too), a small retry budget and no real sleeping.
+/// paths too) and no real sleeping.
 fn chaos_options(sim: &SimFs) -> StorageOptions {
-    let mut opts = StorageOptions::default()
-        .with_vfs(Arc::new(sim.clone()))
-        .with_retry(RetryPolicy::default().with_max_attempts(3))
-        .with_clock(Arc::new(NoSleep));
+    let mut opts =
+        StorageOptions::default().with_vfs(Arc::new(sim.clone())).with_clock(Arc::new(NoSleep));
     opts.wal = opts.wal.with_segment_max_bytes(512).with_checkpoint_every(4);
     opts
 }

@@ -1,8 +1,9 @@
-//! Degraded-mode and retry-policy edge cases, driven through the
-//! fault-injecting [`wal::SimFs`] backend: transient faults are absorbed
-//! by bounded backoff, unsurvivable faults flip the database to read-only
-//! **exactly once**, commits then fail fast with the original root cause,
-//! and reads keep serving throughout.
+//! Degraded-mode and retry edge cases, driven through the fault-injecting
+//! [`wal::SimFs`] backend: transient faults are absorbed by the fixed
+//! retry budget (4 attempts, 1 ms backoff doubling per retry),
+//! unsurvivable faults flip the database to read-only **exactly once**,
+//! commits then fail fast with the original root cause, and reads keep
+//! serving throughout.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,13 +11,13 @@ use spatial_core::instance::SpatialInstance;
 use spatial_core::region::Region;
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
-use topodb::{Clock, RetryPolicy, StorageOptions, TopoDatabase, TopoDbError};
+use topodb::{Clock, StorageOptions, TopoDatabase, TopoDbError};
 use wal::{Fault, FaultPlan, SimFs};
 
 const DIR: &str = "/db";
 
 /// A [`Clock`] that records every requested backoff instead of sleeping,
-/// so retry policy is assertable without wall-clock time.
+/// so the backoff schedule is assertable without wall-clock time.
 #[derive(Debug, Default)]
 struct RecordingClock(Mutex<Vec<Duration>>);
 
@@ -26,23 +27,18 @@ impl Clock for RecordingClock {
     }
 }
 
-fn options(sim: &SimFs, retry: RetryPolicy, clock: &Arc<RecordingClock>) -> StorageOptions {
+fn options(sim: &SimFs, clock: &Arc<RecordingClock>) -> StorageOptions {
     StorageOptions::default()
         .with_vfs(Arc::new(sim.clone()))
-        .with_retry(retry)
         .with_clock(Arc::clone(clock) as Arc<dyn Clock>)
 }
 
 /// A database on a fresh SimFs, with a recording no-sleep clock.
-fn sim_db(retry: RetryPolicy) -> (TopoDatabase, SimFs, Arc<RecordingClock>) {
+fn sim_db() -> (TopoDatabase, SimFs, Arc<RecordingClock>) {
     let sim = SimFs::new();
     let clock = Arc::new(RecordingClock::default());
-    let db = TopoDatabase::create_with_storage(
-        DIR,
-        SpatialInstance::new(),
-        options(&sim, retry, &clock),
-    )
-    .expect("create on a healthy SimFs");
+    let db = TopoDatabase::create_with_storage(DIR, SpatialInstance::new(), options(&sim, &clock))
+        .expect("create on a healthy SimFs");
     (db, sim, clock)
 }
 
@@ -54,7 +50,7 @@ fn commit_rect(db: &TopoDatabase, name: &str, at: i64) -> Result<(), TopoDbError
 
 #[test]
 fn health_reports_healthy_then_degraded_with_the_root_cause() {
-    let (db, sim, _clock) = sim_db(RetryPolicy::default());
+    let (db, sim, _clock) = sim_db();
     commit_rect(&db, "A", 0).expect("healthy commit");
 
     let h = db.health();
@@ -80,24 +76,22 @@ fn health_reports_healthy_then_degraded_with_the_root_cause() {
 
 #[test]
 fn transient_fault_on_the_final_allowed_attempt_still_succeeds() {
-    // Attempt budget 3: two EINTRs burn attempts 1 and 2, the third (last
+    // Attempt budget 4: three EINTRs burn attempts 1 to 3, the fourth (last
     // allowed) succeeds. The backoff between them doubles.
-    let (db, sim, clock) = sim_db(
-        RetryPolicy::default().with_max_attempts(3).with_backoff(Duration::from_millis(1)),
-    );
-    sim.set_plan(FaultPlan::none().fail_writes(2, Fault::Transient));
+    let (db, sim, clock) = sim_db();
+    sim.set_plan(FaultPlan::none().fail_writes(3, Fault::Transient));
 
-    commit_rect(&db, "A", 0).expect("two transients within a 3-attempt budget must succeed");
+    commit_rect(&db, "A", 0).expect("three transients within a 4-attempt budget must succeed");
     assert_eq!(db.update_epoch(), 1);
 
     let h = db.health();
-    assert_eq!(h.transient_retries, 2);
+    assert_eq!(h.transient_retries, 3);
     assert_eq!(h.retries_exhausted, 0);
     assert_eq!(h.degraded, None, "absorbed transients never degrade");
     let sleeps = clock.0.lock().unwrap().clone();
     assert_eq!(
         sleeps,
-        vec![Duration::from_millis(1), Duration::from_millis(2)],
+        vec![Duration::from_millis(1), Duration::from_millis(2), Duration::from_millis(4)],
         "one backoff per retry, doubling"
     );
 
@@ -115,13 +109,17 @@ fn transient_fault_on_the_final_allowed_attempt_still_succeeds() {
 
 #[test]
 fn retry_exhaustion_degrades_exactly_once_and_the_cause_is_stable() {
-    let (db, sim, clock) = sim_db(RetryPolicy::default().with_max_attempts(2));
+    let (db, sim, clock) = sim_db();
     commit_rect(&db, "A", 0).expect("healthy commit");
     sim.set_plan(FaultPlan::none().fail_writes(10, Fault::Transient));
 
-    let err = commit_rect(&db, "B", 10).expect_err("budget of 2 cannot absorb 10 transients");
+    let err = commit_rect(&db, "B", 10).expect_err("budget of 4 cannot absorb 10 transients");
     let TopoDbError::Degraded(first_cause) = err else { panic!("expected Degraded, got {err:?}") };
-    assert_eq!(clock.0.lock().unwrap().len(), 1, "exactly one backoff before exhaustion");
+    assert_eq!(
+        *clock.0.lock().unwrap(),
+        [Duration::from_millis(1), Duration::from_millis(2), Duration::from_millis(4)],
+        "one backoff per retry before exhaustion"
+    );
 
     // Subsequent commits fail fast — no further attempts hit storage, no
     // further degrade events, and the root cause never changes.
@@ -136,7 +134,7 @@ fn retry_exhaustion_degrades_exactly_once_and_the_cause_is_stable() {
     let h = db.health();
     assert_eq!(h.degrade_events, 1, "degradation happened exactly once");
     assert_eq!(h.retries_exhausted, 1);
-    assert_eq!(h.transient_retries, 1);
+    assert_eq!(h.transient_retries, 3);
     assert_eq!(h.degraded_commit_rejections, 3);
     assert_eq!(h.degraded, Some(first_cause));
 }
@@ -146,7 +144,7 @@ fn reads_keep_serving_while_commits_fail_typed() {
     // The forced-fatal acceptance scenario: after degradation, every
     // commit fails fast with the typed error while snapshots, queries and
     // relation reads keep serving the last published epoch.
-    let (db, sim, _clock) = sim_db(RetryPolicy::default());
+    let (db, sim, _clock) = sim_db();
     commit_rect(&db, "A", 0).expect("commit A");
     commit_rect(&db, "B", 2).expect("commit B overlapping A");
     let snapshot_before = db.snapshot();
@@ -172,7 +170,7 @@ fn reads_keep_serving_while_commits_fail_typed() {
 
 #[test]
 fn concurrent_committers_all_observe_degraded_without_deadlock() {
-    let (db, sim, _clock) = sim_db(RetryPolicy::default());
+    let (db, sim, _clock) = sim_db();
     commit_rect(&db, "Base", 0).expect("healthy commit");
     sim.set_plan(FaultPlan::none().fail_writes(64, Fault::NoSpace));
 
@@ -213,7 +211,7 @@ fn failed_maintenance_after_an_acked_append_keeps_the_commit_and_degrades() {
     // degrades proactively so the *next* commit fails typed.
     let sim = SimFs::new();
     let clock = Arc::new(RecordingClock::default());
-    let mut opts = options(&sim, RetryPolicy::default(), &clock);
+    let mut opts = options(&sim, &clock);
     opts.wal = opts.wal.with_checkpoint_every(2);
     let db = TopoDatabase::create_with_storage(DIR, SpatialInstance::new(), opts)
         .expect("create on a healthy SimFs");
@@ -293,7 +291,7 @@ fn readers_never_wait_on_a_publish_held_in_log_backoff() {
 
 #[test]
 fn dir_sync_downgrades_surface_in_health() {
-    let (db, sim, _clock) = sim_db(RetryPolicy::default());
+    let (db, sim, _clock) = sim_db();
     commit_rect(&db, "A", 0).expect("healthy commit");
 
     // The checkpoint is published by rename; a directory-fsync failure
@@ -321,12 +319,8 @@ fn concurrent_writers_under_random_transient_faults_lose_no_acked_commit() {
     let base = datagen::clustered_map(CLUSTERS, 4, 0x7af1c);
     let sim = SimFs::new();
     let clock = Arc::new(RecordingClock::default());
-    let db = TopoDatabase::create_with_storage(
-        DIR,
-        base.clone(),
-        options(&sim, RetryPolicy::default(), &clock),
-    )
-    .expect("create on a healthy SimFs");
+    let db = TopoDatabase::create_with_storage(DIR, base.clone(), options(&sim, &clock))
+        .expect("create on a healthy SimFs");
     sim.set_plan(FaultPlan::none().transient_write_rate(0.25, 0x7af1c));
 
     // Each writer keeps at most four regions of its own alive, so commits

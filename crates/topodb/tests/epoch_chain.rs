@@ -25,6 +25,10 @@
 //!    the union; overtaken by commits that re-shape a region of its own
 //!    cluster, the retry refuses its stale components and still publishes
 //!    what a cold build of the union says.
+//!
+//! Suites 1, 2 and 5 run twice: in memory, and on a database logging to an
+//! in-memory [`SimFs`]. A durable run ends with a power cut and a reopen from
+//! the log, which must observe exactly what the live database last did.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,13 +36,60 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use topodb::query::PreparedQuery;
 use topodb::spatial_core::prelude::*;
+use topodb::wal::SimFs;
 use topodb::{StorageOptions, TopoDatabase};
 
 const CLUSTERS: usize = 6;
 const PER_CLUSTER: usize = 3;
+const DIR: &str = "/db";
 
-fn chain_db(seed: u64) -> TopoDatabase {
-    TopoDatabase::from_instance(datagen::clustered_map(CLUSTERS, PER_CLUSTER, seed))
+/// Where a suite's database keeps its history.
+#[derive(Clone, Copy, Debug)]
+enum Storage {
+    /// In memory only: no log.
+    Memory,
+    /// A write-ahead log on a fresh in-memory [`SimFs`].
+    Sim,
+}
+
+/// A database over the clustered map of `seed` on `storage`, and the
+/// filesystem its log is on (`None` in memory).
+fn chain_db(seed: u64, storage: Storage) -> (TopoDatabase, Option<SimFs>) {
+    let instance = datagen::clustered_map(CLUSTERS, PER_CLUSTER, seed);
+    match storage {
+        Storage::Memory => (TopoDatabase::from_instance(instance), None),
+        Storage::Sim => {
+            let sim = SimFs::new();
+            let options = StorageOptions::default().with_vfs(Arc::new(sim.clone()));
+            let db = TopoDatabase::create_with_storage(DIR, instance, options)
+                .expect("create on a healthy SimFs");
+            (db, Some(sim))
+        }
+    }
+}
+
+/// For a durable database: cut the power, reopen from what the log holds,
+/// and require the reopened database to be at the live one's epoch and to
+/// observe byte-identically what it did. Every commit was acknowledged, so
+/// every one must survive. Nothing to check in memory.
+fn reopen_matches_live(db: TopoDatabase, sim: Option<SimFs>, query: &PreparedQuery) {
+    let Some(sim) = sim else { return };
+    let (epoch, live) = {
+        let snap = db.snapshot();
+        (db.update_epoch(), observable_digest(snap.epoch(), &snap, query))
+    };
+    drop(db);
+    sim.power_cycle();
+    let reopened =
+        TopoDatabase::open_with_storage(DIR, StorageOptions::default().with_vfs(Arc::new(sim)))
+            .expect("reopen from the log");
+    assert_eq!(reopened.update_epoch(), epoch, "the reopened database is at another epoch");
+    let snap = reopened.snapshot();
+    assert_eq!(
+        observable_digest(snap.epoch(), &snap, query),
+        live,
+        "the reopened database observes something else than the live one did"
+    );
 }
 
 /// One buffered operation of a model batch: `Some(region)` inserts or
@@ -98,9 +149,18 @@ fn observable_digest(epoch: u64, snap: &topodb::Snapshot, query: &PreparedQuery)
 
 #[test]
 fn randomized_interleaved_schedules_match_the_from_scratch_model_exactly() {
+    randomized_interleaved_schedules(Storage::Memory);
+}
+
+#[test]
+fn randomized_interleaved_schedules_match_the_from_scratch_model_exactly_on_a_log() {
+    randomized_interleaved_schedules(Storage::Sim);
+}
+
+fn randomized_interleaved_schedules(storage: Storage) {
     let query = PreparedQuery::compile("overlap(ext(x), C000_R000)").expect("query compiles");
     for seed in 0..4u64 {
-        let chain = chain_db(900 + seed);
+        let (chain, sim) = chain_db(900 + seed, storage);
         let mut model = Model::new(900 + seed);
         let read = |chain: &TopoDatabase| {
             let snap = chain.snapshot();
@@ -108,6 +168,16 @@ fn randomized_interleaved_schedules_match_the_from_scratch_model_exactly() {
             (snap, digest)
         };
         assert_eq!(read(&chain).1, model.digest(&query), "fresh databases differ (seed {seed})");
+
+        // A batch that changes nothing starts no epoch and logs nothing.
+        let head = chain.health().wal_head_epoch;
+        assert_eq!(head, sim.as_ref().map(|_| 0), "{storage:?}: a fresh log is at epoch 0");
+        let mut txn = chain.begin_shared();
+        txn.remove("NOT_A_REGION");
+        let c = txn.commit();
+        assert_eq!((c.epoch, c.changed), model.commit(&[("NOT_A_REGION".into(), None)]));
+        assert_eq!(chain.health().wal_head_epoch, head, "{storage:?}: a no-op commit moved the log");
+
         let mut rng = StdRng::seed_from_u64(0xec0c + seed);
         let mut held: Vec<(topodb::Snapshot, String)> = Vec::new();
         for step in 0..30 {
@@ -136,6 +206,9 @@ fn randomized_interleaved_schedules_match_the_from_scratch_model_exactly() {
                         model.commit(&batch),
                         "commit summaries diverged at step {step} (seed {seed})"
                     );
+                    if sim.is_some() {
+                        assert_eq!(chain.health().wal_head_epoch, Some(model.epoch));
+                    }
                 }
                 // Read + compare everything observable.
                 5..=8 => {
@@ -162,6 +235,8 @@ fn randomized_interleaved_schedules_match_the_from_scratch_model_exactly() {
                 "held snapshot drifted"
             );
         }
+        drop(held);
+        reopen_matches_live(chain, sim, &query);
     }
 }
 
@@ -172,7 +247,17 @@ fn cluster_region(rng: &mut StdRng, c: usize) -> Region {
 
 #[test]
 fn concurrent_readers_and_writers_stress() {
-    let db = Arc::new(chain_db(7777));
+    concurrent_readers_and_writers(Storage::Memory);
+}
+
+#[test]
+fn concurrent_readers_and_writers_stress_on_a_log() {
+    concurrent_readers_and_writers(Storage::Sim);
+}
+
+fn concurrent_readers_and_writers(storage: Storage) {
+    let (db, sim) = chain_db(7777, storage);
+    let db = Arc::new(db);
     // Warm the root epoch so reader assertions start from a built head.
     db.snapshot();
     let writers = 3usize;
@@ -231,10 +316,13 @@ fn concurrent_readers_and_writers_stress() {
                 })
             })
             .collect();
-        for h in handles {
-            h.join().expect("writer thread");
-        }
+        // Stop the readers before surfacing a writer's panic, or they spin
+        // forever and the failure shows up as a hang.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         stop.store(true, Ordering::Relaxed);
+        for writer in joined {
+            writer.expect("writer thread");
+        }
     });
 
     // Every effective commit bumped the epoch exactly once, in a total
@@ -269,16 +357,19 @@ fn concurrent_readers_and_writers_stress() {
         format!("{:?}", oracle_final.evaluate(&query).unwrap()),
     );
     eprintln!(
-        "stress: {} epochs, {} publish conflicts, {} component re-sweeps",
+        "stress ({storage:?}): {} epochs, {} publish conflicts, {} component re-sweeps",
         db.update_epoch(),
         db.publish_conflict_count(),
         db.component_rebuild_count()
     );
+    drop((chain_final, oracle_final));
+    let db = Arc::try_unwrap(db).unwrap_or_else(|_| panic!("every thread has let go"));
+    reopen_matches_live(db, sim, &query);
 }
 
 #[test]
 fn commits_reuse_untouched_components_pointer_identically() {
-    let db = chain_db(31415);
+    let (db, _) = chain_db(31415, Storage::Memory);
     let before = db.component_complexes();
     assert!(before.len() >= CLUSTERS, "clustered map yields at least one component per cluster");
 
@@ -378,6 +469,16 @@ fn single_writer_commits_free_superseded_epochs() {
 /// identical.)
 #[test]
 fn a_conflicting_commit_on_disjoint_clusters_retries_without_sweeping() {
+    conflicting_commits(Storage::Memory);
+}
+
+#[test]
+fn a_conflicting_commit_on_disjoint_clusters_retries_without_sweeping_on_a_log() {
+    conflicting_commits(Storage::Sim);
+}
+
+fn conflicting_commits(storage: Storage) {
+    let query = PreparedQuery::compile("overlap(ext(x), F)").expect("query compiles");
     let slow_batch = || -> Vec<(String, Region)> {
         let mut rng = StdRng::seed_from_u64(4242);
         (0..40).map(|i| (format!("S{i:02}"), cluster_region(&mut rng, 0))).collect()
@@ -390,12 +491,12 @@ fn a_conflicting_commit_on_disjoint_clusters_retries_without_sweeping() {
         [(on_cluster_1, true, 31), (in_cluster_0, false, 1)]
     {
         let fresh = |round: u64| {
-            let db = chain_db(8128 + round);
+            let (db, sim) = chain_db(8128 + round, storage);
             let mut txn = db.begin_shared();
             txn.insert("F", f_shapes[0].clone());
             txn.commit();
             db.snapshot();
-            db
+            (db, sim)
         };
         let fast_edit = |db: &TopoDatabase, i: usize| {
             let mut txn = db.begin_shared();
@@ -405,7 +506,7 @@ fn a_conflicting_commit_on_disjoint_clusters_retries_without_sweeping() {
 
         let mut conflicts = 0;
         for round in 0..5 {
-            let db = fresh(round);
+            let (db, sim) = fresh(round);
             let swept_before = db.component_rebuild_count();
             let slow_started = AtomicBool::new(false);
             let slow_done = AtomicBool::new(false);
@@ -435,7 +536,7 @@ fn a_conflicting_commit_on_disjoint_clusters_retries_without_sweeping() {
             let swept = db.component_rebuild_count() - swept_before;
 
             // The same commits one after the other: no conflict, no retry.
-            let twin = fresh(round);
+            let (twin, _) = fresh(round);
             let twin_before = twin.component_rebuild_count();
             let mut txn = twin.begin_shared();
             for (name, region) in slow_batch() {
@@ -468,10 +569,14 @@ fn a_conflicting_commit_on_disjoint_clusters_retries_without_sweeping() {
             );
 
             conflicts += db.publish_conflict_count();
+            reopen_matches_live(db, sim, &query);
             if conflicts > 0 {
                 break;
             }
         }
-        assert!(conflicts > 0, "five rounds and the slow commit was never overtaken ({disjoint})");
+        assert!(
+            conflicts > 0,
+            "{storage:?}: five rounds and the slow commit was never overtaken ({disjoint})"
+        );
     }
 }

@@ -183,10 +183,17 @@ mod tests {
         // suites exercise it heavily on top).
         let dir = std::env::temp_dir().join(format!("wal-lib-realfs-{}", std::process::id()));
         let _ = RealFs.remove_dir_all(&dir);
-        let wal = Wal::create(&dir, 0, &SpatialInstance::new(), WalConfig::default()).unwrap();
+        let wal = Wal::create_with_vfs(
+            RealFs::shared(),
+            &dir,
+            0,
+            &SpatialInstance::new(),
+            WalConfig::default(),
+        )
+        .unwrap();
         commit_n(&wal, 3);
         drop(wal);
-        let (_, recovery) = Wal::open(&dir, WalConfig::default()).unwrap();
+        let (_, recovery) = Wal::open_with_vfs(RealFs::shared(), &dir, WalConfig::default()).unwrap();
         assert_eq!(recovery.head_epoch(), 3);
         RealFs.remove_dir_all(&dir).unwrap();
     }

@@ -8,7 +8,8 @@
 //! *around* the WAL with their own lock; the WAL's mutex only protects its
 //! file state.
 //!
-//! All I/O goes through a [`Vfs`] trait object (default: [`RealFs`]), so
+//! All I/O goes through a [`Vfs`] trait object (the OS filesystem is
+//! [`RealFs`](crate::RealFs)), so
 //! the same appender runs against the fault-injecting
 //! [`SimFs`](crate::SimFs). The failure discipline (see the crate-level
 //! "Failure model"):
@@ -31,7 +32,7 @@ use crate::error::WalError;
 use crate::record::BatchRecord;
 use crate::recovery::{remove_stale, scan_dir, Recovery};
 use crate::segment::{encode_segment_header, segment_file_name, SEGMENT_HEADER_LEN};
-use crate::vfs::{RealFs, Vfs, VfsErrorKind, VfsFile};
+use crate::vfs::{Vfs, VfsErrorKind, VfsFile};
 use spatial_core::instance::SpatialInstance;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,18 +177,7 @@ impl Wal {
     /// Initialize a fresh database at `dir` holding `instance` as epoch
     /// `epoch`: a checkpoint of the instance plus an empty first segment.
     /// Fails with [`WalError::AlreadyExists`] if the directory already
-    /// holds log files. Uses the real filesystem; see
-    /// [`Wal::create_with_vfs`] for a pluggable backend.
-    pub fn create(
-        dir: &Path,
-        epoch: u64,
-        instance: &SpatialInstance,
-        cfg: WalConfig,
-    ) -> Result<Wal, WalError> {
-        Wal::create_with_vfs(RealFs::shared(), dir, epoch, instance, cfg)
-    }
-
-    /// [`Wal::create`] on an explicit storage backend.
+    /// holds log files.
     pub fn create_with_vfs(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
@@ -226,13 +216,7 @@ impl Wal {
 
     /// Open an existing database: recover the committed history, truncate
     /// any torn tail, and position the appender after the last durable
-    /// record. Returns the log plus what was recovered. Uses the real
-    /// filesystem; see [`Wal::open_with_vfs`] for a pluggable backend.
-    pub fn open(dir: &Path, cfg: WalConfig) -> Result<(Wal, Recovery), WalError> {
-        Wal::open_with_vfs(RealFs::shared(), dir, cfg)
-    }
-
-    /// [`Wal::open`] on an explicit storage backend.
+    /// record. Returns the log plus what was recovered.
     pub fn open_with_vfs(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
@@ -292,11 +276,6 @@ impl Wal {
     /// Read-only recovery: reconstruct the committed history without
     /// touching the files (no truncation, no appender). This is what
     /// point-in-time reopen uses — it must not disturb a live database.
-    pub fn read(dir: &Path) -> Result<Recovery, WalError> {
-        scan_dir(&RealFs, dir)
-    }
-
-    /// [`Wal::read`] on an explicit storage backend.
     pub fn read_with_vfs(vfs: &dyn Vfs, dir: &Path) -> Result<Recovery, WalError> {
         scan_dir(vfs, dir)
     }
