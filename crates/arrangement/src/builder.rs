@@ -705,6 +705,7 @@ fn finish_complex(
 mod tests {
     use super::*;
     use spatial_core::fixtures;
+    use crate::complex::ComplexRead;
 
     #[test]
     fn empty_instance() {

@@ -524,11 +524,6 @@ impl CellComplex {
         }
     }
 
-    /// The sign of a cell with respect to a region given by name.
-    pub fn sign_of(&self, cell: CellId, region: &str) -> Option<Sign> {
-        ComplexRead::sign_of(self, cell, region)
-    }
-
     /// The tail vertex of a dart.
     pub fn dart_tail(&self, d: DartId) -> VertexId {
         let e = &self.edges[d.edge().0];
@@ -559,16 +554,6 @@ impl CellComplex {
         &self.vertices[v.0].rotation
     }
 
-    /// The edges incident to a vertex (each loop appears once).
-    pub fn vertex_edges(&self, v: VertexId) -> Vec<EdgeId> {
-        ComplexRead::vertex_edges(self, v)
-    }
-
-    /// The faces incident to a vertex.
-    pub fn vertex_faces(&self, v: VertexId) -> Vec<FaceId> {
-        ComplexRead::vertex_faces(self, v)
-    }
-
     /// The two faces incident to an edge (left of forward dart, left of
     /// backward dart). They may coincide.
     pub fn edge_faces(&self, e: EdgeId) -> (FaceId, FaceId) {
@@ -579,17 +564,6 @@ impl CellComplex {
     /// connected components embedded inside the face.
     pub fn face_edges(&self, f: FaceId) -> &[EdgeId] {
         &self.faces[f.0].boundary_edges
-    }
-
-    /// The faces making up a region (the cells labeled `Interior` for it).
-    pub fn region_faces(&self, region: &str) -> Vec<FaceId> {
-        ComplexRead::region_faces(self, region)
-    }
-
-    /// Is the skeleton (union of vertices and edges) connected?
-    /// (The paper's notion of a *connected* instance.)
-    pub fn is_connected(&self) -> bool {
-        ComplexRead::is_connected(self)
     }
 
     /// Number of connected components of the skeleton.
@@ -618,37 +592,5 @@ impl CellComplex {
             }
         }
         components
-    }
-
-    /// Is the instance *simple* in the paper's sense: is the boundary walk of
-    /// every face a simple closed curve? (Simple instances are also
-    /// connected.)
-    pub fn is_simple(&self) -> bool {
-        ComplexRead::is_simple(self)
-    }
-
-    /// All darts whose left face is `f` (the face's boundary walk(s)).
-    pub fn face_darts(&self, f: FaceId) -> Vec<DartId> {
-        ComplexRead::face_darts(self, f)
-    }
-
-    /// Check the Euler relation `|F| = |E| - |V| + 1 + C` where `C` is the
-    /// number of skeleton components (for connected complexes this is the
-    /// paper's `|Faces| = |Edges| - |Vertices| + 2`).
-    pub fn euler_formula_holds(&self) -> bool {
-        ComplexRead::euler_formula_holds(self)
-    }
-
-    /// The paper's orientation relation `O ⊆ {↻, ↺} × V × E × E`: for every
-    /// vertex, the pairs of consecutive incident edges in clockwise (`true`)
-    /// and in counter-clockwise order. Loops contribute two entries, as in
-    /// the paper's Example 3.3.
-    pub fn orientation_relation(&self) -> Vec<(bool, VertexId, EdgeId, EdgeId)> {
-        ComplexRead::orientation_relation(self)
-    }
-
-    /// Human-readable summary of the complex.
-    pub fn summary(&self) -> String {
-        ComplexRead::summary(self)
     }
 }

@@ -219,12 +219,6 @@ fn cover<'a, I: Iterator<Item = &'a BBox>>(mut boxes: I) -> BBox {
     boxes.fold(first, |acc, b| acc.union(b))
 }
 
-/// A degenerate box covering exactly one point (used by point-keyed index
-/// consumers; exact, since coordinates are rational).
-pub fn point_bbox(p: &Point) -> BBox {
-    BBox { x0: p.x, y0: p.y, x1: p.x, y1: p.y }
-}
-
 /// Convenience: the box `[x0, x1] × [y0, y1]` from integer coordinates.
 pub fn bbox_from_ints(x0: i64, y0: i64, x1: i64, y1: i64) -> BBox {
     BBox {

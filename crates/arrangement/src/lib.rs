@@ -124,7 +124,7 @@
 //! ## Example
 //!
 //! ```
-//! use arrangement::build_complex;
+//! use arrangement::{build_complex, ComplexRead};
 //! use spatial_core::fixtures;
 //!
 //! // The instance of the paper's Example 3.1 (Fig. 1c).

@@ -42,8 +42,9 @@
 //!   so are the two memos that depend on them: the inverse region map
 //!   (global region index → local label position), which turns the
 //!   `vertex_sign`/`edge_sign`/`face_sign` fast paths from a binary search
-//!   into an array index — the access pattern of `relation_matrix` over many
-//!   pairs — and the widened-label table, which widens each cell's label
+//!   into an array index — the access pattern of the `relations` crate's
+//!   whole-view relation scans (the reference relation reads are tested
+//!   against) over many pairs — and the widened-label table, which widens each cell's label
 //!   once instead of on every `vertex_label`/`edge_label`/`face_label` read
 //!   ([`GlobalComplexView::label_widenings`] counts widenings, and the test
 //!   suite pins that a second scan performs none).
@@ -353,12 +354,6 @@ impl GlobalComplexView {
             .collect()
     }
 
-    /// The global id of the face component `c` is embedded in (the exterior
-    /// face for root components).
-    pub fn component_parent_face(&self, c: usize) -> FaceId {
-        self.parent_face[c]
-    }
-
     /// Materialize the flat [`CellComplex`] with the identical cell
     /// numbering (a deep copy; `O(total cells)`).
     pub fn to_cell_complex(&self) -> CellComplex {
@@ -403,7 +398,8 @@ impl GlobalComplexView {
     /// Served through the memoized inverse region map: the first sign read
     /// of a component builds its `O(regions)` global→local position table,
     /// after which every read is an array index instead of a binary search —
-    /// the fast path for whole-complex scans like `relation_matrix`.
+    /// the fast path for whole-complex scans like
+    /// `relations::all_pairwise_relations_in_complex`.
     fn local_sign(&self, c: usize, local_label: &Label, region: usize) -> Sign {
         let table = self.region_pos[c].get_or_init(|| {
             let mut t = vec![u32::MAX; self.region_names.len()];

@@ -7,6 +7,7 @@
 //! sub-segment for sub-segment is therefore a full functional specification
 //! of the sweep, including region-mark merging of shared boundaries.
 
+use arrangement::ComplexRead;
 use arrangement::split::{instance_segments, split_segments_naive, TaggedSegment};
 use arrangement::sweep::split_segments_sweep;
 use spatial_core::fixtures;

@@ -11,7 +11,7 @@
 //! sign labels (vertices by point, edges by canonical polyline and
 //! boundary-region set, faces by label and boundary size).
 
-use arrangement::{build_complex, build_complex_monolithic};
+use arrangement::{build_complex, build_complex_monolithic, ComplexRead};
 use spatial_core::fixtures;
 use spatial_core::prelude::*;
 

@@ -35,11 +35,18 @@
 //! of their own faces — `O(faces × degree)`, memoized per named region and
 //! per quantifier value — and the 4-intersection test is a merge of sorted
 //! lists; nothing scans the complex.
+//!
+//! Relation reads ([`CellEvaluator::named_relation`], what
+//! `topodb::Snapshot::{relation, relations_of, relation_matrix}` serve) run
+//! the same classifier as a `Rel` atom over two names, so a read costs what
+//! the atom costs: the two names' own faces on first use, a box test or a
+//! list merge after. The whole-complex scan of the `relations` crate is the
+//! reference it is tested against, not a second read path.
 
 use crate::ast::{Formula, NameTerm, RegionExpr};
 use crate::plan::{Generator, QueryPlan};
 use arrangement::{
-    build_complex_view, BBox, ComplexRead, FaceId, GlobalComplexView, Sign, SpatialIndex,
+    build_complex_view, BBox, ComplexRead, FaceId, GlobalComplexView, SpatialIndex,
 };
 use relations::{FourIntersectionMatrix, Relation4};
 use spatial_core::prelude::SpatialInstance;
@@ -111,8 +118,9 @@ pub struct CellEvaluator {
     /// and planned paths both count; shared by clones). See
     /// [`CellEvaluator::assignments_tried`].
     assignments: Arc<AtomicU64>,
-    /// Number of `Rel` atoms answered by the bounding-box *disjointness*
-    /// short-circuit without touching the complex (shared by clones). See
+    /// Number of `Rel` atoms and [`CellEvaluator::named_relation`] reads
+    /// answered by the bounding-box *disjointness* short-circuit without
+    /// touching the complex (shared by clones). See
     /// [`CellEvaluator::rel_shortcuts_by_kind`].
     rel_shortcut_hits: Arc<AtomicU64>,
     /// Number of `Rel` atoms *refuted* by the bounding-box nesting
@@ -381,8 +389,8 @@ impl CellEvaluator {
     /// `(disjointness, nesting)`.
     ///
     /// * **Disjointness** — both operands named, boxes not interacting:
-    ///   every relation atom is *answered* (`disjoint` holds, the seven
-    ///   others don't).
+    ///   every relation atom, and every [`CellEvaluator::named_relation`]
+    ///   read, is *answered* `disjoint`.
     /// * **Nesting** — both operands named, boxes interacting, but the atom
     ///   implies a containment its boxes refute: `contains`/`covers`
     ///   require the left box to contain the right, `inside`/`covered_by`
@@ -620,6 +628,32 @@ impl CellEvaluator {
             return Some(Relation4::Equal);
         }
         Relation4::from_matrix(self.matrix_of(a, b))
+    }
+
+    /// The 4-intersection relation between two named regions: what a `Rel`
+    /// atom over the two names tests, and what `topodb::Snapshot` serves as
+    /// a relation read. `Ok(None)` means the classifier found a matrix no
+    /// pair of regions realizes, which only a defective complex produces.
+    pub fn named_relation(&self, a: &str, b: &str) -> Result<Option<Relation4>, EvalError> {
+        let index = |n: &str| self.name_index(n).ok_or_else(|| EvalError::UnknownName(n.into()));
+        Ok(self.relation_of_names(index(a)?, index(b)?))
+    }
+
+    /// The one classifier of named regions. A region's closure lies inside
+    /// its boundary bbox, so two regions whose boxes do not interact are
+    /// `disjoint`, answered without resolving a face set. A region with a
+    /// box has a boundary edge and positive area, so its face set is not
+    /// empty (empty regions would compare `equal` whatever their boxes).
+    /// Otherwise — boxless names included — the memoized parts of both
+    /// names go to the 4-intersection classifier.
+    fn relation_of_names(&self, a: usize, b: usize) -> Option<Relation4> {
+        if let (Some(ab), Some(bb)) = (&self.bboxes[a], &self.bboxes[b]) {
+            if !ab.intersects(bb) {
+                self.rel_shortcut_hits.fetch_add(1, Ordering::Relaxed);
+                return Some(Relation4::Disjoint);
+            }
+        }
+        self.relation_of(self.name_operand(a), self.name_operand(b))
     }
 
     // ---- formula evaluation ---------------------------------------------
@@ -985,43 +1019,33 @@ impl CellEvaluator {
     ) -> Result<bool, EvalError> {
         match formula {
             Formula::Rel(r, p, q) => {
-                // Bounding-box short-circuits for named operands: a
-                // region's closure lies inside its boundary bbox, so (a)
-                // two named regions whose boxes don't interact are provably
-                // `disjoint`, and (b) a containment-implying atom whose
-                // boxes are not nested accordingly is provably false —
-                // `contains`/`covers` imply the right closure sits inside
-                // the left (so the right box inside the left box),
-                // `inside`/`covered_by` the converse, `equal` implies
-                // identical boundaries and hence identical boxes. Either
-                // way the atom is answered without resolving face sets or
-                // intersecting cell sets. A region with a box has a
-                // boundary edge, and its polygon has positive area, so its
-                // face set is not empty (empty regions would compare
-                // `equal` whatever their boxes). Anonymous (quantified)
-                // operands have no precomputed box and fall through to the
-                // full 4-intersection classifier, as do boxless names.
+                // Named operands go to the one classifier of named regions.
+                // Before it, the nesting short-circuit: a containment-
+                // implying atom whose interacting boxes are not nested
+                // accordingly is provably false — `contains`/`covers` imply
+                // the right closure sits inside the left (so the right box
+                // inside the left box), `inside`/`covered_by` the converse,
+                // `equal` implies identical boundaries and hence identical
+                // boxes. Boxes that do not interact are left to the
+                // classifier's disjointness short-circuit. Anonymous
+                // (quantified) operands have no precomputed box and go
+                // straight to the 4-intersection classifier.
                 if let (RegionExpr::Ext(pt), RegionExpr::Ext(qt)) = (p, q) {
                     let pi = self.resolve_name(pt, env)?;
                     let qi = self.resolve_name(qt, env)?;
                     if let (Some(pb), Some(qb)) = (&self.bboxes[pi], &self.bboxes[qi]) {
-                        if !pb.intersects(qb) {
-                            self.rel_shortcut_hits.fetch_add(1, Ordering::Relaxed);
-                            return Ok(*r == Relation4::Disjoint);
-                        }
                         let nested = match r {
                             Relation4::Contains | Relation4::Covers => pb.contains_box(qb),
                             Relation4::Inside | Relation4::CoveredBy => qb.contains_box(pb),
                             Relation4::Equal => pb == qb,
                             _ => true,
                         };
-                        if !nested {
+                        if pb.intersects(qb) && !nested {
                             self.rel_nesting_hits.fetch_add(1, Ordering::Relaxed);
                             return Ok(false);
                         }
                     }
-                    let (a, b) = (self.name_operand(pi), self.name_operand(qi));
-                    return Ok(self.relation_of(a, b) == Some(*r));
+                    return Ok(self.relation_of_names(pi, qi) == Some(*r));
                 }
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
@@ -1192,18 +1216,6 @@ fn intersect_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
 /// evaluator internally).
 pub fn eval_on_instance(instance: &SpatialInstance, formula: &Formula) -> Result<bool, EvalError> {
     CellEvaluator::new(instance).eval(formula)
-}
-
-/// The set of faces of a complex labeled interior to *all* of the given
-/// regions (a helper used by example programs).
-pub fn common_faces<C: ComplexRead>(complex: &C, regions: &[&str]) -> FaceSet {
-    let idxs: Vec<usize> =
-        regions.iter().filter_map(|r| complex.region_index(r)).collect();
-    complex
-        .face_ids()
-        .filter(|&f| idxs.iter().all(|&i| complex.face_sign(f, i) == Sign::Interior))
-        .map(|f| f.0)
-        .collect()
 }
 
 #[cfg(test)]

@@ -6,18 +6,24 @@
 //! * **Differential:** both evaluators return the same rows in the same
 //!   order on the benchmark's query shapes, on the planner suite's random
 //!   formulas, and on region-quantifier formulas over the paper fixtures —
-//!   also after every step of incremental traces whose nesting changes.
+//!   also after every step of incremental traces whose nesting changes. On
+//!   the same inputs the relation read ([`CellEvaluator::named_relation`])
+//!   answers every ordered pair of names as the whole-view scan
+//!   (`relations::relation_in_complex`) does, and the inputs realize all
+//!   eight relations.
 //! * **Locality:** after a one-region commit, the first query builds carried
 //!   memos for exactly the rebuilt components, as many at 1024 regions as at
 //!   256, and none for the carried ones.
 
-use arrangement::{build_component_complexes, update_components, GlobalComplexView};
+use arrangement::{build_component_complexes, update_components, ComplexRead, GlobalComplexView};
 use datagen::{clustered_map, jittered_overlap_map, zipf_clustered_map, TraceOp};
 use query::{CellEvaluator, PreparedQuery};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use relations::Relation4;
 use spatial_core::fixtures;
 use spatial_core::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 mod common;
@@ -57,12 +63,33 @@ fn shape_queries(names: &[String], count: usize) -> Vec<String> {
         .collect()
 }
 
-fn assert_same_answers(view: &GlobalComplexView, queries: &[String], context: &str) {
+/// The evaluator under test answers `queries` as the reference does, and
+/// its relation read answers every ordered pair of distinct names as the
+/// whole-view scan does. One scan per unordered pair serves both orders
+/// (`r(A, B)` iff `r.inverse()(B, A)`). Returns the relations the pairs
+/// realize.
+fn assert_same_answers(
+    view: &GlobalComplexView,
+    queries: &[String],
+    context: &str,
+) -> BTreeSet<Relation4> {
     let (ev, reference) = both(view);
     for text in queries {
         let q = PreparedQuery::compile(text).expect("query compiles");
         assert_eq!(q.run_on(&ev), q.run_on(&reference), "{text} on {context}");
     }
+    let names = view.region_names();
+    let mut seen = BTreeSet::new();
+    for (i, a) in names.iter().enumerate() {
+        for b in &names[i + 1..] {
+            let scanned = relations::relation_in_complex(view, a, b).expect("names of the view");
+            for (x, y, r) in [(a, b, scanned), (b, a, scanned.inverse())] {
+                assert_eq!(ev.named_relation(x, y), Ok(Some(r)), "relation({x}, {y}) on {context}");
+                seen.insert(r);
+            }
+        }
+    }
+    seen
 }
 
 #[test]
@@ -151,6 +178,40 @@ fn region_quantifiers_over_the_paper_fixtures_agree() {
         };
         assert_same_answers(&view, &queries, &context);
     }
+}
+
+/// Between them, the relation-read inputs realize all eight relations:
+/// the Fig. 2 pairs; `equal` between two distinct identical regions; and
+/// `contains`/`inside` across separately nested components (Host ⊃ Mid ⊃
+/// Core, no boundary contact).
+#[test]
+fn relation_reads_realize_all_eight_relations() {
+    let twins = SpatialInstance::from_regions([
+        ("A", Region::rect_from_ints(0, 0, 4, 4)),
+        ("B", Region::rect_from_ints(0, 0, 4, 4)),
+        ("C", Region::rect_from_ints(2, 2, 6, 6)),
+    ]);
+    let nested = SpatialInstance::from_regions([
+        ("Core", Region::rect_from_ints(45, 45, 55, 55)),
+        ("Host", Region::rect_from_ints(0, 0, 100, 100)),
+        ("Mid", Region::rect_from_ints(20, 20, 80, 80)),
+    ]);
+    let mut seen = BTreeSet::new();
+    for (name, inst) in fixtures::fig_2_pairs() {
+        seen.extend(assert_same_answers(&cold_view(&inst), &[], &format!("fig_2/{name}")));
+    }
+    let twins_view = cold_view(&twins);
+    seen.extend(assert_same_answers(&twins_view, &[], "twins"));
+    let nested_view = cold_view(&nested);
+    assert_eq!(nested_view.component_count(), 3, "one component per region");
+    seen.extend(assert_same_answers(&nested_view, &[], "nested"));
+
+    let (twins_ev, _) = both(&twins_view);
+    assert_eq!(twins_ev.named_relation("A", "B"), Ok(Some(Relation4::Equal)));
+    let (nested_ev, _) = both(&nested_view);
+    assert_eq!(nested_ev.named_relation("Host", "Core"), Ok(Some(Relation4::Contains)));
+    assert_eq!(nested_ev.named_relation("Core", "Mid"), Ok(Some(Relation4::Inside)));
+    assert_eq!(seen, BTreeSet::from(Relation4::ALL));
 }
 
 /// Apply one commit to `view` the way a database does: patch the component

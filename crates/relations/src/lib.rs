@@ -12,6 +12,18 @@
 //! the reproduced experiments — and then builds complete languages by closing
 //! them under quantification over regions.
 //!
+//! ## The whole-complex reference
+//!
+//! [`relation_in_complex`] and its companions ([`matrix_in_complex`],
+//! [`nine_matrix_in_complex`], [`relations_with_in_complex`],
+//! [`all_pairwise_relations_in_complex`]) read a relation off a cell complex
+//! by scanning every vertex, edge and face of it — `O(cells)` per pair,
+//! whatever the two regions' size. They are the reference, not the read
+//! path: a database snapshot classifies named regions with the query
+//! evaluator's face-set classifier (`query::CellEvaluator::named_relation`),
+//! which reads only the two regions' own faces, and is differentially
+//! tested against these scans.
+//!
 //! ## Example
 //!
 //! ```

@@ -1,5 +1,9 @@
 //! The eight 4-intersection (Egenhofer) relations between plane regions
 //! (Section 2 of the paper, Fig. 2), plus the finer 9-intersection matrix.
+//!
+//! The `*_in_complex` functions scan a whole cell complex per pair: the
+//! reference that the database's relation reads (the query evaluator's
+//! face-set classifier) are tested against — see the crate docs.
 
 use arrangement::{build_complex, build_complex_view, ComplexRead, Sign};
 use spatial_core::prelude::*;

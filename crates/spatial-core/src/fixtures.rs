@@ -74,11 +74,6 @@ pub fn fig_1d() -> SpatialInstance {
     ])
 }
 
-/// All four Fig. 1 instances, labeled.
-pub fn fig_1_all() -> Vec<(&'static str, SpatialInstance)> {
-    vec![("1a", fig_1a()), ("1b", fig_1b()), ("1c", fig_1c()), ("1d", fig_1d())]
-}
-
 /// Canonical witness pairs for the eight 4-intersection relations of Fig. 2.
 ///
 /// Each entry is `(relation name, instance with regions "A" and "B" standing

@@ -11,8 +11,9 @@ use std::sync::{Arc, OnceLock};
 
 /// An immutable snapshot of a [`TopoDatabase`](crate::TopoDatabase): the
 /// assembled zero-copy complex view of one epoch, plus every derived read
-/// path — relations, invariant, thematic database and query evaluation —
-/// computed lazily *inside the snapshot* and shared by all of its clones.
+/// path — query evaluation and the relation reads it also answers,
+/// invariant and thematic database — computed lazily *inside the snapshot*
+/// and shared by all of its clones.
 ///
 /// A snapshot is the read half of the facade's read/write split:
 ///
@@ -38,6 +39,10 @@ use std::sync::{Arc, OnceLock};
 /// satisfying name assignments) for formulas with free name variables. The
 /// first evaluation on a snapshot builds its [`CellEvaluator`] over the
 /// zero-copy view; later evaluations (from any thread, any clone) share it.
+/// Relation reads ([`Snapshot::relation`], [`Snapshot::relations_of`],
+/// [`Snapshot::relation_matrix`]) go through the same evaluator and its one
+/// classifier of named regions, so a read touches the two regions' own
+/// faces — never the whole view — and shares their memos with queries.
 ///
 /// Derived state lives where its inputs live. What a component determines
 /// alone — each of its regions' interior faces and boundary box — is
@@ -118,28 +123,56 @@ impl Snapshot {
         invariant::thematic::to_database(&self.invariant())
     }
 
-    /// The 4-intersection relation between two named regions.
+    /// The 4-intersection relation between two named regions, classified
+    /// by the snapshot's shared evaluator ([`CellEvaluator::named_relation`])
+    /// from the two regions' own faces, or from their boxes alone when
+    /// those do not interact — no cell outside the two regions is read.
+    /// An unknown name is [`TopoDbError::UnknownRegion`]; a matrix no pair
+    /// of regions realizes (a defect of the complex) is
+    /// [`TopoDbError::Eval`].
     pub fn relation(&self, a: &str, b: &str) -> Result<Relation4, TopoDbError> {
-        // The classification resolves both names itself and reports `None`
-        // only if one is unknown; which one is worked out on that path only.
-        let view = self.inner.view.as_ref();
-        relations::relation_in_complex(view, a, b).ok_or_else(|| {
-            let unknown = if view.region_index(a).is_none() { a } else { b };
-            TopoDbError::UnknownRegion(unknown.to_string())
-        })
+        match self.evaluator().named_relation(a, b) {
+            Ok(Some(r)) => Ok(r),
+            Ok(None) => Err(TopoDbError::Eval(format!(
+                "unrealizable 4-intersection matrix between `{a}` and `{b}`"
+            ))),
+            Err(query::EvalError::UnknownName(n)) => Err(TopoDbError::UnknownRegion(n)),
+            Err(e) => Err(e.into()),
+        }
     }
 
-    /// All pairwise relations, in name order.
+    /// All pairwise relations, in name order: [`Snapshot::relation`] for
+    /// every pair of names.
+    ///
+    /// # Panics
+    ///
+    /// If a pair's matrix is unrealizable, which [`Snapshot::relation`]
+    /// reports as [`TopoDbError::Eval`].
     pub fn relation_matrix(&self) -> Vec<(String, String, Relation4)> {
-        relations::all_pairwise_relations_in_complex(self.inner.view.as_ref())
+        let names = self.inner.view.region_names();
+        let mut out = Vec::new();
+        for (i, a) in names.iter().enumerate() {
+            for b in &names[i + 1..] {
+                let r = self.relation(a, b).unwrap_or_else(|e| panic!("{e}"));
+                out.push((a.clone(), b.clone(), r));
+            }
+        }
+        out
     }
 
     /// One region's row of the relation matrix: its relation to every other
-    /// region, in name order — `O(regions)` classifications instead of the
-    /// full `O(regions²)` matrix.
+    /// region, in name order — `O(regions)` [`Snapshot::relation`] reads
+    /// instead of the full `O(regions²)` matrix.
     pub fn relations_of(&self, name: &str) -> Result<Vec<(String, Relation4)>, TopoDbError> {
-        relations::relations_with_in_complex(self.inner.view.as_ref(), name)
-            .ok_or_else(|| TopoDbError::UnknownRegion(name.to_string()))
+        let names = self.inner.view.region_names();
+        if self.inner.view.region_index(name).is_none() {
+            return Err(TopoDbError::UnknownRegion(name.to_string()));
+        }
+        names
+            .iter()
+            .filter(|other| other.as_str() != name)
+            .map(|other| Ok((other.clone(), self.relation(name, other)?)))
+            .collect()
     }
 
     /// Is this snapshot topologically equivalent (homeomorphic) to another?
@@ -183,12 +216,6 @@ impl Snapshot {
     /// [`PreparedQuery::compile`] and use [`Snapshot::evaluate`].
     pub fn query(&self, text: &str) -> Result<QueryOutput, TopoDbError> {
         self.evaluate(&PreparedQuery::compile(text)?)
-    }
-
-    /// Evaluate an already-parsed formula (see [`Snapshot::query`] for the
-    /// result shape).
-    pub fn query_formula(&self, formula: &query::Formula) -> Result<QueryOutput, TopoDbError> {
-        self.evaluate(&PreparedQuery::from_formula(formula.clone())?)
     }
 
     /// Run a pre-compiled query against this snapshot. The prepared plan

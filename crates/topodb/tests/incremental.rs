@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, PoisonError, RwLock};
 use topodb::arrangement::counters::phase_counters;
-use topodb::arrangement::{CellComplex, Label};
+use topodb::arrangement::{CellComplex, ComplexRead, Label};
 use topodb::spatial_core::prelude::*;
 use topodb::TopoDatabase;
 

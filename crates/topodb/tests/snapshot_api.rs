@@ -318,24 +318,44 @@ fn replacement_and_duplicate_names_coalesce() {
 }
 
 /// Memos derived from one component ride on it across commits: after a
-/// one-region commit, the first query on the new snapshot derives them only
-/// for the components the commit rebuilt.
+/// one-region commit into cluster 0, a relation read inside the touched
+/// cluster, one across clusters and then the first query derive them only
+/// for the components the commit rebuilt, widen no label, and count the
+/// same on a map with 4x the clusters.
 #[test]
 fn a_fresh_snapshot_derives_memos_only_for_rebuilt_components() {
+    let small = fresh_snapshot_memo_builds(8);
+    assert!(small.0 >= 1);
+    assert_eq!(fresh_snapshot_memo_builds(32), small, "work follows the touched component");
+}
+
+/// `(rebuilt components, memos built by the two relation reads)` after a
+/// one-region commit into cluster 0 of `clustered_db(clusters, 6)`.
+fn fresh_snapshot_memo_builds(clusters: usize) -> (u64, u64) {
     let every_name = PreparedQuery::compile("forallname a . subset(ext(a), ext(a))").unwrap();
-    let mut db = clustered_db(8, 6);
+    let mut db = clustered_db(clusters, 6);
     db.snapshot().evaluate(&every_name).unwrap();
     let rebuilds = db.component_rebuild_count();
 
     insert(&mut db, "Fresh", Region::rect_from_ints(2, 2, 9, 9));
     let rebuilt = db.component_rebuild_count() - rebuilds;
     let snapshot = db.snapshot();
-    assert_eq!(snapshot.complex_view().memo_builds(), 0, "the commit builds no memo");
+    let view = snapshot.complex_view();
+    assert_eq!(view.memo_builds(), 0, "the commit builds no memo");
+    let near = snapshot.relation("Fresh", "C000_R005").unwrap();
+    assert_ne!(near.name(), "disjoint", "a read the boxes cannot answer");
+    assert_eq!(snapshot.relation("Fresh", "C001_R000").unwrap().name(), "disjoint");
+    let read_builds = view.memo_builds();
+    assert!(
+        read_builds <= 2 * rebuilt,
+        "relation reads build memos for rebuilt components only: {read_builds} > 2 x {rebuilt}"
+    );
+    assert_eq!(view.label_widenings(), 0, "relation reads widen no label");
     snapshot.evaluate(&every_name).unwrap();
-    assert!(rebuilt >= 1);
     assert_eq!(
-        snapshot.complex_view().memo_builds(),
+        view.memo_builds(),
         2 * rebuilt,
         "boxes and faces per rebuilt component"
     );
+    (rebuilt, read_builds)
 }

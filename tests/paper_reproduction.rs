@@ -3,6 +3,7 @@
 //! Each test corresponds to an experiment in the table of the `bench`
 //! crate's documentation (`crates/bench/src/lib.rs`).
 
+use topodb::arrangement::ComplexRead;
 use topodb::invariant::{find_isomorphism, homeomorphic, IsoOptions, Invariant};
 use topodb::query::ast::{Formula, RegionExpr};
 use topodb::query::thematic_eval::eval_on_thematic;

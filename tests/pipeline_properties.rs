@@ -2,6 +2,7 @@
 //! structural invariants of the whole pipeline (arrangement → invariant →
 //! isomorphism → thematic) that the paper's theorems guarantee.
 
+use topodb::arrangement::ComplexRead;
 use proptest::prelude::*;
 use topodb::invariant::Invariant;
 use topodb::spatial_core::prelude::*;
