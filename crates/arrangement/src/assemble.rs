@@ -439,7 +439,6 @@ pub fn assemble_components(
                 is_exterior: true,
                 boundary_edges: vec![],
                 label: vec![Sign::Exterior; n_regions],
-                sample_point: None,
             }],
             exterior,
         };
@@ -482,7 +481,6 @@ pub fn assemble_components(
     // Cross-component nesting (shared with the zero-copy view) and the
     // parents-before-children resolution order.
     let parents = compute_component_nesting(components);
-    let parent_comp: Vec<Option<usize>> = parents.iter().map(|p| p.map(|(d, _)| d)).collect();
     let parent_face: Vec<FaceId> = parents
         .iter()
         .map(|p| match p {
@@ -504,51 +502,20 @@ pub fn assemble_components(
         is_exterior: true,
         boundary_edges: vec![],
         label: vec![Sign::Exterior; n_regions],
-        sample_point: None,
     }];
-    faces.resize(
-        next_face,
-        FaceData {
-            is_exterior: false,
-            boundary_edges: vec![],
-            label: vec![],
-            sample_point: None,
-        },
-    );
+    faces.resize(next_face, FaceData { is_exterior: false, boundary_edges: vec![], label: vec![] });
     for (c, comp) in components.iter().enumerate() {
         for f in comp.complex.face_ids() {
             let gf = face_map[c][f.0];
-            let data = comp.complex.face(f);
-            let translated: Vec<EdgeId> =
-                data.boundary_edges.iter().map(|e| EdgeId(e.0 + edge_off[c])).collect();
-            if f == comp.complex.exterior {
-                // Merged into the parent face (or the global exterior).
-                faces[gf.0].boundary_edges.extend(translated);
-            } else {
-                faces[gf.0].boundary_edges.extend(translated);
-                faces[gf.0].sample_point = data.sample_point;
-            }
+            // A local exterior face merges into its parent face (or the
+            // global exterior).
+            let local = &comp.complex.face(f).boundary_edges;
+            faces[gf.0].boundary_edges.extend(local.iter().map(|e| EdgeId(e.0 + edge_off[c])));
         }
     }
     for face in &mut faces {
         face.boundary_edges.sort();
         face.boundary_edges.dedup();
-    }
-
-    // A parent face's locally computed sample point may now fall inside (or
-    // on) a component embedded into it by this assembly; drop it then. The
-    // bounding-box test is conservative — a lost sample is always safe, a
-    // stale one never is.
-    for (c, comp) in components.iter().enumerate() {
-        if parent_comp[c].is_none() {
-            continue; // the exterior face carries no sample point
-        }
-        let pf = parent_face[c];
-        if let (Some(p), Some(bbox)) = (faces[pf.0].sample_point, comp.bbox.as_ref()) {
-            if bbox.contains_point(&p) {
-                faces[pf.0].sample_point = None;
-            }
-        }
     }
 
     // Face labels, parents first: a component's cells inherit the parent

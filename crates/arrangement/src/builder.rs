@@ -2,7 +2,8 @@
 //! instance.
 //!
 //! This is the polygonal counterpart of the Kozen–Yap cell-decomposition
-//! algorithm the paper relies on for semi-algebraic inputs (see `DESIGN.md`).
+//! algorithm the paper relies on for semi-algebraic inputs: polygonal regions
+//! stand in for the paper's semi-algebraic ones.
 //! [`build_complex`] is a thin compose of three phases:
 //!
 //! 1. [`crate::partition`] groups the regions into interaction components
@@ -27,7 +28,7 @@
 
 use crate::assemble::{assemble_components, BoundedCycle, ComponentComplex};
 use crate::complex::CellComplex;
-use crate::geometry::{closed_polyline_area_doubled, interior_point_of_simple_cycle, point_in_closed_polyline};
+use crate::geometry::{closed_polyline_area_doubled, point_in_closed_polyline};
 use crate::parallel::{available_threads, map_indexed};
 use crate::partition::partition_instance;
 use crate::split::{instance_segments, split_segments, SubSegment};
@@ -109,7 +110,6 @@ pub(crate) fn build_local(
                 is_exterior: true,
                 boundary_edges: vec![],
                 label: vec![Sign::Exterior; n_regions],
-                sample_point: None,
             }],
             exterior: FaceId(0),
         };
@@ -437,12 +437,11 @@ fn vertex_components(g: &MergedGraph) -> Vec<usize> {
     comp
 }
 
-/// The outcome of face assembly: face of every dart, exterior face, boundary
-/// edge sets and sample points.
+/// The outcome of face assembly: face of every dart, exterior face and
+/// boundary edge sets.
 struct AssembledFaces {
     face_of_dart: Vec<FaceId>,
     face_boundaries: Vec<Vec<EdgeId>>,
-    face_samples: Vec<Option<Point>>,
     /// The outer cycle of every bounded face, exported for cross-component
     /// nesting tests in [`crate::assemble`].
     bounded_cycles: Vec<BoundedCycle>,
@@ -532,36 +531,6 @@ fn assemble_faces(g: &MergedGraph, walks: &[Walk]) -> AssembledFaces {
         b.dedup();
     }
 
-    // Sample points for bounded faces: a point inside the face's own outer
-    // walk that is not inside (or on) any component embedded in the face.
-    let mut face_samples: Vec<Option<Point>> = vec![None; face_count];
-    for &wi in &bounded_walks {
-        let face = face_of_bounded_walk[&wi];
-        let w = &walks[wi];
-        let candidate = interior_point_of_simple_cycle(&w.polyline);
-        if let Some(p) = candidate {
-            // Reject the candidate if it landed inside an embedded component.
-            let mut ok = point_in_closed_polyline(&p, &w.polyline);
-            if ok {
-                for (other_wi, other) in walks.iter().enumerate() {
-                    if other_wi == wi || other.component == w.component {
-                        continue;
-                    }
-                    if parent_face_of_component[other.component] == face
-                        && other.area2.signum() <= 0
-                        && point_in_closed_polyline(&p, &other.polyline)
-                    {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                face_samples[face.0] = Some(p);
-            }
-        }
-    }
-
     let bounded_cycles = bounded_walks
         .iter()
         .map(|&wi| BoundedCycle {
@@ -571,7 +540,7 @@ fn assemble_faces(g: &MergedGraph, walks: &[Walk]) -> AssembledFaces {
         })
         .collect();
 
-    AssembledFaces { face_of_dart, face_boundaries, face_samples, bounded_cycles, exterior }
+    AssembledFaces { face_of_dart, face_boundaries, bounded_cycles, exterior }
 }
 
 /// Face membership per region, by FIFO flood fill from the exterior face.
@@ -609,7 +578,11 @@ fn face_membership(
         .collect()
 }
 
-/// Compute labels by propagation and assemble the final complex.
+/// Compute labels by propagation and assemble the final complex. Face labels
+/// come from the flood fill of [`face_membership`]; an edge copies the label
+/// of its left face and a vertex that of the face left of its first dart,
+/// then each marks the regions whose boundary it lies on, so every label is
+/// written once, in time linear in its length.
 fn finish_complex(
     region_names: Vec<String>,
     g: MergedGraph,
@@ -631,7 +604,6 @@ fn finish_complex(
                 .iter()
                 .map(|&b| if b { Sign::Interior } else { Sign::Exterior })
                 .collect(),
-            sample_point: assembled.face_samples[i],
         })
         .collect();
 
@@ -647,17 +619,10 @@ fn finish_complex(
             let e = EdgeId(i);
             let left = assembled.face_of_dart[DartId::forward(e).0];
             let right = assembled.face_of_dart[DartId::backward(e).0];
-            let label: Label = (0..n_regions)
-                .map(|r| {
-                    if regions.contains(&r) {
-                        Sign::Boundary
-                    } else if face_membership[left.0][r] {
-                        Sign::Interior
-                    } else {
-                        Sign::Exterior
-                    }
-                })
-                .collect();
+            let mut label = faces[left.0].label.clone();
+            for &r in regions {
+                label[r] = Sign::Boundary;
+            }
             EdgeData {
                 tail: VertexId(*tail),
                 head: VertexId(*head),
@@ -676,24 +641,14 @@ fn finish_complex(
         .iter()
         .zip(&rotations)
         .map(|(point, rotation)| {
+            let f = assembled.face_of_dart[rotation[0].0];
+            let mut label = faces[f.0].label.clone();
+            for d in rotation {
+                for &r in &edges[d.edge().0].on_boundary_of {
+                    label[r] = Sign::Boundary;
+                }
+            }
             let rotation = rotation.clone();
-            let label: Label = (0..n_regions)
-                .map(|r| {
-                    let on_boundary = rotation
-                        .iter()
-                        .any(|d| edges[d.edge().0].on_boundary_of.contains(&r));
-                    if on_boundary {
-                        Sign::Boundary
-                    } else {
-                        let f = assembled.face_of_dart[rotation[0].0];
-                        if face_membership[f.0][r] {
-                            Sign::Interior
-                        } else {
-                            Sign::Exterior
-                        }
-                    }
-                })
-                .collect();
             VertexData { point: *point, label, rotation }
         })
         .collect();
@@ -906,37 +861,6 @@ mod tests {
             out.face_edges(out.exterior_face()).len(),
             inn.face_edges(inn.exterior_face()).len() + 1
         );
-    }
-
-    #[test]
-    fn face_sample_points_agree_with_labels() {
-        for (name, inst) in [
-            ("fig1a", fixtures::fig_1a()),
-            ("fig1b", fixtures::fig_1b()),
-            ("fig1c", fixtures::fig_1c()),
-            ("fig1d", fixtures::fig_1d()),
-            ("ring", fixtures::ring()),
-            ("nested", fixtures::nested_three()),
-            ("shared", fixtures::shared_boundary()),
-        ] {
-            let c = build_complex(&inst);
-            assert!(c.euler_formula_holds(), "{name}");
-            for f in c.face_ids() {
-                let Some(p) = c.face(f).sample_point else { continue };
-                for (idx, rname) in c.region_names().iter().enumerate() {
-                    let expected = match inst.ext(rname).unwrap().locate(&p) {
-                        Location::Inside => Sign::Interior,
-                        Location::Boundary => Sign::Boundary,
-                        Location::Outside => Sign::Exterior,
-                    };
-                    assert_eq!(
-                        c.face(f).label[idx],
-                        expected,
-                        "{name}: face {f:?} sample {p:?} region {rname}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! happens), with the single normalization that a boundary curve carrying no
 //! forced vertex keeps one canonical anchor vertex so that every 1-cell has
 //! endpoints. This normalization is applied uniformly to every instance and
-//! therefore does not affect invariant comparisons (see `DESIGN.md`).
+//! therefore does not affect invariant comparisons.
 
 use crate::partition::BBox;
 use crate::types::*;
@@ -91,9 +91,6 @@ pub trait ComplexRead {
 
     /// Is this the unbounded (exterior) face `f0`?
     fn face_is_exterior(&self, f: FaceId) -> bool;
-
-    /// An interior sample point of the face (absent for the exterior face).
-    fn face_sample(&self, f: FaceId) -> Option<Point>;
 
     // ---- sign fast paths (override to avoid whole-label materialization) --
 
@@ -420,10 +417,6 @@ impl ComplexRead for CellComplex {
 
     fn face_is_exterior(&self, f: FaceId) -> bool {
         self.faces[f.0].is_exterior
-    }
-
-    fn face_sample(&self, f: FaceId) -> Option<Point> {
-        self.faces[f.0].sample_point
     }
 
     fn vertex_sign(&self, v: VertexId, region: usize) -> Sign {

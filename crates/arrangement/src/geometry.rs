@@ -41,17 +41,6 @@ pub fn point_in_closed_polyline(p: &Point, points: &[Point]) -> bool {
     crossings % 2 == 1
 }
 
-/// A point strictly inside the region bounded by a *simple* closed polyline
-/// (no repeated vertices). Uses the lowest-leftmost-corner diagonal trick.
-pub fn interior_point_of_simple_cycle(points: &[Point]) -> Option<Point> {
-    // Delegate to the polygon implementation when the cycle is a valid simple
-    // polygon; otherwise fall back to midpoint probing.
-    if let Ok(poly) = Polygon::new(points.to_vec()) {
-        return Some(poly.interior_point());
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,12 +80,5 @@ mod tests {
         assert!(point_in_closed_polyline(&pt(3, 3), &walk));
         assert!(!point_in_closed_polyline(&pt(3, 1), &walk));
         assert!(!point_in_closed_polyline(&pt(1, 3), &walk));
-    }
-
-    #[test]
-    fn interior_point_of_cycle() {
-        let sq = [pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)];
-        let p = interior_point_of_simple_cycle(&sq).unwrap();
-        assert!(point_in_closed_polyline(&p, &sq));
     }
 }

@@ -17,8 +17,9 @@
 //!   contain them.
 //!
 //! This is the polygonal stand-in for the Kozen–Yap cell decomposition the
-//! paper uses for semi-algebraic inputs; see `DESIGN.md` for the substitution
-//! argument.
+//! paper uses for semi-algebraic inputs: polygonal regions stand in for the
+//! paper's semi-algebraic ones, which Theorem 3.5 shows loses no topological
+//! query.
 //!
 //! ## Construction pipeline and cost
 //!
@@ -36,7 +37,11 @@
 //!    `O((n + k) log n)` for `n` segments with `k` intersection
 //!    incidences), chains are merged into maximal 1-cells, the rotation
 //!    system and face walks extracted, and cells labeled by propagation from
-//!    the unbounded face. Components share nothing until assembly, so they
+//!    the unbounded face: faces by one flood fill, edges and vertices by
+//!    copying a neighbouring face's label and marking the regions whose
+//!    boundary they lie on. Every label is written once, in time linear in
+//!    its length, and no face stores a sample point: nothing downstream
+//!    needs one. Components share nothing until assembly, so they
 //!    are swept **concurrently** on the small std-only worker pool of
 //!    [`parallel`] (the output is identical for every thread count); each
 //!    component itself is built serially. The result is an

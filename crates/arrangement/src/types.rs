@@ -106,7 +106,10 @@ pub struct EdgeData {
     pub label: Label,
 }
 
-/// Data stored for a face (2-cell).
+/// Data stored for a face (2-cell): purely combinatorial. A face has no
+/// geometry of its own beyond its boundary edges' polylines, and keeps no
+/// interior point; `tests/label_oracle.rs` locates probe points of its own
+/// to check the labels against the regions.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FaceData {
     /// Is this the unbounded (exterior) face `f0`?
@@ -115,10 +118,8 @@ pub struct FaceData {
     /// connected components embedded inside the face (sorted, deduplicated).
     pub boundary_edges: Vec<EdgeId>,
     /// Per-region sign (`Interior` or `Exterior` only; faces never lie on a
-    /// boundary).
+    /// boundary), computed by flood fill from the exterior face.
     pub label: Label,
-    /// An interior sample point of the face (absent for the exterior face).
-    pub sample_point: Option<Point>,
 }
 
 /// The dimension of a cell.

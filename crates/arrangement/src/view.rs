@@ -603,25 +603,6 @@ impl ComplexRead for GlobalComplexView {
         f.0 == 0
     }
 
-    fn face_sample(&self, f: FaceId) -> Option<Point> {
-        if f.0 == 0 {
-            return None;
-        }
-        let (c, lf) = self.face_home(f);
-        let p = self.components[c].complex.face(lf).sample_point?;
-        // A sample computed locally may now fall inside a component embedded
-        // into this face by assembly; drop it then (conservative bbox test,
-        // mirroring the copying assembly).
-        if let Some(children) = self.nested_in_face.get(&f.0) {
-            for &d in children {
-                if self.components[d].bbox.as_ref().is_some_and(|b| b.contains_point(&p)) {
-                    return None;
-                }
-            }
-        }
-        Some(p)
-    }
-
     fn vertex_sign(&self, v: VertexId, region: usize) -> Sign {
         let (c, lv) = self.vertex_home(v);
         self.local_sign(c, &self.components[c].complex.vertices[lv].label, region)

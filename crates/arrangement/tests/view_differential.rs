@@ -38,7 +38,7 @@ fn check(inst: &SpatialInstance, context: &str) {
 
     // The copying assembly over the same components must match the view not
     // just up to re-indexing but cell for cell: identical ids, labels,
-    // incidences, rotations and samples.
+    // incidences and rotations.
     let flat = assemble_components(
         inst.names().iter().map(|s| s.to_string()).collect(),
         view.components(),
@@ -66,7 +66,6 @@ fn check(inst: &SpatialInstance, context: &str) {
     for f in view.face_ids() {
         assert_eq!(view.face_label(f), ComplexRead::face_label(&flat, f), "{context}");
         assert_eq!(view.face_boundary(f), ComplexRead::face_boundary(&flat, f), "{context}");
-        assert_eq!(view.face_sample(f), ComplexRead::face_sample(&flat, f), "{context}");
         assert_eq!(
             view.face_is_exterior(f),
             ComplexRead::face_is_exterior(&flat, f),

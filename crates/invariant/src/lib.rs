@@ -18,8 +18,8 @@
 //! Theorem 3.5's *representation* statement — every (semi-algebraic)
 //! instance has a polygonal representative with the same invariant — is
 //! reflected in this reproduction by working with polygonal regions
-//! throughout (see `DESIGN.md`); an explicit re-drawing algorithm from a bare
-//! invariant is not included.
+//! throughout, standing in for the semi-algebraic ones; an explicit
+//! re-drawing algorithm from a bare invariant is not included.
 //!
 //! ## Example
 //!

@@ -10,9 +10,9 @@
 //! path consistency by weak composition, plus backtracking over base-relation
 //! refinements. Path consistency over base relations is sound and, for the
 //! RCC8 algebra over planar regions, refutation-complete for the purposes of
-//! the benchmark workloads used here; `DESIGN.md` documents the caveat that
-//! for disc-only interpretations the composition table is an over-
-//! approximation (exactly the subtlety \[GPP95\] investigates).
+//! the benchmark workloads used here. The caveat: for disc-only
+//! interpretations the composition table is an over-approximation (exactly
+//! the subtlety \[GPP95\] investigates).
 
 use crate::composition::{compose_sets, RelationSet};
 use crate::relation::Relation4;

@@ -11,9 +11,10 @@
 //!   `Rect*` (finite unions of rectangles that form a disc);
 //! * an arbitrary simple polygon — the paper's `Poly`.
 //!
-//! Per the substitution documented in `DESIGN.md`, the classes `Alg` and
-//! `Disc` are represented by their polygonal representatives, which the
-//! paper's own Theorem 3.5 shows is sufficient for all topological queries.
+//! Polygonal regions stand in for the paper's semi-algebraic ones: the
+//! classes `Alg` and `Disc` are represented by their polygonal
+//! representatives, which the paper's own Theorem 3.5 shows is sufficient for
+//! all topological queries.
 
 use crate::point::Point;
 use crate::polygon::{Location, Polygon, PolygonError};
@@ -24,7 +25,7 @@ use std::fmt;
 /// The region classes of the paper (Section 2, Fig. 3).
 ///
 /// `Alg` and `Disc` appear for completeness of the class lattice; concrete
-/// extents are always polygonal (see `DESIGN.md`, substitution table).
+/// extents are always polygonal, standing in for the semi-algebraic ones.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum RegionClass {
     /// Open axis-parallel rectangles.
