@@ -17,10 +17,12 @@
 //! endpoints. This normalization is applied uniformly to every instance and
 //! therefore does not affect invariant comparisons.
 
+use crate::index::SpatialIndex;
 use crate::partition::BBox;
 use crate::types::*;
 use spatial_core::prelude::Point;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Read access to a (possibly virtual) planar cell complex.
 ///
@@ -236,6 +238,32 @@ pub trait ComplexRead {
             }
         }
         out
+    }
+
+    /// The spatial index over [`ComplexRead::region_bboxes`]. The default
+    /// builds a new index on every call;
+    /// [`GlobalComplexView`](crate::GlobalComplexView) overrides it with the
+    /// one index it builds for all its clones
+    /// ([`GlobalComplexView::region_bbox_index`](crate::GlobalComplexView::region_bbox_index)),
+    /// so every reader of a view shares one build and one probe counter.
+    fn region_bbox_index(&self) -> Arc<SpatialIndex> {
+        Arc::new(SpatialIndex::build(&self.region_bboxes()))
+    }
+
+    /// Visit every edge of [`ComplexRead::face_boundary`] with the edge's
+    /// two faces and its endpoints: the incidence walk of a face, so walking
+    /// a set of faces costs their degrees rather than a scan of the complex.
+    /// [`GlobalComplexView`](crate::GlobalComplexView) overrides it with a
+    /// walk of the components' own face → edge tables that allocates
+    /// nothing; its edges then come unsorted.
+    fn for_each_face_edge(
+        &self,
+        f: FaceId,
+        mut visit: impl FnMut(EdgeId, (FaceId, FaceId), (VertexId, VertexId)),
+    ) {
+        for e in self.face_boundary(f) {
+            visit(e, self.edge_faces(e), self.edge_endpoints(e));
+        }
     }
 
     /// All darts whose left face is `f` (the face's boundary walk(s)).

@@ -61,10 +61,14 @@
 //!    per-cell copying), and **by copy** ([`assemble_components`],
 //!    `O(total cells)` — it materializes the flat [`CellComplex`]).
 //!
-//! Every derived-structure computation downstream (invariant extraction,
-//! 4-relation classification, cell-level query evaluation) is generic over
-//! the [`ComplexRead`] accessor trait and works unchanged on either
-//! representation.
+//! Every derived-structure computation downstream is generic over the
+//! [`ComplexRead`] accessor trait and works unchanged on either
+//! representation: invariant extraction (`invariant::Invariant::from_complex`),
+//! 4-relation classification (`relations::relation_in_complex`) and
+//! cell-level query evaluation (`query::CellEvaluator<C: ComplexRead>`, whose
+//! face walks and spatial index come through
+//! [`ComplexRead::for_each_face_edge`] and
+//! [`ComplexRead::region_bbox_index`]).
 //!
 //! ## Incremental maintenance
 //!

@@ -23,31 +23,25 @@
 //! purely geometric data (polylines, points) is borrowed from the shared
 //! component allocations.
 //!
-//! Lazily built state comes in two kinds, both behind [`OnceLock`]s (so a
-//! view that never asks never pays, and all clones and threads share one
-//! build):
+//! Lazily built state rides on the component. What a component determines
+//! alone — each local region's interior faces and boundary box — is
+//! memoized on the [`ComponentComplex`] itself behind a [`OnceLock`], keyed
+//! by local ids. A component carried across a commit keeps its memos, so
+//! the first read of a new epoch derives them only for the rebuilt
+//! components ([`GlobalComplexView::memo_builds`] counts what this view
+//! built). [`ComplexRead::region_faces`] and [`ComplexRead::region_bboxes`]
+//! are served from them; the face walk [`ComplexRead::for_each_face_edge`]
+//! follows the component's own face → edge → endpoint incidence. The only
+//! per-epoch memo is the spatial index over the region boxes
+//! ([`GlobalComplexView::region_bbox_index`]).
 //!
-//! * **Carried memos ride on the component.** What a component determines
-//!   alone — each local region's interior faces and boundary box — is
-//!   memoized on the [`ComponentComplex`] itself, keyed by local ids. A
-//!   component carried across a commit keeps its memos, so the first read
-//!   of a new epoch derives them only for the rebuilt components
-//!   ([`GlobalComplexView::memo_builds`] counts what this view built).
-//!   [`ComplexRead::region_faces`] and [`ComplexRead::region_bboxes`] are
-//!   served from them, as is the face-set walk
-//!   [`GlobalComplexView::for_each_face_edge`], which follows the
-//!   component's own face → edge → endpoint incidence.
-//! * **Per-epoch glue stays on the view.** The offsets, the nesting parents,
-//!   `nested_in_face` and the inherited labels are rebuilt per assembly, and
-//!   so are the two memos that depend on them: the inverse region map
-//!   (global region index → local label position), which turns the
-//!   `vertex_sign`/`edge_sign`/`face_sign` fast paths from a binary search
-//!   into an array index — the access pattern of the `relations` crate's
-//!   whole-view relation scans (the reference relation reads are tested
-//!   against) over many pairs — and the widened-label table, which widens each cell's label
-//!   once instead of on every `vertex_label`/`edge_label`/`face_label` read
-//!   ([`GlobalComplexView::label_widenings`] counts widenings, and the test
-//!   suite pins that a second scan performs none).
+//! The per-epoch glue — offsets, nesting parents, `nested_in_face` and the
+//! inherited labels — is rebuilt per assembly, and no per-cell table is
+//! derived from it. A sign read (`vertex_sign`/`edge_sign`/`face_sign`)
+//! binary-searches the component's sorted local→global region map and
+//! widens nothing; a whole-label read (`vertex_label`/`edge_label`/
+//! `face_label`) widens the cell's local label on every call
+//! ([`GlobalComplexView::label_widenings`] counts widenings).
 //!
 //! The view is **index-identical** to the flat complex produced by
 //! [`crate::assemble_components`] from the same component list: every cell
@@ -102,17 +96,6 @@ pub struct GlobalComplexView {
     /// Global face id → components embedded directly in that face.
     nested_in_face: BTreeMap<usize, Vec<usize>>,
     exterior_label: Label,
-    /// Per component, lazily built on first sign read: global region index →
-    /// local label position (`u32::MAX` for regions foreign to the
-    /// component). Turns the sign fast paths from a binary search into an
-    /// array index. Behind an `Arc` so every clone of the view shares one
-    /// build.
-    region_pos: Arc<Vec<OnceLock<Vec<u32>>>>,
-    /// Per component, lazily built on first whole-label read: the widened
-    /// labels of every cell, so repeated whole-complex scans widen each
-    /// component's labels once instead of `O(regions)` merge work per read.
-    /// Behind an `Arc` so every clone of the view shares one build.
-    widened: Arc<Vec<OnceLock<WidenedLabels>>>,
     /// Number of label widenings performed by the accessor layer (shared by
     /// all clones of the view; see [`GlobalComplexView::label_widenings`]).
     widen_count: Arc<AtomicU64>,
@@ -123,15 +106,6 @@ pub struct GlobalComplexView {
     /// every clone of the view (and therefore by every evaluator of a
     /// snapshot); see [`GlobalComplexView::region_bbox_index`].
     bbox_index: Arc<OnceLock<Arc<SpatialIndex>>>,
-}
-
-/// The memoized widened labels of one component's cells.
-#[derive(Clone, Debug)]
-struct WidenedLabels {
-    vertices: Vec<Label>,
-    edges: Vec<Label>,
-    /// Bounded local faces `1..`, indexed by `local face id - 1`.
-    faces: Vec<Label>,
 }
 
 impl GlobalComplexView {
@@ -291,8 +265,6 @@ impl GlobalComplexView {
             inherited,
             nested_in_face,
             exterior_label,
-            region_pos: Arc::new((0..k).map(|_| OnceLock::new()).collect()),
-            widened: Arc::new((0..k).map(|_| OnceLock::new()).collect()),
             widen_count: Arc::new(AtomicU64::new(0)),
             memo_count: Arc::new(AtomicU64::new(0)),
             bbox_index: Arc::new(OnceLock::new()),
@@ -392,53 +364,27 @@ impl GlobalComplexView {
         }
     }
 
-    /// The sign of a global region index at a component-local label, falling
-    /// back to the component's inherited label for foreign regions.
-    ///
-    /// Served through the memoized inverse region map: the first sign read
-    /// of a component builds its `O(regions)` global→local position table,
-    /// after which every read is an array index instead of a binary search —
-    /// the fast path for whole-complex scans like
-    /// `relations::all_pairwise_relations_in_complex`.
+    /// The sign of a global region index at a component-local label: a
+    /// binary search of the component's sorted local→global region map,
+    /// falling back to the component's inherited label for foreign regions.
     fn local_sign(&self, c: usize, local_label: &Label, region: usize) -> Sign {
-        let table = self.region_pos[c].get_or_init(|| {
-            let mut t = vec![u32::MAX; self.region_names.len()];
-            for (li, &gi) in self.region_map[c].iter().enumerate() {
-                t[gi] = li as u32;
-            }
-            t
-        });
-        match table[region] {
-            u32::MAX => self.inherited[c][region],
-            p => local_label[p as usize],
+        match self.region_map[c].binary_search(&region) {
+            Ok(p) => local_label[p],
+            Err(_) => self.inherited[c][region],
         }
     }
 
-    /// The memoized widened labels of component `c`, built on first use: one
-    /// widening per cell, once per component, shared by every clone of the
-    /// view and every thread reading through it.
-    fn widened(&self, c: usize) -> &WidenedLabels {
-        self.widened[c].get_or_init(|| {
-            let cx = &self.components[c].complex;
-            WidenedLabels {
-                vertices: cx.vertices.iter().map(|v| self.widen_counted(c, &v.label)).collect(),
-                edges: cx.edges.iter().map(|e| self.widen_counted(c, &e.label)).collect(),
-                faces: (1..cx.face_count())
-                    .map(|f| self.widen_counted(c, &cx.face(FaceId(f)).label))
-                    .collect(),
-            }
-        })
-    }
-
+    /// Widen a component-local label to the full region set, counted.
     fn widen_counted(&self, c: usize, local: &Label) -> Label {
         self.widen_count.fetch_add(1, Ordering::Relaxed);
         widen_label(&self.inherited[c], local, &self.region_map[c])
     }
 
     /// How many label widenings this view's accessors have performed (the
-    /// counter is shared by all clones). Repeated whole-complex label scans
-    /// must not grow it past one widening per cell — the observable
-    /// guarantee of the per-component label memo, pinned by the test suite.
+    /// counter is shared by all clones). Every whole-label read
+    /// (`vertex_label`, `edge_label`, a bounded face's `face_label`) widens
+    /// exactly once; sign reads and the query evaluator's face-set reads
+    /// widen nothing.
     pub fn label_widenings(&self) -> u64 {
         self.widen_count.load(Ordering::Relaxed)
     }
@@ -456,39 +402,6 @@ impl GlobalComplexView {
         self.memo_count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Visit every edge incident to face `f` — the edges of its
-    /// component-local boundary and the outer boundary of every component
-    /// nested directly in it — with the edge's two faces and its endpoints,
-    /// all in global ids. These are the edges of
-    /// [`ComplexRead::face_boundary`] with their incidences attached, served
-    /// from the components' own face → edge tables, so walking a set of faces
-    /// costs their degrees rather than a scan of the complex. Edges come
-    /// unsorted.
-    pub fn for_each_face_edge(
-        &self,
-        f: FaceId,
-        mut visit: impl FnMut(EdgeId, (FaceId, FaceId), (VertexId, VertexId)),
-    ) {
-        let mut walk = |c: usize, local: FaceId| {
-            let cx = &self.components[c].complex;
-            let (e0, v0) = (self.edge_start[c], self.vertex_start[c]);
-            for &e in &cx.face(local).boundary_edges {
-                let data = &cx.edges[e.0];
-                visit(
-                    EdgeId(e.0 + e0),
-                    (self.face_abroad(c, data.left_face), self.face_abroad(c, data.right_face)),
-                    (VertexId(data.tail.0 + v0), VertexId(data.head.0 + v0)),
-                );
-            }
-        };
-        if f.0 != 0 {
-            let (c, local) = self.face_home(f);
-            walk(c, local);
-        }
-        for &d in self.nested_in_face.get(&f.0).into_iter().flatten() {
-            walk(d, self.components[d].complex.exterior);
-        }
-    }
 }
 
 impl ComplexRead for GlobalComplexView {
@@ -523,7 +436,7 @@ impl ComplexRead for GlobalComplexView {
 
     fn vertex_label(&self, v: VertexId) -> Label {
         let (c, lv) = self.vertex_home(v);
-        self.widened(c).vertices[lv].clone()
+        self.widen_counted(c, &self.components[c].complex.vertices[lv].label)
     }
 
     fn vertex_rotation(&self, v: VertexId) -> Vec<DartId> {
@@ -550,7 +463,7 @@ impl ComplexRead for GlobalComplexView {
 
     fn edge_label(&self, e: EdgeId) -> Label {
         let (c, le) = self.edge_home(e);
-        self.widened(c).edges[le].clone()
+        self.widen_counted(c, &self.components[c].complex.edges[le].label)
     }
 
     fn edge_region_marks(&self, e: EdgeId) -> Vec<usize> {
@@ -573,7 +486,7 @@ impl ComplexRead for GlobalComplexView {
             return self.exterior_label.clone();
         }
         let (c, lf) = self.face_home(f);
-        self.widened(c).faces[lf.0 - 1].clone()
+        self.widen_counted(c, &self.components[c].complex.face(lf).label)
     }
 
     fn face_boundary(&self, f: FaceId) -> Vec<EdgeId> {
@@ -601,6 +514,40 @@ impl ComplexRead for GlobalComplexView {
 
     fn face_is_exterior(&self, f: FaceId) -> bool {
         f.0 == 0
+    }
+
+    /// Served from the index this view builds once for all its clones.
+    fn region_bbox_index(&self) -> Arc<SpatialIndex> {
+        GlobalComplexView::region_bbox_index(self)
+    }
+
+    /// The edges of the face's component-local boundary and the outer
+    /// boundary of every component nested directly in it, read from the
+    /// components' own face → edge tables.
+    fn for_each_face_edge(
+        &self,
+        f: FaceId,
+        mut visit: impl FnMut(EdgeId, (FaceId, FaceId), (VertexId, VertexId)),
+    ) {
+        let mut walk = |c: usize, local: FaceId| {
+            let cx = &self.components[c].complex;
+            let (e0, v0) = (self.edge_start[c], self.vertex_start[c]);
+            for &e in &cx.face(local).boundary_edges {
+                let data = &cx.edges[e.0];
+                visit(
+                    EdgeId(e.0 + e0),
+                    (self.face_abroad(c, data.left_face), self.face_abroad(c, data.right_face)),
+                    (VertexId(data.tail.0 + v0), VertexId(data.head.0 + v0)),
+                );
+            }
+        };
+        if f.0 != 0 {
+            let (c, local) = self.face_home(f);
+            walk(c, local);
+        }
+        for &d in self.nested_in_face.get(&f.0).into_iter().flatten() {
+            walk(d, self.components[d].complex.exterior);
+        }
     }
 
     fn vertex_sign(&self, v: VertexId, region: usize) -> Sign {
@@ -734,41 +681,55 @@ mod tests {
     }
 
     #[test]
-    fn label_widening_is_memoized_per_component() {
+    fn sign_fast_paths_agree_with_labels() {
         let inst = fixtures::nested_three();
         let v = view_of(&inst);
-        assert_eq!(v.label_widenings(), 0, "assembly must not widen through the accessors");
-        let scan = |v: &GlobalComplexView| -> Vec<Label> {
-            v.vertex_ids()
-                .map(|x| v.vertex_label(x))
-                .chain(v.edge_ids().map(|e| v.edge_label(e)))
-                .chain(v.face_ids().map(|f| v.face_label(f)))
-                .collect()
-        };
-        // Clone *before* the memo is built: clones share the memo itself
-        // (not just the counter), so the scan below must build it for both.
-        let w = v.clone();
-        let first = scan(&v);
-        let after_first = v.label_widenings();
-        let widenable = v.vertex_count() + v.edge_count() + (v.face_count() - 1);
-        assert_eq!(after_first as usize, widenable, "exactly one widening per non-exterior cell");
-        // A second whole-complex scan reuses the memo: zero further widenings.
-        assert_eq!(scan(&v), first);
-        assert_eq!(v.label_widenings(), after_first, "second scan must not widen again");
-        // Sign fast paths go through the inverse region map, never the
-        // widener.
         for r in 0..v.region_names().len() {
             for f in v.face_ids() {
-                let _ = v.face_sign(f, r);
+                assert_eq!(v.face_sign(f, r), v.face_label(f)[r]);
+            }
+            for e in v.edge_ids() {
+                assert_eq!(v.edge_sign(e, r), v.edge_label(e)[r]);
+            }
+            for vx in v.vertex_ids() {
+                assert_eq!(v.vertex_sign(vx, r), v.vertex_label(vx)[r]);
+            }
+        }
+    }
+
+    #[test]
+    fn sign_reads_widen_nothing_and_each_label_read_widens_once() {
+        let v = view_of(&fixtures::nested_three());
+        assert_eq!(v.label_widenings(), 0, "assembly must not widen through the accessors");
+        for r in 0..v.region_names().len() {
+            for x in v.vertex_ids() {
+                let _ = v.vertex_sign(x, r);
             }
             for e in v.edge_ids() {
                 let _ = v.edge_sign(e, r);
             }
+            for f in v.face_ids() {
+                let _ = v.face_sign(f, r);
+            }
         }
-        assert_eq!(v.label_widenings(), after_first);
-        // The pre-build clone shares the built memo: zero further widenings.
-        assert_eq!(scan(&w), first);
-        assert_eq!(w.label_widenings(), after_first, "clone must share the memo, not rebuild it");
+        assert_eq!(v.label_widenings(), 0, "sign reads widen no label");
+        // The exterior face's label is the all-exterior label, no widening.
+        let widenable = (v.vertex_count() + v.edge_count() + v.face_count() - 1) as u64;
+        for scan in 1..=2 {
+            for x in v.vertex_ids() {
+                let _ = v.vertex_label(x);
+            }
+            for e in v.edge_ids() {
+                let _ = v.edge_label(e);
+            }
+            for f in v.face_ids() {
+                let _ = v.face_label(f);
+            }
+            assert_eq!(v.label_widenings(), scan * widenable, "one widening per label read");
+        }
+        // Clones share the counter.
+        let _ = v.clone().edge_label(EdgeId(0));
+        assert_eq!(v.label_widenings(), 2 * widenable + 1);
     }
 
     #[test]
@@ -856,22 +817,5 @@ mod tests {
         inst.insert("Aaa", Region::rect_from_ints(900, 0, 904, 4));
         view = step(&view, &inst, &["Aaa"]);
         assert_eq!(view.component_count(), 4);
-    }
-
-    #[test]
-    fn sign_fast_paths_agree_with_labels() {
-        let inst = fixtures::nested_three();
-        let v = view_of(&inst);
-        for r in 0..v.region_names().len() {
-            for f in v.face_ids() {
-                assert_eq!(v.face_sign(f, r), v.face_label(f)[r]);
-            }
-            for e in v.edge_ids() {
-                assert_eq!(v.edge_sign(e, r), v.edge_label(e)[r]);
-            }
-            for vx in v.vertex_ids() {
-                assert_eq!(v.vertex_sign(vx, r), v.vertex_label(vx)[r]);
-            }
-        }
     }
 }

@@ -12,7 +12,7 @@
 
 use arrangement::{
     assemble_components, build_complex_monolithic, build_component_complexes, CellComplex,
-    ComplexRead, GlobalComplexView,
+    CellId, ComplexRead, EdgeId, FaceId, GlobalComplexView, VertexId,
 };
 use spatial_core::fixtures;
 use spatial_core::prelude::*;
@@ -72,12 +72,51 @@ fn check(inst: &SpatialInstance, context: &str) {
             "{context}"
         );
     }
+    check_signs(&view, &flat, context);
     check_carried_memos(&view, &flat, context);
+}
+
+/// Both sign implementations — the view's search of its region map and the
+/// flat complex's label index — agree with the flat label of every cell.
+fn check_signs(view: &GlobalComplexView, flat: &CellComplex, context: &str) {
+    let regions = 0..view.region_names().len();
+    for v in view.vertex_ids() {
+        let label = flat.label(CellId::Vertex(v));
+        for r in regions.clone() {
+            assert_eq!(view.vertex_sign(v, r), label[r], "{v:?}, region {r} on {context}");
+            assert_eq!(ComplexRead::vertex_sign(flat, v, r), label[r], "{context}");
+        }
+    }
+    for e in view.edge_ids() {
+        let label = flat.label(CellId::Edge(e));
+        for r in regions.clone() {
+            assert_eq!(view.edge_sign(e, r), label[r], "{e:?}, region {r} on {context}");
+            assert_eq!(ComplexRead::edge_sign(flat, e, r), label[r], "{context}");
+        }
+    }
+    for f in view.face_ids() {
+        let label = flat.label(CellId::Face(f));
+        for r in regions.clone() {
+            assert_eq!(view.face_sign(f, r), label[r], "{f:?}, region {r} on {context}");
+            assert_eq!(ComplexRead::face_sign(flat, f, r), label[r], "{context}");
+        }
+    }
+}
+
+/// The edges a face's incidence walk visits, with their faces and ends.
+type Walk = Vec<(EdgeId, (FaceId, FaceId), (VertexId, VertexId))>;
+
+fn face_walk<C: ComplexRead>(complex: &C, f: FaceId) -> Walk {
+    let mut walked = Vec::new();
+    complex.for_each_face_edge(f, |e, faces, ends| walked.push((e, faces, ends)));
+    walked.sort();
+    walked
 }
 
 /// The view's memo-served reads equal the trait's default scans over the
 /// flat complex: every region's faces and box, and every face's incidence
-/// walk.
+/// walk, which on both sides visits the face's boundary edges with the flat
+/// complex's incidences.
 fn check_carried_memos(view: &GlobalComplexView, flat: &CellComplex, context: &str) {
     assert_eq!(view.region_bboxes(), ComplexRead::region_bboxes(flat), "boxes on {context}");
     for name in view.region_names() {
@@ -88,14 +127,14 @@ fn check_carried_memos(view: &GlobalComplexView, flat: &CellComplex, context: &s
         );
     }
     for f in view.face_ids() {
-        let mut walked = Vec::new();
-        view.for_each_face_edge(f, |e, faces, ends| {
-            assert_eq!(faces, ComplexRead::edge_faces(flat, e), "{context}");
-            assert_eq!(ends, ComplexRead::edge_endpoints(flat, e), "{context}");
-            walked.push(e);
-        });
-        walked.sort();
-        assert_eq!(walked, flat.face_edges(f), "walk of {f:?} on {context}");
+        let walked = face_walk(flat, f);
+        let edges: Vec<EdgeId> = walked.iter().map(|&(e, _, _)| e).collect();
+        assert_eq!(edges, flat.face_edges(f), "flat walk of {f:?} on {context}");
+        for &(e, faces, ends) in &walked {
+            assert_eq!(faces, flat.edge_faces(e), "{context}");
+            assert_eq!(ends, (flat.edge(e).tail, flat.edge(e).head), "{context}");
+        }
+        assert_eq!(face_walk(view, f), walked, "walk of {f:?} on {context}");
     }
 }
 
@@ -111,11 +150,13 @@ fn carried_memos_equal_the_default_scans_over_the_datagen_families() {
     ];
     for (context, inst) in families {
         let view = view_of(&inst);
-        check_carried_memos(&view, &view.to_cell_complex(), context);
+        let flat = view.to_cell_complex();
+        check_signs(&view, &flat, context);
+        check_carried_memos(&view, &flat, context);
         // Each component built each kind of memo once, and a second read
         // builds none.
         assert_eq!(view.memo_builds(), 2 * view.component_count() as u64, "{context}");
-        check_carried_memos(&view, &view.to_cell_complex(), context);
+        check_carried_memos(&view, &flat, context);
         assert_eq!(view.memo_builds(), 2 * view.component_count() as u64, "{context}");
     }
 }

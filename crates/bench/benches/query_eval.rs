@@ -1,7 +1,6 @@
-//! E10/E12/E13/E15 — query evaluation experiments: the thematic bridge of
-//! Corollary 3.7 (relational vs. geometric answering), the expressiveness
-//! demonstrations of Theorem 4.4 / Proposition 4.5, and the point-based vs.
-//! region-based comparison of Theorem 5.8.
+//! E10/E15 — query evaluation experiments: the thematic bridge of
+//! Corollary 3.7 (relational vs. geometric answering) and the point-based
+//! vs. region-based comparison of Theorem 5.8.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use invariant::Invariant;
@@ -69,23 +68,6 @@ fn cor37_thematic_vs_geometric(c: &mut Criterion) {
     group.finish();
 }
 
-/// E12/E13 — Theorem 4.4 / Proposition 4.5: evaluating the derived
-/// expressiveness predicates (edge contact, chains) on rectilinear instances.
-fn fig11_expressiveness(c: &mut Criterion) {
-    let chain = datagen::overlapping_chain(5);
-    let shared = spatial_core::fixtures::shared_boundary();
-    let mut group = c.benchmark_group("fig11_expressiveness");
-    group.bench_function("edge_contact_predicate", |b| {
-        let f = query::derived::edge_contact(RegionExpr::named("A"), RegionExpr::named("B"));
-        b.iter(|| black_box(query::cell_eval::eval_on_instance(&shared, &f).unwrap()))
-    });
-    group.bench_function("chain_query_on_overlapping_chain", |b| {
-        let f = query::derived::chain3("C000", "C001", "C002");
-        b.iter(|| black_box(query::cell_eval::eval_on_instance(&chain, &f).unwrap()))
-    });
-    group.finish();
-}
-
 /// E15 — Theorem 5.8: the same (quantifier-free) sentences evaluated in the
 /// region-based rectangle language and in the translated point language.
 fn thm58_point_vs_region(c: &mut Criterion) {
@@ -123,6 +105,6 @@ fn thm58_point_vs_region(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = config();
-    targets = cor37_thematic_vs_geometric, fig11_expressiveness, thm58_point_vs_region
+    targets = cor37_thematic_vs_geometric, thm58_point_vs_region
 }
 criterion_main!(benches);

@@ -25,7 +25,7 @@
 //! | E08 | Theorem 3.5 | `e08_theorem_3_5_construction` | `thm35_invariant_construction`, `splitting_sweep_vs_naive` (`scaling`) |
 //! | E10 | Corollary 3.7 | `e10_corollary_3_7_thematic_bridge` | `cor37_thematic_bridge` (`query_eval`) |
 //! | E11 | Theorem 3.8, Lemma 3.9 | `e11_theorem_3_8_validation` | `thm38_validation` (`inference`) |
-//! | E12, E13 | Figs. 10 and 11; Theorem 4.4, Proposition 4.5 | `e12_genericity_and_expressiveness` | `fig11_expressiveness` (`query_eval`) |
+//! | E12, E13 | Figs. 10 and 11; Theorem 4.4, Proposition 4.5 | `e12_genericity_and_expressiveness` | — |
 //! | E14 | Proposition 5.1, Theorem 5.6 | `e14_completeness_normal_form` | `thm56_class_defining_sentence` (`scaling`) |
 //! | E15 | Theorem 5.8 | `e15_point_vs_region_language` | `thm58_point_vs_region` (`query_eval`) |
 //! | E16 | Theorems 6.4, 6.5 | — | `thm64_rect_data_complexity`, `thm65_rect_query_complexity` (`scaling`) |

@@ -16,25 +16,29 @@
 //!
 //! ## Cost model
 //!
-//! One evaluation engine reads its cells from one of two sources:
+//! One evaluation engine reads every cell through [`ComplexRead`]: names,
+//! each name's faces and box, the incidence of a face, the two faces of an
+//! edge. It has two constructors, over the two representations of a
+//! complex:
 //!
 //! * [`CellEvaluator::from_view`] (what `topodb::Snapshot::evaluator` and
-//!   [`CellEvaluator::new`] build) is a view over a shared
-//!   [`GlobalComplexView`]. Construction is `O(regions + components)`: it
-//!   copies the region boxes the components carry and scans no cell. A
-//!   name's face set is resolved on its first use, from the carried
-//!   interior faces of its region; the global dual graph is built only when
-//!   a region quantifier first needs it.
-//! * [`CellEvaluator::from_complex`] copies whole-complex tables out of any
-//!   [`ComplexRead`] by scanning every edge and every region — the eager
-//!   reference the view-backed evaluator is differentially tested against.
+//!   [`CellEvaluator::new`] build) reads a shared [`GlobalComplexView`].
+//!   Construction is `O(regions + components)`: it copies the region boxes
+//!   the components carry and scans no cell. A name's face set is resolved
+//!   on its first use, from the carried interior faces of its region, and
+//!   the planner probes the view's own spatial index.
+//! * [`CellEvaluator::from_complex`] reads any [`ComplexRead`] — over the
+//!   flat [`arrangement::CellComplex`] it is the reference the view-backed
+//!   evaluator is differentially tested against, served by the flat
+//!   complex's own face scans and incidence tables.
 //!
-//! Per atom, a relation between two named regions whose boxes do not
-//! interact is answered from the boxes alone. Otherwise the operands'
-//! boundary and interior edges and vertices come from walking the incidence
-//! of their own faces — `O(faces × degree)`, memoized per named region and
-//! per quantifier value — and the 4-intersection test is a merge of sorted
-//! lists; nothing scans the complex.
+//! Either way the global dual graph is built only when a region quantifier
+//! first needs it. Per atom, a relation between two named regions whose
+//! boxes do not interact is answered from the boxes alone. Otherwise the
+//! operands' boundary and interior edges and vertices come from walking the
+//! incidence of their own faces — `O(faces × degree)`, memoized per named
+//! region and per quantifier value — and the 4-intersection test is a merge
+//! of sorted lists; nothing scans the complex.
 //!
 //! Relation reads ([`CellEvaluator::named_relation`], what
 //! `topodb::Snapshot::{relation, relations_of, relation_matrix}` serve) run
@@ -95,11 +99,14 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// The evaluation structure over an instance's cell complex.
+/// The evaluation structure over an instance's cell complex `C`: the
+/// zero-copy view by default, or any other [`ComplexRead`].
 #[derive(Clone, Debug)]
-pub struct CellEvaluator {
+pub struct CellEvaluator<C = GlobalComplexView> {
     /// Where names, face sets and incidences are read from.
-    cells: Cells,
+    complex: Arc<C>,
+    /// Per name, its face set, resolved from the complex on first use.
+    name_sets: Vec<OnceLock<FaceSet>>,
     /// Bounding box of every named region's boundary, aligned with the
     /// names (`None` for a region contributing no boundary edge).
     bboxes: Vec<Option<BBox>>,
@@ -109,10 +116,9 @@ pub struct CellEvaluator {
     /// For every face, the faces sharing an edge with it (ascending), built
     /// when a region quantifier first needs it.
     dual: OnceLock<Vec<Vec<usize>>>,
-    /// The spatial index over `bboxes`, built on first planner use — or
-    /// pre-seeded with the snapshot-cached index via
-    /// [`CellEvaluator::with_spatial_index`] so all evaluators of one
-    /// snapshot share one build.
+    /// The spatial index over the region boxes, taken from the complex on
+    /// first planner use — or pre-seeded with an already-built one via
+    /// [`CellEvaluator::with_spatial_index`].
     index: OnceLock<Arc<SpatialIndex>>,
     /// Number of candidate values tried during binding enumeration (naive
     /// and planned paths both count; shared by clones). See
@@ -136,102 +142,6 @@ pub struct CellEvaluator {
     domain: OnceLock<Result<Domain, EvalError>>,
     /// Cap on the number of candidate regions.
     domain_cap: usize,
-}
-
-/// The two table sources of the one evaluation engine.
-#[derive(Clone, Debug)]
-enum Cells {
-    /// Whole-complex tables copied out of a [`ComplexRead`] by scans: the
-    /// reference built by [`CellEvaluator::from_complex`].
-    Copied(Box<CopiedCells>),
-    /// A shared view, read on demand; each name's face set is resolved on
-    /// first use.
-    View {
-        view: Arc<GlobalComplexView>,
-        name_sets: Vec<OnceLock<FaceSet>>,
-    },
-}
-
-#[derive(Clone, Debug)]
-struct CopiedCells {
-    /// Region names in canonical (sorted) order.
-    names: Vec<String>,
-    /// Named regions as face sets, aligned with `names`.
-    name_sets: Vec<FaceSet>,
-    face_count: usize,
-    exterior: usize,
-    /// For every face, the edges incident to it.
-    face_edges: Vec<Vec<usize>>,
-    /// For every edge, its two incident faces and its endpoint vertices.
-    edges: Vec<((usize, usize), (usize, usize))>,
-}
-
-impl Cells {
-    /// Region names in canonical (sorted) order. Name variables bind to
-    /// *indices* into this list during enumeration; strings are only
-    /// materialized for result rows.
-    fn names(&self) -> &[String] {
-        match self {
-            Cells::Copied(t) => &t.names,
-            Cells::View { view, .. } => view.region_names(),
-        }
-    }
-
-    fn name_set(&self, i: usize) -> &FaceSet {
-        match self {
-            Cells::Copied(t) => &t.name_sets[i],
-            Cells::View { view, name_sets } => name_sets[i].get_or_init(|| {
-                view.region_faces(&view.region_names()[i]).into_iter().map(|f| f.0).collect()
-            }),
-        }
-    }
-
-    fn face_count(&self) -> usize {
-        match self {
-            Cells::Copied(t) => t.face_count,
-            Cells::View { view, .. } => view.face_count(),
-        }
-    }
-
-    fn exterior(&self) -> usize {
-        match self {
-            Cells::Copied(t) => t.exterior,
-            Cells::View { view, .. } => view.exterior_face().0,
-        }
-    }
-
-    /// Visit every edge incident to face `f`, once, with its two faces and
-    /// its endpoints.
-    fn for_each_face_edge(
-        &self,
-        f: usize,
-        mut visit: impl FnMut(usize, (usize, usize), (usize, usize)),
-    ) {
-        match self {
-            Cells::Copied(t) => {
-                for &e in &t.face_edges[f] {
-                    visit(e, t.edges[e].0, t.edges[e].1);
-                }
-            }
-            Cells::View { view, .. } => view.for_each_face_edge(FaceId(f), |e, (l, r), (a, b)| {
-                visit(e.0, (l.0, r.0), (a.0, b.0))
-            }),
-        }
-    }
-
-    /// The two faces of every edge.
-    fn edge_faces(&self) -> Vec<(usize, usize)> {
-        match self {
-            Cells::Copied(t) => t.edges.iter().map(|&(faces, _)| faces).collect(),
-            Cells::View { view, .. } => view
-                .edge_ids()
-                .map(|e| {
-                    let (l, r) = view.edge_faces(e);
-                    (l.0, r.0)
-                })
-                .collect(),
-        }
-    }
 }
 
 /// The cells of a face-set region besides its faces, each list ascending.
@@ -275,57 +185,34 @@ impl CellEvaluator {
     /// the view's components carry what it derives from them alone across
     /// commits.
     pub fn from_view(view: Arc<GlobalComplexView>) -> CellEvaluator {
-        let bboxes = view.region_bboxes();
-        let name_sets = (0..bboxes.len()).map(|_| OnceLock::new()).collect();
-        CellEvaluator::with_cells(Cells::View { view, name_sets }, bboxes)
+        CellEvaluator::over(view)
     }
+}
 
-    /// Build the evaluator from an existing cell complex — either the flat
-    /// [`arrangement::CellComplex`] or the zero-copy
-    /// [`arrangement::GlobalComplexView`] (any [`ComplexRead`]
-    /// implementation; the two are index-identical, so the evaluator does
-    /// not depend on the representation).
+impl<C: ComplexRead> CellEvaluator<C> {
+    /// Build the evaluator over a copy of an existing cell complex — either
+    /// the flat [`arrangement::CellComplex`] or the zero-copy
+    /// [`GlobalComplexView`] (any [`ComplexRead`] implementation; the two
+    /// are index-identical, so the answers do not depend on the
+    /// representation).
     ///
-    /// This is the eager whole-complex *reference*: it copies the incidence
-    /// of every edge and the face set and box of every region up front, and
-    /// serves as the differential oracle of [`CellEvaluator::from_view`],
-    /// which answers identically.
-    pub fn from_complex<C: ComplexRead>(complex: &C) -> CellEvaluator {
-        let face_count = complex.face_count();
-        let mut face_edges = vec![Vec::new(); face_count];
-        let edges = complex
-            .edge_ids()
-            .map(|e| {
-                let (l, r) = complex.edge_faces(e);
-                let (tail, head) = complex.edge_endpoints(e);
-                face_edges[l.0].push(e.0);
-                if r != l {
-                    face_edges[r.0].push(e.0);
-                }
-                ((l.0, r.0), (tail.0, head.0))
-            })
-            .collect();
-        let names: Vec<String> = complex.region_names().to_vec();
-        debug_assert!(names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
-        let name_sets = names
-            .iter()
-            .map(|name| complex.region_faces(name).into_iter().map(|f| f.0).collect())
-            .collect();
-        let cells = CopiedCells {
-            names,
-            name_sets,
-            face_count,
-            exterior: complex.exterior_face().0,
-            face_edges,
-            edges,
-        };
-        CellEvaluator::with_cells(Cells::Copied(Box::new(cells)), complex.region_bboxes())
+    /// Over the flat complex this is the *reference*: every read goes to
+    /// the flat complex's own [`ComplexRead`] implementation, and it serves
+    /// as the differential oracle of [`CellEvaluator::from_view`], which
+    /// answers identically.
+    pub fn from_complex(complex: &C) -> CellEvaluator<C>
+    where
+        C: Clone,
+    {
+        CellEvaluator::over(Arc::new(complex.clone()))
     }
 
-    fn with_cells(cells: Cells, bboxes: Vec<Option<BBox>>) -> CellEvaluator {
+    fn over(complex: Arc<C>) -> CellEvaluator<C> {
+        let bboxes = complex.region_bboxes();
         CellEvaluator {
+            complex,
+            name_sets: (0..bboxes.len()).map(|_| OnceLock::new()).collect(),
             name_parts: (0..bboxes.len()).map(|_| OnceLock::new()).collect(),
-            cells,
             bboxes,
             dual: OnceLock::new(),
             index: OnceLock::new(),
@@ -338,32 +225,27 @@ impl CellEvaluator {
     }
 
     /// Change the cap on the quantifier domain size.
-    pub fn with_domain_cap(mut self, cap: usize) -> CellEvaluator {
+    pub fn with_domain_cap(mut self, cap: usize) -> CellEvaluator<C> {
         self.domain_cap = cap;
         self
     }
 
-    /// Pre-seed the evaluator's spatial index with an already-built one
-    /// (typically the snapshot-cached
-    /// `GlobalComplexView::region_bbox_index`), so every evaluator of a
-    /// snapshot shares one index build and one probe counter. A no-op if the
-    /// evaluator already built its own.
-    pub fn with_spatial_index(self, index: Arc<SpatialIndex>) -> CellEvaluator {
+    /// Pre-seed the evaluator's spatial index with an already-built one, so
+    /// it shares that index's build and probe counter. A no-op if the
+    /// evaluator already holds one.
+    pub fn with_spatial_index(self, index: Arc<SpatialIndex>) -> CellEvaluator<C> {
         let _ = self.index.set(index);
         self
     }
 
-    /// The spatial index over the named regions' bounding boxes, built on
-    /// first use (unless pre-seeded via
-    /// [`CellEvaluator::with_spatial_index`]); an evaluator over a view
-    /// shares the view's own
+    /// The spatial index over the named regions' bounding boxes, taken on
+    /// first use from the complex ([`ComplexRead::region_bbox_index`])
+    /// unless pre-seeded via [`CellEvaluator::with_spatial_index`]: an
+    /// evaluator over a view shares the view's own
     /// [`region_bbox_index`](GlobalComplexView::region_bbox_index). The
     /// query planner draws its bbox-neighbor candidate generators from it.
     pub fn spatial_index(&self) -> &Arc<SpatialIndex> {
-        self.index.get_or_init(|| match &self.cells {
-            Cells::View { view, .. } => view.region_bbox_index(),
-            Cells::Copied(_) => Arc::new(SpatialIndex::build(&self.bboxes)),
-        })
+        self.index.get_or_init(|| self.complex.region_bbox_index())
     }
 
     /// How many candidate values the binding enumerators have tried (naive
@@ -404,21 +286,28 @@ impl CellEvaluator {
 
     /// The region names known to the evaluator.
     pub fn names(&self) -> Vec<&str> {
-        self.cells.names().iter().map(String::as_str).collect()
+        self.complex.region_names().iter().map(String::as_str).collect()
     }
 
     /// The index of a region name in the canonical (sorted) name order.
     fn name_index(&self, name: &str) -> Option<usize> {
-        self.cells.names().binary_search_by(|n| n.as_str().cmp(name)).ok()
+        self.complex.region_index(name)
     }
 
     /// The face set of a named region.
     pub fn named_region(&self, name: &str) -> Option<&FaceSet> {
-        Some(self.cells.name_set(self.name_index(name)?))
+        Some(self.name_set(self.name_index(name)?))
+    }
+
+    fn name_set(&self, i: usize) -> &FaceSet {
+        self.name_sets[i].get_or_init(|| {
+            let name = &self.complex.region_names()[i];
+            self.complex.region_faces(name).into_iter().map(|f| f.0).collect()
+        })
     }
 
     fn name_operand(&self, i: usize) -> Operand<'_> {
-        Operand { faces: self.cells.name_set(i), parts: &self.name_parts[i] }
+        Operand { faces: self.name_set(i), parts: &self.name_parts[i] }
     }
 
     /// All legitimate quantifier values: nonempty, dual-connected,
@@ -439,8 +328,9 @@ impl CellEvaluator {
     /// The dual graph, built on first use from every edge's two faces.
     fn dual(&self) -> &[Vec<usize>] {
         self.dual.get_or_init(|| {
-            let mut dual = vec![Vec::new(); self.cells.face_count()];
-            for (l, r) in self.cells.edge_faces() {
+            let mut dual = vec![Vec::new(); self.complex.face_count()];
+            for e in self.complex.edge_ids() {
+                let (FaceId(l), FaceId(r)) = self.complex.edge_faces(e);
                 if l != r {
                     dual[l].push(r);
                     dual[r].push(l);
@@ -455,12 +345,12 @@ impl CellEvaluator {
     }
 
     fn enumerate_regions(&self) -> Result<Vec<FaceSet>, EvalError> {
-        let exterior = self.cells.exterior();
+        let exterior = self.complex.exterior_face().0;
         let mut out: Vec<FaceSet> = Vec::new();
         // Enumerate connected subsets of the dual graph restricted to bounded
         // faces, by the standard "extend with larger-indexed neighbors of the
         // component, anchored at its minimum element" scheme.
-        for start in (0..self.cells.face_count()).filter(|&f| f != exterior) {
+        for start in (0..self.complex.face_count()).filter(|&f| f != exterior) {
             let mut current: FaceSet = BTreeSet::from([start]);
             self.extend_regions(start, &mut current, &mut out, &[])?;
         }
@@ -487,7 +377,7 @@ impl CellEvaluator {
             });
         }
         out.push(current.clone());
-        let exterior = self.cells.exterior();
+        let exterior = self.complex.exterior_face().0;
         let dual = self.dual();
         let mut candidates: Vec<usize> = Vec::new();
         for &f in current.iter() {
@@ -515,12 +405,12 @@ impl CellEvaluator {
 
     fn complement_connected(&self, s: &FaceSet) -> bool {
         // `s` holds bounded faces only, so its complement holds the exterior.
-        let complement = self.cells.face_count() - s.len();
+        let complement = self.complex.face_count() - s.len();
         if complement == 0 {
             return false;
         }
         let dual = self.dual();
-        let start = self.cells.exterior();
+        let start = self.complex.exterior_face().0;
         let mut seen: BTreeSet<usize> = BTreeSet::from([start]);
         let mut stack = vec![start];
         while let Some(f) = stack.pop() {
@@ -545,11 +435,12 @@ impl CellEvaluator {
         let mut boundary: Vec<(usize, (usize, usize))> = Vec::new();
         let mut interior: Vec<(usize, (usize, usize))> = Vec::new();
         for &f in faces {
-            self.cells.for_each_face_edge(f, |e, (l, r), ends| {
-                if faces.contains(&l) && faces.contains(&r) {
-                    interior.push((e, ends));
+            self.complex.for_each_face_edge(FaceId(f), |e, (l, r), (a, b)| {
+                let cell = (e.0, (a.0, b.0));
+                if faces.contains(&l.0) && faces.contains(&r.0) {
+                    interior.push(cell);
                 } else {
-                    boundary.push((e, ends));
+                    boundary.push(cell);
                 }
             });
         }
@@ -720,7 +611,7 @@ impl CellEvaluator {
                 // per-candidate string clones in the hot loop.
                 env.names.insert(var.clone(), usize::MAX);
                 let mut result = Ok(());
-                for idx in 0..self.cells.names().len() {
+                for idx in 0..self.complex.region_names().len() {
                     self.assignments.fetch_add(1, Ordering::Relaxed);
                     *env.names.get_mut(var).expect("bound above") = idx;
                     result = self.eval_bindings_inner(formula, rest, env, out);
@@ -747,10 +638,10 @@ impl CellEvaluator {
         if k == 0 {
             return self.eval_bindings_naive(formula, &[]);
         }
-        if self.cells.names().is_empty() {
+        if self.complex.region_names().is_empty() {
             return Ok(Vec::new());
         }
-        let mut ctx = PlanCtx::new(self.cells.names().len());
+        let mut ctx = PlanCtx::new(self.complex.region_names().len());
         let order = self.plan_order_ids(plan, &mut ctx);
         let mut pos_of = vec![0usize; k];
         for (p, &v) in order.iter().enumerate() {
@@ -796,7 +687,7 @@ impl CellEvaluator {
                 plan.vars()
                     .iter()
                     .zip(&vals)
-                    .map(|(v, &i)| (v.clone(), self.cells.names()[i].clone()))
+                    .map(|(v, &i)| (v.clone(), self.complex.region_names()[i].clone()))
                     .collect()
             })
             .collect())
@@ -837,7 +728,7 @@ impl CellEvaluator {
         placed: &[bool],
         ctx: &mut PlanCtx,
     ) -> usize {
-        let n = self.cells.names().len();
+        let n = self.complex.region_names().len();
         let mut est = n;
         for g in generators {
             let e = match g {
@@ -862,7 +753,7 @@ impl CellEvaluator {
     /// variable is the one with the smallest estimated candidate set (ties
     /// broken by plan position, so the order is deterministic).
     pub fn planned_var_order(&self, plan: &QueryPlan) -> Vec<String> {
-        let mut ctx = PlanCtx::new(self.cells.names().len());
+        let mut ctx = PlanCtx::new(self.complex.region_names().len());
         self.plan_order_ids(plan, &mut ctx)
             .into_iter()
             .map(|v| plan.vars()[v].clone())
@@ -890,7 +781,7 @@ impl CellEvaluator {
         if let Some(d) = ctx.avg_degree {
             return d;
         }
-        let n = self.cells.names().len();
+        let n = self.complex.region_names().len();
         let total: usize =
             (0..n).map(|i| self.neighbor_count(i, ctx).unwrap_or(n)).sum();
         let d = (total / n.max(1)).max(1);
@@ -944,7 +835,7 @@ impl CellEvaluator {
             }
         }
         let candidates =
-            candidates.unwrap_or_else(|| (0..self.cells.names().len()).collect());
+            candidates.unwrap_or_else(|| (0..self.complex.region_names().len()).collect());
 
         env.names.insert(var.clone(), usize::MAX);
         for idx in candidates {
@@ -982,7 +873,7 @@ impl CellEvaluator {
     fn materialize_row(&self, names_env: &BTreeMap<String, usize>) -> Bindings {
         names_env
             .iter()
-            .map(|(v, &i)| (v.clone(), self.cells.names()[i].clone()))
+            .map(|(v, &i)| (v.clone(), self.complex.region_names()[i].clone()))
             .collect()
     }
 
@@ -1136,7 +1027,7 @@ impl CellEvaluator {
     ) -> Result<bool, EvalError> {
         let saved = env.names.remove(var);
         let mut result = Ok(!existential);
-        for idx in 0..self.cells.names().len() {
+        for idx in 0..self.complex.region_names().len() {
             env.names.insert(var.to_string(), idx);
             match self.eval_inner(body, env) {
                 Ok(b) if b == existential => {

@@ -24,8 +24,6 @@
 //!   order-type snapping, with polynomial data complexity;
 //! * [`point_lang`] — the point-based language `FO(P, <x, <y, ·)` and the
 //!   rectangle-to-point translation of Theorem 5.8;
-//! * [`derived`] — the derived predicates used in the expressiveness proofs
-//!   (Theorem 4.4, Proposition 4.5);
 //! * [`complete`] — Proposition 5.1 / Theorem 5.6: the sentence `φ_{T_I}`
 //!   defining an instance's homeomorphism class, and the normal form for
 //!   computable topological queries.
@@ -90,7 +88,6 @@
 pub mod ast;
 pub mod cell_eval;
 pub mod complete;
-pub mod derived;
 pub mod parser;
 pub mod plan;
 pub mod point_lang;

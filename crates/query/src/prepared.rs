@@ -36,6 +36,7 @@ use crate::ast::Formula;
 use crate::cell_eval::{Bindings, CellEvaluator, EvalError};
 use crate::parser::{parse, ParseError};
 use crate::plan::QueryPlan;
+use arrangement::ComplexRead;
 use std::fmt;
 
 /// The result of running a query: a truth value for closed formulas, or the
@@ -197,7 +198,10 @@ impl PreparedQuery {
     /// queries hit one snapshot: the evaluator's domain enumeration and
     /// spatial index are shared). Open queries use the stored semi-join
     /// plan.
-    pub fn run_on(&self, evaluator: &CellEvaluator) -> Result<QueryOutput, EvalError> {
+    pub fn run_on<C: ComplexRead>(
+        &self,
+        evaluator: &CellEvaluator<C>,
+    ) -> Result<QueryOutput, EvalError> {
         match &self.plan {
             None => evaluator.eval(&self.formula).map(QueryOutput::Bool),
             Some(plan) => evaluator

@@ -1,7 +1,8 @@
 //! The evaluator over a shared view ([`CellEvaluator::from_view`], what a
-//! database snapshot serves queries with) against the eager whole-complex
-//! reference ([`CellEvaluator::from_complex`] over the flat copy of the same
-//! complex).
+//! database snapshot serves queries with) against the reference: the same
+//! engine over the flat copy of the same complex
+//! ([`CellEvaluator::from_complex`]), which reads its region faces, region
+//! boxes and face incidence from the flat complex's own implementations.
 //!
 //! * **Differential:** both evaluators return the same rows in the same
 //!   order on the benchmark's query shapes, on the planner suite's random
@@ -15,7 +16,9 @@
 //!   memos for exactly the rebuilt components, as many at 1024 regions as at
 //!   256, and none for the carried ones.
 
-use arrangement::{build_component_complexes, update_components, ComplexRead, GlobalComplexView};
+use arrangement::{
+    build_component_complexes, update_components, CellComplex, ComplexRead, GlobalComplexView,
+};
 use datagen::{clustered_map, jittered_overlap_map, zipf_clustered_map, TraceOp};
 use query::{CellEvaluator, PreparedQuery};
 use rand::rngs::StdRng;
@@ -38,7 +41,7 @@ fn cold_view(inst: &SpatialInstance) -> GlobalComplexView {
 }
 
 /// The evaluator under test and the reference, over one view.
-fn both(view: &GlobalComplexView) -> (CellEvaluator, CellEvaluator) {
+fn both(view: &GlobalComplexView) -> (CellEvaluator, CellEvaluator<CellComplex>) {
     (
         CellEvaluator::from_view(Arc::new(view.clone())),
         CellEvaluator::from_complex(&view.to_cell_complex()),

@@ -1,8 +1,8 @@
 //! # relations
 //!
 //! The 4-intersection (Egenhofer) topological relations between plane
-//! regions, their 9-intersection refinement, the composition algebra and
-//! topological-inference (constraint network) reasoning.
+//! regions, their composition algebra and topological-inference (constraint
+//! network) reasoning.
 //!
 //! In the paper these relations are the starting point of the region-based
 //! query languages (Section 2, Fig. 2): `disjoint`, `meet`, `overlap`,
@@ -15,10 +15,9 @@
 //! ## The whole-complex reference
 //!
 //! [`relation_in_complex`] and its companions ([`matrix_in_complex`],
-//! [`nine_matrix_in_complex`], [`relations_with_in_complex`],
-//! [`all_pairwise_relations_in_complex`]) read a relation off a cell complex
-//! by scanning every vertex, edge and face of it — `O(cells)` per pair,
-//! whatever the two regions' size. They are the reference, not the read
+//! [`relations_with_in_complex`], [`all_pairwise_relations_in_complex`])
+//! read a relation off a cell complex by scanning every vertex, edge and
+//! face of it — `O(cells)` per pair, whatever the two regions' size. They are the reference, not the read
 //! path: a database snapshot classifies named regions with the query
 //! evaluator's face-set classifier (`query::CellEvaluator::named_relation`),
 //! which reads only the two regions' own faces, and is differentially
@@ -49,7 +48,6 @@ pub use composition::{compose, compose_sets, RelationSet};
 pub use network::{network_of_instance, ConstraintNetwork, Scenario};
 pub use relation::{
     all_pairwise_relations, all_pairwise_relations_in_complex, four_intersection_equivalent,
-    matrix_between, matrix_in_complex, nine_matrix_between, nine_matrix_in_complex,
-    relation_between, relation_in_complex, relations_with_in_complex, FourIntersectionMatrix,
-    NineIntersectionMatrix, Relation4,
+    matrix_in_complex, relation_between, relation_in_complex, relations_with_in_complex,
+    FourIntersectionMatrix, Relation4,
 };

@@ -1,5 +1,5 @@
 //! The eight 4-intersection (Egenhofer) relations between plane regions
-//! (Section 2 of the paper, Fig. 2), plus the finer 9-intersection matrix.
+//! (Section 2 of the paper, Fig. 2).
 //!
 //! The `*_in_complex` functions scan a whole cell complex per pair: the
 //! reference that the database's relation reads (the query evaluator's
@@ -164,33 +164,12 @@ pub struct FourIntersectionMatrix {
     pub boundary_a_interior_b: bool,
 }
 
-/// The full 9-intersection matrix (Egenhofer–Franzosa): emptiness of the
-/// pairwise intersections of interior, boundary and exterior of two regions.
-/// Row index = part of `A` (interior, boundary, exterior); column index =
-/// part of `B`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct NineIntersectionMatrix(pub [[bool; 3]; 3]);
-
 /// Compute the 4-intersection relation between two regions exactly, by
 /// building the two-region cell complex and inspecting its cell labels.
 pub fn relation_between(a: &Region, b: &Region) -> Relation4 {
     let inst = SpatialInstance::from_regions([("A", a.clone()), ("B", b.clone())]);
     let complex = build_complex(&inst);
     relation_in_complex(&complex, "A", "B").expect("both regions present")
-}
-
-/// Compute the 4-intersection matrix between two regions exactly.
-pub fn matrix_between(a: &Region, b: &Region) -> FourIntersectionMatrix {
-    let inst = SpatialInstance::from_regions([("A", a.clone()), ("B", b.clone())]);
-    let complex = build_complex(&inst);
-    matrix_in_complex(&complex, "A", "B").expect("both regions present")
-}
-
-/// Compute the 9-intersection matrix between two regions exactly.
-pub fn nine_matrix_between(a: &Region, b: &Region) -> NineIntersectionMatrix {
-    let inst = SpatialInstance::from_regions([("A", a.clone()), ("B", b.clone())]);
-    let complex = build_complex(&inst);
-    nine_matrix_in_complex(&complex, "A", "B").expect("both regions present")
 }
 
 /// The 4-intersection relation between two named regions of an instance,
@@ -207,51 +186,36 @@ pub fn relation_in_complex<C: ComplexRead>(complex: &C, a: &str, b: &str) -> Opt
 }
 
 /// The 4-intersection matrix between two named regions of a cell complex.
-pub fn matrix_in_complex<C: ComplexRead>(
-    complex: &C,
-    a: &str,
-    b: &str,
-) -> Option<FourIntersectionMatrix> {
-    let nine = nine_matrix_in_complex(complex, a, b)?;
-    Some(FourIntersectionMatrix {
-        interiors: nine.0[0][0],
-        boundaries: nine.0[1][1],
-        interior_a_boundary_b: nine.0[0][1],
-        boundary_a_interior_b: nine.0[1][0],
-    })
-}
-
-/// The 9-intersection matrix between two named regions of a cell complex.
 ///
 /// Reads only the two relevant signs of every cell (the
 /// [`ComplexRead::vertex_sign`]-family fast paths), so no label is
 /// materialized — on the zero-copy view this avoids widening any label at
 /// all.
-pub fn nine_matrix_in_complex<C: ComplexRead>(
+pub fn matrix_in_complex<C: ComplexRead>(
     complex: &C,
     a: &str,
     b: &str,
-) -> Option<NineIntersectionMatrix> {
+) -> Option<FourIntersectionMatrix> {
     let ia = complex.region_index(a)?;
     let ib = complex.region_index(b)?;
-    let part = |s: Sign| -> usize {
-        match s {
-            Sign::Interior => 0,
-            Sign::Boundary => 1,
-            Sign::Exterior => 2,
-        }
+    let mut m = Relation4::Disjoint.to_matrix(); // all four empty
+    let mut see = |signs| match signs {
+        (Sign::Interior, Sign::Interior) => m.interiors = true,
+        (Sign::Boundary, Sign::Boundary) => m.boundaries = true,
+        (Sign::Interior, Sign::Boundary) => m.interior_a_boundary_b = true,
+        (Sign::Boundary, Sign::Interior) => m.boundary_a_interior_b = true,
+        _ => {}
     };
-    let mut m = [[false; 3]; 3];
     for v in complex.vertex_ids() {
-        m[part(complex.vertex_sign(v, ia))][part(complex.vertex_sign(v, ib))] = true;
+        see((complex.vertex_sign(v, ia), complex.vertex_sign(v, ib)));
     }
     for e in complex.edge_ids() {
-        m[part(complex.edge_sign(e, ia))][part(complex.edge_sign(e, ib))] = true;
+        see((complex.edge_sign(e, ia), complex.edge_sign(e, ib)));
     }
     for f in complex.face_ids() {
-        m[part(complex.face_sign(f, ia))][part(complex.face_sign(f, ib))] = true;
+        see((complex.face_sign(f, ia), complex.face_sign(f, ib)));
     }
-    Some(NineIntersectionMatrix(m))
+    Some(m)
 }
 
 /// All pairwise 4-intersection relations of an instance, in name order.
@@ -359,32 +323,10 @@ mod tests {
     #[test]
     fn computed_matrices_match_declared_ones() {
         for (name, inst) in fixtures::fig_2_pairs() {
-            let a = inst.ext("A").unwrap();
-            let b = inst.ext("B").unwrap();
-            let m = matrix_between(a, b);
+            let m = matrix_in_complex(&build_complex(&inst), "A", "B").unwrap();
             let r = Relation4::from_name(name).unwrap();
             assert_eq!(m, r.to_matrix(), "{name}");
         }
-    }
-
-    #[test]
-    fn nine_intersection_exterior_row() {
-        // The exterior/exterior entry is always nonempty for bounded regions,
-        // and a region strictly inside another has empty boundary/exterior
-        // intersection with it.
-        let inst = fixtures::fig_2_pairs()
-            .into_iter()
-            .find(|(n, _)| *n == "contains")
-            .map(|(_, i)| i)
-            .unwrap();
-        let a = inst.ext("A").unwrap();
-        let b = inst.ext("B").unwrap();
-        let nine = nine_matrix_between(a, b);
-        assert!(nine.0[2][2], "ext/ext");
-        // B (inside A): B's boundary does not meet A's exterior.
-        assert!(!nine.0[2][1], "A-exterior does not meet B-boundary");
-        // A's boundary lies in B's exterior.
-        assert!(nine.0[1][2]);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! snapshots, batched transactions that coalesce mutations into one epoch,
 //! and prepared queries evaluated against snapshots of different epochs.
 
+use datagen::TraceOp;
 use spatial_core::prelude::*;
 use std::sync::Arc;
+use topodb::invariant::Invariant;
 use topodb::query::PreparedQuery;
 use topodb::{QueryOutput, Snapshot, TopoDatabase};
 
@@ -358,4 +360,51 @@ fn fresh_snapshot_memo_builds(clusters: usize) -> (u64, u64) {
         "boxes and faces per rebuilt component"
     );
     (rebuilt, read_builds)
+}
+
+/// A snapshot's evaluator plans with the snapshot's own spatial index: one
+/// build and one probe counter, so a join's probes show on
+/// [`Snapshot::spatial_index`].
+#[test]
+fn the_evaluator_probes_the_snapshot_spatial_index() {
+    let db = clustered_db(4, 3);
+    let snapshot = db.snapshot();
+    assert!(Arc::ptr_eq(snapshot.evaluator().spatial_index(), &snapshot.spatial_index()));
+    let join = PreparedQuery::compile("connect(ext(x), ext(y))").unwrap();
+    let before = snapshot.spatial_index().probe_count();
+    let rows = snapshot.evaluate(&join).unwrap();
+    assert!(rows.bindings().unwrap().len() >= snapshot.len(), "every region meets itself");
+    assert!(
+        snapshot.spatial_index().probe_count() > before,
+        "the join's candidate probes count on the snapshot's index"
+    );
+}
+
+/// The invariant a snapshot computes from its view equals the one computed
+/// from the flat copy of the same complex, after every commit of a
+/// randomized trace over a one-component overlap map and a clustered map.
+#[test]
+fn snapshot_invariant_equals_the_flat_reference_along_a_commit_trace() {
+    for (context, start) in [
+        ("jittered_overlap_map(4, 4, 12, 7)", datagen::jittered_overlap_map(4, 4, 12, 7)),
+        ("clustered_map(4, 4, 7)", datagen::clustered_map(4, 4, 7)),
+    ] {
+        let mut db = TopoDatabase::from_instance(start);
+        for (step, batch) in datagen::op_trace(40, 0x1417).iter().enumerate() {
+            let mut txn = db.begin();
+            for op in batch {
+                match op {
+                    TraceOp::Insert(name, region) => txn.insert(name.clone(), region.clone()),
+                    TraceOp::Remove(name) => txn.remove(name.clone()),
+                };
+            }
+            txn.commit();
+            let snapshot = db.snapshot();
+            let flat = snapshot.complex_view().to_cell_complex();
+            assert!(
+                *snapshot.invariant() == Invariant::from_complex(&flat),
+                "step {step} on {context}"
+            );
+        }
+    }
 }
