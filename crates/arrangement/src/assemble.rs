@@ -11,7 +11,8 @@
 //! 1. locates every component in the face structure of the others (innermost
 //!    bounded cycle containing a representative point — the cycles of
 //!    distinct components never cross, so the innermost containing cycle
-//!    identifies the parent face exactly);
+//!    identifies the parent face exactly, and it is found by comparing the
+//!    cycles' lowest points, `innermost_cycle`);
 //! 2. merges each nested component's local exterior face into its parent
 //!    face (and all root components' exteriors into the global exterior),
 //!    extending the parent's boundary-edge set with the component's outer
@@ -34,24 +35,22 @@
 
 use crate::builder::build_local;
 use crate::complex::{CellComplex, ComplexRead};
-use crate::geometry::point_in_closed_polyline;
 use crate::index::SpatialIndex;
 use crate::partition::{repartition, BBox, ComponentGroup, Member, Repartition};
 use crate::split::{split_segments, TaggedSegment};
 use crate::types::*;
+use spatial_core::polygon::ring_encloses;
 use spatial_core::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 /// The outer cycle of one bounded face of a component complex, kept for the
-/// cross-component nesting tests of the assembly step.
+/// cross-component nesting tests of the assembly step (`innermost_cycle`).
 #[derive(Clone, Debug)]
 pub struct BoundedCycle {
     /// The bounded face this cycle is the outer boundary of.
     pub(crate) face: FaceId,
     /// The closed walk realizing the cycle (last point omitted).
     pub(crate) polyline: Vec<Point>,
-    /// Twice the signed area of the walk (positive).
-    pub(crate) area2: Rational,
 }
 
 /// The independently built cell complex of one interaction component,
@@ -360,11 +359,11 @@ pub(crate) fn compute_component_nesting(
 /// The nesting parent of each component listed in `which` (aligned with
 /// it), among all of `components`.
 ///
-/// The parent is found as the innermost bounded cycle of any *other*
-/// component containing the component's representative point. Cycles of
-/// distinct components never cross (partitioning keeps their geometry
-/// disjoint), so the containing cycles form a laminar family and the
-/// innermost one is the face the component sits in.
+/// The parent is the [`innermost_cycle`] among the bounded cycles of every
+/// *other* component that contains the component's representative point.
+/// Cycles of distinct components never cross (partitioning keeps their
+/// geometry disjoint), so the containing cycles are nested and the innermost
+/// one is the face the component sits in.
 pub(crate) fn locate_components(
     components: &[Arc<ComponentComplex>],
     which: &[usize],
@@ -379,23 +378,37 @@ pub(crate) fn locate_components(
         .iter()
         .map(|&c| {
             let rep = components[c].rep_point?;
-            let mut best: Option<(Rational, usize, FaceId)> = None;
-            for d in index.locate_point(&rep) {
-                if d == c {
-                    continue;
-                }
-                for cyc in &components[d].bounded_cycles {
-                    if point_in_closed_polyline(&rep, &cyc.polyline) {
-                        let area = cyc.area2.abs();
-                        if best.as_ref().is_none_or(|(a, _, _)| area < *a) {
-                            best = Some((area, d, cyc.face));
-                        }
-                    }
-                }
-            }
-            best.map(|(_, d, f)| (d, f))
+            let others = index.locate_point(&rep).into_iter().filter(|&d| d != c);
+            let cycles = others.flat_map(|d| {
+                let bounded = components[d].bounded_cycles.iter();
+                bounded.map(move |cyc| ((d, cyc.face), cyc.polyline.as_slice()))
+            });
+            innermost_cycle(&rep, cycles)
         })
         .collect()
+}
+
+/// The key of the innermost of `cycles` that encloses `p` — the one whose
+/// lexicographically lowest point is greatest — or `None` if none does.
+///
+/// The cycles must be laminar with disjoint boundaries: the bounded cycles of
+/// distinct skeleton components, of which at most one per component can
+/// enclose `p` since its bounded faces are disjoint. A cycle enclosing another
+/// then holds the other's lowest point in its interior, and its own lowest
+/// point, on its boundary, is smaller. Both nesting sites use this — the
+/// builder among the skeleton components of one component, and
+/// [`locate_components`] among components — and it decides by comparison and
+/// orientation only: no area is computed.
+pub(crate) fn innermost_cycle<'a, K>(
+    p: &Point,
+    cycles: impl IntoIterator<Item = (K, &'a [Point])>,
+) -> Option<K> {
+    cycles
+        .into_iter()
+        .filter(|(_, ring)| ring_encloses(ring, p))
+        .map(|(key, ring)| (ring.iter().min().expect("a cycle has points"), key))
+        .max_by(|a, b| a.0.cmp(b.0))
+        .map(|(_, key)| key)
 }
 
 /// A parents-before-children order of the nesting forest returned by

@@ -14,8 +14,10 @@
 //!    segments are split at
 //!    their mutual intersections by the Bentley–Ottmann plane sweep of
 //!    [`crate::sweep`], merged into maximal 1-cells,
-//!    the faces extracted from the combinatorial embedding, same-component
-//!    disconnected skeletons nested into the faces that contain them, and
+//!    the faces extracted from the combinatorial embedding (each skeleton's
+//!    outer walk is the one turning clockwise at its lowest point),
+//!    same-component disconnected skeletons nested into the faces that
+//!    contain them (`assemble::innermost_cycle`), and
 //!    every cell labeled by exact combinatorial propagation from the
 //!    unbounded face;
 //! 3. [`crate::assemble`] stitches the component complexes into the global
@@ -26,9 +28,8 @@
 //! construction as a differential-testing oracle: both paths must produce
 //! isomorphic complexes on every input.
 
-use crate::assemble::{assemble_components, BoundedCycle, ComponentComplex};
+use crate::assemble::{assemble_components, innermost_cycle, BoundedCycle, ComponentComplex};
 use crate::complex::CellComplex;
-use crate::geometry::{closed_polyline_area_doubled, point_in_closed_polyline};
 use crate::parallel::{available_threads, map_indexed};
 use crate::partition::partition_instance;
 use crate::split::{instance_segments, split_segments, SubSegment};
@@ -339,8 +340,6 @@ struct Walk {
     darts: Vec<DartId>,
     /// Concatenated polyline of the walk (closed; last point omitted).
     polyline: Vec<Point>,
-    /// Twice the signed area of the walk.
-    area2: Rational,
     /// Skeleton component this walk belongs to.
     component: usize,
 }
@@ -402,9 +401,8 @@ fn face_walks(g: &MergedGraph, rotations: &[Vec<DartId>]) -> Vec<Walk> {
             pl.pop(); // the head point is the next dart's tail
             polyline.extend(pl);
         }
-        let area2 = closed_polyline_area_doubled(&polyline);
         let comp = component[dart_tail(g, darts[0])];
-        walks.push(Walk { darts, polyline, area2, component: comp });
+        walks.push(Walk { darts, polyline, component: comp });
     }
     walks
 }
@@ -451,12 +449,12 @@ struct AssembledFaces {
 fn assemble_faces(g: &MergedGraph, walks: &[Walk]) -> AssembledFaces {
     let component_count = walks.iter().map(|w| w.component).max().map_or(0, |m| m + 1);
 
-    // Positive walks become bounded faces; each component has exactly one
-    // non-positive walk: its outer boundary.
+    // Each component has exactly one outer walk, the one that turns
+    // clockwise at its lowest point; the others become bounded faces.
     let mut bounded_walks: Vec<usize> = Vec::new();
     let mut outer_walk_of_component: Vec<Option<usize>> = vec![None; component_count];
     for (i, w) in walks.iter().enumerate() {
-        if w.area2.signum() > 0 {
+        if !turns_clockwise_at_lowest(&w.polyline) {
             bounded_walks.push(i);
         } else {
             assert!(
@@ -478,8 +476,8 @@ fn assemble_faces(g: &MergedGraph, walks: &[Walk]) -> AssembledFaces {
 
     // Embedding forest: which face is each component embedded in?
     // A representative point of the component (any vertex) is tested against
-    // the bounded walks of *other* components; the innermost (smallest-area)
-    // containing walk gives the parent face.
+    // the bounded walks of *other* components; the innermost containing walk
+    // gives the parent face.
     let mut rep_point_of_component: Vec<Option<Point>> = vec![None; component_count];
     for (v, &c) in vertex_components(g).iter().enumerate() {
         rep_point_of_component[c].get_or_insert(g.vertex_points[v]);
@@ -490,20 +488,9 @@ fn assemble_faces(g: &MergedGraph, walks: &[Walk]) -> AssembledFaces {
             Some(p) => p,
             None => continue,
         };
-        let mut best: Option<(Rational, FaceId)> = None;
-        for &wi in &bounded_walks {
-            let w = &walks[wi];
-            if w.component == c {
-                continue;
-            }
-            if point_in_closed_polyline(&rep, &w.polyline) {
-                let area = w.area2.abs();
-                if best.as_ref().is_none_or(|(a, _)| area < *a) {
-                    best = Some((area, face_of_bounded_walk[&wi]));
-                }
-            }
-        }
-        if let Some((_, f)) = best {
+        let others = bounded_walks.iter().filter(|&&wi| walks[wi].component != c);
+        let cycles = others.map(|&wi| (face_of_bounded_walk[&wi], walks[wi].polyline.as_slice()));
+        if let Some(f) = innermost_cycle(&rep, cycles) {
             parent_face_of_component[c] = f;
         }
     }
@@ -536,11 +523,32 @@ fn assemble_faces(g: &MergedGraph, walks: &[Walk]) -> AssembledFaces {
         .map(|&wi| BoundedCycle {
             face: face_of_bounded_walk[&wi],
             polyline: walks[wi].polyline.clone(),
-            area2: walks[wi].area2,
         })
         .collect();
 
     AssembledFaces { face_of_dart, face_boundaries, bounded_cycles, exterior }
+}
+
+/// Does the closed walk `ring` turn clockwise at one of its visits to its
+/// lexicographically lowest point?
+///
+/// Exactly the outer walk of a skeleton component does. A visit to the
+/// lowest point `v` passes, counter-clockwise from its outgoing to its
+/// incoming dart, a wedge of the walk's face, and both darts point right of
+/// `v` or straight up. A bounded face lies right of or above `v` too, so its
+/// wedges stay in that half-plane and each visit turns counter-clockwise.
+/// The unbounded face holds the directions left of `v` (the outer walk's
+/// lowest point is its component's), so the visit whose wedge contains them
+/// turns clockwise. No visit turns straight back: the skeleton is a union of
+/// closed curves, so no vertex has degree one.
+fn turns_clockwise_at_lowest(ring: &[Point]) -> bool {
+    let lowest = ring.iter().min().expect("a face walk has points");
+    let n = ring.len();
+    (0..n).filter(|&i| ring[i] == *lowest).any(|i| {
+        let incoming = ring[(i + n - 1) % n].vector_to(lowest);
+        let outgoing = lowest.vector_to(&ring[(i + 1) % n]);
+        incoming.cross(&outgoing).signum() < 0
+    })
 }
 
 /// Face membership per region, by FIFO flood fill from the exterior face.

@@ -36,8 +36,10 @@
 //!    a Bentley–Ottmann plane sweep in exact rational arithmetic ([`sweep`],
 //!    `O((n + k) log n)` for `n` segments with `k` intersection
 //!    incidences), chains are merged into maximal 1-cells, the rotation
-//!    system and face walks extracted, and cells labeled by propagation from
-//!    the unbounded face: faces by one flood fill, edges and vertices by
+//!    system and face walks extracted, the outer walk of each connected
+//!    piece of the skeleton found and the pieces nested into the faces that
+//!    contain them, and cells labeled by propagation from the unbounded
+//!    face: faces by one flood fill, edges and vertices by
 //!    copying a neighbouring face's label and marking the regions whose
 //!    boundary they lie on. Every label is written once, in time linear in
 //!    its length, and no face stores a sample point: nothing downstream
@@ -60,6 +62,16 @@
 //!    translation table and serves cells through [`ComplexRead`] with no
 //!    per-cell copying), and **by copy** ([`assemble_components`],
 //!    `O(total cells)` — it materializes the flat [`CellComplex`]).
+//!
+//! Face assembly asks the geometry two questions, in stages 2 and 3, and
+//! answers both by comparison and orientation tests on the walks' points,
+//! never by area. A face walk is the outer boundary of its piece of the
+//! skeleton iff it turns clockwise at a visit to its lexicographically
+//! lowest point. Among the cycles of other pieces that contain a point
+//! (even-odd ray crossing,
+//! [`ring_encloses`](spatial_core::polygon::ring_encloses)), the innermost
+//! is the one whose lowest point is greatest: such cycles are nested, with
+//! disjoint boundaries.
 //!
 //! Every derived-structure computation downstream is generic over the
 //! [`ComplexRead`] accessor trait and works unchanged on either
@@ -151,7 +163,6 @@ pub mod assemble;
 mod builder;
 mod complex;
 pub mod counters;
-mod geometry;
 pub mod index;
 pub mod parallel;
 pub mod partition;
@@ -176,5 +187,3 @@ pub use types::{
     CellId, DartId, Dimension, EdgeData, EdgeId, FaceData, FaceId, Label, Sign, VertexData,
     VertexId,
 };
-
-pub use geometry::{closed_polyline_area_doubled, point_in_closed_polyline};

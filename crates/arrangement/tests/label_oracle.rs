@@ -164,6 +164,19 @@ fn slanted_road_network_maps() {
     }
 }
 
+/// Two regions whose edges all slant, crossing at rational points with
+/// large denominators: the quadrilateral and triangle of the root suite's
+/// `slanted_input.rs` at k = 2 000. (At k = 10 000 this oracle's own
+/// `ray_hit` overflows, so that size is checked there only.)
+#[test]
+fn slanted_pair_at_k_2_000() {
+    let k = 2_000;
+    let a = Region::polygon_from_ints(&[(0, 0), (k, 1), (k - 3, k - 1), (1, k - 7)]).unwrap();
+    let b = Region::polygon_from_ints(&[(k / 3, -5), (k + 11, k / 2 + 3), (k / 2 - 1, k + 13)])
+        .unwrap();
+    check_builds(&SpatialInstance::from_regions([("a", a), ("b", b)]), "slanted pair at k = 2000");
+}
+
 /// The incrementally maintained view, after every commit of a trace that
 /// merges, splits and nests components over a one-component base map.
 #[test]

@@ -15,7 +15,6 @@ use crate::ast::{Formula, NameTerm, RegionExpr};
 use relations::Relation4;
 use relstore::fo::{Formula as Fo, Term};
 use relstore::Database;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Errors raised when translating a formula to the thematic schema.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -42,50 +41,69 @@ impl std::fmt::Display for ThematicError {
 
 impl std::error::Error for ThematicError {}
 
-static FRESH: AtomicUsize = AtomicUsize::new(0);
+/// The bound variables one translation introduces, numbered from zero, so
+/// that translating the same formula always yields the same sentence.
+struct Fresh(usize);
 
-fn fresh(prefix: &str) -> String {
-    format!("{prefix}_{}", FRESH.fetch_add(1, Ordering::Relaxed))
+impl Fresh {
+    fn var(&mut self, prefix: &str) -> String {
+        self.0 += 1;
+        format!("{prefix}_{}", self.0 - 1)
+    }
 }
 
 /// Translate a region-quantifier-free sentence of the region-based language
 /// into a first-order sentence over the thematic schema `Th`.
+///
+/// The translation is a function of `formula` alone: the variables it
+/// introduces are numbered per call.
 pub fn translate(formula: &Formula) -> Result<Fo, ThematicError> {
+    translate_with(formula, &mut Fresh(0))
+}
+
+fn translate_with(formula: &Formula, fresh: &mut Fresh) -> Result<Fo, ThematicError> {
     match formula {
         Formula::Rel(r, p, q) => {
             let a = name_term(p)?;
             let b = name_term(q)?;
-            Ok(relation_formula(*r, &a, &b))
+            Ok(relation_formula(*r, &a, &b, fresh))
         }
         Formula::Connect(p, q) => {
             let a = name_term(p)?;
             let b = name_term(q)?;
-            Ok(Fo::not(relation_formula(Relation4::Disjoint, &a, &b)))
+            Ok(Fo::not(relation_formula(Relation4::Disjoint, &a, &b, fresh)))
         }
         Formula::Subset(p, q) => {
             let a = name_term(p)?;
             let b = name_term(q)?;
-            Ok(subset_formula(&a, &b))
+            Ok(subset_formula(&a, &b, fresh))
         }
         Formula::NameEq(a, b) => Ok(Fo::equals(to_term(a), to_term(b))),
-        Formula::Not(f) => Ok(Fo::not(translate(f)?)),
-        Formula::And(fs) => Ok(Fo::and(fs.iter().map(translate).collect::<Result<_, _>>()?)),
-        Formula::Or(fs) => Ok(Fo::or(fs.iter().map(translate).collect::<Result<_, _>>()?)),
+        Formula::Not(f) => Ok(Fo::not(translate_with(f, fresh)?)),
+        Formula::And(fs) => Ok(Fo::and(translate_all(fs, fresh)?)),
+        Formula::Or(fs) => Ok(Fo::or(translate_all(fs, fresh)?)),
         Formula::ExistsName(v, f) => Ok(Fo::exists(
             v.clone(),
             Fo::and(vec![
                 Fo::atom("Regions", vec![Term::var(v.clone())]),
-                translate(f)?,
+                translate_with(f, fresh)?,
             ]),
         )),
         Formula::ForallName(v, f) => Ok(Fo::forall(
             v.clone(),
-            Fo::implies(Fo::atom("Regions", vec![Term::var(v.clone())]), translate(f)?),
+            Fo::implies(
+                Fo::atom("Regions", vec![Term::var(v.clone())]),
+                translate_with(f, fresh)?,
+            ),
         )),
         Formula::ExistsRegion(v, _) | Formula::ForallRegion(v, _) => {
             Err(ThematicError::RegionQuantifier(v.clone()))
         }
     }
+}
+
+fn translate_all(fs: &[Formula], fresh: &mut Fresh) -> Result<Vec<Fo>, ThematicError> {
+    fs.iter().map(|f| translate_with(f, fresh)).collect()
 }
 
 /// Evaluate a region-quantifier-free sentence against a thematic database.
@@ -162,8 +180,8 @@ fn to_term(t: &NameTerm) -> Term {
 }
 
 /// `∃f. RegionFaces(a, f) ∧ RegionFaces(b, f)` — the interiors intersect.
-fn interiors_intersect(a: &Term, b: &Term) -> Fo {
-    let f = fresh("f");
+fn interiors_intersect(a: &Term, b: &Term, fresh: &mut Fresh) -> Fo {
+    let f = fresh.var("f");
     Fo::exists(
         f.clone(),
         Fo::and(vec![
@@ -174,8 +192,8 @@ fn interiors_intersect(a: &Term, b: &Term) -> Fo {
 }
 
 /// `a ⊆ b`: every face of `a` is a face of `b`.
-fn subset_formula(a: &Term, b: &Term) -> Fo {
-    let f = fresh("f");
+fn subset_formula(a: &Term, b: &Term, fresh: &mut Fresh) -> Fo {
+    let f = fresh.var("f");
     Fo::forall(
         f.clone(),
         Fo::implies(
@@ -187,9 +205,9 @@ fn subset_formula(a: &Term, b: &Term) -> Fo {
 
 /// Is edge `e` on the boundary of region `a`? It is iff its two incident
 /// faces disagree about membership in `a`; incidence is read from `FaceEdges`.
-fn edge_on_boundary(e: &str, a: &Term) -> Fo {
-    let f1 = fresh("f");
-    let f2 = fresh("f");
+fn edge_on_boundary(e: &str, a: &Term, fresh: &mut Fresh) -> Fo {
+    let f1 = fresh.var("f");
+    let f2 = fresh.var("f");
     Fo::exists(
         f1.clone(),
         Fo::exists(
@@ -206,8 +224,8 @@ fn edge_on_boundary(e: &str, a: &Term) -> Fo {
 
 /// Is edge `e` interior to region `a`? (On no boundary side: some incident
 /// face is in `a` and it is not a boundary edge of `a`.)
-fn edge_interior(e: &str, a: &Term) -> Fo {
-    let f = fresh("f");
+fn edge_interior(e: &str, a: &Term, fresh: &mut Fresh) -> Fo {
+    let f = fresh.var("f");
     Fo::and(vec![
         Fo::exists(
             f.clone(),
@@ -216,20 +234,21 @@ fn edge_interior(e: &str, a: &Term) -> Fo {
                 Fo::atom("RegionFaces", vec![a.clone(), Term::var(f)]),
             ]),
         ),
-        Fo::not(edge_on_boundary(e, a)),
+        Fo::not(edge_on_boundary(e, a, fresh)),
     ])
 }
 
 /// Is vertex `v` on the boundary of `a`? Iff it is an endpoint of an edge on
 /// the boundary of `a`.
-fn vertex_on_boundary(v: &str, a: &Term) -> Fo {
-    let e = fresh("e");
-    Fo::exists(e.clone(), Fo::and(vec![endpoint_of(&e, v), edge_on_boundary(&e, a)]))
+fn vertex_on_boundary(v: &str, a: &Term, fresh: &mut Fresh) -> Fo {
+    let e = fresh.var("e");
+    let on = Fo::and(vec![endpoint_of(&e, v, fresh), edge_on_boundary(&e, a, fresh)]);
+    Fo::exists(e, on)
 }
 
 /// `v` is an endpoint of `e` (in either position of the Endpoints relation).
-fn endpoint_of(e: &str, v: &str) -> Fo {
-    let other = fresh("u");
+fn endpoint_of(e: &str, v: &str, fresh: &mut Fresh) -> Fo {
+    let other = fresh.var("u");
     Fo::or(vec![
         Fo::exists(
             other.clone(),
@@ -244,20 +263,20 @@ fn endpoint_of(e: &str, v: &str) -> Fo {
 
 /// Do the boundaries of `a` and `b` intersect? Either a common boundary edge
 /// exists, or a vertex lies on both boundaries.
-fn boundaries_intersect(a: &Term, b: &Term) -> Fo {
-    let e = fresh("e");
-    let v = fresh("v");
+fn boundaries_intersect(a: &Term, b: &Term, fresh: &mut Fresh) -> Fo {
+    let e = fresh.var("e");
+    let v = fresh.var("v");
     Fo::or(vec![
         Fo::exists(
             e.clone(),
-            Fo::and(vec![edge_on_boundary(&e, a), edge_on_boundary(&e, b)]),
+            Fo::and(vec![edge_on_boundary(&e, a, fresh), edge_on_boundary(&e, b, fresh)]),
         ),
         Fo::exists(
             v.clone(),
             Fo::and(vec![
                 Fo::atom("Vertices", vec![Term::var(v.clone())]),
-                vertex_on_boundary(&v, a),
-                vertex_on_boundary(&v, b),
+                vertex_on_boundary(&v, a, fresh),
+                vertex_on_boundary(&v, b, fresh),
             ]),
         ),
     ])
@@ -266,24 +285,24 @@ fn boundaries_intersect(a: &Term, b: &Term) -> Fo {
 /// Does the interior of `a` meet the boundary of `b`? Either a boundary edge
 /// of `b` is interior to `a`, or a boundary vertex of `b` is "inside" `a`
 /// (not on `a`'s boundary but incident to a cell of `a`).
-fn interior_meets_boundary(a: &Term, b: &Term) -> Fo {
-    let e = fresh("e");
-    let v = fresh("v");
-    let e2 = fresh("e");
+fn interior_meets_boundary(a: &Term, b: &Term, fresh: &mut Fresh) -> Fo {
+    let e = fresh.var("e");
+    let v = fresh.var("v");
+    let e2 = fresh.var("e");
     Fo::or(vec![
         Fo::exists(
             e.clone(),
-            Fo::and(vec![edge_on_boundary(&e, b), edge_interior(&e, a)]),
+            Fo::and(vec![edge_on_boundary(&e, b, fresh), edge_interior(&e, a, fresh)]),
         ),
         Fo::exists(
             v.clone(),
             Fo::and(vec![
                 Fo::atom("Vertices", vec![Term::var(v.clone())]),
-                vertex_on_boundary(&v, b),
-                Fo::not(vertex_on_boundary(&v, a)),
+                vertex_on_boundary(&v, b, fresh),
+                Fo::not(vertex_on_boundary(&v, a, fresh)),
                 Fo::exists(
                     e2.clone(),
-                    Fo::and(vec![endpoint_of(&e2, &v), edge_interior(&e2, a)]),
+                    Fo::and(vec![endpoint_of(&e2, &v, fresh), edge_interior(&e2, a, fresh)]),
                 ),
             ]),
         ),
@@ -293,14 +312,14 @@ fn interior_meets_boundary(a: &Term, b: &Term) -> Fo {
 /// The translation of a 4-intersection relation atom between two named
 /// regions into a first-order formula over `Th`, following the relation's
 /// defining 4-intersection matrix.
-fn relation_formula(r: Relation4, a: &Term, b: &Term) -> Fo {
+fn relation_formula(r: Relation4, a: &Term, b: &Term, fresh: &mut Fresh) -> Fo {
     let m = r.to_matrix();
     let lit = |cond: bool, f: Fo| if cond { f } else { Fo::not(f) };
     Fo::and(vec![
-        lit(m.interiors, interiors_intersect(a, b)),
-        lit(m.boundaries, boundaries_intersect(a, b)),
-        lit(m.interior_a_boundary_b, interior_meets_boundary(a, b)),
-        lit(m.boundary_a_interior_b, interior_meets_boundary(b, a)),
+        lit(m.interiors, interiors_intersect(a, b, fresh)),
+        lit(m.boundaries, boundaries_intersect(a, b, fresh)),
+        lit(m.interior_a_boundary_b, interior_meets_boundary(a, b, fresh)),
+        lit(m.boundary_a_interior_b, interior_meets_boundary(b, a, fresh)),
     ])
 }
 
@@ -366,6 +385,17 @@ mod tests {
         assert_eq!(eval_on_thematic(&db, &sub2), Ok(false));
         let con = F::connect(R::named("A"), R::named("B"));
         assert_eq!(eval_on_thematic(&db, &con), Ok(true));
+    }
+
+    #[test]
+    fn translation_is_deterministic() {
+        // The introduced variables are numbered per translation, so the
+        // result depends on the formula alone, not on earlier calls.
+        let f = F::and(vec![
+            F::rel(Relation4::Overlap, R::named("A"), R::named("B")),
+            F::not(F::subset(R::named("B"), R::named("A"))),
+        ]);
+        assert_eq!(translate(&f), translate(&f));
     }
 
     #[test]

@@ -355,7 +355,7 @@ mod tests {
         assert_eq!(a.locate(&pt(-1, 10)), Location::Outside);
         assert_eq!(d.locate(&pt(-1, 10)), Location::Inside);
         // D is disjoint from B.
-        assert_eq!(b.locate(&d.interior_point()), Location::Outside);
+        assert_eq!(b.locate(&pt(-1, 10)), Location::Outside);
         assert_eq!(b.locate(&pt(1, 10)), Location::Outside);
     }
 
@@ -367,7 +367,8 @@ mod tests {
         assert_eq!(inn.names(), vec!["A", "B", "C"]);
         // The island inside the hole is not inside A or B.
         let c = inn.ext("C").unwrap();
-        let p = c.interior_point();
+        let p = pt(7, 10);
+        assert_eq!(c.locate(&p), Location::Inside);
         assert_eq!(inn.ext("A").unwrap().locate(&p), Location::Outside);
         assert_eq!(inn.ext("B").unwrap().locate(&p), Location::Outside);
     }
@@ -377,14 +378,17 @@ mod tests {
         let inst = petals_abcd();
         assert_eq!(inst.len(), 4);
         let names = inst.names();
+        // One interior witness per petal: A east, B north, C west, D south.
+        let witness = [pt(6, 0), pt(0, 6), pt(-6, 0), pt(0, -6)];
         for i in 0..names.len() {
+            assert_eq!(inst.ext(names[i]).unwrap().locate(&witness[i]), Location::Inside);
             for j in (i + 1)..names.len() {
                 let ri = inst.ext(names[i]).unwrap();
                 let rj = inst.ext(names[j]).unwrap();
-                // Interiors are disjoint: the interior point of each is outside
-                // the other.
-                assert_eq!(rj.locate(&ri.interior_point()), Location::Outside);
-                assert_eq!(ri.locate(&rj.interior_point()), Location::Outside);
+                // Interiors are disjoint: the witness of each is outside the
+                // other.
+                assert_eq!(rj.locate(&witness[i]), Location::Outside);
+                assert_eq!(ri.locate(&witness[j]), Location::Outside);
                 // They share the origin on their boundaries.
                 assert_eq!(ri.locate(&pt(0, 0)), Location::Boundary);
                 assert_eq!(rj.locate(&pt(0, 0)), Location::Boundary);

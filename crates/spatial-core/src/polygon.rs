@@ -125,22 +125,6 @@ impl Polygon {
         self.signed_area().abs()
     }
 
-    /// Is the vertex cycle counter-clockwise?
-    pub fn is_ccw(&self) -> bool {
-        self.signed_area_doubled().signum() > 0
-    }
-
-    /// A copy with the vertex cycle oriented counter-clockwise.
-    pub fn oriented_ccw(&self) -> Polygon {
-        if self.is_ccw() {
-            self.clone()
-        } else {
-            let mut v = self.vertices.clone();
-            v.reverse();
-            Polygon { vertices: v }
-        }
-    }
-
     /// Exact point location with respect to the closed region bounded by the
     /// polygon: interior, boundary, or exterior.
     pub fn locate(&self, p: &Point) -> Location {
@@ -150,29 +134,7 @@ impl Polygon {
                 return Location::Boundary;
             }
         }
-        // Ray casting with exact arithmetic: shoot a ray in the +x direction
-        // and count proper crossings, handling vertices on the ray by the
-        // standard "count an edge iff it straddles the ray's y level
-        // half-open" rule.
-        let mut crossings = 0usize;
-        let n = self.vertices.len();
-        for i in 0..n {
-            let a = &self.vertices[i];
-            let b = &self.vertices[(i + 1) % n];
-            let (lo, hi) = if a.y <= b.y { (a, b) } else { (b, a) };
-            // Half-open in y: [lo.y, hi.y)
-            if p.y >= lo.y && p.y < hi.y {
-                // Edge straddles the horizontal line through p; does the
-                // crossing lie strictly to the right of p?
-                // x at level p.y: lo.x + (hi.x - lo.x) * (p.y - lo.y)/(hi.y - lo.y)
-                let t = (p.y - lo.y) / (hi.y - lo.y);
-                let x = lo.x + (hi.x - lo.x) * t;
-                if x > p.x {
-                    crossings += 1;
-                }
-            }
-        }
-        if crossings % 2 == 1 {
+        if ring_encloses(&self.vertices, p) {
             Location::Inside
         } else {
             Location::Outside
@@ -192,61 +154,6 @@ impl Polygon {
             ymax = ymax.max(v.y);
         }
         (xmin, ymin, xmax, ymax)
-    }
-
-    /// A point guaranteed to lie in the interior of the polygon.
-    ///
-    /// Uses the classical "leftmost-lowest vertex + diagonal" construction,
-    /// which is exact and needs no epsilon.
-    pub fn interior_point(&self) -> Point {
-        let poly = self.oriented_ccw();
-        let n = poly.vertices.len();
-        // Find the lowest-leftmost (convex) vertex.
-        let vi = (0..n)
-            .min_by(|&i, &j| {
-                let a = &poly.vertices[i];
-                let b = &poly.vertices[j];
-                a.y.cmp(&b.y).then_with(|| a.x.cmp(&b.x))
-            })
-            .unwrap();
-        let prev = poly.vertices[(vi + n - 1) % n];
-        let v = poly.vertices[vi];
-        let next = poly.vertices[(vi + 1) % n];
-        // Among all other vertices strictly inside triangle (prev, v, next),
-        // pick the one closest to v; the midpoint of (v, that vertex) is
-        // interior. If none, the centroid of the triangle is interior.
-        let mut best: Option<Point> = None;
-        for (i, q) in poly.vertices.iter().enumerate() {
-            if i == vi || *q == prev || *q == next {
-                continue;
-            }
-            if point_in_triangle(q, &prev, &v, &next) {
-                match &best {
-                    Some(b) if q.dist2(&v) >= b.dist2(&v) => {}
-                    _ => best = Some(*q),
-                }
-            }
-        }
-        match best {
-            Some(q) => Point::midpoint(&v, &q),
-            None => Point::new(
-                (prev.x + v.x + next.x) / Rational::from_int(3),
-                (prev.y + v.y + next.y) / Rational::from_int(3),
-            ),
-        }
-    }
-
-    /// Check whether the boundary of another polygon intersects this one's
-    /// boundary at all (shared points included).
-    pub fn boundary_intersects(&self, other: &Polygon) -> bool {
-        for e in self.edges() {
-            for f in other.edges() {
-                if e.intersect(&f) != SegmentIntersection::None {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Translate all vertices by integer offsets.
@@ -282,14 +189,26 @@ impl Polygon {
     }
 }
 
-fn point_in_triangle(p: &Point, a: &Point, b: &Point, c: &Point) -> bool {
-    let d1 = orient(a, b, p);
-    let d2 = orient(b, c, p);
-    let d3 = orient(c, a, p);
-    let has_cw = [d1, d2, d3].contains(&Orientation::Clockwise);
-    let has_ccw = [d1, d2, d3].contains(&Orientation::CounterClockwise);
-    let all_collinear = [d1, d2, d3].iter().all(|&o| o == Orientation::Collinear);
-    !(all_collinear || (has_cw && has_ccw))
+/// Even-odd containment of `p` in the closed polyline `ring`, read
+/// cyclically (the last point joins the first). The ring may repeat vertices
+/// but must not pass through `p`.
+///
+/// The ray from `p` in the `+x` direction crosses an edge iff the edge spans
+/// `p`'s height half-open, `lo.y <= p.y < hi.y` (so a vertex on the ray
+/// counts once or not at all, and a horizontal edge never), and `p` lies
+/// strictly left of the edge directed upwards. Each crossing is one
+/// orientation test: no crossing point is interpolated.
+pub fn ring_encloses(ring: &[Point], p: &Point) -> bool {
+    let n = ring.len();
+    let mut inside = false;
+    for i in 0..n {
+        let (a, b) = (&ring[i], &ring[(i + 1) % n]);
+        let (lo, hi) = if a.y <= b.y { (a, b) } else { (b, a) };
+        if lo.y <= p.y && p.y < hi.y && orient(lo, hi, p) == Orientation::CounterClockwise {
+            inside = !inside;
+        }
+    }
+    inside
 }
 
 impl fmt::Debug for Polygon {
@@ -301,7 +220,7 @@ impl fmt::Debug for Polygon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::pt;
+    use crate::point::{pt, ptr};
 
     fn unit_square() -> Polygon {
         Polygon::from_ints(&[(0, 0), (4, 0), (4, 4), (0, 4)]).unwrap()
@@ -311,11 +230,10 @@ mod tests {
     fn area_and_orientation() {
         let sq = unit_square();
         assert_eq!(sq.area(), Rational::from_int(16));
-        assert!(sq.is_ccw());
+        assert_eq!(sq.signed_area_doubled(), Rational::from_int(32));
         let cw = Polygon::from_ints(&[(0, 0), (0, 4), (4, 4), (4, 0)]).unwrap();
-        assert!(!cw.is_ccw());
+        assert_eq!(cw.signed_area_doubled(), Rational::from_int(-32));
         assert_eq!(cw.area(), Rational::from_int(16));
-        assert!(cw.oriented_ccw().is_ccw());
     }
 
     #[test]
@@ -366,19 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn interior_point_is_inside() {
-        let polys = [
-            unit_square(),
-            Polygon::from_ints(&[(0, 0), (6, 0), (6, 6), (4, 6), (4, 2), (2, 2), (2, 6), (0, 6)])
-                .unwrap(),
-            Polygon::from_ints(&[(0, 0), (10, 1), (3, 3), (9, 8), (0, 7)]).unwrap(),
-        ];
-        for p in &polys {
-            assert_eq!(p.locate(&p.interior_point()), Location::Inside, "{p:?}");
-        }
-    }
-
-    #[test]
     fn bounding_box() {
         let p = Polygon::from_ints(&[(1, 2), (5, 3), (4, 9)]).unwrap();
         let (x0, y0, x1, y1) = p.bounding_box();
@@ -394,12 +299,55 @@ mod tests {
     }
 
     #[test]
-    fn boundary_intersection() {
-        let a = unit_square();
-        let b = a.translated(2, 2);
-        let c = a.translated(10, 10);
-        assert!(a.boundary_intersects(&b));
-        assert!(!a.boundary_intersects(&c));
+    fn containment_in_square() {
+        let sq = [pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)];
+        assert!(ring_encloses(&sq, &pt(2, 2)));
+        assert!(!ring_encloses(&sq, &pt(5, 2)));
+        assert!(!ring_encloses(&sq, &pt(-1, 2)));
+        // Rays along the bottom and top edges' lines, from outside.
+        assert!(!ring_encloses(&sq, &pt(-1, 0)));
+        assert!(!ring_encloses(&sq, &pt(-1, 4)));
+    }
+
+    #[test]
+    fn containment_with_repeated_vertices() {
+        // A figure-eight-like walk around two squares joined at (2, 2),
+        // traversed as one closed walk (vertex (2,2) repeats).
+        let walk = [
+            pt(0, 0),
+            pt(2, 0),
+            pt(2, 2),
+            pt(4, 2),
+            pt(4, 4),
+            pt(2, 4),
+            pt(2, 2),
+            pt(0, 2),
+        ];
+        assert!(ring_encloses(&walk, &pt(1, 1)));
+        assert!(ring_encloses(&walk, &pt(3, 3)));
+        assert!(!ring_encloses(&walk, &pt(3, 1)));
+        assert!(!ring_encloses(&walk, &pt(1, 3)));
+        // The ray from the left through the repeated vertex.
+        assert!(!ring_encloses(&walk, &pt(-1, 2)));
+    }
+
+    #[test]
+    fn containment_in_slanted_ring_at_rational_points() {
+        // A triangle whose edges all slant; the ray from each probe passes
+        // through a vertex or crosses an edge at a non-integer x.
+        let tri = [pt(0, 0), pt(7, 3), pt(2, 9)];
+        let poly = Polygon::new(tri.to_vec()).unwrap();
+        let probes = [pt(3, 3), pt(1, 3), pt(-1, 3), pt(6, 3), pt(8, 3), pt(2, 1), ptr((7, 2), (9, 2))];
+        for p in probes {
+            let located = poly.locate(&p);
+            assert_ne!(located, Location::Boundary, "{p:?}");
+            assert_eq!(ring_encloses(&tri, &p), located == Location::Inside, "{p:?}");
+        }
+        // Through the vertex (7, 3): counted once from inside, never from
+        // outside.
+        assert!(ring_encloses(&tri, &pt(6, 3)));
+        assert!(!ring_encloses(&tri, &pt(-1, 3)));
+        assert!(!ring_encloses(&tri, &pt(8, 3)));
     }
 
     #[test]

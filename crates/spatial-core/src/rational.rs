@@ -8,9 +8,10 @@
 //! The representation is a normalized fraction `num / den` with `den > 0` and
 //! `gcd(|num|, den) == 1`, both stored as `i128`. Every arithmetic operation
 //! uses checked `i128` arithmetic and panics with a descriptive message on
-//! overflow; with input coordinates bounded by roughly `10^6` in magnitude
-//! (far beyond anything the test suite or benchmark harness produces) no
-//! intermediate value can overflow. The limit is documented on
+//! overflow. Nothing bounds the intermediates in general: an intersection
+//! point of two slanted segments has a denominator near the square of the
+//! coordinates, and the arrangement's predicates multiply differences of
+//! such points. The measured limit is documented on
 //! [`Rational::MAX_RECOMMENDED_COORD`].
 
 use std::cmp::Ordering;
@@ -64,10 +65,17 @@ impl Rational {
     /// Two.
     pub const TWO: Rational = Rational { num: 2, den: 1 };
 
-    /// Largest input-coordinate magnitude for which all arrangement
-    /// computations are guaranteed not to overflow the internal `i128`
-    /// representation (with a comfortable safety margin).
-    pub const MAX_RECOMMENDED_COORD: i64 = 1_000_000;
+    /// Largest input-coordinate magnitude at which slanted input is known
+    /// to build without overflowing the internal `i128` representation.
+    ///
+    /// This is a measurement, not a proof. A quadrilateral and a triangle
+    /// with all edges slanted, at coordinates up to `k + 13` (the root
+    /// suite's `slanted_input.rs`), commit for every `k` up to 15 616 and
+    /// first overflow at `k = 15 617`, in the rotation sort's
+    /// `Vector::angle_cmp`; the bound leaves a margin below that.
+    /// Axis-parallel input meets only at integer points and goes much
+    /// further.
+    pub const MAX_RECOMMENDED_COORD: i64 = 10_000;
 
     /// Construct a rational from a numerator and denominator.
     ///
@@ -113,11 +121,6 @@ impl Rational {
         self.num == 0
     }
 
-    /// Is this value an integer?
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// Sign of the value: `-1`, `0` or `1`.
     pub fn signum(&self) -> i32 {
         match self.num.cmp(&0) {
@@ -157,12 +160,6 @@ impl Rational {
         } else {
             other
         }
-    }
-
-    /// Approximate conversion to `f64` (used only for diagnostics and for the
-    /// floating-point Tutte solver whose output is re-verified exactly).
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
     }
 
     /// The floor of the value as an integer.

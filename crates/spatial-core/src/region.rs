@@ -131,11 +131,6 @@ impl Rect {
     pub fn height(&self) -> Rational {
         self.y2 - self.y1
     }
-
-    /// Do two open rectangles intersect?
-    pub fn intersects_open(&self, other: &Rect) -> bool {
-        self.x1 < other.x2 && other.x1 < self.x2 && self.y1 < other.y2 && other.y1 < self.y2
-    }
 }
 
 /// Errors raised when constructing regions.
@@ -231,11 +226,6 @@ impl Region {
     /// The area of the region.
     pub fn area(&self) -> Rational {
         self.boundary.area()
-    }
-
-    /// A point in the interior of the region.
-    pub fn interior_point(&self) -> Point {
-        self.boundary.interior_point()
     }
 
     /// Axis-aligned bounding box.
@@ -534,14 +524,5 @@ mod tests {
         let r = Rect::from_ints(0, 0, 4, 2);
         assert_eq!(r.width(), Rational::from_int(4));
         assert_eq!(r.height(), Rational::from_int(2));
-        assert!(r.intersects_open(&Rect::from_ints(3, 1, 6, 5)));
-        assert!(!r.intersects_open(&Rect::from_ints(4, 0, 6, 2)));
-    }
-
-    #[test]
-    fn interior_point_inside() {
-        let r = Region::rect_union(&[Rect::from_ints(0, 0, 4, 2), Rect::from_ints(0, 0, 2, 4)])
-            .unwrap();
-        assert_eq!(r.locate(&r.interior_point()), Location::Inside);
     }
 }

@@ -85,7 +85,7 @@ pub use snapshot::Snapshot;
 pub use transaction::{CommitSummary, Transaction};
 pub use wal::{SyncPolicy, WalConfig};
 
-use arrangement::ComponentComplex;
+use arrangement::{ComplexRead, ComponentComplex};
 use durability::Durability;
 use epoch::{BuildCounters, EpochChain};
 use spatial_core::instance::SpatialInstance;
@@ -578,10 +578,10 @@ impl TopoDatabase {
     /// A human-readable summary of one epoch of the database and its derived
     /// structures: region count, invariant cell counts, and the interaction
     /// components backing the complex with their per-component cell counts.
-    /// Every figure is read from the same [`Snapshot`].
+    /// Every figure is read from the same [`Snapshot`]'s complex view, whose
+    /// cells are the invariant's, index for index: no label is widened.
     pub fn summary(&self) -> String {
         let snapshot = self.snapshot();
-        let inv = snapshot.invariant();
         let view = snapshot.complex_view();
         let per_component: Vec<String> = view
             .component_cell_counts()
@@ -591,9 +591,9 @@ impl TopoDatabase {
         format!(
             "{} region(s); invariant: {} vertices, {} edges, {} faces; {} component(s), cells per component: [{}]",
             snapshot.len(),
-            inv.vertex_count(),
-            inv.edge_count(),
-            inv.face_count(),
+            view.vertex_count(),
+            view.edge_count(),
+            view.face_count(),
             view.component_count(),
             per_component.join(", ")
         )
@@ -603,7 +603,6 @@ impl TopoDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arrangement::ComplexRead;
     use relations::Relation4;
     use spatial_core::fixtures;
     use spatial_core::region::Region;
@@ -697,6 +696,23 @@ mod tests {
         assert!(s.contains("3 region(s)"), "{s}");
         assert!(s.contains("3 component(s)"), "{s}");
         assert!(s.contains("cells per component: [3, 3, 3]"), "{s}");
+    }
+
+    #[test]
+    fn summary_widens_no_label() {
+        let db = TopoDatabase::from_instance(fixtures::ring_with_island(true));
+        let view = db.snapshot().complex_view();
+        let before = view.label_widenings();
+        let s = db.summary();
+        assert_eq!(view.label_widenings(), before, "summary() widened labels: {s}");
+        let inv = db.snapshot().invariant();
+        let cells = format!(
+            "invariant: {} vertices, {} edges, {} faces",
+            inv.vertex_count(),
+            inv.edge_count(),
+            inv.face_count()
+        );
+        assert!(s.contains(&cells), "{s} lacks {cells}");
     }
 
     #[test]
