@@ -24,6 +24,11 @@
 //!    complex (cross-component nesting, exterior-face unification, label
 //!    widening).
 //!
+//! The rotation sort and the outer-walk turn compare pieces'
+//! [`SubSegment::dir`]s, the directions of the input segments they lie on,
+//! never differences of arrangement points: each decision is the sign of a
+//! cross product of two input-endpoint differences.
+//!
 //! [`build_complex_monolithic`] preserves the pre-partitioning single-sweep
 //! construction as a differential-testing oracle: both paths must produce
 //! isomorphic complexes on every input.
@@ -143,8 +148,9 @@ pub(crate) fn build_local(
 /// edge per sub-segment.
 struct RawGraph {
     points: Vec<Point>,
-    /// Edges as (vertex, vertex, region set).
-    edges: Vec<(usize, usize, Vec<usize>)>,
+    /// Edges as (vertex, vertex, direction from the first to the second,
+    /// region set).
+    edges: Vec<(usize, usize, Vector, Vec<usize>)>,
     /// Incident raw edges per vertex.
     incident: Vec<Vec<usize>>,
 }
@@ -163,10 +169,10 @@ impl RawGraph {
         for s in subs {
             let u = id_of(s.a, &mut points);
             let v = id_of(s.b, &mut points);
-            edges.push((u, v, s.regions.clone()));
+            edges.push((u, v, s.dir, s.regions.clone()));
         }
         let mut incident = vec![Vec::new(); points.len()];
-        for (i, (u, v, _)) in edges.iter().enumerate() {
+        for (i, (u, v, _, _)) in edges.iter().enumerate() {
             incident[*u].push(i);
             incident[*v].push(i);
         }
@@ -182,7 +188,7 @@ impl RawGraph {
             return true;
         }
         let (e1, e2) = (inc[0], inc[1]);
-        self.edges[e1].2 != self.edges[e2].2
+        self.edges[e1].3 != self.edges[e2].3
     }
 }
 
@@ -190,9 +196,20 @@ impl RawGraph {
 struct MergedGraph {
     /// Positions of the surviving vertices.
     vertex_points: Vec<Point>,
-    /// Edges: tail vertex, head vertex, polyline (tail..head), region set.
-    edges: Vec<(usize, usize, Vec<Point>, Vec<usize>)>,
+    edges: Vec<Chain>,
     region_count: usize,
+}
+
+/// A maximal 1-cell of the merged graph.
+struct Chain {
+    tail: usize,
+    head: usize,
+    /// Polyline from tail to head.
+    polyline: Vec<Point>,
+    /// The direction of each polyline piece, tail to head (one fewer than
+    /// the points).
+    dirs: Vec<Vector>,
+    regions: Vec<usize>,
 }
 
 /// Anchor flags of every raw vertex: the forced 0-cells
@@ -218,7 +235,7 @@ fn chain_anchors(raw: &RawGraph) -> Vec<bool> {
         let mut cycle = vec![start];
         visited[start] = true;
         let mut prev_edge = raw.incident[start][0];
-        let mut cur = other_endpoint(raw, prev_edge, start);
+        let mut cur = leave(raw, prev_edge, start).0;
         let mut is_pure_cycle = false;
         loop {
             if cur == start {
@@ -233,7 +250,7 @@ fn chain_anchors(raw: &RawGraph) -> Vec<bool> {
             let inc = &raw.incident[cur];
             let next_edge = if inc[0] == prev_edge { inc[1] } else { inc[0] };
             prev_edge = next_edge;
-            cur = other_endpoint(raw, next_edge, cur);
+            cur = leave(raw, next_edge, cur).0;
         }
         if is_pure_cycle {
             let best = cycle
@@ -263,11 +280,11 @@ fn merge_chains(raw: &RawGraph) -> MergedGraph {
 
     // Walk chains from anchors.
     let mut edge_used = vec![false; raw.edges.len()];
-    let mut edges: Vec<(usize, usize, Vec<Point>, Vec<usize>)> = Vec::new();
+    let mut edges: Vec<Chain> = Vec::new();
     let region_count = raw
         .edges
         .iter()
-        .flat_map(|(_, _, rs)| rs.iter().copied())
+        .flat_map(|(_, _, _, rs)| rs.iter().copied())
         .max()
         .map_or(0, |m| m + 1);
 
@@ -281,24 +298,27 @@ fn merge_chains(raw: &RawGraph) -> MergedGraph {
             }
             // Walk from v along e0 through non-anchor vertices.
             let mut polyline = vec![raw.points[v]];
-            let regions = raw.edges[e0].2.clone();
+            let (mut cur, dir) = leave(raw, e0, v);
+            let mut dirs = vec![dir];
+            let regions = raw.edges[e0].3.clone();
             let mut prev_edge = e0;
             edge_used[e0] = true;
-            let mut cur = other_endpoint(raw, e0, v);
             while !anchor[cur] {
                 polyline.push(raw.points[cur]);
                 let inc = &raw.incident[cur];
                 let next_edge = if inc[0] == prev_edge { inc[1] } else { inc[0] };
                 debug_assert_eq!(
-                    raw.edges[next_edge].2, regions,
+                    raw.edges[next_edge].3, regions,
                     "chain continues through a label change"
                 );
                 edge_used[next_edge] = true;
+                let (next, dir) = leave(raw, next_edge, cur);
+                dirs.push(dir);
                 prev_edge = next_edge;
-                cur = other_endpoint(raw, prev_edge, cur);
+                cur = next;
             }
             polyline.push(raw.points[cur]);
-            edges.push((new_id[v], new_id[cur], polyline, regions));
+            edges.push(Chain { tail: new_id[v], head: new_id[cur], polyline, dirs, regions });
         }
     }
     debug_assert!(edge_used.iter().all(|&u| u), "all raw edges must be consumed");
@@ -306,12 +326,13 @@ fn merge_chains(raw: &RawGraph) -> MergedGraph {
     MergedGraph { vertex_points, edges, region_count }
 }
 
-fn other_endpoint(raw: &RawGraph, edge: usize, v: usize) -> usize {
-    let (a, b, _) = &raw.edges[edge];
+/// The other endpoint of a raw edge, and the edge's direction leaving `v`.
+fn leave(raw: &RawGraph, edge: usize, v: usize) -> (usize, Vector) {
+    let (a, b, dir, _) = &raw.edges[edge];
     if *a == v {
-        *b
+        (*b, *dir)
     } else {
-        *a
+        (*a, dir.neg())
     }
 }
 
@@ -319,12 +340,11 @@ fn other_endpoint(raw: &RawGraph, edge: usize, v: usize) -> usize {
 /// direction of their first polyline piece.
 fn compute_rotations(g: &MergedGraph) -> Vec<Vec<DartId>> {
     let mut per_vertex: Vec<Vec<(Vector, DartId)>> = vec![Vec::new(); g.vertex_points.len()];
-    for (idx, (tail, head, polyline, _)) in g.edges.iter().enumerate() {
+    for (idx, chain) in g.edges.iter().enumerate() {
         let e = EdgeId(idx);
-        let fwd_dir = polyline[0].vector_to(&polyline[1]);
-        let bwd_dir = polyline[polyline.len() - 1].vector_to(&polyline[polyline.len() - 2]);
-        per_vertex[*tail].push((fwd_dir, DartId::forward(e)));
-        per_vertex[*head].push((bwd_dir, DartId::backward(e)));
+        let dirs = &chain.dirs;
+        per_vertex[chain.tail].push((dirs[0], DartId::forward(e)));
+        per_vertex[chain.head].push((dirs[dirs.len() - 1].neg(), DartId::backward(e)));
     }
     per_vertex
         .into_iter()
@@ -340,27 +360,32 @@ struct Walk {
     darts: Vec<DartId>,
     /// Concatenated polyline of the walk (closed; last point omitted).
     polyline: Vec<Point>,
+    /// `dirs[i]` is the direction of the piece from `polyline[i]` to the
+    /// next point of the walk.
+    dirs: Vec<Vector>,
     /// Skeleton component this walk belongs to.
     component: usize,
 }
 
-fn dart_polyline(g: &MergedGraph, d: DartId) -> Vec<Point> {
-    let (_, _, polyline, _) = &g.edges[d.edge().0];
+/// Append a dart's polyline, head point omitted, and its piece directions
+/// to a walk's.
+fn extend_with_dart(g: &MergedGraph, d: DartId, polyline: &mut Vec<Point>, dirs: &mut Vec<Vector>) {
+    let chain = &g.edges[d.edge().0];
     if d.is_forward() {
-        polyline.clone()
+        polyline.extend(&chain.polyline[..chain.dirs.len()]);
+        dirs.extend(&chain.dirs);
     } else {
-        let mut p = polyline.clone();
-        p.reverse();
-        p
+        polyline.extend(chain.polyline[1..].iter().rev());
+        dirs.extend(chain.dirs.iter().rev().map(Vector::neg));
     }
 }
 
 fn dart_tail(g: &MergedGraph, d: DartId) -> usize {
-    let (tail, head, _, _) = &g.edges[d.edge().0];
+    let chain = &g.edges[d.edge().0];
     if d.is_forward() {
-        *tail
+        chain.tail
     } else {
-        *head
+        chain.head
     }
 }
 
@@ -394,15 +419,14 @@ fn face_walks(g: &MergedGraph, rotations: &[Vec<DartId>]) -> Vec<Walk> {
                 break;
             }
         }
-        // Build the closed polyline (drop the duplicate junction points).
-        let mut polyline: Vec<Point> = Vec::new();
+        // Build the closed polyline (a dart's head point is the next
+        // dart's tail).
+        let (mut polyline, mut dirs) = (Vec::new(), Vec::new());
         for d in &darts {
-            let mut pl = dart_polyline(g, *d);
-            pl.pop(); // the head point is the next dart's tail
-            polyline.extend(pl);
+            extend_with_dart(g, *d, &mut polyline, &mut dirs);
         }
         let comp = component[dart_tail(g, darts[0])];
-        walks.push(Walk { darts, polyline, component: comp });
+        walks.push(Walk { darts, polyline, dirs, component: comp });
     }
     walks
 }
@@ -411,9 +435,9 @@ fn vertex_components(g: &MergedGraph) -> Vec<usize> {
     let n = g.vertex_points.len();
     let mut comp = vec![usize::MAX; n];
     let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (tail, head, _, _) in &g.edges {
-        adjacency[*tail].push(*head);
-        adjacency[*head].push(*tail);
+    for chain in &g.edges {
+        adjacency[chain.tail].push(chain.head);
+        adjacency[chain.head].push(chain.tail);
     }
     let mut next_comp = 0;
     for start in 0..n {
@@ -454,7 +478,7 @@ fn assemble_faces(g: &MergedGraph, walks: &[Walk]) -> AssembledFaces {
     let mut bounded_walks: Vec<usize> = Vec::new();
     let mut outer_walk_of_component: Vec<Option<usize>> = vec![None; component_count];
     for (i, w) in walks.iter().enumerate() {
-        if !turns_clockwise_at_lowest(&w.polyline) {
+        if !turns_clockwise_at_lowest(&w.polyline, &w.dirs) {
             bounded_walks.push(i);
         } else {
             assert!(
@@ -540,15 +564,15 @@ fn assemble_faces(g: &MergedGraph, walks: &[Walk]) -> AssembledFaces {
 /// The unbounded face holds the directions left of `v` (the outer walk's
 /// lowest point is its component's), so the visit whose wedge contains them
 /// turns clockwise. No visit turns straight back: the skeleton is a union of
-/// closed curves, so no vertex has degree one.
-fn turns_clockwise_at_lowest(ring: &[Point]) -> bool {
+/// closed curves, so no vertex has degree one. The turn is the sign of the
+/// cross product of the incoming and outgoing pieces' input-segment
+/// directions (`dirs[i]` leaves `ring[i]`).
+fn turns_clockwise_at_lowest(ring: &[Point], dirs: &[Vector]) -> bool {
     let lowest = ring.iter().min().expect("a face walk has points");
     let n = ring.len();
-    (0..n).filter(|&i| ring[i] == *lowest).any(|i| {
-        let incoming = ring[(i + n - 1) % n].vector_to(lowest);
-        let outgoing = lowest.vector_to(&ring[(i + 1) % n]);
-        incoming.cross(&outgoing).signum() < 0
-    })
+    (0..n)
+        .filter(|&i| ring[i] == *lowest)
+        .any(|i| dirs[(i + n - 1) % n].cross(&dirs[i]).signum() < 0)
 }
 
 /// Face membership per region, by FIFO flood fill from the exterior face.
@@ -573,7 +597,7 @@ fn face_membership(
                 continue;
             }
             let mut next = current.clone();
-            for &r in &g.edges[e.0].3 {
+            for &r in &g.edges[e.0].regions {
                 next[r] = !next[r];
             }
             inside[neighbor.0] = Some(next);
@@ -623,19 +647,19 @@ fn finish_complex(
         .edges
         .iter()
         .enumerate()
-        .map(|(i, (tail, head, polyline, regions))| {
+        .map(|(i, chain)| {
             let e = EdgeId(i);
             let left = assembled.face_of_dart[DartId::forward(e).0];
             let right = assembled.face_of_dart[DartId::backward(e).0];
             let mut label = faces[left.0].label.clone();
-            for &r in regions {
+            for &r in &chain.regions {
                 label[r] = Sign::Boundary;
             }
             EdgeData {
-                tail: VertexId(*tail),
-                head: VertexId(*head),
-                polyline: polyline.clone(),
-                on_boundary_of: regions.clone(),
+                tail: VertexId(chain.tail),
+                head: VertexId(chain.head),
+                polyline: chain.polyline.clone(),
+                on_boundary_of: chain.regions.clone(),
                 left_face: left,
                 right_face: right,
                 label,

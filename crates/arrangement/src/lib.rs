@@ -64,11 +64,13 @@
 //!    `O(total cells)` — it materializes the flat [`CellComplex`]).
 //!
 //! Face assembly asks the geometry two questions, in stages 2 and 3, and
-//! answers both by comparison and orientation tests on the walks' points,
-//! never by area. A face walk is the outer boundary of its piece of the
-//! skeleton iff it turns clockwise at a visit to its lexicographically
-//! lowest point. Among the cycles of other pieces that contain a point
-//! (even-odd ray crossing,
+//! answers both by comparison and orientation tests, never by area. A face
+//! walk is the outer boundary of its piece of the skeleton iff it turns
+//! clockwise at a visit to its lexicographically lowest point; the turn,
+//! like the rotation sort, compares the directions of the input segments
+//! the walk's pieces lie on ([`split::SubSegment::dir`]), never a
+//! difference of two arrangement points. Among the cycles of other pieces
+//! that contain a point (even-odd ray crossing,
 //! [`ring_encloses`](spatial_core::polygon::ring_encloses)), the innermost
 //! is the one whose lowest point is greatest: such cycles are nested, with
 //! disjoint boundaries.

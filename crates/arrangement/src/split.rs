@@ -16,9 +16,14 @@
 //!   kept as a differential-testing oracle: both must produce identical
 //!   [`SubSegment`] sets on every input.
 //!
-//! Both share [`assemble_subsegments`], which orders each segment's cut
-//! points, emits the pieces, and merges geometrically coincident pieces from
-//! different regions.
+//! Both share [`assemble_subsegments`], which emits the pieces between each
+//! segment's consecutive cut points and merges geometrically coincident
+//! pieces from different regions.
+//!
+//! Every piece carries the direction of the input segment it lies on
+//! ([`SubSegment::dir`]): a difference of two input endpoints, where the
+//! piece's own endpoints may be intersection points whose denominators grow
+//! with the square of the input coordinates.
 
 use spatial_core::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -31,6 +36,11 @@ pub struct SubSegment {
     pub a: Point,
     /// Lexicographically larger endpoint.
     pub b: Point,
+    /// The direction from `a` to `b`: that of the input segment this piece
+    /// lies on ([`Segment::direction`]), negated when the segment runs from
+    /// its larger to its smaller endpoint. Only the direction is meaningful,
+    /// not the length: coincident pieces keep the first segment's vector.
+    pub dir: Vector,
     /// Sorted indices of the regions whose boundary contains this piece.
     pub regions: Vec<usize>,
 }
@@ -105,30 +115,27 @@ pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
     assemble_subsegments(segments, &cuts)
 }
 
-/// Shared final phase of both splitters: order each segment's cut points
-/// along the segment, emit the pieces between consecutive cuts, and merge
-/// geometrically identical pieces (keyed by canonical endpoint pair) into a
-/// single [`SubSegment`] carrying the union of region marks.
+/// Shared final phase of both splitters: emit the pieces between
+/// consecutive cut points of each segment, and merge geometrically identical
+/// pieces (keyed by canonical endpoint pair) into a single [`SubSegment`]
+/// carrying the union of region marks.
+///
+/// A cut set is ordered lexicographically, and lexicographic order along a
+/// segment is the order of its points along the segment, so consecutive
+/// elements of the set are consecutive cut points, smaller endpoint first.
 pub fn assemble_subsegments(segments: &[TaggedSegment], cuts: &CutSets) -> Vec<SubSegment> {
-    let mut merged: BTreeMap<(Point, Point), BTreeSet<usize>> = BTreeMap::new();
+    let mut merged: BTreeMap<(Point, Point), (Vector, BTreeSet<usize>)> = BTreeMap::new();
     for (ts, cut_points) in segments.iter().zip(cuts.iter()) {
-        // Order the cut points along the segment.
-        let mut params: Vec<(Rational, Point)> =
-            cut_points.iter().map(|p| (ts.segment.param_of(p), *p)).collect();
-        params.sort_by_key(|a| a.0);
-        for w in params.windows(2) {
-            let (p, q) = (w[0].1, w[1].1);
-            if p == q {
-                continue;
-            }
-            let key = if p < q { (p, q) } else { (q, p) };
-            merged.entry(key).or_default().insert(ts.region);
+        let d = ts.segment.direction();
+        let dir = if ts.segment.a < ts.segment.b { d } else { d.neg() };
+        for (p, q) in cut_points.iter().zip(cut_points.iter().skip(1)) {
+            merged.entry((*p, *q)).or_insert_with(|| (dir, BTreeSet::new())).1.insert(ts.region);
         }
     }
 
     merged
         .into_iter()
-        .map(|((a, b), regions)| SubSegment { a, b, regions: regions.into_iter().collect() })
+        .map(|((a, b), (dir, regions))| SubSegment { a, b, dir, regions: regions.into_iter().collect() })
         .collect()
 }
 

@@ -694,12 +694,14 @@ impl<C: ComplexRead> CellEvaluator<C> {
     }
 
     /// The planner's variable binding order: greedy smallest-estimated
-    /// candidate set first (see [`CellEvaluator::planned_var_order`]).
+    /// candidate set first (see [`CellEvaluator::planned_var_order`]). The
+    /// last variable has no rival, so it is placed without an estimate
+    /// (which could probe the index once per name).
     fn plan_order_ids(&self, plan: &QueryPlan, ctx: &mut PlanCtx) -> Vec<usize> {
         let k = plan.vars().len();
         let mut order: Vec<usize> = Vec::with_capacity(k);
         let mut placed = vec![false; k];
-        for _ in 0..k {
+        while order.len() + 1 < k {
             let mut best: Option<(usize, usize)> = None;
             for v in 0..k {
                 if placed[v] {
@@ -714,6 +716,7 @@ impl<C: ComplexRead> CellEvaluator<C> {
             placed[v] = true;
             order.push(v);
         }
+        order.extend((0..k).filter(|&v| !placed[v]));
         order
     }
 

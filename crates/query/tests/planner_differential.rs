@@ -9,10 +9,11 @@
 //! `clustered_map`, the single-component crossing-heavy
 //! `jittered_overlap_map`, and the skewed `zipf_clustered_map`.
 
+use arrangement::BBox;
 use datagen::{clustered_map, jittered_overlap_map, zipf_clustered_map};
 use query::ast::{Formula, NameTerm, RegionExpr};
 use query::plan::QueryPlan;
-use query::CellEvaluator;
+use query::{parse, CellEvaluator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spatial_core::prelude::SpatialInstance;
@@ -119,4 +120,30 @@ fn planned_enumeration_prunes_assignments() {
         "planner tried {planned_work} assignments vs naive {naive_work}"
     );
     assert!(planned_ev.spatial_index().probe_count() > 0, "the planner probed the index");
+}
+
+#[test]
+fn two_variable_join_probes_only_the_anchor_and_its_candidates() {
+    // y is pinned near the anchor constant and bound first; x, the last
+    // variable, has no rival and must be placed without an estimate (an
+    // estimate of a contact with a bound variable probes every name). The
+    // join then probes the anchor's neighbour list and, at most, the list
+    // of each of those candidates for y.
+    let inst = clustered_map(64, 16, 1);
+    let ev = CellEvaluator::new(&inst);
+    let anchor = "C000_R000";
+    let f = parse(&format!("meet(ext(x), ext(y)) and overlap(ext(y), {anchor})")).unwrap();
+    let free: Vec<String> = ["x", "y"].iter().map(|s| s.to_string()).collect();
+    let plan = QueryPlan::build(&f, &free);
+    assert_eq!(ev.planned_var_order(&plan), ["y", "x"]);
+
+    let index = ev.spatial_index();
+    let before = index.probe_count();
+    ev.eval_bindings_planned(&f, &plan).unwrap();
+    let probes = index.probe_count() - before;
+    let anchor_neighbours = index.bbox_neighbors(&BBox::of_region(inst.ext(anchor).unwrap())).len();
+    assert!(
+        probes <= 1 + anchor_neighbours as u64,
+        "{probes} probes for a join whose anchor has {anchor_neighbours} neighbours"
+    );
 }

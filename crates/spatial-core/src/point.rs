@@ -38,12 +38,6 @@ impl Point {
     pub fn midpoint(a: &Point, b: &Point) -> Point {
         Point { x: Rational::midpoint(a.x, b.x), y: Rational::midpoint(a.y, b.y) }
     }
-
-    /// Squared Euclidean distance (exact).
-    pub fn dist2(&self, other: &Point) -> Rational {
-        let v = self.vector_to(other);
-        v.dx * v.dx + v.dy * v.dy
-    }
 }
 
 impl PartialOrd for Point {
@@ -90,11 +84,6 @@ impl Vector {
     /// Construct from integer components.
     pub fn from_ints(dx: i64, dy: i64) -> Self {
         Vector { dx: Rational::from_int(dx), dy: Rational::from_int(dy) }
-    }
-
-    /// The zero vector.
-    pub fn zero() -> Self {
-        Vector { dx: Rational::ZERO, dy: Rational::ZERO }
     }
 
     /// Is this the zero vector?
@@ -247,9 +236,8 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_and_distance() {
+    fn midpoint() {
         let m = Point::midpoint(&pt(0, 0), &pt(2, 4));
         assert_eq!(m, pt(1, 2));
-        assert_eq!(pt(0, 0).dist2(&pt(3, 4)), Rational::from_int(25));
     }
 }

@@ -10,8 +10,9 @@
 //! uses checked `i128` arithmetic and panics with a descriptive message on
 //! overflow. Nothing bounds the intermediates in general: an intersection
 //! point of two slanted segments has a denominator near the square of the
-//! coordinates, and the arrangement's predicates multiply differences of
-//! such points. The measured limit is documented on
+//! coordinates. The arrangement compares directions of input segments, not
+//! differences of such points, but its nesting test still evaluates
+//! orientations at them. The measured limit is documented on
 //! [`Rational::MAX_RECOMMENDED_COORD`].
 
 use std::cmp::Ordering;
@@ -68,14 +69,19 @@ impl Rational {
     /// Largest input-coordinate magnitude at which slanted input is known
     /// to build without overflowing the internal `i128` representation.
     ///
-    /// This is a measurement, not a proof. A quadrilateral and a triangle
-    /// with all edges slanted, at coordinates up to `k + 13` (the root
-    /// suite's `slanted_input.rs`), commit for every `k` up to 15 616 and
-    /// first overflow at `k = 15 617`, in the rotation sort's
-    /// `Vector::angle_cmp`; the bound leaves a margin below that.
+    /// This is a measurement, not a proof. The root suite's
+    /// `slanted_input.rs` builds a quadrilateral and a triangle with all
+    /// edges slanted, at coordinates up to `k + 13`, and the same pair with
+    /// a small triangle nested in both. The rotation sort and the outer-walk
+    /// turn compare input-segment directions, so the pair alone commits far
+    /// beyond this bound (at every sampled `k` up to 2·10⁷; it fails at
+    /// `k = 10⁸`, in the sweep's point comparisons). The nested case
+    /// commits for every `k` from 1 000 to 70 888 and first overflows at
+    /// `k = 70 889`, in the crossing-parity test (`polygon::ring_encloses`)
+    /// that nests the inner triangle; the bound leaves a margin below that.
     /// Axis-parallel input meets only at integer points and goes much
     /// further.
-    pub const MAX_RECOMMENDED_COORD: i64 = 10_000;
+    pub const MAX_RECOMMENDED_COORD: i64 = 50_000;
 
     /// Construct a rational from a numerator and denominator.
     ///

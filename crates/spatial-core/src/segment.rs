@@ -56,11 +56,6 @@ impl Segment {
         p.x >= xmin && p.x <= xmax && p.y >= ymin && p.y <= ymax
     }
 
-    /// Does the open segment (excluding endpoints) contain the point `p`?
-    pub fn interior_contains_point(&self, p: &Point) -> bool {
-        self.contains_point(p) && *p != self.a && *p != self.b
-    }
-
     /// Exact intersection of two closed segments.
     pub fn intersect(&self, other: &Segment) -> SegmentIntersection {
         let r = self.direction();
@@ -107,21 +102,6 @@ impl Segment {
     pub fn point_at(&self, t: Rational) -> Point {
         let d = self.direction();
         Point::new(self.a.x + d.dx * t, self.a.y + d.dy * t)
-    }
-
-    /// The parameter of a point known to lie on the supporting line.
-    pub fn param_of(&self, p: &Point) -> Rational {
-        let d = self.direction();
-        if !d.dx.is_zero() {
-            (p.x - self.a.x) / d.dx
-        } else {
-            (p.y - self.a.y) / d.dy
-        }
-    }
-
-    /// Reverse the segment.
-    pub fn reversed(&self) -> Segment {
-        Segment { a: self.b, b: self.a }
     }
 
     /// Is the segment vertical (both endpoints share their `x` coordinate)?
@@ -309,20 +289,8 @@ mod tests {
         let s = seg(0, 0, 4, 2);
         assert!(s.contains_point(&pt(2, 1)));
         assert!(s.contains_point(&pt(0, 0)));
-        assert!(!s.interior_contains_point(&pt(0, 0)));
-        assert!(s.interior_contains_point(&pt(2, 1)));
         assert!(!s.contains_point(&pt(6, 3)));
         assert!(!s.contains_point(&pt(2, 2)));
-    }
-
-    #[test]
-    fn param_roundtrip() {
-        let s = seg(1, 1, 5, 3);
-        let p = s.point_at(Rational::new(1, 4));
-        assert_eq!(s.param_of(&p), Rational::new(1, 4));
-        let v = seg(2, 0, 2, 8);
-        let q = v.point_at(Rational::new(3, 4));
-        assert_eq!(v.param_of(&q), Rational::new(3, 4));
     }
 
     #[test]
@@ -348,8 +316,6 @@ mod tests {
         let s = seg(0, 0, 4, 2);
         assert_eq!(s.y_at(Rational::from_int(2)), Rational::from_int(1));
         assert_eq!(s.y_at(Rational::from_int(3)), Rational::new(3, 2));
-        // Orientation of endpoints does not matter.
-        assert_eq!(s.reversed().y_at(Rational::from_int(3)), Rational::new(3, 2));
     }
 
     #[test]

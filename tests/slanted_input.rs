@@ -1,12 +1,15 @@
-//! Slanted input at thousands of units.
+//! Slanted input at thousands of units and beyond.
 //!
 //! Every topobench family and nearly every `datagen` family is rectilinear,
 //! and the slanted ones stay below 100 units, so no other suite builds an
 //! arrangement whose intersection points carry large denominators. Two
 //! regions suffice: a quadrilateral and a triangle whose edges all slant,
 //! crossing each other at rational points whose denominators grow with
-//! k². At k = 2 000 and 10 000 any predicate that accumulates over those
-//! points, such as a signed-area sum over a face walk, overflows `i128`.
+//! k². Any predicate that accumulates over those points, such as a
+//! signed-area sum over a face walk, overflows `i128` from k = 2 000; one
+//! that multiplies their differences, such as a rotation sort over piece
+//! vectors, from k = 15 617. A third triangle nested in both adds the
+//! nesting tests of a skeleton inside a face bounded by such points.
 
 use topodb::invariant::validate;
 use topodb::relations::Relation4;
@@ -14,34 +17,75 @@ use topodb::spatial_core::prelude::*;
 use topodb::TopoDatabase;
 
 /// The quadrilateral `a` and the triangle `b` at scale `k`.
-fn slanted_pair(k: i64) -> [(&'static str, Region); 2] {
+fn slanted_pair(k: i64) -> Vec<(&'static str, Region)> {
     let a = Region::polygon_from_ints(&[(0, 0), (k, 1), (k - 3, k - 1), (1, k - 7)])
         .expect("slanted quadrilateral");
     let b = Region::polygon_from_ints(&[(k / 3, -5), (k + 11, k / 2 + 3), (k / 2 - 1, k + 13)])
         .expect("slanted triangle");
-    [("a", a), ("b", b)]
+    vec![("a", a), ("b", b)]
 }
 
-/// Commit the pair in one transaction and check what the snapshot serves.
-fn commit_and_check(k: i64) {
+/// The pair plus a small triangle `c` inside both.
+fn slanted_pair_with_nested(k: i64) -> Vec<(&'static str, Region)> {
+    let (x, y) = (3 * k / 5, k / 2);
+    let c = Region::polygon_from_ints(&[(x, y), (x + 7, y + 1), (x + 2, y + 9)])
+        .expect("nested triangle");
+    let mut regions = slanted_pair(k);
+    regions.push(("c", c));
+    regions
+}
+
+/// Commit the regions in one transaction and check the relations the
+/// snapshot serves and the validity of its invariant.
+fn commit_and_check(k: i64, regions: Vec<(&str, Region)>, expected: &[(&str, &str, Relation4)]) {
     let mut db = TopoDatabase::new();
     let mut txn = db.begin();
-    for (name, region) in slanted_pair(k) {
+    for (name, region) in regions {
         txn.insert(name, region);
     }
     txn.try_commit().unwrap_or_else(|e| panic!("k = {k}: commit failed: {e}"));
     let snapshot = db.snapshot();
-    assert_eq!(snapshot.relation("a", "b").unwrap(), Relation4::Overlap, "k = {k}");
+    for &(p, q, relation) in expected {
+        assert_eq!(snapshot.relation(p, q).unwrap(), relation, "k = {k}: {p}–{q}");
+    }
     let errors = validate(&snapshot.invariant());
     assert!(errors.is_empty(), "k = {k}: invalid invariant: {errors:?}");
 }
 
+fn check_pair(k: i64) {
+    commit_and_check(k, slanted_pair(k), &[("a", "b", Relation4::Overlap)]);
+}
+
 #[test]
 fn slanted_pair_at_k_2_000() {
-    commit_and_check(2_000);
+    check_pair(2_000);
 }
 
 #[test]
 fn slanted_pair_at_k_10_000() {
-    commit_and_check(10_000);
+    check_pair(10_000);
+}
+
+#[test]
+fn slanted_pair_at_k_100_000() {
+    check_pair(100_000);
+}
+
+#[test]
+fn slanted_pair_at_k_900_000() {
+    check_pair(900_000);
+}
+
+#[test]
+fn slanted_pair_with_nested_triangle_at_k_50_000() {
+    let k = 50_000;
+    commit_and_check(
+        k,
+        slanted_pair_with_nested(k),
+        &[
+            ("a", "b", Relation4::Overlap),
+            ("a", "c", Relation4::Contains),
+            ("b", "c", Relation4::Contains),
+        ],
+    );
 }
