@@ -28,10 +28,10 @@
 //! [`assemble_components`] is the *copying* assembly: it materializes a flat
 //! [`CellComplex`] in `O(total cells)`. Its zero-copy, index-identical
 //! counterpart is [`GlobalComplexView`](crate::GlobalComplexView), which
-//! performs steps 1–3 symbolically in `O(components + nesting)` and serves
-//! cells through the [`ComplexRead`] translation layer;
-//! both build on the same nesting computation
-//! (`compute_component_nesting`).
+//! performs steps 1–3 symbolically and serves cells through the
+//! [`ComplexRead`] translation layer; both build on the same nesting
+//! computation (`compute_component_nesting`), which probes the one index
+//! over the component boxes an assembly builds (`component_index`).
 
 use crate::builder::build_local;
 use crate::complex::{CellComplex, ComplexRead};
@@ -82,6 +82,9 @@ pub(crate) struct ComponentMemo {
     region_faces: OnceLock<Vec<Vec<FaceId>>>,
     /// Per local region: the bounding box of its boundary edges.
     region_bboxes: OnceLock<Vec<Option<BBox>>>,
+    /// The index over `region_bboxes`, in local ids: the lower level of the
+    /// view's two-level region index.
+    region_index: OnceLock<SpatialIndex>,
 }
 
 impl ComponentComplex {
@@ -111,6 +114,17 @@ impl ComponentComplex {
         self.memo.region_bboxes.get_or_init(|| {
             built();
             ComplexRead::region_bboxes(&self.complex)
+        })
+    }
+
+    /// The spatial index over [`local_region_bboxes`](Self::local_region_bboxes),
+    /// in local region ids, memoized; `built` runs once for each of the two
+    /// memos this call computes.
+    pub(crate) fn local_region_index(&self, built: impl Fn()) -> &SpatialIndex {
+        self.memo.region_index.get_or_init(|| {
+            let boxes = self.local_region_bboxes(&built);
+            built();
+            SpatialIndex::build(boxes)
         })
     }
 
@@ -340,10 +354,18 @@ pub(crate) fn locate_names(global: &[String], local: &[String]) -> Vec<usize> {
         .collect()
 }
 
+/// The spatial index over the component boxes, in component order: built
+/// once per assembly, probed by nesting resolution, and kept by the view as
+/// the upper level of its region index.
+pub(crate) fn component_index(components: &[Arc<ComponentComplex>]) -> SpatialIndex {
+    let boxes: Vec<Option<BBox>> = components.iter().map(|comp| comp.bbox.clone()).collect();
+    SpatialIndex::build(&boxes)
+}
+
 /// Cross-component nesting: for every component, `Some((parent component,
 /// parent *local* face))` if the component sits strictly inside a bounded
 /// face of another component, `None` if it is a root (sits in the global
-/// exterior face).
+/// exterior face). `index` is the [`component_index`] of `components`.
 ///
 /// This computation is shared between the copying assembly
 /// ([`assemble_components`]) and the zero-copy
@@ -351,13 +373,14 @@ pub(crate) fn locate_names(global: &[String], local: &[String]) -> Vec<usize> {
 /// nesting identically.
 pub(crate) fn compute_component_nesting(
     components: &[Arc<ComponentComplex>],
+    index: &SpatialIndex,
 ) -> Vec<Option<(usize, FaceId)>> {
     let all: Vec<usize> = (0..components.len()).collect();
-    locate_components(components, &all)
+    locate_components(components, index, &all)
 }
 
 /// The nesting parent of each component listed in `which` (aligned with
-/// it), among all of `components`.
+/// it), among all of `components`, whose [`component_index`] is `index`.
 ///
 /// The parent is the [`innermost_cycle`] among the bounded cycles of every
 /// *other* component that contains the component's representative point.
@@ -366,14 +389,13 @@ pub(crate) fn compute_component_nesting(
 /// one is the face the component sits in.
 pub(crate) fn locate_components(
     components: &[Arc<ComponentComplex>],
+    index: &SpatialIndex,
     which: &[usize],
 ) -> Vec<Option<(usize, FaceId)>> {
-    // Box-level point location through a spatial index over the component
-    // boxes: each representative point probes in `O(log k + candidates)`
-    // instead of scanning all `k` components, and only the reported
-    // candidates pay the exact point-in-polygon tests.
-    let boxes: Vec<Option<BBox>> = components.iter().map(|comp| comp.bbox.clone()).collect();
-    let index = SpatialIndex::build(&boxes);
+    // Box-level point location through the index over the component boxes:
+    // each representative point probes in `O(log k + candidates)` instead
+    // of scanning all `k` components, and only the reported candidates pay
+    // the exact point-in-polygon tests.
     which
         .iter()
         .map(|&c| {
@@ -493,7 +515,7 @@ pub fn assemble_components(
 
     // Cross-component nesting (shared with the zero-copy view) and the
     // parents-before-children resolution order.
-    let parents = compute_component_nesting(components);
+    let parents = compute_component_nesting(components, &component_index(components));
     let parent_face: Vec<FaceId> = parents
         .iter()
         .map(|p| match p {

@@ -241,9 +241,9 @@ pub trait ComplexRead {
     }
 
     /// The spatial index over [`ComplexRead::region_bboxes`]. The default
-    /// builds a new index on every call;
+    /// builds a new one-level index on every call;
     /// [`GlobalComplexView`](crate::GlobalComplexView) overrides it with the
-    /// one index it builds for all its clones
+    /// one two-level index it assembles for all its clones
     /// ([`GlobalComplexView::region_bbox_index`](crate::GlobalComplexView::region_bbox_index)),
     /// so every reader of a view shares one build and one probe counter.
     fn region_bbox_index(&self) -> Arc<SpatialIndex> {

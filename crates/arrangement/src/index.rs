@@ -16,12 +16,9 @@
 //! * **Query planning** (the `query` crate): the candidate bindings of a
 //!   name variable constrained by a contact-implying atom against a bound
 //!   region are exactly the index-reported bbox neighbors of that region —
-//!   the sub-linear candidate generators of the semi-join planner. The
-//!   per-region index of an instance is built once per snapshot and cached
-//!   in [`GlobalComplexView`](crate::GlobalComplexView) behind a `OnceLock`
-//!   ([`crate::GlobalComplexView::region_bbox_index`]).
+//!   the sub-linear candidate generators of the semi-join planner.
 //!
-//! The structure is a bulk-loaded, packed R-tree (Sort-Tile-Recursive): the
+//! Each tree is a bulk-loaded, packed R-tree (Sort-Tile-Recursive): the
 //! boxes are sorted by x-center into vertical slices, each slice sorted by
 //! y-center and cut into leaves of [`NODE_CAPACITY`] entries, and the upper
 //! levels group consecutive nodes until a single root remains. All
@@ -31,9 +28,31 @@
 //! `O(n log n)` rational comparisons; a probe visits `O(log n + answer)`
 //! nodes on realistically distributed boxes.
 //!
-//! The index counts its probes ([`SpatialIndex::probe_count`], shared by all
-//! clones) so benchmark harnesses can report planner/partition work even on
-//! hosts where wall-clock comparisons are noisy.
+//! An index has one of two shapes behind the same type:
+//!
+//! * **One level** ([`SpatialIndex::build`]): one tree over the items. This
+//!   is the segment index of partitioning, the component-box index that
+//!   assembly builds once per view (and nesting resolution probes), and the
+//!   per-component region index that a
+//!   [`ComponentComplex`](crate::ComponentComplex) builds over its own
+//!   regions' boxes, in local ids, on first use and carries across commits
+//!   with its other memos.
+//! * **Two levels** (`SpatialIndex::two_level`): the region index of a
+//!   [`GlobalComplexView`](crate::GlobalComplexView)
+//!   ([`crate::GlobalComplexView::region_bbox_index`]), assembled on first
+//!   use from the view's component-box index on top and, below each
+//!   component, that component's carried region index with its
+//!   local→global id map. Assembling it costs one `Arc` clone and one id-map
+//!   copy per component — no box is compared — so a fresh epoch pays only
+//!   for the region indexes of the components its commit rebuilt. A probe
+//!   descends the component tree, then each hit component's tree: every
+//!   region's box lies inside its component's box, so the answer is the one
+//!   a flat tree over all regions gives.
+//!
+//! Either shape answers in ascending item order and counts its probes
+//! ([`SpatialIndex::probe_count`], shared by all clones) so benchmark
+//! harnesses can report planner/partition work even on hosts where
+//! wall-clock comparisons are noisy.
 
 use crate::partition::BBox;
 use spatial_core::prelude::{Point, Rational};
@@ -53,55 +72,25 @@ struct Node {
     end: usize,
 }
 
-/// A static (bulk-loaded) spatial index over the bounding boxes of a fixed
-/// item set; see the module docs for the role it plays in the pipeline.
-///
-/// Items are addressed by the index they had in the construction slice;
-/// items passed as `None` (no geometry) are never reported. Probe results
-/// are returned in ascending item order, so downstream consumers are
-/// deterministic in the input regardless of tree shape.
+/// One packed STR tree over the boxes of an item slice.
 #[derive(Debug)]
-pub struct SpatialIndex {
-    /// Number of items the index was built over (including `None` slots).
-    item_count: usize,
+struct Tree {
     /// `(item id, box)` pairs in packed (STR) order.
     entries: Vec<(usize, BBox)>,
     /// Tree levels bottom-up: `levels[0]` are leaves over `entries`,
-    /// `levels.last()` is the single root level.
+    /// `levels.last()` is the single root level (no level when empty).
     levels: Vec<Vec<Node>>,
-    /// Number of probes answered (shared by clones; see
-    /// [`SpatialIndex::probe_count`]).
-    probes: Arc<AtomicU64>,
 }
 
-impl Clone for SpatialIndex {
-    fn clone(&self) -> SpatialIndex {
-        SpatialIndex {
-            item_count: self.item_count,
-            entries: self.entries.clone(),
-            levels: self.levels.clone(),
-            probes: Arc::clone(&self.probes),
-        }
-    }
-}
-
-impl SpatialIndex {
-    /// Bulk-load the index over the boxes of an item slice (`None` items are
-    /// indexed by position but never reported by probes).
-    pub fn build(items: &[Option<BBox>]) -> SpatialIndex {
+impl Tree {
+    fn build(items: &[Option<BBox>]) -> Tree {
         let mut entries: Vec<(usize, BBox)> = items
             .iter()
             .enumerate()
             .filter_map(|(i, b)| b.as_ref().map(|b| (i, b.clone())))
             .collect();
-        let item_count = items.len();
         if entries.is_empty() {
-            return SpatialIndex {
-                item_count,
-                entries,
-                levels: Vec::new(),
-                probes: Arc::new(AtomicU64::new(0)),
-            };
+            return Tree { entries, levels: Vec::new() };
         }
 
         // STR: sort by x-center, slice vertically, sort each slice by
@@ -142,8 +131,122 @@ impl SpatialIndex {
                 .collect();
             levels.push(parents);
         }
+        Tree { entries, levels }
+    }
 
-        SpatialIndex { item_count, entries, levels, probes: Arc::new(AtomicU64::new(0)) }
+    /// Call `found` with the id of every entry whose box passes `hit`, in
+    /// tree order.
+    fn visit(&self, hit: &impl Fn(&BBox) -> bool, mut found: impl FnMut(usize)) {
+        let Some(root_level) = self.levels.len().checked_sub(1) else { return };
+        // (level, node index) descent; level 0 scans entry ranges.
+        let mut stack: Vec<(usize, usize)> = vec![(root_level, 0)];
+        while let Some((level, idx)) = stack.pop() {
+            let node = &self.levels[level][idx];
+            if !hit(&node.bbox) {
+                continue;
+            }
+            if level == 0 {
+                for (id, b) in &self.entries[node.start..node.end] {
+                    if hit(b) {
+                        found(*id);
+                    }
+                }
+            } else {
+                stack.extend((node.start..node.end).map(|child| (level - 1, child)));
+            }
+        }
+    }
+}
+
+/// The lower level of a two-level index: one component's region tree (in
+/// local ids) and where the global ids of its local regions start in the
+/// index's id table.
+#[derive(Clone, Debug)]
+struct Part {
+    tree: Arc<Tree>,
+    first_id: usize,
+}
+
+/// A static (bulk-loaded) spatial index over the bounding boxes of a fixed
+/// item set; see the module docs for the role it plays in the pipeline and
+/// for its two shapes.
+///
+/// Items are addressed by the index they had in the construction slice;
+/// items passed as `None` (no geometry) are never reported. Probe results
+/// are returned in ascending item order, so downstream consumers are
+/// deterministic in the input regardless of tree shape. Clones share the
+/// trees and the probe counter.
+#[derive(Clone, Debug)]
+pub struct SpatialIndex {
+    /// Number of items the index was built over (including `None` slots).
+    item_count: usize,
+    /// Number of items that carry a box.
+    entry_count: usize,
+    /// The tree over the items (one level) or over the component boxes (two
+    /// levels).
+    top: Arc<Tree>,
+    /// Two levels only, aligned with the ids of `top`: each component's
+    /// region tree. Empty for a one-level index (and for a two-level index
+    /// over no component, whose empty `top` answers alike).
+    parts: Vec<Part>,
+    /// Two levels only: the global id of every local item, part after part.
+    ids: Vec<usize>,
+    /// Number of probes answered (shared by clones; see
+    /// [`SpatialIndex::probe_count`]).
+    probes: Arc<AtomicU64>,
+}
+
+impl SpatialIndex {
+    /// Bulk-load a one-level index over the boxes of an item slice (`None`
+    /// items are indexed by position but never reported by probes).
+    pub fn build(items: &[Option<BBox>]) -> SpatialIndex {
+        let top = Tree::build(items);
+        SpatialIndex {
+            item_count: items.len(),
+            entry_count: top.entries.len(),
+            top: Arc::new(top),
+            parts: Vec::new(),
+            ids: Vec::new(),
+            probes: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// Assemble a two-level index over `item_count` items grouped into
+    /// components: `components` indexes the component boxes, and `parts`
+    /// yields, per component in the same order, the one-level index over
+    /// its items' boxes in local ids together with the global id of each
+    /// local item. Every item's box must lie inside its component's box, and
+    /// every item must belong to exactly one component. Costs one `Arc`
+    /// clone per component and one copy of the id maps; the probe counter
+    /// starts at zero.
+    pub(crate) fn two_level<'a>(
+        item_count: usize,
+        components: &SpatialIndex,
+        parts: impl IntoIterator<Item = (&'a SpatialIndex, &'a [usize])>,
+    ) -> SpatialIndex {
+        debug_assert!(components.parts.is_empty(), "the component index has one level");
+        let mut ids = Vec::with_capacity(item_count);
+        let mut entry_count = 0;
+        let parts: Vec<Part> = parts
+            .into_iter()
+            .map(|(local, local_ids)| {
+                debug_assert!(local.parts.is_empty(), "a component's index has one level");
+                debug_assert_eq!(local.item_count, local_ids.len(), "one global id per local item");
+                entry_count += local.entry_count;
+                let first_id = ids.len();
+                ids.extend_from_slice(local_ids);
+                Part { tree: Arc::clone(&local.top), first_id }
+            })
+            .collect();
+        debug_assert_eq!(parts.len(), components.item_count, "one part per component");
+        SpatialIndex {
+            item_count,
+            entry_count,
+            top: Arc::clone(&components.top),
+            parts,
+            ids,
+            probes: Arc::new(AtomicU64::new(0)),
+        }
     }
 
     /// Number of items the index was built over (including `None` slots).
@@ -158,7 +261,7 @@ impl SpatialIndex {
 
     /// Number of items that actually carry a box.
     pub fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.entry_count
     }
 
     /// How many probes ([`SpatialIndex::bbox_neighbors`] +
@@ -183,30 +286,19 @@ impl SpatialIndex {
         self.probe(|b| b.contains_point(p))
     }
 
-    fn probe<F: Fn(&BBox) -> bool>(&self, hit: F) -> Vec<usize> {
+    /// One counted probe: the items of every box passing `hit`. `hit` must
+    /// pass a box's cover whenever it passes the box, so a component whose
+    /// box fails holds no answer.
+    fn probe(&self, hit: impl Fn(&BBox) -> bool) -> Vec<usize> {
         self.probes.fetch_add(1, Ordering::Relaxed);
         let mut out = Vec::new();
-        let Some(root_level) = self.levels.len().checked_sub(1) else {
-            return out;
-        };
-        // (level, node index) descent; level 0 scans entry ranges.
-        let mut stack: Vec<(usize, usize)> = vec![(root_level, 0)];
-        while let Some((level, idx)) = stack.pop() {
-            let node = &self.levels[level][idx];
-            if !hit(&node.bbox) {
-                continue;
-            }
-            if level == 0 {
-                for (id, b) in &self.entries[node.start..node.end] {
-                    if hit(b) {
-                        out.push(*id);
-                    }
-                }
-            } else {
-                for child in node.start..node.end {
-                    stack.push((level - 1, child));
-                }
-            }
+        if self.parts.is_empty() {
+            self.top.visit(&hit, |id| out.push(id));
+        } else {
+            self.top.visit(&hit, |c| {
+                let part = &self.parts[c];
+                part.tree.visit(&hit, |local| out.push(self.ids[part.first_id + local]));
+            });
         }
         out.sort_unstable();
         out
@@ -324,6 +416,110 @@ mod tests {
         other.locate_point(&Point::new(Rational::from_int(0), Rational::from_int(0)));
         assert_eq!(idx.probe_count(), 2);
         assert_eq!(other.probe_count(), 2);
+    }
+
+    /// A component's box and its items' `(global id, box)` pairs in local
+    /// order.
+    type Component = (Option<BBox>, Vec<(usize, Option<BBox>)>);
+
+    /// The two-level index over `components` next to the one-level index
+    /// over the same items.
+    fn two_level_and_flat(
+        item_count: usize,
+        components: &[Component],
+    ) -> (SpatialIndex, SpatialIndex) {
+        let boxes: Vec<Option<BBox>> = components.iter().map(|(b, _)| b.clone()).collect();
+        let top = SpatialIndex::build(&boxes);
+        let parts: Vec<(SpatialIndex, Vec<usize>)> = components
+            .iter()
+            .map(|(_, items)| {
+                let boxes: Vec<Option<BBox>> = items.iter().map(|(_, b)| b.clone()).collect();
+                (SpatialIndex::build(&boxes), items.iter().map(|&(id, _)| id).collect())
+            })
+            .collect();
+        let nested = SpatialIndex::two_level(
+            item_count,
+            &top,
+            parts.iter().map(|(index, ids)| (index, ids.as_slice())),
+        );
+        let mut flat = vec![None; item_count];
+        for (id, b) in components.iter().flat_map(|(_, items)| items) {
+            flat[*id] = b.clone();
+        }
+        (nested, SpatialIndex::build(&flat))
+    }
+
+    /// Every probe of a grid of boxes and points over `[-5, 45]²` answers
+    /// alike on both indexes, each probe counted once.
+    fn assert_same_probes(nested: &SpatialIndex, flat: &SpatialIndex) {
+        assert_eq!((nested.len(), nested.entry_count()), (flat.len(), flat.entry_count()));
+        let before = nested.probe_count();
+        let mut probes = 0;
+        for x in (-5..45).step_by(5) {
+            for y in (-5..45).step_by(5) {
+                let q = bbox_from_ints(x, y, x + 3, y + 7);
+                assert_eq!(nested.bbox_neighbors(&q), flat.bbox_neighbors(&q), "box {q:?}");
+                let p = Point::new(Rational::from_int(x), Rational::from_int(y));
+                assert_eq!(nested.locate_point(&p), flat.locate_point(&p), "point {p:?}");
+                probes += 2;
+            }
+        }
+        assert_eq!(nested.probe_count(), before + probes, "one count per probe");
+    }
+
+    #[test]
+    fn a_component_with_no_box_holds_no_answer() {
+        let (nested, flat) = two_level_and_flat(
+            4,
+            &[
+                (
+                    Some(bbox_from_ints(0, 0, 12, 12)),
+                    vec![
+                        (0, Some(bbox_from_ints(0, 0, 8, 8))),
+                        (1, Some(bbox_from_ints(4, 4, 12, 12))),
+                    ],
+                ),
+                (None, vec![(2, None)]),
+                (
+                    Some(bbox_from_ints(20, 20, 30, 30)),
+                    vec![(3, Some(bbox_from_ints(20, 20, 30, 30)))],
+                ),
+            ],
+        );
+        assert_eq!((nested.len(), nested.entry_count()), (4, 3));
+        assert_eq!(nested.bbox_neighbors(&bbox_from_ints(-100, -100, 100, 100)), vec![0, 1, 3]);
+        assert_same_probes(&nested, &flat);
+    }
+
+    #[test]
+    fn boxless_regions_keep_their_global_ids_and_answers_ascend() {
+        // Two components interleaving their global ids, each with a region
+        // that has no box.
+        let (nested, flat) = two_level_and_flat(
+            5,
+            &[
+                (
+                    Some(bbox_from_ints(0, 0, 20, 20)),
+                    vec![
+                        (0, Some(bbox_from_ints(0, 0, 10, 10))),
+                        (2, None),
+                        (4, Some(bbox_from_ints(5, 5, 20, 20))),
+                    ],
+                ),
+                (
+                    Some(bbox_from_ints(15, 15, 40, 40)),
+                    vec![(1, None), (3, Some(bbox_from_ints(15, 15, 40, 40)))],
+                ),
+            ],
+        );
+        assert_eq!((nested.len(), nested.entry_count()), (5, 3));
+        assert_eq!(nested.bbox_neighbors(&bbox_from_ints(16, 16, 17, 17)), vec![3, 4]);
+        assert_eq!(nested.bbox_neighbors(&bbox_from_ints(0, 0, 40, 40)), vec![0, 3, 4]);
+        assert_same_probes(&nested, &flat);
+        // Clones share the counter.
+        let before = nested.probe_count();
+        nested.clone().bbox_neighbors(&bbox_from_ints(0, 0, 1, 1));
+        assert_eq!(nested.probe_count(), before + 1);
     }
 
     #[test]

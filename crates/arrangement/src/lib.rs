@@ -56,8 +56,8 @@
 //!    with the parent face), all root components share the single global
 //!    exterior face, and every cell label is widened from the component's
 //!    region subset to the full instance. Assembly comes in two
-//!    index-identical flavors: **by view** ([`GlobalComplexView`],
-//!    `O(components + cross-component nesting)` — it holds the
+//!    index-identical flavors: **by view** ([`GlobalComplexView`], no
+//!    per-cell work — it holds the
 //!    `Arc<ComponentComplex>`es plus a compact global↔(component, local) id
 //!    translation table and serves cells through [`ComplexRead`] with no
 //!    per-cell copying), and **by copy** ([`assemble_components`],

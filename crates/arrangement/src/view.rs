@@ -15,33 +15,36 @@
 //!   parents-before-children exactly as the copying assembly does,
 //! * the local→global region-index map of every component.
 //!
-//! Construction is therefore `O(components + cross-component nesting)`, not
-//! `O(total cells)` — after a localized update, re-assembling the global
-//! view costs nothing per untouched cell. Accessors translate on the fly:
-//! labels are widened from the component's region subset to the full
-//! instance, dart and face ids are shifted into the global id space, and
-//! purely geometric data (polylines, points) is borrowed from the shared
+//! Construction does no per-cell work — after a localized update,
+//! re-assembling the global view costs nothing per untouched cell (see
+//! [`GlobalComplexView::new`] for what it does cost). Accessors translate on
+//! the fly: labels are widened from the component's region subset to the
+//! full instance, dart and face ids are shifted into the global id space,
+//! and purely geometric data (polylines, points) is borrowed from the shared
 //! component allocations.
 //!
 //! Lazily built state rides on the component. What a component determines
-//! alone — each local region's interior faces and boundary box — is
-//! memoized on the [`ComponentComplex`] itself behind a [`OnceLock`], keyed
-//! by local ids. A component carried across a commit keeps its memos, so
-//! the first read of a new epoch derives them only for the rebuilt
-//! components ([`GlobalComplexView::memo_builds`] counts what this view
-//! built). [`ComplexRead::region_faces`] and [`ComplexRead::region_bboxes`]
-//! are served from them; the face walk [`ComplexRead::for_each_face_edge`]
-//! follows the component's own face → edge → endpoint incidence. The only
-//! per-epoch memo is the spatial index over the region boxes
-//! ([`GlobalComplexView::region_bbox_index`]).
+//! alone — each local region's interior faces, boundary box, and the
+//! spatial index over those boxes — is memoized on the [`ComponentComplex`]
+//! itself behind a [`OnceLock`], keyed by local ids. A component carried
+//! across a commit keeps its memos, so the first read of a new epoch derives
+//! them only for the rebuilt components ([`GlobalComplexView::memo_builds`]
+//! counts what this view built). [`ComplexRead::region_faces`] and
+//! [`ComplexRead::region_bboxes`] are served from them; the face walk
+//! [`ComplexRead::for_each_face_edge`] follows the component's own face →
+//! edge → endpoint incidence. The one per-epoch memo is the region index
+//! ([`GlobalComplexView::region_bbox_index`]), and it is assembled, not
+//! built: the view's component-box index on top, each component's carried
+//! region index below, for one `Arc` clone per component and one copy of
+//! the id maps.
 //!
-//! The per-epoch glue — offsets, nesting parents, `nested_in_face` and the
-//! inherited labels — is rebuilt per assembly, and no per-cell table is
-//! derived from it. A sign read (`vertex_sign`/`edge_sign`/`face_sign`)
-//! binary-searches the component's sorted local→global region map and
-//! widens nothing; a whole-label read (`vertex_label`/`edge_label`/
-//! `face_label`) widens the cell's local label on every call
-//! ([`GlobalComplexView::label_widenings`] counts widenings).
+//! The per-epoch glue — offsets, nesting parents, `nested_in_face`, the
+//! inherited labels and the index over the component boxes — is rebuilt per
+//! assembly, and no per-cell table is derived from it. A sign read
+//! (`vertex_sign`/`edge_sign`/`face_sign`) binary-searches the component's
+//! sorted local→global region map and widens nothing; a whole-label read
+//! (`vertex_label`/`edge_label`/`face_label`) widens the cell's local label
+//! on every call ([`GlobalComplexView::label_widenings`] counts widenings).
 //!
 //! The view is **index-identical** to the flat complex produced by
 //! [`crate::assemble_components`] from the same component list: every cell
@@ -50,8 +53,8 @@
 //! computations are generic over [`ComplexRead`] and accept both.
 
 use crate::assemble::{
-    assemble_components, compute_component_nesting, locate_components, locate_names,
-    nesting_topo_order, widen_label, ComponentComplex, ComponentUpdate,
+    assemble_components, component_index, compute_component_nesting, locate_components,
+    locate_names, nesting_topo_order, widen_label, ComponentComplex, ComponentUpdate,
 };
 use crate::complex::{CellComplex, ComplexRead};
 use crate::index::SpatialIndex;
@@ -95,6 +98,9 @@ pub struct GlobalComplexView {
     inherited: Vec<Label>,
     /// Global face id → components embedded directly in that face.
     nested_in_face: BTreeMap<usize, Vec<usize>>,
+    /// The index over the component boxes, built once per assembly: nesting
+    /// resolution probes it, and it is the upper level of the region index.
+    component_index: SpatialIndex,
     exterior_label: Label,
     /// Number of label widenings performed by the accessor layer (shared by
     /// all clones of the view; see [`GlobalComplexView::label_widenings`]).
@@ -102,8 +108,8 @@ pub struct GlobalComplexView {
     /// Number of carried component memos this view built (shared by all
     /// clones; see [`GlobalComplexView::memo_builds`]).
     memo_count: Arc<AtomicU64>,
-    /// Lazily built spatial index over the region bounding boxes, shared by
-    /// every clone of the view (and therefore by every evaluator of a
+    /// Lazily assembled spatial index over the region bounding boxes, shared
+    /// by every clone of the view (and therefore by every evaluator of a
     /// snapshot); see [`GlobalComplexView::region_bbox_index`].
     bbox_index: Arc<OnceLock<Arc<SpatialIndex>>>,
 }
@@ -113,13 +119,19 @@ impl GlobalComplexView {
     /// (sorted; every component's region set must be a subset) over the
     /// given component sub-complexes.
     ///
-    /// Cost: `O(components + cross-component nesting)` — no per-cell work.
+    /// Cost: no per-cell work. It builds the index over the component
+    /// boxes (`O(components · log components)`), locates every component in
+    /// it, and maps every region to its component (`O(regions)`). It also
+    /// writes one full-width inherited label per component, which is
+    /// `O(components × regions)`: that term is what still grows with the
+    /// database.
     pub fn new(
         region_names: Vec<String>,
         components: Vec<Arc<ComponentComplex>>,
     ) -> GlobalComplexView {
-        let parents = compute_component_nesting(&components);
-        GlobalComplexView::assemble(region_names, components, parents)
+        let index = component_index(&components);
+        let parents = compute_component_nesting(&components, &index);
+        GlobalComplexView::assemble(region_names, components, parents, index)
     }
 
     /// Assemble the view of an updated instance by patching this one:
@@ -131,7 +143,8 @@ impl GlobalComplexView {
     /// again, unless that parent was itself replaced or the component's
     /// representative point lies in the box of a new component (only a new
     /// component can have slipped a smaller enclosing cycle around it). Only
-    /// the new components and those exceptions pay for point location. The
+    /// the new components and those exceptions pay for point location, in
+    /// the one component-box index the new view keeps. The
     /// result is table for table what [`GlobalComplexView::new`] assembles
     /// from the same arguments (asserted in debug builds), so a view patched
     /// any number of times is still index-identical to a cold build.
@@ -171,11 +184,12 @@ impl GlobalComplexView {
                 None => relocate.push(c),
             }
         }
-        for (&c, parent) in relocate.iter().zip(locate_components(&components, &relocate)) {
+        let index = component_index(&components);
+        for (&c, parent) in relocate.iter().zip(locate_components(&components, &index, &relocate)) {
             parents[c] = parent;
         }
 
-        let view = GlobalComplexView::assemble(region_names, components, parents);
+        let view = GlobalComplexView::assemble(region_names, components, parents, index);
         debug_assert!(
             view.same_tables(&GlobalComplexView::new(
                 view.region_names.clone(),
@@ -188,11 +202,12 @@ impl GlobalComplexView {
 
     /// The constructor behind [`GlobalComplexView::new`] and
     /// [`GlobalComplexView::updated`]: every translation table from the
-    /// components and their nesting `parents`.
+    /// components, their nesting `parents` and their [`component_index`].
     fn assemble(
         region_names: Vec<String>,
         components: Vec<Arc<ComponentComplex>>,
         parents: Vec<Option<(usize, FaceId)>>,
+        component_index: SpatialIndex,
     ) -> GlobalComplexView {
         debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
         let n_regions = region_names.len();
@@ -264,6 +279,7 @@ impl GlobalComplexView {
             parent_face,
             inherited,
             nested_in_face,
+            component_index,
             exterior_label,
             widen_count: Arc::new(AtomicU64::new(0)),
             memo_count: Arc::new(AtomicU64::new(0)),
@@ -289,19 +305,24 @@ impl GlobalComplexView {
             && self.nested_in_face == other.nested_in_face
     }
 
-    /// The spatial index over the region bounding boxes of this view, built
-    /// on first use from the boxes the components carry (no polyline scan
-    /// for a carried component) and shared by every clone (one build per
-    /// snapshot). The
-    /// query planner draws its candidate generators from this index —
-    /// regions whose boxes don't interact are provably disjoint — and its
-    /// probe counter ([`SpatialIndex::probe_count`]) is the planner-work
-    /// metric surfaced by the bench snapshot.
+    /// The spatial index over the region bounding boxes of this view,
+    /// assembled on first use and shared by every clone (once per
+    /// snapshot). It has two levels: the view's index over the component
+    /// boxes, and under each component the index over its own regions'
+    /// boxes that the component carries across commits. Assembling it costs
+    /// `O(components)` plus the id-map copies; only a component built since
+    /// the last read indexes its regions. The query planner draws its
+    /// candidate generators from this index — regions whose boxes don't
+    /// interact are provably disjoint — and its probe counter
+    /// ([`SpatialIndex::probe_count`]) is the planner-work metric surfaced
+    /// by the bench snapshot.
     pub fn region_bbox_index(&self) -> Arc<SpatialIndex> {
-        Arc::clone(
-            self.bbox_index
-                .get_or_init(|| Arc::new(SpatialIndex::build(&self.region_bboxes()))),
-        )
+        Arc::clone(self.bbox_index.get_or_init(|| {
+            let parts = self.components.iter().zip(&self.region_map).map(|(component, map)| {
+                (component.local_region_index(|| self.count_memo_build()), map.as_slice())
+            });
+            Arc::new(SpatialIndex::two_level(self.region_names.len(), &self.component_index, parts))
+        }))
     }
 
     /// The component sub-complexes backing the view, in assembly order.
@@ -390,8 +411,9 @@ impl GlobalComplexView {
     }
 
     /// How many carried component memos (a component's per-region interior
-    /// faces or boundary boxes) this view built rather than found already
-    /// built on the component (the counter is shared by all clones). A view
+    /// faces, its per-region boundary boxes, or its index over those boxes)
+    /// this view built rather than found already built on the component
+    /// (the counter is shared by all clones). A view
     /// patched after a commit builds them only for the rebuilt components:
     /// the carried ones bring theirs along.
     pub fn memo_builds(&self) -> u64 {
@@ -516,7 +538,7 @@ impl ComplexRead for GlobalComplexView {
         f.0 == 0
     }
 
-    /// Served from the index this view builds once for all its clones.
+    /// Served from the index this view assembles once for all its clones.
     fn region_bbox_index(&self) -> Arc<SpatialIndex> {
         GlobalComplexView::region_bbox_index(self)
     }

@@ -9,11 +9,17 @@
 //! fingerprints computed through the [`ComplexRead`] accessor trait (the
 //! same surface every downstream consumer uses), so the fingerprint also
 //! exercises the trait's translation layer end to end.
+//!
+//! The view's two-level region index must answer every probe exactly as a
+//! one-level index over all the region boxes does, on every input and after
+//! every step of a commit trace (`check_region_index`).
 
 use arrangement::{
-    assemble_components, build_complex_monolithic, build_component_complexes, CellComplex,
-    CellId, ComplexRead, EdgeId, FaceId, GlobalComplexView, VertexId,
+    assemble_components, build_complex_monolithic, build_component_complexes, update_components,
+    BBox, CellComplex, CellId, ComplexRead, EdgeId, FaceId, GlobalComplexView, SpatialIndex,
+    VertexId,
 };
+use datagen::TraceOp;
 use spatial_core::fixtures;
 use spatial_core::prelude::*;
 
@@ -74,6 +80,7 @@ fn check(inst: &SpatialInstance, context: &str) {
     }
     check_signs(&view, &flat, context);
     check_carried_memos(&view, &flat, context);
+    check_region_index(&view, context);
 }
 
 /// Both sign implementations — the view's search of its region map and the
@@ -138,6 +145,110 @@ fn check_carried_memos(view: &GlobalComplexView, flat: &CellComplex, context: &s
     }
 }
 
+/// The view's two-level region index against a one-level index over the
+/// same boxes: equal `len()` and `entry_count()`, and equal answers to
+/// `bbox_neighbors` for every region's box, for boxes spanning several
+/// components and for the cells of a grid laid over (and beyond) the whole
+/// map, many of them over empty space; and to `locate_point` at every vertex
+/// and every grid corner.
+fn check_region_index(view: &GlobalComplexView, context: &str) {
+    let boxes = view.region_bboxes();
+    let flat = SpatialIndex::build(&boxes);
+    let index = view.region_bbox_index();
+    assert_eq!(index.len(), flat.len(), "len on {context}");
+    assert_eq!(index.entry_count(), flat.entry_count(), "entry count on {context}");
+
+    let mut queries: Vec<BBox> = boxes.iter().flatten().cloned().collect();
+    let component_boxes: Vec<&BBox> = view.components().iter().filter_map(|c| c.bbox()).collect();
+    queries.extend(component_boxes.windows(2).map(|w| w[0].union(w[1])));
+    let mut points: Vec<Point> = view.vertex_ids().map(|v| view.vertex_point(v)).collect();
+    if let Some(all) = component_boxes.iter().map(|b| (*b).clone()).reduce(|a, b| a.union(&b)) {
+        // An 8 x 8 grid over the map's box widened by a quarter of its size
+        // on every side.
+        let (w, h) = (all.x1 - all.x0, all.y1 - all.y0);
+        let step = Rational::new(3, 16);
+        let at = |i: i64, j: i64| {
+            let (fi, fj) = (Rational::from_int(i) * step, Rational::from_int(j) * step);
+            let quarter = Rational::new(1, 4);
+            Point::new(all.x0 - w * quarter + w * fi, all.y0 - h * quarter + h * fj)
+        };
+        for i in 0..8 {
+            for j in 0..8 {
+                let (lo, hi) = (at(i, j), at(i + 1, j + 1));
+                queries.push(BBox { x0: lo.x, y0: lo.y, x1: hi.x, y1: hi.y });
+                points.push(lo);
+            }
+        }
+        queries.push(all);
+    }
+    for q in &queries {
+        assert_eq!(index.bbox_neighbors(q), flat.bbox_neighbors(q), "probe {q:?} on {context}");
+    }
+    for p in &points {
+        assert_eq!(index.locate_point(p), flat.locate_point(p), "point {p:?} on {context}");
+    }
+    assert_eq!(index.probe_count(), (queries.len() + points.len()) as u64, "{context}");
+}
+
+#[test]
+fn region_index_agrees_after_every_step_of_the_commit_traces() {
+    let names = |inst: &SpatialInstance| -> Vec<String> {
+        inst.names().iter().map(|s| s.to_string()).collect()
+    };
+    let commit = |view: &GlobalComplexView, inst: &SpatialInstance, changed: &[String]| {
+        view.updated(names(inst), update_components(view.components(), inst, changed, |_| None))
+    };
+
+    let mut inst = SpatialInstance::new();
+    let mut view = GlobalComplexView::new(Vec::new(), Vec::new());
+    for (step, batch) in datagen::op_trace(24, 5).into_iter().enumerate() {
+        let mut changed: Vec<String> = Vec::new();
+        for op in batch {
+            let name = match op {
+                TraceOp::Insert(name, region) => {
+                    inst.insert(name.clone(), region);
+                    name
+                }
+                TraceOp::Remove(name) => {
+                    inst.remove(&name);
+                    name
+                }
+            };
+            if !changed.contains(&name) {
+                changed.push(name);
+            }
+        }
+        view = commit(&view, &inst, &changed);
+        check_region_index(&view, &format!("op_trace(24, 5) step {step}"));
+    }
+
+    // Host ⊃ Mid ⊃ Core, no box contact anywhere, plus a far-away bystander;
+    // then a ring slips between Mid and Core, goes again, the host goes, and
+    // a name sorting before all others shifts every region index.
+    let mut inst = SpatialInstance::from_regions([
+        ("Core", Region::rect_from_ints(45, 45, 55, 55)),
+        ("Far", Region::rect_from_ints(500, 500, 510, 510)),
+        ("Host", Region::rect_from_ints(0, 0, 100, 100)),
+        ("Mid", Region::rect_from_ints(20, 20, 80, 80)),
+    ]);
+    let mut view = view_of(&inst);
+    check_region_index(&view, "nesting trace start");
+    let steps: [(&str, Option<Region>); 4] = [
+        ("Ring", Some(Region::rect_from_ints(30, 30, 70, 70))),
+        ("Ring", None),
+        ("Host", None),
+        ("Aaa", Some(Region::rect_from_ints(900, 0, 904, 4))),
+    ];
+    for (name, region) in steps {
+        match region {
+            Some(r) => inst.insert(name, r),
+            None => inst.remove(name),
+        };
+        view = commit(&view, &inst, &[name.to_string()]);
+        check_region_index(&view, &format!("nesting trace after changing {name}"));
+    }
+}
+
 #[test]
 fn carried_memos_equal_the_default_scans_over_the_datagen_families() {
     let families = [
@@ -158,6 +269,9 @@ fn carried_memos_equal_the_default_scans_over_the_datagen_families() {
         assert_eq!(view.memo_builds(), 2 * view.component_count() as u64, "{context}");
         check_carried_memos(&view, &flat, context);
         assert_eq!(view.memo_builds(), 2 * view.component_count() as u64, "{context}");
+        // The region index adds each component's index over its boxes.
+        check_region_index(&view, context);
+        assert_eq!(view.memo_builds(), 3 * view.component_count() as u64, "{context}");
     }
 }
 
@@ -176,6 +290,7 @@ fn paper_fixtures_agree() {
         ("ring_with_island_out", fixtures::ring_with_island(false)),
         ("nested_three", fixtures::nested_three()),
         ("shared_boundary", fixtures::shared_boundary()),
+        ("rectilinear_pair", fixtures::rectilinear_pair()),
         ("empty", SpatialInstance::new()),
     ] {
         check(&inst, name);

@@ -26,7 +26,7 @@
 //!   Construction is `O(regions + components)`: it copies the region boxes
 //!   the components carry and scans no cell. A name's face set is resolved
 //!   on its first use, from the carried interior faces of its region, and
-//!   the planner probes the view's own spatial index.
+//!   the planner probes the view's own two-level spatial index.
 //! * [`CellEvaluator::from_complex`] reads any [`ComplexRead`] — over the
 //!   flat [`arrangement::CellComplex`] it is the reference the view-backed
 //!   evaluator is differentially tested against, served by the flat

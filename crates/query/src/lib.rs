@@ -66,9 +66,12 @@
 //!    position where all its plan variables are bound, so a failing
 //!    assignment prefix is pruned before the remaining variables each
 //!    multiply the work by `n`. Candidate sets themselves come from the
-//!    STR-packed R-tree over exact rational region bounding boxes
+//!    STR-packed R-trees over exact rational region bounding boxes
 //!    ([`arrangement::SpatialIndex`], shared with the snapshot through
-//!    `GlobalComplexView::region_bbox_index`): closure contact implies bbox
+//!    `GlobalComplexView::region_bbox_index`; it has two levels, the tree
+//!    over the component boxes that each epoch builds once and, under each
+//!    component, the tree over its regions' boxes that the component
+//!    carries across commits): closure contact implies bbox
 //!    intersection, so bbox neighborhoods *over*-approximate the satisfying
 //!    values and the conjunct filters finish the job — never the other way
 //!    around, which is what keeps the planner sound.

@@ -296,14 +296,14 @@ fn answers_agree_after_every_step_of_a_random_commit_trace() {
     }
 }
 
-/// Serve a query that resolves every name on `view`, so every component
-/// holds its memos.
+/// Serve a query that resolves every name on `view` and take the planner's
+/// spatial index, so every component holds all three of its memos: its
+/// regions' faces, their boxes and the index over those boxes.
 fn resolve_every_name(view: &GlobalComplexView) {
     let q = PreparedQuery::compile("forallname a . subset(ext(a), ext(a))").unwrap();
-    let out = q
-        .run_on(&CellEvaluator::from_view(Arc::new(view.clone())))
-        .unwrap();
-    assert!(out.holds());
+    let evaluator = CellEvaluator::from_view(Arc::new(view.clone()));
+    assert!(q.run_on(&evaluator).unwrap().holds());
+    assert_eq!(evaluator.spatial_index().len(), view.region_names().len());
 }
 
 /// Commit one rectangle into cluster 0 of `clustered_map(clusters, 16)`
@@ -313,7 +313,7 @@ fn one_region_commit(clusters: usize) -> (usize, u64) {
     let mut inst = clustered_map(clusters, 16, 1996);
     let view = cold_view(&inst);
     resolve_every_name(&view);
-    let kinds = 2;
+    let kinds = 3;
     assert_eq!(
         view.memo_builds(),
         kinds * view.component_count() as u64,

@@ -45,13 +45,16 @@ use std::sync::{Arc, OnceLock};
 /// faces — never the whole view — and shares their memos with queries.
 ///
 /// Derived state lives where its inputs live. What a component determines
-/// alone — each of its regions' interior faces and boundary box — is
-/// memoized on the `Arc<ComponentComplex>` and carried with it across
-/// commits, so a fresh snapshot derives it only for the components the
-/// commit rebuilt. What depends on the whole epoch — id offsets, nesting
-/// parents and inherited labels (per-epoch glue on the view), the spatial
-/// index, the evaluator's per-name face sets and the [`Invariant`] — is
-/// built per snapshot, lazily.
+/// alone — each of its regions' interior faces and boundary box, and the
+/// spatial index over those boxes — is memoized on the
+/// `Arc<ComponentComplex>` and carried with it across commits, so a fresh
+/// snapshot derives it only for the components the commit rebuilt. What
+/// depends on the whole epoch is per snapshot: the view's glue (id offsets,
+/// nesting parents, inherited labels and the index over the component
+/// boxes) is built with the view at commit time, and the region index
+/// ([`Snapshot::spatial_index`], assembled from the component index and the
+/// carried region indexes), the evaluator (its copy of the region boxes
+/// and its per-name face sets) and the [`Invariant`] lazily, on first use.
 ///
 /// [`TopoDatabase::snapshot`]: crate::TopoDatabase::snapshot
 #[derive(Clone, Debug)]
@@ -200,9 +203,14 @@ impl Snapshot {
         )
     }
 
-    /// The STR-packed R-tree over this snapshot's region bounding boxes,
-    /// built once per epoch inside the view and shared by the query planner
-    /// ([`Snapshot::evaluator`]) and any direct spatial probing.
+    /// The spatial index over this snapshot's region bounding boxes, shared
+    /// by the query planner ([`Snapshot::evaluator`]) and any direct spatial
+    /// probing. It is assembled once per epoch inside the view, on first
+    /// use, from two levels of STR-packed R-trees: the tree over the
+    /// component boxes, built with the view, and under each component the
+    /// tree over its own regions' boxes, which the component carries across
+    /// commits. A fresh epoch therefore bulk-loads region boxes only for the
+    /// components its commit rebuilt; the rest costs `O(components)`.
     pub fn spatial_index(&self) -> Arc<arrangement::SpatialIndex> {
         self.inner.view.region_bbox_index()
     }

@@ -5,6 +5,7 @@
 use datagen::TraceOp;
 use spatial_core::prelude::*;
 use std::sync::Arc;
+use topodb::arrangement::ComplexRead;
 use topodb::invariant::Invariant;
 use topodb::query::PreparedQuery;
 use topodb::{QueryOutput, Snapshot, TopoDatabase};
@@ -323,12 +324,54 @@ fn replacement_and_duplicate_names_coalesce() {
 /// one-region commit into cluster 0, a relation read inside the touched
 /// cluster, one across clusters and then the first query derive them only
 /// for the components the commit rebuilt, widen no label, and count the
-/// same on a map with 4x the clusters.
+/// same on a map with 4x the clusters. So does the first
+/// [`Snapshot::spatial_index`]: it indexes the regions of the rebuilt
+/// components only, and still counts one probe per probe.
 #[test]
 fn a_fresh_snapshot_derives_memos_only_for_rebuilt_components() {
     let small = fresh_snapshot_memo_builds(8);
     assert!(small.0 >= 1);
     assert_eq!(fresh_snapshot_memo_builds(32), small, "work follows the touched component");
+    let small = fresh_index_memo_builds(16);
+    assert!(small.0 >= 1);
+    assert_eq!(fresh_index_memo_builds(64), small, "the index follows the touched component");
+}
+
+/// Build every memo of every component of the current snapshot: each
+/// name's faces and box, and each component's index over its boxes.
+fn warm_every_memo(db: &TopoDatabase) {
+    let snapshot = db.snapshot();
+    let every_name = PreparedQuery::compile("forallname a . subset(ext(a), ext(a))").unwrap();
+    snapshot.evaluate(&every_name).unwrap();
+    assert_eq!(snapshot.spatial_index().len(), snapshot.len());
+}
+
+/// `(rebuilt components, memos built by the first spatial_index())` after a
+/// one-region commit into cluster 0 of `clustered_map(clusters, 16, 1)`
+/// with every memo warm.
+fn fresh_index_memo_builds(clusters: usize) -> (u64, u64) {
+    let mut db = TopoDatabase::from_instance(datagen::clustered_map(clusters, 16, 1));
+    warm_every_memo(&db);
+    let rebuilds = db.component_rebuild_count();
+
+    insert(&mut db, "Fresh", Region::rect_from_ints(3, 3, 11, 9));
+    let rebuilt = db.component_rebuild_count() - rebuilds;
+    let snapshot = db.snapshot();
+    let view = snapshot.complex_view();
+    let index = snapshot.spatial_index();
+    let built = view.memo_builds();
+    assert_eq!(built, 2 * rebuilt, "boxes and their index per rebuilt component");
+    assert_eq!((index.len(), index.entry_count()), (snapshot.len(), snapshot.len()));
+
+    let fresh = view.region_index("Fresh").unwrap();
+    let fresh_box = view.region_bboxes()[fresh].clone().unwrap();
+    let before = index.probe_count();
+    for k in 1..=3 {
+        assert!(index.bbox_neighbors(&fresh_box).contains(&fresh));
+        assert_eq!(index.probe_count(), before + k, "one count per probe");
+    }
+    assert!(Arc::ptr_eq(&index, &snapshot.spatial_index()), "one index per snapshot");
+    (rebuilt, built)
 }
 
 /// `(rebuilt components, memos built by the two relation reads)` after a
@@ -336,7 +379,7 @@ fn a_fresh_snapshot_derives_memos_only_for_rebuilt_components() {
 fn fresh_snapshot_memo_builds(clusters: usize) -> (u64, u64) {
     let every_name = PreparedQuery::compile("forallname a . subset(ext(a), ext(a))").unwrap();
     let mut db = clustered_db(clusters, 6);
-    db.snapshot().evaluate(&every_name).unwrap();
+    warm_every_memo(&db);
     let rebuilds = db.component_rebuild_count();
 
     insert(&mut db, "Fresh", Region::rect_from_ints(2, 2, 9, 9));
@@ -359,6 +402,8 @@ fn fresh_snapshot_memo_builds(clusters: usize) -> (u64, u64) {
         2 * rebuilt,
         "boxes and faces per rebuilt component"
     );
+    snapshot.spatial_index();
+    assert_eq!(view.memo_builds(), 3 * rebuilt, "and the index over the boxes");
     (rebuilt, read_builds)
 }
 
