@@ -17,9 +17,11 @@
 //!    face (and all root components' exteriors into the global exterior),
 //!    extending the parent's boundary-edge set with the component's outer
 //!    boundary;
-//! 3. widens every cell label from the component's region subset to the full
-//!    instance: signs for foreign regions are inherited from the parent
+//! 3. widens every cell label from the component's local region ids to
+//!    global ones and joins it with the component's inherited entries: the
+//!    regions whose interior encloses the component, read off the parent
 //!    face's label, resolved parents-before-children over the nesting forest.
+//!    Every other foreign region has no entry: the cell is exterior to it.
 //!
 //! A [`ComponentComplex`] is immutable and shared behind an
 //! `Arc` by the component cache in `topodb`: re-assembling
@@ -98,8 +100,8 @@ impl ComponentComplex {
             let cx = &self.complex;
             let mut out = vec![Vec::new(); cx.region_names.len()];
             for f in cx.face_ids().filter(|&f| f != cx.exterior) {
-                for (r, sign) in cx.face(f).label.iter().enumerate() {
-                    if *sign == Sign::Interior {
+                for (r, sign) in cx.face(f).label.iter() {
+                    if sign == Sign::Interior {
                         out[r].push(f);
                     }
                 }
@@ -322,14 +324,13 @@ where
     ComponentUpdate { components, carried_from, rebuilt }
 }
 
-/// Overwrite the positions of a component's own regions in an inherited
-/// parent label.
-pub(crate) fn widen_label(parent: &Label, local: &Label, region_map: &[usize]) -> Label {
-    let mut out = parent.clone();
-    for (li, &gi) in region_map.iter().enumerate() {
-        out[gi] = local[li];
-    }
-    out
+/// A component-local label in global region ids, joined with the entries
+/// the component inherits from its parent face. The two ascending lists
+/// are disjoint (no inherited region belongs to the component), and the
+/// stable sort of [`Label`]'s constructor merges two runs in `O(entries)`.
+pub(crate) fn widen_label(inherited: &Label, local: &Label, region_map: &[usize]) -> Label {
+    let local = local.iter().map(|(r, s)| (region_map[r], s));
+    inherited.iter().chain(local).collect()
 }
 
 /// The position of every name of `local` in `global` (both sorted, `local`
@@ -463,7 +464,6 @@ pub fn assemble_components(
     components: &[Arc<ComponentComplex>],
 ) -> CellComplex {
     debug_assert!(global_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
-    let n_regions = global_names.len();
     let exterior = FaceId(0);
     if components.is_empty() {
         return CellComplex {
@@ -473,7 +473,7 @@ pub fn assemble_components(
             faces: vec![FaceData {
                 is_exterior: true,
                 boundary_edges: vec![],
-                label: vec![Sign::Exterior; n_regions],
+                label: Label::default(),
             }],
             exterior,
         };
@@ -533,12 +533,10 @@ pub fn assemble_components(
     // Global faces: start with the exterior, then translate every bounded
     // local face; nested components extend their parent face's boundary with
     // their own outer boundary.
-    let mut faces: Vec<FaceData> = vec![FaceData {
-        is_exterior: true,
-        boundary_edges: vec![],
-        label: vec![Sign::Exterior; n_regions],
-    }];
-    faces.resize(next_face, FaceData { is_exterior: false, boundary_edges: vec![], label: vec![] });
+    let mut faces: Vec<FaceData> =
+        vec![FaceData { is_exterior: true, boundary_edges: vec![], label: Label::default() }];
+    let bounded = FaceData { is_exterior: false, boundary_edges: vec![], label: Label::default() };
+    faces.resize(next_face, bounded);
     for (c, comp) in components.iter().enumerate() {
         for f in comp.complex.face_ids() {
             let gf = face_map[c][f.0];
@@ -554,12 +552,10 @@ pub fn assemble_components(
     }
 
     // Face labels, parents first: a component's cells inherit the parent
-    // face's signs for all foreign regions and keep their local signs for the
-    // component's own regions.
-    let mut inherited: Vec<Label> = vec![Vec::new(); k];
+    // face's entries, which are all for foreign regions, and keep their local
+    // signs for the component's own regions.
     for &c in &topo {
         let parent_label = faces[parent_face[c].0].label.clone();
-        debug_assert_eq!(parent_label.len(), n_regions, "parent labels resolve before children");
         let comp = &components[c].complex;
         for f in comp.face_ids() {
             if f == comp.exterior {
@@ -568,31 +564,29 @@ pub fn assemble_components(
             faces[face_map[c][f.0].0].label =
                 widen_label(&parent_label, &comp.face(f).label, &region_map[c]);
         }
-        inherited[c] = parent_label;
     }
 
     // Edges and vertices, concatenated in component order.
     let mut edges: Vec<EdgeData> = Vec::new();
     let mut vertices: Vec<VertexData> = Vec::new();
     for (c, comp) in components.iter().enumerate() {
-        let cx = &comp.complex;
+        let (cx, inherited) = (&comp.complex, &faces[parent_face[c].0].label);
         for e in cx.edge_ids() {
             let data = cx.edge(e);
             edges.push(EdgeData {
                 tail: VertexId(data.tail.0 + vertex_off[c]),
                 head: VertexId(data.head.0 + vertex_off[c]),
                 polyline: data.polyline.clone(),
-                on_boundary_of: data.on_boundary_of.iter().map(|&r| region_map[c][r]).collect(),
                 left_face: face_map[c][data.left_face.0],
                 right_face: face_map[c][data.right_face.0],
-                label: widen_label(&inherited[c], &data.label, &region_map[c]),
+                label: widen_label(inherited, &data.label, &region_map[c]),
             });
         }
         for v in cx.vertex_ids() {
             let data = cx.vertex(v);
             vertices.push(VertexData {
                 point: data.point,
-                label: widen_label(&inherited[c], &data.label, &region_map[c]),
+                label: widen_label(inherited, &data.label, &region_map[c]),
                 rotation: data.rotation.iter().map(|d| DartId(d.0 + 2 * edge_off[c])).collect(),
             });
         }
@@ -632,13 +626,13 @@ mod tests {
         // The annulus face (Outer only) is bounded by both loops.
         let annulus = c
             .face_ids()
-            .find(|f| c.face(*f).label == vec![Sign::Exterior, Sign::Interior])
+            .find(|f| c.face(*f).label == label(&[(1, Sign::Interior)]))
             .expect("outer-only face exists");
         assert_eq!(c.face_edges(annulus).len(), 2);
         // The innermost face is inside both regions.
         assert!(c
             .face_ids()
-            .any(|f| c.face(f).label == vec![Sign::Interior, Sign::Interior]));
+            .any(|f| c.face(f).label == label(&[(0, Sign::Interior), (1, Sign::Interior)])));
         // The exterior sees only Outer's boundary.
         assert_eq!(c.face_edges(c.exterior_face()).len(), 1);
     }
@@ -657,10 +651,10 @@ mod tests {
         let mut labels: Vec<Label> = c.face_ids().map(|f| c.face(f).label.clone()).collect();
         labels.sort();
         let mut expected = vec![
-            vec![Sign::Exterior, Sign::Exterior, Sign::Exterior],
-            vec![Sign::Interior, Sign::Exterior, Sign::Exterior],
-            vec![Sign::Interior, Sign::Interior, Sign::Exterior],
-            vec![Sign::Interior, Sign::Interior, Sign::Interior],
+            Label::default(),
+            label(&[(0, Sign::Interior)]),
+            label(&[(0, Sign::Interior), (1, Sign::Interior)]),
+            label(&[(0, Sign::Interior), (1, Sign::Interior), (2, Sign::Interior)]),
         ];
         expected.sort();
         assert_eq!(labels, expected);
@@ -679,7 +673,7 @@ mod tests {
         assert!(c.euler_formula_holds());
         let host_only = c
             .face_ids()
-            .find(|f| c.face(*f).label == vec![Sign::Interior, Sign::Exterior, Sign::Exterior])
+            .find(|f| c.face(*f).label == label(&[(0, Sign::Interior)]))
             .expect("host-only face");
         // Host's own loop + both island loops.
         assert_eq!(c.face_edges(host_only).len(), 3);

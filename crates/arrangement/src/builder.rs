@@ -104,8 +104,6 @@ pub(crate) fn build_local(
     subs: &[SubSegment],
 ) -> (CellComplex, Vec<BoundedCycle>) {
     debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
-    let n_regions = region_names.len();
-
     if subs.is_empty() {
         // No geometry at all: a single exterior face.
         let complex = CellComplex {
@@ -115,7 +113,7 @@ pub(crate) fn build_local(
             faces: vec![FaceData {
                 is_exterior: true,
                 boundary_edges: vec![],
-                label: vec![Sign::Exterior; n_regions],
+                label: Label::default(),
             }],
             exterior: FaceId(0),
         };
@@ -197,7 +195,6 @@ struct MergedGraph {
     /// Positions of the surviving vertices.
     vertex_points: Vec<Point>,
     edges: Vec<Chain>,
-    region_count: usize,
 }
 
 /// A maximal 1-cell of the merged graph.
@@ -209,6 +206,7 @@ struct Chain {
     /// The direction of each polyline piece, tail to head (one fewer than
     /// the points).
     dirs: Vec<Vector>,
+    /// The regions whose boundary the chain lies on, ascending.
     regions: Vec<usize>,
 }
 
@@ -281,13 +279,6 @@ fn merge_chains(raw: &RawGraph) -> MergedGraph {
     // Walk chains from anchors.
     let mut edge_used = vec![false; raw.edges.len()];
     let mut edges: Vec<Chain> = Vec::new();
-    let region_count = raw
-        .edges
-        .iter()
-        .flat_map(|(_, _, _, rs)| rs.iter().copied())
-        .max()
-        .map_or(0, |m| m + 1);
-
     for v in 0..n {
         if !anchor[v] {
             continue;
@@ -323,7 +314,7 @@ fn merge_chains(raw: &RawGraph) -> MergedGraph {
     }
     debug_assert!(edge_used.iter().all(|&u| u), "all raw edges must be consumed");
 
-    MergedGraph { vertex_points, edges, region_count }
+    MergedGraph { vertex_points, edges }
 }
 
 /// The other endpoint of a raw edge, and the edge's direction leaving `v`.
@@ -575,73 +566,75 @@ fn turns_clockwise_at_lowest(ring: &[Point], dirs: &[Vector]) -> bool {
         .any(|i| dirs[(i + n - 1) % n].cross(&dirs[i]).signum() < 0)
 }
 
-/// Face membership per region, by FIFO flood fill from the exterior face.
-fn face_membership(
-    g: &MergedGraph,
-    assembled: &AssembledFaces,
-    n_regions: usize,
-) -> Vec<Vec<bool>> {
+/// Face labels by FIFO flood fill from the exterior face: crossing an edge
+/// toggles membership in the regions whose boundary it lies on, so a face's
+/// interior regions are its neighbour's, symmetric-differenced with the
+/// crossed chain's (both ascending).
+fn face_labels(g: &MergedGraph, assembled: &AssembledFaces) -> Vec<Label> {
     let face_count = assembled.face_boundaries.len();
-    let mut inside: Vec<Option<Vec<bool>>> = vec![None; face_count];
-    inside[assembled.exterior.0] = Some(vec![false; n_regions]);
+    let mut labels: Vec<Option<Label>> = vec![None; face_count];
+    labels[assembled.exterior.0] = Some(Label::default());
     let mut queue = std::collections::VecDeque::new();
     queue.push_back(assembled.exterior);
     while let Some(f) = queue.pop_front() {
-        let current = inside[f.0].clone().expect("visited face has labels");
         // Cross every edge on the face boundary.
         for &e in &assembled.face_boundaries[f.0] {
             let fwd_face = assembled.face_of_dart[DartId::forward(e).0];
             let bwd_face = assembled.face_of_dart[DartId::backward(e).0];
             let neighbor = if fwd_face == f { bwd_face } else { fwd_face };
-            if neighbor == f || inside[neighbor.0].is_some() {
+            if neighbor == f || labels[neighbor.0].is_some() {
                 continue;
             }
-            let mut next = current.clone();
-            for &r in &g.edges[e.0].regions {
-                next[r] = !next[r];
-            }
-            inside[neighbor.0] = Some(next);
+            let current = labels[f.0].as_ref().expect("visited face has a label");
+            let crossed = &g.edges[e.0].regions;
+            let kept = current.iter().filter(|(r, _)| crossed.binary_search(r).is_err());
+            let entered = crossed.iter().filter(|&&r| current.sign(r) == Sign::Exterior);
+            labels[neighbor.0] = Some(kept.chain(entered.map(|&r| (r, Sign::Interior))).collect());
             queue.push_back(neighbor);
         }
     }
-    inside
+    labels
         .into_iter()
-        .map(|m| m.expect("every face is reachable from the exterior face"))
+        .map(|l| l.expect("every face is reachable from the exterior face"))
         .collect()
 }
 
+/// `label` with every region of `boundary` (ascending) marked `Boundary`.
+fn on_boundary(label: &Label, boundary: &[usize]) -> Label {
+    let off = label.iter().filter(|(r, _)| boundary.binary_search(r).is_err());
+    off.chain(boundary.iter().map(|&r| (r, Sign::Boundary))).collect()
+}
+
 /// Compute labels by propagation and assemble the final complex. Face labels
-/// come from the flood fill of [`face_membership`]; an edge copies the label
-/// of its left face and a vertex that of the face left of its first dart,
-/// then each marks the regions whose boundary it lies on, so every label is
-/// written once, in time linear in its length.
+/// come from the flood fill of [`face_labels`]; an edge takes the label of
+/// its left face and a vertex that of the face left of its first dart, with
+/// the regions whose boundary the cell lies on marked `Boundary`, so every
+/// label is written once, in time linear in its entries.
 fn finish_complex(
     region_names: Vec<String>,
     g: MergedGraph,
     rotations: Vec<Vec<DartId>>,
     assembled: AssembledFaces,
 ) -> CellComplex {
-    let n_regions = region_names.len().max(g.region_count);
     let face_count = assembled.face_boundaries.len();
 
-    let face_membership = face_membership(&g, &assembled, n_regions);
+    let face_labels = face_labels(&g, &assembled);
     crate::counters::add_labels_propagated(face_count as u64);
 
-    // Assemble faces (cheap: label translation plus clones).
-    let faces: Vec<FaceData> = (0..face_count)
-        .map(|i| FaceData {
+    // Assemble faces (cheap: label moves plus clones).
+    let faces: Vec<FaceData> = face_labels
+        .into_iter()
+        .enumerate()
+        .map(|(i, label)| FaceData {
             is_exterior: FaceId(i) == assembled.exterior,
             boundary_edges: assembled.face_boundaries[i].clone(),
-            label: face_membership[i]
-                .iter()
-                .map(|&b| if b { Sign::Interior } else { Sign::Exterior })
-                .collect(),
+            label,
         })
         .collect();
 
-    // Assemble edges. Polylines, region sets and rotations are cloned rather
-    // than moved out of the merge graph: the clones are packed tightly, cell
-    // by cell, where the moved buffers would keep chain merging's scattered,
+    // Assemble edges. Polylines and rotations are cloned rather than moved
+    // out of the merge graph: the clones are packed tightly, cell by cell,
+    // where the moved buffers would keep chain merging's scattered,
     // over-allocated layout — measurably slower for every later read.
     let edges: Vec<EdgeData> = g
         .edges
@@ -651,37 +644,30 @@ fn finish_complex(
             let e = EdgeId(i);
             let left = assembled.face_of_dart[DartId::forward(e).0];
             let right = assembled.face_of_dart[DartId::backward(e).0];
-            let mut label = faces[left.0].label.clone();
-            for &r in &chain.regions {
-                label[r] = Sign::Boundary;
-            }
             EdgeData {
                 tail: VertexId(chain.tail),
                 head: VertexId(chain.head),
                 polyline: chain.polyline.clone(),
-                on_boundary_of: chain.regions.clone(),
                 left_face: left,
                 right_face: right,
-                label,
+                label: on_boundary(&faces[left.0].label, &chain.regions),
             }
         })
         .collect();
 
-    // Assemble vertices (reads the assembled edges' boundary marks).
+    // Assemble vertices (reads the incident chains' regions).
     let vertices: Vec<VertexData> = g
         .vertex_points
         .iter()
         .zip(&rotations)
         .map(|(point, rotation)| {
-            let f = assembled.face_of_dart[rotation[0].0];
-            let mut label = faces[f.0].label.clone();
-            for d in rotation {
-                for &r in &edges[d.edge().0].on_boundary_of {
-                    label[r] = Sign::Boundary;
-                }
-            }
-            let rotation = rotation.clone();
-            VertexData { point: *point, label, rotation }
+            let face = &faces[assembled.face_of_dart[rotation[0].0].0].label;
+            let mut marks: Vec<usize> =
+                rotation.iter().flat_map(|d| g.edges[d.edge().0].regions.iter().copied()).collect();
+            marks.sort_unstable();
+            marks.dedup();
+            let label = on_boundary(face, &marks);
+            VertexData { point: *point, label, rotation: rotation.clone() }
         })
         .collect();
 
@@ -718,10 +704,10 @@ mod tests {
         assert_ne!(interior_faces[0], c.exterior_face());
         // Labels.
         let f_in = interior_faces[0];
-        assert_eq!(c.face(f_in).label, vec![Sign::Interior]);
-        assert_eq!(c.face(c.exterior_face()).label, vec![Sign::Exterior]);
-        assert_eq!(c.edge(EdgeId(0)).label, vec![Sign::Boundary]);
-        assert_eq!(c.vertex(VertexId(0)).label, vec![Sign::Boundary]);
+        assert_eq!(c.face(f_in).label, label(&[(0, Sign::Interior)]));
+        assert_eq!(c.face(c.exterior_face()).label, Label::default());
+        assert_eq!(c.edge(EdgeId(0)).label, label(&[(0, Sign::Boundary)]));
+        assert_eq!(c.vertex(VertexId(0)).label, label(&[(0, Sign::Boundary)]));
     }
 
     #[test]
@@ -739,10 +725,10 @@ mod tests {
         let mut labels: Vec<Label> = c.face_ids().map(|f| c.face(f).label.clone()).collect();
         labels.sort();
         let mut expected = vec![
-            vec![Sign::Interior, Sign::Interior],
-            vec![Sign::Interior, Sign::Exterior],
-            vec![Sign::Exterior, Sign::Interior],
-            vec![Sign::Exterior, Sign::Exterior],
+            label(&[(0, Sign::Interior), (1, Sign::Interior)]),
+            label(&[(0, Sign::Interior)]),
+            label(&[(1, Sign::Interior)]),
+            Label::default(),
         ];
         expected.sort();
         assert_eq!(labels, expected);
@@ -751,17 +737,17 @@ mod tests {
         let mut edge_labels: Vec<Label> = c.edge_ids().map(|e| c.edge(e).label.clone()).collect();
         edge_labels.sort();
         let mut expected_edges = vec![
-            vec![Sign::Boundary, Sign::Exterior],
-            vec![Sign::Boundary, Sign::Interior],
-            vec![Sign::Interior, Sign::Boundary],
-            vec![Sign::Exterior, Sign::Boundary],
+            label(&[(0, Sign::Boundary)]),
+            label(&[(0, Sign::Boundary), (1, Sign::Interior)]),
+            label(&[(0, Sign::Interior), (1, Sign::Boundary)]),
+            label(&[(1, Sign::Boundary)]),
         ];
         expected_edges.sort();
         assert_eq!(edge_labels, expected_edges);
 
         // Both vertices are on both boundaries.
         for v in c.vertex_ids() {
-            assert_eq!(c.vertex(v).label, vec![Sign::Boundary, Sign::Boundary]);
+            assert_eq!(c.vertex(v).label, label(&[(0, Sign::Boundary), (1, Sign::Boundary)]));
         }
     }
 
@@ -771,14 +757,14 @@ mod tests {
         assert!(c.euler_formula_holds());
         let both = c
             .face_ids()
-            .filter(|f| c.face(*f).label == vec![Sign::Interior, Sign::Interior])
+            .filter(|f| c.face(*f).label == label(&[(0, Sign::Interior), (1, Sign::Interior)]))
             .count();
         assert_eq!(both, 2, "A ∩ B must have two connected components");
         // While in fig 1c it has exactly one.
         let c1 = build_complex(&fixtures::fig_1c());
         let both1 = c1
             .face_ids()
-            .filter(|f| c1.face(*f).label == vec![Sign::Interior, Sign::Interior])
+            .filter(|f| c1.face(*f).label == label(&[(0, Sign::Interior), (1, Sign::Interior)]))
             .count();
         assert_eq!(both1, 1);
     }
@@ -813,10 +799,10 @@ mod tests {
         let mut labels: Vec<Label> = c.face_ids().map(|f| c.face(f).label.clone()).collect();
         labels.sort();
         let mut expected = vec![
-            vec![Sign::Exterior, Sign::Exterior, Sign::Exterior],
-            vec![Sign::Interior, Sign::Exterior, Sign::Exterior],
-            vec![Sign::Interior, Sign::Interior, Sign::Exterior],
-            vec![Sign::Interior, Sign::Interior, Sign::Interior],
+            Label::default(),
+            label(&[(0, Sign::Interior)]),
+            label(&[(0, Sign::Interior), (1, Sign::Interior)]),
+            label(&[(0, Sign::Interior), (1, Sign::Interior), (2, Sign::Interior)]),
         ];
         expected.sort();
         assert_eq!(labels, expected);
@@ -824,7 +810,7 @@ mod tests {
         // boundary ∂A and the embedded ∂B).
         let a_only = c
             .face_ids()
-            .find(|f| c.face(*f).label == vec![Sign::Interior, Sign::Exterior, Sign::Exterior])
+            .find(|f| c.face(*f).label == label(&[(0, Sign::Interior)]))
             .unwrap();
         assert_eq!(c.face_edges(a_only).len(), 2);
         // The exterior face sees only ∂A.
@@ -852,14 +838,14 @@ mod tests {
         assert!(c.euler_formula_holds());
         let all_ext: Vec<FaceId> = c
             .face_ids()
-            .filter(|f| c.face(*f).label.iter().all(|&s| s == Sign::Exterior))
+            .filter(|f| c.face(*f).label == Label::default())
             .collect();
         assert_eq!(all_ext.len(), 2, "the hole and the unbounded face");
         assert!(all_ext.contains(&c.exterior_face()));
         // Two lens faces where A and B overlap.
         let lenses = c
             .face_ids()
-            .filter(|f| c.face(*f).label == vec![Sign::Interior, Sign::Interior])
+            .filter(|f| c.face(*f).label == label(&[(0, Sign::Interior), (1, Sign::Interior)]))
             .count();
         assert_eq!(lenses, 2);
     }
@@ -881,7 +867,7 @@ mod tests {
         let hole_of = |c: &CellComplex| {
             c.face_ids()
                 .find(|f| {
-                    *f != c.exterior_face() && c.face(*f).label.iter().all(|&s| s == Sign::Exterior)
+                    *f != c.exterior_face() && c.face(*f).label == Label::default()
                 })
                 .unwrap()
         };
@@ -900,11 +886,11 @@ mod tests {
         let c = build_complex(&fixtures::shared_boundary());
         assert!(c.euler_formula_holds());
         let shared: Vec<EdgeId> =
-            c.edge_ids().filter(|e| c.edge(*e).on_boundary_of.len() == 2).collect();
+            c.edge_ids().filter(|&e| c.edge_region_marks(e).len() == 2).collect();
         assert!(!shared.is_empty());
         for e in shared {
             let lbl = &c.edge(e).label;
-            assert_eq!(lbl.iter().filter(|&&s| s == Sign::Boundary).count(), 2);
+            assert_eq!(lbl.iter().filter(|&(_, s)| s == Sign::Boundary).count(), 2);
         }
     }
 

@@ -39,8 +39,8 @@ use std::sync::Arc;
 ///
 /// The two representations are *index-identical*: a given cell has the same
 /// id, the same label and the same incidences through either. Methods that
-/// must translate component-local data (labels widened to the global region
-/// set, darts shifted into the global id space) return owned values; purely
+/// must translate component-local data (labels widened to global region
+/// ids, darts shifted into the global id space) return owned values; purely
 /// geometric data ([`ComplexRead::edge_polyline`]) is borrowed.
 pub trait ComplexRead {
     /// The region names, in the canonical (sorted) order used by all labels.
@@ -61,7 +61,8 @@ pub trait ComplexRead {
     /// The geometric position of a vertex.
     fn vertex_point(&self, v: VertexId) -> Point;
 
-    /// The full sign label of a vertex (one [`Sign`] per region).
+    /// The sign label of a vertex: an entry for every region it is not
+    /// exterior to ([`Label`]).
     fn vertex_label(&self, v: VertexId) -> Label;
 
     /// The outgoing darts of a vertex in counter-clockwise order.
@@ -73,18 +74,18 @@ pub trait ComplexRead {
     /// The polyline realizing an edge, from tail to head.
     fn edge_polyline(&self, e: EdgeId) -> &[Point];
 
-    /// The full sign label of an edge.
+    /// The sign label of an edge.
     fn edge_label(&self, e: EdgeId) -> Label;
 
     /// Indices (into [`ComplexRead::region_names`]) of the regions whose
-    /// boundary contains the edge.
+    /// boundary contains the edge, ascending: its label's `Boundary` entries.
     fn edge_region_marks(&self, e: EdgeId) -> Vec<usize>;
 
     /// The two faces incident to an edge (left of the forward dart, left of
     /// the backward dart). They may coincide.
     fn edge_faces(&self, e: EdgeId) -> (FaceId, FaceId);
 
-    /// The full sign label of a face.
+    /// The sign label of a face.
     fn face_label(&self, f: FaceId) -> Label;
 
     /// All edges on the face's boundary, including the outer boundaries of
@@ -98,17 +99,17 @@ pub trait ComplexRead {
 
     /// The sign of a vertex with respect to one region index.
     fn vertex_sign(&self, v: VertexId, region: usize) -> Sign {
-        self.vertex_label(v)[region]
+        self.vertex_label(v).sign(region)
     }
 
     /// The sign of an edge with respect to one region index.
     fn edge_sign(&self, e: EdgeId, region: usize) -> Sign {
-        self.edge_label(e)[region]
+        self.edge_label(e).sign(region)
     }
 
     /// The sign of a face with respect to one region index.
     fn face_sign(&self, f: FaceId, region: usize) -> Sign {
-        self.face_label(f)[region]
+        self.face_label(f).sign(region)
     }
 
     // ---- derived accessors ------------------------------------------------
@@ -133,25 +134,6 @@ pub trait ComplexRead {
     /// All face ids.
     fn face_ids(&self) -> impl Iterator<Item = FaceId> {
         (0..self.face_count()).map(FaceId)
-    }
-
-    /// The full sign label of any cell.
-    fn cell_label(&self, cell: CellId) -> Label {
-        match cell {
-            CellId::Vertex(v) => self.vertex_label(v),
-            CellId::Edge(e) => self.edge_label(e),
-            CellId::Face(f) => self.face_label(f),
-        }
-    }
-
-    /// The sign of a cell with respect to a region given by name.
-    fn sign_of(&self, cell: CellId, region: &str) -> Option<Sign> {
-        let idx = self.region_index(region)?;
-        Some(match cell {
-            CellId::Vertex(v) => self.vertex_sign(v, idx),
-            CellId::Edge(e) => self.edge_sign(e, idx),
-            CellId::Face(f) => self.face_sign(f, idx),
-        })
     }
 
     /// The tail vertex of a dart.
@@ -428,7 +410,8 @@ impl ComplexRead for CellComplex {
     }
 
     fn edge_region_marks(&self, e: EdgeId) -> Vec<usize> {
-        self.edges[e.0].on_boundary_of.clone()
+        let label = self.edges[e.0].label.iter();
+        label.filter(|&(_, s)| s == Sign::Boundary).map(|(r, _)| r).collect()
     }
 
     fn edge_faces(&self, e: EdgeId) -> (FaceId, FaceId) {
@@ -448,15 +431,15 @@ impl ComplexRead for CellComplex {
     }
 
     fn vertex_sign(&self, v: VertexId, region: usize) -> Sign {
-        self.vertices[v.0].label[region]
+        self.vertices[v.0].label.sign(region)
     }
 
     fn edge_sign(&self, e: EdgeId, region: usize) -> Sign {
-        self.edges[e.0].label[region]
+        self.edges[e.0].label.sign(region)
     }
 
     fn face_sign(&self, f: FaceId, region: usize) -> Sign {
-        self.faces[f.0].label[region]
+        self.faces[f.0].label.sign(region)
     }
 
     fn skeleton_component_count(&self) -> usize {
@@ -534,15 +517,6 @@ impl CellComplex {
     /// The designated exterior (unbounded) face `f0`.
     pub fn exterior_face(&self) -> FaceId {
         self.exterior
-    }
-
-    /// The label of any cell.
-    pub fn label(&self, cell: CellId) -> &Label {
-        match cell {
-            CellId::Vertex(v) => &self.vertices[v.0].label,
-            CellId::Edge(e) => &self.edges[e.0].label,
-            CellId::Face(f) => &self.faces[f.0].label,
-        }
     }
 
     /// The tail vertex of a dart.

@@ -55,7 +55,9 @@
 //!    component are embedded there (their local exterior face is unified
 //!    with the parent face), all root components share the single global
 //!    exterior face, and every cell label is widened from the component's
-//!    region subset to the full instance. Assembly comes in two
+//!    local region ids to global ones, joined by the entries of the
+//!    regions whose interior encloses the component (a label stores only
+//!    the regions its cell is not exterior to). Assembly comes in two
 //!    index-identical flavors: **by view** ([`GlobalComplexView`], no
 //!    per-cell work — it holds the
 //!    `Arc<ComponentComplex>`es plus a compact global↔(component, local) id

@@ -71,8 +71,43 @@ impl fmt::Display for Sign {
     }
 }
 
-/// A cell label: one [`Sign`] per region, in region-name order.
-pub type Label = Vec<Sign>;
+/// A cell label, the paper's labelling `l` at one cell, stored sparsely: the
+/// `(region, sign)` pairs of the regions the cell is not exterior to, by
+/// ascending region index (into the region-name list). An absent region is
+/// [`Sign::Exterior`], so [`Label::default`] labels a cell exterior to every
+/// region, and a label costs the regions enclosing or bounding its cell.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+pub struct Label(Vec<(usize, Sign)>);
+
+impl Label {
+    /// The cell's sign with respect to one region index.
+    pub fn sign(&self, region: usize) -> Sign {
+        let at = self.0.binary_search_by_key(&region, |&(r, _)| r);
+        at.map_or(Sign::Exterior, |i| self.0[i].1)
+    }
+
+    /// The stored `(region, sign)` entries, by ascending region.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (usize, Sign)> + '_ {
+        self.0.iter().copied()
+    }
+}
+
+/// The one constructor: sorts the pairs by region and drops `Exterior` ones.
+/// A repeated region is kept, and `invariant::validate` reports the label.
+impl FromIterator<(usize, Sign)> for Label {
+    fn from_iter<I: IntoIterator<Item = (usize, Sign)>>(pairs: I) -> Label {
+        let mut entries: Vec<(usize, Sign)> = pairs.into_iter().collect();
+        entries.retain(|&(_, s)| s != Sign::Exterior);
+        entries.sort_by_key(|&(r, _)| r);
+        Label(entries)
+    }
+}
+
+/// A label from its entries, for tests.
+#[cfg(test)]
+pub(crate) fn label(entries: &[(usize, Sign)]) -> Label {
+    entries.iter().copied().collect()
+}
 
 /// Data stored for a vertex (0-cell).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -95,14 +130,12 @@ pub struct EdgeData {
     /// The polyline realizing the edge, from `tail` to `head`
     /// (at least two points; first and last are the endpoint positions).
     pub polyline: Vec<Point>,
-    /// Indices (into the region-name list) of the regions whose boundary
-    /// contains this edge.
-    pub on_boundary_of: Vec<usize>,
     /// Face to the left of the forward dart.
     pub left_face: FaceId,
     /// Face to the left of the backward dart (i.e. to the right of the edge).
     pub right_face: FaceId,
-    /// Per-region sign.
+    /// Per-region sign; its `Boundary` entries are the regions whose
+    /// boundary contains this edge.
     pub label: Label,
 }
 
@@ -117,7 +150,7 @@ pub struct FaceData {
     /// All edges on the face's boundary, including the boundaries of
     /// connected components embedded inside the face (sorted, deduplicated).
     pub boundary_edges: Vec<EdgeId>,
-    /// Per-region sign (`Interior` or `Exterior` only; faces never lie on a
+    /// Per-region sign (`Interior` entries only; faces never lie on a
     /// boundary), computed by flood fill from the exterior face.
     pub label: Label,
 }

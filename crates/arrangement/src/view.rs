@@ -11,17 +11,18 @@
 //! * prefix-sum offset tables mapping global cell ids to `(component, local
 //!   id)` pairs and back (`O(components)` space, `O(log components)` lookup),
 //! * the cross-component nesting forest and the per-component *inherited*
-//!   labels (the parent face's signs for all foreign regions), resolved
-//!   parents-before-children exactly as the copying assembly does,
+//!   labels (the parent face's entries: the regions whose interior encloses
+//!   the component), resolved parents-before-children exactly as the
+//!   copying assembly does,
 //! * the local→global region-index map of every component.
 //!
 //! Construction does no per-cell work — after a localized update,
 //! re-assembling the global view costs nothing per untouched cell (see
 //! [`GlobalComplexView::new`] for what it does cost). Accessors translate on
-//! the fly: labels are widened from the component's region subset to the
-//! full instance, dart and face ids are shifted into the global id space,
-//! and purely geometric data (polylines, points) is borrowed from the shared
-//! component allocations.
+//! the fly: labels are widened from the component's local region ids to
+//! global ones and joined with the inherited entries, dart and face ids are
+//! shifted into the global id space, and purely geometric data (polylines,
+//! points) is borrowed from the shared component allocations.
 //!
 //! Lazily built state rides on the component. What a component determines
 //! alone — each local region's interior faces, boundary box, and the
@@ -42,9 +43,11 @@
 //! inherited labels and the index over the component boxes — is rebuilt per
 //! assembly, and no per-cell table is derived from it. A sign read
 //! (`vertex_sign`/`edge_sign`/`face_sign`) binary-searches the component's
-//! sorted local→global region map and widens nothing; a whole-label read
+//! sorted local→global region map, then the cell's local label or the
+//! component's inherited one, and widens nothing; a whole-label read
 //! (`vertex_label`/`edge_label`/`face_label`) widens the cell's local label
-//! on every call ([`GlobalComplexView::label_widenings`] counts widenings).
+//! on every call, in time linear in its entries and the inherited ones
+//! ([`GlobalComplexView::label_widenings`] counts widenings).
 //!
 //! The view is **index-identical** to the flat complex produced by
 //! [`crate::assemble_components`] from the same component list: every cell
@@ -93,15 +96,15 @@ pub struct GlobalComplexView {
     /// Global id of the face each component is embedded in (the exterior
     /// face for root components).
     parent_face: Vec<FaceId>,
-    /// Per component: the parent face's global label (signs inherited for
-    /// all regions foreign to the component).
+    /// Per component: the parent face's global label, which holds only the
+    /// regions whose interior encloses the component. Every other region
+    /// foreign to the component is exterior to all its cells.
     inherited: Vec<Label>,
     /// Global face id → components embedded directly in that face.
     nested_in_face: BTreeMap<usize, Vec<usize>>,
     /// The index over the component boxes, built once per assembly: nesting
     /// resolution probes it, and it is the upper level of the region index.
     component_index: SpatialIndex,
-    exterior_label: Label,
     /// Number of label widenings performed by the accessor layer (shared by
     /// all clones of the view; see [`GlobalComplexView::label_widenings`]).
     widen_count: Arc<AtomicU64>,
@@ -121,10 +124,9 @@ impl GlobalComplexView {
     ///
     /// Cost: no per-cell work. It builds the index over the component
     /// boxes (`O(components · log components)`), locates every component in
-    /// it, and maps every region to its component (`O(regions)`). It also
-    /// writes one full-width inherited label per component, which is
-    /// `O(components × regions)`: that term is what still grows with the
-    /// database.
+    /// it, and maps every region to its component (`O(regions)`). The
+    /// inherited labels hold one entry per enclosing region, so together
+    /// they cost `O(components × nesting depth)`.
     pub fn new(
         region_names: Vec<String>,
         components: Vec<Arc<ComponentComplex>>,
@@ -210,12 +212,11 @@ impl GlobalComplexView {
         component_index: SpatialIndex,
     ) -> GlobalComplexView {
         debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
-        let n_regions = region_names.len();
         let k = components.len();
 
         let region_map: Vec<Vec<usize>> =
             components.iter().map(|c| locate_names(&region_names, c.region_names())).collect();
-        let mut region_home = vec![(usize::MAX, usize::MAX); n_regions];
+        let mut region_home = vec![(usize::MAX, usize::MAX); region_names.len()];
         for (c, map) in region_map.iter().enumerate() {
             for (local, &global) in map.iter().enumerate() {
                 region_home[global] = (c, local);
@@ -248,11 +249,10 @@ impl GlobalComplexView {
             })
             .collect();
 
-        let exterior_label: Label = vec![Sign::Exterior; n_regions];
-        let mut inherited: Vec<Label> = vec![Vec::new(); k];
+        let mut inherited: Vec<Label> = vec![Label::default(); k];
         for &c in &topo {
             inherited[c] = match parents[c] {
-                None => exterior_label.clone(),
+                None => Label::default(),
                 Some((d, f)) => widen_label(
                     &inherited[d],
                     &components[d].complex.face(f).label,
@@ -280,7 +280,6 @@ impl GlobalComplexView {
             inherited,
             nested_in_face,
             component_index,
-            exterior_label,
             widen_count: Arc::new(AtomicU64::new(0)),
             memo_count: Arc::new(AtomicU64::new(0)),
             bbox_index: Arc::new(OnceLock::new()),
@@ -390,12 +389,12 @@ impl GlobalComplexView {
     /// falling back to the component's inherited label for foreign regions.
     fn local_sign(&self, c: usize, local_label: &Label, region: usize) -> Sign {
         match self.region_map[c].binary_search(&region) {
-            Ok(p) => local_label[p],
-            Err(_) => self.inherited[c][region],
+            Ok(p) => local_label.sign(p),
+            Err(_) => self.inherited[c].sign(region),
         }
     }
 
-    /// Widen a component-local label to the full region set, counted.
+    /// Widen a component-local label to global region ids, counted.
     fn widen_counted(&self, c: usize, local: &Label) -> Label {
         self.widen_count.fetch_add(1, Ordering::Relaxed);
         widen_label(&self.inherited[c], local, &self.region_map[c])
@@ -488,13 +487,12 @@ impl ComplexRead for GlobalComplexView {
         self.widen_counted(c, &self.components[c].complex.edges[le].label)
     }
 
+    /// The local label's `Boundary` entries mapped to global ids: no
+    /// widening, since an inherited entry is never `Boundary`.
     fn edge_region_marks(&self, e: EdgeId) -> Vec<usize> {
         let (c, le) = self.edge_home(e);
-        self.components[c].complex.edges[le]
-            .on_boundary_of
-            .iter()
-            .map(|&r| self.region_map[c][r])
-            .collect()
+        let label = self.components[c].complex.edges[le].label.iter();
+        label.filter(|&(_, s)| s == Sign::Boundary).map(|(r, _)| self.region_map[c][r]).collect()
     }
 
     fn edge_faces(&self, e: EdgeId) -> (FaceId, FaceId) {
@@ -505,7 +503,7 @@ impl ComplexRead for GlobalComplexView {
 
     fn face_label(&self, f: FaceId) -> Label {
         if f.0 == 0 {
-            return self.exterior_label.clone();
+            return Label::default();
         }
         let (c, lf) = self.face_home(f);
         self.widen_counted(c, &self.components[c].complex.face(lf).label)
@@ -671,12 +669,12 @@ mod tests {
         // The annulus face (Outer only) is bounded by both loops.
         let annulus = v
             .face_ids()
-            .find(|&f| v.face_label(f) == vec![Sign::Exterior, Sign::Interior])
+            .find(|&f| v.face_label(f) == label(&[(1, Sign::Interior)]))
             .expect("outer-only face exists");
         assert_eq!(v.face_boundary(annulus).len(), 2);
         assert!(v
             .face_ids()
-            .any(|f| v.face_label(f) == vec![Sign::Interior, Sign::Interior]));
+            .any(|f| v.face_label(f) == label(&[(0, Sign::Interior), (1, Sign::Interior)])));
         // The exterior sees only Outer's boundary.
         assert_eq!(v.face_boundary(v.exterior_face()).len(), 1);
     }
@@ -708,13 +706,13 @@ mod tests {
         let v = view_of(&inst);
         for r in 0..v.region_names().len() {
             for f in v.face_ids() {
-                assert_eq!(v.face_sign(f, r), v.face_label(f)[r]);
+                assert_eq!(v.face_sign(f, r), v.face_label(f).sign(r));
             }
             for e in v.edge_ids() {
-                assert_eq!(v.edge_sign(e, r), v.edge_label(e)[r]);
+                assert_eq!(v.edge_sign(e, r), v.edge_label(e).sign(r));
             }
             for vx in v.vertex_ids() {
-                assert_eq!(v.vertex_sign(vx, r), v.vertex_label(vx)[r]);
+                assert_eq!(v.vertex_sign(vx, r), v.vertex_label(vx).sign(r));
             }
         }
     }

@@ -16,13 +16,16 @@
 //!   probe lies in the face whatever its shape (holes, repeated vertices,
 //!   embedded components).
 //!
+//! Each label must also be sparse and well formed: its stored entries
+//! strictly ascend, name a region of the complex, and none is `Exterior`.
+//!
 //! The check is generic over [`ComplexRead`], so it covers both the flat
 //! [`build_complex`] and the zero-copy [`build_complex_view`], and the views
 //! maintained by [`update_components`] along a commit trace.
 
 use arrangement::{
     build_complex, build_complex_view, update_components, ComplexRead, DartId, FaceId,
-    GlobalComplexView, Sign,
+    GlobalComplexView, Label, Sign,
 };
 use datagen::TraceOp;
 use spatial_core::fixtures;
@@ -83,17 +86,26 @@ fn face_probe<C: ComplexRead>(c: &C, d: DartId) -> Point {
 fn check_labels<C: ComplexRead>(c: &C, inst: &SpatialInstance, context: &str) {
     let regions: Vec<&Region> =
         c.region_names().iter().map(|n| inst.ext(n).expect("region of the instance")).collect();
-    let expect =
-        |p: &Point| -> Vec<Sign> { regions.iter().map(|r| sign_of(r.locate(p))).collect() };
+    let check = |label: Label, p: &Point, cell: String| {
+        let entries: Vec<(usize, Sign)> = label.iter().collect();
+        assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0)
+                && entries.iter().all(|&(r, s)| r < regions.len() && s != Sign::Exterior),
+            "{context}: {cell} has a malformed label {entries:?}"
+        );
+        let expect: Label =
+            regions.iter().enumerate().map(|(r, region)| (r, sign_of(region.locate(p)))).collect();
+        assert_eq!(label, expect, "{context}: {cell} at {p:?}");
+    };
 
     for v in c.vertex_ids() {
         let p = c.vertex_point(v);
-        assert_eq!(c.vertex_label(v), expect(&p), "{context}: vertex {v:?} at {p:?}");
+        check(c.vertex_label(v), &p, format!("vertex {v:?}"));
     }
     for e in c.edge_ids() {
         let pl = c.edge_polyline(e);
         let p = Point::midpoint(&pl[0], &pl[1]);
-        assert_eq!(c.edge_label(e), expect(&p), "{context}: edge {e:?} at {p:?}");
+        check(c.edge_label(e), &p, format!("edge {e:?}"));
     }
 
     // One dart per face, with the face on its left.
@@ -110,7 +122,7 @@ fn check_labels<C: ComplexRead>(c: &C, inst: &SpatialInstance, context: &str) {
             continue;
         };
         let p = face_probe(c, d);
-        assert_eq!(c.face_label(f), expect(&p), "{context}: face {f:?} probe {p:?}");
+        check(c.face_label(f), &p, format!("face {f:?} probe"));
     }
 }
 

@@ -16,8 +16,7 @@
 
 use arrangement::{
     assemble_components, build_complex_monolithic, build_component_complexes, update_components,
-    BBox, CellComplex, CellId, ComplexRead, EdgeId, FaceId, GlobalComplexView, SpatialIndex,
-    VertexId,
+    BBox, CellComplex, ComplexRead, EdgeId, FaceId, GlobalComplexView, SpatialIndex, VertexId,
 };
 use datagen::TraceOp;
 use spatial_core::fixtures;
@@ -88,24 +87,24 @@ fn check(inst: &SpatialInstance, context: &str) {
 fn check_signs(view: &GlobalComplexView, flat: &CellComplex, context: &str) {
     let regions = 0..view.region_names().len();
     for v in view.vertex_ids() {
-        let label = flat.label(CellId::Vertex(v));
+        let label = &flat.vertex(v).label;
         for r in regions.clone() {
-            assert_eq!(view.vertex_sign(v, r), label[r], "{v:?}, region {r} on {context}");
-            assert_eq!(ComplexRead::vertex_sign(flat, v, r), label[r], "{context}");
+            assert_eq!(view.vertex_sign(v, r), label.sign(r), "{v:?}, region {r} on {context}");
+            assert_eq!(ComplexRead::vertex_sign(flat, v, r), label.sign(r), "{context}");
         }
     }
     for e in view.edge_ids() {
-        let label = flat.label(CellId::Edge(e));
+        let label = &flat.edge(e).label;
         for r in regions.clone() {
-            assert_eq!(view.edge_sign(e, r), label[r], "{e:?}, region {r} on {context}");
-            assert_eq!(ComplexRead::edge_sign(flat, e, r), label[r], "{context}");
+            assert_eq!(view.edge_sign(e, r), label.sign(r), "{e:?}, region {r} on {context}");
+            assert_eq!(ComplexRead::edge_sign(flat, e, r), label.sign(r), "{context}");
         }
     }
     for f in view.face_ids() {
-        let label = flat.label(CellId::Face(f));
+        let label = &flat.face(f).label;
         for r in regions.clone() {
-            assert_eq!(view.face_sign(f, r), label[r], "{f:?}, region {r} on {context}");
-            assert_eq!(ComplexRead::face_sign(flat, f, r), label[r], "{context}");
+            assert_eq!(view.face_sign(f, r), label.sign(r), "{f:?}, region {r} on {context}");
+            assert_eq!(ComplexRead::face_sign(flat, f, r), label.sign(r), "{context}");
         }
     }
 }

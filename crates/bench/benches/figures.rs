@@ -89,10 +89,7 @@ fn fig05_invariant_and_thematic(c: &mut Criterion) {
 fn fig06_exterior_face(c: &mut Criterion) {
     let t = Invariant::of_instance(&fixtures::ring_with_flag());
     let hole = (0..t.face_count())
-        .find(|&f| {
-            f != t.exterior_face()
-                && t.face_label(f).iter().all(|&s| s == arrangement::Sign::Exterior)
-        })
+        .find(|&f| f != t.exterior_face() && *t.face_label(f) == Default::default())
         .unwrap();
     let swapped = t.with_exterior(hole);
     let mut group = c.benchmark_group("fig06_exterior_face");

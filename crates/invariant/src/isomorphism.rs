@@ -14,6 +14,7 @@
 //! paper demonstrates.
 
 use crate::structure::{Dart, Invariant};
+use arrangement::Label;
 
 /// Which parts of the invariant the isomorphism must respect.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -157,7 +158,7 @@ fn sorted<T: Ord + Clone>(v: &[T]) -> Vec<T> {
     out
 }
 
-type EdgeSignature = (Vec<arrangement::Sign>, Vec<Vec<arrangement::Sign>>, Vec<(Vec<arrangement::Sign>, bool)>, bool);
+type EdgeSignature = (Label, Vec<Label>, Vec<(Label, bool)>, bool);
 
 fn edge_signature(inv: &Invariant, e: usize, opts: IsoOptions) -> EdgeSignature {
     let (t, h) = inv.edge_endpoints(e);
@@ -487,10 +488,7 @@ mod tests {
         // different homeomorphism type.
         let t = inv(&fixtures::ring_with_flag());
         let hole = (0..t.face_count())
-            .find(|&f| {
-                f != t.exterior_face()
-                    && t.face_label(f).iter().all(|&s| s == arrangement::Sign::Exterior)
-            })
+            .find(|&f| f != t.exterior_face() && *t.face_label(f) == Label::default())
             .expect("ring_with_flag has a bounded all-exterior face");
         let swapped = t.with_exterior(hole);
         assert!(
@@ -512,10 +510,7 @@ mod tests {
         // is used for the Fig. 6 experiment.
         let t = inv(&fixtures::ring());
         let hole = (0..t.face_count())
-            .find(|&f| {
-                f != t.exterior_face()
-                    && t.face_label(f).iter().all(|&s| s == arrangement::Sign::Exterior)
-            })
+            .find(|&f| f != t.exterior_face() && *t.face_label(f) == Label::default())
             .unwrap();
         let swapped = t.with_exterior(hole);
         assert!(find_isomorphism(&t, &swapped, IsoOptions::full()).is_some());

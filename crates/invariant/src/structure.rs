@@ -239,10 +239,10 @@ impl Invariant {
 
     /// The faces making up a region (the faces labeled `Interior` for it).
     pub fn region_faces(&self, region: &str) -> Vec<usize> {
-        match self.region_names.iter().position(|n| n == region) {
-            None => vec![],
-            Some(idx) => (0..self.face_count())
-                .filter(|&f| self.face_labels[f][idx] == Sign::Interior)
+        match self.region_names.binary_search_by(|n| n.as_str().cmp(region)) {
+            Err(_) => vec![],
+            Ok(idx) => (0..self.face_count())
+                .filter(|&f| self.face_labels[f].sign(idx) == Sign::Interior)
                 .collect(),
         }
     }
@@ -361,8 +361,8 @@ impl fmt::Display for Invariant {
             let signs: Vec<String> = self
                 .region_names
                 .iter()
-                .zip(l.iter())
-                .map(|(n, s)| format!("{n}:{s}"))
+                .enumerate()
+                .map(|(r, n)| format!("{n}:{}", l.sign(r)))
                 .collect();
             let ext = if i == self.exterior_face { " (exterior)" } else { "" };
             writeln!(f, "  f{i}{ext}: [{}] edges {:?}", signs.join(", "), self.face_edges[i])?;
@@ -424,9 +424,7 @@ mod tests {
     fn exterior_swap_and_mirror() {
         let inv = Invariant::of_instance(&fixtures::ring());
         let other_ext = (0..inv.face_count())
-            .find(|&f| {
-                f != inv.exterior_face() && inv.face_label(f).iter().all(|&s| s == Sign::Exterior)
-            })
+            .find(|&f| f != inv.exterior_face() && *inv.face_label(f) == Label::default())
             .expect("the ring has a hole face");
         let swapped = inv.with_exterior(other_ext);
         assert_ne!(swapped.exterior_face(), inv.exterior_face());

@@ -18,6 +18,7 @@
 //! chosen so the exterior face reads like the paper's `f0` in examples.
 
 use crate::structure::Invariant;
+use arrangement::Sign;
 use relstore::{Database, Value};
 use std::collections::BTreeSet;
 
@@ -82,8 +83,15 @@ pub fn to_database(inv: &Invariant) -> Database {
         }
     }
     db.insert("ExteriorFace", vec![Value::sym(face_id(inv.exterior_face()))]);
-    for name in inv.region_names() {
-        for f in inv.region_faces(name) {
+    // One pass over the face labels' `Interior` entries, inverted per region.
+    let mut region_faces: Vec<Vec<usize>> = vec![Vec::new(); inv.region_names().len()];
+    for f in 0..inv.face_count() {
+        for (r, _) in inv.face_label(f).iter().filter(|&(_, s)| s == Sign::Interior) {
+            region_faces[r].push(f);
+        }
+    }
+    for (name, faces) in inv.region_names().iter().zip(region_faces) {
+        for f in faces {
             db.insert("RegionFaces", vec![Value::sym(name.clone()), Value::sym(face_id(f))]);
         }
     }

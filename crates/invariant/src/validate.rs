@@ -9,7 +9,7 @@
 //! the [`Invariant`] structure.
 
 use crate::structure::{Dart, Invariant};
-use arrangement::Sign;
+use arrangement::{Label, Sign};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A reason why a candidate structure is not a valid invariant.
@@ -17,7 +17,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub enum ValidationError {
     /// An index referenced a non-existent cell.
     DanglingReference(String),
-    /// A label has the wrong arity or an impossible sign.
+    /// A label is malformed (entries out of order, out of range or
+    /// `Exterior`) or has an impossible sign.
     BadLabel(String),
     /// The rotation system is not a proper cyclic arrangement of the incident
     /// darts (condition (4)).
@@ -110,40 +111,35 @@ fn check_references(inv: &Invariant, errors: &mut Vec<ValidationError>) {
 
 fn check_labels(inv: &Invariant, errors: &mut Vec<ValidationError>) {
     let k = inv.region_names().len();
-    for v in 0..inv.vertex_count() {
-        if inv.vertex_label(v).len() != k {
-            errors.push(ValidationError::BadLabel(format!("vertex {v} label arity")));
+    // Every label is well formed: its entries strictly ascend, name one of
+    // the `k` regions, and none is `Exterior` (the sign of an absent region).
+    let cells = (0..inv.vertex_count()).map(|v| ("vertex", v, inv.vertex_label(v)));
+    let cells = cells.chain((0..inv.edge_count()).map(|e| ("edge", e, inv.edge_label(e))));
+    let cells = cells.chain((0..inv.face_count()).map(|f| ("face", f, inv.face_label(f))));
+    for (kind, i, label) in cells {
+        let entries: Vec<(usize, Sign)> = label.iter().collect();
+        let ascending = entries.windows(2).all(|w| w[0].0 < w[1].0);
+        if !ascending || entries.iter().any(|&(r, s)| r >= k || s == Sign::Exterior) {
+            errors.push(ValidationError::BadLabel(format!("{kind} {i} label is malformed")));
         }
-    }
-    for e in 0..inv.edge_count() {
-        if inv.edge_label(e).len() != k {
-            errors.push(ValidationError::BadLabel(format!("edge {e} label arity")));
-        }
-    }
-    for f in 0..inv.face_count() {
-        let l = inv.face_label(f);
-        if l.len() != k {
-            errors.push(ValidationError::BadLabel(format!("face {f} label arity")));
-        }
-        if l.contains(&Sign::Boundary) {
+        if kind == "face" && label.iter().any(|(_, s)| s == Sign::Boundary) {
             errors.push(ValidationError::BadLabel(format!(
-                "face {f} is labeled as lying on a region boundary"
+                "face {i} is labeled as lying on a region boundary"
             )));
         }
     }
     // Consistency between edge labels and the labels of the incident faces:
     // an edge lies on ∂R exactly when its two sides disagree about membership
-    // in R; otherwise it carries the common side label.
+    // in R; otherwise it carries the common side label. A region none of the
+    // three labels names is exterior to all three.
     for e in 0..inv.edge_count() {
         let (l, r) = inv.edge_faces(e);
-        if l >= inv.face_count() || r >= inv.face_count() {
-            continue;
-        }
-        for (idx, &sign) in inv.edge_label(e).iter().enumerate() {
-            let sl = inv.face_label(l).get(idx).copied();
-            let sr = inv.face_label(r).get(idx).copied();
-            let (Some(sl), Some(sr)) = (sl, sr) else { continue };
-            match sign {
+        let (label, left, right) = (inv.edge_label(e), inv.face_label(l), inv.face_label(r));
+        let named: BTreeSet<usize> =
+            label.iter().chain(left.iter()).chain(right.iter()).map(|(idx, _)| idx).collect();
+        for idx in named {
+            let (sl, sr) = (left.sign(idx), right.sign(idx));
+            match label.sign(idx) {
                 Sign::Boundary => {
                     if sl == sr {
                         errors.push(ValidationError::BadLabel(format!(
@@ -161,24 +157,24 @@ fn check_labels(inv: &Invariant, errors: &mut Vec<ValidationError>) {
             }
         }
         // At least one region's boundary passes through every edge.
-        if !inv.edge_label(e).contains(&Sign::Boundary) {
+        if !label.iter().any(|(_, s)| s == Sign::Boundary) {
             errors.push(ValidationError::BadLabel(format!(
                 "edge {e} lies on no region boundary"
             )));
         }
     }
     // Vertices: a vertex lies on ∂R iff one of its incident edges does.
+    fn boundary_of(label: &Label) -> impl Iterator<Item = usize> + '_ {
+        label.iter().filter(|&(_, s)| s == Sign::Boundary).map(|(idx, _)| idx)
+    }
     for v in 0..inv.vertex_count() {
-        let incident_edges: BTreeSet<usize> = inv.rotation(v).iter().map(|d| d.edge).collect();
-        for (idx, &sign) in inv.vertex_label(v).iter().enumerate() {
-            let any_boundary = incident_edges
-                .iter()
-                .any(|&e| inv.edge_label(e).get(idx) == Some(&Sign::Boundary));
-            if (sign == Sign::Boundary) != any_boundary {
-                errors.push(ValidationError::BadLabel(format!(
-                    "vertex {v} label for region {idx} inconsistent with incident edges"
-                )));
-            }
+        let on_vertex: BTreeSet<usize> = boundary_of(inv.vertex_label(v)).collect();
+        let on_edges: BTreeSet<usize> =
+            inv.rotation(v).iter().flat_map(|d| boundary_of(inv.edge_label(d.edge))).collect();
+        for idx in on_vertex.symmetric_difference(&on_edges) {
+            errors.push(ValidationError::BadLabel(format!(
+                "vertex {v} label for region {idx} inconsistent with incident edges"
+            )));
         }
     }
 }
@@ -340,7 +336,7 @@ fn check_exterior(inv: &Invariant, errors: &mut Vec<ValidationError>) {
         return;
     }
     let f0 = inv.exterior_face();
-    if inv.face_label(f0).iter().any(|&s| s != Sign::Exterior) {
+    if *inv.face_label(f0) != Label::default() {
         errors.push(ValidationError::BadExteriorFace(
             "the exterior face must be exterior to every region".into(),
         ));
@@ -376,7 +372,7 @@ fn check_regions(inv: &Invariant, errors: &mut Vec<ValidationError>) {
     };
     for (idx, name) in inv.region_names().iter().enumerate() {
         let faces: BTreeSet<usize> = (0..nf)
-            .filter(|&f| inv.face_label(f).get(idx) == Some(&Sign::Interior))
+            .filter(|&f| inv.face_label(f).sign(idx) == Sign::Interior)
             .collect();
         if faces.is_empty() {
             errors.push(ValidationError::BadRegion(format!("region {name} has no faces")));
@@ -492,9 +488,7 @@ mod tests {
         // "inverted" ring).
         let inv = Invariant::of_instance(&fixtures::ring());
         let hole = (0..inv.face_count())
-            .find(|&f| {
-                f != inv.exterior_face() && inv.face_label(f).iter().all(|&s| s == Sign::Exterior)
-            })
+            .find(|&f| f != inv.exterior_face() && *inv.face_label(f) == Label::default())
             .unwrap();
         assert!(is_valid(&inv.with_exterior(hole)));
     }
@@ -504,51 +498,69 @@ mod tests {
         let mut inv = Invariant::of_instance(&fixtures::fig_1c());
         // Flip one face's membership in region A.
         let f = inv.region_faces("A")[0];
-        inv.face_labels[f][0] = Sign::Exterior;
+        inv.face_labels[f] = inv.face_labels[f].iter().filter(|&(r, _)| r != 0).collect();
         assert!(!is_valid(&inv));
 
         // Mark an edge as lying on no boundary at all.
         let mut inv2 = Invariant::of_instance(&fixtures::fig_1c());
-        inv2.edge_labels[0] = vec![Sign::Exterior, Sign::Exterior];
+        inv2.edge_labels[0] = Label::default();
         assert!(!is_valid(&inv2));
     }
 
     #[test]
+    fn malformed_labels_are_bad_labels() {
+        let malformed = |inv: &Invariant| {
+            let errs = validate(inv);
+            errs.iter().any(|e| matches!(e, ValidationError::BadLabel(m) if m.contains("malformed")))
+        };
+        // An entry for a region out of range.
+        let mut inv = Invariant::of_instance(&fixtures::fig_1c());
+        let (k, f) = (inv.region_names().len(), inv.region_faces("A")[0]);
+        inv.face_labels[f] = inv.face_labels[f].iter().chain([(k, Sign::Interior)]).collect();
+        assert!(malformed(&inv));
+        // Entries that do not strictly ascend: the constructor sorts, so
+        // only a repeated region can.
+        let mut inv = Invariant::of_instance(&fixtures::fig_1c());
+        inv.face_labels[f] = [(0, Sign::Interior), (0, Sign::Interior)].into_iter().collect();
+        assert!(malformed(&inv));
+    }
+
+    #[test]
     fn region_with_disconnected_faces_is_detected() {
-        // Take fig 1d (A ∩ B has two components) and relabel so that a fake
-        // region's faces are exactly the two lens faces: not connected in the
-        // dual graph restricted to them... actually the two lenses ARE
-        // connected through other faces, so restrict instead: create a region
-        // whose faces are the two lenses only.
+        // Take fig 1d (A ∩ B has two components) and add a fake region whose
+        // faces are exactly the two lens faces: not connected in the dual
+        // graph restricted to them.
         let mut inv = Invariant::of_instance(&fixtures::fig_1d());
-        let lenses: Vec<usize> = (0..inv.face_count())
-            .filter(|&f| inv.face_label(f).iter().all(|&s| s == Sign::Interior))
-            .collect();
+        let both = [(0, Sign::Interior), (1, Sign::Interior)].into_iter().collect::<Label>();
+        let lenses: Vec<usize> =
+            (0..inv.face_count()).filter(|&f| inv.face_labels[f] == both).collect();
         assert_eq!(lenses.len(), 2);
         // Add a new region "Z" present exactly on the two lens faces.
+        let z = inv.region_names.len();
         inv.region_names.push("Z".to_string());
+        let with_z = |label: &Label, sign: Sign| label.iter().chain([(z, sign)]).collect::<Label>();
         for f in 0..inv.face_count() {
             let sign = if lenses.contains(&f) { Sign::Interior } else { Sign::Exterior };
-            inv.face_labels[f].push(sign);
+            inv.face_labels[f] = with_z(&inv.face_labels[f], sign);
         }
         for e in 0..inv.edge_count() {
             let (l, r) = inv.edge_faces(e);
-            let sl = inv.face_labels[l].last().copied().unwrap();
-            let sr = inv.face_labels[r].last().copied().unwrap();
+            let sl = inv.face_labels[l].sign(z);
+            let sr = inv.face_labels[r].sign(z);
             let sign = if sl != sr { Sign::Boundary } else { sl };
-            inv.edge_labels[e].push(sign);
+            inv.edge_labels[e] = with_z(&inv.edge_labels[e], sign);
         }
         for v in 0..inv.vertex_count() {
             let incident: Vec<usize> = inv.rotation[v].iter().map(|d| d.edge).collect();
             let any_boundary =
-                incident.iter().any(|&e| *inv.edge_labels[e].last().unwrap() == Sign::Boundary);
+                incident.iter().any(|&e| inv.edge_labels[e].sign(z) == Sign::Boundary);
             let sign = if any_boundary {
                 Sign::Boundary
             } else {
                 let f = inv.dart_left_face(inv.rotation[v][0]);
-                inv.face_labels[f].last().copied().unwrap()
+                inv.face_labels[f].sign(z)
             };
-            inv.vertex_labels[v].push(sign);
+            inv.vertex_labels[v] = with_z(&inv.vertex_labels[v], sign);
         }
         let errs = validate(&inv);
         assert!(

@@ -63,10 +63,10 @@ pub fn class_defining_sentence(inv: &Invariant) -> Formula {
 
     // (2) Label constraints.
     let label_clause = |var: &str, label: &arrangement::Label, body: &mut Vec<Formula>| {
-        for (idx, sign) in label.iter().enumerate() {
-            let named = RegionExpr::named(names[idx].clone());
+        for (idx, name) in names.iter().enumerate() {
+            let named = RegionExpr::named(name.clone());
             let witness = RegionExpr::var(var.to_string());
-            body.push(match sign {
+            body.push(match label.sign(idx) {
                 Sign::Interior => Formula::subset(witness, named),
                 Sign::Boundary => Formula::rel(Relation4::Overlap, witness, named),
                 Sign::Exterior => Formula::rel(Relation4::Disjoint, witness, named),

@@ -65,10 +65,7 @@ fn main() {
     println!("== Fig. 6: the exterior face is essential information ==");
     let t = Invariant::of_instance(&fixtures::ring_with_flag());
     let hole = (0..t.face_count())
-        .find(|&f| {
-            f != t.exterior_face()
-                && t.face_label(f).iter().all(|&s| s == topodb::arrangement::Sign::Exterior)
-        })
+        .find(|&f| f != t.exterior_face() && *t.face_label(f) == Default::default())
         .unwrap();
     let swapped = t.with_exterior(hole);
     println!(

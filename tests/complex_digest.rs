@@ -1,18 +1,51 @@
 //! Index identity of the built complex, pinned by checksum.
 //!
-//! Each case is the CRC-32 of the `Debug` rendering of
-//! [`build_complex`](topodb::arrangement::build_complex): every vertex
-//! position, edge polyline, rotation, face boundary and label, in id order.
-//! A kernel change that renumbers, reorders or relabels a single cell fails
-//! here; one that means to must update the constants and say why.
+//! Each case is the CRC-32 of an explicit rendering of
+//! [`build_complex`](topodb::arrangement::build_complex), in id order: every
+//! vertex point and rotation; every edge's endpoints, polyline, faces and
+//! region marks; every face's exterior flag and boundary; and every label as
+//! its list of non-`Exterior` `(region, sign)` pairs. The rendering names no
+//! storage format, so a change of the label representation leaves the
+//! constants alone. A kernel change that renumbers, reorders or relabels a
+//! single cell fails here; one that means to must update the constants and
+//! say why.
 
-use topodb::arrangement::build_complex;
+use std::fmt::Write;
+use topodb::arrangement::{build_complex, ComplexRead, Label, Sign};
 use topodb::spatial_core::fixtures;
 use topodb::spatial_core::prelude::*;
 use topodb::wal::crc::crc32;
 
+/// A label as its non-`Exterior` `(region, sign)` pairs, ascending.
+fn label_pairs(label: &Label) -> Vec<(usize, Sign)> {
+    label.iter().collect()
+}
+
 fn digest(inst: &SpatialInstance) -> u32 {
-    crc32(format!("{:?}", build_complex(inst)).as_bytes())
+    let c = build_complex(inst);
+    let mut out = String::new();
+    for v in c.vertex_ids() {
+        let d = c.vertex(v);
+        let label = label_pairs(&d.label);
+        writeln!(out, "v{} {:?} {:?} {:?}", v.0, d.point, d.rotation, label).unwrap();
+    }
+    for e in c.edge_ids() {
+        let d = c.edge(e);
+        let marks = c.edge_region_marks(e);
+        let label = label_pairs(&d.label);
+        writeln!(
+            out,
+            "e{} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+            e.0, d.tail, d.head, d.polyline, d.left_face, d.right_face, marks, label
+        )
+        .unwrap();
+    }
+    for f in c.face_ids() {
+        let d = c.face(f);
+        let label = label_pairs(&d.label);
+        writeln!(out, "f{} {} {:?} {:?}", f.0, d.is_exterior, d.boundary_edges, label).unwrap();
+    }
+    crc32(out.as_bytes())
 }
 
 /// Hold the digest of every case against its constant, reporting every
@@ -52,19 +85,19 @@ fn paper_fixtures() {
     check(
         cases.into_iter().map(|(n, i)| (n.to_string(), i)).collect(),
         &[
-            ("fig_1a", 0xbae5ccf4),
-            ("fig_1b", 0x3b278d94),
-            ("fig_1c", 0x185bfa73),
-            ("fig_1d", 0x5d5b96e9),
-            ("ring", 0xbd709c4d),
-            ("ring_with_flag", 0x995f1311),
-            ("ring_with_island(true)", 0x5f1ee8d9),
-            ("ring_with_island(false)", 0x0acd9c0e),
-            ("petals_abcd", 0x38a9275f),
-            ("petals_acbd", 0x05691a18),
-            ("nested_three", 0xfb39f13e),
-            ("shared_boundary", 0x346fee19),
-            ("rectilinear_pair", 0xe846158e),
+            ("fig_1a", 0x868996b6),
+            ("fig_1b", 0xc0990a8b),
+            ("fig_1c", 0xa3e41b78),
+            ("fig_1d", 0xd9427ed2),
+            ("ring", 0xdc1b7615),
+            ("ring_with_flag", 0x998be9c1),
+            ("ring_with_island(true)", 0x866a98f1),
+            ("ring_with_island(false)", 0xa62dd363),
+            ("petals_abcd", 0x1bd164d2),
+            ("petals_acbd", 0x47ba719c),
+            ("nested_three", 0x5341ef28),
+            ("shared_boundary", 0x4fb86b11),
+            ("rectilinear_pair", 0x8c226d3a),
         ],
     );
 }
@@ -74,14 +107,14 @@ fn fig_2_pairs() {
     check(
         fixtures::fig_2_pairs().into_iter().map(|(n, i)| (n.to_string(), i)).collect(),
         &[
-            ("disjoint", 0x60b3fbbc),
-            ("meet", 0xd1f442cc),
-            ("overlap", 0xaa3e4d75),
-            ("equal", 0x33a717f3),
-            ("contains", 0xae73b266),
-            ("inside", 0x6861b60c),
-            ("covers", 0x1f2a755e),
-            ("covered_by", 0x64570691),
+            ("disjoint", 0x18565852),
+            ("meet", 0x666f1d2f),
+            ("overlap", 0x95a29af1),
+            ("equal", 0x1d58d802),
+            ("contains", 0xc0158866),
+            ("inside", 0x58eb844c),
+            ("covers", 0xcfbbf421),
+            ("covered_by", 0x8d6f76c3),
         ],
     );
 }
@@ -105,18 +138,18 @@ fn datagen_families() {
     check(
         cases.into_iter().map(|(n, i)| (n.to_string(), i)).collect(),
         &[
-            ("grid_map(5,4,4)", 0x8c06ff43),
-            ("nested_rings(6)", 0xc7dc5b6c),
-            ("overlapping_chain(8)", 0x711b0c07),
-            ("random_rectangles(12,40,3)", 0x90e9897a),
-            ("flower(6,2)", 0x06d2ac55),
-            ("dense_overlap_map(4,4,4)", 0x1e8ef269),
-            ("jittered_overlap_map(6,6,12,0)", 0xf9a836b0),
-            ("road_network_map(4,4,12,1)", 0x17618563),
-            ("clustered_map(4,16,2)", 0x2c3cbce6),
-            ("zipf_clustered_map(6,48,5)", 0x83d69605),
-            ("wide_map(12,7)", 0x2d77b3d5),
-            ("jittered_overlap_map(16,16,12,1996)", 0xabd949da),
+            ("grid_map(5,4,4)", 0x46a71847),
+            ("nested_rings(6)", 0x17f4dca6),
+            ("overlapping_chain(8)", 0xb56030da),
+            ("random_rectangles(12,40,3)", 0x536adefd),
+            ("flower(6,2)", 0xa643c0ff),
+            ("dense_overlap_map(4,4,4)", 0xb4ac617e),
+            ("jittered_overlap_map(6,6,12,0)", 0xb6cf0749),
+            ("road_network_map(4,4,12,1)", 0x0b047a5f),
+            ("clustered_map(4,16,2)", 0x3a1c08e7),
+            ("zipf_clustered_map(6,48,5)", 0xfb7639d2),
+            ("wide_map(12,7)", 0x69184b77),
+            ("jittered_overlap_map(16,16,12,1996)", 0x6ad010c5),
         ],
     );
 }

@@ -138,10 +138,7 @@ fn e04_fig5_invariant_of_fig1c() {
 fn e05_fig6_exterior_face_is_essential() {
     let t = Invariant::of_instance(&fixtures::ring_with_flag());
     let hole = (0..t.face_count())
-        .find(|&f| {
-            f != t.exterior_face()
-                && t.face_label(f).iter().all(|&s| s == topodb::arrangement::Sign::Exterior)
-        })
+        .find(|&f| f != t.exterior_face() && *t.face_label(f) == Default::default())
         .unwrap();
     let swapped = t.with_exterior(hole);
     assert!(find_isomorphism(&t, &swapped, IsoOptions::without_exterior()).is_some());
