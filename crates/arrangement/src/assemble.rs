@@ -26,6 +26,10 @@
 //! A [`ComponentComplex`] is immutable and shared behind an
 //! `Arc` by the component cache in `topodb`: re-assembling
 //! after a localized update reuses every untouched component unchanged.
+//! A touched component is rebuilt ([`update_components`]), but it carries
+//! the cut sets of its split: the rebuild sweeps only the segments near a
+//! new or a vanished segment, together with their cutters, and copies every
+//! other cut set from the components its group absorbed (`build_group`).
 //!
 //! [`assemble_components`] is the *copying* assembly: it materializes a flat
 //! [`CellComplex`] in `O(total cells)`. Its zero-copy, index-identical
@@ -39,7 +43,7 @@ use crate::builder::build_local;
 use crate::complex::{CellComplex, ComplexRead};
 use crate::index::SpatialIndex;
 use crate::partition::{repartition, BBox, ComponentGroup, Member, Repartition};
-use crate::split::{split_segments, TaggedSegment};
+use crate::split::{assemble_subsegments, resplit, CutSets, TaggedSegment};
 use crate::types::*;
 use spatial_core::polygon::ring_encloses;
 use spatial_core::prelude::*;
@@ -57,13 +61,27 @@ pub struct BoundedCycle {
 
 /// The independently built cell complex of one interaction component,
 /// together with the geometric data the assembly step needs to embed it into
-/// the global complex, and the read-path memos derived from it.
+/// the global complex, the cut sets of its split, and the read-path memos
+/// derived from it.
+///
+/// The cut sets are the output of the component's split, kept so that the
+/// next build of the component copies the cut sets of every segment nothing
+/// near changed instead of sweeping them again ([`update_components`]). The
+/// first and last cut point of a segment are its endpoints, so the cut sets
+/// also hold the component's geometry: a rebuild reads the old segments of
+/// a removed region from them.
 #[derive(Clone, Debug)]
 pub struct ComponentComplex {
     pub(crate) complex: CellComplex,
     pub(crate) bounded_cycles: Vec<BoundedCycle>,
     pub(crate) bbox: Option<BBox>,
     pub(crate) rep_point: Option<Point>,
+    /// The cut sets of the component's segments, in build order: each local
+    /// region's boundary edges in turn, regions ascending.
+    pub(crate) cuts: CutSets,
+    /// Local region `r`'s segments are `cuts` entries
+    /// `region_segments[r]..region_segments[r + 1]`.
+    pub(crate) region_segments: Vec<usize>,
     pub(crate) memo: ComponentMemo,
 }
 
@@ -130,6 +148,16 @@ impl ComponentComplex {
         })
     }
 
+    /// The local id of the region `name`, if it is one of the component's.
+    fn local_region(&self, name: &str) -> Option<usize> {
+        self.region_names().binary_search_by(|n| n.as_str().cmp(name)).ok()
+    }
+
+    /// The cut sets of local region `r`'s segments, in boundary order.
+    pub(crate) fn region_cuts(&self, r: usize) -> impl Iterator<Item = &[Point]> {
+        (self.region_segments[r]..self.region_segments[r + 1]).map(|s| self.cuts.get(s))
+    }
+
     /// The component's local cell complex (labels cover only the component's
     /// own regions).
     pub fn complex(&self) -> &CellComplex {
@@ -149,13 +177,13 @@ impl ComponentComplex {
 }
 
 /// Build the sub-complex of one partition group of an instance on the
-/// calling thread.
+/// calling thread, sweeping every segment.
 pub fn build_group_component(
     instance: &SpatialInstance,
     group: &ComponentGroup,
 ) -> ComponentComplex {
     let members = group_members(instance, &instance.names(), group);
-    build_group(&members)
+    build_group(&members, &[], &[])
 }
 
 /// The regions of a partition group of `instance`, whose sorted name list
@@ -172,43 +200,93 @@ pub(crate) fn group_members<'a>(
         .collect()
 }
 
-/// The one component build: gather the members' boundary segments, split
-/// them at their mutual intersections with one plane sweep, and run the
-/// local pipeline over the pieces, all on the calling thread. `members` is
-/// sorted by name.
-pub(crate) fn build_group(members: &[Member<'_>]) -> ComponentComplex {
-    let local_names = members.iter().map(|(name, _)| name.to_string()).collect();
-    let segments: Vec<TaggedSegment> = members
-        .iter()
-        .enumerate()
-        .flat_map(|(local, (_, region))| {
-            region.boundary().edges().map(move |segment| TaggedSegment { segment, region: local })
-        })
-        .collect();
-    let bbox = segments
-        .iter()
-        .map(|t| BBox::of_segment(&t.segment))
-        .reduce(|a, b| a.union(&b));
-    let subs = split_segments(&segments);
-    let (complex, bounded_cycles) = build_local(local_names, &subs);
-    let rep_point = complex.vertices.first().map(|v| v.point);
-    ComponentComplex { complex, bounded_cycles, bbox, rep_point, memo: ComponentMemo::default() }
+/// The boundary segments of `members`, tagged with their local region ids,
+/// in build order, and the offset of each member's run of them (one more
+/// entry than members).
+pub(crate) fn group_segments(members: &[Member<'_>]) -> (Vec<TaggedSegment>, Vec<usize>) {
+    let mut segments = Vec::new();
+    let mut offsets = Vec::with_capacity(members.len() + 1);
+    for (local, (_, region)) in members.iter().enumerate() {
+        offsets.push(segments.len());
+        let edges = region.boundary().edges();
+        segments.extend(edges.map(|segment| TaggedSegment { segment, region: local }));
+    }
+    offsets.push(segments.len());
+    (segments, offsets)
 }
 
-/// Sweep the groups `slots` leaves empty — up to
+/// The one component build: gather the members' boundary segments, split
+/// them at their mutual intersections, and run the local pipeline over the
+/// pieces, all on the calling thread. `members` is sorted by name.
+///
+/// `bases` are the components the group absorbed and `changed` the names
+/// whose extent changed since: a member that is in a base and not changed
+/// has the same segments there, whose cut sets the split carries over
+/// wherever no fresh segment and no segment of a changed region of a base
+/// comes near (`split::resplit`). With no bases every segment is fresh and
+/// the split is one sweep of all of them.
+pub(crate) fn build_group(
+    members: &[Member<'_>],
+    bases: &[&ComponentComplex],
+    changed: &[&str],
+) -> ComponentComplex {
+    let local_names = members.iter().map(|(name, _)| name.to_string()).collect();
+    let (segments, region_segments) = group_segments(members);
+    let boxes: Vec<BBox> = segments.iter().map(|t| BBox::of_segment(&t.segment)).collect();
+    let bbox = boxes.iter().cloned().reduce(|a, b| a.union(&b));
+
+    let mut carried: Vec<Option<&[Point]>> = Vec::with_capacity(segments.len());
+    for (m, (name, _)) in members.iter().enumerate() {
+        let base = bases.iter().find_map(|b| Some((b, b.local_region(name)?)));
+        match base.filter(|_| !changed.contains(name)) {
+            Some((b, r)) => carried.extend(b.region_cuts(r).map(Some)),
+            None => carried.resize(region_segments[m + 1], None),
+        }
+        debug_assert_eq!(carried.len(), region_segments[m + 1], "a region keeps its segments");
+    }
+    // The old segments of the bases' changed regions, read back from the
+    // first and last cut point of each.
+    let gone: Vec<BBox> = bases
+        .iter()
+        .flat_map(|b| {
+            let names = b.region_names().iter().enumerate();
+            let changed_regions = names.filter(|(_, n)| changed.contains(&n.as_str()));
+            changed_regions.flat_map(|(r, _)| b.region_cuts(r))
+        })
+        .filter_map(|cuts| BBox::of_points(&[*cuts.first()?, *cuts.last()?]))
+        .collect();
+
+    let cuts = resplit(&segments, &boxes, &carried, &gone);
+    let subs = assemble_subsegments(&segments, &cuts);
+    let (complex, bounded_cycles) = build_local(local_names, &subs);
+    let rep_point = complex.vertices.first().map(|v| v.point);
+    ComponentComplex {
+        complex,
+        bounded_cycles,
+        bbox,
+        rep_point,
+        cuts,
+        region_segments,
+        memo: ComponentMemo::default(),
+    }
+}
+
+/// Fill the slots left empty with `build(i)` for slot `i` — up to
 /// [`crate::parallel::available_threads`] components at a time, each built
-/// serially by one worker — and return every group's component together with
-/// how many were swept.
-fn fill_slots(
-    groups: &[Vec<Member<'_>>],
+/// serially by one worker — and return every slot's component together with
+/// how many were built.
+fn fill_slots<F>(
     mut slots: Vec<Option<Arc<ComponentComplex>>>,
-) -> (Vec<Arc<ComponentComplex>>, usize) {
+    build: F,
+) -> (Vec<Arc<ComponentComplex>>, usize)
+where
+    F: Fn(usize) -> ComponentComplex + Sync,
+{
     let missing: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
     if !missing.is_empty() {
         let threads = crate::parallel::available_threads();
-        let built = crate::parallel::map_indexed(missing.len(), threads, |j| {
-            Arc::new(build_group(&groups[missing[j]]))
-        });
+        let built =
+            crate::parallel::map_indexed(missing.len(), threads, |j| Arc::new(build(missing[j])));
         for (j, component) in built.into_iter().enumerate() {
             slots[missing[j]] = Some(component);
         }
@@ -256,7 +334,7 @@ where
         .collect();
     let keys: Vec<Vec<String>> = groups.iter().map(|g| group_key(g)).collect();
     let slots = keys.iter().map(|key| reuse(key)).collect();
-    let (components, rebuilt) = fill_slots(&groups, slots);
+    let (components, rebuilt) = fill_slots(slots, |i| build_group(&groups[i], &[], &[]));
     ComponentSet { keys, components, rebuilt }
 }
 
@@ -267,10 +345,10 @@ pub struct ComponentUpdate {
     /// own [`ComponentComplex::region_names`].
     pub components: Vec<Arc<ComponentComplex>>,
     /// Aligned with `components`: the index in `prev` of a component that
-    /// was carried over, `None` for one that was swept or hinted.
+    /// was carried over, `None` for one that was rebuilt or hinted.
     pub carried_from: Vec<Option<usize>>,
-    /// How many entries of `components` were swept from scratch (the rest
-    /// were carried over from `prev` or supplied by `hint`).
+    /// How many entries of `components` were rebuilt (the rest were
+    /// carried over from `prev` or supplied by `hint`).
     pub rebuilt: usize,
 }
 
@@ -286,8 +364,13 @@ pub struct ComponentUpdate {
 /// remaining regions are partitioned, and each resulting group is offered
 /// to `hint` — which may return an already-built component for that exact
 /// sorted name set, guaranteed by the caller to match the group's current
-/// geometry — before being swept from scratch under the same fan-out as
-/// [`build_components_with_reuse`].
+/// geometry — before being rebuilt under the same fan-out as
+/// [`build_components_with_reuse`]. A rebuild re-splits only the
+/// neighbourhood of the change: it copies the cut sets of every segment of
+/// an unchanged member whose box meets no fresh segment and no segment of a
+/// changed region, from the component of `prev` it was built in, and
+/// sweeps the rest (`build_group`). The components it yields are those a
+/// sweep from scratch yields, carried cut sets included.
 ///
 /// The cold build is the degenerate update: no `prev`, every name changed.
 /// The result always equals what [`build_components_with_reuse`] produces
@@ -304,8 +387,12 @@ where
     F: Fn(&[String]) -> Option<Arc<ComponentComplex>>,
 {
     let Repartition { carried, groups } = repartition(prev, instance, changed);
-    let slots = groups.iter().map(|g| hint(&group_key(g))).collect();
-    let (fresh, rebuilt) = fill_slots(&groups, slots);
+    let changed: Vec<&str> = changed.iter().map(AsRef::as_ref).collect();
+    let slots = groups.iter().map(|g| hint(&group_key(&g.members))).collect();
+    let (fresh, rebuilt) = fill_slots(slots, |i| {
+        let bases: Vec<&ComponentComplex> = groups[i].bases.iter().map(|&b| &*prev[b]).collect();
+        build_group(&groups[i].members, &bases, &changed)
+    });
 
     // Both lists ascend by smallest member name; so must their merge.
     let mut components = Vec::with_capacity(carried.len() + fresh.len());
@@ -677,6 +764,66 @@ mod tests {
             .expect("host-only face");
         // Host's own loop + both island loops.
         assert_eq!(c.face_edges(host_only).len(), 3);
+    }
+
+    /// Debug builds (the plain `cargo test`) replay a prefix of each trace;
+    /// CI runs these oracles in release mode at full length.
+    const TRACE_STEPS: usize = if cfg!(debug_assertions) { 40 } else { 300 };
+    const DENSE_STEPS: usize = if cfg!(debug_assertions) { 40 } else { 300 };
+
+    /// Replay `trace` over `instance` through [`update_components`], and
+    /// after every step hold each rebuilt component's carried cut sets
+    /// against one sweep of its segments from scratch.
+    fn replay_checking_cut_sets(mut instance: SpatialInstance, trace: &[Vec<datagen::TraceOp>]) {
+        let names = instance.names();
+        let mut components = update_components(&[], &instance, &names, |_| None).components;
+        for (step, batch) in trace.iter().enumerate() {
+            let mut changed: Vec<String> = Vec::new();
+            for op in batch {
+                let (name, effective) = match op {
+                    datagen::TraceOp::Insert(name, region) => {
+                        let old = instance.insert(name.clone(), region.clone());
+                        (name, old.as_ref() != Some(region))
+                    }
+                    datagen::TraceOp::Remove(name) => (name, instance.remove(name).is_some()),
+                };
+                if effective && !changed.contains(name) {
+                    changed.push(name.clone());
+                }
+            }
+            let update = update_components(&components, &instance, &changed, |_| None);
+            let rebuilt = update.components.iter().zip(&update.carried_from);
+            for (c, _) in rebuilt.filter(|(_, from)| from.is_none()) {
+                let members: Vec<Member<'_>> = c
+                    .region_names()
+                    .iter()
+                    .map(|n| (n.as_str(), instance.ext(n).expect("member exists")))
+                    .collect();
+                let (segments, offsets) = group_segments(&members);
+                assert_eq!(c.region_segments, offsets, "segment offsets at step {step}");
+                assert!(
+                    c.cuts == crate::sweep::sweep_cut_sets(&segments),
+                    "carried cut sets of {:?} differ from a sweep at step {step}",
+                    c.region_names()
+                );
+            }
+            components = update.components;
+        }
+    }
+
+    #[test]
+    fn carried_cut_sets_equal_a_sweep_along_op_traces() {
+        for seed in 0..4 {
+            let trace = datagen::op_trace(TRACE_STEPS, 0x5eed + seed);
+            replay_checking_cut_sets(datagen::clustered_map(4, 6, seed), &trace);
+            replay_checking_cut_sets(datagen::jittered_overlap_map(10, 3, 12, seed), &trace);
+        }
+    }
+
+    #[test]
+    fn carried_cut_sets_equal_a_sweep_along_the_dense_trace() {
+        let trace = datagen::dense_edit_trace(16, 16, 12, DENSE_STEPS, 7);
+        replay_checking_cut_sets(datagen::jittered_overlap_map(16, 16, 12, 1996), &trace);
     }
 
     #[test]

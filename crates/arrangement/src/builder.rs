@@ -79,7 +79,7 @@ pub fn build_component_complexes(
     let names = instance.names();
     map_indexed(groups.len(), threads, |i| {
         let members = crate::assemble::group_members(instance, &names, &groups[i]);
-        Arc::new(crate::assemble::build_group(&members))
+        Arc::new(crate::assemble::build_group(&members, &[], &[]))
     })
 }
 

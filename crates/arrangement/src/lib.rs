@@ -49,7 +49,9 @@
 //!    component itself is built serially. The result is an
 //!    immutable [`ComponentComplex`], shareable behind an `Arc` so callers
 //!    (the `topodb` component cache) can reuse untouched components across
-//!    updates.
+//!    updates. It keeps the cut sets of its split: when an update rebuilds
+//!    it, only the segments near what changed, and their cutters, are swept
+//!    again; every other segment's cut set is copied.
 //! 3. **Assemble**: the component complexes are composed into the global
 //!    complex — components strictly nested inside a face of another
 //!    component are embedded there (their local exterior face is unified
@@ -98,9 +100,12 @@
 //! pointer-identically — its regions are not enumerated, its names not
 //! copied, its coordinates not compared beyond one test of its bounding
 //! box — and keeps its nesting parent. Only the rest is partitioned (stage
-//! 1), swept (stage 2) and located among the others (stage 3). The cold
-//! build is the degenerate update: no previous components, every name
-//! changed.
+//! 1), rebuilt (stage 2) and located among the others (stage 3). A rebuilt
+//! component re-splits only the neighbourhood of the change: the segments
+//! whose boxes meet a new or a vanished segment are swept again, with their
+//! cutters, and every other cut set is copied from the component it was
+//! last built in. The cold build is the degenerate update: no previous
+//! components, every name changed, every segment swept.
 //!
 //! The invariant of this path is that **the carried partition equals
 //! [`partition_instance`] of the carried instance**: same groups, same

@@ -195,9 +195,19 @@ pub(crate) struct Repartition<'a> {
     /// Indices into `prev` of the components that are still exactly
     /// components of the updated instance, ascending.
     pub carried: Vec<usize>,
-    /// The interaction components of everything else: members sorted by
-    /// name, groups sorted by their smallest member name.
-    pub groups: Vec<Vec<Member<'a>>>,
+    /// The interaction components of everything else, sorted by their
+    /// smallest member name.
+    pub groups: Vec<Group<'a>>,
+}
+
+/// One interaction component [`repartition`] re-derived.
+pub(crate) struct Group<'a> {
+    /// The member regions, sorted by name.
+    pub members: Vec<Member<'a>>,
+    /// Indices into `prev` of the components whose regions the group
+    /// absorbed — broken ones for their survivors, hit ones whole —
+    /// ascending: where its unchanged members were last built.
+    pub bases: Vec<usize>,
 }
 
 /// Patch a partition instead of recomputing it: given the components `prev`
@@ -231,17 +241,19 @@ pub(crate) fn repartition<'a, S: AsRef<str>>(
     let is_changed = |name: &str| changed.iter().any(|c| c.as_ref() == name);
 
     // A unit is what `partition_segments` treats as one connected curve:
-    // its members (sorted by name) and the segments that speak for it. A
-    // region on its own speaks with its whole boundary.
-    type Unit<'a> = (Vec<Member<'a>>, Vec<Segment>);
-    let region_unit = |m: Member<'a>| -> Unit<'a> { (vec![m], m.1.boundary().edges().collect()) };
+    // its members (sorted by name), the segments that speak for it, and the
+    // component of `prev` it comes from, if any. A region on its own speaks
+    // with its whole boundary.
+    type Unit<'a> = (Vec<Member<'a>>, Vec<Segment>, Option<usize>);
+    let region_unit =
+        |m: Member<'a>, base| -> Unit<'a> { (vec![m], m.1.boundary().edges().collect(), base) };
     let mut units: Vec<Unit<'a>> = changed
         .iter()
         .filter_map(|name| Some((name.as_ref(), instance.ext(name.as_ref())?)))
-        .map(region_unit)
+        .map(|m| region_unit(m, None))
         .collect();
     let fresh = units.len();
-    let hull = units.iter().map(|(m, _)| BBox::of_region(m[0].1)).reduce(|a, b| a.union(&b));
+    let hull = units.iter().map(|(m, _, _)| BBox::of_region(m[0].1)).reduce(|a, b| a.union(&b));
     let near = |b: &BBox| hull.as_ref().is_some_and(|h| h.intersects(b));
     // The boxes of the new segments, needed once a component comes near.
     let fresh_boxes = std::cell::OnceCell::new();
@@ -256,13 +268,15 @@ pub(crate) fn repartition<'a, S: AsRef<str>>(
                 && names.binary_search_by(|n| n.as_str().cmp(c)).is_ok()
         });
         if broken {
-            units.extend(names.iter().filter(|n| !is_changed(n)).map(|n| region_unit(member(n))));
+            let survivors = names.iter().filter(|n| !is_changed(n));
+            units.extend(survivors.map(|n| region_unit(member(n), Some(i))));
             continue;
         }
         let contact: Vec<Segment> = match component.bbox() {
             Some(bbox) if near(bbox) => {
                 let fresh_boxes: &Vec<BBox> = fresh_boxes.get_or_init(|| {
-                    units[..fresh].iter().flat_map(|(_, s)| s.iter().map(BBox::of_segment)).collect()
+                    let fresh = units[..fresh].iter();
+                    fresh.flat_map(|(_, s, _)| s.iter().map(BBox::of_segment)).collect()
                 });
                 names
                     .iter()
@@ -278,25 +292,31 @@ pub(crate) fn repartition<'a, S: AsRef<str>>(
         if contact.is_empty() {
             carried.push(i);
         } else {
-            units.push((names.iter().map(|n| member(n)).collect(), contact));
+            units.push((names.iter().map(|n| member(n)).collect(), contact, Some(i)));
         }
     }
 
     // Units in order of their smallest name, so that the partitioner's
     // "sorted by smallest member index" is "sorted by smallest name".
-    units.sort_by_key(|(members, _)| members[0].0);
+    units.sort_by_key(|(members, _, _)| members[0].0);
     let tagged: Vec<TaggedSegment> = units
         .iter()
         .enumerate()
-        .flat_map(|(u, (_, segs))| segs.iter().map(move |&segment| TaggedSegment { segment, region: u }))
+        .flat_map(|(u, (_, segs, _))| {
+            segs.iter().map(move |&segment| TaggedSegment { segment, region: u })
+        })
         .collect();
     let groups = partition_segments(&tagged, units.len())
         .into_iter()
         .map(|group| {
+            let units = group.region_indices.iter().map(|&u| &units[u]);
             let mut members: Vec<Member<'a>> =
-                group.region_indices.iter().flat_map(|&u| units[u].0.iter().copied()).collect();
+                units.clone().flat_map(|(m, _, _)| m.iter().copied()).collect();
             members.sort_by_key(|m| m.0);
-            members
+            let mut bases: Vec<usize> = units.filter_map(|(_, _, base)| *base).collect();
+            bases.sort_unstable();
+            bases.dedup();
+            Group { members, bases }
         })
         .collect();
     Repartition { carried, groups }

@@ -7,7 +7,8 @@
 //! marks (this is how shared boundaries — the Egenhofer `meet`, `covers`,
 //! `equal` situations — are represented exactly).
 //!
-//! Two interchangeable splitters produce the cut points:
+//! The cut points of a segment list are its [`CutSets`]. Two interchangeable
+//! splitters produce them:
 //!
 //! * [`split_segments`] — the production path, a Bentley–Ottmann plane
 //!   sweep ([`crate::sweep`]) running in `O((n + k) log n)` for `n`
@@ -20,11 +21,22 @@
 //! segment's consecutive cut points and merges geometrically coincident
 //! pieces from different regions.
 //!
+//! Cuts are pairwise: a segment's cut set comes only from the segments whose
+//! boxes meet its own. A component therefore keeps the cut sets of its build,
+//! and the rebuild of a component a commit touches re-splits only the
+//! neighbourhood of what changed (`resplit`): it sweeps the segments whose
+//! boxes meet a new or a vanished segment, together with their cutters, and
+//! copies every other cut set from the component it was carried in. A build
+//! with nothing to carry — the cold build, and the from-scratch references
+//! `crate::build_components_with_reuse` and `crate::build_group_component` —
+//! is one sweep of every segment.
+//!
 //! Every piece carries the direction of the input segment it lies on
 //! ([`SubSegment::dir`]): a difference of two input endpoints, where the
 //! piece's own endpoints may be intersection points whose denominators grow
 //! with the square of the input coordinates.
 
+use crate::partition::BBox;
 use spatial_core::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,21 +77,76 @@ pub fn instance_segments(instance: &SpatialInstance) -> Vec<TaggedSegment> {
     out
 }
 
-/// The cut-point sets of each input segment, always containing at least the
-/// segment's own endpoints.
-pub type CutSets = Vec<BTreeSet<Point>>;
+/// The cut points of a list of segments: for each segment, in list order,
+/// the points at which it must be cut, ascending — its own two endpoints
+/// first and last, and between them every point where another segment of
+/// the list crosses, touches or overlaps it.
+///
+/// All cut sets share one flat point buffer, so a run of them copies as one
+/// slice.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct CutSets {
+    points: Vec<Point>,
+    /// Segment `s`'s cut points end at `points[ends[s]]` (exclusive) and
+    /// start where segment `s - 1`'s end.
+    ends: Vec<usize>,
+}
 
-/// Fresh cut sets seeded with every segment's own endpoints.
-pub fn endpoint_cuts(segments: &[TaggedSegment]) -> CutSets {
-    segments
-        .iter()
-        .map(|ts| {
-            let mut s = BTreeSet::new();
-            s.insert(ts.segment.a);
-            s.insert(ts.segment.b);
-            s
-        })
-        .collect()
+impl CutSets {
+    /// The cut sets of `n` segments from `(segment, cut point)` incidences,
+    /// duplicates allowed, which must name both endpoints of every segment.
+    pub(crate) fn from_incidences(n: usize, mut incidences: Vec<(usize, Point)>) -> CutSets {
+        incidences.sort_unstable();
+        incidences.dedup();
+        let mut ends = vec![0; n];
+        for &(s, _) in &incidences {
+            ends[s] += 1;
+        }
+        let mut end = 0;
+        for e in &mut ends {
+            end += *e;
+            *e = end;
+        }
+        CutSets { points: incidences.into_iter().map(|(_, p)| p).collect(), ends }
+    }
+
+    /// The number of segments.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Are there no segments?
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Segment `s`'s cut points, ascending.
+    pub fn get(&self, s: usize) -> &[Point] {
+        let start = if s == 0 { 0 } else { self.ends[s - 1] };
+        &self.points[start..self.ends[s]]
+    }
+
+    /// Every segment's cut points, in segment order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Point]> {
+        (0..self.len()).map(|s| self.get(s))
+    }
+
+    /// Append the cut points of one more segment.
+    fn push(&mut self, cuts: &[Point]) {
+        self.points.extend_from_slice(cuts);
+        self.ends.push(self.points.len());
+    }
+}
+
+/// Both endpoints of every segment as `(segment, point)` incidences: the
+/// seed of every splitter's cut sets.
+pub(crate) fn endpoint_incidences(segments: &[TaggedSegment]) -> Vec<(usize, Point)> {
+    let mut out = Vec::with_capacity(4 * segments.len());
+    for (s, ts) in segments.iter().enumerate() {
+        out.push((s, ts.segment.a));
+        out.push((s, ts.segment.b));
+    }
+    out
 }
 
 /// Split all segments at their mutual intersection points and merge
@@ -94,25 +161,91 @@ pub fn split_segments(segments: &[TaggedSegment]) -> Vec<SubSegment> {
 /// ordering argument — its output is the specification the sweep must match.
 pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
     let n = segments.len();
-    let mut cuts = endpoint_cuts(segments);
+    let mut cuts = endpoint_incidences(segments);
     for i in 0..n {
         for j in (i + 1)..n {
             match segments[i].segment.intersect(&segments[j].segment) {
                 SegmentIntersection::None => {}
                 SegmentIntersection::Point(p) => {
-                    cuts[i].insert(p);
-                    cuts[j].insert(p);
+                    cuts.extend([(i, p), (j, p)]);
                 }
                 SegmentIntersection::Overlap(ov) => {
-                    cuts[i].insert(ov.a);
-                    cuts[i].insert(ov.b);
-                    cuts[j].insert(ov.a);
-                    cuts[j].insert(ov.b);
+                    cuts.extend([(i, ov.a), (i, ov.b), (j, ov.a), (j, ov.b)]);
                 }
             }
         }
     }
-    assemble_subsegments(segments, &cuts)
+    assemble_subsegments(segments, &CutSets::from_incidences(n, cuts))
+}
+
+/// The cut sets of `segments`, whose boxes are `boxes`, re-splitting only
+/// the neighbourhood of what changed since some of them were split before.
+///
+/// `carried[s]` is segment `s`'s cut set in the component it was last built
+/// in, or `None` for a fresh segment (of an inserted or re-shaped region);
+/// `gone` holds the boxes of the segments that component had and `segments`
+/// no longer has (of a removed or re-shaped region). A carried segment is
+/// *affected* if its box meets a fresh or a gone segment's; every fresh
+/// segment is affected. One sweep over the affected segments and every
+/// segment whose box meets one of theirs yields the affected cut sets
+/// exactly, since each of their cutters is in it; the rest of its output is
+/// dropped, and every unaffected segment keeps its carried cut set, since
+/// nothing that could cut it changed.
+///
+/// With nothing carried, the neighbourhood is everything: the result is the
+/// one sweep of `segments`, as [`crate::sweep::sweep_cut_sets`] returns it.
+pub(crate) fn resplit(
+    segments: &[TaggedSegment],
+    boxes: &[BBox],
+    carried: &[Option<&[Point]>],
+    gone: &[BBox],
+) -> CutSets {
+    debug_assert!(segments.len() == boxes.len() && segments.len() == carried.len());
+    if carried.iter().all(Option::is_none) {
+        return crate::sweep::sweep_cut_sets(segments);
+    }
+    let changed = BoxSet::new(
+        (0..segments.len()).filter(|&s| carried[s].is_none()).map(|s| &boxes[s]).chain(gone),
+    );
+    let affected: Vec<bool> =
+        (0..segments.len()).map(|s| carried[s].is_none() || changed.meets(&boxes[s])).collect();
+    let reach = BoxSet::new((0..segments.len()).filter(|&s| affected[s]).map(|s| &boxes[s]));
+    let hood: Vec<usize> =
+        (0..segments.len()).filter(|&s| affected[s] || reach.meets(&boxes[s])).collect();
+    let hood_segments: Vec<TaggedSegment> = hood.iter().map(|&s| segments[s].clone()).collect();
+    let swept = crate::sweep::sweep_cut_sets(&hood_segments);
+
+    let mut out = CutSets::default();
+    let mut at = 0;
+    for (s, old) in carried.iter().enumerate() {
+        if affected[s] {
+            at += hood[at..].partition_point(|&h| h < s);
+            out.push(swept.get(at));
+        } else {
+            out.push(old.expect("an unaffected segment is carried"));
+        }
+    }
+    out
+}
+
+/// A few boxes and their union, tested against one box at a time.
+struct BoxSet<'a> {
+    boxes: Vec<&'a BBox>,
+    hull: Option<BBox>,
+}
+
+impl<'a> BoxSet<'a> {
+    fn new(boxes: impl Iterator<Item = &'a BBox>) -> BoxSet<'a> {
+        let boxes: Vec<&BBox> = boxes.collect();
+        let hull = boxes.iter().map(|b| (*b).clone()).reduce(|a, b| a.union(&b));
+        BoxSet { boxes, hull }
+    }
+
+    /// Does `b` meet one of the boxes?
+    fn meets(&self, b: &BBox) -> bool {
+        self.hull.as_ref().is_some_and(|h| h.intersects(b))
+            && self.boxes.iter().any(|c| c.intersects(b))
+    }
 }
 
 /// Shared final phase of both splitters: emit the pieces between
@@ -128,8 +261,9 @@ pub fn assemble_subsegments(segments: &[TaggedSegment], cuts: &CutSets) -> Vec<S
     for (ts, cut_points) in segments.iter().zip(cuts.iter()) {
         let d = ts.segment.direction();
         let dir = if ts.segment.a < ts.segment.b { d } else { d.neg() };
-        for (p, q) in cut_points.iter().zip(cut_points.iter().skip(1)) {
-            merged.entry((*p, *q)).or_insert_with(|| (dir, BTreeSet::new())).1.insert(ts.region);
+        for pq in cut_points.windows(2) {
+            let piece = merged.entry((pq[0], pq[1])).or_insert_with(|| (dir, BTreeSet::new()));
+            piece.1.insert(ts.region);
         }
     }
 

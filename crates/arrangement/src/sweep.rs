@@ -6,6 +6,13 @@
 //! `O((n + k) log n)` time for `n` segments with `k` intersection
 //! incidences, instead of the oracle's `O(n^2)` pairwise tests.
 //!
+//! The sweep records each cut as a `(segment, point)` incidence when it
+//! finds it, and sorts them into one flat [`CutSets`] at the end. Its output
+//! is exact for every input segment whose cutters are all in the input:
+//! that is every segment of a from-scratch build, and, when a rebuild
+//! re-splits only the neighbourhood of a change (`crate::split::resplit`),
+//! every affected segment of that neighbourhood.
+//!
 //! # Algorithm
 //!
 //! A vertical sweep line advances through *event points* in lexicographic
@@ -58,7 +65,7 @@
 //! insert/remove is far cheaper in practice than a pointer-chasing balanced
 //! tree at the instance sizes the workloads produce.
 
-use crate::split::{assemble_subsegments, endpoint_cuts, CutSets, SubSegment, TaggedSegment};
+use crate::split::{assemble_subsegments, endpoint_incidences, CutSets, SubSegment, TaggedSegment};
 use spatial_core::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -78,12 +85,16 @@ pub fn split_segments_sweep(segments: &[TaggedSegment]) -> Vec<SubSegment> {
 /// segment's own endpoints, every intersection point it is involved in, and
 /// the endpoints of every collinear overlap it participates in.
 pub fn sweep_cut_sets(segments: &[TaggedSegment]) -> CutSets {
-    let mut cuts = endpoint_cuts(segments);
+    let mut cuts = endpoint_incidences(segments);
     collinear_overlap_cuts(segments, &mut cuts);
     let segs: Vec<Segment> = segments.iter().map(|t| t.segment).collect();
     Sweep::new(&segs).run(&mut cuts);
-    cuts
+    CutSets::from_incidences(segments.len(), cuts)
 }
+
+/// Cut points as `(segment, point)` incidences, in discovery order and with
+/// repeats; [`CutSets::from_incidences`] sorts them into cut sets.
+type Incidences = Vec<(usize, Point)>;
 
 // ---------------------------------------------------------------------------
 // Collinear overlaps: supporting-line groups
@@ -114,7 +125,7 @@ fn line_key(s: &Segment) -> (Rational, Rational, Rational) {
 /// each of `lo`, `hi` is an endpoint of one of the two segments contained in
 /// the other; conversely an endpoint of `t` contained in collinear `s` is an
 /// endpoint of the pair's overlap.
-fn collinear_overlap_cuts(segments: &[TaggedSegment], cuts: &mut CutSets) {
+fn collinear_overlap_cuts(segments: &[TaggedSegment], cuts: &mut Incidences) {
     let mut groups: BTreeMap<(Rational, Rational, Rational), Vec<usize>> = BTreeMap::new();
     for (i, ts) in segments.iter().enumerate() {
         groups.entry(line_key(&ts.segment)).or_default().push(i);
@@ -138,9 +149,7 @@ fn collinear_overlap_cuts(segments: &[TaggedSegment], cuts: &mut CutSets) {
             let (lo, hi) = (segments[i].segment.sweep_source(), segments[i].segment.sweep_target());
             let from = endpoints.partition_point(|p| *p < lo);
             let to = endpoints.partition_point(|p| *p <= hi);
-            for p in &endpoints[from..to] {
-                cuts[i].insert(*p);
-            }
+            cuts.extend(endpoints[from..to].iter().map(|&p| (i, p)));
         }
     }
 }
@@ -175,7 +184,7 @@ impl<'a> Sweep<'a> {
         &self.segments[i]
     }
 
-    fn run(mut self, cuts: &mut [std::collections::BTreeSet<Point>]) {
+    fn run(mut self, cuts: &mut Incidences) {
         let mut events = 0u64;
         while let Some((p, starters)) = self.queue.pop_first() {
             self.handle_event(p, starters, cuts);
@@ -188,7 +197,7 @@ impl<'a> Sweep<'a> {
         &mut self,
         p: Point,
         starters: Vec<usize>,
-        cuts: &mut [std::collections::BTreeSet<Point>],
+        cuts: &mut Incidences,
     ) {
         // The run of status segments containing p. The status is ordered
         // with respect to `cmp_at_sweep` at p (all events before p have been
@@ -210,12 +219,7 @@ impl<'a> Sweep<'a> {
             let d0 = self.seg(through.next().expect("batch has >= 2 segments")).direction();
             let multi_line = through.any(|s| !d0.cross(&self.seg(s).direction()).is_zero());
             if multi_line {
-                for &s in &self.status[lo..hi] {
-                    cuts[s].insert(p);
-                }
-                for &s in &starters {
-                    cuts[s].insert(p);
-                }
+                cuts.extend(self.status[lo..hi].iter().chain(&starters).map(|&s| (s, p)));
             }
         }
 

@@ -163,6 +163,18 @@ fn traces_over_wide_map() {
     replay_traces("wide_map", |seed| datagen::wide_map(9, seed));
 }
 
+#[test]
+fn dense_trace_over_the_benchmark_map() {
+    // The dense map of the benchmark's editing workload, one component of
+    // 256 overlapping parcels, edited the way that workload edits it:
+    // corner-straddling inserts, removals of the oldest, re-shapes, 8-edit
+    // batches, and a bridge to an island that merges and splits components.
+    let mut state = Maintained::new(datagen::jittered_overlap_map(16, 16, 12, 1996));
+    for (step, batch) in datagen::dense_edit_trace(16, 16, 12, STEPS, 7).iter().enumerate() {
+        state.commit(batch, &format!("(dense_edit_trace, step {step})"));
+    }
+}
+
 /// Cluster areas of `clustered_map(4, _)`: 0 at (0,0), 1 at (100,0), 2 at
 /// (0,100), 3 at (100,100), each at most 30 wide; the space between them is
 /// empty.

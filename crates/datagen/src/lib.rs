@@ -449,6 +449,84 @@ pub fn op_trace(steps: usize, seed: u64) -> Vec<Vec<TraceOp>> {
     trace
 }
 
+/// A deterministic commit trace over [`jittered_overlap_map`]`(cols, rows,
+/// cell_size, _)`, editing the one big component the way a dense editing
+/// workload does. Batch 0 inserts `Island`, a rectangle east of the map
+/// that is a component of its own; after that:
+///
+/// * every 8th batch replaces every edit rectangle still held by fresh ones,
+///   8 edits in all;
+/// * batches 5, 30, 55, … insert `Bridge`, which crosses the map's east
+///   column and the island and so merges the two components, and the batch
+///   after each removes it again, splitting them;
+/// * otherwise one edit: a reshape (1 in 4) of a held rectangle or, 1 in 4
+///   of those, of a parcel redrawn in its own cell; the removal of the
+///   oldest held rectangle once 4 are held; or the insert of a new one.
+///
+/// Edit rectangles are named `X{serial:06}`; each straddles a parcel
+/// corner, overlapping at least two parcels, so the map stays one component.
+pub fn dense_edit_trace(
+    cols: usize,
+    rows: usize,
+    cell_size: i64,
+    steps: usize,
+    seed: u64,
+) -> Vec<Vec<TraceOp>> {
+    assert!(cols > 1 && rows > 1 && cell_size > 3);
+    let (w, h, cell) = (cols as i64, rows as i64, cell_size);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let straddling = |rng: &mut StdRng| {
+        let x1 = rng.gen_range(0..w - 1) * cell + cell / 2 + rng.gen_range(0..cell / 4);
+        let y1 = rng.gen_range(0..h - 1) * cell + cell / 2 + rng.gen_range(0..cell / 4);
+        let (dx, dy) = (cell + rng.gen_range(0..cell / 2), cell + rng.gen_range(0..cell / 2));
+        Region::rect_from_ints(x1, y1, x1 + dx, y1 + dy)
+    };
+    let mut held: std::collections::VecDeque<String> = std::collections::VecDeque::new();
+    let mut serial = 0usize;
+    let mut fresh = |held: &mut std::collections::VecDeque<String>, rng: &mut StdRng| {
+        let name = format!("X{serial:06}");
+        serial += 1;
+        held.push_back(name.clone());
+        TraceOp::Insert(name, straddling(rng))
+    };
+    let island = Region::rect_from_ints((w + 3) * cell, cell, (w + 4) * cell, 2 * cell);
+    let mut trace = vec![vec![TraceOp::Insert("Island".into(), island)]];
+    for step in 1..steps {
+        let batch = if step % 8 == 0 {
+            let mut batch: Vec<TraceOp> = held.drain(..).map(TraceOp::Remove).collect();
+            while batch.len() < 8 {
+                batch.push(fresh(&mut held, &mut rng));
+            }
+            batch
+        } else if step % 25 == 5 {
+            let y = cell + cell / 4;
+            let bridge = Region::rect_from_ints((w - 1) * cell, y, (w + 3) * cell + cell / 2, y + 2);
+            vec![TraceOp::Insert("Bridge".into(), bridge)]
+        } else if step % 25 == 6 {
+            vec![TraceOp::Remove("Bridge".into())]
+        } else if rng.gen_range(0..4) == 0 && !held.is_empty() {
+            if rng.gen_range(0..4) == 0 {
+                let (r, c) = (rng.gen_range(0..h), rng.gen_range(0..w));
+                let x1 = c * cell + rng.gen_range(0..cell / 3 + 1);
+                let y1 = r * cell + rng.gen_range(0..cell / 3 + 1);
+                let x2 = (c + 1) * cell + rng.gen_range(cell / 3 + 1..=cell);
+                let y2 = (r + 1) * cell + rng.gen_range(cell / 3 + 1..=cell);
+                let parcel = Region::rect_from_ints(x1, y1, x2, y2);
+                vec![TraceOp::Insert(format!("P{r:03}_{c:03}"), parcel)]
+            } else {
+                let target = held[rng.gen_range(0..held.len())].clone();
+                vec![TraceOp::Insert(target, straddling(&mut rng))]
+            }
+        } else if held.len() >= 4 {
+            vec![TraceOp::Remove(held.pop_front().expect("holds rectangles"))]
+        } else {
+            vec![fresh(&mut held, &mut rng)]
+        };
+        trace.push(batch);
+    }
+    trace
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,5 +748,33 @@ mod tests {
         assert!(!live.is_empty(), "the live set grows on balance");
         assert!(removes > 0, "the mix includes removals");
         assert!(replaces > 0, "the mix includes replacements");
+    }
+
+    #[test]
+    fn dense_edit_trace_is_deterministic_and_well_formed() {
+        let a = dense_edit_trace(16, 16, 12, 60, 3);
+        assert_eq!(a, dense_edit_trace(16, 16, 12, 60, 3));
+        assert_ne!(a, dense_edit_trace(16, 16, 12, 60, 4), "the seed matters");
+        assert_eq!(a.len(), 60);
+        let mut live: std::collections::BTreeSet<String> =
+            jittered_overlap_map(16, 16, 12, 1996).names().iter().map(|n| n.to_string()).collect();
+        let (mut reshapes, mut parcels) = (0usize, 0usize);
+        for (step, batch) in a.iter().enumerate() {
+            assert_eq!(batch.len() == 8, step > 0 && step % 8 == 0, "batch {step}");
+            for op in batch {
+                match op {
+                    TraceOp::Insert(name, _) => {
+                        if !live.insert(name.clone()) {
+                            reshapes += 1;
+                            parcels += usize::from(name.starts_with('P'));
+                        }
+                    }
+                    TraceOp::Remove(name) => assert!(live.remove(name), "remove of dead {name}"),
+                }
+            }
+        }
+        assert!(reshapes > parcels && parcels > 0, "reshapes of edits and of parcels");
+        assert!(matches!(&a[5][..], [TraceOp::Insert(name, _)] if name == "Bridge"));
+        assert_eq!(a[6], [TraceOp::Remove("Bridge".into())]);
     }
 }

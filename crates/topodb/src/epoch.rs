@@ -25,9 +25,13 @@
 //!    against the carried components' boxes is enough, because two segments
 //!    that both stayed put interact now iff they did in the base: only new
 //!    geometry can link into an untouched component. The resulting groups
-//!    are swept on the shared worker pool, one whole group per worker. A
-//!    one-region commit therefore costs one box test per component of the
-//!    database plus the work of the component it lands in. The result is a
+//!    are rebuilt on the shared worker pool, one whole group per worker,
+//!    each re-splitting only the neighbourhood of the change: the segments
+//!    near a new or a vanished segment are swept again, and every other cut
+//!    set is copied from the base component it was carried in. A one-region
+//!    commit therefore costs one box test per component of the database
+//!    plus the rebuild of the component it lands in, whose sweep covers the
+//!    edit's neighbourhood only. The result is a
 //!    complete new [`EpochState`], constructed while readers keep loading
 //!    the old head and other writers build their own epochs concurrently.
 //!    The root epoch's cold build is the same call on an empty base with
@@ -67,7 +71,7 @@ pub(crate) struct BuildCounters {
     /// Global assemblies performed (see
     /// [`TopoDatabase::complex_build_count`](crate::TopoDatabase::complex_build_count)).
     pub complex_builds: AtomicU64,
-    /// Component sub-complexes swept from scratch.
+    /// Component sub-complexes rebuilt (not carried or hinted).
     pub component_rebuilds: AtomicU64,
     /// Publish attempts that found the head moved past their base and
     /// retried against the new head.

@@ -131,9 +131,11 @@ use transaction::Op;
 ///   over, pointer-identical and unexamined: every `Arc<ComponentComplex>`
 ///   of the base that contains no changed name and whose bounding box the
 ///   new geometry stays clear of, along with its place in the nesting
-///   forest. Re-partitioned and re-swept (on the shared worker pool): the
+///   forest. Re-partitioned and rebuilt (on the shared worker pool): the
 ///   remaining members of components that lost or re-shaped a region, the
-///   new regions, and the components a new segment touches. One probe of
+///   new regions, and the components a new segment touches; a rebuild
+///   sweeps only the segments near the change and copies every other cut
+///   set from the component it was carried in. One probe of
 ///   the new segments against the carried boxes suffices — segments that
 ///   did not move cannot start interacting with each other. The fully-built
 ///   epoch is then published under a writers-only publish mutex: check that
@@ -168,8 +170,9 @@ use transaction::Op;
 /// set. A committed batch that changes at least one region starts a new
 /// *epoch* by incremental maintenance ([`arrangement::update_components`]):
 /// components whose geometry now interacts with a changed region surface as
-/// groups with a *new* name-set key (so they are re-swept — concurrently,
-/// see [`arrangement::parallel`]), while every unaffected component is
+/// groups with a *new* name-set key (so they are rebuilt — concurrently,
+/// see [`arrangement::parallel`], each re-splitting only the neighbourhood
+/// of the change), while every unaffected component is
 /// carried over pointer-identically without its regions, segments or
 /// coordinates being read. A batch of `k` mutations therefore costs *one*
 /// re-sweep of the affected clusters and *one* patch of the global view,
@@ -192,7 +195,7 @@ use transaction::Op;
 /// is the number of *assembled global complexes* built (any burst of reads
 /// between two commits increases it by at most one), and
 /// [`TopoDatabase::component_rebuild_count`] is the number of *component
-/// sub-complexes* swept from scratch — the part that incremental maintenance
+/// sub-complexes* rebuilt — the part that incremental maintenance
 /// keeps proportional to the affected geometry rather than the map size.
 /// [`TopoDatabase::publish_conflict_count`] counts publish attempts that
 /// found the head moved past their base and retried.
@@ -548,10 +551,9 @@ impl TopoDatabase {
         self.counters.complex_builds.load(Ordering::Relaxed)
     }
 
-    /// How many component sub-complexes this database has swept from
-    /// scratch.
+    /// How many component sub-complexes this database has rebuilt.
     ///
-    /// Diagnostic for *incremental* cache effectiveness: a commit re-sweeps
+    /// Diagnostic for *incremental* cache effectiveness: a commit rebuilds
     /// only the components whose geometry interacts with the changed
     /// regions — on a multi-cluster map this stays proportional to the
     /// batch while [`TopoDatabase::complex_build_count`] grows by one,
@@ -653,7 +655,7 @@ mod tests {
         assert_eq!(db.complex_build_count(), 0, "nothing built before first use");
 
         // Any mix of reads performs exactly one construction...
-        let matrix = db.snapshot().relation_matrix();
+        let matrix = db.snapshot().relation_matrix().unwrap();
         assert_eq!(matrix.len(), 1);
         let _ = db.snapshot().relation("A", "B").unwrap();
         let _ = db.snapshot().query("overlap(A, B)").unwrap();
@@ -673,7 +675,7 @@ mod tests {
 
         // Updates invalidate: the commit performs exactly one rebuild.
         insert(&mut db, "C", Region::rect_from_ints(20, 20, 24, 24));
-        let _ = db.snapshot().relation_matrix();
+        let _ = db.snapshot().relation_matrix().unwrap();
         let v3 = db.snapshot().complex_view();
         let _ = db.snapshot().relation("A", "C").unwrap();
         assert_eq!(db.complex_build_count(), 2);

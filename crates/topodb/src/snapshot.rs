@@ -145,22 +145,17 @@ impl Snapshot {
     }
 
     /// All pairwise relations, in name order: [`Snapshot::relation`] for
-    /// every pair of names.
-    ///
-    /// # Panics
-    ///
-    /// If a pair's matrix is unrealizable, which [`Snapshot::relation`]
-    /// reports as [`TopoDbError::Eval`].
-    pub fn relation_matrix(&self) -> Vec<(String, String, Relation4)> {
+    /// every pair of names. The first pair [`Snapshot::relation`] fails on
+    /// (an unrealizable matrix, [`TopoDbError::Eval`]) is the error.
+    pub fn relation_matrix(&self) -> Result<Vec<(String, String, Relation4)>, TopoDbError> {
         let names = self.inner.view.region_names();
         let mut out = Vec::new();
         for (i, a) in names.iter().enumerate() {
             for b in &names[i + 1..] {
-                let r = self.relation(a, b).unwrap_or_else(|e| panic!("{e}"));
-                out.push((a.clone(), b.clone(), r));
+                out.push((a.clone(), b.clone(), self.relation(a, b)?));
             }
         }
-        out
+        Ok(out)
     }
 
     /// One region's row of the relation matrix: its relation to every other

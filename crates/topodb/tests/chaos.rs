@@ -58,7 +58,7 @@ struct Fingerprint {
 fn fingerprint(db: &TopoDatabase) -> Fingerprint {
     Fingerprint {
         instance_wire: db.instance().to_wire_vec(),
-        relations: db.snapshot().relation_matrix(),
+        relations: db.snapshot().relation_matrix().expect("every pair classifies"),
     }
 }
 

@@ -390,8 +390,8 @@ fn concurrent_writers_under_random_transient_faults_lose_no_acked_commit() {
     assert_eq!(reopened.update_epoch(), n, "every acked epoch is durable");
     assert_eq!(*reopened.instance(), *cold.instance(), "recovered instance");
     assert_eq!(
-        reopened.snapshot().relation_matrix(),
-        cold.snapshot().relation_matrix(),
+        reopened.snapshot().relation_matrix().unwrap(),
+        cold.snapshot().relation_matrix().unwrap(),
         "recovered topology matches a cold build"
     );
 }

@@ -142,7 +142,7 @@ fn observable_digest(epoch: u64, snap: &topodb::Snapshot, query: &PreparedQuery)
     format!(
         "epoch={epoch} names={:?} matrix={:?} rows={:?}",
         snap.names(),
-        snap.relation_matrix(),
+        snap.relation_matrix().expect("every pair classifies"),
         snap.evaluate(query).expect("anchored query evaluates"),
     )
 }
@@ -286,7 +286,7 @@ fn concurrent_readers_and_writers(storage: Storage) {
                     // A published epoch is fully built: its matrix row count
                     // must match its name count.
                     let names = snap.names();
-                    let matrix = snap.relation_matrix();
+                    let matrix = snap.relation_matrix().unwrap();
                     assert_eq!(matrix.len(), names.len() * names.len().saturating_sub(1) / 2);
                 }
             });
@@ -351,7 +351,7 @@ fn concurrent_readers_and_writers(storage: Storage) {
     let chain_final = db.snapshot();
     let oracle_final = TopoDatabase::from_instance(oracle.instance).snapshot();
     assert_eq!(chain_final.names(), oracle_final.names());
-    assert_eq!(chain_final.relation_matrix(), oracle_final.relation_matrix());
+    assert_eq!(chain_final.relation_matrix().unwrap(), oracle_final.relation_matrix().unwrap());
     assert_eq!(
         format!("{:?}", chain_final.evaluate(&query).unwrap()),
         format!("{:?}", oracle_final.evaluate(&query).unwrap()),
@@ -561,7 +561,10 @@ fn conflicting_commits(storage: Storage) {
             assert_eq!(db.update_epoch(), 2 + fast_commits as u64);
             assert_eq!(*db.instance(), *twin.instance(), "the union is published");
             let cold = TopoDatabase::from_instance((*db.instance()).clone());
-            assert_eq!(db.snapshot().relation_matrix(), cold.snapshot().relation_matrix());
+            assert_eq!(
+                db.snapshot().relation_matrix().unwrap(),
+                cold.snapshot().relation_matrix().unwrap()
+            );
             assert!(
                 db.snapshot().complex_view().to_cell_complex()
                     == cold.snapshot().complex_view().to_cell_complex(),

@@ -133,7 +133,7 @@ fn update_to_one_cluster_reuses_every_other_component() {
     let (ox, oy) = datagen::cluster_origin(0, clusters);
     let span = datagen::CLUSTER_SPAN;
     insert(&mut db, "Update", Region::rect_from_ints(ox + 2, oy + 2, ox + span - 4, oy + span - 4));
-    let _ = db.snapshot().relation_matrix();
+    let _ = db.snapshot().relation_matrix().unwrap();
 
     assert_eq!(db.complex_build_count(), builds_before + 1, "one re-assembly");
     let rebuilt = db.component_rebuild_count() - rebuilds_before;
@@ -198,7 +198,7 @@ fn epoch_counter_tracks_updates() {
     remove(&mut db, "A");
     assert_eq!(db.update_epoch(), 3);
     // Reads never advance the epoch.
-    let _ = db.snapshot().relation_matrix();
+    let _ = db.snapshot().relation_matrix().unwrap();
     let _ = db.snapshot().invariant();
     assert_eq!(db.update_epoch(), 3);
 }
@@ -240,4 +240,37 @@ fn a_commit_partitions_its_cluster_only_whatever_the_database_size() {
         "partitioned {large} segments; cluster 0 has {cluster} and the new region 4"
     );
     assert_eq!(small, large, "four times the database, the same partition work");
+}
+
+#[test]
+fn a_commit_into_the_dense_map_re_sweeps_only_its_neighbourhood() {
+    let _alone = WORK_COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
+    // The benchmark's dense map: one component of 256 overlapping parcels,
+    // 1 024 segments. A commit into it rebuilds that component, but re-splits
+    // only the segments near the edit; every other cut set is carried.
+    let events_of = |work: &mut dyn FnMut()| {
+        let before = phase_counters();
+        work();
+        phase_counters().delta_since(&before).events_processed
+    };
+    let mut db = TopoDatabase::new();
+    let cold = events_of(&mut || {
+        db = TopoDatabase::from_instance(datagen::jittered_overlap_map(16, 16, 12, 1996));
+        db.snapshot();
+    });
+    let matches_a_cold_build = |db: &TopoDatabase| {
+        let fresh = TopoDatabase::from_instance((*db.instance()).clone());
+        db.snapshot().relation_matrix().unwrap() == fresh.snapshot().relation_matrix().unwrap()
+    };
+
+    // A rectangle straddling the corner the parcels of rows and columns 5
+    // and 6 share, as the benchmark's edits do.
+    let edit = Region::rect_from_ints(67, 67, 81, 81);
+    let inserted = events_of(&mut || insert(&mut db, "Edit", edit.clone()));
+    assert!(5 * inserted <= cold, "the insert swept {inserted} events, the cold build {cold}");
+    assert!(matches_a_cold_build(&db), "relations after the insert");
+
+    let removed = events_of(&mut || assert!(remove(&mut db, "Edit")));
+    assert!(5 * removed <= cold, "the removal swept {removed} events, the cold build {cold}");
+    assert!(matches_a_cold_build(&db), "relations after the removal");
 }

@@ -212,7 +212,7 @@ fn snapshots_are_acquired_concurrently_from_four_threads() {
                     // Every thread reads through its own freshly acquired
                     // snapshot while the others are still acquiring.
                     assert_eq!(snap.len(), 12);
-                    let matrix = snap.relation_matrix();
+                    let matrix = snap.relation_matrix().unwrap();
                     assert_eq!(matrix.len(), 12 * 11 / 2);
                     snap
                 })

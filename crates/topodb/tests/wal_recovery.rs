@@ -117,7 +117,7 @@ fn fingerprint(db: &TopoDatabase) -> Fingerprint {
     });
     Fingerprint {
         instance_wire: db.instance().to_wire_vec(),
-        relations: db.snapshot().relation_matrix(),
+        relations: db.snapshot().relation_matrix().expect("every pair classifies"),
         query_rows: db.snapshot().evaluate(overlaps).expect("the open query evaluates"),
     }
 }

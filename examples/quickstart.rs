@@ -31,7 +31,7 @@ fn main() {
     let snap = db.snapshot();
 
     println!("== pairwise 4-intersection relations (Fig. 2 of the paper) ==");
-    for (a, b, rel) in snap.relation_matrix() {
+    for (a, b, rel) in snap.relation_matrix().expect("every pair classifies") {
         println!("  {a:5} {rel:<10} {b}");
     }
 

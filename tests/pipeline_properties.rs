@@ -73,7 +73,7 @@ proptest! {
         let q = PreparedQuery::compile("overlap(ext(x), ext(y))").unwrap();
         let out = snap.evaluate(&q).unwrap();
         let rows = out.bindings().unwrap();
-        for (a, b, r) in snap.relation_matrix() {
+        for (a, b, r) in snap.relation_matrix().unwrap() {
             let ab = rows.iter().any(|row| row["x"] == a && row["y"] == b);
             let ba = rows.iter().any(|row| row["x"] == b && row["y"] == a);
             prop_assert_eq!(ab, r == topodb::relations::Relation4::Overlap);
