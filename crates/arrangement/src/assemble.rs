@@ -39,18 +39,19 @@
 //! computation (`compute_component_nesting`), which probes the one index
 //! over the component boxes an assembly builds (`component_index`).
 
-use crate::builder::build_local;
+use crate::builder::{build_local, Walks};
 use crate::complex::{CellComplex, ComplexRead};
 use crate::index::SpatialIndex;
 use crate::partition::{repartition, BBox, ComponentGroup, Member, Repartition};
-use crate::split::{assemble_subsegments, resplit, CutSets, TaggedSegment};
+use crate::split::{resplit, CutSets, Pieces, TaggedSegment};
 use crate::types::*;
 use spatial_core::polygon::ring_encloses;
 use spatial_core::prelude::*;
 use std::sync::{Arc, OnceLock};
 
-/// The outer cycle of one bounded face of a component complex, kept for the
-/// cross-component nesting tests of the assembly step (`innermost_cycle`).
+/// The outer cycle of one bounded face of a component complex, as a
+/// polyline: what the cross-component nesting tests of the assembly step
+/// (`innermost_cycle`) read.
 #[derive(Clone, Debug)]
 pub struct BoundedCycle {
     /// The bounded face this cycle is the outer boundary of.
@@ -73,8 +74,16 @@ pub struct BoundedCycle {
 #[derive(Clone, Debug)]
 pub struct ComponentComplex {
     pub(crate) complex: CellComplex,
-    pub(crate) bounded_cycles: Vec<BoundedCycle>,
+    /// The boundary walk of every bounded face, face by face: bounded face
+    /// `k + 1`'s is walk `k`. Nesting resolution reads them as polylines
+    /// ([`bounded_cycles`](Self::bounded_cycles)).
+    pub(crate) bounded_walks: Walks,
+    /// The memo of [`bounded_cycles`](Self::bounded_cycles).
+    bounded_cycles: OnceLock<Vec<BoundedCycle>>,
     pub(crate) bbox: Option<BBox>,
+    /// The point nesting resolution locates the component by: its least
+    /// cut point, the first entry of its split's point table, which is
+    /// always an input endpoint (`None` for a component with no segments).
     pub(crate) rep_point: Option<Point>,
     /// The cut sets of the component's segments, in build order: each local
     /// region's boundary edges in turn, regions ascending.
@@ -148,6 +157,30 @@ impl ComponentComplex {
         })
     }
 
+    /// The outer cycle of every bounded face, memoized: built from the edge
+    /// polylines along the face's boundary walk the first time a nesting test
+    /// reaches the component ([`locate_components`]), so a component that
+    /// nothing can nest in, such as the only one, never builds them.
+    pub(crate) fn bounded_cycles(&self) -> &[BoundedCycle] {
+        self.bounded_cycles.get_or_init(|| {
+            let edges = &self.complex.edges;
+            (0..self.bounded_walks.len())
+                .map(|k| {
+                    let mut polyline = Vec::new();
+                    for d in self.bounded_walks.get(k) {
+                        let line = &edges[d.edge().0].polyline;
+                        if d.is_forward() {
+                            polyline.extend_from_slice(&line[..line.len() - 1]);
+                        } else {
+                            polyline.extend(line[1..].iter().rev());
+                        }
+                    }
+                    BoundedCycle { face: FaceId(k + 1), polyline }
+                })
+                .collect()
+        })
+    }
+
     /// The local id of the region `name`, if it is one of the component's.
     fn local_region(&self, name: &str) -> Option<usize> {
         self.region_names().binary_search_by(|n| n.as_str().cmp(name)).ok()
@@ -216,8 +249,10 @@ pub(crate) fn group_segments(members: &[Member<'_>]) -> (Vec<TaggedSegment>, Vec
 }
 
 /// The one component build: gather the members' boundary segments, split
-/// them at their mutual intersections, and run the local pipeline over the
-/// pieces, all on the calling thread. `members` is sorted by name.
+/// them at their mutual intersections, rank the cut points in one point
+/// table and merge the pieces by rank (`split::Pieces`), and run the local
+/// pipeline over the pieces, all on the calling thread. `members` is sorted
+/// by name.
 ///
 /// `bases` are the components the group absorbed and `changed` the names
 /// whose extent changed since: a member that is in a base and not changed
@@ -257,12 +292,13 @@ pub(crate) fn build_group(
         .collect();
 
     let cuts = resplit(&segments, &boxes, &carried, &gone);
-    let subs = assemble_subsegments(&segments, &cuts);
-    let (complex, bounded_cycles) = build_local(local_names, &subs);
-    let rep_point = complex.vertices.first().map(|v| v.point);
+    let pieces = Pieces::new(&segments, &cuts);
+    let rep_point = pieces.points.first().copied();
+    let (complex, bounded_walks) = build_local(local_names, &pieces);
     ComponentComplex {
         complex,
-        bounded_cycles,
+        bounded_walks,
+        bounded_cycles: OnceLock::new(),
         bbox,
         rep_point,
         cuts,
@@ -490,7 +526,7 @@ pub(crate) fn locate_components(
             let rep = components[c].rep_point?;
             let others = index.locate_point(&rep).into_iter().filter(|&d| d != c);
             let cycles = others.flat_map(|d| {
-                let bounded = components[d].bounded_cycles.iter();
+                let bounded = components[d].bounded_cycles().iter();
                 bounded.map(move |cyc| ((d, cyc.face), cyc.polyline.as_slice()))
             });
             innermost_cycle(&rep, cycles)
@@ -771,10 +807,22 @@ mod tests {
     const TRACE_STEPS: usize = if cfg!(debug_assertions) { 40 } else { 300 };
     const DENSE_STEPS: usize = if cfg!(debug_assertions) { 40 } else { 300 };
 
-    /// Replay `trace` over `instance` through [`update_components`], and
-    /// after every step hold each rebuilt component's carried cut sets
-    /// against one sweep of its segments from scratch.
-    fn replay_checking_cut_sets(mut instance: SpatialInstance, trace: &[Vec<datagen::TraceOp>]) {
+    /// The members of component `c` in `instance`.
+    fn members_of<'a>(c: &'a ComponentComplex, instance: &'a SpatialInstance) -> Vec<Member<'a>> {
+        c.region_names()
+            .iter()
+            .map(|n| (n.as_str(), instance.ext(n).expect("member exists")))
+            .collect()
+    }
+
+    /// Replay `trace` over `instance` through [`update_components`], calling
+    /// `check(step, instance, component, rebuilt)` on every component after
+    /// every step.
+    fn replay(
+        mut instance: SpatialInstance,
+        trace: &[Vec<datagen::TraceOp>],
+        check: impl Fn(usize, &SpatialInstance, &ComponentComplex, bool),
+    ) {
         let names = instance.names();
         let mut components = update_components(&[], &instance, &names, |_| None).components;
         for (step, batch) in trace.iter().enumerate() {
@@ -792,38 +840,79 @@ mod tests {
                 }
             }
             let update = update_components(&components, &instance, &changed, |_| None);
-            let rebuilt = update.components.iter().zip(&update.carried_from);
-            for (c, _) in rebuilt.filter(|(_, from)| from.is_none()) {
-                let members: Vec<Member<'_>> = c
-                    .region_names()
-                    .iter()
-                    .map(|n| (n.as_str(), instance.ext(n).expect("member exists")))
-                    .collect();
-                let (segments, offsets) = group_segments(&members);
-                assert_eq!(c.region_segments, offsets, "segment offsets at step {step}");
-                assert!(
-                    c.cuts == crate::sweep::sweep_cut_sets(&segments),
-                    "carried cut sets of {:?} differ from a sweep at step {step}",
-                    c.region_names()
-                );
+            for (c, from) in update.components.iter().zip(&update.carried_from) {
+                check(step, &instance, c, from.is_none());
             }
             components = update.components;
         }
+    }
+
+    /// Hold each rebuilt component's carried cut sets against one sweep of
+    /// its segments from scratch.
+    fn check_cut_sets(step: usize, instance: &SpatialInstance, c: &ComponentComplex, rebuilt: bool) {
+        if !rebuilt {
+            return;
+        }
+        let (segments, offsets) = group_segments(&members_of(c, instance));
+        assert_eq!(c.region_segments, offsets, "segment offsets at step {step}");
+        assert!(
+            c.cuts == crate::sweep::sweep_cut_sets(&segments),
+            "carried cut sets of {:?} differ from a sweep at step {step}",
+            c.region_names()
+        );
     }
 
     #[test]
     fn carried_cut_sets_equal_a_sweep_along_op_traces() {
         for seed in 0..4 {
             let trace = datagen::op_trace(TRACE_STEPS, 0x5eed + seed);
-            replay_checking_cut_sets(datagen::clustered_map(4, 6, seed), &trace);
-            replay_checking_cut_sets(datagen::jittered_overlap_map(10, 3, 12, seed), &trace);
+            replay(datagen::clustered_map(4, 6, seed), &trace, check_cut_sets);
+            replay(datagen::jittered_overlap_map(10, 3, 12, seed), &trace, check_cut_sets);
         }
     }
 
     #[test]
     fn carried_cut_sets_equal_a_sweep_along_the_dense_trace() {
         let trace = datagen::dense_edit_trace(16, 16, 12, DENSE_STEPS, 7);
-        replay_checking_cut_sets(datagen::jittered_overlap_map(16, 16, 12, 1996), &trace);
+        replay(datagen::jittered_overlap_map(16, 16, 12, 1996), &trace, check_cut_sets);
+    }
+
+    /// A component's representative point is the least endpoint of its
+    /// input segments: the first entry of its point table.
+    fn check_rep_point(step: usize, instance: &SpatialInstance, c: &ComponentComplex, _: bool) {
+        let (segments, _) = group_segments(&members_of(c, instance));
+        let least = segments.iter().map(|t| t.segment.a.min(t.segment.b)).min();
+        assert_eq!(c.rep_point, least, "{:?} at step {step}", c.region_names());
+    }
+
+    #[test]
+    fn rep_point_is_the_least_input_endpoint() {
+        let families = [
+            datagen::grid_map(5, 4, 4),
+            datagen::nested_rings(6),
+            datagen::overlapping_chain(8),
+            datagen::random_rectangles(12, 40, 3),
+            datagen::flower(6, 2),
+            datagen::dense_overlap_map(4, 4, 4),
+            datagen::jittered_overlap_map(6, 6, 12, 0),
+            datagen::road_network_map(4, 4, 12, 1),
+            datagen::clustered_map(4, 16, 2),
+            datagen::zipf_clustered_map(6, 48, 5),
+            datagen::wide_map(12, 7),
+            datagen::jittered_overlap_map(16, 16, 12, 1996),
+        ];
+        for inst in families {
+            for c in crate::build_component_complexes(&inst, 1) {
+                check_rep_point(0, &inst, &c, true);
+            }
+        }
+        for seed in 0..4 {
+            let trace = datagen::op_trace(TRACE_STEPS, 0x5eed + seed);
+            replay(datagen::clustered_map(4, 6, seed), &trace, check_rep_point);
+            replay(datagen::jittered_overlap_map(10, 3, 12, seed), &trace, check_rep_point);
+        }
+        let trace = datagen::dense_edit_trace(16, 16, 12, DENSE_STEPS, 7);
+        replay(datagen::jittered_overlap_map(16, 16, 12, 1996), &trace, check_rep_point);
     }
 
     #[test]

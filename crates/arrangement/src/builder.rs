@@ -24,8 +24,22 @@
 //!    complex (cross-component nesting, exterior-face unification, label
 //!    widening).
 //!
-//! The rotation sort and the outer-walk turn compare pieces'
-//! [`SubSegment::dir`]s, the directions of the input segments they lie on,
+//! A component build sorts its cut points once, into the point table of its
+//! split (`split::Pieces`), and the local pipeline works on ranks from
+//! there: the raw graph numbers its vertices through a rank-indexed table,
+//! chains and face walks are flat buffers of ranks, piece indices and darts,
+//! the outer-walk test and the nesting of skeleton components take integer
+//! minima of ranks, and points are read back from the table only where the
+//! complex keeps them (vertex points and edge polylines). A component keeps
+//! the boundary walk of each bounded face as darts; the assembly step reads it
+//! as a polyline only when a nesting test reaches the component
+//! (`ComponentComplex::bounded_cycles`).
+//! Ranks are lexicographic, so every order an earlier point-keyed build
+//! produced — pieces by `(a, b)`, vertices by first appearance — is the same,
+//! and so is every cell id.
+//!
+//! The rotation sort and the outer-walk turn compare the directions of the
+//! input segments the pieces lie on ([`SubSegment::dir`](crate::split::SubSegment::dir)),
 //! never differences of arrangement points: each decision is the sign of a
 //! cross product of two input-endpoint differences.
 //!
@@ -33,15 +47,14 @@
 //! construction as a differential-testing oracle: both paths must produce
 //! isomorphic complexes on every input.
 
-use crate::assemble::{assemble_components, innermost_cycle, BoundedCycle, ComponentComplex};
+use crate::assemble::{assemble_components, innermost_cycle, ComponentComplex};
 use crate::complex::CellComplex;
 use crate::parallel::{available_threads, map_indexed};
 use crate::partition::partition_instance;
-use crate::split::{instance_segments, split_segments, SubSegment};
+use crate::split::{instance_segments, Pieces};
 use crate::types::*;
 use crate::view::GlobalComplexView;
 use spatial_core::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Build the maximal labeled cell complex of a spatial instance by the
@@ -89,22 +102,25 @@ pub fn build_component_complexes(
 /// test suite); the two must agree up to cell re-indexing on every input.
 pub fn build_complex_monolithic(instance: &SpatialInstance) -> CellComplex {
     let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
-    let subs = split_segments(&instance_segments(instance));
-    build_local(region_names, &subs).0
+    let segments = instance_segments(instance);
+    let cuts = crate::sweep::sweep_cut_sets(&segments);
+    build_local(region_names, &Pieces::new(&segments, &cuts)).0
 }
 
 /// The local construction pipeline shared by the per-component and the
-/// monolithic paths: build the cell complex of a set of already split
-/// sub-segments, returning the complex together with the outer cycles of its
-/// bounded faces (the data the assembly step needs for cross-component
-/// nesting tests). Runs on the calling thread and bumps the per-phase work
-/// counters of [`crate::counters`].
-pub(crate) fn build_local(
-    region_names: Vec<String>,
-    subs: &[SubSegment],
-) -> (CellComplex, Vec<BoundedCycle>) {
+/// monolithic paths: build the cell complex of a split, returning the
+/// complex together with the boundary walks of its bounded faces, face by face
+/// (the data the assembly step derives its cross-component nesting tests
+/// from). Runs on the calling thread and bumps the per-phase work counters
+/// of [`crate::counters`].
+///
+/// Every stage reads points by rank ([`Pieces`]): vertices, chains and face
+/// walks hold ranks, darts and piece indices in flat buffers, and points are
+/// read back from the point table only where the output keeps them (vertex
+/// points and edge polylines).
+pub(crate) fn build_local(region_names: Vec<String>, pieces: &Pieces) -> (CellComplex, Walks) {
     debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
-    if subs.is_empty() {
+    if pieces.is_empty() {
         // No geometry at all: a single exterior face.
         let complex = CellComplex {
             region_names,
@@ -117,107 +133,202 @@ pub(crate) fn build_local(
             }],
             exterior: FaceId(0),
         };
-        return (complex, vec![]);
+        return (complex, Walks::default());
     }
 
     // ---- Raw graph ----------------------------------------------------
-    let raw = RawGraph::new(subs);
+    let raw = RawGraph::new(pieces);
 
     // ---- Merge chains into maximal 1-cells ------------------------------
-    let merged = merge_chains(&raw);
-    crate::counters::add_chains_merged(merged.edges.len() as u64);
+    let merged = merge_chains(&raw, pieces);
+    crate::counters::add_chains_merged(merged.chains.len() as u64);
 
     // ---- Rotation system -------------------------------------------------
-    let rotations = compute_rotations(&merged);
+    let rotations = Rotations::new(&merged, pieces);
 
     // ---- Face walks -------------------------------------------------------
     let walks = face_walks(&merged, &rotations);
     crate::counters::add_cells_walked(walks.len() as u64);
 
     // ---- Components and embedding forest ---------------------------------
-    let mut assembled = assemble_faces(&merged, &walks);
+    let mut assembled = assemble_faces(&merged, pieces, &rotations, &walks);
 
     // ---- Labels -----------------------------------------------------------
-    let cycles = std::mem::take(&mut assembled.bounded_cycles);
-    (finish_complex(region_names, merged, rotations, assembled), cycles)
+    let bounded_walks = std::mem::take(&mut assembled.bounded_walks);
+    (finish_complex(region_names, &merged, pieces, &rotations, assembled), bounded_walks)
 }
 
-/// The raw planar graph before chain merging: one vertex per split point, one
-/// edge per sub-segment.
+/// The raw planar graph before chain merging: one vertex per cut point, one
+/// edge per piece (edge `i` is piece `i`).
 struct RawGraph {
-    points: Vec<Point>,
-    /// Edges as (vertex, vertex, direction from the first to the second,
-    /// region set).
-    edges: Vec<(usize, usize, Vector, Vec<usize>)>,
-    /// Incident raw edges per vertex.
-    incident: Vec<Vec<usize>>,
+    /// The rank of every vertex. Vertices are numbered in order of first
+    /// appearance along the pieces, smaller endpoint first.
+    ranks: Vec<u32>,
+    /// Each edge's endpoints, as vertices: its piece's smaller endpoint
+    /// first.
+    ends: Vec<[u32; 2]>,
+    /// The incident edges of every vertex, in edge order: vertex `v`'s are
+    /// `incident[incident_at[v]..incident_at[v + 1]]`.
+    incident: Vec<u32>,
+    incident_at: Vec<usize>,
 }
 
 impl RawGraph {
-    fn new(subs: &[SubSegment]) -> Self {
-        let mut index: BTreeMap<Point, usize> = BTreeMap::new();
-        let mut points = Vec::new();
-        let mut id_of = |p: Point, points: &mut Vec<Point>| -> usize {
-            *index.entry(p).or_insert_with(|| {
-                points.push(p);
-                points.len() - 1
-            })
+    fn new(pieces: &Pieces) -> Self {
+        let mut vertex_of = vec![u32::MAX; pieces.points.len()];
+        let mut ranks = Vec::with_capacity(pieces.points.len());
+        let mut id = |r: u32| {
+            let v = &mut vertex_of[r as usize];
+            if *v == u32::MAX {
+                *v = ranks.len() as u32;
+                ranks.push(r);
+            }
+            *v
         };
-        let mut edges = Vec::with_capacity(subs.len());
-        for s in subs {
-            let u = id_of(s.a, &mut points);
-            let v = id_of(s.b, &mut points);
-            edges.push((u, v, s.dir, s.regions.clone()));
-        }
-        let mut incident = vec![Vec::new(); points.len()];
-        for (i, (u, v, _, _)) in edges.iter().enumerate() {
-            incident[*u].push(i);
-            incident[*v].push(i);
-        }
-        RawGraph { points, edges, incident }
+        let ends: Vec<[u32; 2]> = pieces.pieces.iter().map(|p| [id(p.a), id(p.b)]).collect();
+        let ends_of = ends.iter().zip(0..).flat_map(|(&[u, v], e)| [(u as usize, e), (v as usize, e)]);
+        let (incident, incident_at) = group_by_key(ranks.len(), ends_of);
+        RawGraph { ranks, ends, incident, incident_at }
+    }
+
+    fn vertex_count(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// The edges incident to `v`, in edge order.
+    fn incident(&self, v: usize) -> &[u32] {
+        &self.incident[self.incident_at[v]..self.incident_at[v + 1]]
     }
 
     /// A vertex is an *anchor* (a forced 0-cell of the maximal complex) if it
     /// is not a plain degree-2 pass-through point of a single boundary curve
     /// bundle.
-    fn is_anchor(&self, v: usize) -> bool {
-        let inc = &self.incident[v];
-        if inc.len() != 2 {
-            return true;
+    fn is_anchor(&self, pieces: &Pieces, v: usize) -> bool {
+        match *self.incident(v) {
+            [e1, e2] => pieces.regions(e1 as usize) != pieces.regions(e2 as usize),
+            _ => true,
         }
-        let (e1, e2) = (inc[0], inc[1]);
-        self.edges[e1].3 != self.edges[e2].3
+    }
+
+    /// The other endpoint of edge `e`, leaving `v`.
+    fn leave(&self, e: u32, v: usize) -> usize {
+        let [a, b] = self.ends[e as usize];
+        if a as usize == v {
+            b as usize
+        } else {
+            a as usize
+        }
+    }
+
+    /// The edge a walk entering degree-2 vertex `v` by edge `e` leaves by.
+    fn pass(&self, e: u32, v: usize) -> u32 {
+        match *self.incident(v) {
+            [e1, e2] if e1 == e => e2,
+            [e1, _] => e1,
+            _ => unreachable!("a pass-through vertex has degree 2"),
+        }
     }
 }
 
-/// The merged graph: maximal 1-cells with polyline geometry.
+/// `items` grouped by key, in order within each group: one flat buffer, and
+/// the start of each of the `keys` groups in it, plus its end (key `k`'s
+/// items are `flat[at[k]..at[k + 1]]`).
+fn group_by_key<T: Copy>(keys: usize, items: impl Iterator<Item = (usize, T)> + Clone) -> (Vec<T>, Vec<usize>) {
+    let mut at = vec![0; keys + 1];
+    for (k, _) in items.clone() {
+        at[k + 1] += 1;
+    }
+    for k in 0..keys {
+        at[k + 1] += at[k];
+    }
+    let Some((_, any)) = items.clone().next() else { return (Vec::new(), at) };
+    let mut flat = vec![any; at[keys]];
+    let mut fill = at.clone();
+    for (k, item) in items {
+        flat[fill[k]] = item;
+        fill[k] += 1;
+    }
+    (flat, at)
+}
+
+/// The merged graph: maximal 1-cells with polyline geometry, as ranks.
 struct MergedGraph {
-    /// Positions of the surviving vertices.
-    vertex_points: Vec<Point>,
-    edges: Vec<Chain>,
+    /// The rank of every 0-cell.
+    vertex_ranks: Vec<u32>,
+    chains: Vec<Chain>,
+    /// Every chain's pieces, tail to head, chain after chain.
+    pieces: Vec<u32>,
+    /// Every chain's polyline, as ranks, tail to head, chain after chain: a
+    /// chain has one more point than pieces.
+    points: Vec<u32>,
 }
 
 /// A maximal 1-cell of the merged graph.
 struct Chain {
     tail: usize,
     head: usize,
-    /// Polyline from tail to head.
-    polyline: Vec<Point>,
-    /// The direction of each polyline piece, tail to head (one fewer than
-    /// the points).
-    dirs: Vec<Vector>,
-    /// The regions whose boundary the chain lies on, ascending.
-    regions: Vec<usize>,
+    /// The chain's pieces are `MergedGraph::pieces[start..end]`, and its
+    /// polyline `MergedGraph::points[start + c..end + c + 1]` for chain `c`.
+    start: usize,
+    end: usize,
+}
+
+/// One piece of a face walk: along piece `piece`, leaving its endpoint of
+/// rank `from`.
+#[derive(Clone, Copy)]
+struct Step {
+    piece: u32,
+    from: u32,
+}
+
+impl MergedGraph {
+    /// Chain `c`'s pieces, tail to head.
+    fn chain_pieces(&self, c: usize) -> &[u32] {
+        &self.pieces[self.chains[c].start..self.chains[c].end]
+    }
+
+    /// Chain `c`'s polyline as ranks, tail to head.
+    fn chain_points(&self, c: usize) -> &[u32] {
+        &self.points[self.chains[c].start + c..self.chains[c].end + c + 1]
+    }
+
+    /// The regions whose boundary chain `c` lies on, ascending.
+    fn chain_regions<'a>(&self, pieces: &'a Pieces, c: usize) -> &'a [usize] {
+        pieces.regions(self.pieces[self.chains[c].start] as usize)
+    }
+
+    /// Dart `d`'s steps, in its direction.
+    fn steps(&self, d: DartId) -> impl DoubleEndedIterator<Item = Step> + '_ {
+        let c = d.edge().0;
+        let (pieces, points) = (self.chain_pieces(c), self.chain_points(c));
+        let (k, forward) = (pieces.len(), d.is_forward());
+        (0..k).map(move |j| {
+            if forward {
+                Step { piece: pieces[j], from: points[j] }
+            } else {
+                Step { piece: pieces[k - 1 - j], from: points[k - j] }
+            }
+        })
+    }
+
+    fn dart_tail(&self, d: DartId) -> usize {
+        let chain = &self.chains[d.edge().0];
+        if d.is_forward() {
+            chain.tail
+        } else {
+            chain.head
+        }
+    }
 }
 
 /// Anchor flags of every raw vertex: the forced 0-cells
-/// ([`RawGraph::is_anchor`]) plus one canonical anchor (the vertex with the
-/// lexicographically smallest point) per pure boundary cycle, so that every
-/// maximal 1-cell has endpoints. The pure-cycle pass is a cheap scan
-/// touching each unanchored vertex once.
-fn chain_anchors(raw: &RawGraph) -> Vec<bool> {
-    let n = raw.points.len();
-    let mut anchor: Vec<bool> = (0..n).map(|v| raw.is_anchor(v)).collect();
+/// ([`RawGraph::is_anchor`]) plus one canonical anchor (the vertex of least
+/// rank) per pure boundary cycle, so that every maximal 1-cell has
+/// endpoints. The pure-cycle pass is a cheap scan touching each unanchored
+/// vertex once.
+fn chain_anchors(raw: &RawGraph, pieces: &Pieces) -> Vec<bool> {
+    let n = raw.vertex_count();
+    let mut anchor: Vec<bool> = (0..n).map(|v| raw.is_anchor(pieces, v)).collect();
 
     // Boundary cycles with no anchor at all keep one canonical anchor (the
     // lexicographically smallest point of the cycle) so that every 1-cell has
@@ -230,10 +341,10 @@ fn chain_anchors(raw: &RawGraph) -> Vec<bool> {
         // Walk the chain through degree-2 vertices in both directions; if we
         // come back to `start` without meeting an anchor, this is a pure
         // cycle.
-        let mut cycle = vec![start];
         visited[start] = true;
-        let mut prev_edge = raw.incident[start][0];
-        let mut cur = leave(raw, prev_edge, start).0;
+        let mut lowest = start;
+        let mut prev_edge = raw.incident(start)[0];
+        let mut cur = raw.leave(prev_edge, start);
         let mut is_pure_cycle = false;
         loop {
             if cur == start {
@@ -244,201 +355,186 @@ fn chain_anchors(raw: &RawGraph) -> Vec<bool> {
                 break;
             }
             visited[cur] = true;
-            cycle.push(cur);
-            let inc = &raw.incident[cur];
-            let next_edge = if inc[0] == prev_edge { inc[1] } else { inc[0] };
-            prev_edge = next_edge;
-            cur = leave(raw, next_edge, cur).0;
+            if raw.ranks[cur] < raw.ranks[lowest] {
+                lowest = cur;
+            }
+            prev_edge = raw.pass(prev_edge, cur);
+            cur = raw.leave(prev_edge, cur);
         }
         if is_pure_cycle {
-            let best = cycle
-                .iter()
-                .copied()
-                .min_by(|&a, &b| raw.points[a].cmp(&raw.points[b]))
-                .expect("cycle is nonempty");
-            anchor[best] = true;
+            anchor[lowest] = true;
         }
     }
     anchor
 }
 
-fn merge_chains(raw: &RawGraph) -> MergedGraph {
-    let n = raw.points.len();
-    let anchor = chain_anchors(raw);
+fn merge_chains(raw: &RawGraph, pieces: &Pieces) -> MergedGraph {
+    let n = raw.vertex_count();
+    let anchor = chain_anchors(raw, pieces);
 
     // Re-index anchors.
     let mut new_id = vec![usize::MAX; n];
-    let mut vertex_points = Vec::new();
+    let mut vertex_ranks = Vec::new();
     for v in 0..n {
         if anchor[v] {
-            new_id[v] = vertex_points.len();
-            vertex_points.push(raw.points[v]);
+            new_id[v] = vertex_ranks.len();
+            vertex_ranks.push(raw.ranks[v]);
         }
     }
 
     // Walk chains from anchors.
-    let mut edge_used = vec![false; raw.edges.len()];
-    let mut edges: Vec<Chain> = Vec::new();
+    let mut edge_used = vec![false; raw.ends.len()];
+    let mut chains: Vec<Chain> = Vec::new();
+    let mut chain_pieces = Vec::with_capacity(raw.ends.len());
+    let mut points = Vec::with_capacity(raw.ends.len() + n);
     for v in 0..n {
         if !anchor[v] {
             continue;
         }
-        for &e0 in &raw.incident[v] {
-            if edge_used[e0] {
+        for &e0 in raw.incident(v) {
+            if edge_used[e0 as usize] {
                 continue;
             }
             // Walk from v along e0 through non-anchor vertices.
-            let mut polyline = vec![raw.points[v]];
-            let (mut cur, dir) = leave(raw, e0, v);
-            let mut dirs = vec![dir];
-            let regions = raw.edges[e0].3.clone();
+            let start = chain_pieces.len();
+            points.push(raw.ranks[v]);
+            chain_pieces.push(e0);
+            edge_used[e0 as usize] = true;
             let mut prev_edge = e0;
-            edge_used[e0] = true;
+            let mut cur = raw.leave(e0, v);
             while !anchor[cur] {
-                polyline.push(raw.points[cur]);
-                let inc = &raw.incident[cur];
-                let next_edge = if inc[0] == prev_edge { inc[1] } else { inc[0] };
+                points.push(raw.ranks[cur]);
+                let next_edge = raw.pass(prev_edge, cur);
                 debug_assert_eq!(
-                    raw.edges[next_edge].3, regions,
+                    pieces.regions(next_edge as usize),
+                    pieces.regions(e0 as usize),
                     "chain continues through a label change"
                 );
-                edge_used[next_edge] = true;
-                let (next, dir) = leave(raw, next_edge, cur);
-                dirs.push(dir);
+                edge_used[next_edge as usize] = true;
+                chain_pieces.push(next_edge);
                 prev_edge = next_edge;
-                cur = next;
+                cur = raw.leave(next_edge, cur);
             }
-            polyline.push(raw.points[cur]);
-            edges.push(Chain { tail: new_id[v], head: new_id[cur], polyline, dirs, regions });
+            points.push(raw.ranks[cur]);
+            chains.push(Chain { tail: new_id[v], head: new_id[cur], start, end: chain_pieces.len() });
         }
     }
     debug_assert!(edge_used.iter().all(|&u| u), "all raw edges must be consumed");
 
-    MergedGraph { vertex_points, edges }
+    MergedGraph { vertex_ranks, chains, pieces: chain_pieces, points }
 }
 
-/// The other endpoint of a raw edge, and the edge's direction leaving `v`.
-fn leave(raw: &RawGraph, edge: usize, v: usize) -> (usize, Vector) {
-    let (a, b, dir, _) = &raw.edges[edge];
-    if *a == v {
-        (*b, *dir)
-    } else {
-        (*a, dir.neg())
-    }
-}
-
-/// For every vertex, the outgoing darts sorted counter-clockwise by the
-/// direction of their first polyline piece.
-fn compute_rotations(g: &MergedGraph) -> Vec<Vec<DartId>> {
-    let mut per_vertex: Vec<Vec<(Vector, DartId)>> = vec![Vec::new(); g.vertex_points.len()];
-    for (idx, chain) in g.edges.iter().enumerate() {
-        let e = EdgeId(idx);
-        let dirs = &chain.dirs;
-        per_vertex[chain.tail].push((dirs[0], DartId::forward(e)));
-        per_vertex[chain.head].push((dirs[dirs.len() - 1].neg(), DartId::backward(e)));
-    }
-    per_vertex
-        .into_iter()
-        .map(|mut darts| {
-            darts.sort_by(|a, b| a.0.angle_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            darts.into_iter().map(|(_, d)| d).collect()
-        })
-        .collect()
-}
-
-/// A face walk: the darts of one boundary cycle, plus derived data.
-struct Walk {
+/// The rotation system: for every vertex, the outgoing darts sorted
+/// counter-clockwise by the direction of their first piece.
+struct Rotations {
+    /// Vertex `v`'s darts are `darts[at[v]..at[v + 1]]`.
     darts: Vec<DartId>,
-    /// Concatenated polyline of the walk (closed; last point omitted).
-    polyline: Vec<Point>,
-    /// `dirs[i]` is the direction of the piece from `polyline[i]` to the
-    /// next point of the walk.
-    dirs: Vec<Vector>,
-    /// Skeleton component this walk belongs to.
-    component: usize,
+    at: Vec<usize>,
+    /// The position of every dart in its tail's rotation.
+    position: Vec<usize>,
 }
 
-/// Append a dart's polyline, head point omitted, and its piece directions
-/// to a walk's.
-fn extend_with_dart(g: &MergedGraph, d: DartId, polyline: &mut Vec<Point>, dirs: &mut Vec<Vector>) {
-    let chain = &g.edges[d.edge().0];
-    if d.is_forward() {
-        polyline.extend(&chain.polyline[..chain.dirs.len()]);
-        dirs.extend(&chain.dirs);
-    } else {
-        polyline.extend(chain.polyline[1..].iter().rev());
-        dirs.extend(chain.dirs.iter().rev().map(Vector::neg));
+impl Rotations {
+    fn new(g: &MergedGraph, pieces: &Pieces) -> Rotations {
+        let all = (0..2 * g.chains.len()).map(DartId);
+        let (mut darts, at) = group_by_key(g.vertex_ranks.len(), all.clone().map(|d| (g.dart_tail(d), d)));
+        let first_dir: Vec<Vector> = all
+            .map(|d| {
+                let first = g.steps(d).next().expect("a chain has a piece");
+                pieces.dir_from(first.piece as usize, first.from)
+            })
+            .collect();
+        let mut position = vec![0; darts.len()];
+        for v in 0..g.vertex_ranks.len() {
+            let rotation = &mut darts[at[v]..at[v + 1]];
+            rotation.sort_unstable_by(|a, b| first_dir[a.0].angle_cmp(&first_dir[b.0]).then(a.cmp(b)));
+            for (i, d) in rotation.iter().enumerate() {
+                position[d.0] = i;
+            }
+        }
+        Rotations { darts, at, position }
+    }
+
+    /// Vertex `v`'s darts, counter-clockwise.
+    fn of(&self, v: usize) -> &[DartId] {
+        &self.darts[self.at[v]..self.at[v + 1]]
+    }
+
+    /// next(d): at head(d), the dart cyclically preceding twin(d) in the
+    /// counter-clockwise rotation (faces lie to the left of darts).
+    fn next(&self, g: &MergedGraph, d: DartId) -> DartId {
+        let twin = d.twin();
+        let rotation = self.of(g.dart_tail(twin));
+        rotation[(self.position[twin.0] + rotation.len() - 1) % rotation.len()]
     }
 }
 
-fn dart_tail(g: &MergedGraph, d: DartId) -> usize {
-    let chain = &g.edges[d.edge().0];
-    if d.is_forward() {
-        chain.tail
-    } else {
-        chain.head
+/// Face walks: boundary cycles of the embedding, as darts.
+#[derive(Clone, Debug)]
+pub(crate) struct Walks {
+    /// Walk `w`'s darts are `darts[at[w]..at[w + 1]]`.
+    darts: Vec<DartId>,
+    at: Vec<usize>,
+}
+
+impl Default for Walks {
+    fn default() -> Walks {
+        Walks { darts: Vec::new(), at: vec![0] }
     }
 }
 
-fn face_walks(g: &MergedGraph, rotations: &[Vec<DartId>]) -> Vec<Walk> {
-    // Component labeling of vertices.
-    let component = vertex_components(g);
+impl Walks {
+    pub(crate) fn len(&self) -> usize {
+        self.at.len() - 1
+    }
 
-    // next(d): at head(d), the dart cyclically preceding twin(d) in the
-    // counter-clockwise rotation (faces lie to the left of darts).
-    let dart_count = g.edges.len() * 2;
-    let next = |d: DartId| -> DartId {
-        let head = dart_tail(g, d.twin());
-        let rot = &rotations[head];
-        let pos = rot.iter().position(|&x| x == d.twin()).expect("twin in rotation");
-        rot[(pos + rot.len() - 1) % rot.len()]
-    };
+    pub(crate) fn get(&self, w: usize) -> &[DartId] {
+        &self.darts[self.at[w]..self.at[w + 1]]
+    }
 
+    fn push(&mut self, darts: &[DartId]) {
+        self.darts.extend_from_slice(darts);
+        self.at.push(self.darts.len());
+    }
+}
+
+fn face_walks(g: &MergedGraph, rotations: &Rotations) -> Walks {
+    let dart_count = g.chains.len() * 2;
     let mut assigned = vec![false; dart_count];
-    let mut walks = Vec::new();
+    let mut walks = Walks { darts: Vec::with_capacity(dart_count), at: vec![0] };
     for start in 0..dart_count {
         if assigned[start] {
             continue;
         }
-        let mut darts = Vec::new();
         let mut d = DartId(start);
         loop {
             assigned[d.0] = true;
-            darts.push(d);
-            d = next(d);
+            walks.darts.push(d);
+            d = rotations.next(g, d);
             if d.0 == start {
                 break;
             }
         }
-        // Build the closed polyline (a dart's head point is the next
-        // dart's tail).
-        let (mut polyline, mut dirs) = (Vec::new(), Vec::new());
-        for d in &darts {
-            extend_with_dart(g, *d, &mut polyline, &mut dirs);
-        }
-        let comp = component[dart_tail(g, darts[0])];
-        walks.push(Walk { darts, polyline, dirs, component: comp });
+        walks.at.push(walks.darts.len());
     }
     walks
 }
 
-fn vertex_components(g: &MergedGraph) -> Vec<usize> {
-    let n = g.vertex_points.len();
+/// The skeleton component of every vertex, and how many there are.
+fn vertex_components(g: &MergedGraph, rotations: &Rotations) -> (Vec<usize>, usize) {
+    let n = g.vertex_ranks.len();
     let mut comp = vec![usize::MAX; n];
-    let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for chain in &g.edges {
-        adjacency[chain.tail].push(chain.head);
-        adjacency[chain.head].push(chain.tail);
-    }
     let mut next_comp = 0;
+    let mut stack = Vec::new();
     for start in 0..n {
         if comp[start] != usize::MAX {
             continue;
         }
-        let mut stack = vec![start];
+        stack.push(start);
         comp[start] = next_comp;
         while let Some(v) = stack.pop() {
-            for &w in &adjacency[v] {
+            for &d in rotations.of(v) {
+                let w = g.dart_tail(d.twin());
                 if comp[w] == usize::MAX {
                     comp[w] = next_comp;
                     stack.push(w);
@@ -447,105 +543,111 @@ fn vertex_components(g: &MergedGraph) -> Vec<usize> {
         }
         next_comp += 1;
     }
-    comp
+    (comp, next_comp)
 }
 
 /// The outcome of face assembly: face of every dart, exterior face and
 /// boundary edge sets.
 struct AssembledFaces {
     face_of_dart: Vec<FaceId>,
+    /// Every face's boundary edges, ascending.
     face_boundaries: Vec<Vec<EdgeId>>,
-    /// The outer cycle of every bounded face, exported for cross-component
-    /// nesting tests in [`crate::assemble`].
-    bounded_cycles: Vec<BoundedCycle>,
+    /// The boundary walk of every bounded face, face by face, exported for the
+    /// cross-component nesting tests of [`crate::assemble`].
+    bounded_walks: Walks,
     exterior: FaceId,
 }
 
-fn assemble_faces(g: &MergedGraph, walks: &[Walk]) -> AssembledFaces {
-    let component_count = walks.iter().map(|w| w.component).max().map_or(0, |m| m + 1);
+fn assemble_faces(g: &MergedGraph, pieces: &Pieces, rotations: &Rotations, walks: &Walks) -> AssembledFaces {
+    let (component, component_count) = vertex_components(g, rotations);
+    let component_of_walk = |w: usize| component[g.dart_tail(walks.get(w)[0])];
 
     // Each component has exactly one outer walk, the one that turns
-    // clockwise at its lowest point; the others become bounded faces.
+    // clockwise at its lowest point; the others become bounded faces, with
+    // face ids from 1 in walk order (0 is the exterior).
+    let exterior = FaceId(0);
+    let mut face_of_bounded_walk: Vec<Option<FaceId>> = vec![None; walks.len()];
     let mut bounded_walks: Vec<usize> = Vec::new();
-    let mut outer_walk_of_component: Vec<Option<usize>> = vec![None; component_count];
-    for (i, w) in walks.iter().enumerate() {
-        if !turns_clockwise_at_lowest(&w.polyline, &w.dirs) {
-            bounded_walks.push(i);
+    let mut has_outer_walk = vec![false; component_count];
+    for (w, face) in face_of_bounded_walk.iter_mut().enumerate() {
+        if turns_clockwise_at_lowest(g, pieces, walks.get(w)) {
+            let outer = &mut has_outer_walk[component_of_walk(w)];
+            assert!(!*outer, "a skeleton component has two outer walks");
+            *outer = true;
         } else {
-            assert!(
-                outer_walk_of_component[w.component].is_none(),
-                "a skeleton component has two outer walks"
-            );
-            outer_walk_of_component[w.component] = Some(i);
+            bounded_walks.push(w);
+            *face = Some(FaceId(bounded_walks.len()));
         }
     }
-
-    // Face ids: 0 = exterior, then one per bounded walk.
-    let exterior = FaceId(0);
-    let face_of_bounded_walk: BTreeMap<usize, FaceId> = bounded_walks
-        .iter()
-        .enumerate()
-        .map(|(k, &w)| (w, FaceId(k + 1)))
-        .collect();
     let face_count = bounded_walks.len() + 1;
 
-    // Embedding forest: which face is each component embedded in?
-    // A representative point of the component (any vertex) is tested against
-    // the bounded walks of *other* components; the innermost containing walk
-    // gives the parent face.
-    let mut rep_point_of_component: Vec<Option<Point>> = vec![None; component_count];
-    for (v, &c) in vertex_components(g).iter().enumerate() {
-        rep_point_of_component[c].get_or_insert(g.vertex_points[v]);
-    }
+    // Embedding forest: which face is each component embedded in? Its
+    // lowest point, the point of least rank on its chains (an input
+    // endpoint), is tested against the bounded walks of *other* components;
+    // the innermost containing walk gives the parent face.
     let mut parent_face_of_component: Vec<FaceId> = vec![exterior; component_count];
-    for c in 0..component_count {
-        let rep = match rep_point_of_component[c] {
-            Some(p) => p,
-            None => continue,
-        };
-        let others = bounded_walks.iter().filter(|&&wi| walks[wi].component != c);
-        let cycles = others.map(|&wi| (face_of_bounded_walk[&wi], walks[wi].polyline.as_slice()));
-        if let Some(f) = innermost_cycle(&rep, cycles) {
-            parent_face_of_component[c] = f;
+    if component_count > 1 {
+        let mut lowest = vec![u32::MAX; component_count];
+        for (c, chain) in g.chains.iter().enumerate() {
+            let low = &mut lowest[component[chain.tail]];
+            *low = g.chain_points(c).iter().fold(*low, |l, &r| l.min(r));
+        }
+        let rings: Vec<Vec<Point>> = bounded_walks
+            .iter()
+            .map(|&w| {
+                let steps = walks.get(w).iter().flat_map(|&d| g.steps(d));
+                steps.map(|s| pieces.points[s.from as usize]).collect()
+            })
+            .collect();
+        for (c, &rank) in lowest.iter().enumerate() {
+            let rep = pieces.points[rank as usize];
+            let others = bounded_walks.iter().zip(&rings).enumerate();
+            let others = others.filter(|&(_, (&w, _))| component_of_walk(w) != c);
+            let cycles = others.map(|(k, (_, ring))| (FaceId(k + 1), ring.as_slice()));
+            if let Some(f) = innermost_cycle(&rep, cycles) {
+                parent_face_of_component[c] = f;
+            }
         }
     }
 
     // Face of every dart: darts on bounded walks get that walk's face; darts
     // on a component's outer walk get the face the component is embedded in.
-    let mut face_of_dart = vec![exterior; g.edges.len() * 2];
-    for (wi, w) in walks.iter().enumerate() {
-        let face = match face_of_bounded_walk.get(&wi) {
-            Some(f) => *f,
-            None => parent_face_of_component[w.component],
-        };
-        for d in &w.darts {
+    let mut face_of_dart = vec![exterior; g.chains.len() * 2];
+    for (w, face) in face_of_bounded_walk.iter().enumerate() {
+        let face = face.unwrap_or_else(|| parent_face_of_component[component_of_walk(w)]);
+        for d in walks.get(w) {
             face_of_dart[d.0] = face;
         }
     }
 
-    // Boundary edge sets.
-    let mut face_boundaries: Vec<Vec<EdgeId>> = vec![Vec::new(); face_count];
-    for (d, face) in face_of_dart.iter().enumerate() {
-        face_boundaries[face.0].push(DartId(d).edge());
+    // Boundary edge sets, ascending: an edge is on its darts' faces, once
+    // if both are the same.
+    let faces_of_edge = |e: usize| {
+        let (left, right) = (face_of_dart[2 * e], face_of_dart[2 * e + 1]);
+        std::iter::once(left).chain((right != left).then_some(right))
+    };
+    let mut sizes = vec![0; face_count];
+    for e in 0..g.chains.len() {
+        for f in faces_of_edge(e) {
+            sizes[f.0] += 1;
+        }
     }
-    for b in &mut face_boundaries {
-        b.sort();
-        b.dedup();
+    let mut face_boundaries: Vec<Vec<EdgeId>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for e in 0..g.chains.len() {
+        for f in faces_of_edge(e) {
+            face_boundaries[f.0].push(EdgeId(e));
+        }
     }
 
-    let bounded_cycles = bounded_walks
-        .iter()
-        .map(|&wi| BoundedCycle {
-            face: face_of_bounded_walk[&wi],
-            polyline: walks[wi].polyline.clone(),
-        })
-        .collect();
-
-    AssembledFaces { face_of_dart, face_boundaries, bounded_cycles, exterior }
+    let mut bounded_face_walks = Walks::default();
+    for &w in &bounded_walks {
+        bounded_face_walks.push(walks.get(w));
+    }
+    AssembledFaces { face_of_dart, face_boundaries, bounded_walks: bounded_face_walks, exterior }
 }
 
-/// Does the closed walk `ring` turn clockwise at one of its visits to its
-/// lexicographically lowest point?
+/// Does the closed walk `darts` turn clockwise at one of its visits to its
+/// lexicographically lowest point, the point of least rank?
 ///
 /// Exactly the outer walk of a skeleton component does. A visit to the
 /// lowest point `v` passes, counter-clockwise from its outgoing to its
@@ -557,24 +659,25 @@ fn assemble_faces(g: &MergedGraph, walks: &[Walk]) -> AssembledFaces {
 /// turns clockwise. No visit turns straight back: the skeleton is a union of
 /// closed curves, so no vertex has degree one. The turn is the sign of the
 /// cross product of the incoming and outgoing pieces' input-segment
-/// directions (`dirs[i]` leaves `ring[i]`).
-fn turns_clockwise_at_lowest(ring: &[Point], dirs: &[Vector]) -> bool {
-    let lowest = ring.iter().min().expect("a face walk has points");
-    let n = ring.len();
-    (0..n)
-        .filter(|&i| ring[i] == *lowest)
-        .any(|i| dirs[(i + n - 1) % n].cross(&dirs[i]).signum() < 0)
+/// directions.
+fn turns_clockwise_at_lowest(g: &MergedGraph, pieces: &Pieces, darts: &[DartId]) -> bool {
+    let steps = || darts.iter().flat_map(|&d| g.steps(d));
+    let lowest = steps().map(|s| s.from).min().expect("a face walk has points");
+    let last = darts.last().and_then(|&d| g.steps(d).next_back()).expect("a face walk has pieces");
+    let dir = |s: Step| pieces.dir_from(s.piece as usize, s.from);
+    let incoming = std::iter::once(last).chain(steps());
+    incoming.zip(steps()).any(|(into, out)| out.from == lowest && dir(into).cross(&dir(out)).signum() < 0)
 }
 
 /// Face labels by FIFO flood fill from the exterior face: crossing an edge
 /// toggles membership in the regions whose boundary it lies on, so a face's
 /// interior regions are its neighbour's, symmetric-differenced with the
 /// crossed chain's (both ascending).
-fn face_labels(g: &MergedGraph, assembled: &AssembledFaces) -> Vec<Label> {
+fn face_labels(g: &MergedGraph, pieces: &Pieces, assembled: &AssembledFaces) -> Vec<Label> {
     let face_count = assembled.face_boundaries.len();
     let mut labels: Vec<Option<Label>> = vec![None; face_count];
     labels[assembled.exterior.0] = Some(Label::default());
-    let mut queue = std::collections::VecDeque::new();
+    let mut queue = std::collections::VecDeque::with_capacity(face_count);
     queue.push_back(assembled.exterior);
     while let Some(f) = queue.pop_front() {
         // Cross every edge on the face boundary.
@@ -586,7 +689,7 @@ fn face_labels(g: &MergedGraph, assembled: &AssembledFaces) -> Vec<Label> {
                 continue;
             }
             let current = labels[f.0].as_ref().expect("visited face has a label");
-            let crossed = &g.edges[e.0].regions;
+            let crossed = g.chain_regions(pieces, e.0);
             let kept = current.iter().filter(|(r, _)| crossed.binary_search(r).is_err());
             let entered = crossed.iter().filter(|&&r| current.sign(r) == Sign::Exterior);
             labels[neighbor.0] = Some(kept.chain(entered.map(|&r| (r, Sign::Interior))).collect());
@@ -609,69 +712,72 @@ fn on_boundary(label: &Label, boundary: &[usize]) -> Label {
 /// come from the flood fill of [`face_labels`]; an edge takes the label of
 /// its left face and a vertex that of the face left of its first dart, with
 /// the regions whose boundary the cell lies on marked `Boundary`, so every
-/// label is written once, in time linear in its entries.
+/// label is written once, in time linear in its entries. Polylines,
+/// rotations and boundary lists are allocated at their final size, cell by
+/// cell.
 fn finish_complex(
     region_names: Vec<String>,
-    g: MergedGraph,
-    rotations: Vec<Vec<DartId>>,
+    g: &MergedGraph,
+    pieces: &Pieces,
+    rotations: &Rotations,
     assembled: AssembledFaces,
 ) -> CellComplex {
-    let face_count = assembled.face_boundaries.len();
+    let face_labels = face_labels(g, pieces, &assembled);
+    crate::counters::add_labels_propagated(face_labels.len() as u64);
 
-    let face_labels = face_labels(&g, &assembled);
-    crate::counters::add_labels_propagated(face_count as u64);
-
-    // Assemble faces (cheap: label moves plus clones).
+    let AssembledFaces { face_of_dart, face_boundaries, exterior, .. } = assembled;
     let faces: Vec<FaceData> = face_labels
         .into_iter()
+        .zip(face_boundaries)
         .enumerate()
-        .map(|(i, label)| FaceData {
-            is_exterior: FaceId(i) == assembled.exterior,
-            boundary_edges: assembled.face_boundaries[i].clone(),
+        .map(|(i, (label, boundary_edges))| FaceData {
+            is_exterior: FaceId(i) == exterior,
+            boundary_edges,
             label,
         })
         .collect();
 
-    // Assemble edges. Polylines and rotations are cloned rather than moved
-    // out of the merge graph: the clones are packed tightly, cell by cell,
-    // where the moved buffers would keep chain merging's scattered,
-    // over-allocated layout — measurably slower for every later read.
     let edges: Vec<EdgeData> = g
-        .edges
+        .chains
         .iter()
         .enumerate()
         .map(|(i, chain)| {
             let e = EdgeId(i);
-            let left = assembled.face_of_dart[DartId::forward(e).0];
-            let right = assembled.face_of_dart[DartId::backward(e).0];
+            let left = face_of_dart[DartId::forward(e).0];
+            let right = face_of_dart[DartId::backward(e).0];
             EdgeData {
                 tail: VertexId(chain.tail),
                 head: VertexId(chain.head),
-                polyline: chain.polyline.clone(),
+                polyline: g.chain_points(i).iter().map(|&r| pieces.points[r as usize]).collect(),
                 left_face: left,
                 right_face: right,
-                label: on_boundary(&faces[left.0].label, &chain.regions),
+                label: on_boundary(&faces[left.0].label, g.chain_regions(pieces, i)),
             }
         })
         .collect();
 
-    // Assemble vertices (reads the incident chains' regions).
+    // Vertices: the regions of the incident chains, merged in one reused
+    // buffer.
+    let mut marks: Vec<usize> = Vec::new();
     let vertices: Vec<VertexData> = g
-        .vertex_points
+        .vertex_ranks
         .iter()
-        .zip(&rotations)
-        .map(|(point, rotation)| {
-            let face = &faces[assembled.face_of_dart[rotation[0].0].0].label;
-            let mut marks: Vec<usize> =
-                rotation.iter().flat_map(|d| g.edges[d.edge().0].regions.iter().copied()).collect();
+        .enumerate()
+        .map(|(v, &rank)| {
+            let rotation = rotations.of(v);
+            let face = &faces[face_of_dart[rotation[0].0].0].label;
+            marks.clear();
+            for d in rotation {
+                marks.extend_from_slice(g.chain_regions(pieces, d.edge().0));
+            }
             marks.sort_unstable();
             marks.dedup();
             let label = on_boundary(face, &marks);
-            VertexData { point: *point, label, rotation: rotation.clone() }
+            VertexData { point: pieces.points[rank as usize], label, rotation: rotation.to_vec() }
         })
         .collect();
 
-    CellComplex { region_names, vertices, edges, faces, exterior: assembled.exterior }
+    CellComplex { region_names, vertices, edges, faces, exterior }
 }
 
 #[cfg(test)]

@@ -17,9 +17,18 @@
 //!   kept as a differential-testing oracle: both must produce identical
 //!   [`SubSegment`] sets on every input.
 //!
-//! Both share [`assemble_subsegments`], which emits the pieces between each
-//! segment's consecutive cut points and merges geometrically coincident
-//! pieces from different regions.
+//! The pieces of a split are merged from the cut sets by rank (`Pieces`): the
+//! flat cut-point buffer is sorted once into a *point table*, every distinct
+//! cut point once, ascending, and a point's rank is its position there. Each
+//! pair of consecutive cut points of a segment is a piece `(rank a, rank b,
+//! segment)`; one integer sort makes coincident pieces adjacent, and each
+//! run becomes one piece with its first segment's direction and the union of
+//! its segments' regions. Ranks are lexicographic, so the builder's later
+//! stages compare, key and sort ranks where they would otherwise compare
+//! exact rational points, and read a point only where the complex keeps it.
+//! [`assemble_subsegments`] converts the pieces into [`SubSegment`]s; the
+//! naive oracle keeps its own merge, a map keyed by endpoint points, so the
+//! differential tests hold the two merges against each other too.
 //!
 //! Cuts are pairwise: a segment's cut set comes only from the segments whose
 //! boxes meet its own. A component therefore keeps the cut sets of its build,
@@ -40,8 +49,9 @@ use crate::partition::BBox;
 use spatial_core::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A maximal straight piece of region boundary between two arrangement
-/// vertices.
+/// A maximal straight piece of region boundary between two consecutive cut
+/// points, with its endpoints as points: the public form of one of the
+/// rank-indexed pieces a component build merges ([`assemble_subsegments`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SubSegment {
     /// Lexicographically smaller endpoint.
@@ -51,7 +61,8 @@ pub struct SubSegment {
     /// The direction from `a` to `b`: that of the input segment this piece
     /// lies on ([`Segment::direction`]), negated when the segment runs from
     /// its larger to its smaller endpoint. Only the direction is meaningful,
-    /// not the length: coincident pieces keep the first segment's vector.
+    /// not the length: coincident pieces keep the vector of the first input
+    /// segment they lie on.
     pub dir: Vector,
     /// Sorted indices of the regions whose boundary contains this piece.
     pub regions: Vec<usize>,
@@ -122,8 +133,13 @@ impl CutSets {
 
     /// Segment `s`'s cut points, ascending.
     pub fn get(&self, s: usize) -> &[Point] {
+        &self.points[self.bounds(s)]
+    }
+
+    /// The positions of segment `s`'s cut points in the flat buffer.
+    fn bounds(&self, s: usize) -> std::ops::Range<usize> {
         let start = if s == 0 { 0 } else { self.ends[s - 1] };
-        &self.points[start..self.ends[s]]
+        start..self.ends[s]
     }
 
     /// Every segment's cut points, in segment order.
@@ -157,8 +173,10 @@ pub fn split_segments(segments: &[TaggedSegment]) -> Vec<SubSegment> {
 }
 
 /// The original all-pairs splitter, kept as the differential-testing oracle
-/// for the sweep. `O(n^2)` intersection tests, but independent of any
-/// ordering argument — its output is the specification the sweep must match.
+/// for the sweep and the rank-based merge. `O(n^2)` intersection tests, and
+/// coincident pieces merged in a map keyed by their endpoint points, both
+/// independent of any ordering argument — its output is the specification
+/// [`split_segments`] must match.
 pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
     let n = segments.len();
     let mut cuts = endpoint_incidences(segments);
@@ -175,7 +193,22 @@ pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
             }
         }
     }
-    assemble_subsegments(segments, &CutSets::from_incidences(n, cuts))
+    // Merge coincident pieces by their endpoints, independently of the
+    // rank-based merge of `Pieces`, which the differential tests hold
+    // against this one.
+    let cuts = CutSets::from_incidences(n, cuts);
+    let mut merged: BTreeMap<(Point, Point), (Vector, BTreeSet<usize>)> = BTreeMap::new();
+    for (ts, cut_points) in segments.iter().zip(cuts.iter()) {
+        let dir = ascending_direction(&ts.segment);
+        for pq in cut_points.windows(2) {
+            let piece = merged.entry((pq[0], pq[1])).or_insert_with(|| (dir, BTreeSet::new()));
+            piece.1.insert(ts.region);
+        }
+    }
+    merged
+        .into_iter()
+        .map(|((a, b), (dir, regions))| SubSegment { a, b, dir, regions: regions.into_iter().collect() })
+        .collect()
 }
 
 /// The cut sets of `segments`, whose boxes are `boxes`, re-splitting only
@@ -248,29 +281,155 @@ impl<'a> BoxSet<'a> {
     }
 }
 
-/// Shared final phase of both splitters: emit the pieces between
-/// consecutive cut points of each segment, and merge geometrically identical
-/// pieces (keyed by canonical endpoint pair) into a single [`SubSegment`]
-/// carrying the union of region marks.
+/// The direction of `segment` from its smaller endpoint to its larger.
+fn ascending_direction(segment: &Segment) -> Vector {
+    let d = segment.direction();
+    if segment.a < segment.b {
+        d
+    } else {
+        d.neg()
+    }
+}
+
+/// The split of a list of segments as [`SubSegment`]s: the `Pieces` of
+/// their cut sets, each with its endpoints read from the point table and its
+/// regions copied out of the flat region buffer.
 ///
-/// A cut set is ordered lexicographically, and lexicographic order along a
-/// segment is the order of its points along the segment, so consecutive
-/// elements of the set are consecutive cut points, smaller endpoint first.
+/// The pieces lie between consecutive cut points of each segment, and
+/// geometrically identical pieces of different segments are one piece,
+/// carrying the union of their regions. A cut set is ordered
+/// lexicographically, and lexicographic order along a segment is the order
+/// of its points along the segment, so consecutive elements of the set are
+/// consecutive cut points, smaller endpoint first.
 pub fn assemble_subsegments(segments: &[TaggedSegment], cuts: &CutSets) -> Vec<SubSegment> {
-    let mut merged: BTreeMap<(Point, Point), (Vector, BTreeSet<usize>)> = BTreeMap::new();
-    for (ts, cut_points) in segments.iter().zip(cuts.iter()) {
-        let d = ts.segment.direction();
-        let dir = if ts.segment.a < ts.segment.b { d } else { d.neg() };
-        for pq in cut_points.windows(2) {
-            let piece = merged.entry((pq[0], pq[1])).or_insert_with(|| (dir, BTreeSet::new()));
-            piece.1.insert(ts.region);
+    let pieces = Pieces::new(segments, cuts);
+    (0..pieces.len())
+        .map(|p| {
+            let piece = &pieces.pieces[p];
+            SubSegment {
+                a: pieces.points[piece.a as usize],
+                b: pieces.points[piece.b as usize],
+                dir: *pieces.dir(p),
+                regions: pieces.regions(p).to_vec(),
+            }
+        })
+        .collect()
+}
+
+/// The split of a component, indexed by the ranks of its cut points: the
+/// input of the builder's local pipeline ([`crate::builder`]).
+///
+/// The point table holds every distinct cut point once, ascending; a point's
+/// *rank* is its position there. Ranks are lexicographic, so comparing two
+/// ranks compares their points, and every later stage keys, sorts and
+/// compares integers where it would otherwise compare exact rationals.
+pub(crate) struct Pieces {
+    /// The point table: the distinct cut points, ascending.
+    pub(crate) points: Vec<Point>,
+    /// The merged pieces, ascending by `(a, b)`.
+    pub(crate) pieces: Vec<Piece>,
+    /// Every piece's regions, in piece order, each run ascending.
+    regions: Vec<usize>,
+    /// Each input segment's direction, from its smaller endpoint to its
+    /// larger.
+    dirs: Vec<Vector>,
+}
+
+/// A maximal straight piece of the split, between two consecutive cut points
+/// of one or more segments.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Piece {
+    /// The rank of the smaller endpoint.
+    pub(crate) a: u32,
+    /// The rank of the larger endpoint.
+    pub(crate) b: u32,
+    /// The first input segment the piece lies on; its direction is the
+    /// piece's.
+    segment: u32,
+    /// The piece's regions end at `Pieces::regions[regions_end]` (exclusive)
+    /// and start where the previous piece's end.
+    regions_end: u32,
+}
+
+impl Pieces {
+    /// Rank the cut points of `segments` and merge their pieces: sort the
+    /// flat cut-point buffer once into the point table, then sort every
+    /// piece as `(rank a, rank b, segment)`, so coincident pieces are
+    /// adjacent and each run keeps its first segment's direction.
+    pub(crate) fn new(segments: &[TaggedSegment], cuts: &CutSets) -> Pieces {
+        let flat = &cuts.points;
+        // Ranks, segments, pieces and region offsets are stored as `u32`s;
+        // each counts no more than the cut points do.
+        u32::try_from(flat.len()).expect("a component has fewer than 2^32 cut points");
+        let mut order: Vec<u32> = (0..flat.len() as u32).collect();
+        order.sort_unstable_by(|&i, &j| flat[i as usize].cmp(&flat[j as usize]));
+        let mut points: Vec<Point> = Vec::with_capacity(flat.len());
+        let mut rank = vec![0u32; flat.len()];
+        for &i in &order {
+            let p = flat[i as usize];
+            if points.last() != Some(&p) {
+                points.push(p);
+            }
+            rank[i as usize] = points.len() as u32 - 1;
         }
+
+        let mut split: Vec<(u32, u32, u32)> = Vec::with_capacity(flat.len());
+        for s in 0..cuts.len() {
+            let ranks = &rank[cuts.bounds(s)];
+            split.extend(ranks.windows(2).map(|ab| (ab[0], ab[1], s as u32)));
+        }
+        split.sort_unstable();
+
+        let mut pieces = Vec::with_capacity(split.len());
+        let mut regions = Vec::with_capacity(split.len());
+        for run in split.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+            let start = regions.len();
+            for &(_, _, s) in run {
+                let r = segments[s as usize].region;
+                if !regions[start..].contains(&r) {
+                    regions.push(r);
+                }
+            }
+            regions[start..].sort_unstable();
+            let (a, b, segment) = run[0];
+            pieces.push(Piece { a, b, segment, regions_end: regions.len() as u32 });
+        }
+        let dirs = segments.iter().map(|ts| ascending_direction(&ts.segment)).collect();
+        Pieces { points, pieces, regions, dirs }
     }
 
-    merged
-        .into_iter()
-        .map(|((a, b), (dir, regions))| SubSegment { a, b, dir, regions: regions.into_iter().collect() })
-        .collect()
+    /// The number of pieces.
+    pub(crate) fn len(&self) -> usize {
+        self.pieces.len()
+    }
+
+    /// Are there no pieces?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pieces.is_empty()
+    }
+
+    /// Piece `p`'s regions, ascending.
+    pub(crate) fn regions(&self, p: usize) -> &[usize] {
+        let start = if p == 0 { 0 } else { self.pieces[p - 1].regions_end as usize };
+        &self.regions[start..self.pieces[p].regions_end as usize]
+    }
+
+    /// Piece `p`'s direction, from its smaller endpoint to its larger: that
+    /// of its first input segment.
+    pub(crate) fn dir(&self, p: usize) -> &Vector {
+        &self.dirs[self.pieces[p].segment as usize]
+    }
+
+    /// The direction of a step along piece `p` from its endpoint of rank
+    /// `from` to its other endpoint.
+    pub(crate) fn dir_from(&self, p: usize, from: u32) -> Vector {
+        let dir = self.dir(p);
+        if from == self.pieces[p].a {
+            *dir
+        } else {
+            dir.neg()
+        }
+    }
 }
 
 #[cfg(test)]

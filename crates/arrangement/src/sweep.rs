@@ -67,8 +67,8 @@
 
 use crate::split::{assemble_subsegments, endpoint_incidences, CutSets, SubSegment, TaggedSegment};
 use spatial_core::prelude::*;
-use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Split all segments at their mutual intersection points via the plane
 /// sweep and merge coincident pieces.
@@ -160,24 +160,27 @@ fn collinear_overlap_cuts(segments: &[TaggedSegment], cuts: &mut Incidences) {
 
 struct Sweep<'a> {
     segments: &'a [Segment],
-    /// Event queue: the key order (lexicographic point order) is the sweep
-    /// order; the value is the list of segments whose sweep source is the
-    /// point. Crossing events discovered later are inserted with an empty
-    /// list.
-    queue: BTreeMap<Point, Vec<usize>>,
+    /// Event queue, least point first: one entry per segment whose sweep
+    /// source is the point, plus an entry with no segment (`usize::MAX`) for
+    /// every removal and crossing event, however often it is discovered. The
+    /// entries of one point pop together, as one event.
+    queue: BinaryHeap<Reverse<(Point, usize)>>,
     /// Active segments, ordered bottom-to-top along the sweep line.
     status: Vec<usize>,
 }
 
+/// The segment of a queue entry that names none.
+const NO_STARTER: usize = usize::MAX;
+
 impl<'a> Sweep<'a> {
     fn new(segments: &'a [Segment]) -> Self {
-        let mut queue: BTreeMap<Point, Vec<usize>> = BTreeMap::new();
+        let mut queue = Vec::with_capacity(2 * segments.len());
         for (i, s) in segments.iter().enumerate() {
-            queue.entry(s.sweep_source()).or_default().push(i);
+            queue.push(Reverse((s.sweep_source(), i)));
             // Ensure the removal event exists even if nothing starts there.
-            queue.entry(s.sweep_target()).or_default();
+            queue.push(Reverse((s.sweep_target(), NO_STARTER)));
         }
-        Sweep { segments, queue, status: Vec::new() }
+        Sweep { segments, queue: BinaryHeap::from(queue), status: Vec::new() }
     }
 
     fn seg(&self, i: usize) -> &Segment {
@@ -186,8 +189,17 @@ impl<'a> Sweep<'a> {
 
     fn run(mut self, cuts: &mut Incidences) {
         let mut events = 0u64;
-        while let Some((p, starters)) = self.queue.pop_first() {
-            self.handle_event(p, starters, cuts);
+        let mut starters = Vec::new();
+        while let Some(&Reverse((p, _))) = self.queue.peek() {
+            // Every entry of `p`; its starting segments pop ascending.
+            starters.clear();
+            while self.queue.peek().is_some_and(|Reverse((q, _))| *q == p) {
+                let Reverse((_, s)) = self.queue.pop().expect("the peeked entry");
+                if s != NO_STARTER {
+                    starters.push(s);
+                }
+            }
+            self.handle_event(p, &starters, cuts);
             events += 1;
         }
         crate::counters::add_events_processed(events);
@@ -196,7 +208,7 @@ impl<'a> Sweep<'a> {
     fn handle_event(
         &mut self,
         p: Point,
-        starters: Vec<usize>,
+        starters: &[usize],
         cuts: &mut Incidences,
     ) {
         // The run of status segments containing p. The status is ordered
@@ -219,7 +231,7 @@ impl<'a> Sweep<'a> {
             let d0 = self.seg(through.next().expect("batch has >= 2 segments")).direction();
             let multi_line = through.any(|s| !d0.cross(&self.seg(s).direction()).is_zero());
             if multi_line {
-                cuts.extend(self.status[lo..hi].iter().chain(&starters).map(|&s| (s, p)));
+                cuts.extend(self.status[lo..hi].iter().chain(starters).map(|&s| (s, p)));
             }
         }
 
@@ -259,7 +271,7 @@ impl<'a> Sweep<'a> {
     fn test_pair(&mut self, a: usize, b: usize, after: &Point) {
         if let SegmentIntersection::Point(ip) = self.seg(a).intersect(self.seg(b)) {
             if ip > *after {
-                self.queue.entry(ip).or_default();
+                self.queue.push(Reverse((ip, NO_STARTER)));
             }
         }
     }

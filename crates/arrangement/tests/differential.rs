@@ -3,9 +3,13 @@
 //! randomized workloads from `datagen` plus hand-built degeneracy gauntlets.
 //!
 //! The oracle (`split_segments_naive`) is trivially correct: it tests every
-//! pair of segments with the exact intersection primitive. Matching it
-//! sub-segment for sub-segment is therefore a full functional specification
-//! of the sweep, including region-mark merging of shared boundaries.
+//! pair of segments with the exact intersection primitive, and merges
+//! coincident pieces in a map keyed by their endpoint points. The sweep's
+//! side ranks its cut points in one sorted point table and merges pieces by
+//! an integer sort (`assemble_subsegments`). Matching the oracle sub-segment
+//! for sub-segment is therefore a full functional specification of both the
+//! sweep and the rank-based merge, including region-mark merging of shared
+//! boundaries.
 
 use arrangement::ComplexRead;
 use arrangement::split::{instance_segments, split_segments_naive, TaggedSegment};
@@ -80,6 +84,27 @@ fn jittered_and_dense_overlap_maps() {
     for (cols, rows) in [(5usize, 5usize), (8, 8)] {
         let inst = datagen::dense_overlap_map(cols, rows, 4);
         check_instance(&inst, &format!("dense_overlap_map({cols}, {rows}, 4)"));
+    }
+}
+
+#[test]
+fn the_dense_map_along_its_edit_trace() {
+    // `edit_dense`'s map (one component of 1 000+ segments, many shared
+    // boundary pieces) and the maps 20 steps of its edit trace leave.
+    let mut inst = datagen::jittered_overlap_map(16, 16, 12, 1996);
+    check_instance(&inst, "jittered_overlap_map(16, 16, 12, 1996)");
+    for (step, batch) in datagen::dense_edit_trace(16, 16, 12, 20, 7).into_iter().enumerate() {
+        for op in batch {
+            match op {
+                datagen::TraceOp::Insert(name, region) => {
+                    inst.insert(name, region);
+                }
+                datagen::TraceOp::Remove(name) => {
+                    inst.remove(&name);
+                }
+            }
+        }
+        check_instance(&inst, &format!("dense_edit_trace(16, 16, 12, 20, 7) step {step}"));
     }
 }
 
