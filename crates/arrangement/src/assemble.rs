@@ -751,13 +751,13 @@ mod tests {
             .face_ids()
             .find(|f| c.face(*f).label == label(&[(1, Sign::Interior)]))
             .expect("outer-only face exists");
-        assert_eq!(c.face_edges(annulus).len(), 2);
+        assert_eq!(c.face_boundary(annulus).len(), 2);
         // The innermost face is inside both regions.
         assert!(c
             .face_ids()
             .any(|f| c.face(f).label == label(&[(0, Sign::Interior), (1, Sign::Interior)])));
         // The exterior sees only Outer's boundary.
-        assert_eq!(c.face_edges(c.exterior_face()).len(), 1);
+        assert_eq!(c.face_boundary(c.exterior_face()).len(), 1);
     }
 
     #[test]
@@ -799,7 +799,7 @@ mod tests {
             .find(|f| c.face(*f).label == label(&[(0, Sign::Interior)]))
             .expect("host-only face");
         // Host's own loop + both island loops.
-        assert_eq!(c.face_edges(host_only).len(), 3);
+        assert_eq!(c.face_boundary(host_only).len(), 3);
     }
 
     /// Debug builds (the plain `cargo test`) replay a prefix of each trace;
@@ -902,8 +902,8 @@ mod tests {
             datagen::jittered_overlap_map(16, 16, 12, 1996),
         ];
         for inst in families {
-            for c in crate::build_component_complexes(&inst, 1) {
-                check_rep_point(0, &inst, &c, true);
+            for c in crate::build_complex_view(&inst).components() {
+                check_rep_point(0, &inst, c, true);
             }
         }
         for seed in 0..4 {
@@ -913,6 +913,36 @@ mod tests {
         }
         let trace = datagen::dense_edit_trace(16, 16, 12, DENSE_STEPS, 7);
         replay(datagen::jittered_overlap_map(16, 16, 12, 1996), &trace, check_rep_point);
+    }
+
+    #[test]
+    fn explicit_thread_counts_match_default_build() {
+        use spatial_core::fixtures;
+        for (name, inst) in [
+            ("fig1a", fixtures::fig_1a()),
+            ("fig1b", fixtures::fig_1b()),
+            ("fig1c", fixtures::fig_1c()),
+            ("fig1d", fixtures::fig_1d()),
+            ("ring", fixtures::ring()),
+            ("nested", fixtures::nested_three()),
+            ("petals", fixtures::petals_abcd()),
+            ("shared", fixtures::shared_boundary()),
+            ("island_in", fixtures::ring_with_island(true)),
+            ("island_out", fixtures::ring_with_island(false)),
+        ] {
+            // The from-scratch reference, its groups swept on an explicit
+            // number of workers, against the cold build.
+            let base = crate::build_complex(&inst);
+            let names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
+            let groups = partition_instance(&inst);
+            for threads in [1, 4] {
+                let components = crate::parallel::map_indexed(groups.len(), threads, |i| {
+                    Arc::new(build_group_component(&inst, &groups[i]))
+                });
+                let built = assemble_components(names.clone(), &components);
+                assert_eq!(format!("{base:?}"), format!("{built:?}"), "{name}: threads={threads}");
+            }
+        }
     }
 
     #[test]

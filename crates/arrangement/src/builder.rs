@@ -4,7 +4,11 @@
 //! This is the polygonal counterpart of the Kozen–Yap cell-decomposition
 //! algorithm the paper relies on for semi-algebraic inputs: polygonal regions
 //! stand in for the paper's semi-algebraic ones.
-//! [`build_complex`] is a thin compose of three phases:
+//! [`build_complex_view`] is the update of nothing
+//! ([`crate::update_components`] with no previous components and every name
+//! changed, assembled by [`GlobalComplexView::updated`] onto the empty view),
+//! and [`build_complex`] its flat copy. Both run the three phases every
+//! commit runs:
 //!
 //! 1. [`crate::partition`] groups the regions into interaction components
 //!    (connected components of the segment bounding-box overlap graph);
@@ -20,9 +24,9 @@
 //!    contain them (`assemble::innermost_cycle`), and
 //!    every cell labeled by exact combinatorial propagation from the
 //!    unbounded face;
-//! 3. [`crate::assemble`] stitches the component complexes into the global
-//!    complex (cross-component nesting, exterior-face unification, label
-//!    widening).
+//! 3. [`crate::assemble`] and [`GlobalComplexView`] stitch the component
+//!    complexes into the global complex (cross-component nesting,
+//!    exterior-face unification, label widening).
 //!
 //! A component build sorts its cut points once, into the point table of its
 //! split (`split::Pieces`), and the local pipeline works on ranks from
@@ -47,53 +51,33 @@
 //! construction as a differential-testing oracle: both paths must produce
 //! isomorphic complexes on every input.
 
-use crate::assemble::{assemble_components, innermost_cycle, ComponentComplex};
+use crate::assemble::{innermost_cycle, update_components};
 use crate::complex::CellComplex;
-use crate::parallel::{available_threads, map_indexed};
-use crate::partition::partition_instance;
 use crate::split::{instance_segments, Pieces};
 use crate::types::*;
 use crate::view::GlobalComplexView;
 use spatial_core::prelude::*;
-use std::sync::Arc;
 
-/// Build the maximal labeled cell complex of a spatial instance by the
-/// partition → parallel per-component sweep → assemble pipeline.
-///
-/// Independent components are swept concurrently, on the machine's
-/// available parallelism ([`crate::parallel::available_threads`]); the
-/// output is identical for every thread count.
+/// Build the maximal labeled cell complex of a spatial instance: the flat
+/// copy ([`GlobalComplexView::to_cell_complex`]) of [`build_complex_view`].
 /// The complex of the empty instance consists of the single unbounded face.
 pub fn build_complex(instance: &SpatialInstance) -> CellComplex {
-    let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
-    let components = build_component_complexes(instance, available_threads());
-    assemble_components(region_names, &components)
+    build_complex_view(instance).to_cell_complex()
 }
 
-/// Build the zero-copy [`GlobalComplexView`] of a spatial instance by the
-/// same partition → parallel per-component sweep pipeline as
-/// [`build_complex`], assembling by view instead of by copy.
+/// Build the zero-copy [`GlobalComplexView`] of a spatial instance: the
+/// update of nothing ([`update_components`] with no previous components and
+/// every name changed) assembled onto the empty view: the pipeline every
+/// commit runs, and the cold build of the database's first epoch. The
+/// from-scratch references ([`crate::partition_instance`],
+/// [`crate::build_group_component`]) are not on its path. Independent
+/// components are swept concurrently on the machine's available
+/// parallelism; the output is identical for every thread count.
 pub fn build_complex_view(instance: &SpatialInstance) -> GlobalComplexView {
-    let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
-    let components = build_component_complexes(instance, available_threads());
-    GlobalComplexView::new(region_names, components)
-}
-
-/// Partition an instance and sweep every interaction component, up to
-/// `threads` components at a time ([`crate::parallel::map_indexed`]); each
-/// component is built serially on the worker that picked it up. Components
-/// are returned in partition order regardless of the thread count, so both
-/// assembly paths produce identical output for every `threads` value.
-pub fn build_component_complexes(
-    instance: &SpatialInstance,
-    threads: usize,
-) -> Vec<Arc<ComponentComplex>> {
-    let groups = partition_instance(instance);
     let names = instance.names();
-    map_indexed(groups.len(), threads, |i| {
-        let members = crate::assemble::group_members(instance, &names, &groups[i]);
-        Arc::new(crate::assemble::build_group(&members, &[], &[]))
-    })
+    let update = update_components(&[], instance, &names, |_| None);
+    let region_names = names.iter().map(|s| s.to_string()).collect();
+    GlobalComplexView::new(Vec::new(), Vec::new()).updated(region_names, update)
 }
 
 /// The pre-partitioning construction: one plane sweep over the whole
@@ -889,7 +873,7 @@ mod tests {
         assert_eq!(c.skeleton_component_count(), 2);
         assert!(c.euler_formula_holds());
         // The exterior face's boundary contains both loop edges.
-        assert_eq!(c.face_edges(c.exterior_face()).len(), 2);
+        assert_eq!(c.face_boundary(c.exterior_face()).len(), 2);
     }
 
     #[test]
@@ -918,9 +902,9 @@ mod tests {
             .face_ids()
             .find(|f| c.face(*f).label == label(&[(0, Sign::Interior)]))
             .unwrap();
-        assert_eq!(c.face_edges(a_only).len(), 2);
+        assert_eq!(c.face_boundary(a_only).len(), 2);
         // The exterior face sees only ∂A.
-        assert_eq!(c.face_edges(c.exterior_face()).len(), 1);
+        assert_eq!(c.face_boundary(c.exterior_face()).len(), 1);
     }
 
     #[test]
@@ -935,7 +919,7 @@ mod tests {
         // Not simple: the exterior face's walk visits the origin four times.
         assert!(!c.is_simple());
         // The rotation at the origin has 8 darts.
-        assert_eq!(c.rotation(VertexId(0)).len(), 8);
+        assert_eq!(c.vertex_rotation(VertexId(0)).len(), 8);
     }
 
     #[test]
@@ -980,10 +964,10 @@ mod tests {
         let hole_in = hole_of(&inn);
         let hole_out = hole_of(&out);
         // Number of edges bounding the hole differs: 5 vs 4 (it gains ∂C).
-        assert_eq!(inn.face_edges(hole_in).len(), out.face_edges(hole_out).len() + 1);
+        assert_eq!(inn.face_boundary(hole_in).len(), out.face_boundary(hole_out).len() + 1);
         assert_eq!(
-            out.face_edges(out.exterior_face()).len(),
-            inn.face_edges(inn.exterior_face()).len() + 1
+            out.face_boundary(out.exterior_face()).len(),
+            inn.face_boundary(inn.exterior_face()).len() + 1
         );
     }
 
@@ -1009,34 +993,10 @@ mod tests {
     }
 
     #[test]
-    fn explicit_thread_counts_match_default_build() {
-        for (name, inst) in [
-            ("fig1a", fixtures::fig_1a()),
-            ("fig1b", fixtures::fig_1b()),
-            ("fig1c", fixtures::fig_1c()),
-            ("fig1d", fixtures::fig_1d()),
-            ("ring", fixtures::ring()),
-            ("nested", fixtures::nested_three()),
-            ("petals", fixtures::petals_abcd()),
-            ("shared", fixtures::shared_boundary()),
-            ("island_in", fixtures::ring_with_island(true)),
-            ("island_out", fixtures::ring_with_island(false)),
-        ] {
-            let base = build_complex(&inst);
-            let names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
-            for threads in [1, 4] {
-                let built =
-                    assemble_components(names.clone(), &build_component_complexes(&inst, threads));
-                assert_eq!(format!("{base:?}"), format!("{built:?}"), "{name}: threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn phase_counters_advance_during_a_build() {
         let before = crate::counters::phase_counters();
-        let components = build_component_complexes(&fixtures::fig_1c(), 2);
-        assert!(components.iter().all(|c| c.complex().euler_formula_holds()));
+        let view = build_complex_view(&fixtures::fig_1c());
+        assert!(view.components().iter().all(|c| c.complex().euler_formula_holds()));
         let delta = crate::counters::phase_counters().delta_since(&before);
         assert!(delta.events_processed >= 1, "sweep events counted");
         assert!(delta.chains_merged >= 1, "merged chains counted");

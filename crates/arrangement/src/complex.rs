@@ -26,10 +26,12 @@ use std::sync::Arc;
 
 /// Read access to a (possibly virtual) planar cell complex.
 ///
-/// This trait is the accessor surface of [`CellComplex`], extracted so that
-/// every derived-structure computation — invariant extraction, 4-relation
-/// classification, cell-level query evaluation — can run unchanged on either
-/// representation of the global complex:
+/// This trait is the one read surface of the global complex: every
+/// derived-structure computation — invariant extraction, 4-relation
+/// classification, cell-level query evaluation — runs unchanged on either
+/// representation of it ([`CellComplex`] itself adds only its raw cell
+/// records, [`CellComplex::vertex`], [`CellComplex::edge`] and
+/// [`CellComplex::face`]):
 ///
 /// * the flat [`CellComplex`] produced by copying assembly
 ///   ([`crate::assemble_components`]), and
@@ -159,15 +161,6 @@ pub trait ComplexRead {
         } else {
             r
         }
-    }
-
-    /// The edges incident to a vertex (each loop appears once).
-    fn vertex_edges(&self, v: VertexId) -> Vec<EdgeId> {
-        let mut out: Vec<EdgeId> =
-            self.vertex_rotation(v).iter().map(|d| d.edge()).collect();
-        out.sort();
-        out.dedup();
-        out
     }
 
     /// The faces incident to a vertex.
@@ -325,27 +318,6 @@ pub trait ComplexRead {
         self.face_count() == self.edge_count() + 1 + c - self.vertex_count()
     }
 
-    /// The paper's orientation relation `O`: for every vertex, the pairs of
-    /// consecutive incident edges in clockwise (`true`) and counter-clockwise
-    /// (`false`) order.
-    fn orientation_relation(&self) -> Vec<(bool, VertexId, EdgeId, EdgeId)> {
-        let mut out = Vec::new();
-        for v in self.vertex_ids() {
-            let rot = self.vertex_rotation(v);
-            let k = rot.len();
-            if k == 0 {
-                continue;
-            }
-            for i in 0..k {
-                let e1 = rot[i].edge();
-                let e2 = rot[(i + 1) % k].edge();
-                out.push((false, v, e1, e2));
-                out.push((true, v, e2, e1));
-            }
-        }
-        out
-    }
-
     /// Human-readable summary of the complex.
     fn summary(&self) -> String {
         format!(
@@ -365,7 +337,7 @@ impl ComplexRead for CellComplex {
     }
 
     fn region_index(&self, name: &str) -> Option<usize> {
-        CellComplex::region_index(self, name)
+        self.region_names.binary_search_by(|n| n.as_str().cmp(name)).ok()
     }
 
     fn vertex_count(&self) -> usize {
@@ -443,126 +415,6 @@ impl ComplexRead for CellComplex {
     }
 
     fn skeleton_component_count(&self) -> usize {
-        CellComplex::skeleton_component_count(self)
-    }
-}
-
-/// The planar cell complex of a spatial database instance.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CellComplex {
-    pub(crate) region_names: Vec<String>,
-    pub(crate) vertices: Vec<VertexData>,
-    pub(crate) edges: Vec<EdgeData>,
-    pub(crate) faces: Vec<FaceData>,
-    pub(crate) exterior: FaceId,
-}
-
-impl CellComplex {
-    /// The region names, in the canonical (sorted) order used by all labels.
-    pub fn region_names(&self) -> &[String] {
-        &self.region_names
-    }
-
-    /// The index of a region name in the label order (a binary search: the
-    /// names are sorted by construction).
-    pub fn region_index(&self, name: &str) -> Option<usize> {
-        self.region_names.binary_search_by(|n| n.as_str().cmp(name)).ok()
-    }
-
-    /// Number of vertices (0-cells).
-    pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
-    }
-
-    /// Number of edges (1-cells).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Number of faces (2-cells), including the exterior face.
-    pub fn face_count(&self) -> usize {
-        self.faces.len()
-    }
-
-    /// All vertex ids.
-    pub fn vertex_ids(&self) -> impl Iterator<Item = VertexId> {
-        (0..self.vertices.len()).map(VertexId)
-    }
-
-    /// All edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.edges.len()).map(EdgeId)
-    }
-
-    /// All face ids.
-    pub fn face_ids(&self) -> impl Iterator<Item = FaceId> {
-        (0..self.faces.len()).map(FaceId)
-    }
-
-    /// Vertex data.
-    pub fn vertex(&self, v: VertexId) -> &VertexData {
-        &self.vertices[v.0]
-    }
-
-    /// Edge data.
-    pub fn edge(&self, e: EdgeId) -> &EdgeData {
-        &self.edges[e.0]
-    }
-
-    /// Face data.
-    pub fn face(&self, f: FaceId) -> &FaceData {
-        &self.faces[f.0]
-    }
-
-    /// The designated exterior (unbounded) face `f0`.
-    pub fn exterior_face(&self) -> FaceId {
-        self.exterior
-    }
-
-    /// The tail vertex of a dart.
-    pub fn dart_tail(&self, d: DartId) -> VertexId {
-        let e = &self.edges[d.edge().0];
-        if d.is_forward() {
-            e.tail
-        } else {
-            e.head
-        }
-    }
-
-    /// The head vertex of a dart.
-    pub fn dart_head(&self, d: DartId) -> VertexId {
-        self.dart_tail(d.twin())
-    }
-
-    /// The face to the left of a dart.
-    pub fn dart_face(&self, d: DartId) -> FaceId {
-        let e = &self.edges[d.edge().0];
-        if d.is_forward() {
-            e.left_face
-        } else {
-            e.right_face
-        }
-    }
-
-    /// The counter-clockwise rotation of darts around a vertex.
-    pub fn rotation(&self, v: VertexId) -> &[DartId] {
-        &self.vertices[v.0].rotation
-    }
-
-    /// The two faces incident to an edge (left of forward dart, left of
-    /// backward dart). They may coincide.
-    pub fn edge_faces(&self, e: EdgeId) -> (FaceId, FaceId) {
-        (self.edges[e.0].left_face, self.edges[e.0].right_face)
-    }
-
-    /// The boundary edges of a face, including the outer boundaries of
-    /// connected components embedded inside the face.
-    pub fn face_edges(&self, f: FaceId) -> &[EdgeId] {
-        &self.faces[f.0].boundary_edges
-    }
-
-    /// Number of connected components of the skeleton.
-    pub fn skeleton_component_count(&self) -> usize {
         let n = self.vertices.len();
         if n == 0 {
             return 0;
@@ -587,5 +439,32 @@ impl CellComplex {
             }
         }
         components
+    }
+}
+
+/// The planar cell complex of a spatial database instance.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct CellComplex {
+    pub(crate) region_names: Vec<String>,
+    pub(crate) vertices: Vec<VertexData>,
+    pub(crate) edges: Vec<EdgeData>,
+    pub(crate) faces: Vec<FaceData>,
+    pub(crate) exterior: FaceId,
+}
+
+impl CellComplex {
+    /// Vertex data.
+    pub fn vertex(&self, v: VertexId) -> &VertexData {
+        &self.vertices[v.0]
+    }
+
+    /// Edge data.
+    pub fn edge(&self, e: EdgeId) -> &EdgeData {
+        &self.edges[e.0]
+    }
+
+    /// Face data.
+    pub fn face(&self, f: FaceId) -> &FaceData {
+        &self.faces[f.0]
     }
 }

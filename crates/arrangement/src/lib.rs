@@ -4,9 +4,10 @@
 //! engine behind the paper's topological invariant (Section 3).
 //!
 //! Given a [`spatial_core::instance::SpatialInstance`] whose regions have
-//! polygonal boundaries, [`build_complex`] computes the partition of the
+//! polygonal boundaries, [`build_complex_view`] computes the partition of the
 //! plane induced by the region boundaries into vertices, edges and faces (the
-//! *maximal cell complex* of the instance), together with:
+//! *maximal cell complex* of the instance; [`build_complex`] is its flat
+//! copy), together with:
 //!
 //! * the sign label of every cell with respect to every region
 //!   (interior / boundary / exterior),
@@ -24,7 +25,11 @@
 //! ## Construction pipeline and cost
 //!
 //! Construction is a three-stage **partition → parallel per-component sweep
-//! → view-assemble** pipeline:
+//! → view-assemble** pipeline, and there is one of it: [`update_components`]
+//! followed by [`GlobalComplexView::updated`]. A build from scratch,
+//! [`build_complex_view`] (the database's cold build; [`build_complex`] is
+//! its flat copy), is the update of nothing: no previous components, every
+//! name changed.
 //!
 //! 1. **Partition** ([`partition`]): the boundary segments are grouped into
 //!    connected components of their *interaction graph* (bounding-box
@@ -104,28 +109,29 @@
 //! component re-splits only the neighbourhood of the change: the segments
 //! whose boxes meet a new or a vanished segment are swept again, with their
 //! cutters, and every other cut set is copied from the component it was
-//! last built in. The cold build is the degenerate update: no previous
-//! components, every name changed, every segment swept.
+//! last built in. The cold build ([`build_complex_view`]) is the degenerate
+//! update: no previous components, every name changed, every segment swept.
 //!
 //! The invariant of this path is that **the carried partition equals
 //! [`partition_instance`] of the carried instance**: same groups, same
 //! order, and the assembled view index-identical to
 //! [`GlobalComplexView::new`] over a from-scratch build.
-//! [`partition_instance`] and [`build_components_with_reuse`] are that
-//! from-scratch reference — nothing in the product calls them — and
-//! `tests/incremental_partition.rs` holds the two paths against each other
-//! after every step of long randomized commit traces and hand-written
-//! merge, split and nesting cases. The work saved is observable as
+//! [`partition_instance`], [`build_group_component`] and
+//! [`build_components_with_reuse`] are that from-scratch reference — no
+//! library entry point calls them — and `tests/incremental_partition.rs`
+//! holds the two paths against each other after every step of long
+//! randomized commit traces and hand-written merge, split and nesting
+//! cases; `tests/thread_determinism.rs` holds the cold build against a
+//! serial loop over them. The work saved is observable as
 //! [`counters::PhaseCounters::segments_partitioned`].
 //!
 //! ## Parallelism model
 //!
 //! Parallelism lives at one level: **between components**. Interaction
 //! components share no vertex or edge, so their sub-complexes are swept as
-//! share-nothing work items on the [`parallel`] worker pool, up to `threads`
-//! at a time (`threads` of [`build_component_complexes`]; the machine's
-//! available parallelism, [`parallel::available_threads`], for every entry
-//! point that takes none, the commit path included).
+//! share-nothing work items on the [`parallel`] worker pool, as many at a
+//! time as the machine's available parallelism
+//! ([`parallel::available_threads`]). No entry point takes a thread count.
 //! Each component — split, chain merge, face walks, label propagation and
 //! cell assembly — is built serially by the worker that took it, so a map
 //! that forms one big component is built on one thread. This is the lever
@@ -138,9 +144,10 @@
 //! **Determinism guarantee:** the thread count never affects the output —
 //! every component is built by the same serial code whichever worker runs
 //! it, and the pool returns results in input order — so the constructed
-//! complex is byte-for-byte the same for every `threads` value, on every
-//! machine. `tests/thread_determinism.rs` pins this, together with the
-//! sweep's event count.
+//! complex is byte-for-byte the same on every machine.
+//! `tests/thread_determinism.rs` pins this against a serial loop, together
+//! with the sweep's event count, and the pool's unit tests vary the thread
+//! count.
 //!
 //! Two oracles guard the pipeline: the original all-pairs splitter (`O(n^2)`
 //! exact intersection tests) is retained in [`split`] as the sweep's
@@ -185,9 +192,7 @@ pub use assemble::{
     assemble_components, build_components_with_reuse, build_group_component, update_components,
     ComponentComplex, ComponentSet, ComponentUpdate,
 };
-pub use builder::{
-    build_complex, build_complex_monolithic, build_complex_view, build_component_complexes,
-};
+pub use builder::{build_complex, build_complex_monolithic, build_complex_view};
 pub use complex::{CellComplex, ComplexRead};
 pub use index::SpatialIndex;
 pub use view::GlobalComplexView;

@@ -3,17 +3,17 @@
 //! Interaction components share no vertex or edge of the arrangement, so
 //! their sub-complexes can be swept on separate threads with no
 //! synchronization beyond work distribution. This module provides the small
-//! [`std::thread::scope`]-based pool used by
-//! [`crate::build_component_complexes`] and by the incremental component
-//! update behind the `topodb` commit path. Its work items are always whole
+//! [`std::thread::scope`]-based pool behind every component build
+//! ([`crate::update_components`], and through it the cold build
+//! [`crate::build_complex_view`]). Its work items are always whole
 //! components; each is built serially by the worker that takes it. No
 //! external thread-pool crate is needed, and results are returned **in
 //! input order** regardless of the thread count, so construction output is
 //! deterministic.
 //!
-//! Builds that take no thread count use [`available_threads`], the
-//! machine's available parallelism. Callers that need a specific count pass
-//! it explicitly ([`crate::build_component_complexes`]).
+//! Builds sweep on [`available_threads`], the machine's available
+//! parallelism; no public entry point takes a thread count. The pool's unit
+//! tests vary it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -36,7 +36,7 @@ pub fn available_threads() -> usize {
 /// structure assembled from it — is identical for every thread count. With
 /// `threads <= 1` or `n <= 1` no thread is spawned. A panic in `f`
 /// propagates to the caller when the scope joins.
-pub fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+pub(crate) fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

@@ -19,7 +19,7 @@
 
 use crate::assemble::ComponentComplex;
 use crate::index::SpatialIndex;
-use crate::split::TaggedSegment;
+use crate::split::{instance_segments, TaggedSegment};
 use spatial_core::prelude::*;
 use std::sync::Arc;
 
@@ -151,13 +151,7 @@ impl UnionFind {
 /// incrementally ([`crate::update_components`]) and is differentially
 /// tested against this function.
 pub fn partition_instance(instance: &SpatialInstance) -> Vec<ComponentGroup> {
-    let mut segments: Vec<TaggedSegment> = Vec::new();
-    for (idx, (_, region)) in instance.iter().enumerate() {
-        for segment in region.boundary().edges() {
-            segments.push(TaggedSegment { segment, region: idx });
-        }
-    }
-    partition_segments(&segments, instance.len())
+    partition_segments(&instance_segments(instance), instance.len())
 }
 
 /// Partition tagged segments into interaction components over `n_regions`
@@ -484,12 +478,7 @@ mod tests {
         }
         instances.push(grid);
         for (k, inst) in instances.iter().enumerate() {
-            let mut segments: Vec<TaggedSegment> = Vec::new();
-            for (idx, (_, region)) in inst.iter().enumerate() {
-                for segment in region.boundary().edges() {
-                    segments.push(TaggedSegment { segment, region: idx });
-                }
-            }
+            let segments = instance_segments(inst);
             assert_eq!(
                 partition_segments(&segments, inst.len()),
                 partition_segments_sweep(&segments, inst.len()),

@@ -71,8 +71,11 @@ use std::sync::{Arc, OnceLock};
 /// A zero-copy global cell complex over shared component sub-complexes.
 ///
 /// See the module docs for the representation. Obtain one from
-/// [`crate::build_complex_view`] (cold build) or assemble one directly from
-/// cached components with [`GlobalComplexView::new`].
+/// [`crate::build_complex_view`] (the cold build: the update of nothing), or
+/// patch an existing view with [`GlobalComplexView::updated`] after
+/// [`crate::update_components`]. [`GlobalComplexView::new`] assembles one
+/// from scratch over given components: the reference the patch is checked
+/// against.
 #[derive(Clone, Debug)]
 pub struct GlobalComplexView {
     region_names: Vec<String>,
@@ -634,14 +637,9 @@ impl ComplexRead for GlobalComplexView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::build_component_complexes;
+    use crate::build_complex_view;
     use spatial_core::fixtures;
     use spatial_core::prelude::*;
-
-    fn view_of(inst: &SpatialInstance) -> GlobalComplexView {
-        let names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
-        GlobalComplexView::new(names, build_component_complexes(inst, 1))
-    }
 
     #[test]
     fn empty_view_is_single_exterior_face() {
@@ -660,7 +658,7 @@ mod tests {
             ("Inner", Region::rect_from_ints(40, 40, 60, 60)),
             ("Outer", Region::rect_from_ints(0, 0, 100, 100)),
         ]);
-        let v = view_of(&inst);
+        let v = build_complex_view(&inst);
         assert_eq!(v.component_count(), 2);
         assert_eq!(v.vertex_count(), 2);
         assert_eq!(v.edge_count(), 2);
@@ -682,7 +680,7 @@ mod tests {
     #[test]
     fn view_matches_copy_assembly_cell_for_cell() {
         let inst = fixtures::nested_three();
-        let v = view_of(&inst);
+        let v = build_complex_view(&inst);
         let flat = v.to_cell_complex();
         assert_eq!(v.vertex_count(), flat.vertex_count());
         assert_eq!(v.edge_count(), flat.edge_count());
@@ -703,7 +701,7 @@ mod tests {
     #[test]
     fn sign_fast_paths_agree_with_labels() {
         let inst = fixtures::nested_three();
-        let v = view_of(&inst);
+        let v = build_complex_view(&inst);
         for r in 0..v.region_names().len() {
             for f in v.face_ids() {
                 assert_eq!(v.face_sign(f, r), v.face_label(f).sign(r));
@@ -719,7 +717,7 @@ mod tests {
 
     #[test]
     fn sign_reads_widen_nothing_and_each_label_read_widens_once() {
-        let v = view_of(&fixtures::nested_three());
+        let v = build_complex_view(&fixtures::nested_three());
         assert_eq!(v.label_widenings(), 0, "assembly must not widen through the accessors");
         for r in 0..v.region_names().len() {
             for x in v.vertex_ids() {
@@ -759,7 +757,7 @@ mod tests {
             ("B", Region::rect_from_ints(3, 3, 7, 7)),
             ("C", Region::rect_from_ints(50, 50, 52, 52)),
         ]);
-        let v = view_of(&inst);
+        let v = build_complex_view(&inst);
         let idx = v.region_bbox_index();
         // One build per view, shared by clones.
         assert!(Arc::ptr_eq(&idx, &v.clone().region_bbox_index()));
@@ -780,7 +778,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, n)| (*n, Region::rect_from_ints(10 * i as i64, 0, 10 * i as i64 + 4, 4))),
         );
-        let v = view_of(&inst);
+        let v = build_complex_view(&inst);
         let flat = v.to_cell_complex();
         let cases = [
             ("Ash", Some(0)),
@@ -818,11 +816,11 @@ mod tests {
         let step = |view: &GlobalComplexView, inst: &SpatialInstance, changed: &[&str]| {
             let update = update_components(view.components(), inst, changed, |_| None);
             let patched = view.updated(names(inst), update);
-            let cold = view_of(inst);
+            let cold = build_complex_view(inst);
             assert!(patched.to_cell_complex() == cold.to_cell_complex(), "after {changed:?}");
             patched
         };
-        let mut view = view_of(&inst);
+        let mut view = build_complex_view(&inst);
         // A ring slipped between Mid and Core: Core is carried, its parent
         // is carried too, yet Core must be relocated into the new ring.
         inst.insert("Ring", Region::rect_from_ints(30, 30, 70, 70));

@@ -1,16 +1,18 @@
-//! Determinism of the construction pipeline across thread counts: components
-//! are swept on 1, 2, 4 or 8 worker threads, one whole component per worker,
-//! and every count must produce fingerprint- and index-identical complexes
-//! from the same amount of sweep work. The product's own builds, which take
-//! no thread count and sweep on the machine's available parallelism, must
-//! land on the serial result too.
+//! Determinism of the construction pipeline across thread counts: the cold
+//! build ([`build_complex_view`], the update of nothing) sweeps components
+//! on the machine's available parallelism, one whole component per worker,
+//! and must produce fingerprint- and index-identical complexes, from the
+//! same amount of sweep work, as a plain serial loop over the from-scratch
+//! reference: [`partition_instance`], then [`build_group_component`] per
+//! group, then [`GlobalComplexView::new`].
 
 use arrangement::counters::phase_counters;
 use arrangement::{
-    build_complex, build_component_complexes, update_components, ComplexRead, GlobalComplexView,
+    build_complex, build_complex_view, build_group_component, partition_instance, ComplexRead,
+    GlobalComplexView,
 };
 use spatial_core::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 mod common;
 use common::fingerprint;
@@ -19,17 +21,24 @@ use common::fingerprint;
 /// lock so one test's delta never includes another's work.
 static BUILDS: Mutex<()> = Mutex::new(());
 
-fn view_with_threads(inst: &SpatialInstance, threads: usize) -> GlobalComplexView {
+/// The serial reference: partition from scratch, build each group on the
+/// calling thread, assemble the view.
+fn serial_view(inst: &SpatialInstance) -> GlobalComplexView {
     let names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
-    GlobalComplexView::new(names, build_component_complexes(inst, threads))
+    let mut components = Vec::new();
+    for group in partition_instance(inst) {
+        components.push(Arc::new(build_group_component(inst, &group)));
+    }
+    GlobalComplexView::new(names, components)
 }
 
-fn families() -> [(&'static str, SpatialInstance); 4] {
+fn families() -> [(&'static str, SpatialInstance); 5] {
     [
         ("clustered_map(8, 4, 5)", datagen::clustered_map(8, 4, 5)),
         ("wide_map(24, 9)", datagen::wide_map(24, 9)),
         ("dense_overlap_map(4, 4, 4)", datagen::dense_overlap_map(4, 4, 4)),
         ("dense_overlap_map(8, 8, 4)", datagen::dense_overlap_map(8, 8, 4)),
+        ("jittered_overlap_map(16, 16, 12, 1996)", datagen::jittered_overlap_map(16, 16, 12, 1996)),
     ]
 }
 
@@ -37,74 +46,64 @@ fn families() -> [(&'static str, SpatialInstance); 4] {
 fn thread_count_never_changes_the_complex() {
     let _builds = BUILDS.lock().unwrap_or_else(|e| e.into_inner());
     for (name, inst) in families() {
-        // Explicit thread counts through the builder API. The serial result
-        // is the baseline; parallel runs must be index-identical, not merely
-        // fingerprint-equal, because downstream consumers address cells by
-        // id.
-        let baseline = view_with_threads(&inst, 1);
+        // The serial result is the baseline; the pooled cold build must be
+        // index-identical, not merely fingerprint-equal, because downstream
+        // consumers address cells by id.
+        let baseline = serial_view(&inst);
         let base_fp = fingerprint(&baseline);
-        for threads in [2usize, 8] {
-            let parallel = view_with_threads(&inst, threads);
+        let pooled = build_complex_view(&inst);
+        assert_eq!(base_fp, fingerprint(&pooled), "{name}: fingerprint changed on the pool");
+        for f in baseline.face_ids() {
             assert_eq!(
-                base_fp,
-                fingerprint(&parallel),
-                "{name}: fingerprint changed at {threads} threads"
+                baseline.face_label(f),
+                pooled.face_label(f),
+                "{name}: face {f:?} differs on the pool"
             );
-            for f in baseline.face_ids() {
-                assert_eq!(
-                    baseline.face_label(f),
-                    parallel.face_label(f),
-                    "{name}: face {f:?} differs at {threads} threads"
-                );
-            }
-            for e in baseline.edge_ids() {
-                assert_eq!(
-                    baseline.edge_faces(e),
-                    parallel.edge_faces(e),
-                    "{name}: edge {e:?} differs at {threads} threads"
-                );
-            }
+        }
+        for e in baseline.edge_ids() {
+            assert_eq!(
+                baseline.edge_faces(e),
+                pooled.edge_faces(e),
+                "{name}: edge {e:?} differs on the pool"
+            );
         }
 
-        // And the default entry point (partition → sweep on the available
-        // parallelism → copy assembly) lands on the same complex.
+        // And the flat entry point (the copy of the cold build) lands on the
+        // same complex.
         assert_eq!(fingerprint(&build_complex(&inst)), base_fp, "{name}: build_complex diverges");
     }
 }
 
 #[test]
 fn one_component_sweeps_the_same_events_on_any_thread_count() {
-    // One component of 256 segments: a thread count can only choose which
-    // worker sweeps it, so the sweep processes the same events on 4 threads
-    // as on 1 — a component is never split across workers.
+    // One component of 256 segments: the pool can only choose which worker
+    // sweeps it, so the cold build processes the same events as the serial
+    // loop — a component is never split across workers.
     let _builds = BUILDS.lock().unwrap_or_else(|e| e.into_inner());
     let inst = datagen::dense_overlap_map(8, 8, 4);
-    let events_with = |threads: usize| {
+    let work_of = |build: &dyn Fn() -> GlobalComplexView| {
         let before = phase_counters();
-        let components = build_component_complexes(&inst, threads);
-        assert_eq!(components.len(), 1, "dense_overlap_map(8, 8, 4) is one component");
+        let view = build();
+        assert_eq!(view.component_count(), 1, "dense_overlap_map(8, 8, 4) is one component");
         phase_counters().delta_since(&before)
     };
-    let serial = events_with(1);
-    let parallel = events_with(4);
+    let serial = work_of(&|| serial_view(&inst));
+    let pooled = work_of(&|| build_complex_view(&inst));
     assert!(serial.events_processed > 0);
-    assert_eq!(parallel.events_processed, serial.events_processed, "sweep events differ");
-    assert_eq!(parallel, serial, "per-phase work differs between 1 and 4 threads");
+    assert_eq!(pooled.events_processed, serial.events_processed, "sweep events differ");
+    assert_eq!(pooled, serial, "per-phase work differs between the loop and the pool");
 }
 
 #[test]
 fn the_product_cold_build_matches_the_serial_build() {
-    // The database's cold build is an update of the empty view with every
-    // name changed; its sweeps run on the worker pool at the machine's
-    // available parallelism. Index-identical to one thread, not merely
+    // The database's cold build is build_complex_view: an update of the
+    // empty view with every name changed, its sweeps on the worker pool.
+    // Its flat copy is index-identical to the serial loop's, not merely
     // isomorphic.
     let _builds = BUILDS.lock().unwrap_or_else(|e| e.into_inner());
     for (name, inst) in families() {
-        let names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
-        let update = update_components(&[], &inst, &names, |_| None);
-        let cold = GlobalComplexView::new(Vec::new(), Vec::new()).updated(names, update);
         assert!(
-            cold.to_cell_complex() == view_with_threads(&inst, 1).to_cell_complex(),
+            build_complex_view(&inst).to_cell_complex() == serial_view(&inst).to_cell_complex(),
             "{name}: the product's cold build differs from the serial build"
         );
     }

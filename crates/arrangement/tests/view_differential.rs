@@ -15,19 +15,25 @@
 //! every step of a commit trace (`check_region_index`).
 
 use arrangement::{
-    assemble_components, build_complex_monolithic, build_component_complexes, update_components,
-    BBox, CellComplex, ComplexRead, EdgeId, FaceId, GlobalComplexView, SpatialIndex, VertexId,
+    assemble_components, build_complex_monolithic, build_group_component, partition_instance,
+    update_components, BBox, CellComplex, ComplexRead, EdgeId, FaceId, GlobalComplexView,
+    SpatialIndex, VertexId,
 };
 use datagen::TraceOp;
 use spatial_core::fixtures;
 use spatial_core::prelude::*;
+use std::sync::Arc;
 
 mod common;
 use common::fingerprint;
 
+/// The from-scratch reference: partition, build each group serially,
+/// assemble the view.
 fn view_of(inst: &SpatialInstance) -> GlobalComplexView {
     let names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
-    GlobalComplexView::new(names, build_component_complexes(inst, 1))
+    let groups = partition_instance(inst);
+    let components = groups.iter().map(|g| Arc::new(build_group_component(inst, g))).collect();
+    GlobalComplexView::new(names, components)
 }
 
 fn check(inst: &SpatialInstance, context: &str) {
@@ -135,7 +141,7 @@ fn check_carried_memos(view: &GlobalComplexView, flat: &CellComplex, context: &s
     for f in view.face_ids() {
         let walked = face_walk(flat, f);
         let edges: Vec<EdgeId> = walked.iter().map(|&(e, _, _)| e).collect();
-        assert_eq!(edges, flat.face_edges(f), "flat walk of {f:?} on {context}");
+        assert_eq!(edges, flat.face_boundary(f), "flat walk of {f:?} on {context}");
         for &(e, faces, ends) in &walked {
             assert_eq!(faces, flat.edge_faces(e), "{context}");
             assert_eq!(ends, (flat.edge(e).tail, flat.edge(e).head), "{context}");

@@ -17,7 +17,7 @@
 //!   256, and none for the carried ones.
 
 use arrangement::{
-    build_component_complexes, update_components, CellComplex, ComplexRead, GlobalComplexView,
+    build_complex_view, update_components, CellComplex, ComplexRead, GlobalComplexView,
 };
 use datagen::{clustered_map, jittered_overlap_map, zipf_clustered_map, TraceOp};
 use query::{CellEvaluator, PreparedQuery};
@@ -34,10 +34,6 @@ use common::random_formula;
 
 fn names(inst: &SpatialInstance) -> Vec<String> {
     inst.names().iter().map(|s| s.to_string()).collect()
-}
-
-fn cold_view(inst: &SpatialInstance) -> GlobalComplexView {
-    GlobalComplexView::new(names(inst), build_component_complexes(inst, 1))
 }
 
 /// The evaluator under test and the reference, over one view.
@@ -105,7 +101,7 @@ fn benchmark_query_shapes_agree() {
         ),
     ] {
         assert_same_answers(
-            &cold_view(&inst),
+            &build_complex_view(&inst),
             &shape_queries(&names(&inst), 32),
             context,
         );
@@ -119,7 +115,7 @@ fn planner_generator_formulas_agree() {
         (jittered_overlap_map(3, 3, 6, 7), 4),
         (zipf_clustered_map(4, 12, 9), 7),
     ] {
-        let (ev, reference) = both(&cold_view(&inst));
+        let (ev, reference) = both(&build_complex_view(&inst));
         let names = names(&inst);
         let mut rng = StdRng::seed_from_u64(seed);
         for k in 1..=3 {
@@ -167,7 +163,7 @@ fn region_quantifiers_over_the_paper_fixtures_agree() {
             .map(|(n, i)| (format!("fig_2/{n}"), i)),
     );
     for (context, inst) in cases {
-        let view = cold_view(&inst);
+        let view = build_complex_view(&inst);
         let (ev, reference) = both(&view);
         assert_eq!(
             ev.quantifier_domain(),
@@ -201,11 +197,11 @@ fn relation_reads_realize_all_eight_relations() {
     ]);
     let mut seen = BTreeSet::new();
     for (name, inst) in fixtures::fig_2_pairs() {
-        seen.extend(assert_same_answers(&cold_view(&inst), &[], &format!("fig_2/{name}")));
+        seen.extend(assert_same_answers(&build_complex_view(&inst), &[], &format!("fig_2/{name}")));
     }
-    let twins_view = cold_view(&twins);
+    let twins_view = build_complex_view(&twins);
     seen.extend(assert_same_answers(&twins_view, &[], "twins"));
-    let nested_view = cold_view(&nested);
+    let nested_view = build_complex_view(&nested);
     assert_eq!(nested_view.component_count(), 3, "one component per region");
     seen.extend(assert_same_answers(&nested_view, &[], "nested"));
 
@@ -244,7 +240,7 @@ fn answers_agree_after_every_step_of_a_nesting_trace() {
         q.push("inside(ext(x), Mid) and not equal(ext(x), Mid)".into());
         q
     };
-    let mut view = cold_view(&inst);
+    let mut view = build_complex_view(&inst);
     assert_same_answers(&view, &queries(&inst), "start");
     let steps: [(&str, Option<Region>); 4] = [
         ("Ring", Some(Region::rect_from_ints(30, 30, 70, 70))),
@@ -269,7 +265,7 @@ fn answers_agree_after_every_step_of_a_nesting_trace() {
 #[test]
 fn answers_agree_after_every_step_of_a_random_commit_trace() {
     let mut inst = SpatialInstance::new();
-    let mut view = cold_view(&inst);
+    let mut view = build_complex_view(&inst);
     for (step, batch) in datagen::op_trace(24, 5).into_iter().enumerate() {
         let mut changed: Vec<String> = Vec::new();
         for op in batch {
@@ -311,7 +307,7 @@ fn resolve_every_name(view: &GlobalComplexView) {
 /// and how many memos the first query after it built.
 fn one_region_commit(clusters: usize) -> (usize, u64) {
     let mut inst = clustered_map(clusters, 16, 1996);
-    let view = cold_view(&inst);
+    let view = build_complex_view(&inst);
     resolve_every_name(&view);
     let kinds = 3;
     assert_eq!(

@@ -9,7 +9,6 @@
 //! the crate docs for the full argument.
 
 use crate::error::{ErrorClass, TopoDbError};
-use crate::transaction::Op;
 use spatial_core::instance::SpatialInstance;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -182,19 +181,13 @@ impl Durability {
     pub(crate) fn log_batch(
         &self,
         epoch: u64,
-        ops: &[Op],
+        ops: &[WalOp],
         changed: &[String],
         instance_after: &SpatialInstance,
     ) -> Result<(), TopoDbError> {
         let record = BatchRecord {
             epoch,
-            ops: ops
-                .iter()
-                .map(|op| match op {
-                    Op::Insert(name, region) => WalOp::Insert(name.clone(), region.clone()),
-                    Op::Remove(name) => WalOp::Remove(name.clone()),
-                })
-                .collect(),
+            ops: ops.to_vec(),
             changed: changed.to_vec(),
         };
         let outcome = self.with_retry(|| self.wal.append_batch(&record, instance_after))?;
@@ -235,15 +228,7 @@ pub(crate) fn replay(
 ) -> Result<SpatialInstance, TopoDbError> {
     let mut instance = base.clone();
     for record in records {
-        let ops: Vec<Op> = record
-            .ops
-            .iter()
-            .map(|op| match op {
-                WalOp::Insert(name, region) => Op::Insert(name.clone(), region.clone()),
-                WalOp::Remove(name) => Op::Remove(name.clone()),
-            })
-            .collect();
-        let (next, changed) = crate::epoch::apply_ops(&instance, &ops);
+        let (next, changed) = crate::epoch::apply_ops(&instance, &record.ops);
         if changed != record.changed {
             return Err(TopoDbError::Durability(WalError::Corrupt {
                 segment: format!("record for epoch {}", record.epoch),

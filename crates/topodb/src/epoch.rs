@@ -34,8 +34,8 @@
 //!    edit's neighbourhood only. The result is a
 //!    complete new [`EpochState`], constructed while readers keep loading
 //!    the old head and other writers build their own epochs concurrently.
-//!    The root epoch's cold build is the same call on an empty base with
-//!    every name changed.
+//!    The root epoch's cold build is the same update, of an empty base
+//!    with every name changed: [`arrangement::build_complex_view`].
 //! 3. **Publish** — under the writers-only publish mutex, check that the
 //!    head is still the base (`Arc::ptr_eq`); if so, append the batch to the
 //!    log (when one is attached) and then store the new epoch as the head
@@ -58,10 +58,11 @@
 
 use crate::durability::Durability;
 use crate::snapshot::Snapshot;
-use crate::transaction::{CommitSummary, Op};
+use crate::transaction::CommitSummary;
 use arrangement::{ComponentComplex, GlobalComplexView};
 use spatial_core::instance::SpatialInstance;
 use spatial_core::region::Region;
+use wal::WalOp;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LockResult, Mutex, OnceLock, PoisonError, RwLock};
 
@@ -128,12 +129,12 @@ impl EpochState {
 /// instance and the names whose membership or geometry actually changed, in
 /// first-change order (replacing a region by an identical one and removing
 /// an absent name do not count).
-pub(crate) fn apply_ops(base: &SpatialInstance, ops: &[Op]) -> (SpatialInstance, Vec<String>) {
+pub(crate) fn apply_ops(base: &SpatialInstance, ops: &[WalOp]) -> (SpatialInstance, Vec<String>) {
     let mut next = base.clone();
     let mut changed: Vec<String> = Vec::new();
     for op in ops {
         match op {
-            Op::Insert(name, region) => {
+            WalOp::Insert(name, region) => {
                 let replaced = next.insert(name.clone(), region.clone());
                 // Replacing a region with an identical one changes nothing
                 // (compare against the stored geometry; `insert` consumed
@@ -143,7 +144,7 @@ pub(crate) fn apply_ops(base: &SpatialInstance, ops: &[Op]) -> (SpatialInstance,
                     changed.push(name.clone());
                 }
             }
-            Op::Remove(name) => {
+            WalOp::Remove(name) => {
                 if next.remove(name).is_some() && !changed.contains(name) {
                     changed.push(name.clone());
                 }
@@ -157,8 +158,8 @@ pub(crate) fn apply_ops(base: &SpatialInstance, ops: &[Op]) -> (SpatialInstance,
 /// over every component that `changed` (the names whose extent differs
 /// between the two instances) neither contains nor touches, with its
 /// nesting parent; re-partition, sweep (asking `hint` first) and locate the
-/// rest. The cold build is the degenerate patch: an empty `base`, every
-/// name changed.
+/// rest. The cold build ([`build_cold`]) is the degenerate patch: an empty
+/// base, every name changed.
 pub(crate) fn build_epoch<S, F>(
     epoch: u64,
     base: &GlobalComplexView,
@@ -178,10 +179,13 @@ where
     Snapshot::new(epoch, Arc::new(base.updated(global_names, update)))
 }
 
-/// The cold build of `instance`: [`build_epoch`] on the empty view.
+/// The cold build of `instance`: [`arrangement::build_complex_view`], the
+/// update of nothing, every component of which is a rebuild.
 fn build_cold(epoch: u64, instance: &SpatialInstance, counters: &BuildCounters) -> Snapshot {
-    let empty = GlobalComplexView::new(Vec::new(), Vec::new());
-    build_epoch(epoch, &empty, instance, &instance.names(), |_| None, counters)
+    let view = arrangement::build_complex_view(instance);
+    counters.component_rebuilds.fetch_add(view.component_count() as u64, Ordering::Relaxed);
+    counters.complex_builds.fetch_add(1, Ordering::Relaxed);
+    Snapshot::new(epoch, Arc::new(view))
 }
 
 /// [`build_epoch`] on top of the epoch `base`. A base that was never read
@@ -243,7 +247,7 @@ impl EpochChain {
     /// readers never observe the attempt.
     pub fn commit(
         &self,
-        ops: Vec<Op>,
+        ops: Vec<WalOp>,
         counters: &BuildCounters,
         durability: Option<&Durability>,
     ) -> Result<CommitSummary, crate::TopoDbError> {

@@ -92,7 +92,7 @@ use spatial_core::instance::SpatialInstance;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use transaction::Op;
+use wal::WalOp;
 
 /// A topological spatial database: named regions plus the derived structures
 /// of the paper (cell complex, invariant, thematic relational summary),
@@ -487,7 +487,7 @@ impl TopoDatabase {
     /// An `Err` — always [`TopoDbError::Degraded`] — means nothing was
     /// published: readers stay on the previous epoch and the log holds no
     /// record of the batch.
-    pub(crate) fn commit_ops(&self, ops: Vec<Op>) -> Result<CommitSummary, TopoDbError> {
+    pub(crate) fn commit_ops(&self, ops: Vec<WalOp>) -> Result<CommitSummary, TopoDbError> {
         // Degraded fast path: fail before building anything. (The publish
         // path re-checks under its own serialization; this check just makes
         // rejected commits cheap.)

@@ -3,14 +3,7 @@
 
 use crate::TopoDatabase;
 use spatial_core::region::Region;
-
-/// A buffered mutation.
-pub(crate) enum Op {
-    /// Insert (or replace) a named region.
-    Insert(String, Region),
-    /// Remove a named region (a no-op at application time if absent).
-    Remove(String),
-}
+use wal::WalOp;
 
 /// A write transaction on a [`TopoDatabase`], obtained from
 /// [`TopoDatabase::begin`] (exclusive writer) or
@@ -52,7 +45,7 @@ pub(crate) enum Op {
 /// ```
 pub struct Transaction<'db> {
     db: &'db TopoDatabase,
-    ops: Vec<Op>,
+    ops: Vec<WalOp>,
 }
 
 /// What a [`Transaction::commit`] did.
@@ -74,14 +67,14 @@ impl<'db> Transaction<'db> {
 
     /// Buffer an insert (or replacement) of a named region.
     pub fn insert<S: Into<String>>(&mut self, name: S, region: Region) -> &mut Self {
-        self.ops.push(Op::Insert(name.into(), region));
+        self.ops.push(WalOp::Insert(name.into(), region));
         self
     }
 
     /// Buffer a removal. Removing a name that does not exist at application
     /// time is a no-op and does not count as a change.
     pub fn remove<S: Into<String>>(&mut self, name: S) -> &mut Self {
-        self.ops.push(Op::Remove(name.into()));
+        self.ops.push(WalOp::Remove(name.into()));
         self
     }
 

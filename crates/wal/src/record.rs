@@ -36,14 +36,14 @@ pub const RECORD_HEADER_LEN: usize = 8;
 /// lengths decoded from corrupt headers.
 pub const MAX_RECORD_LEN: usize = 256 << 20;
 
-/// One logged operation. Mirrors `topodb`'s transaction op set; the WAL
-/// keeps its own type so the facade's internals stay private.
+/// One operation of a write batch: what a `topodb` transaction buffers,
+/// what its commit applies, and what the log records and replays — one type
+/// from transaction to log.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum WalOp {
     /// Insert (or replace) the named region.
     Insert(String, Region),
-    /// Remove the named region (a no-op if absent, exactly like the
-    /// transaction op it mirrors).
+    /// Remove the named region (a no-op if absent).
     Remove(String),
 }
 
