@@ -68,7 +68,7 @@ pub fn build_complex(instance: &SpatialInstance) -> CellComplex {
 /// Build the zero-copy [`GlobalComplexView`] of a spatial instance: the
 /// update of nothing ([`update_components`] with no previous components and
 /// every name changed) assembled onto the empty view: the pipeline every
-/// commit runs, and the cold build of the database's first epoch. The
+/// commit runs, and the update a database runs for its first epoch. The
 /// from-scratch references ([`crate::partition_instance`],
 /// [`crate::build_group_component`]) are not on its path. Independent
 /// components are swept concurrently on the machine's available

@@ -27,9 +27,9 @@
 //! Construction is a three-stage **partition → parallel per-component sweep
 //! → view-assemble** pipeline, and there is one of it: [`update_components`]
 //! followed by [`GlobalComplexView::updated`]. A build from scratch,
-//! [`build_complex_view`] (the database's cold build; [`build_complex`] is
-//! its flat copy), is the update of nothing: no previous components, every
-//! name changed.
+//! [`build_complex_view`] ([`build_complex`] is its flat copy), is the
+//! update of nothing: no previous components, every name changed. A
+//! database's first epoch is that same update.
 //!
 //! 1. **Partition** ([`partition`]): the boundary segments are grouped into
 //!    connected components of their *interaction graph* (bounding-box

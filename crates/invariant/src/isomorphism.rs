@@ -124,17 +124,27 @@ pub fn find_isomorphism(a: &Invariant, b: &Invariant, opts: IsoOptions) -> Optio
         });
     }
 
-    // Candidate edges in `b` for every edge of `a`, filtered by signature.
-    let sig_a: Vec<_> = (0..a.edge_count()).map(|e| edge_signature(a, e, opts)).collect();
+    // Candidate edges in `b` for every edge of `a`: the edges of `b` with
+    // the same signature, ascending. One sort of `b`'s edges by signature
+    // groups them into runs, `class[eb]` being the start of `eb`'s run; each
+    // edge of `a` finds its run by binary search.
     let sig_b: Vec<_> = (0..b.edge_count()).map(|e| edge_signature(b, e, opts)).collect();
-    let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(a.edge_count());
-    for sa in &sig_a {
-        let cs: Vec<usize> =
-            (0..b.edge_count()).filter(|&eb| &sig_b[eb] == sa).collect();
-        if cs.is_empty() {
+    let mut by_sig: Vec<usize> = (0..b.edge_count()).collect();
+    by_sig.sort_by(|&x, &y| sig_b[x].cmp(&sig_b[y]));
+    let mut class = vec![0; b.edge_count()];
+    for i in 1..by_sig.len() {
+        let (prev, eb) = (by_sig[i - 1], by_sig[i]);
+        class[eb] = if sig_b[prev] == sig_b[eb] { class[prev] } else { i };
+    }
+    let mut candidates = Vec::with_capacity(a.edge_count());
+    for ea in 0..a.edge_count() {
+        let sa = edge_signature(a, ea, opts);
+        let lo = by_sig.partition_point(|&eb| sig_b[eb] < sa);
+        let len = by_sig[lo..].partition_point(|&eb| sig_b[eb] == sa);
+        if len == 0 {
             return None;
         }
-        candidates.push(cs);
+        candidates.push(&by_sig[lo..lo + len]);
     }
 
     // Process edges in order of increasing candidate count, but prefer edges
@@ -149,7 +159,7 @@ pub fn find_isomorphism(a: &Invariant, b: &Invariant, opts: IsoOptions) -> Optio
         eused: vec![false; b.edge_count()],
         fused: vec![false; b.face_count()],
     };
-    search(a, b, opts, &order, 0, &candidates, &mut state)
+    Matcher { a, b, opts, candidates, class }.search(&order, &mut state)
 }
 
 fn sorted<T: Ord + Clone>(v: &[T]) -> Vec<T> {
@@ -173,44 +183,48 @@ fn edge_signature(inv: &Invariant, e: usize, opts: IsoOptions) -> EdgeSignature 
     (inv.edge_label(e).clone(), vlabels, flabels, inv.is_loop(e))
 }
 
-fn processing_order(a: &Invariant, candidates: &[Vec<usize>]) -> Vec<usize> {
+/// The order in which the search assigns `a`'s edges: a breadth-first
+/// traversal of the edge adjacency (a shared endpoint or a shared face),
+/// seeded at the unplaced edge with the fewest candidates (the least index
+/// among ties), visiting each edge's unplaced neighbours by ascending
+/// candidate count, then index. The neighbours are read from the vertex
+/// rotations and the face edge lists; a vertex or face is expanded once,
+/// since expanding it places all of its edges. The traversal is
+/// `O(E log E)`.
+fn processing_order(a: &Invariant, candidates: &[&[usize]]) -> Vec<usize> {
     let n = a.edge_count();
+    let mut vertex_done = vec![false; a.vertex_count()];
+    let mut face_done = vec![false; a.face_count()];
+    let mut seeds: Vec<usize> = (0..n).collect();
+    seeds.sort_by_key(|&e| candidates[e].len());
+    let mut seeds = seeds.into_iter();
     let mut order = Vec::with_capacity(n);
     let mut placed = vec![false; n];
-    // Adjacency between edges of `a` (shared endpoint or shared face).
-    let mut adjacent: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e1 in 0..n {
-        for e2 in (e1 + 1)..n {
-            let (t1, h1) = a.edge_endpoints(e1);
-            let (t2, h2) = a.edge_endpoints(e2);
-            let (l1, r1) = a.edge_faces(e1);
-            let (l2, r2) = a.edge_faces(e2);
-            if t1 == t2 || t1 == h2 || h1 == t2 || h1 == h2 || l1 == l2 || l1 == r2 || r1 == l2 || r1 == r2 {
-                adjacent[e1].push(e2);
-                adjacent[e2].push(e1);
-            }
-        }
-    }
+    let mut next: Vec<usize> = Vec::new();
     while order.len() < n {
-        // Seed: unplaced edge with fewest candidates.
-        let seed = (0..n)
-            .filter(|&e| !placed[e])
-            .min_by_key(|&e| candidates[e].len())
-            .expect("some edge unplaced");
+        let seed = seeds.find(|&e| !placed[e]).expect("some edge unplaced");
         placed[seed] = true;
         order.push(seed);
         // Grow through adjacency (BFS) to keep propagation tight.
         let mut queue = std::collections::VecDeque::from([seed]);
         while let Some(e) = queue.pop_front() {
-            let mut next: Vec<usize> =
-                adjacent[e].iter().copied().filter(|&x| !placed[x]).collect();
-            next.sort_by_key(|&x| candidates[x].len());
-            for x in next {
-                if !placed[x] {
-                    placed[x] = true;
-                    order.push(x);
-                    queue.push_back(x);
+            let ((t, h), (l, r)) = (a.edge_endpoints(e), a.edge_faces(e));
+            for v in [t, h] {
+                if !std::mem::replace(&mut vertex_done[v], true) {
+                    next.extend(a.rotation(v).iter().map(|d| d.edge).filter(|&x| !placed[x]));
                 }
+            }
+            for f in [l, r] {
+                if !std::mem::replace(&mut face_done[f], true) {
+                    next.extend(a.face_edges(f).iter().filter(|&&x| !placed[x]));
+                }
+            }
+            next.sort_unstable_by_key(|&x| (candidates[x].len(), x));
+            next.dedup();
+            for x in next.drain(..) {
+                placed[x] = true;
+                order.push(x);
+                queue.push_back(x);
             }
         }
     }
@@ -226,19 +240,27 @@ struct State {
     fused: Vec<bool>,
 }
 
-/// Try to bind `x -> y` in a map, respecting prior bindings and injectivity.
-/// Returns `None` on conflict, `Some(changed)` on success where `changed`
-/// records whether a new binding was added (for backtracking).
-fn bind(map: &mut [usize], used: &mut [bool], x: usize, y: usize) -> Option<bool> {
-    if map[x] == y {
-        return Some(false);
+/// Bind every pair `x -> y` in a map, respecting prior bindings and
+/// injectivity, and log each newly bound `x` in `undo` (for backtracking).
+/// Returns `false` on the first conflict.
+fn bind(
+    map: &mut [usize],
+    used: &mut [bool],
+    pairs: &[(usize, usize)],
+    undo: &mut Vec<usize>,
+) -> bool {
+    for &(x, y) in pairs {
+        if map[x] == y {
+            continue;
+        }
+        if map[x] != usize::MAX || used[y] {
+            return false;
+        }
+        map[x] = y;
+        used[y] = true;
+        undo.push(x);
     }
-    if map[x] != usize::MAX || used[y] {
-        return None;
-    }
-    map[x] = y;
-    used[y] = true;
-    Some(true)
+    true
 }
 
 fn unbind(map: &mut [usize], used: &mut [bool], x: usize) {
@@ -247,100 +269,164 @@ fn unbind(map: &mut [usize], used: &mut [bool], x: usize) {
     used[y] = false;
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search(
-    a: &Invariant,
-    b: &Invariant,
-    opts: IsoOptions,
-    order: &[usize],
-    idx: usize,
-    candidates: &[Vec<usize>],
-    state: &mut State,
-) -> Option<Isomorphism> {
-    if idx == order.len() {
-        return finalize(a, b, opts, state);
-    }
-    let ea = order[idx];
-    for &eb in &candidates[ea] {
-        if state.eused[eb] {
-            continue;
+/// Where a depth of the search resumes: the position in the edge's live
+/// candidate list ([`Matcher::live_candidates`]) and the pairing of
+/// endpoints and faces (vertex pairing major).
+#[derive(Clone, Copy, Default)]
+struct Choice {
+    candidate: usize,
+    pairing: usize,
+}
+
+/// One level of the search stack: edge `ea` of `a` bound to `eb` of `b`,
+/// the vertices and faces that binding newly bound, and the choice to
+/// resume from once everything deeper is exhausted.
+struct Frame {
+    ea: usize,
+    eb: usize,
+    undo_v: Vec<usize>,
+    undo_f: Vec<usize>,
+    resume: Choice,
+}
+
+impl Frame {
+    fn undo(&self, state: &mut State) {
+        for &x in &self.undo_f {
+            unbind(&mut state.fmap, &mut state.fused, x);
         }
-        // Labels already match via the signature. Try the (up to) four ways of
-        // matching endpoints and faces.
-        let (ta, ha) = a.edge_endpoints(ea);
-        let (tb, hb) = b.edge_endpoints(eb);
-        let (la, ra) = a.edge_faces(ea);
-        let (lb, rb) = b.edge_faces(eb);
-        let vertex_pairings: Vec<[(usize, usize); 2]> = if ta == ha {
-            vec![[(ta, tb), (ta, tb)]]
-        } else {
-            vec![[(ta, tb), (ha, hb)], [(ta, hb), (ha, tb)]]
+        for &x in &self.undo_v {
+            unbind(&mut state.vmap, &mut state.vused, x);
+        }
+        state.emap[self.ea] = usize::MAX;
+        state.eused[self.eb] = false;
+    }
+}
+
+/// The fixed inputs of the search.
+struct Matcher<'i> {
+    a: &'i Invariant,
+    b: &'i Invariant,
+    opts: IsoOptions,
+    /// The edges of `b` with each edge of `a`'s signature, ascending.
+    candidates: Vec<&'i [usize]>,
+    /// The signature class of each edge of `b`.
+    class: Vec<usize>,
+}
+
+impl Matcher<'_> {
+    /// The depth-first search over the edges of `a` in `order`, on an
+    /// explicit stack of [`Frame`]s (one per bound edge), so no call depth
+    /// grows with the invariant. Each depth tries its edge's candidates in
+    /// order and, for each, the pairings of endpoints and faces; the first
+    /// complete assignment that [`finalize`] accepts is the answer.
+    fn search(&self, order: &[usize], state: &mut State) -> Option<Isomorphism> {
+        let mut stack: Vec<Frame> = Vec::with_capacity(order.len());
+        let mut from = Choice::default();
+        loop {
+            let frame = match order.get(stack.len()) {
+                Some(&ea) => self.extend(ea, from, state),
+                None => {
+                    if let Some(iso) = finalize(self.a, self.b, self.opts, state) {
+                        return Some(iso);
+                    }
+                    None
+                }
+            };
+            match frame {
+                Some(frame) => {
+                    stack.push(frame);
+                    from = Choice::default();
+                }
+                None => {
+                    let frame = stack.pop()?;
+                    frame.undo(state);
+                    from = frame.resume;
+                }
+            }
+        }
+    }
+
+    /// The candidates of `ea` that can still bind, in candidate order. Once
+    /// an endpoint or a face of `ea` is bound, a candidate must be incident
+    /// to its image, so the smallest such incidence list, filtered by
+    /// signature, holds every candidate the full list would bind: the
+    /// search makes the same choices without scanning every same-signature
+    /// edge at every depth.
+    fn live_candidates(&self, ea: usize, state: &State) -> Vec<usize> {
+        let b = self.b;
+        let ((t, h), (l, r)) = (self.a.edge_endpoints(ea), self.a.edge_faces(ea));
+        let images = |map: &[usize], cells: [usize; 2]| {
+            cells.map(|c| map[c]).into_iter().filter(|&y| y != usize::MAX)
         };
-        let face_pairings: Vec<[(usize, usize); 2]> = if la == ra {
-            vec![[(la, lb), (la, lb)]]
-        } else {
-            vec![[(la, lb), (ra, rb)], [(la, rb), (ra, lb)]]
+        let vertex = images(&state.vmap, [t, h]).min_by_key(|&y| b.rotation(y).len());
+        let face = images(&state.fmap, [l, r]).min_by_key(|&y| b.face_edges(y).len());
+        let mut live: Vec<usize> = match (vertex, face) {
+            (Some(v), _) => b.rotation(v).iter().map(|d| d.edge).collect(),
+            (None, Some(f)) => b.face_edges(f).to_vec(),
+            (None, None) => return self.candidates[ea].to_vec(),
         };
-        for vp in &vertex_pairings {
-            for fp in &face_pairings {
+        let class = self.class[self.candidates[ea][0]];
+        live.retain(|&eb| self.class[eb] == class);
+        live.sort_unstable();
+        live.dedup();
+        live
+    }
+
+    /// Bind edge `ea` of `a` by the first candidate and pairing at or after
+    /// `from` that binds, returning its frame; `None` (with `state` as it
+    /// was) once this depth's choices are exhausted.
+    fn extend(&self, ea: usize, from: Choice, state: &mut State) -> Option<Frame> {
+        let (a, b) = (self.a, self.b);
+        let ((ta, ha), (la, ra)) = (a.edge_endpoints(ea), a.edge_faces(ea));
+        let mut pairing = from.pairing;
+        let live = self.live_candidates(ea, state);
+        for (candidate, &eb) in live.iter().enumerate().skip(from.candidate) {
+            // Only the resumed candidate starts past its first pairing.
+            let first = std::mem::take(&mut pairing);
+            if state.eused[eb] {
+                continue;
+            }
+            // Labels already match via the signature. Try the (up to) four
+            // ways of matching endpoints and faces.
+            let ((tb, hb), (lb, rb)) = (b.edge_endpoints(eb), b.edge_faces(eb));
+            let vertex_pairings: &[[(usize, usize); 2]] = if ta == ha {
+                &[[(ta, tb), (ta, tb)]]
+            } else {
+                &[[(ta, tb), (ha, hb)], [(ta, hb), (ha, tb)]]
+            };
+            let face_pairings: &[[(usize, usize); 2]] = if la == ra {
+                &[[(la, lb), (la, lb)]]
+            } else {
+                &[[(la, lb), (ra, rb)], [(la, rb), (ra, lb)]]
+            };
+            for p in first..vertex_pairings.len() * face_pairings.len() {
+                let vp = &vertex_pairings[p / face_pairings.len()];
+                let fp = &face_pairings[p % face_pairings.len()];
                 // Labels of the forced cells must match.
                 if vp.iter().any(|&(x, y)| a.vertex_label(x) != b.vertex_label(y))
                     || fp.iter().any(|&(x, y)| a.face_label(x) != b.face_label(y))
                 {
                     continue;
                 }
-                if opts.use_exterior
-                    && fp.iter().any(|&(x, y)| {
-                        (x == a.exterior_face()) != (y == b.exterior_face())
-                    })
+                if self.opts.use_exterior
+                    && fp.iter().any(|&(x, y)| (x == a.exterior_face()) != (y == b.exterior_face()))
                 {
                     continue;
                 }
-                let mut undo_v = Vec::new();
-                let mut undo_f = Vec::new();
-                let mut ok = true;
+                let resume = Choice { candidate, pairing: p + 1 };
+                let mut frame = Frame { ea, eb, undo_v: Vec::new(), undo_f: Vec::new(), resume };
                 state.emap[ea] = eb;
                 state.eused[eb] = true;
-                for &(x, y) in vp {
-                    match bind(&mut state.vmap, &mut state.vused, x, y) {
-                        Some(true) => undo_v.push(x),
-                        Some(false) => {}
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
+                if bind(&mut state.vmap, &mut state.vused, vp, &mut frame.undo_v)
+                    && bind(&mut state.fmap, &mut state.fused, fp, &mut frame.undo_f)
+                {
+                    return Some(frame);
                 }
-                if ok {
-                    for &(x, y) in fp {
-                        match bind(&mut state.fmap, &mut state.fused, x, y) {
-                            Some(true) => undo_f.push(x),
-                            Some(false) => {}
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if ok {
-                    if let Some(result) = search(a, b, opts, order, idx + 1, candidates, state) {
-                        return Some(result);
-                    }
-                }
-                // Backtrack.
-                for x in undo_f {
-                    unbind(&mut state.fmap, &mut state.fused, x);
-                }
-                for x in undo_v {
-                    unbind(&mut state.vmap, &mut state.vused, x);
-                }
-                state.emap[ea] = usize::MAX;
-                state.eused[eb] = false;
+                frame.undo(state);
             }
         }
+        None
     }
-    None
 }
 
 fn finalize(a: &Invariant, b: &Invariant, opts: IsoOptions, state: &State) -> Option<Isomorphism> {

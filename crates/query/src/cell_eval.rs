@@ -570,9 +570,6 @@ impl<C: ComplexRead> CellEvaluator<C> {
         formula: &Formula,
         free: &[String],
     ) -> Result<Vec<Bindings>, EvalError> {
-        if free.is_empty() {
-            return self.eval_bindings_naive(formula, free);
-        }
         self.eval_bindings_planned(formula, &QueryPlan::build(formula, free))
     }
 
@@ -959,21 +956,16 @@ impl<C: ComplexRead> CellEvaluator<C> {
                 Ok(self.resolve_name(x, env)? == self.resolve_name(y, env)?)
             }
             Formula::Not(f) => Ok(!self.eval_inner(f, env)?),
-            Formula::And(fs) => {
+            Formula::And(fs) | Formula::Or(fs) => {
+                // A conjunction stops at the first false operand, a
+                // disjunction at the first true one.
+                let or = matches!(formula, Formula::Or(_));
                 for f in fs {
-                    if !self.eval_inner(f, env)? {
-                        return Ok(false);
+                    if self.eval_inner(f, env)? == or {
+                        return Ok(or);
                     }
                 }
-                Ok(true)
-            }
-            Formula::Or(fs) => {
-                for f in fs {
-                    if self.eval_inner(f, env)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
+                Ok(!or)
             }
             Formula::ExistsRegion(v, f) => self.quantify_region(v, f, env, true),
             Formula::ForallRegion(v, f) => self.quantify_region(v, f, env, false),

@@ -14,6 +14,7 @@
 //! for dense orders.
 
 use crate::ast::{Formula as RegionFormula, NameTerm, RegionExpr};
+use crate::rect_eval::refined_axis;
 use relations::Relation4;
 use spatial_core::prelude::*;
 use std::collections::BTreeMap;
@@ -127,42 +128,14 @@ pub fn eval_point_sentence(
         boxes.insert(name.to_string(), region.bounding_box());
     }
     let reps = formula.quantifier_count().max(1);
-    let xs = refined_axis(boxes.values().flat_map(|b| [b.0, b.2]).collect(), reps);
-    let ys = refined_axis(boxes.values().flat_map(|b| [b.1, b.3]).collect(), reps);
+    let xs: Vec<Rational> = boxes.values().flat_map(|b| [b.0, b.2]).collect();
+    let ys: Vec<Rational> = boxes.values().flat_map(|b| [b.1, b.3]).collect();
+    let (xs, ys) = (refined_axis(&xs, reps), refined_axis(&ys, reps));
     let mut env = BTreeMap::new();
     eval_inner(&boxes, &xs, &ys, formula, &mut env)
 }
 
 type BoxCoords = (Rational, Rational, Rational, Rational);
-
-fn refined_axis(mut coords: Vec<Rational>, reps: usize) -> Vec<Rational> {
-    coords.sort();
-    coords.dedup();
-    if coords.is_empty() {
-        coords = vec![Rational::ZERO];
-    }
-    let mut out = Vec::new();
-    let first = coords[0];
-    for k in 0..reps {
-        out.push(first - Rational::from_int(1 + k as i64));
-    }
-    for i in 0..coords.len() {
-        out.push(coords[i]);
-        if i + 1 < coords.len() {
-            // `reps` distinct representatives strictly between consecutive
-            // coordinates.
-            let gap = coords[i + 1] - coords[i];
-            for k in 1..=reps {
-                out.push(coords[i] + gap * Rational::new(k as i128, reps as i128 + 1));
-            }
-        }
-    }
-    let last = coords[coords.len() - 1];
-    for k in 0..reps {
-        out.push(last + Rational::from_int(1 + k as i64));
-    }
-    out
-}
 
 fn eval_inner(
     boxes: &BTreeMap<String, BoxCoords>,
@@ -185,64 +158,40 @@ fn eval_inner(
             let pt = lookup(p, env)?;
             Ok(pt.x >= b.0 && pt.x <= b.2 && pt.y >= b.1 && pt.y <= b.3)
         }
-        PointFormula::CmpX(p, op, q) => {
-            let a = lookup(p, env)?;
-            let b = lookup(q, env)?;
+        PointFormula::CmpX(p, op, q) | PointFormula::CmpY(p, op, q) => {
+            let (a, b) = (lookup(p, env)?, lookup(q, env)?);
+            let (a, b) =
+                if matches!(formula, PointFormula::CmpX(..)) { (a.x, b.x) } else { (a.y, b.y) };
             Ok(match op {
-                Ordering2::Less => a.x < b.x,
-                Ordering2::Equal => a.x == b.x,
-            })
-        }
-        PointFormula::CmpY(p, op, q) => {
-            let a = lookup(p, env)?;
-            let b = lookup(q, env)?;
-            Ok(match op {
-                Ordering2::Less => a.y < b.y,
-                Ordering2::Equal => a.y == b.y,
+                Ordering2::Less => a < b,
+                Ordering2::Equal => a == b,
             })
         }
         PointFormula::Not(f) => Ok(!eval_inner(boxes, xs, ys, f, env)?),
-        PointFormula::And(fs) => {
+        PointFormula::And(fs) | PointFormula::Or(fs) => {
+            // A conjunction stops at the first false operand, a disjunction
+            // at the first true one.
+            let or = matches!(formula, PointFormula::Or(_));
             for f in fs {
-                if !eval_inner(boxes, xs, ys, f, env)? {
-                    return Ok(false);
+                if eval_inner(boxes, xs, ys, f, env)? == or {
+                    return Ok(or);
                 }
             }
-            Ok(true)
+            Ok(!or)
         }
-        PointFormula::Or(fs) => {
-            for f in fs {
-                if eval_inner(boxes, xs, ys, f, env)? {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        }
-        PointFormula::Exists(v, f) => {
+        PointFormula::Exists(v, f) | PointFormula::Forall(v, f) => {
+            let exists = matches!(formula, PointFormula::Exists(..));
             for &x in xs {
                 for &y in ys {
                     env.insert(v.clone(), Point::new(x, y));
                     let holds = eval_inner(boxes, xs, ys, f, env)?;
                     env.remove(v);
-                    if holds {
-                        return Ok(true);
+                    if holds == exists {
+                        return Ok(exists);
                     }
                 }
             }
-            Ok(false)
-        }
-        PointFormula::Forall(v, f) => {
-            for &x in xs {
-                for &y in ys {
-                    env.insert(v.clone(), Point::new(x, y));
-                    let holds = eval_inner(boxes, xs, ys, f, env)?;
-                    env.remove(v);
-                    if !holds {
-                        return Ok(false);
-                    }
-                }
-            }
-            Ok(true)
+            Ok(!exists)
         }
     }
 }

@@ -91,11 +91,11 @@ fn rect_relation(a: &Box2, b: &Box2) -> Relation4 {
 /// The evaluator for `FO(Rect, Rect)` sentences.
 pub struct RectEvaluator {
     named: BTreeMap<String, Box2>,
-    /// Distinct input coordinates per axis; the evaluation grid is derived
-    /// from these with enough representatives per gap for the formula at
-    /// hand (two per region quantifier).
-    base_xs: Vec<Rational>,
-    base_ys: Vec<Rational>,
+    /// The input coordinates per axis; the evaluation grid is derived from
+    /// these ([`refined_axis`]) with enough representatives per gap for the
+    /// formula at hand (two per region quantifier).
+    xs: Vec<Rational>,
+    ys: Vec<Rational>,
 }
 
 impl RectEvaluator {
@@ -109,17 +109,17 @@ impl RectEvaluator {
             let (x1, y1, x2, y2) = region.bounding_box();
             named.insert(name.to_string(), Box2 { x1, x2, y1, y2 });
         }
-        let base_xs = base_coords(named.values().flat_map(|b| [b.x1, b.x2]).collect());
-        let base_ys = base_coords(named.values().flat_map(|b| [b.y1, b.y2]).collect());
-        Ok(RectEvaluator { named, base_xs, base_ys })
+        let xs = named.values().flat_map(|b| [b.x1, b.x2]).collect();
+        let ys = named.values().flat_map(|b| [b.y1, b.y2]).collect();
+        Ok(RectEvaluator { named, xs, ys })
     }
 
     /// The number of candidate rectangles a single quantifier ranges over,
     /// for a query with the given number of region quantifiers.
     pub fn quantifier_domain_size_for(&self, quantifiers: usize) -> usize {
         let reps = (2 * quantifiers).max(1);
-        let nx = refine(&self.base_xs, reps).len();
-        let ny = refine(&self.base_ys, reps).len();
+        let nx = refined_axis(&self.xs, reps).len();
+        let ny = refined_axis(&self.ys, reps).len();
         (nx * (nx - 1) / 2) * (ny * (ny - 1) / 2)
     }
 
@@ -129,8 +129,8 @@ impl RectEvaluator {
     /// S-genericity suffices for exactness over rectangle inputs.
     pub fn eval(&self, formula: &Formula) -> Result<bool, RectEvalError> {
         let reps = (2 * formula.region_quantifier_count()).max(1);
-        let xs = refine(&self.base_xs, reps);
-        let ys = refine(&self.base_ys, reps);
+        let xs = refined_axis(&self.xs, reps);
+        let ys = refined_axis(&self.ys, reps);
         let mut env = Env {
             candidates: Self::candidate_rectangles(&xs, &ys),
             ..Env::default()
@@ -205,67 +205,40 @@ impl RectEvaluator {
             }
             Formula::NameEq(x, y) => Ok(self.resolve_name(x, env)? == self.resolve_name(y, env)?),
             Formula::Not(f) => Ok(!self.eval_inner(f, env)?),
-            Formula::And(fs) => {
+            Formula::And(fs) | Formula::Or(fs) => {
+                // A conjunction stops at the first false operand, a
+                // disjunction at the first true one.
+                let or = matches!(formula, Formula::Or(_));
                 for f in fs {
-                    if !self.eval_inner(f, env)? {
-                        return Ok(false);
+                    if self.eval_inner(f, env)? == or {
+                        return Ok(or);
                     }
                 }
-                Ok(true)
+                Ok(!or)
             }
-            Formula::Or(fs) => {
-                for f in fs {
-                    if self.eval_inner(f, env)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            Formula::ExistsRegion(v, f) => {
+            Formula::ExistsRegion(v, f) | Formula::ForallRegion(v, f) => {
+                let exists = matches!(formula, Formula::ExistsRegion(..));
                 for idx in 0..env.candidates.len() {
-                    let value = env.candidates[idx];
-                    env.regions.insert(v.clone(), value);
+                    env.regions.insert(v.clone(), env.candidates[idx]);
                     let holds = self.eval_inner(f, env)?;
                     env.regions.remove(v);
-                    if holds {
-                        return Ok(true);
+                    if holds == exists {
+                        return Ok(exists);
                     }
                 }
-                Ok(false)
+                Ok(!exists)
             }
-            Formula::ForallRegion(v, f) => {
-                for idx in 0..env.candidates.len() {
-                    let value = env.candidates[idx];
-                    env.regions.insert(v.clone(), value);
-                    let holds = self.eval_inner(f, env)?;
-                    env.regions.remove(v);
-                    if !holds {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Formula::ExistsName(v, f) => {
-                for name in self.named.keys().cloned().collect::<Vec<_>>() {
-                    env.names.insert(v.clone(), name);
+            Formula::ExistsName(v, f) | Formula::ForallName(v, f) => {
+                let exists = matches!(formula, Formula::ExistsName(..));
+                for name in self.named.keys() {
+                    env.names.insert(v.clone(), name.clone());
                     let holds = self.eval_inner(f, env)?;
                     env.names.remove(v);
-                    if holds {
-                        return Ok(true);
+                    if holds == exists {
+                        return Ok(exists);
                     }
                 }
-                Ok(false)
-            }
-            Formula::ForallName(v, f) => {
-                for name in self.named.keys().cloned().collect::<Vec<_>>() {
-                    env.names.insert(v.clone(), name);
-                    let holds = self.eval_inner(f, env)?;
-                    env.names.remove(v);
-                    if !holds {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
+                Ok(!exists)
             }
         }
     }
@@ -279,19 +252,18 @@ struct Env {
 }
 
 /// Sort and deduplicate the input coordinates of one axis.
-fn base_coords(mut coords: Vec<Rational>) -> Vec<Rational> {
+/// Refine a coordinate axis: its distinct input coordinates (`0` if there
+/// are none), `reps` evenly spaced representatives strictly inside every gap
+/// between consecutive ones, and `reps` values beyond each end, ascending.
+/// The grid of the rectangle evaluator and of the point language
+/// ([`crate::point_lang`]).
+pub(crate) fn refined_axis(coords: &[Rational], reps: usize) -> Vec<Rational> {
+    let mut coords = coords.to_vec();
     coords.sort();
     coords.dedup();
     if coords.is_empty() {
         coords.push(Rational::ZERO);
     }
-    coords
-}
-
-/// Refine a coordinate axis: `reps` evenly spaced representatives strictly
-/// inside every gap between consecutive input coordinates, plus `reps` values
-/// beyond each end.
-fn refine(coords: &[Rational], reps: usize) -> Vec<Rational> {
     let mut out = Vec::with_capacity(coords.len() * (reps + 1) + 2 * reps);
     for k in 0..reps {
         out.push(coords[0] - Rational::from_int(1 + k as i64));

@@ -1,14 +1,17 @@
 //! The epoch chain: snapshot publication for
 //! [`TopoDatabase`](crate::TopoDatabase).
 //!
-//! The database is a sequence of immutable, fully-built epochs
-//! ([`EpochState`]) of which only the newest, the *head*, is reachable: one
-//! `RwLock<Arc<EpochState>>`. A read is a read lock held for one `Arc`
-//! clone; it never waits on a build, a log append or an fsync, because the
-//! write lock is only ever held for one pointer store. Writers run a
-//! three-stage pipeline:
+//! The database is a sequence of immutable, fully-built epochs, each one
+//! [`Snapshot`] holding its instance and its view, of which only the newest,
+//! the *head*, is reachable: one `RwLock<Snapshot>`. Every epoch is built by
+//! one function, `build_epoch`, before it becomes the head: the root inside
+//! [`EpochChain::new_at`], before the database is returned, and every later
+//! epoch by the commit that publishes it. A read is a read lock held for one
+//! `Arc` clone; it never builds and never waits on a build, a log append or
+//! an fsync, because the write lock is only ever held for one pointer
+//! store. Writers run a three-stage pipeline:
 //!
-//! 1. **Base** — clone the head `Arc` as the *base epoch*. Nothing is
+//! 1. **Base** — clone the head snapshot as the *base epoch*. Nothing is
 //!    registered: the clone keeps the base alive for as long as the commit
 //!    needs it.
 //! 2. **Build, outside any lock** — apply the buffered operations to a copy
@@ -32,29 +35,27 @@
 //!    commit therefore costs one box test per component of the database
 //!    plus the rebuild of the component it lands in, whose sweep covers the
 //!    edit's neighbourhood only. The result is a
-//!    complete new [`EpochState`], constructed while readers keep loading
+//!    complete new [`Snapshot`], constructed while readers keep loading
 //!    the old head and other writers build their own epochs concurrently.
-//!    The root epoch's cold build is the same update, of an empty base
-//!    with every name changed: [`arrangement::build_complex_view`].
-//! 3. **Publish** — under the writers-only publish mutex, check that the
-//!    head is still the base (`Arc::ptr_eq`); if so, append the batch to the
-//!    log (when one is attached) and then store the new epoch as the head
-//!    under the write lock. The mutex makes check, append and store one
-//!    step, so a batch is logged exactly once — by the attempt that
-//!    publishes it — and strictly before its epoch becomes visible. If
-//!    another commit published first, re-apply the batch to the new head's
-//!    instance and run stage 2 again with the *new head* as base: its
-//!    components are carried wherever this commit does not touch them, and
-//!    for a group it does touch the build is offered this attempt's own
-//!    component (the `hint`) when every member region has the same extent
-//!    in both instances. That is valid by construction: a component is
-//!    built from its members' regions and nothing else. Two commits
-//!    touching disjoint components therefore both build concurrently and
-//!    the loser's retry is a pure re-assembly (zero re-sweeps).
+//!    The root epoch is the same update, of the empty view with every name
+//!    changed: [`arrangement::build_complex_view`].
+//! 3. **Publish** — under the writers-only publish mutex, check that the head is
+//!    still the base (`Arc::ptr_eq` of the two snapshots); if so, append the
+//!    batch to the log (when one is attached) and then store the new snapshot as
+//!    the head under the write lock. The mutex makes check, append and store one
+//!    step, so a batch is logged exactly once — by the attempt that publishes it
+//!    — and strictly before its epoch becomes visible. If another commit
+//!    published first, re-apply the batch to the new head's instance and run
+//!    stage 2 again with the *new head* as base: its components are carried
+//!    wherever this commit does not touch them, and for a group it does touch
+//!    the build is offered this attempt's own component (the `hint`) when every
+//!    member region has the same extent in both instances. That is valid by
+//!    construction: a component is built from its members' regions and nothing
+//!    else. Two commits touching disjoint components therefore both build
+//!    concurrently and the loser's retry is a pure re-assembly (zero re-sweeps).
 //!
-//! **Reclamation invariant.** The head is an `Arc`; snapshots keep exactly
-//! what they reference. A superseded epoch is freed by whichever of its
-//! holders — the commit that replaced it, a [`Snapshot`] — lets go last.
+//! A superseded epoch is freed by whichever of its holders — the commit
+//! that replaced it, a clone of its [`Snapshot`] — lets go last.
 
 use crate::durability::Durability;
 use crate::snapshot::Snapshot;
@@ -64,7 +65,7 @@ use spatial_core::instance::SpatialInstance;
 use spatial_core::region::Region;
 use wal::WalOp;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LockResult, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 
 /// Build/diagnostic counters of the facade.
 #[derive(Default)]
@@ -77,21 +78,6 @@ pub(crate) struct BuildCounters {
     /// Publish attempts that found the head moved past their base and
     /// retried against the new head.
     pub publish_conflicts: AtomicU64,
-}
-
-/// One immutable epoch of the database: the instance as of that epoch and
-/// the derived structures.
-pub(crate) struct EpochState {
-    /// The epoch number ([`Snapshot::epoch`] of this epoch's snapshot).
-    pub epoch: u64,
-    /// The instance as of this epoch.
-    pub instance: Arc<SpatialInstance>,
-    /// The epoch's snapshot: the zero-copy view — which holds the component
-    /// sub-complexes the next commit carries over — plus the lazy derived
-    /// reads. Published epochs are fully built *before* they become the
-    /// head; only the root epoch (constructed without a commit) builds
-    /// lazily on first read, so constructing a database stays free.
-    built: OnceLock<Snapshot>,
 }
 
 /// The component with exactly the name set `key`, if `components` (in
@@ -111,18 +97,9 @@ fn same_extent(a: Option<&Region>, b: Option<&Region>) -> bool {
 }
 
 fn unpoison<G>(guard: LockResult<G>) -> G {
-    // The head is only ever replaced by one whole-pointer store and the
+    // The head is only ever replaced by one whole-snapshot store and the
     // publish mutex guards no data, so a poisoned lock holds nothing torn.
     guard.unwrap_or_else(PoisonError::into_inner)
-}
-
-impl EpochState {
-    /// The snapshot, building it on first use (root epoch only — published
-    /// epochs are always pre-built). The cold build is the degenerate
-    /// update: nothing to carry, every name changed.
-    pub fn built(&self, counters: &BuildCounters) -> &Snapshot {
-        self.built.get_or_init(|| build_cold(self.epoch, &self.instance, counters))
-    }
 }
 
 /// Apply buffered operations to a copy of `base`, returning the resulting
@@ -158,12 +135,13 @@ pub(crate) fn apply_ops(base: &SpatialInstance, ops: &[WalOp]) -> (SpatialInstan
 /// over every component that `changed` (the names whose extent differs
 /// between the two instances) neither contains nor touches, with its
 /// nesting parent; re-partition, sweep (asking `hint` first) and locate the
-/// rest. The cold build ([`build_cold`]) is the degenerate patch: an empty
-/// base, every name changed.
-pub(crate) fn build_epoch<S, F>(
+/// rest. This is the one way an epoch is made: the root epoch is the patch
+/// of the empty view with every name changed, which is
+/// [`arrangement::build_complex_view`].
+fn build_epoch<S, F>(
     epoch: u64,
     base: &GlobalComplexView,
-    instance: &SpatialInstance,
+    instance: Arc<SpatialInstance>,
     changed: &[S],
     hint: F,
     counters: &BuildCounters,
@@ -172,70 +150,49 @@ where
     S: AsRef<str>,
     F: Fn(&[String]) -> Option<Arc<ComponentComplex>>,
 {
-    let update = arrangement::update_components(base.components(), instance, changed, hint);
+    let update = arrangement::update_components(base.components(), &instance, changed, hint);
     counters.component_rebuilds.fetch_add(update.rebuilt as u64, Ordering::Relaxed);
     counters.complex_builds.fetch_add(1, Ordering::Relaxed);
     let global_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
-    Snapshot::new(epoch, Arc::new(base.updated(global_names, update)))
+    let view = base.updated(global_names, update);
+    Snapshot::new(epoch, instance, Arc::new(view))
 }
 
-/// The cold build of `instance`: [`arrangement::build_complex_view`], the
-/// update of nothing, every component of which is a rebuild.
-fn build_cold(epoch: u64, instance: &SpatialInstance, counters: &BuildCounters) -> Snapshot {
-    let view = arrangement::build_complex_view(instance);
-    counters.component_rebuilds.fetch_add(view.component_count() as u64, Ordering::Relaxed);
-    counters.complex_builds.fetch_add(1, Ordering::Relaxed);
-    Snapshot::new(epoch, Arc::new(view))
-}
-
-/// [`build_epoch`] on top of the epoch `base`. A base that was never read
-/// (an unbuilt root) has nothing to carry: the build is then the cold one.
-fn build_on<F>(
-    base: &EpochState,
-    instance: &SpatialInstance,
-    changed: &[String],
-    hint: F,
-    counters: &BuildCounters,
-) -> Snapshot
-where
-    F: Fn(&[String]) -> Option<Arc<ComponentComplex>>,
-{
-    match base.built.get() {
-        Some(snapshot) => {
-            build_epoch(base.epoch + 1, snapshot.view_ref(), instance, changed, hint, counters)
-        }
-        None => build_cold(base.epoch + 1, instance, counters),
-    }
-}
-
-/// The published head and the mutex that orders publishes.
+/// The published head, the mutex that orders publishes, and the build
+/// counters.
 pub(crate) struct EpochChain {
-    /// The newest epoch. Readers hold the read lock for one `Arc` clone; the
-    /// write lock is held for one pointer store, by a publisher that already
-    /// holds `publish`.
-    head: RwLock<Arc<EpochState>>,
+    /// The newest epoch's snapshot. Readers hold the read lock for one `Arc`
+    /// clone; the write lock is held for one store, by a publisher that
+    /// already holds `publish`.
+    head: RwLock<Snapshot>,
     /// Serializes publishes and checkpoints — not builds, which run outside
     /// every lock.
     publish: Mutex<()>,
+    pub counters: BuildCounters,
 }
 
 impl EpochChain {
     /// A chain rooted at an arbitrary epoch number — recovery reopens a
     /// database at the epoch its log replayed to, and commits continue the
-    /// numbering from there (so re-logged epochs line up with the log).
-    pub fn new_at(instance: Arc<SpatialInstance>, epoch: u64) -> Self {
-        let root = EpochState { epoch, instance, built: OnceLock::new() };
-        EpochChain { head: RwLock::new(Arc::new(root)), publish: Mutex::new(()) }
+    /// numbering from there (so re-logged epochs line up with the log). The
+    /// root is built here, before the chain exists: no read ever builds.
+    pub fn new_at(instance: SpatialInstance, epoch: u64) -> Self {
+        let counters = BuildCounters::default();
+        let instance = Arc::new(instance);
+        let nothing = GlobalComplexView::new(Vec::new(), Vec::new());
+        let names = instance.names();
+        let root = build_epoch(epoch, &nothing, Arc::clone(&instance), &names, |_| None, &counters);
+        EpochChain { head: RwLock::new(root), publish: Mutex::new(()), counters }
     }
 
-    /// The current head epoch: a read lock held for one `Arc` clone.
-    pub fn head(&self) -> Arc<EpochState> {
-        Arc::clone(&*unpoison(self.head.read()))
+    /// The current head's snapshot: a read lock held for one `Arc` clone.
+    pub fn head(&self) -> Snapshot {
+        unpoison(self.head.read()).clone()
     }
 
     /// Run `f` on the head with publishes held off, so the head stays the
     /// log's newest epoch until `f` returns.
-    pub fn with_head_held<T>(&self, f: impl FnOnce(&EpochState) -> T) -> T {
+    pub fn with_head_held<T>(&self, f: impl FnOnce(&Snapshot) -> T) -> T {
         let _publishing = unpoison(self.publish.lock());
         f(&self.head())
     }
@@ -248,73 +205,76 @@ impl EpochChain {
     pub fn commit(
         &self,
         ops: Vec<WalOp>,
-        counters: &BuildCounters,
         durability: Option<&Durability>,
     ) -> Result<CommitSummary, crate::TopoDbError> {
         // Stage 1 — the base.
         let mut base = self.head();
 
         // Stage 2 — build outside any lock.
-        let (instance, mut changed) = apply_ops(&base.instance, &ops);
+        let (instance, mut changed) = apply_ops(&base.inner.instance, &ops);
         if changed.is_empty() {
-            return Ok(CommitSummary { epoch: base.epoch, changed });
+            return Ok(CommitSummary { epoch: base.epoch(), changed });
         }
-        let mut instance = Arc::new(instance);
-        let mut built = build_on(&base, &instance, &changed, |_| None, counters);
+        let mut built = build_epoch(
+            base.epoch() + 1,
+            base.view_ref(),
+            Arc::new(instance),
+            &changed,
+            |_| None,
+            &self.counters,
+        );
 
         // Stage 3 — publish, retrying on conflict.
         loop {
             let published = {
                 let _publishing = unpoison(self.publish.lock());
-                let is_base = Arc::ptr_eq(&*unpoison(self.head.read()), &base);
+                let is_base = Arc::ptr_eq(&unpoison(self.head.read()).inner, &base.inner);
                 if is_base {
                     // Log-before-publish. A durability failure returns here:
                     // nothing was published and readers stay on the base.
                     if let Some(d) = durability {
-                        d.log_batch(base.epoch + 1, &ops, &changed, &instance)?;
+                        d.log_batch(built.epoch(), &ops, &changed, &built.inner.instance)?;
                     }
-                    let next = Arc::new(EpochState {
-                        epoch: base.epoch + 1,
-                        instance: Arc::clone(&instance),
-                        built: OnceLock::from(built.clone()),
-                    });
                     // The replaced head is `base`, which this commit still
                     // holds: the store frees nothing, and the superseded
                     // epoch is dropped with `base`, after both locks.
-                    *unpoison(self.head.write()) = next;
+                    *unpoison(self.head.write()) = built.clone();
                 }
                 is_base
             };
             if published {
-                return Ok(CommitSummary { epoch: base.epoch + 1, changed });
+                return Ok(CommitSummary { epoch: built.epoch(), changed });
             }
 
-            counters.publish_conflicts.fetch_add(1, Ordering::Relaxed);
+            self.counters.publish_conflicts.fetch_add(1, Ordering::Relaxed);
             let new_head = self.head();
             // Re-apply the batch against the new head: the published
             // instance must carry the intervening commits' changes, and this
             // batch's own effect can shrink against the new base (e.g. a
             // removal an intervening commit already performed).
-            let (rebased, rebased_changed) = apply_ops(&new_head.instance, &ops);
+            let (rebased, rebased_changed) = apply_ops(&new_head.inner.instance, &ops);
             if rebased_changed.is_empty() {
-                return Ok(CommitSummary { epoch: new_head.epoch, changed: rebased_changed });
+                return Ok(CommitSummary { epoch: new_head.epoch(), changed: rebased_changed });
             }
-            let (attempt, own) = (instance, built);
-            instance = Arc::new(rebased);
+            let own = built;
+            let instance = Arc::new(rebased);
             changed = rebased_changed;
             // The new head's components are carried unless this commit
             // touches them; a touched group is offered this attempt's own
             // component when none of its members' regions differ.
-            built = build_on(
-                &new_head,
-                &instance,
+            built = build_epoch(
+                new_head.epoch() + 1,
+                new_head.view_ref(),
+                Arc::clone(&instance),
                 &changed,
                 |key: &[String]| {
                     find_component(own.view_ref().components(), key).filter(|_| {
-                        key.iter().all(|name| same_extent(attempt.ext(name), instance.ext(name)))
+                        key.iter().all(|name| {
+                            same_extent(own.inner.instance.ext(name), instance.ext(name))
+                        })
                     })
                 },
-                counters,
+                &self.counters,
             );
             base = new_head;
         }

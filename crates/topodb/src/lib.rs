@@ -14,8 +14,10 @@
 //!   queries, the topological invariant `T_I` (Section 3), homeomorphism
 //!   tests (Theorem 3.4) and the thematic relational summary `thematic(I)`
 //!   (Corollary 3.7) — from any number of threads concurrently. Acquiring a
-//!   snapshot is a read lock held for one `Arc` clone; it never waits on a
-//!   build, a log append or an fsync.
+//!   snapshot is a read lock held for one `Arc` clone; it never builds and
+//!   never waits on a build, a log append or an fsync: every epoch, the
+//!   first included, is built before it is published, and a constructor
+//!   returns the database with its first epoch built.
 //! * **Writes** go through a [`Transaction`] ([`TopoDatabase::begin`], or
 //!   [`TopoDatabase::begin_shared`] from a shared reference): any number of
 //!   inserts/removals commit as **one** batch — the commit re-sweeps only
@@ -87,7 +89,7 @@ pub use wal::{SyncPolicy, WalConfig};
 
 use arrangement::{ComplexRead, ComponentComplex};
 use durability::Durability;
-use epoch::{BuildCounters, EpochChain};
+use epoch::EpochChain;
 use spatial_core::instance::SpatialInstance;
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -96,8 +98,10 @@ use wal::WalOp;
 
 /// A topological spatial database: named regions plus the derived structures
 /// of the paper (cell complex, invariant, thematic relational summary),
-/// computed lazily, shared zero-copy behind [`Arc`]s, and maintained
-/// *incrementally* across updates.
+/// shared zero-copy behind [`Arc`]s and maintained *incrementally* across
+/// updates. The cell complex of every epoch is built before the epoch is
+/// published (the first one by the constructor); the invariant, the
+/// evaluator and the region index are derived on a snapshot's first use.
 ///
 /// The public surface is split into a write path and a read path:
 ///
@@ -115,13 +119,14 @@ use wal::WalOp;
 ///
 /// The database is an **epoch chain** (`topodb::epoch`): a sequence of
 /// immutable, fully-built epochs of which only the newest, the head, is
-/// held — one `RwLock<Arc<_>>`.
+/// held — one `RwLock<Snapshot>`.
 ///
 /// * **Readers never wait on a writer.** [`TopoDatabase::snapshot`] is a
 ///   read lock held for one `Arc` clone; it never waits on a build, a log
 ///   append or an fsync. The write lock is held only for the pointer store
 ///   that publishes an epoch, and a published epoch is built *before* that
-///   store, so a reader never pays for (or waits on) a writer's re-sweep.
+///   store — the first epoch before the constructor returns — so a reader
+///   never pays for (or waits on) a build.
 ///   The database is `Sync`; a service front end shares one
 ///   `&TopoDatabase` across all of its worker threads.
 /// * **Writers build outside any lock.** A commit clones the head as its
@@ -153,7 +158,7 @@ use wal::WalOp;
 ///   genuinely contested components are re-swept. Two transactions over
 ///   disjoint components therefore *build concurrently* and both publish,
 ///   the loser without sweeping anything twice.
-/// * **Reclamation is reference counting.** The head is an `Arc`;
+/// * **Reclamation is reference counting.** The head is a [`Snapshot`];
 ///   snapshots keep exactly what they reference, and a superseded epoch is
 ///   freed when its last holder lets go.
 ///
@@ -192,8 +197,9 @@ use wal::WalOp;
 /// map.
 ///
 /// Two counters pin the behavior down: [`TopoDatabase::complex_build_count`]
-/// is the number of *assembled global complexes* built (any burst of reads
-/// between two commits increases it by at most one), and
+/// is the number of *assembled global complexes* built (one at
+/// construction, one per published commit and per conflict retry, none
+/// from reads), and
 /// [`TopoDatabase::component_rebuild_count`] is the number of *component
 /// sub-complexes* rebuilt — the part that incremental maintenance
 /// keeps proportional to the affected geometry rather than the map size.
@@ -259,11 +265,12 @@ use wal::WalOp;
 ///   newest checkpoint (it reports the recoverable range otherwise).
 /// * **Recovery** replays the log through the same op-application path
 ///   live commits use (cross-checking each record's logged
-///   changed-name set), then rebuilds derived structures on first read
-///   through the ordinary build pipeline. A torn final record — the state
-///   an interrupted append leaves — is truncated away silently; any other
-///   corruption (including a checksum failure mid-log) fails the open
-///   loudly with the offending file and byte offset.
+///   changed-name set), then builds the recovered epoch through the
+///   ordinary build pipeline before the database is returned. A torn final
+///   record — the state an interrupted append leaves — is truncated away
+///   silently; any other corruption (including a checksum failure
+///   mid-log) fails the open loudly with the offending file and byte
+///   offset.
 ///
 /// The storage backend itself is pluggable ([`wal::Vfs`]): both
 /// constructors take [`StorageOptions`] bundling the log config, the
@@ -273,7 +280,6 @@ use wal::WalOp;
 /// is how the chaos suite drives every failure path above on demand.
 pub struct TopoDatabase {
     chain: EpochChain,
-    counters: BuildCounters,
     durability: Option<Durability>,
 }
 
@@ -341,13 +347,10 @@ impl TopoDatabase {
 
     /// The one true constructor: every public way of building a database
     /// funnels through here with the recovered (or initial) instance, the
-    /// epoch it represents, and the log attachment.
+    /// epoch it represents, and the log attachment. The epoch is built here,
+    /// so the database is returned with its head built.
     fn assemble(instance: SpatialInstance, epoch: u64, durability: Option<Durability>) -> Self {
-        TopoDatabase {
-            chain: EpochChain::new_at(Arc::new(instance), epoch),
-            counters: BuildCounters::default(),
-            durability,
-        }
+        TopoDatabase { chain: EpochChain::new_at(instance, epoch), durability }
     }
 
     // ---- durable constructors -------------------------------------------
@@ -454,7 +457,7 @@ impl TopoDatabase {
         // is exactly the one at the log's head epoch (a commit landing
         // between the instance read and the checkpoint write would
         // otherwise snapshot a stale instance under a newer epoch).
-        self.chain.with_head_held(|head| d.checkpoint(&head.instance))
+        self.chain.with_head_held(|head| d.checkpoint(&head.inner.instance))
     }
 
     // ---- write path -----------------------------------------------------
@@ -496,7 +499,7 @@ impl TopoDatabase {
                 return Err(d.reject_degraded(cause));
             }
         }
-        self.chain.commit(ops, &self.counters, self.durability.as_ref())
+        self.chain.commit(ops, self.durability.as_ref())
     }
 
     // ---- instance accessors ---------------------------------------------
@@ -504,7 +507,7 @@ impl TopoDatabase {
     /// The spatial instance of the current epoch, shared behind an [`Arc`]
     /// (epochs are immutable; a commit publishes a new instance).
     pub fn instance(&self) -> Arc<SpatialInstance> {
-        Arc::clone(&self.chain.head().instance)
+        Arc::clone(&self.chain.head().inner.instance)
     }
 
     // ---- read path ------------------------------------------------------
@@ -513,26 +516,23 @@ impl TopoDatabase {
     /// the facade.
     ///
     /// This is a read lock held for one `Arc` clone of the published head;
-    /// it never waits on a build, a log append or an fsync. Published
-    /// epochs are built before they become visible, so no snapshot
-    /// acquisition ever performs (or waits on) a rebuild — only the very
-    /// first read of a
-    /// database constructed from an un-built instance pays its initial
-    /// build, exactly once. The snapshot is `Send + Sync` and keeps
-    /// answering for its epoch however many batches are committed
+    /// it never waits on a build, a log append or an fsync. Every epoch is
+    /// built before it becomes the head, so no snapshot acquisition ever
+    /// performs (or waits on) a build. The snapshot is `Send + Sync` and
+    /// keeps answering for its epoch however many batches are committed
     /// afterwards; call `snapshot()` again after a commit to observe the
     /// new epoch.
     pub fn snapshot(&self) -> Snapshot {
-        self.chain.head().built(&self.counters).clone()
+        self.chain.head()
     }
 
     /// The component sub-complexes backing the current complex, as
     /// `(region names, component)` pairs in name-set order.
     ///
-    /// Builds the current epoch if needed. The returned [`Arc`]s are clones
-    /// of the epoch's entries: a component untouched by the updates between
-    /// two calls is returned pointer-identical (`Arc::ptr_eq`), which is
-    /// the observable guarantee of incremental maintenance.
+    /// The returned [`Arc`]s are clones of the epoch's entries: a component
+    /// untouched by the updates between two calls is returned
+    /// pointer-identical (`Arc::ptr_eq`), which is the observable guarantee
+    /// of incremental maintenance.
     pub fn component_complexes(&self) -> Vec<(Vec<String>, Arc<ComponentComplex>)> {
         self.snapshot()
             .complex_view()
@@ -540,15 +540,12 @@ impl TopoDatabase {
     }
 
     /// How many times this database has built (assembled) a global cell
-    /// complex.
-    ///
-    /// Diagnostic for cache effectiveness: any sequence of reads between two
-    /// commits should increase this by at most one, whatever mix of
-    /// snapshots, relations, queries or invariant calls it makes — and a
-    /// committed batch of `k` mutations still only adds one (plus one per
-    /// publish-conflict retry under concurrent commits).
+    /// complex: one at construction, one per published commit, and one per
+    /// publish-conflict retry under concurrent commits. Reads build nothing,
+    /// whatever mix of snapshots, relations, queries or invariant calls they
+    /// make, and a committed batch of `k` mutations adds one.
     pub fn complex_build_count(&self) -> u64 {
-        self.counters.complex_builds.load(Ordering::Relaxed)
+        self.chain.counters.complex_builds.load(Ordering::Relaxed)
     }
 
     /// How many component sub-complexes this database has rebuilt.
@@ -559,13 +556,13 @@ impl TopoDatabase {
     /// batch while [`TopoDatabase::complex_build_count`] grows by one,
     /// however large the rest of the map is.
     pub fn component_rebuild_count(&self) -> u64 {
-        self.counters.component_rebuilds.load(Ordering::Relaxed)
+        self.chain.counters.component_rebuilds.load(Ordering::Relaxed)
     }
 
     /// How many publish attempts found the head moved by a concurrent
     /// commit and retried (always `0` under single-threaded writes).
     pub fn publish_conflict_count(&self) -> u64 {
-        self.counters.publish_conflicts.load(Ordering::Relaxed)
+        self.chain.counters.publish_conflicts.load(Ordering::Relaxed)
     }
 
     /// The current update epoch: the number of *effective* committed batches
@@ -574,7 +571,7 @@ impl TopoDatabase {
     /// published fully built; [`Snapshot::epoch`] records which epoch a
     /// snapshot belongs to.
     pub fn update_epoch(&self) -> u64 {
-        self.chain.head().epoch
+        self.chain.head().epoch()
     }
 
     /// A human-readable summary of one epoch of the database and its derived
@@ -652,9 +649,11 @@ mod tests {
     #[test]
     fn derived_structures_are_cached_and_shared() {
         let mut db = TopoDatabase::from_instance(fixtures::fig_1c());
-        assert_eq!(db.complex_build_count(), 0, "nothing built before first use");
+        assert_eq!(db.complex_build_count(), 1, "the root is built by the constructor");
+        let root_components = db.snapshot().complex_view().component_count() as u64;
+        assert_eq!(db.component_rebuild_count(), root_components, "root components are rebuilds");
 
-        // Any mix of reads performs exactly one construction...
+        // Any mix of reads builds nothing more...
         let matrix = db.snapshot().relation_matrix().unwrap();
         assert_eq!(matrix.len(), 1);
         let _ = db.snapshot().relation("A", "B").unwrap();
@@ -664,6 +663,7 @@ mod tests {
         let _ = db.summary();
         let snap = db.snapshot();
         assert_eq!(db.complex_build_count(), 1, "reads must reuse the cached complex");
+        assert_eq!(db.component_rebuild_count(), root_components, "reads rebuild no component");
         assert_eq!(snap.epoch(), 0);
 
         // ...and hands out the same shared allocation, not deep copies.
@@ -686,6 +686,31 @@ mod tests {
         assert_eq!(v3.region_names().len(), 3);
         assert_eq!(snap.len(), 2, "pre-update snapshot still answers for its epoch");
         assert_eq!(db.publish_conflict_count(), 0, "no concurrent writers, no conflicts");
+    }
+
+    #[test]
+    fn every_constructor_returns_a_built_head() {
+        let built = |db: &TopoDatabase| {
+            let components = db.snapshot().complex_view().component_count() as u64;
+            (db.complex_build_count(), db.component_rebuild_count() == components)
+        };
+        assert_eq!(built(&TopoDatabase::new()), (1, true));
+        assert_eq!(built(&TopoDatabase::from_instance(fixtures::nested_three())), (1, true));
+
+        let sim = StorageOptions::default().with_vfs(Arc::new(wal::SimFs::new()));
+        let created = TopoDatabase::create_with_storage("db", fixtures::fig_1c(), sim.clone());
+        assert_eq!(built(&created.unwrap()), (1, true));
+        let reopened = TopoDatabase::open_with_storage("db", sim).unwrap();
+        assert_eq!(built(&reopened), (1, true));
+        assert_eq!(reopened.snapshot().len(), 2);
+
+        let dir = std::env::temp_dir().join(format!("topodb-built-head-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = StorageOptions::default();
+        drop(TopoDatabase::create_with_storage(&dir, fixtures::fig_1c(), options).unwrap());
+        let at = TopoDatabase::open_at(&dir, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(built(&at.unwrap()), (1, true));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use invariant::Invariant;
 use query::cell_eval::CellEvaluator;
 use query::{PreparedQuery, QueryOutput};
 use relations::Relation4;
+use spatial_core::instance::SpatialInstance;
 use std::sync::{Arc, OnceLock};
 
 /// An immutable snapshot of a [`TopoDatabase`](crate::TopoDatabase): the
@@ -18,8 +19,9 @@ use std::sync::{Arc, OnceLock};
 /// A snapshot is the read half of the facade's read/write split:
 ///
 /// * **Cheap to obtain and clone.** [`TopoDatabase::snapshot`] hands out a
-///   clone of the cached snapshot (one `Arc` bump); cloning a snapshot is a
-///   second `Arc` bump. No cell, label or region is copied.
+///   clone of the head snapshot (one `Arc` bump), which was built before it
+///   was published; cloning a snapshot is a second `Arc` bump. No cell,
+///   label or region is copied.
 /// * **`Send + Sync`.** All state is behind `Arc`s and [`OnceLock`]s, so one
 ///   snapshot can serve query traffic from any number of threads at once —
 ///   `thread::scope` readers over a shared `&Snapshot` are a compiling (and
@@ -59,22 +61,30 @@ use std::sync::{Arc, OnceLock};
 /// [`TopoDatabase::snapshot`]: crate::TopoDatabase::snapshot
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    inner: Arc<SnapshotInner>,
+    pub(crate) inner: Arc<SnapshotInner>,
 }
 
 #[derive(Debug)]
-struct SnapshotInner {
+pub(crate) struct SnapshotInner {
     epoch: u64,
+    /// The instance as of this epoch, which the next commit applies its
+    /// operations to.
+    pub(crate) instance: Arc<SpatialInstance>,
     view: Arc<GlobalComplexView>,
     invariant: OnceLock<Arc<Invariant>>,
     evaluator: OnceLock<Arc<CellEvaluator>>,
 }
 
 impl Snapshot {
-    pub(crate) fn new(epoch: u64, view: Arc<GlobalComplexView>) -> Snapshot {
+    pub(crate) fn new(
+        epoch: u64,
+        instance: Arc<SpatialInstance>,
+        view: Arc<GlobalComplexView>,
+    ) -> Snapshot {
         Snapshot {
             inner: Arc::new(SnapshotInner {
                 epoch,
+                instance,
                 view,
                 invariant: OnceLock::new(),
                 evaluator: OnceLock::new(),

@@ -195,18 +195,23 @@ fn snapshot_is_queried_from_four_threads() {
 /// The database itself is `Sync` (atomically published epochs): four scoped
 /// threads *acquire* snapshots concurrently from one shared
 /// `&TopoDatabase` — not merely read through a pre-acquired snapshot —
-/// and the cold build still happens exactly once.
+/// and none of them builds: the root was built before the constructor
+/// returned.
 #[test]
 fn snapshots_are_acquired_concurrently_from_four_threads() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TopoDatabase>();
 
     let db = clustered_db(4, 3);
-    assert_eq!(db.complex_build_count(), 0, "nothing built before the burst");
+    assert_eq!(db.complex_build_count(), 1, "the root is built before the database is returned");
+    let head = db.snapshot().complex_view();
+    let rebuilds = db.component_rebuild_count();
+    assert_eq!(rebuilds, head.component_count() as u64, "every root component is a rebuild");
+    let query = PreparedQuery::compile("overlap(ext(x), C000_R000)").unwrap();
     let snaps: Vec<Snapshot> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let db = &db;
+                let (db, query) = (&db, &query);
                 scope.spawn(move || {
                     let snap = db.snapshot();
                     // Every thread reads through its own freshly acquired
@@ -214,21 +219,19 @@ fn snapshots_are_acquired_concurrently_from_four_threads() {
                     assert_eq!(snap.len(), 12);
                     let matrix = snap.relation_matrix().unwrap();
                     assert_eq!(matrix.len(), 12 * 11 / 2);
+                    assert!(snap.evaluate(query).unwrap().bindings().is_some());
                     snap
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    // All acquisitions observed the same epoch, and whichever thread won the
-    // write lock built the complex exactly once for everyone.
+    // All acquisitions observed the same epoch, and none of them built.
     assert!(snaps.iter().all(|s| s.epoch() == snaps[0].epoch()));
-    assert_eq!(db.complex_build_count(), 1, "concurrent acquisition builds once");
-    for s in &snaps[1..] {
-        assert!(
-            Arc::ptr_eq(&s.complex_view(), &snaps[0].complex_view()),
-            "every thread shares the one cached view"
-        );
+    assert_eq!(db.complex_build_count(), 1, "concurrent reads build nothing");
+    assert_eq!(db.component_rebuild_count(), rebuilds, "concurrent reads rebuild no component");
+    for s in &snaps {
+        assert!(Arc::ptr_eq(&s.complex_view(), &head), "every thread shares the head's view");
     }
 }
 
