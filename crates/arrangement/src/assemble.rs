@@ -39,7 +39,7 @@
 //! computation (`compute_component_nesting`), which probes the one index
 //! over the component boxes an assembly builds (`component_index`).
 
-use crate::builder::{build_local, Walks};
+use crate::builder::{build_local, LocalComplex, Runs, Walks};
 use crate::complex::{CellComplex, ComplexRead};
 use crate::index::SpatialIndex;
 use crate::partition::{repartition, BBox, ComponentGroup, Member, Repartition};
@@ -62,8 +62,15 @@ pub struct BoundedCycle {
 
 /// The independently built cell complex of one interaction component,
 /// together with the geometric data the assembly step needs to embed it into
-/// the global complex, the cut sets of its split, and the read-path memos
-/// derived from it.
+/// the global complex, the cut sets of its split, the two per-region tables
+/// the read path serves (each region's box and its interior faces), and the
+/// one read-path memo derived from those (the index over the boxes).
+///
+/// Both tables are outputs of the build: a region's box is the union of its
+/// input segments' boxes, which the split computes anyway, and its interior
+/// faces are the inversion of the final face labels (`builder::build_local`).
+/// A fresh snapshot's first read therefore scans no edge and no face label
+/// of a rebuilt component; only the region index is built on first use.
 ///
 /// The cut sets are the output of the component's split, kept so that the
 /// next build of the component copies the cut sets of every segment nothing
@@ -80,7 +87,15 @@ pub struct ComponentComplex {
     pub(crate) bounded_walks: Walks,
     /// The memo of [`bounded_cycles`](Self::bounded_cycles).
     bounded_cycles: OnceLock<Vec<BoundedCycle>>,
+    /// The union of the region boxes (`None` for a component with no
+    /// segments).
     pub(crate) bbox: Option<BBox>,
+    /// Per local region: the bounding box of its input segments, which is
+    /// that of its boundary edges (`None` for a region with no segment).
+    pub(crate) region_bboxes: Vec<Option<BBox>>,
+    /// Run `r` holds the bounded local faces interior to local region `r`,
+    /// ascending.
+    pub(crate) region_faces: Runs<FaceId>,
     /// The point nesting resolution locates the component by: its least
     /// cut point, the first entry of its split's point table, which is
     /// always an input endpoint (`None` for a component with no segments).
@@ -95,65 +110,32 @@ pub struct ComponentComplex {
 }
 
 /// Read-path state derived from one component alone, keyed by *local* ids
-/// and built on first use.
+/// and built on first use: the index over the region boxes.
 ///
 /// It lives on the [`ComponentComplex`], so a component carried across a
-/// commit — pointer-identically, behind its `Arc` — carries its memos, and
-/// only rebuilt components pay for them again. What depends on the rest of
-/// the database (global id offsets, nesting parents, inherited labels) is
-/// per-epoch glue on the [`GlobalComplexView`](crate::GlobalComplexView).
-/// The face → edge → endpoint incidence a face-set walk follows needs no
-/// memo: it is the component's own [`FaceData::boundary_edges`] and
-/// [`EdgeData`] endpoints and faces.
+/// commit — pointer-identically, behind its `Arc` — carries it, and only
+/// rebuilt components pay for it again. It stays lazy because a commit that
+/// nobody probes the index of need not sort its boxes. What depends on the
+/// rest of the database (global id offsets, nesting parents, inherited
+/// labels) is per-epoch glue on the
+/// [`GlobalComplexView`](crate::GlobalComplexView). The face → edge →
+/// endpoint incidence a face-set walk follows needs no memo: it is the
+/// component's own [`FaceData::boundary_edges`] and [`EdgeData`] endpoints
+/// and faces.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ComponentMemo {
-    /// Per local region: the bounded local faces interior to it, ascending.
-    region_faces: OnceLock<Vec<Vec<FaceId>>>,
-    /// Per local region: the bounding box of its boundary edges.
-    region_bboxes: OnceLock<Vec<Option<BBox>>>,
     /// The index over `region_bboxes`, in local ids: the lower level of the
     /// view's two-level region index.
     region_index: OnceLock<SpatialIndex>,
 }
 
 impl ComponentComplex {
-    /// The interior faces of every local region, memoized; `built` runs if
-    /// this call computes them.
-    pub(crate) fn local_region_faces(&self, built: impl FnOnce()) -> &[Vec<FaceId>] {
-        self.memo.region_faces.get_or_init(|| {
-            built();
-            // One pass over the face labels rather than one face scan per
-            // region: a dense component has hundreds of regions.
-            let cx = &self.complex;
-            let mut out = vec![Vec::new(); cx.region_names.len()];
-            for f in cx.face_ids().filter(|&f| f != cx.exterior) {
-                for (r, sign) in cx.face(f).label.iter() {
-                    if sign == Sign::Interior {
-                        out[r].push(f);
-                    }
-                }
-            }
-            out
-        })
-    }
-
-    /// The boundary box of every local region, memoized; `built` runs if
-    /// this call computes them.
-    pub(crate) fn local_region_bboxes(&self, built: impl FnOnce()) -> &[Option<BBox>] {
-        self.memo.region_bboxes.get_or_init(|| {
-            built();
-            ComplexRead::region_bboxes(&self.complex)
-        })
-    }
-
-    /// The spatial index over [`local_region_bboxes`](Self::local_region_bboxes),
-    /// in local region ids, memoized; `built` runs once for each of the two
-    /// memos this call computes.
-    pub(crate) fn local_region_index(&self, built: impl Fn()) -> &SpatialIndex {
+    /// The spatial index over the region boxes, in local region ids,
+    /// memoized; `built` runs if this call builds it.
+    pub(crate) fn local_region_index(&self, built: impl FnOnce()) -> &SpatialIndex {
         self.memo.region_index.get_or_init(|| {
-            let boxes = self.local_region_bboxes(&built);
             built();
-            SpatialIndex::build(boxes)
+            SpatialIndex::build(&self.region_bboxes)
         })
     }
 
@@ -268,7 +250,9 @@ pub(crate) fn build_group(
     let local_names = members.iter().map(|(name, _)| name.to_string()).collect();
     let (segments, region_segments) = group_segments(members);
     let boxes: Vec<BBox> = segments.iter().map(|t| BBox::of_segment(&t.segment)).collect();
-    let bbox = boxes.iter().cloned().reduce(|a, b| a.union(&b));
+    let region_bboxes: Vec<Option<BBox>> =
+        region_segments.windows(2).map(|run| union_of(&boxes[run[0]..run[1]])).collect();
+    let bbox = union_of(region_bboxes.iter().flatten());
 
     let mut carried: Vec<Option<&[Point]>> = Vec::with_capacity(segments.len());
     for (m, (name, _)) in members.iter().enumerate() {
@@ -294,17 +278,24 @@ pub(crate) fn build_group(
     let cuts = resplit(&segments, &boxes, &carried, &gone);
     let pieces = Pieces::new(&segments, &cuts);
     let rep_point = pieces.points.first().copied();
-    let (complex, bounded_walks) = build_local(local_names, &pieces);
+    let LocalComplex { complex, bounded_walks, region_faces } = build_local(local_names, &pieces);
     ComponentComplex {
         complex,
         bounded_walks,
         bounded_cycles: OnceLock::new(),
         bbox,
+        region_bboxes,
+        region_faces,
         rep_point,
         cuts,
         region_segments,
         memo: ComponentMemo::default(),
     }
+}
+
+/// The union of `boxes` (`None` if there are none).
+fn union_of<'a>(boxes: impl IntoIterator<Item = &'a BBox>) -> Option<BBox> {
+    boxes.into_iter().cloned().reduce(|a, b| a.union(&b))
 }
 
 /// Fill the slots left empty with `build(i)` for slot `i` — up to
@@ -875,6 +866,39 @@ mod tests {
     fn carried_cut_sets_equal_a_sweep_along_the_dense_trace() {
         let trace = datagen::dense_edit_trace(16, 16, 12, DENSE_STEPS, 7);
         replay(datagen::jittered_overlap_map(16, 16, 12, 1996), &trace, check_cut_sets);
+    }
+
+    /// A component's built region tables equal two scans of its finished
+    /// complex: each region's box against the edge scan of
+    /// [`ComplexRead::region_bboxes`], and its interior faces against a scan
+    /// of the face labels.
+    fn check_region_tables(step: usize, _: &SpatialInstance, c: &ComponentComplex, _: bool) {
+        let cx = c.complex();
+        let names = c.region_names();
+        assert_eq!(c.region_bboxes, cx.region_bboxes(), "boxes of {names:?} at step {step}");
+        assert_eq!(c.region_faces.len(), names.len(), "one face run per region at step {step}");
+        for (r, name) in names.iter().enumerate() {
+            let scanned: Vec<FaceId> = cx
+                .face_ids()
+                .filter(|&f| f != cx.exterior_face() && cx.face(f).label.sign(r) == Sign::Interior)
+                .collect();
+            assert_eq!(c.region_faces.get(r), scanned, "faces of {name} at step {step}");
+        }
+    }
+
+    #[test]
+    fn built_region_tables_equal_scans_of_the_complex_along_op_traces() {
+        for seed in 0..4 {
+            let trace = datagen::op_trace(TRACE_STEPS, 0x5eed + seed);
+            replay(datagen::clustered_map(4, 6, seed), &trace, check_region_tables);
+            replay(datagen::jittered_overlap_map(10, 3, 12, seed), &trace, check_region_tables);
+        }
+    }
+
+    #[test]
+    fn built_region_tables_equal_scans_of_the_complex_along_the_dense_trace() {
+        let trace = datagen::dense_edit_trace(16, 16, 12, DENSE_STEPS, 7);
+        replay(datagen::jittered_overlap_map(16, 16, 12, 1996), &trace, check_region_tables);
     }
 
     /// A component's representative point is the least endpoint of its

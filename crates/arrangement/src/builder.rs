@@ -88,24 +88,34 @@ pub fn build_complex_monolithic(instance: &SpatialInstance) -> CellComplex {
     let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
     let segments = instance_segments(instance);
     let cuts = crate::sweep::sweep_cut_sets(&segments);
-    build_local(region_names, &Pieces::new(&segments, &cuts)).0
+    build_local(region_names, &Pieces::new(&segments, &cuts)).complex
+}
+
+/// The output of [`build_local`].
+pub(crate) struct LocalComplex {
+    pub(crate) complex: CellComplex,
+    /// The boundary walk of every bounded face, face by face (the data the
+    /// assembly step derives its cross-component nesting tests from).
+    pub(crate) bounded_walks: Walks,
+    /// Run `r` holds the bounded faces interior to region `r`, ascending.
+    pub(crate) region_faces: Runs<FaceId>,
 }
 
 /// The local construction pipeline shared by the per-component and the
-/// monolithic paths: build the cell complex of a split, returning the
-/// complex together with the boundary walks of its bounded faces, face by face
-/// (the data the assembly step derives its cross-component nesting tests
-/// from). Runs on the calling thread and bumps the per-phase work counters
-/// of [`crate::counters`].
+/// monolithic paths: build the cell complex of a split, together with the
+/// boundary walks of its bounded faces and each region's interior faces.
+/// Runs on the calling thread and bumps the per-phase work counters of
+/// [`crate::counters`].
 ///
 /// Every stage reads points by rank ([`Pieces`]): vertices, chains and face
 /// walks hold ranks, darts and piece indices in flat buffers, and points are
 /// read back from the point table only where the output keeps them (vertex
 /// points and edge polylines).
-pub(crate) fn build_local(region_names: Vec<String>, pieces: &Pieces) -> (CellComplex, Walks) {
+pub(crate) fn build_local(region_names: Vec<String>, pieces: &Pieces) -> LocalComplex {
     debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
     if pieces.is_empty() {
         // No geometry at all: a single exterior face.
+        let region_faces = Runs { items: vec![], at: vec![0; region_names.len() + 1] };
         let complex = CellComplex {
             region_names,
             vertices: vec![],
@@ -117,7 +127,7 @@ pub(crate) fn build_local(region_names: Vec<String>, pieces: &Pieces) -> (CellCo
             }],
             exterior: FaceId(0),
         };
-        return (complex, Walks::default());
+        return LocalComplex { complex, bounded_walks: Walks::default(), region_faces };
     }
 
     // ---- Raw graph ----------------------------------------------------
@@ -139,7 +149,9 @@ pub(crate) fn build_local(region_names: Vec<String>, pieces: &Pieces) -> (CellCo
 
     // ---- Labels -----------------------------------------------------------
     let bounded_walks = std::mem::take(&mut assembled.bounded_walks);
-    (finish_complex(region_names, &merged, pieces, &rotations, assembled), bounded_walks)
+    let (complex, region_faces) =
+        finish_complex(region_names, &merged, pieces, &rotations, assembled);
+    LocalComplex { complex, bounded_walks, region_faces }
 }
 
 /// The raw planar graph before chain merging: one vertex per cut point, one
@@ -453,39 +465,41 @@ impl Rotations {
     }
 }
 
-/// Face walks: boundary cycles of the embedding, as darts.
+/// Runs of items in one flat buffer: run `k` is `items[at[k]..at[k + 1]]`.
 #[derive(Clone, Debug)]
-pub(crate) struct Walks {
-    /// Walk `w`'s darts are `darts[at[w]..at[w + 1]]`.
-    darts: Vec<DartId>,
+pub(crate) struct Runs<T> {
+    items: Vec<T>,
     at: Vec<usize>,
 }
 
-impl Default for Walks {
-    fn default() -> Walks {
-        Walks { darts: Vec::new(), at: vec![0] }
+impl<T> Default for Runs<T> {
+    fn default() -> Runs<T> {
+        Runs { items: Vec::new(), at: vec![0] }
     }
 }
 
-impl Walks {
+impl<T: Copy> Runs<T> {
     pub(crate) fn len(&self) -> usize {
         self.at.len() - 1
     }
 
-    pub(crate) fn get(&self, w: usize) -> &[DartId] {
-        &self.darts[self.at[w]..self.at[w + 1]]
+    pub(crate) fn get(&self, k: usize) -> &[T] {
+        &self.items[self.at[k]..self.at[k + 1]]
     }
 
-    fn push(&mut self, darts: &[DartId]) {
-        self.darts.extend_from_slice(darts);
-        self.at.push(self.darts.len());
+    fn push(&mut self, items: &[T]) {
+        self.items.extend_from_slice(items);
+        self.at.push(self.items.len());
     }
 }
+
+/// Face walks: boundary cycles of the embedding, as darts, one run each.
+pub(crate) type Walks = Runs<DartId>;
 
 fn face_walks(g: &MergedGraph, rotations: &Rotations) -> Walks {
     let dart_count = g.chains.len() * 2;
     let mut assigned = vec![false; dart_count];
-    let mut walks = Walks { darts: Vec::with_capacity(dart_count), at: vec![0] };
+    let mut walks = Walks { items: Vec::with_capacity(dart_count), at: vec![0] };
     for start in 0..dart_count {
         if assigned[start] {
             continue;
@@ -493,13 +507,13 @@ fn face_walks(g: &MergedGraph, rotations: &Rotations) -> Walks {
         let mut d = DartId(start);
         loop {
             assigned[d.0] = true;
-            walks.darts.push(d);
+            walks.items.push(d);
             d = rotations.next(g, d);
             if d.0 == start {
                 break;
             }
         }
-        walks.at.push(walks.darts.len());
+        walks.at.push(walks.items.len());
     }
     walks
 }
@@ -692,22 +706,50 @@ fn on_boundary(label: &Label, boundary: &[usize]) -> Label {
     off.chain(boundary.iter().map(|&r| (r, Sign::Boundary))).collect()
 }
 
-/// Compute labels by propagation and assemble the final complex. Face labels
-/// come from the flood fill of [`face_labels`]; an edge takes the label of
-/// its left face and a vertex that of the face left of its first dart, with
-/// the regions whose boundary the cell lies on marked `Boundary`, so every
-/// label is written once, in time linear in its entries. Polylines,
-/// rotations and boundary lists are allocated at their final size, cell by
-/// cell.
+/// The bounded faces interior to each of `regions` regions, ascending: the
+/// final face labels inverted into one flat buffer, counted then filled.
+fn interior_faces(labels: &[Label], exterior: FaceId, regions: usize) -> Runs<FaceId> {
+    // Every `(face, region)` pair of a bounded face interior to a region.
+    let pairs = || {
+        let bounded = labels.iter().enumerate().filter(|&(f, _)| f != exterior.0);
+        bounded.flat_map(|(f, label)| {
+            let interior = label.iter().filter(|&(_, s)| s == Sign::Interior);
+            interior.map(move |(r, _)| (FaceId(f), r))
+        })
+    };
+    let mut at = vec![0; regions + 1];
+    for (_, r) in pairs() {
+        at[r + 1] += 1;
+    }
+    for r in 0..regions {
+        at[r + 1] += at[r];
+    }
+    let mut items = vec![exterior; at[regions]];
+    let mut next = at[..regions].to_vec();
+    for (f, r) in pairs() {
+        items[next[r]] = f;
+        next[r] += 1;
+    }
+    Runs { items, at }
+}
+
+/// Compute labels by propagation and assemble the final complex, with each
+/// region's interior faces ([`interior_faces`]). Face labels come from the
+/// flood fill of [`face_labels`]; an edge takes the label of its left face
+/// and a vertex that of the face left of its first dart, with the regions
+/// whose boundary the cell lies on marked `Boundary`, so every label is
+/// written once, in time linear in its entries. Polylines, rotations and
+/// boundary lists are allocated at their final size, cell by cell.
 fn finish_complex(
     region_names: Vec<String>,
     g: &MergedGraph,
     pieces: &Pieces,
     rotations: &Rotations,
     assembled: AssembledFaces,
-) -> CellComplex {
+) -> (CellComplex, Runs<FaceId>) {
     let face_labels = face_labels(g, pieces, &assembled);
     crate::counters::add_labels_propagated(face_labels.len() as u64);
+    let region_faces = interior_faces(&face_labels, assembled.exterior, region_names.len());
 
     let AssembledFaces { face_of_dart, face_boundaries, exterior, .. } = assembled;
     let faces: Vec<FaceData> = face_labels
@@ -761,7 +803,7 @@ fn finish_complex(
         })
         .collect();
 
-    CellComplex { region_names, vertices, edges, faces, exterior }
+    (CellComplex { region_names, vertices, edges, faces, exterior }, region_faces)
 }
 
 #[cfg(test)]

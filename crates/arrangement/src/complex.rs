@@ -173,9 +173,9 @@ pub trait ComplexRead {
     }
 
     /// The faces making up a region (the cells labeled `Interior` for it),
-    /// ascending. The default scans every face;
+    /// ascending. The default scans every face, and is the reference;
     /// [`GlobalComplexView`](crate::GlobalComplexView) overrides it with the
-    /// region's carried interior faces.
+    /// interior faces the region's component build emitted.
     fn region_faces(&self, region: &str) -> Vec<FaceId> {
         match self.region_index(region) {
             None => vec![],
@@ -192,11 +192,11 @@ pub trait ComplexRead {
     /// box, so two regions whose boxes don't interact are provably disjoint —
     /// the pruning fact behind the spatial index
     /// ([`SpatialIndex`](crate::SpatialIndex)) that the query planner builds
-    /// over these boxes. Computed by one scan of the edge polylines against
-    /// their region marks; [`GlobalComplexView`](crate::GlobalComplexView)
-    /// overrides this and serves the boxes each component carries for its
-    /// own regions, so only a component built since the last read scans its
-    /// polylines.
+    /// over these boxes. The default is one scan of the edge polylines
+    /// against their region marks, and is the reference;
+    /// [`GlobalComplexView`](crate::GlobalComplexView) overrides it with the
+    /// boxes each component build computed from its regions' input
+    /// segments, and reads no polyline.
     fn region_bboxes(&self) -> Vec<Option<BBox>> {
         let mut out: Vec<Option<BBox>> = vec![None; self.region_names().len()];
         for e in self.edge_ids() {

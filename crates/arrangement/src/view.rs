@@ -24,16 +24,20 @@
 //! shifted into the global id space, and purely geometric data (polylines,
 //! points) is borrowed from the shared component allocations.
 //!
-//! Lazily built state rides on the component. What a component determines
-//! alone — each local region's interior faces, boundary box, and the
-//! spatial index over those boxes — is memoized on the [`ComponentComplex`]
-//! itself behind a [`OnceLock`], keyed by local ids. A component carried
-//! across a commit keeps its memos, so the first read of a new epoch derives
-//! them only for the rebuilt components ([`GlobalComplexView::memo_builds`]
-//! counts what this view built). [`ComplexRead::region_faces`] and
-//! [`ComplexRead::region_bboxes`] are served from them; the face walk
+//! Per-component state rides on the component. What a component determines
+//! alone is keyed by local ids and built with it: each local region's
+//! boundary box (the union of its input segments' boxes) and its interior
+//! faces (the inverted face labels, one flat buffer).
+//! [`ComplexRead::region_faces`] and [`ComplexRead::region_bboxes`] are
+//! served from them, so the first read of a new epoch scans no edge and no
+//! face label; the face walk
 //! [`ComplexRead::for_each_face_edge`] follows the component's own face →
-//! edge → endpoint incidence. The one per-epoch memo is the region index
+//! edge → endpoint incidence. The one thing a component derives lazily is
+//! the spatial index over its region boxes, memoized on the
+//! [`ComponentComplex`] behind a [`OnceLock`]: a component carried across a
+//! commit keeps it, so the first index read of a new epoch builds it only
+//! for the rebuilt components ([`GlobalComplexView::memo_builds`] counts
+//! what this view built). The one per-epoch memo is the region index
 //! ([`GlobalComplexView::region_bbox_index`]), and it is assembled, not
 //! built: the view's component-box index on top, each component's carried
 //! region index below, for one `Arc` clone per component and one copy of
@@ -412,12 +416,13 @@ impl GlobalComplexView {
         self.widen_count.load(Ordering::Relaxed)
     }
 
-    /// How many carried component memos (a component's per-region interior
-    /// faces, its per-region boundary boxes, or its index over those boxes)
+    /// How many component region indexes (the index over a component's
+    /// region boxes, the lower level of [`region_bbox_index`](Self::region_bbox_index))
     /// this view built rather than found already built on the component
-    /// (the counter is shared by all clones). A view
-    /// patched after a commit builds them only for the rebuilt components:
-    /// the carried ones bring theirs along.
+    /// (the counter is shared by all clones). A view patched after a commit
+    /// builds them only for the rebuilt components: the carried ones bring
+    /// theirs along. The region boxes and interior faces are built with the
+    /// component and never count.
     pub fn memo_builds(&self) -> u64 {
         self.memo_count.load(Ordering::Relaxed)
     }
@@ -597,17 +602,16 @@ impl ComplexRead for GlobalComplexView {
         self.components.iter().map(|c| c.complex.skeleton_component_count()).sum()
     }
 
-    /// Served from the region's carried interior faces: its local interior
-    /// faces plus every bounded face of each component nested, transitively,
-    /// inside them (such a component does not contain the region, so it
-    /// inherits the face's `Interior` sign).
+    /// Served from the interior faces the region's component build emitted:
+    /// its local interior faces plus every bounded face of each component
+    /// nested, transitively, inside them (such a component does not contain
+    /// the region, so it inherits the face's `Interior` sign).
     fn region_faces(&self, region: &str) -> Vec<FaceId> {
         let Some(idx) = self.region_index(region) else { return vec![] };
         let (c, local) = self.region_home[idx];
         let Some(component) = self.components.get(c) else { return vec![] };
-        let interior = component.local_region_faces(|| self.count_memo_build());
-        let mut out: Vec<FaceId> =
-            interior[local].iter().map(|&f| self.face_abroad(c, f)).collect();
+        let interior = component.region_faces.get(local);
+        let mut out: Vec<FaceId> = interior.iter().map(|&f| self.face_abroad(c, f)).collect();
         let mut nested: Vec<usize> =
             out.iter().flat_map(|f| self.nested_in_face.get(&f.0)).flatten().copied().collect();
         while let Some(d) = nested.pop() {
@@ -620,13 +624,12 @@ impl ComplexRead for GlobalComplexView {
         out
     }
 
-    /// Served from the boxes every component carries for its own regions:
-    /// no edge polyline is read unless a component is new.
+    /// Served from the boxes every component's build computed for its own
+    /// regions: no edge polyline is read.
     fn region_bboxes(&self) -> Vec<Option<BBox>> {
         let mut out: Vec<Option<BBox>> = vec![None; self.region_names.len()];
         for (component, map) in self.components.iter().zip(&self.region_map) {
-            let boxes = component.local_region_bboxes(|| self.count_memo_build());
-            for (b, &global) in boxes.iter().zip(map) {
+            for (b, &global) in component.region_bboxes.iter().zip(map) {
                 out[global] = b.clone();
             }
         }

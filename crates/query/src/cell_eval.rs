@@ -24,9 +24,10 @@
 //! * [`CellEvaluator::from_view`] (what `topodb::Snapshot::evaluator` and
 //!   [`CellEvaluator::new`] build) reads a shared [`GlobalComplexView`].
 //!   Construction is `O(regions + components)`: it copies the region boxes
-//!   the components carry and scans no cell. A name's face set is resolved
-//!   on its first use, from the carried interior faces of its region, and
-//!   the planner probes the view's own two-level spatial index.
+//!   the component builds computed and scans no cell. A name's face set is
+//!   resolved on its first use, from the interior faces its component's
+//!   build emitted, and the planner probes the view's own two-level spatial
+//!   index.
 //! * [`CellEvaluator::from_complex`] reads any [`ComplexRead`] — over the
 //!   flat [`arrangement::CellComplex`] it is the reference the view-backed
 //!   evaluator is differentially tested against, served by the flat

@@ -293,8 +293,8 @@ fn answers_agree_after_every_step_of_a_random_commit_trace() {
 }
 
 /// Serve a query that resolves every name on `view` and take the planner's
-/// spatial index, so every component holds all three of its memos: its
-/// regions' faces, their boxes and the index over those boxes.
+/// spatial index, so every component holds its one memo: the index over its
+/// region boxes (the boxes and faces come with the component build).
 fn resolve_every_name(view: &GlobalComplexView) {
     let q = PreparedQuery::compile("forallname a . subset(ext(a), ext(a))").unwrap();
     let evaluator = CellEvaluator::from_view(Arc::new(view.clone()));
@@ -309,11 +309,10 @@ fn one_region_commit(clusters: usize) -> (usize, u64) {
     let mut inst = clustered_map(clusters, 16, 1996);
     let view = build_complex_view(&inst);
     resolve_every_name(&view);
-    let kinds = 3;
     assert_eq!(
         view.memo_builds(),
-        kinds * view.component_count() as u64,
-        "cold build"
+        view.component_count() as u64,
+        "cold build: one box index per component"
     );
 
     inst.insert("New", Region::rect_from_ints(3, 3, 11, 9));
@@ -324,8 +323,7 @@ fn one_region_commit(clusters: usize) -> (usize, u64) {
     resolve_every_name(&next);
     let built = next.memo_builds();
     assert_eq!(
-        built,
-        kinds * rebuilt as u64,
+        built, rebuilt as u64,
         "memos built for rebuilt components only"
     );
     // A second query finds every memo built.

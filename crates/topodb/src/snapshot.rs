@@ -47,10 +47,11 @@ use std::sync::{Arc, OnceLock};
 /// faces — never the whole view — and shares their memos with queries.
 ///
 /// Derived state lives where its inputs live. What a component determines
-/// alone — each of its regions' interior faces and boundary box, and the
-/// spatial index over those boxes — is memoized on the
-/// `Arc<ComponentComplex>` and carried with it across commits, so a fresh
-/// snapshot derives it only for the components the commit rebuilt. What
+/// alone is built with the `Arc<ComponentComplex>` at commit time and
+/// carried with it across commits: each of its regions' boundary box and
+/// interior faces. The spatial index over those boxes is the one
+/// per-component memo, built on first use and carried too, so a fresh
+/// snapshot builds it only for the components the commit rebuilt. What
 /// depends on the whole epoch is per snapshot: the view's glue (id offsets,
 /// nesting parents, inherited labels and the index over the component
 /// boxes) is built with the view at commit time, and the region index
@@ -197,9 +198,11 @@ impl Snapshot {
     /// amortize even the `Arc` clone; `query`/`evaluate` use it internally.
     /// The evaluator is a view over the snapshot's complex
     /// ([`CellEvaluator::from_view`]): building it costs
-    /// `O(regions + components)`, it resolves face sets per name on first
-    /// use, and its semi-join planner shares the snapshot's cached spatial
-    /// index ([`Snapshot::spatial_index`]).
+    /// `O(regions + components)`, a copy of the region boxes the component
+    /// builds computed, and reads no edge. It resolves face sets per name on
+    /// first use from the interior faces the builds emitted, and its
+    /// semi-join planner shares the snapshot's cached spatial index
+    /// ([`Snapshot::spatial_index`]).
     pub fn evaluator(&self) -> Arc<CellEvaluator> {
         Arc::clone(
             self.inner

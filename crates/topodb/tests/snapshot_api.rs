@@ -323,13 +323,13 @@ fn replacement_and_duplicate_names_coalesce() {
     assert_eq!(db.snapshot().relation("B", "A").unwrap().name(), "inside");
 }
 
-/// Memos derived from one component ride on it across commits: after a
-/// one-region commit into cluster 0, a relation read inside the touched
-/// cluster, one across clusters and then the first query derive them only
-/// for the components the commit rebuilt, widen no label, and count the
-/// same on a map with 4x the clusters. So does the first
-/// [`Snapshot::spatial_index`]: it indexes the regions of the rebuilt
-/// components only, and still counts one probe per probe.
+/// The one memo derived from a component, its index over its region boxes,
+/// rides on it across commits: after a one-region commit into cluster 0,
+/// relation reads and the first query build no memo at all (the boxes and
+/// faces they read were built with the components) and widen no label. The
+/// first [`Snapshot::spatial_index`] indexes the regions of the rebuilt
+/// components only, counts the same on a map with 4x the clusters, and
+/// still counts one probe per probe.
 #[test]
 fn a_fresh_snapshot_derives_memos_only_for_rebuilt_components() {
     let small = fresh_snapshot_memo_builds(8);
@@ -340,8 +340,30 @@ fn a_fresh_snapshot_derives_memos_only_for_rebuilt_components() {
     assert_eq!(fresh_index_memo_builds(64), small, "the index follows the touched component");
 }
 
-/// Build every memo of every component of the current snapshot: each
-/// name's faces and box, and each component's index over its boxes.
+/// After a one-rectangle commit into the dense map (one 256-region
+/// component, rebuilt by the commit), the snapshot's evaluator and relation
+/// reads build no memo: the region boxes and face sets they read came with
+/// the component build.
+#[test]
+fn a_dense_commit_leaves_the_evaluator_and_relation_reads_no_memo_to_build() {
+    let mut db = TopoDatabase::from_instance(datagen::jittered_overlap_map(16, 16, 12, 1996));
+    let rebuilds = db.component_rebuild_count();
+    insert(&mut db, "Fresh", Region::rect_from_ints(17, 17, 31, 29));
+    assert_eq!(db.component_rebuild_count() - rebuilds, 1, "the commit rebuilds the component");
+    let snapshot = db.snapshot();
+    let view = snapshot.complex_view();
+    assert_eq!(view.component_count(), 1);
+    snapshot.evaluator();
+    assert_eq!(view.memo_builds(), 0, "the evaluator builds no memo");
+    let names = snapshot.names();
+    let met = names.iter().filter(|n| snapshot.relation("Fresh", n).unwrap().name() != "disjoint");
+    assert!(met.count() > 1, "reads the boxes cannot answer");
+    assert_eq!(view.memo_builds(), 0, "nor do relation reads");
+    assert_eq!(view.label_widenings(), 0);
+}
+
+/// Build every memo of every component of the current snapshot (each
+/// component's index over its boxes), and resolve every name's faces.
 fn warm_every_memo(db: &TopoDatabase) {
     let snapshot = db.snapshot();
     let every_name = PreparedQuery::compile("forallname a . subset(ext(a), ext(a))").unwrap();
@@ -363,7 +385,7 @@ fn fresh_index_memo_builds(clusters: usize) -> (u64, u64) {
     let view = snapshot.complex_view();
     let index = snapshot.spatial_index();
     let built = view.memo_builds();
-    assert_eq!(built, 2 * rebuilt, "boxes and their index per rebuilt component");
+    assert_eq!(built, rebuilt, "one box index per rebuilt component");
     assert_eq!((index.len(), index.entry_count()), (snapshot.len(), snapshot.len()));
 
     let fresh = view.region_index("Fresh").unwrap();
@@ -394,19 +416,12 @@ fn fresh_snapshot_memo_builds(clusters: usize) -> (u64, u64) {
     assert_ne!(near.name(), "disjoint", "a read the boxes cannot answer");
     assert_eq!(snapshot.relation("Fresh", "C001_R000").unwrap().name(), "disjoint");
     let read_builds = view.memo_builds();
-    assert!(
-        read_builds <= 2 * rebuilt,
-        "relation reads build memos for rebuilt components only: {read_builds} > 2 x {rebuilt}"
-    );
+    assert_eq!(read_builds, 0, "relation reads build no memo");
     assert_eq!(view.label_widenings(), 0, "relation reads widen no label");
     snapshot.evaluate(&every_name).unwrap();
-    assert_eq!(
-        view.memo_builds(),
-        2 * rebuilt,
-        "boxes and faces per rebuilt component"
-    );
+    assert_eq!(view.memo_builds(), 0, "nor does a query that resolves every name");
     snapshot.spatial_index();
-    assert_eq!(view.memo_builds(), 3 * rebuilt, "and the index over the boxes");
+    assert_eq!(view.memo_builds(), rebuilt, "the index over the boxes, per rebuilt component");
     (rebuilt, read_builds)
 }
 

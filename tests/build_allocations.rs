@@ -1,4 +1,4 @@
-//! Allocation pin for the component build.
+//! Allocation pins for the component build and the first read after it.
 //!
 //! A commit into the dense map rebuilds its one 256-region component, and
 //! the build's intermediate structures are flat buffers indexed by the rank
@@ -10,10 +10,20 @@
 //! point-keyed build (a map from `Point` to vertex per component, a set and
 //! a region vector per piece, a polyline per face walk) made on the same
 //! trace.
+//!
+//! The build also emits each region's box and interior faces, so the first
+//! read of the new epoch scans no edge and no face label. The same test
+//! counts what that read allocates on every commit — the snapshot's
+//! evaluator over the patched view plus the first anchored query — and holds
+//! it to half of what deriving both tables on that read (a mark vector per
+//! edge, a face vector per region) allocated on the same trace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use topodb::arrangement::update_components;
+use std::sync::Arc;
+use topodb::arrangement::{build_complex_view, update_components};
+use topodb::query::CellEvaluator;
+use topodb::PreparedQuery;
 
 /// The system allocator, counting every call that obtains memory.
 struct Counting;
@@ -56,15 +66,24 @@ static GLOBAL: Counting = Counting;
 /// Allocations of the point-keyed build over the trace below (debug build).
 const POINT_KEYED_ALLOCATIONS: u64 = 2_865_147;
 
+/// Allocations of the first read after each commit of the trace below when
+/// the read derived the region boxes and faces (debug build).
+const READ_DERIVED_ALLOCATIONS: u64 = 186_094;
+
+fn names(instance: &topodb::spatial_core::prelude::SpatialInstance) -> Vec<String> {
+    instance.names().iter().map(|s| s.to_string()).collect()
+}
+
 #[test]
 fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
     let steps = 40;
     let mut instance = datagen::jittered_overlap_map(16, 16, 12, 1996);
     let trace = datagen::dense_edit_trace(16, 16, 12, steps, 7);
-    let names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
-    let mut components = update_components(&[], &instance, &names, |_| None).components;
+    let anchored = PreparedQuery::compile(&format!("overlap(ext(x), {})", names(&instance)[0]))
+        .expect("the anchored query compiles");
+    let mut view = Arc::new(build_complex_view(&instance));
 
-    let mut counted = 0;
+    let (mut counted, mut read) = (0, 0);
     for batch in &trace {
         let mut changed: Vec<String> = Vec::new();
         for op in batch {
@@ -80,15 +99,28 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
             }
         }
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let update = update_components(&components, &instance, &changed, |_| None);
+        let update = update_components(view.components(), &instance, &changed, |_| None);
         counted += ALLOCATIONS.load(Ordering::Relaxed) - before;
-        components = update.components;
+        view = Arc::new(view.updated(names(&instance), update));
+
+        // What a snapshot's `evaluator()` and its first query do.
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let evaluator = CellEvaluator::from_view(Arc::clone(&view));
+        anchored.run_on(&evaluator).expect("the anchored query runs");
+        read += ALLOCATIONS.load(Ordering::Relaxed) - before;
     }
 
-    println!("{counted} allocations over {steps} commits ({} per commit)", counted / steps as u64);
+    let per_commit = |n: u64| n / steps as u64;
+    println!("{counted} allocations over {steps} commits ({} per commit)", per_commit(counted));
+    println!("{read} allocations over {steps} first reads ({} per read)", per_commit(read));
     assert!(
         2 * counted <= POINT_KEYED_ALLOCATIONS,
         "{counted} allocations over {steps} dense commits; the point-keyed build made \
          {POINT_KEYED_ALLOCATIONS}, and the bound is half of that"
+    );
+    assert!(
+        2 * read <= READ_DERIVED_ALLOCATIONS,
+        "{read} allocations over {steps} first reads; deriving the tables on the read made \
+         {READ_DERIVED_ALLOCATIONS}, and the bound is half of that"
     );
 }
