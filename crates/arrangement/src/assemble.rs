@@ -39,32 +39,23 @@
 //! computation (`compute_component_nesting`), which probes the one index
 //! over the component boxes an assembly builds (`component_index`).
 
-use crate::builder::{build_local, LocalComplex, Runs, Walks};
+use crate::builder::{build_local, LocalComplex, Walks};
 use crate::complex::{CellComplex, ComplexRead};
 use crate::index::SpatialIndex;
 use crate::partition::{repartition, BBox, ComponentGroup, Member, Repartition};
+use crate::runs::Runs;
 use crate::split::{resplit, CutSets, Pieces, TaggedSegment};
 use crate::types::*;
 use spatial_core::polygon::ring_encloses;
 use spatial_core::prelude::*;
 use std::sync::{Arc, OnceLock};
 
-/// The outer cycle of one bounded face of a component complex, as a
-/// polyline: what the cross-component nesting tests of the assembly step
-/// (`innermost_cycle`) read.
-#[derive(Clone, Debug)]
-pub struct BoundedCycle {
-    /// The bounded face this cycle is the outer boundary of.
-    pub(crate) face: FaceId,
-    /// The closed walk realizing the cycle (last point omitted).
-    pub(crate) polyline: Vec<Point>,
-}
-
 /// The independently built cell complex of one interaction component,
 /// together with the geometric data the assembly step needs to embed it into
-/// the global complex, the cut sets of its split, the two per-region tables
-/// the read path serves (each region's box and its interior faces), and the
-/// one read-path memo derived from those (the index over the boxes).
+/// the global complex, its input segments and the cut sets of their split,
+/// the two per-region tables the read path serves (each region's box and its
+/// interior faces), and the one read-path memo derived from those (the index
+/// over the boxes).
 ///
 /// Both tables are outputs of the build: a region's box is the union of its
 /// input segments' boxes, which the split computes anyway, and its interior
@@ -74,10 +65,16 @@ pub struct BoundedCycle {
 ///
 /// The cut sets are the output of the component's split, kept so that the
 /// next build of the component copies the cut sets of every segment nothing
-/// near changed instead of sweeping them again ([`update_components`]). The
-/// first and last cut point of a segment are its endpoints, so the cut sets
-/// also hold the component's geometry: a rebuild reads the old segments of
-/// a removed region from them.
+/// near changed instead of sweeping them again ([`update_components`]); the
+/// segments tell that build where a removed region's old geometry was.
+///
+/// The region index is the one read-path state a component derives alone,
+/// keyed by local ids. It lives here, so a component carried across a commit
+/// — pointer-identically, behind its `Arc` — carries it, and only rebuilt
+/// components pay for it again. It stays lazy because a commit that nobody
+/// probes the index of need not sort its boxes. What depends on the rest of
+/// the database (global id offsets, nesting parents, inherited labels) is
+/// per-epoch glue on the [`GlobalComplexView`](crate::GlobalComplexView).
 #[derive(Clone, Debug)]
 pub struct ComponentComplex {
     pub(crate) complex: CellComplex,
@@ -86,7 +83,7 @@ pub struct ComponentComplex {
     /// ([`bounded_cycles`](Self::bounded_cycles)).
     pub(crate) bounded_walks: Walks,
     /// The memo of [`bounded_cycles`](Self::bounded_cycles).
-    bounded_cycles: OnceLock<Vec<BoundedCycle>>,
+    bounded_cycles: OnceLock<Runs<Point>>,
     /// The union of the region boxes (`None` for a component with no
     /// segments).
     pub(crate) bbox: Option<BBox>,
@@ -100,32 +97,14 @@ pub struct ComponentComplex {
     /// cut point, the first entry of its split's point table, which is
     /// always an input endpoint (`None` for a component with no segments).
     pub(crate) rep_point: Option<Point>,
-    /// The cut sets of the component's segments, in build order: each local
-    /// region's boundary edges in turn, regions ascending.
+    /// The component's segments, one run per local region: its boundary
+    /// edges, regions ascending. The flat buffer is the build order.
+    pub(crate) segments: Runs<TaggedSegment>,
+    /// The cut sets of the segments, in build order: local region `r`'s are
+    /// runs `segments.range(r)`.
     pub(crate) cuts: CutSets,
-    /// Local region `r`'s segments are `cuts` entries
-    /// `region_segments[r]..region_segments[r + 1]`.
-    pub(crate) region_segments: Vec<usize>,
-    pub(crate) memo: ComponentMemo,
-}
-
-/// Read-path state derived from one component alone, keyed by *local* ids
-/// and built on first use: the index over the region boxes.
-///
-/// It lives on the [`ComponentComplex`], so a component carried across a
-/// commit — pointer-identically, behind its `Arc` — carries it, and only
-/// rebuilt components pay for it again. It stays lazy because a commit that
-/// nobody probes the index of need not sort its boxes. What depends on the
-/// rest of the database (global id offsets, nesting parents, inherited
-/// labels) is per-epoch glue on the
-/// [`GlobalComplexView`](crate::GlobalComplexView). The face → edge →
-/// endpoint incidence a face-set walk follows needs no memo: it is the
-/// component's own [`FaceData::boundary_edges`] and [`EdgeData`] endpoints
-/// and faces.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct ComponentMemo {
-    /// The index over `region_bboxes`, in local ids: the lower level of the
-    /// view's two-level region index.
+    /// The index over `region_bboxes`, in local ids, built on first use: the
+    /// lower level of the view's two-level region index.
     region_index: OnceLock<SpatialIndex>,
 }
 
@@ -133,7 +112,7 @@ impl ComponentComplex {
     /// The spatial index over the region boxes, in local region ids,
     /// memoized; `built` runs if this call builds it.
     pub(crate) fn local_region_index(&self, built: impl FnOnce()) -> &SpatialIndex {
-        self.memo.region_index.get_or_init(|| {
+        self.region_index.get_or_init(|| {
             built();
             SpatialIndex::build(&self.region_bboxes)
         })
@@ -143,23 +122,24 @@ impl ComponentComplex {
     /// polylines along the face's boundary walk the first time a nesting test
     /// reaches the component ([`locate_components`]), so a component that
     /// nothing can nest in, such as the only one, never builds them.
-    pub(crate) fn bounded_cycles(&self) -> &[BoundedCycle] {
+    ///
+    /// Cycle `k` is the closed walk around bounded face `k + 1` (last point
+    /// omitted).
+    pub(crate) fn bounded_cycles(&self) -> &Runs<Point> {
         self.bounded_cycles.get_or_init(|| {
-            let edges = &self.complex.edges;
-            (0..self.bounded_walks.len())
-                .map(|k| {
-                    let mut polyline = Vec::new();
-                    for d in self.bounded_walks.get(k) {
-                        let line = &edges[d.edge().0].polyline;
-                        if d.is_forward() {
-                            polyline.extend_from_slice(&line[..line.len() - 1]);
-                        } else {
-                            polyline.extend(line[1..].iter().rev());
-                        }
+            let mut cycles = Runs::default();
+            for walk in self.bounded_walks.iter() {
+                for d in walk {
+                    let line = self.complex.polylines.get(d.edge().0);
+                    if d.is_forward() {
+                        line[..line.len() - 1].iter().for_each(|&p| cycles.push_item(p));
+                    } else {
+                        line[1..].iter().rev().for_each(|&p| cycles.push_item(p));
                     }
-                    BoundedCycle { face: FaceId(k + 1), polyline }
-                })
-                .collect()
+                }
+                cycles.close();
+            }
+            cycles
         })
     }
 
@@ -170,7 +150,7 @@ impl ComponentComplex {
 
     /// The cut sets of local region `r`'s segments, in boundary order.
     pub(crate) fn region_cuts(&self, r: usize) -> impl Iterator<Item = &[Point]> {
-        (self.region_segments[r]..self.region_segments[r + 1]).map(|s| self.cuts.get(s))
+        self.segments.range(r).map(|s| self.cuts.get(s))
     }
 
     /// The component's local cell complex (labels cover only the component's
@@ -216,18 +196,17 @@ pub(crate) fn group_members<'a>(
 }
 
 /// The boundary segments of `members`, tagged with their local region ids,
-/// in build order, and the offset of each member's run of them (one more
-/// entry than members).
-pub(crate) fn group_segments(members: &[Member<'_>]) -> (Vec<TaggedSegment>, Vec<usize>) {
-    let mut segments = Vec::new();
-    let mut offsets = Vec::with_capacity(members.len() + 1);
+/// one run per member; the flat buffer is the build order.
+pub(crate) fn group_segments(members: &[Member<'_>]) -> Runs<TaggedSegment> {
+    let edges = members.iter().map(|(_, region)| region.boundary().len()).sum();
+    let mut segments = Runs::with_capacity(members.len(), edges);
     for (local, (_, region)) in members.iter().enumerate() {
-        offsets.push(segments.len());
-        let edges = region.boundary().edges();
-        segments.extend(edges.map(|segment| TaggedSegment { segment, region: local }));
+        for segment in region.boundary().edges() {
+            segments.push_item(TaggedSegment { segment, region: local });
+        }
+        segments.close();
     }
-    offsets.push(segments.len());
-    (segments, offsets)
+    segments
 }
 
 /// The one component build: gather the members' boundary segments, split
@@ -248,35 +227,36 @@ pub(crate) fn build_group(
     changed: &[&str],
 ) -> ComponentComplex {
     let local_names = members.iter().map(|(name, _)| name.to_string()).collect();
-    let (segments, region_segments) = group_segments(members);
-    let boxes: Vec<BBox> = segments.iter().map(|t| BBox::of_segment(&t.segment)).collect();
+    let segments = group_segments(members);
+    let all = segments.items();
+    let boxes: Vec<BBox> = all.iter().map(|t| BBox::of_segment(&t.segment)).collect();
     let region_bboxes: Vec<Option<BBox>> =
-        region_segments.windows(2).map(|run| union_of(&boxes[run[0]..run[1]])).collect();
+        (0..segments.len()).map(|r| union_of(&boxes[segments.range(r)])).collect();
     let bbox = union_of(region_bboxes.iter().flatten());
 
-    let mut carried: Vec<Option<&[Point]>> = Vec::with_capacity(segments.len());
+    let mut carried: Vec<Option<&[Point]>> = Vec::with_capacity(all.len());
     for (m, (name, _)) in members.iter().enumerate() {
+        let end = segments.range(m).end;
         let base = bases.iter().find_map(|b| Some((b, b.local_region(name)?)));
         match base.filter(|_| !changed.contains(name)) {
             Some((b, r)) => carried.extend(b.region_cuts(r).map(Some)),
-            None => carried.resize(region_segments[m + 1], None),
+            None => carried.resize(end, None),
         }
-        debug_assert_eq!(carried.len(), region_segments[m + 1], "a region keeps its segments");
+        debug_assert_eq!(carried.len(), end, "a region keeps its segments");
     }
-    // The old segments of the bases' changed regions, read back from the
-    // first and last cut point of each.
+    // The old segments of the bases' changed regions.
     let gone: Vec<BBox> = bases
         .iter()
         .flat_map(|b| {
             let names = b.region_names().iter().enumerate();
             let changed_regions = names.filter(|(_, n)| changed.contains(&n.as_str()));
-            changed_regions.flat_map(|(r, _)| b.region_cuts(r))
+            changed_regions.flat_map(|(r, _)| b.segments.get(r))
         })
-        .filter_map(|cuts| BBox::of_points(&[*cuts.first()?, *cuts.last()?]))
+        .map(|t| BBox::of_segment(&t.segment))
         .collect();
 
-    let cuts = resplit(&segments, &boxes, &carried, &gone);
-    let pieces = Pieces::new(&segments, &cuts);
+    let cuts = resplit(all, &boxes, &carried, &gone);
+    let pieces = Pieces::new(all, &cuts);
     let rep_point = pieces.points.first().copied();
     let LocalComplex { complex, bounded_walks, region_faces } = build_local(local_names, &pieces);
     ComponentComplex {
@@ -287,9 +267,9 @@ pub(crate) fn build_group(
         region_bboxes,
         region_faces,
         rep_point,
+        segments,
         cuts,
-        region_segments,
-        memo: ComponentMemo::default(),
+        region_index: OnceLock::new(),
     }
 }
 
@@ -447,26 +427,23 @@ pub(crate) fn widen_label(inherited: &Label, local: &Label, region_map: &[usize]
     inherited.iter().chain(local).collect()
 }
 
-/// The position of every name of `local` in `global` (both sorted, `local`
-/// a subset): a component's local→global region index map.
-pub(crate) fn locate_names(global: &[String], local: &[String]) -> Vec<usize> {
+/// Append to `maps` one run: the position of every name of `local` in
+/// `global` (both sorted, `local` a subset), a component's local→global
+/// region index map.
+pub(crate) fn locate_names(global: &[String], local: &[String], maps: &mut Runs<usize>) {
     let mut next = 0;
-    local
-        .iter()
-        .map(|name| {
-            // A component's names tend to be neighbours in the global order:
-            // try the next slot before searching the rest.
-            let at = if global.get(next) == Some(name) {
-                next
-            } else {
-                next + global[next..]
-                    .binary_search(name)
-                    .expect("component region is in the global name set")
-            };
-            next = at + 1;
-            at
-        })
-        .collect()
+    for name in local {
+        // A component's names tend to be neighbours in the global order: try
+        // the next slot before searching the rest.
+        let at = if global.get(next) == Some(name) {
+            next
+        } else {
+            next + global[next..].binary_search(name).expect("component region is in the global name set")
+        };
+        maps.push_item(at);
+        next = at + 1;
+    }
+    maps.close();
 }
 
 /// The spatial index over the component boxes, in component order: built
@@ -517,8 +494,8 @@ pub(crate) fn locate_components(
             let rep = components[c].rep_point?;
             let others = index.locate_point(&rep).into_iter().filter(|&d| d != c);
             let cycles = others.flat_map(|d| {
-                let bounded = components[d].bounded_cycles().iter();
-                bounded.map(move |cyc| ((d, cyc.face), cyc.polyline.as_slice()))
+                let bounded = components[d].bounded_cycles().iter().enumerate();
+                bounded.map(move |(k, ring)| ((d, FaceId(k + 1)), ring))
             });
             innermost_cycle(&rep, cycles)
         })
@@ -580,24 +557,16 @@ pub fn assemble_components(
     debug_assert!(global_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
     let exterior = FaceId(0);
     if components.is_empty() {
-        return CellComplex {
-            region_names: global_names,
-            vertices: vec![],
-            edges: vec![],
-            faces: vec![FaceData {
-                is_exterior: true,
-                boundary_edges: vec![],
-                label: Label::default(),
-            }],
-            exterior,
-        };
+        return CellComplex::exterior_only(global_names);
     }
 
     let k = components.len();
 
     // Local-to-global region index map per component.
-    let region_map: Vec<Vec<usize>> =
-        components.iter().map(|c| locate_names(&global_names, c.region_names())).collect();
+    let mut region_map = Runs::with_capacity(k, global_names.len());
+    for c in components {
+        locate_names(&global_names, c.region_names(), &mut region_map);
+    }
 
     // Vertex/edge id offsets by concatenation; face ids: 0 is the global
     // exterior, bounded local faces get fresh sequential ids.
@@ -647,22 +616,22 @@ pub fn assemble_components(
     // Global faces: start with the exterior, then translate every bounded
     // local face; nested components extend their parent face's boundary with
     // their own outer boundary.
-    let mut faces: Vec<FaceData> =
-        vec![FaceData { is_exterior: true, boundary_edges: vec![], label: Label::default() }];
-    let bounded = FaceData { is_exterior: false, boundary_edges: vec![], label: Label::default() };
-    faces.resize(next_face, bounded);
+    let mut faces: Vec<FaceData> = vec![FaceData { is_exterior: true, label: Label::default() }];
+    faces.resize(next_face, FaceData { is_exterior: false, label: Label::default() });
+    let mut boundaries: Vec<Vec<EdgeId>> = vec![Vec::new(); next_face];
     for (c, comp) in components.iter().enumerate() {
         for f in comp.complex.face_ids() {
-            let gf = face_map[c][f.0];
             // A local exterior face merges into its parent face (or the
             // global exterior).
-            let local = &comp.complex.face(f).boundary_edges;
-            faces[gf.0].boundary_edges.extend(local.iter().map(|e| EdgeId(e.0 + edge_off[c])));
+            let local = comp.complex.face_edges.get(f.0);
+            boundaries[face_map[c][f.0].0].extend(local.iter().map(|e| EdgeId(e.0 + edge_off[c])));
         }
     }
-    for face in &mut faces {
-        face.boundary_edges.sort();
-        face.boundary_edges.dedup();
+    let mut face_edges = Runs::with_capacity(next_face, 0);
+    for boundary in &mut boundaries {
+        boundary.sort();
+        boundary.dedup();
+        face_edges.push(boundary);
     }
 
     // Face labels, parents first: a component's cells inherit the parent
@@ -676,37 +645,38 @@ pub fn assemble_components(
                 continue;
             }
             faces[face_map[c][f.0].0].label =
-                widen_label(&parent_label, &comp.face(f).label, &region_map[c]);
+                widen_label(&parent_label, &comp.face(f).label, region_map.get(c));
         }
     }
 
     // Edges and vertices, concatenated in component order.
     let mut edges: Vec<EdgeData> = Vec::new();
     let mut vertices: Vec<VertexData> = Vec::new();
+    let (mut polylines, mut rotations) = (Runs::default(), Runs::default());
     for (c, comp) in components.iter().enumerate() {
-        let (cx, inherited) = (&comp.complex, &faces[parent_face[c].0].label);
+        let (cx, inherited, map) = (&comp.complex, &faces[parent_face[c].0].label, region_map.get(c));
         for e in cx.edge_ids() {
             let data = cx.edge(e);
             edges.push(EdgeData {
                 tail: VertexId(data.tail.0 + vertex_off[c]),
                 head: VertexId(data.head.0 + vertex_off[c]),
-                polyline: data.polyline.clone(),
                 left_face: face_map[c][data.left_face.0],
                 right_face: face_map[c][data.right_face.0],
-                label: widen_label(inherited, &data.label, &region_map[c]),
+                label: widen_label(inherited, &data.label, map),
             });
+            polylines.push(cx.polylines.get(e.0));
         }
         for v in cx.vertex_ids() {
             let data = cx.vertex(v);
-            vertices.push(VertexData {
-                point: data.point,
-                label: widen_label(inherited, &data.label, &region_map[c]),
-                rotation: data.rotation.iter().map(|d| DartId(d.0 + 2 * edge_off[c])).collect(),
-            });
+            vertices.push(VertexData { point: data.point, label: widen_label(inherited, &data.label, map) });
+            for d in cx.rotations.get(v.0) {
+                rotations.push_item(DartId(d.0 + 2 * edge_off[c]));
+            }
+            rotations.close();
         }
     }
 
-    CellComplex { region_names: global_names, vertices, edges, faces, exterior }
+    CellComplex { region_names: global_names, vertices, edges, faces, rotations, polylines, face_edges, exterior }
 }
 
 #[cfg(test)]
@@ -844,10 +814,11 @@ mod tests {
         if !rebuilt {
             return;
         }
-        let (segments, offsets) = group_segments(&members_of(c, instance));
-        assert_eq!(c.region_segments, offsets, "segment offsets at step {step}");
+        let segments = group_segments(&members_of(c, instance));
+        let runs = |s: &Runs<TaggedSegment>| (0..s.len()).map(|r| s.range(r)).collect::<Vec<_>>();
+        assert_eq!(runs(&c.segments), runs(&segments), "segment runs at step {step}");
         assert!(
-            c.cuts == crate::sweep::sweep_cut_sets(&segments),
+            c.cuts == crate::sweep::sweep_cut_sets(segments.items()),
             "carried cut sets of {:?} differ from a sweep at step {step}",
             c.region_names()
         );
@@ -904,8 +875,8 @@ mod tests {
     /// A component's representative point is the least endpoint of its
     /// input segments: the first entry of its point table.
     fn check_rep_point(step: usize, instance: &SpatialInstance, c: &ComponentComplex, _: bool) {
-        let (segments, _) = group_segments(&members_of(c, instance));
-        let least = segments.iter().map(|t| t.segment.a.min(t.segment.b)).min();
+        let segments = group_segments(&members_of(c, instance));
+        let least = segments.items().iter().map(|t| t.segment.a.min(t.segment.b)).min();
         assert_eq!(c.rep_point, least, "{:?} at step {step}", c.region_names());
     }
 

@@ -31,12 +31,15 @@
 //! A component build sorts its cut points once, into the point table of its
 //! split (`split::Pieces`), and the local pipeline works on ranks from
 //! there: the raw graph numbers its vertices through a rank-indexed table,
-//! chains and face walks are flat buffers of ranks, piece indices and darts,
-//! the outer-walk test and the nesting of skeleton components take integer
+//! its incidences, chains, rotations, face walks and face boundaries are
+//! flat runs (`runs::Runs`) of ranks, piece indices, darts and edges, the
+//! outer-walk test and the nesting of skeleton components take integer
 //! minima of ranks, and points are read back from the table only where the
-//! complex keeps them (vertex points and edge polylines). A component keeps
-//! the boundary walk of each bounded face as darts; the assembly step reads it
-//! as a polyline only when a nesting test reaches the component
+//! complex keeps them (vertex points and edge polylines). The complex's
+//! rotations and face boundaries are the builder's own runs, moved into it,
+//! and its polylines one more run table, so no cell owns a list. A component
+//! keeps the boundary walk of each bounded face as darts; the assembly step
+//! reads it as a polyline only when a nesting test reaches the component
 //! (`ComponentComplex::bounded_cycles`).
 //! Ranks are lexicographic, so every order an earlier point-keyed build
 //! produced — pieces by `(a, b)`, vertices by first appearance — is the same,
@@ -53,6 +56,7 @@
 
 use crate::assemble::{innermost_cycle, update_components};
 use crate::complex::CellComplex;
+use crate::runs::Runs;
 use crate::split::{instance_segments, Pieces};
 use crate::types::*;
 use crate::view::GlobalComplexView;
@@ -114,19 +118,8 @@ pub(crate) struct LocalComplex {
 pub(crate) fn build_local(region_names: Vec<String>, pieces: &Pieces) -> LocalComplex {
     debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
     if pieces.is_empty() {
-        // No geometry at all: a single exterior face.
-        let region_faces = Runs { items: vec![], at: vec![0; region_names.len() + 1] };
-        let complex = CellComplex {
-            region_names,
-            vertices: vec![],
-            edges: vec![],
-            faces: vec![FaceData {
-                is_exterior: true,
-                boundary_edges: vec![],
-                label: Label::default(),
-            }],
-            exterior: FaceId(0),
-        };
+        let region_faces = Runs::grouped(region_names.len(), std::iter::empty());
+        let complex = CellComplex::exterior_only(region_names);
         return LocalComplex { complex, bounded_walks: Walks::default(), region_faces };
     }
 
@@ -149,8 +142,7 @@ pub(crate) fn build_local(region_names: Vec<String>, pieces: &Pieces) -> LocalCo
 
     // ---- Labels -----------------------------------------------------------
     let bounded_walks = std::mem::take(&mut assembled.bounded_walks);
-    let (complex, region_faces) =
-        finish_complex(region_names, &merged, pieces, &rotations, assembled);
+    let (complex, region_faces) = finish_complex(region_names, &merged, pieces, rotations, assembled);
     LocalComplex { complex, bounded_walks, region_faces }
 }
 
@@ -163,10 +155,8 @@ struct RawGraph {
     /// Each edge's endpoints, as vertices: its piece's smaller endpoint
     /// first.
     ends: Vec<[u32; 2]>,
-    /// The incident edges of every vertex, in edge order: vertex `v`'s are
-    /// `incident[incident_at[v]..incident_at[v + 1]]`.
-    incident: Vec<u32>,
-    incident_at: Vec<usize>,
+    /// The incident edges of every vertex, in edge order.
+    incident: Runs<u32>,
 }
 
 impl RawGraph {
@@ -183,8 +173,8 @@ impl RawGraph {
         };
         let ends: Vec<[u32; 2]> = pieces.pieces.iter().map(|p| [id(p.a), id(p.b)]).collect();
         let ends_of = ends.iter().zip(0..).flat_map(|(&[u, v], e)| [(u as usize, e), (v as usize, e)]);
-        let (incident, incident_at) = group_by_key(ranks.len(), ends_of);
-        RawGraph { ranks, ends, incident, incident_at }
+        let incident = Runs::grouped(ranks.len(), ends_of);
+        RawGraph { ranks, ends, incident }
     }
 
     fn vertex_count(&self) -> usize {
@@ -193,7 +183,7 @@ impl RawGraph {
 
     /// The edges incident to `v`, in edge order.
     fn incident(&self, v: usize) -> &[u32] {
-        &self.incident[self.incident_at[v]..self.incident_at[v + 1]]
+        self.incident.get(v)
     }
 
     /// A vertex is an *anchor* (a forced 0-cell of the maximal complex) if it
@@ -226,47 +216,22 @@ impl RawGraph {
     }
 }
 
-/// `items` grouped by key, in order within each group: one flat buffer, and
-/// the start of each of the `keys` groups in it, plus its end (key `k`'s
-/// items are `flat[at[k]..at[k + 1]]`).
-fn group_by_key<T: Copy>(keys: usize, items: impl Iterator<Item = (usize, T)> + Clone) -> (Vec<T>, Vec<usize>) {
-    let mut at = vec![0; keys + 1];
-    for (k, _) in items.clone() {
-        at[k + 1] += 1;
-    }
-    for k in 0..keys {
-        at[k + 1] += at[k];
-    }
-    let Some((_, any)) = items.clone().next() else { return (Vec::new(), at) };
-    let mut flat = vec![any; at[keys]];
-    let mut fill = at.clone();
-    for (k, item) in items {
-        flat[fill[k]] = item;
-        fill[k] += 1;
-    }
-    (flat, at)
-}
-
 /// The merged graph: maximal 1-cells with polyline geometry, as ranks.
 struct MergedGraph {
     /// The rank of every 0-cell.
     vertex_ranks: Vec<u32>,
     chains: Vec<Chain>,
-    /// Every chain's pieces, tail to head, chain after chain.
-    pieces: Vec<u32>,
-    /// Every chain's polyline, as ranks, tail to head, chain after chain: a
-    /// chain has one more point than pieces.
-    points: Vec<u32>,
+    /// Every chain's pieces, tail to head.
+    pieces: Runs<u32>,
+    /// Every chain's polyline, as ranks, tail to head: a chain has one more
+    /// point than pieces.
+    points: Runs<u32>,
 }
 
-/// A maximal 1-cell of the merged graph.
+/// The endpoints of a maximal 1-cell of the merged graph.
 struct Chain {
     tail: usize,
     head: usize,
-    /// The chain's pieces are `MergedGraph::pieces[start..end]`, and its
-    /// polyline `MergedGraph::points[start + c..end + c + 1]` for chain `c`.
-    start: usize,
-    end: usize,
 }
 
 /// One piece of a face walk: along piece `piece`, leaving its endpoint of
@@ -278,25 +243,15 @@ struct Step {
 }
 
 impl MergedGraph {
-    /// Chain `c`'s pieces, tail to head.
-    fn chain_pieces(&self, c: usize) -> &[u32] {
-        &self.pieces[self.chains[c].start..self.chains[c].end]
-    }
-
-    /// Chain `c`'s polyline as ranks, tail to head.
-    fn chain_points(&self, c: usize) -> &[u32] {
-        &self.points[self.chains[c].start + c..self.chains[c].end + c + 1]
-    }
-
     /// The regions whose boundary chain `c` lies on, ascending.
     fn chain_regions<'a>(&self, pieces: &'a Pieces, c: usize) -> &'a [usize] {
-        pieces.regions(self.pieces[self.chains[c].start] as usize)
+        pieces.regions(self.pieces.get(c)[0] as usize)
     }
 
     /// Dart `d`'s steps, in its direction.
     fn steps(&self, d: DartId) -> impl DoubleEndedIterator<Item = Step> + '_ {
         let c = d.edge().0;
-        let (pieces, points) = (self.chain_pieces(c), self.chain_points(c));
+        let (pieces, points) = (self.pieces.get(c), self.points.get(c));
         let (k, forward) = (pieces.len(), d.is_forward());
         (0..k).map(move |j| {
             if forward {
@@ -381,8 +336,8 @@ fn merge_chains(raw: &RawGraph, pieces: &Pieces) -> MergedGraph {
     // Walk chains from anchors.
     let mut edge_used = vec![false; raw.ends.len()];
     let mut chains: Vec<Chain> = Vec::new();
-    let mut chain_pieces = Vec::with_capacity(raw.ends.len());
-    let mut points = Vec::with_capacity(raw.ends.len() + n);
+    let mut chain_pieces = Runs::with_capacity(raw.ends.len(), raw.ends.len());
+    let mut points = Runs::with_capacity(raw.ends.len(), raw.ends.len() + n);
     for v in 0..n {
         if !anchor[v] {
             continue;
@@ -392,14 +347,13 @@ fn merge_chains(raw: &RawGraph, pieces: &Pieces) -> MergedGraph {
                 continue;
             }
             // Walk from v along e0 through non-anchor vertices.
-            let start = chain_pieces.len();
-            points.push(raw.ranks[v]);
-            chain_pieces.push(e0);
+            points.push_item(raw.ranks[v]);
+            chain_pieces.push_item(e0);
             edge_used[e0 as usize] = true;
             let mut prev_edge = e0;
             let mut cur = raw.leave(e0, v);
             while !anchor[cur] {
-                points.push(raw.ranks[cur]);
+                points.push_item(raw.ranks[cur]);
                 let next_edge = raw.pass(prev_edge, cur);
                 debug_assert_eq!(
                     pieces.regions(next_edge as usize),
@@ -407,12 +361,14 @@ fn merge_chains(raw: &RawGraph, pieces: &Pieces) -> MergedGraph {
                     "chain continues through a label change"
                 );
                 edge_used[next_edge as usize] = true;
-                chain_pieces.push(next_edge);
+                chain_pieces.push_item(next_edge);
                 prev_edge = next_edge;
                 cur = raw.leave(next_edge, cur);
             }
-            points.push(raw.ranks[cur]);
-            chains.push(Chain { tail: new_id[v], head: new_id[cur], start, end: chain_pieces.len() });
+            points.push_item(raw.ranks[cur]);
+            points.close();
+            chain_pieces.close();
+            chains.push(Chain { tail: new_id[v], head: new_id[cur] });
         }
     }
     debug_assert!(edge_used.iter().all(|&u| u), "all raw edges must be consumed");
@@ -423,9 +379,8 @@ fn merge_chains(raw: &RawGraph, pieces: &Pieces) -> MergedGraph {
 /// The rotation system: for every vertex, the outgoing darts sorted
 /// counter-clockwise by the direction of their first piece.
 struct Rotations {
-    /// Vertex `v`'s darts are `darts[at[v]..at[v + 1]]`.
-    darts: Vec<DartId>,
-    at: Vec<usize>,
+    /// Every vertex's darts, counter-clockwise.
+    darts: Runs<DartId>,
     /// The position of every dart in its tail's rotation.
     position: Vec<usize>,
 }
@@ -433,27 +388,27 @@ struct Rotations {
 impl Rotations {
     fn new(g: &MergedGraph, pieces: &Pieces) -> Rotations {
         let all = (0..2 * g.chains.len()).map(DartId);
-        let (mut darts, at) = group_by_key(g.vertex_ranks.len(), all.clone().map(|d| (g.dart_tail(d), d)));
+        let mut darts = Runs::grouped(g.vertex_ranks.len(), all.clone().map(|d| (g.dart_tail(d), d)));
         let first_dir: Vec<Vector> = all
             .map(|d| {
                 let first = g.steps(d).next().expect("a chain has a piece");
                 pieces.dir_from(first.piece as usize, first.from)
             })
             .collect();
-        let mut position = vec![0; darts.len()];
-        for v in 0..g.vertex_ranks.len() {
-            let rotation = &mut darts[at[v]..at[v + 1]];
+        let mut position = vec![0; darts.items().len()];
+        for v in 0..darts.len() {
+            let rotation = darts.get_mut(v);
             rotation.sort_unstable_by(|a, b| first_dir[a.0].angle_cmp(&first_dir[b.0]).then(a.cmp(b)));
             for (i, d) in rotation.iter().enumerate() {
                 position[d.0] = i;
             }
         }
-        Rotations { darts, at, position }
+        Rotations { darts, position }
     }
 
     /// Vertex `v`'s darts, counter-clockwise.
     fn of(&self, v: usize) -> &[DartId] {
-        &self.darts[self.at[v]..self.at[v + 1]]
+        self.darts.get(v)
     }
 
     /// next(d): at head(d), the dart cyclically preceding twin(d) in the
@@ -465,41 +420,13 @@ impl Rotations {
     }
 }
 
-/// Runs of items in one flat buffer: run `k` is `items[at[k]..at[k + 1]]`.
-#[derive(Clone, Debug)]
-pub(crate) struct Runs<T> {
-    items: Vec<T>,
-    at: Vec<usize>,
-}
-
-impl<T> Default for Runs<T> {
-    fn default() -> Runs<T> {
-        Runs { items: Vec::new(), at: vec![0] }
-    }
-}
-
-impl<T: Copy> Runs<T> {
-    pub(crate) fn len(&self) -> usize {
-        self.at.len() - 1
-    }
-
-    pub(crate) fn get(&self, k: usize) -> &[T] {
-        &self.items[self.at[k]..self.at[k + 1]]
-    }
-
-    fn push(&mut self, items: &[T]) {
-        self.items.extend_from_slice(items);
-        self.at.push(self.items.len());
-    }
-}
-
 /// Face walks: boundary cycles of the embedding, as darts, one run each.
 pub(crate) type Walks = Runs<DartId>;
 
 fn face_walks(g: &MergedGraph, rotations: &Rotations) -> Walks {
     let dart_count = g.chains.len() * 2;
     let mut assigned = vec![false; dart_count];
-    let mut walks = Walks { items: Vec::with_capacity(dart_count), at: vec![0] };
+    let mut walks = Walks::with_capacity(dart_count, dart_count);
     for start in 0..dart_count {
         if assigned[start] {
             continue;
@@ -507,13 +434,13 @@ fn face_walks(g: &MergedGraph, rotations: &Rotations) -> Walks {
         let mut d = DartId(start);
         loop {
             assigned[d.0] = true;
-            walks.items.push(d);
+            walks.push_item(d);
             d = rotations.next(g, d);
             if d.0 == start {
                 break;
             }
         }
-        walks.at.push(walks.items.len());
+        walks.close();
     }
     walks
 }
@@ -549,7 +476,7 @@ fn vertex_components(g: &MergedGraph, rotations: &Rotations) -> (Vec<usize>, usi
 struct AssembledFaces {
     face_of_dart: Vec<FaceId>,
     /// Every face's boundary edges, ascending.
-    face_boundaries: Vec<Vec<EdgeId>>,
+    face_boundaries: Runs<EdgeId>,
     /// The boundary walk of every bounded face, face by face, exported for the
     /// cross-component nesting tests of [`crate::assemble`].
     bounded_walks: Walks,
@@ -586,22 +513,22 @@ fn assemble_faces(g: &MergedGraph, pieces: &Pieces, rotations: &Rotations, walks
     let mut parent_face_of_component: Vec<FaceId> = vec![exterior; component_count];
     if component_count > 1 {
         let mut lowest = vec![u32::MAX; component_count];
-        for (c, chain) in g.chains.iter().enumerate() {
+        for (chain, points) in g.chains.iter().zip(g.points.iter()) {
             let low = &mut lowest[component[chain.tail]];
-            *low = g.chain_points(c).iter().fold(*low, |l, &r| l.min(r));
+            *low = points.iter().fold(*low, |l, &r| l.min(r));
         }
-        let rings: Vec<Vec<Point>> = bounded_walks
-            .iter()
-            .map(|&w| {
-                let steps = walks.get(w).iter().flat_map(|&d| g.steps(d));
-                steps.map(|s| pieces.points[s.from as usize]).collect()
-            })
-            .collect();
+        let mut rings: Runs<Point> = Runs::default();
+        for &w in &bounded_walks {
+            for s in walks.get(w).iter().flat_map(|&d| g.steps(d)) {
+                rings.push_item(pieces.points[s.from as usize]);
+            }
+            rings.close();
+        }
         for (c, &rank) in lowest.iter().enumerate() {
             let rep = pieces.points[rank as usize];
-            let others = bounded_walks.iter().zip(&rings).enumerate();
-            let others = others.filter(|&(_, (&w, _))| component_of_walk(w) != c);
-            let cycles = others.map(|(k, (_, ring))| (FaceId(k + 1), ring.as_slice()));
+            let others = bounded_walks.iter().enumerate();
+            let others = others.filter(|&(_, &w)| component_of_walk(w) != c);
+            let cycles = others.map(|(k, _)| (FaceId(k + 1), rings.get(k)));
             if let Some(f) = innermost_cycle(&rep, cycles) {
                 parent_face_of_component[c] = f;
             }
@@ -624,20 +551,10 @@ fn assemble_faces(g: &MergedGraph, pieces: &Pieces, rotations: &Rotations, walks
         let (left, right) = (face_of_dart[2 * e], face_of_dart[2 * e + 1]);
         std::iter::once(left).chain((right != left).then_some(right))
     };
-    let mut sizes = vec![0; face_count];
-    for e in 0..g.chains.len() {
-        for f in faces_of_edge(e) {
-            sizes[f.0] += 1;
-        }
-    }
-    let mut face_boundaries: Vec<Vec<EdgeId>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    for e in 0..g.chains.len() {
-        for f in faces_of_edge(e) {
-            face_boundaries[f.0].push(EdgeId(e));
-        }
-    }
+    let incidences = (0..g.chains.len()).flat_map(|e| faces_of_edge(e).map(move |f| (f.0, EdgeId(e))));
+    let face_boundaries = Runs::grouped(face_count, incidences);
 
-    let mut bounded_face_walks = Walks::default();
+    let mut bounded_face_walks = Walks::with_capacity(bounded_walks.len(), walks.items().len());
     for &w in &bounded_walks {
         bounded_face_walks.push(walks.get(w));
     }
@@ -679,7 +596,7 @@ fn face_labels(g: &MergedGraph, pieces: &Pieces, assembled: &AssembledFaces) -> 
     queue.push_back(assembled.exterior);
     while let Some(f) = queue.pop_front() {
         // Cross every edge on the face boundary.
-        for &e in &assembled.face_boundaries[f.0] {
+        for &e in assembled.face_boundaries.get(f.0) {
             let fwd_face = assembled.face_of_dart[DartId::forward(e).0];
             let bwd_face = assembled.face_of_dart[DartId::backward(e).0];
             let neighbor = if fwd_face == f { bwd_face } else { fwd_face };
@@ -707,30 +624,14 @@ fn on_boundary(label: &Label, boundary: &[usize]) -> Label {
 }
 
 /// The bounded faces interior to each of `regions` regions, ascending: the
-/// final face labels inverted into one flat buffer, counted then filled.
+/// final face labels inverted, one run per region.
 fn interior_faces(labels: &[Label], exterior: FaceId, regions: usize) -> Runs<FaceId> {
-    // Every `(face, region)` pair of a bounded face interior to a region.
-    let pairs = || {
-        let bounded = labels.iter().enumerate().filter(|&(f, _)| f != exterior.0);
-        bounded.flat_map(|(f, label)| {
-            let interior = label.iter().filter(|&(_, s)| s == Sign::Interior);
-            interior.map(move |(r, _)| (FaceId(f), r))
-        })
-    };
-    let mut at = vec![0; regions + 1];
-    for (_, r) in pairs() {
-        at[r + 1] += 1;
-    }
-    for r in 0..regions {
-        at[r + 1] += at[r];
-    }
-    let mut items = vec![exterior; at[regions]];
-    let mut next = at[..regions].to_vec();
-    for (f, r) in pairs() {
-        items[next[r]] = f;
-        next[r] += 1;
-    }
-    Runs { items, at }
+    let bounded = labels.iter().enumerate().filter(|&(f, _)| f != exterior.0);
+    let pairs = bounded.flat_map(|(f, label)| {
+        let interior = label.iter().filter(|&(_, s)| s == Sign::Interior);
+        interior.map(move |(r, _)| (r, FaceId(f)))
+    });
+    Runs::grouped(regions, pairs)
 }
 
 /// Compute labels by propagation and assemble the final complex, with each
@@ -738,13 +639,15 @@ fn interior_faces(labels: &[Label], exterior: FaceId, regions: usize) -> Runs<Fa
 /// flood fill of [`face_labels`]; an edge takes the label of its left face
 /// and a vertex that of the face left of its first dart, with the regions
 /// whose boundary the cell lies on marked `Boundary`, so every label is
-/// written once, in time linear in its entries. Polylines, rotations and
-/// boundary lists are allocated at their final size, cell by cell.
+/// written once, in time linear in its entries. The complex's three lists
+/// per cell are flat runs: the rotations and the face boundaries are the
+/// builder's own, moved, and the polylines are the chains' ranks read back
+/// from the point table, so none of them costs an allocation per cell.
 fn finish_complex(
     region_names: Vec<String>,
     g: &MergedGraph,
     pieces: &Pieces,
-    rotations: &Rotations,
+    rotations: Rotations,
     assembled: AssembledFaces,
 ) -> (CellComplex, Runs<FaceId>) {
     let face_labels = face_labels(g, pieces, &assembled);
@@ -754,13 +657,8 @@ fn finish_complex(
     let AssembledFaces { face_of_dart, face_boundaries, exterior, .. } = assembled;
     let faces: Vec<FaceData> = face_labels
         .into_iter()
-        .zip(face_boundaries)
         .enumerate()
-        .map(|(i, (label, boundary_edges))| FaceData {
-            is_exterior: FaceId(i) == exterior,
-            boundary_edges,
-            label,
-        })
+        .map(|(i, label)| FaceData { is_exterior: FaceId(i) == exterior, label })
         .collect();
 
     let edges: Vec<EdgeData> = g
@@ -774,13 +672,13 @@ fn finish_complex(
             EdgeData {
                 tail: VertexId(chain.tail),
                 head: VertexId(chain.head),
-                polyline: g.chain_points(i).iter().map(|&r| pieces.points[r as usize]).collect(),
                 left_face: left,
                 right_face: right,
                 label: on_boundary(&faces[left.0].label, g.chain_regions(pieces, i)),
             }
         })
         .collect();
+    let polylines = g.points.map(|&r| pieces.points[r as usize]);
 
     // Vertices: the regions of the incident chains, merged in one reused
     // buffer.
@@ -799,11 +697,14 @@ fn finish_complex(
             marks.sort_unstable();
             marks.dedup();
             let label = on_boundary(face, &marks);
-            VertexData { point: pieces.points[rank as usize], label, rotation: rotation.to_vec() }
+            VertexData { point: pieces.points[rank as usize], label }
         })
         .collect();
 
-    (CellComplex { region_names, vertices, edges, faces, exterior }, region_faces)
+    let rotations = rotations.darts;
+    let complex =
+        CellComplex { region_names, vertices, edges, faces, rotations, polylines, face_edges: face_boundaries, exterior };
+    (complex, region_faces)
 }
 
 #[cfg(test)]

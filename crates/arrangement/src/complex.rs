@@ -19,6 +19,7 @@
 
 use crate::index::SpatialIndex;
 use crate::partition::BBox;
+use crate::runs::Runs;
 use crate::types::*;
 use spatial_core::prelude::Point;
 use std::collections::BTreeSet;
@@ -365,7 +366,7 @@ impl ComplexRead for CellComplex {
     }
 
     fn vertex_rotation(&self, v: VertexId) -> Vec<DartId> {
-        self.vertices[v.0].rotation.clone()
+        self.rotations.get(v.0).to_vec()
     }
 
     fn edge_endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
@@ -374,7 +375,7 @@ impl ComplexRead for CellComplex {
     }
 
     fn edge_polyline(&self, e: EdgeId) -> &[Point] {
-        &self.edges[e.0].polyline
+        self.polylines.get(e.0)
     }
 
     fn edge_label(&self, e: EdgeId) -> Label {
@@ -395,7 +396,7 @@ impl ComplexRead for CellComplex {
     }
 
     fn face_boundary(&self, f: FaceId) -> Vec<EdgeId> {
-        self.faces[f.0].boundary_edges.clone()
+        self.face_edges.get(f.0).to_vec()
     }
 
     fn face_is_exterior(&self, f: FaceId) -> bool {
@@ -429,7 +430,7 @@ impl ComplexRead for CellComplex {
             let mut stack = vec![start];
             seen[start] = true;
             while let Some(v) = stack.pop() {
-                for d in &self.vertices[v].rotation {
+                for d in self.rotations.get(v) {
                     let w = self.dart_head(*d).0;
                     if !seen[w] {
                         seen[w] = true;
@@ -443,16 +444,42 @@ impl ComplexRead for CellComplex {
 }
 
 /// The planar cell complex of a spatial database instance.
+///
+/// Each cell's own record ([`VertexData`], [`EdgeData`], [`FaceData`]) holds
+/// its fixed-size data and its label. The three lists a cell has — a
+/// vertex's rotation, an edge's polyline, a face's boundary edges — are runs
+/// of three flat tables, one run per cell in id order, read through
+/// [`ComplexRead`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CellComplex {
     pub(crate) region_names: Vec<String>,
     pub(crate) vertices: Vec<VertexData>,
     pub(crate) edges: Vec<EdgeData>,
     pub(crate) faces: Vec<FaceData>,
+    /// Each vertex's outgoing darts, counter-clockwise.
+    pub(crate) rotations: Runs<DartId>,
+    /// Each edge's polyline, from tail to head.
+    pub(crate) polylines: Runs<Point>,
+    /// Each face's boundary edges, ascending.
+    pub(crate) face_edges: Runs<EdgeId>,
     pub(crate) exterior: FaceId,
 }
 
 impl CellComplex {
+    /// The complex with no geometry: the single exterior face.
+    pub(crate) fn exterior_only(region_names: Vec<String>) -> CellComplex {
+        CellComplex {
+            region_names,
+            vertices: vec![],
+            edges: vec![],
+            faces: vec![FaceData { is_exterior: true, label: Label::default() }],
+            rotations: Runs::default(),
+            polylines: Runs::default(),
+            face_edges: Runs::grouped(1, std::iter::empty()),
+            exterior: FaceId(0),
+        }
+    }
+
     /// Vertex data.
     pub fn vertex(&self, v: VertexId) -> &VertexData {
         &self.vertices[v.0]

@@ -35,8 +35,8 @@
 //!   assembly builds once per view (and nesting resolution probes), and the
 //!   per-component region index that a
 //!   [`ComponentComplex`](crate::ComponentComplex) builds over its own
-//!   regions' boxes, in local ids, on first use and carries across commits
-//!   with its other memos.
+//!   regions' boxes, in local ids, on first use and carries across
+//!   commits.
 //! * **Two levels** (`SpatialIndex::two_level`): the region index of a
 //!   [`GlobalComplexView`](crate::GlobalComplexView)
 //!   ([`crate::GlobalComplexView::region_bbox_index`]), assembled on first

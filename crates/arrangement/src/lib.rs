@@ -72,6 +72,17 @@
 //!    per-cell copying), and **by copy** ([`assemble_components`],
 //!    `O(total cells)` — it materializes the flat [`CellComplex`]).
 //!
+//! Every list of lists the pipeline keeps is one flat buffer of runs (the
+//! crate-private `runs::Runs`: all items in one buffer plus the offsets of
+//! the runs): each segment's cut points, each piece's regions, each raw
+//! vertex's incident pieces, each chain's pieces and points, each vertex's
+//! rotation, each face walk, each face's boundary edges, each region's
+//! interior faces, each edge's polyline and each component's region map. A
+//! table costs two allocations whatever its size, and the [`CellComplex`]
+//! keeps the rotations, polylines and face boundaries of its cells that
+//! way, read through [`ComplexRead::vertex_rotation`],
+//! [`ComplexRead::edge_polyline`] and [`ComplexRead::face_boundary`].
+//!
 //! Face assembly asks the geometry two questions, in stages 2 and 3, and
 //! answers both by comparison and orientation tests, never by area. A face
 //! walk is the outer boundary of its piece of the skeleton iff it turns
@@ -150,8 +161,9 @@
 //! count.
 //!
 //! Two oracles guard the pipeline: the original all-pairs splitter (`O(n^2)`
-//! exact intersection tests) is retained in [`split`] as the sweep's
-//! differential-testing oracle, and the pre-partitioning single-sweep
+//! exact intersection tests) is retained as [`split::split_segments_naive`],
+//! the differential-testing oracle of [`sweep::split_segments_sweep`], and
+//! the pre-partitioning single-sweep
 //! construction is retained as [`build_complex_monolithic`] as the
 //! pipeline's oracle — both must agree (up to cell re-indexing) on every
 //! input, including the degenerate ones (endpoint touching, many segments
@@ -182,6 +194,7 @@ pub mod counters;
 pub mod index;
 pub mod parallel;
 pub mod partition;
+mod runs;
 pub mod split;
 pub mod strip;
 pub mod sweep;

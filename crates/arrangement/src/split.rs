@@ -7,12 +7,13 @@
 //! marks (this is how shared boundaries — the Egenhofer `meet`, `covers`,
 //! `equal` situations — are represented exactly).
 //!
-//! The cut points of a segment list are its [`CutSets`]. Two interchangeable
-//! splitters produce them:
+//! The cut points of a segment list are its cut sets (`CutSets`, one run of
+//! points per segment). Two interchangeable splitters produce them:
 //!
-//! * [`split_segments`] — the production path, a Bentley–Ottmann plane
-//!   sweep ([`crate::sweep`]) running in `O((n + k) log n)` for `n`
-//!   segments with `k` intersections, once per component;
+//! * [`split_segments_sweep`](crate::sweep::split_segments_sweep) — the
+//!   production path, a Bentley–Ottmann plane sweep ([`crate::sweep`])
+//!   running in `O((n + k) log n)` for `n` segments with `k`
+//!   intersections, once per component;
 //! * [`split_segments_naive`] — the original all-pairs `O(n^2)` splitter,
 //!   kept as a differential-testing oracle: both must produce identical
 //!   [`SubSegment`] sets on every input.
@@ -26,7 +27,7 @@
 //! its segments' regions. Ranks are lexicographic, so the builder's later
 //! stages compare, key and sort ranks where they would otherwise compare
 //! exact rational points, and read a point only where the complex keeps it.
-//! [`assemble_subsegments`] converts the pieces into [`SubSegment`]s; the
+//! `assemble_subsegments` converts the pieces into [`SubSegment`]s; the
 //! naive oracle keeps its own merge, a map keyed by endpoint points, so the
 //! differential tests hold the two merges against each other too.
 //!
@@ -46,12 +47,13 @@
 //! with the square of the input coordinates.
 
 use crate::partition::BBox;
+use crate::runs::Runs;
 use spatial_core::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A maximal straight piece of region boundary between two consecutive cut
 /// points, with its endpoints as points: the public form of one of the
-/// rank-indexed pieces a component build merges ([`assemble_subsegments`]).
+/// rank-indexed pieces a component build merges (`assemble_subsegments`).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SubSegment {
     /// Lexicographically smaller endpoint.
@@ -89,19 +91,10 @@ pub fn instance_segments(instance: &SpatialInstance) -> Vec<TaggedSegment> {
 }
 
 /// The cut points of a list of segments: for each segment, in list order,
-/// the points at which it must be cut, ascending — its own two endpoints
-/// first and last, and between them every point where another segment of
-/// the list crosses, touches or overlaps it.
-///
-/// All cut sets share one flat point buffer, so a run of them copies as one
-/// slice.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct CutSets {
-    points: Vec<Point>,
-    /// Segment `s`'s cut points end at `points[ends[s]]` (exclusive) and
-    /// start where segment `s - 1`'s end.
-    ends: Vec<usize>,
-}
+/// one run of the points at which it must be cut, ascending — its own two
+/// endpoints first and last, and between them every point where another
+/// segment of the list crosses, touches or overlaps it.
+pub(crate) type CutSets = Runs<Point>;
 
 impl CutSets {
     /// The cut sets of `n` segments from `(segment, cut point)` incidences,
@@ -109,48 +102,7 @@ impl CutSets {
     pub(crate) fn from_incidences(n: usize, mut incidences: Vec<(usize, Point)>) -> CutSets {
         incidences.sort_unstable();
         incidences.dedup();
-        let mut ends = vec![0; n];
-        for &(s, _) in &incidences {
-            ends[s] += 1;
-        }
-        let mut end = 0;
-        for e in &mut ends {
-            end += *e;
-            *e = end;
-        }
-        CutSets { points: incidences.into_iter().map(|(_, p)| p).collect(), ends }
-    }
-
-    /// The number of segments.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Are there no segments?
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// Segment `s`'s cut points, ascending.
-    pub fn get(&self, s: usize) -> &[Point] {
-        &self.points[self.bounds(s)]
-    }
-
-    /// The positions of segment `s`'s cut points in the flat buffer.
-    fn bounds(&self, s: usize) -> std::ops::Range<usize> {
-        let start = if s == 0 { 0 } else { self.ends[s - 1] };
-        start..self.ends[s]
-    }
-
-    /// Every segment's cut points, in segment order.
-    pub fn iter(&self) -> impl Iterator<Item = &[Point]> {
-        (0..self.len()).map(|s| self.get(s))
-    }
-
-    /// Append the cut points of one more segment.
-    fn push(&mut self, cuts: &[Point]) {
-        self.points.extend_from_slice(cuts);
-        self.ends.push(self.points.len());
+        Runs::grouped(n, incidences.into_iter())
     }
 }
 
@@ -165,18 +117,11 @@ pub(crate) fn endpoint_incidences(segments: &[TaggedSegment]) -> Vec<(usize, Poi
     out
 }
 
-/// Split all segments at their mutual intersection points and merge
-/// coincident pieces. This is the production path: a Bentley–Ottmann plane
-/// sweep (see [`crate::sweep`]).
-pub fn split_segments(segments: &[TaggedSegment]) -> Vec<SubSegment> {
-    crate::sweep::split_segments_sweep(segments)
-}
-
 /// The original all-pairs splitter, kept as the differential-testing oracle
 /// for the sweep and the rank-based merge. `O(n^2)` intersection tests, and
 /// coincident pieces merged in a map keyed by their endpoint points, both
 /// independent of any ordering argument — its output is the specification
-/// [`split_segments`] must match.
+/// [`split_segments_sweep`](crate::sweep::split_segments_sweep) must match.
 pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
     let n = segments.len();
     let mut cuts = endpoint_incidences(segments);
@@ -226,7 +171,7 @@ pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
 /// nothing that could cut it changed.
 ///
 /// With nothing carried, the neighbourhood is everything: the result is the
-/// one sweep of `segments`, as [`crate::sweep::sweep_cut_sets`] returns it.
+/// one sweep of `segments`, as `sweep::sweep_cut_sets` returns it.
 pub(crate) fn resplit(
     segments: &[TaggedSegment],
     boxes: &[BBox],
@@ -248,7 +193,8 @@ pub(crate) fn resplit(
     let hood_segments: Vec<TaggedSegment> = hood.iter().map(|&s| segments[s].clone()).collect();
     let swept = crate::sweep::sweep_cut_sets(&hood_segments);
 
-    let mut out = CutSets::default();
+    let carried_points: usize = carried.iter().flatten().map(|cuts| cuts.len()).sum();
+    let mut out = CutSets::with_capacity(segments.len(), carried_points + swept.items().len());
     let mut at = 0;
     for (s, old) in carried.iter().enumerate() {
         if affected[s] {
@@ -301,7 +247,7 @@ fn ascending_direction(segment: &Segment) -> Vector {
 /// lexicographically, and lexicographic order along a segment is the order
 /// of its points along the segment, so consecutive elements of the set are
 /// consecutive cut points, smaller endpoint first.
-pub fn assemble_subsegments(segments: &[TaggedSegment], cuts: &CutSets) -> Vec<SubSegment> {
+pub(crate) fn assemble_subsegments(segments: &[TaggedSegment], cuts: &CutSets) -> Vec<SubSegment> {
     let pieces = Pieces::new(segments, cuts);
     (0..pieces.len())
         .map(|p| {
@@ -328,8 +274,8 @@ pub(crate) struct Pieces {
     pub(crate) points: Vec<Point>,
     /// The merged pieces, ascending by `(a, b)`.
     pub(crate) pieces: Vec<Piece>,
-    /// Every piece's regions, in piece order, each run ascending.
-    regions: Vec<usize>,
+    /// Every piece's regions, one ascending run per piece.
+    regions: Runs<usize>,
     /// Each input segment's direction, from its smaller endpoint to its
     /// larger.
     dirs: Vec<Vector>,
@@ -346,9 +292,6 @@ pub(crate) struct Piece {
     /// The first input segment the piece lies on; its direction is the
     /// piece's.
     segment: u32,
-    /// The piece's regions end at `Pieces::regions[regions_end]` (exclusive)
-    /// and start where the previous piece's end.
-    regions_end: u32,
 }
 
 impl Pieces {
@@ -357,9 +300,9 @@ impl Pieces {
     /// piece as `(rank a, rank b, segment)`, so coincident pieces are
     /// adjacent and each run keeps its first segment's direction.
     pub(crate) fn new(segments: &[TaggedSegment], cuts: &CutSets) -> Pieces {
-        let flat = &cuts.points;
-        // Ranks, segments, pieces and region offsets are stored as `u32`s;
-        // each counts no more than the cut points do.
+        let flat = cuts.items();
+        // Ranks, segments and pieces are stored as `u32`s; each counts no
+        // more than the cut points do.
         u32::try_from(flat.len()).expect("a component has fewer than 2^32 cut points");
         let mut order: Vec<u32> = (0..flat.len() as u32).collect();
         order.sort_unstable_by(|&i, &j| flat[i as usize].cmp(&flat[j as usize]));
@@ -375,24 +318,22 @@ impl Pieces {
 
         let mut split: Vec<(u32, u32, u32)> = Vec::with_capacity(flat.len());
         for s in 0..cuts.len() {
-            let ranks = &rank[cuts.bounds(s)];
+            let ranks = &rank[cuts.range(s)];
             split.extend(ranks.windows(2).map(|ab| (ab[0], ab[1], s as u32)));
         }
         split.sort_unstable();
 
         let mut pieces = Vec::with_capacity(split.len());
-        let mut regions = Vec::with_capacity(split.len());
+        let mut regions = Runs::with_capacity(split.len(), split.len());
+        let mut run_regions = Vec::new();
         for run in split.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
-            let start = regions.len();
-            for &(_, _, s) in run {
-                let r = segments[s as usize].region;
-                if !regions[start..].contains(&r) {
-                    regions.push(r);
-                }
-            }
-            regions[start..].sort_unstable();
+            run_regions.clear();
+            run_regions.extend(run.iter().map(|&(_, _, s)| segments[s as usize].region));
+            run_regions.sort_unstable();
+            run_regions.dedup();
+            regions.push(&run_regions);
             let (a, b, segment) = run[0];
-            pieces.push(Piece { a, b, segment, regions_end: regions.len() as u32 });
+            pieces.push(Piece { a, b, segment });
         }
         let dirs = segments.iter().map(|ts| ascending_direction(&ts.segment)).collect();
         Pieces { points, pieces, regions, dirs }
@@ -410,8 +351,7 @@ impl Pieces {
 
     /// Piece `p`'s regions, ascending.
     pub(crate) fn regions(&self, p: usize) -> &[usize] {
-        let start = if p == 0 { 0 } else { self.pieces[p - 1].regions_end as usize };
-        &self.regions[start..self.pieces[p].regions_end as usize]
+        self.regions.get(p)
     }
 
     /// Piece `p`'s direction, from its smaller endpoint to its larger: that
@@ -435,6 +375,7 @@ impl Pieces {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::split_segments_sweep;
     use spatial_core::fixtures;
     use spatial_core::point::pt;
 
@@ -451,7 +392,7 @@ mod tests {
         let inst = fixtures::fig_1c();
         let segs = instance_segments(&inst);
         assert_eq!(segs.len(), 8);
-        let subs = split_segments(&segs);
+        let subs = split_segments_sweep(&segs);
         // A: 3 uncut edges + right edge in 3 pieces = 6.
         // B: 2 uncut edges + 2 edges in 2 pieces = 6.
         assert_eq!(subs.len(), 12);
@@ -466,7 +407,7 @@ mod tests {
             ("A", Region::rect_from_ints(0, 0, 4, 4)),
             ("B", Region::rect_from_ints(4, 1, 8, 3)),
         ]);
-        let subs = split_segments(&instance_segments(&inst));
+        let subs = split_segments_sweep(&instance_segments(&inst));
         let shared: Vec<&SubSegment> = subs.iter().filter(|s| s.regions.len() == 2).collect();
         assert_eq!(shared.len(), 1);
         assert_eq!(shared[0].a, pt(4, 1));
@@ -479,7 +420,7 @@ mod tests {
             ("A", Region::rect_from_ints(0, 0, 4, 4)),
             ("B", Region::rect_from_ints(0, 0, 4, 4)),
         ]);
-        let subs = split_segments(&instance_segments(&inst));
+        let subs = split_segments_sweep(&instance_segments(&inst));
         assert_eq!(subs.len(), 4);
         assert_eq!(count_with_regions(&subs, 2), 4);
     }
@@ -490,7 +431,7 @@ mod tests {
             ("A", Region::rect_from_ints(0, 0, 2, 2)),
             ("B", Region::rect_from_ints(5, 5, 7, 7)),
         ]);
-        let subs = split_segments(&instance_segments(&inst));
+        let subs = split_segments_sweep(&instance_segments(&inst));
         assert_eq!(subs.len(), 8);
         assert_eq!(count_with_regions(&subs, 1), 8);
     }
@@ -498,7 +439,7 @@ mod tests {
     #[test]
     fn petals_touch_at_origin() {
         let inst = fixtures::petals_abcd();
-        let subs = split_segments(&instance_segments(&inst));
+        let subs = split_segments_sweep(&instance_segments(&inst));
         // Each petal is a triangle with the origin as one corner; no segment
         // is actually cut (they meet only at a shared endpoint).
         assert_eq!(subs.len(), 12);
@@ -511,7 +452,7 @@ mod tests {
     #[test]
     fn fig_1d_crossings() {
         let inst = fixtures::fig_1d();
-        let subs = split_segments(&instance_segments(&inst));
+        let subs = split_segments_sweep(&instance_segments(&inst));
         // All pieces carry exactly one region mark (no shared boundary here).
         assert!(subs.iter().all(|s| s.regions.len() == 1));
         // The U-shape (8 edges) is crossed 8 times, the bar (4 edges) 8 times.

@@ -1,13 +1,14 @@
 //! Bentley–Ottmann plane sweep over the region-boundary segments.
 //!
-//! This is the production splitter behind [`crate::split::split_segments`]:
+//! This is the production splitter, [`split_segments_sweep`]:
 //! it computes, for every input segment, the set of points at which it must
 //! be cut — the same cut sets the naive all-pairs oracle produces — in
 //! `O((n + k) log n)` time for `n` segments with `k` intersection
 //! incidences, instead of the oracle's `O(n^2)` pairwise tests.
 //!
 //! The sweep records each cut as a `(segment, point)` incidence when it
-//! finds it, and sorts them into one flat [`CutSets`] at the end. Its output
+//! finds it, and sorts them into one run of cut points per segment at the
+//! end (`CutSets`). Its output
 //! is exact for every input segment whose cutters are all in the input:
 //! that is every segment of a from-scratch build, and, when a rebuild
 //! re-splits only the neighbourhood of a change (`crate::split::resplit`),
@@ -84,7 +85,7 @@ pub fn split_segments_sweep(segments: &[TaggedSegment]) -> Vec<SubSegment> {
 /// The cut sets of every segment, computed by the plane sweep: each
 /// segment's own endpoints, every intersection point it is involved in, and
 /// the endpoints of every collinear overlap it participates in.
-pub fn sweep_cut_sets(segments: &[TaggedSegment]) -> CutSets {
+pub(crate) fn sweep_cut_sets(segments: &[TaggedSegment]) -> CutSets {
     let mut cuts = endpoint_incidences(segments);
     collinear_overlap_cuts(segments, &mut cuts);
     let segs: Vec<Segment> = segments.iter().map(|t| t.segment).collect();
@@ -93,7 +94,7 @@ pub fn sweep_cut_sets(segments: &[TaggedSegment]) -> CutSets {
 }
 
 /// Cut points as `(segment, point)` incidences, in discovery order and with
-/// repeats; [`CutSets::from_incidences`] sorts them into cut sets.
+/// repeats; `CutSets::from_incidences` sorts them into cut sets.
 type Incidences = Vec<(usize, Point)>;
 
 // ---------------------------------------------------------------------------

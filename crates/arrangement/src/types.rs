@@ -87,7 +87,7 @@ impl Label {
     }
 
     /// The stored `(region, sign)` entries, by ascending region.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (usize, Sign)> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (usize, Sign)> + Clone + '_ {
         self.0.iter().copied()
     }
 }
@@ -109,27 +109,27 @@ pub(crate) fn label(entries: &[(usize, Sign)]) -> Label {
     entries.iter().copied().collect()
 }
 
-/// Data stored for a vertex (0-cell).
+/// Data stored for a vertex (0-cell). Its rotation, the outgoing darts in
+/// counter-clockwise order, is one run of the complex's flat rotation table:
+/// read it with [`ComplexRead::vertex_rotation`](crate::ComplexRead::vertex_rotation).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct VertexData {
     /// The geometric position of the vertex.
     pub point: Point,
     /// Per-region sign.
     pub label: Label,
-    /// Outgoing darts in counter-clockwise order (the rotation system).
-    pub rotation: Vec<DartId>,
 }
 
-/// Data stored for an edge (1-cell).
+/// Data stored for an edge (1-cell). Its polyline, from `tail` to `head`
+/// (at least two points; first and last are the endpoint positions), is one
+/// run of the complex's flat polyline table: read it with
+/// [`ComplexRead::edge_polyline`](crate::ComplexRead::edge_polyline).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EdgeData {
     /// Tail vertex of the forward dart.
     pub tail: VertexId,
     /// Head vertex of the forward dart (equal to `tail` for a loop).
     pub head: VertexId,
-    /// The polyline realizing the edge, from `tail` to `head`
-    /// (at least two points; first and last are the endpoint positions).
-    pub polyline: Vec<Point>,
     /// Face to the left of the forward dart.
     pub left_face: FaceId,
     /// Face to the left of the backward dart (i.e. to the right of the edge).
@@ -142,14 +142,14 @@ pub struct EdgeData {
 /// Data stored for a face (2-cell): purely combinatorial. A face has no
 /// geometry of its own beyond its boundary edges' polylines, and keeps no
 /// interior point; `tests/label_oracle.rs` locates probe points of its own
-/// to check the labels against the regions.
+/// to check the labels against the regions. Its boundary edges, including
+/// those of the components embedded in it, are one run of the complex's
+/// flat boundary table: read them with
+/// [`ComplexRead::face_boundary`](crate::ComplexRead::face_boundary).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FaceData {
     /// Is this the unbounded (exterior) face `f0`?
     pub is_exterior: bool,
-    /// All edges on the face's boundary, including the boundaries of
-    /// connected components embedded inside the face (sorted, deduplicated).
-    pub boundary_edges: Vec<EdgeId>,
     /// Per-region sign (`Interior` entries only; faces never lie on a
     /// boundary), computed by flood fill from the exterior face.
     pub label: Label,

@@ -14,7 +14,8 @@
 //!   labels (the parent face's entries: the regions whose interior encloses
 //!   the component), resolved parents-before-children exactly as the
 //!   copying assembly does,
-//! * the local→global region-index map of every component.
+//! * the local→global region-index map of every component, one run each of
+//!   one flat table.
 //!
 //! Construction does no per-cell work — after a localized update,
 //! re-assembling the global view costs nothing per untouched cell (see
@@ -32,12 +33,12 @@
 //! served from them, so the first read of a new epoch scans no edge and no
 //! face label; the face walk
 //! [`ComplexRead::for_each_face_edge`] follows the component's own face →
-//! edge → endpoint incidence. The one thing a component derives lazily is
-//! the spatial index over its region boxes, memoized on the
-//! [`ComponentComplex`] behind a [`OnceLock`]: a component carried across a
-//! commit keeps it, so the first index read of a new epoch builds it only
-//! for the rebuilt components ([`GlobalComplexView::memo_builds`] counts
-//! what this view built). The one per-epoch memo is the region index
+//! edge → endpoint incidence. The one thing a component derives lazily for
+//! reads is the spatial index over its region boxes, a [`OnceLock`] field of
+//! the [`ComponentComplex`] itself: a component carried across a commit
+//! keeps it, so the first index read of a new epoch builds it only for the
+//! rebuilt components ([`GlobalComplexView::memo_builds`] counts what this
+//! view built). The one per-epoch memo is the region index
 //! ([`GlobalComplexView::region_bbox_index`]), and it is assembled, not
 //! built: the view's component-box index on top, each component's carried
 //! region index below, for one `Arc` clone per component and one copy of
@@ -66,6 +67,7 @@ use crate::assemble::{
 use crate::complex::{CellComplex, ComplexRead};
 use crate::index::SpatialIndex;
 use crate::partition::BBox;
+use crate::runs::Runs;
 use crate::types::*;
 use spatial_core::prelude::Point;
 use std::collections::BTreeMap;
@@ -84,9 +86,9 @@ use std::sync::{Arc, OnceLock};
 pub struct GlobalComplexView {
     region_names: Vec<String>,
     components: Vec<Arc<ComponentComplex>>,
-    /// Local→global region index map per component (strictly increasing,
-    /// since both name lists are sorted).
-    region_map: Vec<Vec<usize>>,
+    /// Local→global region index map per component, one run each (strictly
+    /// increasing, since both name lists are sorted).
+    region_map: Runs<usize>,
     /// Its inverse: global region index → (component, local region index).
     region_home: Vec<(usize, usize)>,
     /// First global vertex id of each component (prefix sums).
@@ -221,8 +223,10 @@ impl GlobalComplexView {
         debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
         let k = components.len();
 
-        let region_map: Vec<Vec<usize>> =
-            components.iter().map(|c| locate_names(&region_names, c.region_names())).collect();
+        let mut region_map = Runs::with_capacity(k, region_names.len());
+        for c in &components {
+            locate_names(&region_names, c.region_names(), &mut region_map);
+        }
         let mut region_home = vec![(usize::MAX, usize::MAX); region_names.len()];
         for (c, map) in region_map.iter().enumerate() {
             for (local, &global) in map.iter().enumerate() {
@@ -263,7 +267,7 @@ impl GlobalComplexView {
                 Some((d, f)) => widen_label(
                     &inherited[d],
                     &components[d].complex.face(f).label,
-                    &region_map[d],
+                    region_map.get(d),
                 ),
             };
         }
@@ -324,8 +328,8 @@ impl GlobalComplexView {
     /// by the bench snapshot.
     pub fn region_bbox_index(&self) -> Arc<SpatialIndex> {
         Arc::clone(self.bbox_index.get_or_init(|| {
-            let parts = self.components.iter().zip(&self.region_map).map(|(component, map)| {
-                (component.local_region_index(|| self.count_memo_build()), map.as_slice())
+            let parts = self.components.iter().zip(self.region_map.iter()).map(|(component, map)| {
+                (component.local_region_index(|| self.count_memo_build()), map)
             });
             Arc::new(SpatialIndex::two_level(self.region_names.len(), &self.component_index, parts))
         }))
@@ -395,7 +399,7 @@ impl GlobalComplexView {
     /// binary search of the component's sorted local→global region map,
     /// falling back to the component's inherited label for foreign regions.
     fn local_sign(&self, c: usize, local_label: &Label, region: usize) -> Sign {
-        match self.region_map[c].binary_search(&region) {
+        match self.region_map.get(c).binary_search(&region) {
             Ok(p) => local_label.sign(p),
             Err(_) => self.inherited[c].sign(region),
         }
@@ -404,7 +408,7 @@ impl GlobalComplexView {
     /// Widen a component-local label to global region ids, counted.
     fn widen_counted(&self, c: usize, local: &Label) -> Label {
         self.widen_count.fetch_add(1, Ordering::Relaxed);
-        widen_label(&self.inherited[c], local, &self.region_map[c])
+        widen_label(&self.inherited[c], local, self.region_map.get(c))
     }
 
     /// How many label widenings this view's accessors have performed (the
@@ -471,11 +475,7 @@ impl ComplexRead for GlobalComplexView {
     fn vertex_rotation(&self, v: VertexId) -> Vec<DartId> {
         let (c, lv) = self.vertex_home(v);
         let shift = 2 * self.edge_start[c];
-        self.components[c].complex.vertices[lv]
-            .rotation
-            .iter()
-            .map(|d| DartId(d.0 + shift))
-            .collect()
+        self.components[c].complex.rotations.get(lv).iter().map(|d| DartId(d.0 + shift)).collect()
     }
 
     fn edge_endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
@@ -487,7 +487,7 @@ impl ComplexRead for GlobalComplexView {
 
     fn edge_polyline(&self, e: EdgeId) -> &[Point] {
         let (c, le) = self.edge_home(e);
-        &self.components[c].complex.edges[le].polyline
+        self.components[c].complex.polylines.get(le)
     }
 
     fn edge_label(&self, e: EdgeId) -> Label {
@@ -500,7 +500,8 @@ impl ComplexRead for GlobalComplexView {
     fn edge_region_marks(&self, e: EdgeId) -> Vec<usize> {
         let (c, le) = self.edge_home(e);
         let label = self.components[c].complex.edges[le].label.iter();
-        label.filter(|&(_, s)| s == Sign::Boundary).map(|(r, _)| self.region_map[c][r]).collect()
+        let map = self.region_map.get(c);
+        label.filter(|&(_, s)| s == Sign::Boundary).map(|(r, _)| map[r]).collect()
     }
 
     fn edge_faces(&self, e: EdgeId) -> (FaceId, FaceId) {
@@ -522,18 +523,14 @@ impl ComplexRead for GlobalComplexView {
         if f.0 != 0 {
             let (c, lf) = self.face_home(f);
             let off = self.edge_start[c];
-            out.extend(
-                self.components[c].complex.face(lf).boundary_edges.iter().map(|e| EdgeId(e.0 + off)),
-            );
+            out.extend(self.components[c].complex.face_edges.get(lf.0).iter().map(|e| EdgeId(e.0 + off)));
         }
         // Components embedded in this face contribute their outer boundary.
         if let Some(children) = self.nested_in_face.get(&f.0) {
             for &d in children {
                 let comp = &self.components[d].complex;
                 let off = self.edge_start[d];
-                out.extend(
-                    comp.face(comp.exterior).boundary_edges.iter().map(|e| EdgeId(e.0 + off)),
-                );
+                out.extend(comp.face_edges.get(comp.exterior.0).iter().map(|e| EdgeId(e.0 + off)));
             }
         }
         out.sort_unstable();
@@ -560,7 +557,7 @@ impl ComplexRead for GlobalComplexView {
         let mut walk = |c: usize, local: FaceId| {
             let cx = &self.components[c].complex;
             let (e0, v0) = (self.edge_start[c], self.vertex_start[c]);
-            for &e in &cx.face(local).boundary_edges {
+            for &e in cx.face_edges.get(local.0) {
                 let data = &cx.edges[e.0];
                 visit(
                     EdgeId(e.0 + e0),
@@ -628,7 +625,7 @@ impl ComplexRead for GlobalComplexView {
     /// regions: no edge polyline is read.
     fn region_bboxes(&self) -> Vec<Option<BBox>> {
         let mut out: Vec<Option<BBox>> = vec![None; self.region_names.len()];
-        for (component, map) in self.components.iter().zip(&self.region_map) {
+        for (component, map) in self.components.iter().zip(self.region_map.iter()) {
             for (b, &global) in component.region_bboxes.iter().zip(map) {
                 out[global] = b.clone();
             }

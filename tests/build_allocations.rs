@@ -2,14 +2,19 @@
 //!
 //! A commit into the dense map rebuilds its one 256-region component, and
 //! the build's intermediate structures are flat buffers indexed by the rank
-//! of each cut point in the component's point table: the heap allocations
-//! left are mostly the per-cell output vectors of the complex (polylines,
-//! rotations, boundary lists, labels). This test counts every allocation
-//! `update_components` makes over a prefix of the dense edit trace, with a
-//! counting global allocator, and holds the total to half of what the
-//! point-keyed build (a map from `Point` to vertex per component, a set and
-//! a region vector per piece, a polyline per face walk) made on the same
-//! trace.
+//! of each cut point in the component's point table. This test counts every
+//! allocation `update_components` makes over a prefix of the dense edit
+//! trace, with a counting global allocator, and holds the total to half of
+//! what the point-keyed build (a map from `Point` to vertex per component, a
+//! set and a region vector per piece, a polyline per face walk) made on the
+//! same trace.
+//!
+//! Every list of lists in the build and in the complex it outputs is one
+//! flat buffer of runs: the rotations, polylines and boundary lists of the
+//! cells included, so the heap allocations left per cell are its label's.
+//! The test also holds the total plus one per rebuilt cell (vertex, edge or
+//! face) to what the build made when each cell kept its own list vector: the
+//! flat runs must save at least one allocation per cell.
 //!
 //! The build also emits each region's box and interior faces, so the first
 //! read of the new epoch scans no edge and no face label. The same test
@@ -21,7 +26,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use topodb::arrangement::{build_complex_view, update_components};
+use topodb::arrangement::{build_complex_view, update_components, ComplexRead};
 use topodb::query::CellEvaluator;
 use topodb::PreparedQuery;
 
@@ -66,6 +71,10 @@ static GLOBAL: Counting = Counting;
 /// Allocations of the point-keyed build over the trace below (debug build).
 const POINT_KEYED_ALLOCATIONS: u64 = 2_865_147;
 
+/// Allocations of the build over the trace below when every vertex, edge and
+/// face kept its own rotation, polyline or boundary vector (debug build).
+const PER_CELL_LIST_ALLOCATIONS: u64 = 795_619;
+
 /// Allocations of the first read after each commit of the trace below when
 /// the read derived the region boxes and faces (debug build).
 const READ_DERIVED_ALLOCATIONS: u64 = 186_094;
@@ -83,7 +92,7 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
         .expect("the anchored query compiles");
     let mut view = Arc::new(build_complex_view(&instance));
 
-    let (mut counted, mut read) = (0, 0);
+    let (mut counted, mut cells, mut read) = (0, 0, 0);
     for batch in &trace {
         let mut changed: Vec<String> = Vec::new();
         for op in batch {
@@ -101,6 +110,11 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let update = update_components(view.components(), &instance, &changed, |_| None);
         counted += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let rebuilt = update.components.iter().zip(&update.carried_from).filter(|(_, from)| from.is_none());
+        for (component, _) in rebuilt {
+            let cx = component.complex();
+            cells += (cx.vertex_count() + cx.edge_count() + cx.face_count()) as u64;
+        }
         view = Arc::new(view.updated(names(&instance), update));
 
         // What a snapshot's `evaluator()` and its first query do.
@@ -112,11 +126,18 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
 
     let per_commit = |n: u64| n / steps as u64;
     println!("{counted} allocations over {steps} commits ({} per commit)", per_commit(counted));
+    println!("{cells} rebuilt cells over {steps} commits ({} per commit)", per_commit(cells));
     println!("{read} allocations over {steps} first reads ({} per read)", per_commit(read));
     assert!(
         2 * counted <= POINT_KEYED_ALLOCATIONS,
         "{counted} allocations over {steps} dense commits; the point-keyed build made \
          {POINT_KEYED_ALLOCATIONS}, and the bound is half of that"
+    );
+    assert!(
+        counted + cells <= PER_CELL_LIST_ALLOCATIONS,
+        "{counted} allocations and {cells} rebuilt cells over {steps} dense commits; with a list \
+         vector per cell the build made {PER_CELL_LIST_ALLOCATIONS}, and flat runs must save at \
+         least one allocation per cell"
     );
     assert!(
         2 * read <= READ_DERIVED_ALLOCATIONS,

@@ -27,7 +27,7 @@ fn digest(inst: &SpatialInstance) -> u32 {
     for v in c.vertex_ids() {
         let d = c.vertex(v);
         let label = label_pairs(&d.label);
-        writeln!(out, "v{} {:?} {:?} {:?}", v.0, d.point, d.rotation, label).unwrap();
+        writeln!(out, "v{} {:?} {:?} {:?}", v.0, d.point, c.vertex_rotation(v), label).unwrap();
     }
     for e in c.edge_ids() {
         let d = c.edge(e);
@@ -36,14 +36,14 @@ fn digest(inst: &SpatialInstance) -> u32 {
         writeln!(
             out,
             "e{} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
-            e.0, d.tail, d.head, d.polyline, d.left_face, d.right_face, marks, label
+            e.0, d.tail, d.head, c.edge_polyline(e), d.left_face, d.right_face, marks, label
         )
         .unwrap();
     }
     for f in c.face_ids() {
         let d = c.face(f);
         let label = label_pairs(&d.label);
-        writeln!(out, "f{} {} {:?} {:?}", f.0, d.is_exterior, d.boundary_edges, label).unwrap();
+        writeln!(out, "f{} {} {:?} {:?}", f.0, d.is_exterior, c.face_boundary(f), label).unwrap();
     }
     crc32(out.as_bytes())
 }
