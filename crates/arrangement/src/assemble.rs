@@ -302,10 +302,6 @@ where
     (components, missing.len())
 }
 
-fn group_key(members: &[Member<'_>]) -> Vec<String> {
-    members.iter().map(|(name, _)| name.to_string()).collect()
-}
-
 /// The outcome of [`build_components_with_reuse`]: the partition's
 /// per-group sorted region-name keys and the corresponding component
 /// sub-complexes, both in partition order, plus how many components had to
@@ -339,7 +335,8 @@ where
         .iter()
         .map(|group| group_members(instance, &names, group))
         .collect();
-    let keys: Vec<Vec<String>> = groups.iter().map(|g| group_key(g)).collect();
+    let keys: Vec<Vec<String>> =
+        groups.iter().map(|g| g.iter().map(|(name, _)| name.to_string()).collect()).collect();
     let slots = keys.iter().map(|key| reuse(key)).collect();
     let (components, rebuilt) = fill_slots(slots, |i| build_group(&groups[i], &[], &[]));
     ComponentSet { keys, components, rebuilt }
@@ -369,9 +366,11 @@ pub struct ComponentUpdate {
 /// without its segments, names or coordinates being looked at (the
 /// partition patch in `partition.rs` spends one box test on it). Only the
 /// remaining regions are partitioned, and each resulting group is offered
-/// to `hint` — which may return an already-built component for that exact
-/// sorted name set, guaranteed by the caller to match the group's current
-/// geometry — before being rebuilt under the same fan-out as
+/// to `hint` by its members (name and region, ascending by name, borrowed:
+/// a hint that declines costs no allocation) — which may return an
+/// already-built component for exactly those members, guaranteed by the
+/// caller to match their current geometry — before being rebuilt under the
+/// same fan-out as
 /// [`build_components_with_reuse`]. A rebuild re-splits only the
 /// neighbourhood of the change: it copies the cut sets of every segment of
 /// an unchanged member whose box meets no fresh segment and no segment of a
@@ -391,11 +390,11 @@ pub fn update_components<S, F>(
 ) -> ComponentUpdate
 where
     S: AsRef<str>,
-    F: Fn(&[String]) -> Option<Arc<ComponentComplex>>,
+    F: Fn(&[(&str, &Region)]) -> Option<Arc<ComponentComplex>>,
 {
     let Repartition { carried, groups } = repartition(prev, instance, changed);
     let changed: Vec<&str> = changed.iter().map(AsRef::as_ref).collect();
-    let slots = groups.iter().map(|g| hint(&group_key(&g.members))).collect();
+    let slots = groups.iter().map(|g| hint(&g.members)).collect();
     let (fresh, rebuilt) = fill_slots(slots, |i| {
         let bases: Vec<&ComponentComplex> = groups[i].bases.iter().map(|&b| &*prev[b]).collect();
         build_group(&groups[i].members, &bases, &changed)

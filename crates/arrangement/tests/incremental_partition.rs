@@ -274,9 +274,11 @@ fn the_hint_is_asked_about_dirty_groups_only_and_its_answer_is_used_as_is() {
     let mut next = base.instance.clone();
     next.insert(name.clone(), region.clone());
     let asked = std::cell::RefCell::new(Vec::new());
-    let again = update_components(base.components(), &next, &[name], |key| {
-        asked.borrow_mut().push(key.to_vec());
-        built.iter().find(|c| c.region_names() == key).cloned()
+    let again = update_components(base.components(), &next, &[name], |members| {
+        let key: Vec<String> = members.iter().map(|(n, _)| n.to_string()).collect();
+        let found = built.iter().find(|c| c.region_names() == key).cloned();
+        asked.borrow_mut().push(key);
+        found
     });
     assert_eq!(again.rebuilt, 0);
     assert!(asked.borrow().iter().all(|key| !untouched.contains(key)), "asked about a carried key");

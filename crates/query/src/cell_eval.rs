@@ -9,10 +9,11 @@
 //! region can be deformed onto a union of cells.
 //!
 //! The evaluator represents every region (named or quantified) by the set of
-//! *faces* it consists of; interiors, boundaries and closures of such regions
-//! are exact unions of cells, so every 4-intersection atom is decided purely
-//! combinatorially — this is the reduction of topological queries to the
-//! invariant promised by Corollary 3.7, in executable form.
+//! *faces* it consists of ([`CellRegion`]); interiors, boundaries and
+//! closures of such regions are exact unions of cells, so every
+//! 4-intersection atom is decided purely combinatorially — this is the
+//! reduction of topological queries to the invariant promised by
+//! Corollary 3.7, in executable form.
 //!
 //! ## Cost model
 //!
@@ -24,10 +25,10 @@
 //! * [`CellEvaluator::from_view`] (what `topodb::Snapshot::evaluator` and
 //!   [`CellEvaluator::new`] build) reads a shared [`GlobalComplexView`].
 //!   Construction is `O(regions + components)`: it copies the region boxes
-//!   the component builds computed and scans no cell. A name's face set is
-//!   resolved on its first use, from the interior faces its component's
-//!   build emitted, and the planner probes the view's own two-level spatial
-//!   index.
+//!   the component builds computed and scans no cell. A name's region is
+//!   resolved on its first use and kept as the view returns it: the
+//!   ascending run of the interior faces its component's build emitted.
+//!   The planner probes the view's own two-level spatial index.
 //! * [`CellEvaluator::from_complex`] reads any [`ComplexRead`] — over the
 //!   flat [`arrangement::CellComplex`] it is the reference the view-backed
 //!   evaluator is differentially tested against, served by the flat
@@ -37,9 +38,10 @@
 //! first needs it. Per atom, a relation between two named regions whose
 //! boxes do not interact is answered from the boxes alone. Otherwise the
 //! operands' boundary and interior edges and vertices come from walking the
-//! incidence of their own faces — `O(faces × degree)`, memoized per named
-//! region and per quantifier value — and the 4-intersection test is a merge
-//! of sorted lists; nothing scans the complex.
+//! incidence of their own faces — `O(faces × degree)`, once per
+//! [`CellRegion`], which a named region's slot and a quantifier value each
+//! hold — and every test (intersection, subset, equality) is a merge or a
+//! comparison of ascending runs; nothing scans the complex.
 //!
 //! Relation reads ([`CellEvaluator::named_relation`], what
 //! `topodb::Snapshot::{relation, relations_of, relation_matrix}` serve) run
@@ -55,13 +57,37 @@ use arrangement::{
 };
 use relations::{FourIntersectionMatrix, Relation4};
 use spatial_core::prelude::SpatialInstance;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// A region represented as the set of (bounded) faces it consists of.
-pub type FaceSet = BTreeSet<usize>;
+/// A region of the evaluator, named or quantified: the ascending run of the
+/// bounded faces it consists of, and the cells of its closure besides those
+/// faces, walked from its faces' incidence on first use. Two regions are
+/// equal when their faces are, since the rest follows from the faces.
+#[derive(Debug)]
+pub struct CellRegion {
+    faces: Vec<FaceId>,
+    parts: OnceLock<Parts>,
+}
+
+impl CellRegion {
+    fn new(faces: Vec<FaceId>) -> CellRegion {
+        CellRegion { faces, parts: OnceLock::new() }
+    }
+
+    /// The faces the region consists of, ascending.
+    pub fn faces(&self) -> &[FaceId] {
+        &self.faces
+    }
+}
+
+impl PartialEq for CellRegion {
+    fn eq(&self, other: &CellRegion) -> bool {
+        self.faces == other.faces
+    }
+}
 
 /// One satisfying assignment of a query's free name variables: variable →
 /// region name. Produced by [`CellEvaluator::eval_bindings`] and carried by
@@ -102,51 +128,46 @@ impl std::error::Error for EvalError {}
 
 /// The evaluation structure over an instance's cell complex `C`: the
 /// zero-copy view by default, or any other [`ComplexRead`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CellEvaluator<C = GlobalComplexView> {
-    /// Where names, face sets and incidences are read from.
+    /// Where names, faces and incidences are read from.
     complex: Arc<C>,
-    /// Per name, its face set, resolved from the complex on first use.
-    name_sets: Vec<OnceLock<FaceSet>>,
+    /// Per name, its region, resolved from the complex on first use.
+    regions: Vec<OnceLock<CellRegion>>,
     /// Bounding box of every named region's boundary, aligned with the
     /// names (`None` for a region contributing no boundary edge).
     bboxes: Vec<Option<BBox>>,
-    /// Per name, the edges and vertices of its face set, walked on first
-    /// use by the 4-intersection classifier.
-    name_parts: Vec<OnceLock<Parts>>,
     /// For every face, the faces sharing an edge with it (ascending), built
     /// when a region quantifier first needs it.
-    dual: OnceLock<Vec<Vec<usize>>>,
+    dual: OnceLock<Vec<Vec<FaceId>>>,
     /// The spatial index over the region boxes, taken from the complex on
     /// first planner use — or pre-seeded with an already-built one via
     /// [`CellEvaluator::with_spatial_index`].
     index: OnceLock<Arc<SpatialIndex>>,
     /// Number of candidate values tried during binding enumeration (naive
-    /// and planned paths both count; shared by clones). See
+    /// and planned paths both count). See
     /// [`CellEvaluator::assignments_tried`].
-    assignments: Arc<AtomicU64>,
+    assignments: AtomicU64,
     /// Number of `Rel` atoms and [`CellEvaluator::named_relation`] reads
     /// answered by the bounding-box *disjointness* short-circuit without
-    /// touching the complex (shared by clones). See
-    /// [`CellEvaluator::rel_shortcuts_by_kind`].
-    rel_shortcut_hits: Arc<AtomicU64>,
+    /// touching the complex. See [`CellEvaluator::rel_shortcuts_by_kind`].
+    rel_shortcut_hits: AtomicU64,
     /// Number of `Rel` atoms *refuted* by the bounding-box nesting
     /// short-circuit — a containment-implying atom whose operand boxes are
-    /// not nested accordingly (shared by clones). See
-    /// [`CellEvaluator::rel_shortcuts_by_kind`].
-    rel_nesting_hits: Arc<AtomicU64>,
+    /// not nested accordingly. See [`CellEvaluator::rel_shortcuts_by_kind`].
+    rel_nesting_hits: AtomicU64,
     /// All legitimate quantifier values (disc-like unions of bounded faces),
     /// enumerated lazily on first use. A [`std::sync::OnceLock`] (not a
     /// `Cell`-based cache) so the evaluator is `Sync` and can serve query
     /// traffic from many threads at once — the `topodb::Snapshot` read path
     /// shares one evaluator per snapshot.
-    domain: OnceLock<Result<Domain, EvalError>>,
+    domain: OnceLock<Result<Vec<CellRegion>, EvalError>>,
     /// Cap on the number of candidate regions.
     domain_cap: usize,
 }
 
-/// The cells of a face-set region besides its faces, each list ascending.
-#[derive(Clone, Debug)]
+/// The cells of a region's closure besides its faces, each list ascending.
+#[derive(Debug)]
 struct Parts {
     /// Edges with exactly one incident face in the set.
     boundary_edges: Vec<usize>,
@@ -156,21 +177,6 @@ struct Parts {
     boundary_vertices: Vec<usize>,
     /// Vertices with all incident faces in the set.
     interior_vertices: Vec<usize>,
-}
-
-/// The enumerated quantifier domain, with the parts of each value walked on
-/// first use.
-#[derive(Clone, Debug)]
-struct Domain {
-    regions: Vec<FaceSet>,
-    parts: Vec<OnceLock<Parts>>,
-}
-
-/// A region operand of an atom: its faces and the memo slot of its parts.
-#[derive(Clone, Copy)]
-struct Operand<'a> {
-    faces: &'a FaceSet,
-    parts: &'a OnceLock<Parts>,
 }
 
 impl CellEvaluator {
@@ -212,14 +218,13 @@ impl<C: ComplexRead> CellEvaluator<C> {
         let bboxes = complex.region_bboxes();
         CellEvaluator {
             complex,
-            name_sets: (0..bboxes.len()).map(|_| OnceLock::new()).collect(),
-            name_parts: (0..bboxes.len()).map(|_| OnceLock::new()).collect(),
+            regions: (0..bboxes.len()).map(|_| OnceLock::new()).collect(),
             bboxes,
             dual: OnceLock::new(),
             index: OnceLock::new(),
-            assignments: Arc::new(AtomicU64::new(0)),
-            rel_shortcut_hits: Arc::new(AtomicU64::new(0)),
-            rel_nesting_hits: Arc::new(AtomicU64::new(0)),
+            assignments: AtomicU64::new(0),
+            rel_shortcut_hits: AtomicU64::new(0),
+            rel_nesting_hits: AtomicU64::new(0),
             domain: OnceLock::new(),
             domain_cap: 100_000,
         }
@@ -250,8 +255,8 @@ impl<C: ComplexRead> CellEvaluator<C> {
     }
 
     /// How many candidate values the binding enumerators have tried (naive
-    /// and planned paths both count one per variable-value attempt; the
-    /// counter is shared by all clones). Together with
+    /// and planned paths both count one per variable-value attempt).
+    /// Together with
     /// [`SpatialIndex::probe_count`] this is the planner-work metric
     /// recorded by the bench snapshot.
     pub fn assignments_tried(&self) -> u64 {
@@ -259,8 +264,8 @@ impl<C: ComplexRead> CellEvaluator<C> {
     }
 
     /// How many `Rel` atoms were answered by a bounding-box short-circuit
-    /// (either kind) without computing a 4-intersection matrix. Shared by
-    /// all clones; a planner-work metric like
+    /// (either kind) without computing a 4-intersection matrix; a
+    /// planner-work metric like
     /// [`CellEvaluator::assignments_tried`]. The split by kind is
     /// [`CellEvaluator::rel_shortcuts_by_kind`].
     pub fn rel_shortcuts(&self) -> u64 {
@@ -295,46 +300,36 @@ impl<C: ComplexRead> CellEvaluator<C> {
         self.complex.region_index(name)
     }
 
-    /// The face set of a named region.
-    pub fn named_region(&self, name: &str) -> Option<&FaceSet> {
-        Some(self.name_set(self.name_index(name)?))
+    /// A named region, its faces as [`ComplexRead::region_faces`] returns
+    /// them, resolved on first use and then shared by every atom, relation
+    /// read and query that names it.
+    pub fn named_region(&self, name: &str) -> Option<&CellRegion> {
+        Some(self.region(self.name_index(name)?))
     }
 
-    fn name_set(&self, i: usize) -> &FaceSet {
-        self.name_sets[i].get_or_init(|| {
-            let name = &self.complex.region_names()[i];
-            self.complex.region_faces(name).into_iter().map(|f| f.0).collect()
+    fn region(&self, i: usize) -> &CellRegion {
+        self.regions[i].get_or_init(|| {
+            CellRegion::new(self.complex.region_faces(&self.complex.region_names()[i]))
         })
     }
 
-    fn name_operand(&self, i: usize) -> Operand<'_> {
-        Operand { faces: self.name_set(i), parts: &self.name_parts[i] }
-    }
-
     /// All legitimate quantifier values: nonempty, dual-connected,
-    /// simply-connected unions of bounded faces.
-    pub fn quantifier_domain(&self) -> Result<&[FaceSet], EvalError> {
-        self.domain().map(|d| d.regions.as_slice())
-    }
-
-    fn domain(&self) -> Result<&Domain, EvalError> {
-        let result = self.domain.get_or_init(|| {
-            let regions = self.enumerate_regions()?;
-            let parts = (0..regions.len()).map(|_| OnceLock::new()).collect();
-            Ok(Domain { regions, parts })
-        });
-        result.as_ref().map_err(Clone::clone)
+    /// simply-connected unions of bounded faces, enumerated on first use.
+    /// Each value walks its parts on its own first use, as a name does.
+    pub fn quantifier_domain(&self) -> Result<&[CellRegion], EvalError> {
+        let domain = self.domain.get_or_init(|| self.enumerate_regions());
+        domain.as_deref().map_err(Clone::clone)
     }
 
     /// The dual graph, built on first use from every edge's two faces.
-    fn dual(&self) -> &[Vec<usize>] {
+    fn dual(&self) -> &[Vec<FaceId>] {
         self.dual.get_or_init(|| {
             let mut dual = vec![Vec::new(); self.complex.face_count()];
             for e in self.complex.edge_ids() {
-                let (FaceId(l), FaceId(r)) = self.complex.edge_faces(e);
+                let (l, r) = self.complex.edge_faces(e);
                 if l != r {
-                    dual[l].push(r);
-                    dual[r].push(l);
+                    dual[l.0].push(r);
+                    dual[r.0].push(l);
                 }
             }
             for neighbors in &mut dual {
@@ -345,20 +340,17 @@ impl<C: ComplexRead> CellEvaluator<C> {
         })
     }
 
-    fn enumerate_regions(&self) -> Result<Vec<FaceSet>, EvalError> {
-        let exterior = self.complex.exterior_face().0;
-        let mut out: Vec<FaceSet> = Vec::new();
+    fn enumerate_regions(&self) -> Result<Vec<CellRegion>, EvalError> {
+        let mut out: Vec<Vec<FaceId>> = Vec::new();
         // Enumerate connected subsets of the dual graph restricted to bounded
         // faces, by the standard "extend with larger-indexed neighbors of the
         // component, anchored at its minimum element" scheme.
-        for start in (0..self.complex.face_count()).filter(|&f| f != exterior) {
-            let mut current: FaceSet = BTreeSet::from([start]);
-            self.extend_regions(start, &mut current, &mut out, &[])?;
+        for start in self.complex.face_ids().filter(|&f| f != self.complex.exterior_face()) {
+            self.extend_regions(start, &mut vec![start], &mut out, &[])?;
         }
         // Keep only simply connected ones (complement connected through the
         // dual graph, exterior face included).
-        let out = out.into_iter().filter(|s| self.complement_connected(s)).collect();
-        Ok(out)
+        Ok(out.into_iter().filter(|s| self.complement_connected(s)).map(CellRegion::new).collect())
     }
 
     /// Record `current` and every connected extension of it by faces larger
@@ -366,10 +358,10 @@ impl<C: ComplexRead> CellEvaluator<C> {
     /// by an earlier sibling branch are `excluded` from the later ones.
     fn extend_regions(
         &self,
-        anchor: usize,
-        current: &mut FaceSet,
-        out: &mut Vec<FaceSet>,
-        excluded: &[usize],
+        anchor: FaceId,
+        current: &mut Vec<FaceId>,
+        out: &mut Vec<Vec<FaceId>>,
+        excluded: &[FaceId],
     ) -> Result<(), EvalError> {
         if out.len() >= self.domain_cap {
             return Err(EvalError::DomainTooLarge {
@@ -378,14 +370,14 @@ impl<C: ComplexRead> CellEvaluator<C> {
             });
         }
         out.push(current.clone());
-        let exterior = self.complex.exterior_face().0;
+        let exterior = self.complex.exterior_face();
         let dual = self.dual();
-        let mut candidates: Vec<usize> = Vec::new();
-        for &f in current.iter() {
-            for &g in &dual[f] {
+        let mut candidates: Vec<FaceId> = Vec::new();
+        for f in current.iter() {
+            for &g in &dual[f.0] {
                 if g > anchor
                     && g != exterior
-                    && !current.contains(&g)
+                    && !in_run(current, &g)
                     && !excluded.contains(&g)
                     && !candidates.contains(&g)
                 {
@@ -395,50 +387,54 @@ impl<C: ComplexRead> CellEvaluator<C> {
         }
         candidates.sort();
         for (i, &g) in candidates.iter().enumerate() {
-            current.insert(g);
+            let at = current.partition_point(|&f| f < g);
+            current.insert(at, g);
             let mut next_excluded = excluded.to_vec();
             next_excluded.extend_from_slice(&candidates[..i]);
             self.extend_regions(anchor, current, out, &next_excluded)?;
-            current.remove(&g);
+            current.remove(at);
         }
         Ok(())
     }
 
-    fn complement_connected(&self, s: &FaceSet) -> bool {
+    fn complement_connected(&self, s: &[FaceId]) -> bool {
         // `s` holds bounded faces only, so its complement holds the exterior.
         let complement = self.complex.face_count() - s.len();
         if complement == 0 {
             return false;
         }
         let dual = self.dual();
-        let start = self.complex.exterior_face().0;
-        let mut seen: BTreeSet<usize> = BTreeSet::from([start]);
-        let mut stack = vec![start];
+        let start = self.complex.exterior_face();
+        let mut seen = vec![false; self.complex.face_count()];
+        seen[start.0] = true;
+        let (mut reached, mut stack) = (1, vec![start]);
         while let Some(f) = stack.pop() {
-            for &g in &dual[f] {
-                if !s.contains(&g) && seen.insert(g) {
+            for &g in &dual[f.0] {
+                if !seen[g.0] && !in_run(s, &g) {
+                    seen[g.0] = true;
+                    reached += 1;
                     stack.push(g);
                 }
             }
         }
-        seen.len() == complement
+        reached == complement
     }
 
     // ---- region part computations -------------------------------------
 
-    /// The edges and vertices of a face-set region, found by walking the
+    /// The edges and vertices of a region's closure, found by walking the
     /// incidence of its own faces: an edge is a boundary edge when exactly
     /// one of its faces is in the set and an interior edge when both are.
     /// Around a vertex, face membership changes only across a boundary
     /// edge, so the boundary vertices are the ends of the boundary edges and
     /// the interior vertices the other ends of interior edges.
-    fn walk(&self, faces: &FaceSet) -> Parts {
+    fn walk(&self, faces: &[FaceId]) -> Parts {
         let mut boundary: Vec<(usize, (usize, usize))> = Vec::new();
         let mut interior: Vec<(usize, (usize, usize))> = Vec::new();
         for &f in faces {
-            self.complex.for_each_face_edge(FaceId(f), |e, (l, r), (a, b)| {
+            self.complex.for_each_face_edge(f, |e, (l, r), (a, b)| {
                 let cell = (e.0, (a.0, b.0));
-                if faces.contains(&l.0) && faces.contains(&r.0) {
+                if in_run(faces, &l) && in_run(faces, &r) {
                     interior.push(cell);
                 } else {
                     boundary.push(cell);
@@ -464,19 +460,13 @@ impl<C: ComplexRead> CellEvaluator<C> {
         }
     }
 
-    fn parts<'a>(&self, op: Operand<'a>) -> &'a Parts {
-        op.parts.get_or_init(|| self.walk(op.faces))
+    fn parts<'a>(&self, region: &'a CellRegion) -> &'a Parts {
+        region.parts.get_or_init(|| self.walk(&region.faces))
     }
 
-    /// Do the closures of two face-set regions intersect (the `connect`
-    /// primitive)?
-    pub fn connect(&self, a: &FaceSet, b: &FaceSet) -> bool {
-        let (pa, pb) = (OnceLock::new(), OnceLock::new());
-        self.connect_of(Operand { faces: a, parts: &pa }, Operand { faces: b, parts: &pb })
-    }
-
-    fn connect_of(&self, a: Operand<'_>, b: Operand<'_>) -> bool {
-        if a.faces.intersection(b.faces).next().is_some() {
+    /// Do the closures of two regions intersect (the `connect` primitive)?
+    pub fn connect(&self, a: &CellRegion, b: &CellRegion) -> bool {
+        if meets(&a.faces, &b.faces) {
             return true;
         }
         // Closure = faces + boundary edges + boundary and interior vertices;
@@ -488,18 +478,13 @@ impl<C: ComplexRead> CellEvaluator<C> {
             })
     }
 
-    /// The exact 4-intersection matrix between two face-set regions.
-    pub fn matrix(&self, a: &FaceSet, b: &FaceSet) -> FourIntersectionMatrix {
-        let (pa, pb) = (OnceLock::new(), OnceLock::new());
-        self.matrix_of(Operand { faces: a, parts: &pa }, Operand { faces: b, parts: &pb })
-    }
-
-    fn matrix_of(&self, a: Operand<'_>, b: Operand<'_>) -> FourIntersectionMatrix {
+    /// The exact 4-intersection matrix between two regions.
+    pub fn matrix(&self, a: &CellRegion, b: &CellRegion) -> FourIntersectionMatrix {
         let (pa, pb) = (self.parts(a), self.parts(b));
         // int(A) ∩ ∂B: ∂B's cells are edges and vertices, and one of them
         // lies in A's interior iff it is an interior edge or vertex of A.
         FourIntersectionMatrix {
-            interiors: a.faces.intersection(b.faces).next().is_some(),
+            interiors: meets(&a.faces, &b.faces),
             boundaries: meets(&pa.boundary_edges, &pb.boundary_edges)
                 || meets(&pa.boundary_vertices, &pb.boundary_vertices),
             interior_a_boundary_b: meets(&pb.boundary_edges, &pa.interior_edges)
@@ -509,17 +494,12 @@ impl<C: ComplexRead> CellEvaluator<C> {
         }
     }
 
-    /// The 4-intersection relation between two face-set regions.
-    pub fn relation(&self, a: &FaceSet, b: &FaceSet) -> Option<Relation4> {
-        let (pa, pb) = (OnceLock::new(), OnceLock::new());
-        self.relation_of(Operand { faces: a, parts: &pa }, Operand { faces: b, parts: &pb })
-    }
-
-    fn relation_of(&self, a: Operand<'_>, b: Operand<'_>) -> Option<Relation4> {
-        if a.faces == b.faces {
+    /// The 4-intersection relation between two regions.
+    pub fn relation(&self, a: &CellRegion, b: &CellRegion) -> Option<Relation4> {
+        if a == b {
             return Some(Relation4::Equal);
         }
-        Relation4::from_matrix(self.matrix_of(a, b))
+        Relation4::from_matrix(self.matrix(a, b))
     }
 
     /// The 4-intersection relation between two named regions: what a `Rel`
@@ -533,11 +513,11 @@ impl<C: ComplexRead> CellEvaluator<C> {
 
     /// The one classifier of named regions. A region's closure lies inside
     /// its boundary bbox, so two regions whose boxes do not interact are
-    /// `disjoint`, answered without resolving a face set. A region with a
-    /// box has a boundary edge and positive area, so its face set is not
+    /// `disjoint`, answered without resolving either region. A region with
+    /// a box has a boundary edge and positive area, so its faces are not
     /// empty (empty regions would compare `equal` whatever their boxes).
-    /// Otherwise — boxless names included — the memoized parts of both
-    /// names go to the 4-intersection classifier.
+    /// Otherwise — boxless names included — both named regions, with their
+    /// memoized parts, go to the 4-intersection classifier.
     fn relation_of_names(&self, a: usize, b: usize) -> Option<Relation4> {
         if let (Some(ab), Some(bb)) = (&self.bboxes[a], &self.bboxes[b]) {
             if !ab.intersects(bb) {
@@ -545,7 +525,7 @@ impl<C: ComplexRead> CellEvaluator<C> {
                 return Some(Relation4::Disjoint);
             }
         }
-        self.relation_of(self.name_operand(a), self.name_operand(b))
+        self.relation(self.region(a), self.region(b))
     }
 
     // ---- formula evaluation ---------------------------------------------
@@ -895,12 +875,12 @@ impl<C: ComplexRead> CellEvaluator<C> {
         &'a self,
         e: &RegionExpr,
         env: &Environment<'a>,
-    ) -> Result<Operand<'a>, EvalError> {
+    ) -> Result<&'a CellRegion, EvalError> {
         match e {
             RegionExpr::Var(v) => {
                 env.regions.get(v).copied().ok_or_else(|| EvalError::UnboundVariable(v.clone()))
             }
-            RegionExpr::Ext(t) => Ok(self.name_operand(self.resolve_name(t, env)?)),
+            RegionExpr::Ext(t) => Ok(self.region(self.resolve_name(t, env)?)),
         }
     }
 
@@ -941,17 +921,17 @@ impl<C: ComplexRead> CellEvaluator<C> {
                 }
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
-                Ok(self.relation_of(a, b) == Some(*r))
+                Ok(self.relation(a, b) == Some(*r))
             }
             Formula::Connect(p, q) => {
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
-                Ok(self.connect_of(a, b))
+                Ok(self.connect(a, b))
             }
             Formula::Subset(p, q) => {
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
-                Ok(a.faces.is_subset(b.faces))
+                Ok(is_subset(&a.faces, &b.faces))
             }
             Formula::NameEq(x, y) => {
                 Ok(self.resolve_name(x, env)? == self.resolve_name(y, env)?)
@@ -968,80 +948,47 @@ impl<C: ComplexRead> CellEvaluator<C> {
                 }
                 Ok(!or)
             }
-            Formula::ExistsRegion(v, f) => self.quantify_region(v, f, env, true),
-            Formula::ForallRegion(v, f) => self.quantify_region(v, f, env, false),
-            Formula::ExistsName(v, f) => self.quantify_name(v, f, env, true),
-            Formula::ForallName(v, f) => self.quantify_name(v, f, env, false),
+            Formula::ExistsRegion(v, f) | Formula::ForallRegion(v, f) => {
+                let existential = matches!(formula, Formula::ExistsRegion(..));
+                let domain = self.quantifier_domain()?;
+                self.quantify(v, domain, |env| &mut env.regions, f, env, existential)
+            }
+            Formula::ExistsName(v, f) | Formula::ForallName(v, f) => {
+                let existential = matches!(formula, Formula::ExistsName(..));
+                let names = 0..self.complex.region_names().len();
+                self.quantify(v, names, |env| &mut env.names, f, env, existential)
+            }
         }
     }
 
-    /// Evaluate `body` with `var` bound to every quantifier-domain region in
-    /// turn, short-circuiting on the decisive value (`existential`: first
-    /// witness; otherwise first counterexample). Any outer binding of the
-    /// same variable name — a shadowed quantifier or a free variable being
-    /// enumerated by [`CellEvaluator::eval_bindings`] — is restored before
-    /// returning.
-    fn quantify_region<'a>(
+    /// Evaluate `body` with `var` bound to every value in turn — through the
+    /// environment map `slot` selects — short-circuiting on the decisive
+    /// value (`existential`: first witness; otherwise first
+    /// counterexample). Any outer binding of the same variable name — a
+    /// shadowed quantifier or a free variable being enumerated by
+    /// [`CellEvaluator::eval_bindings`] — is restored before returning.
+    fn quantify<'a, V>(
         &'a self,
         var: &str,
+        values: impl IntoIterator<Item = V>,
+        slot: for<'e> fn(&'e mut Environment<'a>) -> &'e mut BTreeMap<String, V>,
         body: &Formula,
         env: &mut Environment<'a>,
         existential: bool,
     ) -> Result<bool, EvalError> {
-        let domain = self.domain()?;
-        let saved = env.regions.remove(var);
-        let mut result = Ok(!existential);
-        for (faces, parts) in domain.regions.iter().zip(&domain.parts) {
-            env.regions.insert(var.to_string(), Operand { faces, parts });
+        let saved = slot(env).remove(var);
+        let decisive = values.into_iter().find_map(|value| {
+            slot(env).insert(var.to_string(), value);
             match self.eval_inner(body, env) {
-                Ok(b) if b == existential => {
-                    result = Ok(existential);
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
+                Ok(b) if b != existential => None,
+                decided => Some(decided),
             }
-        }
-        env.regions.remove(var);
+        });
+        slot(env).remove(var);
         if let Some(outer) = saved {
-            env.regions.insert(var.to_string(), outer);
+            slot(env).insert(var.to_string(), outer);
         }
-        result
-    }
-
-    /// Name-variable counterpart of [`CellEvaluator::quantify_region`]: the
-    /// domain is `names(I)`, with the same shadow-restoring contract.
-    fn quantify_name<'a>(
-        &'a self,
-        var: &str,
-        body: &Formula,
-        env: &mut Environment<'a>,
-        existential: bool,
-    ) -> Result<bool, EvalError> {
-        let saved = env.names.remove(var);
-        let mut result = Ok(!existential);
-        for idx in 0..self.complex.region_names().len() {
-            env.names.insert(var.to_string(), idx);
-            match self.eval_inner(body, env) {
-                Ok(b) if b == existential => {
-                    result = Ok(existential);
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        env.names.remove(var);
-        if let Some(outer) = saved {
-            env.names.insert(var.to_string(), outer);
-        }
-        result
+        decisive.unwrap_or(Ok(!existential))
     }
 }
 
@@ -1051,7 +998,7 @@ impl<C: ComplexRead> CellEvaluator<C> {
 /// domain values, borrowed with their parts memo.
 #[derive(Default)]
 struct Environment<'a> {
-    regions: BTreeMap<String, Operand<'a>>,
+    regions: BTreeMap<String, &'a CellRegion>,
     names: BTreeMap<String, usize>,
 }
 
@@ -1068,8 +1015,8 @@ impl PlanCtx {
     }
 }
 
-/// Do two ascending-sorted index lists share an element?
-fn meets(a: &[usize], b: &[usize]) -> bool {
+/// Do two ascending runs share an element?
+fn meets<T: Ord>(a: &[T], b: &[T]) -> bool {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -1079,6 +1026,18 @@ fn meets(a: &[usize], b: &[usize]) -> bool {
         }
     }
     false
+}
+
+/// Is every element of the ascending run `a` in the ascending run `b`? One
+/// pass over both: `b` is consumed up to each element of `a` in turn.
+fn is_subset<T: Ord>(a: &[T], b: &[T]) -> bool {
+    let mut rest = b.iter();
+    a.len() <= b.len() && a.iter().all(|x| rest.any(|y| y == x))
+}
+
+/// Is `x` an element of the ascending run `run`?
+fn in_run<T: Ord>(run: &[T], x: &T) -> bool {
+    run.binary_search(x).is_ok()
 }
 
 /// Intersection of two ascending-sorted index lists.
@@ -1109,8 +1068,10 @@ pub fn eval_on_instance(instance: &SpatialInstance, formula: &Formula) -> Result
 mod tests {
     use super::*;
     use crate::ast::{Formula as F, RegionExpr as R};
+    use rand::{Rng, SeedableRng};
     use relations::Relation4::*;
     use spatial_core::fixtures;
+    use std::collections::BTreeSet;
 
     /// The paper's Example 4.1 query: ∃r. r ⊆ A ∧ r ⊆ B ∧ r ⊆ C.
     fn triple_intersection_query() -> Formula {
@@ -1422,15 +1383,14 @@ mod tests {
             let complex = build_complex_view(&inst);
             let ev = CellEvaluator::new(&inst);
             let dual = ev.dual();
-            let exterior = complex.exterior_face().0;
-            let bounded: Vec<usize> =
-                (0..complex.face_count()).filter(|&f| f != exterior).collect();
+            let exterior = complex.exterior_face();
+            let bounded: Vec<FaceId> = complex.face_ids().filter(|&f| f != exterior).collect();
             assert!(bounded.len() <= 16, "{name}: brute force stays small");
-            let connected = |set: &FaceSet, start: usize| -> usize {
+            let connected = |set: &BTreeSet<FaceId>, start: FaceId| -> usize {
                 let mut seen = BTreeSet::from([start]);
                 let mut stack = vec![start];
                 while let Some(f) = stack.pop() {
-                    for &g in &dual[f] {
+                    for &g in &dual[f.0] {
                         if set.contains(&g) && seen.insert(g) {
                             stack.push(g);
                         }
@@ -1438,22 +1398,22 @@ mod tests {
                 }
                 seen.len()
             };
-            let mut expected: BTreeSet<FaceSet> = BTreeSet::new();
+            let mut expected: BTreeSet<Vec<FaceId>> = BTreeSet::new();
             for mask in 1u32..(1 << bounded.len()) {
-                let s: FaceSet = bounded
+                let s: BTreeSet<FaceId> = bounded
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| mask >> i & 1 == 1)
                     .map(|(_, &f)| f)
                     .collect();
-                let rest: FaceSet = (0..complex.face_count()).filter(|f| !s.contains(f)).collect();
+                let rest: BTreeSet<FaceId> = complex.face_ids().filter(|f| !s.contains(f)).collect();
                 let first = *s.iter().next().expect("nonempty");
                 if connected(&s, first) == s.len() && connected(&rest, exterior) == rest.len() {
-                    expected.insert(s);
+                    expected.insert(s.into_iter().collect());
                 }
             }
             let domain = ev.quantifier_domain().unwrap();
-            let listed: BTreeSet<FaceSet> = domain.iter().cloned().collect();
+            let listed: BTreeSet<Vec<FaceId>> = domain.iter().map(|r| r.faces().to_vec()).collect();
             assert_eq!(listed.len(), domain.len(), "{name}: a value listed twice");
             assert_eq!(listed, expected, "{name}");
         }
@@ -1469,9 +1429,10 @@ mod tests {
         ]) {
             let flat = build_complex_view(&inst).to_cell_complex();
             let ev = CellEvaluator::new(&inst);
-            let named = ev.names().into_iter().map(|n| ev.named_region(n).unwrap().clone());
-            for s in named.chain(ev.quantifier_domain().unwrap().iter().cloned()) {
-                let inside = |f: FaceId| s.contains(&f.0);
+            let named = ev.names().into_iter().map(|n| ev.named_region(n).unwrap());
+            for region in named.chain(ev.quantifier_domain().unwrap()) {
+                let s = region.faces();
+                let inside = |f: FaceId| s.contains(&f);
                 let edges = |both: bool| -> Vec<usize> {
                     flat.edge_ids()
                         .filter(|&e| {
@@ -1491,7 +1452,7 @@ mod tests {
                         .map(|v| v.0)
                         .collect()
                 };
-                let parts = ev.walk(&s);
+                let parts = ev.walk(s);
                 assert_eq!(parts.boundary_edges, edges(false), "{name} {s:?}");
                 assert_eq!(parts.interior_edges, edges(true), "{name} {s:?}");
                 assert_eq!(parts.boundary_vertices, vertices(false), "{name} {s:?}");
@@ -1503,13 +1464,45 @@ mod tests {
     #[test]
     fn named_region_relations_via_cells() {
         let ev = CellEvaluator::new(&fixtures::nested_three());
-        let a = ev.named_region("A").unwrap().clone();
-        let b = ev.named_region("B").unwrap().clone();
-        let c = ev.named_region("C").unwrap().clone();
-        assert_eq!(ev.relation(&a, &b), Some(Contains));
-        assert_eq!(ev.relation(&b, &a), Some(Inside));
-        assert_eq!(ev.relation(&c, &a), Some(Inside));
-        assert_eq!(ev.relation(&a, &a), Some(Equal));
-        assert!(ev.connect(&a, &b));
+        let a = ev.named_region("A").unwrap();
+        let b = ev.named_region("B").unwrap();
+        let c = ev.named_region("C").unwrap();
+        assert_eq!(ev.relation(a, b), Some(Contains));
+        assert_eq!(ev.relation(b, a), Some(Inside));
+        assert_eq!(ev.relation(c, a), Some(Inside));
+        assert_eq!(ev.relation(a, a), Some(Equal));
+        assert!(ev.connect(a, b));
+    }
+
+    #[test]
+    fn run_helpers_agree_with_btree_sets() {
+        // The evaluator and its `from_complex` reference share these
+        // helpers, so only a comparison with `BTreeSet` can catch a defect
+        // in them. Pairs are drawn empty, equal, nested, disjoint and at
+        // random, each side an ascending run over a small universe.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+        for round in 0..2_000 {
+            let universe = rng.gen_range(0..24usize);
+            let mut draw = || -> Vec<usize> {
+                (0..universe).filter(|_| rng.gen_range(0..3u32) == 0).collect()
+            };
+            let a = draw();
+            let b = match round % 5 {
+                0 => Vec::new(),
+                1 => a.clone(),
+                2 => a.iter().copied().filter(|x| x % 2 == 0).collect(),
+                3 => a.iter().map(|x| x + universe).collect(),
+                _ => draw(),
+            };
+            for (a, b) in [(&a, &b), (&b, &a)] {
+                let (sa, sb): (BTreeSet<usize>, BTreeSet<usize>) =
+                    (a.iter().copied().collect(), b.iter().copied().collect());
+                assert_eq!(meets(a, b), sa.intersection(&sb).next().is_some(), "meets {a:?} {b:?}");
+                assert_eq!(is_subset(a, b), sa.is_subset(&sb), "is_subset {a:?} {b:?}");
+                for x in 0..2 * universe + 1 {
+                    assert_eq!(in_run(a, &x), sa.contains(&x), "in_run {a:?} {x}");
+                }
+            }
+        }
     }
 }

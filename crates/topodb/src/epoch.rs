@@ -80,20 +80,24 @@ pub(crate) struct BuildCounters {
     pub publish_conflicts: AtomicU64,
 }
 
-/// The component with exactly the name set `key`, if `components` (in
-/// partition order: ascending smallest member name) has one.
+/// The component whose names are exactly those of `members` (ascending by
+/// name), if `components` (in partition order: ascending smallest member
+/// name) has one.
 fn find_component(
     components: &[Arc<ComponentComplex>],
-    key: &[String],
+    members: &[(&str, &Region)],
 ) -> Option<Arc<ComponentComplex>> {
-    let at = components.binary_search_by(|c| c.region_names()[0].cmp(&key[0])).ok()?;
-    (components[at].region_names() == key).then(|| Arc::clone(&components[at]))
+    let first = members[0].0;
+    let at = components.binary_search_by(|c| c.region_names()[0].as_str().cmp(first)).ok()?;
+    let names = components[at].region_names().iter().map(String::as_str);
+    names.eq(members.iter().map(|&(name, _)| name)).then(|| Arc::clone(&components[at]))
 }
 
-/// Whether two instances give a name the same extent: the same shared
-/// region, or equal geometry (a region re-inserted by value).
-fn same_extent(a: Option<&Region>, b: Option<&Region>) -> bool {
-    a.zip(b).is_some_and(|(a, b)| std::ptr::eq(a, b) || a == b)
+/// Whether a name's extent in an earlier instance (`None` if absent) is the
+/// member's region: the same shared region, or equal geometry (a region
+/// re-inserted by value).
+fn same_extent(earlier: Option<&Region>, region: &Region) -> bool {
+    earlier.is_some_and(|earlier| std::ptr::eq(earlier, region) || earlier == region)
 }
 
 fn unpoison<G>(guard: LockResult<G>) -> G {
@@ -148,7 +152,7 @@ fn build_epoch<S, F>(
 ) -> Snapshot
 where
     S: AsRef<str>,
-    F: Fn(&[String]) -> Option<Arc<ComponentComplex>>,
+    F: Fn(&[(&str, &Region)]) -> Option<Arc<ComponentComplex>>,
 {
     let update = arrangement::update_components(base.components(), &instance, changed, hint);
     counters.component_rebuilds.fetch_add(update.rebuilt as u64, Ordering::Relaxed);
@@ -267,10 +271,10 @@ impl EpochChain {
                 new_head.view_ref(),
                 Arc::clone(&instance),
                 &changed,
-                |key: &[String]| {
-                    find_component(own.view_ref().components(), key).filter(|_| {
-                        key.iter().all(|name| {
-                            same_extent(own.inner.instance.ext(name), instance.ext(name))
+                |members: &[(&str, &Region)]| {
+                    find_component(own.view_ref().components(), members).filter(|_| {
+                        members.iter().all(|&(name, region)| {
+                            same_extent(own.inner.instance.ext(name), region)
                         })
                     })
                 },

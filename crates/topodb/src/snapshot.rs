@@ -57,7 +57,9 @@ use std::sync::{Arc, OnceLock};
 /// boxes) is built with the view at commit time, and the region index
 /// ([`Snapshot::spatial_index`], assembled from the component index and the
 /// carried region indexes), the evaluator (its copy of the region boxes
-/// and its per-name face sets) and the [`Invariant`] lazily, on first use.
+/// and a slot per name that holds the name's faces, as the view returns
+/// them, and their walked parts) and the [`Invariant`] lazily, on first
+/// use.
 ///
 /// [`TopoDatabase::snapshot`]: crate::TopoDatabase::snapshot
 #[derive(Clone, Debug)]
@@ -199,8 +201,9 @@ impl Snapshot {
     /// The evaluator is a view over the snapshot's complex
     /// ([`CellEvaluator::from_view`]): building it costs
     /// `O(regions + components)`, a copy of the region boxes the component
-    /// builds computed, and reads no edge. It resolves face sets per name on
-    /// first use from the interior faces the builds emitted, and its
+    /// builds computed, and reads no edge. It resolves a name's region on
+    /// first use, keeping the ascending run of interior faces the builds
+    /// emitted as the view returns it, and its
     /// semi-join planner shares the snapshot's cached spatial index
     /// ([`Snapshot::spatial_index`]).
     pub fn evaluator(&self) -> Arc<CellEvaluator> {
