@@ -53,27 +53,27 @@ use std::sync::{Arc, OnceLock};
 /// The independently built cell complex of one interaction component,
 /// together with the geometric data the assembly step needs to embed it into
 /// the global complex, its input segments and the cut sets of their split,
-/// the two per-region tables the read path serves (each region's box and its
-/// interior faces), and the one read-path memo derived from those (the index
-/// over the boxes).
+/// and the read-path tables it determines alone: each region's box, its
+/// interior faces and the index over the boxes.
 ///
-/// Both tables are outputs of the build: a region's box is the union of its
-/// input segments' boxes, which the split computes anyway, and its interior
-/// faces are the inversion of the final face labels (`builder::build_local`).
-/// A fresh snapshot's first read therefore scans no edge and no face label
-/// of a rebuilt component; only the region index is built on first use.
+/// All three are outputs of the build: a region's box is the union of its
+/// input segments' boxes, which the split computes anyway, its interior
+/// faces are the inversion of the final face labels (`builder::build_local`),
+/// and the index is bulk-loaded over the boxes. A fresh snapshot's first
+/// read therefore scans no edge and no face label of a rebuilt component,
+/// and builds nothing. The one lazy table is write-side nesting state, the
+/// bounded face cycles, which a component that nothing can nest in never
+/// needs.
 ///
 /// The cut sets are the output of the component's split, kept so that the
 /// next build of the component copies the cut sets of every segment nothing
 /// near changed instead of sweeping them again ([`update_components`]); the
 /// segments tell that build where a removed region's old geometry was.
 ///
-/// The region index is the one read-path state a component derives alone,
-/// keyed by local ids. It lives here, so a component carried across a commit
-/// — pointer-identically, behind its `Arc` — carries it, and only rebuilt
-/// components pay for it again. It stays lazy because a commit that nobody
-/// probes the index of need not sort its boxes. What depends on the rest of
-/// the database (global id offsets, nesting parents, inherited labels) is
+/// Everything here is keyed by local ids, so a component carried across a
+/// commit — pointer-identically, behind its `Arc` — carries it, and only
+/// rebuilt components pay for it again. What depends on the rest of the
+/// database (global id offsets, nesting parents, inherited labels) is
 /// per-epoch glue on the [`GlobalComplexView`](crate::GlobalComplexView).
 #[derive(Clone, Debug)]
 pub struct ComponentComplex {
@@ -103,21 +103,12 @@ pub struct ComponentComplex {
     /// The cut sets of the segments, in build order: local region `r`'s are
     /// runs `segments.range(r)`.
     pub(crate) cuts: CutSets,
-    /// The index over `region_bboxes`, in local ids, built on first use: the
-    /// lower level of the view's two-level region index.
-    region_index: OnceLock<SpatialIndex>,
+    /// The index over `region_bboxes`, in local ids: the lower level of the
+    /// view's two-level region index.
+    pub(crate) region_index: SpatialIndex,
 }
 
 impl ComponentComplex {
-    /// The spatial index over the region boxes, in local region ids,
-    /// memoized; `built` runs if this call builds it.
-    pub(crate) fn local_region_index(&self, built: impl FnOnce()) -> &SpatialIndex {
-        self.region_index.get_or_init(|| {
-            built();
-            SpatialIndex::build(&self.region_bboxes)
-        })
-    }
-
     /// The outer cycle of every bounded face, memoized: built from the edge
     /// polylines along the face's boundary walk the first time a nesting test
     /// reaches the component ([`locate_components`]), so a component that
@@ -259,6 +250,7 @@ pub(crate) fn build_group(
     let pieces = Pieces::new(all, &cuts);
     let rep_point = pieces.points.first().copied();
     let LocalComplex { complex, bounded_walks, region_faces } = build_local(local_names, &pieces);
+    let region_index = SpatialIndex::build(&region_bboxes);
     ComponentComplex {
         complex,
         bounded_walks,
@@ -269,7 +261,7 @@ pub(crate) fn build_group(
         rep_point,
         segments,
         cuts,
-        region_index: OnceLock::new(),
+        region_index,
     }
 }
 

@@ -35,16 +35,16 @@
 //!   assembly builds once per view (and nesting resolution probes), and the
 //!   per-component region index that a
 //!   [`ComponentComplex`](crate::ComponentComplex) builds over its own
-//!   regions' boxes, in local ids, on first use and carries across
+//!   regions' boxes, in local ids, with the component, and carries across
 //!   commits.
 //! * **Two levels** (`SpatialIndex::two_level`): the region index of a
 //!   [`GlobalComplexView`](crate::GlobalComplexView)
-//!   ([`crate::GlobalComplexView::region_bbox_index`]), assembled on first
-//!   use from the view's component-box index on top and, below each
-//!   component, that component's carried region index with its
-//!   local→global id map. Assembling it costs one `Arc` clone and one id-map
-//!   copy per component — no box is compared — so a fresh epoch pays only
-//!   for the region indexes of the components its commit rebuilt. A probe
+//!   ([`crate::GlobalComplexView::region_bbox_index`]), assembled with the
+//!   view from its component-box index on top and, below each component,
+//!   that component's region index with its local→global id map.
+//!   Assembling it costs one `Arc` clone and one id-map copy per component
+//!   — no box is compared — so a commit sorts only the region boxes of the
+//!   components it rebuilt. A probe
 //!   descends the component tree, then each hit component's tree: every
 //!   region's box lies inside its component's box, so the answer is the one
 //!   a flat tree over all regions gives.

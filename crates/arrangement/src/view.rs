@@ -27,26 +27,21 @@
 //!
 //! Per-component state rides on the component. What a component determines
 //! alone is keyed by local ids and built with it: each local region's
-//! boundary box (the union of its input segments' boxes) and its interior
-//! faces (the inverted face labels, one flat buffer).
-//! [`ComplexRead::region_faces`] and [`ComplexRead::region_bboxes`] are
-//! served from them, so the first read of a new epoch scans no edge and no
-//! face label; the face walk
+//! boundary box (the union of its input segments' boxes), its interior
+//! faces (the inverted face labels, one flat buffer) and the spatial index
+//! over its region boxes. [`ComplexRead::region_faces`] and
+//! [`ComplexRead::region_bboxes`] are served from them, so the first read of
+//! a new epoch scans no edge and no face label; the face walk
 //! [`ComplexRead::for_each_face_edge`] follows the component's own face →
-//! edge → endpoint incidence. The one thing a component derives lazily for
-//! reads is the spatial index over its region boxes, a [`OnceLock`] field of
-//! the [`ComponentComplex`] itself: a component carried across a commit
-//! keeps it, so the first index read of a new epoch builds it only for the
-//! rebuilt components ([`GlobalComplexView::memo_builds`] counts what this
-//! view built). The one per-epoch memo is the region index
-//! ([`GlobalComplexView::region_bbox_index`]), and it is assembled, not
-//! built: the view's component-box index on top, each component's carried
-//! region index below, for one `Arc` clone per component and one copy of
-//! the id maps.
+//! edge → endpoint incidence.
 //!
 //! The per-epoch glue — offsets, nesting parents, `nested_in_face`, the
-//! inherited labels and the index over the component boxes — is rebuilt per
-//! assembly, and no per-cell table is derived from it. A sign read
+//! inherited labels, the index over the component boxes and the region index
+//! ([`GlobalComplexView::region_bbox_index`]) — is rebuilt per assembly, and
+//! no per-cell table is derived from it. The region index is assembled, not
+//! built: the component-box index on top, each component's region index
+//! below, for one `Arc` clone per component and one copy of the id maps. No
+//! read builds anything. A sign read
 //! (`vertex_sign`/`edge_sign`/`face_sign`) binary-searches the component's
 //! sorted local→global region map, then the cell's local label or the
 //! component's inherited one, and widens nothing; a whole-label read
@@ -72,7 +67,7 @@ use crate::types::*;
 use spatial_core::prelude::Point;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A zero-copy global cell complex over shared component sub-complexes.
 ///
@@ -111,19 +106,14 @@ pub struct GlobalComplexView {
     inherited: Vec<Label>,
     /// Global face id → components embedded directly in that face.
     nested_in_face: BTreeMap<usize, Vec<usize>>,
-    /// The index over the component boxes, built once per assembly: nesting
-    /// resolution probes it, and it is the upper level of the region index.
-    component_index: SpatialIndex,
+    /// The spatial index over the region bounding boxes, assembled with the
+    /// view over the component-box index that nesting resolution probed, and
+    /// shared by every clone (and therefore by every evaluator of a
+    /// snapshot); see [`GlobalComplexView::region_bbox_index`].
+    region_index: Arc<SpatialIndex>,
     /// Number of label widenings performed by the accessor layer (shared by
     /// all clones of the view; see [`GlobalComplexView::label_widenings`]).
     widen_count: Arc<AtomicU64>,
-    /// Number of carried component memos this view built (shared by all
-    /// clones; see [`GlobalComplexView::memo_builds`]).
-    memo_count: Arc<AtomicU64>,
-    /// Lazily assembled spatial index over the region bounding boxes, shared
-    /// by every clone of the view (and therefore by every evaluator of a
-    /// snapshot); see [`GlobalComplexView::region_bbox_index`].
-    bbox_index: Arc<OnceLock<Arc<SpatialIndex>>>,
 }
 
 impl GlobalComplexView {
@@ -133,7 +123,8 @@ impl GlobalComplexView {
     ///
     /// Cost: no per-cell work. It builds the index over the component
     /// boxes (`O(components · log components)`), locates every component in
-    /// it, and maps every region to its component (`O(regions)`). The
+    /// it, maps every region to its component (`O(regions)`) and assembles
+    /// the region index over it (`O(components + regions)`). The
     /// inherited labels hold one entry per enclosing region, so together
     /// they cost `O(components × nesting depth)`.
     pub fn new(
@@ -142,7 +133,7 @@ impl GlobalComplexView {
     ) -> GlobalComplexView {
         let index = component_index(&components);
         let parents = compute_component_nesting(&components, &index);
-        GlobalComplexView::assemble(region_names, components, parents, index)
+        GlobalComplexView::assemble(region_names, components, parents, &index)
     }
 
     /// Assemble the view of an updated instance by patching this one:
@@ -155,10 +146,11 @@ impl GlobalComplexView {
     /// representative point lies in the box of a new component (only a new
     /// component can have slipped a smaller enclosing cycle around it). Only
     /// the new components and those exceptions pay for point location, in
-    /// the one component-box index the new view keeps. The
-    /// result is table for table what [`GlobalComplexView::new`] assembles
-    /// from the same arguments (asserted in debug builds), so a view patched
-    /// any number of times is still index-identical to a cold build.
+    /// the one component-box index the new view builds, the top level of its
+    /// region index. The result is table for table what
+    /// [`GlobalComplexView::new`] assembles from the same arguments (asserted
+    /// in debug builds), so a view patched any number of times is still
+    /// index-identical to a cold build.
     pub fn updated(&self, region_names: Vec<String>, update: ComponentUpdate) -> GlobalComplexView {
         let ComponentUpdate { components, carried_from, .. } = update;
         let mut now_at: Vec<Option<usize>> = vec![None; self.components.len()];
@@ -200,7 +192,7 @@ impl GlobalComplexView {
             parents[c] = parent;
         }
 
-        let view = GlobalComplexView::assemble(region_names, components, parents, index);
+        let view = GlobalComplexView::assemble(region_names, components, parents, &index);
         debug_assert!(
             view.same_tables(&GlobalComplexView::new(
                 view.region_names.clone(),
@@ -212,13 +204,14 @@ impl GlobalComplexView {
     }
 
     /// The constructor behind [`GlobalComplexView::new`] and
-    /// [`GlobalComplexView::updated`]: every translation table from the
-    /// components, their nesting `parents` and their [`component_index`].
+    /// [`GlobalComplexView::updated`]: every translation table and the
+    /// region index from the components, their nesting `parents` and their
+    /// [`component_index`].
     fn assemble(
         region_names: Vec<String>,
         components: Vec<Arc<ComponentComplex>>,
         parents: Vec<Option<(usize, FaceId)>>,
-        component_index: SpatialIndex,
+        component_index: &SpatialIndex,
     ) -> GlobalComplexView {
         debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
         let k = components.len();
@@ -277,6 +270,10 @@ impl GlobalComplexView {
             nested_in_face.entry(pf.0).or_default().push(c);
         }
 
+        let parts = components.iter().map(|c| &c.region_index).zip(region_map.iter());
+        let region_index =
+            Arc::new(SpatialIndex::two_level(region_names.len(), component_index, parts));
+
         GlobalComplexView {
             region_names,
             region_map,
@@ -290,16 +287,15 @@ impl GlobalComplexView {
             parent_face,
             inherited,
             nested_in_face,
-            component_index,
+            region_index,
             widen_count: Arc::new(AtomicU64::new(0)),
-            memo_count: Arc::new(AtomicU64::new(0)),
-            bbox_index: Arc::new(OnceLock::new()),
             components,
         }
     }
 
     /// Do two views hold the same components behind the same translation
-    /// tables (the lazily built memos aside)?
+    /// tables? (The region index is assembled from them, and the counter is
+    /// per view.)
     fn same_tables(&self, other: &GlobalComplexView) -> bool {
         self.region_names == other.region_names
             && self.components.len() == other.components.len()
@@ -316,23 +312,17 @@ impl GlobalComplexView {
     }
 
     /// The spatial index over the region bounding boxes of this view,
-    /// assembled on first use and shared by every clone (once per
-    /// snapshot). It has two levels: the view's index over the component
-    /// boxes, and under each component the index over its own regions'
-    /// boxes that the component carries across commits. Assembling it costs
-    /// `O(components)` plus the id-map copies; only a component built since
-    /// the last read indexes its regions. The query planner draws its
-    /// candidate generators from this index — regions whose boxes don't
-    /// interact are provably disjoint — and its probe counter
+    /// assembled with the view and shared by every clone (one per
+    /// snapshot), so reading it is an `Arc` clone. It has two levels: the
+    /// view's index over the component boxes, and under each component the
+    /// index over its own regions' boxes, built with the component and
+    /// carried across commits. The query planner draws its candidate
+    /// generators from this index — regions whose boxes don't interact are
+    /// provably disjoint — and its probe counter
     /// ([`SpatialIndex::probe_count`]) is the planner-work metric surfaced
     /// by the bench snapshot.
     pub fn region_bbox_index(&self) -> Arc<SpatialIndex> {
-        Arc::clone(self.bbox_index.get_or_init(|| {
-            let parts = self.components.iter().zip(self.region_map.iter()).map(|(component, map)| {
-                (component.local_region_index(|| self.count_memo_build()), map)
-            });
-            Arc::new(SpatialIndex::two_level(self.region_names.len(), &self.component_index, parts))
-        }))
+        Arc::clone(&self.region_index)
     }
 
     /// The component sub-complexes backing the view, in assembly order.
@@ -418,21 +408,6 @@ impl GlobalComplexView {
     /// widen nothing.
     pub fn label_widenings(&self) -> u64 {
         self.widen_count.load(Ordering::Relaxed)
-    }
-
-    /// How many component region indexes (the index over a component's
-    /// region boxes, the lower level of [`region_bbox_index`](Self::region_bbox_index))
-    /// this view built rather than found already built on the component
-    /// (the counter is shared by all clones). A view patched after a commit
-    /// builds them only for the rebuilt components: the carried ones bring
-    /// theirs along. The region boxes and interior faces are built with the
-    /// component and never count.
-    pub fn memo_builds(&self) -> u64 {
-        self.memo_count.load(Ordering::Relaxed)
-    }
-
-    fn count_memo_build(&self) {
-        self.memo_count.fetch_add(1, Ordering::Relaxed);
     }
 
 }

@@ -270,17 +270,7 @@ fn carried_memos_equal_the_default_scans_over_the_datagen_families() {
         let flat = view.to_cell_complex();
         check_signs(&view, &flat, context);
         check_carried_memos(&view, &flat, context);
-        // The boxes and faces were built with the components: reading them
-        // builds no memo.
-        assert_eq!(view.memo_builds(), 0, "{context}");
-        check_carried_memos(&view, &flat, context);
-        assert_eq!(view.memo_builds(), 0, "{context}");
-        // The region index builds each component's index over its boxes,
-        // once.
         check_region_index(&view, context);
-        assert_eq!(view.memo_builds(), view.component_count() as u64, "{context}");
-        view.region_bbox_index();
-        assert_eq!(view.memo_builds(), view.component_count() as u64, "{context}");
     }
 }
 

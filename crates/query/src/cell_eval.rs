@@ -94,6 +94,10 @@ impl PartialEq for CellRegion {
 /// `QueryOutput::Bindings` in the [`crate::prepared`] module.
 pub type Bindings = BTreeMap<String, String>;
 
+/// The most candidate regions a quantifier domain may hold: enumerating
+/// more fails with [`EvalError::DomainTooLarge`].
+pub const DOMAIN_CAP: usize = 100_000;
+
 /// Errors raised during evaluation.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum EvalError {
@@ -101,12 +105,12 @@ pub enum EvalError {
     UnknownName(String),
     /// A variable was used without being bound by a quantifier.
     UnboundVariable(String),
-    /// The quantifier domain (all disc-like cell unions) exceeded the
-    /// configured cap.
+    /// The quantifier domain (all disc-like cell unions) exceeded
+    /// [`DOMAIN_CAP`].
     DomainTooLarge {
         /// Number of candidate regions enumerated before giving up.
         regions_found: usize,
-        /// The configured domain cap.
+        /// The domain cap, [`DOMAIN_CAP`].
         cap: usize,
     },
 }
@@ -162,8 +166,6 @@ pub struct CellEvaluator<C = GlobalComplexView> {
     /// traffic from many threads at once — the `topodb::Snapshot` read path
     /// shares one evaluator per snapshot.
     domain: OnceLock<Result<Vec<CellRegion>, EvalError>>,
-    /// Cap on the number of candidate regions.
-    domain_cap: usize,
 }
 
 /// The cells of a region's closure besides its faces, each list ascending.
@@ -226,14 +228,7 @@ impl<C: ComplexRead> CellEvaluator<C> {
             rel_shortcut_hits: AtomicU64::new(0),
             rel_nesting_hits: AtomicU64::new(0),
             domain: OnceLock::new(),
-            domain_cap: 100_000,
         }
-    }
-
-    /// Change the cap on the quantifier domain size.
-    pub fn with_domain_cap(mut self, cap: usize) -> CellEvaluator<C> {
-        self.domain_cap = cap;
-        self
     }
 
     /// Pre-seed the evaluator's spatial index with an already-built one, so
@@ -363,11 +358,8 @@ impl<C: ComplexRead> CellEvaluator<C> {
         out: &mut Vec<Vec<FaceId>>,
         excluded: &[FaceId],
     ) -> Result<(), EvalError> {
-        if out.len() >= self.domain_cap {
-            return Err(EvalError::DomainTooLarge {
-                regions_found: out.len(),
-                cap: self.domain_cap,
-            });
+        if out.len() >= DOMAIN_CAP {
+            return Err(EvalError::DomainTooLarge { regions_found: out.len(), cap: DOMAIN_CAP });
         }
         out.push(current.clone());
         let exterior = self.complex.exterior_face();
@@ -1356,12 +1348,12 @@ mod tests {
         // A-only – lens – B-only. Connected, simply connected subsets:
         // {1}, {2}, {3}, {1,2}, {2,3}, {1,2,3} = 6.
         assert_eq!(domain.len(), 6);
-        // A tiny cap triggers the explicit error.
-        let capped = CellEvaluator::new(&fixtures::fig_1c()).with_domain_cap(2);
-        assert!(matches!(
-            capped.quantifier_domain(),
-            Err(EvalError::DomainTooLarge { .. })
-        ));
+        // A 5 x 5 grid has more disc-like unions of its cells than the cap.
+        let grid = CellEvaluator::new(&datagen::grid_map(5, 5, 10));
+        assert_eq!(
+            grid.quantifier_domain().err(),
+            Some(EvalError::DomainTooLarge { regions_found: DOMAIN_CAP, cap: DOMAIN_CAP })
+        );
     }
 
     fn domain_fixtures() -> Vec<(&'static str, SpatialInstance)> {

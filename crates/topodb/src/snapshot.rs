@@ -49,17 +49,15 @@ use std::sync::{Arc, OnceLock};
 /// Derived state lives where its inputs live. What a component determines
 /// alone is built with the `Arc<ComponentComplex>` at commit time and
 /// carried with it across commits: each of its regions' boundary box and
-/// interior faces. The spatial index over those boxes is the one
-/// per-component memo, built on first use and carried too, so a fresh
-/// snapshot builds it only for the components the commit rebuilt. What
-/// depends on the whole epoch is per snapshot: the view's glue (id offsets,
-/// nesting parents, inherited labels and the index over the component
-/// boxes) is built with the view at commit time, and the region index
-/// ([`Snapshot::spatial_index`], assembled from the component index and the
-/// carried region indexes), the evaluator (its copy of the region boxes
-/// and a slot per name that holds the name's faces, as the view returns
-/// them, and their walked parts) and the [`Invariant`] lazily, on first
-/// use.
+/// interior faces, and the spatial index over those boxes. What depends on
+/// the whole epoch is per snapshot: the view's glue (id offsets, nesting
+/// parents, inherited labels, the index over the component boxes and the
+/// region index, [`Snapshot::spatial_index`], assembled from it and the
+/// components' region indexes) is built with the view at commit time, and
+/// the evaluator (its copy of the region boxes and a slot per name that
+/// holds the name's faces, as the view returns them, and their walked
+/// parts) and the [`Invariant`] lazily, on first use. Nothing below the
+/// snapshot is built on a read.
 ///
 /// [`TopoDatabase::snapshot`]: crate::TopoDatabase::snapshot
 #[derive(Clone, Debug)]
@@ -216,12 +214,13 @@ impl Snapshot {
 
     /// The spatial index over this snapshot's region bounding boxes, shared
     /// by the query planner ([`Snapshot::evaluator`]) and any direct spatial
-    /// probing. It is assembled once per epoch inside the view, on first
-    /// use, from two levels of STR-packed R-trees: the tree over the
-    /// component boxes, built with the view, and under each component the
-    /// tree over its own regions' boxes, which the component carries across
-    /// commits. A fresh epoch therefore bulk-loads region boxes only for the
-    /// components its commit rebuilt; the rest costs `O(components)`.
+    /// probing; reading it is an `Arc` clone. It is assembled once per epoch
+    /// with the view, at commit time, from two levels of STR-packed R-trees:
+    /// the tree over the component boxes, built with the view, and under
+    /// each component the tree over its own regions' boxes, built with the
+    /// component and carried across commits. A commit therefore bulk-loads
+    /// region boxes only for the components it rebuilt; the rest costs
+    /// `O(components)`.
     pub fn spatial_index(&self) -> Arc<arrangement::SpatialIndex> {
         self.inner.view.region_bbox_index()
     }

@@ -323,27 +323,25 @@ fn replacement_and_duplicate_names_coalesce() {
     assert_eq!(db.snapshot().relation("B", "A").unwrap().name(), "inside");
 }
 
-/// The one memo derived from a component, its index over its region boxes,
-/// rides on it across commits: after a one-region commit into cluster 0,
-/// relation reads and the first query build no memo at all (the boxes and
-/// faces they read were built with the components) and widen no label. The
-/// first [`Snapshot::spatial_index`] indexes the regions of the rebuilt
-/// components only, counts the same on a map with 4x the clusters, and
-/// still counts one probe per probe.
+/// What a component determines alone — its region boxes, faces and the
+/// index over the boxes — is built with it and rides on it across commits:
+/// a one-region commit into cluster 0 rebuilds the same components on a map
+/// with 4x the clusters, relation reads after it widen no label, and the
+/// fresh [`Snapshot::spatial_index`] covers every region and counts one
+/// probe per probe.
 #[test]
 fn a_fresh_snapshot_derives_memos_only_for_rebuilt_components() {
-    let small = fresh_snapshot_memo_builds(8);
-    assert!(small.0 >= 1);
-    assert_eq!(fresh_snapshot_memo_builds(32), small, "work follows the touched component");
-    let small = fresh_index_memo_builds(16);
-    assert!(small.0 >= 1);
-    assert_eq!(fresh_index_memo_builds(64), small, "the index follows the touched component");
+    let small = fresh_snapshot_rebuilds(8);
+    assert!(small >= 1);
+    assert_eq!(fresh_snapshot_rebuilds(32), small, "work follows the touched component");
+    let small = fresh_index_rebuilds(16);
+    assert!(small >= 1);
+    assert_eq!(fresh_index_rebuilds(64), small, "the index follows the touched component");
 }
 
 /// After a one-rectangle commit into the dense map (one 256-region
-/// component, rebuilt by the commit), the snapshot's evaluator and relation
-/// reads build no memo: the region boxes and face sets they read came with
-/// the component build.
+/// component, rebuilt by the commit), relation reads widen no label: the
+/// region boxes and face sets they read came with the component build.
 #[test]
 fn a_dense_commit_leaves_the_evaluator_and_relation_reads_no_memo_to_build() {
     let mut db = TopoDatabase::from_instance(datagen::jittered_overlap_map(16, 16, 12, 1996));
@@ -354,29 +352,17 @@ fn a_dense_commit_leaves_the_evaluator_and_relation_reads_no_memo_to_build() {
     let view = snapshot.complex_view();
     assert_eq!(view.component_count(), 1);
     snapshot.evaluator();
-    assert_eq!(view.memo_builds(), 0, "the evaluator builds no memo");
     let names = snapshot.names();
     let met = names.iter().filter(|n| snapshot.relation("Fresh", n).unwrap().name() != "disjoint");
     assert!(met.count() > 1, "reads the boxes cannot answer");
-    assert_eq!(view.memo_builds(), 0, "nor do relation reads");
     assert_eq!(view.label_widenings(), 0);
 }
 
-/// Build every memo of every component of the current snapshot (each
-/// component's index over its boxes), and resolve every name's faces.
-fn warm_every_memo(db: &TopoDatabase) {
-    let snapshot = db.snapshot();
-    let every_name = PreparedQuery::compile("forallname a . subset(ext(a), ext(a))").unwrap();
-    snapshot.evaluate(&every_name).unwrap();
-    assert_eq!(snapshot.spatial_index().len(), snapshot.len());
-}
-
-/// `(rebuilt components, memos built by the first spatial_index())` after a
-/// one-region commit into cluster 0 of `clustered_map(clusters, 16, 1)`
-/// with every memo warm.
-fn fresh_index_memo_builds(clusters: usize) -> (u64, u64) {
+/// The components rebuilt by a one-region commit into cluster 0 of
+/// `clustered_map(clusters, 16, 1)`, whose fresh snapshot's spatial index
+/// covers every region and counts each probe.
+fn fresh_index_rebuilds(clusters: usize) -> u64 {
     let mut db = TopoDatabase::from_instance(datagen::clustered_map(clusters, 16, 1));
-    warm_every_memo(&db);
     let rebuilds = db.component_rebuild_count();
 
     insert(&mut db, "Fresh", Region::rect_from_ints(3, 3, 11, 9));
@@ -384,8 +370,6 @@ fn fresh_index_memo_builds(clusters: usize) -> (u64, u64) {
     let snapshot = db.snapshot();
     let view = snapshot.complex_view();
     let index = snapshot.spatial_index();
-    let built = view.memo_builds();
-    assert_eq!(built, rebuilt, "one box index per rebuilt component");
     assert_eq!((index.len(), index.entry_count()), (snapshot.len(), snapshot.len()));
 
     let fresh = view.region_index("Fresh").unwrap();
@@ -396,33 +380,27 @@ fn fresh_index_memo_builds(clusters: usize) -> (u64, u64) {
         assert_eq!(index.probe_count(), before + k, "one count per probe");
     }
     assert!(Arc::ptr_eq(&index, &snapshot.spatial_index()), "one index per snapshot");
-    (rebuilt, built)
+    rebuilt
 }
 
-/// `(rebuilt components, memos built by the two relation reads)` after a
-/// one-region commit into cluster 0 of `clustered_db(clusters, 6)`.
-fn fresh_snapshot_memo_builds(clusters: usize) -> (u64, u64) {
+/// The components rebuilt by a one-region commit into cluster 0 of
+/// `clustered_db(clusters, 6)`, whose fresh snapshot answers relation reads
+/// and a query that resolves every name without widening a label.
+fn fresh_snapshot_rebuilds(clusters: usize) -> u64 {
     let every_name = PreparedQuery::compile("forallname a . subset(ext(a), ext(a))").unwrap();
     let mut db = clustered_db(clusters, 6);
-    warm_every_memo(&db);
     let rebuilds = db.component_rebuild_count();
 
     insert(&mut db, "Fresh", Region::rect_from_ints(2, 2, 9, 9));
     let rebuilt = db.component_rebuild_count() - rebuilds;
     let snapshot = db.snapshot();
     let view = snapshot.complex_view();
-    assert_eq!(view.memo_builds(), 0, "the commit builds no memo");
     let near = snapshot.relation("Fresh", "C000_R005").unwrap();
     assert_ne!(near.name(), "disjoint", "a read the boxes cannot answer");
     assert_eq!(snapshot.relation("Fresh", "C001_R000").unwrap().name(), "disjoint");
-    let read_builds = view.memo_builds();
-    assert_eq!(read_builds, 0, "relation reads build no memo");
     assert_eq!(view.label_widenings(), 0, "relation reads widen no label");
     snapshot.evaluate(&every_name).unwrap();
-    assert_eq!(view.memo_builds(), 0, "nor does a query that resolves every name");
-    snapshot.spatial_index();
-    assert_eq!(view.memo_builds(), rebuilt, "the index over the boxes, per rebuilt component");
-    (rebuilt, read_builds)
+    rebuilt
 }
 
 /// A snapshot's evaluator plans with the snapshot's own spatial index: one

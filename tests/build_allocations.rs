@@ -22,6 +22,10 @@
 //! evaluator over the patched view plus the first anchored query — and holds
 //! it to half of what deriving both tables on that read (a mark vector per
 //! edge, a face vector per region) allocated on the same trace.
+//!
+//! The index over the region boxes is built with the component too, and the
+//! view's two-level region index with the view, so taking a patched view's
+//! region index allocates nothing at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,7 +96,7 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
         .expect("the anchored query compiles");
     let mut view = Arc::new(build_complex_view(&instance));
 
-    let (mut counted, mut cells, mut read) = (0, 0, 0);
+    let (mut counted, mut cells, mut read, mut index) = (0, 0, 0, 0);
     for batch in &trace {
         let mut changed: Vec<String> = Vec::new();
         for op in batch {
@@ -117,6 +121,10 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
         }
         view = Arc::new(view.updated(names(&instance), update));
 
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        view.region_bbox_index();
+        index += ALLOCATIONS.load(Ordering::Relaxed) - before;
+
         // What a snapshot's `evaluator()` and its first query do.
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let evaluator = CellEvaluator::from_view(Arc::clone(&view));
@@ -128,6 +136,7 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
     println!("{counted} allocations over {steps} commits ({} per commit)", per_commit(counted));
     println!("{cells} rebuilt cells over {steps} commits ({} per commit)", per_commit(cells));
     println!("{read} allocations over {steps} first reads ({} per read)", per_commit(read));
+    println!("{index} allocations over {steps} region index reads");
     assert!(
         2 * counted <= POINT_KEYED_ALLOCATIONS,
         "{counted} allocations over {steps} dense commits; the point-keyed build made \
@@ -144,4 +153,5 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
         "{read} allocations over {steps} first reads; deriving the tables on the read made \
          {READ_DERIVED_ALLOCATIONS}, and the bound is half of that"
     );
+    assert_eq!(index, 0, "the region index is built with the components and the view");
 }
