@@ -357,7 +357,11 @@ pub struct ComponentUpdate {
 /// segments meet no new geometry is carried over pointer-identically,
 /// without its segments, names or coordinates being looked at (the
 /// partition patch in `partition.rs` spends one box test on it). Only the
-/// remaining regions are partitioned, and each resulting group is offered
+/// remaining regions are partitioned: a component a new segment touches,
+/// or one that lost or re-shaped a member but whose survivors its vertex
+/// labels still connect, enters as one unit of its segments near the
+/// change, and only the survivors of a component that may have fallen
+/// apart enter one region at a time. Each resulting group is offered
 /// to `hint` by its members (name and region, ascending by name, borrowed:
 /// a hint that declines costs no allocation) — which may return an
 /// already-built component for exactly those members, guaranteed by the

@@ -20,6 +20,7 @@
 use crate::assemble::ComponentComplex;
 use crate::index::SpatialIndex;
 use crate::split::{instance_segments, TaggedSegment};
+use crate::types::Sign;
 use spatial_core::prelude::*;
 use std::sync::Arc;
 
@@ -127,16 +128,18 @@ impl UnionFind {
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    /// Join the sets of `a` and `b`; whether they were apart.
+    fn union(&mut self, a: usize, b: usize) -> bool {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return;
+            return false;
         }
         if self.size[ra] < self.size[rb] {
             std::mem::swap(&mut ra, &mut rb);
         }
         self.parent[rb] = ra;
         self.size[ra] += self.size[rb];
+        true
     }
 }
 
@@ -178,7 +181,7 @@ pub fn partition_segments(segments: &[TaggedSegment], n_regions: usize) -> Vec<C
         }
     }
 
-    collapse_groups(uf, segments, &boxes)
+    collapse_groups(uf, segments, &boxes, n_regions)
 }
 
 /// A region under (re-)partition: its name and its extent.
@@ -211,28 +214,36 @@ pub(crate) struct Group<'a> {
 /// only the rest.
 ///
 /// A component of `prev` is *broken* if it contains a changed name: its
-/// surviving members may have fallen apart, so each re-enters the partition
-/// as a region of its own. Among the others, one is *hit* if the box of one
-/// of its segments meets the box of a segment of an inserted or re-shaped
-/// region; a hit component stays connected (none of its segments moved) and
-/// joins whichever new regions touch it, so it re-enters as one unit,
-/// represented by just its contact segments. Every remaining component is
-/// carried: none of its segments changed, none meets new geometry, and two
-/// segments that both stayed put interact now iff they did before. One probe
-/// round therefore suffices, and [`partition_segments`] over the broken
-/// components' survivors, the changed regions and the contact segments
-/// yields exactly the groups [`partition_instance`] would report outside
-/// the carried components.
+/// surviving members may have fallen apart. Whether they have is read off
+/// the component's own vertex labels first ([`survivors_connected`]): if the
+/// survivors' boundaries still form one connected curve, they are one
+/// interaction group whatever else changed, and re-enter as one unit like a
+/// hit component below (with one representative segment if none of theirs
+/// meets new geometry). Only if that check fails — the removed or re-shaped
+/// region was a bridge, or the survivors' segment boxes meet without their
+/// boundaries touching — does each survivor re-enter the partition as a
+/// region of its own, with its whole boundary. Among the other components,
+/// one is *hit* if the box of one of its segments meets the box of a segment
+/// of an inserted or re-shaped region; a hit component stays connected (none
+/// of its segments moved) and joins whichever new regions touch it, so it
+/// re-enters as one unit, represented by just its contact segments. Every
+/// remaining component is carried: none of its segments changed, none meets
+/// new geometry, and two segments that both stayed put interact now iff they
+/// did before. One probe round therefore suffices, and
+/// [`partition_segments`] over the units yields exactly the groups
+/// [`partition_instance`] would report outside the carried components.
 ///
 /// Cost outside the broken and hit components: one name-range test per
-/// changed name and one box test per *component*.
+/// changed name and one box test per *component*. A broken component whose
+/// survivors stay connected costs one pass over its vertex labels and one
+/// box test per region; only a component that may have fallen apart hands
+/// its survivors' whole boundaries to the partitioner.
 pub(crate) fn repartition<'a, S: AsRef<str>>(
     prev: &'a [Arc<ComponentComplex>],
     instance: &'a SpatialInstance,
     changed: &'a [S],
 ) -> Repartition<'a> {
     let member = |name: &'a str| (name, instance.ext(name).expect("unchanged member survives"));
-    let is_changed = |name: &str| changed.iter().any(|c| c.as_ref() == name);
 
     // A unit is what `partition_segments` treats as one connected curve:
     // its members (sorted by name), the segments that speak for it, and the
@@ -241,17 +252,22 @@ pub(crate) fn repartition<'a, S: AsRef<str>>(
     type Unit<'a> = (Vec<Member<'a>>, Vec<Segment>, Option<usize>);
     let region_unit =
         |m: Member<'a>, base| -> Unit<'a> { (vec![m], m.1.boundary().edges().collect(), base) };
-    let mut units: Vec<Unit<'a>> = changed
+    let fresh: Vec<Unit<'a>> = changed
         .iter()
         .filter_map(|name| Some((name.as_ref(), instance.ext(name.as_ref())?)))
         .map(|m| region_unit(m, None))
         .collect();
-    let fresh = units.len();
-    let hull = units.iter().map(|(m, _, _)| BBox::of_region(m[0].1)).reduce(|a, b| a.union(&b));
-    let near = |b: &BBox| hull.as_ref().is_some_and(|h| h.intersects(b));
-    // The boxes of the new segments, needed once a component comes near.
-    let fresh_boxes = std::cell::OnceCell::new();
+    let hull = fresh.iter().map(|(m, _, _)| BBox::of_region(m[0].1)).reduce(|a, b| a.union(&b));
+    // The boxes of the new segments: the cold build (no `prev`) needs none.
+    let fresh_boxes: Vec<BBox> = match prev {
+        [] => Vec::new(),
+        _ => fresh.iter().flat_map(|(_, s, _)| s.iter().map(BBox::of_segment)).collect(),
+    };
+    let contact = |component: &ComponentComplex, gone: &[bool]| {
+        contact_segments(component, gone, hull.as_ref(), &fresh_boxes)
+    };
 
+    let mut units = fresh;
     let mut carried = Vec::with_capacity(prev.len());
     for (i, component) in prev.iter().enumerate() {
         let names = component.region_names();
@@ -261,33 +277,37 @@ pub(crate) fn repartition<'a, S: AsRef<str>>(
                 && c <= names[names.len() - 1].as_str()
                 && names.binary_search_by(|n| n.as_str().cmp(c)).is_ok()
         });
-        if broken {
-            let survivors = names.iter().filter(|n| !is_changed(n));
-            units.extend(survivors.map(|n| region_unit(member(n), Some(i))));
+        if !broken {
+            let contact = match component.bbox() {
+                Some(bbox) if hull.as_ref().is_some_and(|h| h.intersects(bbox)) => {
+                    contact(component, &[])
+                }
+                _ => Vec::new(),
+            };
+            if contact.is_empty() {
+                carried.push(i);
+            } else {
+                units.push((names.iter().map(|n| member(n)).collect(), contact, Some(i)));
+            }
             continue;
         }
-        let contact: Vec<Segment> = match component.bbox() {
-            Some(bbox) if near(bbox) => {
-                let fresh_boxes: &Vec<BBox> = fresh_boxes.get_or_init(|| {
-                    let fresh = units[..fresh].iter();
-                    fresh.flat_map(|(_, s, _)| s.iter().map(BBox::of_segment)).collect()
-                });
-                names
-                    .iter()
-                    .flat_map(|n| member(n).1.boundary().edges())
-                    .filter(|s| {
-                        let b = BBox::of_segment(s);
-                        near(&b) && fresh_boxes.iter().any(|f| f.intersects(&b))
-                    })
-                    .collect()
+        let mut gone = vec![false; names.len()];
+        for c in changed {
+            if let Ok(r) = names.binary_search_by(|n| n.as_str().cmp(c.as_ref())) {
+                gone[r] = true;
             }
-            _ => Vec::new(),
-        };
-        if contact.is_empty() {
-            carried.push(i);
-        } else {
-            units.push((names.iter().map(|n| member(n)).collect(), contact, Some(i)));
         }
+        let survivors = names.iter().zip(&gone).filter(|(_, &g)| !g).map(|(n, _)| member(n));
+        if !survivors_connected(component, &gone) {
+            units.extend(survivors.map(|m| region_unit(m, Some(i))));
+            continue;
+        }
+        let mut segments = contact(component, &gone);
+        if segments.is_empty() {
+            let first = gone.iter().position(|&g| !g).expect("a connected component survives");
+            segments.push(component.segments.get(first)[0].segment);
+        }
+        units.push((survivors.collect(), segments, Some(i)));
     }
 
     // Units in order of their smallest name, so that the partitioner's
@@ -314,6 +334,60 @@ pub(crate) fn repartition<'a, S: AsRef<str>>(
         })
         .collect();
     Repartition { carried, groups }
+}
+
+/// Do the regions of `component` that `gone` does not mark (at least one)
+/// still form one connected curve? Read off the component's own vertex
+/// labels, with no geometry: two regions whose boundaries pass through one
+/// vertex are joined, and the pass stops as soon as every survivor is.
+///
+/// A `true` is exact for the partition: boundaries that share a vertex have
+/// segment boxes that meet, so connected survivors are one interaction
+/// group. A `false` is not: survivors whose segment boxes meet without their
+/// boundaries touching are one group too, which only
+/// [`partition_segments`] finds.
+fn survivors_connected(component: &ComponentComplex, gone: &[bool]) -> bool {
+    let mut parts = gone.iter().filter(|&&g| !g).count();
+    let mut uf = UnionFind::new(gone.len());
+    for vertex in &component.complex.vertices {
+        if parts <= 1 {
+            break;
+        }
+        let mut on = vertex.label.iter().filter(|&(r, s)| s == Sign::Boundary && !gone[r]);
+        if let Some((first, _)) = on.next() {
+            for (r, _) in on {
+                if uf.union(first, r) {
+                    parts -= 1;
+                }
+            }
+        }
+    }
+    parts == 1
+}
+
+/// The segments of `component`'s regions — those `gone` does not mark; it
+/// may be shorter than the region list — whose boxes meet a box of
+/// `fresh_boxes`, the new segments, whose union is `hull`. Read from the
+/// segments and region boxes the component carries: a region whose box
+/// misses the hull is skipped whole.
+fn contact_segments(
+    component: &ComponentComplex,
+    gone: &[bool],
+    hull: Option<&BBox>,
+    fresh_boxes: &[BBox],
+) -> Vec<Segment> {
+    let Some(hull) = hull else { return Vec::new() };
+    let mut out = Vec::new();
+    for (r, region_box) in component.region_bboxes.iter().enumerate() {
+        if gone.get(r) == Some(&true) || !region_box.as_ref().is_some_and(|b| hull.intersects(b)) {
+            continue;
+        }
+        out.extend(component.segments.get(r).iter().map(|t| t.segment).filter(|s| {
+            let b = BBox::of_segment(s);
+            hull.intersects(&b) && fresh_boxes.iter().any(|f| f.intersects(&b))
+        }));
+    }
+    out
 }
 
 /// The pre-index interaction-graph construction: an x-interval sweep whose
@@ -343,7 +417,7 @@ pub fn partition_segments_sweep(
         active.push(i);
     }
 
-    collapse_groups(uf, segments, &boxes)
+    collapse_groups(uf, segments, &boxes, n_regions)
 }
 
 /// All segments of one region are connected (a region boundary is a single
@@ -354,51 +428,46 @@ fn union_regions(segments: &[TaggedSegment], n_regions: usize) -> UnionFind {
     for (i, t) in segments.iter().enumerate() {
         match first_of_region[t.region] {
             None => first_of_region[t.region] = Some(i),
-            Some(f) => uf.union(f, i),
+            Some(f) => {
+                uf.union(f, i);
+            }
         }
     }
     uf
 }
 
 /// Collapse a fully unioned segment forest to region groups keyed by the
-/// component root.
+/// component root, in one pass over the segments: a group per root and a
+/// region per first segment, found by marker vectors.
 fn collapse_groups(
     mut uf: UnionFind,
     segments: &[TaggedSegment],
     boxes: &[BBox],
+    n_regions: usize,
 ) -> Vec<ComponentGroup> {
-    let s = segments.len();
-    let mut groups: Vec<(Vec<usize>, Option<BBox>)> = Vec::new();
-    let mut group_of_root: std::collections::BTreeMap<usize, usize> =
-        std::collections::BTreeMap::new();
-    for i in 0..s {
+    const NONE: usize = usize::MAX;
+    let mut groups: Vec<ComponentGroup> = Vec::new();
+    let mut group_of_root = vec![NONE; segments.len()];
+    // All of a region's segments share a root, so the first one places it.
+    let mut placed = vec![false; n_regions];
+    for (i, t) in segments.iter().enumerate() {
         let root = uf.find(i);
-        let g = *group_of_root.entry(root).or_insert_with(|| {
-            groups.push((Vec::new(), None));
-            groups.len() - 1
-        });
-        let (regions, bbox) = &mut groups[g];
-        if !regions.contains(&segments[i].region) {
-            regions.push(segments[i].region);
+        if group_of_root[root] == NONE {
+            group_of_root[root] = groups.len();
+            groups.push(ComponentGroup { region_indices: Vec::new(), bbox: boxes[i].clone() });
         }
-        *bbox = Some(match bbox.take() {
-            None => boxes[i].clone(),
-            Some(b) => b.union(&boxes[i]),
-        });
+        let group = &mut groups[group_of_root[root]];
+        if !std::mem::replace(&mut placed[t.region], true) {
+            group.region_indices.push(t.region);
+        }
+        group.bbox = group.bbox.union(&boxes[i]);
     }
 
-    let mut out: Vec<ComponentGroup> = groups
-        .into_iter()
-        .map(|(mut regions, bbox)| {
-            regions.sort_unstable();
-            ComponentGroup {
-                region_indices: regions,
-                bbox: bbox.expect("every group has at least one segment"),
-            }
-        })
-        .collect();
-    out.sort_by_key(|g| g.region_indices[0]);
-    out
+    for group in &mut groups {
+        group.region_indices.sort_unstable();
+    }
+    groups.sort_by_key(|g| g.region_indices[0]);
+    groups
 }
 
 #[cfg(test)]
@@ -485,6 +554,52 @@ mod tests {
                 "instance {k}"
             );
         }
+    }
+
+    /// The one component `regions` form, built from scratch, and the mask
+    /// of its local regions named in `gone`.
+    fn component_without(
+        regions: &[(&str, Region)],
+        gone: &[&str],
+    ) -> (ComponentComplex, Vec<bool>) {
+        let instance = SpatialInstance::from_regions(regions.iter().cloned());
+        let groups = partition_instance(&instance);
+        assert_eq!(groups.len(), 1, "the regions form one component");
+        let component = crate::build_group_component(&instance, &groups[0]);
+        let mask = component.region_names().iter().map(|n| gone.contains(&n.as_str())).collect();
+        (component, mask)
+    }
+
+    #[test]
+    fn survivors_connected_reads_shared_vertices_only() {
+        let row = [
+            ("A", Region::rect_from_ints(0, 0, 12, 10)),
+            ("B", Region::rect_from_ints(10, 0, 22, 10)),
+            ("C", Region::rect_from_ints(20, 0, 32, 10)),
+            ("D", Region::rect_from_ints(5, 5, 28, 20)),
+        ];
+        // D overlaps all three: without B, A and C still meet through it.
+        let (component, gone) = component_without(&row, &["B"]);
+        assert!(survivors_connected(&component, &gone));
+        // Without D and B, nothing links A and C.
+        let (component, gone) = component_without(&row, &["B", "D"]);
+        assert!(!survivors_connected(&component, &gone));
+        // One survivor is connected.
+        let (component, gone) = component_without(&row, &["A", "B", "D"]);
+        assert!(survivors_connected(&component, &gone));
+
+        // Parallel slanted edges: boxes that meet, boundaries that do not.
+        let slants = [
+            ("A", Region::polygon_from_ints(&[(0, 0), (10, 10), (0, 10)]).unwrap()),
+            ("B", Region::polygon_from_ints(&[(3, 0), (13, 0), (13, 10)]).unwrap()),
+            ("G", Region::rect_from_ints(-2, 4, 15, 6)),
+        ];
+        let (component, gone) = component_without(&slants, &["G"]);
+        assert!(!survivors_connected(&component, &gone), "the check is sufficient, not necessary");
+        assert_eq!(
+            partition_instance(&SpatialInstance::from_regions(slants[..2].iter().cloned())).len(),
+            1
+        );
     }
 
     #[test]

@@ -285,3 +285,76 @@ fn the_hint_is_asked_about_dirty_groups_only_and_its_answer_is_used_as_is() {
     let touched = again.components.iter().find(|c| c.region_names().contains(name)).unwrap();
     assert!(built.iter().any(|c| Arc::ptr_eq(c, touched)), "the hinted component is used as-is");
 }
+
+// The survivors of a broken component stay one unit when its own vertex
+// labels still connect them, and are re-partitioned region by region
+// otherwise. The cases below sit on either side of that check.
+
+fn polygon(name: &str, corners: &[(i64, i64)]) -> TraceOp {
+    TraceOp::Insert(name.to_string(), Region::polygon_from_ints(corners).expect("a simple polygon"))
+}
+
+/// A chain of six rectangles `R0`..`R5` along the x axis, each overlapping
+/// the next, and a separate square `Far` to be carried.
+fn chain() -> Maintained {
+    let mut instance = SpatialInstance::new();
+    for k in 0..6 {
+        instance.insert(format!("R{k}"), Region::rect_from_ints(10 * k, 0, 10 * k + 12, 10));
+    }
+    instance.insert("Far", Region::rect_from_ints(300, 300, 310, 310));
+    Maintained::new(instance)
+}
+
+#[test]
+fn survivors_whose_segment_boxes_meet_without_touching_stay_one_group() {
+    // Two triangles along parallel diagonals: their slanted edges' boxes
+    // overlap, their boundaries share no point. `Glue` crosses both.
+    let mut state = Maintained::new(SpatialInstance::new());
+    state.commit(
+        &[
+            polygon("A", &[(0, 0), (10, 10), (0, 10)]),
+            polygon("B", &[(3, 0), (13, 0), (13, 10)]),
+            insert("Glue", -2, 4, 15, 6),
+        ],
+        "(set-up)",
+    );
+    assert_eq!(state.key_of("A"), ["A", "B", "Glue"]);
+    state.commit(&[remove("Glue")], "(remove the glue)");
+    assert_eq!(state.key_of("A"), ["A", "B"], "box contact alone keeps them one group");
+}
+
+#[test]
+fn one_batch_removes_two_members_and_reshapes_a_third() {
+    let mut state = chain();
+    state.commit(
+        &[remove("R1"), remove("R3"), insert("R4", 40, 2, 52, 8)],
+        "(remove R1 and R3, reshape R4)",
+    );
+    assert_eq!(state.key_of("R0"), ["R0"]);
+    assert_eq!(state.key_of("R2"), ["R2"]);
+    assert_eq!(state.key_of("R5"), ["R4", "R5"]);
+}
+
+#[test]
+fn removing_every_member_removes_the_component() {
+    let mut state = chain();
+    let count = state.components().len();
+    let batch: Vec<TraceOp> = (0..6).map(|k| remove(&format!("R{k}"))).collect();
+    state.commit(&batch, "(remove the chain)");
+    assert_eq!(state.components().len(), count - 1);
+    assert_eq!(state.key_of("Far"), ["Far"]);
+}
+
+#[test]
+fn a_member_reshaped_away_leaves_the_rest_connected() {
+    let mut state = chain();
+    // R0 moves onto Far; R1..R5 still overlap in a row.
+    state.commit(&[insert("R0", 305, 305, 320, 320)], "(move R0 onto Far)");
+    assert_eq!(state.key_of("R0"), ["Far", "R0"]);
+    assert_eq!(state.key_of("R1"), ["R1", "R2", "R3", "R4", "R5"]);
+    // R3 moves off the end of the row: R1, R2 and R4, R5 fall apart.
+    state.commit(&[insert("R3", 100, 0, 110, 10)], "(move R3 away)");
+    assert_eq!(state.key_of("R1"), ["R1", "R2"]);
+    assert_eq!(state.key_of("R4"), ["R4", "R5"]);
+    assert_eq!(state.key_of("R3"), ["R3"]);
+}

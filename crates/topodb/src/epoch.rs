@@ -22,9 +22,13 @@
 //!    and without being looked into: every component of the base that
 //!    contains no changed name and whose box stays clear of the new
 //!    geometry, together with its nesting parent. What is **re-partitioned**:
-//!    the surviving members of components that lost or re-shaped a member,
-//!    the inserted and re-shaped regions, and — as one unit each — the
-//!    components a new segment's box touches. One probe of the new segments
+//!    the inserted and re-shaped regions; as one unit each, the components a
+//!    new segment's box touches, and the survivors of a component that lost
+//!    or re-shaped a member when its own vertex labels still connect them
+//!    (both represented by their segments near the new geometry, or by one
+//!    segment); and, one region at a time, the survivors of a component
+//!    that may have fallen apart (the removed region was a bridge). One
+//!    probe of the new segments
 //!    against the carried components' boxes is enough, because two segments
 //!    that both stayed put interact now iff they did in the base: only new
 //!    geometry can link into an untouched component. The resulting groups

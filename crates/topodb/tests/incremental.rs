@@ -274,3 +274,37 @@ fn a_commit_into_the_dense_map_re_sweeps_only_its_neighbourhood() {
     assert!(5 * removed <= cold, "the removal swept {removed} events, the cold build {cold}");
     assert!(matches_a_cold_build(&db), "relations after the removal");
 }
+
+#[test]
+fn a_removal_from_the_dense_map_re_partitions_only_what_it_may_split() {
+    let _alone = WORK_COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
+    // A component that loses a member keeps its survivors as one unit when
+    // its own vertex labels still connect them: the dense map's 255 other
+    // parcels reach the partitioner as one representative segment, not as
+    // their 1 020 boundary segments.
+    let partitioned_by = |work: &mut dyn FnMut()| {
+        let before = phase_counters();
+        work();
+        phase_counters().delta_since(&before).segments_partitioned
+    };
+    let map = datagen::jittered_overlap_map(16, 16, 12, 1996);
+    let map_segments: u64 = map.iter().map(|(_, region)| region.boundary().len() as u64).sum();
+    let mut db = TopoDatabase::from_instance(map);
+    let components = |db: &TopoDatabase| db.snapshot().complex_view().component_count();
+
+    let removed = partitioned_by(&mut || assert!(remove(&mut db, "P007_007")));
+    assert!(removed <= 8, "a parcel's removal partitioned {removed} segments");
+    assert_eq!(components(&db), 1, "the other parcels stay one component");
+    assert_equals_fresh_rebuild(&db, "after removing a parcel");
+
+    // A removal that does disconnect: `Bridge` joins the map's east column
+    // to `Island` (as in `datagen::dense_edit_trace`), and its removal
+    // splits them again, so every survivor is re-partitioned.
+    insert(&mut db, "Island", Region::rect_from_ints(19 * 12, 12, 20 * 12, 24));
+    insert(&mut db, "Bridge", Region::rect_from_ints(15 * 12, 15, 19 * 12 + 6, 17));
+    assert_eq!(components(&db), 1, "the bridge merges the island into the map");
+    let split = partitioned_by(&mut || assert!(remove(&mut db, "Bridge")));
+    assert!(split >= map_segments, "the split partitioned {split} segments of {map_segments}");
+    assert_eq!(components(&db), 2, "the map and the island fall apart");
+    assert_equals_fresh_rebuild(&db, "after removing the bridge");
+}

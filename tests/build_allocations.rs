@@ -23,6 +23,12 @@
 //! it to half of what deriving both tables on that read (a mark vector per
 //! edge, a face vector per region) allocated on the same trace.
 //!
+//! A commit that removes or re-shapes a member of the dense component
+//! re-partitions its survivors only if its own vertex labels no longer
+//! connect them, so the test also holds the build 3 000 allocations per
+//! commit below what it made when every survivor re-entered the partition
+//! alone.
+//!
 //! The index over the region boxes is built with the component too, and the
 //! view's two-level region index with the view, so taking a patched view's
 //! region index allocates nothing at all.
@@ -82,6 +88,11 @@ const PER_CELL_LIST_ALLOCATIONS: u64 = 795_619;
 /// Allocations of the first read after each commit of the trace below when
 /// the read derived the region boxes and faces (debug build).
 const READ_DERIVED_ALLOCATIONS: u64 = 186_094;
+
+/// Allocations of the build over the trace below when every survivor of a
+/// component that lost or re-shaped a member was re-partitioned on its own,
+/// whole boundary and all (debug build).
+const SURVIVOR_REPARTITION_ALLOCATIONS: u64 = 502_607;
 
 fn names(instance: &topodb::spatial_core::prelude::SpatialInstance) -> Vec<String> {
     instance.names().iter().map(|s| s.to_string()).collect()
@@ -147,6 +158,11 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
         "{counted} allocations and {cells} rebuilt cells over {steps} dense commits; with a list \
          vector per cell the build made {PER_CELL_LIST_ALLOCATIONS}, and flat runs must save at \
          least one allocation per cell"
+    );
+    assert!(
+        counted + steps as u64 * 3_000 <= SURVIVOR_REPARTITION_ALLOCATIONS,
+        "{counted} allocations over {steps} dense commits; re-partitioning every survivor made \
+         {SURVIVOR_REPARTITION_ALLOCATIONS}, and connected survivors must save 3 000 per commit"
     );
     assert!(
         2 * read <= READ_DERIVED_ALLOCATIONS,
