@@ -677,6 +677,7 @@ pub fn assemble_components(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::ComplexGeometry;
     use crate::partition::partition_instance;
 
     fn assemble_instance(inst: &SpatialInstance) -> CellComplex {
@@ -836,7 +837,7 @@ mod tests {
 
     /// A component's built region tables equal two scans of its finished
     /// complex: each region's box against the edge scan of
-    /// [`ComplexRead::region_bboxes`], and its interior faces against a scan
+    /// [`ComplexGeometry::region_bboxes`], and its interior faces against a scan
     /// of the face labels.
     fn check_region_tables(step: usize, _: &SpatialInstance, c: &ComponentComplex, _: bool) {
         let cx = c.complex();

@@ -25,26 +25,30 @@ use spatial_core::prelude::Point;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Read access to a (possibly virtual) planar cell complex.
+/// Read access to the combinatorial structure of a planar cell complex: the
+/// paper's invariant `T_I` (Section 3). It holds the cells by dimension,
+/// their labels, their incidences, the rotation of darts around every vertex
+/// (the orientation relation `O`) and the exterior face `f0`, and nothing
+/// geometric: the geometric reads are [`ComplexGeometry`]'s.
 ///
-/// This trait is the one read surface of the global complex: every
-/// derived-structure computation — invariant extraction, 4-relation
-/// classification, cell-level query evaluation — runs unchanged on either
-/// representation of it ([`CellComplex`] itself adds only its raw cell
-/// records, [`CellComplex::vertex`], [`CellComplex::edge`] and
-/// [`CellComplex::face`]):
+/// This trait is the one read surface of `T_I`: every derived-structure
+/// computation — isomorphism, validation and the thematic database in the
+/// `invariant` crate, 4-relation classification, cell-level query
+/// evaluation — runs unchanged on each of its implementations:
 ///
 /// * the flat [`CellComplex`] produced by copying assembly
-///   ([`crate::assemble_components`]), and
+///   ([`crate::assemble_components`]), which adds only its raw cell records
+///   ([`CellComplex::vertex`], [`CellComplex::edge`] and
+///   [`CellComplex::face`]);
 /// * the zero-copy [`GlobalComplexView`](crate::GlobalComplexView), which
 ///   serves the same cells directly out of shared per-component
-///   sub-complexes through an id-translation table.
+///   sub-complexes through an id-translation table; and
+/// * `invariant::Invariant`, an owned copy of the combinatorial part alone.
 ///
-/// The two representations are *index-identical*: a given cell has the same
-/// id, the same label and the same incidences through either. Methods that
-/// must translate component-local data (labels widened to global region
-/// ids, darts shifted into the global id space) return owned values; purely
-/// geometric data ([`ComplexRead::edge_polyline`]) is borrowed.
+/// They are *index-identical*: a given cell has the same id, the same label
+/// and the same incidences through each. Methods that must translate
+/// component-local data (labels widened to global region ids, darts shifted
+/// into the global id space) return owned values.
 pub trait ComplexRead {
     /// The region names, in the canonical (sorted) order used by all labels.
     fn region_names(&self) -> &[String];
@@ -58,11 +62,13 @@ pub trait ComplexRead {
     /// Number of faces (2-cells), including the exterior face.
     fn face_count(&self) -> usize;
 
+    /// Total number of cells.
+    fn cell_count(&self) -> usize {
+        self.vertex_count() + self.edge_count() + self.face_count()
+    }
+
     /// The designated exterior (unbounded) face `f0`.
     fn exterior_face(&self) -> FaceId;
-
-    /// The geometric position of a vertex.
-    fn vertex_point(&self, v: VertexId) -> Point;
 
     /// The sign label of a vertex: an entry for every region it is not
     /// exterior to ([`Label`]).
@@ -74,15 +80,15 @@ pub trait ComplexRead {
     /// The (tail, head) vertices of an edge (equal for a loop).
     fn edge_endpoints(&self, e: EdgeId) -> (VertexId, VertexId);
 
-    /// The polyline realizing an edge, from tail to head.
-    fn edge_polyline(&self, e: EdgeId) -> &[Point];
-
     /// The sign label of an edge.
     fn edge_label(&self, e: EdgeId) -> Label;
 
     /// Indices (into [`ComplexRead::region_names`]) of the regions whose
     /// boundary contains the edge, ascending: its label's `Boundary` entries.
-    fn edge_region_marks(&self, e: EdgeId) -> Vec<usize>;
+    fn edge_region_marks(&self, e: EdgeId) -> Vec<usize> {
+        let label = self.edge_label(e);
+        label.iter().filter(|&(_, s)| s == Sign::Boundary).map(|(r, _)| r).collect()
+    }
 
     /// The two faces incident to an edge (left of the forward dart, left of
     /// the backward dart). They may coincide.
@@ -96,7 +102,9 @@ pub trait ComplexRead {
     fn face_boundary(&self, f: FaceId) -> Vec<EdgeId>;
 
     /// Is this the unbounded (exterior) face `f0`?
-    fn face_is_exterior(&self, f: FaceId) -> bool;
+    fn face_is_exterior(&self, f: FaceId) -> bool {
+        f == self.exterior_face()
+    }
 
     // ---- sign fast paths (override to avoid whole-label materialization) --
 
@@ -117,11 +125,10 @@ pub trait ComplexRead {
 
     // ---- derived accessors ------------------------------------------------
 
-    /// The index of a region name in the label order. The default scans;
-    /// both implementations in this crate keep their names sorted and
-    /// override it with a binary search.
+    /// The index of a region name in the label order: a binary search of
+    /// the sorted [`ComplexRead::region_names`].
     fn region_index(&self, name: &str) -> Option<usize> {
-        self.region_names().iter().position(|n| n == name)
+        self.region_names().binary_search_by(|n| n.as_str().cmp(name)).ok()
     }
 
     /// All vertex ids.
@@ -187,45 +194,6 @@ pub trait ComplexRead {
         }
     }
 
-    /// The bounding box of every region's boundary, in
-    /// [`ComplexRead::region_names`] order (`None` for a region contributing
-    /// no boundary edge to the complex). A region's closure lives inside its
-    /// box, so two regions whose boxes don't interact are provably disjoint —
-    /// the pruning fact behind the spatial index
-    /// ([`SpatialIndex`](crate::SpatialIndex)) that the query planner builds
-    /// over these boxes. The default is one scan of the edge polylines
-    /// against their region marks, and is the reference;
-    /// [`GlobalComplexView`](crate::GlobalComplexView) overrides it with the
-    /// boxes each component build computed from its regions' input
-    /// segments, and reads no polyline.
-    fn region_bboxes(&self) -> Vec<Option<BBox>> {
-        let mut out: Vec<Option<BBox>> = vec![None; self.region_names().len()];
-        for e in self.edge_ids() {
-            let marks = self.edge_region_marks(e);
-            if marks.is_empty() {
-                continue;
-            }
-            let Some(eb) = BBox::of_points(self.edge_polyline(e)) else { continue };
-            for r in marks {
-                out[r] = Some(match out[r].take() {
-                    None => eb.clone(),
-                    Some(b) => b.union(&eb),
-                });
-            }
-        }
-        out
-    }
-
-    /// The spatial index over [`ComplexRead::region_bboxes`]. The default
-    /// builds a new one-level index on every call;
-    /// [`GlobalComplexView`](crate::GlobalComplexView) overrides it with the
-    /// one two-level index it assembles for all its clones
-    /// ([`GlobalComplexView::region_bbox_index`](crate::GlobalComplexView::region_bbox_index)),
-    /// so every reader of a view shares one build and one probe counter.
-    fn region_bbox_index(&self) -> Arc<SpatialIndex> {
-        Arc::new(SpatialIndex::build(&self.region_bboxes()))
-    }
-
     /// Visit every edge of [`ComplexRead::face_boundary`] with the edge's
     /// two faces and its endpoints: the incidence walk of a face, so walking
     /// a set of faces costs their degrees rather than a scan of the complex.
@@ -257,33 +225,36 @@ pub trait ComplexRead {
         out
     }
 
-    /// Number of connected components of the skeleton (union of vertices and
-    /// edges).
-    fn skeleton_component_count(&self) -> usize {
-        let n = self.vertex_count();
-        if n == 0 {
-            return 0;
-        }
-        let mut seen = vec![false; n];
-        let mut components = 0;
-        for start in 0..n {
-            if seen[start] {
+    /// The skeleton components (the connected pieces of the union of the
+    /// vertices and edges): a component index for every vertex, numbered in
+    /// the order of each component's least vertex.
+    fn vertex_components(&self) -> Vec<usize> {
+        let mut component = vec![usize::MAX; self.vertex_count()];
+        let mut next = 0;
+        for start in 0..component.len() {
+            if component[start] != usize::MAX {
                 continue;
             }
-            components += 1;
+            component[start] = next;
             let mut stack = vec![start];
-            seen[start] = true;
             while let Some(v) = stack.pop() {
                 for d in self.vertex_rotation(VertexId(v)) {
                     let w = self.dart_head(d).0;
-                    if !seen[w] {
-                        seen[w] = true;
+                    if component[w] == usize::MAX {
+                        component[w] = next;
                         stack.push(w);
                     }
                 }
             }
+            next += 1;
         }
-        components
+        component
+    }
+
+    /// Number of connected components of the skeleton (union of vertices and
+    /// edges).
+    fn skeleton_component_count(&self) -> usize {
+        self.vertex_components().into_iter().max().map_or(0, |m| m + 1)
     }
 
     /// Is the skeleton connected? (The paper's notion of a *connected*
@@ -319,6 +290,22 @@ pub trait ComplexRead {
         self.face_count() == self.edge_count() + 1 + c - self.vertex_count()
     }
 
+    /// The paper's orientation relation `O`: tuples
+    /// `(clockwise?, vertex, edge, edge)` listing consecutive incident edges
+    /// around every vertex in both directions.
+    fn orientation_relation(&self) -> Vec<(bool, VertexId, EdgeId, EdgeId)> {
+        let mut out = Vec::new();
+        for v in self.vertex_ids() {
+            let rot = self.vertex_rotation(v);
+            for (i, d) in rot.iter().enumerate() {
+                let (e1, e2) = (d.edge(), rot[(i + 1) % rot.len()].edge());
+                out.push((false, v, e1, e2));
+                out.push((true, v, e2, e1));
+            }
+        }
+        out
+    }
+
     /// Human-readable summary of the complex.
     fn summary(&self) -> String {
         format!(
@@ -332,13 +319,61 @@ pub trait ComplexRead {
     }
 }
 
+/// The geometric reads of a cell complex realized in the plane: vertex
+/// positions, edge polylines and the region boxes and index derived from
+/// them. [`CellComplex`] and [`GlobalComplexView`](crate::GlobalComplexView)
+/// implement it; the combinatorial invariant alone does not.
+pub trait ComplexGeometry: ComplexRead {
+    /// The geometric position of a vertex.
+    fn vertex_point(&self, v: VertexId) -> Point;
+
+    /// The polyline realizing an edge, from tail to head (borrowed: no
+    /// translation is needed).
+    fn edge_polyline(&self, e: EdgeId) -> &[Point];
+
+    /// The bounding box of every region's boundary, in
+    /// [`ComplexRead::region_names`] order (`None` for a region contributing
+    /// no boundary edge to the complex). A region's closure lives inside its
+    /// box, so two regions whose boxes don't interact are provably disjoint —
+    /// the pruning fact behind the spatial index
+    /// ([`SpatialIndex`](crate::SpatialIndex)) that the query planner builds
+    /// over these boxes. The default is one scan of the edge polylines
+    /// against their region marks, and is the reference;
+    /// [`GlobalComplexView`](crate::GlobalComplexView) overrides it with the
+    /// boxes each component build computed from its regions' input
+    /// segments, and reads no polyline.
+    fn region_bboxes(&self) -> Vec<Option<BBox>> {
+        let mut out: Vec<Option<BBox>> = vec![None; self.region_names().len()];
+        for e in self.edge_ids() {
+            let marks = self.edge_region_marks(e);
+            if marks.is_empty() {
+                continue;
+            }
+            let Some(eb) = BBox::of_points(self.edge_polyline(e)) else { continue };
+            for r in marks {
+                out[r] = Some(match out[r].take() {
+                    None => eb.clone(),
+                    Some(b) => b.union(&eb),
+                });
+            }
+        }
+        out
+    }
+
+    /// The spatial index over [`ComplexGeometry::region_bboxes`]. The default
+    /// builds a new one-level index on every call;
+    /// [`GlobalComplexView`](crate::GlobalComplexView) overrides it with the
+    /// one two-level index it assembles for all its clones
+    /// ([`GlobalComplexView::region_bbox_index`](crate::GlobalComplexView::region_bbox_index)),
+    /// so every reader of a view shares one build and one probe counter.
+    fn region_bbox_index(&self) -> Arc<SpatialIndex> {
+        Arc::new(SpatialIndex::build(&self.region_bboxes()))
+    }
+}
+
 impl ComplexRead for CellComplex {
     fn region_names(&self) -> &[String] {
         &self.region_names
-    }
-
-    fn region_index(&self, name: &str) -> Option<usize> {
-        self.region_names.binary_search_by(|n| n.as_str().cmp(name)).ok()
     }
 
     fn vertex_count(&self) -> usize {
@@ -357,10 +392,6 @@ impl ComplexRead for CellComplex {
         self.exterior
     }
 
-    fn vertex_point(&self, v: VertexId) -> Point {
-        self.vertices[v.0].point
-    }
-
     fn vertex_label(&self, v: VertexId) -> Label {
         self.vertices[v.0].label.clone()
     }
@@ -374,17 +405,8 @@ impl ComplexRead for CellComplex {
         (d.tail, d.head)
     }
 
-    fn edge_polyline(&self, e: EdgeId) -> &[Point] {
-        self.polylines.get(e.0)
-    }
-
     fn edge_label(&self, e: EdgeId) -> Label {
         self.edges[e.0].label.clone()
-    }
-
-    fn edge_region_marks(&self, e: EdgeId) -> Vec<usize> {
-        let label = self.edges[e.0].label.iter();
-        label.filter(|&(_, s)| s == Sign::Boundary).map(|(r, _)| r).collect()
     }
 
     fn edge_faces(&self, e: EdgeId) -> (FaceId, FaceId) {
@@ -399,10 +421,6 @@ impl ComplexRead for CellComplex {
         self.face_edges.get(f.0).to_vec()
     }
 
-    fn face_is_exterior(&self, f: FaceId) -> bool {
-        self.faces[f.0].is_exterior
-    }
-
     fn vertex_sign(&self, v: VertexId, region: usize) -> Sign {
         self.vertices[v.0].label.sign(region)
     }
@@ -414,32 +432,15 @@ impl ComplexRead for CellComplex {
     fn face_sign(&self, f: FaceId, region: usize) -> Sign {
         self.faces[f.0].label.sign(region)
     }
+}
 
-    fn skeleton_component_count(&self) -> usize {
-        let n = self.vertices.len();
-        if n == 0 {
-            return 0;
-        }
-        let mut seen = vec![false; n];
-        let mut components = 0;
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            components += 1;
-            let mut stack = vec![start];
-            seen[start] = true;
-            while let Some(v) = stack.pop() {
-                for d in self.rotations.get(v) {
-                    let w = self.dart_head(*d).0;
-                    if !seen[w] {
-                        seen[w] = true;
-                        stack.push(w);
-                    }
-                }
-            }
-        }
-        components
+impl ComplexGeometry for CellComplex {
+    fn vertex_point(&self, v: VertexId) -> Point {
+        self.vertices[v.0].point
+    }
+
+    fn edge_polyline(&self, e: EdgeId) -> &[Point] {
+        self.polylines.get(e.0)
     }
 }
 

@@ -72,16 +72,15 @@
 //!    per-cell copying), and **by copy** ([`assemble_components`],
 //!    `O(total cells)` — it materializes the flat [`CellComplex`]).
 //!
-//! Every list of lists the pipeline keeps is one flat buffer of runs (the
-//! crate-private `runs::Runs`: all items in one buffer plus the offsets of
-//! the runs): each segment's cut points, each piece's regions, each raw
+//! Every list of lists the pipeline keeps is one flat buffer of runs
+//! ([`Runs`]: all items in one buffer plus the offsets of the runs): each segment's cut points, each piece's regions, each raw
 //! vertex's incident pieces, each chain's pieces and points, each vertex's
 //! rotation, each face walk, each face's boundary edges, each region's
 //! interior faces, each edge's polyline and each component's region map. A
 //! table costs two allocations whatever its size, and the [`CellComplex`]
 //! keeps the rotations, polylines and face boundaries of its cells that
 //! way, read through [`ComplexRead::vertex_rotation`],
-//! [`ComplexRead::edge_polyline`] and [`ComplexRead::face_boundary`].
+//! [`ComplexGeometry::edge_polyline`] and [`ComplexRead::face_boundary`].
 //!
 //! Face assembly asks the geometry two questions, in stages 2 and 3, and
 //! answers both by comparison and orientation tests, never by area. A face
@@ -96,13 +95,14 @@
 //! disjoint boundaries.
 //!
 //! Every derived-structure computation downstream is generic over the
-//! [`ComplexRead`] accessor trait and works unchanged on either
-//! representation: invariant extraction (`invariant::Invariant::from_complex`),
-//! 4-relation classification (`relations::relation_in_complex`) and
-//! cell-level query evaluation (`query::CellEvaluator<C: ComplexRead>`, whose
-//! face walks and spatial index come through
-//! [`ComplexRead::for_each_face_edge`] and
-//! [`ComplexRead::region_bbox_index`]).
+//! [`ComplexRead`] accessor trait, the combinatorial invariant `T_I`, and
+//! works unchanged on either representation: isomorphism, validation and
+//! the thematic database (the `invariant` crate) and 4-relation
+//! classification (`relations::relation_in_complex`). Cell-level query
+//! evaluation (`query::CellEvaluator<C: ComplexGeometry>`) also reads the
+//! geometric subtrait [`ComplexGeometry`]: its face walks and spatial index
+//! come through [`ComplexRead::for_each_face_edge`] and
+//! [`ComplexGeometry::region_bbox_index`].
 //!
 //! ## Incremental maintenance
 //!
@@ -206,8 +206,9 @@ pub use assemble::{
     ComponentComplex, ComponentSet, ComponentUpdate,
 };
 pub use builder::{build_complex, build_complex_monolithic, build_complex_view};
-pub use complex::{CellComplex, ComplexRead};
+pub use complex::{CellComplex, ComplexGeometry, ComplexRead};
 pub use index::SpatialIndex;
+pub use runs::Runs;
 pub use view::GlobalComplexView;
 pub use partition::{partition_instance, BBox, ComponentGroup};
 pub use types::{

@@ -11,7 +11,7 @@ use std::ops::Range;
 
 /// `n` runs of items in one flat buffer: run `k` is `items[at[k]..at[k + 1]]`.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) struct Runs<T> {
+pub struct Runs<T> {
     items: Vec<T>,
     at: Vec<usize>,
 }
@@ -24,7 +24,7 @@ impl<T> Default for Runs<T> {
 
 impl<T> Runs<T> {
     /// No runs, with room for `runs` runs of `items` items in all.
-    pub(crate) fn with_capacity(runs: usize, items: usize) -> Runs<T> {
+    pub fn with_capacity(runs: usize, items: usize) -> Runs<T> {
         let mut at = Vec::with_capacity(runs + 1);
         at.push(0);
         Runs { items: Vec::with_capacity(items), at }
@@ -36,12 +36,12 @@ impl<T> Runs<T> {
     }
 
     /// Run `k`.
-    pub(crate) fn get(&self, k: usize) -> &[T] {
+    pub fn get(&self, k: usize) -> &[T] {
         &self.items[self.range(k)]
     }
 
     /// Run `k`, mutably; the other runs are out of its reach.
-    pub(crate) fn get_mut(&mut self, k: usize) -> &mut [T] {
+    pub fn get_mut(&mut self, k: usize) -> &mut [T] {
         let range = self.range(k);
         &mut self.items[range]
     }
@@ -67,20 +67,20 @@ impl<T> Runs<T> {
     }
 
     /// Add `item` to the run being built; [`close`](Self::close) ends it.
-    pub(crate) fn push_item(&mut self, item: T) {
+    pub fn push_item(&mut self, item: T) {
         self.items.push(item);
     }
 
     /// End the run being built: every item pushed since the last close,
     /// possibly none.
-    pub(crate) fn close(&mut self) {
+    pub fn close(&mut self) {
         self.at.push(self.items.len());
     }
 }
 
 impl<T: Clone> Runs<T> {
     /// Append one run.
-    pub(crate) fn push(&mut self, run: &[T]) {
+    pub fn push(&mut self, run: &[T]) {
         self.items.extend_from_slice(run);
         self.close();
     }

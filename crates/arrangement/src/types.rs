@@ -123,7 +123,7 @@ pub struct VertexData {
 /// Data stored for an edge (1-cell). Its polyline, from `tail` to `head`
 /// (at least two points; first and last are the endpoint positions), is one
 /// run of the complex's flat polyline table: read it with
-/// [`ComplexRead::edge_polyline`](crate::ComplexRead::edge_polyline).
+/// [`ComplexGeometry::edge_polyline`](crate::ComplexGeometry::edge_polyline).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EdgeData {
     /// Tail vertex of the forward dart.

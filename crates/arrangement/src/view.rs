@@ -30,7 +30,7 @@
 //! boundary box (the union of its input segments' boxes), its interior
 //! faces (the inverted face labels, one flat buffer) and the spatial index
 //! over its region boxes. [`ComplexRead::region_faces`] and
-//! [`ComplexRead::region_bboxes`] are served from them, so the first read of
+//! [`ComplexGeometry::region_bboxes`] are served from them, so the first read of
 //! a new epoch scans no edge and no face label; the face walk
 //! [`ComplexRead::for_each_face_edge`] follows the component's own face →
 //! edge → endpoint incidence.
@@ -59,7 +59,7 @@ use crate::assemble::{
     assemble_components, component_index, compute_component_nesting, locate_components,
     locate_names, nesting_topo_order, widen_label, ComponentComplex, ComponentUpdate,
 };
-use crate::complex::{CellComplex, ComplexRead};
+use crate::complex::{CellComplex, ComplexGeometry, ComplexRead};
 use crate::index::SpatialIndex;
 use crate::partition::BBox;
 use crate::runs::Runs;
@@ -417,10 +417,6 @@ impl ComplexRead for GlobalComplexView {
         &self.region_names
     }
 
-    fn region_index(&self, name: &str) -> Option<usize> {
-        self.region_names.binary_search_by(|n| n.as_str().cmp(name)).ok()
-    }
-
     fn vertex_count(&self) -> usize {
         self.vertex_total
     }
@@ -435,11 +431,6 @@ impl ComplexRead for GlobalComplexView {
 
     fn exterior_face(&self) -> FaceId {
         FaceId(0)
-    }
-
-    fn vertex_point(&self, v: VertexId) -> Point {
-        let (c, lv) = self.vertex_home(v);
-        self.components[c].complex.vertices[lv].point
     }
 
     fn vertex_label(&self, v: VertexId) -> Label {
@@ -458,11 +449,6 @@ impl ComplexRead for GlobalComplexView {
         let data = &self.components[c].complex.edges[le];
         let off = self.vertex_start[c];
         (VertexId(data.tail.0 + off), VertexId(data.head.0 + off))
-    }
-
-    fn edge_polyline(&self, e: EdgeId) -> &[Point] {
-        let (c, le) = self.edge_home(e);
-        self.components[c].complex.polylines.get(le)
     }
 
     fn edge_label(&self, e: EdgeId) -> Label {
@@ -510,15 +496,6 @@ impl ComplexRead for GlobalComplexView {
         }
         out.sort_unstable();
         out
-    }
-
-    fn face_is_exterior(&self, f: FaceId) -> bool {
-        f.0 == 0
-    }
-
-    /// Served from the index this view assembles once for all its clones.
-    fn region_bbox_index(&self) -> Arc<SpatialIndex> {
-        GlobalComplexView::region_bbox_index(self)
     }
 
     /// The edges of the face's component-local boundary and the outer
@@ -594,6 +571,23 @@ impl ComplexRead for GlobalComplexView {
         }
         out.sort_unstable();
         out
+    }
+}
+
+impl ComplexGeometry for GlobalComplexView {
+    fn vertex_point(&self, v: VertexId) -> Point {
+        let (c, lv) = self.vertex_home(v);
+        self.components[c].complex.vertices[lv].point
+    }
+
+    fn edge_polyline(&self, e: EdgeId) -> &[Point] {
+        let (c, le) = self.edge_home(e);
+        self.components[c].complex.polylines.get(le)
+    }
+
+    /// Served from the index this view assembles once for all its clones.
+    fn region_bbox_index(&self) -> Arc<SpatialIndex> {
+        GlobalComplexView::region_bbox_index(self)
     }
 
     /// Served from the boxes every component's build computed for its own

@@ -1,10 +1,10 @@
 //! Shared helpers for the differential test suites.
 
-use arrangement::ComplexRead;
+use arrangement::ComplexGeometry;
 use spatial_core::prelude::Point;
 
 /// A re-indexing-invariant fingerprint of any complex representation,
-/// computed through the [`ComplexRead`] accessor surface (so it also
+/// computed through the [`ComplexGeometry`] accessor surface (so it also
 /// exercises the translation layer of the zero-copy view end to end):
 /// sorted multisets of vertices (point, label, degree), edges
 /// (direction-canonicalized polyline, label, boundary-region *names*) and
@@ -13,7 +13,7 @@ use spatial_core::prelude::Point;
 /// Two complexes of the same instance must produce equal fingerprints
 /// whatever construction path, assembly representation or thread count
 /// produced them.
-pub fn fingerprint<C: ComplexRead>(c: &C) -> (Vec<String>, Vec<String>, Vec<String>) {
+pub fn fingerprint<C: ComplexGeometry>(c: &C) -> (Vec<String>, Vec<String>, Vec<String>) {
     let mut vertices: Vec<String> = c
         .vertex_ids()
         .map(|v| {

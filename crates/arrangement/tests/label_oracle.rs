@@ -19,12 +19,12 @@
 //! Each label must also be sparse and well formed: its stored entries
 //! strictly ascend, name a region of the complex, and none is `Exterior`.
 //!
-//! The check is generic over [`ComplexRead`], so it covers both the flat
+//! The check is generic over [`ComplexGeometry`], so it covers both the flat
 //! [`build_complex`] and the zero-copy [`build_complex_view`], and the views
 //! maintained by [`update_components`] along a commit trace.
 
 use arrangement::{
-    build_complex, build_complex_view, update_components, ComplexRead, DartId, FaceId,
+    build_complex, build_complex_view, update_components, ComplexGeometry, DartId, FaceId,
     GlobalComplexView, Label, Sign,
 };
 use datagen::TraceOp;
@@ -60,7 +60,7 @@ fn ray_hit(origin: &Point, dir: &Vector, p: &Point, q: &Point) -> Option<Rationa
 }
 
 /// A point inside the face to the left of dart `d` (see the module docs).
-fn face_probe<C: ComplexRead>(c: &C, d: DartId) -> Point {
+fn face_probe<C: ComplexGeometry>(c: &C, d: DartId) -> Point {
     // The first piece of the dart, in the dart's direction.
     let pl = c.edge_polyline(d.edge());
     let (a, b) = if d.is_forward() {
@@ -83,7 +83,7 @@ fn face_probe<C: ComplexRead>(c: &C, d: DartId) -> Point {
 }
 
 /// Hold every label of `c` against the regions of `inst`.
-fn check_labels<C: ComplexRead>(c: &C, inst: &SpatialInstance, context: &str) {
+fn check_labels<C: ComplexGeometry>(c: &C, inst: &SpatialInstance, context: &str) {
     let regions: Vec<&Region> =
         c.region_names().iter().map(|n| inst.ext(n).expect("region of the instance")).collect();
     let check = |label: Label, p: &Point, cell: String| {

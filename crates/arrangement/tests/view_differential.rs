@@ -16,7 +16,7 @@
 
 use arrangement::{
     assemble_components, build_complex_monolithic, build_group_component, partition_instance,
-    update_components, BBox, CellComplex, ComplexRead, EdgeId, FaceId, GlobalComplexView,
+    update_components, BBox, CellComplex, ComplexGeometry, ComplexRead, EdgeId, FaceId, GlobalComplexView,
     SpatialIndex, VertexId,
 };
 use datagen::TraceOp;
@@ -59,7 +59,7 @@ fn check(inst: &SpatialInstance, context: &str) {
     assert_eq!(view.face_count(), ComplexRead::face_count(&flat), "{context}");
     assert_eq!(view.exterior_face(), ComplexRead::exterior_face(&flat), "{context}");
     for v in view.vertex_ids() {
-        assert_eq!(view.vertex_point(v), ComplexRead::vertex_point(&flat, v), "{context}");
+        assert_eq!(view.vertex_point(v), ComplexGeometry::vertex_point(&flat, v), "{context}");
         assert_eq!(view.vertex_label(v), ComplexRead::vertex_label(&flat, v), "{context}");
         assert_eq!(view.vertex_rotation(v), ComplexRead::vertex_rotation(&flat, v), "{context}");
     }
@@ -72,7 +72,7 @@ fn check(inst: &SpatialInstance, context: &str) {
             ComplexRead::edge_region_marks(&flat, e),
             "{context}"
         );
-        assert_eq!(view.edge_polyline(e), ComplexRead::edge_polyline(&flat, e), "{context}");
+        assert_eq!(view.edge_polyline(e), ComplexGeometry::edge_polyline(&flat, e), "{context}");
     }
     for f in view.face_ids() {
         assert_eq!(view.face_label(f), ComplexRead::face_label(&flat, f), "{context}");
@@ -131,7 +131,7 @@ fn face_walk<C: ComplexRead>(complex: &C, f: FaceId) -> Walk {
 /// walk, which on both sides visits the face's boundary edges with the flat
 /// complex's incidences.
 fn check_carried_memos(view: &GlobalComplexView, flat: &CellComplex, context: &str) {
-    assert_eq!(view.region_bboxes(), ComplexRead::region_bboxes(flat), "boxes on {context}");
+    assert_eq!(view.region_bboxes(), ComplexGeometry::region_bboxes(flat), "boxes on {context}");
     for name in view.region_names() {
         assert_eq!(
             view.region_faces(name),

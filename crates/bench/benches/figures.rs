@@ -3,6 +3,7 @@
 //! the relaxed/full isomorphisms, computing the 4-intersection relations and
 //! the thematic database for each figure fixture.
 
+use arrangement::ComplexRead;
 use criterion::{criterion_group, criterion_main, Criterion};
 use invariant::{find_isomorphism, IsoOptions, Invariant};
 use query::cell_eval::eval_on_instance;
@@ -88,8 +89,9 @@ fn fig05_invariant_and_thematic(c: &mut Criterion) {
 /// E05 — Fig. 6: exterior-face sensitivity of the invariant.
 fn fig06_exterior_face(c: &mut Criterion) {
     let t = Invariant::of_instance(&fixtures::ring_with_flag());
-    let hole = (0..t.face_count())
-        .find(|&f| f != t.exterior_face() && *t.face_label(f) == Default::default())
+    let hole = t
+        .face_ids()
+        .find(|&f| f != t.exterior_face() && t.face_label(f) == Default::default())
         .unwrap();
     let swapped = t.with_exterior(hole);
     let mut group = c.benchmark_group("fig06_exterior_face");

@@ -3,6 +3,7 @@
 //! ablation of the invariant's components (exterior face / orientation) in
 //! the isomorphism test.
 
+use arrangement::ComplexRead;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use invariant::{find_isomorphism, IsoOptions, Invariant};
 use relations::{ConstraintNetwork, Relation4, RelationSet};

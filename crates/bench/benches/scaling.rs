@@ -5,6 +5,7 @@
 //! evaluation (Theorem 6.4).
 
 use arrangement::split::{instance_segments, split_segments_naive};
+use arrangement::ComplexRead;
 use arrangement::sweep::split_segments_sweep;
 use bench::{CONSTRUCTION_SIZES, SCALING_SIZES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -13,8 +13,8 @@
 //! ignored, which yields the weaker structure `G_I` whose insufficiency the
 //! paper demonstrates.
 
-use crate::structure::{Dart, Invariant};
-use arrangement::Label;
+use arrangement::{build_complex_view, ComplexRead, Label, Runs};
+use std::collections::HashMap;
 
 /// Which parts of the invariant the isomorphism must respect.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,13 +71,14 @@ pub struct Isomorphism {
 
 /// Are two invariants isomorphic as full invariants `T_I` (identity on region
 /// names)? By Theorem 3.4 this holds iff the underlying instances are
-/// topologically equivalent.
-pub fn isomorphic(a: &Invariant, b: &Invariant) -> bool {
+/// topologically equivalent. Either side may be any [`ComplexRead`]: a
+/// snapshot's view, a flat complex or an owned [`Invariant`](crate::Invariant).
+pub fn isomorphic<A: ComplexRead, B: ComplexRead>(a: &A, b: &B) -> bool {
     find_isomorphism(a, b, IsoOptions::full()).is_some()
 }
 
 /// Convenience: are two spatial instances topologically equivalent
-/// (H-equivalent)? Computes both invariants and compares them, per
+/// (H-equivalent)? Builds both complexes and compares their invariants, per
 /// Theorem 3.4.
 pub fn homeomorphic(
     a: &spatial_core::instance::SpatialInstance,
@@ -86,14 +87,18 @@ pub fn homeomorphic(
     if a.names() != b.names() {
         return false;
     }
-    isomorphic(&Invariant::of_instance(a), &Invariant::of_instance(b))
+    isomorphic(&build_complex_view(a), &build_complex_view(b))
 }
 
 /// Find an isomorphism between two invariants under the given options.
-pub fn find_isomorphism(a: &Invariant, b: &Invariant, opts: IsoOptions) -> Option<Isomorphism> {
+pub fn find_isomorphism<A: ComplexRead, B: ComplexRead>(
+    a: &A,
+    b: &B,
+    opts: IsoOptions,
+) -> Option<Isomorphism> {
     // Region names must coincide exactly (the isomorphism is the identity on
     // names).
-    if a.region_names != b.region_names {
+    if a.region_names() != b.region_names() {
         return None;
     }
     if a.vertex_count() != b.vertex_count()
@@ -102,20 +107,22 @@ pub fn find_isomorphism(a: &Invariant, b: &Invariant, opts: IsoOptions) -> Optio
     {
         return None;
     }
+    let mut labels = HashMap::new();
+    let (a, b) = (&Side::read(a, &mut labels), &Side::read(b, &mut labels));
     // Label multisets must agree per dimension.
-    if sorted(&a.vertex_labels) != sorted(&b.vertex_labels)
-        || sorted(&a.edge_labels) != sorted(&b.edge_labels)
-        || sorted(&a.face_labels) != sorted(&b.face_labels)
+    if sorted(&a.vertex_label) != sorted(&b.vertex_label)
+        || sorted(&a.edge_label) != sorted(&b.edge_label)
+        || sorted(&a.face_label) != sorted(&b.face_label)
     {
         return None;
     }
-    if opts.use_exterior && a.face_labels[a.exterior_face] != b.face_labels[b.exterior_face] {
+    if opts.use_exterior && a.face_label[a.exterior] != b.face_label[b.exterior] {
         return None;
     }
 
     // Degenerate case: no edges at all.
-    if a.edge_count() == 0 {
-        let face_map = vec![0; a.face_count().min(1)];
+    if a.ends.is_empty() {
+        let face_map = vec![0; a.face_label.len().min(1)];
         return Some(Isomorphism {
             vertex_map: vec![],
             edge_map: vec![],
@@ -128,17 +135,18 @@ pub fn find_isomorphism(a: &Invariant, b: &Invariant, opts: IsoOptions) -> Optio
     // the same signature, ascending. One sort of `b`'s edges by signature
     // groups them into runs, `class[eb]` being the start of `eb`'s run; each
     // edge of `a` finds its run by binary search.
-    let sig_b: Vec<_> = (0..b.edge_count()).map(|e| edge_signature(b, e, opts)).collect();
-    let mut by_sig: Vec<usize> = (0..b.edge_count()).collect();
+    let edges = 0..a.ends.len();
+    let sig_b: Vec<_> = edges.clone().map(|e| b.edge_signature(e, opts)).collect();
+    let mut by_sig: Vec<usize> = edges.clone().collect();
     by_sig.sort_by(|&x, &y| sig_b[x].cmp(&sig_b[y]));
-    let mut class = vec![0; b.edge_count()];
+    let mut class = vec![0; by_sig.len()];
     for i in 1..by_sig.len() {
         let (prev, eb) = (by_sig[i - 1], by_sig[i]);
         class[eb] = if sig_b[prev] == sig_b[eb] { class[prev] } else { i };
     }
-    let mut candidates = Vec::with_capacity(a.edge_count());
-    for ea in 0..a.edge_count() {
-        let sa = edge_signature(a, ea, opts);
+    let mut candidates = Vec::with_capacity(by_sig.len());
+    for ea in edges {
+        let sa = a.edge_signature(ea, opts);
         let lo = by_sig.partition_point(|&eb| sig_b[eb] < sa);
         let len = by_sig[lo..].partition_point(|&eb| sig_b[eb] == sa);
         if len == 0 {
@@ -152,12 +160,12 @@ pub fn find_isomorphism(a: &Invariant, b: &Invariant, opts: IsoOptions) -> Optio
     let order = processing_order(a, &candidates);
 
     let mut state = State {
-        vmap: vec![usize::MAX; a.vertex_count()],
-        emap: vec![usize::MAX; a.edge_count()],
-        fmap: vec![usize::MAX; a.face_count()],
-        vused: vec![false; b.vertex_count()],
-        eused: vec![false; b.edge_count()],
-        fused: vec![false; b.face_count()],
+        vmap: vec![usize::MAX; a.vertex_label.len()],
+        emap: vec![usize::MAX; a.ends.len()],
+        fmap: vec![usize::MAX; a.face_label.len()],
+        vused: vec![false; b.vertex_label.len()],
+        eused: vec![false; b.ends.len()],
+        fused: vec![false; b.face_label.len()],
     };
     Matcher { a, b, opts, candidates, class }.search(&order, &mut state)
 }
@@ -168,19 +176,66 @@ fn sorted<T: Ord + Clone>(v: &[T]) -> Vec<T> {
     out
 }
 
-type EdgeSignature = (Label, Vec<Label>, Vec<(Label, bool)>, bool);
+type EdgeSignature = (usize, [usize; 2], [(usize, bool); 2], bool);
 
-fn edge_signature(inv: &Invariant, e: usize, opts: IsoOptions) -> EdgeSignature {
-    let (t, h) = inv.edge_endpoints(e);
-    let (l, r) = inv.edge_faces(e);
-    let mut vlabels = vec![inv.vertex_label(t).clone(), inv.vertex_label(h).clone()];
-    vlabels.sort();
-    let mut flabels = vec![
-        (inv.face_label(l).clone(), opts.use_exterior && l == inv.exterior_face()),
-        (inv.face_label(r).clone(), opts.use_exterior && r == inv.exterior_face()),
-    ];
-    flabels.sort();
-    (inv.edge_label(e).clone(), vlabels, flabels, inv.is_loop(e))
+/// One side of the search, read once from its complex: each cell's label
+/// interned as an id that the two sides share (equal ids are equal labels),
+/// so the search compares integers and never a [`Label`], and the incidences
+/// it probes as flat tables of indices.
+struct Side {
+    vertex_label: Vec<usize>,
+    edge_label: Vec<usize>,
+    face_label: Vec<usize>,
+    /// The (tail, head) vertices of every edge.
+    ends: Vec<(usize, usize)>,
+    /// The (left, right) faces of every edge.
+    sides: Vec<(usize, usize)>,
+    /// The edges around every vertex, counter-clockwise.
+    rotation: Runs<usize>,
+    /// The boundary edges of every face.
+    boundary: Runs<usize>,
+    exterior: usize,
+}
+
+impl Side {
+    fn read<C: ComplexRead>(c: &C, labels: &mut HashMap<Label, usize>) -> Side {
+        let mut intern = |label: Label| {
+            let next = labels.len();
+            *labels.entry(label).or_insert(next)
+        };
+        let vertex_label = c.vertex_ids().map(|v| intern(c.vertex_label(v))).collect();
+        let edge_label = c.edge_ids().map(|e| intern(c.edge_label(e))).collect();
+        let face_label = c.face_ids().map(|f| intern(c.face_label(f))).collect();
+        let mut rotation = Runs::with_capacity(c.vertex_count(), 2 * c.edge_count());
+        for v in c.vertex_ids() {
+            c.vertex_rotation(v).iter().for_each(|d| rotation.push_item(d.edge().0));
+            rotation.close();
+        }
+        let mut boundary = Runs::with_capacity(c.face_count(), 2 * c.edge_count());
+        for f in c.face_ids() {
+            c.face_boundary(f).iter().for_each(|e| boundary.push_item(e.0));
+            boundary.close();
+        }
+        Side {
+            vertex_label,
+            edge_label,
+            face_label,
+            ends: c.edge_ids().map(|e| c.edge_endpoints(e)).map(|(t, h)| (t.0, h.0)).collect(),
+            sides: c.edge_ids().map(|e| c.edge_faces(e)).map(|(l, r)| (l.0, r.0)).collect(),
+            rotation,
+            boundary,
+            exterior: c.exterior_face().0,
+        }
+    }
+
+    fn edge_signature(&self, e: usize, opts: IsoOptions) -> EdgeSignature {
+        let ((t, h), (l, r)) = (self.ends[e], self.sides[e]);
+        let mut vertices = [self.vertex_label[t], self.vertex_label[h]];
+        vertices.sort();
+        let mut faces = [l, r].map(|f| (self.face_label[f], opts.use_exterior && f == self.exterior));
+        faces.sort();
+        (self.edge_label[e], vertices, faces, t == h)
+    }
 }
 
 /// The order in which the search assigns `a`'s edges: a breadth-first
@@ -191,10 +246,10 @@ fn edge_signature(inv: &Invariant, e: usize, opts: IsoOptions) -> EdgeSignature 
 /// rotations and the face edge lists; a vertex or face is expanded once,
 /// since expanding it places all of its edges. The traversal is
 /// `O(E log E)`.
-fn processing_order(a: &Invariant, candidates: &[&[usize]]) -> Vec<usize> {
-    let n = a.edge_count();
-    let mut vertex_done = vec![false; a.vertex_count()];
-    let mut face_done = vec![false; a.face_count()];
+fn processing_order(a: &Side, candidates: &[&[usize]]) -> Vec<usize> {
+    let n = a.ends.len();
+    let mut vertex_done = vec![false; a.vertex_label.len()];
+    let mut face_done = vec![false; a.face_label.len()];
     let mut seeds: Vec<usize> = (0..n).collect();
     seeds.sort_by_key(|&e| candidates[e].len());
     let mut seeds = seeds.into_iter();
@@ -208,15 +263,15 @@ fn processing_order(a: &Invariant, candidates: &[&[usize]]) -> Vec<usize> {
         // Grow through adjacency (BFS) to keep propagation tight.
         let mut queue = std::collections::VecDeque::from([seed]);
         while let Some(e) = queue.pop_front() {
-            let ((t, h), (l, r)) = (a.edge_endpoints(e), a.edge_faces(e));
+            let ((t, h), (l, r)) = (a.ends[e], a.sides[e]);
             for v in [t, h] {
                 if !std::mem::replace(&mut vertex_done[v], true) {
-                    next.extend(a.rotation(v).iter().map(|d| d.edge).filter(|&x| !placed[x]));
+                    next.extend(a.rotation.get(v).iter().filter(|&&x| !placed[x]));
                 }
             }
             for f in [l, r] {
                 if !std::mem::replace(&mut face_done[f], true) {
-                    next.extend(a.face_edges(f).iter().filter(|&&x| !placed[x]));
+                    next.extend(a.boundary.get(f).iter().filter(|&&x| !placed[x]));
                 }
             }
             next.sort_unstable_by_key(|&x| (candidates[x].len(), x));
@@ -304,8 +359,8 @@ impl Frame {
 
 /// The fixed inputs of the search.
 struct Matcher<'i> {
-    a: &'i Invariant,
-    b: &'i Invariant,
+    a: &'i Side,
+    b: &'i Side,
     opts: IsoOptions,
     /// The edges of `b` with each edge of `a`'s signature, ascending.
     candidates: Vec<&'i [usize]>,
@@ -354,15 +409,15 @@ impl Matcher<'_> {
     /// edge at every depth.
     fn live_candidates(&self, ea: usize, state: &State) -> Vec<usize> {
         let b = self.b;
-        let ((t, h), (l, r)) = (self.a.edge_endpoints(ea), self.a.edge_faces(ea));
+        let ((t, h), (l, r)) = (self.a.ends[ea], self.a.sides[ea]);
         let images = |map: &[usize], cells: [usize; 2]| {
             cells.map(|c| map[c]).into_iter().filter(|&y| y != usize::MAX)
         };
-        let vertex = images(&state.vmap, [t, h]).min_by_key(|&y| b.rotation(y).len());
-        let face = images(&state.fmap, [l, r]).min_by_key(|&y| b.face_edges(y).len());
+        let vertex = images(&state.vmap, [t, h]).min_by_key(|&y| b.rotation.get(y).len());
+        let face = images(&state.fmap, [l, r]).min_by_key(|&y| b.boundary.get(y).len());
         let mut live: Vec<usize> = match (vertex, face) {
-            (Some(v), _) => b.rotation(v).iter().map(|d| d.edge).collect(),
-            (None, Some(f)) => b.face_edges(f).to_vec(),
+            (Some(v), _) => b.rotation.get(v).to_vec(),
+            (None, Some(f)) => b.boundary.get(f).to_vec(),
             (None, None) => return self.candidates[ea].to_vec(),
         };
         let class = self.class[self.candidates[ea][0]];
@@ -377,7 +432,7 @@ impl Matcher<'_> {
     /// was) once this depth's choices are exhausted.
     fn extend(&self, ea: usize, from: Choice, state: &mut State) -> Option<Frame> {
         let (a, b) = (self.a, self.b);
-        let ((ta, ha), (la, ra)) = (a.edge_endpoints(ea), a.edge_faces(ea));
+        let ((ta, ha), (la, ra)) = (a.ends[ea], a.sides[ea]);
         let mut pairing = from.pairing;
         let live = self.live_candidates(ea, state);
         for (candidate, &eb) in live.iter().enumerate().skip(from.candidate) {
@@ -388,7 +443,7 @@ impl Matcher<'_> {
             }
             // Labels already match via the signature. Try the (up to) four
             // ways of matching endpoints and faces.
-            let ((tb, hb), (lb, rb)) = (b.edge_endpoints(eb), b.edge_faces(eb));
+            let ((tb, hb), (lb, rb)) = (b.ends[eb], b.sides[eb]);
             let vertex_pairings: &[[(usize, usize); 2]] = if ta == ha {
                 &[[(ta, tb), (ta, tb)]]
             } else {
@@ -403,13 +458,13 @@ impl Matcher<'_> {
                 let vp = &vertex_pairings[p / face_pairings.len()];
                 let fp = &face_pairings[p % face_pairings.len()];
                 // Labels of the forced cells must match.
-                if vp.iter().any(|&(x, y)| a.vertex_label(x) != b.vertex_label(y))
-                    || fp.iter().any(|&(x, y)| a.face_label(x) != b.face_label(y))
+                if vp.iter().any(|&(x, y)| a.vertex_label[x] != b.vertex_label[y])
+                    || fp.iter().any(|&(x, y)| a.face_label[x] != b.face_label[y])
                 {
                     continue;
                 }
                 if self.opts.use_exterior
-                    && fp.iter().any(|&(x, y)| (x == a.exterior_face()) != (y == b.exterior_face()))
+                    && fp.iter().any(|&(x, y)| (x == a.exterior) != (y == b.exterior))
                 {
                     continue;
                 }
@@ -429,22 +484,22 @@ impl Matcher<'_> {
     }
 }
 
-fn finalize(a: &Invariant, b: &Invariant, opts: IsoOptions, state: &State) -> Option<Isomorphism> {
+fn finalize(a: &Side, b: &Side, opts: IsoOptions, state: &State) -> Option<Isomorphism> {
     // Every vertex and face must have been forced (they are all incident to
     // at least one edge when edges exist).
     if state.vmap.contains(&usize::MAX) || state.fmap.contains(&usize::MAX) {
         return None;
     }
     // Exterior face.
-    if opts.use_exterior && state.fmap[a.exterior_face()] != b.exterior_face() {
+    if opts.use_exterior && state.fmap[a.exterior] != b.exterior {
         return None;
     }
     // Face boundary-edge sets (this captures which components are embedded in
     // which faces).
-    for f in 0..a.face_count() {
-        let mut img: Vec<usize> = a.face_edges(f).iter().map(|&e| state.emap[e]).collect();
+    for f in 0..a.face_label.len() {
+        let mut img: Vec<usize> = a.boundary.get(f).iter().map(|&e| state.emap[e]).collect();
         img.sort();
-        let mut expect = b.face_edges(state.fmap[f]).to_vec();
+        let mut expect = b.boundary.get(state.fmap[f]).to_vec();
         expect.sort();
         if img != expect {
             return None;
@@ -455,12 +510,9 @@ fn finalize(a: &Invariant, b: &Invariant, opts: IsoOptions, state: &State) -> Op
     let mut orientation_reversed = false;
     if opts.use_orientation {
         let check = |flip: bool| -> bool {
-            (0..a.vertex_count()).all(|v| {
-                let seq_a: Vec<usize> =
-                    a.rotation(v).iter().map(|d: &Dart| state.emap[d.edge]).collect();
-                let seq_b: Vec<usize> =
-                    b.rotation(state.vmap[v]).iter().map(|d| d.edge).collect();
-                cyclically_equal(&seq_a, &seq_b, flip)
+            (0..a.vertex_label.len()).all(|v| {
+                let seq_a: Vec<usize> = a.rotation.get(v).iter().map(|&e| state.emap[e]).collect();
+                cyclically_equal(&seq_a, b.rotation.get(state.vmap[v]), flip)
             })
         };
         if check(false) {
@@ -573,8 +625,9 @@ mod tests {
         // Fig. 6 of the paper: same labeled graph, different exterior face,
         // different homeomorphism type.
         let t = inv(&fixtures::ring_with_flag());
-        let hole = (0..t.face_count())
-            .find(|&f| f != t.exterior_face() && *t.face_label(f) == Label::default())
+        let hole = t
+            .face_ids()
+            .find(|&f| f != t.exterior_face() && t.face_label(f) == Label::default())
             .expect("ring_with_flag has a bounded all-exterior face");
         let swapped = t.with_exterior(hole);
         assert!(
@@ -595,8 +648,9 @@ mod tests {
         // invariant. This is why `ring_with_flag` (which breaks the symmetry)
         // is used for the Fig. 6 experiment.
         let t = inv(&fixtures::ring());
-        let hole = (0..t.face_count())
-            .find(|&f| f != t.exterior_face() && *t.face_label(f) == Label::default())
+        let hole = t
+            .face_ids()
+            .find(|&f| f != t.exterior_face() && t.face_label(f) == Label::default())
             .unwrap();
         let swapped = t.with_exterior(hole);
         assert!(find_isomorphism(&t, &swapped, IsoOptions::full()).is_some());

@@ -4,8 +4,14 @@
 //! contribution of *"Topological Queries in Spatial Databases"*
 //! (Papadimitriou, Suciu, Vianu; PODS 1996 / JCSS 1999), Section 3.
 //!
-//! * [`Invariant`] — the finite structure `T_I = (V, E, δ, f0, l, O)`
-//!   extracted from the planar cell complex of an instance.
+//! `T_I = (V, E, δ, f0, l, O)` is the combinatorial structure of the planar
+//! cell complex of an instance: exactly what [`arrangement::ComplexRead`]
+//! serves. Every algorithm here reads a `ComplexRead` — a database
+//! snapshot's zero-copy view as it stands, with nothing copied.
+//!
+//! * [`Invariant`] — an owned copy of `T_I`, itself a `ComplexRead`: the form
+//!   a caller can edit (the Fig. 6 and Fig. 7 experiments, hand-corrupted
+//!   structures for validation) and the oracle for the zero-copy reads.
 //! * [`isomorphism`] — Theorem 3.4: two instances are topologically
 //!   equivalent iff their invariants are isomorphic (identity on region
 //!   names); plus the relaxed comparisons showing that the exterior face and
@@ -24,15 +30,16 @@
 //! ## Example
 //!
 //! ```
-//! use invariant::{Invariant, isomorphism};
+//! use arrangement::build_complex_view;
+//! use invariant::{isomorphism, Invariant};
 //! use spatial_core::fixtures;
 //!
 //! // Fig. 1c and Fig. 1d are 4-intersection equivalent but not homeomorphic:
-//! let c = Invariant::of_instance(&fixtures::fig_1c());
-//! let d = Invariant::of_instance(&fixtures::fig_1d());
+//! let c = build_complex_view(&fixtures::fig_1c());
+//! let d = build_complex_view(&fixtures::fig_1d());
 //! assert!(!isomorphism::isomorphic(&c, &d));
 //!
-//! // Translations are homeomorphisms:
+//! // Translations are homeomorphisms, and an owned copy reads the same:
 //! let c2 = Invariant::of_instance(&fixtures::fig_1c().translated(10, 10));
 //! assert!(isomorphism::isomorphic(&c, &c2));
 //! ```
@@ -46,5 +53,5 @@ pub mod thematic;
 pub mod validate;
 
 pub use isomorphism::{find_isomorphism, homeomorphic, isomorphic, IsoOptions, Isomorphism};
-pub use structure::{Dart, Invariant};
-pub use validate::{is_valid, validate, ValidationError};
+pub use structure::Invariant;
+pub use validate::{validate, ValidationError};

@@ -17,8 +17,7 @@
 //! Cell identifiers are `v0, v1, …`, `e0, …`, `f0, …` with `f0`-style naming
 //! chosen so the exterior face reads like the paper's `f0` in examples.
 
-use crate::structure::Invariant;
-use arrangement::Sign;
+use arrangement::{ComplexRead, Sign};
 use relstore::{Database, Value};
 use std::collections::BTreeSet;
 
@@ -50,8 +49,9 @@ pub fn face_id(f: usize) -> String {
     format!("f{f}")
 }
 
-/// Compute `thematic(I)` from the invariant of `I`.
-pub fn to_database(inv: &Invariant) -> Database {
+/// Compute `thematic(I)` from the invariant of `I`: any [`ComplexRead`],
+/// such as a snapshot's view or an owned [`Invariant`](crate::Invariant).
+pub fn to_database<C: ComplexRead>(complex: &C) -> Database {
     let mut db = Database::new();
     for name in TH_RELATIONS {
         let arity = match name {
@@ -62,48 +62,48 @@ pub fn to_database(inv: &Invariant) -> Database {
         };
         db.create_relation(name, arity);
     }
-    for name in inv.region_names() {
+    for name in complex.region_names() {
         db.insert("Regions", vec![Value::sym(name.clone())]);
     }
-    for v in 0..inv.vertex_count() {
+    for v in 0..complex.vertex_count() {
         db.insert("Vertices", vec![Value::sym(vertex_id(v))]);
     }
-    for e in 0..inv.edge_count() {
-        db.insert("Edges", vec![Value::sym(edge_id(e))]);
-        let (t, h) = inv.edge_endpoints(e);
+    for e in complex.edge_ids() {
+        db.insert("Edges", vec![Value::sym(edge_id(e.0))]);
+        let (t, h) = complex.edge_endpoints(e);
         db.insert(
             "Endpoints",
-            vec![Value::sym(edge_id(e)), Value::sym(vertex_id(t)), Value::sym(vertex_id(h))],
+            vec![Value::sym(edge_id(e.0)), Value::sym(vertex_id(t.0)), Value::sym(vertex_id(h.0))],
         );
     }
-    for f in 0..inv.face_count() {
-        db.insert("Faces", vec![Value::sym(face_id(f))]);
-        for &e in inv.face_edges(f) {
-            db.insert("FaceEdges", vec![Value::sym(face_id(f)), Value::sym(edge_id(e))]);
+    for f in complex.face_ids() {
+        db.insert("Faces", vec![Value::sym(face_id(f.0))]);
+        for e in complex.face_boundary(f) {
+            db.insert("FaceEdges", vec![Value::sym(face_id(f.0)), Value::sym(edge_id(e.0))]);
         }
     }
-    db.insert("ExteriorFace", vec![Value::sym(face_id(inv.exterior_face()))]);
+    db.insert("ExteriorFace", vec![Value::sym(face_id(complex.exterior_face().0))]);
     // One pass over the face labels' `Interior` entries, inverted per region.
-    let mut region_faces: Vec<Vec<usize>> = vec![Vec::new(); inv.region_names().len()];
-    for f in 0..inv.face_count() {
-        for (r, _) in inv.face_label(f).iter().filter(|&(_, s)| s == Sign::Interior) {
-            region_faces[r].push(f);
+    let mut region_faces: Vec<Vec<usize>> = vec![Vec::new(); complex.region_names().len()];
+    for f in complex.face_ids() {
+        for (r, _) in complex.face_label(f).iter().filter(|&(_, s)| s == Sign::Interior) {
+            region_faces[r].push(f.0);
         }
     }
-    for (name, faces) in inv.region_names().iter().zip(region_faces) {
+    for (name, faces) in complex.region_names().iter().zip(region_faces) {
         for f in faces {
             db.insert("RegionFaces", vec![Value::sym(name.clone()), Value::sym(face_id(f))]);
         }
     }
-    for (cw, v, e1, e2) in inv.orientation_relation() {
+    for (cw, v, e1, e2) in complex.orientation_relation() {
         let dir = if cw { "cw" } else { "ccw" };
         db.insert(
             "Orientation",
             vec![
                 Value::sym(dir),
-                Value::sym(vertex_id(v)),
-                Value::sym(edge_id(e1)),
-                Value::sym(edge_id(e2)),
+                Value::sym(vertex_id(v.0)),
+                Value::sym(edge_id(e1.0)),
+                Value::sym(edge_id(e2.0)),
             ],
         );
     }

@@ -6,10 +6,10 @@
 //! actual invariants of spatial instances? The paper characterizes them as
 //! *labeled planar graphs* (Lemma 3.9) via conditions (1)–(7) and shows the
 //! check is effective (Theorem 3.8). This module implements that check for
-//! the [`Invariant`] structure.
+//! any [`ComplexRead`]: a snapshot's view, or an owned
+//! [`Invariant`](crate::Invariant) edited by hand.
 
-use crate::structure::{Dart, Invariant};
-use arrangement::{Label, Sign};
+use arrangement::{ComplexRead, DartId, FaceId, Label, Sign};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A reason why a candidate structure is not a valid invariant.
@@ -58,64 +58,69 @@ impl std::error::Error for ValidationError {}
 /// Theorem 3.8) the invariant of some spatial instance.
 ///
 /// Returns all violations found (empty means valid).
-pub fn validate(inv: &Invariant) -> Vec<ValidationError> {
+pub fn validate<C: ComplexRead>(c: &C) -> Vec<ValidationError> {
     let mut errors = Vec::new();
-    check_references(inv, &mut errors);
+    check_references(c, &mut errors);
     if !errors.is_empty() {
         // Index errors make the remaining checks unsafe to run.
         return errors;
     }
-    check_labels(inv, &mut errors);
-    check_rotation(inv, &mut errors);
-    check_faces_and_planarity(inv, &mut errors);
-    check_exterior(inv, &mut errors);
-    check_regions(inv, &mut errors);
+    check_labels(c, &mut errors);
+    check_rotation(c, &mut errors);
+    check_faces_and_planarity(c, &mut errors);
+    check_exterior(c, &mut errors);
+    check_regions(c, &mut errors);
     errors
 }
 
-/// Convenience wrapper: is the structure a valid invariant?
-pub fn is_valid(inv: &Invariant) -> bool {
-    validate(inv).is_empty()
-}
-
-fn check_references(inv: &Invariant, errors: &mut Vec<ValidationError>) {
-    let nv = inv.vertex_count();
-    let nf = inv.face_count();
-    for e in 0..inv.edge_count() {
-        let (t, h) = inv.edge_endpoints(e);
-        if t >= nv || h >= nv {
+fn check_references<C: ComplexRead>(c: &C, errors: &mut Vec<ValidationError>) {
+    let (nv, ne, nf) = (c.vertex_count(), c.edge_count(), c.face_count());
+    for e in c.edge_ids() {
+        let (t, h) = c.edge_endpoints(e);
+        if t.0 >= nv || h.0 >= nv {
             errors.push(ValidationError::DanglingReference(format!(
-                "edge {e} has endpoint out of range"
+                "edge {} has endpoint out of range",
+                e.0
             )));
         }
-        let (l, r) = inv.edge_faces(e);
-        if l >= nf || r >= nf {
+        let (l, r) = c.edge_faces(e);
+        if l.0 >= nf || r.0 >= nf {
             errors.push(ValidationError::DanglingReference(format!(
-                "edge {e} has face out of range"
+                "edge {} has face out of range",
+                e.0
             )));
         }
     }
-    for f in 0..nf {
-        for &e in inv.face_edges(f) {
-            if e >= inv.edge_count() {
+    for v in c.vertex_ids() {
+        if c.vertex_rotation(v).iter().any(|d| d.edge().0 >= ne) {
+            errors.push(ValidationError::DanglingReference(format!(
+                "vertex {} lists a dart of an unknown edge",
+                v.0
+            )));
+        }
+    }
+    for f in c.face_ids() {
+        for e in c.face_boundary(f) {
+            if e.0 >= ne {
                 errors.push(ValidationError::DanglingReference(format!(
-                    "face {f} lists unknown edge {e}"
+                    "face {} lists unknown edge {}",
+                    f.0, e.0
                 )));
             }
         }
     }
-    if inv.exterior_face() >= nf && nf > 0 {
+    if c.exterior_face().0 >= nf && nf > 0 {
         errors.push(ValidationError::DanglingReference("exterior face out of range".into()));
     }
 }
 
-fn check_labels(inv: &Invariant, errors: &mut Vec<ValidationError>) {
-    let k = inv.region_names().len();
+fn check_labels<C: ComplexRead>(c: &C, errors: &mut Vec<ValidationError>) {
+    let k = c.region_names().len();
     // Every label is well formed: its entries strictly ascend, name one of
     // the `k` regions, and none is `Exterior` (the sign of an absent region).
-    let cells = (0..inv.vertex_count()).map(|v| ("vertex", v, inv.vertex_label(v)));
-    let cells = cells.chain((0..inv.edge_count()).map(|e| ("edge", e, inv.edge_label(e))));
-    let cells = cells.chain((0..inv.face_count()).map(|f| ("face", f, inv.face_label(f))));
+    let cells = c.vertex_ids().map(|v| ("vertex", v.0, c.vertex_label(v)));
+    let cells = cells.chain(c.edge_ids().map(|e| ("edge", e.0, c.edge_label(e))));
+    let cells = cells.chain(c.face_ids().map(|f| ("face", f.0, c.face_label(f))));
     for (kind, i, label) in cells {
         let entries: Vec<(usize, Sign)> = label.iter().collect();
         let ascending = entries.windows(2).all(|w| w[0].0 < w[1].0);
@@ -132,9 +137,9 @@ fn check_labels(inv: &Invariant, errors: &mut Vec<ValidationError>) {
     // an edge lies on ∂R exactly when its two sides disagree about membership
     // in R; otherwise it carries the common side label. A region none of the
     // three labels names is exterior to all three.
-    for e in 0..inv.edge_count() {
-        let (l, r) = inv.edge_faces(e);
-        let (label, left, right) = (inv.edge_label(e), inv.face_label(l), inv.face_label(r));
+    for e in c.edge_ids() {
+        let (l, r) = c.edge_faces(e);
+        let (label, left, right) = (c.edge_label(e), c.face_label(l), c.face_label(r));
         let named: BTreeSet<usize> =
             label.iter().chain(left.iter()).chain(right.iter()).map(|(idx, _)| idx).collect();
         for idx in named {
@@ -143,14 +148,16 @@ fn check_labels(inv: &Invariant, errors: &mut Vec<ValidationError>) {
                 Sign::Boundary => {
                     if sl == sr {
                         errors.push(ValidationError::BadLabel(format!(
-                            "edge {e} claims to be on region {idx}'s boundary but both sides agree"
+                            "edge {} claims to be on region {idx}'s boundary but both sides agree",
+                            e.0
                         )));
                     }
                 }
                 s => {
                     if sl != s || sr != s {
                         errors.push(ValidationError::BadLabel(format!(
-                            "edge {e} label for region {idx} disagrees with its sides"
+                            "edge {} label for region {idx} disagrees with its sides",
+                            e.0
                         )));
                     }
                 }
@@ -159,86 +166,98 @@ fn check_labels(inv: &Invariant, errors: &mut Vec<ValidationError>) {
         // At least one region's boundary passes through every edge.
         if !label.iter().any(|(_, s)| s == Sign::Boundary) {
             errors.push(ValidationError::BadLabel(format!(
-                "edge {e} lies on no region boundary"
+                "edge {} lies on no region boundary",
+                e.0
             )));
         }
     }
     // Vertices: a vertex lies on ∂R iff one of its incident edges does.
-    fn boundary_of(label: &Label) -> impl Iterator<Item = usize> + '_ {
-        label.iter().filter(|&(_, s)| s == Sign::Boundary).map(|(idx, _)| idx)
-    }
-    for v in 0..inv.vertex_count() {
-        let on_vertex: BTreeSet<usize> = boundary_of(inv.vertex_label(v)).collect();
+    for v in c.vertex_ids() {
+        let label = c.vertex_label(v);
+        let on_vertex: BTreeSet<usize> =
+            label.iter().filter(|&(_, s)| s == Sign::Boundary).map(|(idx, _)| idx).collect();
         let on_edges: BTreeSet<usize> =
-            inv.rotation(v).iter().flat_map(|d| boundary_of(inv.edge_label(d.edge))).collect();
+            c.vertex_rotation(v).iter().flat_map(|d| c.edge_region_marks(d.edge())).collect();
         for idx in on_vertex.symmetric_difference(&on_edges) {
             errors.push(ValidationError::BadLabel(format!(
-                "vertex {v} label for region {idx} inconsistent with incident edges"
+                "vertex {} label for region {idx} inconsistent with incident edges",
+                v.0
             )));
         }
     }
 }
 
-fn check_rotation(inv: &Invariant, errors: &mut Vec<ValidationError>) {
+fn check_rotation<C: ComplexRead>(c: &C, errors: &mut Vec<ValidationError>) {
     // Every dart must appear exactly once in the rotation of its tail vertex.
-    let mut expected: BTreeMap<usize, Vec<Dart>> = BTreeMap::new();
-    for e in 0..inv.edge_count() {
-        let (t, h) = inv.edge_endpoints(e);
-        expected.entry(t).or_default().push(Dart::forward(e));
-        expected.entry(h).or_default().push(Dart::backward(e));
+    let mut expected: Vec<Vec<DartId>> = vec![Vec::new(); c.vertex_count()];
+    for e in c.edge_ids() {
+        let (t, h) = c.edge_endpoints(e);
+        expected[t.0].push(DartId::forward(e));
+        expected[h.0].push(DartId::backward(e));
     }
-    for v in 0..inv.vertex_count() {
-        let mut listed: Vec<Dart> = inv.rotation(v).to_vec();
+    for (v, expect) in c.vertex_ids().zip(&mut expected) {
+        let mut listed = c.vertex_rotation(v);
+        let isolated = listed.is_empty();
         listed.sort();
-        let mut expect = expected.remove(&v).unwrap_or_default();
         expect.sort();
-        if listed != expect {
+        if listed != *expect {
             errors.push(ValidationError::BadRotation(format!(
-                "vertex {v}: rotation does not list each incident dart exactly once"
+                "vertex {}: rotation does not list each incident dart exactly once",
+                v.0
             )));
         }
-        if inv.rotation(v).is_empty() {
-            errors.push(ValidationError::BadRotation(format!("vertex {v} is isolated")));
+        if isolated {
+            errors.push(ValidationError::BadRotation(format!("vertex {} is isolated", v.0)));
         }
     }
 }
 
 /// Recompute the face walks from the rotation system alone and check the
 /// planarity (Euler) condition and consistency with the declared faces.
-fn check_faces_and_planarity(inv: &Invariant, errors: &mut Vec<ValidationError>) {
-    if inv.edge_count() == 0 {
-        if inv.face_count() != 1 {
+fn check_faces_and_planarity<C: ComplexRead>(c: &C, errors: &mut Vec<ValidationError>) {
+    let ne = c.edge_count();
+    if ne == 0 {
+        if c.face_count() != 1 {
             errors.push(ValidationError::BadFaceStructure(
                 "an invariant with no edges must have exactly one face".into(),
             ));
         }
         return;
     }
-    // Walks: orbits of next(d) = rot_prev(twin(d)) at the head of d.
-    let mut walk_of_dart: BTreeMap<Dart, usize> = BTreeMap::new();
-    let mut walks: Vec<Vec<Dart>> = Vec::new();
-    let all_darts: Vec<Dart> = (0..inv.edge_count())
-        .flat_map(|e| [Dart::forward(e), Dart::backward(e)])
-        .collect();
-    for &start in &all_darts {
-        if walk_of_dart.contains_key(&start) {
+    // The dart before each dart in the rotation of its tail (at its first
+    // listing there: a corrupt rotation may repeat a dart).
+    let mut before: Vec<Option<DartId>> = vec![None; 2 * ne];
+    for v in c.vertex_ids() {
+        let rot = c.vertex_rotation(v);
+        for (i, &d) in rot.iter().enumerate() {
+            if before[d.0].is_none() && c.dart_tail(d) == v {
+                before[d.0] = Some(rot[(i + rot.len() - 1) % rot.len()]);
+            }
+        }
+    }
+    // Walks: orbits of next(d) = the dart before twin(d) at the head of d.
+    let mut walked = vec![false; 2 * ne];
+    let mut walks: Vec<Vec<DartId>> = Vec::new();
+    for start in (0..2 * ne).map(DartId) {
+        if walked[start.0] {
             continue;
         }
-        let id = walks.len();
         let mut walk = Vec::new();
         let mut d = start;
         loop {
-            walk_of_dart.insert(d, id);
+            walked[d.0] = true;
             walk.push(d);
-            d = inv.rot_prev(d.twin());
+            match before[d.twin().0] {
+                Some(next) if walk.len() <= 2 * ne => d = next,
+                _ => {
+                    errors.push(ValidationError::BadRotation(
+                        "face walk does not close (corrupt rotation)".into(),
+                    ));
+                    return;
+                }
+            }
             if d == start {
                 break;
-            }
-            if walk.len() > 2 * inv.edge_count() {
-                errors.push(ValidationError::BadRotation(
-                    "face walk does not close (corrupt rotation)".into(),
-                ));
-                return;
             }
         }
         walks.push(walk);
@@ -246,25 +265,26 @@ fn check_faces_and_planarity(inv: &Invariant, errors: &mut Vec<ValidationError>)
 
     // Per-component Euler formula: for each skeleton component,
     // #walks = #edges - #vertices + 2.
-    let comp_of_vertex = inv.vertex_components();
+    let comp_of_vertex = c.vertex_components();
     let comp_count = comp_of_vertex.iter().copied().max().map_or(0, |m| m + 1);
     let mut v_per = vec![0usize; comp_count];
     let mut e_per = vec![0usize; comp_count];
     let mut w_per = vec![0usize; comp_count];
-    for v in 0..inv.vertex_count() {
-        v_per[comp_of_vertex[v]] += 1;
+    for &comp in &comp_of_vertex {
+        v_per[comp] += 1;
     }
-    for e in 0..inv.edge_count() {
-        e_per[comp_of_vertex[inv.edge_endpoints(e).0]] += 1;
+    for e in c.edge_ids() {
+        e_per[comp_of_vertex[c.edge_endpoints(e).0 .0]] += 1;
     }
+    let walk_component = |walk: &[DartId]| comp_of_vertex[c.dart_tail(walk[0]).0];
     for walk in &walks {
-        w_per[comp_of_vertex[inv.dart_tail(walk[0])]] += 1;
+        w_per[walk_component(walk)] += 1;
     }
-    for c in 0..comp_count {
-        if w_per[c] + v_per[c] != e_per[c] + 2 {
+    for comp in 0..comp_count {
+        if w_per[comp] + v_per[comp] != e_per[comp] + 2 {
             errors.push(ValidationError::NotPlanar(format!(
-                "component {c}: {} walks, {} vertices, {} edges violate Euler's formula",
-                w_per[c], v_per[c], e_per[c]
+                "component {comp}: {} walks, {} vertices, {} edges violate Euler's formula",
+                w_per[comp], v_per[comp], e_per[comp]
             )));
         }
     }
@@ -274,8 +294,7 @@ fn check_faces_and_planarity(inv: &Invariant, errors: &mut Vec<ValidationError>)
     // #walks - #components + 1.
     let mut walks_per_face: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (wid, walk) in walks.iter().enumerate() {
-        let faces: BTreeSet<usize> =
-            walk.iter().map(|&d| inv.dart_left_face(d)).collect();
+        let faces: BTreeSet<usize> = walk.iter().map(|&d| c.dart_face(d).0).collect();
         if faces.len() != 1 {
             errors.push(ValidationError::BadFaceStructure(format!(
                 "walk {wid} spans {} declared faces",
@@ -285,16 +304,13 @@ fn check_faces_and_planarity(inv: &Invariant, errors: &mut Vec<ValidationError>)
         }
         walks_per_face.entry(*faces.iter().next().unwrap()).or_default().push(wid);
     }
-    for f in 0..inv.face_count() {
+    for f in 0..c.face_count() {
         match walks_per_face.get(&f) {
             None => errors.push(ValidationError::BadFaceStructure(format!(
                 "face {f} has no boundary walk"
             ))),
             Some(ws) => {
-                let comps: BTreeSet<usize> = ws
-                    .iter()
-                    .map(|&w| comp_of_vertex[inv.dart_tail(walks[w][0])])
-                    .collect();
+                let comps: BTreeSet<usize> = ws.iter().map(|&w| walk_component(&walks[w])).collect();
                 if comps.len() != ws.len() {
                     errors.push(ValidationError::BadFaceStructure(format!(
                         "face {f} has two boundary walks from the same component"
@@ -303,10 +319,10 @@ fn check_faces_and_planarity(inv: &Invariant, errors: &mut Vec<ValidationError>)
             }
         }
     }
-    if comp_count > 0 && inv.face_count() + comp_count != walks.len() + 1 {
+    if comp_count > 0 && c.face_count() + comp_count != walks.len() + 1 {
         errors.push(ValidationError::BadFaceStructure(format!(
             "{} faces, {} walks, {} components are mutually inconsistent",
-            inv.face_count(),
+            c.face_count(),
             walks.len(),
             comp_count
         )));
@@ -314,44 +330,44 @@ fn check_faces_and_planarity(inv: &Invariant, errors: &mut Vec<ValidationError>)
 
     // The declared face boundary-edge sets must match the edges of the walks
     // assigned to each face.
-    for f in 0..inv.face_count() {
+    for f in c.face_ids() {
         let mut from_walks: BTreeSet<usize> = BTreeSet::new();
-        if let Some(ws) = walks_per_face.get(&f) {
+        if let Some(ws) = walks_per_face.get(&f.0) {
             for &w in ws {
-                from_walks.extend(walks[w].iter().map(|d| d.edge));
+                from_walks.extend(walks[w].iter().map(|d| d.edge().0));
             }
         }
-        let declared: BTreeSet<usize> = inv.face_edges(f).iter().copied().collect();
+        let declared: BTreeSet<usize> = c.face_boundary(f).iter().map(|e| e.0).collect();
         if from_walks != declared {
             errors.push(ValidationError::BadFaceStructure(format!(
-                "face {f}: declared boundary edges do not match its walks"
+                "face {}: declared boundary edges do not match its walks",
+                f.0
             )));
         }
     }
 }
 
-fn check_exterior(inv: &Invariant, errors: &mut Vec<ValidationError>) {
-    if inv.face_count() == 0 {
+fn check_exterior<C: ComplexRead>(c: &C, errors: &mut Vec<ValidationError>) {
+    if c.face_count() == 0 {
         errors.push(ValidationError::BadExteriorFace("no faces at all".into()));
         return;
     }
-    let f0 = inv.exterior_face();
-    if *inv.face_label(f0) != Label::default() {
+    if c.face_label(c.exterior_face()) != Label::default() {
         errors.push(ValidationError::BadExteriorFace(
             "the exterior face must be exterior to every region".into(),
         ));
     }
 }
 
-fn check_regions(inv: &Invariant, errors: &mut Vec<ValidationError>) {
+fn check_regions<C: ComplexRead>(c: &C, errors: &mut Vec<ValidationError>) {
     // Dual graph: faces adjacent iff they share an edge.
-    let nf = inv.face_count();
+    let nf = c.face_count();
     let mut dual: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nf];
-    for e in 0..inv.edge_count() {
-        let (l, r) = inv.edge_faces(e);
+    for e in c.edge_ids() {
+        let (l, r) = c.edge_faces(e);
         if l != r {
-            dual[l].insert(r);
-            dual[r].insert(l);
+            dual[l.0].insert(r.0);
+            dual[r.0].insert(l.0);
         }
     }
     let connected_in_dual = |faces: &BTreeSet<usize>| -> bool {
@@ -370,15 +386,14 @@ fn check_regions(inv: &Invariant, errors: &mut Vec<ValidationError>) {
         }
         seen.len() == faces.len()
     };
-    for (idx, name) in inv.region_names().iter().enumerate() {
-        let faces: BTreeSet<usize> = (0..nf)
-            .filter(|&f| inv.face_label(f).sign(idx) == Sign::Interior)
-            .collect();
+    for (idx, name) in c.region_names().iter().enumerate() {
+        let faces: BTreeSet<usize> =
+            (0..nf).filter(|&f| c.face_sign(FaceId(f), idx) == Sign::Interior).collect();
         if faces.is_empty() {
             errors.push(ValidationError::BadRegion(format!("region {name} has no faces")));
             continue;
         }
-        if faces.contains(&inv.exterior_face()) {
+        if faces.contains(&c.exterior_face().0) {
             errors.push(ValidationError::BadRegion(format!(
                 "region {name} contains the exterior face"
             )));
@@ -401,6 +416,7 @@ fn check_regions(inv: &Invariant, errors: &mut Vec<ValidationError>) {
 mod tests {
     use super::*;
     use crate::structure::Invariant;
+    use arrangement::{EdgeId, Runs, VertexId};
     use spatial_core::fixtures;
     use spatial_core::prelude::*;
 
@@ -431,7 +447,7 @@ mod tests {
     fn fig2_invariants_are_valid() {
         for (name, inst) in fixtures::fig_2_pairs() {
             let inv = Invariant::of_instance(&inst);
-            assert!(is_valid(&inv), "{name}");
+            assert!(validate(&inv).is_empty(), "{name}");
         }
     }
 
@@ -440,9 +456,28 @@ mod tests {
         let mut inv = Invariant::of_instance(&fixtures::fig_1c());
         // Swap two darts in one vertex's rotation: still lists every dart once
         // but describes a different (here: non-planar) embedding.
-        inv.rotation[0].swap(0, 1);
+        inv.rotation.get_mut(0).swap(0, 1);
         let errs = validate(&inv);
         assert!(!errs.is_empty());
+    }
+
+    #[test]
+    fn a_rotation_that_drops_or_invents_a_dart_is_reported() {
+        let rotations_with = |first: &[DartId]| {
+            let mut inv = Invariant::of_instance(&fixtures::fig_1c());
+            let mut rotation = Runs::with_capacity(inv.vertex_count(), 0);
+            rotation.push(first);
+            (1..inv.vertex_count()).for_each(|v| rotation.push(inv.rotation.get(v)));
+            inv.rotation = rotation;
+            validate(&inv)
+        };
+        let first = Invariant::of_instance(&fixtures::fig_1c()).vertex_rotation(VertexId(0));
+        // A dart missing from its tail's rotation: no face walk can close.
+        let errs = rotations_with(&first[1..]);
+        assert!(errs.iter().any(|e| matches!(e, ValidationError::BadRotation(_))), "{errs:?}");
+        // A dart of an edge that does not exist.
+        let errs = rotations_with(&[&first[..], &[DartId::forward(EdgeId(99))]].concat());
+        assert!(errs.iter().any(|e| matches!(e, ValidationError::DanglingReference(_))), "{errs:?}");
     }
 
     #[test]
@@ -451,18 +486,20 @@ mod tests {
         // Remove a (non-exterior) face and redirect references to face 0:
         // Euler's formula and the face structure both break.
         let victim = inv.face_count() - 1;
+        let mut kept = Runs::with_capacity(victim, 0);
+        (0..victim).for_each(|f| kept.push(inv.face_edges.get(f)));
+        inv.face_edges = kept;
         inv.face_labels.remove(victim);
-        inv.face_edges.remove(victim);
         for lr in &mut inv.edge_faces {
-            if lr.0 == victim {
-                lr.0 = 0;
+            if lr.0 == FaceId(victim) {
+                lr.0 = FaceId(0);
             }
-            if lr.1 == victim {
-                lr.1 = 0;
+            if lr.1 == FaceId(victim) {
+                lr.1 = FaceId(0);
             }
         }
-        if inv.exterior_face == victim {
-            inv.exterior_face = 0;
+        if inv.exterior_face == FaceId(victim) {
+            inv.exterior_face = FaceId(0);
         }
         let errs = validate(&inv);
         assert!(!errs.is_empty());
@@ -487,24 +524,25 @@ mod tests {
         // *different* but still valid invariant (it is realizable — by the
         // "inverted" ring).
         let inv = Invariant::of_instance(&fixtures::ring());
-        let hole = (0..inv.face_count())
-            .find(|&f| f != inv.exterior_face() && *inv.face_label(f) == Label::default())
+        let hole = inv
+            .face_ids()
+            .find(|&f| f != inv.exterior_face() && inv.face_label(f) == Label::default())
             .unwrap();
-        assert!(is_valid(&inv.with_exterior(hole)));
+        assert!(validate(&inv.with_exterior(hole)).is_empty());
     }
 
     #[test]
     fn corrupting_labels_is_detected() {
         let mut inv = Invariant::of_instance(&fixtures::fig_1c());
         // Flip one face's membership in region A.
-        let f = inv.region_faces("A")[0];
+        let f = inv.region_faces("A")[0].0;
         inv.face_labels[f] = inv.face_labels[f].iter().filter(|&(r, _)| r != 0).collect();
-        assert!(!is_valid(&inv));
+        assert!(!validate(&inv).is_empty());
 
         // Mark an edge as lying on no boundary at all.
         let mut inv2 = Invariant::of_instance(&fixtures::fig_1c());
         inv2.edge_labels[0] = Label::default();
-        assert!(!is_valid(&inv2));
+        assert!(!validate(&inv2).is_empty());
     }
 
     #[test]
@@ -515,7 +553,7 @@ mod tests {
         };
         // An entry for a region out of range.
         let mut inv = Invariant::of_instance(&fixtures::fig_1c());
-        let (k, f) = (inv.region_names().len(), inv.region_faces("A")[0]);
+        let (k, f) = (inv.region_names().len(), inv.region_faces("A")[0].0);
         inv.face_labels[f] = inv.face_labels[f].iter().chain([(k, Sign::Interior)]).collect();
         assert!(malformed(&inv));
         // Entries that do not strictly ascend: the constructor sorts, so
@@ -544,21 +582,21 @@ mod tests {
             inv.face_labels[f] = with_z(&inv.face_labels[f], sign);
         }
         for e in 0..inv.edge_count() {
-            let (l, r) = inv.edge_faces(e);
-            let sl = inv.face_labels[l].sign(z);
-            let sr = inv.face_labels[r].sign(z);
+            let (l, r) = inv.edge_faces[e];
+            let sl = inv.face_labels[l.0].sign(z);
+            let sr = inv.face_labels[r.0].sign(z);
             let sign = if sl != sr { Sign::Boundary } else { sl };
             inv.edge_labels[e] = with_z(&inv.edge_labels[e], sign);
         }
         for v in 0..inv.vertex_count() {
-            let incident: Vec<usize> = inv.rotation[v].iter().map(|d| d.edge).collect();
+            let incident: Vec<usize> = inv.rotation.get(v).iter().map(|d| d.edge().0).collect();
             let any_boundary =
                 incident.iter().any(|&e| inv.edge_labels[e].sign(z) == Sign::Boundary);
             let sign = if any_boundary {
                 Sign::Boundary
             } else {
-                let f = inv.dart_left_face(inv.rotation[v][0]);
-                inv.face_labels[f].sign(z)
+                let f = inv.dart_face(inv.vertex_rotation(VertexId(v))[0]);
+                inv.face_labels[f.0].sign(z)
             };
             inv.vertex_labels[v] = with_z(&inv.vertex_labels[v], sign);
         }
@@ -572,6 +610,6 @@ mod tests {
     #[test]
     fn empty_invariant_is_valid() {
         let inv = Invariant::of_instance(&SpatialInstance::new());
-        assert!(is_valid(&inv));
+        assert!(validate(&inv).is_empty());
     }
 }

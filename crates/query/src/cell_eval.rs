@@ -17,10 +17,11 @@
 //!
 //! ## Cost model
 //!
-//! One evaluation engine reads every cell through [`ComplexRead`]: names,
-//! each name's faces and box, the incidence of a face, the two faces of an
-//! edge. It has two constructors, over the two representations of a
-//! complex:
+//! One evaluation engine reads every cell through [`ComplexGeometry`]
+//! (the combinatorial [`ComplexRead`](arrangement::ComplexRead) plus the
+//! region boxes): names, each name's faces and box, the incidence of a
+//! face, the two faces of an edge. It has two constructors, over the two
+//! representations of a complex:
 //!
 //! * [`CellEvaluator::from_view`] (what `topodb::Snapshot::evaluator` and
 //!   [`CellEvaluator::new`] build) reads a shared [`GlobalComplexView`].
@@ -29,7 +30,7 @@
 //!   resolved on its first use and kept as the view returns it: the
 //!   ascending run of the interior faces its component's build emitted.
 //!   The planner probes the view's own two-level spatial index.
-//! * [`CellEvaluator::from_complex`] reads any [`ComplexRead`] — over the
+//! * [`CellEvaluator::from_complex`] reads any [`ComplexGeometry`] — over the
 //!   flat [`arrangement::CellComplex`] it is the reference the view-backed
 //!   evaluator is differentially tested against, served by the flat
 //!   complex's own face scans and incidence tables.
@@ -53,7 +54,7 @@
 use crate::ast::{Formula, NameTerm, RegionExpr};
 use crate::plan::{Generator, QueryPlan};
 use arrangement::{
-    build_complex_view, BBox, ComplexRead, FaceId, GlobalComplexView, SpatialIndex,
+    build_complex_view, BBox, ComplexGeometry, FaceId, GlobalComplexView, SpatialIndex,
 };
 use relations::{FourIntersectionMatrix, Relation4};
 use spatial_core::prelude::SpatialInstance;
@@ -131,7 +132,7 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// The evaluation structure over an instance's cell complex `C`: the
-/// zero-copy view by default, or any other [`ComplexRead`].
+/// zero-copy view by default, or any other [`ComplexGeometry`].
 #[derive(Debug)]
 pub struct CellEvaluator<C = GlobalComplexView> {
     /// Where names, faces and incidences are read from.
@@ -198,15 +199,15 @@ impl CellEvaluator {
     }
 }
 
-impl<C: ComplexRead> CellEvaluator<C> {
+impl<C: ComplexGeometry> CellEvaluator<C> {
     /// Build the evaluator over a copy of an existing cell complex — either
     /// the flat [`arrangement::CellComplex`] or the zero-copy
-    /// [`GlobalComplexView`] (any [`ComplexRead`] implementation; the two
+    /// [`GlobalComplexView`] (any [`ComplexGeometry`] implementation; the two
     /// are index-identical, so the answers do not depend on the
     /// representation).
     ///
     /// Over the flat complex this is the *reference*: every read goes to
-    /// the flat complex's own [`ComplexRead`] implementation, and it serves
+    /// the flat complex's own [`ComplexGeometry`] implementation, and it serves
     /// as the differential oracle of [`CellEvaluator::from_view`], which
     /// answers identically.
     pub fn from_complex(complex: &C) -> CellEvaluator<C>
@@ -240,7 +241,7 @@ impl<C: ComplexRead> CellEvaluator<C> {
     }
 
     /// The spatial index over the named regions' bounding boxes, taken on
-    /// first use from the complex ([`ComplexRead::region_bbox_index`])
+    /// first use from the complex ([`ComplexGeometry::region_bbox_index`])
     /// unless pre-seeded via [`CellEvaluator::with_spatial_index`]: an
     /// evaluator over a view shares the view's own
     /// [`region_bbox_index`](GlobalComplexView::region_bbox_index). The
@@ -295,7 +296,7 @@ impl<C: ComplexRead> CellEvaluator<C> {
         self.complex.region_index(name)
     }
 
-    /// A named region, its faces as [`ComplexRead::region_faces`] returns
+    /// A named region, its faces as [`region_faces`](arrangement::ComplexRead::region_faces) returns
     /// them, resolved on first use and then shared by every atom, relation
     /// read and query that names it.
     pub fn named_region(&self, name: &str) -> Option<&CellRegion> {
@@ -1060,6 +1061,7 @@ pub fn eval_on_instance(instance: &SpatialInstance, formula: &Formula) -> Result
 mod tests {
     use super::*;
     use crate::ast::{Formula as F, RegionExpr as R};
+    use arrangement::ComplexRead;
     use rand::{Rng, SeedableRng};
     use relations::Relation4::*;
     use spatial_core::fixtures;

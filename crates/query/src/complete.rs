@@ -14,17 +14,16 @@
 //! and exposes the mapping `f(I) = φ_{T_I}` of Theorem 5.6. Evaluating
 //! `φ_{T_I}` with the generic region evaluators is exponentially expensive
 //! (one region quantifier per cell); the effective way to test
-//! `J ⊨ φ_{T_I}` is invariant isomorphism (Theorem 3.4), which
-//! [`defines_equivalence_class_of`] uses and which the tests exploit to check
-//! the construction's key property on the paper's fixtures.
+//! `J ⊨ φ_{T_I}` is invariant isomorphism (Theorem 3.4,
+//! [`invariant::isomorphic`]), which the tests use to check the
+//! construction's key property on the paper's fixtures.
 
 use crate::ast::{Formula, RegionExpr};
-use arrangement::Sign;
-use invariant::{isomorphic, Invariant};
+use arrangement::{build_complex_view, ComplexRead, Sign, VertexId};
 use relations::Relation4;
 
 /// The sentence `φ_{T_I}` of Proposition 5.1, defining the `H`-equivalence
-/// class of the instance with invariant `inv`.
+/// class of the instance with invariant `inv` (any [`ComplexRead`]).
 ///
 /// Shape of the sentence (following the proof of Proposition 5.1):
 ///
@@ -37,7 +36,7 @@ use relations::Relation4;
 ///   non-incident cells of equal dimension),
 /// * a clause singling out the exterior face: a region disjoint from all
 ///   named regions and connected to the exterior witness exists around them.
-pub fn class_defining_sentence(inv: &Invariant) -> Formula {
+pub fn class_defining_sentence<C: ComplexRead>(inv: &C) -> Formula {
     let names = inv.region_names().to_vec();
     let vertex_var = |v: usize| format!("v{v}");
     let edge_var = |e: usize| format!("e{e}");
@@ -62,7 +61,7 @@ pub fn class_defining_sentence(inv: &Invariant) -> Formula {
     }
 
     // (2) Label constraints.
-    let label_clause = |var: &str, label: &arrangement::Label, body: &mut Vec<Formula>| {
+    let label_clause = |var: &str, label: arrangement::Label, body: &mut Vec<Formula>| {
         for (idx, name) in names.iter().enumerate() {
             let named = RegionExpr::named(name.clone());
             let witness = RegionExpr::var(var.to_string());
@@ -73,28 +72,30 @@ pub fn class_defining_sentence(inv: &Invariant) -> Formula {
             });
         }
     };
-    for v in 0..inv.vertex_count() {
-        label_clause(&vertex_var(v), inv.vertex_label(v), &mut body);
+    for v in inv.vertex_ids() {
+        label_clause(&vertex_var(v.0), inv.vertex_label(v), &mut body);
     }
-    for e in 0..inv.edge_count() {
-        label_clause(&edge_var(e), inv.edge_label(e), &mut body);
+    for e in inv.edge_ids() {
+        label_clause(&edge_var(e.0), inv.edge_label(e), &mut body);
     }
-    for f in 0..inv.face_count() {
-        label_clause(&face_var(f), inv.face_label(f), &mut body);
+    for f in inv.face_ids() {
+        label_clause(&face_var(f.0), inv.face_label(f), &mut body);
     }
 
     // (3) Adjacency: incident cells give connected witnesses.
-    for e in 0..inv.edge_count() {
+    for e in inv.edge_ids() {
         let (t, h) = inv.edge_endpoints(e);
-        body.push(Formula::connect(RegionExpr::var(vertex_var(t)), RegionExpr::var(edge_var(e))));
-        body.push(Formula::connect(RegionExpr::var(vertex_var(h)), RegionExpr::var(edge_var(e))));
+        let edge = || RegionExpr::var(edge_var(e.0));
+        body.push(Formula::connect(RegionExpr::var(vertex_var(t.0)), edge()));
+        body.push(Formula::connect(RegionExpr::var(vertex_var(h.0)), edge()));
         let (l, r) = inv.edge_faces(e);
-        body.push(Formula::connect(RegionExpr::var(edge_var(e)), RegionExpr::var(face_var(l))));
-        body.push(Formula::connect(RegionExpr::var(edge_var(e)), RegionExpr::var(face_var(r))));
+        body.push(Formula::connect(edge(), RegionExpr::var(face_var(l.0))));
+        body.push(Formula::connect(edge(), RegionExpr::var(face_var(r.0))));
     }
-    for f in 0..inv.face_count() {
-        for &e in inv.face_edges(f) {
-            body.push(Formula::connect(RegionExpr::var(edge_var(e)), RegionExpr::var(face_var(f))));
+    for f in inv.face_ids() {
+        for e in inv.face_boundary(f) {
+            let face = RegionExpr::var(face_var(f.0));
+            body.push(Formula::connect(RegionExpr::var(edge_var(e.0)), face));
         }
     }
 
@@ -103,14 +104,14 @@ pub fn class_defining_sentence(inv: &Invariant) -> Formula {
     // vertex — the device of Example 4.2 / Fig. 7 in the paper. We emit one
     // clause per consecutive pair in the rotation.
     for v in 0..inv.vertex_count() {
-        let rot = inv.rotation(v);
+        let rot: Vec<usize> = inv.vertex_rotation(VertexId(v)).iter().map(|d| d.edge().0).collect();
         let k = rot.len();
         if k < 3 {
             continue;
         }
         for i in 0..k {
-            let e1 = rot[i].edge;
-            let e2 = rot[(i + 1) % k].edge;
+            let e1 = rot[i];
+            let e2 = rot[(i + 1) % k];
             if e1 == e2 {
                 continue;
             }
@@ -120,7 +121,7 @@ pub fn class_defining_sentence(inv: &Invariant) -> Formula {
                 Formula::connect(RegionExpr::var(conn.clone()), RegionExpr::var(edge_var(e2))),
                 Formula::connect(RegionExpr::var(conn.clone()), RegionExpr::var(vertex_var(v))),
             ];
-            for other in rot.iter().map(|d| d.edge) {
+            for &other in &rot {
                 if other != e1 && other != e2 {
                     clauses.push(Formula::not(Formula::connect(
                         RegionExpr::var(conn.clone()),
@@ -134,7 +135,7 @@ pub fn class_defining_sentence(inv: &Invariant) -> Formula {
 
     // (5) The exterior face witness is disjoint from every named region and
     // from every region-interior face witness.
-    let ext = face_var(inv.exterior_face());
+    let ext = face_var(inv.exterior_face().0);
     for name in &names {
         body.push(Formula::rel(
             Relation4::Disjoint,
@@ -153,20 +154,13 @@ pub fn class_defining_sentence(inv: &Invariant) -> Formula {
 
 /// Theorem 5.6's mapping `f(I) = φ_{T_I}`, starting from the instance.
 pub fn normal_form_sentence(instance: &spatial_core::instance::SpatialInstance) -> Formula {
-    class_defining_sentence(&Invariant::of_instance(instance))
-}
-
-/// Does the sentence generated for `inv` define the equivalence class of the
-/// instance with invariant `other`? By Theorem 3.4 this is equivalent to
-/// invariant isomorphism, which is how it is decided here (the sentence
-/// itself is exponentially expensive to evaluate with a generic evaluator).
-pub fn defines_equivalence_class_of(inv: &Invariant, other: &Invariant) -> bool {
-    isomorphic(inv, other)
+    class_defining_sentence(&build_complex_view(instance))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use invariant::{isomorphic, Invariant};
     use spatial_core::fixtures;
 
     #[test]
@@ -204,8 +198,8 @@ mod tests {
         let c = Invariant::of_instance(&fixtures::fig_1c());
         let c_moved = Invariant::of_instance(&fixtures::fig_1c().translated(30, -7));
         let d = Invariant::of_instance(&fixtures::fig_1d());
-        assert!(defines_equivalence_class_of(&c, &c_moved));
-        assert!(!defines_equivalence_class_of(&c, &d));
+        assert!(isomorphic(&c, &c_moved));
+        assert!(!isomorphic(&c, &d));
     }
 
     #[test]

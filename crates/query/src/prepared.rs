@@ -36,7 +36,7 @@ use crate::ast::Formula;
 use crate::cell_eval::{Bindings, CellEvaluator, EvalError};
 use crate::parser::{parse, ParseError};
 use crate::plan::QueryPlan;
-use arrangement::ComplexRead;
+use arrangement::ComplexGeometry;
 use std::fmt;
 
 /// The result of running a query: a truth value for closed formulas, or the
@@ -198,7 +198,7 @@ impl PreparedQuery {
     /// queries hit one snapshot: the evaluator's domain enumeration and
     /// spatial index are shared). Open queries use the stored semi-join
     /// plan.
-    pub fn run_on<C: ComplexRead>(
+    pub fn run_on<C: ComplexGeometry>(
         &self,
         evaluator: &CellEvaluator<C>,
     ) -> Result<QueryOutput, EvalError> {

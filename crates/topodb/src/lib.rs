@@ -99,9 +99,10 @@ use wal::WalOp;
 /// A topological spatial database: named regions plus the derived structures
 /// of the paper (cell complex, invariant, thematic relational summary),
 /// shared zero-copy behind [`Arc`]s and maintained *incrementally* across
-/// updates. The cell complex of every epoch is built before the epoch is
-/// published (the first one by the constructor); the invariant, the
-/// evaluator and the region index are derived on a snapshot's first use.
+/// updates. The cell complex of every epoch — which is its invariant `T_I`
+/// — and its region index are built before the epoch is published (the
+/// first one by the constructor); only the query evaluator is derived, on a
+/// snapshot's first query.
 ///
 /// The public surface is split into a write path and a read path:
 ///
@@ -542,8 +543,9 @@ impl TopoDatabase {
     /// How many times this database has built (assembled) a global cell
     /// complex: one at construction, one per published commit, and one per
     /// publish-conflict retry under concurrent commits. Reads build nothing,
-    /// whatever mix of snapshots, relations, queries or invariant calls they
-    /// make, and a committed batch of `k` mutations adds one.
+    /// whatever mix of snapshots, relations, queries, homeomorphism tests or
+    /// thematic databases they ask for, and a committed batch of `k`
+    /// mutations adds one.
     pub fn complex_build_count(&self) -> u64 {
         self.chain.counters.complex_builds.load(Ordering::Relaxed)
     }
@@ -577,8 +579,8 @@ impl TopoDatabase {
     /// A human-readable summary of one epoch of the database and its derived
     /// structures: region count, invariant cell counts, and the interaction
     /// components backing the complex with their per-component cell counts.
-    /// Every figure is read from the same [`Snapshot`]'s complex view, whose
-    /// cells are the invariant's, index for index: no label is widened.
+    /// Every figure is read from the same [`Snapshot`]'s complex view, which
+    /// is the invariant: no label is widened.
     pub fn summary(&self) -> String {
         let snapshot = self.snapshot();
         let view = snapshot.complex_view();
@@ -658,7 +660,7 @@ mod tests {
         assert_eq!(matrix.len(), 1);
         let _ = db.snapshot().relation("A", "B").unwrap();
         let _ = db.snapshot().query("overlap(A, B)").unwrap();
-        let inv1 = db.snapshot().invariant();
+        assert!(db.snapshot().homeomorphic_to(&db.snapshot()));
         let _ = db.snapshot().thematic();
         let _ = db.summary();
         let snap = db.snapshot();
@@ -667,11 +669,8 @@ mod tests {
         assert_eq!(snap.epoch(), 0);
 
         // ...and hands out the same shared allocation, not deep copies.
-        let inv2 = db.snapshot().invariant();
-        assert!(Arc::ptr_eq(&inv1, &inv2), "invariant() must return the cached Arc");
-        let inv3 = snap.invariant();
-        assert!(Arc::ptr_eq(&inv1, &inv3), "snapshot shares the database's invariant");
         let v1 = snap.complex_view();
+        assert!(Arc::ptr_eq(&v1, &db.snapshot().complex_view()), "snapshots share one view");
 
         // Updates invalidate: the commit performs exactly one rebuild.
         insert(&mut db, "C", Region::rect_from_ints(20, 20, 24, 24));
@@ -732,12 +731,11 @@ mod tests {
         let before = view.label_widenings();
         let s = db.summary();
         assert_eq!(view.label_widenings(), before, "summary() widened labels: {s}");
-        let inv = db.snapshot().invariant();
         let cells = format!(
             "invariant: {} vertices, {} edges, {} faces",
-            inv.vertex_count(),
-            inv.edge_count(),
-            inv.face_count()
+            view.vertex_count(),
+            view.edge_count(),
+            view.face_count()
         );
         assert!(s.contains(&cells), "{s} lacks {cells}");
     }
@@ -796,6 +794,6 @@ mod tests {
         let snap = TopoDatabase::from_instance(fixtures::nested_three()).snapshot();
         let th = snap.thematic();
         assert_eq!(th.relation("Regions").unwrap().len(), 3);
-        assert!(invariant::validate(&snap.invariant()).is_empty());
+        assert!(invariant::validate(snap.complex_view().as_ref()).is_empty());
     }
 }

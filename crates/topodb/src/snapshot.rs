@@ -3,7 +3,6 @@
 
 use crate::TopoDbError;
 use arrangement::{ComplexRead, GlobalComplexView};
-use invariant::Invariant;
 use query::cell_eval::CellEvaluator;
 use query::{PreparedQuery, QueryOutput};
 use relations::Relation4;
@@ -11,10 +10,10 @@ use spatial_core::instance::SpatialInstance;
 use std::sync::{Arc, OnceLock};
 
 /// An immutable snapshot of a [`TopoDatabase`](crate::TopoDatabase): the
-/// assembled zero-copy complex view of one epoch, plus every derived read
-/// path — query evaluation and the relation reads it also answers,
-/// invariant and thematic database — computed lazily *inside the snapshot*
-/// and shared by all of its clones.
+/// assembled zero-copy complex view of one epoch — which is the epoch's
+/// invariant `T_I`, read through [`ComplexRead`] — plus the query
+/// evaluator, built lazily *inside the snapshot* and shared by all of its
+/// clones, that answers queries and relation reads.
 ///
 /// A snapshot is the read half of the facade's read/write split:
 ///
@@ -22,7 +21,7 @@ use std::sync::{Arc, OnceLock};
 ///   clone of the head snapshot (one `Arc` bump), which was built before it
 ///   was published; cloning a snapshot is a second `Arc` bump. No cell,
 ///   label or region is copied.
-/// * **`Send + Sync`.** All state is behind `Arc`s and [`OnceLock`]s, so one
+/// * **`Send + Sync`.** All state is behind `Arc`s and a [`OnceLock`], so one
 ///   snapshot can serve query traffic from any number of threads at once —
 ///   `thread::scope` readers over a shared `&Snapshot` are a compiling (and
 ///   tested) program. The database itself is `Sync` too (its head epoch
@@ -56,7 +55,9 @@ use std::sync::{Arc, OnceLock};
 /// components' region indexes) is built with the view at commit time, and
 /// the evaluator (its copy of the region boxes and a slot per name that
 /// holds the name's faces, as the view returns them, and their walked
-/// parts) and the [`Invariant`] lazily, on first use. Nothing below the
+/// parts) lazily, on first use. The invariant is not derived at all: the
+/// homeomorphism test ([`Snapshot::homeomorphic_to`]) and the thematic
+/// database ([`Snapshot::thematic`]) read the view. Nothing below the
 /// snapshot is built on a read.
 ///
 /// [`TopoDatabase::snapshot`]: crate::TopoDatabase::snapshot
@@ -72,7 +73,6 @@ pub(crate) struct SnapshotInner {
     /// operations to.
     pub(crate) instance: Arc<SpatialInstance>,
     view: Arc<GlobalComplexView>,
-    invariant: OnceLock<Arc<Invariant>>,
     evaluator: OnceLock<Arc<CellEvaluator>>,
 }
 
@@ -87,7 +87,6 @@ impl Snapshot {
                 epoch,
                 instance,
                 view,
-                invariant: OnceLock::new(),
                 evaluator: OnceLock::new(),
             }),
         }
@@ -124,17 +123,10 @@ impl Snapshot {
         &self.inner.view
     }
 
-    /// The topological invariant `T_I` of this snapshot's instance, computed
-    /// on first use and shared by every clone of the snapshot.
-    pub fn invariant(&self) -> Arc<Invariant> {
-        Arc::clone(self.inner.invariant.get_or_init(|| {
-            Arc::new(Invariant::from_complex(self.inner.view.as_ref()))
-        }))
-    }
-
-    /// The thematic relational database `thematic(I)` over the schema `Th`.
+    /// The thematic relational database `thematic(I)` over the schema `Th`,
+    /// read from the view.
     pub fn thematic(&self) -> relstore::Database {
-        invariant::thematic::to_database(&self.invariant())
+        invariant::thematic::to_database(self.view_ref())
     }
 
     /// The 4-intersection relation between two named regions, classified
@@ -185,12 +177,9 @@ impl Snapshot {
     }
 
     /// Is this snapshot topologically equivalent (homeomorphic) to another?
-    /// Decided via invariant isomorphism (Theorem 3.4).
+    /// Decided via invariant isomorphism (Theorem 3.4) on the two views.
     pub fn homeomorphic_to(&self, other: &Snapshot) -> bool {
-        if self.inner.view.region_names() != other.inner.view.region_names() {
-            return false;
-        }
-        invariant::isomorphic(&self.invariant(), &other.invariant())
+        invariant::isomorphic(self.view_ref(), other.view_ref())
     }
 
     /// The shared cell-complex query evaluator of this snapshot, built on

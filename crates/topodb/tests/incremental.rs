@@ -3,7 +3,7 @@
 //! incrementally maintained complex and invariant of a long-lived
 //! [`TopoDatabase`] must be equal (up to cell re-indexing) to a from-scratch
 //! rebuild of the same instance — checked via cell counts, label multisets
-//! and [`invariant::isomorphic`].
+//! and [`Snapshot::homeomorphic_to`](topodb::Snapshot::homeomorphic_to).
 //!
 //! A second suite pins the locality guarantee itself: on a multi-cluster
 //! map, an update touching one cluster re-sweeps only the affected
@@ -67,7 +67,7 @@ fn assert_equals_fresh_rebuild(db: &TopoDatabase, context: &str) {
         "cell label multisets diverged {context}"
     );
     assert!(
-        invariant::isomorphic(&db.snapshot().invariant(), &fresh.snapshot().invariant()),
+        db.snapshot().homeomorphic_to(&fresh.snapshot()),
         "invariant not isomorphic to from-scratch rebuild {context}"
     );
 }
@@ -199,7 +199,7 @@ fn epoch_counter_tracks_updates() {
     assert_eq!(db.update_epoch(), 3);
     // Reads never advance the epoch.
     let _ = db.snapshot().relation_matrix().unwrap();
-    let _ = db.snapshot().invariant();
+    let _ = db.snapshot().thematic();
     assert_eq!(db.update_epoch(), 3);
 }
 

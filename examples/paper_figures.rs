@@ -11,6 +11,7 @@
 //!
 //! Run with: `cargo run --example paper_figures`
 
+use topodb::arrangement::ComplexRead;
 use topodb::invariant::{find_isomorphism, IsoOptions, Invariant};
 use topodb::query::PreparedQuery;
 use topodb::relations::four_intersection_equivalent;
@@ -58,14 +59,15 @@ fn main() {
     // ---- Fig. 5 / Examples 3.1, 3.3, 3.6 -----------------------------------
     println!("\n== Fig. 5: the invariant of Fig. 1c (Examples 3.1 / 3.3 / 3.6) ==");
     let fig1c = fig1c.snapshot();
-    println!("{}", fig1c.invariant());
+    println!("{}", Invariant::from_complex(&*fig1c.complex_view()));
     println!("thematic(I):\n{}", fig1c.thematic());
 
     // ---- Fig. 6 ------------------------------------------------------------
     println!("== Fig. 6: the exterior face is essential information ==");
     let t = Invariant::of_instance(&fixtures::ring_with_flag());
-    let hole = (0..t.face_count())
-        .find(|&f| f != t.exterior_face() && *t.face_label(f) == Default::default())
+    let hole = t
+        .face_ids()
+        .find(|&f| f != t.exterior_face() && t.face_label(f) == Default::default())
         .unwrap();
     let swapped = t.with_exterior(hole);
     println!(

@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use topodb::invariant::Invariant;
 use topodb::query::PreparedQuery;
 use topodb::spatial_core::prelude::*;
 use topodb::{QueryOutput, TopoDatabase};
@@ -81,7 +82,7 @@ fn main() {
     );
 
     println!("\n== the topological invariant T_I (Section 3) ==");
-    println!("{}", fresh.invariant());
+    println!("{}", Invariant::from_complex(&*fresh.complex_view()));
 
     println!("== the thematic relational database thematic(I) (Corollary 3.7) ==");
     println!("{}", fresh.thematic());

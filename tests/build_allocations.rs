@@ -32,13 +32,19 @@
 //! The index over the region boxes is built with the component too, and the
 //! view's two-level region index with the view, so taking a patched view's
 //! region index allocates nothing at all.
+//!
+//! A snapshot's view is its invariant `T_I`, so the homeomorphism test reads
+//! the two views and copies neither into an `Invariant`: a second test holds
+//! its allocations below what it made when each snapshot first copied its
+//! view, by at least what those two copies cost.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use topodb::arrangement::{build_complex_view, update_components, ComplexRead};
+use topodb::invariant::Invariant;
 use topodb::query::CellEvaluator;
-use topodb::PreparedQuery;
+use topodb::{PreparedQuery, TopoDatabase};
 
 /// The system allocator, counting every call that obtains memory.
 struct Counting;
@@ -78,6 +84,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Held by every test while it counts: the counter is process-wide, so two
+/// tests counting at once would count each other's allocations.
+static COUNTING: Mutex<()> = Mutex::new(());
+
 /// Allocations of the point-keyed build over the trace below (debug build).
 const POINT_KEYED_ALLOCATIONS: u64 = 2_865_147;
 
@@ -94,12 +104,22 @@ const READ_DERIVED_ALLOCATIONS: u64 = 186_094;
 /// whole boundary and all (debug build).
 const SURVIVOR_REPARTITION_ALLOCATIONS: u64 = 502_607;
 
+/// Allocations of the first `homeomorphic_to` between fresh snapshots of
+/// `clustered_map(64, 16, 1)` and its translate when each snapshot copied
+/// its view into an `Invariant` first (debug build).
+const HOMEOMORPHISM_WITH_COPIES_ALLOCATIONS: u64 = 201_693;
+
+/// Allocations of those two `Invariant::from_complex` copies at the time
+/// (debug build).
+const TWO_COPIES_ALLOCATIONS: u64 = 55_382;
+
 fn names(instance: &topodb::spatial_core::prelude::SpatialInstance) -> Vec<String> {
     instance.names().iter().map(|s| s.to_string()).collect()
 }
 
 #[test]
 fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
+    let _alone = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
     let steps = 40;
     let mut instance = datagen::jittered_overlap_map(16, 16, 12, 1996);
     let trace = datagen::dense_edit_trace(16, 16, 12, steps, 7);
@@ -170,4 +190,29 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
          {READ_DERIVED_ALLOCATIONS}, and the bound is half of that"
     );
     assert_eq!(index, 0, "the region index is built with the components and the view");
+}
+
+#[test]
+fn the_homeomorphism_test_copies_neither_view() {
+    let _alone = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    let map = datagen::clustered_map(64, 16, 1);
+    let (a, b) = (TopoDatabase::from_instance(map.translated(1000, 7)), TopoDatabase::from_instance(map));
+    let (a, b) = (a.snapshot(), b.snapshot());
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    assert!(a.homeomorphic_to(&b), "a translate is homeomorphic");
+    let homeomorphism = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let copies = [Invariant::from_complex(&*a.complex_view()), Invariant::from_complex(&*b.complex_view())];
+    let copied = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    drop(copies);
+
+    println!("{homeomorphism} allocations in homeomorphic_to; {copied} in two Invariant copies");
+    assert!(
+        homeomorphism + TWO_COPIES_ALLOCATIONS <= HOMEOMORPHISM_WITH_COPIES_ALLOCATIONS,
+        "{homeomorphism} allocations in homeomorphic_to; with the two copies it made \
+         {HOMEOMORPHISM_WITH_COPIES_ALLOCATIONS}, and it must save at least what the copies cost \
+         ({TWO_COPIES_ALLOCATIONS})"
+    );
 }

@@ -11,7 +11,7 @@
 //! say why.
 
 use std::fmt::Write;
-use topodb::arrangement::{build_complex, ComplexRead, Label, Sign};
+use topodb::arrangement::{build_complex, ComplexGeometry, ComplexRead, Label, Sign};
 use topodb::spatial_core::fixtures;
 use topodb::spatial_core::prelude::*;
 use topodb::wal::crc::crc32;

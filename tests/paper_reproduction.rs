@@ -137,14 +137,15 @@ fn e04_fig5_invariant_of_fig1c() {
 #[test]
 fn e05_fig6_exterior_face_is_essential() {
     let t = Invariant::of_instance(&fixtures::ring_with_flag());
-    let hole = (0..t.face_count())
-        .find(|&f| f != t.exterior_face() && *t.face_label(f) == Default::default())
+    let hole = t
+        .face_ids()
+        .find(|&f| f != t.exterior_face() && t.face_label(f) == Default::default())
         .unwrap();
     let swapped = t.with_exterior(hole);
     assert!(find_isomorphism(&t, &swapped, IsoOptions::without_exterior()).is_some());
     assert!(find_isomorphism(&t, &swapped, IsoOptions::full()).is_none());
     // The redesignated structure is still a valid invariant (realizable).
-    assert!(topodb::invariant::is_valid(&swapped));
+    assert!(topodb::invariant::validate(&swapped).is_empty());
 }
 
 /// E06 — Fig. 7: the orientation relation O is essential, for connected and
@@ -232,7 +233,7 @@ fn e10_corollary_3_7_thematic_bridge() {
 fn e11_theorem_3_8_validation() {
     for inst in [fixtures::fig_1b(), fixtures::ring_with_island(true), datagen::grid_map(3, 3, 4)] {
         let inv = Invariant::of_instance(&inst);
-        assert!(topodb::invariant::is_valid(&inv));
+        assert!(topodb::invariant::validate(&inv).is_empty());
     }
     // Corruption: claim a region's face is exterior to it (breaks label
     // consistency and possibly region connectivity).
@@ -241,7 +242,7 @@ fn e11_theorem_3_8_validation() {
     // Reuse the public API only: re-designating an interior face as exterior
     // face is enough to violate validity.
     let broken = broken.with_exterior(f);
-    assert!(!topodb::invariant::is_valid(&broken));
+    assert!(!topodb::invariant::validate(&broken).is_empty());
 }
 
 /// E12 — Fig. 10 / Fig. 11 / Theorem 4.4: S-genericity of FO(Rect, ·) and the
@@ -284,8 +285,8 @@ fn e14_completeness_normal_form() {
     assert!(sentence.region_quantifier_count() >= c.cell_count());
     let moved = Invariant::of_instance(&fixtures::fig_1c().translated(5, 5));
     let other = Invariant::of_instance(&fixtures::fig_1d());
-    assert!(topodb::query::complete::defines_equivalence_class_of(&c, &moved));
-    assert!(!topodb::query::complete::defines_equivalence_class_of(&c, &other));
+    assert!(topodb::invariant::isomorphic(&c, &moved));
+    assert!(!topodb::invariant::isomorphic(&c, &other));
 }
 
 /// E15 — Theorem 5.8: translated point-language queries agree with the

@@ -48,7 +48,7 @@ fn commit_and_check(k: i64, regions: Vec<(&str, Region)>, expected: &[(&str, &st
     for &(p, q, relation) in expected {
         assert_eq!(snapshot.relation(p, q).unwrap(), relation, "k = {k}: {p}–{q}");
     }
-    let errors = validate(&snapshot.invariant());
+    let errors = validate(snapshot.complex_view().as_ref());
     assert!(errors.is_empty(), "k = {k}: invalid invariant: {errors:?}");
 }
 
