@@ -27,9 +27,11 @@
 //! `Arc` by the component cache in `topodb`: re-assembling
 //! after a localized update reuses every untouched component unchanged.
 //! A touched component is rebuilt ([`update_components`]), but it carries
-//! the cut sets of its split: the rebuild sweeps only the segments near a
-//! new or a vanished segment, together with their cutters, and copies every
-//! other cut set from the components its group absorbed (`build_group`).
+//! the ranked split of its build: the rebuild sweeps only the segments near
+//! a new or a vanished segment, together with their cutters, carries every
+//! other cut set as ranks from the components its group absorbed, and
+//! merges their point tables with the re-split's points instead of sorting
+//! them again (`build_group`).
 //!
 //! [`assemble_components`] is the *copying* assembly: it materializes a flat
 //! [`CellComplex`] in `O(total cells)`. Its zero-copy, index-identical
@@ -44,7 +46,7 @@ use crate::complex::{CellComplex, ComplexRead};
 use crate::index::SpatialIndex;
 use crate::partition::{repartition, BBox, ComponentGroup, Member, Repartition};
 use crate::runs::Runs;
-use crate::split::{resplit, CutSets, Pieces, TaggedSegment};
+use crate::split::{resplit, Carried, Pieces, RankedSplit, TaggedSegment};
 use crate::types::*;
 use spatial_core::polygon::ring_encloses;
 use spatial_core::prelude::*;
@@ -65,10 +67,12 @@ use std::sync::{Arc, OnceLock};
 /// bounded face cycles, which a component that nothing can nest in never
 /// needs.
 ///
-/// The cut sets are the output of the component's split, kept so that the
-/// next build of the component copies the cut sets of every segment nothing
-/// near changed instead of sweeping them again ([`update_components`]); the
-/// segments tell that build where a removed region's old geometry was.
+/// The point table and the ranked cut sets are the output of the
+/// component's split, kept so that the next build of the component carries
+/// the cut sets of every segment nothing near changed, as ranks, instead of
+/// sweeping them again, and merges the points they cite into its own table
+/// instead of sorting them again ([`update_components`]); the segments tell
+/// that build where a removed region's old geometry was.
 ///
 /// Everything here is keyed by local ids, so a component carried across a
 /// commit — pointer-identically, behind its `Arc` — carries it, and only
@@ -93,16 +97,17 @@ pub struct ComponentComplex {
     /// Run `r` holds the bounded local faces interior to local region `r`,
     /// ascending.
     pub(crate) region_faces: Runs<FaceId>,
-    /// The point nesting resolution locates the component by: its least
-    /// cut point, the first entry of its split's point table, which is
-    /// always an input endpoint (`None` for a component with no segments).
-    pub(crate) rep_point: Option<Point>,
     /// The component's segments, one run per local region: its boundary
     /// edges, regions ascending. The flat buffer is the build order.
     pub(crate) segments: Runs<TaggedSegment>,
-    /// The cut sets of the segments, in build order: local region `r`'s are
-    /// runs `segments.range(r)`.
-    pub(crate) cuts: CutSets,
+    /// The point table of the split: its distinct cut points, ascending,
+    /// each cited by at least one cut set. The build read the complex's
+    /// vertex points and polylines from it, and its first entry is
+    /// [`rep_point`](Self::rep_point).
+    pub(crate) points: Vec<Point>,
+    /// The cut sets of the segments, in build order, as ranks into `points`:
+    /// local region `r`'s are runs `segments.range(r)`.
+    pub(crate) cuts: Runs<u32>,
     /// The index over `region_bboxes`, in local ids: the lower level of the
     /// view's two-level region index.
     pub(crate) region_index: SpatialIndex,
@@ -134,13 +139,21 @@ impl ComponentComplex {
         })
     }
 
+    /// The point nesting resolution locates the component by: its least
+    /// cut point, the first entry of its point table, which is always an
+    /// input endpoint (`None` for a component with no segments).
+    pub(crate) fn rep_point(&self) -> Option<Point> {
+        self.points.first().copied()
+    }
+
     /// The local id of the region `name`, if it is one of the component's.
     fn local_region(&self, name: &str) -> Option<usize> {
         self.region_names().binary_search_by(|n| n.as_str().cmp(name)).ok()
     }
 
-    /// The cut sets of local region `r`'s segments, in boundary order.
-    pub(crate) fn region_cuts(&self, r: usize) -> impl Iterator<Item = &[Point]> {
+    /// The cut sets of local region `r`'s segments, in boundary order, as
+    /// ranks into the point table.
+    pub(crate) fn region_cuts(&self, r: usize) -> impl Iterator<Item = &[u32]> {
         self.segments.range(r).map(|s| self.cuts.get(s))
     }
 
@@ -201,17 +214,19 @@ pub(crate) fn group_segments(members: &[Member<'_>]) -> Runs<TaggedSegment> {
 }
 
 /// The one component build: gather the members' boundary segments, split
-/// them at their mutual intersections, rank the cut points in one point
-/// table and merge the pieces by rank (`split::Pieces`), and run the local
-/// pipeline over the pieces, all on the calling thread. `members` is sorted
-/// by name.
+/// them at their mutual intersections into a ranked split (a point table
+/// and the cut sets as ranks into it), merge the pieces by rank
+/// (`split::Pieces`), and run the local pipeline over the pieces, all on the
+/// calling thread. `members` is sorted by name.
 ///
 /// `bases` are the components the group absorbed and `changed` the names
 /// whose extent changed since: a member that is in a base and not changed
-/// has the same segments there, whose cut sets the split carries over
+/// has the same segments there, whose ranked cut sets the split carries over
 /// wherever no fresh segment and no segment of a changed region of a base
-/// comes near (`split::resplit`). With no bases every segment is fresh and
-/// the split is one sweep of all of them.
+/// comes near (`split::resplit`), and the new point table is the bases'
+/// still-cited points merged with the re-split's. With no bases every
+/// segment is fresh, the split is one sweep of all of them, and the table
+/// one sort of its points.
 pub(crate) fn build_group(
     members: &[Member<'_>],
     bases: &[&ComponentComplex],
@@ -225,12 +240,14 @@ pub(crate) fn build_group(
         (0..segments.len()).map(|r| union_of(&boxes[segments.range(r)])).collect();
     let bbox = union_of(region_bboxes.iter().flatten());
 
-    let mut carried: Vec<Option<&[Point]>> = Vec::with_capacity(all.len());
+    let mut carried: Vec<Option<Carried<'_>>> = Vec::with_capacity(all.len());
     for (m, (name, _)) in members.iter().enumerate() {
         let end = segments.range(m).end;
-        let base = bases.iter().find_map(|b| Some((b, b.local_region(name)?)));
+        let base = bases.iter().enumerate().find_map(|(i, b)| Some((i, b.local_region(name)?)));
         match base.filter(|_| !changed.contains(name)) {
-            Some((b, r)) => carried.extend(b.region_cuts(r).map(Some)),
+            Some((i, r)) => {
+                carried.extend(bases[i].region_cuts(r).map(|ranks| Some(Carried { base: i, ranks })))
+            }
             None => carried.resize(end, None),
         }
         debug_assert_eq!(carried.len(), end, "a region keeps its segments");
@@ -246,10 +263,11 @@ pub(crate) fn build_group(
         .map(|t| BBox::of_segment(&t.segment))
         .collect();
 
-    let cuts = resplit(all, &boxes, &carried, &gone);
-    let pieces = Pieces::new(all, &cuts);
-    let rep_point = pieces.points.first().copied();
-    let LocalComplex { complex, bounded_walks, region_faces } = build_local(local_names, &pieces);
+    let tables: Vec<&[Point]> = bases.iter().map(|b| b.points.as_slice()).collect();
+    let split = resplit(all, &boxes, &carried, &tables, &gone);
+    let LocalComplex { complex, bounded_walks, region_faces } =
+        build_local(local_names, &Pieces::new(all, &split));
+    let RankedSplit { points, cuts } = split;
     let region_index = SpatialIndex::build(&region_bboxes);
     ComponentComplex {
         complex,
@@ -258,8 +276,8 @@ pub(crate) fn build_group(
         bbox,
         region_bboxes,
         region_faces,
-        rep_point,
         segments,
+        points,
         cuts,
         region_index,
     }
@@ -413,13 +431,41 @@ where
     ComponentUpdate { components, carried_from, rebuilt }
 }
 
-/// A component-local label in global region ids, joined with the entries
-/// the component inherits from its parent face. The two ascending lists
-/// are disjoint (no inherited region belongs to the component), and the
-/// stable sort of [`Label`]'s constructor merges two runs in `O(entries)`.
-pub(crate) fn widen_label(inherited: &Label, local: &Label, region_map: &[usize]) -> Label {
-    let local = local.iter().map(|(r, s)| (region_map[r], s));
-    inherited.iter().chain(local).collect()
+/// The entries of a component-local label in global region ids, joined with
+/// the entries the component inherits from its parent face. The two
+/// ascending lists are disjoint (no inherited region belongs to the
+/// component) and the map ascends, so they are merged in `O(entries)`.
+pub(crate) fn widened<'a>(
+    inherited: &'a Label,
+    local: &'a [(usize, Sign)],
+    region_map: &'a [usize],
+) -> impl Iterator<Item = (usize, Sign)> + 'a {
+    merge_entries(inherited.iter(), local.iter().map(|&(r, s)| (region_map[r], s)))
+}
+
+/// A component-local label widened to global region ids ([`widened`]).
+pub(crate) fn widen_label(inherited: &Label, local: &[(usize, Sign)], region_map: &[usize]) -> Label {
+    Label::from_entries(widened(inherited, local, region_map).collect::<Vec<_>>())
+}
+
+/// Every component's inherited label, parents before children along
+/// `topo` ([`nesting_topo_order`]): the label of the face it is nested in
+/// (`parents`) in global region ids, which holds only the regions whose
+/// interior encloses the component; a root inherits nothing.
+pub(crate) fn inherited_labels(
+    components: &[Arc<ComponentComplex>],
+    parents: &[Option<(usize, FaceId)>],
+    topo: &[usize],
+    region_map: &Runs<usize>,
+) -> Vec<Label> {
+    let mut inherited: Vec<Label> = vec![Label::default(); components.len()];
+    for &c in topo {
+        if let Some((d, f)) = parents[c] {
+            let parent = components[d].complex.face_labels.get(f.0);
+            inherited[c] = widen_label(&inherited[d], parent, region_map.get(d));
+        }
+    }
+    inherited
 }
 
 /// Append to `maps` one run: the position of every name of `local` in
@@ -486,7 +532,7 @@ pub(crate) fn locate_components(
     which
         .iter()
         .map(|&c| {
-            let rep = components[c].rep_point?;
+            let rep = components[c].rep_point()?;
             let others = index.locate_point(&rep).into_iter().filter(|&d| d != c);
             let cycles = others.flat_map(|d| {
                 let bounded = components[d].bounded_cycles().iter().enumerate();
@@ -611,8 +657,8 @@ pub fn assemble_components(
     // Global faces: start with the exterior, then translate every bounded
     // local face; nested components extend their parent face's boundary with
     // their own outer boundary.
-    let mut faces: Vec<FaceData> = vec![FaceData { is_exterior: true, label: Label::default() }];
-    faces.resize(next_face, FaceData { is_exterior: false, label: Label::default() });
+    let mut faces: Vec<FaceData> = vec![FaceData { is_exterior: true }];
+    faces.resize(next_face, FaceData { is_exterior: false });
     let mut boundaries: Vec<Vec<EdgeId>> = vec![Vec::new(); next_face];
     for (c, comp) in components.iter().enumerate() {
         for f in comp.complex.face_ids() {
@@ -629,27 +675,27 @@ pub fn assemble_components(
         face_edges.push(boundary);
     }
 
-    // Face labels, parents first: a component's cells inherit the parent
-    // face's entries, which are all for foreign regions, and keep their local
-    // signs for the component's own regions.
-    for &c in &topo {
-        let parent_label = faces[parent_face[c].0].label.clone();
-        let comp = &components[c].complex;
-        for f in comp.face_ids() {
-            if f == comp.exterior {
-                continue;
-            }
-            faces[face_map[c][f.0].0].label =
-                widen_label(&parent_label, &comp.face(f).label, region_map.get(c));
+    // Labels: a component's cells inherit the parent face's entries, which
+    // are all for foreign regions, and keep their local signs for the
+    // component's own regions. Bounded faces are numbered component by
+    // component, so each table is written in id order.
+    let inherited = inherited_labels(components, &parents, &topo, &region_map);
+    let mut face_labels = Labels::with_capacity(next_face, 0);
+    face_labels.close();
+    for (c, comp) in components.iter().enumerate() {
+        let (cx, map) = (&comp.complex, region_map.get(c));
+        for f in cx.face_ids().filter(|&f| f != cx.exterior) {
+            face_labels.push_iter(widened(&inherited[c], cx.face_labels.get(f.0), map));
         }
     }
 
     // Edges and vertices, concatenated in component order.
     let mut edges: Vec<EdgeData> = Vec::new();
     let mut vertices: Vec<VertexData> = Vec::new();
+    let (mut edge_labels, mut vertex_labels) = (Labels::default(), Labels::default());
     let (mut polylines, mut rotations) = (Runs::default(), Runs::default());
     for (c, comp) in components.iter().enumerate() {
-        let (cx, inherited, map) = (&comp.complex, &faces[parent_face[c].0].label, region_map.get(c));
+        let (cx, inherited, map) = (&comp.complex, &inherited[c], region_map.get(c));
         for e in cx.edge_ids() {
             let data = cx.edge(e);
             edges.push(EdgeData {
@@ -657,13 +703,13 @@ pub fn assemble_components(
                 head: VertexId(data.head.0 + vertex_off[c]),
                 left_face: face_map[c][data.left_face.0],
                 right_face: face_map[c][data.right_face.0],
-                label: widen_label(inherited, &data.label, map),
             });
+            edge_labels.push_iter(widened(inherited, cx.edge_labels.get(e.0), map));
             polylines.push(cx.polylines.get(e.0));
         }
         for v in cx.vertex_ids() {
-            let data = cx.vertex(v);
-            vertices.push(VertexData { point: data.point, label: widen_label(inherited, &data.label, map) });
+            vertices.push(cx.vertex(v).clone());
+            vertex_labels.push_iter(widened(inherited, cx.vertex_labels.get(v.0), map));
             for d in cx.rotations.get(v.0) {
                 rotations.push_item(DartId(d.0 + 2 * edge_off[c]));
             }
@@ -671,7 +717,19 @@ pub fn assemble_components(
         }
     }
 
-    CellComplex { region_names: global_names, vertices, edges, faces, rotations, polylines, face_edges, exterior }
+    CellComplex {
+        region_names: global_names,
+        vertices,
+        edges,
+        faces,
+        vertex_labels,
+        edge_labels,
+        face_labels,
+        rotations,
+        polylines,
+        face_edges,
+        exterior,
+    }
 }
 
 #[cfg(test)]
@@ -679,6 +737,7 @@ mod tests {
     use super::*;
     use crate::complex::ComplexGeometry;
     use crate::partition::partition_instance;
+    use crate::split::CutSets;
 
     fn assemble_instance(inst: &SpatialInstance) -> CellComplex {
         let global_names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
@@ -706,13 +765,13 @@ mod tests {
         // The annulus face (Outer only) is bounded by both loops.
         let annulus = c
             .face_ids()
-            .find(|f| c.face(*f).label == label(&[(1, Sign::Interior)]))
+            .find(|f| c.face_label(*f) == label(&[(1, Sign::Interior)]))
             .expect("outer-only face exists");
         assert_eq!(c.face_boundary(annulus).len(), 2);
         // The innermost face is inside both regions.
         assert!(c
             .face_ids()
-            .any(|f| c.face(f).label == label(&[(0, Sign::Interior), (1, Sign::Interior)])));
+            .any(|f| c.face_label(f) == label(&[(0, Sign::Interior), (1, Sign::Interior)])));
         // The exterior sees only Outer's boundary.
         assert_eq!(c.face_boundary(c.exterior_face()).len(), 1);
     }
@@ -728,7 +787,7 @@ mod tests {
         assert_eq!(partition_instance(&inst).len(), 3);
         assert_eq!(c.face_count(), 4);
         assert!(c.euler_formula_holds());
-        let mut labels: Vec<Label> = c.face_ids().map(|f| c.face(f).label.clone()).collect();
+        let mut labels: Vec<Label> = c.face_ids().map(|f| c.face_label(f)).collect();
         labels.sort();
         let mut expected = vec![
             Label::default(),
@@ -753,7 +812,7 @@ mod tests {
         assert!(c.euler_formula_holds());
         let host_only = c
             .face_ids()
-            .find(|f| c.face(*f).label == label(&[(0, Sign::Interior)]))
+            .find(|f| c.face_label(*f) == label(&[(0, Sign::Interior)]))
             .expect("host-only face");
         // Host's own loop + both island loops.
         assert_eq!(c.face_boundary(host_only).len(), 3);
@@ -804,6 +863,11 @@ mod tests {
         }
     }
 
+    /// Component `c`'s cut sets with every rank resolved in its point table.
+    fn resolved_cuts(c: &ComponentComplex) -> CutSets {
+        c.cuts.map(|&r| c.points[r as usize])
+    }
+
     /// Hold each rebuilt component's carried cut sets against one sweep of
     /// its segments from scratch.
     fn check_cut_sets(step: usize, instance: &SpatialInstance, c: &ComponentComplex, rebuilt: bool) {
@@ -814,10 +878,46 @@ mod tests {
         let runs = |s: &Runs<TaggedSegment>| (0..s.len()).map(|r| s.range(r)).collect::<Vec<_>>();
         assert_eq!(runs(&c.segments), runs(&segments), "segment runs at step {step}");
         assert!(
-            c.cuts == crate::sweep::sweep_cut_sets(segments.items()),
+            resolved_cuts(c) == crate::sweep::sweep_cut_sets(segments.items()),
             "carried cut sets of {:?} differ from a sweep at step {step}",
             c.region_names()
         );
+    }
+
+    /// Hold each rebuilt component's merged point table against one sweep
+    /// of its segments from scratch: the table is the sweep's distinct cut
+    /// points, ascending (so it keeps no point that no cut set cites), and
+    /// every ranked cut set resolves to the sweep's cut set.
+    fn check_point_table(step: usize, instance: &SpatialInstance, c: &ComponentComplex, rebuilt: bool) {
+        if !rebuilt {
+            return;
+        }
+        let swept = crate::sweep::sweep_cut_sets(group_segments(&members_of(c, instance)).items());
+        let mut table = swept.items().to_vec();
+        table.sort_unstable();
+        table.dedup();
+        let names = c.region_names();
+        assert!(c.points == table, "point table of {names:?} differs from a sweep's at step {step}");
+        assert_eq!(c.cuts.len(), swept.len(), "one ranked cut set per segment at step {step}");
+        for (s, (ranks, cut)) in c.cuts.iter().zip(swept.iter()).enumerate() {
+            let resolved: Vec<Point> = ranks.iter().map(|&r| c.points[r as usize]).collect();
+            assert!(resolved == cut, "ranked cut set {s} of {names:?} differs from a sweep's at step {step}");
+        }
+    }
+
+    #[test]
+    fn carried_point_tables_equal_a_sweep_along_op_traces() {
+        for seed in 0..4 {
+            let trace = datagen::op_trace(TRACE_STEPS, 0x5eed + seed);
+            replay(datagen::clustered_map(4, 6, seed), &trace, check_point_table);
+            replay(datagen::jittered_overlap_map(10, 3, 12, seed), &trace, check_point_table);
+        }
+    }
+
+    #[test]
+    fn carried_point_tables_equal_a_sweep_along_the_dense_trace() {
+        let trace = datagen::dense_edit_trace(16, 16, 12, DENSE_STEPS, 7);
+        replay(datagen::jittered_overlap_map(16, 16, 12, 1996), &trace, check_point_table);
     }
 
     #[test]
@@ -847,7 +947,7 @@ mod tests {
         for (r, name) in names.iter().enumerate() {
             let scanned: Vec<FaceId> = cx
                 .face_ids()
-                .filter(|&f| f != cx.exterior_face() && cx.face(f).label.sign(r) == Sign::Interior)
+                .filter(|&f| f != cx.exterior_face() && cx.face_label(f).sign(r) == Sign::Interior)
                 .collect();
             assert_eq!(c.region_faces.get(r), scanned, "faces of {name} at step {step}");
         }
@@ -873,7 +973,7 @@ mod tests {
     fn check_rep_point(step: usize, instance: &SpatialInstance, c: &ComponentComplex, _: bool) {
         let segments = group_segments(&members_of(c, instance));
         let least = segments.items().iter().map(|t| t.segment.a.min(t.segment.b)).min();
-        assert_eq!(c.rep_point, least, "{:?} at step {step}", c.region_names());
+        assert_eq!(c.rep_point(), least, "{:?} at step {step}", c.region_names());
     }
 
     #[test]

@@ -28,19 +28,22 @@
 //!    complexes into the global complex (cross-component nesting,
 //!    exterior-face unification, label widening).
 //!
-//! A component build sorts its cut points once, into the point table of its
-//! split (`split::Pieces`), and the local pipeline works on ranks from
-//! there: the raw graph numbers its vertices through a rank-indexed table,
-//! its incidences, chains, rotations, face walks and face boundaries are
-//! flat runs (`runs::Runs`) of ranks, piece indices, darts and edges, the
-//! outer-walk test and the nesting of skeleton components take integer
-//! minima of ranks, and points are read back from the table only where the
-//! complex keeps them (vertex points and edge polylines). The complex's
-//! rotations and face boundaries are the builder's own runs, moved into it,
-//! and its polylines one more run table, so no cell owns a list. A component
-//! keeps the boundary walk of each bounded face as darts; the assembly step
-//! reads it as a polyline only when a nesting test reaches the component
-//! (`ComponentComplex::bounded_cycles`).
+//! A component build receives its split ranked (`split::RankedSplit`): the
+//! point table, carried from the component's last build and merged with the
+//! points of its re-split rather than sorted again, and every cut set as
+//! ranks into it. The local pipeline works on ranks from there: the raw
+//! graph numbers its vertices through a rank-indexed table, its incidences,
+//! chains, rotations, face walks and face boundaries are flat runs
+//! (`runs::Runs`) of ranks, piece indices, darts and edges, the outer-walk
+//! test and the nesting of skeleton components take integer minima of
+//! ranks, and points are read back from the table only where the complex
+//! keeps them (vertex points and edge polylines). The complex's rotations
+//! and face boundaries are the builder's own runs, moved into it, its
+//! polylines one more run table, and its labels three more, written entry
+//! by entry by the flood fill and the edge and vertex labelling, so no cell
+//! owns a list. A component keeps the boundary walk of each bounded face as
+//! darts; the assembly step reads it as a polyline only when a nesting test
+//! reaches the component (`ComponentComplex::bounded_cycles`).
 //! Ranks are lexicographic, so every order an earlier point-keyed build
 //! produced — pieces by `(a, b)`, vertices by first appearance — is the same,
 //! and so is every cell id.
@@ -57,7 +60,7 @@
 use crate::assemble::{innermost_cycle, update_components};
 use crate::complex::CellComplex;
 use crate::runs::Runs;
-use crate::split::{instance_segments, Pieces};
+use crate::split::{instance_segments, Pieces, RankedSplit};
 use crate::types::*;
 use crate::view::GlobalComplexView;
 use spatial_core::prelude::*;
@@ -91,8 +94,8 @@ pub fn build_complex_view(instance: &SpatialInstance) -> GlobalComplexView {
 pub fn build_complex_monolithic(instance: &SpatialInstance) -> CellComplex {
     let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
     let segments = instance_segments(instance);
-    let cuts = crate::sweep::sweep_cut_sets(&segments);
-    build_local(region_names, &Pieces::new(&segments, &cuts)).complex
+    let split = RankedSplit::of(&crate::sweep::sweep_cut_sets(&segments));
+    build_local(region_names, &Pieces::new(&segments, &split)).complex
 }
 
 /// The output of [`build_local`].
@@ -587,49 +590,93 @@ fn turns_clockwise_at_lowest(g: &MergedGraph, pieces: &Pieces, darts: &[DartId])
 /// Face labels by FIFO flood fill from the exterior face: crossing an edge
 /// toggles membership in the regions whose boundary it lies on, so a face's
 /// interior regions are its neighbour's, symmetric-differenced with the
-/// crossed chain's (both ascending).
-fn face_labels(g: &MergedGraph, pieces: &Pieces, assembled: &AssembledFaces) -> Vec<Label> {
+/// crossed chain's ([`push_toggled`]). The fill writes each label as one
+/// run of a flat table in visiting order, then copies the runs into face
+/// order.
+fn face_labels(g: &MergedGraph, pieces: &Pieces, assembled: &AssembledFaces) -> Labels {
     let face_count = assembled.face_boundaries.len();
-    let mut labels: Vec<Option<Label>> = vec![None; face_count];
-    labels[assembled.exterior.0] = Some(Label::default());
-    let mut queue = std::collections::VecDeque::with_capacity(face_count);
-    queue.push_back(assembled.exterior);
-    while let Some(f) = queue.pop_front() {
+    // `visited[k]` is the label of `order[k]`, and `slot[f]` the k of face f.
+    let mut visited = Labels::with_capacity(face_count, face_count);
+    let mut order = Vec::with_capacity(face_count);
+    let mut slot = vec![usize::MAX; face_count];
+    slot[assembled.exterior.0] = 0;
+    order.push(assembled.exterior);
+    visited.close();
+    let mut current: Vec<(usize, Sign)> = Vec::new();
+    let mut next = 0;
+    while let Some(&f) = order.get(next) {
+        current.clear();
+        current.extend_from_slice(visited.get(next));
+        next += 1;
         // Cross every edge on the face boundary.
         for &e in assembled.face_boundaries.get(f.0) {
             let fwd_face = assembled.face_of_dart[DartId::forward(e).0];
             let bwd_face = assembled.face_of_dart[DartId::backward(e).0];
             let neighbor = if fwd_face == f { bwd_face } else { fwd_face };
-            if neighbor == f || labels[neighbor.0].is_some() {
+            if neighbor == f || slot[neighbor.0] != usize::MAX {
                 continue;
             }
-            let current = labels[f.0].as_ref().expect("visited face has a label");
-            let crossed = g.chain_regions(pieces, e.0);
-            let kept = current.iter().filter(|(r, _)| crossed.binary_search(r).is_err());
-            let entered = crossed.iter().filter(|&&r| current.sign(r) == Sign::Exterior);
-            labels[neighbor.0] = Some(kept.chain(entered.map(|&r| (r, Sign::Interior))).collect());
-            queue.push_back(neighbor);
+            push_toggled(&mut visited, &current, g.chain_regions(pieces, e.0));
+            slot[neighbor.0] = order.len();
+            order.push(neighbor);
         }
     }
+    let mut labels = Labels::with_capacity(face_count, visited.items().len());
+    for k in slot {
+        assert!(k != usize::MAX, "every face is reachable from the exterior face");
+        labels.push(visited.get(k));
+    }
     labels
-        .into_iter()
-        .map(|l| l.expect("every face is reachable from the exterior face"))
-        .collect()
 }
 
-/// `label` with every region of `boundary` (ascending) marked `Boundary`.
-fn on_boundary(label: &Label, boundary: &[usize]) -> Label {
-    let off = label.iter().filter(|(r, _)| boundary.binary_search(r).is_err());
-    off.chain(boundary.iter().map(|&r| (r, Sign::Boundary))).collect()
+/// Append to `labels` the run of the face label `label` with membership in
+/// every region of `crossed` (ascending) toggled: one merge of the two
+/// ascending lists, a region in both leaving and one in `crossed` alone
+/// entering as `Interior`.
+fn push_toggled(labels: &mut Labels, label: &[(usize, Sign)], crossed: &[usize]) {
+    let mut rest = crossed;
+    for &(r, s) in label {
+        while let Some((&c, tail)) = rest.split_first().filter(|&(&c, _)| c < r) {
+            labels.push_item((c, Sign::Interior));
+            rest = tail;
+        }
+        match rest.split_first() {
+            Some((&c, tail)) if c == r => rest = tail,
+            _ => labels.push_item((r, s)),
+        }
+    }
+    rest.iter().for_each(|&c| labels.push_item((c, Sign::Interior)));
+    labels.close();
+}
+
+/// Append to `labels` the run of `label` with every region of `boundary`
+/// (ascending) marked `Boundary`: one merge of the two ascending lists.
+fn push_on_boundary(labels: &mut Labels, label: &[(usize, Sign)], boundary: &[usize]) {
+    let mut rest = boundary;
+    for &(r, s) in label {
+        while let Some((&b, tail)) = rest.split_first().filter(|&(&b, _)| b < r) {
+            labels.push_item((b, Sign::Boundary));
+            rest = tail;
+        }
+        match rest.split_first() {
+            Some((&b, tail)) if b == r => {
+                labels.push_item((r, Sign::Boundary));
+                rest = tail;
+            }
+            _ => labels.push_item((r, s)),
+        }
+    }
+    rest.iter().for_each(|&b| labels.push_item((b, Sign::Boundary)));
+    labels.close();
 }
 
 /// The bounded faces interior to each of `regions` regions, ascending: the
 /// final face labels inverted, one run per region.
-fn interior_faces(labels: &[Label], exterior: FaceId, regions: usize) -> Runs<FaceId> {
+fn interior_faces(labels: &Labels, exterior: FaceId, regions: usize) -> Runs<FaceId> {
     let bounded = labels.iter().enumerate().filter(|&(f, _)| f != exterior.0);
     let pairs = bounded.flat_map(|(f, label)| {
-        let interior = label.iter().filter(|&(_, s)| s == Sign::Interior);
-        interior.map(move |(r, _)| (r, FaceId(f)))
+        let interior = label.iter().filter(|&&(_, s)| s == Sign::Interior);
+        interior.map(move |&(r, _)| (r, FaceId(f)))
     });
     Runs::grouped(regions, pairs)
 }
@@ -639,10 +686,11 @@ fn interior_faces(labels: &[Label], exterior: FaceId, regions: usize) -> Runs<Fa
 /// flood fill of [`face_labels`]; an edge takes the label of its left face
 /// and a vertex that of the face left of its first dart, with the regions
 /// whose boundary the cell lies on marked `Boundary`, so every label is
-/// written once, in time linear in its entries. The complex's three lists
-/// per cell are flat runs: the rotations and the face boundaries are the
-/// builder's own, moved, and the polylines are the chains' ranks read back
-/// from the point table, so none of them costs an allocation per cell.
+/// written once, in time linear in its entries. Every list a cell has is a
+/// run of a flat table: the labels are written straight into one table per
+/// dimension, the rotations and the face boundaries are the builder's own,
+/// moved, and the polylines are the chains' ranks read back from the point
+/// table, so none of them costs an allocation per cell.
 fn finish_complex(
     region_names: Vec<String>,
     g: &MergedGraph,
@@ -655,55 +703,53 @@ fn finish_complex(
     let region_faces = interior_faces(&face_labels, assembled.exterior, region_names.len());
 
     let AssembledFaces { face_of_dart, face_boundaries, exterior, .. } = assembled;
-    let faces: Vec<FaceData> = face_labels
-        .into_iter()
-        .enumerate()
-        .map(|(i, label)| FaceData { is_exterior: FaceId(i) == exterior, label })
-        .collect();
+    let faces: Vec<FaceData> =
+        (0..face_labels.len()).map(|i| FaceData { is_exterior: FaceId(i) == exterior }).collect();
 
-    let edges: Vec<EdgeData> = g
-        .chains
-        .iter()
-        .enumerate()
-        .map(|(i, chain)| {
-            let e = EdgeId(i);
-            let left = face_of_dart[DartId::forward(e).0];
-            let right = face_of_dart[DartId::backward(e).0];
-            EdgeData {
-                tail: VertexId(chain.tail),
-                head: VertexId(chain.head),
-                left_face: left,
-                right_face: right,
-                label: on_boundary(&faces[left.0].label, g.chain_regions(pieces, i)),
-            }
-        })
-        .collect();
+    let mut edge_labels = Labels::with_capacity(g.chains.len(), face_labels.items().len() + g.chains.len());
+    let mut edges: Vec<EdgeData> = Vec::with_capacity(g.chains.len());
+    for (i, chain) in g.chains.iter().enumerate() {
+        let e = EdgeId(i);
+        let left = face_of_dart[DartId::forward(e).0];
+        let right = face_of_dart[DartId::backward(e).0];
+        edges.push(EdgeData { tail: VertexId(chain.tail), head: VertexId(chain.head), left_face: left, right_face: right });
+        push_on_boundary(&mut edge_labels, face_labels.get(left.0), g.chain_regions(pieces, i));
+    }
     let polylines = g.points.map(|&r| pieces.points[r as usize]);
 
     // Vertices: the regions of the incident chains, merged in one reused
     // buffer.
     let mut marks: Vec<usize> = Vec::new();
-    let vertices: Vec<VertexData> = g
-        .vertex_ranks
-        .iter()
-        .enumerate()
-        .map(|(v, &rank)| {
-            let rotation = rotations.of(v);
-            let face = &faces[face_of_dart[rotation[0].0].0].label;
-            marks.clear();
-            for d in rotation {
-                marks.extend_from_slice(g.chain_regions(pieces, d.edge().0));
-            }
-            marks.sort_unstable();
-            marks.dedup();
-            let label = on_boundary(face, &marks);
-            VertexData { point: pieces.points[rank as usize], label }
-        })
-        .collect();
+    let n = g.vertex_ranks.len();
+    let mut vertex_labels = Labels::with_capacity(n, 2 * n);
+    let mut vertices: Vec<VertexData> = Vec::with_capacity(n);
+    for (v, &rank) in g.vertex_ranks.iter().enumerate() {
+        let rotation = rotations.of(v);
+        marks.clear();
+        for d in rotation {
+            marks.extend_from_slice(g.chain_regions(pieces, d.edge().0));
+        }
+        marks.sort_unstable();
+        marks.dedup();
+        let face = face_of_dart[rotation[0].0];
+        push_on_boundary(&mut vertex_labels, face_labels.get(face.0), &marks);
+        vertices.push(VertexData { point: pieces.points[rank as usize] });
+    }
 
     let rotations = rotations.darts;
-    let complex =
-        CellComplex { region_names, vertices, edges, faces, rotations, polylines, face_edges: face_boundaries, exterior };
+    let complex = CellComplex {
+        region_names,
+        vertices,
+        edges,
+        faces,
+        vertex_labels,
+        edge_labels,
+        face_labels,
+        rotations,
+        polylines,
+        face_edges: face_boundaries,
+        exterior,
+    };
     (complex, region_faces)
 }
 
@@ -737,10 +783,10 @@ mod tests {
         assert_ne!(interior_faces[0], c.exterior_face());
         // Labels.
         let f_in = interior_faces[0];
-        assert_eq!(c.face(f_in).label, label(&[(0, Sign::Interior)]));
-        assert_eq!(c.face(c.exterior_face()).label, Label::default());
-        assert_eq!(c.edge(EdgeId(0)).label, label(&[(0, Sign::Boundary)]));
-        assert_eq!(c.vertex(VertexId(0)).label, label(&[(0, Sign::Boundary)]));
+        assert_eq!(c.face_label(f_in), label(&[(0, Sign::Interior)]));
+        assert_eq!(c.face_label(c.exterior_face()), Label::default());
+        assert_eq!(c.edge_label(EdgeId(0)), label(&[(0, Sign::Boundary)]));
+        assert_eq!(c.vertex_label(VertexId(0)), label(&[(0, Sign::Boundary)]));
     }
 
     #[test]
@@ -755,7 +801,7 @@ mod tests {
         assert!(c.is_simple());
 
         // Face labels: exterior (-,-), A-only (o,-), B-only (-,o), lens (o,o).
-        let mut labels: Vec<Label> = c.face_ids().map(|f| c.face(f).label.clone()).collect();
+        let mut labels: Vec<Label> = c.face_ids().map(|f| c.face_label(f)).collect();
         labels.sort();
         let mut expected = vec![
             label(&[(0, Sign::Interior), (1, Sign::Interior)]),
@@ -767,7 +813,7 @@ mod tests {
         assert_eq!(labels, expected);
 
         // Edge labels as in Example 3.1: (A∂,B-), (A∂,Bo), (Ao,B∂), (A-,B∂).
-        let mut edge_labels: Vec<Label> = c.edge_ids().map(|e| c.edge(e).label.clone()).collect();
+        let mut edge_labels: Vec<Label> = c.edge_ids().map(|e| c.edge_label(e)).collect();
         edge_labels.sort();
         let mut expected_edges = vec![
             label(&[(0, Sign::Boundary)]),
@@ -780,7 +826,7 @@ mod tests {
 
         // Both vertices are on both boundaries.
         for v in c.vertex_ids() {
-            assert_eq!(c.vertex(v).label, label(&[(0, Sign::Boundary), (1, Sign::Boundary)]));
+            assert_eq!(c.vertex_label(v), label(&[(0, Sign::Boundary), (1, Sign::Boundary)]));
         }
     }
 
@@ -790,14 +836,14 @@ mod tests {
         assert!(c.euler_formula_holds());
         let both = c
             .face_ids()
-            .filter(|f| c.face(*f).label == label(&[(0, Sign::Interior), (1, Sign::Interior)]))
+            .filter(|f| c.face_label(*f) == label(&[(0, Sign::Interior), (1, Sign::Interior)]))
             .count();
         assert_eq!(both, 2, "A ∩ B must have two connected components");
         // While in fig 1c it has exactly one.
         let c1 = build_complex(&fixtures::fig_1c());
         let both1 = c1
             .face_ids()
-            .filter(|f| c1.face(*f).label == label(&[(0, Sign::Interior), (1, Sign::Interior)]))
+            .filter(|f| c1.face_label(*f) == label(&[(0, Sign::Interior), (1, Sign::Interior)]))
             .count();
         assert_eq!(both1, 1);
     }
@@ -829,7 +875,7 @@ mod tests {
         assert!(c.euler_formula_holds());
         assert_eq!(c.skeleton_component_count(), 3);
         // Face labels: (-,-,-) exterior, (o,-,-), (o,o,-), (o,o,o).
-        let mut labels: Vec<Label> = c.face_ids().map(|f| c.face(f).label.clone()).collect();
+        let mut labels: Vec<Label> = c.face_ids().map(|f| c.face_label(f)).collect();
         labels.sort();
         let mut expected = vec![
             Label::default(),
@@ -843,7 +889,7 @@ mod tests {
         // boundary ∂A and the embedded ∂B).
         let a_only = c
             .face_ids()
-            .find(|f| c.face(*f).label == label(&[(0, Sign::Interior)]))
+            .find(|f| c.face_label(*f) == label(&[(0, Sign::Interior)]))
             .unwrap();
         assert_eq!(c.face_boundary(a_only).len(), 2);
         // The exterior face sees only ∂A.
@@ -871,14 +917,14 @@ mod tests {
         assert!(c.euler_formula_holds());
         let all_ext: Vec<FaceId> = c
             .face_ids()
-            .filter(|f| c.face(*f).label == Label::default())
+            .filter(|f| c.face_label(*f) == Label::default())
             .collect();
         assert_eq!(all_ext.len(), 2, "the hole and the unbounded face");
         assert!(all_ext.contains(&c.exterior_face()));
         // Two lens faces where A and B overlap.
         let lenses = c
             .face_ids()
-            .filter(|f| c.face(*f).label == label(&[(0, Sign::Interior), (1, Sign::Interior)]))
+            .filter(|f| c.face_label(*f) == label(&[(0, Sign::Interior), (1, Sign::Interior)]))
             .count();
         assert_eq!(lenses, 2);
     }
@@ -900,7 +946,7 @@ mod tests {
         let hole_of = |c: &CellComplex| {
             c.face_ids()
                 .find(|f| {
-                    *f != c.exterior_face() && c.face(*f).label == Label::default()
+                    *f != c.exterior_face() && c.face_label(*f) == Label::default()
                 })
                 .unwrap()
         };
@@ -922,7 +968,7 @@ mod tests {
             c.edge_ids().filter(|&e| c.edge_region_marks(e).len() == 2).collect();
         assert!(!shared.is_empty());
         for e in shared {
-            let lbl = &c.edge(e).label;
+            let lbl = &c.edge_label(e);
             assert_eq!(lbl.iter().filter(|&(_, s)| s == Sign::Boundary).count(), 2);
         }
     }

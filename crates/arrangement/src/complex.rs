@@ -393,7 +393,7 @@ impl ComplexRead for CellComplex {
     }
 
     fn vertex_label(&self, v: VertexId) -> Label {
-        self.vertices[v.0].label.clone()
+        Label::from_entries(self.vertex_labels.get(v.0))
     }
 
     fn vertex_rotation(&self, v: VertexId) -> Vec<DartId> {
@@ -406,7 +406,7 @@ impl ComplexRead for CellComplex {
     }
 
     fn edge_label(&self, e: EdgeId) -> Label {
-        self.edges[e.0].label.clone()
+        Label::from_entries(self.edge_labels.get(e.0))
     }
 
     fn edge_faces(&self, e: EdgeId) -> (FaceId, FaceId) {
@@ -414,7 +414,7 @@ impl ComplexRead for CellComplex {
     }
 
     fn face_label(&self, f: FaceId) -> Label {
-        self.faces[f.0].label.clone()
+        Label::from_entries(self.face_labels.get(f.0))
     }
 
     fn face_boundary(&self, f: FaceId) -> Vec<EdgeId> {
@@ -422,15 +422,15 @@ impl ComplexRead for CellComplex {
     }
 
     fn vertex_sign(&self, v: VertexId, region: usize) -> Sign {
-        self.vertices[v.0].label.sign(region)
+        sign_in(self.vertex_labels.get(v.0), region)
     }
 
     fn edge_sign(&self, e: EdgeId, region: usize) -> Sign {
-        self.edges[e.0].label.sign(region)
+        sign_in(self.edge_labels.get(e.0), region)
     }
 
     fn face_sign(&self, f: FaceId, region: usize) -> Sign {
-        self.faces[f.0].label.sign(region)
+        sign_in(self.face_labels.get(f.0), region)
     }
 }
 
@@ -447,16 +447,24 @@ impl ComplexGeometry for CellComplex {
 /// The planar cell complex of a spatial database instance.
 ///
 /// Each cell's own record ([`VertexData`], [`EdgeData`], [`FaceData`]) holds
-/// its fixed-size data and its label. The three lists a cell has — a
+/// its fixed-size data only. The lists a cell has — its label's entries, a
 /// vertex's rotation, an edge's polyline, a face's boundary edges — are runs
-/// of three flat tables, one run per cell in id order, read through
-/// [`ComplexRead`].
+/// of flat tables, one run per cell in id order, read through
+/// [`ComplexRead`] (labels are returned as owned [`Label`]s, and the sign
+/// reads binary-search the run). A complex of any size therefore costs a
+/// fixed number of allocations, not one or more per cell.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CellComplex {
     pub(crate) region_names: Vec<String>,
     pub(crate) vertices: Vec<VertexData>,
     pub(crate) edges: Vec<EdgeData>,
     pub(crate) faces: Vec<FaceData>,
+    /// Each vertex's label entries.
+    pub(crate) vertex_labels: Labels,
+    /// Each edge's label entries.
+    pub(crate) edge_labels: Labels,
+    /// Each face's label entries.
+    pub(crate) face_labels: Labels,
     /// Each vertex's outgoing darts, counter-clockwise.
     pub(crate) rotations: Runs<DartId>,
     /// Each edge's polyline, from tail to head.
@@ -473,7 +481,10 @@ impl CellComplex {
             region_names,
             vertices: vec![],
             edges: vec![],
-            faces: vec![FaceData { is_exterior: true, label: Label::default() }],
+            faces: vec![FaceData { is_exterior: true }],
+            vertex_labels: Labels::default(),
+            edge_labels: Labels::default(),
+            face_labels: Runs::grouped(1, std::iter::empty()),
             rotations: Runs::default(),
             polylines: Runs::default(),
             face_edges: Runs::grouped(1, std::iter::empty()),

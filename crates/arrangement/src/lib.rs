@@ -47,16 +47,19 @@
 //!    face: faces by one flood fill, edges and vertices by
 //!    copying a neighbouring face's label and marking the regions whose
 //!    boundary they lie on. Every label is written once, in time linear in
-//!    its length, and no face stores a sample point: nothing downstream
+//!    its length, as one run of a flat table per dimension (no cell owns a
+//!    label vector), and no face stores a sample point: nothing downstream
 //!    needs one. Components share nothing until assembly, so they
 //!    are swept **concurrently** on the small std-only worker pool of
 //!    [`parallel`] (the output is identical for every thread count); each
 //!    component itself is built serially. The result is an
 //!    immutable [`ComponentComplex`], shareable behind an `Arc` so callers
 //!    (the `topodb` component cache) can reuse untouched components across
-//!    updates. It keeps the cut sets of its split: when an update rebuilds
-//!    it, only the segments near what changed, and their cutters, are swept
-//!    again; every other segment's cut set is copied.
+//!    updates. It keeps its point table and the cut sets of its split as
+//!    ranks into it: when an update rebuilds it, only the segments near what
+//!    changed, and their cutters, are swept again; every other segment's
+//!    cut set is carried, and the points they cite are merged with the new
+//!    ones rather than sorted again.
 //! 3. **Assemble**: the component complexes are composed into the global
 //!    complex — components strictly nested inside a face of another
 //!    component are embedded there (their local exterior face is unified
@@ -119,8 +122,8 @@
 //! 1), rebuilt (stage 2) and located among the others (stage 3). A rebuilt
 //! component re-splits only the neighbourhood of the change: the segments
 //! whose boxes meet a new or a vanished segment are swept again, with their
-//! cutters, and every other cut set is copied from the component it was
-//! last built in. The cold build ([`build_complex_view`]) is the degenerate
+//! cutters, and every other cut set is carried, as ranks, from the component
+//! it was last built in. The cold build ([`build_complex_view`]) is the degenerate
 //! update: no previous components, every name changed, every segment swept.
 //!
 //! The invariant of this path is that **the carried partition equals

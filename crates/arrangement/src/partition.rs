@@ -214,30 +214,32 @@ pub(crate) struct Group<'a> {
 /// only the rest.
 ///
 /// A component of `prev` is *broken* if it contains a changed name: its
-/// surviving members may have fallen apart. Whether they have is read off
-/// the component's own vertex labels first ([`survivors_connected`]): if the
-/// survivors' boundaries still form one connected curve, they are one
-/// interaction group whatever else changed, and re-enter as one unit like a
-/// hit component below (with one representative segment if none of theirs
-/// meets new geometry). Only if that check fails — the removed or re-shaped
-/// region was a bridge, or the survivors' segment boxes meet without their
-/// boundaries touching — does each survivor re-enter the partition as a
-/// region of its own, with its whole boundary. Among the other components,
-/// one is *hit* if the box of one of its segments meets the box of a segment
-/// of an inserted or re-shaped region; a hit component stays connected (none
-/// of its segments moved) and joins whichever new regions touch it, so it
-/// re-enters as one unit, represented by just its contact segments. Every
-/// remaining component is carried: none of its segments changed, none meets
-/// new geometry, and two segments that both stayed put interact now iff they
-/// did before. One probe round therefore suffices, and
+/// surviving members may have fallen apart. Its own vertex labels split the
+/// survivors into boundary-connected pieces ([`survivor_pieces`]): each
+/// piece's boundaries form one connected curve, so it is one interaction
+/// group whatever else changed, and re-enters as one unit like a hit
+/// component below, represented by its contact segments: those whose boxes
+/// meet new geometry or a segment of another piece, since two pieces whose
+/// segment boxes meet without their boundaries touching are one group too
+/// (with one representative segment if it has no contact segment). Among
+/// the other components, one is *hit* if the box of one of its segments
+/// meets the box of a segment of an inserted or re-shaped region; a hit
+/// component stays connected (none of its segments moved) and joins
+/// whichever new regions touch it, so it re-enters as one unit, represented
+/// by just its contact segments. Every remaining component is carried: none
+/// of its segments changed, none meets new geometry, and two segments that
+/// both stayed put interact now iff they did before — segments of distinct
+/// components never did, and those of one broken component's pieces are
+/// the pieces' contact segments. One probe round therefore suffices, and
 /// [`partition_segments`] over the units yields exactly the groups
 /// [`partition_instance`] would report outside the carried components.
 ///
 /// Cost outside the broken and hit components: one name-range test per
-/// changed name and one box test per *component*. A broken component whose
-/// survivors stay connected costs one pass over its vertex labels and one
-/// box test per region; only a component that may have fallen apart hands
-/// its survivors' whole boundaries to the partitioner.
+/// changed name and one box test per *component*. A broken component costs
+/// one pass over its vertex labels (which stops once the survivors are
+/// joined) and one box test per region; only a component that fell into
+/// pieces probes its region index for the regions of the other pieces, and
+/// tests their segment boxes pairwise.
 pub(crate) fn repartition<'a, S: AsRef<str>>(
     prev: &'a [Arc<ComponentComplex>],
     instance: &'a SpatialInstance,
@@ -247,15 +249,13 @@ pub(crate) fn repartition<'a, S: AsRef<str>>(
 
     // A unit is what `partition_segments` treats as one connected curve:
     // its members (sorted by name), the segments that speak for it, and the
-    // component of `prev` it comes from, if any. A region on its own speaks
-    // with its whole boundary.
+    // component of `prev` it comes from, if any. A fresh region speaks with
+    // its whole boundary.
     type Unit<'a> = (Vec<Member<'a>>, Vec<Segment>, Option<usize>);
-    let region_unit =
-        |m: Member<'a>, base| -> Unit<'a> { (vec![m], m.1.boundary().edges().collect(), base) };
     let fresh: Vec<Unit<'a>> = changed
         .iter()
         .filter_map(|name| Some((name.as_ref(), instance.ext(name.as_ref())?)))
-        .map(|m| region_unit(m, None))
+        .map(|m| (vec![m], m.1.boundary().edges().collect(), None))
         .collect();
     let hull = fresh.iter().map(|(m, _, _)| BBox::of_region(m[0].1)).reduce(|a, b| a.union(&b));
     // The boxes of the new segments: the cold build (no `prev`) needs none.
@@ -263,8 +263,8 @@ pub(crate) fn repartition<'a, S: AsRef<str>>(
         [] => Vec::new(),
         _ => fresh.iter().flat_map(|(_, s, _)| s.iter().map(BBox::of_segment)).collect(),
     };
-    let contact = |component: &ComponentComplex, gone: &[bool]| {
-        contact_segments(component, gone, hull.as_ref(), &fresh_boxes)
+    let contact = |component: &ComponentComplex, piece_of: &[usize], piece: usize| {
+        contact_segments(component, piece_of, piece, hull.as_ref(), &fresh_boxes)
     };
 
     let mut units = fresh;
@@ -280,7 +280,7 @@ pub(crate) fn repartition<'a, S: AsRef<str>>(
         if !broken {
             let contact = match component.bbox() {
                 Some(bbox) if hull.as_ref().is_some_and(|h| h.intersects(bbox)) => {
-                    contact(component, &[])
+                    contact(component, &vec![0; names.len()], 0)
                 }
                 _ => Vec::new(),
             };
@@ -297,17 +297,15 @@ pub(crate) fn repartition<'a, S: AsRef<str>>(
                 gone[r] = true;
             }
         }
-        let survivors = names.iter().zip(&gone).filter(|(_, &g)| !g).map(|(n, _)| member(n));
-        if !survivors_connected(component, &gone) {
-            units.extend(survivors.map(|m| region_unit(m, Some(i))));
-            continue;
+        let (piece_of, pieces) = survivor_pieces(component, &gone);
+        for piece in 0..pieces {
+            let members: Vec<usize> = (0..names.len()).filter(|&r| piece_of[r] == piece).collect();
+            let mut segments = contact(component, &piece_of, piece);
+            if segments.is_empty() {
+                segments.push(component.segments.get(members[0])[0].segment);
+            }
+            units.push((members.iter().map(|&r| member(&names[r])).collect(), segments, Some(i)));
         }
-        let mut segments = contact(component, &gone);
-        if segments.is_empty() {
-            let first = gone.iter().position(|&g| !g).expect("a connected component survives");
-            segments.push(component.segments.get(first)[0].segment);
-        }
-        units.push((survivors.collect(), segments, Some(i)));
     }
 
     // Units in order of their smallest name, so that the partitioner's
@@ -336,55 +334,91 @@ pub(crate) fn repartition<'a, S: AsRef<str>>(
     Repartition { carried, groups }
 }
 
-/// Do the regions of `component` that `gone` does not mark (at least one)
-/// still form one connected curve? Read off the component's own vertex
-/// labels, with no geometry: two regions whose boundaries pass through one
-/// vertex are joined, and the pass stops as soon as every survivor is.
+/// The boundary-connected pieces of the regions of `component` that `gone`
+/// does not mark (at least one): each region's piece, `usize::MAX` for a
+/// gone one, numbered in order of their first region, and how many there
+/// are. Read off the component's own vertex labels, with no geometry: two
+/// regions whose boundaries pass through one vertex are in one piece, and
+/// the pass stops as soon as every survivor is.
 ///
-/// A `true` is exact for the partition: boundaries that share a vertex have
-/// segment boxes that meet, so connected survivors are one interaction
-/// group. A `false` is not: survivors whose segment boxes meet without their
-/// boundaries touching are one group too, which only
-/// [`partition_segments`] finds.
-fn survivors_connected(component: &ComponentComplex, gone: &[bool]) -> bool {
+/// A piece is one interaction group, since boundaries that share a vertex
+/// have segment boxes that meet. Two pieces may be one group too, if their
+/// segment boxes meet without their boundaries touching, which only
+/// [`partition_segments`] finds: [`contact_segments`] hands it the segments
+/// that may tell.
+fn survivor_pieces(component: &ComponentComplex, gone: &[bool]) -> (Vec<usize>, usize) {
     let mut parts = gone.iter().filter(|&&g| !g).count();
     let mut uf = UnionFind::new(gone.len());
-    for vertex in &component.complex.vertices {
+    for vertex in component.complex.vertex_labels.iter() {
         if parts <= 1 {
             break;
         }
-        let mut on = vertex.label.iter().filter(|&(r, s)| s == Sign::Boundary && !gone[r]);
-        if let Some((first, _)) = on.next() {
-            for (r, _) in on {
+        let mut on = vertex.iter().filter(|&&(r, s)| s == Sign::Boundary && !gone[r]);
+        if let Some(&(first, _)) = on.next() {
+            for &(r, _) in on {
                 if uf.union(first, r) {
                     parts -= 1;
                 }
             }
         }
     }
-    parts == 1
+    let mut piece_of_root = vec![usize::MAX; gone.len()];
+    let mut pieces = 0;
+    let piece_of = (0..gone.len())
+        .map(|r| {
+            if gone[r] {
+                return usize::MAX;
+            }
+            let piece = &mut piece_of_root[uf.find(r)];
+            if *piece == usize::MAX {
+                *piece = pieces;
+                pieces += 1;
+            }
+            *piece
+        })
+        .collect();
+    (piece_of, pieces)
 }
 
-/// The segments of `component`'s regions — those `gone` does not mark; it
-/// may be shorter than the region list — whose boxes meet a box of
-/// `fresh_boxes`, the new segments, whose union is `hull`. Read from the
-/// segments and region boxes the component carries: a region whose box
-/// misses the hull is skipped whole.
+/// The contact segments of the regions of `component` in piece `piece`
+/// (`piece_of` numbers every local region's piece, `usize::MAX` for a gone
+/// one): those whose boxes meet a box of `fresh_boxes`, the new segments,
+/// whose union is `hull`, or the box of a segment of another piece. Read
+/// from the segments and region boxes the component carries: a region whose
+/// box misses the hull is tested only against the regions of other pieces
+/// that the component's region index finds near it, and is skipped whole if
+/// there are none.
 fn contact_segments(
     component: &ComponentComplex,
-    gone: &[bool],
+    piece_of: &[usize],
+    piece: usize,
     hull: Option<&BBox>,
     fresh_boxes: &[BBox],
 ) -> Vec<Segment> {
-    let Some(hull) = hull else { return Vec::new() };
+    let split = piece_of.iter().any(|&p| p != piece && p != usize::MAX);
+    if hull.is_none() && !split {
+        return Vec::new();
+    }
     let mut out = Vec::new();
     for (r, region_box) in component.region_bboxes.iter().enumerate() {
-        if gone.get(r) == Some(&true) || !region_box.as_ref().is_some_and(|b| hull.intersects(b)) {
+        let Some(region_box) = region_box.as_ref().filter(|_| piece_of[r] == piece) else { continue };
+        let near_fresh = hull.is_some_and(|h| h.intersects(region_box));
+        let others: Vec<&[TaggedSegment]> = match split {
+            true => (component.region_index.bbox_neighbors(region_box).into_iter())
+                .filter(|&q| piece_of[q] != piece && piece_of[q] != usize::MAX)
+                .map(|q| component.segments.get(q))
+                .collect(),
+            false => Vec::new(),
+        };
+        if !near_fresh && others.is_empty() {
             continue;
         }
         out.extend(component.segments.get(r).iter().map(|t| t.segment).filter(|s| {
             let b = BBox::of_segment(s);
-            hull.intersects(&b) && fresh_boxes.iter().any(|f| f.intersects(&b))
+            let fresh = near_fresh
+                && hull.is_some_and(|h| h.intersects(&b))
+                && fresh_boxes.iter().any(|f| f.intersects(&b));
+            fresh || others.iter().flat_map(|q| q.iter()).any(|t| BBox::of_segment(&t.segment).intersects(&b))
         }));
     }
     out
@@ -571,22 +605,23 @@ mod tests {
     }
 
     #[test]
-    fn survivors_connected_reads_shared_vertices_only() {
+    fn survivor_pieces_read_shared_vertices_only() {
         let row = [
             ("A", Region::rect_from_ints(0, 0, 12, 10)),
             ("B", Region::rect_from_ints(10, 0, 22, 10)),
             ("C", Region::rect_from_ints(20, 0, 32, 10)),
             ("D", Region::rect_from_ints(5, 5, 28, 20)),
         ];
+        let none = usize::MAX;
         // D overlaps all three: without B, A and C still meet through it.
         let (component, gone) = component_without(&row, &["B"]);
-        assert!(survivors_connected(&component, &gone));
+        assert_eq!(survivor_pieces(&component, &gone), (vec![0, none, 0, 0], 1));
         // Without D and B, nothing links A and C.
         let (component, gone) = component_without(&row, &["B", "D"]);
-        assert!(!survivors_connected(&component, &gone));
-        // One survivor is connected.
+        assert_eq!(survivor_pieces(&component, &gone), (vec![0, none, 1, none], 2));
+        // One survivor is one piece.
         let (component, gone) = component_without(&row, &["A", "B", "D"]);
-        assert!(survivors_connected(&component, &gone));
+        assert_eq!(survivor_pieces(&component, &gone), (vec![none, none, 0, none], 1));
 
         // Parallel slanted edges: boxes that meet, boundaries that do not.
         let slants = [
@@ -595,11 +630,17 @@ mod tests {
             ("G", Region::rect_from_ints(-2, 4, 15, 6)),
         ];
         let (component, gone) = component_without(&slants, &["G"]);
-        assert!(!survivors_connected(&component, &gone), "the check is sufficient, not necessary");
+        let (piece_of, pieces) = survivor_pieces(&component, &gone);
+        assert_eq!((piece_of.as_slice(), pieces), (&[0, 1, none][..], 2), "boundaries apart");
         assert_eq!(
             partition_instance(&SpatialInstance::from_regions(slants[..2].iter().cloned())).len(),
             1
         );
+        // Their contact segments, the slanted pair among them, tell the
+        // partitioner that the two pieces are one group.
+        let contact = |piece| contact_segments(&component, &piece_of, piece, None, &[]);
+        assert!(contact(0).contains(&seg(0, 0, 10, 10)), "{:?}", contact(0));
+        assert!(contact(1).contains(&seg(3, 0, 13, 10)) || contact(1).contains(&seg(13, 10, 3, 0)));
     }
 
     #[test]

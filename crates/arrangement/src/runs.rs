@@ -56,8 +56,13 @@ impl<T> Runs<T> {
         &self.items
     }
 
+    /// Every item, run after run, mutably; the runs keep their lengths.
+    pub(crate) fn items_mut(&mut self) -> &mut [T] {
+        &mut self.items
+    }
+
     /// Every run, in order.
-    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &[T]> + '_ {
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = &[T]> + Clone + '_ {
         (0..self.len()).map(|k| self.get(k))
     }
 
@@ -75,6 +80,12 @@ impl<T> Runs<T> {
     /// possibly none.
     pub fn close(&mut self) {
         self.at.push(self.items.len());
+    }
+
+    /// Append one run: the items `run` yields.
+    pub(crate) fn push_iter(&mut self, run: impl IntoIterator<Item = T>) {
+        self.items.extend(run);
+        self.close();
     }
 }
 
@@ -171,5 +182,10 @@ mod tests {
             pushed.push(run);
         }
         assert_eq!(built, pushed);
+        let mut iterated = Runs::default();
+        for run in [&[1, 2][..], &[], &[3]] {
+            iterated.push_iter(run.iter().copied());
+        }
+        assert_eq!(iterated, pushed);
     }
 }

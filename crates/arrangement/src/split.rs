@@ -8,7 +8,7 @@
 //! `equal` situations — are represented exactly).
 //!
 //! The cut points of a segment list are its cut sets (`CutSets`, one run of
-//! points per segment). Two interchangeable splitters produce them:
+//! points per segment, as the splitters produce them). Two interchangeable splitters produce them:
 //!
 //! * [`split_segments_sweep`](crate::sweep::split_segments_sweep) — the
 //!   production path, a Bentley–Ottmann plane sweep ([`crate::sweep`])
@@ -18,28 +18,35 @@
 //!   kept as a differential-testing oracle: both must produce identical
 //!   [`SubSegment`] sets on every input.
 //!
-//! The pieces of a split are merged from the cut sets by rank (`Pieces`): the
-//! flat cut-point buffer is sorted once into a *point table*, every distinct
-//! cut point once, ascending, and a point's rank is its position there. Each
-//! pair of consecutive cut points of a segment is a piece `(rank a, rank b,
-//! segment)`; one integer sort makes coincident pieces adjacent, and each
-//! run becomes one piece with its first segment's direction and the union of
-//! its segments' regions. Ranks are lexicographic, so the builder's later
-//! stages compare, key and sort ranks where they would otherwise compare
-//! exact rational points, and read a point only where the complex keeps it.
-//! `assemble_subsegments` converts the pieces into [`SubSegment`]s; the
-//! naive oracle keeps its own merge, a map keyed by endpoint points, so the
-//! differential tests hold the two merges against each other too.
+//! A split is indexed by rank (`RankedSplit`): its *point table* holds every
+//! distinct cut point once, ascending, a point's rank is its position there,
+//! and each cut set is a run of ranks. Ranks are lexicographic, so the
+//! builder's later stages compare, key and sort ranks where they would
+//! otherwise compare exact rational points, and read a point only where the
+//! complex keeps it. The pieces are merged from the ranked cut sets
+//! (`Pieces`): each pair of consecutive cut points of a segment is a piece
+//! `(rank a, rank b, segment)`; one integer sort makes coincident pieces
+//! adjacent, and each run becomes one piece with its first segment's
+//! direction and the union of its segments' regions. `assemble_subsegments`
+//! converts the pieces into [`SubSegment`]s; the naive oracle keeps its own
+//! merge, a map keyed by endpoint points, so the differential tests hold the
+//! two merges against each other too.
 //!
 //! Cuts are pairwise: a segment's cut set comes only from the segments whose
-//! boxes meet its own. A component therefore keeps the cut sets of its build,
-//! and the rebuild of a component a commit touches re-splits only the
-//! neighbourhood of what changed (`resplit`): it sweeps the segments whose
-//! boxes meet a new or a vanished segment, together with their cutters, and
-//! copies every other cut set from the component it was carried in. A build
-//! with nothing to carry — the cold build, and the from-scratch references
+//! boxes meet its own. A component therefore keeps its point table and the
+//! ranked cut sets of its build, and the rebuild of a component a commit
+//! touches re-splits only the neighbourhood of what changed (`resplit`): it
+//! sweeps the segments whose boxes meet a new or a vanished segment,
+//! together with their cutters, and carries every other cut set, as ranks,
+//! from the component it was built in. The new point table is a merge, not
+//! a sort (`RankedSplit::merge`): the points the carried runs still cite,
+//! already ascending in their old tables, merged with the sorted points of
+//! the re-split, and the carried ranks are mapped old → new through that
+//! merge, so no build sorts a point it carried. A build with nothing to
+//! carry — the cold build, and the from-scratch references
 //! `crate::build_components_with_reuse` and `crate::build_group_component` —
-//! is one sweep of every segment.
+//! is one sweep of every segment, and its table the same merge with no
+//! carried run: one sort of the swept points.
 //!
 //! Every piece carries the direction of the input segment it lies on
 //! ([`SubSegment::dir`]): a difference of two input endpoints, where the
@@ -156,31 +163,45 @@ pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
         .collect()
 }
 
-/// The cut sets of `segments`, whose boxes are `boxes`, re-splitting only
-/// the neighbourhood of what changed since some of them were split before.
+/// A segment's cut set carried from the component it was last built in:
+/// ranks into the point table `base` of the tables handed to [`resplit`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Carried<'a> {
+    /// Which point table the ranks index.
+    pub(crate) base: usize,
+    /// The cut set, as ranks.
+    pub(crate) ranks: &'a [u32],
+}
+
+/// The ranked split of `segments`, whose boxes are `boxes`, re-splitting
+/// only the neighbourhood of what changed since some of them were split
+/// before.
 ///
 /// `carried[s]` is segment `s`'s cut set in the component it was last built
-/// in, or `None` for a fresh segment (of an inserted or re-shaped region);
-/// `gone` holds the boxes of the segments that component had and `segments`
-/// no longer has (of a removed or re-shaped region). A carried segment is
-/// *affected* if its box meets a fresh or a gone segment's; every fresh
-/// segment is affected. One sweep over the affected segments and every
-/// segment whose box meets one of theirs yields the affected cut sets
-/// exactly, since each of their cutters is in it; the rest of its output is
-/// dropped, and every unaffected segment keeps its carried cut set, since
-/// nothing that could cut it changed.
+/// in, as ranks into that component's point table `tables[base]`, or `None`
+/// for a fresh segment (of an inserted or re-shaped region); `gone` holds
+/// the boxes of the segments those components had and `segments` no longer
+/// has (of a removed or re-shaped region). A carried segment is *affected*
+/// if its box meets a fresh or a gone segment's; every fresh segment is
+/// affected. One sweep over the affected segments and every segment whose
+/// box meets one of theirs yields the affected cut sets exactly, since each
+/// of their cutters is in it; the rest of its output is dropped, and every
+/// unaffected segment keeps its carried cut set, since nothing that could
+/// cut it changed. The point table is then merged
+/// ([`RankedSplit::merge`]).
 ///
-/// With nothing carried, the neighbourhood is everything: the result is the
-/// one sweep of `segments`, as `sweep::sweep_cut_sets` returns it.
+/// With nothing carried, the neighbourhood is everything: the cut sets are
+/// the one sweep of `segments`, as `sweep::sweep_cut_sets` returns them.
 pub(crate) fn resplit(
     segments: &[TaggedSegment],
     boxes: &[BBox],
-    carried: &[Option<&[Point]>],
+    carried: &[Option<Carried<'_>>],
+    tables: &[&[Point]],
     gone: &[BBox],
-) -> CutSets {
+) -> RankedSplit {
     debug_assert!(segments.len() == boxes.len() && segments.len() == carried.len());
     if carried.iter().all(Option::is_none) {
-        return crate::sweep::sweep_cut_sets(segments);
+        return RankedSplit::merge(carried, tables, &crate::sweep::sweep_cut_sets(segments));
     }
     let changed = BoxSet::new(
         (0..segments.len()).filter(|&s| carried[s].is_none()).map(|s| &boxes[s]).chain(gone),
@@ -193,18 +214,14 @@ pub(crate) fn resplit(
     let hood_segments: Vec<TaggedSegment> = hood.iter().map(|&s| segments[s].clone()).collect();
     let swept = crate::sweep::sweep_cut_sets(&hood_segments);
 
-    let carried_points: usize = carried.iter().flatten().map(|cuts| cuts.len()).sum();
-    let mut out = CutSets::with_capacity(segments.len(), carried_points + swept.items().len());
-    let mut at = 0;
-    for (s, old) in carried.iter().enumerate() {
-        if affected[s] {
-            at += hood[at..].partition_point(|&h| h < s);
-            out.push(swept.get(at));
-        } else {
-            out.push(old.expect("an unaffected segment is carried"));
-        }
+    // The affected segments carry nothing now: their cut sets are swept.
+    let mut fresh = CutSets::with_capacity(hood.len(), swept.items().len());
+    for (_, run) in hood.iter().zip(swept.iter()).filter(|(&s, _)| affected[s]) {
+        fresh.push(run);
     }
-    out
+    let carried: Vec<Option<Carried<'_>>> =
+        carried.iter().zip(&affected).map(|(old, &affected)| old.filter(|_| !affected)).collect();
+    RankedSplit::merge(&carried, tables, &fresh)
 }
 
 /// A few boxes and their union, tested against one box at a time.
@@ -248,7 +265,8 @@ fn ascending_direction(segment: &Segment) -> Vector {
 /// of its points along the segment, so consecutive elements of the set are
 /// consecutive cut points, smaller endpoint first.
 pub(crate) fn assemble_subsegments(segments: &[TaggedSegment], cuts: &CutSets) -> Vec<SubSegment> {
-    let pieces = Pieces::new(segments, cuts);
+    let split = RankedSplit::of(cuts);
+    let pieces = Pieces::new(segments, &split);
     (0..pieces.len())
         .map(|p| {
             let piece = &pieces.pieces[p];
@@ -262,16 +280,187 @@ pub(crate) fn assemble_subsegments(segments: &[TaggedSegment], cuts: &CutSets) -
         .collect()
 }
 
+/// A split indexed by the ranks of its cut points: the point table, every
+/// distinct cut point once, ascending, and every segment's cut set as a run
+/// of ranks into it. A component keeps the ranked split of its build, and
+/// the next build of the component carries its ranks ([`resplit`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub(crate) struct RankedSplit {
+    /// The point table: the distinct cut points, ascending.
+    pub(crate) points: Vec<Point>,
+    /// Each segment's cut set, ascending, as ranks into `points`.
+    pub(crate) cuts: Runs<u32>,
+}
+
+impl RankedSplit {
+    /// The ranked split of cut sets computed from scratch: the merge with
+    /// nothing carried.
+    pub(crate) fn of(cuts: &CutSets) -> RankedSplit {
+        RankedSplit::merge(&vec![None; cuts.len()], &[], cuts)
+    }
+
+    /// The point table and ranked cut sets of a split whose segment `s` is
+    /// either carried (`carried[s]`, ranks into `tables[base]`) or fresh,
+    /// its cut set the next run of `fresh`.
+    ///
+    /// The fresh cut points are sorted once into a table of their own; each
+    /// old table contributes the points its carried runs still cite, in
+    /// their old (ascending) order; and the lists are merged, equal points
+    /// once. Every carried rank is then mapped old → new through the merge,
+    /// so the carried points cost integer work and the comparisons of a
+    /// merge, which gallops over the long runs of one list that the other
+    /// does not interrupt. The table is exactly the distinct cut points of
+    /// the split: a point no run cites is dropped with its old table.
+    pub(crate) fn merge(
+        carried: &[Option<Carried<'_>>],
+        tables: &[&[Point]],
+        fresh: &CutSets,
+    ) -> RankedSplit {
+        // Ranks are stored as `u32`s, and no table holds more points than
+        // the cut sets have entries.
+        let entries = fresh.items().len() + carried.iter().flatten().map(|c| c.ranks.len()).sum::<usize>();
+        u32::try_from(entries).expect("a component has fewer than 2^32 cut points");
+
+        // The fresh points, ranked by one sort of their flat buffer.
+        let flat = fresh.items();
+        let mut order: Vec<u32> = (0..flat.len() as u32).collect();
+        order.sort_unstable_by(|&i, &j| flat[i as usize].cmp(&flat[j as usize]));
+        let mut points: Vec<Point> = Vec::with_capacity(flat.len());
+        let mut fresh_rank = vec![0u32; flat.len()];
+        for &i in &order {
+            let p = flat[i as usize];
+            if points.last() != Some(&p) {
+                points.push(p);
+            }
+            fresh_rank[i as usize] = points.len() as u32 - 1;
+        }
+
+        // Merge in each old table's cited points. `rank_of[base]` maps an
+        // old rank to its rank in `points` (uncited ranks keep `u32::MAX`);
+        // every earlier mapping is carried through each later merge.
+        let mut rank_of: Runs<u32> = Runs::with_capacity(tables.len(), tables.iter().map(|t| t.len()).sum());
+        for (base, table) in tables.iter().enumerate() {
+            let mut cited = vec![false; table.len()];
+            for c in carried.iter().flatten().filter(|c| c.base == base) {
+                c.ranks.iter().for_each(|&r| cited[r as usize] = true);
+            }
+            let old: Vec<u32> = (0..table.len() as u32).filter(|&r| cited[r as usize]).collect();
+            let (merged, moved, added) = merge_points(Sorted::All(&points), Sorted::Picked(table, &old));
+            points = merged;
+            fresh_rank.iter_mut().for_each(|r| *r = moved[*r as usize]);
+            rank_of.items_mut().iter_mut().filter(|r| **r != u32::MAX).for_each(|r| *r = moved[*r as usize]);
+            let mut map = vec![u32::MAX; table.len()];
+            for (&r, &to) in old.iter().zip(&added) {
+                map[r as usize] = to;
+            }
+            rank_of.push(&map);
+        }
+
+        let mut cuts = Runs::with_capacity(carried.len(), entries);
+        let mut next_fresh = 0;
+        for old in carried {
+            match old {
+                Some(c) => cuts.push_iter(c.ranks.iter().map(|&r| rank_of.get(c.base)[r as usize])),
+                None => {
+                    cuts.push_iter(fresh_rank[fresh.range(next_fresh)].iter().copied());
+                    next_fresh += 1;
+                }
+            }
+        }
+        debug_assert_eq!(next_fresh, fresh.len(), "one fresh cut set per uncarried segment");
+        RankedSplit { points, cuts }
+    }
+}
+
+/// An ascending list of distinct points: a whole table, or the entries of
+/// a table at some ascending ranks (read in place, not copied out).
+#[derive(Clone, Copy)]
+enum Sorted<'a> {
+    All(&'a [Point]),
+    Picked(&'a [Point], &'a [u32]),
+}
+
+impl Sorted<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Sorted::All(points) => points.len(),
+            Sorted::Picked(_, ranks) => ranks.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> &Point {
+        match self {
+            Sorted::All(points) => &points[i],
+            Sorted::Picked(table, ranks) => &table[ranks[i] as usize],
+        }
+    }
+
+    /// The first position at or after `from` whose point is not below `p`:
+    /// an exponential search, then a bisection.
+    fn seek(&self, from: usize, p: &Point) -> usize {
+        let mut step = 1;
+        while from + step <= self.len() && self.get(from + step - 1) < p {
+            step *= 2;
+        }
+        let (mut lo, mut hi) = (from + step / 2, (from + step).min(self.len()));
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.get(mid) < p {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+/// Merge two ascending lists of distinct points into one, equal points
+/// once: the merged list, and where each entry of `a` and of `b` went.
+///
+/// It walks the shorter list and finds each of its points in the longer one
+/// by exponential search from the last find, so a merge of `m` points into
+/// `n` costs `O(m log(n / m))` comparisons and copies the rest.
+fn merge_points(a: Sorted<'_>, b: Sorted<'_>) -> (Vec<Point>, Vec<u32>, Vec<u32>) {
+    if a.len() < b.len() {
+        let (merged, b_at, a_at) = merge_points(b, a);
+        return (merged, a_at, b_at);
+    }
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let (mut a_at, mut b_at) = (Vec::with_capacity(a.len()), Vec::with_capacity(b.len()));
+    let mut i = 0;
+    for k in 0..b.len() {
+        let p = b.get(k);
+        let j = a.seek(i, p);
+        for q in i..j {
+            a_at.push(merged.len() as u32);
+            merged.push(*a.get(q));
+        }
+        i = j;
+        b_at.push(merged.len() as u32);
+        if i < a.len() && a.get(i) == p {
+            a_at.push(merged.len() as u32);
+            i += 1;
+        }
+        merged.push(*p);
+    }
+    for q in i..a.len() {
+        a_at.push(merged.len() as u32);
+        merged.push(*a.get(q));
+    }
+    (merged, a_at, b_at)
+}
+
 /// The split of a component, indexed by the ranks of its cut points: the
 /// input of the builder's local pipeline ([`crate::builder`]).
 ///
-/// The point table holds every distinct cut point once, ascending; a point's
-/// *rank* is its position there. Ranks are lexicographic, so comparing two
-/// ranks compares their points, and every later stage keys, sorts and
-/// compares integers where it would otherwise compare exact rationals.
-pub(crate) struct Pieces {
+/// The point table is the [`RankedSplit`]'s, borrowed. Ranks are
+/// lexicographic, so comparing two ranks compares their points, and every
+/// later stage keys, sorts and compares integers where it would otherwise
+/// compare exact rationals.
+pub(crate) struct Pieces<'a> {
     /// The point table: the distinct cut points, ascending.
-    pub(crate) points: Vec<Point>,
+    pub(crate) points: &'a [Point],
     /// The merged pieces, ascending by `(a, b)`.
     pub(crate) pieces: Vec<Piece>,
     /// Every piece's regions, one ascending run per piece.
@@ -294,49 +483,32 @@ pub(crate) struct Piece {
     segment: u32,
 }
 
-impl Pieces {
-    /// Rank the cut points of `segments` and merge their pieces: sort the
-    /// flat cut-point buffer once into the point table, then sort every
-    /// piece as `(rank a, rank b, segment)`, so coincident pieces are
-    /// adjacent and each run keeps its first segment's direction.
-    pub(crate) fn new(segments: &[TaggedSegment], cuts: &CutSets) -> Pieces {
-        let flat = cuts.items();
-        // Ranks, segments and pieces are stored as `u32`s; each counts no
-        // more than the cut points do.
-        u32::try_from(flat.len()).expect("a component has fewer than 2^32 cut points");
-        let mut order: Vec<u32> = (0..flat.len() as u32).collect();
-        order.sort_unstable_by(|&i, &j| flat[i as usize].cmp(&flat[j as usize]));
-        let mut points: Vec<Point> = Vec::with_capacity(flat.len());
-        let mut rank = vec![0u32; flat.len()];
-        for &i in &order {
-            let p = flat[i as usize];
-            if points.last() != Some(&p) {
-                points.push(p);
-            }
-            rank[i as usize] = points.len() as u32 - 1;
+impl<'a> Pieces<'a> {
+    /// Merge the pieces of a ranked split of `segments`: sort every piece as
+    /// `(rank a, rank b, segment)`, so coincident pieces are adjacent and
+    /// each run keeps its first segment's direction. No point is compared.
+    pub(crate) fn new(segments: &[TaggedSegment], split: &'a RankedSplit) -> Pieces<'a> {
+        let cuts = &split.cuts;
+        let mut pieces: Vec<(u32, u32, u32)> = Vec::with_capacity(cuts.items().len());
+        for (s, ranks) in cuts.iter().enumerate() {
+            pieces.extend(ranks.windows(2).map(|ab| (ab[0], ab[1], s as u32)));
         }
+        pieces.sort_unstable();
 
-        let mut split: Vec<(u32, u32, u32)> = Vec::with_capacity(flat.len());
-        for s in 0..cuts.len() {
-            let ranks = &rank[cuts.range(s)];
-            split.extend(ranks.windows(2).map(|ab| (ab[0], ab[1], s as u32)));
-        }
-        split.sort_unstable();
-
-        let mut pieces = Vec::with_capacity(split.len());
-        let mut regions = Runs::with_capacity(split.len(), split.len());
+        let mut merged = Vec::with_capacity(pieces.len());
+        let mut regions = Runs::with_capacity(pieces.len(), pieces.len());
         let mut run_regions = Vec::new();
-        for run in split.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
+        for run in pieces.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
             run_regions.clear();
             run_regions.extend(run.iter().map(|&(_, _, s)| segments[s as usize].region));
             run_regions.sort_unstable();
             run_regions.dedup();
             regions.push(&run_regions);
             let (a, b, segment) = run[0];
-            pieces.push(Piece { a, b, segment });
+            merged.push(Piece { a, b, segment });
         }
         let dirs = segments.iter().map(|ts| ascending_direction(&ts.segment)).collect();
-        Pieces { points, pieces, regions, dirs }
+        Pieces { points: &split.points, pieces: merged, regions, dirs }
     }
 
     /// The number of pieces.
@@ -447,6 +619,52 @@ mod tests {
         let at_origin =
             subs.iter().filter(|s| s.a == pt(0, 0) || s.b == pt(0, 0)).count();
         assert_eq!(at_origin, 8);
+    }
+
+    #[test]
+    fn merge_points_keeps_equal_points_once_and_maps_both_lists() {
+        let a: Vec<Point> = (0..40).map(|i| pt(2 * i, 0)).collect();
+        for b in [vec![], vec![pt(-1, 0)], vec![pt(7, 0), pt(8, 0), pt(100, 0)], a.clone()] {
+            let (merged, a_at, b_at) = merge_points(Sorted::All(&a), Sorted::All(&b));
+            let mut want: Vec<Point> = a.iter().chain(&b).copied().collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(merged, want);
+            assert!(a.iter().zip(&a_at).all(|(p, &r)| merged[r as usize] == *p));
+            assert!(b.iter().zip(&b_at).all(|(p, &r)| merged[r as usize] == *p));
+            // Symmetric in its operands.
+            let (swapped, b_again, a_again) = merge_points(Sorted::All(&b), Sorted::All(&a));
+            assert_eq!((swapped, a_again, b_again), (merged, a_at, b_at));
+        }
+        // A picked list reads its table in place.
+        let every_third: Vec<u32> = (0..40).step_by(3).collect();
+        let b = [pt(5, 0), pt(6, 0)];
+        let (merged, picked_at, b_at) = merge_points(Sorted::Picked(&a, &every_third), Sorted::All(&b));
+        let mut want: Vec<Point> = every_third.iter().map(|&r| a[r as usize]).chain(b).collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(merged, want);
+        assert_eq!(picked_at[..3], [0, 2, 3]);
+        assert_eq!(b_at, [1, 2]);
+    }
+
+    #[test]
+    fn a_merged_split_keeps_only_cited_points() {
+        // Two carried cut sets into an old table with an uncited point,
+        // and one fresh cut set crossing them.
+        let old = [pt(0, 0), pt(1, 1), pt(2, 2), pt(5, 5)];
+        let (first, second) = ([0u32, 2], [2u32, 3]);
+        let carried = [
+            Some(Carried { base: 0, ranks: &first[..] }),
+            None,
+            Some(Carried { base: 0, ranks: &second[..] }),
+        ];
+        let mut fresh = CutSets::default();
+        fresh.push(&[pt(0, 4), pt(2, 2), pt(4, 0)]);
+        let split = RankedSplit::merge(&carried, &[&old[..]], &fresh);
+        assert_eq!(split.points, vec![pt(0, 0), pt(0, 4), pt(2, 2), pt(4, 0), pt(5, 5)]);
+        let cuts: Vec<&[u32]> = split.cuts.iter().collect();
+        assert_eq!(cuts, vec![&[0, 2][..], &[1, 2, 3][..], &[2, 4][..]]);
     }
 
     #[test]

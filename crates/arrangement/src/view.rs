@@ -57,7 +57,8 @@
 
 use crate::assemble::{
     assemble_components, component_index, compute_component_nesting, locate_components,
-    locate_names, nesting_topo_order, widen_label, ComponentComplex, ComponentUpdate,
+    inherited_labels, locate_names, nesting_topo_order, widen_label, ComponentComplex,
+    ComponentUpdate,
 };
 use crate::complex::{CellComplex, ComplexGeometry, ComplexRead};
 use crate::index::SpatialIndex;
@@ -171,7 +172,7 @@ impl GlobalComplexView {
         for (c, from) in carried_from.iter().enumerate() {
             let kept = from.and_then(|old| {
                 let shadowed = components[c]
-                    .rep_point
+                    .rep_point()
                     .is_some_and(|p| fresh_boxes.iter().any(|b| b.contains_point(&p)));
                 match self.parent_face[old] {
                     _ if shadowed => None,
@@ -253,17 +254,7 @@ impl GlobalComplexView {
             })
             .collect();
 
-        let mut inherited: Vec<Label> = vec![Label::default(); k];
-        for &c in &topo {
-            inherited[c] = match parents[c] {
-                None => Label::default(),
-                Some((d, f)) => widen_label(
-                    &inherited[d],
-                    &components[d].complex.face(f).label,
-                    region_map.get(d),
-                ),
-            };
-        }
+        let inherited = inherited_labels(&components, &parents, &topo, &region_map);
 
         let mut nested_in_face: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (c, pf) in parent_face.iter().enumerate() {
@@ -385,18 +376,20 @@ impl GlobalComplexView {
         }
     }
 
-    /// The sign of a global region index at a component-local label: a
-    /// binary search of the component's sorted local→global region map,
-    /// falling back to the component's inherited label for foreign regions.
-    fn local_sign(&self, c: usize, local_label: &Label, region: usize) -> Sign {
+    /// The sign of a global region index at a component-local label's
+    /// entries: a binary search of the component's sorted local→global
+    /// region map, then of the entries, falling back to the component's
+    /// inherited label for foreign regions.
+    fn local_sign(&self, c: usize, local_label: &[(usize, Sign)], region: usize) -> Sign {
         match self.region_map.get(c).binary_search(&region) {
-            Ok(p) => local_label.sign(p),
+            Ok(p) => sign_in(local_label, p),
             Err(_) => self.inherited[c].sign(region),
         }
     }
 
-    /// Widen a component-local label to global region ids, counted.
-    fn widen_counted(&self, c: usize, local: &Label) -> Label {
+    /// Widen a component-local label's entries to global region ids,
+    /// counted.
+    fn widen_counted(&self, c: usize, local: &[(usize, Sign)]) -> Label {
         self.widen_count.fetch_add(1, Ordering::Relaxed);
         widen_label(&self.inherited[c], local, self.region_map.get(c))
     }
@@ -435,7 +428,7 @@ impl ComplexRead for GlobalComplexView {
 
     fn vertex_label(&self, v: VertexId) -> Label {
         let (c, lv) = self.vertex_home(v);
-        self.widen_counted(c, &self.components[c].complex.vertices[lv].label)
+        self.widen_counted(c, self.components[c].complex.vertex_labels.get(lv))
     }
 
     fn vertex_rotation(&self, v: VertexId) -> Vec<DartId> {
@@ -453,16 +446,16 @@ impl ComplexRead for GlobalComplexView {
 
     fn edge_label(&self, e: EdgeId) -> Label {
         let (c, le) = self.edge_home(e);
-        self.widen_counted(c, &self.components[c].complex.edges[le].label)
+        self.widen_counted(c, self.components[c].complex.edge_labels.get(le))
     }
 
     /// The local label's `Boundary` entries mapped to global ids: no
     /// widening, since an inherited entry is never `Boundary`.
     fn edge_region_marks(&self, e: EdgeId) -> Vec<usize> {
         let (c, le) = self.edge_home(e);
-        let label = self.components[c].complex.edges[le].label.iter();
+        let label = self.components[c].complex.edge_labels.get(le).iter();
         let map = self.region_map.get(c);
-        label.filter(|&(_, s)| s == Sign::Boundary).map(|(r, _)| map[r]).collect()
+        label.filter(|&&(_, s)| s == Sign::Boundary).map(|&(r, _)| map[r]).collect()
     }
 
     fn edge_faces(&self, e: EdgeId) -> (FaceId, FaceId) {
@@ -476,7 +469,7 @@ impl ComplexRead for GlobalComplexView {
             return Label::default();
         }
         let (c, lf) = self.face_home(f);
-        self.widen_counted(c, &self.components[c].complex.face(lf).label)
+        self.widen_counted(c, self.components[c].complex.face_labels.get(lf.0))
     }
 
     fn face_boundary(&self, f: FaceId) -> Vec<EdgeId> {
@@ -529,12 +522,12 @@ impl ComplexRead for GlobalComplexView {
 
     fn vertex_sign(&self, v: VertexId, region: usize) -> Sign {
         let (c, lv) = self.vertex_home(v);
-        self.local_sign(c, &self.components[c].complex.vertices[lv].label, region)
+        self.local_sign(c, self.components[c].complex.vertex_labels.get(lv), region)
     }
 
     fn edge_sign(&self, e: EdgeId, region: usize) -> Sign {
         let (c, le) = self.edge_home(e);
-        self.local_sign(c, &self.components[c].complex.edges[le].label, region)
+        self.local_sign(c, self.components[c].complex.edge_labels.get(le), region)
     }
 
     fn face_sign(&self, f: FaceId, region: usize) -> Sign {
@@ -542,7 +535,7 @@ impl ComplexRead for GlobalComplexView {
             return Sign::Exterior;
         }
         let (c, lf) = self.face_home(f);
-        self.local_sign(c, &self.components[c].complex.face(lf).label, region)
+        self.local_sign(c, self.components[c].complex.face_labels.get(lf.0), region)
     }
 
     fn skeleton_component_count(&self) -> usize {

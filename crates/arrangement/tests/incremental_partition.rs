@@ -308,19 +308,21 @@ fn chain() -> Maintained {
 #[test]
 fn survivors_whose_segment_boxes_meet_without_touching_stay_one_group() {
     // Two triangles along parallel diagonals: their slanted edges' boxes
-    // overlap, their boundaries share no point. `Glue` crosses both.
-    let mut state = Maintained::new(SpatialInstance::new());
-    state.commit(
-        &[
-            polygon("A", &[(0, 0), (10, 10), (0, 10)]),
-            polygon("B", &[(3, 0), (13, 0), (13, 10)]),
-            insert("Glue", -2, 4, 15, 6),
-        ],
-        "(set-up)",
-    );
-    assert_eq!(state.key_of("A"), ["A", "B", "Glue"]);
-    state.commit(&[remove("Glue")], "(remove the glue)");
-    assert_eq!(state.key_of("A"), ["A", "B"], "box contact alone keeps them one group");
+    // overlap, their boundaries share no point. `Glue` crosses both. The
+    // second listing starts each triangle at an edge whose box misses the
+    // other triangle's, so only the slanted pair can tell that the two
+    // survivors are one group.
+    let listings = [
+        ([(0, 0), (10, 10), (0, 10)], [(3, 0), (13, 0), (13, 10)]),
+        ([(0, 10), (0, 0), (10, 10)], [(13, 0), (13, 10), (3, 0)]),
+    ];
+    for (a, b) in listings {
+        let mut state = Maintained::new(SpatialInstance::new());
+        state.commit(&[polygon("A", &a), polygon("B", &b), insert("Glue", -2, 4, 15, 6)], "(set-up)");
+        assert_eq!(state.key_of("A"), ["A", "B", "Glue"]);
+        state.commit(&[remove("Glue")], "(remove the glue)");
+        assert_eq!(state.key_of("A"), ["A", "B"], "box contact alone keeps them one group");
+    }
 }
 
 #[test]

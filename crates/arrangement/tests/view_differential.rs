@@ -93,21 +93,21 @@ fn check(inst: &SpatialInstance, context: &str) {
 fn check_signs(view: &GlobalComplexView, flat: &CellComplex, context: &str) {
     let regions = 0..view.region_names().len();
     for v in view.vertex_ids() {
-        let label = &flat.vertex(v).label;
+        let label = &flat.vertex_label(v);
         for r in regions.clone() {
             assert_eq!(view.vertex_sign(v, r), label.sign(r), "{v:?}, region {r} on {context}");
             assert_eq!(ComplexRead::vertex_sign(flat, v, r), label.sign(r), "{context}");
         }
     }
     for e in view.edge_ids() {
-        let label = &flat.edge(e).label;
+        let label = &flat.edge_label(e);
         for r in regions.clone() {
             assert_eq!(view.edge_sign(e, r), label.sign(r), "{e:?}, region {r} on {context}");
             assert_eq!(ComplexRead::edge_sign(flat, e, r), label.sign(r), "{context}");
         }
     }
     for f in view.face_ids() {
-        let label = &flat.face(f).label;
+        let label = &flat.face_label(f);
         for r in regions.clone() {
             assert_eq!(view.face_sign(f, r), label.sign(r), "{f:?}, region {r} on {context}");
             assert_eq!(ComplexRead::face_sign(flat, f, r), label.sign(r), "{context}");

@@ -10,11 +10,12 @@
 //! same trace.
 //!
 //! Every list of lists in the build and in the complex it outputs is one
-//! flat buffer of runs: the rotations, polylines and boundary lists of the
-//! cells included, so the heap allocations left per cell are its label's.
-//! The test also holds the total plus one per rebuilt cell (vertex, edge or
-//! face) to what the build made when each cell kept its own list vector: the
-//! flat runs must save at least one allocation per cell.
+//! flat buffer of runs: the rotations, polylines, boundary lists and labels
+//! of the cells included, so no allocation is left per cell. The test holds
+//! the total plus one per rebuilt cell (vertex, edge or face) to what the
+//! build made when each cell kept its own list vector, and again to what it
+//! made when each cell kept its own label vector: each step must save at
+//! least one allocation per cell.
 //!
 //! The build also emits each region's box and interior faces, so the first
 //! read of the new epoch scans no edge and no face label. The same test
@@ -94,6 +95,10 @@ const POINT_KEYED_ALLOCATIONS: u64 = 2_865_147;
 /// Allocations of the build over the trace below when every vertex, edge and
 /// face kept its own rotation, polyline or boundary vector (debug build).
 const PER_CELL_LIST_ALLOCATIONS: u64 = 795_619;
+
+/// Allocations of the build over the trace below when every vertex, edge and
+/// face kept its own label vector (debug build).
+const PER_CELL_LABEL_ALLOCATIONS: u64 = 328_344;
 
 /// Allocations of the first read after each commit of the trace below when
 /// the read derived the region boxes and faces (debug build).
@@ -178,6 +183,12 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
         "{counted} allocations and {cells} rebuilt cells over {steps} dense commits; with a list \
          vector per cell the build made {PER_CELL_LIST_ALLOCATIONS}, and flat runs must save at \
          least one allocation per cell"
+    );
+    assert!(
+        counted + cells <= PER_CELL_LABEL_ALLOCATIONS,
+        "{counted} allocations and {cells} rebuilt cells over {steps} dense commits; with a label \
+         vector per cell the build made {PER_CELL_LABEL_ALLOCATIONS}, and flat label runs must \
+         save at least one allocation per cell"
     );
     assert!(
         counted + steps as u64 * 3_000 <= SURVIVOR_REPARTITION_ALLOCATIONS,

@@ -26,13 +26,13 @@ fn digest(inst: &SpatialInstance) -> u32 {
     let mut out = String::new();
     for v in c.vertex_ids() {
         let d = c.vertex(v);
-        let label = label_pairs(&d.label);
+        let label = label_pairs(&c.vertex_label(v));
         writeln!(out, "v{} {:?} {:?} {:?}", v.0, d.point, c.vertex_rotation(v), label).unwrap();
     }
     for e in c.edge_ids() {
         let d = c.edge(e);
         let marks = c.edge_region_marks(e);
-        let label = label_pairs(&d.label);
+        let label = label_pairs(&c.edge_label(e));
         writeln!(
             out,
             "e{} {:?} {:?} {:?} {:?} {:?} {:?} {:?}",
@@ -42,7 +42,7 @@ fn digest(inst: &SpatialInstance) -> u32 {
     }
     for f in c.face_ids() {
         let d = c.face(f);
-        let label = label_pairs(&d.label);
+        let label = label_pairs(&c.face_label(f));
         writeln!(out, "f{} {} {:?} {:?}", f.0, d.is_exterior, c.face_boundary(f), label).unwrap();
     }
     crc32(out.as_bytes())
