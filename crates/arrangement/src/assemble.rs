@@ -101,9 +101,11 @@ pub struct ComponentComplex {
     /// edges, regions ascending. The flat buffer is the build order.
     pub(crate) segments: Runs<TaggedSegment>,
     /// The point table of the split: its distinct cut points, ascending,
-    /// each cited by at least one cut set. The build read the complex's
-    /// vertex points and polylines from it, and its first entry is
-    /// [`rep_point`](Self::rep_point).
+    /// each cited by at least one cut set. A build from scratch takes the
+    /// sweep's event order as it is; a rebuild merges the points its carried
+    /// runs cite with those the re-split's runs cite (`split::resplit`).
+    /// The build read the complex's vertex points and polylines from it, and
+    /// its first entry is [`rep_point`](Self::rep_point).
     pub(crate) points: Vec<Point>,
     /// The cut sets of the segments, in build order, as ranks into `points`:
     /// local region `r`'s are runs `segments.range(r)`.
@@ -225,8 +227,8 @@ pub(crate) fn group_segments(members: &[Member<'_>]) -> Runs<TaggedSegment> {
 /// wherever no fresh segment and no segment of a changed region of a base
 /// comes near (`split::resplit`), and the new point table is the bases'
 /// still-cited points merged with the re-split's. With no bases every
-/// segment is fresh, the split is one sweep of all of them, and the table
-/// one sort of its points.
+/// segment is fresh, and the split is one sweep of all of them, its table
+/// in event order.
 pub(crate) fn build_group(
     members: &[Member<'_>],
     bases: &[&ComponentComplex],
@@ -878,7 +880,7 @@ mod tests {
         let runs = |s: &Runs<TaggedSegment>| (0..s.len()).map(|r| s.range(r)).collect::<Vec<_>>();
         assert_eq!(runs(&c.segments), runs(&segments), "segment runs at step {step}");
         assert!(
-            resolved_cuts(c) == crate::sweep::sweep_cut_sets(segments.items()),
+            resolved_cuts(c) == crate::sweep::sweep(segments.items()).resolved(),
             "carried cut sets of {:?} differ from a sweep at step {step}",
             c.region_names()
         );
@@ -892,7 +894,7 @@ mod tests {
         if !rebuilt {
             return;
         }
-        let swept = crate::sweep::sweep_cut_sets(group_segments(&members_of(c, instance)).items());
+        let swept = crate::sweep::sweep(group_segments(&members_of(c, instance)).items()).resolved();
         let mut table = swept.items().to_vec();
         table.sort_unstable();
         table.dedup();

@@ -60,7 +60,7 @@
 use crate::assemble::{innermost_cycle, update_components};
 use crate::complex::CellComplex;
 use crate::runs::Runs;
-use crate::split::{instance_segments, Pieces, RankedSplit};
+use crate::split::{instance_segments, Pieces};
 use crate::types::*;
 use crate::view::GlobalComplexView;
 use spatial_core::prelude::*;
@@ -94,7 +94,7 @@ pub fn build_complex_view(instance: &SpatialInstance) -> GlobalComplexView {
 pub fn build_complex_monolithic(instance: &SpatialInstance) -> CellComplex {
     let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
     let segments = instance_segments(instance);
-    let split = RankedSplit::of(&crate::sweep::sweep_cut_sets(&segments));
+    let split = crate::sweep::sweep(&segments);
     build_local(region_names, &Pieces::new(&segments, &split)).complex
 }
 

@@ -40,11 +40,14 @@
 //!    independently — its segments are cut at their mutual intersections by
 //!    a Bentley–Ottmann plane sweep in exact rational arithmetic ([`sweep`],
 //!    `O((n + k) log n)` for `n` segments with `k` intersection
-//!    incidences), chains are merged into maximal 1-cells, the rotation
-//!    system and face walks extracted, the outer walk of each connected
-//!    piece of the skeleton found and the pieces nested into the faces that
-//!    contain them, and cells labeled by propagation from the unbounded
-//!    face: faces by one flood fill, edges and vertices by
+//!    incidences), which emits the split ranked: its events pop in
+//!    ascending order, each cut point once, so their order is the point
+//!    table and each cut set is a run of event indices, and no point is
+//!    sorted after the sweep. Then chains are merged into maximal 1-cells,
+//!    the rotation system and face walks extracted, the outer walk of each
+//!    connected piece of the skeleton found and the pieces nested into the
+//!    faces that contain them, and cells labeled by propagation from the
+//!    unbounded face: faces by one flood fill, edges and vertices by
 //!    copying a neighbouring face's label and marking the regions whose
 //!    boundary they lie on. Every label is written once, in time linear in
 //!    its length, as one run of a flat table per dimension (no cell owns a
@@ -58,8 +61,8 @@
 //!    updates. It keeps its point table and the cut sets of its split as
 //!    ranks into it: when an update rebuilds it, only the segments near what
 //!    changed, and their cutters, are swept again; every other segment's
-//!    cut set is carried, and the points they cite are merged with the new
-//!    ones rather than sorted again.
+//!    cut set is carried, and the points they cite are merged with the
+//!    points the re-split cites, table with table, rather than sorted.
 //! 3. **Assemble**: the component complexes are composed into the global
 //!    complex — components strictly nested inside a face of another
 //!    component are embedded there (their local exterior face is unified

@@ -7,30 +7,33 @@
 //! marks (this is how shared boundaries — the Egenhofer `meet`, `covers`,
 //! `equal` situations — are represented exactly).
 //!
-//! The cut points of a segment list are its cut sets (`CutSets`, one run of
-//! points per segment, as the splitters produce them). Two interchangeable splitters produce them:
+//! A split has one form (`RankedSplit`): its *point table* holds every
+//! distinct cut point once, ascending, a point's rank is its position there,
+//! and each segment's cut set is a run of ranks into it. The plane sweep
+//! emits it that way ([`crate::sweep`]): its events pop in ascending order,
+//! each cut point once, so the table is the event order and no point is
+//! sorted. Two interchangeable splitters exist:
 //!
 //! * [`split_segments_sweep`](crate::sweep::split_segments_sweep) — the
-//!   production path, a Bentley–Ottmann plane sweep ([`crate::sweep`])
-//!   running in `O((n + k) log n)` for `n` segments with `k`
-//!   intersections, once per component;
+//!   production path, a Bentley–Ottmann plane sweep running in
+//!   `O((n + k) log n)` for `n` segments with `k` intersections, once per
+//!   component;
 //! * [`split_segments_naive`] — the original all-pairs `O(n^2)` splitter,
 //!   kept as a differential-testing oracle: both must produce identical
-//!   [`SubSegment`] sets on every input.
+//!   [`SubSegment`] sets on every input. The point-keyed form of a split is
+//!   the oracle's alone: it keeps each cut set as a run of points
+//!   (`CutSets`) and merges coincident pieces in a map keyed by their
+//!   endpoint points.
 //!
-//! A split is indexed by rank (`RankedSplit`): its *point table* holds every
-//! distinct cut point once, ascending, a point's rank is its position there,
-//! and each cut set is a run of ranks. Ranks are lexicographic, so the
-//! builder's later stages compare, key and sort ranks where they would
-//! otherwise compare exact rational points, and read a point only where the
-//! complex keeps it. The pieces are merged from the ranked cut sets
-//! (`Pieces`): each pair of consecutive cut points of a segment is a piece
-//! `(rank a, rank b, segment)`; one integer sort makes coincident pieces
-//! adjacent, and each run becomes one piece with its first segment's
-//! direction and the union of its segments' regions. `assemble_subsegments`
-//! converts the pieces into [`SubSegment`]s; the naive oracle keeps its own
-//! merge, a map keyed by endpoint points, so the differential tests hold the
-//! two merges against each other too.
+//! Ranks are lexicographic, so the builder's later stages compare, key and
+//! sort ranks where they would otherwise compare exact rational points, and
+//! read a point only where the complex keeps it. The pieces are merged from
+//! the ranked cut sets (`Pieces`): each pair of consecutive cut points of a
+//! segment is a piece `(rank a, rank b, segment)`; one integer sort makes
+//! coincident pieces adjacent, and each run becomes one piece with its
+//! first segment's direction and the union of its segments' regions.
+//! `assemble_subsegments` converts the pieces into [`SubSegment`]s, so the
+//! differential tests hold the rank merge against the oracle's map.
 //!
 //! Cuts are pairwise: a segment's cut set comes only from the segments whose
 //! boxes meet its own. A component therefore keeps its point table and the
@@ -39,14 +42,13 @@
 //! sweeps the segments whose boxes meet a new or a vanished segment,
 //! together with their cutters, and carries every other cut set, as ranks,
 //! from the component it was built in. The new point table is a merge, not
-//! a sort (`RankedSplit::merge`): the points the carried runs still cite,
-//! already ascending in their old tables, merged with the sorted points of
-//! the re-split, and the carried ranks are mapped old → new through that
-//! merge, so no build sorts a point it carried. A build with nothing to
-//! carry — the cold build, and the from-scratch references
-//! `crate::build_components_with_reuse` and `crate::build_group_component` —
-//! is one sweep of every segment, and its table the same merge with no
-//! carried run: one sort of the swept points.
+//! a sort (`RankedSplit::merge`): each table the runs cite — an old
+//! component's or the re-split's own — contributes the points they still
+//! cite, already ascending, and every rank is mapped old → new through the
+//! merge. A build with nothing to carry — the cold build, and the
+//! from-scratch references `crate::build_components_with_reuse` and
+//! `crate::build_group_component` — is one sweep of every segment, and its
+//! split is the sweep's as is.
 //!
 //! Every piece carries the direction of the input segment it lies on
 //! ([`SubSegment::dir`]): a difference of two input endpoints, where the
@@ -97,41 +99,22 @@ pub fn instance_segments(instance: &SpatialInstance) -> Vec<TaggedSegment> {
     out
 }
 
-/// The cut points of a list of segments: for each segment, in list order,
-/// one run of the points at which it must be cut, ascending — its own two
-/// endpoints first and last, and between them every point where another
-/// segment of the list crosses, touches or overlaps it.
+/// The cut points of a list of segments, point-keyed: for each segment, in
+/// list order, one run of the points at which it must be cut, ascending —
+/// its own two endpoints first and last, and between them every point where
+/// another segment of the list crosses, touches or overlaps it. Only the
+/// naive oracle and the tests keep a split in this form.
 pub(crate) type CutSets = Runs<Point>;
 
-impl CutSets {
-    /// The cut sets of `n` segments from `(segment, cut point)` incidences,
-    /// duplicates allowed, which must name both endpoints of every segment.
-    pub(crate) fn from_incidences(n: usize, mut incidences: Vec<(usize, Point)>) -> CutSets {
-        incidences.sort_unstable();
-        incidences.dedup();
-        Runs::grouped(n, incidences.into_iter())
-    }
-}
-
-/// Both endpoints of every segment as `(segment, point)` incidences: the
-/// seed of every splitter's cut sets.
-pub(crate) fn endpoint_incidences(segments: &[TaggedSegment]) -> Vec<(usize, Point)> {
-    let mut out = Vec::with_capacity(4 * segments.len());
-    for (s, ts) in segments.iter().enumerate() {
-        out.push((s, ts.segment.a));
-        out.push((s, ts.segment.b));
-    }
-    out
-}
-
-/// The original all-pairs splitter, kept as the differential-testing oracle
-/// for the sweep and the rank-based merge. `O(n^2)` intersection tests, and
-/// coincident pieces merged in a map keyed by their endpoint points, both
-/// independent of any ordering argument — its output is the specification
-/// [`split_segments_sweep`](crate::sweep::split_segments_sweep) must match.
-pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
+/// The cut sets of `segments` by the oracle's `O(n^2)` intersection tests:
+/// both endpoints of every segment, both segments of every pair at their
+/// crossing or touching point, and both at the two ends of an overlap.
+pub(crate) fn naive_cut_sets(segments: &[TaggedSegment]) -> CutSets {
     let n = segments.len();
-    let mut cuts = endpoint_incidences(segments);
+    let mut cuts: Vec<(usize, Point)> = Vec::with_capacity(4 * n);
+    for (s, ts) in segments.iter().enumerate() {
+        cuts.extend([(s, ts.segment.a), (s, ts.segment.b)]);
+    }
     for i in 0..n {
         for j in (i + 1)..n {
             match segments[i].segment.intersect(&segments[j].segment) {
@@ -145,10 +128,21 @@ pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
             }
         }
     }
+    cuts.sort_unstable();
+    cuts.dedup();
+    Runs::grouped(n, cuts.iter().copied())
+}
+
+/// The original all-pairs splitter, kept as the differential-testing oracle
+/// for the sweep and the rank-based merge. `O(n^2)` intersection tests, and
+/// coincident pieces merged in a map keyed by their endpoint points, both
+/// independent of any ordering argument — its output is the specification
+/// [`split_segments_sweep`](crate::sweep::split_segments_sweep) must match.
+pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
     // Merge coincident pieces by their endpoints, independently of the
     // rank-based merge of `Pieces`, which the differential tests hold
     // against this one.
-    let cuts = CutSets::from_incidences(n, cuts);
+    let cuts = naive_cut_sets(segments);
     let mut merged: BTreeMap<(Point, Point), (Vector, BTreeSet<usize>)> = BTreeMap::new();
     for (ts, cut_points) in segments.iter().zip(cuts.iter()) {
         let dir = ascending_direction(&ts.segment);
@@ -163,8 +157,9 @@ pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
         .collect()
 }
 
-/// A segment's cut set carried from the component it was last built in:
-/// ranks into the point table `base` of the tables handed to [`resplit`].
+/// A segment's cut set as ranks into the point table `base` of the tables a
+/// split is merged from ([`RankedSplit::merge`]): the table of the component
+/// the segment was last built in, or the re-split's own.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Carried<'a> {
     /// Which point table the ranks index.
@@ -187,11 +182,11 @@ pub(crate) struct Carried<'a> {
 /// box meets one of theirs yields the affected cut sets exactly, since each
 /// of their cutters is in it; the rest of its output is dropped, and every
 /// unaffected segment keeps its carried cut set, since nothing that could
-/// cut it changed. The point table is then merged
-/// ([`RankedSplit::merge`]).
+/// cut it changed. The sweep's point table is one more table to merge
+/// ([`RankedSplit::merge`]), and the affected segments' runs cite it.
 ///
-/// With nothing carried, the neighbourhood is everything: the cut sets are
-/// the one sweep of `segments`, as `sweep::sweep_cut_sets` returns them.
+/// With nothing carried, the neighbourhood is everything: the split is the
+/// one sweep of `segments`, as [`crate::sweep::sweep`] returns it.
 pub(crate) fn resplit(
     segments: &[TaggedSegment],
     boxes: &[BBox],
@@ -201,7 +196,7 @@ pub(crate) fn resplit(
 ) -> RankedSplit {
     debug_assert!(segments.len() == boxes.len() && segments.len() == carried.len());
     if carried.iter().all(Option::is_none) {
-        return RankedSplit::merge(carried, tables, &crate::sweep::sweep_cut_sets(segments));
+        return crate::sweep::sweep(segments);
     }
     let changed = BoxSet::new(
         (0..segments.len()).filter(|&s| carried[s].is_none()).map(|s| &boxes[s]).chain(gone),
@@ -212,16 +207,25 @@ pub(crate) fn resplit(
     let hood: Vec<usize> =
         (0..segments.len()).filter(|&s| affected[s] || reach.meets(&boxes[s])).collect();
     let hood_segments: Vec<TaggedSegment> = hood.iter().map(|&s| segments[s].clone()).collect();
-    let swept = crate::sweep::sweep_cut_sets(&hood_segments);
+    let swept = crate::sweep::sweep(&hood_segments);
 
-    // The affected segments carry nothing now: their cut sets are swept.
-    let mut fresh = CutSets::with_capacity(hood.len(), swept.items().len());
-    for (_, run) in hood.iter().zip(swept.iter()).filter(|(&s, _)| affected[s]) {
-        fresh.push(run);
-    }
-    let carried: Vec<Option<Carried<'_>>> =
-        carried.iter().zip(&affected).map(|(old, &affected)| old.filter(|_| !affected)).collect();
-    RankedSplit::merge(&carried, tables, &fresh)
+    // The affected segments carry nothing now: their runs are the sweep's,
+    // in segment order, and cite its table, the last one.
+    let mut swept_runs =
+        hood.iter().zip(swept.cuts.iter()).filter(|(&s, _)| affected[s]).map(|(_, run)| run);
+    let runs: Vec<Carried<'_>> = carried
+        .iter()
+        .zip(&affected)
+        .map(|(old, &affected)| match old {
+            Some(old) if !affected => *old,
+            _ => {
+                let ranks = swept_runs.next().expect("a swept run per affected segment");
+                Carried { base: tables.len(), ranks }
+            }
+        })
+        .collect();
+    let tables: Vec<&[Point]> = tables.iter().copied().chain([swept.points.as_slice()]).collect();
+    RankedSplit::merge(&runs, &tables)
 }
 
 /// A few boxes and their union, tested against one box at a time.
@@ -255,8 +259,8 @@ fn ascending_direction(segment: &Segment) -> Vector {
 }
 
 /// The split of a list of segments as [`SubSegment`]s: the `Pieces` of
-/// their cut sets, each with its endpoints read from the point table and its
-/// regions copied out of the flat region buffer.
+/// their ranked split, each with its endpoints read from the point table and
+/// its regions copied out of the flat region buffer.
 ///
 /// The pieces lie between consecutive cut points of each segment, and
 /// geometrically identical pieces of different segments are one piece,
@@ -264,9 +268,8 @@ fn ascending_direction(segment: &Segment) -> Vector {
 /// lexicographically, and lexicographic order along a segment is the order
 /// of its points along the segment, so consecutive elements of the set are
 /// consecutive cut points, smaller endpoint first.
-pub(crate) fn assemble_subsegments(segments: &[TaggedSegment], cuts: &CutSets) -> Vec<SubSegment> {
-    let split = RankedSplit::of(cuts);
-    let pieces = Pieces::new(segments, &split);
+pub(crate) fn assemble_subsegments(segments: &[TaggedSegment], split: &RankedSplit) -> Vec<SubSegment> {
+    let pieces = Pieces::new(segments, split);
     (0..pieces.len())
         .map(|p| {
             let piece = &pieces.pieces[p];
@@ -282,8 +285,9 @@ pub(crate) fn assemble_subsegments(segments: &[TaggedSegment], cuts: &CutSets) -
 
 /// A split indexed by the ranks of its cut points: the point table, every
 /// distinct cut point once, ascending, and every segment's cut set as a run
-/// of ranks into it. A component keeps the ranked split of its build, and
-/// the next build of the component carries its ranks ([`resplit`]).
+/// of ranks into it. The sweep emits it ([`crate::sweep::sweep`]), a
+/// component keeps the ranked split of its build, and the next build of the
+/// component carries its ranks ([`resplit`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct RankedSplit {
     /// The point table: the distinct cut points, ascending.
@@ -293,61 +297,35 @@ pub(crate) struct RankedSplit {
 }
 
 impl RankedSplit {
-    /// The ranked split of cut sets computed from scratch: the merge with
-    /// nothing carried.
-    pub(crate) fn of(cuts: &CutSets) -> RankedSplit {
-        RankedSplit::merge(&vec![None; cuts.len()], &[], cuts)
-    }
-
-    /// The point table and ranked cut sets of a split whose segment `s` is
-    /// either carried (`carried[s]`, ranks into `tables[base]`) or fresh,
-    /// its cut set the next run of `fresh`.
+    /// The point table and ranked cut sets of a split whose segment `s` has
+    /// the cut set `runs[s]`, as ranks into `tables[runs[s].base]`.
     ///
-    /// The fresh cut points are sorted once into a table of their own; each
-    /// old table contributes the points its carried runs still cite, in
-    /// their old (ascending) order; and the lists are merged, equal points
-    /// once. Every carried rank is then mapped old → new through the merge,
-    /// so the carried points cost integer work and the comparisons of a
+    /// Each table contributes the points its runs still cite, in its own
+    /// (ascending) order, and the lists are merged one table at a time,
+    /// equal points once. Every rank is then mapped old → new through the
+    /// merges, so the points cost integer work and the comparisons of a
     /// merge, which gallops over the long runs of one list that the other
     /// does not interrupt. The table is exactly the distinct cut points of
     /// the split: a point no run cites is dropped with its old table.
-    pub(crate) fn merge(
-        carried: &[Option<Carried<'_>>],
-        tables: &[&[Point]],
-        fresh: &CutSets,
-    ) -> RankedSplit {
+    pub(crate) fn merge(runs: &[Carried<'_>], tables: &[&[Point]]) -> RankedSplit {
         // Ranks are stored as `u32`s, and no table holds more points than
         // the cut sets have entries.
-        let entries = fresh.items().len() + carried.iter().flatten().map(|c| c.ranks.len()).sum::<usize>();
+        let entries = runs.iter().map(|c| c.ranks.len()).sum::<usize>();
         u32::try_from(entries).expect("a component has fewer than 2^32 cut points");
 
-        // The fresh points, ranked by one sort of their flat buffer.
-        let flat = fresh.items();
-        let mut order: Vec<u32> = (0..flat.len() as u32).collect();
-        order.sort_unstable_by(|&i, &j| flat[i as usize].cmp(&flat[j as usize]));
-        let mut points: Vec<Point> = Vec::with_capacity(flat.len());
-        let mut fresh_rank = vec![0u32; flat.len()];
-        for &i in &order {
-            let p = flat[i as usize];
-            if points.last() != Some(&p) {
-                points.push(p);
-            }
-            fresh_rank[i as usize] = points.len() as u32 - 1;
-        }
-
-        // Merge in each old table's cited points. `rank_of[base]` maps an
-        // old rank to its rank in `points` (uncited ranks keep `u32::MAX`);
+        // Merge in each table's cited points. `rank_of[base]` maps an old
+        // rank to its rank in `points` (uncited ranks keep `u32::MAX`);
         // every earlier mapping is carried through each later merge.
+        let mut points: Vec<Point> = Vec::new();
         let mut rank_of: Runs<u32> = Runs::with_capacity(tables.len(), tables.iter().map(|t| t.len()).sum());
         for (base, table) in tables.iter().enumerate() {
             let mut cited = vec![false; table.len()];
-            for c in carried.iter().flatten().filter(|c| c.base == base) {
+            for c in runs.iter().filter(|c| c.base == base) {
                 c.ranks.iter().for_each(|&r| cited[r as usize] = true);
             }
             let old: Vec<u32> = (0..table.len() as u32).filter(|&r| cited[r as usize]).collect();
             let (merged, moved, added) = merge_points(Sorted::All(&points), Sorted::Picked(table, &old));
             points = merged;
-            fresh_rank.iter_mut().for_each(|r| *r = moved[*r as usize]);
             rank_of.items_mut().iter_mut().filter(|r| **r != u32::MAX).for_each(|r| *r = moved[*r as usize]);
             let mut map = vec![u32::MAX; table.len()];
             for (&r, &to) in old.iter().zip(&added) {
@@ -356,19 +334,17 @@ impl RankedSplit {
             rank_of.push(&map);
         }
 
-        let mut cuts = Runs::with_capacity(carried.len(), entries);
-        let mut next_fresh = 0;
-        for old in carried {
-            match old {
-                Some(c) => cuts.push_iter(c.ranks.iter().map(|&r| rank_of.get(c.base)[r as usize])),
-                None => {
-                    cuts.push_iter(fresh_rank[fresh.range(next_fresh)].iter().copied());
-                    next_fresh += 1;
-                }
-            }
+        let mut cuts = Runs::with_capacity(runs.len(), entries);
+        for c in runs {
+            cuts.push_iter(c.ranks.iter().map(|&r| rank_of.get(c.base)[r as usize]));
         }
-        debug_assert_eq!(next_fresh, fresh.len(), "one fresh cut set per uncarried segment");
         RankedSplit { points, cuts }
+    }
+
+    /// Every cut set with its ranks resolved in the point table.
+    #[cfg(test)]
+    pub(crate) fn resolved(&self) -> CutSets {
+        self.cuts.map(|&r| self.points[r as usize])
     }
 }
 
@@ -650,18 +626,18 @@ mod tests {
 
     #[test]
     fn a_merged_split_keeps_only_cited_points() {
-        // Two carried cut sets into an old table with an uncited point,
-        // and one fresh cut set crossing them.
+        // Two carried cut sets into an old table and one re-split cut set
+        // crossing them, into the re-split's table; each table has a point
+        // no run cites.
         let old = [pt(0, 0), pt(1, 1), pt(2, 2), pt(5, 5)];
-        let (first, second) = ([0u32, 2], [2u32, 3]);
-        let carried = [
-            Some(Carried { base: 0, ranks: &first[..] }),
-            None,
-            Some(Carried { base: 0, ranks: &second[..] }),
+        let swept = [pt(0, 4), pt(1, 3), pt(2, 2), pt(4, 0)];
+        let (first, second, third) = ([0u32, 2], [0u32, 2, 3], [2u32, 3]);
+        let runs = [
+            Carried { base: 0, ranks: &first[..] },
+            Carried { base: 1, ranks: &second[..] },
+            Carried { base: 0, ranks: &third[..] },
         ];
-        let mut fresh = CutSets::default();
-        fresh.push(&[pt(0, 4), pt(2, 2), pt(4, 0)]);
-        let split = RankedSplit::merge(&carried, &[&old[..]], &fresh);
+        let split = RankedSplit::merge(&runs, &[&old[..], &swept[..]]);
         assert_eq!(split.points, vec![pt(0, 0), pt(0, 4), pt(2, 2), pt(4, 0), pt(5, 5)]);
         let cuts: Vec<&[u32]> = split.cuts.iter().collect();
         assert_eq!(cuts, vec![&[0, 2][..], &[1, 2, 3][..], &[2, 4][..]]);

@@ -1,18 +1,25 @@
 //! Bentley–Ottmann plane sweep over the region-boundary segments.
 //!
-//! This is the production splitter, [`split_segments_sweep`]:
-//! it computes, for every input segment, the set of points at which it must
-//! be cut — the same cut sets the naive all-pairs oracle produces — in
-//! `O((n + k) log n)` time for `n` segments with `k` intersection
-//! incidences, instead of the oracle's `O(n^2)` pairwise tests.
+//! This is the production splitter: [`sweep`] computes, for every input
+//! segment, the set of points at which it must be cut — the same cut sets
+//! the naive all-pairs oracle produces — in `O((n + k) log n)` time for `n`
+//! segments with `k` intersection incidences, instead of the oracle's
+//! `O(n^2)` pairwise tests, and emits them ranked
+//! ([`RankedSplit`]): a point table and each segment's cut set as ranks
+//! into it. [`split_segments_sweep`] turns that split into
+//! [`SubSegment`]s.
 //!
-//! The sweep records each cut as a `(segment, point)` incidence when it
-//! finds it, and sorts them into one run of cut points per segment at the
-//! end (`CutSets`). Its output
-//! is exact for every input segment whose cutters are all in the input:
-//! that is every segment of a from-scratch build, and, when a rebuild
-//! re-splits only the neighbourhood of a change (`crate::split::resplit`),
-//! every affected segment of that neighbourhood.
+//! The output is ranked in event order. Every cut point is an event, and
+//! the events pop in ascending order, each point once, with every segment
+//! through it in its batch; so the `k`-th event's point is the `k`-th entry
+//! of the table, and each segment through it gets the cut of rank `k`. The
+//! table is never sorted and no point is compared after the sweep: one
+//! counting sort by segment (`Runs::grouped`) turns the `(segment, rank)`
+//! incidences, found in ascending rank, into ascending runs. The output is
+//! exact for every input segment whose cutters are all in the input: that
+//! is every segment of a from-scratch build, and, when a rebuild re-splits
+//! only the neighbourhood of a change (`crate::split::resplit`), every
+//! affected segment of that neighbourhood.
 //!
 //! # Algorithm
 //!
@@ -28,13 +35,16 @@
 //!
 //! 1. binary-search the status for the (contiguous) run of segments
 //!    containing `p`,
-//! 2. if that run plus the segments starting at `p` involves ≥ 2 segments,
-//!    `p` is an intersection point: record it as a cut on all of them,
+//! 2. append `p` to the point table and record it as a cut on every segment
+//!    of that run and every segment starting at `p`,
 //! 3. remove the run, reinsert the segments continuing through `p` together
 //!    with those starting at `p` in the order *just after* `p` (by slope,
 //!    vertical last — [`Segment::slope_cmp`]), and
 //! 4. test the at-most-two newly adjacent pairs for future crossings,
 //!    enqueueing any crossing point lexicographically greater than `p`.
+//!
+//! A segment's own endpoints are events whose batch holds it (it starts at
+//! one and is in the run through the other), so they need no seeding.
 //!
 //! # Degeneracies
 //!
@@ -49,27 +59,24 @@
 //!   segment through the same point (slope `+inf`), which matches the
 //!   lexicographic event order: the part of a vertical segment above `p` is
 //!   exactly the part the sweep has not reached yet;
-//! * **collinear overlaps** — handled *before* the sweep by grouping
-//!   segments by supporting line: within a group, every endpoint of a group
-//!   member lying on a segment cuts that segment, which reproduces exactly
-//!   the oracle's overlap cuts (the endpoints of each pairwise overlap).
-//!   Inside the status, collinear segments are tie-broken by index; they
-//!   never cross, so the tie-break never needs to flip. Because the
-//!   collinear pass owns these cuts completely, the sweep proper registers
-//!   an event point as a cut **only when segments of at least two distinct
-//!   supporting lines pass through it** — an all-collinear batch (which can
-//!   only arise at a segment endpoint) adds nothing the collinear pass has
-//!   not already recorded.
+//! * **collinear overlaps** — cut by the event batches. The oracle cuts
+//!   both segments of an overlap at its two ends, and each end is an
+//!   endpoint of one of the two segments lying on the other: an event, whose
+//!   batch holds every segment through it, collinear or not. Inside the
+//!   status, collinear segments are tie-broken by index; they never cross,
+//!   so the tie-break never needs to flip, and a pair of them is never
+//!   tested for a crossing.
 //!
 //! The status itself is a sorted `Vec`: ordering queries are `O(log n)`
 //! exact-`Rational` comparisons and the `memmove` cost of batch
 //! insert/remove is far cheaper in practice than a pointer-chasing balanced
 //! tree at the instance sizes the workloads produce.
 
-use crate::split::{assemble_subsegments, endpoint_incidences, CutSets, SubSegment, TaggedSegment};
+use crate::runs::Runs;
+use crate::split::{assemble_subsegments, RankedSplit, SubSegment, TaggedSegment};
 use spatial_core::prelude::*;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Split all segments at their mutual intersection points via the plane
 /// sweep and merge coincident pieces.
@@ -78,89 +85,20 @@ use std::collections::{BTreeMap, BinaryHeap};
 /// [`crate::split::split_segments_naive`]; the differential test suite
 /// asserts exactly that.
 pub fn split_segments_sweep(segments: &[TaggedSegment]) -> Vec<SubSegment> {
-    let cuts = sweep_cut_sets(segments);
-    assemble_subsegments(segments, &cuts)
+    assemble_subsegments(segments, &sweep(segments))
 }
 
-/// The cut sets of every segment, computed by the plane sweep: each
-/// segment's own endpoints, every intersection point it is involved in, and
-/// the endpoints of every collinear overlap it participates in.
-pub(crate) fn sweep_cut_sets(segments: &[TaggedSegment]) -> CutSets {
-    let mut cuts = endpoint_incidences(segments);
-    collinear_overlap_cuts(segments, &mut cuts);
-    let segs: Vec<Segment> = segments.iter().map(|t| t.segment).collect();
-    Sweep::new(&segs).run(&mut cuts);
-    CutSets::from_incidences(segments.len(), cuts)
+/// The ranked split of `segments` by the plane sweep: the table of every
+/// distinct cut point in event order, which is ascending, and each
+/// segment's cut set as ranks into it — its own endpoints, every
+/// intersection point it is involved in, and the endpoints of every
+/// collinear overlap it participates in.
+pub(crate) fn sweep(segments: &[TaggedSegment]) -> RankedSplit {
+    Sweep::new(segments).run()
 }
-
-/// Cut points as `(segment, point)` incidences, in discovery order and with
-/// repeats; `CutSets::from_incidences` sorts them into cut sets.
-type Incidences = Vec<(usize, Point)>;
-
-// ---------------------------------------------------------------------------
-// Collinear overlaps: supporting-line groups
-// ---------------------------------------------------------------------------
-
-/// Canonical key of the supporting line of a segment: the coefficients
-/// `(A, B, C)` of `A*x + B*y = C`, scaled so the leading nonzero of
-/// `(A, B)` is `1`. Exact, so two segments get the same key iff they are
-/// collinear.
-fn line_key(s: &Segment) -> (Rational, Rational, Rational) {
-    let d = s.direction();
-    // Normal form: (dy) * x + (-dx) * y = dy * a.x - dx * a.y.
-    let (a, b) = (d.dy, -d.dx);
-    let c = a * s.a.x + b * s.a.y;
-    if !a.is_zero() {
-        (Rational::ONE, b / a, c / a)
-    } else {
-        (Rational::ZERO, Rational::ONE, c / b)
-    }
-}
-
-/// Register the cuts arising from collinear overlaps: for every maximal
-/// group of collinear segments, every endpoint of a group member lying on a
-/// segment of the group cuts that segment.
-///
-/// This reproduces the oracle's overlap handling exactly: for a pair with
-/// overlap `[lo, hi]`, the oracle cuts both segments at `lo` and `hi`, and
-/// each of `lo`, `hi` is an endpoint of one of the two segments contained in
-/// the other; conversely an endpoint of `t` contained in collinear `s` is an
-/// endpoint of the pair's overlap.
-fn collinear_overlap_cuts(segments: &[TaggedSegment], cuts: &mut Incidences) {
-    let mut groups: BTreeMap<(Rational, Rational, Rational), Vec<usize>> = BTreeMap::new();
-    for (i, ts) in segments.iter().enumerate() {
-        groups.entry(line_key(&ts.segment)).or_default().push(i);
-    }
-    for members in groups.into_values() {
-        if members.len() < 2 {
-            continue;
-        }
-        // Lexicographic point order is monotone along a line, so a sorted
-        // endpoint list supports range extraction per segment.
-        let mut endpoints: Vec<Point> = members
-            .iter()
-            .flat_map(|&i| {
-                let s = &segments[i].segment;
-                [s.sweep_source(), s.sweep_target()]
-            })
-            .collect();
-        endpoints.sort();
-        endpoints.dedup();
-        for &i in &members {
-            let (lo, hi) = (segments[i].segment.sweep_source(), segments[i].segment.sweep_target());
-            let from = endpoints.partition_point(|p| *p < lo);
-            let to = endpoints.partition_point(|p| *p <= hi);
-            cuts.extend(endpoints[from..to].iter().map(|&p| (i, p)));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The sweep proper
-// ---------------------------------------------------------------------------
 
 struct Sweep<'a> {
-    segments: &'a [Segment],
+    segments: &'a [TaggedSegment],
     /// Event queue, least point first: one entry per segment whose sweep
     /// source is the point, plus an entry with no segment (`usize::MAX`) for
     /// every removal and crossing event, however often it is discovered. The
@@ -174,22 +112,25 @@ struct Sweep<'a> {
 const NO_STARTER: usize = usize::MAX;
 
 impl<'a> Sweep<'a> {
-    fn new(segments: &'a [Segment]) -> Self {
+    fn new(segments: &'a [TaggedSegment]) -> Self {
         let mut queue = Vec::with_capacity(2 * segments.len());
-        for (i, s) in segments.iter().enumerate() {
-            queue.push(Reverse((s.sweep_source(), i)));
+        for (i, t) in segments.iter().enumerate() {
+            queue.push(Reverse((t.segment.sweep_source(), i)));
             // Ensure the removal event exists even if nothing starts there.
-            queue.push(Reverse((s.sweep_target(), NO_STARTER)));
+            queue.push(Reverse((t.segment.sweep_target(), NO_STARTER)));
         }
         Sweep { segments, queue: BinaryHeap::from(queue), status: Vec::new() }
     }
 
     fn seg(&self, i: usize) -> &Segment {
-        &self.segments[i]
+        &self.segments[i].segment
     }
 
-    fn run(mut self, cuts: &mut Incidences) {
-        let mut events = 0u64;
+    /// Pop every event, the `k`-th of rank `k`, and group the cuts by
+    /// segment.
+    fn run(mut self) -> RankedSplit {
+        let mut points = Vec::with_capacity(2 * self.segments.len());
+        let mut cuts: Vec<(usize, u32)> = Vec::with_capacity(4 * self.segments.len());
         let mut starters = Vec::new();
         while let Some(&Reverse((p, _))) = self.queue.peek() {
             // Every entry of `p`; its starting segments pop ascending.
@@ -200,18 +141,15 @@ impl<'a> Sweep<'a> {
                     starters.push(s);
                 }
             }
-            self.handle_event(p, &starters, cuts);
-            events += 1;
+            let rank = u32::try_from(points.len()).expect("a split has fewer than 2^32 cut points");
+            points.push(p);
+            self.handle_event(p, rank, &starters, &mut cuts);
         }
-        crate::counters::add_events_processed(events);
+        crate::counters::add_events_processed(points.len() as u64);
+        RankedSplit { points, cuts: Runs::grouped(self.segments.len(), cuts.iter().copied()) }
     }
 
-    fn handle_event(
-        &mut self,
-        p: Point,
-        starters: &[usize],
-        cuts: &mut Incidences,
-    ) {
+    fn handle_event(&mut self, p: Point, rank: u32, starters: &[usize], cuts: &mut Vec<(usize, u32)>) {
         // The run of status segments containing p. The status is ordered
         // with respect to `cmp_at_sweep` at p (all events before p have been
         // processed), so the run is contiguous and binary-searchable.
@@ -220,21 +158,9 @@ impl<'a> Sweep<'a> {
             + self.status[lo..]
                 .partition_point(|&s| self.seg(s).cmp_at_sweep(&p) == Ordering::Equal);
 
-        // Cut registration: p is an intersection point iff segments of at
-        // least two distinct supporting lines pass through it. (Plain
-        // endpoints are pre-seeded in the cut sets, and an all-collinear
-        // batch — only possible at a segment endpoint — is fully covered by
-        // the collinear-overlap pass, so neither needs bookkeeping here.
-        // Segments through a common point are collinear iff their directions
-        // are parallel.)
-        if (hi - lo) + starters.len() >= 2 {
-            let mut through = self.status[lo..hi].iter().chain(starters.iter()).copied();
-            let d0 = self.seg(through.next().expect("batch has >= 2 segments")).direction();
-            let multi_line = through.any(|s| !d0.cross(&self.seg(s).direction()).is_zero());
-            if multi_line {
-                cuts.extend(self.status[lo..hi].iter().chain(starters).map(|&s| (s, p)));
-            }
-        }
+        // p cuts every segment through it: those ending or continuing
+        // through p, and those starting at p.
+        cuts.extend(self.status[lo..hi].iter().chain(starters).map(|&s| (s, rank)));
 
         // Replace the run with the segments continuing through p plus the
         // segments starting at p, in the order just after p: ascending
@@ -266,9 +192,8 @@ impl<'a> Sweep<'a> {
     }
 
     /// Enqueue the crossing of two status-adjacent segments if it lies ahead
-    /// of the sweep. Collinear overlaps are ignored here: their cuts are
-    /// precomputed from the supporting-line groups and need no events beyond
-    /// the segment endpoints, which are events already.
+    /// of the sweep. A collinear overlap needs no event here: its ends are
+    /// segment endpoints, which are events already.
     fn test_pair(&mut self, a: usize, b: usize, after: &Point) {
         if let SegmentIntersection::Point(ip) = self.seg(a).intersect(self.seg(b)) {
             if ip > *after {
@@ -281,7 +206,7 @@ impl<'a> Sweep<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split::{instance_segments, split_segments_naive};
+    use crate::split::{instance_segments, naive_cut_sets, split_segments_naive};
     use spatial_core::fixtures;
     use spatial_core::point::pt;
 
@@ -292,26 +217,21 @@ mod tests {
             .collect()
     }
 
+    /// The sweep against the naive splitter: the same sub-segments, a point
+    /// table that is the sorted, distinct union of the naive cut sets, and
+    /// every ranked run resolving to its segment's naive cut set.
     fn assert_matches_oracle(segs: &[TaggedSegment], context: &str) {
-        let sweep = split_segments_sweep(segs);
+        let subs = split_segments_sweep(segs);
         let naive = split_segments_naive(segs);
-        assert_eq!(sweep, naive, "sweep != oracle on {context}");
-    }
+        assert_eq!(subs, naive, "sweep != oracle on {context}");
 
-    #[test]
-    fn line_key_is_canonical() {
-        // Same line, different parameterizations and orientations.
-        let k1 = line_key(&seg(0, 0, 2, 2));
-        let k2 = line_key(&seg(5, 5, 3, 3));
-        let k3 = line_key(&seg(-1, -1, 7, 7));
-        assert_eq!(k1, k2);
-        assert_eq!(k1, k3);
-        // Parallel but distinct lines differ.
-        assert_ne!(k1, line_key(&seg(0, 1, 2, 3)));
-        // Vertical and horizontal lines are canonical too.
-        assert_eq!(line_key(&seg(2, 0, 2, 5)), line_key(&seg(2, 9, 2, 7)));
-        assert_ne!(line_key(&seg(2, 0, 2, 5)), line_key(&seg(3, 0, 3, 5)));
-        assert_eq!(line_key(&seg(0, 4, 5, 4)), line_key(&seg(9, 4, 7, 4)));
+        let split = sweep(segs);
+        let cuts = naive_cut_sets(segs);
+        let mut table = cuts.items().to_vec();
+        table.sort_unstable();
+        table.dedup();
+        assert_eq!(split.points, table, "point table != the oracle's cut points on {context}");
+        assert_eq!(split.resolved(), cuts, "ranked cut sets != the oracle's on {context}");
     }
 
     #[test]
@@ -356,6 +276,9 @@ mod tests {
         // Collinear diagonal overlaps crossed by a transversal.
         let segs = tagged(&[seg(0, 0, 4, 4), seg(2, 2, 6, 6), seg(0, 5, 5, 0)]);
         assert_matches_oracle(&segs, "diagonal overlap plus transversal");
+        // Vertical overlaps, one nested, given in either orientation.
+        let segs = tagged(&[seg(3, 0, 3, 6), seg(3, 9, 3, 4), seg(3, 1, 3, 2), seg(0, 5, 6, 5)]);
+        assert_matches_oracle(&segs, "vertical overlaps plus transversal");
     }
 
     #[test]

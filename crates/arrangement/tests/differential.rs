@@ -4,12 +4,13 @@
 //!
 //! The oracle (`split_segments_naive`) is trivially correct: it tests every
 //! pair of segments with the exact intersection primitive, and merges
-//! coincident pieces in a map keyed by their endpoint points. The sweep's
-//! side ranks its cut points in one sorted point table and merges pieces by
-//! an integer sort (`assemble_subsegments`). Matching the oracle sub-segment
-//! for sub-segment is therefore a full functional specification of both the
-//! sweep and the rank-based merge, including region-mark merging of shared
-//! boundaries.
+//! coincident pieces in a map keyed by their endpoint points. The sweep
+//! ranks its cut points in event order, which is its ascending point table,
+//! cuts collinear overlaps in its event batches, and merges pieces by an
+//! integer sort of ranks (`assemble_subsegments`). Matching the oracle
+//! sub-segment for sub-segment is therefore a full functional specification
+//! of both the sweep and the rank-based merge, including region-mark merging
+//! of shared boundaries.
 
 use arrangement::ComplexRead;
 use arrangement::split::{instance_segments, split_segments_naive, TaggedSegment};

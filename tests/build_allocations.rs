@@ -30,6 +30,13 @@
 //! commit below what it made when every survivor re-entered the partition
 //! alone.
 //!
+//! The plane sweep emits its split ranked in event order, with no endpoint
+//! seeding, no collinear pre-pass and no sort of its cut points, and a
+//! rebuild merges the hood sweep's point table like any carried one, so the
+//! test also holds the build 50 allocations per commit below what it made
+//! when the sweep produced point-keyed cut sets that were sorted into a
+//! ranked split afterwards.
+//!
 //! The index over the region boxes is built with the component too, and the
 //! view's two-level region index with the view, so taking a patched view's
 //! region index allocates nothing at all.
@@ -108,6 +115,12 @@ const READ_DERIVED_ALLOCATIONS: u64 = 186_094;
 /// component that lost or re-shaped a member was re-partitioned on its own,
 /// whole boundary and all (debug build).
 const SURVIVOR_REPARTITION_ALLOCATIONS: u64 = 502_607;
+
+/// Allocations of the build over the trace below when the sweep seeded its
+/// cut sets with every endpoint, cut collinear overlaps in a pre-pass
+/// grouped by supporting line, and sorted its cut points into point-keyed
+/// cut sets that the rebuild ranked by a second sort (debug build).
+const POINT_KEYED_SWEEP_ALLOCATIONS: u64 = 34_039;
 
 /// Allocations of the first `homeomorphic_to` between fresh snapshots of
 /// `clustered_map(64, 16, 1)` and its translate when each snapshot copied
@@ -194,6 +207,11 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
         counted + steps as u64 * 3_000 <= SURVIVOR_REPARTITION_ALLOCATIONS,
         "{counted} allocations over {steps} dense commits; re-partitioning every survivor made \
          {SURVIVOR_REPARTITION_ALLOCATIONS}, and connected survivors must save 3 000 per commit"
+    );
+    assert!(
+        counted + steps as u64 * 50 <= POINT_KEYED_SWEEP_ALLOCATIONS,
+        "{counted} allocations over {steps} dense commits; with point-keyed sweep output the \
+         build made {POINT_KEYED_SWEEP_ALLOCATIONS}, and the ranked sweep must save 50 per commit"
     );
     assert!(
         2 * read <= READ_DERIVED_ALLOCATIONS,
