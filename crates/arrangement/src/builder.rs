@@ -19,7 +19,8 @@
 //!    their mutual intersections by the Bentley–Ottmann plane sweep of
 //!    [`crate::sweep`], merged into maximal 1-cells,
 //!    the faces extracted from the combinatorial embedding (each skeleton's
-//!    outer walk is the one turning clockwise at its lowest point),
+//!    outer walk is the one whose face holds the directions left of its
+//!    lowest point),
 //!    same-component disconnected skeletons nested into the faces that
 //!    contain them (`assemble::innermost_cycle`), and
 //!    every cell labeled by exact combinatorial propagation from the
@@ -34,9 +35,9 @@
 //! ranks into it. The local pipeline works on ranks from there: the raw
 //! graph numbers its vertices through a rank-indexed table, its incidences,
 //! chains, rotations, face walks and face boundaries are flat runs
-//! (`runs::Runs`) of ranks, piece indices, darts and edges, the outer-walk
-//! test and the nesting of skeleton components take integer minima of
-//! ranks, and points are read back from the table only where the complex
+//! (`runs::Runs`) of ranks, piece indices, darts and edges, the choice of
+//! outer walks and the nesting of skeleton components take integer minima
+//! of ranks, and points are read back from the table only where the complex
 //! keeps them (vertex points and edge polylines). The complex's rotations
 //! and face boundaries are the builder's own runs, moved into it, its
 //! polylines one more run table, and its labels three more, written entry
@@ -48,10 +49,17 @@
 //! produced — pieces by `(a, b)`, vertices by first appearance — is the same,
 //! and so is every cell id.
 //!
-//! The rotation sort and the outer-walk turn compare the directions of the
-//! input segments the pieces lie on ([`SubSegment::dir`](crate::split::SubSegment::dir)),
-//! never differences of arrangement points: each decision is the sign of a
-//! cross product of two input-endpoint differences.
+//! Directions are ranked the same way. `split::Pieces` ranks the distinct
+//! directions of the component's input segments once per build (its
+//! *direction classes*; a rectilinear component has two), and a step along
+//! a piece gets an integer angle key from its class and its sense
+//! (`Pieces::angle_key`). The rotation sort orders darts by key, and each
+//! skeleton component's outer walk is named at its lowest point from the
+//! keys of the darts there, or from the classes of the two pieces through
+//! it (`outer_dart`). After the sweep the only rational comparisons left
+//! are the direction table's cross products of input directions (degree 2
+//! in the input coordinates) and the nesting test; the exact-rational
+//! outer-walk turn survives as the tests' oracle.
 //!
 //! [`build_complex_monolithic`] preserves the pre-partitioning single-sweep
 //! construction as a differential-testing oracle: both paths must produce
@@ -137,11 +145,11 @@ pub(crate) fn build_local(region_names: Vec<String>, pieces: &Pieces) -> LocalCo
     let rotations = Rotations::new(&merged, pieces);
 
     // ---- Face walks -------------------------------------------------------
-    let walks = face_walks(&merged, &rotations);
+    let (walks, walk_of_dart) = face_walks(&merged, &rotations);
     crate::counters::add_cells_walked(walks.len() as u64);
 
     // ---- Components and embedding forest ---------------------------------
-    let mut assembled = assemble_faces(&merged, pieces, &rotations, &walks);
+    let mut assembled = assemble_faces(&merged, pieces, &rotations, &walks, &walk_of_dart);
 
     // ---- Labels -----------------------------------------------------------
     let bounded_walks = std::mem::take(&mut assembled.bounded_walks);
@@ -386,27 +394,33 @@ struct Rotations {
     darts: Runs<DartId>,
     /// The position of every dart in its tail's rotation.
     position: Vec<usize>,
+    /// The angle key of every dart's first step ([`Pieces::angle_key`]).
+    key: Vec<u32>,
 }
 
 impl Rotations {
+    /// Sort each vertex's darts by `(angle key, dart)`: the keys compare as
+    /// the first steps' directions do, so this is the counter-clockwise
+    /// order, ties (collinear darts, which a planar embedding does not
+    /// have) broken by dart id.
     fn new(g: &MergedGraph, pieces: &Pieces) -> Rotations {
         let all = (0..2 * g.chains.len()).map(DartId);
         let mut darts = Runs::grouped(g.vertex_ranks.len(), all.clone().map(|d| (g.dart_tail(d), d)));
-        let first_dir: Vec<Vector> = all
+        let key: Vec<u32> = all
             .map(|d| {
                 let first = g.steps(d).next().expect("a chain has a piece");
-                pieces.dir_from(first.piece as usize, first.from)
+                pieces.angle_key(first.piece as usize, first.from)
             })
             .collect();
         let mut position = vec![0; darts.items().len()];
         for v in 0..darts.len() {
             let rotation = darts.get_mut(v);
-            rotation.sort_unstable_by(|a, b| first_dir[a.0].angle_cmp(&first_dir[b.0]).then(a.cmp(b)));
+            rotation.sort_unstable_by_key(|d| (key[d.0], d.0));
             for (i, d) in rotation.iter().enumerate() {
                 position[d.0] = i;
             }
         }
-        Rotations { darts, position }
+        Rotations { darts, position, key }
     }
 
     /// Vertex `v`'s darts, counter-clockwise.
@@ -426,17 +440,18 @@ impl Rotations {
 /// Face walks: boundary cycles of the embedding, as darts, one run each.
 pub(crate) type Walks = Runs<DartId>;
 
-fn face_walks(g: &MergedGraph, rotations: &Rotations) -> Walks {
+/// The face walks, and the walk of every dart.
+fn face_walks(g: &MergedGraph, rotations: &Rotations) -> (Walks, Vec<usize>) {
     let dart_count = g.chains.len() * 2;
-    let mut assigned = vec![false; dart_count];
+    let mut walk_of_dart = vec![usize::MAX; dart_count];
     let mut walks = Walks::with_capacity(dart_count, dart_count);
     for start in 0..dart_count {
-        if assigned[start] {
+        if walk_of_dart[start] != usize::MAX {
             continue;
         }
         let mut d = DartId(start);
         loop {
-            assigned[d.0] = true;
+            walk_of_dart[d.0] = walks.len();
             walks.push_item(d);
             d = rotations.next(g, d);
             if d.0 == start {
@@ -445,7 +460,7 @@ fn face_walks(g: &MergedGraph, rotations: &Rotations) -> Walks {
         }
         walks.close();
     }
-    walks
+    (walks, walk_of_dart)
 }
 
 /// The skeleton component of every vertex, and how many there are.
@@ -486,23 +501,31 @@ struct AssembledFaces {
     exterior: FaceId,
 }
 
-fn assemble_faces(g: &MergedGraph, pieces: &Pieces, rotations: &Rotations, walks: &Walks) -> AssembledFaces {
+fn assemble_faces(
+    g: &MergedGraph,
+    pieces: &Pieces,
+    rotations: &Rotations,
+    walks: &Walks,
+    walk_of_dart: &[usize],
+) -> AssembledFaces {
     let (component, component_count) = vertex_components(g, rotations);
     let component_of_walk = |w: usize| component[g.dart_tail(walks.get(w)[0])];
+    let lowest = lowest_points(g, &component, component_count);
 
-    // Each component has exactly one outer walk, the one that turns
-    // clockwise at its lowest point; the others become bounded faces, with
-    // face ids from 1 in walk order (0 is the exterior).
+    // Each component has exactly one outer walk, the one whose face holds the
+    // directions left of its lowest point (`outer_dart`); the others become
+    // bounded faces, with face ids from 1 in walk order (0 is the exterior).
+    let mut is_outer = vec![false; walks.len()];
+    for low in &lowest {
+        let outer = &mut is_outer[walk_of_dart[outer_dart(g, pieces, rotations, low).0]];
+        debug_assert!(!*outer, "two skeleton components share an outer walk");
+        *outer = true;
+    }
     let exterior = FaceId(0);
     let mut face_of_bounded_walk: Vec<Option<FaceId>> = vec![None; walks.len()];
     let mut bounded_walks: Vec<usize> = Vec::new();
-    let mut has_outer_walk = vec![false; component_count];
     for (w, face) in face_of_bounded_walk.iter_mut().enumerate() {
-        if turns_clockwise_at_lowest(g, pieces, walks.get(w)) {
-            let outer = &mut has_outer_walk[component_of_walk(w)];
-            assert!(!*outer, "a skeleton component has two outer walks");
-            *outer = true;
-        } else {
+        if !is_outer[w] {
             bounded_walks.push(w);
             *face = Some(FaceId(bounded_walks.len()));
         }
@@ -510,16 +533,11 @@ fn assemble_faces(g: &MergedGraph, pieces: &Pieces, rotations: &Rotations, walks
     let face_count = bounded_walks.len() + 1;
 
     // Embedding forest: which face is each component embedded in? Its
-    // lowest point, the point of least rank on its chains (an input
-    // endpoint), is tested against the bounded walks of *other* components;
-    // the innermost containing walk gives the parent face.
+    // lowest point (an input endpoint) is tested against the bounded walks
+    // of *other* components; the innermost containing walk gives the parent
+    // face.
     let mut parent_face_of_component: Vec<FaceId> = vec![exterior; component_count];
     if component_count > 1 {
-        let mut lowest = vec![u32::MAX; component_count];
-        for (chain, points) in g.chains.iter().zip(g.points.iter()) {
-            let low = &mut lowest[component[chain.tail]];
-            *low = points.iter().fold(*low, |l, &r| l.min(r));
-        }
         let mut rings: Runs<Point> = Runs::default();
         for &w in &bounded_walks {
             for s in walks.get(w).iter().flat_map(|&d| g.steps(d)) {
@@ -527,8 +545,8 @@ fn assemble_faces(g: &MergedGraph, pieces: &Pieces, rotations: &Rotations, walks
             }
             rings.close();
         }
-        for (c, &rank) in lowest.iter().enumerate() {
-            let rep = pieces.points[rank as usize];
+        for (c, low) in lowest.iter().enumerate() {
+            let rep = pieces.points[low.rank as usize];
             let others = bounded_walks.iter().enumerate();
             let others = others.filter(|&(_, &w)| component_of_walk(w) != c);
             let cycles = others.map(|(k, _)| (FaceId(k + 1), rings.get(k)));
@@ -564,27 +582,62 @@ fn assemble_faces(g: &MergedGraph, pieces: &Pieces, rotations: &Rotations, walks
     AssembledFaces { face_of_dart, face_boundaries, bounded_walks: bounded_face_walks, exterior }
 }
 
-/// Does the closed walk `darts` turn clockwise at one of its visits to its
-/// lexicographically lowest point, the point of least rank?
+/// The lowest point of a skeleton component, the point of least rank on its
+/// chains, and where it lies: point `at` of chain `chain`'s polyline.
+#[derive(Clone, Copy)]
+struct Lowest {
+    rank: u32,
+    chain: usize,
+    at: usize,
+}
+
+/// Every skeleton component's lowest point: an integer minimum over the
+/// ranks of the chains' points.
+fn lowest_points(g: &MergedGraph, component: &[usize], component_count: usize) -> Vec<Lowest> {
+    let mut lowest = vec![Lowest { rank: u32::MAX, chain: 0, at: 0 }; component_count];
+    for (c, (chain, points)) in g.chains.iter().zip(g.points.iter()).enumerate() {
+        let low = &mut lowest[component[chain.tail]];
+        let (rank, at) = points.iter().zip(0..).min().expect("a chain has points");
+        if *rank < low.rank {
+            *low = Lowest { rank: *rank, chain: c, at };
+        }
+    }
+    lowest
+}
+
+/// A dart of the outer walk of the skeleton component whose lowest point is
+/// `low`: the walk whose face holds the directions left of that point.
 ///
-/// Exactly the outer walk of a skeleton component does. A visit to the
-/// lowest point `v` passes, counter-clockwise from its outgoing to its
-/// incoming dart, a wedge of the walk's face, and both darts point right of
-/// `v` or straight up. A bounded face lies right of or above `v` too, so its
-/// wedges stay in that half-plane and each visit turns counter-clockwise.
-/// The unbounded face holds the directions left of `v` (the outer walk's
-/// lowest point is its component's), so the visit whose wedge contains them
-/// turns clockwise. No visit turns straight back: the skeleton is a union of
-/// closed curves, so no vertex has degree one. The turn is the sign of the
-/// cross product of the incoming and outgoing pieces' input-segment
-/// directions.
-fn turns_clockwise_at_lowest(g: &MergedGraph, pieces: &Pieces, darts: &[DartId]) -> bool {
-    let steps = || darts.iter().flat_map(|&d| g.steps(d));
-    let lowest = steps().map(|s| s.from).min().expect("a face walk has points");
-    let last = darts.last().and_then(|&d| g.steps(d).next_back()).expect("a face walk has pieces");
-    let dir = |s: Step| pieces.dir_from(s.piece as usize, s.from);
-    let incoming = std::iter::once(last).chain(steps());
-    incoming.zip(steps()).any(|(into, out)| out.from == lowest && dir(into).cross(&dir(out)).signum() < 0)
+/// Every step leaving the lowest point points right of it or straight up,
+/// a forward step of its piece. If the point is a vertex, its rotation
+/// holds the upper-half darts first (angles in `[0, π/2]`), then those
+/// below the x axis, and the face left of a dart is the wedge
+/// counter-clockwise from it to the next: the wedge holding the left
+/// directions starts at the last upper dart, or at the last dart if none is
+/// upper. If it is a pass-through point of a chain, the forward dart
+/// arrives along the piece before it and leaves along the piece after it,
+/// and its face is the wedge counter-clockwise from the leaving piece to
+/// the arriving one: it holds the left directions when the leaving piece's
+/// direction class is the larger, and the backward dart's face does
+/// otherwise. No class decision compares a rational.
+fn outer_dart(g: &MergedGraph, pieces: &Pieces, rotations: &Rotations, low: &Lowest) -> DartId {
+    let chain = &g.chains[low.chain];
+    let last = g.points.get(low.chain).len() - 1;
+    if low.at == 0 || low.at == last {
+        let v = if low.at == 0 { chain.tail } else { chain.head };
+        let rotation = rotations.of(v);
+        let upper = rotation.iter().rposition(|d| pieces.is_upper(rotations.key[d.0]));
+        rotation[upper.unwrap_or(rotation.len() - 1)]
+    } else {
+        let on = g.pieces.get(low.chain);
+        let class = |j: usize| pieces.pieces[on[j] as usize].class;
+        let e = EdgeId(low.chain);
+        if class(low.at) > class(low.at - 1) {
+            DartId::forward(e)
+        } else {
+            DartId::backward(e)
+        }
+    }
 }
 
 /// Face labels by FIFO flood fill from the exterior face: crossing an edge
@@ -717,8 +770,10 @@ fn finish_complex(
     }
     let polylines = g.points.map(|&r| pieces.points[r as usize]);
 
-    // Vertices: the regions of the incident chains, merged in one reused
-    // buffer.
+    // Vertices: the regions of the incident chains, inserted one by one into
+    // one reused ascending buffer, each once. A vertex has a few incident
+    // chains of a region or two each, so this beats collecting, sorting and
+    // deduplicating them.
     let mut marks: Vec<usize> = Vec::new();
     let n = g.vertex_ranks.len();
     let mut vertex_labels = Labels::with_capacity(n, 2 * n);
@@ -727,10 +782,12 @@ fn finish_complex(
         let rotation = rotations.of(v);
         marks.clear();
         for d in rotation {
-            marks.extend_from_slice(g.chain_regions(pieces, d.edge().0));
+            for &r in g.chain_regions(pieces, d.edge().0) {
+                if let Err(at) = marks.binary_search(&r) {
+                    marks.insert(at, r);
+                }
+            }
         }
-        marks.sort_unstable();
-        marks.dedup();
         let face = face_of_dart[rotation[0].0];
         push_on_boundary(&mut vertex_labels, face_labels.get(face.0), &marks);
         vertices.push(VertexData { point: pieces.points[rank as usize] });
@@ -758,6 +815,7 @@ mod tests {
     use super::*;
     use spatial_core::fixtures;
     use crate::complex::ComplexRead;
+    use crate::split::TaggedSegment;
 
     #[test]
     fn empty_instance() {
@@ -978,6 +1036,140 @@ mod tests {
         for (name, inst) in fixtures::fig_2_pairs() {
             let c = build_complex(&inst);
             assert!(c.euler_formula_holds(), "{name}: {}", c.summary());
+        }
+    }
+
+    /// Does the closed walk `darts` turn clockwise at one of its visits to its
+    /// lexicographically lowest point, the point of least rank? The oracle of
+    /// [`outer_dart`], in exact rationals.
+    ///
+    /// Exactly the outer walk of a skeleton component does. A visit to the
+    /// lowest point `v` passes, counter-clockwise from its outgoing to its
+    /// incoming dart, a wedge of the walk's face, and both darts point right
+    /// of `v` or straight up. A bounded face lies right of or above `v` too,
+    /// so its wedges stay in that half-plane and each visit turns
+    /// counter-clockwise. The unbounded face holds the directions left of `v`
+    /// (the outer walk's lowest point is its component's), so the visit
+    /// whose wedge contains them turns clockwise. No visit turns straight
+    /// back: the skeleton is a union of closed curves, so no vertex has
+    /// degree one. The turn is the sign of the cross product of the incoming
+    /// and outgoing pieces' input-segment directions.
+    fn turns_clockwise_at_lowest(
+        g: &MergedGraph,
+        pieces: &Pieces,
+        segments: &[TaggedSegment],
+        darts: &[DartId],
+    ) -> bool {
+        let steps = || darts.iter().flat_map(|&d| g.steps(d));
+        let lowest = steps().map(|s| s.from).min().expect("a face walk has points");
+        let last = darts.last().and_then(|&d| g.steps(d).next_back()).expect("a face walk has pieces");
+        let dir = |s: Step| pieces.step_direction(segments, s.piece as usize, s.from);
+        let incoming = std::iter::once(last).chain(steps());
+        incoming.zip(steps()).any(|(into, out)| out.from == lowest && dir(into).cross(&dir(out)).signum() < 0)
+    }
+
+    /// Run the local pipeline on `instance` up to the face walks, and check
+    /// that every rotation is counter-clockwise by [`Vector::angle_cmp`] and
+    /// that the outer walks [`outer_dart`] picks are exactly those of
+    /// [`turns_clockwise_at_lowest`]. Returns how many components have their
+    /// lowest point inside a chain, and how many at a vertex with darts both
+    /// above and below the x axis.
+    fn check_outer_walks(name: &str, instance: &SpatialInstance) -> (usize, usize) {
+        let segments = instance_segments(instance);
+        let split = crate::sweep::sweep(&segments);
+        let pieces = Pieces::new(&segments, &split);
+        if pieces.is_empty() {
+            return (0, 0);
+        }
+        let g = merge_chains(&RawGraph::new(&pieces), &pieces);
+        let rotations = Rotations::new(&g, &pieces);
+        let first_dir = |d: &DartId| {
+            let first = g.steps(*d).next().expect("a chain has a piece");
+            pieces.step_direction(&segments, first.piece as usize, first.from)
+        };
+        for v in 0..g.vertex_ranks.len() {
+            let rotation = rotations.of(v);
+            let ordered = rotation.windows(2).all(|w| first_dir(&w[0]).angle_cmp(&first_dir(&w[1])).is_le());
+            assert!(ordered, "{name}: rotation of vertex {v}");
+        }
+
+        let (walks, walk_of_dart) = face_walks(&g, &rotations);
+        let (component, component_count) = vertex_components(&g, &rotations);
+        let lowest = lowest_points(&g, &component, component_count);
+        let mut picked = vec![false; walks.len()];
+        let (mut pass_through, mut mixed_vertex) = (0, 0);
+        for low in &lowest {
+            picked[walk_of_dart[outer_dart(&g, &pieces, &rotations, low).0]] = true;
+            let (chain, last) = (&g.chains[low.chain], g.points.get(low.chain).len() - 1);
+            if low.at == 0 || low.at == last {
+                let rotation = rotations.of(if low.at == 0 { chain.tail } else { chain.head });
+                let upper = rotation.iter().filter(|d| pieces.is_upper(rotations.key[d.0])).count();
+                mixed_vertex += (0 < upper && upper < rotation.len()) as usize;
+            } else {
+                pass_through += 1;
+            }
+        }
+        for (w, darts) in walks.iter().enumerate() {
+            let oracle = turns_clockwise_at_lowest(&g, &pieces, &segments, darts);
+            assert_eq!(picked[w], oracle, "{name}: walk {w} of {}", walks.len());
+        }
+        (pass_through, mixed_vertex)
+    }
+
+    #[test]
+    fn outer_walks_turn_clockwise_at_their_lowest_points() {
+        let shifted = SpatialInstance::from_regions([
+            ("A", Region::rect_from_ints(0, 0, 4, 4)),
+            ("B", Region::rect_from_ints(2, 2, 6, 6)),
+        ]);
+        let (pass_through, _) = check_outer_walks("shifted", &shifted);
+        assert_eq!(pass_through, 1, "A's corner (0, 0) lies inside a chain between the crossings");
+        let kite = Region::polygon_from_ints(&[(0, 0), (4, -2), (6, 0), (4, 2)]).unwrap();
+        let kite = SpatialInstance::from_regions([("K", kite)]);
+        let (_, mixed_vertex) = check_outer_walks("kite", &kite);
+        assert_eq!(mixed_vertex, 1, "the kite's anchor (0, 0) has a dart on each side of the x axis");
+
+        let mut seen = (0, 0);
+        let mut families = vec![
+            ("fig_1a", fixtures::fig_1a()),
+            ("fig_1b", fixtures::fig_1b()),
+            ("fig_1c", fixtures::fig_1c()),
+            ("fig_1d", fixtures::fig_1d()),
+            ("ring", fixtures::ring()),
+            ("ring_with_flag", fixtures::ring_with_flag()),
+            ("island_in", fixtures::ring_with_island(true)),
+            ("island_out", fixtures::ring_with_island(false)),
+            ("petals_abcd", fixtures::petals_abcd()),
+            ("petals_acbd", fixtures::petals_acbd()),
+            ("nested", fixtures::nested_three()),
+            ("shared", fixtures::shared_boundary()),
+            ("rectilinear_pair", fixtures::rectilinear_pair()),
+            ("nested_rings", datagen::nested_rings(5)),
+            ("flower", datagen::flower(6, 2)),
+            ("road_network_map", datagen::road_network_map(4, 4, 12, 1)),
+        ];
+        families.extend(fixtures::fig_2_pairs());
+        for (name, instance) in &families {
+            let (pass_through, mixed_vertex) = check_outer_walks(name, instance);
+            seen = (seen.0 + pass_through, seen.1 + mixed_vertex);
+        }
+        assert!(seen.0 > 0 && seen.1 > 0, "the families have both kinds of lowest point");
+
+        // Every step of the dense edit trace (a prefix in debug builds).
+        let steps = if cfg!(debug_assertions) { 40 } else { 300 };
+        let mut instance = datagen::jittered_overlap_map(16, 16, 12, 1996);
+        for (step, batch) in datagen::dense_edit_trace(16, 16, 12, steps, 7).into_iter().enumerate() {
+            for op in batch {
+                match op {
+                    datagen::TraceOp::Insert(name, region) => {
+                        instance.insert(name, region);
+                    }
+                    datagen::TraceOp::Remove(name) => {
+                        instance.remove(&name);
+                    }
+                }
+            }
+            check_outer_walks(&format!("dense step {step}"), &instance);
         }
     }
 

@@ -90,12 +90,14 @@
 //!
 //! Face assembly asks the geometry two questions, in stages 2 and 3, and
 //! answers both by comparison and orientation tests, never by area. A face
-//! walk is the outer boundary of its piece of the skeleton iff it turns
-//! clockwise at a visit to its lexicographically lowest point; the turn,
-//! like the rotation sort, compares the directions of the input segments
-//! the walk's pieces lie on ([`split::SubSegment::dir`]), never a
-//! difference of two arrangement points. Among the cycles of other pieces
-//! that contain a point (even-odd ray crossing,
+//! walk is the outer boundary of its piece of the skeleton iff its face
+//! holds the directions left of the piece's lexicographically lowest point.
+//! That walk, like the rotation order, is read off per-build direction
+//! classes: the distinct directions of the input segments the pieces lie
+//! on ([`split::SubSegment::dir`]), ranked once by cross products of input
+//! directions, never a difference of two arrangement points; after the
+//! sweep every other direction decision compares integer keys. Among the
+//! cycles of other pieces that contain a point (even-odd ray crossing,
 //! [`ring_encloses`](spatial_core::polygon::ring_encloses)), the innermost
 //! is the one whose lowest point is greatest: such cycles are nested, with
 //! disjoint boundaries.

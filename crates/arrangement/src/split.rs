@@ -53,7 +53,12 @@
 //! Every piece carries the direction of the input segment it lies on
 //! ([`SubSegment::dir`]): a difference of two input endpoints, where the
 //! piece's own endpoints may be intersection points whose denominators grow
-//! with the square of the input coordinates.
+//! with the square of the input coordinates. A component build ranks those
+//! directions once, in a per-build table of direction classes
+//! (`direction_classes`), and the builder orders rotations and picks outer
+//! walks by integer angle keys derived from the classes
+//! (`Pieces::angle_key`): after the sweep, the table's cross products of
+//! input directions are the only direction comparisons.
 
 use crate::partition::BBox;
 use crate::runs::Runs;
@@ -276,7 +281,7 @@ pub(crate) fn assemble_subsegments(segments: &[TaggedSegment], split: &RankedSpl
             SubSegment {
                 a: pieces.points[piece.a as usize],
                 b: pieces.points[piece.b as usize],
-                dir: *pieces.dir(p),
+                dir: ascending_direction(&segments[piece.segment as usize].segment),
                 regions: pieces.regions(p).to_vec(),
             }
         })
@@ -433,7 +438,11 @@ fn merge_points(a: Sorted<'_>, b: Sorted<'_>) -> (Vec<Point>, Vec<u32>, Vec<u32>
 /// The point table is the [`RankedSplit`]'s, borrowed. Ranks are
 /// lexicographic, so comparing two ranks compares their points, and every
 /// later stage keys, sorts and compares integers where it would otherwise
-/// compare exact rationals.
+/// compare exact rationals. Directions are ranked the same way: every piece
+/// carries the *direction class* of its input segment, the rank of the
+/// segment's direction among the component's distinct directions, so the
+/// rotation order and the outer walks compare integers too
+/// ([`Pieces::angle_key`]).
 pub(crate) struct Pieces<'a> {
     /// The point table: the distinct cut points, ascending.
     pub(crate) points: &'a [Point],
@@ -441,9 +450,11 @@ pub(crate) struct Pieces<'a> {
     pub(crate) pieces: Vec<Piece>,
     /// Every piece's regions, one ascending run per piece.
     regions: Runs<usize>,
-    /// Each input segment's direction, from its smaller endpoint to its
-    /// larger.
-    dirs: Vec<Vector>,
+    /// The number of direction classes.
+    classes: u32,
+    /// How many of them point below the x axis: the classes of rank below
+    /// `below`.
+    below: u32,
 }
 
 /// A maximal straight piece of the split, between two consecutive cut points
@@ -457,12 +468,17 @@ pub(crate) struct Piece {
     /// The first input segment the piece lies on; its direction is the
     /// piece's.
     segment: u32,
+    /// The direction class of that segment ([`direction_classes`]): pieces
+    /// leaving a common smaller endpoint compare by angle as their classes
+    /// compare.
+    pub(crate) class: u32,
 }
 
 impl<'a> Pieces<'a> {
     /// Merge the pieces of a ranked split of `segments`: sort every piece as
     /// `(rank a, rank b, segment)`, so coincident pieces are adjacent and
-    /// each run keeps its first segment's direction. No point is compared.
+    /// each run keeps its first segment's direction. No point is compared;
+    /// the only rational work is the direction table ([`direction_classes`]).
     pub(crate) fn new(segments: &[TaggedSegment], split: &'a RankedSplit) -> Pieces<'a> {
         let cuts = &split.cuts;
         let mut pieces: Vec<(u32, u32, u32)> = Vec::with_capacity(cuts.items().len());
@@ -471,6 +487,7 @@ impl<'a> Pieces<'a> {
         }
         pieces.sort_unstable();
 
+        let (class, classes, below) = direction_classes(segments);
         let mut merged = Vec::with_capacity(pieces.len());
         let mut regions = Runs::with_capacity(pieces.len(), pieces.len());
         let mut run_regions = Vec::new();
@@ -481,10 +498,9 @@ impl<'a> Pieces<'a> {
             run_regions.dedup();
             regions.push(&run_regions);
             let (a, b, segment) = run[0];
-            merged.push(Piece { a, b, segment });
+            merged.push(Piece { a, b, segment, class: class[segment as usize] });
         }
-        let dirs = segments.iter().map(|ts| ascending_direction(&ts.segment)).collect();
-        Pieces { points: &split.points, pieces: merged, regions, dirs }
+        Pieces { points: &split.points, pieces: merged, regions, classes, below }
     }
 
     /// The number of pieces.
@@ -502,22 +518,101 @@ impl<'a> Pieces<'a> {
         self.regions.get(p)
     }
 
-    /// Piece `p`'s direction, from its smaller endpoint to its larger: that
-    /// of its first input segment.
-    pub(crate) fn dir(&self, p: usize) -> &Vector {
-        &self.dirs[self.pieces[p].segment as usize]
+    /// The angle key of a step along piece `p` from its endpoint of rank
+    /// `from` to its other endpoint: keys compare exactly as the step
+    /// directions compare by counter-clockwise angle from the positive x
+    /// axis ([`Vector::angle_cmp`]), equal directions having equal keys.
+    ///
+    /// With `n` classes of which `b` point below the x axis, the `2n` step
+    /// directions fall, by angle in `[0, 2π)`, into four blocks: forward
+    /// steps of the classes at or above the axis (`[0, π/2]`), backward
+    /// steps of the classes below it (`(π/2, π)`), backward steps of the
+    /// classes at or above it (`[π, 3π/2]`) and forward steps of the classes
+    /// below it (`(3π/2, 2π)`). So the key is the class, plus `n` for a
+    /// backward step, less `b`, modulo `2n`.
+    pub(crate) fn angle_key(&self, p: usize, from: u32) -> u32 {
+        let piece = &self.pieces[p];
+        let n = self.classes;
+        let backward = if from == piece.a { 0 } else { n };
+        (piece.class + backward + 2 * n - self.below) % (2 * n)
+    }
+
+    /// Does a step of angle key `key` point into the upper half-plane
+    /// (angle in `[0, π)`, [`Vector::half_plane`] `0`)?
+    pub(crate) fn is_upper(&self, key: u32) -> bool {
+        key < self.classes
     }
 
     /// The direction of a step along piece `p` from its endpoint of rank
-    /// `from` to its other endpoint.
-    pub(crate) fn dir_from(&self, p: usize, from: u32) -> Vector {
-        let dir = self.dir(p);
-        if from == self.pieces[p].a {
-            *dir
+    /// `from`, where `segments` are the segments the pieces were merged
+    /// from: the oracle the angle keys are held against.
+    #[cfg(test)]
+    pub(crate) fn step_direction(&self, segments: &[TaggedSegment], p: usize, from: u32) -> Vector {
+        let piece = &self.pieces[p];
+        let dir = ascending_direction(&segments[piece.segment as usize].segment);
+        if from == piece.a {
+            dir
         } else {
             dir.neg()
         }
     }
+}
+
+/// The direction class of every segment, the number of classes, and how
+/// many of them point below the x axis.
+///
+/// A class is one distinct direction of the segments taken from their
+/// smaller endpoint to their larger, ranked by angle in `(−π/2, π/2]`: the
+/// classes below the x axis, the horizontal one, those above the axis and
+/// the vertical one. The two axis classes are found by comparing
+/// coordinates, so a rectilinear component ranks its directions in one pass
+/// and without a product. The slanted directions all point right, so one
+/// sort by the sign of their cross products orders them, and equal ones
+/// (zero cross product) share a class; a cross product of two input
+/// directions is of degree 2 in the input coordinates.
+fn direction_classes(segments: &[TaggedSegment]) -> (Vec<u32>, u32, u32) {
+    // The axis classes are ranked once the slanted ones are counted: mark
+    // them first.
+    const HORIZONTAL: u32 = u32::MAX;
+    const VERTICAL: u32 = u32::MAX - 1;
+    let mut slanted: Vec<(u32, Vector)> = Vec::new();
+    let mut class: Vec<u32> = Vec::with_capacity(segments.len());
+    for (s, ts) in (0..).zip(segments) {
+        let Segment { a, b } = &ts.segment;
+        class.push(if a.y == b.y {
+            HORIZONTAL
+        } else if a.x == b.x {
+            VERTICAL
+        } else {
+            slanted.push((s, ascending_direction(&ts.segment)));
+            0
+        });
+    }
+    slanted.sort_unstable_by(|(_, u), (_, v)| 0.cmp(&u.cross(v).signum()));
+    let (lower, upper) = slanted.split_at(slanted.partition_point(|(_, d)| d.dy.signum() < 0));
+
+    /// Give each run of equal directions of `sorted` the next class.
+    fn rank(sorted: &[(u32, Vector)], class: &mut [u32], next: &mut u32) {
+        for same in sorted.chunk_by(|(_, u), (_, v)| u.cross(v).is_zero()) {
+            same.iter().for_each(|&(s, _)| class[s as usize] = *next);
+            *next += 1;
+        }
+    }
+    let mut next = 0;
+    rank(lower, &mut class, &mut next);
+    let (below, horizontal) = (next, next);
+    next += class.contains(&HORIZONTAL) as u32;
+    rank(upper, &mut class, &mut next);
+    let vertical = next;
+    next += class.contains(&VERTICAL) as u32;
+    for c in &mut class {
+        match *c {
+            HORIZONTAL => *c = horizontal,
+            VERTICAL => *c = vertical,
+            _ => {}
+        }
+    }
+    (class, next, below)
 }
 
 #[cfg(test)]
@@ -641,6 +736,75 @@ mod tests {
         assert_eq!(split.points, vec![pt(0, 0), pt(0, 4), pt(2, 2), pt(4, 0), pt(5, 5)]);
         let cuts: Vec<&[u32]> = split.cuts.iter().collect();
         assert_eq!(cuts, vec![&[0, 2][..], &[1, 2, 3][..], &[2, 4][..]]);
+    }
+
+    /// Every ordered pair of steps, along each piece both ways, compares by
+    /// angle key exactly as the step directions compare by
+    /// [`Vector::angle_cmp`]; returns the number of direction classes.
+    fn check_angle_keys(name: &str, segments: &[TaggedSegment]) -> u32 {
+        let split = crate::sweep::sweep(segments);
+        let pieces = Pieces::new(segments, &split);
+        let ends = |p: usize| [(p, pieces.pieces[p].a), (p, pieces.pieces[p].b)];
+        let steps: Vec<(usize, u32)> = (0..pieces.len()).flat_map(ends).collect();
+        for &(p, from) in &steps {
+            let u = pieces.step_direction(segments, p, from);
+            assert_eq!(pieces.is_upper(pieces.angle_key(p, from)), u.half_plane() == 0, "{name}: {u:?}");
+            for &(q, other) in &steps {
+                let v = pieces.step_direction(segments, q, other);
+                let by_key = pieces.angle_key(p, from).cmp(&pieces.angle_key(q, other));
+                assert_eq!(by_key, u.angle_cmp(&v), "{name}: {u:?} against {v:?}");
+            }
+        }
+        pieces.classes
+    }
+
+    #[test]
+    fn angle_keys_order_steps_as_angle_cmp() {
+        // Ascending directions below the x axis, collinear duplicates (the
+        // same direction on disjoint and on reversed segments), and both axes,
+        // so that the steps cover the four axis directions.
+        let tagged = |coords: &[(i64, i64, i64, i64)]| -> Vec<TaggedSegment> {
+            let tag = |(&(ax, ay, bx, by), region)| TaggedSegment { segment: Segment::new(pt(ax, ay), pt(bx, by)), region };
+            coords.iter().zip(0..).map(tag).collect()
+        };
+        let star = tagged(&[
+            (0, 0, 3, -1),
+            (10, 10, 13, 9),
+            (-2, 2, 1, 1),
+            (0, 0, 4, -8),
+            (0, 0, 5, 0),
+            (20, 3, 17, 3),
+            (0, 0, 0, 6),
+            (30, 9, 30, -1),
+            (0, 0, 2, 1),
+            (9, 9, 5, 7),
+            (0, 0, 1, 7),
+            (1, -3, 8, 4),
+        ]);
+        assert_eq!(check_angle_keys("star", &star), 7);
+        // A rectilinear map has two classes, neither below the x axis.
+        let rectilinear = instance_segments(&datagen::jittered_overlap_map(4, 4, 12, 1996));
+        assert_eq!(check_angle_keys("rectilinear", &rectilinear), 2);
+
+        // Rational directions: the fixtures under a shear, a rotation and a
+        // non-uniform scaling with fractional coefficients.
+        let q = |n: i128, d: i128| Rational::new(n, d);
+        let skew = AffineMap { a: q(2, 3), b: q(1, 5), c: q(1, 7), d: q(-1, 4), e: q(3, 2), f: q(0, 1) };
+        let turned = AffineMap::rotate90().compose(&AffineMap::scaling(q(5, 3), q(1, 2)));
+        let maps = [skew, AffineMap::shear_x(q(3, 7)), turned].map(PlaneTransform::Affine);
+        let instances = [
+            fixtures::fig_1c(),
+            fixtures::fig_1d(),
+            fixtures::ring(),
+            fixtures::petals_abcd(),
+            fixtures::ring_with_island(true),
+        ];
+        for (m, map) in maps.iter().enumerate() {
+            for (i, instance) in instances.iter().enumerate() {
+                let image = map.apply_instance(instance).expect("an invertible affine map");
+                check_angle_keys(&format!("map {m}, instance {i}"), &instance_segments(&image));
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Bentley–Ottmann plane sweep over the region-boundary segments.
 //!
-//! This is the production splitter: [`sweep`] computes, for every input
+//! This is the production splitter: `sweep` computes, for every input
 //! segment, the set of points at which it must be cut — the same cut sets
 //! the naive all-pairs oracle produces — in `O((n + k) log n)` time for `n`
 //! segments with `k` intersection incidences, instead of the oracle's
 //! `O(n^2)` pairwise tests, and emits them ranked
-//! ([`RankedSplit`]): a point table and each segment's cut set as ranks
+//! (`RankedSplit`): a point table and each segment's cut set as ranks
 //! into it. [`split_segments_sweep`] turns that split into
 //! [`SubSegment`]s.
 //!

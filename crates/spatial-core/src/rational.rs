@@ -72,10 +72,12 @@ impl Rational {
     /// This is a measurement, not a proof. The root suite's
     /// `slanted_input.rs` builds a quadrilateral and a triangle with all
     /// edges slanted, at coordinates up to `k + 13`, and the same pair with
-    /// a small triangle nested in both. The rotation sort and the outer-walk
-    /// turn compare input-segment directions, so the pair alone commits far
-    /// beyond this bound (at every sampled `k` up to 2·10⁷; it fails at
-    /// `k = 10⁸`, in the sweep's point comparisons). The nested case
+    /// a small triangle nested in both. After the sweep the arrangement
+    /// compares directions only in its per-build direction table (cross
+    /// products of input-segment directions, degree 2) and then by integer
+    /// keys, so the pair alone commits far beyond this bound (at every
+    /// sampled `k` up to 2·10⁷; it fails at `k = 10⁸`, in the sweep's point
+    /// comparisons). The nested case
     /// commits for every `k` from 1 000 to 70 888 and first overflows at
     /// `k = 70 889`, in the crossing-parity test (`polygon::ring_encloses`)
     /// that nests the inner triangle; the bound leaves a margin below that.

@@ -8,7 +8,9 @@
 //! k². Any predicate that accumulates over those points, such as a
 //! signed-area sum over a face walk, overflows `i128` from k = 2 000; one
 //! that multiplies their differences, such as a rotation sort over piece
-//! vectors, from k = 15 617. A third triangle nested in both adds the
+//! vectors, from k = 15 617. The builder does neither: it ranks the input
+//! directions once (degree 2) and orders rotations and picks outer walks by
+//! integer keys. A third triangle nested in both adds the
 //! nesting tests of a skeleton inside a face bounded by such points.
 
 use topodb::invariant::validate;
