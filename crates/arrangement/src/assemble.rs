@@ -8,11 +8,13 @@
 //! without bounding-box contact), and the unbounded faces of all root
 //! components are one and the same global exterior face. Assembly therefore:
 //!
-//! 1. locates every component in the face structure of the others (innermost
-//!    bounded cycle containing a representative point — the cycles of
-//!    distinct components never cross, so the innermost containing cycle
-//!    identifies the parent face exactly, and it is found by comparing the
-//!    cycles' lowest points, `innermost_cycle`);
+//! 1. locates every component in the face structure of the others: each
+//!    candidate whose box holds a representative point finds the bounded
+//!    face holding it by crossing parity over its edges
+//!    (`ComponentComplex::face_containing`), and of the candidates that
+//!    hold it the innermost is the one whose box the others contain —
+//!    distinct components never touch, so their enclosing cycles nest, and
+//!    so do their boxes (`locate_components`);
 //! 2. merges each nested component's local exterior face into its parent
 //!    face (and all root components' exteriors into the global exterior),
 //!    extending the parent's boundary-edge set with the component's outer
@@ -38,19 +40,19 @@
 //! counterpart is [`GlobalComplexView`](crate::GlobalComplexView), which
 //! performs steps 1–3 symbolically and serves cells through the
 //! [`ComplexRead`] translation layer; both build on the same nesting
-//! computation (`compute_component_nesting`), which probes the one index
-//! over the component boxes an assembly builds (`component_index`).
+//! computation (`locate_components`), which probes the one index over the
+//! component boxes an assembly builds (`component_index`).
 
-use crate::builder::{build_local, LocalComplex, Walks};
+use crate::builder::build_local;
 use crate::complex::{CellComplex, ComplexRead};
 use crate::index::SpatialIndex;
 use crate::partition::{repartition, BBox, ComponentGroup, Member, Repartition};
 use crate::runs::Runs;
 use crate::split::{resplit, Carried, Pieces, RankedSplit, TaggedSegment};
 use crate::types::*;
-use spatial_core::polygon::ring_encloses;
+use spatial_core::polygon::ray_crosses;
 use spatial_core::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The independently built cell complex of one interaction component,
 /// together with the geometric data the assembly step needs to embed it into
@@ -63,9 +65,9 @@ use std::sync::{Arc, OnceLock};
 /// faces are the inversion of the final face labels (`builder::build_local`),
 /// and the index is bulk-loaded over the boxes. A fresh snapshot's first
 /// read therefore scans no edge and no face label of a rebuilt component,
-/// and builds nothing. The one lazy table is write-side nesting state, the
-/// bounded face cycles, which a component that nothing can nest in never
-/// needs.
+/// and builds nothing. A component is plain data, with no lazy table: a
+/// nesting test reads its edges and polylines as they are
+/// (`face_containing`).
 ///
 /// The point table and the ranked cut sets are the output of the
 /// component's split, kept so that the next build of the component carries
@@ -82,12 +84,6 @@ use std::sync::{Arc, OnceLock};
 #[derive(Clone, Debug)]
 pub struct ComponentComplex {
     pub(crate) complex: CellComplex,
-    /// The boundary walk of every bounded face, face by face: bounded face
-    /// `k + 1`'s is walk `k`. Nesting resolution reads them as polylines
-    /// ([`bounded_cycles`](Self::bounded_cycles)).
-    pub(crate) bounded_walks: Walks,
-    /// The memo of [`bounded_cycles`](Self::bounded_cycles).
-    bounded_cycles: OnceLock<Runs<Point>>,
     /// The union of the region boxes (`None` for a component with no
     /// segments).
     pub(crate) bbox: Option<BBox>,
@@ -116,29 +112,27 @@ pub struct ComponentComplex {
 }
 
 impl ComponentComplex {
-    /// The outer cycle of every bounded face, memoized: built from the edge
-    /// polylines along the face's boundary walk the first time a nesting test
-    /// reaches the component ([`locate_components`]), so a component that
-    /// nothing can nest in, such as the only one, never builds them.
+    /// The bounded local face that holds `p`, a point on none of the
+    /// component's edges, or `None` if the exterior face does.
     ///
-    /// Cycle `k` is the closed walk around bounded face `k + 1` (last point
-    /// omitted).
-    pub(crate) fn bounded_cycles(&self) -> &Runs<Point> {
-        self.bounded_cycles.get_or_init(|| {
-            let mut cycles = Runs::default();
-            for walk in self.bounded_walks.iter() {
-                for d in walk {
-                    let line = self.complex.polylines.get(d.edge().0);
-                    if d.is_forward() {
-                        line[..line.len() - 1].iter().for_each(|&p| cycles.push_item(p));
-                    } else {
-                        line[1..].iter().rev().for_each(|&p| cycles.push_item(p));
-                    }
-                }
-                cycles.close();
+    /// One pass over the edges: an edge whose polyline the `+x` ray from `p`
+    /// crosses an odd number of times ([`ray_crosses`], each polyline piece
+    /// its own supporting line) toggles both of its faces. A face ends odd
+    /// iff the ray crosses its boundary an odd number of times, that is iff
+    /// `p` and the far end of the ray lie on different sides of it: either
+    /// the bounded face that holds `p` and the exterior face are odd, or no
+    /// face is.
+    pub(crate) fn face_containing(&self, p: &Point) -> Option<FaceId> {
+        let cx = &self.complex;
+        let mut odd = vec![false; cx.face_count()];
+        for (edge, line) in cx.edges.iter().zip(cx.polylines.iter()) {
+            let crossings = line.windows(2).filter(|s| ray_crosses(p, &s[0], &s[1], (&s[0], &s[1])));
+            if crossings.count() % 2 == 1 {
+                odd[edge.left_face.0] ^= true;
+                odd[edge.right_face.0] ^= true;
             }
-            cycles
-        })
+        }
+        cx.face_ids().find(|&f| odd[f.0] && f != cx.exterior)
     }
 
     /// The point nesting resolution locates the component by: its least
@@ -267,14 +261,11 @@ pub(crate) fn build_group(
 
     let tables: Vec<&[Point]> = bases.iter().map(|b| b.points.as_slice()).collect();
     let split = resplit(all, &boxes, &carried, &tables, &gone);
-    let LocalComplex { complex, bounded_walks, region_faces } =
-        build_local(local_names, &Pieces::new(all, &split));
+    let (complex, region_faces) = build_local(local_names, &Pieces::new(all, &split));
     let RankedSplit { points, cuts } = split;
     let region_index = SpatialIndex::build(&region_bboxes);
     ComponentComplex {
         complex,
-        bounded_walks,
-        bounded_cycles: OnceLock::new(),
         bbox,
         region_bboxes,
         region_faces,
@@ -497,79 +488,41 @@ pub(crate) fn component_index(components: &[Arc<ComponentComplex>]) -> SpatialIn
     SpatialIndex::build(&boxes)
 }
 
-/// Cross-component nesting: for every component, `Some((parent component,
-/// parent *local* face))` if the component sits strictly inside a bounded
-/// face of another component, `None` if it is a root (sits in the global
-/// exterior face). `index` is the [`component_index`] of `components`.
+/// Cross-component nesting: for each component listed in `which`, among
+/// all of `components`, whose [`component_index`] is `index`, `Some((parent
+/// component, parent *local* face))` if the component sits strictly inside a
+/// bounded face of another component, `None` if it is a root (sits in the
+/// global exterior face). The copying assembly ([`assemble_components`]) and
+/// the zero-copy [`GlobalComplexView`](crate::GlobalComplexView) both locate
+/// their components here, so the two resolve nesting identically.
 ///
-/// This computation is shared between the copying assembly
-/// ([`assemble_components`]) and the zero-copy
-/// [`GlobalComplexView`](crate::GlobalComplexView) so the two resolve
-/// nesting identically.
-pub(crate) fn compute_component_nesting(
-    components: &[Arc<ComponentComplex>],
-    index: &SpatialIndex,
-) -> Vec<Option<(usize, FaceId)>> {
-    let all: Vec<usize> = (0..components.len()).collect();
-    locate_components(components, index, &all)
-}
-
-/// The nesting parent of each component listed in `which` (aligned with
-/// it), among all of `components`, whose [`component_index`] is `index`.
-///
-/// The parent is the [`innermost_cycle`] among the bounded cycles of every
-/// *other* component that contains the component's representative point.
-/// Cycles of distinct components never cross (partitioning keeps their
-/// geometry disjoint), so the containing cycles are nested and the innermost
-/// one is the face the component sits in.
+/// The candidates are the other components whose boxes hold the component's
+/// representative point, probed in the index in `O(log k + candidates)`;
+/// only they pay for [`ComponentComplex::face_containing`]. Segment boxes of
+/// distinct components never meet, so a component lies wholly inside or
+/// outside every cycle of another: the candidates that hold the point in a
+/// bounded face enclose the whole component and each other in a chain, and
+/// the boxes of nested components nest strictly. The innermost is the one
+/// whose box the others contain.
 pub(crate) fn locate_components(
     components: &[Arc<ComponentComplex>],
     index: &SpatialIndex,
-    which: &[usize],
+    which: impl IntoIterator<Item = usize>,
 ) -> Vec<Option<(usize, FaceId)>> {
-    // Box-level point location through the index over the component boxes:
-    // each representative point probes in `O(log k + candidates)` instead
-    // of scanning all `k` components, and only the reported candidates pay
-    // the exact point-in-polygon tests.
+    let bbox = |d: usize| components[d].bbox.as_ref().expect("a located component has a box");
     which
-        .iter()
-        .map(|&c| {
+        .into_iter()
+        .map(|c| {
             let rep = components[c].rep_point()?;
             let others = index.locate_point(&rep).into_iter().filter(|&d| d != c);
-            let cycles = others.flat_map(|d| {
-                let bounded = components[d].bounded_cycles().iter().enumerate();
-                bounded.map(move |(k, ring)| ((d, FaceId(k + 1)), ring))
-            });
-            innermost_cycle(&rep, cycles)
+            let holding = others.filter_map(|d| Some((d, components[d].face_containing(&rep)?)));
+            holding.reduce(|inner, next| if bbox(inner.0).contains_box(bbox(next.0)) { next } else { inner })
         })
         .collect()
 }
 
-/// The key of the innermost of `cycles` that encloses `p` — the one whose
-/// lexicographically lowest point is greatest — or `None` if none does.
-///
-/// The cycles must be laminar with disjoint boundaries: the bounded cycles of
-/// distinct skeleton components, of which at most one per component can
-/// enclose `p` since its bounded faces are disjoint. A cycle enclosing another
-/// then holds the other's lowest point in its interior, and its own lowest
-/// point, on its boundary, is smaller. Both nesting sites use this — the
-/// builder among the skeleton components of one component, and
-/// [`locate_components`] among components — and it decides by comparison and
-/// orientation only: no area is computed.
-pub(crate) fn innermost_cycle<'a, K>(
-    p: &Point,
-    cycles: impl IntoIterator<Item = (K, &'a [Point])>,
-) -> Option<K> {
-    cycles
-        .into_iter()
-        .filter(|(_, ring)| ring_encloses(ring, p))
-        .map(|(key, ring)| (ring.iter().min().expect("a cycle has points"), key))
-        .max_by(|a, b| a.0.cmp(b.0))
-        .map(|(_, key)| key)
-}
-
 /// A parents-before-children order of the nesting forest returned by
-/// [`compute_component_nesting`].
+/// [`locate_components`].
 pub(crate) fn nesting_topo_order(parents: &[Option<(usize, FaceId)>]) -> Vec<usize> {
     let k = parents.len();
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); k];
@@ -641,7 +594,7 @@ pub fn assemble_components(
 
     // Cross-component nesting (shared with the zero-copy view) and the
     // parents-before-children resolution order.
-    let parents = compute_component_nesting(components, &component_index(components));
+    let parents = locate_components(components, &component_index(components), 0..k);
     let parent_face: Vec<FaceId> = parents
         .iter()
         .map(|p| match p {
@@ -735,11 +688,12 @@ pub fn assemble_components(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::complex::ComplexGeometry;
     use crate::partition::partition_instance;
     use crate::split::CutSets;
+    use spatial_core::polygon::ring_encloses;
 
     fn assemble_instance(inst: &SpatialInstance) -> CellComplex {
         let global_names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();
@@ -837,9 +791,23 @@ mod tests {
     /// `check(step, instance, component, rebuilt)` on every component after
     /// every step.
     fn replay(
-        mut instance: SpatialInstance,
+        instance: SpatialInstance,
         trace: &[Vec<datagen::TraceOp>],
         check: impl Fn(usize, &SpatialInstance, &ComponentComplex, bool),
+    ) {
+        replay_updates(instance, trace, |step, instance, update| {
+            for (c, from) in update.components.iter().zip(&update.carried_from) {
+                check(step, instance, c, from.is_none());
+            }
+        });
+    }
+
+    /// Replay `trace` over `instance` through [`update_components`], calling
+    /// `check(step, instance, update)` after every step.
+    fn replay_updates(
+        mut instance: SpatialInstance,
+        trace: &[Vec<datagen::TraceOp>],
+        mut check: impl FnMut(usize, &SpatialInstance, &ComponentUpdate),
     ) {
         let names = instance.names();
         let mut components = update_components(&[], &instance, &names, |_| None).components;
@@ -858,9 +826,7 @@ mod tests {
                 }
             }
             let update = update_components(&components, &instance, &changed, |_| None);
-            for (c, from) in update.components.iter().zip(&update.carried_from) {
-                check(step, &instance, c, from.is_none());
-            }
+            check(step, &instance, &update);
             components = update.components;
         }
     }
@@ -1006,6 +972,101 @@ mod tests {
         }
         let trace = datagen::dense_edit_trace(16, 16, 12, DENSE_STEPS, 7);
         replay(datagen::jittered_overlap_map(16, 16, 12, 1996), &trace, check_rep_point);
+    }
+
+    /// The key of the innermost of `cycles` that encloses `p` — the one whose
+    /// lexicographically lowest point is greatest — or `None` if none does:
+    /// the oracle of both nesting sites, by [`ring_encloses`] over rings of
+    /// points.
+    ///
+    /// The cycles must be laminar with disjoint boundaries, such as the
+    /// bounded cycles of distinct skeleton components, of which at most one
+    /// per component can enclose `p`. A cycle enclosing another then holds
+    /// the other's lowest point in its interior, and its own lowest point, on
+    /// its boundary, is smaller.
+    pub(crate) fn innermost_cycle<'a, K>(
+        p: &Point,
+        cycles: impl IntoIterator<Item = (K, &'a [Point])>,
+    ) -> Option<K> {
+        cycles
+            .into_iter()
+            .filter(|(_, ring)| ring_encloses(ring, p))
+            .map(|(key, ring)| (ring.iter().min().expect("a cycle has points"), key))
+            .max_by(|a, b| a.0.cmp(b.0))
+            .map(|(_, key)| key)
+    }
+
+    /// The outer cycle of every bounded face of `c`, rebuilt from its local
+    /// complex: the face walks (faces lie left of darts, and the walk leaves
+    /// the head of a dart by the dart before its twin in the
+    /// counter-clockwise rotation there), and of a face's walks the one
+    /// through its lowest point, as the points of its polylines.
+    fn bounded_outer_cycles(c: &ComponentComplex) -> Vec<(FaceId, Vec<Point>)> {
+        let cx = c.complex();
+        let mut outer: Vec<Option<Vec<Point>>> = vec![None; cx.face_count()];
+        let mut seen = vec![false; 2 * cx.edge_count()];
+        for start in (0..seen.len()).map(DartId) {
+            let mut ring = Vec::new();
+            let mut d = start;
+            while !seen[d.0] {
+                seen[d.0] = true;
+                let line = cx.edge_polyline(d.edge());
+                if d.is_forward() {
+                    ring.extend_from_slice(&line[..line.len() - 1]);
+                } else {
+                    ring.extend(line[1..].iter().rev());
+                }
+                let rotation = cx.vertex_rotation(cx.dart_head(d));
+                let at = rotation.iter().position(|&r| r == d.twin()).expect("a twin leaves the head");
+                d = rotation[(at + rotation.len() - 1) % rotation.len()];
+            }
+            let face = cx.dart_face(start);
+            let lower = |old: &Vec<Point>| ring.iter().min() < old.iter().min();
+            if !ring.is_empty() && face != cx.exterior_face() && outer[face.0].as_ref().is_none_or(lower) {
+                outer[face.0] = Some(ring);
+            }
+        }
+        let bounded = outer.into_iter().enumerate().filter_map(|(f, ring)| Some((FaceId(f), ring?)));
+        bounded.collect()
+    }
+
+    /// Hold [`locate_components`] against [`innermost_cycle`] over the
+    /// bounded outer cycles of every other component, for every component.
+    /// Returns how many are nested.
+    fn check_nesting(name: &str, components: &[Arc<ComponentComplex>]) -> usize {
+        let cycles: Vec<_> = components.iter().map(|c| bounded_outer_cycles(c)).collect();
+        let located = locate_components(components, &component_index(components), 0..components.len());
+        for (c, component) in components.iter().enumerate() {
+            let others = cycles.iter().enumerate().filter(|&(d, _)| d != c);
+            let rings =
+                others.flat_map(|(d, faces)| faces.iter().map(move |(f, ring)| ((d, *f), ring.as_slice())));
+            let oracle = component.rep_point().and_then(|p| innermost_cycle(&p, rings));
+            assert_eq!(located[c], oracle, "{name}: component {c} ({:?})", component.region_names());
+        }
+        located.iter().flatten().count()
+    }
+
+    #[test]
+    fn located_components_sit_in_the_innermost_enclosing_cycle() {
+        let mut nested = 0;
+        for (name, instance) in [
+            ("nested_rings", datagen::nested_rings(6)),
+            ("clustered_map", datagen::clustered_map(64, 16, 1)),
+            ("nested_three", spatial_core::fixtures::nested_three()),
+            ("island_in", spatial_core::fixtures::ring_with_island(true)),
+            ("island_out", spatial_core::fixtures::ring_with_island(false)),
+        ] {
+            nested += check_nesting(name, crate::build_complex_view(&instance).components());
+        }
+        assert!(nested >= 6, "the families nest components ({nested})");
+        for seed in 0..4 {
+            let trace = datagen::op_trace(TRACE_STEPS, 0x5eed + seed);
+            let check = |step: usize, _: &SpatialInstance, update: &ComponentUpdate| {
+                check_nesting(&format!("seed {seed}, step {step}"), &update.components);
+            };
+            replay_updates(datagen::clustered_map(4, 6, seed), &trace, check);
+            replay_updates(datagen::jittered_overlap_map(10, 3, 12, seed), &trace, check);
+        }
     }
 
     #[test]

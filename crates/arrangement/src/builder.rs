@@ -22,7 +22,7 @@
 //!    outer walk is the one whose face holds the directions left of its
 //!    lowest point),
 //!    same-component disconnected skeletons nested into the faces that
-//!    contain them (`assemble::innermost_cycle`), and
+//!    contain them (`skeleton_parents`, by crossing parity), and
 //!    every cell labeled by exact combinatorial propagation from the
 //!    unbounded face;
 //! 3. [`crate::assemble`] and [`GlobalComplexView`] stitch the component
@@ -38,13 +38,13 @@
 //! (`runs::Runs`) of ranks, piece indices, darts and edges, the choice of
 //! outer walks and the nesting of skeleton components take integer minima
 //! of ranks, and points are read back from the table only where the complex
-//! keeps them (vertex points and edge polylines). The complex's rotations
-//! and face boundaries are the builder's own runs, moved into it, its
-//! polylines one more run table, and its labels three more, written entry
-//! by entry by the flood fill and the edge and vertex labelling, so no cell
-//! owns a list. A component keeps the boundary walk of each bounded face as
-//! darts; the assembly step reads it as a polyline only when a nesting test
-//! reaches the component (`ComponentComplex::bounded_cycles`).
+//! keeps them (vertex points and edge polylines) and where a nesting test
+//! compares heights. The complex's rotations and face boundaries are the
+//! builder's own runs, moved into it, its polylines one more run table, and
+//! its labels three more, written entry by entry by the flood fill and the
+//! edge and vertex labelling, so no cell owns a list. The face walks are
+//! not kept: assembly locates a component in another by a pass over that
+//! one's edges (`ComponentComplex::face_containing`).
 //! Ranks are lexicographic, so every order an earlier point-keyed build
 //! produced — pieces by `(a, b)`, vertices by first appearance — is the same,
 //! and so is every cell id.
@@ -58,14 +58,21 @@
 //! keys of the darts there, or from the classes of the two pieces through
 //! it (`outer_dart`). After the sweep the only rational comparisons left
 //! are the direction table's cross products of input directions (degree 2
-//! in the input coordinates) and the nesting test; the exact-rational
-//! outer-walk turn survives as the tests' oracle.
+//! in the input coordinates) and the nesting test. That test counts the
+//! pieces of each bounded walk of another skeleton component that the `+x`
+//! ray from a component's lowest point crosses: the half-open height test
+//! compares that input endpoint with points of the table, and the side test
+//! is an orientation against the input segment the piece lies on
+//! (`Pieces::ray_crosses`), so it too is of degree 2. Among the walks
+//! crossed an odd number of times, the innermost is the one whose lowest
+//! rank is greatest. The exact-rational outer-walk turn and the ring rule
+//! of nesting survive as the tests' oracles.
 //!
 //! [`build_complex_monolithic`] preserves the pre-partitioning single-sweep
 //! construction as a differential-testing oracle: both paths must produce
 //! isomorphic complexes on every input.
 
-use crate::assemble::{innermost_cycle, update_components};
+use crate::assemble::update_components;
 use crate::complex::CellComplex;
 use crate::runs::Runs;
 use crate::split::{instance_segments, Pieces};
@@ -103,35 +110,24 @@ pub fn build_complex_monolithic(instance: &SpatialInstance) -> CellComplex {
     let region_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
     let segments = instance_segments(instance);
     let split = crate::sweep::sweep(&segments);
-    build_local(region_names, &Pieces::new(&segments, &split)).complex
-}
-
-/// The output of [`build_local`].
-pub(crate) struct LocalComplex {
-    pub(crate) complex: CellComplex,
-    /// The boundary walk of every bounded face, face by face (the data the
-    /// assembly step derives its cross-component nesting tests from).
-    pub(crate) bounded_walks: Walks,
-    /// Run `r` holds the bounded faces interior to region `r`, ascending.
-    pub(crate) region_faces: Runs<FaceId>,
+    build_local(region_names, &Pieces::new(&segments, &split)).0
 }
 
 /// The local construction pipeline shared by the per-component and the
-/// monolithic paths: build the cell complex of a split, together with the
-/// boundary walks of its bounded faces and each region's interior faces.
-/// Runs on the calling thread and bumps the per-phase work counters of
-/// [`crate::counters`].
+/// monolithic paths: build the cell complex of a split, together with each
+/// region's interior faces (run `r` holds the bounded faces interior to
+/// region `r`, ascending). Runs on the calling thread and bumps the
+/// per-phase work counters of [`crate::counters`].
 ///
 /// Every stage reads points by rank ([`Pieces`]): vertices, chains and face
 /// walks hold ranks, darts and piece indices in flat buffers, and points are
 /// read back from the point table only where the output keeps them (vertex
 /// points and edge polylines).
-pub(crate) fn build_local(region_names: Vec<String>, pieces: &Pieces) -> LocalComplex {
+pub(crate) fn build_local(region_names: Vec<String>, pieces: &Pieces) -> (CellComplex, Runs<FaceId>) {
     debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
     if pieces.is_empty() {
         let region_faces = Runs::grouped(region_names.len(), std::iter::empty());
-        let complex = CellComplex::exterior_only(region_names);
-        return LocalComplex { complex, bounded_walks: Walks::default(), region_faces };
+        return (CellComplex::exterior_only(region_names), region_faces);
     }
 
     // ---- Raw graph ----------------------------------------------------
@@ -149,12 +145,10 @@ pub(crate) fn build_local(region_names: Vec<String>, pieces: &Pieces) -> LocalCo
     crate::counters::add_cells_walked(walks.len() as u64);
 
     // ---- Components and embedding forest ---------------------------------
-    let mut assembled = assemble_faces(&merged, pieces, &rotations, &walks, &walk_of_dart);
+    let assembled = assemble_faces(&merged, pieces, &rotations, &walks, &walk_of_dart);
 
     // ---- Labels -----------------------------------------------------------
-    let bounded_walks = std::mem::take(&mut assembled.bounded_walks);
-    let (complex, region_faces) = finish_complex(region_names, &merged, pieces, rotations, assembled);
-    LocalComplex { complex, bounded_walks, region_faces }
+    finish_complex(region_names, &merged, pieces, rotations, assembled)
 }
 
 /// The raw planar graph before chain merging: one vertex per cut point, one
@@ -438,7 +432,7 @@ impl Rotations {
 }
 
 /// Face walks: boundary cycles of the embedding, as darts, one run each.
-pub(crate) type Walks = Runs<DartId>;
+type Walks = Runs<DartId>;
 
 /// The face walks, and the walk of every dart.
 fn face_walks(g: &MergedGraph, rotations: &Rotations) -> (Walks, Vec<usize>) {
@@ -495,9 +489,6 @@ struct AssembledFaces {
     face_of_dart: Vec<FaceId>,
     /// Every face's boundary edges, ascending.
     face_boundaries: Runs<EdgeId>,
-    /// The boundary walk of every bounded face, face by face, exported for the
-    /// cross-component nesting tests of [`crate::assemble`].
-    bounded_walks: Walks,
     exterior: FaceId,
 }
 
@@ -523,38 +514,17 @@ fn assemble_faces(
     }
     let exterior = FaceId(0);
     let mut face_of_bounded_walk: Vec<Option<FaceId>> = vec![None; walks.len()];
-    let mut bounded_walks: Vec<usize> = Vec::new();
+    let mut bounded: Vec<usize> = Vec::new();
     for (w, face) in face_of_bounded_walk.iter_mut().enumerate() {
         if !is_outer[w] {
-            bounded_walks.push(w);
-            *face = Some(FaceId(bounded_walks.len()));
+            bounded.push(w);
+            *face = Some(FaceId(bounded.len()));
         }
     }
-    let face_count = bounded_walks.len() + 1;
+    let face_count = bounded.len() + 1;
 
-    // Embedding forest: which face is each component embedded in? Its
-    // lowest point (an input endpoint) is tested against the bounded walks
-    // of *other* components; the innermost containing walk gives the parent
-    // face.
-    let mut parent_face_of_component: Vec<FaceId> = vec![exterior; component_count];
-    if component_count > 1 {
-        let mut rings: Runs<Point> = Runs::default();
-        for &w in &bounded_walks {
-            for s in walks.get(w).iter().flat_map(|&d| g.steps(d)) {
-                rings.push_item(pieces.points[s.from as usize]);
-            }
-            rings.close();
-        }
-        for (c, low) in lowest.iter().enumerate() {
-            let rep = pieces.points[low.rank as usize];
-            let others = bounded_walks.iter().enumerate();
-            let others = others.filter(|&(_, &w)| component_of_walk(w) != c);
-            let cycles = others.map(|(k, _)| (FaceId(k + 1), rings.get(k)));
-            if let Some(f) = innermost_cycle(&rep, cycles) {
-                parent_face_of_component[c] = f;
-            }
-        }
-    }
+    // Embedding forest: which face is each component embedded in?
+    let parent_face_of_component = skeleton_parents(g, pieces, walks, &bounded, &component, &lowest);
 
     // Face of every dart: darts on bounded walks get that walk's face; darts
     // on a component's outer walk get the face the component is embedded in.
@@ -574,12 +544,44 @@ fn assemble_faces(
     };
     let incidences = (0..g.chains.len()).flat_map(|e| faces_of_edge(e).map(move |f| (f.0, EdgeId(e))));
     let face_boundaries = Runs::grouped(face_count, incidences);
+    AssembledFaces { face_of_dart, face_boundaries, exterior }
+}
 
-    let mut bounded_face_walks = Walks::with_capacity(bounded_walks.len(), walks.items().len());
-    for &w in &bounded_walks {
-        bounded_face_walks.push(walks.get(w));
+/// The face every skeleton component is embedded in: bounded face `k + 1`
+/// if `bounded[k]` is the innermost walk of another component that encloses
+/// the component's lowest point, the exterior face if none does.
+///
+/// A walk encloses the point iff the `+x` ray from it crosses the walk's
+/// pieces an odd number of times ([`Pieces::ray_crosses`]). The point is an
+/// input endpoint and each side test is against an input segment, so every
+/// product is of degree 2 in the input. The walks of distinct skeleton
+/// components are disjoint closed curves, so those enclosing the point nest,
+/// and each encloses the lowest points of those inside it: the innermost is
+/// the one whose lowest rank is greatest.
+fn skeleton_parents(
+    g: &MergedGraph,
+    pieces: &Pieces,
+    walks: &Walks,
+    bounded: &[usize],
+    component: &[usize],
+    lowest: &[Lowest],
+) -> Vec<FaceId> {
+    let chains = |w: usize| walks.get(w).iter().map(|d| d.edge().0);
+    let mut parents = vec![FaceId(0); lowest.len()];
+    for (c, low) in lowest.iter().enumerate() {
+        let p = &pieces.points[low.rank as usize];
+        let odd = |w: usize| {
+            let on = chains(w).flat_map(|e| g.pieces.get(e));
+            on.filter(|&&q| pieces.ray_crosses(q as usize, p)).count() % 2 == 1
+        };
+        let other = |w: usize| component[g.dart_tail(walks.get(w)[0])] != c;
+        let enclosing = (1..).zip(bounded).filter(|&(_, &w)| other(w) && odd(w));
+        let walk_low = |w: usize| chains(w).flat_map(|e| g.points.get(e)).min();
+        if let Some((f, _)) = enclosing.max_by_key(|&(_, &w)| walk_low(w)) {
+            parents[c] = FaceId(f);
+        }
     }
-    AssembledFaces { face_of_dart, face_boundaries, bounded_walks: bounded_face_walks, exterior }
+    parents
 }
 
 /// The lowest point of a skeleton component, the point of least rank on its
@@ -814,8 +816,8 @@ fn finish_complex(
 mod tests {
     use super::*;
     use spatial_core::fixtures;
+    use crate::assemble::tests::innermost_cycle;
     use crate::complex::ComplexRead;
-    use crate::split::TaggedSegment;
 
     #[test]
     fn empty_instance() {
@@ -1054,16 +1056,11 @@ mod tests {
     /// back: the skeleton is a union of closed curves, so no vertex has
     /// degree one. The turn is the sign of the cross product of the incoming
     /// and outgoing pieces' input-segment directions.
-    fn turns_clockwise_at_lowest(
-        g: &MergedGraph,
-        pieces: &Pieces,
-        segments: &[TaggedSegment],
-        darts: &[DartId],
-    ) -> bool {
+    fn turns_clockwise_at_lowest(g: &MergedGraph, pieces: &Pieces, darts: &[DartId]) -> bool {
         let steps = || darts.iter().flat_map(|&d| g.steps(d));
         let lowest = steps().map(|s| s.from).min().expect("a face walk has points");
         let last = darts.last().and_then(|&d| g.steps(d).next_back()).expect("a face walk has pieces");
-        let dir = |s: Step| pieces.step_direction(segments, s.piece as usize, s.from);
+        let dir = |s: Step| pieces.step_direction(s.piece as usize, s.from);
         let incoming = std::iter::once(last).chain(steps());
         incoming.zip(steps()).any(|(into, out)| out.from == lowest && dir(into).cross(&dir(out)).signum() < 0)
     }
@@ -1085,7 +1082,7 @@ mod tests {
         let rotations = Rotations::new(&g, &pieces);
         let first_dir = |d: &DartId| {
             let first = g.steps(*d).next().expect("a chain has a piece");
-            pieces.step_direction(&segments, first.piece as usize, first.from)
+            pieces.step_direction(first.piece as usize, first.from)
         };
         for v in 0..g.vertex_ranks.len() {
             let rotation = rotations.of(v);
@@ -1110,7 +1107,7 @@ mod tests {
             }
         }
         for (w, darts) in walks.iter().enumerate() {
-            let oracle = turns_clockwise_at_lowest(&g, &pieces, &segments, darts);
+            let oracle = turns_clockwise_at_lowest(&g, &pieces, darts);
             assert_eq!(picked[w], oracle, "{name}: walk {w} of {}", walks.len());
         }
         (pass_through, mixed_vertex)
@@ -1130,6 +1127,26 @@ mod tests {
         assert_eq!(mixed_vertex, 1, "the kite's anchor (0, 0) has a dart on each side of the x axis");
 
         let mut seen = (0, 0);
+        for (name, instance) in &face_families() {
+            let (pass_through, mixed_vertex) = check_outer_walks(name, instance);
+            seen = (seen.0 + pass_through, seen.1 + mixed_vertex);
+        }
+        assert!(seen.0 > 0 && seen.1 > 0, "the families have both kinds of lowest point");
+        for_each_dense_step(|name, instance| {
+            check_outer_walks(name, instance);
+        });
+    }
+
+    /// The instances the face-assembly oracles run on: the paper's fixtures,
+    /// a few `datagen` families, the slanted nested triple at a scale its
+    /// ring oracle survives, and the pairs of Fig. 2.
+    fn face_families() -> Vec<(String, SpatialInstance)> {
+        let k = 2_000;
+        let slanted = SpatialInstance::from_regions([
+            ("a", Region::polygon_from_ints(&[(0, 0), (k, 1), (k - 3, k - 1), (1, k - 7)]).unwrap()),
+            ("b", Region::polygon_from_ints(&[(k / 3, -5), (k + 11, k / 2 + 3), (k / 2 - 1, k + 13)]).unwrap()),
+            ("c", Region::polygon_from_ints(&[(1_200, 1_000), (1_207, 1_001), (1_202, 1_009)]).unwrap()),
+        ]);
         let mut families = vec![
             ("fig_1a", fixtures::fig_1a()),
             ("fig_1b", fixtures::fig_1b()),
@@ -1147,15 +1164,15 @@ mod tests {
             ("nested_rings", datagen::nested_rings(5)),
             ("flower", datagen::flower(6, 2)),
             ("road_network_map", datagen::road_network_map(4, 4, 12, 1)),
+            ("slanted_nested", slanted),
         ];
         families.extend(fixtures::fig_2_pairs());
-        for (name, instance) in &families {
-            let (pass_through, mixed_vertex) = check_outer_walks(name, instance);
-            seen = (seen.0 + pass_through, seen.1 + mixed_vertex);
-        }
-        assert!(seen.0 > 0 && seen.1 > 0, "the families have both kinds of lowest point");
+        families.into_iter().map(|(name, instance)| (name.to_string(), instance)).collect()
+    }
 
-        // Every step of the dense edit trace (a prefix in debug builds).
+    /// Call `check` on every step of the dense edit trace (a prefix in debug
+    /// builds).
+    fn for_each_dense_step(mut check: impl FnMut(&str, &SpatialInstance)) {
         let steps = if cfg!(debug_assertions) { 40 } else { 300 };
         let mut instance = datagen::jittered_overlap_map(16, 16, 12, 1996);
         for (step, batch) in datagen::dense_edit_trace(16, 16, 12, steps, 7).into_iter().enumerate() {
@@ -1169,8 +1186,60 @@ mod tests {
                     }
                 }
             }
-            check_outer_walks(&format!("dense step {step}"), &instance);
+            check(&format!("dense step {step}"), &instance);
         }
+    }
+
+    /// Run the local pipeline on `instance` up to the face walks and hold
+    /// [`skeleton_parents`] against [`innermost_cycle`] over rings of each
+    /// bounded walk's points. Returns how many skeleton components are
+    /// nested in a bounded face.
+    fn check_skeleton_nesting(name: &str, instance: &SpatialInstance) -> usize {
+        let segments = instance_segments(instance);
+        let split = crate::sweep::sweep(&segments);
+        let pieces = Pieces::new(&segments, &split);
+        if pieces.is_empty() {
+            return 0;
+        }
+        let g = merge_chains(&RawGraph::new(&pieces), &pieces);
+        let rotations = Rotations::new(&g, &pieces);
+        let (walks, walk_of_dart) = face_walks(&g, &rotations);
+        let (component, component_count) = vertex_components(&g, &rotations);
+        let lowest = lowest_points(&g, &component, component_count);
+        let mut is_outer = vec![false; walks.len()];
+        for low in &lowest {
+            is_outer[walk_of_dart[outer_dart(&g, &pieces, &rotations, low).0]] = true;
+        }
+        let bounded: Vec<usize> = (0..walks.len()).filter(|&w| !is_outer[w]).collect();
+        let parents = skeleton_parents(&g, &pieces, &walks, &bounded, &component, &lowest);
+
+        let mut rings: Runs<Point> = Runs::default();
+        for &w in &bounded {
+            for s in walks.get(w).iter().flat_map(|&d| g.steps(d)) {
+                rings.push_item(pieces.points[s.from as usize]);
+            }
+            rings.close();
+        }
+        for (c, low) in lowest.iter().enumerate() {
+            let others = (1..).zip(&bounded).zip(rings.iter());
+            let others = others.filter(|((_, &w), _)| component[g.dart_tail(walks.get(w)[0])] != c);
+            let p = &pieces.points[low.rank as usize];
+            let oracle = innermost_cycle(p, others.map(|((f, _), ring)| (f, ring)));
+            assert_eq!(parents[c], FaceId(oracle.unwrap_or(0)), "{name}: skeleton component {c}");
+        }
+        parents.iter().filter(|&&f| f != FaceId(0)).count()
+    }
+
+    #[test]
+    fn skeleton_nesting_matches_the_innermost_enclosing_ring() {
+        let mut nested = 0;
+        for (name, instance) in &face_families() {
+            nested += check_skeleton_nesting(name, instance);
+        }
+        assert!(nested >= 8, "the families nest skeletons ({nested})");
+        for_each_dense_step(|name, instance| {
+            check_skeleton_nesting(name, instance);
+        });
     }
 
     #[test]

@@ -94,13 +94,19 @@
 //! holds the directions left of the piece's lexicographically lowest point.
 //! That walk, like the rotation order, is read off per-build direction
 //! classes: the distinct directions of the input segments the pieces lie
-//! on ([`split::SubSegment::dir`]), ranked once by cross products of input
-//! directions, never a difference of two arrangement points; after the
-//! sweep every other direction decision compares integer keys. Among the
-//! cycles of other pieces that contain a point (even-odd ray crossing,
-//! [`ring_encloses`](spatial_core::polygon::ring_encloses)), the innermost
-//! is the one whose lowest point is greatest: such cycles are nested, with
-//! disjoint boundaries.
+//! on, ranked once by cross products of input directions, never a
+//! difference of two arrangement points; after the sweep every other
+//! direction decision compares integer keys. Nesting is decided by
+//! crossing parity, one predicate for both sites
+//! ([`ray_crosses`](spatial_core::polygon::ray_crosses)): in a component
+//! build, a skeleton piece sits in the innermost bounded walk of another
+//! piece that the `+x` ray from its lowest point crosses an odd number of
+//! times, each crossing side-tested against the input segment under it,
+//! and the innermost is the one whose lowest point is greatest; in
+//! assembly, a component sits in the bounded face of another that its
+//! representative point toggles odd over that component's edges, and the
+//! innermost such component is the one whose box the others contain.
+//! Either way the candidates nest, with disjoint boundaries.
 //!
 //! Every derived-structure computation downstream is generic over the
 //! [`ComplexRead`] accessor trait, the combinatorial invariant `T_I`, and

@@ -50,15 +50,17 @@
 //! `crate::build_group_component` — is one sweep of every segment, and its
 //! split is the sweep's as is.
 //!
-//! Every piece carries the direction of the input segment it lies on
-//! ([`SubSegment::dir`]): a difference of two input endpoints, where the
-//! piece's own endpoints may be intersection points whose denominators grow
-//! with the square of the input coordinates. A component build ranks those
-//! directions once, in a per-build table of direction classes
+//! Every piece keeps the input segment it lies on (`Piece::segment`): its
+//! direction is that segment's, a difference of two input endpoints, where
+//! the piece's own endpoints may be intersection points whose denominators
+//! grow with the square of the input coordinates. A component build ranks
+//! those directions once, in a per-build table of direction classes
 //! (`direction_classes`), and the builder orders rotations and picks outer
 //! walks by integer angle keys derived from the classes
 //! (`Pieces::angle_key`): after the sweep, the table's cross products of
-//! input directions are the only direction comparisons.
+//! input directions are the only direction comparisons. The nesting test
+//! of the builder tests a piece's side against its segment too
+//! (`Pieces::ray_crosses`).
 
 use crate::partition::BBox;
 use crate::runs::Runs;
@@ -74,12 +76,6 @@ pub struct SubSegment {
     pub a: Point,
     /// Lexicographically larger endpoint.
     pub b: Point,
-    /// The direction from `a` to `b`: that of the input segment this piece
-    /// lies on ([`Segment::direction`]), negated when the segment runs from
-    /// its larger to its smaller endpoint. Only the direction is meaningful,
-    /// not the length: coincident pieces keep the vector of the first input
-    /// segment they lie on.
-    pub dir: Vector,
     /// Sorted indices of the regions whose boundary contains this piece.
     pub regions: Vec<usize>,
 }
@@ -148,17 +144,15 @@ pub fn split_segments_naive(segments: &[TaggedSegment]) -> Vec<SubSegment> {
     // rank-based merge of `Pieces`, which the differential tests hold
     // against this one.
     let cuts = naive_cut_sets(segments);
-    let mut merged: BTreeMap<(Point, Point), (Vector, BTreeSet<usize>)> = BTreeMap::new();
+    let mut merged: BTreeMap<(Point, Point), BTreeSet<usize>> = BTreeMap::new();
     for (ts, cut_points) in segments.iter().zip(cuts.iter()) {
-        let dir = ascending_direction(&ts.segment);
         for pq in cut_points.windows(2) {
-            let piece = merged.entry((pq[0], pq[1])).or_insert_with(|| (dir, BTreeSet::new()));
-            piece.1.insert(ts.region);
+            merged.entry((pq[0], pq[1])).or_default().insert(ts.region);
         }
     }
     merged
         .into_iter()
-        .map(|((a, b), (dir, regions))| SubSegment { a, b, dir, regions: regions.into_iter().collect() })
+        .map(|((a, b), regions)| SubSegment { a, b, regions: regions.into_iter().collect() })
         .collect()
 }
 
@@ -281,7 +275,6 @@ pub(crate) fn assemble_subsegments(segments: &[TaggedSegment], split: &RankedSpl
             SubSegment {
                 a: pieces.points[piece.a as usize],
                 b: pieces.points[piece.b as usize],
-                dir: ascending_direction(&segments[piece.segment as usize].segment),
                 regions: pieces.regions(p).to_vec(),
             }
         })
@@ -446,6 +439,8 @@ fn merge_points(a: Sorted<'_>, b: Sorted<'_>) -> (Vec<Point>, Vec<u32>, Vec<u32>
 pub(crate) struct Pieces<'a> {
     /// The point table: the distinct cut points, ascending.
     pub(crate) points: &'a [Point],
+    /// The segments the pieces were merged from.
+    segments: &'a [TaggedSegment],
     /// The merged pieces, ascending by `(a, b)`.
     pub(crate) pieces: Vec<Piece>,
     /// Every piece's regions, one ascending run per piece.
@@ -465,8 +460,8 @@ pub(crate) struct Piece {
     pub(crate) a: u32,
     /// The rank of the larger endpoint.
     pub(crate) b: u32,
-    /// The first input segment the piece lies on; its direction is the
-    /// piece's.
+    /// The first input segment the piece lies on: its direction is the
+    /// piece's, and so is its supporting line.
     segment: u32,
     /// The direction class of that segment ([`direction_classes`]): pieces
     /// leaving a common smaller endpoint compare by angle as their classes
@@ -479,7 +474,7 @@ impl<'a> Pieces<'a> {
     /// `(rank a, rank b, segment)`, so coincident pieces are adjacent and
     /// each run keeps its first segment's direction. No point is compared;
     /// the only rational work is the direction table ([`direction_classes`]).
-    pub(crate) fn new(segments: &[TaggedSegment], split: &'a RankedSplit) -> Pieces<'a> {
+    pub(crate) fn new(segments: &'a [TaggedSegment], split: &'a RankedSplit) -> Pieces<'a> {
         let cuts = &split.cuts;
         let mut pieces: Vec<(u32, u32, u32)> = Vec::with_capacity(cuts.items().len());
         for (s, ranks) in cuts.iter().enumerate() {
@@ -500,7 +495,7 @@ impl<'a> Pieces<'a> {
             let (a, b, segment) = run[0];
             merged.push(Piece { a, b, segment, class: class[segment as usize] });
         }
-        Pieces { points: &split.points, pieces: merged, regions, classes, below }
+        Pieces { points: &split.points, segments, pieces: merged, regions, classes, below }
     }
 
     /// The number of pieces.
@@ -543,13 +538,25 @@ impl<'a> Pieces<'a> {
         key < self.classes
     }
 
+    /// Does the `+x` ray from `p` cross piece `q`
+    /// ([`ray_crosses`](spatial_core::polygon::ray_crosses))? The side test
+    /// is against the input segment the piece lies on, so for an input point
+    /// `p` every product in it is of degree 2 in the input coordinates; the
+    /// span test compares `p` with the piece's endpoints, already in the
+    /// point table.
+    pub(crate) fn ray_crosses(&self, q: usize, p: &Point) -> bool {
+        let piece = &self.pieces[q];
+        let Segment { a, b } = &self.segments[piece.segment as usize].segment;
+        let (from, to) = (&self.points[piece.a as usize], &self.points[piece.b as usize]);
+        spatial_core::polygon::ray_crosses(p, from, to, (a, b))
+    }
+
     /// The direction of a step along piece `p` from its endpoint of rank
-    /// `from`, where `segments` are the segments the pieces were merged
-    /// from: the oracle the angle keys are held against.
+    /// `from`: the oracle the angle keys are held against.
     #[cfg(test)]
-    pub(crate) fn step_direction(&self, segments: &[TaggedSegment], p: usize, from: u32) -> Vector {
+    pub(crate) fn step_direction(&self, p: usize, from: u32) -> Vector {
         let piece = &self.pieces[p];
-        let dir = ascending_direction(&segments[piece.segment as usize].segment);
+        let dir = ascending_direction(&self.segments[piece.segment as usize].segment);
         if from == piece.a {
             dir
         } else {
@@ -747,10 +754,10 @@ mod tests {
         let ends = |p: usize| [(p, pieces.pieces[p].a), (p, pieces.pieces[p].b)];
         let steps: Vec<(usize, u32)> = (0..pieces.len()).flat_map(ends).collect();
         for &(p, from) in &steps {
-            let u = pieces.step_direction(segments, p, from);
+            let u = pieces.step_direction(p, from);
             assert_eq!(pieces.is_upper(pieces.angle_key(p, from)), u.half_plane() == 0, "{name}: {u:?}");
             for &(q, other) in &steps {
-                let v = pieces.step_direction(segments, q, other);
+                let v = pieces.step_direction(q, other);
                 let by_key = pieces.angle_key(p, from).cmp(&pieces.angle_key(q, other));
                 assert_eq!(by_key, u.angle_cmp(&v), "{name}: {u:?} against {v:?}");
             }

@@ -56,7 +56,7 @@
 //! computations are generic over [`ComplexRead`] and accept both.
 
 use crate::assemble::{
-    assemble_components, component_index, compute_component_nesting, locate_components,
+    assemble_components, component_index, locate_components,
     inherited_labels, locate_names, nesting_topo_order, widen_label, ComponentComplex,
     ComponentUpdate,
 };
@@ -133,7 +133,7 @@ impl GlobalComplexView {
         components: Vec<Arc<ComponentComplex>>,
     ) -> GlobalComplexView {
         let index = component_index(&components);
-        let parents = compute_component_nesting(&components, &index);
+        let parents = locate_components(&components, &index, 0..components.len());
         GlobalComplexView::assemble(region_names, components, parents, &index)
     }
 
@@ -189,7 +189,8 @@ impl GlobalComplexView {
             }
         }
         let index = component_index(&components);
-        for (&c, parent) in relocate.iter().zip(locate_components(&components, &index, &relocate)) {
+        let located = locate_components(&components, &index, relocate.iter().copied());
+        for (&c, parent) in relocate.iter().zip(located) {
             parents[c] = parent;
         }
 

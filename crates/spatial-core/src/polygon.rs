@@ -191,24 +191,29 @@ impl Polygon {
 
 /// Even-odd containment of `p` in the closed polyline `ring`, read
 /// cyclically (the last point joins the first). The ring may repeat vertices
-/// but must not pass through `p`.
-///
-/// The ray from `p` in the `+x` direction crosses an edge iff the edge spans
-/// `p`'s height half-open, `lo.y <= p.y < hi.y` (so a vertex on the ray
-/// counts once or not at all, and a horizontal edge never), and `p` lies
-/// strictly left of the edge directed upwards. Each crossing is one
-/// orientation test: no crossing point is interpolated.
+/// but must not pass through `p`. Each edge is its own supporting line in
+/// [`ray_crosses`].
 pub fn ring_encloses(ring: &[Point], p: &Point) -> bool {
     let n = ring.len();
-    let mut inside = false;
-    for i in 0..n {
-        let (a, b) = (&ring[i], &ring[(i + 1) % n]);
-        let (lo, hi) = if a.y <= b.y { (a, b) } else { (b, a) };
-        if lo.y <= p.y && p.y < hi.y && orient(lo, hi, p) == Orientation::CounterClockwise {
-            inside = !inside;
-        }
-    }
-    inside
+    let edges = (0..n).map(|i| (&ring[i], &ring[(i + 1) % n]));
+    edges.filter(|&(a, b)| ray_crosses(p, a, b, (a, b))).count() % 2 == 1
+}
+
+/// Does the ray from `p` in the `+x` direction cross the span from `a` to
+/// `b`, which lies on the line through the two points of `line`?
+///
+/// The span is crossed iff it spans `p`'s height half-open, `lo.y <= p.y <
+/// hi.y` (so along a closed walk a vertex on the ray counts once or not at
+/// all, and a horizontal span never), and `p` lies strictly left of the
+/// line directed upwards. The side test is one orientation test against
+/// `line`, not against the span: a piece of an input segment, whose
+/// endpoints may be crossing points with large denominators, is tested
+/// against its segment at the segment's cost. No crossing point is
+/// interpolated.
+pub fn ray_crosses(p: &Point, a: &Point, b: &Point, line: (&Point, &Point)) -> bool {
+    let (lo, hi) = if a.y <= b.y { (a, b) } else { (b, a) };
+    let (s, t) = if line.0.y <= line.1.y { line } else { (line.1, line.0) };
+    lo.y <= p.y && p.y < hi.y && orient(s, t, p) == Orientation::CounterClockwise
 }
 
 impl fmt::Debug for Polygon {
@@ -348,6 +353,28 @@ mod tests {
         assert!(ring_encloses(&tri, &pt(6, 3)));
         assert!(!ring_encloses(&tri, &pt(-1, 3)));
         assert!(!ring_encloses(&tri, &pt(8, 3)));
+    }
+
+    #[test]
+    fn a_span_crosses_as_its_supporting_line_does() {
+        // Spans of the segment (0, 0)–(7, 3) between rational points on it:
+        // tested against the segment or against themselves, the answers
+        // agree.
+        let (s, t) = (pt(0, 0), pt(7, 3));
+        let on = |n: i128| Point::new(Rational::new(7 * n, 10), Rational::new(3 * n, 10));
+        let spans = [(on(0), on(3)), (on(3), on(7)), (on(7), on(10)), (on(9), on(2))];
+        let probes = [pt(1, 1), pt(-1, 1), pt(6, 2), pt(8, 2), ptr((9, 10), (3, 10)), pt(0, 0), pt(0, 3)];
+        for (a, b) in &spans {
+            for p in &probes {
+                let along = ray_crosses(p, a, b, (&s, &t));
+                assert_eq!(along, ray_crosses(p, a, b, (a, b)), "{a:?}–{b:?} from {p:?}");
+                assert_eq!(along, ray_crosses(p, b, a, (&t, &s)), "either direction");
+            }
+        }
+        // Half-open: the lower end counts, the upper does not.
+        assert!(ray_crosses(&pt(-1, 0), &s, &t, (&s, &t)));
+        assert!(!ray_crosses(&pt(-1, 3), &s, &t, (&s, &t)));
+        assert!(!ray_crosses(&pt(8, 1), &s, &t, (&s, &t)), "right of the line");
     }
 
     #[test]

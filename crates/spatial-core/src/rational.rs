@@ -75,14 +75,15 @@ impl Rational {
     /// a small triangle nested in both. After the sweep the arrangement
     /// compares directions only in its per-build direction table (cross
     /// products of input-segment directions, degree 2) and then by integer
-    /// keys, so the pair alone commits far beyond this bound (at every
-    /// sampled `k` up to 2·10⁷; it fails at `k = 10⁸`, in the sweep's point
-    /// comparisons). The nested case
-    /// commits for every `k` from 1 000 to 70 888 and first overflows at
-    /// `k = 70 889`, in the crossing-parity test (`polygon::ring_encloses`)
-    /// that nests the inner triangle; the bound leaves a margin below that.
-    /// Axis-parallel input meets only at integer points and goes much
-    /// further.
+    /// keys, and it nests the inner triangle by crossing parity whose side
+    /// tests are against input segments (degree 2 as well). So both cases
+    /// commit far beyond this bound: at every sampled `k` up to 5·10⁷, and
+    /// both first fail at `k = 10⁸`, in the sweep's point comparisons. The
+    /// value is kept until a proven bound replaces it: slanted input nested
+    /// in a *separate* component is still located by orientation tests
+    /// against arrangement points, whose degree grows with the crossings
+    /// the enclosing component has. Axis-parallel input meets only at
+    /// integer points and goes much further.
     pub const MAX_RECOMMENDED_COORD: i64 = 50_000;
 
     /// Construct a rational from a numerator and denominator.

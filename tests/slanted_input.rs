@@ -8,15 +8,23 @@
 //! k². Any predicate that accumulates over those points, such as a
 //! signed-area sum over a face walk, overflows `i128` from k = 2 000; one
 //! that multiplies their differences, such as a rotation sort over piece
-//! vectors, from k = 15 617. The builder does neither: it ranks the input
-//! directions once (degree 2) and orders rotations and picks outer walks by
-//! integer keys. A third triangle nested in both adds the
-//! nesting tests of a skeleton inside a face bounded by such points.
+//! vectors, from k = 15 617, and a crossing-parity test over rings of such
+//! points from k = 70 889. The builder does none of these: it ranks the
+//! input directions once (degree 2), orders rotations and picks outer walks
+//! by integer keys, and tests a ray against each piece's input segment. A
+//! third triangle nested in both adds the nesting tests of a skeleton
+//! inside a face bounded by such points; it commits as far as the pair
+//! (sampled to k = 5·10⁷), and both first fail at k = 10⁸ in the sweep's
+//! point comparisons. That failure is the last test's input: a durable
+//! database survives a commit whose build panics.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use topodb::invariant::validate;
 use topodb::relations::Relation4;
 use topodb::spatial_core::prelude::*;
-use topodb::TopoDatabase;
+use topodb::wal::SimFs;
+use topodb::{StorageOptions, TopoDatabase};
 
 /// The quadrilateral `a` and the triangle `b` at scale `k`.
 fn slanted_pair(k: i64) -> Vec<(&'static str, Region)> {
@@ -78,9 +86,7 @@ fn slanted_pair_at_k_900_000() {
     check_pair(900_000);
 }
 
-#[test]
-fn slanted_pair_with_nested_triangle_at_k_50_000() {
-    let k = 50_000;
+fn check_nested(k: i64) {
     commit_and_check(
         k,
         slanted_pair_with_nested(k),
@@ -90,4 +96,55 @@ fn slanted_pair_with_nested_triangle_at_k_50_000() {
             ("b", "c", Relation4::Contains),
         ],
     );
+}
+
+#[test]
+fn slanted_pair_with_nested_triangle_at_k_50_000() {
+    check_nested(50_000);
+}
+
+#[test]
+fn slanted_pair_with_nested_triangle_at_k_70_889() {
+    check_nested(70_889);
+}
+
+#[test]
+fn slanted_pair_with_nested_triangle_at_k_1_000_000() {
+    check_nested(1_000_000);
+}
+
+/// A commit whose build panics leaves a durable database as it was: not
+/// degraded, nothing logged, the next commit accepted, and a reopen that
+/// recovers exactly the committed names. The slanted pair at k = 10⁸
+/// overflows `i128` in the sweep's point comparisons.
+#[test]
+fn a_durable_database_survives_a_commit_whose_build_panics() {
+    let sim = SimFs::new();
+    let options = || StorageOptions::default().with_vfs(Arc::new(sim.clone()));
+    let rectangle = SpatialInstance::from_regions([("r", Region::rect_from_ints(0, 0, 4, 4))]);
+    let mut db = TopoDatabase::create_with_storage("/db", rectangle, options()).expect("create on a SimFs");
+    let before = db.health();
+
+    let commit = catch_unwind(AssertUnwindSafe(|| {
+        let mut txn = db.begin();
+        for (name, region) in slanted_pair(100_000_000) {
+            txn.insert(name, region);
+        }
+        txn.try_commit().map(|_| ())
+    }));
+    assert!(commit.is_err(), "the build at k = 10⁸ panics");
+    let after = db.health();
+    assert!(after.degraded.is_none(), "a panicking build is not a storage failure: {:?}", after.degraded);
+    assert_eq!(after.wal_head_epoch, before.wal_head_epoch, "nothing was logged");
+    assert_eq!(after.epoch, before.epoch, "nothing was published");
+
+    let mut txn = db.begin();
+    txn.insert("s", Region::rect_from_ints(10, 10, 14, 14));
+    txn.try_commit().expect("the next commit succeeds");
+    assert_eq!(db.health().wal_head_epoch, before.wal_head_epoch.map(|e| e + 1));
+    drop(db);
+    sim.power_cycle();
+
+    let reopened = TopoDatabase::open_with_storage("/db", options()).expect("reopen");
+    assert_eq!(reopened.snapshot().names(), ["r", "s"]);
 }
