@@ -41,7 +41,8 @@
 //! performs steps 1–3 symbolically and serves cells through the
 //! [`ComplexRead`] translation layer; both build on the same nesting
 //! computation (`locate_components`), which probes the one index over the
-//! component boxes an assembly builds (`component_index`).
+//! component boxes of the assembly: bulk-loaded by the copying assembly
+//! (`component_index`), carried from view to view by the zero-copy one.
 
 use crate::builder::build_local;
 use crate::complex::{CellComplex, ComplexRead};
@@ -480,9 +481,73 @@ pub(crate) fn locate_names(global: &[String], local: &[String], maps: &mut Runs<
     maps.close();
 }
 
-/// The spatial index over the component boxes, in component order: built
-/// once per assembly, probed by nesting resolution, and kept by the view as
-/// the upper level of its region index.
+/// How the ranks of the names that stay move from one sorted name list to
+/// the next: each name inserted below a name moves it up by one, each
+/// removed below it moves it down by one. A carried component's
+/// local→global map is its old one with every rank moved so
+/// ([`RankShift::push_shifted`]): integer work, with no name compared.
+#[derive(Default)]
+pub(crate) struct RankShift {
+    /// `(old rank, shift)`, ascending by rank: the shift of every old rank
+    /// from this one up to the next step's.
+    steps: Vec<(usize, isize)>,
+}
+
+impl RankShift {
+    /// The shift from the sorted list `old` to the sorted list `new`, which
+    /// differ at most in the names `changed` (in any order, repeats
+    /// allowed). Costs two binary searches of the lists per changed name.
+    pub(crate) fn new<S: AsRef<str>>(old: &[String], new: &[String], changed: &[S]) -> RankShift {
+        if old.is_empty() {
+            return RankShift::default();
+        }
+        let mut names: Vec<&str> = changed.iter().map(AsRef::as_ref).collect();
+        names.sort_unstable();
+        names.dedup();
+        let mut moves: Vec<(usize, isize)> = Vec::new();
+        for name in names {
+            let search = |list: &[String]| list.binary_search_by(|n| n.as_str().cmp(name));
+            match (search(old), search(new)) {
+                // Removed: the ranks above it move down.
+                (Ok(r), Err(_)) => moves.push((r + 1, -1)),
+                // Inserted between old ranks `at - 1` and `at`.
+                (Err(at), Ok(_)) => moves.push((at, 1)),
+                _ => {}
+            }
+        }
+        moves.sort_unstable();
+        let mut shift = 0;
+        let steps = moves.into_iter().map(|(rank, by)| {
+            shift += by;
+            (rank, shift)
+        });
+        RankShift { steps: steps.collect() }
+    }
+
+    /// Append to `maps` one run: the ranks of `run` (old ranks of names
+    /// that stay) in the new list.
+    pub(crate) fn push_shifted(&self, run: &[usize], maps: &mut Runs<usize>) {
+        // A run wholly below the first step keeps its ranks: one copy.
+        if self.steps.first().is_none_or(|&(from, _)| run.last().is_none_or(|&last| last < from)) {
+            maps.push(run);
+            return;
+        }
+        // The run ascends, so the step in force only moves forward.
+        let mut step = 0;
+        maps.push_iter(run.iter().map(|&rank| {
+            while self.steps.get(step).is_some_and(|&(from, _)| from <= rank) {
+                step += 1;
+            }
+            let shift = step.checked_sub(1).map_or(0, |s| self.steps[s].1);
+            rank.checked_add_signed(shift).expect("a kept rank stays in the list")
+        }));
+    }
+}
+
+/// The spatial index over the component boxes, in component order,
+/// bulk-loaded: the one the copying assembly's nesting resolution probes,
+/// and the reference a view's carried component-box index is checked
+/// against.
 pub(crate) fn component_index(components: &[Arc<ComponentComplex>]) -> SpatialIndex {
     let boxes: Vec<Option<BBox>> = components.iter().map(|comp| comp.bbox.clone()).collect();
     SpatialIndex::build(&boxes)
@@ -694,6 +759,35 @@ pub(crate) mod tests {
     use crate::partition::partition_instance;
     use crate::split::CutSets;
     use spatial_core::polygon::ring_encloses;
+
+    /// Every name kept from one sorted list to the next moves to its new
+    /// rank: names inserted before, between and after the kept ones,
+    /// removed ones, re-shaped ones (in both lists), names in neither, and
+    /// repeats.
+    #[test]
+    fn rank_shifts_move_kept_names_to_their_new_ranks() {
+        let list = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<String>>();
+        let old = list(&["b", "d", "f", "h", "j"]);
+        let cases: [(&[&str], &[&str]); 6] = [
+            (&["a"], &["a", "b", "d", "f", "h", "j"]),
+            (&["c", "e", "k"], &["b", "c", "d", "e", "f", "h", "j", "k"]),
+            (&["d", "h"], &["b", "f", "j"]),
+            (&["a", "b", "c"], &["a", "c", "d", "f", "h", "j"]),
+            (&["f", "g", "zz", "g"], &["b", "d", "f", "g", "h", "j"]),
+            (&["j", "i", "a0", "a1", "b"], &["a0", "a1", "d", "f", "h", "i"]),
+        ];
+        for (changed, new) in cases {
+            let new = list(new);
+            let shift = RankShift::new(&old, &new, changed);
+            let kept: Vec<usize> =
+                (0..old.len()).filter(|&r| !changed.contains(&old[r].as_str())).collect();
+            let mut maps = Runs::default();
+            shift.push_shifted(&kept, &mut maps);
+            let expected: Vec<usize> =
+                kept.iter().map(|&r| new.iter().position(|n| *n == old[r]).expect("kept")).collect();
+            assert_eq!(maps.get(0), expected.as_slice(), "changed {changed:?}");
+        }
+    }
 
     fn assemble_instance(inst: &SpatialInstance) -> CellComplex {
         let global_names: Vec<String> = inst.names().iter().map(|s| s.to_string()).collect();

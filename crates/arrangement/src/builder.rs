@@ -99,7 +99,7 @@ pub fn build_complex_view(instance: &SpatialInstance) -> GlobalComplexView {
     let names = instance.names();
     let update = update_components(&[], instance, &names, |_| None);
     let region_names = names.iter().map(|s| s.to_string()).collect();
-    GlobalComplexView::new(Vec::new(), Vec::new()).updated(region_names, update)
+    GlobalComplexView::new(Vec::new(), Vec::new()).updated(region_names, &names, update)
 }
 
 /// The pre-partitioning construction: one plane sweep over the whole

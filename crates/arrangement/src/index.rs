@@ -31,12 +31,17 @@
 //! An index has one of two shapes behind the same type:
 //!
 //! * **One level** ([`SpatialIndex::build`]): one tree over the items. This
-//!   is the segment index of partitioning, the component-box index that
-//!   assembly builds once per view (and nesting resolution probes), and the
-//!   per-component region index that a
-//!   [`ComponentComplex`](crate::ComponentComplex) builds over its own
-//!   regions' boxes, in local ids, with the component, and carries across
-//!   commits.
+//!   is the segment index of partitioning, the per-component region index
+//!   that a [`ComponentComplex`](crate::ComponentComplex) builds over its
+//!   own regions' boxes, in local ids, with the component, and carries
+//!   across commits, and the component-box index of a view, which nesting
+//!   resolution probes. That one is not bulk-loaded per view: it is a
+//!   `TiledIndex`, which keeps the two center orders its packing was tiled
+//!   by, and the next view's index renumbers them, merges the new
+//!   components' boxes in by binary search and packs again, to the very
+//!   tree a bulk load of the same boxes gives. No carried box is sorted
+//!   again; a carried center is summed only where a binary search probes
+//!   it.
 //! * **Two levels** (`SpatialIndex::two_level`): the region index of a
 //!   [`GlobalComplexView`](crate::GlobalComplexView)
 //!   ([`crate::GlobalComplexView::region_bbox_index`]), assembled with the
@@ -89,25 +94,26 @@ impl Tree {
             .enumerate()
             .filter_map(|(i, b)| b.as_ref().map(|b| (i, b.clone())))
             .collect();
-        if entries.is_empty() {
-            return Tree { entries, levels: Vec::new() };
-        }
 
         // STR: sort by x-center, slice vertically, sort each slice by
         // y-center, pack consecutive runs into leaves. Centers are compared
         // via the (exact) coordinate sums; ties fall back to the item id so
         // the packing is deterministic in the input.
-        let center_x = |b: &BBox| b.x0 + b.x1;
-        let center_y = |b: &BBox| b.y0 + b.y1;
         entries.sort_by_cached_key(|(i, b)| (center_x(b), *i));
-        let n = entries.len();
-        let leaf_count = n.div_ceil(NODE_CAPACITY);
-        let slices = (leaf_count as f64).sqrt().ceil() as usize;
-        let per_slice = n.div_ceil(slices.max(1));
-        for chunk in entries.chunks_mut(per_slice.max(1)) {
+        let per_slice = slice_len(entries.len());
+        for chunk in entries.chunks_mut(per_slice) {
             chunk.sort_by_cached_key(|(i, b)| (center_y(b), *i));
         }
+        Tree::pack(entries)
+    }
 
+    /// The tree over `entries`, given in packed order: leaves of
+    /// [`NODE_CAPACITY`] consecutive entries, and upper levels grouping
+    /// consecutive nodes until a single root remains.
+    fn pack(entries: Vec<(usize, BBox)>) -> Tree {
+        if entries.is_empty() {
+            return Tree { entries, levels: Vec::new() };
+        }
         let leaves: Vec<Node> = entries
             .chunks(NODE_CAPACITY)
             .enumerate()
@@ -200,15 +206,30 @@ impl SpatialIndex {
     /// Bulk-load a one-level index over the boxes of an item slice (`None`
     /// items are indexed by position but never reported by probes).
     pub fn build(items: &[Option<BBox>]) -> SpatialIndex {
-        let top = Tree::build(items);
+        SpatialIndex::one_level(Tree::build(items), items.len())
+    }
+
+    /// The one-level index of a tree over `item_count` items.
+    fn one_level(top: Tree, item_count: usize) -> SpatialIndex {
         SpatialIndex {
-            item_count: items.len(),
+            item_count,
             entry_count: top.entries.len(),
             top: Arc::new(top),
             parts: Vec::new(),
             ids: Vec::new(),
             probes: Arc::new(AtomicU64::new(0)),
         }
+    }
+
+    /// Do two one-level indexes hold the same `(item, box)` entries over
+    /// the same number of items, however they are packed?
+    pub(crate) fn same_entries(&self, other: &SpatialIndex) -> bool {
+        fn sorted(index: &SpatialIndex) -> Vec<&(usize, BBox)> {
+            let mut entries: Vec<&(usize, BBox)> = index.top.entries.iter().collect();
+            entries.sort_unstable_by_key(|(id, _)| *id);
+            entries
+        }
+        self.item_count == other.item_count && sorted(self) == sorted(other)
     }
 
     /// Assemble a two-level index over `item_count` items grouped into
@@ -305,10 +326,141 @@ impl SpatialIndex {
     }
 }
 
+/// A one-level index over an item list that changes a little at a time,
+/// together with the two center orders its STR packing was tiled by, so
+/// that the index over the next list merges its new boxes into them instead
+/// of sorting every box again. The view's index over the component boxes is
+/// one ([`crate::GlobalComplexView`]).
+///
+/// The packing is exactly the one [`SpatialIndex::build`] makes over the
+/// same boxes: both orders break ties by item id, and a slice's entries in
+/// `by_y` order are its entries sorted by y-center.
+#[derive(Clone, Debug)]
+pub(crate) struct TiledIndex {
+    index: SpatialIndex,
+    /// The ids of the entries by `(x0 + x1, id)`, ascending: the order STR
+    /// slices.
+    by_x: Vec<usize>,
+    /// The ids of the entries by `(y0 + y1, id)`, ascending: the order
+    /// within a slice.
+    by_y: Vec<usize>,
+}
+
+impl TiledIndex {
+    /// The index over no item.
+    pub(crate) fn empty() -> TiledIndex {
+        TiledIndex { index: SpatialIndex::build(&[]), by_x: Vec::new(), by_y: Vec::new() }
+    }
+
+    /// The one-level index itself.
+    pub(crate) fn index(&self) -> &SpatialIndex {
+        &self.index
+    }
+
+    /// The index over a list of `item_count` items made from this one's:
+    /// item `i` of this list is item `now_at[i]` of the new one (`None`:
+    /// dropped), and `fresh` gives the new items that are not renumbered
+    /// old ones, with their boxes. `now_at` must keep the old items' order,
+    /// so that both center orders stay sorted when renumbered.
+    ///
+    /// Cost: `O(n)` moves to renumber the boxes and the two orders,
+    /// `O(fresh · log n)` center sums and comparisons to merge the fresh
+    /// items in, one pass to tile, and the covers of the packed nodes; no
+    /// old box is sorted again.
+    pub(crate) fn updated<'a>(
+        &self,
+        now_at: &[Option<usize>],
+        fresh: impl IntoIterator<Item = (usize, &'a BBox)>,
+        item_count: usize,
+    ) -> TiledIndex {
+        // Where each new item's box is: an entry of this index, or a fresh
+        // one; the boxes themselves are copied once, into the new tree.
+        let old_entries = &self.index.top.entries;
+        let mut home: Vec<Option<&BBox>> = vec![None; item_count];
+        for (old, b) in old_entries {
+            if let Some(new) = now_at[*old] {
+                home[new] = Some(b);
+            }
+        }
+        let mut fresh_ids = Vec::new();
+        for (id, b) in fresh {
+            home[id] = Some(b);
+            fresh_ids.push(id);
+        }
+        let box_of = |id: usize| home[id].expect("an entry has a box");
+        let key = |center: fn(&BBox) -> Rational| move |id: usize| (center(box_of(id)), id);
+        let by_x = merged_order(&self.by_x, now_at, &fresh_ids, key(center_x));
+        let by_y = merged_order(&self.by_y, now_at, &fresh_ids, key(center_y));
+
+        // Slice `by_x` into runs of `slice_len`, then deal `by_y` out to
+        // the slices: each slice receives its entries in y order.
+        let per_slice = slice_len(by_x.len());
+        let mut slice_of = vec![0; item_count];
+        for (at, &id) in by_x.iter().enumerate() {
+            slice_of[id] = at / per_slice;
+        }
+        let mut next: Vec<usize> = (0..by_x.len()).step_by(per_slice).collect();
+        let mut packed = vec![0; by_x.len()];
+        for &id in &by_y {
+            packed[next[slice_of[id]]] = id;
+            next[slice_of[id]] += 1;
+        }
+        let entries = packed.into_iter().map(|id| (id, box_of(id).clone())).collect();
+        let tree = Tree::pack(entries);
+        TiledIndex { index: SpatialIndex::one_level(tree, item_count), by_x, by_y }
+    }
+}
+
+/// A center order of ids renumbered by `now_at` (dropped items left out),
+/// with the `fresh` ids merged in by `key`, the `(center, id)` it is sorted
+/// by: each found by a binary search of what is left, so only `O(log n)`
+/// keys are computed per fresh id.
+fn merged_order(
+    old: &[usize],
+    now_at: &[Option<usize>],
+    fresh: &[usize],
+    key: impl Fn(usize) -> (Rational, usize),
+) -> Vec<usize> {
+    let mut kept = Vec::with_capacity(old.len());
+    kept.extend(old.iter().filter_map(|&i| now_at[i]));
+    let mut fresh: Vec<(Rational, usize)> = fresh.iter().map(|&id| key(id)).collect();
+    fresh.sort_unstable();
+    let mut merged = Vec::with_capacity(kept.len() + fresh.len());
+    let mut rest = kept.as_slice();
+    for (center, id) in fresh {
+        let below = rest.partition_point(|&k| key(k) < (center, id));
+        merged.extend_from_slice(&rest[..below]);
+        merged.push(id);
+        rest = &rest[below..];
+    }
+    merged.extend_from_slice(rest);
+    debug_assert!(merged.windows(2).all(|w| key(w[0]) < key(w[1])), "the merged order is sorted");
+    merged
+}
+
 /// The smallest box covering a nonempty box iterator.
 fn cover<'a, I: Iterator<Item = &'a BBox>>(mut boxes: I) -> BBox {
     let first = boxes.next().expect("cover of a nonempty chunk").clone();
     boxes.fold(first, |acc, b| acc.union(b))
+}
+
+/// The exact sum of a box's two x coordinates: twice its x-center, the key
+/// STR slices by.
+fn center_x(b: &BBox) -> Rational {
+    b.x0 + b.x1
+}
+
+/// The exact sum of a box's two y coordinates: twice its y-center, the key
+/// STR orders a slice by.
+fn center_y(b: &BBox) -> Rational {
+    b.y0 + b.y1
+}
+
+/// How many entries one vertical slice of an STR packing of `n` entries
+/// holds: `⌈√leaves⌉` slices of equal length, the last one shorter.
+fn slice_len(n: usize) -> usize {
+    let slices = (n.div_ceil(NODE_CAPACITY) as f64).sqrt().ceil() as usize;
+    n.div_ceil(slices.max(1)).max(1)
 }
 
 /// Convenience: the box `[x0, x1] × [y0, y1]` from integer coordinates.
@@ -547,5 +699,59 @@ mod tests {
             let q = bbox_from_ints(x, y, x + 25, y + 25);
             assert_eq!(idx.bbox_neighbors(&q), naive_neighbors(&items, &q), "probe {probe}");
         }
+    }
+
+    /// A carried index renumbers, drops and merges its items step after
+    /// step, and every step packs the very tree a bulk load of the new item
+    /// list packs: the same entries in the same order under the same
+    /// covers. Items come and go at every position (so surviving ids shift
+    /// both ways), some have no box, and centers tie often (ties fall back
+    /// to the id).
+    #[test]
+    fn a_tiled_index_packs_what_a_bulk_load_packs() {
+        let mut state: u64 = 0x2545F4914F6CDD1D;
+        let mut next = move |n: i64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as i64).rem_euclid(n)
+        };
+        let mut items: Vec<Option<BBox>> = Vec::new();
+        let mut tiled = TiledIndex::empty();
+        for step in 0..80 {
+            let (mut now_at, mut next_items, mut fresh) = (Vec::new(), Vec::new(), Vec::new());
+            let mut old = items.iter().enumerate().peekable();
+            while old.peek().is_some() || next(4) == 0 {
+                if old.peek().is_some() && next(5) != 0 {
+                    let (_, b) = old.next().expect("peeked");
+                    let keep = next(8) != 0;
+                    now_at.push(keep.then_some(next_items.len()));
+                    if keep {
+                        next_items.push(b.clone());
+                    }
+                    continue;
+                }
+                let id = next_items.len();
+                let b = (next(6) != 0).then(|| {
+                    let (x, y) = (next(40), next(40));
+                    let (w, h) = (1 + next(6), 1 + next(6));
+                    let mut b = bbox_from_ints(x, y, x + w, y + h);
+                    if next(3) == 0 {
+                        b.x1 = Rational::new(i128::from(2 * (x + w) + 1), 2);
+                    }
+                    b
+                });
+                if let Some(b) = &b {
+                    fresh.push((id, b.clone()));
+                }
+                next_items.push(b);
+            }
+            tiled = tiled.updated(&now_at, fresh.iter().map(|(id, b)| (*id, b)), next_items.len());
+            items = next_items;
+            let built = SpatialIndex::build(&items);
+            assert_eq!(tiled.index.len(), built.len(), "step {step}");
+            assert_eq!(tiled.index.entry_count(), built.entry_count(), "step {step}");
+            assert_eq!(format!("{:?}", tiled.index.top), format!("{:?}", built.top), "step {step}");
+            assert!(tiled.index.same_entries(&built), "step {step}");
+        }
+        assert!(items.len() > 3 * NODE_CAPACITY, "the list grew past a few leaves: {}", items.len());
     }
 }

@@ -36,12 +36,19 @@
 //! edge → endpoint incidence.
 //!
 //! The per-epoch glue — offsets, nesting parents, `nested_in_face`, the
-//! inherited labels, the index over the component boxes and the region index
-//! ([`GlobalComplexView::region_bbox_index`]) — is rebuilt per assembly, and
-//! no per-cell table is derived from it. The region index is assembled, not
-//! built: the component-box index on top, each component's region index
-//! below, for one `Arc` clone per component and one copy of the id maps. No
-//! read builds anything. A sign read
+//! inherited labels, the local→global region maps, the index over the
+//! component boxes and the region index
+//! ([`GlobalComplexView::region_bbox_index`]) — is made per assembly, and
+//! no per-cell table is derived from it. A patch
+//! ([`GlobalComplexView::updated`]) derives it from the previous view's
+//! without looking into a carried component: a carried region map is the
+//! old one with its ranks shifted past the inserted and removed names, and
+//! the component-box index merges the new components' boxes into the
+//! previous index's sorted center orders instead of sorting every box
+//! again. Only the rebuilt components' names are searched for. The region
+//! index is assembled, not built: the component-box index on top, each
+//! component's region index below, for one `Arc` clone per component and
+//! one copy of the id maps. No read builds anything. A sign read
 //! (`vertex_sign`/`edge_sign`/`face_sign`) binary-searches the component's
 //! sorted local→global region map, then the cell's local label or the
 //! component's inherited one, and widens nothing; a whole-label read
@@ -56,12 +63,11 @@
 //! computations are generic over [`ComplexRead`] and accept both.
 
 use crate::assemble::{
-    assemble_components, component_index, locate_components,
-    inherited_labels, locate_names, nesting_topo_order, widen_label, ComponentComplex,
-    ComponentUpdate,
+    assemble_components, component_index, inherited_labels, locate_components, locate_names,
+    nesting_topo_order, widen_label, ComponentComplex, ComponentUpdate, RankShift,
 };
 use crate::complex::{CellComplex, ComplexGeometry, ComplexRead};
-use crate::index::SpatialIndex;
+use crate::index::{SpatialIndex, TiledIndex};
 use crate::partition::BBox;
 use crate::runs::Runs;
 use crate::types::*;
@@ -107,6 +113,10 @@ pub struct GlobalComplexView {
     inherited: Vec<Label>,
     /// Global face id → components embedded directly in that face.
     nested_in_face: BTreeMap<usize, Vec<usize>>,
+    /// The index over the component boxes, which nesting resolution probes
+    /// and the region index has on top, with the center orders it was tiled
+    /// by: the next view's merges its new boxes into them.
+    component_boxes: TiledIndex,
     /// The spatial index over the region bounding boxes, assembled with the
     /// view over the component-box index that nesting resolution probed, and
     /// shared by every clone (and therefore by every evaluator of a
@@ -122,37 +132,60 @@ impl GlobalComplexView {
     /// (sorted; every component's region set must be a subset) over the
     /// given component sub-complexes.
     ///
-    /// Cost: no per-cell work. It builds the index over the component
-    /// boxes (`O(components · log components)`), locates every component in
-    /// it, maps every region to its component (`O(regions)`) and assembles
-    /// the region index over it (`O(components + regions)`). The
+    /// Cost: no per-cell work. It sorts the component boxes into the index
+    /// over them (`O(components · log components)`), locates every component
+    /// in it, finds every component's names in `region_names` (the
+    /// reference the patch of [`GlobalComplexView::updated`] is checked
+    /// against: `O(regions)` name comparisons) and assembles the region
+    /// index over it (`O(components + regions)`). The
     /// inherited labels hold one entry per enclosing region, so together
     /// they cost `O(components × nesting depth)`.
     pub fn new(
         region_names: Vec<String>,
         components: Vec<Arc<ComponentComplex>>,
     ) -> GlobalComplexView {
-        let index = component_index(&components);
-        let parents = locate_components(&components, &index, 0..components.len());
-        GlobalComplexView::assemble(region_names, components, parents, &index)
+        let k = components.len();
+        let boxes = components.iter().enumerate().filter_map(|(c, comp)| Some((c, comp.bbox.as_ref()?)));
+        let component_boxes = TiledIndex::empty().updated(&[], boxes, k);
+        let parents = locate_components(&components, component_boxes.index(), 0..k);
+        let mut region_map = Runs::with_capacity(k, region_names.len());
+        for c in &components {
+            locate_names(&region_names, c.region_names(), &mut region_map);
+        }
+        GlobalComplexView::assemble(region_names, components, parents, region_map, component_boxes)
     }
 
     /// Assemble the view of an updated instance by patching this one:
     /// `update` is what [`crate::update_components`] made of this view's
-    /// [`components`](GlobalComplexView::components), and `region_names`
-    /// the updated instance's sorted name list.
+    /// [`components`](GlobalComplexView::components) for the names
+    /// `changed` (those whose extent differs, in any order), and
+    /// `region_names` the updated instance's sorted name list.
     ///
     /// A carried component keeps its nesting parent without being located
     /// again, unless that parent was itself replaced or the component's
     /// representative point lies in the box of a new component (only a new
     /// component can have slipped a smaller enclosing cycle around it). Only
-    /// the new components and those exceptions pay for point location, in
-    /// the one component-box index the new view builds, the top level of its
-    /// region index. The result is table for table what
-    /// [`GlobalComplexView::new`] assembles from the same arguments (asserted
-    /// in debug builds), so a view patched any number of times is still
-    /// index-identical to a cold build.
-    pub fn updated(&self, region_names: Vec<String>, update: ComponentUpdate) -> GlobalComplexView {
+    /// the new components and those exceptions pay for point location.
+    ///
+    /// Nothing carried is looked at by name or re-sorted: a carried
+    /// component's region map is its old one with each rank moved by the
+    /// names inserted and removed below it (`assemble::RankShift`), and the
+    /// component-box index merges the new components' boxes into the center
+    /// orders of this view's (`index::TiledIndex`). Beyond the rebuilt
+    /// components, the patch costs integer work per component and per
+    /// name, two binary searches of the name lists per changed name and
+    /// `O(log components)` comparisons per new box.
+    ///
+    /// The result is table for table what [`GlobalComplexView::new`]
+    /// assembles from the same arguments (asserted in debug builds), so a
+    /// view patched any number of times is still index-identical to a cold
+    /// build.
+    pub fn updated<S: AsRef<str>>(
+        &self,
+        region_names: Vec<String>,
+        changed: &[S],
+        update: ComponentUpdate,
+    ) -> GlobalComplexView {
         let ComponentUpdate { components, carried_from, .. } = update;
         let mut now_at: Vec<Option<usize>> = vec![None; self.components.len()];
         for (c, from) in carried_from.iter().enumerate() {
@@ -160,11 +193,12 @@ impl GlobalComplexView {
                 now_at[old] = Some(c);
             }
         }
-        let fresh_boxes: Vec<&BBox> = carried_from
+        let fresh_boxes: Vec<(usize, &BBox)> = carried_from
             .iter()
             .zip(&components)
-            .filter(|(from, _)| from.is_none())
-            .filter_map(|(_, component)| component.bbox.as_ref())
+            .enumerate()
+            .filter(|(_, (from, _))| from.is_none())
+            .filter_map(|(c, (_, component))| Some((c, component.bbox.as_ref()?)))
             .collect();
 
         let mut parents: Vec<Option<(usize, FaceId)>> = vec![None; components.len()];
@@ -173,7 +207,7 @@ impl GlobalComplexView {
             let kept = from.and_then(|old| {
                 let shadowed = components[c]
                     .rep_point()
-                    .is_some_and(|p| fresh_boxes.iter().any(|b| b.contains_point(&p)));
+                    .is_some_and(|p| fresh_boxes.iter().any(|(_, b)| b.contains_point(&p)));
                 match self.parent_face[old] {
                     _ if shadowed => None,
                     FaceId(0) => Some(None),
@@ -188,13 +222,24 @@ impl GlobalComplexView {
                 None => relocate.push(c),
             }
         }
-        let index = component_index(&components);
-        let located = locate_components(&components, &index, relocate.iter().copied());
+        let component_boxes =
+            self.component_boxes.updated(&now_at, fresh_boxes.iter().copied(), components.len());
+        let located = locate_components(&components, component_boxes.index(), relocate.iter().copied());
         for (&c, parent) in relocate.iter().zip(located) {
             parents[c] = parent;
         }
 
-        let view = GlobalComplexView::assemble(region_names, components, parents, &index);
+        let shift = RankShift::new(&self.region_names, &region_names, changed);
+        let mut region_map = Runs::with_capacity(components.len(), region_names.len());
+        for (component, from) in components.iter().zip(&carried_from) {
+            match *from {
+                Some(old) => shift.push_shifted(self.region_map.get(old), &mut region_map),
+                None => locate_names(&region_names, component.region_names(), &mut region_map),
+            }
+        }
+
+        let view =
+            GlobalComplexView::assemble(region_names, components, parents, region_map, component_boxes);
         debug_assert!(
             view.same_tables(&GlobalComplexView::new(
                 view.region_names.clone(),
@@ -206,22 +251,19 @@ impl GlobalComplexView {
     }
 
     /// The constructor behind [`GlobalComplexView::new`] and
-    /// [`GlobalComplexView::updated`]: every translation table and the
-    /// region index from the components, their nesting `parents` and their
-    /// [`component_index`].
+    /// [`GlobalComplexView::updated`]: every other translation table and
+    /// the region index from the components, their nesting `parents`, their
+    /// local→global `region_map` and the index over their boxes.
     fn assemble(
         region_names: Vec<String>,
         components: Vec<Arc<ComponentComplex>>,
         parents: Vec<Option<(usize, FaceId)>>,
-        component_index: &SpatialIndex,
+        region_map: Runs<usize>,
+        component_boxes: TiledIndex,
     ) -> GlobalComplexView {
         debug_assert!(region_names.windows(2).all(|w| w[0] < w[1]), "region names are sorted");
         let k = components.len();
 
-        let mut region_map = Runs::with_capacity(k, region_names.len());
-        for c in &components {
-            locate_names(&region_names, c.region_names(), &mut region_map);
-        }
         let mut region_home = vec![(usize::MAX, usize::MAX); region_names.len()];
         for (c, map) in region_map.iter().enumerate() {
             for (local, &global) in map.iter().enumerate() {
@@ -264,7 +306,7 @@ impl GlobalComplexView {
 
         let parts = components.iter().map(|c| &c.region_index).zip(region_map.iter());
         let region_index =
-            Arc::new(SpatialIndex::two_level(region_names.len(), component_index, parts));
+            Arc::new(SpatialIndex::two_level(region_names.len(), component_boxes.index(), parts));
 
         GlobalComplexView {
             region_names,
@@ -279,6 +321,7 @@ impl GlobalComplexView {
             parent_face,
             inherited,
             nested_in_face,
+            component_boxes,
             region_index,
             widen_count: Arc::new(AtomicU64::new(0)),
             components,
@@ -287,12 +330,15 @@ impl GlobalComplexView {
 
     /// Do two views hold the same components behind the same translation
     /// tables? (The region index is assembled from them, and the counter is
-    /// per view.)
+    /// per view.) The component-box index is checked against one built from
+    /// scratch over the components' boxes: the same `(component, box)`
+    /// entries, however packed.
     fn same_tables(&self, other: &GlobalComplexView) -> bool {
         self.region_names == other.region_names
             && self.components.len() == other.components.len()
             && self.components.iter().zip(&other.components).all(|(a, b)| Arc::ptr_eq(a, b))
             && self.region_map == other.region_map
+            && self.region_home == other.region_home
             && self.vertex_start == other.vertex_start
             && self.edge_start == other.edge_start
             && self.face_start == other.face_start
@@ -301,6 +347,7 @@ impl GlobalComplexView {
             && self.parent_face == other.parent_face
             && self.inherited == other.inherited
             && self.nested_in_face == other.nested_in_face
+            && self.component_boxes.index().same_entries(&component_index(&self.components))
     }
 
     /// The spatial index over the region bounding boxes of this view,
@@ -778,7 +825,7 @@ mod tests {
         };
         let step = |view: &GlobalComplexView, inst: &SpatialInstance, changed: &[&str]| {
             let update = update_components(view.components(), inst, changed, |_| None);
-            let patched = view.updated(names(inst), update);
+            let patched = view.updated(names(inst), changed, update);
             let cold = build_complex_view(inst);
             assert!(patched.to_cell_complex() == cold.to_cell_complex(), "after {changed:?}");
             patched

@@ -37,7 +37,7 @@ impl Maintained {
         let reference = build_components_with_reuse(&instance, |_| None);
         assert_eq!(keys(&cold.components), reference.keys, "cold build keys");
         assert_eq!(cold.rebuilt, reference.components.len(), "cold build sweeps everything");
-        let view = GlobalComplexView::new(Vec::new(), Vec::new()).updated(names_of(&instance), cold);
+        let view = GlobalComplexView::new(Vec::new(), Vec::new()).updated(names_of(&instance), &instance.names(), cold);
         Maintained { instance, view }
     }
 
@@ -84,7 +84,7 @@ impl Maintained {
                 theirs.region_names()
             );
         }
-        let ours = self.view.updated(names_of(&next), update);
+        let ours = self.view.updated(names_of(&next), &changed, update);
         let theirs = GlobalComplexView::new(names_of(&next), reference.components);
         assert!(
             ours.to_cell_complex() == theirs.to_cell_complex(),

@@ -196,7 +196,7 @@ fn every_step_of_an_update_trace() {
     let mut inst = datagen::jittered_overlap_map(10, 3, 12, 1);
     let names = |inst: &SpatialInstance| inst.names().iter().map(|s| s.to_string()).collect();
     let cold = update_components(&[], &inst, &inst.names(), |_| None);
-    let mut view = GlobalComplexView::new(Vec::new(), Vec::new()).updated(names(&inst), cold);
+    let mut view = GlobalComplexView::new(Vec::new(), Vec::new()).updated(names(&inst), &inst.names(), cold);
     check_labels(&view, &inst, "cold build");
     for (step, batch) in datagen::op_trace(24, 0x5eed).iter().enumerate() {
         let mut changed: Vec<String> = Vec::new();
@@ -216,7 +216,7 @@ fn every_step_of_an_update_trace() {
             }
         }
         let update = update_components(view.components(), &inst, &changed, |_| None);
-        view = view.updated(names(&inst), update);
+        view = view.updated(names(&inst), &changed, update);
         check_labels(&view, &inst, &format!("step {step}"));
     }
 }

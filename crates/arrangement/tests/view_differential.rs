@@ -202,7 +202,7 @@ fn region_index_agrees_after_every_step_of_the_commit_traces() {
         inst.names().iter().map(|s| s.to_string()).collect()
     };
     let commit = |view: &GlobalComplexView, inst: &SpatialInstance, changed: &[String]| {
-        view.updated(names(inst), update_components(view.components(), inst, changed, |_| None))
+        view.updated(names(inst), changed, update_components(view.components(), inst, changed, |_| None))
     };
 
     let mut inst = SpatialInstance::new();
@@ -253,6 +253,81 @@ fn region_index_agrees_after_every_step_of_the_commit_traces() {
         view = commit(&view, &inst, &[name.to_string()]);
         check_region_index(&view, &format!("nesting trace after changing {name}"));
     }
+}
+
+/// `op_trace`'s names sort after every base name of a clustered map, so its
+/// inserts shift no carried component's ranks. Here each of its names is
+/// prefixed with a base name picked by the name's serial (or with `A`, which
+/// sorts before them all), so inserts land between and before the carried
+/// names, and every third step also removes a base name. After every step
+/// the patched view (region map shifted by rank, component-box index merged)
+/// is cell for cell the one assembled from scratch over its components, and
+/// its region index answers as a one-level index does.
+#[test]
+fn ranks_shift_when_names_land_between_and_before_the_carried_ones() {
+    let names = |inst: &SpatialInstance| -> Vec<String> {
+        inst.names().iter().map(|s| s.to_string()).collect()
+    };
+    let mut inst = datagen::clustered_map(16, 3, 5);
+    let base = names(&inst);
+    let prefixed = |name: &str| -> String {
+        let serial: usize = name[1..].parse().expect("op_trace names are W and a serial");
+        match serial % 5 {
+            0 => format!("A{name}"),
+            _ => format!("{}_{name}", base[(serial * 7 + 3) % base.len()]),
+        }
+    };
+    let empty = GlobalComplexView::new(Vec::new(), Vec::new());
+    let all = names(&inst);
+    let mut view = empty.updated(all.clone(), &all, update_components(&[], &inst, &all, |_| None));
+    let (mut shifted, mut carried) = (0, 0);
+    for (step, batch) in datagen::op_trace(30, 11).into_iter().enumerate() {
+        let mut changed: Vec<String> = Vec::new();
+        for op in batch {
+            let name = match op {
+                TraceOp::Insert(name, region) => {
+                    let name = prefixed(&name);
+                    inst.insert(name.clone(), region);
+                    name
+                }
+                TraceOp::Remove(name) => {
+                    let name = prefixed(&name);
+                    inst.remove(&name);
+                    name
+                }
+            };
+            if !changed.contains(&name) {
+                changed.push(name);
+            }
+        }
+        if step % 3 == 2 {
+            let victim = &base[(step * 11) % base.len()];
+            if inst.remove(victim).is_some() && !changed.contains(victim) {
+                changed.push(victim.clone());
+            }
+        }
+        let update = update_components(view.components(), &inst, &changed, |_| None);
+        for (component, from) in update.components.iter().zip(&update.carried_from) {
+            if let Some(old) = *from {
+                carried += 1;
+                let before = view.components()[old].region_names();
+                let at = |name: &String| inst.names().iter().position(|n| n == name);
+                let was = |name: &String| view.region_names().iter().position(|n| n == name);
+                shifted += usize::from(component.region_names().iter().any(|n| at(n) != was(n)));
+                assert_eq!(before, component.region_names(), "a carried component keeps its names");
+            }
+        }
+        let patched = view.updated(names(&inst), &changed, update);
+        let context = format!("prefixed op_trace(30, 11) step {step}");
+        let scratch = GlobalComplexView::new(names(&inst), patched.components().to_vec());
+        assert!(patched.to_cell_complex() == scratch.to_cell_complex(), "{context}");
+        for name in patched.region_names() {
+            assert_eq!(patched.region_faces(name), scratch.region_faces(name), "{name} on {context}");
+        }
+        check_region_index(&patched, &context);
+        view = patched;
+    }
+    assert!(shifted * 2 > carried, "{shifted} of {carried} carried components moved rank");
 }
 
 #[test]

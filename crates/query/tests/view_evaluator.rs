@@ -217,6 +217,7 @@ fn relation_reads_realize_all_eight_relations() {
 fn commit(view: &GlobalComplexView, inst: &SpatialInstance, changed: &[&str]) -> GlobalComplexView {
     view.updated(
         names(inst),
+        changed,
         update_components(view.components(), inst, changed, |_| None),
     )
 }
@@ -311,7 +312,7 @@ fn one_region_commit(clusters: usize) -> usize {
     inst.insert("New", Region::rect_from_ints(3, 3, 11, 9));
     let update = update_components(view.components(), &inst, &["New"], |_| None);
     let rebuilt = update.rebuilt;
-    let next = view.updated(names(&inst), update);
+    let next = view.updated(names(&inst), &["New"], update);
     resolve_every_name(&next);
     rebuilt
 }

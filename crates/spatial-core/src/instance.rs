@@ -12,22 +12,59 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+/// The entries of one run of a [`SpatialInstance`]: shared, so that a clone
+/// of the run copies pointers.
+type Run = Vec<Arc<Entry>>;
+
+/// How many entries a run holds at least when a split makes it: a run
+/// splits in two once it grows past twice this, and is dropped once it is
+/// empty.
+const RUN: usize = 32;
+
+/// One named region of an instance.
+#[derive(Clone, PartialEq, Eq)]
+struct Entry {
+    name: String,
+    region: Region,
+}
+
+impl Entry {
+    /// The region of an entry taken out of an instance: moved if nothing
+    /// else shares the entry, copied otherwise.
+    fn into_region(entry: Arc<Entry>) -> Region {
+        Arc::try_unwrap(entry).map_or_else(|shared| shared.region.clone(), |entry| entry.region)
+    }
+}
+
 /// A spatial database instance: a finite map from region names to extents.
 ///
-/// Names are kept in a `BTreeMap` so iteration order (and therefore every
-/// derived combinatorial structure) is deterministic. Extents sit behind
-/// `Arc`s: a clone shares every region with its source, so deriving the next
-/// epoch's instance from the previous one copies names and pointers, not
-/// geometry.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+/// The entries are kept in name order, so iteration order (and therefore
+/// every derived combinatorial structure) is deterministic. They are stored
+/// as consecutive sorted runs of a few dozen entries, each run and each
+/// entry behind an `Arc`. A clone copies the run pointers only, one per run,
+/// and shares every name and region with its source; [`insert`] and
+/// [`remove`] copy the one run they change (its entry pointers, not its
+/// names or geometry) if another instance still shares it. Deriving the
+/// next epoch's instance from the previous one, and dropping the previous
+/// one, therefore cost `O(regions / run length)` pointer copies plus one run
+/// per changed name. Equality and `Debug` read the entries only: two
+/// instances with the same entries are equal and print alike, however
+/// their runs fell.
+///
+/// [`insert`]: SpatialInstance::insert
+/// [`remove`]: SpatialInstance::remove
+#[derive(Clone, Default)]
 pub struct SpatialInstance {
-    regions: BTreeMap<String, Arc<Region>>,
+    /// Nonempty runs, each ascending by name, the runs in name order.
+    runs: Vec<Arc<Run>>,
+    /// Number of entries over all runs.
+    len: usize,
 }
 
 impl SpatialInstance {
     /// The empty instance.
     pub fn new() -> Self {
-        SpatialInstance { regions: BTreeMap::new() }
+        SpatialInstance::default()
     }
 
     /// Build an instance from `(name, region)` pairs.
@@ -45,42 +82,90 @@ impl SpatialInstance {
 
     /// Insert (or replace) a named region.
     pub fn insert<S: Into<String>>(&mut self, name: S, region: Region) -> Option<Region> {
-        self.regions.insert(name.into(), Arc::new(region)).map(Arc::unwrap_or_clone)
+        let name = name.into();
+        let (r, at) = match self.find(&name) {
+            Ok((r, i)) => {
+                let run = Arc::make_mut(&mut self.runs[r]);
+                let old = std::mem::replace(&mut run[i], Arc::new(Entry { name, region }));
+                return Some(Entry::into_region(old));
+            }
+            Err(slot) => slot,
+        };
+        let entry = Arc::new(Entry { name, region });
+        self.len += 1;
+        let Some(run) = self.runs.get_mut(r) else {
+            self.runs.push(Arc::new(vec![entry]));
+            return None;
+        };
+        let run = Arc::make_mut(run);
+        run.insert(at, entry);
+        if run.len() > 2 * RUN {
+            let upper = run.split_off(RUN);
+            self.runs.insert(r + 1, Arc::new(upper));
+        }
+        None
     }
 
     /// Remove a named region.
     pub fn remove(&mut self, name: &str) -> Option<Region> {
-        self.regions.remove(name).map(Arc::unwrap_or_clone)
+        let (r, i) = self.find(name).ok()?;
+        let run = Arc::make_mut(&mut self.runs[r]);
+        let entry = run.remove(i);
+        if run.is_empty() {
+            self.runs.remove(r);
+        }
+        self.len -= 1;
+        Some(Entry::into_region(entry))
+    }
+
+    /// Where `name` is: `Ok((run, position))` if present, else
+    /// `Err((run, position))` where it would be inserted (a position in the
+    /// last run whose first name is below it, or in the first run).
+    fn find(&self, name: &str) -> Result<(usize, usize), (usize, usize)> {
+        let r = self.runs.partition_point(|run| run[0].name.as_str() <= name).saturating_sub(1);
+        let Some(run) = self.runs.get(r) else { return Err((0, 0)) };
+        match run.binary_search_by(|e| e.name.as_str().cmp(name)) {
+            Ok(i) => Ok((r, i)),
+            Err(i) => Err((r, i)),
+        }
+    }
+
+    /// The entries in name order.
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.runs.iter().flat_map(|run| run.iter().map(Arc::as_ref))
     }
 
     /// The set of names, in sorted order (the paper's `names(I)`).
     pub fn names(&self) -> Vec<&str> {
-        self.regions.keys().map(String::as_str).collect()
+        let mut names = Vec::with_capacity(self.len);
+        names.extend(self.entries().map(|e| e.name.as_str()));
+        names
     }
 
     /// The extent of a named region (the paper's `ext(I, r)`).
     pub fn ext(&self, name: &str) -> Option<&Region> {
-        self.regions.get(name).map(Arc::as_ref)
+        let (r, i) = self.find(name).ok()?;
+        Some(&self.runs[r][i].region)
     }
 
     /// Number of regions.
     pub fn len(&self) -> usize {
-        self.regions.len()
+        self.len
     }
 
     /// Is the instance empty?
     pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
+        self.len == 0
     }
 
     /// Iterate over `(name, region)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Region)> {
-        self.regions.iter().map(|(k, v)| (k.as_str(), v.as_ref()))
+        self.entries().map(|e| (e.name.as_str(), &e.region))
     }
 
     /// Do all regions of the instance belong to the given class?
     pub fn is_over_class(&self, class: RegionClass) -> bool {
-        self.regions.values().all(|r| r.is_in_class(class))
+        self.entries().all(|e| e.region.is_in_class(class))
     }
 
     /// The most specific common class of all regions (or `Disc` if empty).
@@ -107,38 +192,55 @@ impl SpatialInstance {
 
     /// Axis-aligned bounding box of all regions, if any.
     pub fn bounding_box(&self) -> Option<(Rational, Rational, Rational, Rational)> {
-        let mut it = self.regions.values();
+        let mut it = self.entries().map(|e| e.region.bounding_box());
         let first = it.next()?;
-        let mut bb = first.bounding_box();
-        for r in it {
-            let (x0, y0, x1, y1) = r.bounding_box();
-            bb = (bb.0.min(x0), bb.1.min(y0), bb.2.max(x1), bb.3.max(y1));
-        }
-        Some(bb)
+        Some(it.fold(first, |bb, (x0, y0, x1, y1)| {
+            (bb.0.min(x0), bb.1.min(y0), bb.2.max(x1), bb.3.max(y1))
+        }))
     }
 
     /// A translated copy of the whole instance.
     pub fn translated(&self, dx: i64, dy: i64) -> SpatialInstance {
-        SpatialInstance {
-            regions: self
-                .regions
-                .iter()
-                .map(|(k, v)| (k.clone(), Arc::new(v.translated(dx, dy))))
-                .collect(),
-        }
+        let runs = self.runs.iter().map(|run| {
+            let moved = run.iter().map(|e| {
+                Arc::new(Entry { name: e.name.clone(), region: e.region.translated(dx, dy) })
+            });
+            Arc::new(moved.collect())
+        });
+        SpatialInstance { runs: runs.collect(), len: self.len }
     }
 
     /// A copy with regions renamed via the provided map; names not in the map
     /// are kept. (Useful for testing that queries mentioning names explicitly
     /// are not name-generic, cf. Section 2.)
     pub fn renamed(&self, mapping: &BTreeMap<String, String>) -> SpatialInstance {
-        SpatialInstance {
-            regions: self
-                .regions
-                .iter()
-                .map(|(k, v)| (mapping.get(k).cloned().unwrap_or_else(|| k.clone()), Arc::clone(v)))
-                .collect(),
+        let mut out = SpatialInstance::new();
+        for e in self.entries() {
+            out.insert(mapping.get(&e.name).unwrap_or(&e.name).clone(), e.region.clone());
         }
+        out
+    }
+}
+
+impl PartialEq for SpatialInstance {
+    fn eq(&self, other: &SpatialInstance) -> bool {
+        self.len == other.len
+            && self.entries().zip(other.entries()).all(|(a, b)| std::ptr::eq(a, b) || a == b)
+    }
+}
+
+impl Eq for SpatialInstance {}
+
+impl fmt::Debug for SpatialInstance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// The entries, printed as a map from name to region.
+        struct Regions<'a>(&'a SpatialInstance);
+        impl fmt::Debug for Regions<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("SpatialInstance").field("regions", &Regions(self)).finish()
     }
 }
 
@@ -229,6 +331,111 @@ mod tests {
             Rational::from_int(10)
         );
         assert!(SpatialInstance::new().bounding_box().is_none());
+    }
+
+    /// A seeded xorshift generator, enough to draw operations.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// The instance's contents as the model map, with every read checked
+    /// against it: `names`, `ext`, `iter`, `len`, `==` and `Debug`.
+    fn assert_agrees(inst: &SpatialInstance, model: &BTreeMap<String, Region>, probes: &[String]) {
+        assert_eq!(inst.len(), model.len());
+        assert_eq!(inst.is_empty(), model.is_empty());
+        assert!(inst.names().into_iter().eq(model.keys().map(String::as_str)));
+        assert!(inst.iter().eq(model.iter().map(|(k, v)| (k.as_str(), v))));
+        for name in probes {
+            assert_eq!(inst.ext(name), model.get(name), "ext({name})");
+        }
+        let rebuilt = SpatialInstance::from_regions(model.iter().map(|(k, v)| (k.clone(), v.clone())));
+        assert_eq!(inst, &rebuilt);
+        assert_eq!(format!("{inst:?}"), format!("SpatialInstance {{ regions: {model:?} }}"));
+    }
+
+    #[test]
+    fn shared_runs_agree_with_a_map_model_and_no_write_leaks_into_a_clone() {
+        for seed in [1u64, 7, 1996] {
+            let mut draw = Draw(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let mut inst = SpatialInstance::new();
+            let mut model: BTreeMap<String, Region> = BTreeMap::new();
+            let mut held: Vec<(SpatialInstance, BTreeMap<String, Region>)> = Vec::new();
+            let mut widest_clone = 0;
+            // Grow past several splits, empty the instance, grow again and
+            // thin out: names drawn from a pool four times the run split.
+            let phases = [(400, 9), (400, 0), (300, 8), (300, 3)];
+            for (steps, grow) in phases {
+                for _ in 0..steps {
+                    let key = format!("n{:03}", draw.below(8 * RUN));
+                    let region = Region::rect_from_ints(0, 0, 1 + draw.below(5) as i64, 1);
+                    if draw.below(10) < grow {
+                        let old = inst.insert(key.clone(), region.clone());
+                        assert_eq!(old, model.insert(key.clone(), region), "insert({key})");
+                    } else {
+                        let victim = match draw.below(3) {
+                            0 => key.clone(),
+                            _ => model.keys().nth(draw.below(model.len().max(1))).cloned().unwrap_or(key.clone()),
+                        };
+                        assert_eq!(inst.remove(&victim), model.remove(&victim), "remove({victim})");
+                    }
+                    if draw.below(25) == 0 {
+                        let keep = (inst.clone(), model.clone());
+                        widest_clone = widest_clone.max(inst.runs.len());
+                        if held.len() < 6 {
+                            held.push(keep);
+                        } else {
+                            let at = draw.below(held.len());
+                            held[at] = keep;
+                        }
+                    }
+                    let probes = [key, "n000".to_string(), "zzz".to_string(), String::new()];
+                    for (clone, snapshot) in &held {
+                        assert_eq!(clone.len(), snapshot.len());
+                        assert!(clone.iter().eq(snapshot.iter().map(|(k, v)| (k.as_str(), v))));
+                    }
+                    assert_agrees(&inst, &model, &probes);
+                }
+                if grow == 0 {
+                    assert!(inst.is_empty() && inst.runs.is_empty(), "emptied: {} runs left", inst.runs.len());
+                }
+            }
+            assert!(widest_clone > 3, "a clone spans several runs: {widest_clone}");
+        }
+    }
+
+    #[test]
+    fn equal_contents_built_in_different_orders_are_equal_and_print_alike() {
+        let entries: Vec<(String, Region)> =
+            (0..5 * RUN as i64).map(|i| (format!("r{i:04}"), Region::rect_from_ints(i, 0, i + 1, 1))).collect();
+        let ascending = SpatialInstance::from_regions(entries.iter().cloned());
+        let descending = SpatialInstance::from_regions(entries.iter().rev().cloned());
+        let mut shuffled = SpatialInstance::new();
+        let mut draw = Draw(42);
+        let mut order: Vec<usize> = (0..entries.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, draw.below(i + 1));
+        }
+        for &i in &order {
+            shuffled.insert(entries[i].0.clone(), entries[i].1.clone());
+        }
+        let starts = |inst: &SpatialInstance| inst.runs.iter().map(|run| run[0].name.clone()).collect::<Vec<_>>();
+        assert_ne!(starts(&ascending), starts(&descending), "the runs fell differently");
+        for other in [&descending, &shuffled] {
+            assert_eq!(&ascending, other);
+            assert_eq!(format!("{ascending:?}"), format!("{other:?}"));
+            assert_eq!(format!("{ascending:#?}"), format!("{other:#?}"));
+        }
+        let mut fewer = shuffled.clone();
+        fewer.remove("r0003");
+        assert_ne!(ascending, fewer);
+        assert_eq!(shuffled, descending, "removing from a clone leaves its source whole");
     }
 
     #[test]

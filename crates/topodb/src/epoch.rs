@@ -15,7 +15,10 @@
 //!    registered: the clone keeps the base alive for as long as the commit
 //!    needs it.
 //! 2. **Build, outside any lock** — apply the buffered operations to a copy
-//!    of the base instance (names and `Arc`s; no geometry is copied), then
+//!    of the base instance, which shares every run of entries with the base
+//!    and copies only the runs the operations change (one pointer per run;
+//!    no name or geometry is copied, and dropping the superseded instance
+//!    later frees only what nothing shares), then
 //!    *patch* the base epoch's view instead of rebuilding it
 //!    ([`arrangement::update_components`] +
 //!    [`GlobalComplexView::updated`]). What is **carried**, pointer-identical
@@ -38,7 +41,11 @@
 //!    set is copied from the base component it was carried in. A one-region
 //!    commit therefore costs one box test per component of the database
 //!    plus the rebuild of the component it lands in, whose sweep covers the
-//!    edit's neighbourhood only. The result is a
+//!    edit's neighbourhood only. The view's glue is patched too: carried
+//!    components keep their region maps shifted by rank and their place in
+//!    the component-box index, so beyond the rebuilt components a commit
+//!    pays integer work per component and per name, and one `String` per
+//!    name for the new epoch's global name list. The result is a
 //!    complete new [`Snapshot`], constructed while readers keep loading
 //!    the old head and other writers build their own epochs concurrently.
 //!    The root epoch is the same update, of the empty view with every name
@@ -162,7 +169,7 @@ where
     counters.component_rebuilds.fetch_add(update.rebuilt as u64, Ordering::Relaxed);
     counters.complex_builds.fetch_add(1, Ordering::Relaxed);
     let global_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
-    let view = base.updated(global_names, update);
+    let view = base.updated(global_names, changed, update);
     Snapshot::new(epoch, instance, Arc::new(view))
 }
 

@@ -49,7 +49,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use topodb::arrangement::{build_complex_view, update_components, ComplexRead};
+use topodb::arrangement::{build_complex_view, update_components, ComplexRead, GlobalComplexView};
 use topodb::invariant::Invariant;
 use topodb::query::CellEvaluator;
 use topodb::{PreparedQuery, TopoDatabase};
@@ -168,7 +168,7 @@ fn dense_commits_allocate_at_most_half_of_the_point_keyed_build() {
             let cx = component.complex();
             cells += (cx.vertex_count() + cx.edge_count() + cx.face_count()) as u64;
         }
-        view = Arc::new(view.updated(names(&instance), update));
+        view = Arc::new(view.updated(names(&instance), &changed, update));
 
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         view.region_bbox_index();
@@ -243,5 +243,61 @@ fn the_homeomorphism_test_copies_neither_view() {
         "{homeomorphism} allocations in homeomorphic_to; with the two copies it made \
          {HOMEOMORPHISM_WITH_COPIES_ALLOCATIONS}, and it must save at least what the copies cost \
          ({TWO_COPIES_ALLOCATIONS})"
+    );
+}
+
+/// Allocations of one commit the way the benchmark's clustered workloads
+/// make them, at `clustered_map(clusters, 16, 1)`: after four inserts, one
+/// transaction that inserts a rectangle and removes the oldest name held.
+/// Every edit lands in cluster 0, which both maps draw alike (its rectangles
+/// come first off the seeded generator), so the rebuilt component is the
+/// same at every size.
+///
+/// A debug build's `GlobalComplexView::updated` also assembles the view
+/// from scratch, to assert the patch against it; that reference is counted
+/// on its own, over the published head, and taken off.
+fn one_held_commit(clusters: usize) -> u64 {
+    let db = TopoDatabase::from_instance(datagen::clustered_map(clusters, 16, 1));
+    let rect = |k: i64| topodb::spatial_core::prelude::Region::rect_from_ints(2 + k, 3, 9 + k, 11 + k);
+    let mut held = std::collections::VecDeque::new();
+    for k in 0..4 {
+        let name = format!("X0_{k:06}");
+        let mut txn = db.begin_shared();
+        txn.insert(name.clone(), rect(k));
+        txn.try_commit().expect("an insert commits");
+        held.push_back(name);
+    }
+    let (name, region) = ("X0_000004".to_string(), rect(4));
+    let oldest = held.pop_front().expect("four names held");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut txn = db.begin_shared();
+    txn.insert(name, region);
+    txn.remove(oldest);
+    let summary = txn.try_commit().expect("the commit publishes");
+    let counted = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(summary.changed.len(), 2, "both edits take effect");
+    if !cfg!(debug_assertions) {
+        return counted;
+    }
+    let view = db.snapshot().complex_view();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let reference = GlobalComplexView::new(view.region_names().to_vec(), view.components().to_vec());
+    let checked = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    drop(reference);
+    counted.saturating_sub(checked)
+}
+
+#[test]
+fn a_commit_allocates_per_region_only_for_the_global_name_list() {
+    let _alone = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    let (small, large) = (one_held_commit(16), one_held_commit(256));
+    let added = (256 - 16) * 16;
+    println!("one commit: {small} allocations at {} regions, {large} at {} regions", 16 * 16, 256 * 16);
+    // The global name list holds one `String` per name; the instance, the
+    // region map and the component-box index add none per region.
+    assert!(
+        4 * large <= 4 * small + 5 * added,
+        "one commit makes {small} allocations at 256 regions and {large} at 4 096: more than 1.25 \
+         per added region"
     );
 }
