@@ -22,8 +22,184 @@ use crate::partition::BBox;
 use crate::runs::Runs;
 use crate::types::*;
 use spatial_core::prelude::Point;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
+
+/// The cells of the closure of a set of bounded faces besides the faces
+/// themselves, each list ascending: what [`closure_cells`] walks. The four
+/// lists lie back to back in one buffer.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ClosureCells {
+    cells: Vec<usize>,
+    ends: [usize; 4],
+}
+
+impl ClosureCells {
+    /// The closure made of the four ascending lists.
+    pub fn new(
+        boundary_edges: impl IntoIterator<Item = usize>,
+        interior_edges: impl IntoIterator<Item = usize>,
+        boundary_vertices: impl IntoIterator<Item = usize>,
+        interior_vertices: impl IntoIterator<Item = usize>,
+    ) -> ClosureCells {
+        let mut cells = Vec::new();
+        let mut ends = [0; 4];
+        let lists = [
+            boundary_edges.into_iter().collect::<Vec<_>>(),
+            interior_edges.into_iter().collect(),
+            boundary_vertices.into_iter().collect(),
+            interior_vertices.into_iter().collect(),
+        ];
+        cells.reserve_exact(lists.iter().map(Vec::len).sum());
+        for (end, list) in ends.iter_mut().zip(lists) {
+            cells.extend(list);
+            *end = cells.len();
+        }
+        ClosureCells { cells, ends }
+    }
+
+    fn list(&self, k: usize) -> &[usize] {
+        &self.cells[if k == 0 { 0 } else { self.ends[k - 1] }..self.ends[k]]
+    }
+
+    /// Edges with exactly one incident face in the set.
+    pub fn boundary_edges(&self) -> &[usize] {
+        self.list(0)
+    }
+
+    /// Edges with both incident faces in the set.
+    pub fn interior_edges(&self) -> &[usize] {
+        self.list(1)
+    }
+
+    /// Vertices with some but not all incident faces in the set.
+    pub fn boundary_vertices(&self) -> &[usize] {
+        self.list(2)
+    }
+
+    /// Vertices with all incident faces in the set.
+    pub fn interior_vertices(&self) -> &[usize] {
+        self.list(3)
+    }
+}
+
+/// The edges and vertices of the closure of `faces` (bounded faces,
+/// ascending), found by walking the incidence of those faces alone
+/// ([`ComplexRead::for_each_face_edge`]): an edge is a boundary edge when
+/// exactly one of its faces is in the set and an interior edge when both
+/// are. Around a vertex, face membership changes only across a boundary
+/// edge, so the boundary vertices are the ends of the boundary edges and the
+/// interior vertices the other ends of interior edges. The cost is the
+/// faces' degrees, not a scan of the complex.
+pub fn closure_cells<C: ComplexRead + ?Sized>(complex: &C, faces: &[FaceId]) -> ClosureCells {
+    let in_set = |f: &FaceId| faces.binary_search(f).is_ok();
+    let mut boundary: Vec<(usize, (usize, usize))> = Vec::new();
+    let mut interior: Vec<(usize, (usize, usize))> = Vec::new();
+    for &f in faces {
+        complex.for_each_face_edge(f, |e, (l, r), (a, b)| {
+            let cell = (e.0, (a.0, b.0));
+            if in_set(&l) && in_set(&r) {
+                interior.push(cell);
+            } else {
+                boundary.push(cell);
+            }
+        });
+    }
+    fn ends_of(edges: &mut Vec<(usize, (usize, usize))>) -> Vec<usize> {
+        edges.sort_unstable();
+        edges.dedup();
+        let mut ends: Vec<usize> = edges.iter().flat_map(|&(_, (a, b))| [a, b]).collect();
+        ends.sort_unstable();
+        ends.dedup();
+        ends
+    }
+    let boundary_vertices = ends_of(&mut boundary);
+    let mut interior_vertices = ends_of(&mut interior);
+    interior_vertices.retain(|v| boundary_vertices.binary_search(v).is_err());
+    ClosureCells::new(
+        boundary.into_iter().map(|(e, _)| e),
+        interior.into_iter().map(|(e, _)| e),
+        boundary_vertices,
+        interior_vertices,
+    )
+}
+
+/// What a part's cell ids are shifted by to become ids of the whole
+/// complex: vertex, edge and bounded-face offsets.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CellOffsets {
+    /// Added to a part's vertex id.
+    pub vertex: usize,
+    /// Added to a part's edge id.
+    pub edge: usize,
+    /// Added to a part's bounded face id.
+    pub face: usize,
+}
+
+/// The cells of the parts nested, transitively, inside some faces of
+/// another part, as ascending, disjoint id ranges of the whole complex, one
+/// range of each dimension per nested part. A nested part lies inside the
+/// faces, so every one of its cells is interior to a region they make up.
+/// Nothing nested, the common case, is one null pointer.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct NestedCells(Option<Box<[Vec<Range<usize>>; 3]>>);
+
+impl NestedCells {
+    /// The nested parts' vertex, edge and bounded face ranges, one of each
+    /// per part, in part order.
+    pub fn new(vertices: Vec<Range<usize>>, edges: Vec<Range<usize>>, faces: Vec<Range<usize>>) -> NestedCells {
+        let nothing = vertices.is_empty() && edges.is_empty() && faces.is_empty();
+        NestedCells((!nothing).then(|| Box::new([vertices, edges, faces])))
+    }
+
+    /// Is nothing nested?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+
+    fn ranges(&self, dimension: usize) -> &[Range<usize>] {
+        self.0.as_ref().map_or(&[], |ranges| &ranges[dimension])
+    }
+
+    /// The nested parts' vertex ranges.
+    pub fn vertices(&self) -> &[Range<usize>] {
+        self.ranges(0)
+    }
+
+    /// The nested parts' edge ranges.
+    pub fn edges(&self) -> &[Range<usize>] {
+        self.ranges(1)
+    }
+
+    /// The nested parts' bounded face ranges.
+    pub fn faces(&self) -> &[Range<usize>] {
+        self.ranges(2)
+    }
+}
+
+/// Where a region's cells are numbered ([`ComplexRead::region_home`]): the
+/// part of the complex that holds the region, the region's faces in that
+/// part's ids, and what turns the part's cells into the whole complex's.
+/// The region's faces are `faces` shifted by `offsets.face` together with
+/// `nested.faces()`; its closure cells are the part's
+/// ([`ComplexRead::home_closure`]) shifted by `offsets`, together with
+/// `nested`'s edges and vertices, which are all interior.
+#[derive(Clone, Debug)]
+pub struct RegionHome<'a> {
+    /// The part that holds the region (an index into
+    /// [`ComplexRead::part_region_counts`]).
+    pub part: usize,
+    /// The region's id among the part's regions.
+    pub local: usize,
+    /// The region's bounded faces in the part's ids, ascending.
+    pub faces: Cow<'a, [FaceId]>,
+    /// The part's offsets into the whole complex.
+    pub offsets: CellOffsets,
+    /// The cells of the parts nested inside the region's faces.
+    pub nested: NestedCells,
+}
 
 /// Read access to the combinatorial structure of a planar cell complex: the
 /// paper's invariant `T_I` (Section 3). It holds the cells by dimension,
@@ -197,9 +373,9 @@ pub trait ComplexRead {
     /// Visit every edge of [`ComplexRead::face_boundary`] with the edge's
     /// two faces and its endpoints: the incidence walk of a face, so walking
     /// a set of faces costs their degrees rather than a scan of the complex.
-    /// [`GlobalComplexView`](crate::GlobalComplexView) overrides it with a
-    /// walk of the components' own face → edge tables that allocates
-    /// nothing; its edges then come unsorted.
+    /// [`CellComplex`] and [`GlobalComplexView`](crate::GlobalComplexView)
+    /// override it with a walk of their own face → edge tables that
+    /// allocates nothing; the view's edges then come unsorted.
     fn for_each_face_edge(
         &self,
         f: FaceId,
@@ -208,6 +384,46 @@ pub trait ComplexRead {
         for e in self.face_boundary(f) {
             visit(e, self.edge_faces(e), self.edge_endpoints(e));
         }
+    }
+
+    // ---- parts: how a complex served out of sub-complexes numbers cells --
+
+    /// The number of regions of each part the complex is served out of, in
+    /// part order. A region's closure cells depend on its part alone, so a
+    /// reader can keep them per part, in the part's own ids, for as long as
+    /// the part lives ([`ComplexRead::region_home`]). The default is one
+    /// part, the complex itself, holding every region;
+    /// [`GlobalComplexView`](crate::GlobalComplexView) answers one part per
+    /// component.
+    fn part_region_counts(&self) -> Vec<usize> {
+        vec![self.region_names().len()]
+    }
+
+    /// Where the cells of region `region` (an index into
+    /// [`ComplexRead::region_names`]) are numbered, or `None` for a region
+    /// with no cell (no boundary). The default: the complex is its own one
+    /// part, at offset zero, nothing is nested, and the faces are
+    /// [`ComplexRead::region_faces`], the reference scan;
+    /// [`GlobalComplexView`](crate::GlobalComplexView) answers the region's
+    /// component, the interior faces that component's build emitted, the
+    /// component's offsets and the ranges of the components nested inside
+    /// those faces, and scans no face.
+    fn region_home(&self, region: usize) -> Option<RegionHome<'_>> {
+        Some(RegionHome {
+            part: 0,
+            local: region,
+            faces: Cow::Owned(self.region_faces(&self.region_names()[region])),
+            offsets: CellOffsets::default(),
+            nested: NestedCells::default(),
+        })
+    }
+
+    /// The closure cells of a region's home faces in its part's own ids:
+    /// [`closure_cells`] over the part. The default walks the complex
+    /// itself; [`GlobalComplexView`](crate::GlobalComplexView) walks the
+    /// component's own [`CellComplex`].
+    fn home_closure(&self, home: &RegionHome<'_>) -> ClosureCells {
+        closure_cells(self, &home.faces)
     }
 
     /// All darts whose left face is `f` (the face's boundary walk(s)).
@@ -419,6 +635,18 @@ impl ComplexRead for CellComplex {
 
     fn face_boundary(&self, f: FaceId) -> Vec<EdgeId> {
         self.face_edges.get(f.0).to_vec()
+    }
+
+    /// Read straight from the face → edge table: no allocation.
+    fn for_each_face_edge(
+        &self,
+        f: FaceId,
+        mut visit: impl FnMut(EdgeId, (FaceId, FaceId), (VertexId, VertexId)),
+    ) {
+        for &e in self.face_edges.get(f.0) {
+            let d = &self.edges[e.0];
+            visit(e, (d.left_face, d.right_face), (d.tail, d.head));
+        }
     }
 
     fn vertex_sign(&self, v: VertexId, region: usize) -> Sign {

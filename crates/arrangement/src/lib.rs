@@ -114,9 +114,10 @@
 //! the thematic database (the `invariant` crate) and 4-relation
 //! classification (`relations::relation_in_complex`). Cell-level query
 //! evaluation (`query::CellEvaluator<C: ComplexGeometry>`) also reads the
-//! geometric subtrait [`ComplexGeometry`]: its face walks and spatial index
-//! come through [`ComplexRead::for_each_face_edge`] and
-//! [`ComplexGeometry::region_bbox_index`].
+//! geometric subtrait [`ComplexGeometry`]: its face walks
+//! ([`closure_cells`], over [`ComplexRead::for_each_face_edge`]), the
+//! homes of named regions ([`ComplexRead::region_home`]) and its spatial
+//! index ([`ComplexGeometry::region_bbox_index`]) come through them.
 //!
 //! ## Incremental maintenance
 //!
@@ -220,7 +221,10 @@ pub use assemble::{
     ComponentComplex, ComponentSet, ComponentUpdate,
 };
 pub use builder::{build_complex, build_complex_monolithic, build_complex_view};
-pub use complex::{CellComplex, ComplexGeometry, ComplexRead};
+pub use complex::{
+    closure_cells, CellComplex, CellOffsets, ClosureCells, ComplexGeometry, ComplexRead, NestedCells,
+    RegionHome,
+};
 pub use index::SpatialIndex;
 pub use runs::Runs;
 pub use view::GlobalComplexView;

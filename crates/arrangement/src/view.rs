@@ -35,6 +35,17 @@
 //! [`ComplexRead::for_each_face_edge`] follows the component's own face →
 //! edge → endpoint incidence.
 //!
+//! A region's closure cells depend on its component alone too, but the
+//! view keeps no memo of them: it says how to read them
+//! ([`ComplexRead::region_home`]) — the region's component (the view's
+//! parts are its components), its interior faces there, the component's
+//! vertex, edge and face offsets, and the id ranges of the components
+//! nested, transitively, inside those faces, every cell of which is
+//! interior to the region — and walks them in the component's own ids on
+//! request ([`ComplexRead::home_closure`]). A reader keeps the walks for as
+//! long as the component lives (`query::cell_eval::RegionCells`, which
+//! `topodb`'s snapshot chain carries across epochs).
+//!
 //! The per-epoch glue — offsets, nesting parents, `nested_in_face`, the
 //! inherited labels, the local→global region maps, the index over the
 //! component boxes and the region index
@@ -66,12 +77,16 @@ use crate::assemble::{
     assemble_components, component_index, inherited_labels, locate_components, locate_names,
     nesting_topo_order, widen_label, ComponentComplex, ComponentUpdate, RankShift,
 };
-use crate::complex::{CellComplex, ComplexGeometry, ComplexRead};
+use crate::complex::{
+    closure_cells, CellComplex, CellOffsets, ClosureCells, ComplexGeometry, ComplexRead, NestedCells,
+    RegionHome,
+};
 use crate::index::{SpatialIndex, TiledIndex};
 use crate::partition::BBox;
 use crate::runs::Runs;
 use crate::types::*;
 use spatial_core::prelude::Point;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -113,6 +128,10 @@ pub struct GlobalComplexView {
     inherited: Vec<Label>,
     /// Global face id → components embedded directly in that face.
     nested_in_face: BTreeMap<usize, Vec<usize>>,
+    /// Per component: is some component embedded in one of its bounded
+    /// faces? (`nested_cells` reads no face of a component that hosts
+    /// none.)
+    hosts: Vec<bool>,
     /// The index over the component boxes, which nesting resolution probes
     /// and the region index has on top, with the center orders it was tiled
     /// by: the next view's merges its new boxes into them.
@@ -303,6 +322,10 @@ impl GlobalComplexView {
         for (c, pf) in parent_face.iter().enumerate() {
             nested_in_face.entry(pf.0).or_default().push(c);
         }
+        let mut hosts = vec![false; k];
+        for &(d, _) in parents.iter().flatten() {
+            hosts[d] = true;
+        }
 
         let parts = components.iter().map(|c| &c.region_index).zip(region_map.iter());
         let region_index =
@@ -321,6 +344,7 @@ impl GlobalComplexView {
             parent_face,
             inherited,
             nested_in_face,
+            hosts,
             component_boxes,
             region_index,
             widen_count: Arc::new(AtomicU64::new(0)),
@@ -347,6 +371,7 @@ impl GlobalComplexView {
             && self.parent_face == other.parent_face
             && self.inherited == other.inherited
             && self.nested_in_face == other.nested_in_face
+            && self.hosts == other.hosts
             && self.component_boxes.index().same_entries(&component_index(&self.components))
     }
 
@@ -440,6 +465,30 @@ impl GlobalComplexView {
     fn widen_counted(&self, c: usize, local: &[(usize, Sign)]) -> Label {
         self.widen_count.fetch_add(1, Ordering::Relaxed);
         widen_label(&self.inherited[c], local, self.region_map.get(c))
+    }
+
+    /// The cells of the components nested, transitively, inside the
+    /// bounded local faces `faces` (ascending) of component `c`: one range
+    /// of vertex, edge and face ids per nested component, ascending.
+    fn nested_cells(&self, c: usize, faces: &[FaceId]) -> NestedCells {
+        if !self.hosts[c] {
+            return NestedCells::default();
+        }
+        let cells = |d: usize| &self.components[d].complex;
+        let bounded = |d: usize| self.face_start[d]..self.face_start[d] + cells(d).face_count() - 1;
+        let in_face = |f: FaceId| self.nested_in_face.get(&self.face_abroad(c, f).0);
+        let mut nested: Vec<usize> = faces.iter().filter_map(|&f| in_face(f)).flatten().copied().collect();
+        let mut next = 0;
+        while let Some(&d) = nested.get(next) {
+            next += 1;
+            nested.extend(self.nested_in_face.range(bounded(d)).flat_map(|(_, ds)| ds.iter().copied()));
+        }
+        nested.sort_unstable();
+        NestedCells::new(
+            nested.iter().map(|&d| self.vertex_start[d]..self.vertex_start[d] + cells(d).vertex_count()).collect(),
+            nested.iter().map(|&d| self.edge_start[d]..self.edge_start[d] + cells(d).edge_count()).collect(),
+            nested.iter().map(|&d| bounded(d)).collect(),
+        )
     }
 
     /// How many label widenings this view's accessors have performed (the
@@ -592,26 +641,52 @@ impl ComplexRead for GlobalComplexView {
         self.components.iter().map(|c| c.complex.skeleton_component_count()).sum()
     }
 
-    /// Served from the interior faces the region's component build emitted:
-    /// its local interior faces plus every bounded face of each component
-    /// nested, transitively, inside them (such a component does not contain
-    /// the region, so it inherits the face's `Interior` sign).
+    /// Served from the interior faces the region's component build emitted
+    /// ([`ComplexRead::region_home`]): its local interior faces shifted into
+    /// the global ids, plus every bounded face of each component nested,
+    /// transitively, inside them.
     fn region_faces(&self, region: &str) -> Vec<FaceId> {
-        let Some(idx) = self.region_index(region) else { return vec![] };
-        let (c, local) = self.region_home[idx];
-        let Some(component) = self.components.get(c) else { return vec![] };
-        let interior = component.region_faces.get(local);
-        let mut out: Vec<FaceId> = interior.iter().map(|&f| self.face_abroad(c, f)).collect();
-        let mut nested: Vec<usize> =
-            out.iter().flat_map(|f| self.nested_in_face.get(&f.0)).flatten().copied().collect();
-        while let Some(d) = nested.pop() {
-            let first = self.face_start[d];
-            let faces = first..first + self.components[d].complex.face_count() - 1;
-            nested.extend(self.nested_in_face.range(faces.clone()).flat_map(|(_, ds)| ds.clone()));
-            out.extend(faces.map(FaceId));
-        }
+        let Some(home) = self.region_index(region).and_then(|i| self.region_home(i)) else {
+            return vec![];
+        };
+        let mut out: Vec<FaceId> = home.faces.iter().map(|f| FaceId(f.0 + home.offsets.face)).collect();
+        out.extend(home.nested.faces().iter().cloned().flatten().map(FaceId));
         out.sort_unstable();
         out
+    }
+
+    /// One part per component, in assembly order.
+    fn part_region_counts(&self) -> Vec<usize> {
+        self.components.iter().map(|c| c.region_names().len()).collect()
+    }
+
+    /// The region's component and local id, the interior faces that
+    /// component's build emitted (borrowed), the component's offsets, and
+    /// the ranges of the components nested, transitively, inside those
+    /// faces (such a component does not contain the region, so all its
+    /// cells inherit the face's `Interior` sign). A component that hosts no
+    /// other answers that with one flag.
+    fn region_home(&self, region: usize) -> Option<RegionHome<'_>> {
+        let (c, local) = *self.region_home.get(region)?;
+        let component = self.components.get(c)?;
+        let faces = component.region_faces.get(local);
+        Some(RegionHome {
+            part: c,
+            local,
+            faces: Cow::Borrowed(faces),
+            offsets: CellOffsets {
+                vertex: self.vertex_start[c],
+                edge: self.edge_start[c],
+                face: self.face_start[c] - 1,
+            },
+            nested: self.nested_cells(c, faces),
+        })
+    }
+
+    /// Walked over the component's own complex: the local faces' own
+    /// incidence, in local ids.
+    fn home_closure(&self, home: &RegionHome<'_>) -> ClosureCells {
+        closure_cells(&self.components[home.part].complex, &home.faces)
     }
 }
 

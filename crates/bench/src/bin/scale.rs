@@ -6,12 +6,15 @@
 //! round after round: each round's transaction inserts one `cluster_rect`
 //! into a seeded cluster and removes the oldest of the four names it holds,
 //! as the benchmark's clustered workloads do. On each round's new snapshot
-//! the ruler times `evaluator()`, then `overlap(ext(x), C000_R000)` twice:
-//! the first (fresh) evaluation on the new epoch and a second (warm) one.
+//! the ruler times `evaluator()`, then `overlap(ext(x), C000_R000)` (the
+//! first, fresh evaluation on the new epoch), then the same query anchored
+//! in the middle cluster, `overlap(ext(x), C{c/2}_R000)` (a young one: the
+//! epoch has answered a query, but not on these names), then the first
+//! query again (warm).
 //!
 //! Columns: the cold build (ms), and the medians over the rounds of the
-//! commit, `evaluator()`, the fresh and the warm query (µs). One JSON line
-//! per run, with its label, is appended to the output file.
+//! commit, `evaluator()`, the fresh, the young and the warm query (µs). One
+//! JSON line per run, with its label, is appended to the output file.
 //!
 //! ```text
 //! cargo run --release -p bench --bin scale -- --label "my change"
@@ -46,6 +49,7 @@ struct Row {
     commit_us: f64,
     evaluator_us: f64,
     fresh_overlap_us: f64,
+    young_overlap_us: f64,
     warm_overlap_us: f64,
 }
 
@@ -75,10 +79,13 @@ fn measure(clusters: usize) -> Row {
     let cold_build_ms = micros(start) / 1e3;
 
     let query = PreparedQuery::compile("overlap(ext(x), C000_R000)").expect("the query compiles");
+    let elsewhere = format!("overlap(ext(x), C{:03}_R000)", clusters / 2);
+    let young_query = PreparedQuery::compile(&elsewhere).expect("the query compiles");
     let mut rng = StdRng::seed_from_u64(52);
     let mut held: VecDeque<String> = VecDeque::new();
     let rounds = rounds_for(regions);
-    let (mut commit, mut evaluator, mut fresh, mut warm) = (vec![], vec![], vec![], vec![]);
+    let (mut commit, mut evaluator) = (vec![], vec![]);
+    let (mut fresh, mut young, mut warm) = (vec![], vec![], vec![]);
     for serial in 0..HELD + rounds {
         let cluster = rng.gen_range(0..clusters);
         let name = format!("X{serial:06}");
@@ -101,9 +108,9 @@ fn measure(clusters: usize) -> Row {
         let start = Instant::now();
         let _ = snapshot.evaluator();
         evaluator.push(micros(start));
-        for times in [&mut fresh, &mut warm] {
+        for (query, times) in [(&query, &mut fresh), (&young_query, &mut young), (&query, &mut warm)] {
             let start = Instant::now();
-            let answer = snapshot.evaluate(&query).expect("the query runs");
+            let answer = snapshot.evaluate(query).expect("the query runs");
             times.push(micros(start));
             std::hint::black_box(answer);
         }
@@ -116,6 +123,7 @@ fn measure(clusters: usize) -> Row {
         commit_us: median(commit),
         evaluator_us: median(evaluator),
         fresh_overlap_us: median(fresh),
+        young_overlap_us: median(young),
         warm_overlap_us: median(warm),
     }
 }
@@ -142,7 +150,8 @@ fn json_line(label: &str, rows: &[Row]) -> String {
         .map(|r| {
             format!(
                 "{{\"clusters\":{},\"regions\":{},\"rounds\":{},\"cold_build_ms\":{:.3},\"commit_p50_us\":{:.1},\
-                 \"evaluator_p50_us\":{:.1},\"fresh_overlap_p50_us\":{:.1},\"warm_overlap_p50_us\":{:.1}}}",
+                 \"evaluator_p50_us\":{:.1},\"fresh_overlap_p50_us\":{:.1},\"young_overlap_p50_us\":{:.1},\
+                 \"warm_overlap_p50_us\":{:.1}}}",
                 r.clusters,
                 r.regions,
                 r.rounds,
@@ -150,6 +159,7 @@ fn json_line(label: &str, rows: &[Row]) -> String {
                 r.commit_us,
                 r.evaluator_us,
                 r.fresh_overlap_us,
+                r.young_overlap_us,
                 r.warm_overlap_us
             )
         })
@@ -175,16 +185,17 @@ fn main() {
     }
 
     println!(
-        "{:>8} {:>8} {:>7} {:>14} {:>12} {:>14} {:>13} {:>12}",
-        "clusters", "regions", "rounds", "cold_build_ms", "commit_us", "evaluator_us", "fresh_q_us", "warm_q_us"
+        "{:>8} {:>8} {:>7} {:>14} {:>12} {:>14} {:>13} {:>12} {:>12}",
+        "clusters", "regions", "rounds", "cold_build_ms", "commit_us", "evaluator_us", "fresh_q_us", "young_q_us",
+        "warm_q_us"
     );
     let mut rows = Vec::new();
     for c in clusters {
         let r = measure(c);
         println!(
-            "{:>8} {:>8} {:>7} {:>14.1} {:>12.1} {:>14.1} {:>13.1} {:>12.1}",
+            "{:>8} {:>8} {:>7} {:>14.1} {:>12.1} {:>14.1} {:>13.1} {:>12.1} {:>12.1}",
             r.clusters, r.regions, r.rounds, r.cold_build_ms, r.commit_us, r.evaluator_us, r.fresh_overlap_us,
-            r.warm_overlap_us
+            r.young_overlap_us, r.warm_overlap_us
         );
         rows.push(r);
     }

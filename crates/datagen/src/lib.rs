@@ -527,9 +527,127 @@ pub fn dense_edit_trace(
     trace
 }
 
+/// [`op_trace`] renamed to interleave with `base`, the names of the map it
+/// is replayed over: a fifth of its names sort before every name of `base`
+/// (`A` and the trace's name), the rest right after one of them (that name,
+/// `_` and the trace's name), so a commit moves the ranks of names it does
+/// not touch. Every third batch also removes a name of `base` still live.
+pub fn interleaved_op_trace(base: &[String], steps: usize, seed: u64) -> Vec<Vec<TraceOp>> {
+    let renamed = |name: String| -> String {
+        let serial: usize = name[1..].parse().expect("op_trace names are W and a serial");
+        match serial % 5 {
+            0 => format!("A{name}"),
+            _ => format!("{}_{name}", base[(serial * 7 + 3) % base.len()]),
+        }
+    };
+    let mut removed = vec![false; base.len()];
+    let mut trace = op_trace(steps, seed);
+    for (step, batch) in trace.iter_mut().enumerate() {
+        for op in batch.iter_mut() {
+            *op = match std::mem::replace(op, TraceOp::Remove(String::new())) {
+                TraceOp::Insert(name, region) => TraceOp::Insert(renamed(name), region),
+                TraceOp::Remove(name) => TraceOp::Remove(renamed(name)),
+            };
+        }
+        if step % 3 == 2 {
+            let live = (0..base.len()).map(|k| (step * 11 + k) % base.len()).find(|&i| !removed[i]);
+            if let Some(victim) = live {
+                removed[victim] = true;
+                batch.push(TraceOp::Remove(base[victim].clone()));
+            }
+        }
+    }
+    trace
+}
+
+/// A commit trace over [`nested_rings`]`(rings)` (`rings >= 3`) that moves
+/// components between nesting levels, six kinds of batch in turn: a 1×1
+/// dot inserted inside the innermost ring (one of nine spots; the oldest is
+/// removed once four are held), a ring between the outermost and the
+/// innermost removed and then re-inserted (whatever it enclosed moves one
+/// level out and back), a bar inserted across the innermost ring's right
+/// side (joining that ring's component) and removed again, and a far-away
+/// square whose name sorts before every other (the oldest removed once
+/// three are held). Names: `D…` dots, `B…` bars, `A…` squares.
+pub fn nested_edit_trace(rings: usize, steps: usize) -> Vec<Vec<TraceOp>> {
+    assert!(rings >= 3);
+    let r = rings as i64;
+    let ring = |i: usize| {
+        let (off, size) = (2 * i as i64, 4 * r + 4);
+        Region::rect_from_ints(off, off, size - off, size - off)
+    };
+    let (mut dots, mut squares) = (std::collections::VecDeque::new(), std::collections::VecDeque::new());
+    let mut trace = Vec::with_capacity(steps);
+    for step in 0..steps {
+        let round = step / 6;
+        let middle = 1 + round % (rings - 2);
+        let batch = match step % 6 {
+            0 => {
+                let (x, y) = (2 * r - 1 + 2 * (round % 3) as i64, 2 * r - 1 + 2 * (round / 3 % 3) as i64);
+                let name = format!("D{round:04}");
+                dots.push_back(name.clone());
+                let mut batch = vec![TraceOp::Insert(name, Region::rect_from_ints(x, y, x + 1, y + 1))];
+                if dots.len() > 4 {
+                    batch.push(TraceOp::Remove(dots.pop_front().expect("dots held")));
+                }
+                batch
+            }
+            1 => vec![TraceOp::Remove(format!("R{middle:03}"))],
+            2 => vec![TraceOp::Insert(format!("R{middle:03}"), ring(middle))],
+            3 => vec![TraceOp::Insert(format!("B{round:04}"), Region::rect_from_ints(2 * r + 5, 2 * r, 2 * r + 7, 2 * r + 1))],
+            4 => vec![TraceOp::Remove(format!("B{round:04}"))],
+            _ => {
+                let name = format!("A{round:04}");
+                squares.push_back(name.clone());
+                let x = 1000 + 4 * round as i64;
+                let mut batch = vec![TraceOp::Insert(name, Region::rect_from_ints(x, 0, x + 2, 2))];
+                if squares.len() > 3 {
+                    batch.push(TraceOp::Remove(squares.pop_front().expect("squares held")));
+                }
+                batch
+            }
+        };
+        trace.push(batch);
+    }
+    trace
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Replay a trace over `names`, checking that every removal targets a
+    /// live name; the live names at the end.
+    fn replay_names(mut live: std::collections::BTreeSet<String>, trace: &[Vec<TraceOp>]) -> std::collections::BTreeSet<String> {
+        for batch in trace {
+            for op in batch {
+                match op {
+                    TraceOp::Insert(name, _) => {
+                        live.insert(name.clone());
+                    }
+                    TraceOp::Remove(name) => assert!(live.remove(name), "remove of dead name {name}"),
+                }
+            }
+        }
+        live
+    }
+
+    #[test]
+    fn interleaved_and_nested_edit_traces_are_well_formed() {
+        let base: Vec<String> = clustered_map(4, 3, 5).names().iter().map(|s| s.to_string()).collect();
+        let trace = interleaved_op_trace(&base, 30, 11);
+        let names: std::collections::BTreeSet<&String> = trace.iter().flatten().map(|op| match op {
+            TraceOp::Insert(name, _) | TraceOp::Remove(name) => name,
+        }).collect();
+        assert!(names.iter().any(|n| n.as_str() < base[0].as_str()), "some names sort before the base");
+        assert!(names.iter().any(|n| base.iter().any(|b| n.starts_with(&format!("{b}_")))), "some land between");
+        let live = replay_names(base.iter().cloned().collect(), &trace);
+        assert!(base.iter().any(|b| !live.contains(b)), "base names are removed");
+
+        let rings: std::collections::BTreeSet<String> = nested_rings(5).names().iter().map(|s| s.to_string()).collect();
+        let live = replay_names(rings.clone(), &nested_edit_trace(5, 60));
+        assert!(rings.is_subset(&live), "every ring removed is re-inserted");
+    }
 
     #[test]
     fn grid_map_counts_and_classes() {

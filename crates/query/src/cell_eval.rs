@@ -9,27 +9,24 @@
 //! region can be deformed onto a union of cells.
 //!
 //! The evaluator represents every region (named or quantified) by the set of
-//! *faces* it consists of ([`CellRegion`]); interiors, boundaries and
-//! closures of such regions are exact unions of cells, so every
-//! 4-intersection atom is decided purely combinatorially — this is the
-//! reduction of topological queries to the invariant promised by
-//! Corollary 3.7, in executable form.
+//! *faces* it consists of; interiors, boundaries and closures of such
+//! regions are exact unions of cells, so every 4-intersection atom is
+//! decided purely combinatorially — this is the reduction of topological
+//! queries to the invariant promised by Corollary 3.7, in executable form.
 //!
 //! ## Cost model
 //!
 //! One evaluation engine reads every cell through [`ComplexGeometry`]
-//! (the combinatorial [`ComplexRead`](arrangement::ComplexRead) plus the
-//! region boxes): names, each name's faces and box, the incidence of a
-//! face, the two faces of an edge. It has two constructors, over the two
-//! representations of a complex:
+//! (the combinatorial [`ComplexRead`] plus the region boxes): names, each
+//! name's faces and box, the incidence of a face, the two faces of an edge.
+//! It has two constructors, over the two representations of a complex:
 //!
-//! * [`CellEvaluator::from_view`] (what `topodb::Snapshot::evaluator` and
-//!   [`CellEvaluator::new`] build) reads a shared [`GlobalComplexView`].
-//!   Construction is `O(regions + components)`: it copies the region boxes
-//!   the component builds computed and scans no cell. A name's region is
-//!   resolved on its first use and kept as the view returns it: the
-//!   ascending run of the interior faces its component's build emitted.
-//!   The planner probes the view's own two-level spatial index.
+//! * [`CellEvaluator::from_view`] and [`CellEvaluator::from_view_carrying`]
+//!   (what `topodb::Snapshot::evaluator` and [`CellEvaluator::new`] build)
+//!   read a shared [`GlobalComplexView`]. Construction is
+//!   `O(regions + components)`: it copies the region boxes the component
+//!   builds computed and scans no cell. The planner probes the view's own
+//!   two-level spatial index.
 //! * [`CellEvaluator::from_complex`] reads any [`ComplexGeometry`] — over the
 //!   flat [`arrangement::CellComplex`] it is the reference the view-backed
 //!   evaluator is differentially tested against, served by the flat
@@ -37,45 +34,61 @@
 //!
 //! Either way the global dual graph is built only when a region quantifier
 //! first needs it. Per atom, a relation between two named regions whose
-//! boxes do not interact is answered from the boxes alone. Otherwise the
-//! operands' boundary and interior edges and vertices come from walking the
-//! incidence of their own faces — `O(faces × degree)`, once per
-//! [`CellRegion`], which a named region's slot and a quantifier value each
-//! hold — and every test (intersection, subset, equality) is a merge or a
-//! comparison of ascending runs; nothing scans the complex.
+//! boxes do not interact is answered from the boxes alone. Otherwise each
+//! operand is read as ascending id sets, and every test (intersection,
+//! subset, equality) is a merge or a comparison of them; nothing scans the
+//! complex.
+//!
+//! * **A name** is read where the complex keeps it
+//!   ([`ComplexRead::region_home`]): over a view, its component, the
+//!   interior faces that component's build emitted, the component's id
+//!   offsets, and the id ranges of the components nested inside those
+//!   faces, all of whose cells are interior. Its edges and vertices come
+//!   from one walk of its own faces' incidence in the component's own ids
+//!   ([`ComplexRead::home_closure`], `O(faces × degree)`), kept in the
+//!   component's [`RegionCells`] table. The table depends on the component
+//!   alone: a snapshot chain hands it to every later epoch that carries the
+//!   component, so a name is walked once per build of its component, not
+//!   once per epoch, and is read with no copy, sort or translation table
+//!   (each id set is a local run plus an offset, with the nested ranges
+//!   beside it). Over the flat complex, the complex is its own one part.
+//! * **A quantifier value** ([`CellRegion`]) holds its global faces and
+//!   walks its edges and vertices over the complex on first use.
 //!
 //! Relation reads ([`CellEvaluator::named_relation`], what
 //! `topodb::Snapshot::{relation, relations_of, relation_matrix}` serve) run
 //! the same classifier as a `Rel` atom over two names, so a read costs what
-//! the atom costs: the two names' own faces on first use, a box test or a
-//! list merge after. The whole-complex scan of the `relations` crate is the
+//! the atom costs: a box test, or the two names' own cells (walked if their
+//! components' tables do not hold them yet) and a few merges. The whole-complex scan of the `relations` crate is the
 //! reference it is tested against, not a second read path.
 
 use crate::ast::{Formula, NameTerm, RegionExpr};
 use crate::plan::{Generator, QueryPlan};
 use arrangement::{
-    build_complex_view, BBox, ComplexGeometry, FaceId, GlobalComplexView, SpatialIndex,
+    build_complex_view, closure_cells, BBox, ClosureCells, ComplexGeometry, ComplexRead, FaceId,
+    GlobalComplexView, RegionHome, SpatialIndex,
 };
 use relations::{FourIntersectionMatrix, Relation4};
 use spatial_core::prelude::SpatialInstance;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// A region of the evaluator, named or quantified: the ascending run of the
-/// bounded faces it consists of, and the cells of its closure besides those
-/// faces, walked from its faces' incidence on first use. Two regions are
-/// equal when their faces are, since the rest follows from the faces.
+/// A quantifier value: the ascending run of the bounded faces it consists
+/// of, and the cells of its closure besides those faces, walked from its
+/// faces' incidence on first use. Two values are equal when their faces
+/// are, since the rest follows from the faces.
 #[derive(Debug)]
 pub struct CellRegion {
     faces: Vec<FaceId>,
-    parts: OnceLock<Parts>,
+    closure: OnceLock<ClosureCells>,
 }
 
 impl CellRegion {
-    fn new(faces: Vec<FaceId>) -> CellRegion {
-        CellRegion { faces, parts: OnceLock::new() }
+    const fn new(faces: Vec<FaceId>) -> CellRegion {
+        CellRegion { faces, closure: OnceLock::new() }
     }
 
     /// The faces the region consists of, ascending.
@@ -87,6 +100,49 @@ impl CellRegion {
 impl PartialEq for CellRegion {
     fn eq(&self, other: &CellRegion) -> bool {
         self.faces == other.faces
+    }
+}
+
+/// The operand of a name with no cell (no boundary in the complex).
+static NO_CELLS: CellRegion = CellRegion::new(Vec::new());
+
+/// One part's table of region closures (a view's parts are its
+/// components): a slot per region of the part, in the part's own ids,
+/// filled by the first evaluation that needs the region
+/// ([`ComplexRead::home_closure`]). What a slot holds depends on the part
+/// alone, so a table may live as long as its part: `topodb`'s snapshot
+/// chain hands an untouched component's table from epoch to epoch, and a
+/// rebuilt component starts with an empty one.
+#[derive(Debug)]
+pub struct RegionCells {
+    slots: Box<[OnceLock<ClosureCells>]>,
+}
+
+impl RegionCells {
+    /// An empty table for a part of `regions` regions.
+    pub fn new(regions: usize) -> RegionCells {
+        RegionCells { slots: (0..regions).map(|_| OnceLock::new()).collect() }
+    }
+
+    /// An empty table for every part of `complex`
+    /// ([`ComplexRead::part_region_counts`]), in part order.
+    pub fn for_parts<C: ComplexRead + ?Sized>(complex: &C) -> Arc<[Arc<RegionCells>]> {
+        complex.part_region_counts().into_iter().map(|n| Arc::new(RegionCells::new(n))).collect()
+    }
+
+    /// The number of regions of the part.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Does the part have no region?
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// How many of the part's regions have been walked.
+    pub fn walked(&self) -> usize {
+        self.slots.iter().filter(|slot| slot.get().is_some()).count()
     }
 }
 
@@ -137,8 +193,12 @@ impl std::error::Error for EvalError {}
 pub struct CellEvaluator<C = GlobalComplexView> {
     /// Where names, faces and incidences are read from.
     complex: Arc<C>,
-    /// Per name, its region, resolved from the complex on first use.
-    regions: Vec<OnceLock<CellRegion>>,
+    /// Per part of the complex, its regions' closure cells in the part's
+    /// own ids: fresh tables, or those a snapshot chain carries.
+    cells: Arc<[Arc<RegionCells>]>,
+    /// How many named regions this evaluator walked into `cells`. See
+    /// [`CellEvaluator::region_walks`].
+    walks: AtomicU64,
     /// Bounding box of every named region's boundary, aligned with the
     /// names (`None` for a region contributing no boundary edge).
     bboxes: Vec<Option<BBox>>,
@@ -169,19 +229,6 @@ pub struct CellEvaluator<C = GlobalComplexView> {
     domain: OnceLock<Result<Vec<CellRegion>, EvalError>>,
 }
 
-/// The cells of a region's closure besides its faces, each list ascending.
-#[derive(Debug)]
-struct Parts {
-    /// Edges with exactly one incident face in the set.
-    boundary_edges: Vec<usize>,
-    /// Edges with both incident faces in the set.
-    interior_edges: Vec<usize>,
-    /// Vertices with some but not all incident faces in the set.
-    boundary_vertices: Vec<usize>,
-    /// Vertices with all incident faces in the set.
-    interior_vertices: Vec<usize>,
-}
-
 impl CellEvaluator {
     /// Build the evaluator for an instance (constructs the zero-copy complex
     /// view and evaluates over it).
@@ -189,13 +236,29 @@ impl CellEvaluator {
         CellEvaluator::from_view(Arc::new(build_complex_view(instance)))
     }
 
-    /// The evaluator over a shared view: `O(regions + components)` to
-    /// build, with every other table resolved from the view on first use
-    /// (see the module docs' cost model). This is the product evaluator;
-    /// the view's components carry what it derives from them alone across
-    /// commits.
+    /// The evaluator over a shared view, with an empty closure table per
+    /// component: `O(regions + components)` to build, with every other
+    /// table resolved from the view on first use (see the module docs'
+    /// cost model). [`CellEvaluator::from_view_carrying`] is the same
+    /// evaluator over tables that outlive it.
     pub fn from_view(view: Arc<GlobalComplexView>) -> CellEvaluator {
-        CellEvaluator::over(view)
+        let cells = RegionCells::for_parts(&*view);
+        CellEvaluator::over(view, cells)
+    }
+
+    /// The product evaluator: the evaluator over a shared view that reads
+    /// and fills `cells`, one [`RegionCells`] table per component of the
+    /// view, in component order. A table may come from an earlier view
+    /// whose evaluators filled it, when its component is that view's own
+    /// (pointer-identical): a name whose slot is filled costs no walk.
+    /// `topodb::Snapshot` builds its evaluator this way, over the tables
+    /// its snapshot chain carries.
+    pub fn from_view_carrying(view: Arc<GlobalComplexView>, cells: Arc<[Arc<RegionCells>]>) -> CellEvaluator {
+        debug_assert!(
+            view.part_region_counts() == cells.iter().map(|t| t.len()).collect::<Vec<_>>(),
+            "one table per component, one slot per region of it"
+        );
+        CellEvaluator::over(view, cells)
     }
 }
 
@@ -214,14 +277,16 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
     where
         C: Clone,
     {
-        CellEvaluator::over(Arc::new(complex.clone()))
+        let cells = RegionCells::for_parts(complex);
+        CellEvaluator::over(Arc::new(complex.clone()), cells)
     }
 
-    fn over(complex: Arc<C>) -> CellEvaluator<C> {
+    fn over(complex: Arc<C>, cells: Arc<[Arc<RegionCells>]>) -> CellEvaluator<C> {
         let bboxes = complex.region_bboxes();
         CellEvaluator {
             complex,
-            regions: (0..bboxes.len()).map(|_| OnceLock::new()).collect(),
+            cells,
+            walks: AtomicU64::new(0),
             bboxes,
             dual: OnceLock::new(),
             index: OnceLock::new(),
@@ -296,22 +361,27 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         self.complex.region_index(name)
     }
 
-    /// A named region, its faces as [`region_faces`](arrangement::ComplexRead::region_faces) returns
-    /// them, resolved on first use and then shared by every atom, relation
-    /// read and query that names it.
-    pub fn named_region(&self, name: &str) -> Option<&CellRegion> {
-        Some(self.region(self.name_index(name)?))
+    /// How many named regions this evaluator has walked: one per name whose
+    /// part's table did not hold its closure yet. A name whose table was
+    /// carried filled costs none.
+    pub fn region_walks(&self) -> u64 {
+        self.walks.load(Ordering::Relaxed)
     }
 
-    fn region(&self, i: usize) -> &CellRegion {
-        self.regions[i].get_or_init(|| {
-            CellRegion::new(self.complex.region_faces(&self.complex.region_names()[i]))
-        })
+    /// The operand of the name with index `i`, read without a copy: its
+    /// faces and its part's offsets from [`ComplexRead::region_home`], and
+    /// its closure from its slot in the part's table, which is walked in
+    /// the part's own ids ([`ComplexRead::home_closure`]) when an atom first
+    /// needs more than the faces.
+    fn named(&self, i: usize) -> Operand<'_> {
+        let Some(home) = self.complex.region_home(i) else { return Operand::Value(&NO_CELLS) };
+        let slot = &self.cells[home.part].slots[home.local];
+        Operand::Named { home, slot }
     }
 
     /// All legitimate quantifier values: nonempty, dual-connected,
     /// simply-connected unions of bounded faces, enumerated on first use.
-    /// Each value walks its parts on its own first use, as a name does.
+    /// Each value walks its closure over the complex on its own first use.
     pub fn quantifier_domain(&self) -> Result<&[CellRegion], EvalError> {
         let domain = self.domain.get_or_init(|| self.enumerate_regions());
         domain.as_deref().map_err(Clone::clone)
@@ -413,86 +483,98 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         reached == complement
     }
 
-    // ---- region part computations -------------------------------------
+    // ---- region operands ------------------------------------------------
 
-    /// The edges and vertices of a region's closure, found by walking the
-    /// incidence of its own faces: an edge is a boundary edge when exactly
-    /// one of its faces is in the set and an interior edge when both are.
-    /// Around a vertex, face membership changes only across a boundary
-    /// edge, so the boundary vertices are the ends of the boundary edges and
-    /// the interior vertices the other ends of interior edges.
-    fn walk(&self, faces: &[FaceId]) -> Parts {
-        let mut boundary: Vec<(usize, (usize, usize))> = Vec::new();
-        let mut interior: Vec<(usize, (usize, usize))> = Vec::new();
-        for &f in faces {
-            self.complex.for_each_face_edge(f, |e, (l, r), (a, b)| {
-                let cell = (e.0, (a.0, b.0));
-                if in_run(faces, &l) && in_run(faces, &r) {
-                    interior.push(cell);
-                } else {
-                    boundary.push(cell);
+    /// The closure cells of an operand besides its faces: a name's are its
+    /// part's, shifted by the part's offsets, with the nested parts'
+    /// interior cells beside them; a quantifier value's are walked over the
+    /// complex on the value's first use.
+    fn closure<'o>(&self, operand: &'o Operand<'_>) -> Closure<'o> {
+        match operand {
+            Operand::Named { home, slot } => {
+                let closure = slot.get_or_init(|| {
+                    self.walks.fetch_add(1, Ordering::Relaxed);
+                    self.complex.home_closure(home)
+                });
+                let (edge, vertex, nested) = (home.offsets.edge, home.offsets.vertex, &home.nested);
+                Closure {
+                    boundary_edges: Ids { run: closure.boundary_edges(), offset: edge, spans: &[] },
+                    interior_edges: Ids { run: closure.interior_edges(), offset: edge, spans: nested.edges() },
+                    boundary_vertices: Ids { run: closure.boundary_vertices(), offset: vertex, spans: &[] },
+                    interior_vertices: Ids {
+                        run: closure.interior_vertices(),
+                        offset: vertex,
+                        spans: nested.vertices(),
+                    },
                 }
-            });
+            }
+            Operand::Value(value) => {
+                let closure = value.closure.get_or_init(|| closure_cells(&*self.complex, &value.faces));
+                Closure {
+                    boundary_edges: Ids::run(closure.boundary_edges()),
+                    interior_edges: Ids::run(closure.interior_edges()),
+                    boundary_vertices: Ids::run(closure.boundary_vertices()),
+                    interior_vertices: Ids::run(closure.interior_vertices()),
+                }
+            }
         }
-        fn ends_of(edges: &mut Vec<(usize, (usize, usize))>) -> Vec<usize> {
-            edges.sort_unstable();
-            edges.dedup();
-            let mut ends: Vec<usize> = edges.iter().flat_map(|&(_, (a, b))| [a, b]).collect();
-            ends.sort_unstable();
-            ends.dedup();
-            ends
-        }
-        let boundary_vertices = ends_of(&mut boundary);
-        let mut interior_vertices = ends_of(&mut interior);
-        interior_vertices.retain(|v| boundary_vertices.binary_search(v).is_err());
-        Parts {
-            boundary_edges: boundary.into_iter().map(|(e, _)| e).collect(),
-            interior_edges: interior.into_iter().map(|(e, _)| e).collect(),
-            boundary_vertices,
-            interior_vertices,
-        }
-    }
-
-    fn parts<'a>(&self, region: &'a CellRegion) -> &'a Parts {
-        region.parts.get_or_init(|| self.walk(&region.faces))
     }
 
     /// Do the closures of two regions intersect (the `connect` primitive)?
     pub fn connect(&self, a: &CellRegion, b: &CellRegion) -> bool {
-        if meets(&a.faces, &b.faces) {
+        self.connected(&Operand::Value(a), &Operand::Value(b))
+    }
+
+    fn connected(&self, a: &Operand<'_>, b: &Operand<'_>) -> bool {
+        if meets(a.faces(), b.faces()) {
             return true;
         }
         // Closure = faces + boundary edges + boundary and interior vertices;
         // two disjoint face sets can only touch along boundary cells.
-        let (pa, pb) = (self.parts(a), self.parts(b));
-        meets(&pa.boundary_edges, &pb.boundary_edges)
-            || [&pa.boundary_vertices, &pa.interior_vertices].iter().any(|va| {
-                [&pb.boundary_vertices, &pb.interior_vertices].iter().any(|vb| meets(va, vb))
+        let (ca, cb) = (self.closure(a), self.closure(b));
+        meets(ca.boundary_edges, cb.boundary_edges)
+            || [ca.boundary_vertices, ca.interior_vertices].into_iter().any(|va| {
+                [cb.boundary_vertices, cb.interior_vertices].into_iter().any(|vb| meets(va, vb))
             })
     }
 
     /// The exact 4-intersection matrix between two regions.
     pub fn matrix(&self, a: &CellRegion, b: &CellRegion) -> FourIntersectionMatrix {
-        let (pa, pb) = (self.parts(a), self.parts(b));
+        self.matrix_of(&Operand::Value(a), &Operand::Value(b))
+    }
+
+    fn matrix_of(&self, a: &Operand<'_>, b: &Operand<'_>) -> FourIntersectionMatrix {
+        let (ca, cb) = (self.closure(a), self.closure(b));
         // int(A) ∩ ∂B: ∂B's cells are edges and vertices, and one of them
         // lies in A's interior iff it is an interior edge or vertex of A.
         FourIntersectionMatrix {
-            interiors: meets(&a.faces, &b.faces),
-            boundaries: meets(&pa.boundary_edges, &pb.boundary_edges)
-                || meets(&pa.boundary_vertices, &pb.boundary_vertices),
-            interior_a_boundary_b: meets(&pb.boundary_edges, &pa.interior_edges)
-                || meets(&pb.boundary_vertices, &pa.interior_vertices),
-            boundary_a_interior_b: meets(&pa.boundary_edges, &pb.interior_edges)
-                || meets(&pa.boundary_vertices, &pb.interior_vertices),
+            interiors: meets(a.faces(), b.faces()),
+            boundaries: meets(ca.boundary_edges, cb.boundary_edges)
+                || meets(ca.boundary_vertices, cb.boundary_vertices),
+            interior_a_boundary_b: meets(cb.boundary_edges, ca.interior_edges)
+                || meets(cb.boundary_vertices, ca.interior_vertices),
+            boundary_a_interior_b: meets(ca.boundary_edges, cb.interior_edges)
+                || meets(ca.boundary_vertices, cb.interior_vertices),
         }
     }
 
     /// The 4-intersection relation between two regions.
     pub fn relation(&self, a: &CellRegion, b: &CellRegion) -> Option<Relation4> {
-        if a == b {
+        self.classify(&Operand::Value(a), &Operand::Value(b))
+    }
+
+    fn classify(&self, a: &Operand<'_>, b: &Operand<'_>) -> Option<Relation4> {
+        // Parts share no cell: names of two parts, neither with a part
+        // nested inside it, are disjoint.
+        if let (Operand::Named { home: ha, .. }, Operand::Named { home: hb, .. }) = (a, b) {
+            if ha.part != hb.part && ha.nested.is_empty() && hb.nested.is_empty() {
+                return Some(Relation4::Disjoint);
+            }
+        }
+        if same_ids(a.faces(), b.faces()) {
             return Some(Relation4::Equal);
         }
-        Relation4::from_matrix(self.matrix(a, b))
+        Relation4::from_matrix(self.matrix_of(a, b))
     }
 
     /// The 4-intersection relation between two named regions: what a `Rel`
@@ -509,8 +591,9 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
     /// `disjoint`, answered without resolving either region. A region with
     /// a box has a boundary edge and positive area, so its faces are not
     /// empty (empty regions would compare `equal` whatever their boxes).
-    /// Otherwise — boxless names included — both named regions, with their
-    /// memoized parts, go to the 4-intersection classifier.
+    /// Otherwise — boxless names included — both named regions, read
+    /// through their homes out of their parts' tables, go to the
+    /// 4-intersection classifier.
     fn relation_of_names(&self, a: usize, b: usize) -> Option<Relation4> {
         if let (Some(ab), Some(bb)) = (&self.bboxes[a], &self.bboxes[b]) {
             if !ab.intersects(bb) {
@@ -518,7 +601,7 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
                 return Some(Relation4::Disjoint);
             }
         }
-        self.relation(self.region(a), self.region(b))
+        self.classify(&self.named(a), &self.named(b))
     }
 
     // ---- formula evaluation ---------------------------------------------
@@ -868,12 +951,14 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         &'a self,
         e: &RegionExpr,
         env: &Environment<'a>,
-    ) -> Result<&'a CellRegion, EvalError> {
+    ) -> Result<Operand<'a>, EvalError> {
         match e {
-            RegionExpr::Var(v) => {
-                env.regions.get(v).copied().ok_or_else(|| EvalError::UnboundVariable(v.clone()))
-            }
-            RegionExpr::Ext(t) => Ok(self.region(self.resolve_name(t, env)?)),
+            RegionExpr::Var(v) => env
+                .regions
+                .get(v)
+                .map(|&value| Operand::Value(value))
+                .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
+            RegionExpr::Ext(t) => Ok(self.named(self.resolve_name(t, env)?)),
         }
     }
 
@@ -914,17 +999,17 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
                 }
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
-                Ok(self.relation(a, b) == Some(*r))
+                Ok(self.classify(&a, &b) == Some(*r))
             }
             Formula::Connect(p, q) => {
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
-                Ok(self.connect(a, b))
+                Ok(self.connected(&a, &b))
             }
             Formula::Subset(p, q) => {
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
-                Ok(is_subset(&a.faces, &b.faces))
+                Ok(is_subset(a.faces(), b.faces()))
             }
             Formula::NameEq(x, y) => {
                 Ok(self.resolve_name(x, env)? == self.resolve_name(y, env)?)
@@ -988,7 +1073,7 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
 /// Variable bindings during evaluation. Name variables bind to *indices*
 /// into the evaluator's sorted name list (interning — the enumeration hot
 /// loops never clone a name string); region variables bind to quantifier
-/// domain values, borrowed with their parts memo.
+/// domain values, borrowed with their closure memo.
 #[derive(Default)]
 struct Environment<'a> {
     regions: BTreeMap<String, &'a CellRegion>,
@@ -1008,11 +1093,107 @@ impl PlanCtx {
     }
 }
 
-/// Do two ascending runs share an element?
-fn meets<T: Ord>(a: &[T], b: &[T]) -> bool {
+/// A region operand of an atom: a name, read through its home out of its
+/// part's table, or a quantifier value.
+enum Operand<'a> {
+    Named { home: RegionHome<'a>, slot: &'a OnceLock<ClosureCells> },
+    Value(&'a CellRegion),
+}
+
+impl Operand<'_> {
+    /// The operand's faces.
+    fn faces(&self) -> Ids<'_, FaceId> {
+        match self {
+            Operand::Named { home, .. } => Ids { run: &home.faces, offset: home.offsets.face, spans: home.nested.faces() },
+            Operand::Value(value) => Ids::run(&value.faces),
+        }
+    }
+}
+
+/// The closure cells of an operand besides its faces, by kind.
+struct Closure<'a> {
+    boundary_edges: Ids<'a, usize>,
+    interior_edges: Ids<'a, usize>,
+    boundary_vertices: Ids<'a, usize>,
+    interior_vertices: Ids<'a, usize>,
+}
+
+/// A cell id the set helpers read as an index: a face or a plain id.
+trait Id: Copy {
+    fn index(self) -> usize;
+}
+
+impl Id for usize {
+    fn index(self) -> usize {
+        self
+    }
+}
+
+impl Id for FaceId {
+    fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// An ascending set of cell ids: the ascending `run` of a part's ids, each
+/// shifted by `offset`, together with the whole ranges `spans` (ascending,
+/// disjoint, and disjoint from the shifted run).
+#[derive(Clone, Copy)]
+struct Ids<'a, T> {
+    run: &'a [T],
+    offset: usize,
+    spans: &'a [Range<usize>],
+}
+
+impl<'a, T: Id> Ids<'a, T> {
+    /// A run of ids as they are.
+    fn run(run: &'a [T]) -> Ids<'a, T> {
+        Ids { run, offset: 0, spans: &[] }
+    }
+
+    /// The `i`-th id of the shifted run.
+    fn at(&self, i: usize) -> usize {
+        self.run[i].index() + self.offset
+    }
+
+    fn len(&self) -> usize {
+        self.run.len() + self.spans.iter().map(ExactSizeIterator::len).sum::<usize>()
+    }
+
+    /// How many ids of the shifted run lie in `range`.
+    fn run_count_in(&self, range: &Range<usize>) -> usize {
+        let below = |bound: usize| self.run.partition_point(|x| x.index() + self.offset < bound);
+        below(range.end) - below(range.start)
+    }
+}
+
+/// Do two id sets share an element? Two runs at the same offset (a name
+/// against a name of its own part, or two quantifier values) are merged as
+/// they are; runs at different offsets are merged shifted, after a test of
+/// their extents (runs of different parts never overlap); and each span
+/// costs two binary searches of the other run.
+fn meets<T: Id>(a: Ids<'_, T>, b: Ids<'_, T>) -> bool {
+    let runs_meet = if a.offset == b.offset { merge_meets(a.run, b.run, 0, 0) } else { shifted_runs_meet(a, b) };
+    runs_meet
+        || !(a.spans.is_empty() && b.spans.is_empty())
+            && (a.spans.iter().any(|s| b.run_count_in(s) > 0)
+                || b.spans.iter().any(|s| a.run_count_in(s) > 0)
+                || spans_meet(a.spans, b.spans))
+}
+
+fn shifted_runs_meet<T: Id>(a: Ids<'_, T>, b: Ids<'_, T>) -> bool {
+    let (Some(a0), Some(a1), Some(b0), Some(b1)) = (a.run.first(), a.run.last(), b.run.first(), b.run.last()) else {
+        return false;
+    };
+    let (oa, ob) = (a.offset, b.offset);
+    a1.index() + oa >= b0.index() + ob && b1.index() + ob >= a0.index() + oa && merge_meets(a.run, b.run, oa, ob)
+}
+
+/// Does a run shifted by `oa` share an id with a run shifted by `ob`?
+fn merge_meets<T: Id>(a: &[T], b: &[T], oa: usize, ob: usize) -> bool {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+        match (a[i].index() + oa).cmp(&(b[j].index() + ob)) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => return true,
@@ -1021,11 +1202,55 @@ fn meets<T: Ord>(a: &[T], b: &[T]) -> bool {
     false
 }
 
-/// Is every element of the ascending run `a` in the ascending run `b`? One
-/// pass over both: `b` is consumed up to each element of `a` in turn.
-fn is_subset<T: Ord>(a: &[T], b: &[T]) -> bool {
-    let mut rest = b.iter();
-    a.len() <= b.len() && a.iter().all(|x| rest.any(|y| y == x))
+fn spans_meet(a: &[Range<usize>], b: &[Range<usize>]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i].is_empty() || a[i].end <= b[j].start {
+            i += 1;
+        } else if b[j].is_empty() || b[j].end <= a[i].start {
+            j += 1;
+        } else {
+            return true;
+        }
+    }
+    false
+}
+
+/// Is every id of `a` in `b`? One pass over `a`'s run against `b`'s run and
+/// spans, then each of `a`'s spans counted in `b`.
+fn is_subset<T: Id>(a: Ids<'_, T>, b: Ids<'_, T>) -> bool {
+    if a.len() > b.len() {
+        return false;
+    }
+    let (mut j, mut k) = (0, 0);
+    for i in 0..a.run.len() {
+        let x = a.at(i);
+        while k < b.spans.len() && b.spans[k].end <= x {
+            k += 1;
+        }
+        if b.spans.get(k).is_some_and(|s| s.start <= x) {
+            continue;
+        }
+        while j < b.run.len() && b.at(j) < x {
+            j += 1;
+        }
+        if j == b.run.len() || b.at(j) != x {
+            return false;
+        }
+    }
+    a.spans.iter().all(|s| {
+        let in_spans: usize = b.spans.iter().map(|t| t.end.min(s.end).saturating_sub(t.start.max(s.start))).sum();
+        b.run_count_in(s) + in_spans == s.len()
+    })
+}
+
+/// Do two id sets hold the same ids? Two sets without spans are equal iff
+/// their shifted runs are, which the first differing id refutes.
+fn same_ids<T: Id>(a: Ids<'_, T>, b: Ids<'_, T>) -> bool {
+    if a.spans.is_empty() && b.spans.is_empty() {
+        return a.run.len() == b.run.len() && (0..a.run.len()).all(|i| a.at(i) == b.at(i));
+    }
+    a.len() == b.len() && is_subset(a, b)
 }
 
 /// Is `x` an element of the ascending run `run`?
@@ -1413,44 +1638,63 @@ mod tests {
         }
     }
 
+    /// The ids of a set, ascending.
+    fn listed<T: Id>(set: Ids<'_, T>) -> Vec<usize> {
+        let mut ids: Vec<usize> = (0..set.run.len()).map(|i| set.at(i)).collect();
+        ids.extend(set.spans.iter().cloned().flatten());
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
     fn face_set_walk_equals_the_whole_complex_scan() {
-        // The walk over a face set's own incidence against the definitions
-        // applied to every edge and vertex of the flat complex.
+        // The walk over a face set's own incidence, and a name's operand
+        // (its part's cells shifted by the view's offsets, the nested parts'
+        // ranges beside them), against the definitions applied to every
+        // face, edge and vertex of the flat complex.
         for (name, inst) in domain_fixtures().into_iter().chain([
             ("ring_with_island", fixtures::ring_with_island(true)),
             ("shared_boundary", fixtures::shared_boundary()),
+            ("nested_rings", datagen::nested_rings(4)),
         ]) {
             let flat = build_complex_view(&inst).to_cell_complex();
             let ev = CellEvaluator::new(&inst);
-            let named = ev.names().into_iter().map(|n| ev.named_region(n).unwrap());
-            for region in named.chain(ev.quantifier_domain().unwrap()) {
-                let s = region.faces();
+            let edges = |s: &[FaceId], both: bool| -> Vec<usize> {
                 let inside = |f: FaceId| s.contains(&f);
-                let edges = |both: bool| -> Vec<usize> {
-                    flat.edge_ids()
-                        .filter(|&e| {
-                            let (l, r) = ComplexRead::edge_faces(&flat, e);
-                            if both { inside(l) && inside(r) } else { inside(l) != inside(r) }
-                        })
-                        .map(|e| e.0)
-                        .collect()
-                };
-                let vertices = |all: bool| -> Vec<usize> {
-                    flat.vertex_ids()
-                        .filter(|&v| {
-                            let faces = flat.vertex_faces(v);
-                            let n = faces.iter().filter(|&&f| inside(f)).count();
-                            if all { n > 0 && n == faces.len() } else { n > 0 && n < faces.len() }
-                        })
-                        .map(|v| v.0)
-                        .collect()
-                };
-                let parts = ev.walk(s);
-                assert_eq!(parts.boundary_edges, edges(false), "{name} {s:?}");
-                assert_eq!(parts.interior_edges, edges(true), "{name} {s:?}");
-                assert_eq!(parts.boundary_vertices, vertices(false), "{name} {s:?}");
-                assert_eq!(parts.interior_vertices, vertices(true), "{name} {s:?}");
+                flat.edge_ids()
+                    .filter(|&e| {
+                        let (l, r) = ComplexRead::edge_faces(&flat, e);
+                        if both { inside(l) && inside(r) } else { inside(l) != inside(r) }
+                    })
+                    .map(|e| e.0)
+                    .collect()
+            };
+            let vertices = |s: &[FaceId], all: bool| -> Vec<usize> {
+                flat.vertex_ids()
+                    .filter(|&v| {
+                        let faces = flat.vertex_faces(v);
+                        let n = faces.iter().filter(|f| s.contains(f)).count();
+                        if all { n > 0 && n == faces.len() } else { n > 0 && n < faces.len() }
+                    })
+                    .map(|v| v.0)
+                    .collect()
+            };
+            let expected = |s: &[FaceId]| {
+                [edges(s, false), edges(s, true), vertices(s, false), vertices(s, true)]
+            };
+            for region in ev.quantifier_domain().unwrap() {
+                let s = region.faces();
+                let walked = closure_cells(&flat, s);
+                let walked = [walked.boundary_edges(), walked.interior_edges(), walked.boundary_vertices(), walked.interior_vertices()].map(<[usize]>::to_vec);
+                assert_eq!(walked, expected(s), "{name} {s:?}");
+            }
+            for (i, n) in ev.names().into_iter().enumerate() {
+                let faces = ComplexRead::region_faces(&flat, n);
+                let operand = ev.named(i);
+                assert_eq!(listed(operand.faces()), faces.iter().map(|f| f.0).collect::<Vec<_>>(), "{name} {n}");
+                let c = ev.closure(&operand);
+                let read = [c.boundary_edges, c.interior_edges, c.boundary_vertices, c.interior_vertices].map(listed);
+                assert_eq!(read, expected(&faces), "{name} {n}");
             }
         }
     }
@@ -1458,43 +1702,72 @@ mod tests {
     #[test]
     fn named_region_relations_via_cells() {
         let ev = CellEvaluator::new(&fixtures::nested_three());
-        let a = ev.named_region("A").unwrap();
-        let b = ev.named_region("B").unwrap();
-        let c = ev.named_region("C").unwrap();
-        assert_eq!(ev.relation(a, b), Some(Contains));
-        assert_eq!(ev.relation(b, a), Some(Inside));
-        assert_eq!(ev.relation(c, a), Some(Inside));
-        assert_eq!(ev.relation(a, a), Some(Equal));
-        assert!(ev.connect(a, b));
+        let rel = |a: &str, b: &str| ev.named_relation(a, b).unwrap();
+        assert_eq!(rel("A", "B"), Some(Contains));
+        assert_eq!(rel("B", "A"), Some(Inside));
+        assert_eq!(rel("C", "A"), Some(Inside));
+        assert_eq!(rel("A", "A"), Some(Equal));
+        assert!(ev.connected(&ev.named(0), &ev.named(1)));
+    }
+
+    /// A random id set over `0..universe` in the evaluator's form — a run
+    /// shifted by an offset, with whole ranges beside it — and as a
+    /// `BTreeSet`.
+    fn draw_ids(rng: &mut rand::rngs::StdRng, universe: usize) -> (Vec<usize>, usize, Vec<Range<usize>>, BTreeSet<usize>) {
+        let (mut ids, mut spans, mut set) = (Vec::new(), Vec::new(), BTreeSet::new());
+        let mut at = 0;
+        while at < universe {
+            let end = (at + rng.gen_range(1..6usize)).min(universe);
+            match rng.gen_range(0..3u32) {
+                0 => {}
+                1 => ids.extend((at..end).filter(|_| rng.gen_range(0..2u32) == 0)),
+                _ => spans.push(at..end),
+            }
+            at = end;
+        }
+        set.extend(ids.iter().copied());
+        set.extend(spans.iter().cloned().flatten());
+        let offset = rng.gen_range(0..=ids.first().copied().unwrap_or(0));
+        (ids.iter().map(|x| x - offset).collect(), offset, spans, set)
     }
 
     #[test]
     fn run_helpers_agree_with_btree_sets() {
         // The evaluator and its `from_complex` reference share these
         // helpers, so only a comparison with `BTreeSet` can catch a defect
-        // in them. Pairs are drawn empty, equal, nested, disjoint and at
-        // random, each side an ascending run over a small universe.
+        // in them. Each set is a shifted run with whole ranges beside it
+        // (a name's cells) or a plain run (a quantifier value's); pairs are
+        // drawn empty, equal in the other form, nested, disjoint and at
+        // random.
         let mut rng = rand::rngs::StdRng::seed_from_u64(44);
-        for round in 0..2_000 {
-            let universe = rng.gen_range(0..24usize);
-            let mut draw = || -> Vec<usize> {
-                (0..universe).filter(|_| rng.gen_range(0..3u32) == 0).collect()
+        for round in 0..4_000 {
+            let universe = rng.gen_range(0..32usize);
+            let (run, offset, spans, sa) = draw_ids(&mut rng, universe);
+            let a = Ids { run: &run, offset, spans: &spans };
+            let plain = |set: &BTreeSet<usize>| set.iter().copied().collect::<Vec<usize>>();
+            let (other_run, other_offset, other_spans, sb) = match round % 5 {
+                0 => (Vec::new(), 0, Vec::new(), BTreeSet::new()),
+                1 => (plain(&sa), 0, Vec::new(), sa.clone()),
+                2 => {
+                    let sb: BTreeSet<usize> = sa.iter().copied().filter(|x| x % 3 != 0).collect();
+                    (plain(&sb), 0, Vec::new(), sb)
+                }
+                3 => {
+                    let sb: BTreeSet<usize> = sa.iter().map(|x| x + universe).collect();
+                    (run.clone(), offset + universe, spans.iter().map(|s| s.start + universe..s.end + universe).collect(), sb)
+                }
+                _ => draw_ids(&mut rng, universe),
             };
-            let a = draw();
-            let b = match round % 5 {
-                0 => Vec::new(),
-                1 => a.clone(),
-                2 => a.iter().copied().filter(|x| x % 2 == 0).collect(),
-                3 => a.iter().map(|x| x + universe).collect(),
-                _ => draw(),
-            };
-            for (a, b) in [(&a, &b), (&b, &a)] {
-                let (sa, sb): (BTreeSet<usize>, BTreeSet<usize>) =
-                    (a.iter().copied().collect(), b.iter().copied().collect());
-                assert_eq!(meets(a, b), sa.intersection(&sb).next().is_some(), "meets {a:?} {b:?}");
-                assert_eq!(is_subset(a, b), sa.is_subset(&sb), "is_subset {a:?} {b:?}");
+            let b = Ids { run: &other_run, offset: other_offset, spans: &other_spans };
+            for ((a, sa), (b, sb)) in [((a, &sa), (b, &sb)), ((b, &sb), (a, &sa))] {
+                assert_eq!(listed(a), plain(sa), "listed {sa:?}");
+                assert_eq!(a.len(), sa.len(), "len {sa:?}");
+                assert_eq!(meets(a, b), sa.intersection(sb).next().is_some(), "meets {sa:?} {sb:?}");
+                assert_eq!(is_subset(a, b), sa.is_subset(sb), "is_subset {sa:?} {sb:?}");
+                assert_eq!(same_ids(a, b), sa == sb, "same_ids {sa:?} {sb:?}");
+                let members = plain(sa);
                 for x in 0..2 * universe + 1 {
-                    assert_eq!(in_run(a, &x), sa.contains(&x), "in_run {a:?} {x}");
+                    assert_eq!(in_run(&members, &x), sa.contains(&x), "in_run {sa:?} {x}");
                 }
             }
         }

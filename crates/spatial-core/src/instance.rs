@@ -82,12 +82,41 @@ impl SpatialInstance {
 
     /// Insert (or replace) a named region.
     pub fn insert<S: Into<String>>(&mut self, name: S, region: Region) -> Option<Region> {
-        let name = name.into();
+        self.put(name.into(), region).map(Entry::into_region)
+    }
+
+    /// Remove a named region.
+    pub fn remove(&mut self, name: &str) -> Option<Region> {
+        self.take(name).map(Entry::into_region)
+    }
+
+    /// Insert (or replace) a named region by reference, reporting whether
+    /// the name's extent changed. A name that already holds an equal region
+    /// keeps it, and `false` is returned; otherwise the region is copied in.
+    /// Unlike [`insert`](SpatialInstance::insert), no replaced region is
+    /// handed back, so none is copied out of an entry another instance
+    /// shares.
+    pub fn replace(&mut self, name: &str, region: &Region) -> bool {
+        if self.ext(name) == Some(region) {
+            return false;
+        }
+        self.put(name.to_string(), region.clone());
+        true
+    }
+
+    /// Remove a named region, reporting whether it was present. Unlike
+    /// [`remove`](SpatialInstance::remove), the region is not handed back,
+    /// so it is not copied out of an entry another instance shares.
+    pub fn discard(&mut self, name: &str) -> bool {
+        self.take(name).is_some()
+    }
+
+    /// Store `region` under `name`, returning the entry it replaced.
+    fn put(&mut self, name: String, region: Region) -> Option<Arc<Entry>> {
         let (r, at) = match self.find(&name) {
             Ok((r, i)) => {
                 let run = Arc::make_mut(&mut self.runs[r]);
-                let old = std::mem::replace(&mut run[i], Arc::new(Entry { name, region }));
-                return Some(Entry::into_region(old));
+                return Some(std::mem::replace(&mut run[i], Arc::new(Entry { name, region })));
             }
             Err(slot) => slot,
         };
@@ -106,8 +135,8 @@ impl SpatialInstance {
         None
     }
 
-    /// Remove a named region.
-    pub fn remove(&mut self, name: &str) -> Option<Region> {
+    /// Take the entry of `name` out, if there is one.
+    fn take(&mut self, name: &str) -> Option<Arc<Entry>> {
         let (r, i) = self.find(name).ok()?;
         let run = Arc::make_mut(&mut self.runs[r]);
         let entry = run.remove(i);
@@ -115,7 +144,7 @@ impl SpatialInstance {
             self.runs.remove(r);
         }
         self.len -= 1;
-        Some(Entry::into_region(entry))
+        Some(entry)
     }
 
     /// Where `name` is: `Ok((run, position))` if present, else
@@ -375,15 +404,30 @@ mod tests {
                 for _ in 0..steps {
                     let key = format!("n{:03}", draw.below(8 * RUN));
                     let region = Region::rect_from_ints(0, 0, 1 + draw.below(5) as i64, 1);
+                    // Every other write goes through the borrowing forms,
+                    // which report a change instead of handing the old
+                    // region back.
+                    let borrowing = draw.below(2) == 0;
                     if draw.below(10) < grow {
-                        let old = inst.insert(key.clone(), region.clone());
-                        assert_eq!(old, model.insert(key.clone(), region), "insert({key})");
+                        if borrowing {
+                            let changed = model.get(&key) != Some(&region);
+                            assert_eq!(inst.replace(&key, &region), changed, "replace({key})");
+                            model.insert(key.clone(), region);
+                        } else {
+                            let old = inst.insert(key.clone(), region.clone());
+                            assert_eq!(old, model.insert(key.clone(), region), "insert({key})");
+                        }
                     } else {
                         let victim = match draw.below(3) {
                             0 => key.clone(),
                             _ => model.keys().nth(draw.below(model.len().max(1))).cloned().unwrap_or(key.clone()),
                         };
-                        assert_eq!(inst.remove(&victim), model.remove(&victim), "remove({victim})");
+                        let removed = model.remove(&victim);
+                        if borrowing {
+                            assert_eq!(inst.discard(&victim), removed.is_some(), "discard({victim})");
+                        } else {
+                            assert_eq!(inst.remove(&victim), removed, "remove({victim})");
+                        }
                     }
                     if draw.below(25) == 0 {
                         let keep = (inst.clone(), model.clone());

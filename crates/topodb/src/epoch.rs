@@ -17,8 +17,9 @@
 //! 2. **Build, outside any lock** — apply the buffered operations to a copy
 //!    of the base instance, which shares every run of entries with the base
 //!    and copies only the runs the operations change (one pointer per run;
-//!    no name or geometry is copied, and dropping the superseded instance
-//!    later frees only what nothing shares), then
+//!    no name or geometry is copied — a replaced or removed region is
+//!    compared or dropped in place, not handed back — and dropping the
+//!    superseded instance later frees only what nothing shares), then
 //!    *patch* the base epoch's view instead of rebuilding it
 //!    ([`arrangement::update_components`] +
 //!    [`GlobalComplexView::updated`]). What is **carried**, pointer-identical
@@ -45,7 +46,13 @@
 //!    components keep their region maps shifted by rank and their place in
 //!    the component-box index, so beyond the rebuilt components a commit
 //!    pays integer work per component and per name, and one `String` per
-//!    name for the new epoch's global name list. The result is a
+//!    name for the new epoch's global name list. Each component of the new
+//!    epoch gets its closure table (`query::cell_eval::RegionCells`): the
+//!    base epoch's own when the component is the base's
+//!    (`Arc::ptr_eq`, found by one merge, since both component lists
+//!    ascend by smallest member name), with every region some query of an
+//!    earlier epoch walked; an empty one when it was rebuilt. That is
+//!    pointer work per component and no cell work. The result is a
 //!    complete new [`Snapshot`], constructed while readers keep loading
 //!    the old head and other writers build their own epochs concurrently.
 //!    The root epoch is the same update, of the empty view with every name
@@ -60,7 +67,8 @@
 //!    stage 2 again with the *new head* as base: its components are carried
 //!    wherever this commit does not touch them, and for a group it does touch
 //!    the build is offered this attempt's own component (the `hint`) when every
-//!    member region has the same extent in both instances. That is valid by
+//!    member region has the same extent in both instances. The closure
+//!    tables are carried the same way, from the new head. That is valid by
 //!    construction: a component is built from its members' regions and nothing
 //!    else. Two commits touching disjoint components therefore both build
 //!    concurrently and the loser's retry is a pure re-assembly (zero re-sweeps).
@@ -72,6 +80,7 @@ use crate::durability::Durability;
 use crate::snapshot::Snapshot;
 use crate::transaction::CommitSummary;
 use arrangement::{ComponentComplex, GlobalComplexView};
+use query::cell_eval::RegionCells;
 use spatial_core::instance::SpatialInstance;
 use spatial_core::region::Region;
 use wal::WalOp;
@@ -125,22 +134,14 @@ pub(crate) fn apply_ops(base: &SpatialInstance, ops: &[WalOp]) -> (SpatialInstan
     let mut next = base.clone();
     let mut changed: Vec<String> = Vec::new();
     for op in ops {
-        match op {
-            WalOp::Insert(name, region) => {
-                let replaced = next.insert(name.clone(), region.clone());
-                // Replacing a region with an identical one changes nothing
-                // (compare against the stored geometry; `insert` consumed
-                // the new one).
-                let unchanged = replaced.is_some() && next.ext(name) == replaced.as_ref();
-                if !unchanged && !changed.contains(name) {
-                    changed.push(name.clone());
-                }
-            }
-            WalOp::Remove(name) => {
-                if next.remove(name).is_some() && !changed.contains(name) {
-                    changed.push(name.clone());
-                }
-            }
+        // The borrowing forms copy no region out of an entry the base
+        // shares; replacing a region with an identical one changes nothing.
+        let (name, effective) = match op {
+            WalOp::Insert(name, region) => (name, next.replace(name, region)),
+            WalOp::Remove(name) => (name, next.discard(name)),
+        };
+        if effective && !changed.contains(name) {
+            changed.push(name.clone());
         }
     }
     (next, changed)
@@ -149,13 +150,14 @@ pub(crate) fn apply_ops(base: &SpatialInstance, ops: &[WalOp]) -> (SpatialInstan
 /// Build the snapshot of an epoch by patching the view of its base: carry
 /// over every component that `changed` (the names whose extent differs
 /// between the two instances) neither contains nor touches, with its
-/// nesting parent; re-partition, sweep (asking `hint` first) and locate the
-/// rest. This is the one way an epoch is made: the root epoch is the patch
-/// of the empty view with every name changed, which is
+/// nesting parent and its closure table (`base_cells`, aligned with the
+/// base view's components); re-partition, sweep (asking `hint` first) and
+/// locate the rest. This is the one way an epoch is made: the root epoch is
+/// the patch of the empty view with every name changed, which is
 /// [`arrangement::build_complex_view`].
 fn build_epoch<S, F>(
     epoch: u64,
-    base: &GlobalComplexView,
+    (base, base_cells): (&GlobalComplexView, &[Arc<RegionCells>]),
     instance: Arc<SpatialInstance>,
     changed: &[S],
     hint: F,
@@ -170,7 +172,34 @@ where
     counters.complex_builds.fetch_add(1, Ordering::Relaxed);
     let global_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
     let view = base.updated(global_names, changed, update);
-    Snapshot::new(epoch, instance, Arc::new(view))
+    let cells = carried_cells(base.components(), base_cells, view.components());
+    Snapshot::new(epoch, instance, Arc::new(view), cells)
+}
+
+/// The closure table of each of `components`: the one of `base` (aligned
+/// with `base_cells`) when the component is that very component
+/// (`Arc::ptr_eq`), an empty one otherwise. Both lists ascend by smallest
+/// member name, so one merge pairs them: pointer work per component, and
+/// no cell is looked at.
+fn carried_cells(
+    base: &[Arc<ComponentComplex>],
+    base_cells: &[Arc<RegionCells>],
+    components: &[Arc<ComponentComplex>],
+) -> Arc<[Arc<RegionCells>]> {
+    fn first(c: &ComponentComplex) -> &str {
+        &c.region_names()[0]
+    }
+    let mut old = base.iter().zip(base_cells).peekable();
+    components
+        .iter()
+        .map(|component| {
+            while old.next_if(|(b, _)| first(b) < first(component)).is_some() {}
+            match old.peek() {
+                Some((b, cells)) if Arc::ptr_eq(b, component) => Arc::clone(cells),
+                _ => Arc::new(RegionCells::new(component.region_names().len())),
+            }
+        })
+        .collect()
 }
 
 /// The published head, the mutex that orders publishes, and the build
@@ -196,7 +225,7 @@ impl EpochChain {
         let instance = Arc::new(instance);
         let nothing = GlobalComplexView::new(Vec::new(), Vec::new());
         let names = instance.names();
-        let root = build_epoch(epoch, &nothing, Arc::clone(&instance), &names, |_| None, &counters);
+        let root = build_epoch(epoch, (&nothing, &[]), Arc::clone(&instance), &names, |_| None, &counters);
         EpochChain { head: RwLock::new(root), publish: Mutex::new(()), counters }
     }
 
@@ -232,7 +261,7 @@ impl EpochChain {
         }
         let mut built = build_epoch(
             base.epoch() + 1,
-            base.view_ref(),
+            (base.view_ref(), &base.inner.cells),
             Arc::new(instance),
             &changed,
             |_| None,
@@ -279,7 +308,7 @@ impl EpochChain {
             // component when none of its members' regions differ.
             built = build_epoch(
                 new_head.epoch() + 1,
-                new_head.view_ref(),
+                (new_head.view_ref(), &new_head.inner.cells),
                 Arc::clone(&instance),
                 &changed,
                 |members: &[(&str, &Region)]| {

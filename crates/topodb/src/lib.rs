@@ -102,7 +102,9 @@ use wal::WalOp;
 /// updates. The cell complex of every epoch — which is its invariant `T_I`
 /// — and its region index are built before the epoch is published (the
 /// first one by the constructor); only the query evaluator is derived, on a
-/// snapshot's first query.
+/// snapshot's first query, and the closure cells of the names it reads,
+/// which later epochs inherit with their components
+/// ([`Snapshot::region_cells`]).
 ///
 /// The public surface is split into a write path and a read path:
 ///

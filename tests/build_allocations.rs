@@ -301,3 +301,48 @@ fn a_commit_allocates_per_region_only_for_the_global_name_list() {
          per added region"
     );
 }
+
+/// Allocations of a commit that removes one name of
+/// `clustered_map(16, 16, 1)`, less the debug build's reference assembly
+/// (see [`one_held_commit`]). The base epoch shares the removed entry, so a
+/// removal that handed the region back copied it (one allocation, its
+/// vertex list) only to drop it.
+fn one_removal() -> u64 {
+    let db = TopoDatabase::from_instance(datagen::clustered_map(16, 16, 1));
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut txn = db.begin_shared();
+    txn.remove("C000_R000");
+    let summary = txn.try_commit().expect("the removal publishes");
+    let counted = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(summary.changed, ["C000_R000"], "the removal takes effect");
+    if !cfg!(debug_assertions) {
+        return counted;
+    }
+    let view = db.snapshot().complex_view();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let reference = GlobalComplexView::new(view.region_names().to_vec(), view.components().to_vec());
+    let checked = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    drop(reference);
+    counted.saturating_sub(checked)
+}
+
+#[test]
+fn a_removal_copies_no_region() {
+    let _alone = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    let commit = one_removal();
+    // The instance's part of it: a removal from a copy of the base copies
+    // the one run it changes (its entry pointers) and, handing the region
+    // back, the region too; discarding the entry copies no region.
+    let map = datagen::clustered_map(16, 16, 1);
+    let count = |remove: fn(&mut topodb::spatial_core::prelude::SpatialInstance)| {
+        let mut next = map.clone();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        remove(&mut next);
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    let discarded = count(|next| assert!(next.discard("C000_R000")));
+    let removed = count(|next| assert!(next.remove("C000_R000").is_some()));
+    println!("one removal commit: {commit} allocations; {discarded} to discard a shared entry, {removed} to remove it");
+    assert_eq!(discarded, 2, "discarding a shared entry copies its run (an Arc and a Vec), nothing else");
+    assert_eq!(removed, discarded + 1, "removing it copies the region it hands back too");
+}
