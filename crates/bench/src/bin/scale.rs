@@ -1,20 +1,47 @@
-//! The scale ruler: how the database's per-epoch costs grow with the
-//! number of regions, measured through the public API only.
+//! The scale ruler: how the database's per-epoch costs and the paper's
+//! kernels grow with the size of their input, measured through the public
+//! API only (`topodb` and its re-exports).
 //!
-//! For each size, `clustered_map(c, 16, 1)` (16 regions in each of `c`
-//! clusters) is loaded with `TopoDatabase::from_instance`, then committed to
-//! round after round: each round's transaction inserts one `cluster_rect`
-//! into a seeded cluster and removes the oldest of the four names it holds,
-//! as the benchmark's clustered workloads do. On each round's new snapshot
-//! the ruler times `evaluator()`, then `overlap(ext(x), C000_R000)` (the
-//! first, fresh evaluation on the new epoch), then the same query anchored
-//! in the middle cluster, `overlap(ext(x), C{c/2}_R000)` (a young one: the
-//! epoch has answered a query, but not on these names), then the first
-//! query again (warm).
+//! **Clustered columns.** For each size, `clustered_map(c, 16, 1)` (16
+//! regions in each of `c` clusters) is loaded with
+//! `TopoDatabase::from_instance` (the cold build, Theorem 3.5; the Euler
+//! formula must hold on its view). On that first snapshot the ruler times
+//! `homeomorphic_to` a second database loaded from the map translated by
+//! (7, 3) (Theorem 3.4; the answer must be yes) and `thematic()`
+//! (Corollary 3.7). Then it commits round after round: each round's
+//! transaction inserts one `cluster_rect` into a seeded cluster and removes
+//! the oldest of the four names it holds, as the benchmark's clustered
+//! workloads do. On each round's new snapshot the ruler times `evaluator()`,
+//! then `overlap(ext(x), C000_R000)` (the first, fresh evaluation on the new
+//! epoch), then the same query anchored in the middle cluster,
+//! `overlap(ext(x), C{c/2}_R000)` (a young one: the epoch has answered a
+//! query, but not on these names), then the first query again (warm), and
+//! last `forallname a . not inside(ext(a), C000_R000)` evaluated twice, the
+//! second time timed (a warm universal sentence). A column is the cold
+//! build, `homeomorphic_to` or `thematic()` (ms), or the median over the
+//! rounds of a per-round time (µs).
 //!
-//! Columns: the cold build (ms), and the medians over the rounds of the
-//! commit, `evaluator()`, the fresh, the young and the warm query (µs). One
-//! JSON line per run, with its label, is appended to the output file.
+//! **Kernel families.** Each runs at the fixed sizes below, whatever the
+//! options, and reports the median time of one call (µs):
+//! - `e11_validate_{valid,corrupted}`: `invariant::validate` of the
+//!   invariant of `clustered_map(c, 16, 1)`, c = 1, 4, 16, 64, and of the
+//!   same with a region's face made the exterior (Theorem 3.8; the result
+//!   must be empty, then non-empty);
+//! - `e14_sentence`: `class_defining_sentence` of the grid maps of
+//!   `scaling_sweep([4, 16, 36, 64])` (Proposition 5.1 / Theorem 5.6);
+//! - `e16_rect_data`: `RectEvaluator::eval` of a one-quantifier sentence on
+//!   `random_rectangles(n, 40, 11)`, n = 3, 5, 8 (Theorem 6.4), and
+//!   `e16_rect_depth`: sentences of quantifier depth 1 and 2 on
+//!   `random_rectangles(1, 30, 5)` (Theorem 6.5);
+//! - `e17_{satisfiable,unsatisfiable}`: satisfiability of the constraint
+//!   network of `random_rectangles(n, 40, 17)` and of a containment chain
+//!   closed by a disjointness, n = 4, 6, 8 variables (\[GPP95\]).
+//!
+//! The size of a clustered column is its number of regions. For every
+//! column and family with at least two sizes, the ruler also reports the
+//! least-squares slope of ln(time) against ln(size): the exponent of the
+//! power law the times fit. Slopes are recorded, not gated. One JSON line
+//! per run, with its label, is appended to the output file.
 //!
 //! ```text
 //! cargo run --release -p bench --bin scale -- --label "my change"
@@ -25,13 +52,19 @@
 //! `--label TEXT` (default `unlabelled`), `--out PATH` (default
 //! `BENCH_scale.jsonl`).
 
-use datagen::{cluster_rect, clustered_map};
+use datagen::{cluster_rect, clustered_map, random_rectangles, scaling_sweep};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
+use std::hint::black_box;
 use std::io::Write;
 use std::time::Instant;
+use topodb::arrangement::ComplexRead;
+use topodb::invariant::{validate, Invariant};
+use topodb::query::complete::class_defining_sentence;
+use topodb::query::rect_eval::RectEvaluator;
+use topodb::relations::{network_of_instance, ConstraintNetwork, Relation4, RelationSet};
 use topodb::{PreparedQuery, TopoDatabase};
 
 /// Regions per cluster of every map.
@@ -40,17 +73,36 @@ const PER_CLUSTER: usize = 16;
 /// Names each round's transaction holds before it removes the oldest.
 const HELD: usize = 4;
 
-/// One size's measurements.
+/// The kernel families' sizes: E11's cluster counts, E14's grid sizes,
+/// E16's rectangle counts and E17's variable counts.
+const VALIDATE_CLUSTERS: [usize; 4] = [1, 4, 16, 64];
+const SENTENCE_REGIONS: [usize; 4] = [4, 16, 36, 64];
+const RECT_REGIONS: [usize; 3] = [3, 5, 8];
+const NETWORK_VARIABLES: [usize; 3] = [4, 6, 8];
+
+/// E16's sentences: the data-complexity sentence, and one per quantifier
+/// depth for the query-complexity pair.
+const RECT_SENTENCE: &str = "exists r . overlap(r, R000) and overlap(r, R001)";
+const RECT_DEPTHS: [&str; 2] =
+    ["exists r . overlap(r, R000)", "exists r . exists s . overlap(r, R000) and disjoint(r, s)"];
+
+/// The rectangles of the depth pair's instance. The depth-2 sentence tries
+/// every pair of candidate rectangles until `r` overlaps `R000`: about 0.75 s
+/// on one rectangle, 20 s on two, and over a minute on more.
+const RECT_DEPTH_REGIONS: usize = 1;
+
+/// One clustered size's columns, named as in the JSON line.
 struct Row {
     clusters: usize,
     regions: usize,
     rounds: usize,
-    cold_build_ms: f64,
-    commit_us: f64,
-    evaluator_us: f64,
-    fresh_overlap_us: f64,
-    young_overlap_us: f64,
-    warm_overlap_us: f64,
+    columns: Vec<(&'static str, f64)>,
+}
+
+/// A time over sizes: a clustered column or a kernel family.
+struct Series {
+    name: &'static str,
+    points: Vec<(usize, f64)>,
 }
 
 fn micros(start: Instant) -> f64 {
@@ -71,21 +123,53 @@ fn rounds_for(regions: usize) -> usize {
     }
 }
 
+/// The median time of one call of `f` (µs) over five samples of as many
+/// calls as take about 2 ms. A first call over 100 ms is the only sample.
+fn time_kernel<T>(mut f: impl FnMut() -> T) -> f64 {
+    let start = Instant::now();
+    black_box(f());
+    let once = micros(start);
+    if once > 1e5 {
+        return once;
+    }
+    let calls = (2e3 / once.max(0.1)).ceil() as usize;
+    let samples = (0..5).map(|_| {
+        let start = Instant::now();
+        (0..calls).for_each(|_| drop(black_box(f())));
+        micros(start) / calls as f64
+    });
+    median(samples.collect())
+}
+
 fn measure(clusters: usize) -> Row {
     let map = clustered_map(clusters, PER_CLUSTER, 1);
     let regions = map.len();
+    let moved = map.translated(7, 3);
     let start = Instant::now();
     let db = TopoDatabase::from_instance(map);
     let cold_build_ms = micros(start) / 1e3;
+    // The first snapshot and the translate are dropped before the rounds.
+    let (homeomorphic_ms, thematic_ms) = {
+        let snapshot = db.snapshot();
+        assert!(snapshot.complex_view().euler_formula_holds(), "Euler's formula holds at {regions} regions");
+        let other = TopoDatabase::from_instance(moved).snapshot();
+        let start = Instant::now();
+        assert!(snapshot.homeomorphic_to(&other), "a translate is homeomorphic");
+        let homeomorphic_ms = micros(start) / 1e3;
+        let start = Instant::now();
+        black_box(snapshot.thematic());
+        (homeomorphic_ms, micros(start) / 1e3)
+    };
 
-    let query = PreparedQuery::compile("overlap(ext(x), C000_R000)").expect("the query compiles");
-    let elsewhere = format!("overlap(ext(x), C{:03}_R000)", clusters / 2);
-    let young_query = PreparedQuery::compile(&elsewhere).expect("the query compiles");
+    let compile = |text: &str| PreparedQuery::compile(text).expect("the query compiles");
+    let query = compile("overlap(ext(x), C000_R000)");
+    let young_query = compile(&format!("overlap(ext(x), C{:03}_R000)", clusters / 2));
+    let universal = compile("forallname a . not inside(ext(a), C000_R000)");
     let mut rng = StdRng::seed_from_u64(52);
     let mut held: VecDeque<String> = VecDeque::new();
     let rounds = rounds_for(regions);
     let (mut commit, mut evaluator) = (vec![], vec![]);
-    let (mut fresh, mut young, mut warm) = (vec![], vec![], vec![]);
+    let (mut fresh, mut young, mut warm, mut forall) = (vec![], vec![], vec![], vec![]);
     for serial in 0..HELD + rounds {
         let cluster = rng.gen_range(0..clusters);
         let name = format!("X{serial:06}");
@@ -108,24 +192,101 @@ fn measure(clusters: usize) -> Row {
         let start = Instant::now();
         let _ = snapshot.evaluator();
         evaluator.push(micros(start));
-        for (query, times) in [(&query, &mut fresh), (&young_query, &mut young), (&query, &mut warm)] {
+        // The answer is dropped after its time is taken.
+        let time = |query: &PreparedQuery| {
             let start = Instant::now();
             let answer = snapshot.evaluate(query).expect("the query runs");
-            times.push(micros(start));
-            std::hint::black_box(answer);
-        }
+            (micros(start), answer)
+        };
+        fresh.push(time(&query).0);
+        young.push(time(&young_query).0);
+        warm.push(time(&query).0);
+        time(&universal);
+        forall.push(time(&universal).0);
     }
     Row {
         clusters,
         regions,
         rounds,
-        cold_build_ms,
-        commit_us: median(commit),
-        evaluator_us: median(evaluator),
-        fresh_overlap_us: median(fresh),
-        young_overlap_us: median(young),
-        warm_overlap_us: median(warm),
+        columns: vec![
+            ("cold_build_ms", cold_build_ms),
+            ("commit_p50_us", median(commit)),
+            ("evaluator_p50_us", median(evaluator)),
+            ("fresh_overlap_p50_us", median(fresh)),
+            ("young_overlap_p50_us", median(young)),
+            ("warm_overlap_p50_us", median(warm)),
+            ("warm_forall_p50_us", median(forall)),
+            ("homeomorphic_ms", homeomorphic_ms),
+            ("thematic_ms", thematic_ms),
+        ],
     }
+}
+
+/// The kernel families, at their fixed sizes.
+fn kernel_families() -> Vec<Series> {
+    let (mut valid, mut corrupted) = (vec![], vec![]);
+    for clusters in VALIDATE_CLUSTERS {
+        let map = clustered_map(clusters, PER_CLUSTER, 1);
+        let inv = Invariant::of_instance(&map);
+        valid.push((map.len(), time_kernel(|| assert!(validate(&inv).is_empty()))));
+        let broken = inv.with_exterior(inv.region_faces(map.names()[0])[0]);
+        corrupted.push((map.len(), time_kernel(|| assert!(!validate(&broken).is_empty()))));
+    }
+
+    let sentence = scaling_sweep(&SENTENCE_REGIONS)
+        .into_iter()
+        .map(|(n, grid)| {
+            let inv = Invariant::of_instance(&grid);
+            (n, time_kernel(|| class_defining_sentence(&inv).size()))
+        })
+        .collect();
+
+    let rect_eval = |inst, text| {
+        let evaluator = RectEvaluator::new(&inst).expect("rectangles");
+        let formula = topodb::query::parse(text).expect("the sentence parses");
+        time_kernel(|| evaluator.eval(&formula).expect("the sentence evaluates"))
+    };
+    let rect_data = RECT_REGIONS.map(|n| (n, rect_eval(random_rectangles(n, 40, 11), RECT_SENTENCE)));
+    let rect_depth = (1..)
+        .zip(RECT_DEPTHS)
+        .map(|(depth, text)| (depth, rect_eval(random_rectangles(RECT_DEPTH_REGIONS, 30, 5), text)));
+
+    let (mut satisfiable, mut unsatisfiable) = (vec![], vec![]);
+    for n in NETWORK_VARIABLES {
+        let net = network_of_instance(&random_rectangles(n, 40, 17));
+        satisfiable.push((n, time_kernel(|| assert!(net.is_satisfiable()))));
+        let mut bad = ConstraintNetwork::unconstrained(n);
+        for i in 0..n - 1 {
+            bad.constrain_base(i, i + 1, Relation4::Inside);
+        }
+        bad.constrain(0, n - 1, RelationSet::from_slice(&[Relation4::Disjoint, Relation4::Meet]));
+        unsatisfiable.push((n, time_kernel(|| assert!(!bad.is_satisfiable()))));
+    }
+
+    vec![
+        Series { name: "e11_validate_valid", points: valid },
+        Series { name: "e11_validate_corrupted", points: corrupted },
+        Series { name: "e14_sentence", points: sentence },
+        Series { name: "e16_rect_data", points: rect_data.to_vec() },
+        Series { name: "e16_rect_depth", points: rect_depth.collect() },
+        Series { name: "e17_satisfiable", points: satisfiable },
+        Series { name: "e17_unsatisfiable", points: unsatisfiable },
+    ]
+}
+
+/// The least-squares slope of ln(time) against ln(size) over `points`, or
+/// `None` with fewer than two distinct sizes or a non-positive value.
+fn log_log_slope(points: &[(usize, f64)]) -> Option<f64> {
+    if points.iter().any(|&(size, time)| size == 0 || time <= 0.0) {
+        return None;
+    }
+    let logs: Vec<(f64, f64)> = points.iter().map(|&(size, time)| ((size as f64).ln(), time.ln())).collect();
+    let n = logs.len() as f64;
+    let mean_x = logs.iter().map(|p| p.0).sum::<f64>() / n;
+    let mean_y = logs.iter().map(|p| p.1).sum::<f64>() / n;
+    let sxx: f64 = logs.iter().map(|&(x, _)| (x - mean_x).powi(2)).sum();
+    let sxy: f64 = logs.iter().map(|&(x, y)| (x - mean_x) * (y - mean_y)).sum();
+    (sxx > 0.0).then(|| sxy / sxx)
 }
 
 /// A JSON string literal of `s`.
@@ -143,28 +304,36 @@ fn quoted(s: &str) -> String {
     out
 }
 
-fn json_line(label: &str, rows: &[Row]) -> String {
+fn json_line(label: &str, rows: &[Row], columns: &[Series], families: &[Series]) -> String {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let sizes: Vec<String> = rows
         .iter()
         .map(|r| {
-            format!(
-                "{{\"clusters\":{},\"regions\":{},\"rounds\":{},\"cold_build_ms\":{:.3},\"commit_p50_us\":{:.1},\
-                 \"evaluator_p50_us\":{:.1},\"fresh_overlap_p50_us\":{:.1},\"young_overlap_p50_us\":{:.1},\
-                 \"warm_overlap_p50_us\":{:.1}}}",
-                r.clusters,
-                r.regions,
-                r.rounds,
-                r.cold_build_ms,
-                r.commit_us,
-                r.evaluator_us,
-                r.fresh_overlap_us,
-                r.young_overlap_us,
-                r.warm_overlap_us
-            )
+            let columns: String = r.columns.iter().map(|(name, value)| format!(",\"{name}\":{value:.3}")).collect();
+            format!("{{\"clusters\":{},\"regions\":{},\"rounds\":{}{columns}}}", r.clusters, r.regions, r.rounds)
         })
         .collect();
-    format!("{{\"label\":{},\"cpus\":{cpus},\"sizes\":[{}]}}", quoted(label), sizes.join(","))
+    let list = |values: Vec<String>| values.join(",");
+    let family_lines: Vec<String> = families
+        .iter()
+        .map(|f| {
+            let sizes = list(f.points.iter().map(|p| p.0.to_string()).collect());
+            let times = list(f.points.iter().map(|p| format!("{:.3}", p.1)).collect());
+            format!("{{\"name\":\"{}\",\"sizes\":[{sizes}],\"us\":[{times}]}}", f.name)
+        })
+        .collect();
+    let slopes: Vec<String> = columns
+        .iter()
+        .chain(families.iter())
+        .filter_map(|s| Some(format!("\"{}\":{:.3}", s.name, log_log_slope(&s.points)?)))
+        .collect();
+    format!(
+        "{{\"label\":{},\"cpus\":{cpus},\"sizes\":[{}],\"families\":[{}],\"slopes\":{{{}}}}}",
+        quoted(label),
+        sizes.join(","),
+        family_lines.join(","),
+        slopes.join(",")
+    )
 }
 
 fn main() {
@@ -184,23 +353,42 @@ fn main() {
         }
     }
 
-    println!(
-        "{:>8} {:>8} {:>7} {:>14} {:>12} {:>14} {:>13} {:>12} {:>12}",
-        "clusters", "regions", "rounds", "cold_build_ms", "commit_us", "evaluator_us", "fresh_q_us", "young_q_us",
-        "warm_q_us"
-    );
-    let mut rows = Vec::new();
-    for c in clusters {
-        let r = measure(c);
-        println!(
-            "{:>8} {:>8} {:>7} {:>14.1} {:>12.1} {:>14.1} {:>13.1} {:>12.1} {:>12.1}",
-            r.clusters, r.regions, r.rounds, r.cold_build_ms, r.commit_us, r.evaluator_us, r.fresh_overlap_us,
-            r.young_overlap_us, r.warm_overlap_us
-        );
-        rows.push(r);
+    let rows: Vec<Row> = clusters
+        .into_iter()
+        .map(|c| {
+            let row = measure(c);
+            println!("measured {} clusters ({} regions, {} rounds)", row.clusters, row.regions, row.rounds);
+            row
+        })
+        .collect();
+    let columns: Vec<Series> = rows.first().map_or(vec![], |first| {
+        let column = |i: usize| rows.iter().map(|r| (r.regions, r.columns[i].1)).collect();
+        first.columns.iter().enumerate().map(|(i, &(name, _))| Series { name, points: column(i) }).collect()
+    });
+    let families = kernel_families();
+    for s in columns.iter().chain(&families) {
+        let points: Vec<String> = s.points.iter().map(|(size, time)| format!("{size}:{time:.1}")).collect();
+        let slope = log_log_slope(&s.points).map_or(String::new(), |k| format!("  slope {k:.2}"));
+        println!("{:<24} {}{slope}", s.name, points.join("  "));
     }
-    let line = json_line(&label, &rows);
+    let line = json_line(&label, &rows, &columns, &families);
     let mut file = OpenOptions::new().create(true).append(true).open(&out).expect("the output file opens");
     writeln!(file, "{line}").expect("the line is written");
     println!("appended to {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::log_log_slope;
+
+    #[test]
+    fn an_exact_power_law_returns_its_exponent() {
+        for exponent in [0.5, 1.0, 2.0, 3.0] {
+            let points: Vec<(usize, f64)> = [16, 64, 256, 1024].map(|n| (n, 7.0 * (n as f64).powf(exponent))).to_vec();
+            let slope = log_log_slope(&points).expect("four sizes");
+            assert!((slope - exponent).abs() < 1e-9, "slope {slope} for exponent {exponent}");
+        }
+        assert_eq!(log_log_slope(&[(16, 3.0)]), None, "one size has no slope");
+        assert_eq!(log_log_slope(&[(16, 3.0), (64, 0.0)]), None, "a zero time has no logarithm");
+    }
 }

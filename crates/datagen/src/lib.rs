@@ -16,9 +16,10 @@ use spatial_core::prelude::*;
 /// A "land-use map": an `rows x cols` grid of axis-parallel rectangular
 /// parcels, each a named region, adjacent parcels meeting along shared edges.
 ///
-/// This is the workload for the invariant-scaling and thematic benchmarks:
-/// the number of cells of the complex grows linearly with the number of
-/// parcels, and every parcel pair stands in a `meet` or `disjoint` relation.
+/// This is the workload of the construction, thematic and sentence
+/// experiments: the number of cells of the complex grows linearly with the
+/// number of parcels, and every parcel pair stands in a `meet` or
+/// `disjoint` relation.
 pub fn grid_map(cols: usize, rows: usize, cell_size: i64) -> SpatialInstance {
     assert!(cols > 0 && rows > 0 && cell_size > 0);
     let mut inst = SpatialInstance::new();
@@ -363,8 +364,8 @@ pub fn wide_map(components: usize, seed: u64) -> SpatialInstance {
     inst
 }
 
-/// The instance-size sweep used by the scaling benchmarks: grid maps with
-/// roughly `n` regions.
+/// The instance-size sweep of the scale ruler's sentence family and of the
+/// construction tests: grid maps with roughly `n` regions.
 pub fn scaling_sweep(sizes: &[usize]) -> Vec<(usize, SpatialInstance)> {
     sizes
         .iter()
@@ -372,19 +373,6 @@ pub fn scaling_sweep(sizes: &[usize]) -> Vec<(usize, SpatialInstance)> {
             let cols = (n as f64).sqrt().ceil() as usize;
             let rows = n.div_ceil(cols);
             (cols * rows, grid_map(cols, rows, 4))
-        })
-        .collect()
-}
-
-/// Like [`scaling_sweep`], but over [`dense_overlap_map`] instances: the
-/// crossing-heavy companion sweep for the splitter benchmarks.
-pub fn dense_scaling_sweep(sizes: &[usize]) -> Vec<(usize, SpatialInstance)> {
-    sizes
-        .iter()
-        .map(|&n| {
-            let cols = (n as f64).sqrt().ceil() as usize;
-            let rows = n.div_ceil(cols);
-            (cols * rows, dense_overlap_map(cols, rows, 4))
         })
         .collect()
 }
@@ -830,9 +818,6 @@ mod tests {
         let b = m.ext("P000_001").unwrap();
         assert_eq!(a.locate(&pt(5, 2)), Location::Inside);
         assert_eq!(b.locate(&pt(5, 2)), Location::Inside);
-        for (n, inst) in dense_scaling_sweep(&[4, 9]) {
-            assert_eq!(inst.len(), n);
-        }
     }
 
     #[test]

@@ -170,36 +170,20 @@ where
     let update = arrangement::update_components(base.components(), &instance, changed, hint);
     counters.component_rebuilds.fetch_add(update.rebuilt as u64, Ordering::Relaxed);
     counters.complex_builds.fetch_add(1, Ordering::Relaxed);
+    // A carried component keeps its closure table; a rebuilt or hinted one
+    // starts an empty one.
+    let cells = update
+        .carried_from
+        .iter()
+        .zip(&update.components)
+        .map(|(from, component)| match *from {
+            Some(old) => Arc::clone(&base_cells[old]),
+            None => Arc::new(RegionCells::new(component.region_names().len())),
+        })
+        .collect();
     let global_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
     let view = base.updated(global_names, changed, update);
-    let cells = carried_cells(base.components(), base_cells, view.components());
     Snapshot::new(epoch, instance, Arc::new(view), cells)
-}
-
-/// The closure table of each of `components`: the one of `base` (aligned
-/// with `base_cells`) when the component is that very component
-/// (`Arc::ptr_eq`), an empty one otherwise. Both lists ascend by smallest
-/// member name, so one merge pairs them: pointer work per component, and
-/// no cell is looked at.
-fn carried_cells(
-    base: &[Arc<ComponentComplex>],
-    base_cells: &[Arc<RegionCells>],
-    components: &[Arc<ComponentComplex>],
-) -> Arc<[Arc<RegionCells>]> {
-    fn first(c: &ComponentComplex) -> &str {
-        &c.region_names()[0]
-    }
-    let mut old = base.iter().zip(base_cells).peekable();
-    components
-        .iter()
-        .map(|component| {
-            while old.next_if(|(b, _)| first(b) < first(component)).is_some() {}
-            match old.peek() {
-                Some((b, cells)) if Arc::ptr_eq(b, component) => Arc::clone(cells),
-                _ => Arc::new(RegionCells::new(component.region_names().len())),
-            }
-        })
-        .collect()
 }
 
 /// The published head, the mutex that orders publishes, and the build

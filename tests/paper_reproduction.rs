@@ -309,6 +309,36 @@ fn e15_point_vs_region_language() {
     }
 }
 
+/// E16 — Theorems 6.4 and 6.5: the sentences the scale ruler times on
+/// rectangle maps keep their answers, and those answers are invariant under
+/// exact translations and positive axis scalings (elements of L, so
+/// homeomorphisms). `R000` and `R001` are disjoint on every
+/// `random_rectangles(n, 40, 11)`, so no rectangle lies inside both.
+#[test]
+fn e16_rect_sentences_are_invariant_under_translation_and_scaling() {
+    let pinned = [
+        (datagen::random_rectangles(3, 40, 11), "exists r . overlap(r, R000) and overlap(r, R001)", true),
+        (datagen::random_rectangles(5, 40, 11), "exists r . overlap(r, R000) and overlap(r, R001)", true),
+        (datagen::random_rectangles(8, 40, 11), "exists r . overlap(r, R000) and overlap(r, R001)", true),
+        (datagen::random_rectangles(3, 40, 11), "exists r . inside(r, R000) and inside(r, R001)", false),
+        (datagen::random_rectangles(4, 30, 5), "exists r . overlap(r, R000)", true),
+        (datagen::random_rectangles(1, 30, 5), "exists r . exists s . overlap(r, R000) and disjoint(r, s)", true),
+    ];
+    let maps = [
+        PlaneTransform::Affine(AffineMap::identity()),
+        PlaneTransform::Affine(AffineMap::translation(rat(17), rat(-3))),
+        PlaneTransform::Affine(AffineMap::scaling(rat(3), rat(2))),
+    ];
+    for (inst, text, answer) in &pinned {
+        let sentence = topodb::query::parse(text).unwrap();
+        for map in &maps {
+            let image = map.apply_instance(inst).unwrap();
+            let evaluator = topodb::query::rect_eval::RectEvaluator::new(&image).unwrap();
+            assert_eq!(evaluator.eval(&sentence).unwrap(), *answer, "{text} on {} rectangles under {map:?}", inst.len());
+        }
+    }
+}
+
 /// E17 — [GPP95] / Section 6: topological inference over the existential
 /// fragment — constraint networks from real instances are satisfiable, and
 /// impossible networks are refuted.
@@ -322,6 +352,21 @@ fn e17_topological_inference() {
     bad.constrain_base(1, 2, Relation4::Inside);
     bad.constrain(0, 2, RelationSet::from_slice(&[Relation4::Disjoint, Relation4::Meet]));
     assert!(!bad.is_satisfiable());
+}
+
+/// E18 — ablation of the invariant's parts (Figs. 6 and 7): two flowers of
+/// eight petals that differ only in the cyclic order of their petals. With
+/// the orientation relation the invariants are not isomorphic, with or
+/// without the exterior face; without it they are.
+#[test]
+fn e18_orientation_separates_the_flowers() {
+    let a = Invariant::of_instance(&datagen::flower(8, 1));
+    let b = Invariant::of_instance(&datagen::flower(8, 2));
+    let isomorphic = |options| find_isomorphism(&a, &b, options).is_some();
+    assert!(!isomorphic(IsoOptions::full()));
+    assert!(isomorphic(IsoOptions::without_orientation()));
+    assert!(!isomorphic(IsoOptions::without_exterior()));
+    assert!(isomorphic(IsoOptions::labeled_graph_only()));
 }
 
 /// Cross-cutting sanity: every pairwise relation reported by the geometric
