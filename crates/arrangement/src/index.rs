@@ -143,22 +143,28 @@ impl Tree {
     /// Call `found` with the id of every entry whose box passes `hit`, in
     /// tree order.
     fn visit(&self, hit: &impl Fn(&BBox) -> bool, mut found: impl FnMut(usize)) {
-        let Some(root_level) = self.levels.len().checked_sub(1) else { return };
-        // (level, node index) descent; level 0 scans entry ranges.
-        let mut stack: Vec<(usize, usize)> = vec![(root_level, 0)];
-        while let Some((level, idx)) = stack.pop() {
-            let node = &self.levels[level][idx];
-            if !hit(&node.bbox) {
-                continue;
-            }
-            if level == 0 {
-                for (id, b) in &self.entries[node.start..node.end] {
-                    if hit(b) {
-                        found(*id);
-                    }
+        if let Some(root_level) = self.levels.len().checked_sub(1) {
+            self.descend(root_level, 0, hit, &mut found);
+        }
+    }
+
+    /// Visit node `idx` of `level` and, if its box passes, its subtree. The
+    /// descent recurses as deep as the tree is tall, so a probe allocates
+    /// nothing whatever the number of entries.
+    fn descend(&self, level: usize, idx: usize, hit: &impl Fn(&BBox) -> bool, found: &mut impl FnMut(usize)) {
+        let node = &self.levels[level][idx];
+        if !hit(&node.bbox) {
+            return;
+        }
+        if level == 0 {
+            for (id, b) in &self.entries[node.start..node.end] {
+                if hit(b) {
+                    found(*id);
                 }
-            } else {
-                stack.extend((node.start..node.end).map(|child| (level - 1, child)));
+            }
+        } else {
+            for child in node.start..node.end {
+                self.descend(level - 1, child, hit, found);
             }
         }
     }

@@ -17,7 +17,9 @@
 //! `overlap(ext(x), C{c/2}_R000)` (a young one: the epoch has answered a
 //! query, but not on these names), then the first query again (warm), and
 //! last `forallname a . not inside(ext(a), C000_R000)` evaluated twice, the
-//! second time timed (a warm universal sentence). A column is the cold
+//! second time timed (a warm universal sentence). On the first round the
+//! universal sentence's answer must equal that of its grounding, the
+//! conjunction of `not inside(N, C000_R000)` over every name `N`. A column is the cold
 //! build, `homeomorphic_to` or `thematic()` (ms), or the median over the
 //! rounds of a per-round time (µs).
 //!
@@ -32,7 +34,7 @@
 //! - `e16_rect_data`: `RectEvaluator::eval` of a one-quantifier sentence on
 //!   `random_rectangles(n, 40, 11)`, n = 3, 5, 8 (Theorem 6.4), and
 //!   `e16_rect_depth`: sentences of quantifier depth 1 and 2 on
-//!   `random_rectangles(1, 30, 5)` (Theorem 6.5);
+//!   `random_rectangles(4, 30, 5)` (Theorem 6.5);
 //! - `e17_{satisfiable,unsatisfiable}`: satisfiability of the constraint
 //!   network of `random_rectangles(n, 40, 17)` and of a containment chain
 //!   closed by a disjointness, n = 4, 6, 8 variables (\[GPP95\]).
@@ -64,6 +66,7 @@ use topodb::arrangement::ComplexRead;
 use topodb::invariant::{validate, Invariant};
 use topodb::query::complete::class_defining_sentence;
 use topodb::query::rect_eval::RectEvaluator;
+use topodb::query::{Formula, RegionExpr};
 use topodb::relations::{network_of_instance, ConstraintNetwork, Relation4, RelationSet};
 use topodb::{PreparedQuery, TopoDatabase};
 
@@ -86,10 +89,10 @@ const RECT_SENTENCE: &str = "exists r . overlap(r, R000) and overlap(r, R001)";
 const RECT_DEPTHS: [&str; 2] =
     ["exists r . overlap(r, R000)", "exists r . exists s . overlap(r, R000) and disjoint(r, s)"];
 
-/// The rectangles of the depth pair's instance. The depth-2 sentence tries
-/// every pair of candidate rectangles until `r` overlaps `R000`: about 0.75 s
-/// on one rectangle, 20 s on two, and over a minute on more.
-const RECT_DEPTH_REGIONS: usize = 1;
+/// The rectangles of the depth pair's instance. `RectEvaluator::eval`
+/// miniscopes the depth-2 sentence to `exists r . overlap(r, R000) and
+/// exists s . disjoint(r, s)`, so `s` ranges only for an `r` that overlaps.
+const RECT_DEPTH_REGIONS: usize = 4;
 
 /// One clustered size's columns, named as in the JSON line.
 struct Row {
@@ -202,7 +205,12 @@ fn measure(clusters: usize) -> Row {
         young.push(time(&young_query).0);
         warm.push(time(&query).0);
         time(&universal);
-        forall.push(time(&universal).0);
+        let (elapsed, answer) = time(&universal);
+        forall.push(elapsed);
+        if serial == HELD {
+            let grounded = snapshot.evaluate(&grounded_universal(&snapshot.names())).expect("the grounding runs");
+            assert_eq!(answer, grounded, "the universal sentence agrees with its grounding at {regions} regions");
+        }
     }
     Row {
         clusters,
@@ -220,6 +228,15 @@ fn measure(clusters: usize) -> Row {
             ("thematic_ms", thematic_ms),
         ],
     }
+}
+
+/// The universal sentence with its quantifier grounded: a conjunction of
+/// `not inside(N, C000_R000)` over every name `N`, which no name quantifier
+/// and so no candidate generator evaluates.
+fn grounded_universal(names: &[String]) -> PreparedQuery {
+    let anchor = RegionExpr::named("C000_R000");
+    let parts = names.iter().map(|n| Formula::not(Formula::rel(Relation4::Inside, RegionExpr::named(n.as_str()), anchor.clone())));
+    PreparedQuery::from_formula(Formula::and(parts.collect())).expect("a sentence")
 }
 
 /// The kernel families, at their fixed sizes.

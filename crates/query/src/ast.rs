@@ -256,6 +256,52 @@ impl Formula {
         }
     }
 
+    /// Split the body of a quantifier over `var` (a name variable if
+    /// `names`, else a region variable) into the parts of its top-level
+    /// junction that do not mention `var` and those that do. The junction is
+    /// the body's nested `And`s or its nested `Or`s, flattened; any other
+    /// body is a conjunction of one part.
+    pub(crate) fn split_on(&self, var: &str, names: bool) -> Split<'_> {
+        fn flatten<'f>(f: &'f Formula, or: bool, out: &mut Vec<&'f Formula>) {
+            match f {
+                Formula::And(fs) if !or => fs.iter().for_each(|g| flatten(g, or, out)),
+                Formula::Or(fs) if or => fs.iter().for_each(|g| flatten(g, or, out)),
+                _ => out.push(f),
+            }
+        }
+        let or = matches!(self, Formula::Or(_));
+        let mut parts = Vec::new();
+        flatten(self, or, &mut parts);
+        let mentions = |f: &Formula| {
+            let free = if names { f.free_name_vars() } else { f.free_region_vars() };
+            free.iter().any(|v| v == var)
+        };
+        let (inner, outer) = parts.into_iter().partition(|f| mentions(f));
+        Split { or, outer, inner }
+    }
+
+    /// Miniscoping: every quantifier keeps only the parts of its body's
+    /// top-level conjunction (or disjunction) that mention its variable, and
+    /// the other parts move out in front of it, joined to it by the same
+    /// connective. `∃s. φ(r) ∧ ψ(r, s)` becomes `φ(r) ∧ ∃s. ψ(r, s)`, so
+    /// `φ(r)` is tested once, not once per value of `s`; a quantifier whose
+    /// variable no part mentions is dropped.
+    ///
+    /// The result is equivalent to the formula over nonempty domains only:
+    /// over an empty one `∃x. (φ ∨ ψ(x))` is false and `φ ∨ ∃x. ψ(x)` is `φ`.
+    pub fn miniscope(&self) -> Formula {
+        match self {
+            Formula::Rel(..) | Formula::Connect(..) | Formula::Subset(..) | Formula::NameEq(..) => self.clone(),
+            Formula::Not(f) => Formula::not(f.miniscope()),
+            Formula::And(fs) => Formula::and(fs.iter().map(Formula::miniscope).collect()),
+            Formula::Or(fs) => Formula::or(fs.iter().map(Formula::miniscope).collect()),
+            Formula::ExistsRegion(v, f) => miniscoped(v, f, false, |v, f| Formula::exists_region(v, f)),
+            Formula::ForallRegion(v, f) => miniscoped(v, f, false, |v, f| Formula::forall_region(v, f)),
+            Formula::ExistsName(v, f) => miniscoped(v, f, true, |v, f| Formula::exists_name(v, f)),
+            Formula::ForallName(v, f) => miniscoped(v, f, true, |v, f| Formula::forall_name(v, f)),
+        }
+    }
+
     /// Rewrite `Subset` and the eight relation atoms into formulas that use
     /// only the primitive `connect`, following the definitions in Section 4
     /// of the paper. The resulting formula is logically equivalent over every
@@ -275,6 +321,40 @@ impl Formula {
             Formula::ForallName(v, f) => Formula::forall_name(v.clone(), f.desugar()),
         }
     }
+}
+
+/// A quantifier's body split by [`Formula::split_on`].
+pub(crate) struct Split<'f> {
+    /// Is the body's top-level junction a disjunction?
+    pub(crate) or: bool,
+    /// The parts that do not mention the quantified variable.
+    pub(crate) outer: Vec<&'f Formula>,
+    /// The parts that do.
+    pub(crate) inner: Vec<&'f Formula>,
+}
+
+/// Join parts by a conjunction (or a disjunction if `or`); one part is
+/// itself.
+fn junction(mut parts: Vec<Formula>, or: bool) -> Formula {
+    match parts.len() {
+        1 => parts.pop().unwrap_or(Formula::And(Vec::new())),
+        _ if or => Formula::Or(parts),
+        _ => Formula::And(parts),
+    }
+}
+
+/// The miniscoped form of the quantifier `quantify(var, body)`.
+fn miniscoped(var: &str, body: &Formula, names: bool, quantify: fn(&str, Formula) -> Formula) -> Formula {
+    let body = body.miniscope();
+    let split = body.split_on(var, names);
+    if split.outer.is_empty() {
+        return quantify(var, body);
+    }
+    let mut parts: Vec<Formula> = split.outer.into_iter().cloned().collect();
+    if !split.inner.is_empty() {
+        parts.push(quantify(var, junction(split.inner.into_iter().cloned().collect(), split.or)));
+    }
+    junction(parts, split.or)
 }
 
 /// `p ⊆ q` as `∀ w . connect(p, w) → connect(q, w)` (Section 4).
@@ -506,6 +586,25 @@ mod tests {
         let d = f.desugar();
         assert!(!has_sugar(&d));
         assert!(d.size() > f.size());
+    }
+
+    #[test]
+    fn miniscoping_moves_out_only_the_parts_without_the_variable() {
+        let parse = |text: &str| crate::parser::parse(text).unwrap();
+        for (text, scoped) in [
+            (
+                "exists r . exists s . overlap(r, A) and disjoint(r, s)",
+                "exists r . overlap(r, A) and exists s . disjoint(r, s)",
+            ),
+            ("forall r . overlap(A, B) or subset(r, A)", "overlap(A, B) or forall r . subset(r, A)"),
+            ("forallname a . not inside(ext(a), A)", "forallname a . not inside(ext(a), A)"),
+            ("existsname a . overlap(A, B) and meet(ext(a), B)", "overlap(A, B) and existsname a . meet(ext(a), B)"),
+            ("exists r . overlap(A, B)", "overlap(A, B)"),
+            // A name variable is not a region variable of the same name.
+            ("exists a . overlap(ext(a), B) and subset(a, B)", "overlap(ext(a), B) and exists a . subset(a, B)"),
+        ] {
+            assert_eq!(parse(text).miniscope(), parse(scoped), "{text}");
+        }
     }
 
     #[test]

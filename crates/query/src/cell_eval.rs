@@ -54,6 +54,16 @@
 //!   beside it). Over the flat complex, the complex is its own one part.
 //! * **A quantifier value** ([`CellRegion`]) holds its global faces and
 //!   walks its edges and vertices over the complex on first use.
+//! * **A name quantifier** costs its candidates, not the names. Its plan
+//!   ([`QueryPlan`], built once per [`crate::PreparedQuery`]) holds the
+//!   generators that every deciding value satisfies — a witness of
+//!   `existsname`, a counterexample of `forallname` — and the evaluator
+//!   tries only the names they allow (an anchor's bbox neighbours, probed
+//!   once per evaluation, or one pinned name), in the same way as a free
+//!   variable, and stops at the first decisive one. The parts of its body
+//!   that do not mention its variable run once, before. A body with no
+//!   generator ranges over every name. So `forallname a . not inside(ext(a),
+//!   A)` costs `A`'s neighbours, whatever the number of names.
 //!
 //! Relation reads ([`CellEvaluator::named_relation`], what
 //! `topodb::Snapshot::{relation, relations_of, relation_matrix}` serve) run
@@ -63,7 +73,7 @@
 //! reference it is tested against, not a second read path.
 
 use crate::ast::{Formula, NameTerm, RegionExpr};
-use crate::plan::{Generator, QueryPlan};
+use crate::plan::{Generator, QueryPlan, Quantifier, Step};
 use arrangement::{
     build_complex_view, closure_cells, BBox, ClosureCells, ComplexGeometry, ComplexRead, FaceId,
     GlobalComplexView, RegionHome, SpatialIndex,
@@ -73,6 +83,7 @@ use spatial_core::prelude::SpatialInstance;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -209,8 +220,8 @@ pub struct CellEvaluator<C = GlobalComplexView> {
     /// first planner use — or pre-seeded with an already-built one via
     /// [`CellEvaluator::with_spatial_index`].
     index: OnceLock<Arc<SpatialIndex>>,
-    /// Number of candidate values tried during binding enumeration (naive
-    /// and planned paths both count). See
+    /// Number of candidate values tried by binding enumeration (naive and
+    /// planned paths both count) and by name quantifiers. See
     /// [`CellEvaluator::assignments_tried`].
     assignments: AtomicU64,
     /// Number of `Rel` atoms and [`CellEvaluator::named_relation`] reads
@@ -315,8 +326,9 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         self.index.get_or_init(|| self.complex.region_bbox_index())
     }
 
-    /// How many candidate values the binding enumerators have tried (naive
-    /// and planned paths both count one per variable-value attempt).
+    /// How many candidate values the binding enumerators and the name
+    /// quantifiers have tried (one per variable-value attempt, on the naive
+    /// and the planned path alike).
     /// Together with
     /// [`SpatialIndex::probe_count`] this is the planner-work metric
     /// recorded by the bench snapshot.
@@ -606,10 +618,10 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
 
     // ---- formula evaluation ---------------------------------------------
 
-    /// Evaluate a sentence.
+    /// Evaluate a sentence. Its plan is built for this call; a
+    /// [`crate::PreparedQuery`] builds it once.
     pub fn eval(&self, formula: &Formula) -> Result<bool, EvalError> {
-        let mut env = Environment::default();
-        self.eval_inner(formula, &mut env)
+        Ok(!self.eval_bindings_planned(&QueryPlan::build(formula, &[]))?.is_empty())
     }
 
     /// Evaluate a formula with free name variables as a *set-returning*
@@ -627,14 +639,16 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         formula: &Formula,
         free: &[String],
     ) -> Result<Vec<Bindings>, EvalError> {
-        self.eval_bindings_planned(formula, &QueryPlan::build(formula, free))
+        self.eval_bindings_planned(&QueryPlan::build(formula, free))
     }
 
     /// The cartesian-product enumerator: every assignment of `free` over
     /// `names(I)` is tried and the formula evaluated on each — `O(n^k)`
-    /// evaluations. Kept as the planner's differential oracle; see
-    /// [`CellEvaluator::eval_bindings`] and
-    /// the crate docs' "Planning model" section.
+    /// evaluations. Kept as the reference of the free-variable planner; the
+    /// quantifiers inside the formula run as planned, so the reference of
+    /// those is the name-grounding oracle of the query crate's tests. See
+    /// [`CellEvaluator::eval_bindings`] and the crate docs' "Planning model"
+    /// section.
     pub fn eval_bindings_naive(
         &self,
         formula: &Formula,
@@ -642,20 +656,20 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
     ) -> Result<Vec<Bindings>, EvalError> {
         let mut env = Environment::default();
         let mut out = Vec::new();
-        self.eval_bindings_inner(formula, free, &mut env, &mut out)?;
+        self.eval_bindings_inner(&Step::compile(formula), free, &mut env, &mut out)?;
         Ok(out)
     }
 
     fn eval_bindings_inner<'a>(
         &'a self,
-        formula: &Formula,
+        step: &Step,
         free: &[String],
         env: &mut Environment<'a>,
         out: &mut Vec<Bindings>,
     ) -> Result<(), EvalError> {
         match free.split_first() {
             None => {
-                if self.eval_inner(formula, env)? {
+                if self.run(step, env)? {
                     out.push(self.materialize_row(&env.names));
                 }
                 Ok(())
@@ -668,7 +682,7 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
                 for idx in 0..self.complex.region_names().len() {
                     self.assignments.fetch_add(1, Ordering::Relaxed);
                     *env.names.get_mut(var).expect("bound above") = idx;
-                    result = self.eval_bindings_inner(formula, rest, env, out);
+                    result = self.eval_bindings_inner(step, rest, env, out);
                     if result.is_err() {
                         break;
                     }
@@ -679,24 +693,18 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         }
     }
 
-    /// Run the semi-join enumerator of a pre-built [`QueryPlan`] (whose
-    /// variable list must describe `formula`'s free variables — this is what
-    /// [`crate::PreparedQuery`] stores at compile time). See the crate docs'
-    /// "Planning model" section for the strategy and its guarantees.
-    pub fn eval_bindings_planned(
-        &self,
-        formula: &Formula,
-        plan: &QueryPlan,
-    ) -> Result<Vec<Bindings>, EvalError> {
+    /// Run a pre-built [`QueryPlan`] — what [`crate::PreparedQuery`] stores
+    /// at compile time: the semi-join enumerator of its free variables, or,
+    /// for a sentence's plan, one empty row if the sentence holds and none
+    /// otherwise. See the crate docs' "Planning model" section for the
+    /// strategy and its guarantees.
+    pub fn eval_bindings_planned(&self, plan: &QueryPlan) -> Result<Vec<Bindings>, EvalError> {
         let k = plan.vars().len();
-        if k == 0 {
-            return self.eval_bindings_naive(formula, &[]);
-        }
-        if self.complex.region_names().is_empty() {
+        if k > 0 && self.complex.region_names().is_empty() {
             return Ok(Vec::new());
         }
-        let mut ctx = PlanCtx::new(self.complex.region_names().len());
-        let order = self.plan_order_ids(plan, &mut ctx);
+        let mut env = Environment::default();
+        let order = self.plan_order_ids(plan, &mut env.probes);
         let mut pos_of = vec![0usize; k];
         for (p, &v) in order.iter().enumerate() {
             pos_of[v] = p;
@@ -706,12 +714,11 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         // plan variables are bound; variable-free conjuncts run up front
         // (pruning the whole enumeration when one is false).
         let mut ready_at: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let mut env = Environment::default();
         for (ci, conjunct) in plan.conjuncts().iter().enumerate() {
             match conjunct.vars.iter().map(|&v| pos_of[v]).max() {
                 Some(last) => ready_at[last].push(ci),
                 None => {
-                    if !self.eval_inner(&conjunct.formula, &mut env)? {
+                    if !self.run(&conjunct.step, &mut env)? {
                         return Ok(Vec::new());
                     }
                 }
@@ -720,16 +727,7 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
 
         let mut assignment: Vec<usize> = vec![usize::MAX; k];
         let mut rows: Vec<Vec<usize>> = Vec::new();
-        self.enumerate_planned(
-            0,
-            &order,
-            &ready_at,
-            plan,
-            &mut ctx,
-            &mut env,
-            &mut assignment,
-            &mut rows,
-        )?;
+        self.enumerate_planned(0, &order, &ready_at, plan, &mut env, &mut assignment, &mut rows)?;
         // The enumeration visits variables in selectivity order; the output
         // contract (matching the naive path) is lexicographic in the *free*
         // variable order, which — names being sorted — is exactly the index
@@ -751,7 +749,7 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
     /// candidate set first (see [`CellEvaluator::planned_var_order`]). The
     /// last variable has no rival, so it is placed without an estimate
     /// (which could probe the index once per name).
-    fn plan_order_ids(&self, plan: &QueryPlan, ctx: &mut PlanCtx) -> Vec<usize> {
+    fn plan_order_ids(&self, plan: &QueryPlan, probes: &mut Probes) -> Vec<usize> {
         let k = plan.vars().len();
         let mut order: Vec<usize> = Vec::with_capacity(k);
         let mut placed = vec![false; k];
@@ -761,7 +759,8 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
                 if placed[v] {
                     continue;
                 }
-                let est = self.estimate_candidates(plan.generators(v), &placed, ctx);
+                let placed_var = |y: &str| plan.vars().iter().position(|w| w == y).is_some_and(|u| placed[u]);
+                let est = self.estimate_candidates(plan.generators(v), placed_var, probes);
                 if best.is_none_or(|(be, _)| est < be) {
                     best = Some((est, v));
                 }
@@ -782,21 +781,19 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
     fn estimate_candidates(
         &self,
         generators: &[Generator],
-        placed: &[bool],
-        ctx: &mut PlanCtx,
+        placed: impl Fn(&str) -> bool,
+        probes: &mut Probes,
     ) -> usize {
         let n = self.complex.region_names().len();
         let mut est = n;
         for g in generators {
             let e = match g {
                 Generator::ExactConst(c) => self.name_index(c).map(|_| 1),
-                Generator::ExactVar(u) => placed[*u].then_some(1),
-                Generator::NeighborsOfConst(c) => self
-                    .name_index(c)
-                    .and_then(|i| self.neighbor_count(i, ctx)),
-                Generator::NeighborsOfVar(u) => {
-                    placed[*u].then(|| self.average_degree(ctx))
+                Generator::ExactVar(y) => placed(y).then_some(1),
+                Generator::NeighborsOfConst(c) => {
+                    self.name_index(c).and_then(|i| self.neighbor_list(i, probes)).map(|list| list.len())
                 }
+                Generator::NeighborsOfVar(y) => placed(y).then(|| self.average_degree(probes)),
             };
             if let Some(e) = e {
                 est = est.min(e);
@@ -810,40 +807,68 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
     /// variable is the one with the smallest estimated candidate set (ties
     /// broken by plan position, so the order is deterministic).
     pub fn planned_var_order(&self, plan: &QueryPlan) -> Vec<String> {
-        let mut ctx = PlanCtx::new(self.complex.region_names().len());
-        self.plan_order_ids(plan, &mut ctx)
+        self.plan_order_ids(plan, &mut Probes::default())
             .into_iter()
             .map(|v| plan.vars()[v].clone())
             .collect()
     }
 
-    /// The cached bbox-neighbor list of a named region (`None` when the
-    /// region has no box — then nothing can be pruned through it).
-    fn neighbor_list<'c>(&self, i: usize, ctx: &'c mut PlanCtx) -> Option<&'c Vec<usize>> {
-        self.bboxes[i].as_ref()?;
-        Some(ctx.neighbors[i].get_or_insert_with(|| {
-            self.spatial_index()
-                .bbox_neighbors(self.bboxes[i].as_ref().expect("checked above"))
-        }))
-    }
-
-    fn neighbor_count(&self, i: usize, ctx: &mut PlanCtx) -> Option<usize> {
-        self.neighbor_list(i, ctx).map(Vec::len)
+    /// The bbox-neighbor list of a named region, probed once per evaluation
+    /// (`None` when the region has no box — then nothing can be pruned
+    /// through it).
+    fn neighbor_list(&self, i: usize, probes: &mut Probes) -> Option<Rc<[usize]>> {
+        let bbox = self.bboxes[i].as_ref()?;
+        Some(match probes.lists.binary_search_by_key(&i, |(j, _)| *j) {
+            Ok(at) => Rc::clone(&probes.lists[at].1),
+            Err(at) => {
+                let list: Rc<[usize]> = self.spatial_index().bbox_neighbors(bbox).into();
+                probes.lists.insert(at, (i, Rc::clone(&list)));
+                list
+            }
+        })
     }
 
     /// Average bbox-neighbor count over all names (the planner's stand-in
     /// selectivity for contact atoms whose other side is not yet bound),
     /// computed once per evaluation.
-    fn average_degree(&self, ctx: &mut PlanCtx) -> usize {
-        if let Some(d) = ctx.avg_degree {
+    fn average_degree(&self, probes: &mut Probes) -> usize {
+        if let Some(d) = probes.average_degree {
             return d;
         }
         let n = self.complex.region_names().len();
-        let total: usize =
-            (0..n).map(|i| self.neighbor_count(i, ctx).unwrap_or(n)).sum();
+        let total: usize = (0..n).map(|i| self.neighbor_list(i, probes).map_or(n, |list| list.len())).sum();
         let d = (total / n.max(1)).max(1);
-        ctx.avg_degree = Some(d);
+        probes.average_degree = Some(d);
         d
+    }
+
+    /// The names a name variable ranges over under its generators: the
+    /// intersection of the candidate sets of every generator that resolves,
+    /// or every name when none does. A generator that does not resolve (an
+    /// unknown constant, an unbound variable, a region with no box) is
+    /// skipped: pruning may only shrink the range, never decide, and what
+    /// the range holds is still tested by the formula itself.
+    fn candidates(&self, generators: &[Generator], env: &mut Environment<'_>) -> Candidates {
+        let mut listed: Option<Rc<[usize]>> = None;
+        for g in generators {
+            let set = match g {
+                Generator::ExactConst(c) => self.name_index(c).map(|i| Rc::from(&[i][..])),
+                Generator::ExactVar(y) => env.names.get(y).map(|&i| Rc::from(&[i][..])),
+                Generator::NeighborsOfConst(c) => {
+                    self.name_index(c).and_then(|i| self.neighbor_list(i, &mut env.probes))
+                }
+                Generator::NeighborsOfVar(y) => {
+                    env.names.get(y).copied().and_then(|i| self.neighbor_list(i, &mut env.probes))
+                }
+            };
+            if let Some(set) = set {
+                listed = Some(match listed {
+                    None => set,
+                    Some(prev) => intersect_sorted(&prev, &set).into(),
+                });
+            }
+        }
+        listed.map_or(Candidates::All(self.complex.region_names().len()), Candidates::Listed)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -853,7 +878,6 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         order: &[usize],
         ready_at: &[Vec<usize>],
         plan: &QueryPlan,
-        ctx: &mut PlanCtx,
         env: &mut Environment<'a>,
         assignment: &mut Vec<usize>,
         rows: &mut Vec<Vec<usize>>,
@@ -864,38 +888,9 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         }
         let var_id = order[pos];
         let var = &plan.vars()[var_id];
-
-        // Intersect the candidate sets of every generator usable at this
-        // point; no usable generator means the full name range. A generator
-        // that fails to resolve (unknown constant, boxless region) is
-        // skipped — pruning may only shrink, never decide; the conjunct
-        // itself still runs as a filter below.
-        let mut candidates: Option<Vec<usize>> = None;
-        for g in plan.generators(var_id) {
-            let set: Option<Vec<usize>> = match g {
-                Generator::ExactConst(c) => self.name_index(c).map(|i| vec![i]),
-                Generator::ExactVar(u) => {
-                    (assignment[*u] != usize::MAX).then(|| vec![assignment[*u]])
-                }
-                Generator::NeighborsOfConst(c) => self
-                    .name_index(c)
-                    .and_then(|i| self.neighbor_list(i, ctx).cloned()),
-                Generator::NeighborsOfVar(u) => (assignment[*u] != usize::MAX)
-                    .then(|| self.neighbor_list(assignment[*u], ctx).cloned())
-                    .flatten(),
-            };
-            if let Some(set) = set {
-                candidates = Some(match candidates {
-                    None => set,
-                    Some(prev) => intersect_sorted(&prev, &set),
-                });
-            }
-        }
-        let candidates =
-            candidates.unwrap_or_else(|| (0..self.complex.region_names().len()).collect());
-
+        let candidates = self.candidates(plan.generators(var_id), env);
         env.names.insert(var.clone(), usize::MAX);
-        for idx in candidates {
+        for idx in candidates.iter() {
             self.assignments.fetch_add(1, Ordering::Relaxed);
             assignment[var_id] = idx;
             *env.names.get_mut(var).expect("bound above") = idx;
@@ -903,22 +898,13 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
             // one is decided now, pruning the whole subtree on failure.
             let mut keep = true;
             for &ci in &ready_at[pos] {
-                if !self.eval_inner(&plan.conjuncts()[ci].formula, env)? {
+                if !self.run(&plan.conjuncts()[ci].step, env)? {
                     keep = false;
                     break;
                 }
             }
             if keep {
-                self.enumerate_planned(
-                    pos + 1,
-                    order,
-                    ready_at,
-                    plan,
-                    ctx,
-                    env,
-                    assignment,
-                    rows,
-                )?;
+                self.enumerate_planned(pos + 1, order, ready_at, plan, env, assignment, rows)?;
             }
         }
         assignment[var_id] = usize::MAX;
@@ -962,13 +948,9 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         }
     }
 
-    fn eval_inner<'a>(
-        &'a self,
-        formula: &Formula,
-        env: &mut Environment<'a>,
-    ) -> Result<bool, EvalError> {
-        match formula {
-            Formula::Rel(r, p, q) => {
+    fn run<'a>(&'a self, step: &Step, env: &mut Environment<'a>) -> Result<bool, EvalError> {
+        match step {
+            Step::Rel(r, p, q) => {
                 // Named operands go to the one classifier of named regions.
                 // Before it, the nesting short-circuit: a containment-
                 // implying atom whose interacting boxes are not nested
@@ -1001,95 +983,143 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
                 let b = self.resolve_region(q, env)?;
                 Ok(self.classify(&a, &b) == Some(*r))
             }
-            Formula::Connect(p, q) => {
+            Step::Connect(p, q) => {
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
                 Ok(self.connected(&a, &b))
             }
-            Formula::Subset(p, q) => {
+            Step::Subset(p, q) => {
                 let a = self.resolve_region(p, env)?;
                 let b = self.resolve_region(q, env)?;
                 Ok(is_subset(a.faces(), b.faces()))
             }
-            Formula::NameEq(x, y) => {
-                Ok(self.resolve_name(x, env)? == self.resolve_name(y, env)?)
+            Step::NameEq(x, y) => Ok(self.resolve_name(x, env)? == self.resolve_name(y, env)?),
+            Step::Not(s) => Ok(!self.run(s, env)?),
+            Step::Junction { or, parts } => self.junction(parts, *or, env),
+            Step::Quantifier(q) => self.quantify(q, env),
+        }
+    }
+
+    /// A conjunction stops at the first false part, a disjunction at the
+    /// first true one.
+    fn junction<'a>(&'a self, parts: &[Step], or: bool, env: &mut Environment<'a>) -> Result<bool, EvalError> {
+        for part in parts {
+            if self.run(part, env)? == or {
+                return Ok(or);
             }
-            Formula::Not(f) => Ok(!self.eval_inner(f, env)?),
-            Formula::And(fs) | Formula::Or(fs) => {
-                // A conjunction stops at the first false operand, a
-                // disjunction at the first true one.
-                let or = matches!(formula, Formula::Or(_));
-                for f in fs {
-                    if self.eval_inner(f, env)? == or {
-                        return Ok(or);
-                    }
-                }
-                Ok(!or)
+        }
+        Ok(!or)
+    }
+
+    /// Evaluate a quantifier (see [`Quantifier`]): over an empty domain it
+    /// holds iff it is universal; otherwise the parts of its body that do
+    /// not mention its variable run once, and unless one of them decides
+    /// the body's junction, the other parts run with the variable bound to
+    /// each value in turn — every quantifier value for a region variable,
+    /// the names its generators allow for a name variable — up to the first
+    /// decisive one (a witness of `∃`, a counterexample of `∀`).
+    fn quantify<'a>(&'a self, q: &Quantifier, env: &mut Environment<'a>) -> Result<bool, EvalError> {
+        let domain = if q.names { None } else { Some(self.quantifier_domain()?) };
+        if domain.map_or(self.complex.region_names().len(), <[CellRegion]>::len) == 0 {
+            return Ok(!q.existential);
+        }
+        for part in &q.outer {
+            if self.run(part, env)? == q.or {
+                return Ok(q.or);
             }
-            Formula::ExistsRegion(v, f) | Formula::ForallRegion(v, f) => {
-                let existential = matches!(formula, Formula::ExistsRegion(..));
-                let domain = self.quantifier_domain()?;
-                self.quantify(v, domain, |env| &mut env.regions, f, env, existential)
-            }
-            Formula::ExistsName(v, f) | Formula::ForallName(v, f) => {
-                let existential = matches!(formula, Formula::ExistsName(..));
-                let names = 0..self.complex.region_names().len();
-                self.quantify(v, names, |env| &mut env.names, f, env, existential)
+        }
+        if q.inner.is_empty() {
+            return Ok(!q.or);
+        }
+        match domain {
+            Some(domain) => self.range(q, domain.iter(), |env| &mut env.regions, env),
+            None => {
+                let candidates = self.candidates(&q.generators, env);
+                let tried = candidates.iter().inspect(|_| {
+                    self.assignments.fetch_add(1, Ordering::Relaxed);
+                });
+                self.range(q, tried, |env| &mut env.names, env)
             }
         }
     }
 
-    /// Evaluate `body` with `var` bound to every value in turn — through the
-    /// environment map `slot` selects — short-circuiting on the decisive
-    /// value (`existential`: first witness; otherwise first
-    /// counterexample). Any outer binding of the same variable name — a
-    /// shadowed quantifier or a free variable being enumerated by
-    /// [`CellEvaluator::eval_bindings`] — is restored before returning.
-    fn quantify<'a, V>(
+    /// Run a quantifier's inner parts with its variable bound to each of
+    /// `values` in turn — through the environment map `slot` selects, bound
+    /// once and overwritten — up to the first decisive value. Any outer
+    /// binding of the same variable name (a shadowed quantifier, or a free
+    /// variable being enumerated) is restored before returning.
+    fn range<'a, V>(
         &'a self,
-        var: &str,
-        values: impl IntoIterator<Item = V>,
+        q: &Quantifier,
+        mut values: impl Iterator<Item = V>,
         slot: for<'e> fn(&'e mut Environment<'a>) -> &'e mut BTreeMap<String, V>,
-        body: &Formula,
         env: &mut Environment<'a>,
-        existential: bool,
     ) -> Result<bool, EvalError> {
-        let saved = slot(env).remove(var);
-        let decisive = values.into_iter().find_map(|value| {
-            slot(env).insert(var.to_string(), value);
-            match self.eval_inner(body, env) {
-                Ok(b) if b != existential => None,
-                decided => Some(decided),
+        let Some(first) = values.next() else { return Ok(!q.existential) };
+        let outer = slot(env).insert(q.var.clone(), first);
+        let mut decided = Ok(!q.existential);
+        loop {
+            match self.junction(&q.inner, q.or, env) {
+                Ok(holds) if holds != q.existential => {}
+                result => {
+                    decided = result;
+                    break;
+                }
             }
-        });
-        slot(env).remove(var);
-        if let Some(outer) = saved {
-            slot(env).insert(var.to_string(), outer);
+            let Some(value) = values.next() else { break };
+            if let Some(bound) = slot(env).get_mut(&q.var) {
+                *bound = value;
+            }
         }
-        decisive.unwrap_or(Ok(!existential))
+        match outer {
+            Some(outer) => {
+                if let Some(bound) = slot(env).get_mut(&q.var) {
+                    *bound = outer;
+                }
+            }
+            None => {
+                slot(env).remove(&q.var);
+            }
+        }
+        decided
     }
 }
 
 /// Variable bindings during evaluation. Name variables bind to *indices*
 /// into the evaluator's sorted name list (interning — the enumeration hot
 /// loops never clone a name string); region variables bind to quantifier
-/// domain values, borrowed with their closure memo.
+/// domain values, borrowed with their closure memo. The planner's probes of
+/// this evaluation ride along.
 #[derive(Default)]
 struct Environment<'a> {
     regions: BTreeMap<String, &'a CellRegion>,
     names: BTreeMap<String, usize>,
+    probes: Probes,
 }
 
-/// Per-evaluation planner scratch: lazily-filled bbox-neighbor lists (one
-/// probe per region per evaluation at most) and the memoized average degree.
-struct PlanCtx {
-    neighbors: Vec<Option<Vec<usize>>>,
-    avg_degree: Option<usize>,
+/// Per-evaluation planner scratch, sized by what the evaluation probes: the
+/// bbox-neighbor lists of the names probed so far (one probe per name per
+/// evaluation at most), ascending by name, and the memoized average degree.
+#[derive(Default)]
+struct Probes {
+    lists: Vec<(usize, Rc<[usize]>)>,
+    average_degree: Option<usize>,
 }
 
-impl PlanCtx {
-    fn new(n: usize) -> PlanCtx {
-        PlanCtx { neighbors: vec![None; n], avg_degree: None }
+/// The names a name variable ranges over: every name, or the ascending
+/// list its generators allow.
+enum Candidates {
+    All(usize),
+    Listed(Rc<[usize]>),
+}
+
+impl Candidates {
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (all, listed) = match self {
+            Candidates::All(n) => (0..*n, &[][..]),
+            Candidates::Listed(list) => (0..0, &list[..]),
+        };
+        all.chain(listed.iter().copied())
     }
 }
 

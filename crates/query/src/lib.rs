@@ -11,9 +11,10 @@
 //!   instance's cell complex (this is what answers the paper's Example 4.1 /
 //!   4.2 separating queries); formulas with free name variables evaluate as
 //!   *set-returning* queries via [`CellEvaluator::eval_bindings`];
-//! * [`plan`] — [`QueryPlan`]: compile-time analysis of an open formula into
-//!   top-level conjuncts and per-variable candidate generators, driving the
-//!   semi-join enumeration below;
+//! * [`plan`] — [`QueryPlan`]: compile-time analysis of a formula into
+//!   top-level conjuncts and candidate generators for its free and its
+//!   quantified name variables, driving the semi-join enumeration and the
+//!   name quantifiers below;
 //! * [`prepared`] — [`PreparedQuery`]: parse + free-variable analysis + plan
 //!   construction once, run against any snapshot/complex many times,
 //!   producing [`QueryOutput::Bool`] for sentences and
@@ -46,15 +47,17 @@
 //! An open formula with `k` free name variables is a set-returning query.
 //! The baseline evaluation is a cartesian product — every assignment in
 //! `names(I)^k` is tried, `O(n^k)` full formula evaluations — and it remains
-//! available as [`CellEvaluator::eval_bindings_naive`], the reference the
-//! planner's differential suite compares against. The planned path layers
-//! three ideas on top of it:
+//! available as [`CellEvaluator::eval_bindings_naive`]. The planned path
+//! layers four ideas on top of it:
 //!
 //! 1. **Compile-time atom analysis** ([`QueryPlan::build`], stored inside
-//!    [`PreparedQuery`]). The top-level conjunction is flattened; each
-//!    positive contact-implying atom (`connect`, `subset`, any 4-intersection
-//!    relation except `disjoint`) or name equation over region *extents*
+//!    [`PreparedQuery`]; per call for a raw [`Formula`]). The top-level
+//!    conjunction is flattened; each positive contact-implying atom
+//!    (`connect`, `subset`, any 4-intersection relation except `disjoint`,
+//!    or a negated `disjoint`) or name equation over region *extents*
 //!    contributes a candidate *generator* for the free variables it touches.
+//!    Literals are read in negation normal form, so `not (a or b)` yields
+//!    `not a` and `not b`.
 //! 2. **Selectivity-ordered enumeration** (in
 //!    [`CellEvaluator::eval_bindings_planned`]). Variables are bound
 //!    greedily, smallest estimated candidate set first: an exact pin
@@ -75,15 +78,29 @@
 //!    intersection, so bbox neighborhoods *over*-approximate the satisfying
 //!    values and the conjunct filters finish the job — never the other way
 //!    around, which is what keeps the planner sound.
+//! 4. **Quantified name variables, by polarity.** Every `existsname x . φ`
+//!    and `forallname x . φ` is planned too: the first is decided by a
+//!    witness, which satisfies `φ`, so `x` takes its generators from `φ`'s
+//!    literals; the second by a counterexample, which satisfies `not φ`, so
+//!    `x` takes them from the literals of `not φ` (a counterexample to
+//!    `not inside(ext(a), A)` is inside `A`, so `a` ranges over `A`'s bbox
+//!    neighbours). The quantifier tries only those candidates, through the
+//!    same code as a free variable, and stops at the first decisive one; the
+//!    parts of its body that do not mention `x` run once, before; a body with
+//!    no generator ranges over every name. A sentence is the plan with no
+//!    free variable.
 //!
 //! Both paths produce the same rows in the same (lexicographic) order for
-//! every formula whose naive evaluation completes without error; the
-//! randomized differential suite in `tests/planner_differential.rs` pins
-//! this. On *erroring* formulas the two paths may differ (the planner can
-//! prune an assignment before the erroring subformula runs, or meet a
-//! different erroring assignment first) — errors are reported faithfully but
-//! which error surfaces is unspecified, exactly as subformula evaluation
-//! order is unspecified inside one conjunct.
+//! every formula whose evaluation completes without error. Since the naive
+//! path's quantifiers are planned too, both are held against a grounding
+//! oracle that expands every name quantifier into an `Or` (`existsname`) or
+//! an `And` (`forallname`) over the instance's names: the randomized
+//! differential suite in `tests/planner_differential.rs` pins this. On
+//! *erroring* formulas the paths may differ (the planner can prune an
+//! assignment before the erroring subformula runs, or meet a different
+//! erroring assignment first) — errors are reported faithfully but which
+//! error surfaces is unspecified, exactly as subformula evaluation order is
+//! unspecified inside one conjunct.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

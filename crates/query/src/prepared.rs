@@ -132,10 +132,10 @@ impl From<ParseError> for PrepareError {
 /// The compile-time "plan" is everything that does not depend on the data:
 /// the AST, the ordered list of free name variables (which determines the
 /// output shape: empty list → [`QueryOutput::Bool`], otherwise
-/// [`QueryOutput::Bindings`]), the semi-join [`QueryPlan`] for open queries
-/// (conjunct split + candidate generators; see the crate docs' "Planning
-/// model" section), and the up-front rejection of formulas that could only
-/// fail at run time (free region variables). Running the same
+/// [`QueryOutput::Bindings`]), the [`QueryPlan`] (conjunct split, candidate
+/// generators of the free variables and of every name quantifier; see the
+/// crate docs' "Planning model" section), and the up-front rejection of
+/// formulas that could only fail at run time (free region variables). Running the same
 /// `PreparedQuery` against snapshots from different epochs re-uses all of it
 /// and answers each snapshot from *its* cell complex — prepared queries hold
 /// no instance data and are freely shared across threads.
@@ -144,7 +144,7 @@ pub struct PreparedQuery {
     text: Option<String>,
     formula: Formula,
     free_names: Vec<String>,
-    plan: Option<QueryPlan>,
+    plan: QueryPlan,
 }
 
 impl PreparedQuery {
@@ -162,8 +162,7 @@ impl PreparedQuery {
             return Err(PrepareError::FreeRegionVariable(v));
         }
         let free_names = formula.free_name_vars();
-        let plan = (!free_names.is_empty())
-            .then(|| QueryPlan::build(&formula, &free_names));
+        let plan = QueryPlan::build(&formula, &free_names);
         Ok(PreparedQuery { text: None, formula, free_names, plan })
     }
 
@@ -189,27 +188,22 @@ impl PreparedQuery {
         self.free_names.is_empty()
     }
 
-    /// The compile-time semi-join plan, present iff the query is open.
-    pub fn plan(&self) -> Option<&QueryPlan> {
-        self.plan.as_ref()
+    /// The compile-time plan: a sentence's quantifiers, or an open query's
+    /// semi-join enumeration and quantifiers.
+    pub fn plan(&self) -> &QueryPlan {
+        &self.plan
     }
 
     /// Run against an existing evaluator (the cheapest path when several
     /// queries hit one snapshot: the evaluator's domain enumeration and
-    /// spatial index are shared). Open queries use the stored semi-join
-    /// plan.
+    /// spatial index are shared), through the stored plan.
     pub fn run_on<C: ComplexGeometry>(
         &self,
         evaluator: &CellEvaluator<C>,
     ) -> Result<QueryOutput, EvalError> {
-        match &self.plan {
-            None => evaluator.eval(&self.formula).map(QueryOutput::Bool),
-            Some(plan) => evaluator
-                .eval_bindings_planned(&self.formula, plan)
-                .map(QueryOutput::Bindings),
-        }
+        let rows = evaluator.eval_bindings_planned(&self.plan)?;
+        Ok(if self.is_boolean() { QueryOutput::Bool(!rows.is_empty()) } else { QueryOutput::Bindings(rows) })
     }
-
 }
 
 #[cfg(test)]

@@ -127,7 +127,20 @@ impl RectEvaluator {
     /// name quantifiers over the instance's names. The grid carries two
     /// representative coordinates per gap and per region quantifier, which by
     /// S-genericity suffices for exactness over rectangle inputs.
+    ///
+    /// The sentence is miniscoped first ([`Formula::miniscope`]), so a part
+    /// of a quantifier's body that does not mention its variable is tested
+    /// once, not once per value. The grid is never empty; the rewrite is
+    /// skipped on an instance with no names, whose name domain is.
     pub fn eval(&self, formula: &Formula) -> Result<bool, RectEvalError> {
+        if self.named.is_empty() {
+            return self.eval_as_written(formula);
+        }
+        self.eval_as_written(&formula.miniscope())
+    }
+
+    /// Evaluate a sentence with no rewrite.
+    fn eval_as_written(&self, formula: &Formula) -> Result<bool, RectEvalError> {
         let reps = (2 * formula.region_quantifier_count()).max(1);
         let xs = refined_axis(&self.xs, reps);
         let ys = refined_axis(&self.ys, reps);
@@ -400,6 +413,28 @@ mod tests {
             F::rel(Relation4::Inside, R::named("B"), R::Ext(NameTerm::Var("a".into()))),
         );
         assert_eq!(RectEvaluator::new(&inst).unwrap().eval(&q), Ok(true));
+    }
+
+    #[test]
+    fn miniscoping_keeps_every_answer() {
+        let ev = RectEvaluator::new(&rect_instance()).unwrap();
+        for text in [
+            "exists r . inside(r, A) and (overlap(A, C) or disjoint(r, B))",
+            "exists r . overlap(B, C) and inside(r, A)",
+            "forall r . disjoint(B, C) and (inside(r, B) -> inside(r, A))",
+            "forall r . meet(B, C) or not inside(r, B) or inside(r, C)",
+            "existsname a . overlap(A, C) and inside(B, ext(a)) and not (a = A)",
+            "forallname a . exists r . inside(r, ext(a)) and (disjoint(B, C) or inside(r, A))",
+            "existsname a . existsname b . inside(ext(a), ext(b)) and overlap(ext(b), C)",
+        ] {
+            let q = parse(text).unwrap();
+            assert_eq!(ev.eval(&q), ev.eval_as_written(&q), "{text}");
+        }
+        // Over no names, `∃a. (φ ∨ ψ(a))` is false while `φ ∨ ∃a. ψ(a)`
+        // is φ: the rewrite is skipped there.
+        let empty = RectEvaluator::new(&SpatialInstance::new()).unwrap();
+        let q = parse("existsname a . (exists r . equal(r, r)) or inside(ext(a), ext(a))").unwrap();
+        assert_eq!(empty.eval(&q), Ok(false));
     }
 
     #[test]

@@ -60,24 +60,30 @@ struct Counting;
 /// A statistic only: it publishes no other data, so `Relaxed` suffices.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// The bytes those calls asked for (a `realloc` counts its new size).
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no memory the
 // allocator hands out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's guarantees for `layout` are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from this allocator, that is from `System`, with
         // `layout`; the caller guarantees `new_size` is valid for it.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -345,4 +351,28 @@ fn a_removal_copies_no_region() {
     println!("one removal commit: {commit} allocations; {discarded} to discard a shared entry, {removed} to remove it");
     assert_eq!(discarded, 2, "discarding a shared entry copies its run (an Arc and a Vec), nothing else");
     assert_eq!(removed, discarded + 1, "removing it copies the region it hands back too");
+}
+
+
+/// The bytes a warm `overlap(ext(x), C000_R000)` allocates on a snapshot of
+/// `clustered_map(clusters, 16, 1)`, and its answer.
+fn warm_overlap_bytes(clusters: usize) -> (u64, topodb::QueryOutput) {
+    let db = TopoDatabase::from_instance(datagen::clustered_map(clusters, 16, 1));
+    let snapshot = db.snapshot();
+    let query = PreparedQuery::compile("overlap(ext(x), C000_R000)").expect("the query compiles");
+    snapshot.evaluate(&query).expect("the query runs");
+    let before = BYTES.load(Ordering::Relaxed);
+    let answer = snapshot.evaluate(&query).expect("the query runs");
+    (BYTES.load(Ordering::Relaxed) - before, answer)
+}
+
+#[test]
+fn a_warm_anchored_query_allocates_what_its_probes_hold_not_per_region() {
+    let _alone = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+    let (small, small_rows) = warm_overlap_bytes(16);
+    let (large, large_rows) = warm_overlap_bytes(1024);
+    println!("a warm anchored query: {small} bytes at 256 regions, {large} at 16 384");
+    assert_eq!(small_rows, large_rows, "the anchor's cluster is the same at both sizes");
+    // The planner keeps the neighbour lists it probed, not a slot per name.
+    assert_eq!(small, large, "a warm query allocates {small} bytes at 256 regions and {large} at 16 384");
 }
