@@ -45,7 +45,7 @@
 //! (`component_index`), carried from view to view by the zero-copy one.
 
 use crate::builder::build_local;
-use crate::complex::{CellComplex, ComplexRead};
+use crate::complex::{CellComplex, ClosureSlots, ComplexRead};
 use crate::index::SpatialIndex;
 use crate::partition::{repartition, BBox, ComponentGroup, Member, Repartition};
 use crate::runs::Runs;
@@ -66,9 +66,15 @@ use std::sync::Arc;
 /// faces are the inversion of the final face labels (`builder::build_local`),
 /// and the index is bulk-loaded over the boxes. A fresh snapshot's first
 /// read therefore scans no edge and no face label of a rebuilt component,
-/// and builds nothing. A component is plain data, with no lazy table: a
+/// and builds nothing. Nothing a build or an assembly reads is lazy: a
 /// nesting test reads its edges and polylines as they are
-/// (`face_containing`).
+/// (`face_containing`). The one exception is its complex's closure slot per
+/// region ([`ComplexGeometry::closure_slot`](crate::ComplexGeometry::closure_slot)),
+/// which only a query fills: a region's edges and vertices are a walk of
+/// its faces that most regions of an epoch never need, and the component
+/// is the one owner whose lifetime is exactly that of the walk's inputs,
+/// so a carried component carries its walks and a rebuilt one starts with
+/// none.
 ///
 /// The point table and the ranked cut sets are the output of the
 /// component's split, kept so that the next build of the component carries
@@ -738,6 +744,7 @@ pub fn assemble_components(
     }
 
     CellComplex {
+        closures: ClosureSlots::new(global_names.len()),
         region_names: global_names,
         vertices,
         edges,

@@ -73,7 +73,7 @@
 //! isomorphic complexes on every input.
 
 use crate::assemble::update_components;
-use crate::complex::CellComplex;
+use crate::complex::{CellComplex, ClosureSlots};
 use crate::runs::Runs;
 use crate::split::{instance_segments, Pieces};
 use crate::types::*;
@@ -797,6 +797,7 @@ fn finish_complex(
 
     let rotations = rotations.darts;
     let complex = CellComplex {
+        closures: ClosureSlots::new(region_names.len()),
         region_names,
         vertices,
         edges,

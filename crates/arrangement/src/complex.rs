@@ -24,8 +24,9 @@ use crate::types::*;
 use spatial_core::prelude::Point;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The cells of the closure of a set of bounded faces besides the faces
 /// themselves, each list ascending: what [`closure_cells`] walks. The four
@@ -85,6 +86,38 @@ impl ClosureCells {
     }
 }
 
+/// A region's closure cells in the ids of the complex that holds it,
+/// walked by the first reader that needs them
+/// ([`ComplexGeometry::closure_slot`]).
+pub type ClosureSlot = OnceLock<ClosureCells>;
+
+/// One empty [`ClosureSlot`] per region of a complex, in its region ids.
+/// The slots are derived from the cells, so a complex's equality and
+/// `Debug` ignore them.
+#[derive(Clone)]
+pub(crate) struct ClosureSlots(Box<[ClosureSlot]>);
+
+impl ClosureSlots {
+    /// The empty slots of a complex of `regions` regions.
+    pub(crate) fn new(regions: usize) -> ClosureSlots {
+        ClosureSlots((0..regions).map(|_| ClosureSlot::new()).collect())
+    }
+}
+
+impl PartialEq for ClosureSlots {
+    fn eq(&self, _: &ClosureSlots) -> bool {
+        true
+    }
+}
+
+impl Eq for ClosureSlots {}
+
+impl fmt::Debug for ClosureSlots {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
+}
+
 /// The edges and vertices of the closure of `faces` (bounded faces,
 /// ascending), found by walking the incidence of those faces alone
 /// ([`ComplexRead::for_each_face_edge`]): an edge is a boundary edge when
@@ -124,6 +157,22 @@ pub fn closure_cells<C: ComplexRead + ?Sized>(complex: &C, faces: &[FaceId]) -> 
         boundary_vertices,
         interior_vertices,
     )
+}
+
+/// The dual graph of a complex: for every face, the faces that share an
+/// edge with it, ascending and each once (an edge with the same face on
+/// both sides links nothing).
+pub fn dual_graph<C: ComplexRead + ?Sized>(complex: &C) -> Runs<FaceId> {
+    let mut pairs: Vec<(FaceId, FaceId)> = Vec::with_capacity(2 * complex.edge_count());
+    for e in complex.edge_ids() {
+        let (l, r) = complex.edge_faces(e);
+        if l != r {
+            pairs.extend([(l, r), (r, l)]);
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    Runs::grouped(complex.face_count(), pairs.iter().map(|&(f, g)| (f.0, g)))
 }
 
 /// What a part's cell ids are shifted by to become ids of the whole
@@ -184,12 +233,13 @@ impl NestedCells {
 /// part's ids, and what turns the part's cells into the whole complex's.
 /// The region's faces are `faces` shifted by `offsets.face` together with
 /// `nested.faces()`; its closure cells are the part's
-/// ([`ComplexRead::home_closure`]) shifted by `offsets`, together with
+/// ([`ComplexRead::home_closure`], kept in the part's
+/// [`ComplexGeometry::closure_slot`]) shifted by `offsets`, together with
 /// `nested`'s edges and vertices, which are all interior.
 #[derive(Clone, Debug)]
 pub struct RegionHome<'a> {
-    /// The part that holds the region (an index into
-    /// [`ComplexRead::part_region_counts`]).
+    /// The part that holds the region: a view's component, in assembly
+    /// order, or `0` for a complex that is its own one part.
     pub part: usize,
     /// The region's id among the part's regions.
     pub local: usize,
@@ -388,17 +438,6 @@ pub trait ComplexRead {
 
     // ---- parts: how a complex served out of sub-complexes numbers cells --
 
-    /// The number of regions of each part the complex is served out of, in
-    /// part order. A region's closure cells depend on its part alone, so a
-    /// reader can keep them per part, in the part's own ids, for as long as
-    /// the part lives ([`ComplexRead::region_home`]). The default is one
-    /// part, the complex itself, holding every region;
-    /// [`GlobalComplexView`](crate::GlobalComplexView) answers one part per
-    /// component.
-    fn part_region_counts(&self) -> Vec<usize> {
-        vec![self.region_names().len()]
-    }
-
     /// Where the cells of region `region` (an index into
     /// [`ComplexRead::region_names`]) are numbered, or `None` for a region
     /// with no cell (no boundary). The default: the complex is its own one
@@ -585,6 +624,14 @@ pub trait ComplexGeometry: ComplexRead {
     fn region_bbox_index(&self) -> Arc<SpatialIndex> {
         Arc::new(SpatialIndex::build(&self.region_bboxes()))
     }
+
+    /// The slot that keeps the closure cells of the region at `home`
+    /// ([`ComplexRead::home_closure`]), on the complex they are numbered
+    /// in: the flat complex's own, a view's component's. A region's closure
+    /// depends on its part alone, so the slot lives exactly as long as the
+    /// part: a component a commit carries keeps its walks, and a rebuilt
+    /// one starts with empty slots.
+    fn closure_slot(&self, home: &RegionHome<'_>) -> &ClosureSlot;
 }
 
 impl ComplexRead for CellComplex {
@@ -670,6 +717,10 @@ impl ComplexGeometry for CellComplex {
     fn edge_polyline(&self, e: EdgeId) -> &[Point] {
         self.polylines.get(e.0)
     }
+
+    fn closure_slot(&self, home: &RegionHome<'_>) -> &ClosureSlot {
+        &self.closures.0[home.local]
+    }
 }
 
 /// The planar cell complex of a spatial database instance.
@@ -680,7 +731,8 @@ impl ComplexGeometry for CellComplex {
 /// of flat tables, one run per cell in id order, read through
 /// [`ComplexRead`] (labels are returned as owned [`Label`]s, and the sign
 /// reads binary-search the run). A complex of any size therefore costs a
-/// fixed number of allocations, not one or more per cell.
+/// fixed number of allocations, not one or more per cell. Its one lazy
+/// table is a closure slot per region ([`ComplexGeometry::closure_slot`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CellComplex {
     pub(crate) region_names: Vec<String>,
@@ -700,12 +752,15 @@ pub struct CellComplex {
     /// Each face's boundary edges, ascending.
     pub(crate) face_edges: Runs<EdgeId>,
     pub(crate) exterior: FaceId,
+    /// Each region's closure cells, walked on first read.
+    pub(crate) closures: ClosureSlots,
 }
 
 impl CellComplex {
     /// The complex with no geometry: the single exterior face.
     pub(crate) fn exterior_only(region_names: Vec<String>) -> CellComplex {
         CellComplex {
+            closures: ClosureSlots::new(region_names.len()),
             region_names,
             vertices: vec![],
             edges: vec![],

@@ -116,7 +116,8 @@
 //! evaluation (`query::CellEvaluator<C: ComplexGeometry>`) also reads the
 //! geometric subtrait [`ComplexGeometry`]: its face walks
 //! ([`closure_cells`], over [`ComplexRead::for_each_face_edge`]), the
-//! homes of named regions ([`ComplexRead::region_home`]) and its spatial
+//! homes of named regions ([`ComplexRead::region_home`]), the slots that
+//! keep their walks ([`ComplexGeometry::closure_slot`]) and its spatial
 //! index ([`ComplexGeometry::region_bbox_index`]) come through them.
 //!
 //! ## Incremental maintenance
@@ -222,8 +223,8 @@ pub use assemble::{
 };
 pub use builder::{build_complex, build_complex_monolithic, build_complex_view};
 pub use complex::{
-    closure_cells, CellComplex, CellOffsets, ClosureCells, ComplexGeometry, ComplexRead, NestedCells,
-    RegionHome,
+    closure_cells, dual_graph, CellComplex, CellOffsets, ClosureCells, ClosureSlot, ComplexGeometry,
+    ComplexRead, NestedCells, RegionHome,
 };
 pub use index::SpatialIndex;
 pub use runs::Runs;

@@ -35,16 +35,16 @@
 //! [`ComplexRead::for_each_face_edge`] follows the component's own face →
 //! edge → endpoint incidence.
 //!
-//! A region's closure cells depend on its component alone too, but the
-//! view keeps no memo of them: it says how to read them
-//! ([`ComplexRead::region_home`]) — the region's component (the view's
-//! parts are its components), its interior faces there, the component's
-//! vertex, edge and face offsets, and the id ranges of the components
-//! nested, transitively, inside those faces, every cell of which is
-//! interior to the region — and walks them in the component's own ids on
-//! request ([`ComplexRead::home_closure`]). A reader keeps the walks for as
-//! long as the component lives (`query::cell_eval::RegionCells`, which
-//! `topodb`'s snapshot chain carries across epochs).
+//! A region's closure cells depend on its component alone too, and live on
+//! it: the view says how to read them ([`ComplexRead::region_home`]) — the
+//! region's component (the view's parts are its components), its interior
+//! faces there, the component's vertex, edge and face offsets, and the id
+//! ranges of the components nested, transitively, inside those faces, every
+//! cell of which is interior to the region — walks them in the component's
+//! own ids on request ([`ComplexRead::home_closure`]) and hands out the
+//! component's own slot for them ([`ComplexGeometry::closure_slot`]). The
+//! view holds no slot, so every view that shares a component shares its
+//! walks.
 //!
 //! The per-epoch glue — offsets, nesting parents, `nested_in_face`, the
 //! inherited labels, the local→global region maps, the index over the
@@ -78,8 +78,8 @@ use crate::assemble::{
     nesting_topo_order, widen_label, ComponentComplex, ComponentUpdate, RankShift,
 };
 use crate::complex::{
-    closure_cells, CellComplex, CellOffsets, ClosureCells, ComplexGeometry, ComplexRead, NestedCells,
-    RegionHome,
+    closure_cells, CellComplex, CellOffsets, ClosureCells, ClosureSlot, ComplexGeometry, ComplexRead,
+    NestedCells, RegionHome,
 };
 use crate::index::{SpatialIndex, TiledIndex};
 use crate::partition::BBox;
@@ -655,11 +655,6 @@ impl ComplexRead for GlobalComplexView {
         out
     }
 
-    /// One part per component, in assembly order.
-    fn part_region_counts(&self) -> Vec<usize> {
-        self.components.iter().map(|c| c.region_names().len()).collect()
-    }
-
     /// The region's component and local id, the interior faces that
     /// component's build emitted (borrowed), the component's offsets, and
     /// the ranges of the components nested, transitively, inside those
@@ -699,6 +694,11 @@ impl ComplexGeometry for GlobalComplexView {
     fn edge_polyline(&self, e: EdgeId) -> &[Point] {
         let (c, le) = self.edge_home(e);
         self.components[c].complex.polylines.get(le)
+    }
+
+    /// The region's component's own slot.
+    fn closure_slot(&self, home: &RegionHome<'_>) -> &ClosureSlot {
+        self.components[home.part].complex.closure_slot(home)
     }
 
     /// Served from the index this view assembles once for all its clones.

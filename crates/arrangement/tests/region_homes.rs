@@ -1,9 +1,9 @@
 //! A named region's cells read through its home against the walk over the
 //! view.
 //!
-//! A region's closure cells depend on its component alone, so a reader may
-//! walk them once in the component's own ids and keep them for as long as
-//! the component lives (`query::cell_eval::RegionCells`).
+//! A region's closure cells depend on its component alone, so they are
+//! walked once in the component's own ids and kept on the component, for
+//! as long as it lives (`ComplexGeometry::closure_slot`).
 //! [`ComplexRead::region_home`] says how to read them in an epoch's view:
 //! the component's offsets, and the id ranges of the components nested,
 //! transitively, inside the region's faces, every cell of which is

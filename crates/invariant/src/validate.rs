@@ -9,7 +9,7 @@
 //! any [`ComplexRead`]: a snapshot's view, or an owned
 //! [`Invariant`](crate::Invariant) edited by hand.
 
-use arrangement::{ComplexRead, DartId, FaceId, Label, Sign};
+use arrangement::{dual_graph, ComplexRead, DartId, Label, Sign};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A reason why a candidate structure is not a valid invariant.
@@ -360,51 +360,77 @@ fn check_exterior<C: ComplexRead>(c: &C, errors: &mut Vec<ValidationError>) {
 }
 
 fn check_regions<C: ComplexRead>(c: &C, errors: &mut Vec<ValidationError>) {
-    // Dual graph: faces adjacent iff they share an edge.
-    let nf = c.face_count();
-    let mut dual: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nf];
-    for e in c.edge_ids() {
-        let (l, r) = c.edge_faces(e);
-        if l != r {
-            dual[l.0].insert(r.0);
-            dual[r.0].insert(l.0);
-        }
+    let (k, nf) = (c.region_names().len(), c.face_count());
+    // Every region's faces, as ascending `(region, face)` pairs: one pass
+    // over the face labels that inverts their `Interior` entries.
+    let mut interior: Vec<(usize, usize)> = Vec::new();
+    for f in c.face_ids() {
+        let label = c.face_label(f);
+        interior.extend(label.iter().filter(|&(r, s)| r < k && s == Sign::Interior).map(|(r, _)| (r, f.0)));
     }
-    let connected_in_dual = |faces: &BTreeSet<usize>| -> bool {
-        if faces.is_empty() {
-            return true;
-        }
-        let start = *faces.iter().next().unwrap();
-        let mut seen = BTreeSet::from([start]);
-        let mut stack = vec![start];
-        while let Some(f) = stack.pop() {
-            for &g in &dual[f] {
-                if faces.contains(&g) && seen.insert(g) {
-                    stack.push(g);
+    interior.sort_unstable();
+    interior.dedup();
+    let dual = dual_graph(c);
+    // Breadth-first searches over the dual graph, each marking what it
+    // reaches with its own round: does the search from `start` through the
+    // faces `within` admits reach `wanted` faces `counts` admits? It stops
+    // as soon as it has.
+    let (mut seen, mut round, mut queue) = (vec![0; nf], 0, Vec::new());
+    let mut reaches = |start: usize, within: &dyn Fn(usize) -> bool, wanted, counts: &dyn Fn(usize) -> bool| {
+        round += 1;
+        seen[start] = round;
+        queue.clear();
+        queue.push(start);
+        let (mut reached, mut head) = (usize::from(counts(start)), 0);
+        while reached < wanted && head < queue.len() {
+            for &g in dual.get(queue[head]) {
+                if seen[g.0] != round && within(g.0) {
+                    seen[g.0] = round;
+                    reached += usize::from(counts(g.0));
+                    queue.push(g.0);
                 }
             }
+            head += 1;
         }
-        seen.len() == faces.len()
+        reached >= wanted
     };
+    // When the whole dual graph is connected, every component of a
+    // region's complement holds a face next to the region, so the
+    // complement is connected iff one search reaches all those faces.
+    let whole = nf == 0 || reaches(0, &|_| true, nf, &|_| true);
+    // `mark[f]` is `2i + 1` on the `i`-th region's faces and `2i + 2` on
+    // the faces next to them, so anything below `2i + 1` is unmarked.
+    let mut mark = vec![0usize; nf];
     for (idx, name) in c.region_names().iter().enumerate() {
-        let faces: BTreeSet<usize> =
-            (0..nf).filter(|&f| c.face_sign(FaceId(f), idx) == Sign::Interior).collect();
-        if faces.is_empty() {
+        let at = interior.partition_point(|&(r, _)| r < idx);
+        let faces = &interior[at..at + interior[at..].partition_point(|&(r, _)| r == idx)];
+        let Some(&(_, first)) = faces.first() else {
             errors.push(ValidationError::BadRegion(format!("region {name} has no faces")));
             continue;
+        };
+        let (inside, beside) = (2 * idx + 1, 2 * idx + 2);
+        faces.iter().for_each(|&(_, f)| mark[f] = inside);
+        let mut next_to = Vec::new();
+        for g in faces.iter().flat_map(|&(_, f)| dual.get(f)) {
+            if mark[g.0] < inside {
+                mark[g.0] = beside;
+                next_to.push(g.0);
+            }
         }
-        if faces.contains(&c.exterior_face().0) {
-            errors.push(ValidationError::BadRegion(format!(
-                "region {name} contains the exterior face"
-            )));
+        if mark[c.exterior_face().0] == inside {
+            errors.push(ValidationError::BadRegion(format!("region {name} contains the exterior face")));
         }
-        if !connected_in_dual(&faces) {
-            errors.push(ValidationError::BadRegion(format!(
-                "region {name}'s faces are not connected"
-            )));
+        if !reaches(first, &|f| mark[f] == inside, faces.len(), &|_| true) {
+            errors.push(ValidationError::BadRegion(format!("region {name}'s faces are not connected")));
         }
-        let complement: BTreeSet<usize> = (0..nf).filter(|f| !faces.contains(f)).collect();
-        if !connected_in_dual(&complement) {
+        let outside = |f: usize| mark[f] != inside;
+        let complement_connected = match next_to.first() {
+            Some(&start) if whole => reaches(start, &outside, next_to.len(), &|f| mark[f] == beside),
+            _ => (0..nf)
+                .find(|&f| outside(f))
+                .is_none_or(|start| reaches(start, &outside, nf - faces.len(), &|_| true)),
+        };
+        if !complement_connected {
             errors.push(ValidationError::BadRegion(format!(
                 "the complement of region {name} is not connected (the region has a hole)"
             )));
@@ -416,7 +442,7 @@ fn check_regions<C: ComplexRead>(c: &C, errors: &mut Vec<ValidationError>) {
 mod tests {
     use super::*;
     use crate::structure::Invariant;
-    use arrangement::{EdgeId, Runs, VertexId};
+    use arrangement::{EdgeId, FaceId, Runs, VertexId};
     use spatial_core::fixtures;
     use spatial_core::prelude::*;
 
@@ -605,6 +631,101 @@ mod tests {
             errs.iter().any(|e| matches!(e, ValidationError::BadRegion(_))),
             "expected a BadRegion error, got {errs:?}"
         );
+    }
+
+    /// The per-region scan `check_regions` replaced: every face's sign for
+    /// each region, then searches over sets of the region's faces and of
+    /// all the others.
+    fn regions_by_scan<C: ComplexRead>(c: &C) -> Vec<ValidationError> {
+        let nf = c.face_count();
+        let mut dual: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nf];
+        for e in c.edge_ids() {
+            let (l, r) = c.edge_faces(e);
+            if l != r {
+                dual[l.0].insert(r.0);
+                dual[r.0].insert(l.0);
+            }
+        }
+        let connected = |faces: &BTreeSet<usize>| {
+            let Some(&start) = faces.iter().next() else { return true };
+            let (mut seen, mut stack) = (BTreeSet::from([start]), vec![start]);
+            while let Some(f) = stack.pop() {
+                for &g in &dual[f] {
+                    if faces.contains(&g) && seen.insert(g) {
+                        stack.push(g);
+                    }
+                }
+            }
+            seen.len() == faces.len()
+        };
+        let mut errors = Vec::new();
+        for (idx, name) in c.region_names().iter().enumerate() {
+            let faces: BTreeSet<usize> =
+                (0..nf).filter(|&f| c.face_sign(FaceId(f), idx) == Sign::Interior).collect();
+            if faces.is_empty() {
+                errors.push(ValidationError::BadRegion(format!("region {name} has no faces")));
+                continue;
+            }
+            if faces.contains(&c.exterior_face().0) {
+                errors.push(ValidationError::BadRegion(format!("region {name} contains the exterior face")));
+            }
+            if !connected(&faces) {
+                errors.push(ValidationError::BadRegion(format!("region {name}'s faces are not connected")));
+            }
+            if !connected(&(0..nf).filter(|f| !faces.contains(f)).collect()) {
+                errors.push(ValidationError::BadRegion(format!(
+                    "the complement of region {name} is not connected (the region has a hole)"
+                )));
+            }
+        }
+        errors
+    }
+
+    #[test]
+    fn region_checks_agree_with_the_per_region_scan() {
+        // Every fixture as built, and with each bounded face in turn (a)
+        // stripped of its `Interior` entries (holes, split regions), (b)
+        // made interior to region 0, and (c) cut off from the dual graph
+        // (every edge it lies on given its other face on both sides).
+        let mut fixtures = vec![
+            fixtures::fig_1a(),
+            fixtures::fig_1c(),
+            fixtures::fig_1d(),
+            fixtures::ring(),
+            fixtures::ring_with_island(true),
+            fixtures::petals_abcd(),
+            fixtures::nested_three(),
+            fixtures::shared_boundary(),
+        ];
+        fixtures.extend(fixtures::fig_2_pairs().into_iter().map(|(_, inst)| inst));
+        let mut checked = 0;
+        for inst in fixtures {
+            let base = Invariant::of_instance(&inst);
+            let mut cases = vec![base.clone()];
+            for f in (0..base.face_count()).filter(|&f| f != base.exterior_face.0) {
+                let mut stripped = base.clone();
+                stripped.face_labels[f] = base.face_labels[f].iter().filter(|&(_, s)| s != Sign::Interior).collect();
+                let mut joined = base.clone();
+                joined.face_labels[f] =
+                    base.face_labels[f].iter().filter(|&(r, _)| r != 0).chain([(0, Sign::Interior)]).collect();
+                let mut cut = base.clone();
+                for (l, r) in &mut cut.edge_faces {
+                    if l.0 == f {
+                        *l = *r;
+                    } else if r.0 == f {
+                        *r = *l;
+                    }
+                }
+                cases.extend([stripped, joined, cut]);
+            }
+            for inv in cases {
+                let mut errors = Vec::new();
+                check_regions(&inv, &mut errors);
+                assert_eq!(errors, regions_by_scan(&inv), "{inv:?}");
+                checked += usize::from(!errors.is_empty());
+            }
+        }
+        assert!(checked > 50, "the corruptions reach the region checks ({checked} cases)");
     }
 
     #[test]

@@ -17,16 +17,16 @@
 //! ## Cost model
 //!
 //! One evaluation engine reads every cell through [`ComplexGeometry`]
-//! (the combinatorial [`ComplexRead`] plus the region boxes): names, each
-//! name's faces and box, the incidence of a face, the two faces of an edge.
+//! (the combinatorial [`ComplexRead`](arrangement::ComplexRead) plus the
+//! region boxes): names, each name's faces and box, the incidence of a
+//! face, the two faces of an edge.
 //! It has two constructors, over the two representations of a complex:
 //!
-//! * [`CellEvaluator::from_view`] and [`CellEvaluator::from_view_carrying`]
-//!   (what `topodb::Snapshot::evaluator` and [`CellEvaluator::new`] build)
-//!   read a shared [`GlobalComplexView`]. Construction is
-//!   `O(regions + components)`: it copies the region boxes the component
-//!   builds computed and scans no cell. The planner probes the view's own
-//!   two-level spatial index.
+//! * [`CellEvaluator::from_view`] (what `topodb::Snapshot::evaluator` and
+//!   [`CellEvaluator::new`] build) reads a shared [`GlobalComplexView`].
+//!   Construction is `O(regions + components)`: it copies the region boxes
+//!   the component builds computed and scans no cell. The planner probes
+//!   the view's own two-level spatial index.
 //! * [`CellEvaluator::from_complex`] reads any [`ComplexGeometry`] — over the
 //!   flat [`arrangement::CellComplex`] it is the reference the view-backed
 //!   evaluator is differentially tested against, served by the flat
@@ -40,18 +40,21 @@
 //! complex.
 //!
 //! * **A name** is read where the complex keeps it
-//!   ([`ComplexRead::region_home`]): over a view, its component, the
-//!   interior faces that component's build emitted, the component's id
-//!   offsets, and the id ranges of the components nested inside those
-//!   faces, all of whose cells are interior. Its edges and vertices come
-//!   from one walk of its own faces' incidence in the component's own ids
-//!   ([`ComplexRead::home_closure`], `O(faces × degree)`), kept in the
-//!   component's [`RegionCells`] table. The table depends on the component
-//!   alone: a snapshot chain hands it to every later epoch that carries the
-//!   component, so a name is walked once per build of its component, not
-//!   once per epoch, and is read with no copy, sort or translation table
-//!   (each id set is a local run plus an offset, with the nested ranges
-//!   beside it). Over the flat complex, the complex is its own one part.
+//!   ([`ComplexRead::region_home`](arrangement::ComplexRead::region_home)):
+//!   over a view, its component, the interior faces that component's build
+//!   emitted, the component's id offsets, and the id ranges of the
+//!   components nested inside those faces, all of whose cells are interior.
+//!   Its edges and vertices come from one walk of its own faces' incidence
+//!   in the component's own ids
+//!   ([`ComplexRead::home_closure`](arrangement::ComplexRead::home_closure),
+//!   `O(faces × degree)`), kept in the
+//!   component's slot for it ([`ComplexGeometry::closure_slot`]). The slot
+//!   lives on the component, which a commit carries to every later epoch
+//!   it does not touch, so a name is walked once per build of its
+//!   component — not once per epoch or per evaluator — and is read with no
+//!   copy, sort or translation table (each id set is a local run plus an
+//!   offset, with the nested ranges beside it). Over the flat complex, the
+//!   complex is its own one part.
 //! * **A quantifier value** ([`CellRegion`]) holds its global faces and
 //!   walks its edges and vertices over the complex on first use.
 //! * **A name quantifier** costs its candidates, not the names. Its plan
@@ -69,14 +72,14 @@
 //! `topodb::Snapshot::{relation, relations_of, relation_matrix}` serve) run
 //! the same classifier as a `Rel` atom over two names, so a read costs what
 //! the atom costs: a box test, or the two names' own cells (walked if their
-//! components' tables do not hold them yet) and a few merges. The whole-complex scan of the `relations` crate is the
+//! components' slots do not hold them yet) and a few merges. The whole-complex scan of the `relations` crate is the
 //! reference it is tested against, not a second read path.
 
 use crate::ast::{Formula, NameTerm, RegionExpr};
 use crate::plan::{Generator, QueryPlan, Quantifier, Step};
 use arrangement::{
-    build_complex_view, closure_cells, BBox, ClosureCells, ComplexGeometry, ComplexRead, FaceId,
-    GlobalComplexView, RegionHome, SpatialIndex,
+    build_complex_view, closure_cells, dual_graph, BBox, ClosureCells, ComplexGeometry, FaceId,
+    GlobalComplexView, RegionHome, Runs, SpatialIndex,
 };
 use relations::{FourIntersectionMatrix, Relation4};
 use spatial_core::prelude::SpatialInstance;
@@ -116,46 +119,6 @@ impl PartialEq for CellRegion {
 
 /// The operand of a name with no cell (no boundary in the complex).
 static NO_CELLS: CellRegion = CellRegion::new(Vec::new());
-
-/// One part's table of region closures (a view's parts are its
-/// components): a slot per region of the part, in the part's own ids,
-/// filled by the first evaluation that needs the region
-/// ([`ComplexRead::home_closure`]). What a slot holds depends on the part
-/// alone, so a table may live as long as its part: `topodb`'s snapshot
-/// chain hands an untouched component's table from epoch to epoch, and a
-/// rebuilt component starts with an empty one.
-#[derive(Debug)]
-pub struct RegionCells {
-    slots: Box<[OnceLock<ClosureCells>]>,
-}
-
-impl RegionCells {
-    /// An empty table for a part of `regions` regions.
-    pub fn new(regions: usize) -> RegionCells {
-        RegionCells { slots: (0..regions).map(|_| OnceLock::new()).collect() }
-    }
-
-    /// An empty table for every part of `complex`
-    /// ([`ComplexRead::part_region_counts`]), in part order.
-    pub fn for_parts<C: ComplexRead + ?Sized>(complex: &C) -> Arc<[Arc<RegionCells>]> {
-        complex.part_region_counts().into_iter().map(|n| Arc::new(RegionCells::new(n))).collect()
-    }
-
-    /// The number of regions of the part.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Does the part have no region?
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// How many of the part's regions have been walked.
-    pub fn walked(&self) -> usize {
-        self.slots.iter().filter(|slot| slot.get().is_some()).count()
-    }
-}
 
 /// One satisfying assignment of a query's free name variables: variable →
 /// region name. Produced by [`CellEvaluator::eval_bindings`] and carried by
@@ -204,10 +167,7 @@ impl std::error::Error for EvalError {}
 pub struct CellEvaluator<C = GlobalComplexView> {
     /// Where names, faces and incidences are read from.
     complex: Arc<C>,
-    /// Per part of the complex, its regions' closure cells in the part's
-    /// own ids: fresh tables, or those a snapshot chain carries.
-    cells: Arc<[Arc<RegionCells>]>,
-    /// How many named regions this evaluator walked into `cells`. See
+    /// How many named regions this evaluator walked into their slots. See
     /// [`CellEvaluator::region_walks`].
     walks: AtomicU64,
     /// Bounding box of every named region's boundary, aligned with the
@@ -215,7 +175,7 @@ pub struct CellEvaluator<C = GlobalComplexView> {
     bboxes: Vec<Option<BBox>>,
     /// For every face, the faces sharing an edge with it (ascending), built
     /// when a region quantifier first needs it.
-    dual: OnceLock<Vec<Vec<FaceId>>>,
+    dual: OnceLock<Runs<FaceId>>,
     /// The spatial index over the region boxes, taken from the complex on
     /// first planner use — or pre-seeded with an already-built one via
     /// [`CellEvaluator::with_spatial_index`].
@@ -247,29 +207,14 @@ impl CellEvaluator {
         CellEvaluator::from_view(Arc::new(build_complex_view(instance)))
     }
 
-    /// The evaluator over a shared view, with an empty closure table per
-    /// component: `O(regions + components)` to build, with every other
-    /// table resolved from the view on first use (see the module docs'
-    /// cost model). [`CellEvaluator::from_view_carrying`] is the same
-    /// evaluator over tables that outlive it.
+    /// The product evaluator, over a shared view: `O(regions +
+    /// components)` to build, with every other table resolved from the view
+    /// on first use (see the module docs' cost model). It reads and fills
+    /// the closure slots of the view's components
+    /// ([`ComplexGeometry::closure_slot`]), so a name that any evaluator
+    /// over a view sharing its component has walked costs no walk.
     pub fn from_view(view: Arc<GlobalComplexView>) -> CellEvaluator {
-        let cells = RegionCells::for_parts(&*view);
-        CellEvaluator::over(view, cells)
-    }
-
-    /// The product evaluator: the evaluator over a shared view that reads
-    /// and fills `cells`, one [`RegionCells`] table per component of the
-    /// view, in component order. A table may come from an earlier view
-    /// whose evaluators filled it, when its component is that view's own
-    /// (pointer-identical): a name whose slot is filled costs no walk.
-    /// `topodb::Snapshot` builds its evaluator this way, over the tables
-    /// its snapshot chain carries.
-    pub fn from_view_carrying(view: Arc<GlobalComplexView>, cells: Arc<[Arc<RegionCells>]>) -> CellEvaluator {
-        debug_assert!(
-            view.part_region_counts() == cells.iter().map(|t| t.len()).collect::<Vec<_>>(),
-            "one table per component, one slot per region of it"
-        );
-        CellEvaluator::over(view, cells)
+        CellEvaluator::over(view)
     }
 }
 
@@ -288,15 +233,13 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
     where
         C: Clone,
     {
-        let cells = RegionCells::for_parts(complex);
-        CellEvaluator::over(Arc::new(complex.clone()), cells)
+        CellEvaluator::over(Arc::new(complex.clone()))
     }
 
-    fn over(complex: Arc<C>, cells: Arc<[Arc<RegionCells>]>) -> CellEvaluator<C> {
+    fn over(complex: Arc<C>) -> CellEvaluator<C> {
         let bboxes = complex.region_bboxes();
         CellEvaluator {
             complex,
-            cells,
             walks: AtomicU64::new(0),
             bboxes,
             dual: OnceLock::new(),
@@ -374,21 +317,22 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
     }
 
     /// How many named regions this evaluator has walked: one per name whose
-    /// part's table did not hold its closure yet. A name whose table was
-    /// carried filled costs none.
+    /// part's slot did not hold its closure yet. A name that an earlier
+    /// reader of its part walked costs none.
     pub fn region_walks(&self) -> u64 {
         self.walks.load(Ordering::Relaxed)
     }
 
     /// The operand of the name with index `i`, read without a copy: its
-    /// faces and its part's offsets from [`ComplexRead::region_home`], and
-    /// its closure from its slot in the part's table, which is walked in
-    /// the part's own ids ([`ComplexRead::home_closure`]) when an atom first
-    /// needs more than the faces.
+    /// faces and its part's offsets from
+    /// [`ComplexRead::region_home`](arrangement::ComplexRead::region_home),
+    /// and its closure from the part's slot for it
+    /// ([`ComplexGeometry::closure_slot`]), which is walked in the part's
+    /// own ids
+    /// ([`ComplexRead::home_closure`](arrangement::ComplexRead::home_closure))
+    /// when an atom first needs more than the faces.
     fn named(&self, i: usize) -> Operand<'_> {
-        let Some(home) = self.complex.region_home(i) else { return Operand::Value(&NO_CELLS) };
-        let slot = &self.cells[home.part].slots[home.local];
-        Operand::Named { home, slot }
+        self.complex.region_home(i).map_or(Operand::Value(&NO_CELLS), Operand::Named)
     }
 
     /// All legitimate quantifier values: nonempty, dual-connected,
@@ -399,23 +343,9 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         domain.as_deref().map_err(Clone::clone)
     }
 
-    /// The dual graph, built on first use from every edge's two faces.
-    fn dual(&self) -> &[Vec<FaceId>] {
-        self.dual.get_or_init(|| {
-            let mut dual = vec![Vec::new(); self.complex.face_count()];
-            for e in self.complex.edge_ids() {
-                let (l, r) = self.complex.edge_faces(e);
-                if l != r {
-                    dual[l.0].push(r);
-                    dual[r.0].push(l);
-                }
-            }
-            for neighbors in &mut dual {
-                neighbors.sort_unstable();
-                neighbors.dedup();
-            }
-            dual
-        })
+    /// The dual graph, built on first use.
+    fn dual(&self) -> &Runs<FaceId> {
+        self.dual.get_or_init(|| dual_graph(&*self.complex))
     }
 
     fn enumerate_regions(&self) -> Result<Vec<CellRegion>, EvalError> {
@@ -449,7 +379,7 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         let dual = self.dual();
         let mut candidates: Vec<FaceId> = Vec::new();
         for f in current.iter() {
-            for &g in &dual[f.0] {
+            for &g in dual.get(f.0) {
                 if g > anchor
                     && g != exterior
                     && !in_run(current, &g)
@@ -484,7 +414,7 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
         seen[start.0] = true;
         let (mut reached, mut stack) = (1, vec![start]);
         while let Some(f) = stack.pop() {
-            for &g in &dual[f.0] {
+            for &g in dual.get(f.0) {
                 if !seen[g.0] && !in_run(s, &g) {
                     seen[g.0] = true;
                     reached += 1;
@@ -501,10 +431,10 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
     /// part's, shifted by the part's offsets, with the nested parts'
     /// interior cells beside them; a quantifier value's are walked over the
     /// complex on the value's first use.
-    fn closure<'o>(&self, operand: &'o Operand<'_>) -> Closure<'o> {
+    fn closure<'o>(&'o self, operand: &'o Operand<'_>) -> Closure<'o> {
         match operand {
-            Operand::Named { home, slot } => {
-                let closure = slot.get_or_init(|| {
+            Operand::Named(home) => {
+                let closure = self.complex.closure_slot(home).get_or_init(|| {
                     self.walks.fetch_add(1, Ordering::Relaxed);
                     self.complex.home_closure(home)
                 });
@@ -578,7 +508,7 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
     fn classify(&self, a: &Operand<'_>, b: &Operand<'_>) -> Option<Relation4> {
         // Parts share no cell: names of two parts, neither with a part
         // nested inside it, are disjoint.
-        if let (Operand::Named { home: ha, .. }, Operand::Named { home: hb, .. }) = (a, b) {
+        if let (Operand::Named(ha), Operand::Named(hb)) = (a, b) {
             if ha.part != hb.part && ha.nested.is_empty() && hb.nested.is_empty() {
                 return Some(Relation4::Disjoint);
             }
@@ -604,7 +534,7 @@ impl<C: ComplexGeometry> CellEvaluator<C> {
     /// a box has a boundary edge and positive area, so its faces are not
     /// empty (empty regions would compare `equal` whatever their boxes).
     /// Otherwise — boxless names included — both named regions, read
-    /// through their homes out of their parts' tables, go to the
+    /// through their homes out of their parts' slots, go to the
     /// 4-intersection classifier.
     fn relation_of_names(&self, a: usize, b: usize) -> Option<Relation4> {
         if let (Some(ab), Some(bb)) = (&self.bboxes[a], &self.bboxes[b]) {
@@ -1123,10 +1053,10 @@ impl Candidates {
     }
 }
 
-/// A region operand of an atom: a name, read through its home out of its
-/// part's table, or a quantifier value.
+/// A region operand of an atom: a name, read through its home, or a
+/// quantifier value.
 enum Operand<'a> {
-    Named { home: RegionHome<'a>, slot: &'a OnceLock<ClosureCells> },
+    Named(RegionHome<'a>),
     Value(&'a CellRegion),
 }
 
@@ -1134,7 +1064,7 @@ impl Operand<'_> {
     /// The operand's faces.
     fn faces(&self) -> Ids<'_, FaceId> {
         match self {
-            Operand::Named { home, .. } => Ids { run: &home.faces, offset: home.offsets.face, spans: home.nested.faces() },
+            Operand::Named(home) => Ids { run: &home.faces, offset: home.offsets.face, spans: home.nested.faces() },
             Operand::Value(value) => Ids::run(&value.faces),
         }
     }
@@ -1639,7 +1569,7 @@ mod tests {
                 let mut seen = BTreeSet::from([start]);
                 let mut stack = vec![start];
                 while let Some(f) = stack.pop() {
-                    for &g in &dual[f.0] {
+                    for &g in dual.get(f.0) {
                         if set.contains(&g) && seen.insert(g) {
                             stack.push(g);
                         }

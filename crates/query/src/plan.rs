@@ -37,7 +37,7 @@
 //!   `not inside(ext(a), A)` satisfies `inside(ext(a), A)`, so `a` ranges
 //!   over `A`'s bbox neighbors. The parts of the body's top-level
 //!   conjunction (or disjunction) that do not mention the variable are run
-//!   once, before the values are tried (see [`Formula::split_on`]).
+//!   once, before the values are tried (see `Formula::split_on`).
 //!
 //! The plan is pure query-side analysis — it holds no instance data, is
 //! built by [`PreparedQuery`](crate::PreparedQuery) at compile time (or per

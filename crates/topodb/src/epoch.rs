@@ -46,13 +46,12 @@
 //!    components keep their region maps shifted by rank and their place in
 //!    the component-box index, so beyond the rebuilt components a commit
 //!    pays integer work per component and per name, and one `String` per
-//!    name for the new epoch's global name list. Each component of the new
-//!    epoch gets its closure table (`query::cell_eval::RegionCells`): the
-//!    base epoch's own when the component is the base's
-//!    (`Arc::ptr_eq`, found by one merge, since both component lists
-//!    ascend by smallest member name), with every region some query of an
-//!    earlier epoch walked; an empty one when it was rebuilt. That is
-//!    pointer work per component and no cell work. The result is a
+//!    name for the new epoch's global name list. A region's closure cells
+//!    live on its component
+//!    ([`ComplexGeometry::closure_slot`](arrangement::ComplexGeometry::closure_slot)),
+//!    so a carried component brings every region some query of an earlier
+//!    epoch walked, and a rebuilt one starts with none: the chain hands
+//!    nothing over by itself. The result is a
 //!    complete new [`Snapshot`], constructed while readers keep loading
 //!    the old head and other writers build their own epochs concurrently.
 //!    The root epoch is the same update, of the empty view with every name
@@ -67,8 +66,8 @@
 //!    stage 2 again with the *new head* as base: its components are carried
 //!    wherever this commit does not touch them, and for a group it does touch
 //!    the build is offered this attempt's own component (the `hint`) when every
-//!    member region has the same extent in both instances. The closure
-//!    tables are carried the same way, from the new head. That is valid by
+//!    member region has the same extent in both instances, with whatever
+//!    closure cells that component's slots hold. That is valid by
 //!    construction: a component is built from its members' regions and nothing
 //!    else. Two commits touching disjoint components therefore both build
 //!    concurrently and the loser's retry is a pure re-assembly (zero re-sweeps).
@@ -80,7 +79,6 @@ use crate::durability::Durability;
 use crate::snapshot::Snapshot;
 use crate::transaction::CommitSummary;
 use arrangement::{ComponentComplex, GlobalComplexView};
-use query::cell_eval::RegionCells;
 use spatial_core::instance::SpatialInstance;
 use spatial_core::region::Region;
 use wal::WalOp;
@@ -150,14 +148,13 @@ pub(crate) fn apply_ops(base: &SpatialInstance, ops: &[WalOp]) -> (SpatialInstan
 /// Build the snapshot of an epoch by patching the view of its base: carry
 /// over every component that `changed` (the names whose extent differs
 /// between the two instances) neither contains nor touches, with its
-/// nesting parent and its closure table (`base_cells`, aligned with the
-/// base view's components); re-partition, sweep (asking `hint` first) and
-/// locate the rest. This is the one way an epoch is made: the root epoch is
+/// nesting parent; re-partition, sweep (asking `hint` first) and locate
+/// the rest. This is the one way an epoch is made: the root epoch is
 /// the patch of the empty view with every name changed, which is
 /// [`arrangement::build_complex_view`].
 fn build_epoch<S, F>(
     epoch: u64,
-    (base, base_cells): (&GlobalComplexView, &[Arc<RegionCells>]),
+    base: &GlobalComplexView,
     instance: Arc<SpatialInstance>,
     changed: &[S],
     hint: F,
@@ -170,20 +167,9 @@ where
     let update = arrangement::update_components(base.components(), &instance, changed, hint);
     counters.component_rebuilds.fetch_add(update.rebuilt as u64, Ordering::Relaxed);
     counters.complex_builds.fetch_add(1, Ordering::Relaxed);
-    // A carried component keeps its closure table; a rebuilt or hinted one
-    // starts an empty one.
-    let cells = update
-        .carried_from
-        .iter()
-        .zip(&update.components)
-        .map(|(from, component)| match *from {
-            Some(old) => Arc::clone(&base_cells[old]),
-            None => Arc::new(RegionCells::new(component.region_names().len())),
-        })
-        .collect();
     let global_names: Vec<String> = instance.names().iter().map(|s| s.to_string()).collect();
     let view = base.updated(global_names, changed, update);
-    Snapshot::new(epoch, instance, Arc::new(view), cells)
+    Snapshot::new(epoch, instance, Arc::new(view))
 }
 
 /// The published head, the mutex that orders publishes, and the build
@@ -209,7 +195,7 @@ impl EpochChain {
         let instance = Arc::new(instance);
         let nothing = GlobalComplexView::new(Vec::new(), Vec::new());
         let names = instance.names();
-        let root = build_epoch(epoch, (&nothing, &[]), Arc::clone(&instance), &names, |_| None, &counters);
+        let root = build_epoch(epoch, &nothing, Arc::clone(&instance), &names, |_| None, &counters);
         EpochChain { head: RwLock::new(root), publish: Mutex::new(()), counters }
     }
 
@@ -245,7 +231,7 @@ impl EpochChain {
         }
         let mut built = build_epoch(
             base.epoch() + 1,
-            (base.view_ref(), &base.inner.cells),
+            base.view_ref(),
             Arc::new(instance),
             &changed,
             |_| None,
@@ -292,7 +278,7 @@ impl EpochChain {
             // component when none of its members' regions differ.
             built = build_epoch(
                 new_head.epoch() + 1,
-                (new_head.view_ref(), &new_head.inner.cells),
+                new_head.view_ref(),
                 Arc::clone(&instance),
                 &changed,
                 |members: &[(&str, &Region)]| {

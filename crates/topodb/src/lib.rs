@@ -103,8 +103,9 @@ use wal::WalOp;
 /// — and its region index are built before the epoch is published (the
 /// first one by the constructor); only the query evaluator is derived, on a
 /// snapshot's first query, and the closure cells of the names it reads,
-/// which later epochs inherit with their components
-/// ([`Snapshot::region_cells`]).
+/// which live on their components and so reach every later epoch that
+/// carries the component
+/// ([`ComplexGeometry::closure_slot`](arrangement::ComplexGeometry::closure_slot)).
 ///
 /// The public surface is split into a write path and a read path:
 ///

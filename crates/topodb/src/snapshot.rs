@@ -3,7 +3,7 @@
 
 use crate::TopoDbError;
 use arrangement::{ComplexRead, GlobalComplexView};
-use query::cell_eval::{CellEvaluator, RegionCells};
+use query::cell_eval::CellEvaluator;
 use query::{PreparedQuery, QueryOutput};
 use relations::Relation4;
 use spatial_core::instance::SpatialInstance;
@@ -46,23 +46,23 @@ use std::sync::{Arc, OnceLock};
 /// cells — never the whole view — and shares their walks with queries.
 ///
 /// Derived state lives where its inputs live. What a component determines
-/// alone is built with the `Arc<ComponentComplex>` at commit time and
-/// carried with it across commits: each of its regions' boundary box and
-/// interior faces, and the spatial index over those boxes. Its regions'
-/// closure cells (edges and vertices, in the component's own ids) are
-/// determined by it alone too, but walked only when a query or a read
-/// first needs them: they live in the query layer's table for the
-/// component ([`Snapshot::region_cells`]), which a commit hands, with the
-/// component, to the next epoch — pointer work per component, no cell
-/// work — so a name is walked once per build of its component. What
-/// depends on the whole epoch is per snapshot: the view's glue (id
-/// offsets, nesting parents, inherited labels, the index over the component
-/// boxes and the region index, [`Snapshot::spatial_index`], assembled from
-/// it and the components' region indexes) is built with the view at commit
-/// time, and the evaluator (its copy of the region boxes) lazily, on first
-/// use; it reads a name's cells out of its component's table through the
-/// view's offsets. The invariant is not derived at all: the homeomorphism
-/// test ([`Snapshot::homeomorphic_to`]) and the thematic database
+/// alone lives on the `Arc<ComponentComplex>` and is carried with it across
+/// commits: each of its regions' boundary box and interior faces and the
+/// spatial index over those boxes, built with the component at commit
+/// time, and each of its regions' closure cells (edges and vertices, in the
+/// component's own ids), walked into the component's slot for the region
+/// when a query or a read first needs them
+/// ([`ComplexGeometry::closure_slot`](arrangement::ComplexGeometry::closure_slot)).
+/// A name is therefore walked once per build of its component, and the
+/// snapshot chain carries nothing by hand. What depends on the whole epoch
+/// is per snapshot: the view's glue (id offsets, nesting parents, inherited
+/// labels, the index over the component boxes and the region index,
+/// [`Snapshot::spatial_index`], assembled from it and the components'
+/// region indexes) is built with the view at commit time, and the evaluator
+/// (its copy of the region boxes) lazily, on first use; it reads a name's
+/// cells out of its component's slot through the view's offsets. The
+/// invariant is not derived at all: the homeomorphism test
+/// ([`Snapshot::homeomorphic_to`]) and the thematic database
 /// ([`Snapshot::thematic`]) read the view. Nothing below the snapshot is
 /// built on a read.
 ///
@@ -79,9 +79,6 @@ pub(crate) struct SnapshotInner {
     /// operations to.
     pub(crate) instance: Arc<SpatialInstance>,
     view: Arc<GlobalComplexView>,
-    /// One closure table per component of the view, in component order:
-    /// the previous epoch's for a component carried from it.
-    pub(crate) cells: Arc<[Arc<RegionCells>]>,
     evaluator: OnceLock<Arc<CellEvaluator>>,
 }
 
@@ -90,14 +87,12 @@ impl Snapshot {
         epoch: u64,
         instance: Arc<SpatialInstance>,
         view: Arc<GlobalComplexView>,
-        cells: Arc<[Arc<RegionCells>]>,
     ) -> Snapshot {
         Snapshot {
             inner: Arc::new(SnapshotInner {
                 epoch,
                 instance,
                 view,
-                cells,
                 evaluator: OnceLock::new(),
             }),
         }
@@ -196,29 +191,18 @@ impl Snapshot {
     /// The shared cell-complex query evaluator of this snapshot, built on
     /// first use. Exposed so callers running many [`PreparedQuery`]s can
     /// amortize even the `Arc` clone; `query`/`evaluate` use it internally.
-    /// The evaluator is a view over the snapshot's complex and its
-    /// carried closure tables ([`CellEvaluator::from_view_carrying`] over
-    /// [`Snapshot::region_cells`]): building it costs
-    /// `O(regions + components)`, a copy of the region boxes the component
-    /// builds computed, and reads no edge. It reads a name's faces from its
-    /// component's build and its edges and vertices from the component's
-    /// table, walking them there only if no evaluator of this or an earlier
-    /// epoch did; its semi-join planner shares the snapshot's cached
-    /// spatial index ([`Snapshot::spatial_index`]).
+    /// The evaluator is [`CellEvaluator::from_view`] over the snapshot's
+    /// view: building it costs `O(regions + components)`, a copy of the
+    /// region boxes the component builds computed, and reads no edge. It
+    /// reads a name's faces from its component's build and its edges and
+    /// vertices from the component's slot for it, walking them there only
+    /// if no reader of this or an earlier epoch that shares the component
+    /// did; its semi-join planner shares the snapshot's cached spatial
+    /// index ([`Snapshot::spatial_index`]).
     pub fn evaluator(&self) -> Arc<CellEvaluator> {
-        Arc::clone(self.inner.evaluator.get_or_init(|| {
-            let (view, cells) = (Arc::clone(&self.inner.view), Arc::clone(&self.inner.cells));
-            Arc::new(CellEvaluator::from_view_carrying(view, cells))
-        }))
-    }
-
-    /// The closure tables the snapshot's evaluator reads and fills, one per
-    /// component of [`Snapshot::complex_view`], in component order. A
-    /// component the epoch carried from the previous one shares that
-    /// epoch's table, with every region already walked there; a rebuilt one
-    /// starts empty.
-    pub fn region_cells(&self) -> &[Arc<RegionCells>] {
-        &self.inner.cells
+        Arc::clone(
+            self.inner.evaluator.get_or_init(|| Arc::new(CellEvaluator::from_view(Arc::clone(&self.inner.view)))),
+        )
     }
 
     /// The spatial index over this snapshot's region bounding boxes, shared

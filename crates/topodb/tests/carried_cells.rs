@@ -1,7 +1,9 @@
-//! The closure tables a snapshot chain carries ([`Snapshot::region_cells`]):
-//! one per component, holding each region's closure cells in the
-//! component's own ids, handed from epoch to epoch with the component and
-//! read by every snapshot's evaluator through the view's offsets.
+//! Region closure cells across a snapshot chain. A named region's closure
+//! cells (its edges and vertices, in its component's own ids) live in its
+//! component's slot for it
+//! ([`ComplexGeometry::closure_slot`](topodb::arrangement::ComplexGeometry::closure_slot)),
+//! so they reach every epoch that carries the component and every
+//! evaluator over a view that shares it, read through that view's offsets.
 //!
 //! * **Answers.** After every step of three traces committed through the
 //!   facade — names interleaved with a clustered map's, components nested
@@ -10,19 +12,21 @@
 //!   relation matrix as the reference does:
 //!   `CellEvaluator::from_complex` over the flat copy of the view, which
 //!   walks every name afresh. The queries run on every epoch, so the
-//!   tables carry regions walked on earlier ones.
-//! * **Carry.** After a commit into one component, every untouched
-//!   component's table is the base epoch's own, walks and all; the rebuilt
-//!   component's table starts empty even though its member names are the
-//!   base component's; and reading the new epoch's whole relation matrix
-//!   walks the rebuilt component's names only.
+//!   components carry regions walked on earlier ones.
+//! * **Carry.** After a commit into one component, every other component
+//!   is the base epoch's own, walks and all; the rebuilt component is a new
+//!   one with no walk even though its member names are the base
+//!   component's; and reading the new epoch's whole relation matrix walks
+//!   the rebuilt component's names only.
+//! * **Sharing.** A second evaluator over a snapshot's view walks nothing
+//!   the snapshot's own evaluator walked.
 //!
 //! The debug run replays a prefix of each trace; the release run replays
 //! 300 steps (CI: "Carried region cells (release)").
 
 use datagen::TraceOp;
 use std::sync::Arc;
-use topodb::arrangement::ComplexRead;
+use topodb::arrangement::{ComplexGeometry, ComplexRead, GlobalComplexView};
 use topodb::query::CellEvaluator;
 use topodb::spatial_core::prelude::*;
 use topodb::{PreparedQuery, Snapshot, TopoDatabase};
@@ -105,8 +109,15 @@ fn carried_cells_answer_as_the_reference_along_the_dense_trace() {
     replay(datagen::jittered_overlap_map(16, 16, 12, 1996), &trace, "dense_edit_trace");
 }
 
+/// Whether each name's closure slot holds its walk, in name order.
+fn walked(view: &GlobalComplexView) -> Vec<bool> {
+    (0..view.region_names().len())
+        .map(|i| view.region_home(i).is_some_and(|home| view.closure_slot(&home).get().is_some()))
+        .collect()
+}
+
 #[test]
-fn untouched_components_keep_their_tables_and_a_rebuilt_one_starts_empty() {
+fn untouched_components_keep_their_walks_and_a_rebuilt_one_starts_empty() {
     // A clustered map, plus two overlapping squares far from it: one
     // component whose member names a re-shape keeps.
     let mut inst = datagen::clustered_map(8, 16, 3);
@@ -115,36 +126,41 @@ fn untouched_components_keep_their_tables_and_a_rebuilt_one_starts_empty() {
     let db = TopoDatabase::from_instance(inst);
     let base = db.snapshot();
     base.relation_matrix().expect("every pair is realizable");
-    let walked: Vec<usize> = base.region_cells().iter().map(|t| t.walked()).collect();
-    let pair = base.complex_view().components().iter().position(|c| c.region_names() == ["A", "B"]);
-    let pair = pair.expect("A and B form one component");
-    assert_eq!(walked[pair], 2, "the matrix walks both overlapping squares");
-    assert!(walked.iter().sum::<usize>() > 2, "it walks cluster names too");
+    let before = walked(&base.complex_view());
+    let pair = ["A", "B"].map(|name| base.complex_view().region_index(name).expect("a name of the map"));
+    assert!(pair.iter().all(|&i| before[i]), "the matrix walks both overlapping squares");
+    assert!(before.iter().filter(|&&w| w).count() > 2, "it walks cluster names too");
 
     let mut txn = db.begin_shared();
     txn.insert("A", Region::rect_from_ints(-1000, 0, -989, 10));
     txn.try_commit().expect("the re-shape publishes");
     let young = db.snapshot();
     let (old, new) = (base.complex_view(), young.complex_view());
-    assert_eq!(young.region_cells().len(), new.component_count(), "one table per component");
-    let mut rebuilt = 0;
-    for (c, component) in new.components().iter().enumerate() {
-        let table = &young.region_cells()[c];
-        match old.components().iter().position(|o| Arc::ptr_eq(o, component)) {
-            Some(o) => {
-                assert!(Arc::ptr_eq(table, &base.region_cells()[o]), "component {c} carries its table");
-                assert_eq!(table.walked(), walked[o], "component {c} keeps its walks");
-            }
-            None => {
-                rebuilt += 1;
-                assert_eq!(component.region_names(), ["A", "B"], "only the re-shaped pair is rebuilt");
-                assert!(!Arc::ptr_eq(table, &base.region_cells()[pair]), "a rebuilt component gets a new table");
-                assert_eq!(table.walked(), 0, "a rebuilt component's table starts empty");
-            }
-        }
-    }
-    assert_eq!(rebuilt, 1);
+    let rebuilt: Vec<_> = new
+        .components()
+        .iter()
+        .filter(|component| !old.components().iter().any(|o| Arc::ptr_eq(o, component)))
+        .collect();
+    assert_eq!(rebuilt.len(), 1, "only one component is rebuilt");
+    assert_eq!(rebuilt[0].region_names(), ["A", "B"], "the re-shaped pair is rebuilt");
+    assert_eq!(new.region_names(), old.region_names(), "the re-shape keeps every name");
+    let expected: Vec<bool> =
+        before.iter().enumerate().map(|(i, &w)| w && !pair.contains(&i)).collect();
+    assert_eq!(walked(&new), expected, "carried components keep their walks, the rebuilt one has none");
 
     assert_eq!(young.relation_matrix().ok(), base.relation_matrix().ok(), "the re-shape keeps every relation");
     assert_eq!(young.evaluator().region_walks(), 2, "of the new epoch's names only A and B are walked");
+}
+
+#[test]
+fn a_second_evaluator_over_a_snapshots_view_walks_nothing_the_first_walked() {
+    let db = TopoDatabase::from_instance(datagen::clustered_map(8, 16, 3));
+    let snapshot = db.snapshot();
+    let matrix = snapshot.relation_matrix().expect("every pair is realizable");
+    assert!(snapshot.evaluator().region_walks() > 0, "the matrix walks some names");
+    let second = CellEvaluator::from_view(snapshot.complex_view());
+    for (a, b, relation) in matrix {
+        assert_eq!(second.named_relation(&a, &b), Ok(Some(relation)), "relation({a}, {b})");
+    }
+    assert_eq!(second.region_walks(), 0, "every name it reads was walked into its component's slot");
 }
